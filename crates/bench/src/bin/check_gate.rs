@@ -1,17 +1,6 @@
 //! CI performance gates over the benchmark JSON reports.
 //!
-//! Two modes, selected by the first argument:
-//!
-//! * default — reads the report `overlap_forward` writes and fails
-//!   (non-zero exit) unless the pipelined forward at the gated degree
-//!   beats the serial path by the required factor:
-//!
-//!   ```bash
-//!   cargo run --release -p schemoe-bench --bin check_gate -- \
-//!       [path] [degree] [min-speedup]
-//!   ```
-//!
-//!   Defaults: `BENCH_overlap.json`, degree 4, 1.2x.
+//! One mode per report, selected by the first argument:
 //!
 //! * `--fullstep` — reads the report `fullstep` writes and enforces the
 //!   whole-step contract: the best degree beats serial by the best-floor,
@@ -78,41 +67,6 @@ fn load(path: &str, producer: &str) -> Json {
     let raw = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run {producer} first)"));
     json::parse(&raw).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"))
-}
-
-fn forward_gate(mut args: impl Iterator<Item = String>) {
-    let path = args.next().unwrap_or_else(|| "BENCH_overlap.json".into());
-    let degree: f64 = args.next().map_or(4.0, |a| a.parse().expect("degree"));
-    let floor: f64 = args.next().map_or(1.2, |a| a.parse().expect("min speedup"));
-
-    let doc = load(&path, "overlap_forward");
-    let degrees = doc
-        .get("degrees")
-        .and_then(Json::as_array)
-        .expect("report has a degrees array");
-    let entry = degrees
-        .iter()
-        .find(|d| d.get("r").and_then(Json::as_f64) == Some(degree))
-        .unwrap_or_else(|| panic!("no degree {degree} entry in {path}"));
-    let speedup = entry
-        .get("speedup")
-        .and_then(Json::as_f64)
-        .expect("degree entry has a speedup");
-    let ms = entry.get("ms").and_then(Json::as_f64).unwrap_or(f64::NAN);
-    let serial_ms = doc
-        .get("serial_ms")
-        .and_then(Json::as_f64)
-        .unwrap_or(f64::NAN);
-
-    println!(
-        "bench gate: degree {degree} forward {ms:.1} ms vs serial {serial_ms:.1} ms \
-         -> {speedup:.3}x (floor {floor:.2}x)"
-    );
-    if speedup < floor {
-        eprintln!("FAIL: speedup {speedup:.3}x is below the {floor:.2}x floor");
-        std::process::exit(1);
-    }
-    println!("PASS");
 }
 
 fn fullstep_gate(mut args: impl Iterator<Item = String>) {
@@ -459,6 +413,11 @@ fn main() {
             args.next();
             placement_gate(args);
         }
-        _ => forward_gate(args),
+        other => {
+            eprintln!(
+                "usage: check_gate --fullstep|--partition|--durability|--placement [args]; got {other:?}"
+            );
+            std::process::exit(2);
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! Wall-clock benchmark of the whole overlapped training step.
 //!
-//! Where `overlap_forward` times the forward pass alone, this bench times
-//! the full step — pipelined forward, pipelined backward, and the
+//! Times the full step — pipelined forward, pipelined backward, and the
 //! replicated-gradient allreduce folded into the backward task graph —
 //! through [`schemoe_models::distributed_full_step`] on a fabric whose
 //! cross-rank sends cost real time. It reports per-degree speedups over

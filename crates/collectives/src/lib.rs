@@ -56,11 +56,11 @@ pub const TAG_STRIDE: u64 = 1 << 24;
 ///
 /// A single MoE layer invocation owns `[tag_base, tag_base + TAG_STRIDE)`
 /// and quarters it into four lanes — one per logical exchange of the
-/// forward/backward pass. Within a lane, the overlapped pipeline offsets
-/// by the chunk index (see [`chunk_tag`]), so the `r` in-flight chunk
-/// exchanges of ScheMoE's pipelining never collide. The serial path is the
-/// degenerate `chunk = 0` case of the same scheme, which is what keeps the
-/// two paths wire-compatible.
+/// forward/backward pass. Within a lane a message's tag adds an index (see
+/// [`chunk_tag`]): the chunk in the forward, whose `r` in-flight chunk
+/// exchanges must never collide, and the receiving rank in the backward,
+/// which pipelines per peer. A whole-layer exchange at degree 1 is the
+/// degenerate index `0` of the same scheme.
 pub mod lanes {
     use super::TAG_STRIDE;
 
@@ -103,10 +103,10 @@ fn coll_span(alg: &str, tag: u64, chunks: &[Bytes]) -> schemoe_obs::SpanGuard {
 
 /// Hard ceiling on the pipeline partition degree `r`.
 ///
-/// A lane is `TAG_STRIDE / 4` tags wide and the serial path's hosted
-/// failover legs occupy `lane + 1 + rank` (ranks ≤ 64), so 4096 chunks per
-/// lane leaves both schemes collision-free with orders of magnitude to
-/// spare. Configuration layers cap degrees here at construction so a
+/// A lane is `TAG_STRIDE / 4` tags wide and a message's tag offsets into
+/// it by a chunk index (forward) or a rank (backward, ranks ≤ 64), so 4096
+/// indices per lane stay collision-free with orders of magnitude to spare.
+/// Configuration layers cap degrees here at construction so a
 /// misconfigured degree fails loudly instead of silently colliding tags
 /// across lanes in a release build.
 pub const MAX_PARTITION_DEGREE: usize = 4096;
@@ -210,32 +210,6 @@ pub fn reference_all_to_all(
     Ok(out)
 }
 
-/// Direct tagged exchange with a liveness deadline on every receive.
-///
-/// Identical routing to [`reference_all_to_all`], but each receive gives up
-/// with [`FabricError::Timeout`] after `timeout` instead of hanging on a
-/// silent peer. This is the per-chunk exchange the overlapped MoE pipeline
-/// issues on its communication worker: with `r` chunks in flight the cost
-/// of a wedged peer is a loud error within one deadline, not a stuck job.
-pub fn reference_all_to_all_timeout(
-    handle: &mut RankHandle,
-    chunks: Vec<Bytes>,
-    tag: u64,
-    timeout: std::time::Duration,
-) -> Result<Vec<Bytes>, FabricError> {
-    let p = handle.world_size();
-    assert_eq!(chunks.len(), p, "one chunk per destination rank required");
-    let _span = coll_span("ref", tag, &chunks);
-    for (j, chunk) in chunks.into_iter().enumerate() {
-        handle.send(j, tag, chunk)?;
-    }
-    let mut out = Vec::with_capacity(p);
-    for j in 0..p {
-        out.push(handle.recv_timeout(j, tag, timeout)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,29 +224,6 @@ mod tests {
                 .map(|j| Bytes::copy_from_slice(&[me, j as u8]))
                 .collect();
             reference_all_to_all(&mut h, chunks, 0).unwrap()
-        });
-        for (me, got) in results.iter().enumerate() {
-            for (j, payload) in got.iter().enumerate() {
-                assert_eq!(payload.as_ref(), &[j as u8, me as u8]);
-            }
-        }
-    }
-
-    #[test]
-    fn timeout_exchange_matches_reference() {
-        let topo = Topology::new(2, 2);
-        let results = Fabric::run(topo, |mut h| {
-            let me = h.rank() as u8;
-            let chunks: Vec<Bytes> = (0..h.world_size())
-                .map(|j| Bytes::copy_from_slice(&[me, j as u8]))
-                .collect();
-            reference_all_to_all_timeout(
-                &mut h,
-                chunks,
-                chunk_tag(0, lanes::LANE_DISPATCH, 3),
-                std::time::Duration::from_secs(10),
-            )
-            .unwrap()
         });
         for (me, got) in results.iter().enumerate() {
             for (j, payload) in got.iter().enumerate() {

@@ -317,7 +317,7 @@ impl RecoverySpec {
 /// layer through one serializable value.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScheMoeConfig {
-    /// Token-pipeline partition degree `r`; 1 = serial execution.
+    /// Token-pipeline partition degree `r`; 1 = the same graph run inline.
     pub partition_degree: usize,
     /// Liveness deadline for pipelined receives, in milliseconds
     /// (`None` = block indefinitely, as plain `recv` does).
@@ -337,7 +337,8 @@ pub struct ScheMoeConfig {
 }
 
 impl ScheMoeConfig {
-    /// Serial execution, no compression: the reference configuration.
+    /// Degree 1 (the step's graph run inline), no compression: the
+    /// reference configuration.
     pub fn serial() -> Self {
         ScheMoeConfig {
             partition_degree: 1,

@@ -328,10 +328,11 @@ pub struct FtConfig {
     /// [`buddy_of`]), so losing one domain never takes an expert and its
     /// replica together. `None` keeps the plain `(rank + 1) mod n` ring.
     pub replica_domains: Option<DomainMap>,
-    /// Partition degree `r` of the MoE layer's overlapped pipeline.
-    /// `1` runs the serial path; higher degrees chunk the all-to-alls and
-    /// overlap them with compute in both forward and backward. The loss
-    /// trajectory is bit-identical at every degree.
+    /// Partition degree `r` of the MoE layer's task graph. `1` = the same
+    /// graph run inline; higher degrees chunk the all-to-alls and overlap
+    /// them with compute in both forward and backward, in every mode
+    /// (healthy, degraded, failover, placed). The loss trajectory is
+    /// bit-identical at every degree.
     pub partition_degree: usize,
     /// Start in limbo: skip step 0 and enter the rejoin announce loop
     /// immediately. This is the entry point for a *fresh process* joining

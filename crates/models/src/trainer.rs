@@ -15,9 +15,9 @@ use crate::lm::TinyMoeLm;
 /// One whole distributed training step on an expert-parallel MoE layer:
 /// forward, then backward with the replicated-gradient allreduce folded
 /// into the backward task graph. At partition degrees > 1 both passes run
-/// the chunked pipeline and the allreduce overlaps the backward
-/// all-to-alls on the communication worker; at degree 1 everything runs
-/// serially. The result is bit-identical at every degree.
+/// on the two-worker executor and the allreduce overlaps the backward
+/// exchanges on the communication worker; at degree 1 the same graphs run
+/// inline. The result is bit-identical at every degree.
 ///
 /// The upstream gradient is the forward output itself (the `loss =
 /// ½‖y‖²` convention the bit-identity tests and benchmarks use), so the

@@ -1,0 +1,304 @@
+//! The per-step routing table and the one chunk format every dispatch,
+//! combine and gradient message uses.
+//!
+//! A [`Routing`] says, for every global expert, which ranks serve it this
+//! step. Each rank's *served list* (the ascending global expert ids it
+//! serves) is the layout of every chunk sent to or from that rank: a count
+//! per served expert, then the rows of all of them.
+
+use bytes::{Bytes, BytesMut};
+use schemoe_cluster::FabricError;
+use schemoe_compression::Compressor;
+use schemoe_tensor::Tensor;
+
+/// Who serves which expert during one step.
+pub(crate) struct Routing {
+    /// Per global expert: its serving ranks in replica order; slot `s` of
+    /// the expert goes to `servers[s % g]`. Empty when the expert is masked
+    /// out of the gate (dead owner, no failover host).
+    pub servers: Vec<Vec<usize>>,
+    /// Per rank: the ascending global expert ids it serves.
+    pub served: Vec<Vec<usize>>,
+    /// Per rank: whether it takes part in this step's exchanges.
+    pub live: Vec<bool>,
+}
+
+impl Routing {
+    /// Builds the table from each expert's serving ranks.
+    pub fn new(servers: Vec<Vec<usize>>, live: Vec<bool>) -> Self {
+        let mut served = vec![Vec::new(); live.len()];
+        for (e, ranks) in servers.iter().enumerate() {
+            for &rank in ranks {
+                served[rank].push(e);
+            }
+        }
+        Routing {
+            servers,
+            served,
+            live,
+        }
+    }
+
+    /// Ranks serving at least one expert, ascending: the far end of every
+    /// dispatch leg.
+    pub fn serving_ranks(&self) -> Vec<usize> {
+        (0..self.live.len())
+            .filter(|&rank| !self.served[rank].is_empty())
+            .collect()
+    }
+
+    /// The ranks `rank` receives dispatched rows from, ascending: every
+    /// live rank when it serves anything, else none.
+    pub fn sources_of(&self, rank: usize) -> Vec<usize> {
+        let serves = !self.served[rank].is_empty();
+        (0..self.live.len())
+            .filter(|&src| serves && self.live[src])
+            .collect()
+    }
+
+    /// Whether a step at degree `r` has nothing to overlap — one chunk, or
+    /// no live peer — and so runs its graph on the calling thread.
+    pub fn runs_inline(&self, r: usize) -> bool {
+        r == 1 || self.live.iter().filter(|&&l| l).count() < 2
+    }
+
+    /// True when every rank is live and serves something, so a whole-layer
+    /// exchange is a complete all-to-all.
+    pub fn full_mesh(&self) -> bool {
+        self.live.iter().all(|&l| l) && self.served.iter().all(|s| !s.is_empty())
+    }
+
+    /// Position of expert `e` in `rank`'s served list.
+    pub fn index_in(&self, rank: usize, e: usize) -> usize {
+        self.served[rank]
+            .binary_search(&e)
+            .expect("rank serves the expert")
+    }
+
+    /// The slot indices, out of an expert's `len` admitted slots, that
+    /// travel to `rank` in chunk `c` of `r`: `rank` holds position `i` of
+    /// the expert's `g` servers, so its share is slots `i, i + g, …`, and
+    /// chunk `c` is the `c`-th of `r` contiguous segments of that share.
+    /// Concatenating the chunks in order restores the share; interleaving
+    /// the shares restores slot order.
+    pub fn segment(
+        &self,
+        e: usize,
+        rank: usize,
+        len: usize,
+        c: usize,
+        r: usize,
+    ) -> impl ExactSizeIterator<Item = usize> {
+        let ranks = &self.servers[e];
+        let g = ranks.len();
+        let i = ranks
+            .iter()
+            .position(|&s| s == rank)
+            .expect("rank serves the expert");
+        let share = if len > i { (len - i - 1) / g + 1 } else { 0 };
+        (c * share / r..(c + 1) * share / r).map(move |q| i + q * g)
+    }
+}
+
+/// The rows of `src` at `indices`, in that order.
+pub(crate) fn gather_rows(src: &Tensor, indices: impl ExactSizeIterator<Item = usize>) -> Tensor {
+    let mut rows = Tensor::zeros(&[indices.len(), src.dims()[1]]);
+    for (row, idx) in indices.enumerate() {
+        rows.row_mut(row).copy_from_slice(src.row(idx));
+    }
+    rows
+}
+
+/// Concatenates row blocks of width `m`.
+pub(crate) fn concat_rows<'t>(parts: impl Iterator<Item = &'t Tensor> + Clone, m: usize) -> Tensor {
+    let total: usize = parts.clone().map(|t| t.dims()[0]).sum();
+    let mut data = Vec::with_capacity(total * m);
+    for part in parts {
+        data.extend_from_slice(part.data());
+    }
+    Tensor::from_vec(data, &[total, m]).expect("row blocks share the width")
+}
+
+/// Serializes the rows bound for one rank: a little-endian `u32` row count
+/// per served expert, then the codec's encoding of all rows concatenated.
+pub(crate) fn encode_chunk(compressor: &dyn Compressor, per_expert_rows: &[Tensor]) -> Bytes {
+    let elems = per_expert_rows.iter().map(Tensor::numel).sum();
+    let mut flat: Vec<f32> = Vec::with_capacity(elems);
+    let header_len = 4 * per_expert_rows.len();
+    let mut chunk = BytesMut::with_capacity(header_len + compressor.compressed_len(elems));
+    for rows in per_expert_rows {
+        chunk.extend_from_slice(&(rows.dims()[0] as u32).to_le_bytes());
+        flat.extend_from_slice(rows.data());
+    }
+    chunk.extend_from_slice(&compressor.compress(&flat));
+    chunk.freeze()
+}
+
+/// Decodes a chunk received from `peer` under `tag` into one `[count, m]`
+/// row block per served expert. The bytes came off the wire, so anything
+/// inconsistent — a short header, counts the payload cannot hold, a codec
+/// error — is [`FabricError::Corrupt`], never a panic or a partial result.
+pub(crate) fn decode_chunk(
+    compressor: &dyn Compressor,
+    chunk: &[u8],
+    experts: usize,
+    m: usize,
+    peer: usize,
+    tag: u64,
+) -> Result<Vec<Tensor>, FabricError> {
+    let corrupt = FabricError::Corrupt { peer, tag };
+    let Some((header, payload)) = experts
+        .checked_mul(4)
+        .and_then(|n| chunk.split_at_checked(n))
+    else {
+        return Err(corrupt);
+    };
+    let counts: Vec<usize> = header
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+        .collect();
+    // Every codec spends at least a bit per value; bounding the element
+    // count by the payload keeps a hostile header from sizing anything.
+    let Some(elems) = counts
+        .iter()
+        .try_fold(0usize, |sum, &c| sum.checked_add(c))
+        .and_then(|total| total.checked_mul(m))
+        .filter(|&elems| elems <= payload.len().saturating_mul(8))
+    else {
+        return Err(corrupt);
+    };
+    let Ok(flat) = compressor.decompress(payload, elems) else {
+        return Err(corrupt);
+    };
+    let mut off = 0usize;
+    Ok(counts
+        .iter()
+        .map(|&c| {
+            let rows = Tensor::from_vec(flat[off * m..(off + c) * m].to_vec(), &[c, m])
+                .expect("counts sum to the decoded length");
+            off += c;
+            rows
+        })
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use schemoe_compression::{Fp16Compressor, Int8Compressor, NoCompression, ZfpCompressor};
+
+    const M: usize = 3;
+
+    fn codec(idx: usize) -> Box<dyn Compressor> {
+        match idx {
+            0 => Box::new(NoCompression),
+            1 => Box::new(Fp16Compressor),
+            2 => Box::new(Int8Compressor),
+            _ => Box::new(ZfpCompressor::new(8)),
+        }
+    }
+
+    /// One row block per entry of `counts`, filled with small exact values.
+    fn blocks(counts: &[usize]) -> Vec<Tensor> {
+        let block = |&c: &usize| {
+            let data = (0..c * M).map(|i| (i % 7) as f32 * 0.5).collect();
+            Tensor::from_vec(data, &[c, M]).unwrap()
+        };
+        counts.iter().map(block).collect()
+    }
+
+    fn is_corrupt(result: &Result<Vec<Tensor>, FabricError>) -> bool {
+        matches!(result, Err(FabricError::Corrupt { peer: 3, tag: 9 }))
+    }
+
+    #[test]
+    fn gradient_chunks_keep_their_length_and_round_trip_exactly() {
+        // Gradients ride the same framing under `NoCompression`: a count
+        // per expert and four bytes per value, as the raw framing had.
+        let rows = blocks(&[2, 0, 5]);
+        let chunk = encode_chunk(&NoCompression, &rows);
+        assert_eq!(chunk.len(), 4 * rows.len() + 4 * (2 + 5) * M);
+        let back = decode_chunk(&NoCompression, &chunk, rows.len(), M, 0, 0).unwrap();
+        assert_eq!(back, rows);
+    }
+
+    #[test]
+    fn segments_partition_an_experts_slots_in_order() {
+        // Servers [2, 0, 1] of expert 0: chunks concatenate to each share,
+        // shares interleave back to slot order, at any degree.
+        let routing = Routing::new(vec![vec![2, 0, 1]], vec![true; 3]);
+        for len in 0..12 {
+            for r in 1..5 {
+                let mut seen = vec![usize::MAX; len];
+                for (i, &rank) in routing.servers[0].iter().enumerate() {
+                    let share: Vec<usize> = (0..r)
+                        .flat_map(|c| routing.segment(0, rank, len, c, r))
+                        .collect();
+                    let want: Vec<usize> = (i..len).step_by(3).collect();
+                    assert_eq!(share, want, "len {len} r {r} server {rank}");
+                    share.iter().for_each(|&s| seen[s] = rank);
+                }
+                assert!(seen.iter().all(|&rank| rank != usize::MAX));
+            }
+        }
+    }
+
+    /// `Corrupt`, or exactly the row blocks the bytes' own header announces.
+    fn rejected_or_whole(
+        bytes: &[u8],
+        experts: usize,
+        result: &Result<Vec<Tensor>, FabricError>,
+    ) -> bool {
+        let Ok(rows) = result else {
+            return is_corrupt(result);
+        };
+        let announced = bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+        rows.len() == experts
+            && rows
+                .iter()
+                .zip(announced)
+                .all(|(block, count)| block.dims() == [count as usize, M])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Bytes off the wire never panic the decoder and never yield a
+        /// half-filled result. A truncated chunk is `Corrupt`; so is one
+        /// with a header bit flipped, unless the codec is block-granular
+        /// (zfp cannot see a count change inside its last block) and the
+        /// result is then whole under the flipped header; arbitrary bytes
+        /// are `Corrupt` or whole under their own header.
+        #[test]
+        fn hostile_chunks_are_rejected_not_trusted(
+            codec_idx in 0usize..4,
+            counts in proptest::collection::vec(0usize..6, 1..4),
+            cut in 1usize..64,
+            flip in 0usize..4096,
+            noise in proptest::collection::vec(0u8..=255, 0..48),
+        ) {
+            let codec = codec(codec_idx);
+            let experts = counts.len();
+            let chunk = encode_chunk(codec.as_ref(), &blocks(&counts));
+            let decode = |bytes: &[u8]| decode_chunk(codec.as_ref(), bytes, experts, M, 3, 9);
+            prop_assert!(decode(&chunk).is_ok());
+
+            let truncated = &chunk[..chunk.len() - cut.min(chunk.len())];
+            prop_assert!(is_corrupt(&decode(truncated)), "truncated by {}", cut);
+
+            let mut flipped = chunk.to_vec();
+            let bit = flip % (32 * experts);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let result = decode(&flipped);
+            prop_assert!(
+                if codec_idx < 3 { is_corrupt(&result) } else { rejected_or_whole(&flipped, experts, &result) },
+                "header bit {} flipped", bit
+            );
+
+            prop_assert!(rejected_or_whole(&noise, experts, &decode(&noise)));
+        }
+    }
+}

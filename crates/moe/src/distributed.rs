@@ -1,22 +1,23 @@
 //! Expert-parallel MoE execution over the rank fabric.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use schemoe_cluster::{FabricError, RankHandle};
-use schemoe_collectives::{
-    chunk_tag, lanes, reference_all_to_all, reference_all_to_all_timeout, AllToAll,
-    MAX_PARTITION_DEGREE, TAG_STRIDE,
-};
-use schemoe_compression::Compressor;
+use schemoe_collectives::{chunk_tag, lanes, AllToAll, MAX_PARTITION_DEGREE};
+use schemoe_compression::{Compressor, NoCompression};
 use schemoe_obs as obs;
-use schemoe_scheduler::executor::{run_overlapped_cancellable, ExecTask, Worker};
+use schemoe_scheduler::executor::{
+    run_inline_cancellable, run_overlapped_cancellable, ExecTask, Worker,
+};
 use schemoe_tensor::nn::Param;
 use schemoe_tensor::Tensor;
 
+use crate::dispatch::{concat_rows, decode_chunk, encode_chunk, gather_rows, Routing};
 use crate::expert::Expert;
 use crate::gating::{GateDecision, TopKGate};
 use crate::placement::Placement;
@@ -26,21 +27,25 @@ use crate::placement::Placement;
 ///
 /// Forward (paper §2.2, Fig. 2): the gate routes local tokens to *global*
 /// experts; per-destination payloads are serialized, compressed with the
-/// configured [`Compressor`], exchanged through the configured
-/// [`AllToAll`], decompressed, pushed through the owning rank's experts,
-/// and shipped back the same way for the weighted combine. Backward
-/// reverses the exchanges (gradients travel uncompressed, matching the
-/// paper's §7 caution about compressing backpropagation).
+/// configured [`Compressor`], exchanged, decompressed, pushed through the
+/// serving rank's experts, and shipped back the same way for the weighted
+/// combine. Backward reverses the exchanges (gradients travel
+/// uncompressed, matching the paper's §7 caution about compressing
+/// backpropagation).
 ///
-/// With [`with_partition_degree`](Self::with_partition_degree) above 1 the
-/// forward runs ScheMoE's *pipelined* schedule instead: the batch's routed
-/// slots are split into `r` chunks and the per-chunk task chain
-/// `C1 → A2A1 → (D1·E·C2) → A2A2 → D2` executes on a two-worker overlap
-/// executor, so chunk `c`'s exchange overlaps chunk `c+1`'s compute (the
-/// paper's OptSche order). The overlapped output is bit-identical to the
-/// serial path: the gate runs once on the whole batch, expert bodies are
-/// row-wise, and the final combine reassembles chunks into exactly the
-/// serial slot order before accumulating.
+/// There is one data path. Each step derives a routing table — for every
+/// global expert, the ranks serving it — from the state the layer holds:
+/// the owner in the static layout, the failover host for a dead owner,
+/// nobody for an orphaned one (the gate masks it), the replica set under a
+/// load-aware [`Placement`]. [`forward`](Self::forward) and
+/// [`backward_with_allreduce`](Self::backward_with_allreduce) each build
+/// one task graph from that table and the
+/// [partition degree](Self::with_partition_degree) `r`, ScheMoE's
+/// `C1 → A1 → (D1·E·C2) → A2 → D2` chain per chunk: on a two-worker
+/// overlap executor at `r > 1`, so chunk `c`'s exchange overlaps chunk
+/// `c + 1`'s compute (the paper's OptSche order), and inline on the
+/// calling thread at `r = 1`. Outputs and every gradient are bit-identical
+/// across degrees in every mode.
 pub struct DistributedMoeLayer {
     gate: TopKGate,
     local_experts: Vec<Box<dyn Expert>>,
@@ -48,25 +53,25 @@ pub struct DistributedMoeLayer {
     compressor: Box<dyn Compressor>,
     a2a: Box<dyn AllToAll>,
     cache: Option<Cache>,
-    /// ScheMoE pipelining degree `r`; 1 = serial.
+    /// ScheMoE pipelining degree `r`; 1 = the same graph run inline.
     partition_degree: usize,
-    /// Liveness deadline for the overlapped path's receives.
+    /// Liveness deadline for the direct exchanges' receives.
     recv_timeout: Option<Duration>,
     /// Ranks declared dead mid-training: their experts are masked out of
     /// routing and all exchanges skip them (degraded mode).
     dead_ranks: BTreeSet<usize>,
     /// Hot-failover routing: dead rank → live host currently serving its
     /// experts from a buddy replica. Every live rank must hold the same
-    /// table so the hosted exchanges agree on who speaks for whom; a dead
-    /// rank with a route keeps its experts in the routing table.
+    /// table so the exchanges agree on who speaks for whom; a dead rank
+    /// with a route keeps its experts in the routing table.
     failover_hosts: BTreeMap<usize, usize>,
     /// The expert bodies this rank serves on behalf of dead wards (the
     /// host side of `failover_hosts`), keyed by the dead rank.
     hosted_experts: BTreeMap<usize, Vec<Box<dyn Expert>>>,
     /// Load-aware expert placement installed by the placement controller;
     /// `None` (or a static table) keeps the owner-per-rank layout. A
-    /// non-static placement activates the *placed* forward/backward, which
-    /// fans each expert's slots across its replica set.
+    /// non-static placement fans each expert's slots across its replica
+    /// set.
     placement: Option<Placement>,
     /// Guest expert bodies this rank serves for experts whose static home
     /// is elsewhere (replicated or migrated onto this rank), keyed by
@@ -75,46 +80,35 @@ pub struct DistributedMoeLayer {
     guest_experts: BTreeMap<usize, Box<dyn Expert>>,
     /// Per-global-expert routed token counts since the last
     /// [`take_load_stats`](Self::take_load_stats) drain (placement policy
-    /// input; recorded by every forward path).
+    /// input).
     routing_loads: Vec<u64>,
     /// Capacity-shed assignments since the last drain.
     shed_tokens: u64,
     /// Admitted assignments since the last drain.
     routed_tokens: u64,
-    /// Per-forward local expert-stage service times (µs) since the last
-    /// drain. Only the serial and placed paths record these; the
-    /// overlapped path interleaves compute with communication, so its
-    /// expert stage has no isolated wall-clock reading.
+    /// Per forward since the last drain: the summed wall time of the
+    /// step's `E` stages on this rank, in µs rounded up.
     service_us: Vec<u64>,
 }
 
+/// What a forward leaves for its backward.
 struct Cache {
     decision: GateDecision,
-    /// Per local expert, per src rank: row count received.
+    /// The routing table the forward ran under; the backward mirrors it.
+    routing: Routing,
+    /// Per served expert, per src rank: row count received.
     recv_counts: Vec<Vec<usize>>,
-    /// Per hosted dead rank, per its local expert, per src rank: row count
-    /// received on the hosted dispatch lane (host side of failover).
-    hosted_recv_counts: BTreeMap<usize, Vec<Vec<usize>>>,
-    /// Per hosted dead rank, per its local expert: the src-major input
-    /// rows, for the same per-(expert, source) recompute grouping the
-    /// rank itself would have used.
-    hosted_inputs: BTreeMap<usize, Vec<Tensor>>,
-    /// Per global expert this rank dispatched to: the returned output rows
-    /// in this rank's slot order.
+    /// Per served expert: its src-major input rows, each source's in slot
+    /// order. The backward recomputes each (expert, source) group's
+    /// activations from these before differentiating it, which is what
+    /// makes the weight-gradient accumulation order — and therefore the
+    /// grads — independent of the partition degree.
+    expert_inputs: Vec<Tensor>,
+    /// Per global expert: the returned output rows in this rank's slot
+    /// order.
     returned_outputs: Vec<Tensor>,
-    /// Per local expert: the serial-order (src-major) input rows. Set by
-    /// both forwards; the backward recomputes each (expert, source)
-    /// group's activations from these before differentiating it, which is
-    /// what makes the weight-gradient accumulation order — and therefore
-    /// the grads — independent of the partition degree.
-    expert_inputs: Option<Vec<Tensor>>,
     n: usize,
     tag_base: u64,
-    /// `Some(served list)` when the forward ran the placed path: the
-    /// ascending global expert ids this rank served, indexing
-    /// `recv_counts` / `expert_inputs`. Routes the backward to the placed
-    /// path with the same fan-out.
-    served: Option<Vec<usize>>,
 }
 
 /// A replicated-parameter gradient allreduce to fold into the MoE
@@ -123,8 +117,9 @@ struct Cache {
 ///
 /// The referenced gradients must already be final when the backward is
 /// submitted (e.g. the LM head's grads, produced before the MoE backward
-/// starts); the reduction then rides the comm worker concurrently with
-/// the backward's compute stages instead of serializing after the step.
+/// starts); at degrees above 1 the reduction then rides the comm worker
+/// concurrently with the backward's compute stages instead of serializing
+/// after the step.
 /// The result is bit-identical to calling
 /// [`allreduce_live`] separately: the same elementwise sums in the same
 /// gather order, only overlapped in wall clock.
@@ -177,8 +172,9 @@ impl DistributedMoeLayer {
 
     /// Sets the pipelining degree `r` (the paper's token-chunk count).
     ///
-    /// `1` keeps the serial forward; larger degrees run the overlapped
-    /// pipeline. Degrees above the batch size simply yield empty chunks.
+    /// `1` runs the step's task graph inline on the calling thread; larger
+    /// degrees run the same graph with `r` chunks on the two-worker overlap
+    /// executor. Degrees above the batch size simply yield empty chunks.
     ///
     /// # Panics
     ///
@@ -195,9 +191,9 @@ impl DistributedMoeLayer {
         self
     }
 
-    /// Sets a liveness deadline for the overlapped pipeline's receives:
-    /// a live-but-silent peer surfaces as [`FabricError::Timeout`] instead
-    /// of hanging the pipeline.
+    /// Sets a liveness deadline for every direct receive of a step: a
+    /// live-but-silent peer surfaces as [`FabricError::Timeout`] instead of
+    /// hanging it.
     pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
         self.recv_timeout = Some(timeout);
         self
@@ -225,18 +221,13 @@ impl DistributedMoeLayer {
         self.gate.set_capacity_factor(factor);
     }
 
-    /// The rank owning global expert `e`.
-    fn owner_of(&self, e: usize) -> usize {
-        e / self.experts_per_rank
-    }
-
     /// Declares `rank` dead: its experts leave the routing table (the gate
     /// renormalizes over survivors) and every exchange skips it. The next
     /// forward runs in degraded mode — with a quality warning recorded on
     /// the `degraded` span and counter — instead of hanging on the dead
-    /// peer. With at least two live ranks the overlapped (r > 1) pipeline
-    /// keeps running over the survivors; only a world shrunk to one live
-    /// rank falls back to the serial path.
+    /// peer. With at least two live ranks an `r > 1` pipeline keeps
+    /// overlapping over the survivors; a world shrunk to one live rank has
+    /// no communication left to overlap and runs its graph inline.
     pub fn mark_rank_dead(&mut self, rank: usize) {
         self.dead_ranks.insert(rank);
         // A dying host orphans its wards: their routes vanish and the gate
@@ -258,8 +249,8 @@ impl DistributedMoeLayer {
     /// Installs a failover route: live rank `host` serves the experts of
     /// dead rank `dead` from its buddy replica, so `dead`'s experts stay
     /// in the routing table instead of being masked out. Every live rank
-    /// must install the same route for the hosted exchanges to line up;
-    /// only the host itself also calls
+    /// must install the same route for the exchanges to line up; only the
+    /// host itself also calls
     /// [`install_hosted_experts`](Self::install_hosted_experts).
     ///
     /// # Panics
@@ -329,8 +320,8 @@ impl DistributedMoeLayer {
         self.placement.as_ref()
     }
 
-    /// True when a non-static placement is active: the next forward runs
-    /// the placed path (replica fan-out / migrated homes).
+    /// True when a non-static placement is active: the next step's routing
+    /// table follows it (replica fan-out / migrated homes).
     pub fn is_placed(&self) -> bool {
         self.placement.as_ref().is_some_and(|p| !p.is_static())
     }
@@ -343,8 +334,8 @@ impl DistributedMoeLayer {
     ///
     /// Placement composes with a fully live world only: burial, failover
     /// and rejoin all reset to the static layout first
-    /// ([`reset_placement`](Self::reset_placement)), so the placed path
-    /// never has to reason about dead peers or hosted lanes.
+    /// ([`reset_placement`](Self::reset_placement)), so a placement's
+    /// routing table never names a dead rank.
     ///
     /// # Panics
     ///
@@ -424,7 +415,8 @@ impl DistributedMoeLayer {
 
     /// Drains the routing-load / shed / service-time accumulators gathered
     /// since the previous drain: `(per-expert routed token counts, shed
-    /// assignments, admitted assignments, p99 expert-stage service µs)`.
+    /// assignments, admitted assignments, p99 over the drained forwards of
+    /// each one's summed expert-stage µs)`.
     /// Feeds the placement controller's [`LoadReport`](crate::LoadReport).
     pub fn take_load_stats(&mut self) -> (Vec<u64>, u64, u64, u64) {
         let loads = std::mem::take(&mut self.routing_loads);
@@ -464,22 +456,6 @@ impl DistributedMoeLayer {
         }
     }
 
-    /// Records one expert-stage wall-clock sample.
-    fn note_service(&mut self, elapsed: Duration) {
-        self.service_us.push(elapsed.as_micros() as u64);
-    }
-
-    /// Rows expert `e` sends to the server at position `i` of its
-    /// `g`-replica set when its slot list has `len` entries: slot `s` goes
-    /// to position `s % g`, so position `i` receives slots `i, i+g, …`.
-    fn slot_share(len: usize, i: usize, g: usize) -> usize {
-        if len > i {
-            (len - i - 1) / g + 1
-        } else {
-            0
-        }
-    }
-
     /// The ranks currently declared dead, ascending.
     pub fn dead_ranks(&self) -> Vec<usize> {
         self.dead_ranks.iter().copied().collect()
@@ -490,1332 +466,292 @@ impl DistributedMoeLayer {
         !self.dead_ranks.is_empty()
     }
 
-    /// The routing mask for the current dead set: `mask[e]` is true when
-    /// expert `e` lives on a dead rank *without* a failover route. A
-    /// routed dead rank's experts keep serving tokens through their host,
-    /// so they stay in the routing table.
-    fn dead_expert_mask(&self, world_size: usize) -> Vec<bool> {
-        (0..world_size * self.experts_per_rank)
-            .map(|e| {
-                let owner = self.owner_of(e);
-                self.dead_ranks.contains(&owner) && !self.failover_hosts.contains_key(&owner)
+    /// The degraded-mode quality warning, recorded over a step that runs
+    /// short of ranks.
+    fn degraded_span(&self) -> Option<obs::SpanGuard> {
+        self.is_degraded().then(|| {
+            obs::span(
+                "degraded",
+                format!("degraded step ({} dead)", self.dead_ranks.len()),
+            )
+        })
+    }
+
+    /// This step's routing table, from state the layer already holds. Under
+    /// a non-static placement an expert's servers are the placement's
+    /// (placement composes with a fully live world only, see
+    /// [`set_placement`](Self::set_placement)). Otherwise a live owner
+    /// serves its own experts, a dead owner's are served by its failover
+    /// host, and an orphaned dead owner's by nobody: the gate masks them.
+    fn routing_table(&self, world: usize) -> Routing {
+        let epr = self.experts_per_rank;
+        let placed = self.placement.as_ref().filter(|pl| !pl.is_static());
+        if let Some(pl) = placed {
+            assert_eq!(
+                pl.n_experts(),
+                world * epr,
+                "placement must cover the routing table"
+            );
+        }
+        let servers = (0..world * epr)
+            .map(|e| match placed {
+                Some(pl) => pl.servers(e).to_vec(),
+                None if !self.dead_ranks.contains(&(e / epr)) => vec![e / epr],
+                None => self
+                    .failover_hosts
+                    .get(&(e / epr))
+                    .copied()
+                    .into_iter()
+                    .collect(),
             })
-            .collect()
-    }
-
-    /// Tag for the hosted leg of a lane: the traffic dead rank `dead`
-    /// would have carried on `lane_tag`, redirected to its failover host.
-    /// Offsets `1..=world` stay clear of the lane tags themselves (spaced
-    /// `TAG_STRIDE / 4` apart) and of the overlapped path's chunk tags
-    /// (failover forces the serial path).
-    fn hosted_tag(lane_tag: u64, dead: usize) -> u64 {
-        lane_tag + 1 + dead as u64
-    }
-
-    /// Direct exchange among live ranks only: sends go to live peers, dead
-    /// peers' inbound chunks are replaced by `placeholder` (an encoding of
-    /// zero rows), and receives — deadline-aware when the fabric has one —
-    /// touch live peers only, so a dead rank cannot hang the step.
-    fn exchange_live(
-        h: &mut RankHandle,
-        chunks: Vec<Bytes>,
-        tag: u64,
-        dead: &BTreeSet<usize>,
-        placeholder: &Bytes,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        let p = h.world_size();
-        for (j, chunk) in chunks.into_iter().enumerate() {
-            if !dead.contains(&j) {
-                h.send(j, tag, chunk)?;
-            }
-        }
-        let mut out = Vec::with_capacity(p);
-        for j in 0..p {
-            if dead.contains(&j) {
-                out.push(placeholder.clone());
-            } else {
-                out.push(match timeout {
-                    Some(t) => h.recv_timeout(j, tag, t)?,
-                    None => h.recv(j, tag)?,
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Exchange for the placed step. Legs run either *toward* servers
-    /// (dispatch: every rank sends, only serving ranks receive) or *from*
-    /// servers (combine: only serving ranks send, every rank receives). A
-    /// rank serving no experts is skipped on the server-facing side —
-    /// nothing is sent to it on dispatch legs and nothing is awaited from
-    /// it on combine legs — so a demoted gray rank's slow links leave the
-    /// critical path except for the unavoidable hops carrying its own
-    /// tokens. Skipped slots decode as zero-expert placeholders.
-    fn exchange_placed(
-        h: &mut RankHandle,
-        chunks: Vec<Bytes>,
-        tag: u64,
-        to_servers: bool,
-        serves: &[bool],
-        placeholder: &Bytes,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        let p = h.world_size();
-        let me = h.rank();
-        let send_all = if to_servers { true } else { serves[me] };
-        for (j, chunk) in chunks.into_iter().enumerate() {
-            let dst_wants = if to_servers { serves[j] } else { true };
-            if send_all && dst_wants {
-                h.send(j, tag, chunk)?;
-            }
-        }
-        let mut out = Vec::with_capacity(p);
-        for j in 0..p {
-            let expect = if to_servers { serves[me] } else { serves[j] };
-            if expect {
-                out.push(match timeout {
-                    Some(t) => h.recv_timeout(j, tag, t)?,
-                    None => h.recv(j, tag)?,
-                });
-            } else {
-                out.push(placeholder.clone());
-            }
-        }
-        Ok(out)
-    }
-
-    /// Serializes rows destined for one rank: a count header per local
-    /// expert followed by the compressed concatenation of all rows.
-    ///
-    /// An associated function (not a method) so the overlapped pipeline can
-    /// encode on the compute worker while the expert list is mutably
-    /// borrowed elsewhere.
-    fn encode_chunk(compressor: &dyn Compressor, per_expert_rows: &[Tensor], m: usize) -> Bytes {
-        let mut header = BytesMut::with_capacity(4 * per_expert_rows.len());
-        let mut flat: Vec<f32> = Vec::new();
-        for rows in per_expert_rows {
-            let count = rows.dims()[0] as u32;
-            header.extend_from_slice(&count.to_le_bytes());
-            flat.extend_from_slice(rows.data());
-        }
-        let _ = m;
-        let payload = compressor.compress(&flat);
-        header.extend_from_slice(&payload);
-        header.freeze()
-    }
-
-    /// Decodes a chunk into per-local-expert row tensors.
-    fn decode_chunk(
-        compressor: &dyn Compressor,
-        chunk: &Bytes,
-        experts: usize,
-        m: usize,
-    ) -> Vec<Tensor> {
-        let mut counts = Vec::with_capacity(experts);
-        for i in 0..experts {
-            let b = &chunk[i * 4..(i + 1) * 4];
-            counts.push(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize);
-        }
-        let total: usize = counts.iter().sum();
-        let payload = &chunk[experts * 4..];
-        let flat = compressor
-            .decompress(payload, total * m)
-            .expect("peer encodes with the same codec");
-        let mut out = Vec::with_capacity(experts);
-        let mut off = 0usize;
-        for &c in &counts {
-            let rows = Tensor::from_vec(flat[off * m..(off + c) * m].to_vec(), &[c, m])
-                .expect("framing consistent");
-            off += c;
-            out.push(rows);
-        }
-        out
-    }
-
-    /// Raw (uncompressed) encode used for gradient exchanges.
-    fn encode_raw(per_expert_rows: &[Tensor]) -> Bytes {
-        let mut buf = BytesMut::new();
-        for rows in per_expert_rows {
-            buf.extend_from_slice(&(rows.dims()[0] as u32).to_le_bytes());
-            for &v in rows.data() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        buf.freeze()
-    }
-
-    fn decode_raw(chunk: &Bytes, experts: usize, m: usize) -> Vec<Tensor> {
-        let mut out = Vec::with_capacity(experts);
-        let mut off = 0usize;
-        for _ in 0..experts {
-            let b = &chunk[off..off + 4];
-            let count = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-            off += 4;
-            let mut data = Vec::with_capacity(count * m);
-            for _ in 0..count * m {
-                let b = &chunk[off..off + 4];
-                data.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                off += 4;
-            }
-            out.push(Tensor::from_vec(data, &[count, m]).expect("framing consistent"));
-        }
-        out
+            .collect();
+        let live = (0..world)
+            .map(|rank| !self.dead_ranks.contains(&rank))
+            .collect();
+        Routing::new(servers, live)
     }
 
     /// Expert-parallel forward over the fabric.
     ///
-    /// `tag_base` namespaces this invocation; step it by [`TAG_STRIDE`]
-    /// between layer invocations on the same fabric. Dispatches to the
-    /// serial or overlapped implementation per the configured
-    /// [`partition_degree`](Self::partition_degree); both produce
-    /// bit-identical outputs.
+    /// `tag_base` namespaces this invocation; step it by
+    /// [`TAG_STRIDE`](schemoe_collectives::TAG_STRIDE) between layer
+    /// invocations on the same fabric.
     ///
-    /// Degraded mode does not force the serial path: the per-chunk
-    /// exchanges are already direct tagged sends, so as long as at least
-    /// two ranks are live the overlapped pipeline simply routes around the
-    /// dead peers. Only a world shrunk to a single live rank (where there
-    /// is no communication left to overlap) falls back to serial.
+    /// One task graph serves every mode and degree. The gate routes the
+    /// whole batch once; the step's routing table (static owners, failover
+    /// hosts, or a placement's replica sets) says where each expert's
+    /// admitted slots go, and each destination's share is cut into
+    /// `r = partition_degree` contiguous segments. Per chunk the chain
+    /// `C1 → A1 → (D1·E·C2) → A2 → D2` is submitted in the OptSche order
+    /// `(C1¹..C1ʳ)(D1·E·C2)¹..(D1·E·C2)ʳ(D2¹..D2ʳ)` on the compute worker
+    /// and `A1¹..A1ʳ A2¹..A2ʳ` on the comm worker, so chunk `c`'s exchange
+    /// overlaps chunk `c + 1`'s compute. At degree 1, or with fewer than
+    /// two live ranks, there is nothing to overlap and the same graph runs
+    /// in submission order on the calling thread.
+    ///
+    /// The output is bit-identical at every degree and in every mode: the
+    /// gate sees the whole batch, expert bodies are row-wise (and replica
+    /// bodies are kept in lockstep with their home), and the combine
+    /// interleaves the returned segments back into full slot order before
+    /// accumulating ascending-expert.
+    ///
+    /// Chunk `c`'s exchanges are direct tagged sends at
+    /// `chunk_tag(tag_base, lane, c)` among the ranks the routing table
+    /// names: nothing is sent to a rank that serves no expert and nothing
+    /// is awaited from a dead one. Only a degree-1 exchange over a full
+    /// mesh is a complete all-to-all, and that one goes through the
+    /// configured [`AllToAll`].
     pub fn forward(
         &mut self,
         h: &mut RankHandle,
         x: &Tensor,
         tag_base: u64,
     ) -> Result<Tensor, FabricError> {
-        if self.is_placed() {
-            // A non-static placement only ever coexists with a fully live,
-            // failover-free world (see `set_placement`), so the placed
-            // path dominates the degraded/failover dispatch below.
-            return self.forward_placed(h, x, tag_base);
+        let (p, me) = (h.world_size(), h.rank());
+        let (n, m) = (x.dims()[0], x.dims()[1]);
+        let r = self.partition_degree;
+        let routing = self.routing_table(p);
+        let _degraded = self.degraded_span();
+        if self.is_degraded() {
+            obs::counters_for_rank(me).add_degraded_step();
         }
-        let live = h.world_size() - self.dead_ranks.len();
-        if self.partition_degree <= 1 || live < 2 || self.has_failover() {
-            // Failover hosting speaks the serial path's hosted side lanes;
-            // the overlapped pipeline does not carry them, so any active
-            // route forces serial until handback.
-            self.forward_serial(h, x, tag_base)
-        } else {
-            self.forward_overlapped(h, x, tag_base)
-        }
-    }
-
-    /// The serial reference forward: one dispatch A2A, all experts, one
-    /// combine A2A, no overlap.
-    fn forward_serial(
-        &mut self,
-        h: &mut RankHandle,
-        x: &Tensor,
-        tag_base: u64,
-    ) -> Result<Tensor, FabricError> {
-        let p = h.world_size();
-        let m = x.dims()[1];
-        let n = x.dims()[0];
-        let epr = self.experts_per_rank;
-        // Degraded mode: record the quality warning (span + counter) and
-        // route around the dead ranks' experts.
-        let _degraded_span = self.is_degraded().then(|| {
-            obs::counters_for_rank(h.rank()).add_degraded_step();
-            obs::span(
-                "degraded",
-                format!("degraded step ({} dead)", self.dead_ranks.len()),
-            )
-        });
         let decision = {
             let _g = obs::span("gate", "gate");
-            if self.is_degraded() {
-                let mask = self.dead_expert_mask(p);
-                self.gate.forward_masked(x, Some(&mask))
-            } else {
-                self.gate.forward(x)
-            }
-        };
-        self.note_decision(h.rank(), p, &decision);
-
-        // Build one chunk per destination rank: this rank's admitted rows
-        // for each of the destination's local experts.
-        let chunks = {
-            let _s = obs::span_sized("encode", "C1", (n * m * 4) as f64);
-            let mut chunks = Vec::with_capacity(p);
-            for dst in 0..p {
-                let mut per_expert = Vec::with_capacity(epr);
-                for le in 0..epr {
-                    let e = dst * epr + le;
-                    let slots = &decision.expert_slots[e];
-                    let mut rows = Tensor::zeros(&[slots.len(), m]);
-                    for (s, &(t, _)) in slots.iter().enumerate() {
-                        rows.row_mut(s).copy_from_slice(x.row(t));
-                    }
-                    per_expert.push(rows);
-                }
-                chunks.push(Self::encode_chunk(self.compressor.as_ref(), &per_expert, m));
-            }
-            chunks
-        };
-        let dispatch_tag = tag_base;
-        let combine_tag = tag_base + TAG_STRIDE / 4;
-        // Hosted dispatch: the chunk routed to a dead-but-routed rank's
-        // experts goes to its failover host instead. Sends precede every
-        // receive on all ranks (channels are buffered), so the extra lane
-        // cannot deadlock the exchange below.
-        let routes = self.failover_routes();
-        for &(j, host) in &routes {
-            h.send(host, Self::hosted_tag(dispatch_tag, j), chunks[j].clone())?;
-        }
-        let sent_bytes: usize = chunks.iter().map(Bytes::len).sum();
-        let received = {
-            let _s = obs::span_sized("a2a", "A1", sent_bytes as f64);
-            if self.is_degraded() {
-                let empty = vec![Tensor::zeros(&[0, m]); epr];
-                let placeholder = Self::encode_chunk(self.compressor.as_ref(), &empty, m);
-                Self::exchange_live(
-                    h,
-                    chunks,
-                    dispatch_tag,
-                    &self.dead_ranks,
-                    &placeholder,
-                    self.recv_timeout,
-                )?
-            } else {
-                self.a2a.all_to_all(h, chunks, dispatch_tag)?
-            }
-        };
-        let recv_bytes: usize = received.iter().map(Bytes::len).sum();
-
-        // Decode: concatenate per local expert, src-major.
-        let d1 = obs::span_sized("decode", "D1", recv_bytes as f64);
-        let mut expert_inputs = Vec::with_capacity(epr);
-        let mut recv_counts = vec![Vec::with_capacity(p); epr];
-        let decoded: Vec<Vec<Tensor>> = received
-            .iter()
-            .map(|c| Self::decode_chunk(self.compressor.as_ref(), c, epr, m))
-            .collect();
-        for le in 0..epr {
-            let total: usize = decoded.iter().map(|d| d[le].dims()[0]).sum();
-            let mut input = Tensor::zeros(&[total, m]);
-            let mut off = 0;
-            for src_rows in decoded.iter().map(|d| &d[le]) {
-                let c = src_rows.dims()[0];
-                for r in 0..c {
-                    input.row_mut(off + r).copy_from_slice(src_rows.row(r));
-                }
-                off += c;
-            }
-            for d in &decoded {
-                recv_counts[le].push(d[le].dims()[0]);
-            }
-            expert_inputs.push(input);
-        }
-        drop(d1);
-
-        // Failover host phase: serve the dead wards' experts from the
-        // buddy replica. Every live rank (self included) shipped this rank
-        // its chunk for ward `j` on the hosted dispatch lane; concatenate
-        // src-major exactly as the ward itself would have, run the hosted
-        // experts, and ship each live src its slice back on the hosted
-        // combine lane.
-        let mut hosted_recv_counts: BTreeMap<usize, Vec<Vec<usize>>> = BTreeMap::new();
-        let mut hosted_inputs: BTreeMap<usize, Vec<Tensor>> = BTreeMap::new();
-        for (&j, wards) in self.hosted_experts.iter_mut() {
-            let _s = obs::span("expert", format!("E[host r{j}]"));
-            let mut decoded: Vec<Vec<Tensor>> = Vec::with_capacity(p);
-            for src in 0..p {
-                if self.dead_ranks.contains(&src) {
-                    decoded.push(vec![Tensor::zeros(&[0, m]); epr]);
-                } else {
-                    let chunk = match self.recv_timeout {
-                        Some(t) => h.recv_timeout(src, Self::hosted_tag(dispatch_tag, j), t)?,
-                        None => h.recv(src, Self::hosted_tag(dispatch_tag, j))?,
-                    };
-                    decoded.push(Self::decode_chunk(&*self.compressor, &chunk, epr, m));
-                }
-            }
-            let mut counts = vec![Vec::with_capacity(p); epr];
-            let mut outputs = Vec::with_capacity(epr);
-            let mut ward_inputs = Vec::with_capacity(epr);
-            for le in 0..epr {
-                let total: usize = decoded.iter().map(|d| d[le].dims()[0]).sum();
-                let mut input = Tensor::zeros(&[total, m]);
-                let mut off = 0;
-                for src_rows in decoded.iter().map(|d| &d[le]) {
-                    for r in 0..src_rows.dims()[0] {
-                        input.row_mut(off + r).copy_from_slice(src_rows.row(r));
-                    }
-                    off += src_rows.dims()[0];
-                }
-                for d in &decoded {
-                    counts[le].push(d[le].dims()[0]);
-                }
-                outputs.push(wards[le].forward(&input));
-                ward_inputs.push(input);
-            }
-            hosted_inputs.insert(j, ward_inputs);
-            for src in 0..p {
-                if self.dead_ranks.contains(&src) {
-                    continue;
-                }
-                let mut per_expert = Vec::with_capacity(epr);
-                for le in 0..epr {
-                    let before: usize = counts[le][..src].iter().sum();
-                    let count = counts[le][src];
-                    let mut rows = Tensor::zeros(&[count, m]);
-                    for r in 0..count {
-                        rows.row_mut(r).copy_from_slice(outputs[le].row(before + r));
-                    }
-                    per_expert.push(rows);
-                }
-                let chunk = Self::encode_chunk(&*self.compressor, &per_expert, m);
-                h.send(src, Self::hosted_tag(combine_tag, j), chunk)?;
-            }
-            hosted_recv_counts.insert(j, counts);
-        }
-
-        // Local expert computation.
-        let expert_rows: usize = expert_inputs.iter().map(|t| t.dims()[0]).sum();
-        let service_start = Instant::now();
-        let expert_outputs: Vec<Tensor> = {
-            let _s = obs::span_sized("expert", "E", expert_rows as f64);
-            expert_inputs
-                .iter()
-                .enumerate()
-                .map(|(le, input)| self.local_experts[le].forward(input))
-                .collect()
-        };
-        self.note_service(service_start.elapsed());
-
-        // Ship outputs back: chunk for src rank = its slice of each local
-        // expert's output.
-        let back_chunks = {
-            let _s = obs::span_sized("encode", "C2", (expert_rows * m * 4) as f64);
-            let mut back_chunks = Vec::with_capacity(p);
-            for src in 0..p {
-                let mut per_expert = Vec::with_capacity(epr);
-                for le in 0..epr {
-                    let before: usize = recv_counts[le][..src].iter().sum();
-                    let count = recv_counts[le][src];
-                    let mut rows = Tensor::zeros(&[count, m]);
-                    for r in 0..count {
-                        rows.row_mut(r)
-                            .copy_from_slice(expert_outputs[le].row(before + r));
-                    }
-                    per_expert.push(rows);
-                }
-                back_chunks.push(Self::encode_chunk(self.compressor.as_ref(), &per_expert, m));
-            }
-            back_chunks
-        };
-        let back_bytes: usize = back_chunks.iter().map(Bytes::len).sum();
-        let returned = {
-            let _s = obs::span_sized("a2a", "A2", back_bytes as f64);
-            if self.is_degraded() {
-                let empty = vec![Tensor::zeros(&[0, m]); epr];
-                let placeholder = Self::encode_chunk(self.compressor.as_ref(), &empty, m);
-                Self::exchange_live(
-                    h,
-                    back_chunks,
-                    combine_tag,
-                    &self.dead_ranks,
-                    &placeholder,
-                    self.recv_timeout,
-                )?
-            } else {
-                self.a2a.all_to_all(h, back_chunks, combine_tag)?
-            }
-        };
-
-        // Hosted combine: collect the routed dead owners' outputs from
-        // their hosts; they replace the zero-row placeholders below.
-        let mut hosted_returns: BTreeMap<usize, Bytes> = BTreeMap::new();
-        for &(j, host) in &routes {
-            let chunk = match self.recv_timeout {
-                Some(t) => h.recv_timeout(host, Self::hosted_tag(combine_tag, j), t)?,
-                None => h.recv(host, Self::hosted_tag(combine_tag, j))?,
-            };
-            hosted_returns.insert(j, chunk);
-        }
-
-        // Combine: the chunk from rank r holds outputs for the experts r
-        // owns, in this rank's slot order.
-        let d2 = obs::span_sized(
-            "decode",
-            "D2",
-            returned.iter().map(Bytes::len).sum::<usize>() as f64,
-        );
-        let mut y = Tensor::zeros(&[n, m]);
-        let mut returned_outputs: Vec<Tensor> = Vec::with_capacity(p * epr);
-        for owner in 0..p {
-            let chunk = hosted_returns.get(&owner).unwrap_or(&returned[owner]);
-            let outs = Self::decode_chunk(self.compressor.as_ref(), chunk, epr, m);
-            for (le, rows) in outs.into_iter().enumerate() {
-                let e = owner * epr + le;
-                let slots = &decision.expert_slots[e];
-                assert_eq!(rows.dims()[0], slots.len(), "combine framing mismatch");
-                for (s, &(t, w)) in slots.iter().enumerate() {
-                    let orow = rows.row(s);
-                    let yrow = y.row_mut(t);
-                    for (yj, &oj) in yrow.iter_mut().zip(orow.iter()) {
-                        *yj += w * oj;
-                    }
-                }
-                returned_outputs.push(rows);
-            }
-        }
-        drop(d2);
-        self.cache = Some(Cache {
-            decision,
-            recv_counts,
-            hosted_recv_counts,
-            hosted_inputs,
-            returned_outputs,
-            expert_inputs: Some(expert_inputs),
-            n,
-            tag_base,
-            served: None,
-        });
-        Ok(y)
-    }
-
-    /// The placed forward: the serial schedule with a load-aware routing
-    /// table. Each expert's admitted slots fan round-robin across its
-    /// replica set (slot `s` → server `s % g`), so a hot expert's rows
-    /// split over `g` ranks; a migrated expert's rows go to its new home.
-    ///
-    /// Bitwise properties: expert bodies are row-wise, each slot's output
-    /// row is computed from the same input row by an identical parameter
-    /// copy (the controller's per-expert gradient sync keeps home and
-    /// guests in lockstep), and the combine reassembles full slot order
-    /// before accumulating ascending-expert — so `y` is bit-identical to
-    /// the static serial forward for the same batch.
-    ///
-    /// Requires a fully live, failover-free world (`set_placement`
-    /// enforces this), so exchanges use the plain all-to-all.
-    fn forward_placed(
-        &mut self,
-        h: &mut RankHandle,
-        x: &Tensor,
-        tag_base: u64,
-    ) -> Result<Tensor, FabricError> {
-        let p = h.world_size();
-        let me = h.rank();
-        let m = x.dims()[1];
-        let n = x.dims()[0];
-        let epr = self.experts_per_rank;
-        let pl = self
-            .placement
-            .clone()
-            .expect("placed forward without placement");
-        assert_eq!(
-            pl.n_experts(),
-            p * epr,
-            "placement must cover the routing table"
-        );
-        debug_assert!(
-            self.dead_ranks.is_empty() && !self.has_failover(),
-            "placed path requires a fully live world"
-        );
-        let served_lists: Vec<Vec<usize>> = (0..p).map(|r| pl.served_by(r)).collect();
-
-        let decision = {
-            let _g = obs::span("gate", "gate");
-            self.gate.forward(x)
+            let masked: Vec<bool> = routing.servers.iter().map(Vec::is_empty).collect();
+            self.gate
+                .forward_masked(x, masked.contains(&true).then_some(&masked[..]))
         };
         self.note_decision(me, p, &decision);
 
-        // C1: one chunk per server rank — for each expert it serves, this
-        // rank's slot share for that server's replica position.
-        let chunks = {
-            let _s = obs::span_sized("encode", "C1", (n * m * 4) as f64);
-            let mut chunks = Vec::with_capacity(p);
-            for dst in 0..p {
-                let served = &served_lists[dst];
-                let mut per_expert = Vec::with_capacity(served.len());
-                for &e in served {
-                    let srv = pl.servers(e);
-                    let g = srv.len();
-                    let i = srv.iter().position(|&r| r == dst).expect("dst serves e");
-                    let slots = &decision.expert_slots[e];
-                    let count = Self::slot_share(slots.len(), i, g);
-                    let mut rows = Tensor::zeros(&[count, m]);
-                    for (row, sidx) in (i..slots.len()).step_by(g).enumerate() {
-                        rows.row_mut(row).copy_from_slice(x.row(slots[sidx].0));
-                    }
-                    per_expert.push(rows);
-                }
-                chunks.push(Self::encode_chunk(self.compressor.as_ref(), &per_expert, m));
-            }
-            chunks
+        // Dispatch legs run from every source to the serving ranks, combine
+        // legs back. Field split: the tasks share the codec immutably while
+        // the expert bodies go to the compute stages mutably.
+        let (routing_ref, decision_ref) = (&routing, &decision);
+        let mine = &routing.served[me][..];
+        let (servers, sources) = (routing.serving_ranks(), routing.sources_of(me));
+        let (servers, sources) = (&servers[..], &sources[..]);
+        let compressor = self.compressor.as_ref();
+        let bodies = Mutex::new(Bodies {
+            me,
+            epr: self.experts_per_rank,
+            local: &mut self.local_experts,
+            hosted: &mut self.hosted_experts,
+            guests: &mut self.guest_experts,
+        });
+        let handle = Mutex::new(h);
+        let wire = Wire {
+            handle: &handle,
+            a2a: (r == 1 && routing.full_mesh()).then_some(self.a2a.as_ref()),
+            timeout: self.recv_timeout,
+            tag_base,
+            me,
         };
-        let dispatch_tag = tag_base;
-        let combine_tag = tag_base + TAG_STRIDE / 4;
-        let serves: Vec<bool> = served_lists.iter().map(|l| !l.is_empty()).collect();
-        let empty_chunk = Self::encode_chunk(self.compressor.as_ref(), &[], m);
-        let timeout = self.recv_timeout;
-        let sent_bytes: usize = chunks.iter().map(Bytes::len).sum();
-        let received = {
-            let _s = obs::span_sized("a2a", "A1", sent_bytes as f64);
-            Self::exchange_placed(
-                h,
-                chunks,
-                dispatch_tag,
-                true,
-                &serves,
-                &empty_chunk,
-                timeout,
-            )?
-        };
-        let recv_bytes: usize = received.iter().map(Bytes::len).sum();
+        // Per chunk and rank: encoded rows out to it / in from it, on the
+        // dispatch and on the combine leg.
+        let mailboxes = || -> Vec<Vec<Slot<Bytes>>> { (0..r).map(|_| slots(p)).collect() };
+        let (dispatch_out, dispatch_in) = (mailboxes(), mailboxes());
+        let (combine_out, combine_in) = (mailboxes(), mailboxes());
+        // Per chunk: decoded dispatch rows `[src][k]` and decoded combine
+        // rows `[server][k]`, `k` indexing the sender's served list.
+        let chunk_inputs = slots::<Vec<Vec<Tensor>>>(r);
+        let chunk_returned = slots::<Vec<Vec<Tensor>>>(r);
+        let service_ns = AtomicU64::new(0);
 
-        // D1: concatenate per served expert, src-major — the same serial
-        // input order the backward's recompute grouping relies on.
-        let served = served_lists[me].clone();
-        let d1 = obs::span_sized("decode", "D1", recv_bytes as f64);
-        let decoded: Vec<Vec<Tensor>> = received
-            .iter()
-            .map(|c| Self::decode_chunk(self.compressor.as_ref(), c, served.len(), m))
-            .collect();
-        let mut expert_inputs = Vec::with_capacity(served.len());
-        let mut recv_counts = vec![Vec::with_capacity(p); served.len()];
-        for k in 0..served.len() {
-            let total: usize = decoded.iter().map(|d| d[k].dims()[0]).sum();
-            let mut input = Tensor::zeros(&[total, m]);
-            let mut off = 0;
-            for src_rows in decoded.iter().map(|d| &d[k]) {
-                for r in 0..src_rows.dims()[0] {
-                    input.row_mut(off + r).copy_from_slice(src_rows.row(r));
-                }
-                off += src_rows.dims()[0];
-            }
-            for d in &decoded {
-                recv_counts[k].push(d[k].dims()[0]);
-            }
-            expert_inputs.push(input);
-        }
-        drop(d1);
-
-        // E: run each served expert — the local body when this rank is the
-        // static home, the installed guest body otherwise.
-        let expert_rows: usize = expert_inputs.iter().map(|t| t.dims()[0]).sum();
-        let service_start = Instant::now();
-        let expert_outputs: Vec<Tensor> = {
-            let _s = obs::span_sized("expert", "E", expert_rows as f64);
-            served
-                .iter()
-                .zip(expert_inputs.iter())
-                .map(|(&e, input)| {
-                    if e / epr == me {
-                        self.local_experts[e % epr].forward(input)
-                    } else {
-                        self.guest_experts
-                            .get_mut(&e)
-                            .expect("guest body installed for served expert")
-                            .forward(input)
+        let mut graph = Graph::default();
+        let c1: Vec<usize> = (0..r)
+            .map(|c| {
+                let out = &dispatch_out[c];
+                graph.push(Worker::Compute, vec![], move || {
+                    let bytes = (n * m * 4) as f64 / r as f64;
+                    let _s = obs::span_sized("encode", format!("C1[c{c}]"), bytes);
+                    for &dst in servers {
+                        let rows: Vec<Tensor> = routing_ref.served[dst]
+                            .iter()
+                            .map(|&e| {
+                                let slots = &decision_ref.expert_slots[e];
+                                let segment = routing_ref.segment(e, dst, slots.len(), c, r);
+                                gather_rows(x, segment.map(|s| slots[s].0))
+                            })
+                            .collect();
+                        *out[dst].lock() = Some(encode_chunk(compressor, &rows));
                     }
+                    Ok(())
                 })
-                .collect()
-        };
-        self.note_service(service_start.elapsed());
-
-        // C2: ship each source its slice of every served expert's output.
-        let back_chunks = {
-            let _s = obs::span_sized("encode", "C2", (expert_rows * m * 4) as f64);
-            let mut back_chunks = Vec::with_capacity(p);
-            for src in 0..p {
-                let mut per_expert = Vec::with_capacity(served.len());
-                for k in 0..served.len() {
-                    let before: usize = recv_counts[k][..src].iter().sum();
-                    let count = recv_counts[k][src];
-                    let mut rows = Tensor::zeros(&[count, m]);
-                    for r in 0..count {
-                        rows.row_mut(r)
-                            .copy_from_slice(expert_outputs[k].row(before + r));
-                    }
-                    per_expert.push(rows);
-                }
-                back_chunks.push(Self::encode_chunk(self.compressor.as_ref(), &per_expert, m));
-            }
-            back_chunks
-        };
-        let back_bytes: usize = back_chunks.iter().map(Bytes::len).sum();
-        let returned = {
-            let _s = obs::span_sized("a2a", "A2", back_bytes as f64);
-            Self::exchange_placed(
-                h,
-                back_chunks,
-                combine_tag,
-                false,
-                &serves,
-                &empty_chunk,
-                timeout,
-            )?
-        };
-
-        // D2: reassemble each expert's full slot-order rows from its
-        // servers' shares, then combine ascending-expert — exactly the
-        // serial accumulation order (a token meets each expert at most
-        // once, so per-token addition order is unchanged).
-        let d2 = obs::span_sized(
-            "decode",
-            "D2",
-            returned.iter().map(Bytes::len).sum::<usize>() as f64,
-        );
-        let outs_per_rank: Vec<Vec<Tensor>> = returned
-            .iter()
-            .enumerate()
-            .map(|(r2, c)| {
-                Self::decode_chunk(self.compressor.as_ref(), c, served_lists[r2].len(), m)
             })
             .collect();
+        let a1: Vec<usize> = (0..r)
+            .map(|c| {
+                let stage = ("A1", lanes::LANE_DISPATCH, c);
+                let boxes = (&dispatch_out[c][..], &dispatch_in[c][..]);
+                wire.exchange(&mut graph, vec![c1[c]], stage, boxes, sources)
+            })
+            .collect();
+        let dec: Vec<usize> = (0..r)
+            .map(|c| {
+                let (inbox, out, kept) = (&dispatch_in[c], &combine_out[c], &chunk_inputs[c]);
+                let (bodies, service_ns) = (&bodies, &service_ns);
+                graph.push(Worker::Compute, vec![a1[c]], move || {
+                    let _pipe = obs::span("pipe", format!("D1·E·C2[c{c}]"));
+                    let tag = chunk_tag(tag_base, lanes::LANE_DISPATCH, c);
+                    let decoded = decode_inbox(
+                        compressor,
+                        inbox,
+                        |_| mine.len(),
+                        m,
+                        tag,
+                        format!("D1[c{c}]"),
+                    )?;
+                    // Chunk expert input: src-major concat, the chunk-local
+                    // analogue of the whole-layer layout.
+                    let rows_total: usize = decoded.iter().flatten().map(|t| t.dims()[0]).sum();
+                    let e_span = obs::span_sized("expert", format!("E[c{c}]"), rows_total as f64);
+                    let started = Instant::now();
+                    let outputs: Vec<Tensor> = {
+                        let mut bodies = bodies.lock();
+                        let input = |k| concat_rows(decoded.iter().map(move |d| &d[k]), m);
+                        let run = |(k, &e)| bodies.get(e).forward(&input(k));
+                        mine.iter().enumerate().map(run).collect()
+                    };
+                    service_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    drop(e_span);
+                    let bytes = (rows_total * m * 4) as f64;
+                    let _c2 = obs::span_sized("encode", format!("C2[c{c}]"), bytes);
+                    // Dead sources sent no rows, so skipping them leaves
+                    // every live source's offset where it belongs.
+                    let mut offsets = vec![0usize; mine.len()];
+                    for &src in sources {
+                        let rows: Vec<Tensor> = (0..mine.len())
+                            .map(|k| {
+                                let start = offsets[k];
+                                offsets[k] += decoded[src][k].dims()[0];
+                                gather_rows(&outputs[k], start..offsets[k])
+                            })
+                            .collect();
+                        *out[src].lock() = Some(encode_chunk(compressor, &rows));
+                    }
+                    *kept.lock() = Some(decoded);
+                    Ok(())
+                })
+            })
+            .collect();
+        let a2: Vec<usize> = (0..r)
+            .map(|c| {
+                let stage = ("A2", lanes::LANE_COMBINE, c);
+                let boxes = (&combine_out[c][..], &combine_in[c][..]);
+                wire.exchange(&mut graph, vec![dec[c]], stage, boxes, servers)
+            })
+            .collect();
+        for c in 0..r {
+            let (inbox, kept) = (&combine_in[c], &chunk_returned[c]);
+            graph.push(Worker::Compute, vec![a2[c]], move || {
+                let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, c);
+                let experts = |rank: usize| routing_ref.served[rank].len();
+                let name = format!("D2[c{c}]");
+                *kept.lock() = Some(decode_inbox(compressor, inbox, experts, m, tag, name)?);
+                Ok(())
+            });
+        }
+        graph.run(routing.runs_inline(r))?;
+        self.service_us.push(service_ns.into_inner().div_ceil(1000));
+        let chunk_inputs: Vec<Vec<Vec<Tensor>>> = chunk_inputs.iter().map(take).collect();
+        let chunk_returned: Vec<Vec<Vec<Tensor>>> = chunk_returned.iter().map(take).collect();
+
+        // Whole-layer state for the backward, the same at every degree: a
+        // source's segments concatenated in chunk order are its share in
+        // slot order, and the expert input is those shares src-major.
+        let chunks = &chunk_inputs;
+        let recv_counts: Vec<Vec<usize>> = (0..mine.len())
+            .map(|k| {
+                let from = |src: usize| chunks.iter().map(|ch| ch[src][k].dims()[0]).sum();
+                (0..p).map(from).collect()
+            })
+            .collect();
+        let expert_inputs: Vec<Tensor> = (0..mine.len())
+            .map(|k| {
+                let of = move |src: usize| chunks.iter().map(move |ch| &ch[src][k]);
+                concat_rows((0..p).flat_map(of), m)
+            })
+            .collect();
+
+        // Combine: interleaving each server's share, its segments in chunk
+        // order, restores full slot order, and accumulating ascending-
+        // expert is then the one-chunk static computation verbatim (a token
+        // meets each expert at most once).
         let mut y = Tensor::zeros(&[n, m]);
-        let mut returned_outputs: Vec<Tensor> = Vec::with_capacity(p * epr);
-        for e in 0..p * epr {
-            let srv = pl.servers(e);
-            let g = srv.len();
-            let slots = &decision.expert_slots[e];
+        let mut returned_outputs: Vec<Tensor> = Vec::with_capacity(decision.expert_slots.len());
+        for (e, slots) in decision.expert_slots.iter().enumerate() {
             let mut rows = Tensor::zeros(&[slots.len(), m]);
-            for (i, &r2) in srv.iter().enumerate() {
-                let k = served_lists[r2]
-                    .iter()
-                    .position(|&se| se == e)
-                    .expect("server serves e");
-                let part = &outs_per_rank[r2][k];
-                assert_eq!(
-                    part.dims()[0],
-                    Self::slot_share(slots.len(), i, g),
-                    "combine framing mismatch"
-                );
-                for (row, sidx) in (i..slots.len()).step_by(g).enumerate() {
-                    rows.row_mut(sidx).copy_from_slice(part.row(row));
+            for &server in &routing.servers[e] {
+                let k = routing.index_in(server, e);
+                for (c, returned) in chunk_returned.iter().enumerate() {
+                    let part = &returned[server][k];
+                    let segment = routing.segment(e, server, slots.len(), c, r);
+                    assert_eq!(part.dims()[0], segment.len(), "combine framing mismatch");
+                    for (row, s) in segment.enumerate() {
+                        rows.row_mut(s).copy_from_slice(part.row(row));
+                    }
                 }
             }
             for (s, &(t, w)) in slots.iter().enumerate() {
-                let orow = rows.row(s);
-                let yrow = y.row_mut(t);
-                for (yj, &oj) in yrow.iter_mut().zip(orow.iter()) {
+                for (yj, &oj) in y.row_mut(t).iter_mut().zip(rows.row(s)) {
                     *yj += w * oj;
                 }
             }
             returned_outputs.push(rows);
         }
-        drop(d2);
         self.cache = Some(Cache {
             decision,
+            routing,
             recv_counts,
-            hosted_recv_counts: BTreeMap::new(),
-            hosted_inputs: BTreeMap::new(),
+            expert_inputs,
             returned_outputs,
-            expert_inputs: Some(expert_inputs),
             n,
             tag_base,
-            served: Some(served),
         });
         Ok(y)
     }
 
-    /// The placed backward, mirroring [`forward_placed`]'s fan-out: output
-    /// grads travel to each slot's serving rank, every server
-    /// differentiates its share with the same canonical per-(expert,
-    /// source) recompute grouping as the serial path, and input grads
-    /// scatter back. `dx` and the gate grads are bit-identical to the
-    /// static serial backward (same per-token accumulation order); expert
-    /// weight grads are *partial* per server — the placement controller
-    /// sums them across each expert's sync group before stepping.
-    fn backward_placed(&mut self, h: &mut RankHandle, dy: &Tensor) -> Result<Tensor, FabricError> {
-        let cache = self
-            .cache
-            .take()
-            .expect("distributed backward without forward");
-        let served = cache
-            .served
-            .clone()
-            .expect("placed backward without placed forward");
-        let pl = self
-            .placement
-            .clone()
-            .expect("placement uninstalled between forward and backward");
-        let p = h.world_size();
-        let me = h.rank();
-        let m = dy.dims()[1];
-        let epr = self.experts_per_rank;
-        assert_eq!(dy.dims()[0], cache.n, "gradient row count mismatch");
-        debug_assert_eq!(pl.served_by(me), served, "placement changed mid-step");
-        let served_lists: Vec<Vec<usize>> = (0..p).map(|r| pl.served_by(r)).collect();
-
-        // C1b: per server, the output grads (w · dy) for its slot share of
-        // every expert it serves; plus the combine-weight grads, identical
-        // to the serial path (returned_outputs holds full slot order).
-        let c1b = obs::span_sized("encode", "C1b", (cache.n * m * 4) as f64);
-        let mut d_weights: Vec<Vec<f32>> = vec![Vec::new(); cache.n];
-        let mut grad_chunks = Vec::with_capacity(p);
-        for dst in 0..p {
-            let mut per_expert = Vec::with_capacity(served_lists[dst].len());
-            for &e in &served_lists[dst] {
-                let srv = pl.servers(e);
-                let g = srv.len();
-                let i = srv.iter().position(|&r| r == dst).expect("dst serves e");
-                let slots = &cache.decision.expert_slots[e];
-                let count = Self::slot_share(slots.len(), i, g);
-                let mut rows = Tensor::zeros(&[count, m]);
-                for (row, sidx) in (i..slots.len()).step_by(g).enumerate() {
-                    let (t, w) = slots[sidx];
-                    let dyrow = dy.row(t);
-                    let drow = rows.row_mut(row);
-                    for j in 0..m {
-                        drow[j] = w * dyrow[j];
-                    }
-                }
-                per_expert.push(rows);
-            }
-            grad_chunks.push(Self::encode_raw(&per_expert));
-        }
-        for (t, assigns) in cache.decision.assignments.iter().enumerate() {
-            for &(e, _) in assigns {
-                let s = cache.decision.expert_slots[e]
-                    .iter()
-                    .position(|&(tt, _)| tt == t)
-                    .expect("assignment implies slot");
-                let rows = &cache.returned_outputs[e];
-                let dyrow = dy.row(t);
-                let orow = rows.row(s);
-                d_weights[t].push(dyrow.iter().zip(orow.iter()).map(|(a, b)| a * b).sum());
-            }
-        }
-        drop(c1b);
-
-        let bwd1_tag = cache.tag_base + TAG_STRIDE / 2;
-        let bwd2_tag = cache.tag_base + 3 * TAG_STRIDE / 4;
-        let serves: Vec<bool> = served_lists.iter().map(|l| !l.is_empty()).collect();
-        let empty_raw = Self::encode_raw(&[]);
-        let timeout = self.recv_timeout;
-        let grad_bytes: usize = grad_chunks.iter().map(Bytes::len).sum();
-        let received = {
-            let _s = obs::span_sized("a2a", "A1b", grad_bytes as f64);
-            Self::exchange_placed(h, grad_chunks, bwd1_tag, true, &serves, &empty_raw, timeout)?
-        };
-
-        // Eb: canonical per-(expert, source) recompute + backward on the
-        // serving body, sources ascending — the same call sequence the
-        // static home would have made for these rows.
-        let recv_grad_bytes: usize = received.iter().map(Bytes::len).sum();
-        let d1b = obs::span_sized("decode", "D1b", recv_grad_bytes as f64);
-        let decoded: Vec<Vec<Tensor>> = received
-            .iter()
-            .map(|c| Self::decode_raw(c, served.len(), m))
-            .collect();
-        drop(d1b);
-        let dout_rows: usize = cache
-            .recv_counts
-            .iter()
-            .map(|c| c.iter().sum::<usize>())
-            .sum();
-        let eb = obs::span_sized("expert", "Eb", dout_rows as f64);
-        let inputs = cache
-            .expert_inputs
-            .as_ref()
-            .expect("forward caches expert inputs");
-        let mut din_per_expert: Vec<Tensor> = (0..served.len())
-            .map(|k| {
-                let total: usize = cache.recv_counts[k].iter().sum();
-                Tensor::zeros(&[total, m])
-            })
-            .collect();
-        for src in 0..p {
-            for (k, &e) in served.iter().enumerate() {
-                let count = cache.recv_counts[k][src];
-                assert_eq!(
-                    decoded[src][k].dims()[0],
-                    count,
-                    "gradient framing mismatch"
-                );
-                if count == 0 {
-                    continue;
-                }
-                let before: usize = cache.recv_counts[k][..src].iter().sum();
-                let mut xin = Tensor::zeros(&[count, m]);
-                for row in 0..count {
-                    xin.row_mut(row)
-                        .copy_from_slice(inputs[k].row(before + row));
-                }
-                let body: &mut dyn Expert = if e / epr == me {
-                    self.local_experts[e % epr].as_mut()
-                } else {
-                    self.guest_experts
-                        .get_mut(&e)
-                        .expect("guest body installed for served expert")
-                        .as_mut()
-                };
-                let _ = body.forward(&xin);
-                let din = body.backward(&decoded[src][k]);
-                for row in 0..count {
-                    din_per_expert[k]
-                        .row_mut(before + row)
-                        .copy_from_slice(din.row(row));
-                }
-            }
-        }
-        drop(eb);
-
-        // C2b: input grads back to the token owners.
-        let c2b = obs::span_sized("encode", "C2b", (dout_rows * m * 4) as f64);
-        let mut back = Vec::with_capacity(p);
-        for src in 0..p {
-            let mut per_expert = Vec::with_capacity(served.len());
-            for k in 0..served.len() {
-                let before: usize = cache.recv_counts[k][..src].iter().sum();
-                let count = cache.recv_counts[k][src];
-                let mut rows = Tensor::zeros(&[count, m]);
-                for r in 0..count {
-                    rows.row_mut(r)
-                        .copy_from_slice(din_per_expert[k].row(before + r));
-                }
-                per_expert.push(rows);
-            }
-            back.push(Self::encode_raw(&per_expert));
-        }
-        drop(c2b);
-        let back_bytes: usize = back.iter().map(Bytes::len).sum();
-        let returned = {
-            let _s = obs::span_sized("a2a", "A2b", back_bytes as f64);
-            Self::exchange_placed(h, back, bwd2_tag, false, &serves, &empty_raw, timeout)?
-        };
-
-        // D2b: scatter token grads, ascending-expert so the per-token
-        // addition order matches the serial backward bit for bit.
-        let d2b = obs::span_sized(
-            "decode",
-            "D2b",
-            returned.iter().map(Bytes::len).sum::<usize>() as f64,
-        );
-        let dins_per_rank: Vec<Vec<Tensor>> = returned
-            .iter()
-            .enumerate()
-            .map(|(r2, c)| Self::decode_raw(c, served_lists[r2].len(), m))
-            .collect();
-        let mut dx = Tensor::zeros(&[cache.n, m]);
-        for e in 0..p * epr {
-            let srv = pl.servers(e);
-            let g = srv.len();
-            let slots = &cache.decision.expert_slots[e];
-            for (i, &r2) in srv.iter().enumerate() {
-                let k = served_lists[r2]
-                    .iter()
-                    .position(|&se| se == e)
-                    .expect("server serves e");
-                let part = &dins_per_rank[r2][k];
-                assert_eq!(
-                    part.dims()[0],
-                    Self::slot_share(slots.len(), i, g),
-                    "input-grad framing mismatch"
-                );
-                for (row, sidx) in (i..slots.len()).step_by(g).enumerate() {
-                    let t = slots[sidx].0;
-                    let drow = part.row(row);
-                    let xrow = dx.row_mut(t);
-                    for j in 0..m {
-                        xrow[j] += drow[j];
-                    }
-                }
-            }
-        }
-        drop(d2b);
-        let dx_gate = {
-            let _g = obs::span("gate", "gateb");
-            self.gate.backward(&d_weights)
-        };
-        dx.add_assign(&dx_gate).expect("same shape");
-        Ok(dx)
-    }
-
-    /// Direct per-chunk exchange used by the overlapped pipeline, with an
-    /// optional liveness deadline on every receive.
-    fn exchange(
-        h: &mut RankHandle,
-        chunks: Vec<Bytes>,
-        tag: u64,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        match timeout {
-            Some(t) => reference_all_to_all_timeout(h, chunks, tag, t),
-            None => reference_all_to_all(h, chunks, tag),
-        }
-    }
-
-    /// ScheMoE's pipelined forward: `r = partition_degree` chunks run the
-    /// per-chunk chain `C1 → A2A1 → (D1·E·C2) → A2A2 → D2` on the
-    /// two-worker overlap executor, in the OptSche submission order
-    /// `(C1¹..C1ʳ)(D1·E·C2)¹..(D1·E·C2)ʳ(D2¹..D2ʳ)` on the compute worker
-    /// and `A2A1¹..A2A1ʳ A2A2¹..A2A2ʳ` on the comm worker.
-    ///
-    /// Bit-identity with the serial path comes from three invariants:
-    /// the gate runs once on the full batch (identical routing/capacity);
-    /// each expert slot list is split into `r` *contiguous* segments, and
-    /// expert bodies are row-wise, so per-row outputs do not depend on
-    /// batch composition; and the combine reassembles the returned
-    /// segments into full slot order before accumulating in exactly the
-    /// serial loop's owner-major order.
-    ///
-    /// The per-chunk exchanges are direct tagged sends at
-    /// `chunk_tag(tag_base, lane, c)` — with `r` exchanges in flight per
-    /// lane, structured A2A algorithms (which assume exclusive tag windows
-    /// and whole-layer payloads) do not apply. That is also why degraded
-    /// mode composes with overlap: each per-chunk exchange independently
-    /// skips dead peers ([`exchange_live`](Self::exchange_live)) and
-    /// substitutes zero-row placeholders, while the masked gate guarantees
-    /// no rows were routed to a dead rank's experts in the first place.
-    fn forward_overlapped(
-        &mut self,
-        h: &mut RankHandle,
-        x: &Tensor,
-        tag_base: u64,
-    ) -> Result<Tensor, FabricError> {
-        let r = self.partition_degree;
-        let p = h.world_size();
-        let m = x.dims()[1];
-        let n = x.dims()[0];
-        let epr = self.experts_per_rank;
-        let timeout = self.recv_timeout;
-        // Degraded mode: record the quality warning (span + counter) and
-        // route around the dead ranks' experts, exactly as the serial path.
-        let _degraded_span = self.is_degraded().then(|| {
-            obs::counters_for_rank(h.rank()).add_degraded_step();
-            obs::span(
-                "degraded",
-                format!("degraded step ({} dead)", self.dead_ranks.len()),
-            )
-        });
-        let decision = {
-            let _g = obs::span("gate", "gate");
-            if self.is_degraded() {
-                let mask = self.dead_expert_mask(p);
-                self.gate.forward_masked(x, Some(&mask))
-            } else {
-                self.gate.forward(x)
-            }
-        };
-        self.note_decision(h.rank(), p, &decision);
-        let decision_ref = &decision;
-
-        // Field split: pipeline closures share the compressor immutably
-        // while the expert list is handed to the compute stages mutably.
-        let compressor: &dyn Compressor = self.compressor.as_ref();
-        let dead = &self.dead_ranks;
-        // With dead peers, every per-chunk exchange swaps their inbound
-        // chunks for this encoding of zero rows per local expert.
-        let placeholder = (!self.dead_ranks.is_empty()).then(|| {
-            let empty = vec![Tensor::zeros(&[0, m]); epr];
-            Self::encode_chunk(compressor, &empty, m)
-        });
-        let placeholder = placeholder.as_ref();
-        let experts = Mutex::new(&mut self.local_experts);
-        let handle = Mutex::new(h);
-
-        // Single-producer single-consumer mailboxes between stages, one
-        // per chunk; the executor's dependency edges order the accesses.
-        let mailbox = |count: usize| -> Vec<Mutex<Option<Vec<Bytes>>>> {
-            (0..count).map(|_| Mutex::new(None)).collect()
-        };
-        let to_dispatch = mailbox(r);
-        let dispatched = mailbox(r);
-        let to_combine = mailbox(r);
-        let combined = mailbox(r);
-        // Per chunk: decoded dispatch payloads `[src][le]` (kept for the
-        // backward's serial-order input reassembly) and decoded combine
-        // payloads `[owner][le]`.
-        let chunk_inputs: Vec<Mutex<Option<Vec<Vec<Tensor>>>>> =
-            (0..r).map(|_| Mutex::new(None)).collect();
-        let chunk_returned: Vec<Mutex<Option<Vec<Vec<Tensor>>>>> =
-            (0..r).map(|_| Mutex::new(None)).collect();
-        // First fabric error wins; later tasks short-circuit on it, and the
-        // cancel flag tells the executor to skip queued lanes outright —
-        // one dead peer must cost one receive deadline, not one per lane.
-        let error: Mutex<Option<FabricError>> = Mutex::new(None);
-        let cancel = AtomicBool::new(false);
-
-        // Task indices: C1ᶜ = c, A2A1ᶜ = r+c, (D1·E·C2)ᶜ = 2r+c,
-        // A2A2ᶜ = 3r+c, D2ᶜ = 4r+c.
-        let mut tasks: Vec<ExecTask<'_>> = Vec::with_capacity(5 * r);
-        for c in 0..r {
-            let to_dispatch = &to_dispatch[c];
-            let error = &error;
-            tasks.push(ExecTask {
-                worker: Worker::Compute,
-                deps: vec![],
-                span: None,
-                run: Box::new(move || {
-                    if error.lock().is_some() {
-                        return;
-                    }
-                    let _s = obs::span_sized(
-                        "encode",
-                        format!("C1[c{c}]"),
-                        (n * m * 4) as f64 / r as f64,
-                    );
-                    let mut chunks = Vec::with_capacity(p);
-                    for dst in 0..p {
-                        let mut per_expert = Vec::with_capacity(epr);
-                        for le in 0..epr {
-                            let slots = &decision_ref.expert_slots[dst * epr + le];
-                            let seg = &slots[c * slots.len() / r..(c + 1) * slots.len() / r];
-                            let mut rows = Tensor::zeros(&[seg.len(), m]);
-                            for (s, &(t, _)) in seg.iter().enumerate() {
-                                rows.row_mut(s).copy_from_slice(x.row(t));
-                            }
-                            per_expert.push(rows);
-                        }
-                        chunks.push(Self::encode_chunk(compressor, &per_expert, m));
-                    }
-                    *to_dispatch.lock() = Some(chunks);
-                }),
-            });
-        }
-        for c in 0..r {
-            let to_dispatch = &to_dispatch[c];
-            let dispatched = &dispatched[c];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![c],
-                span: None,
-                run: Box::new(move || {
-                    let Some(chunks) = to_dispatch.lock().take() else {
-                        return;
-                    };
-                    let bytes: usize = chunks.iter().map(Bytes::len).sum();
-                    let _s = obs::span_sized("a2a", format!("A1[c{c}]"), bytes as f64);
-                    let tag = chunk_tag(tag_base, lanes::LANE_DISPATCH, c);
-                    let result = match placeholder {
-                        Some(ph) => {
-                            Self::exchange_live(&mut handle.lock(), chunks, tag, dead, ph, timeout)
-                        }
-                        None => Self::exchange(&mut handle.lock(), chunks, tag, timeout),
-                    };
-                    match result {
-                        Ok(got) => *dispatched.lock() = Some(got),
-                        Err(e) => {
-                            error.lock().get_or_insert(e);
-                            cancel.store(true, Ordering::Release);
-                        }
-                    }
-                }),
-            });
-        }
-        for c in 0..r {
-            let dispatched = &dispatched[c];
-            let to_combine = &to_combine[c];
-            let chunk_inputs = &chunk_inputs[c];
-            let experts = &experts;
-            tasks.push(ExecTask {
-                worker: Worker::Compute,
-                deps: vec![r + c],
-                span: Some(("pipe", format!("D1·E·C2[c{c}]"))),
-                run: Box::new(move || {
-                    let Some(received) = dispatched.lock().take() else {
-                        return;
-                    };
-                    let recv_bytes: usize = received.iter().map(Bytes::len).sum();
-                    let d1 = obs::span_sized("decode", format!("D1[c{c}]"), recv_bytes as f64);
-                    let decoded: Vec<Vec<Tensor>> = received
-                        .iter()
-                        .map(|ch| Self::decode_chunk(compressor, ch, epr, m))
-                        .collect();
-                    drop(d1);
-                    // Chunk expert input: src-major concat, the chunk-local
-                    // analogue of the serial layout.
-                    let mut experts_guard = experts.lock();
-                    let rows_total: usize = decoded.iter().flatten().map(|t| t.dims()[0]).sum();
-                    let e_span = obs::span_sized("expert", format!("E[c{c}]"), rows_total as f64);
-                    let mut outputs = Vec::with_capacity(epr);
-                    for le in 0..epr {
-                        let total: usize = decoded.iter().map(|d| d[le].dims()[0]).sum();
-                        let mut input = Tensor::zeros(&[total, m]);
-                        let mut off = 0;
-                        for src_rows in decoded.iter().map(|d| &d[le]) {
-                            for row in 0..src_rows.dims()[0] {
-                                input.row_mut(off + row).copy_from_slice(src_rows.row(row));
-                            }
-                            off += src_rows.dims()[0];
-                        }
-                        outputs.push(experts_guard[le].forward(&input));
-                    }
-                    drop(e_span);
-                    drop(experts_guard);
-                    let c2 =
-                        obs::span_sized("encode", format!("C2[c{c}]"), (rows_total * m * 4) as f64);
-                    let mut back = Vec::with_capacity(p);
-                    for src in 0..p {
-                        let mut per_expert = Vec::with_capacity(epr);
-                        for le in 0..epr {
-                            let before: usize =
-                                decoded[..src].iter().map(|d| d[le].dims()[0]).sum();
-                            let count = decoded[src][le].dims()[0];
-                            let mut rows = Tensor::zeros(&[count, m]);
-                            for row in 0..count {
-                                rows.row_mut(row)
-                                    .copy_from_slice(outputs[le].row(before + row));
-                            }
-                            per_expert.push(rows);
-                        }
-                        back.push(Self::encode_chunk(compressor, &per_expert, m));
-                    }
-                    drop(c2);
-                    *to_combine.lock() = Some(back);
-                    *chunk_inputs.lock() = Some(decoded);
-                }),
-            });
-        }
-        for c in 0..r {
-            let to_combine = &to_combine[c];
-            let combined = &combined[c];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![2 * r + c],
-                span: None,
-                run: Box::new(move || {
-                    let Some(chunks) = to_combine.lock().take() else {
-                        return;
-                    };
-                    let bytes: usize = chunks.iter().map(Bytes::len).sum();
-                    let _s = obs::span_sized("a2a", format!("A2[c{c}]"), bytes as f64);
-                    let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, c);
-                    let result = match placeholder {
-                        Some(ph) => {
-                            Self::exchange_live(&mut handle.lock(), chunks, tag, dead, ph, timeout)
-                        }
-                        None => Self::exchange(&mut handle.lock(), chunks, tag, timeout),
-                    };
-                    match result {
-                        Ok(got) => *combined.lock() = Some(got),
-                        Err(e) => {
-                            error.lock().get_or_insert(e);
-                            cancel.store(true, Ordering::Release);
-                        }
-                    }
-                }),
-            });
-        }
-        for c in 0..r {
-            let combined = &combined[c];
-            let chunk_returned = &chunk_returned[c];
-            tasks.push(ExecTask {
-                worker: Worker::Compute,
-                deps: vec![3 * r + c],
-                span: None,
-                run: Box::new(move || {
-                    let Some(returned) = combined.lock().take() else {
-                        return;
-                    };
-                    let bytes: usize = returned.iter().map(Bytes::len).sum();
-                    let _s = obs::span_sized("decode", format!("D2[c{c}]"), bytes as f64);
-                    let decoded: Vec<Vec<Tensor>> = returned
-                        .iter()
-                        .map(|ch| Self::decode_chunk(compressor, ch, epr, m))
-                        .collect();
-                    *chunk_returned.lock() = Some(decoded);
-                }),
-            });
-        }
-        let exec_result = run_overlapped_cancellable(tasks, &cancel);
-
-        // A comm lane that failed records its typed error in the mailbox
-        // and the dependent tasks skip; prefer that over the executor's
-        // panic report when both exist (the panic is usually downstream
-        // fallout of the fabric failure).
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
-        if let Err(e) = exec_result {
-            return Err(FabricError::Worker {
-                detail: e.to_string(),
-            });
-        }
-        let chunk_inputs: Vec<Vec<Vec<Tensor>>> = chunk_inputs
-            .into_iter()
-            .map(|mx| mx.into_inner().expect("pipeline completed"))
-            .collect();
-        let chunk_returned: Vec<Vec<Vec<Tensor>>> = chunk_returned
-            .into_iter()
-            .map(|mx| mx.into_inner().expect("pipeline completed"))
-            .collect();
-
-        // Reassemble serial-order state. Received row counts sum over
-        // chunks; serial expert input is src-major with each src's rows in
-        // slot order, i.e. its chunk segments concatenated in chunk order.
-        let mut recv_counts = vec![vec![0usize; p]; epr];
-        for inputs in &chunk_inputs {
-            for (src, per_le) in inputs.iter().enumerate() {
-                for le in 0..epr {
-                    recv_counts[le][src] += per_le[le].dims()[0];
-                }
-            }
-        }
-        let mut expert_inputs = Vec::with_capacity(epr);
-        for (le, counts) in recv_counts.iter().enumerate() {
-            let total: usize = counts.iter().sum();
-            let mut input = Tensor::zeros(&[total, m]);
-            let mut off = 0;
-            for src in 0..p {
-                for inputs in &chunk_inputs {
-                    let seg = &inputs[src][le];
-                    for row in 0..seg.dims()[0] {
-                        input.row_mut(off + row).copy_from_slice(seg.row(row));
-                    }
-                    off += seg.dims()[0];
-                }
-            }
-            expert_inputs.push(input);
-        }
-
-        // Combine, exactly as the serial loop: reassembling each expert's
-        // returned segments in chunk order restores full slot order, so the
-        // accumulation below is the serial computation verbatim.
-        let mut y = Tensor::zeros(&[n, m]);
-        let mut returned_outputs: Vec<Tensor> = Vec::with_capacity(p * epr);
-        for owner in 0..p {
-            for le in 0..epr {
-                let e = owner * epr + le;
-                let slots = &decision.expert_slots[e];
-                let mut rows = Tensor::zeros(&[slots.len(), m]);
-                let mut off = 0;
-                for returned in &chunk_returned {
-                    let seg = &returned[owner][le];
-                    for row in 0..seg.dims()[0] {
-                        rows.row_mut(off + row).copy_from_slice(seg.row(row));
-                    }
-                    off += seg.dims()[0];
-                }
-                assert_eq!(off, slots.len(), "combine framing mismatch");
-                for (s, &(t, w)) in slots.iter().enumerate() {
-                    let orow = rows.row(s);
-                    let yrow = y.row_mut(t);
-                    for (yj, &oj) in yrow.iter_mut().zip(orow.iter()) {
-                        *yj += w * oj;
-                    }
-                }
-                returned_outputs.push(rows);
-            }
-        }
-        self.cache = Some(Cache {
-            decision,
-            recv_counts,
-            hosted_recv_counts: BTreeMap::new(),
-            hosted_inputs: BTreeMap::new(),
-            returned_outputs,
-            expert_inputs: Some(expert_inputs),
-            n,
-            tag_base,
-            served: None,
-        });
-        Ok(y)
-    }
-
-    /// Expert-parallel backward: two more (gradient) all-to-alls.
-    ///
-    /// Dispatches to the serial or overlapped implementation under the
-    /// same condition as [`forward`](Self::forward); both produce
-    /// bit-identical gradients.
+    /// Expert-parallel backward: two more (gradient) exchanges.
     ///
     /// # Panics
     ///
@@ -1825,14 +761,38 @@ impl DistributedMoeLayer {
     }
 
     /// [`backward`](Self::backward), optionally folding a replicated-
-    /// parameter gradient allreduce into the same submitted task graph.
+    /// parameter gradient allreduce into the same task graph. Every rank
+    /// must agree on whether an allreduce is attached.
     ///
-    /// On the overlapped path the reduction is the comm worker's first
-    /// task, so it runs concurrently with the backward's compute stages
-    /// (the combine-gradient build); on the serial path it simply runs
-    /// first. Every rank must agree on whether an allreduce is attached —
-    /// the dispatch condition itself (degree, live count, failover) is
-    /// replicated state, so the path choice always agrees.
+    /// The graph mirrors the forward's routing table (cached by it) but
+    /// pipelines per *peer*, not per chunk (`p` ranks, `q` live peers):
+    ///
+    /// ```text
+    /// compute: C1b⁰..C1bᵖ⁻¹  dW  (D1b·Eb·C2b)⁰..(D1b·Eb·C2b)ᵖ⁻¹  D2b⁰..D2bᵖ⁻¹
+    /// comm   : S1¹..S1ᑫ  R1¹..R1ᑫ  [AR]  S2¹..S2ᑫ  R2¹..R2ᑫ
+    /// ```
+    ///
+    /// The expert backward is one recompute+backward per non-empty
+    /// (expert, source) group, sources ascending, whatever the degree: a
+    /// whole-batch backward would fuse the sources into one GEMM and change
+    /// the floating-point grouping, while this canonical order makes every
+    /// weight gradient identical at every degree by construction, and lets
+    /// source `j`'s expert backward hide the exchanges of sources `> j`.
+    /// Under a placement each server differentiates only its share, so a
+    /// replicated expert's weight grads are *partial* per server; the
+    /// placement controller sums them over the expert's sync group.
+    ///
+    /// Messages travel uncompressed (the paper's §7 caution) on receiver-
+    /// indexed tags, `i → j` on `chunk_tag(.., lane, j)`. The comm queue
+    /// issues every send of a lane before any receive of it, and sends
+    /// depend only on local compute, so the order cannot deadlock, on two
+    /// workers or inline. This rank's own chunk loops back through the
+    /// mailboxes without touching the wire. The allreduce sits *between*
+    /// the two lanes: any earlier it would stall every peer's expert
+    /// backward behind it; there it fills the window where the comm worker
+    /// would otherwise idle waiting for return traffic. As in the forward,
+    /// a degree-1 step over a full mesh instead moves each lane as one
+    /// all-to-all through the configured [`AllToAll`].
     ///
     /// # Panics
     ///
@@ -1843,798 +803,195 @@ impl DistributedMoeLayer {
         dy: &Tensor,
         allreduce: Option<GradAllreduce<'_>>,
     ) -> Result<Tensor, FabricError> {
-        if self.cache.as_ref().is_some_and(|c| c.served.is_some()) {
-            // The forward ran the placed path; mirror its fan-out. The
-            // reduction keeps the serial ordering: before the exchanges.
-            if let Some(ar) = allreduce {
-                allreduce_live(h, ar.values, ar.tag, ar.live)?;
-            }
-            return self.backward_placed(h, dy);
-        }
-        let live = h.world_size() - self.dead_ranks.len();
-        if self.partition_degree <= 1 || live < 2 || self.has_failover() {
-            // Same ordering the overlapped graph gives the reduction:
-            // before the backward's exchanges.
-            if let Some(ar) = allreduce {
-                allreduce_live(h, ar.values, ar.tag, ar.live)?;
-            }
-            self.backward_serial(h, dy)
-        } else {
-            self.backward_overlapped(h, dy, allreduce)
-        }
-    }
-
-    /// The serial reference backward: one gradient dispatch A2A, all
-    /// expert backwards, one gradient return A2A, no overlap.
-    fn backward_serial(&mut self, h: &mut RankHandle, dy: &Tensor) -> Result<Tensor, FabricError> {
         let cache = self
             .cache
             .take()
             .expect("distributed backward without forward");
-        let p = h.world_size();
+        let (decision, routing) = (&cache.decision, &cache.routing);
+        let (recv_counts, expert_inputs) = (&cache.recv_counts, &cache.expert_inputs);
+        let (returned_outputs, n, tag_base) = (&cache.returned_outputs, cache.n, cache.tag_base);
+        let (p, me) = (h.world_size(), h.rank());
         let m = dy.dims()[1];
-        let epr = self.experts_per_rank;
-        assert_eq!(dy.dims()[0], cache.n, "gradient row count mismatch");
+        let r = self.partition_degree;
+        assert_eq!(dy.dims()[0], n, "gradient row count mismatch");
+        let _degraded = self.degraded_span();
 
-        // Combine backward: per admitted slot, grad of the expert output
-        // and of the combine weight. Backward spans use `*b` names so the
-        // profiler's forward-stage models never ingest them.
-        let c1b = obs::span_sized("encode", "C1b", (cache.n * m * 4) as f64);
-        let mut d_weights: Vec<Vec<f32>> = vec![Vec::new(); cache.n];
-        let mut grad_chunks = Vec::with_capacity(p);
-        for owner in 0..p {
-            let mut per_expert = Vec::with_capacity(epr);
-            for le in 0..epr {
-                let e = owner * epr + le;
-                let slots = &cache.decision.expert_slots[e];
-                let mut rows = Tensor::zeros(&[slots.len(), m]);
-                for (s, &(t, w)) in slots.iter().enumerate() {
-                    let dyrow = dy.row(t);
-                    let drow = rows.row_mut(s);
-                    for j in 0..m {
-                        drow[j] = w * dyrow[j];
-                    }
-                }
-                per_expert.push(rows);
-            }
-            grad_chunks.push(Self::encode_raw(&per_expert));
-        }
-        // Weight grads in per-token assignment order.
-        for (t, assigns) in cache.decision.assignments.iter().enumerate() {
-            for &(e, _) in assigns {
-                let s = cache.decision.expert_slots[e]
-                    .iter()
-                    .position(|&(tt, _)| tt == t)
-                    .expect("assignment implies slot");
-                let owner = self.owner_of(e);
-                let le = e % epr;
-                let rows = &cache.returned_outputs[owner * epr + le];
-                let dyrow = dy.row(t);
-                let orow = rows.row(s);
-                d_weights[t].push(dyrow.iter().zip(orow.iter()).map(|(a, b)| a * b).sum());
-            }
-        }
-
-        drop(c1b);
-        let bwd1_tag = cache.tag_base + TAG_STRIDE / 2;
-        let bwd2_tag = cache.tag_base + 3 * TAG_STRIDE / 4;
-        // Hosted backward dispatch: output grads for a routed dead owner's
-        // experts go to its failover host, mirroring the forward.
-        let routes = self.failover_routes();
-        for &(j, host) in &routes {
-            h.send(host, Self::hosted_tag(bwd1_tag, j), grad_chunks[j].clone())?;
-        }
-        let grad_bytes: usize = grad_chunks.iter().map(Bytes::len).sum();
-        let received = {
-            let _s = obs::span_sized("a2a", "A1b", grad_bytes as f64);
-            if self.is_degraded() {
-                let empty = vec![Tensor::zeros(&[0, m]); epr];
-                let placeholder = Self::encode_raw(&empty);
-                Self::exchange_live(
-                    h,
-                    grad_chunks,
-                    bwd1_tag,
-                    &self.dead_ranks,
-                    &placeholder,
-                    self.recv_timeout,
-                )?
-            } else {
-                self.a2a.all_to_all(h, grad_chunks, bwd1_tag)?
-            }
+        let mine = &routing.served[me][..];
+        let (servers, sources) = (routing.serving_ranks(), routing.sources_of(me));
+        let (servers, sources) = (&servers[..], &sources[..]);
+        let raw: &dyn Compressor = &NoCompression;
+        let bodies = Mutex::new(Bodies {
+            me,
+            epr: self.experts_per_rank,
+            local: &mut self.local_experts,
+            hosted: &mut self.hosted_experts,
+            guests: &mut self.guest_experts,
+        });
+        let handle = Mutex::new(h);
+        let wire = Wire {
+            handle: &handle,
+            a2a: (r == 1 && routing.full_mesh()).then_some(self.a2a.as_ref()),
+            timeout: self.recv_timeout,
+            tag_base,
+            me,
         };
+        // Per rank: output grads out to / in from it, input grads back out
+        // to / in from it, and the decoded input grads it returned.
+        let (grad_out, grad_in) = (slots::<Bytes>(p), slots::<Bytes>(p));
+        let (back_out, back_in) = (slots::<Bytes>(p), slots::<Bytes>(p));
+        let returned = slots::<Vec<Tensor>>(p);
+        let d_weights: Slot<Vec<Vec<f32>>> = Mutex::new(None);
 
-        // Failover host phase (backward): differentiate the hosted wards'
-        // experts on the survivors' output grads and return the input
-        // grads, mirroring the forward's hosted lanes.
-        for (&j, wards) in self.hosted_experts.iter_mut() {
-            let _s = obs::span("expert", format!("Eb[host r{j}]"));
-            let counts = cache
-                .hosted_recv_counts
-                .get(&j)
-                .expect("hosted backward without hosted forward");
-            let mut decoded: Vec<Vec<Tensor>> = Vec::with_capacity(p);
-            for src in 0..p {
-                if self.dead_ranks.contains(&src) {
-                    decoded.push(vec![Tensor::zeros(&[0, m]); epr]);
-                } else {
-                    let chunk = match self.recv_timeout {
-                        Some(t) => h.recv_timeout(src, Self::hosted_tag(bwd1_tag, j), t)?,
-                        None => h.recv(src, Self::hosted_tag(bwd1_tag, j))?,
-                    };
-                    decoded.push(Self::decode_raw(&chunk, epr, m));
-                }
-            }
-            // Same canonical per-(expert, source) grouping the ward itself
-            // would have used, so the hosted expert's weight grads stay
-            // bit-identical to the dead rank's own.
-            let ward_inputs = cache
-                .hosted_inputs
-                .get(&j)
-                .expect("hosted backward without hosted forward");
-            let mut dins: Vec<Tensor> = (0..epr)
-                .map(|le| {
-                    let total: usize = counts[le].iter().sum();
-                    Tensor::zeros(&[total, m])
-                })
-                .collect();
-            for src in 0..p {
-                for le in 0..epr {
-                    let count = counts[le][src];
-                    if count == 0 {
-                        continue;
-                    }
-                    let before: usize = counts[le][..src].iter().sum();
-                    let mut xin = Tensor::zeros(&[count, m]);
-                    for row in 0..count {
-                        xin.row_mut(row)
-                            .copy_from_slice(ward_inputs[le].row(before + row));
-                    }
-                    let _ = wards[le].forward(&xin);
-                    let din = wards[le].backward(&decoded[src][le]);
-                    for row in 0..count {
-                        dins[le].row_mut(before + row).copy_from_slice(din.row(row));
-                    }
-                }
-            }
-            for src in 0..p {
-                if self.dead_ranks.contains(&src) {
-                    continue;
-                }
-                let mut per_expert = Vec::with_capacity(epr);
-                for le in 0..epr {
-                    let before: usize = counts[le][..src].iter().sum();
-                    let count = counts[le][src];
-                    let mut rows = Tensor::zeros(&[count, m]);
-                    for r in 0..count {
-                        rows.row_mut(r).copy_from_slice(dins[le].row(before + r));
-                    }
-                    per_expert.push(rows);
-                }
-                h.send(
-                    src,
-                    Self::hosted_tag(bwd2_tag, j),
-                    Self::encode_raw(&per_expert),
-                )?;
-            }
-        }
-
-        // Decode the received output grads (its own `D1b` span so the
-        // profiler models the gradient decode independently of the expert
-        // backward), then differentiate the experts on the concatenation.
-        let recv_grad_bytes: usize = received.iter().map(Bytes::len).sum();
-        let d1b = obs::span_sized("decode", "D1b", recv_grad_bytes as f64);
-        let decoded: Vec<Vec<Tensor>> = received
+        let mut graph = Graph::default();
+        // C1b: per serving rank, w · dy for its share of every expert it
+        // serves, so its send can start while the next rank's still builds.
+        let built: Vec<(usize, usize)> = servers
             .iter()
-            .map(|c| Self::decode_raw(c, epr, m))
-            .collect();
-        drop(d1b);
-        let dout_rows: usize = cache
-            .recv_counts
-            .iter()
-            .map(|c| c.iter().sum::<usize>())
-            .sum();
-        let eb = obs::span_sized("expert", "Eb", dout_rows as f64);
-        // Canonical expert backward: one recompute+backward per non-empty
-        // (expert, source) group, sources ascending. The overlapped
-        // backward makes exactly the same sequence of expert calls (its
-        // per-source tasks run in ascending order on one worker), so the
-        // weight-gradient accumulation order — and with it every gradient
-        // — is identical at any partition degree by construction. A
-        // whole-batch backward here would fuse the sources into one GEMM
-        // and change the floating-point grouping.
-        let inputs = cache
-            .expert_inputs
-            .as_ref()
-            .expect("forward caches expert inputs");
-        let mut din_per_expert: Vec<Tensor> = (0..epr)
-            .map(|le| {
-                let total: usize = cache.recv_counts[le].iter().sum();
-                Tensor::zeros(&[total, m])
+            .map(|&dst| {
+                let out = &grad_out[dst];
+                let task = graph.push(Worker::Compute, vec![], move || {
+                    let bytes = (n * m * 4) as f64 / servers.len() as f64;
+                    let _s = obs::span_sized("encode", format!("C1b[o{dst}]"), bytes);
+                    let rows: Vec<Tensor> = routing.served[dst]
+                        .iter()
+                        .map(|&e| {
+                            let slots = &decision.expert_slots[e];
+                            let share = routing.segment(e, dst, slots.len(), 0, 1);
+                            let mut rows = Tensor::zeros(&[share.len(), m]);
+                            for (row, s) in share.enumerate() {
+                                let (t, w) = slots[s];
+                                for (g, &d) in rows.row_mut(row).iter_mut().zip(dy.row(t)) {
+                                    *g = w * d;
+                                }
+                            }
+                            rows
+                        })
+                        .collect();
+                    *out.lock() = Some(encode_chunk(raw, &rows));
+                    Ok(())
+                });
+                (dst, task)
             })
             .collect();
-        for src in 0..p {
-            for le in 0..epr {
-                let count = cache.recv_counts[le][src];
-                assert_eq!(
-                    decoded[src][le].dims()[0],
-                    count,
-                    "gradient framing mismatch"
-                );
-                if count == 0 {
-                    continue;
-                }
-                let before: usize = cache.recv_counts[le][..src].iter().sum();
-                let mut xin = Tensor::zeros(&[count, m]);
-                for row in 0..count {
-                    xin.row_mut(row)
-                        .copy_from_slice(inputs[le].row(before + row));
-                }
-                let _ = self.local_experts[le].forward(&xin);
-                let din = self.local_experts[le].backward(&decoded[src][le]);
-                for row in 0..count {
-                    din_per_expert[le]
-                        .row_mut(before + row)
-                        .copy_from_slice(din.row(row));
-                }
-            }
-        }
-
-        drop(eb);
-        // Ship input grads back to the token owners.
-        let c2b = obs::span_sized("encode", "C2b", (dout_rows * m * 4) as f64);
-        let mut back = Vec::with_capacity(p);
-        for src in 0..p {
-            let mut per_expert = Vec::with_capacity(epr);
-            for le in 0..epr {
-                let before: usize = cache.recv_counts[le][..src].iter().sum();
-                let count = cache.recv_counts[le][src];
-                let mut rows = Tensor::zeros(&[count, m]);
-                for r in 0..count {
-                    rows.row_mut(r)
-                        .copy_from_slice(din_per_expert[le].row(before + r));
-                }
-                per_expert.push(rows);
-            }
-            back.push(Self::encode_raw(&per_expert));
-        }
-        drop(c2b);
-        let back_bytes: usize = back.iter().map(Bytes::len).sum();
-        let returned = {
-            let _s = obs::span_sized("a2a", "A2b", back_bytes as f64);
-            if self.is_degraded() {
-                let empty = vec![Tensor::zeros(&[0, m]); epr];
-                let placeholder = Self::encode_raw(&empty);
-                Self::exchange_live(
-                    h,
-                    back,
-                    bwd2_tag,
-                    &self.dead_ranks,
-                    &placeholder,
-                    self.recv_timeout,
-                )?
-            } else {
-                self.a2a.all_to_all(h, back, bwd2_tag)?
-            }
-        };
-
-        // Hosted backward combine: input grads for tokens served by a
-        // failover host come back on the hosted lane.
-        let mut hosted_dins: BTreeMap<usize, Bytes> = BTreeMap::new();
-        for &(j, host) in &routes {
-            let chunk = match self.recv_timeout {
-                Some(t) => h.recv_timeout(host, Self::hosted_tag(bwd2_tag, j), t)?,
-                None => h.recv(host, Self::hosted_tag(bwd2_tag, j))?,
-            };
-            hosted_dins.insert(j, chunk);
-        }
-
-        // Dispatch backward: scatter token gradients.
-        let d2b = obs::span_sized(
-            "decode",
-            "D2b",
-            returned.iter().map(Bytes::len).sum::<usize>() as f64,
-        );
-        let mut dx = Tensor::zeros(&[cache.n, m]);
-        for owner in 0..p {
-            let chunk = hosted_dins.get(&owner).unwrap_or(&returned[owner]);
-            let outs = Self::decode_raw(chunk, epr, m);
-            for (le, rows) in outs.into_iter().enumerate() {
-                let e = owner * epr + le;
-                let slots = &cache.decision.expert_slots[e];
-                for (s, &(t, _)) in slots.iter().enumerate() {
-                    let drow = rows.row(s);
-                    let xrow = dx.row_mut(t);
-                    for j in 0..m {
-                        xrow[j] += drow[j];
-                    }
-                }
-            }
-        }
-        drop(d2b);
-        let dx_gate = {
-            let _g = obs::span("gate", "gateb");
-            self.gate.backward(&d_weights)
-        };
-        dx.add_assign(&dx_gate).expect("same shape");
-        Ok(dx)
-    }
-
-    /// ScheMoE's pipelined backward: gradients flow per *peer* through
-    /// the two-worker overlap executor, so source rank `j`'s expert
-    /// backward hides the exchanges of sources `> j`, with an optional
-    /// replicated-parameter allreduce as the comm worker's first task.
-    ///
-    /// Task graph (compute worker order, then comm worker order; `p`
-    /// ranks, `q` live peers):
-    ///
-    /// ```text
-    /// compute: C1b⁰..C1bᵖ⁻¹  dW  (D1b·Eb·C2b)⁰..(D1b·Eb·C2b)ᵖ⁻¹  D2b⁰..D2bᵖ⁻¹
-    /// comm   : S1¹..S1ᑫ  R1¹..R1ᑫ  [AR]  S2¹..S2ᑫ  R2¹..R2ᑫ
-    /// ```
-    ///
-    /// Unlike the forward, whose chunking follows `partition_degree`, the
-    /// backward pipelines at per-source granularity: the canonical expert
-    /// backward is one recompute+backward per non-empty (expert, source)
-    /// group in ascending source order — exactly the serial backward's
-    /// grouping — so the weight-gradient accumulation order is identical
-    /// at every degree and the grads stay bit-identical while source
-    /// `j`'s expert backward overlaps the remaining exchanges. The comm
-    /// queue issues every send of a lane before any receive of it, and
-    /// sends depend only on local compute, so the order is deadlock-free
-    /// by construction. This rank's own chunks loop back through the
-    /// mailboxes (still encode/decode round-tripped, exactly like the
-    /// serial exchange's self-chunk) without touching the wire.
-    ///
-    /// The allreduce sits *between* the grad exchange (S1/R1) and the
-    /// return exchange (S2/R2): putting it any earlier would stall every
-    /// peer's expert-backward chain behind it, while between the lanes it
-    /// fills exactly the window where the comm worker would otherwise sit
-    /// idle waiting for expert backwards to produce return traffic.
-    fn backward_overlapped(
-        &mut self,
-        h: &mut RankHandle,
-        dy: &Tensor,
-        allreduce: Option<GradAllreduce<'_>>,
-    ) -> Result<Tensor, FabricError> {
-        let cache = self
-            .cache
-            .take()
-            .expect("distributed backward without forward");
-        let p = h.world_size();
-        let me = h.rank();
-        let m = dy.dims()[1];
-        let epr = self.experts_per_rank;
-        let n = cache.n;
-        let timeout = self.recv_timeout;
-        assert_eq!(dy.dims()[0], n, "gradient row count mismatch");
-        let _degraded_span = self.is_degraded().then(|| {
-            obs::counters_for_rank(h.rank()).add_degraded_step();
-            obs::span(
-                "degraded",
-                format!("degraded step ({} dead)", self.dead_ranks.len()),
-            )
-        });
-
-        let tag_base = cache.tag_base;
-        let decision = &cache.decision;
-        let recv_counts = &cache.recv_counts;
-        let returned_outputs = &cache.returned_outputs;
-        let inputs = cache
-            .expert_inputs
-            .as_ref()
-            .expect("forward caches expert inputs");
-        let dead = &self.dead_ranks;
-        let experts = Mutex::new(&mut self.local_experts);
-        let handle = Mutex::new(h);
-
-        // Live peers in ascending order; dead sources contribute zero-row
-        // groups locally and never touch the wire.
-        let others: Vec<usize> = (0..p).filter(|&j| j != me && !dead.contains(&j)).collect();
-        let q = others.len();
-        // Position of peer j in `others` (receive-task index lookup).
-        let pos = |j: usize| others.iter().position(|&o| o == j).expect("live peer");
-
-        // Mailboxes between stages, one per source/owner rank (single
-        // producer, single consumer, ordered by the executor's edges).
-        let mailbox = |count: usize| -> Vec<Mutex<Option<Bytes>>> {
-            (0..count).map(|_| Mutex::new(None)).collect()
-        };
-        // C1b[j] → S1/D1b[me]: encoded output grads for owner j's experts.
-        let grad_chunks = mailbox(p);
-        // R1[j] → D1b[j]: encoded output grads received from source j.
-        let grad_recv = mailbox(p);
-        // D1b[j] → Eb[j]: decoded output grads `[le]` from source j.
-        let grads_decoded: Vec<Mutex<Option<Vec<Tensor>>>> =
-            (0..p).map(|_| Mutex::new(None)).collect();
-        // Eb[j] → C2b[j]: input grads `[le]` for source j's rows.
-        let din_rows: Vec<Mutex<Option<Vec<Tensor>>>> = (0..p).map(|_| Mutex::new(None)).collect();
-        // C2b[j] → S2/D2b[me]: encoded input grads for source j.
-        let back_chunks = mailbox(p);
-        // R2[j] → D2b[j]: encoded input grads returned by owner j.
-        let ret_recv = mailbox(p);
-        // D2b[j] → scatter: decoded input grads `[le]` from owner j.
-        let dins_decoded: Vec<Mutex<Option<Vec<Tensor>>>> =
-            (0..p).map(|_| Mutex::new(None)).collect();
-        let d_weights_box: Mutex<Option<Vec<Vec<f32>>>> = Mutex::new(None);
-        let error: Mutex<Option<FabricError>> = Mutex::new(None);
-        let cancel = AtomicBool::new(false);
-
-        // Task indices (base = 1 with an attached allreduce, else 0):
-        // C1bʲ = j, dW = p, S1ᵏ = p+1+k, R1ᵏ = p+1+q+k, AR = p+1+2q,
-        // then with t0 = p+1+2q+base:
-        // D1bʲ = t0+3j, Ebʲ = t0+3j+1, C2bʲ = t0+3j+2,
-        // S2ᵏ = t0+3p+k, R2ᵏ = t0+3p+q+k, D2bʲ = t0+3p+2q+j.
-        let base = usize::from(allreduce.is_some());
-        let t0 = p + 1 + 2 * q + base;
-        let mut tasks: Vec<ExecTask<'_>> = Vec::with_capacity(base + 4 * p + 4 * q + 1);
-        // C1b: per-owner combine-gradient build + raw encode. Identical
-        // per-slot arithmetic to the serial build, merely split by owner
-        // so owner j's send can start while owner j+1's grads still build.
-        for j in 0..p {
-            let grad_chunks = &grad_chunks[j];
-            let error = &error;
-            tasks.push(ExecTask {
-                worker: Worker::Compute,
-                deps: vec![],
-                span: None,
-                run: Box::new(move || {
-                    if error.lock().is_some() {
-                        return;
-                    }
-                    let _s = obs::span_sized(
-                        "encode",
-                        format!("C1b[o{j}]"),
-                        (n * m * 4) as f64 / p as f64,
-                    );
-                    let mut per_expert = Vec::with_capacity(epr);
-                    for le in 0..epr {
-                        let slots = &decision.expert_slots[j * epr + le];
-                        let mut rows = Tensor::zeros(&[slots.len(), m]);
-                        for (s, &(t, w)) in slots.iter().enumerate() {
-                            let dyrow = dy.row(t);
-                            let drow = rows.row_mut(s);
-                            for i in 0..m {
-                                drow[i] = w * dyrow[i];
-                            }
-                        }
-                        per_expert.push(rows);
-                    }
-                    *grad_chunks.lock() = Some(Self::encode_raw(&per_expert));
-                }),
-            });
-        }
-        // dW: whole-batch combine-weight gradients, in the serial path's
-        // per-token assignment order. Pushed after the C1b encodes so the
-        // comm lanes start as early as possible.
+        // dW: combine-weight gradients in per-token assignment order, after
+        // the C1b encodes so the comm lanes start as early as possible.
         {
-            let d_weights_box = &d_weights_box;
-            let error = &error;
-            tasks.push(ExecTask {
-                worker: Worker::Compute,
-                deps: vec![],
-                span: Some(("encode", "dW".to_string())),
-                run: Box::new(move || {
-                    if error.lock().is_some() {
-                        return;
-                    }
-                    let mut d_weights: Vec<Vec<f32>> = vec![Vec::new(); n];
-                    for (t, assigns) in decision.assignments.iter().enumerate() {
-                        for &(e, _) in assigns {
-                            let s = decision.expert_slots[e]
-                                .iter()
-                                .position(|&(tt, _)| tt == t)
-                                .expect("assignment implies slot");
-                            let owner = e / epr;
-                            let le = e % epr;
-                            let rows = &returned_outputs[owner * epr + le];
-                            let dyrow = dy.row(t);
-                            let orow = rows.row(s);
-                            d_weights[t]
-                                .push(dyrow.iter().zip(orow.iter()).map(|(a, b)| a * b).sum());
-                        }
-                    }
-                    *d_weights_box.lock() = Some(d_weights);
-                }),
-            });
-        }
-        // S1: per-peer output-grad send on the backward grad lane, as soon
-        // as that peer's C1b is encoded. Tags are receiver-indexed:
-        // message i→j travels on `chunk_tag(.., LANE_BWD_GRAD, j)`.
-        for &j in &others {
-            let grad_chunks = &grad_chunks[j];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![j],
-                span: None,
-                run: Box::new(move || {
-                    let Some(chunk) = grad_chunks.lock().take() else {
-                        return;
+            let d_weights = &d_weights;
+            graph.push(Worker::Compute, vec![], move || {
+                let _s = obs::span("encode", "dW");
+                let of_token = |(t, assigns): (usize, &Vec<(usize, f32)>)| {
+                    let of_expert = |&(e, _): &(usize, f32)| {
+                        let s = decision.expert_slots[e]
+                            .iter()
+                            .position(|&(tt, _)| tt == t)
+                            .expect("assignment implies slot");
+                        let pairs = dy.row(t).iter().zip(returned_outputs[e].row(s));
+                        pairs.map(|(a, b)| a * b).sum::<f32>()
                     };
-                    let _s = obs::span_sized("a2a", format!("A1b[p{j}]"), chunk.len() as f64);
-                    let tag = chunk_tag(tag_base, lanes::LANE_BWD_GRAD, j);
-                    if let Err(e) = handle.lock().send(j, tag, chunk) {
-                        error.lock().get_or_insert(e);
-                        cancel.store(true, Ordering::Release);
-                    }
-                }),
+                    assigns.iter().map(of_expert).collect()
+                };
+                *d_weights.lock() = Some(
+                    decision
+                        .assignments
+                        .iter()
+                        .enumerate()
+                        .map(of_token)
+                        .collect(),
+                );
+                Ok(())
             });
         }
-        // R1: per-peer output-grad receive, sources ascending, after every
-        // send (sends depend only on local compute, so this order cannot
-        // deadlock). The `A1bw` wait spans are deliberately outside the
-        // profiler's stem set: blocked-receive time measures peer skew,
-        // not wire cost, and must not pollute the A1b model.
-        for &j in &others {
-            let grad_recv = &grad_recv[j];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![],
-                span: Some(("a2a", format!("A1bw[p{j}]"))),
-                run: Box::new(move || {
-                    if error.lock().is_some() {
-                        return;
-                    }
-                    let tag = chunk_tag(tag_base, lanes::LANE_BWD_GRAD, me);
-                    let result = {
-                        let mut hh = handle.lock();
-                        match timeout {
-                            Some(t) => hh.recv_timeout(j, tag, t),
-                            None => hh.recv(j, tag),
-                        }
-                    };
-                    match result {
-                        Ok(got) => *grad_recv.lock() = Some(got),
-                        Err(e) => {
-                            error.lock().get_or_insert(e);
-                            cancel.store(true, Ordering::Release);
-                        }
-                    }
-                }),
-            });
-        }
-        // AR: the replicated-parameter allreduce, queued once the grad
-        // exchange is through so it rides under the expert-backward chain
-        // — the longest stretch where the comm worker has nothing to move.
+        let grad_lane = ("A1b", lanes::LANE_BWD_GRAD);
+        let grads_at = wire.lane(
+            &mut graph,
+            grad_lane,
+            (&grad_out, &grad_in),
+            &built,
+            sources,
+        );
         if let Some(ar) = allreduce {
             let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![],
-                span: Some(("coll", "allreduce[replicated]".to_string())),
-                run: Box::new(move || {
-                    if error.lock().is_some() {
-                        return;
-                    }
-                    if let Err(e) = allreduce_live(&mut handle.lock(), ar.values, ar.tag, ar.live) {
-                        error.lock().get_or_insert(e);
-                        cancel.store(true, Ordering::Release);
-                    }
-                }),
+            graph.push(Worker::Comm, vec![], move || {
+                let _s = obs::span("coll", "allreduce[replicated]");
+                allreduce_live(&mut handle.lock(), ar.values, ar.tag, ar.live)
             });
         }
-        // Per source j ascending: D1b[j] decodes j's output grads, Eb[j]
-        // recomputes and differentiates each local expert's (expert, j)
-        // group — the canonical grouping the serial backward also uses —
-        // and C2b[j] encodes the input grads straight back for j. Source
-        // j's expert backward thus overlaps every later source's traffic.
-        for j in 0..p {
-            let is_dead = dead.contains(&j);
-            let d1b_deps = if j == me {
-                vec![j]
-            } else if is_dead {
-                vec![]
-            } else {
-                vec![p + 1 + q + pos(j)]
-            };
-            let src_box = if j == me {
-                &grad_chunks[j]
-            } else {
-                &grad_recv[j]
-            };
-            let grads_decoded = &grads_decoded[j];
-            tasks.push(ExecTask {
-                worker: Worker::Compute,
-                deps: d1b_deps,
-                span: None,
-                run: Box::new(move || {
-                    let decoded = if is_dead {
-                        // A dead source routed nothing here: zero rows per
-                        // expert, exactly the serial placeholder's decode.
-                        vec![Tensor::zeros(&[0, m]); epr]
-                    } else {
-                        let Some(ch) = src_box.lock().take() else {
-                            return;
-                        };
-                        let _s = obs::span_sized("decode", format!("D1b[s{j}]"), ch.len() as f64);
-                        Self::decode_raw(&ch, epr, m)
-                    };
-                    *grads_decoded.lock() = Some(decoded);
-                }),
-            });
-            let din_rows = &din_rows[j];
-            let experts = &experts;
-            tasks.push(ExecTask {
-                worker: Worker::Compute,
-                deps: vec![t0 + 3 * j],
-                span: None,
-                run: Box::new(move || {
-                    let Some(grads) = grads_decoded.lock().take() else {
-                        return;
-                    };
-                    let rows_j: usize = (0..epr).map(|le| recv_counts[le][j]).sum();
-                    let _s = obs::span_sized("expert", format!("Eb[s{j}]"), rows_j as f64);
-                    let mut experts_guard = experts.lock();
-                    let mut dins = Vec::with_capacity(epr);
-                    for le in 0..epr {
-                        let count = recv_counts[le][j];
-                        assert_eq!(grads[le].dims()[0], count, "gradient framing mismatch");
+        // Per source j ascending: decode j's output grads, recompute and
+        // differentiate each (served expert, j) group, and encode the input
+        // grads straight back for j.
+        let differentiated: Vec<(usize, usize)> = sources
+            .iter()
+            .map(|&j| {
+                let (inbox, out, bodies) = (&grad_in[j], &back_out[j], &bodies);
+                let task = graph.push(Worker::Compute, vec![grads_at[j]], move || {
+                    let chunk = take(inbox);
+                    let d1b = obs::span_sized("decode", format!("D1b[s{j}]"), chunk.len() as f64);
+                    let tag = tag_base + grad_lane.1;
+                    let grads = decode_chunk(raw, &chunk, mine.len(), m, j, tag)?;
+                    drop(d1b);
+                    let rows_j: usize = recv_counts.iter().map(|counts| counts[j]).sum();
+                    let eb = obs::span_sized("expert", format!("Eb[s{j}]"), rows_j as f64);
+                    let mut bodies = bodies.lock();
+                    let differentiate = |(k, &e): (usize, &usize)| {
+                        let count = recv_counts[k][j];
+                        assert_eq!(grads[k].dims()[0], count, "gradient framing mismatch");
                         if count == 0 {
-                            dins.push(Tensor::zeros(&[0, m]));
-                            continue;
+                            return Tensor::zeros(&[0, m]);
                         }
-                        let before: usize = recv_counts[le][..j].iter().sum();
-                        let mut xin = Tensor::zeros(&[count, m]);
-                        for row in 0..count {
-                            xin.row_mut(row)
-                                .copy_from_slice(inputs[le].row(before + row));
-                        }
-                        let _ = experts_guard[le].forward(&xin);
-                        dins.push(experts_guard[le].backward(&grads[le]));
-                    }
-                    *din_rows.lock() = Some(dins);
-                }),
-            });
-            let back_chunks = &back_chunks[j];
-            tasks.push(ExecTask {
-                worker: Worker::Compute,
-                deps: vec![t0 + 3 * j + 1],
-                span: None,
-                run: Box::new(move || {
-                    let Some(dins) = din_rows.lock().take() else {
-                        return;
+                        let before: usize = recv_counts[k][..j].iter().sum();
+                        let body = bodies.get(e);
+                        let _ =
+                            body.forward(&gather_rows(&expert_inputs[k], before..before + count));
+                        body.backward(&grads[k])
                     };
-                    let rows_j: usize = dins.iter().map(|t| t.dims()[0]).sum();
-                    let _s =
-                        obs::span_sized("encode", format!("C2b[s{j}]"), (rows_j * m * 4) as f64);
-                    *back_chunks.lock() = Some(Self::encode_raw(&dins));
-                }),
-            });
-        }
-        // S2: per-peer input-grad send back to its source on the backward
-        // return lane, as soon as that source's C2b is encoded.
-        for &j in &others {
-            let back_chunks = &back_chunks[j];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![t0 + 3 * j + 2],
-                span: None,
-                run: Box::new(move || {
-                    let Some(chunk) = back_chunks.lock().take() else {
-                        return;
-                    };
-                    let _s = obs::span_sized("a2a", format!("A2b[p{j}]"), chunk.len() as f64);
-                    let tag = chunk_tag(tag_base, lanes::LANE_BWD_RETURN, j);
-                    if let Err(e) = handle.lock().send(j, tag, chunk) {
-                        error.lock().get_or_insert(e);
-                        cancel.store(true, Ordering::Release);
-                    }
-                }),
-            });
-        }
-        // R2: per-peer returned input grads, owners ascending, after every
-        // send (same no-deadlock argument as R1).
-        for &j in &others {
-            let ret_recv = &ret_recv[j];
-            let handle = &handle;
-            let error = &error;
-            let cancel = &cancel;
-            tasks.push(ExecTask {
-                worker: Worker::Comm,
-                deps: vec![],
-                span: Some(("a2a", format!("A2bw[p{j}]"))),
-                run: Box::new(move || {
-                    if error.lock().is_some() {
-                        return;
-                    }
-                    let tag = chunk_tag(tag_base, lanes::LANE_BWD_RETURN, me);
-                    let result = {
-                        let mut hh = handle.lock();
-                        match timeout {
-                            Some(t) => hh.recv_timeout(j, tag, t),
-                            None => hh.recv(j, tag),
-                        }
-                    };
-                    match result {
-                        Ok(got) => *ret_recv.lock() = Some(got),
-                        Err(e) => {
-                            error.lock().get_or_insert(e);
-                            cancel.store(true, Ordering::Release);
-                        }
-                    }
-                }),
-            });
-        }
-        // D2b: per-owner input-grad decode.
-        for j in 0..p {
-            let is_dead = dead.contains(&j);
-            let d2b_deps = if j == me {
-                vec![t0 + 3 * j + 2]
-            } else if is_dead {
-                vec![]
-            } else {
-                vec![t0 + 3 * p + q + pos(j)]
-            };
-            let src_box = if j == me {
-                &back_chunks[j]
-            } else {
-                &ret_recv[j]
-            };
-            let dins_decoded = &dins_decoded[j];
-            tasks.push(ExecTask {
-                worker: Worker::Compute,
-                deps: d2b_deps,
-                span: None,
-                run: Box::new(move || {
-                    let decoded = if is_dead {
-                        // The masked gate routed no slots to a dead owner's
-                        // experts, so its contribution is zero rows.
-                        vec![Tensor::zeros(&[0, m]); epr]
-                    } else {
-                        let Some(ch) = src_box.lock().take() else {
-                            return;
-                        };
-                        let _s = obs::span_sized("decode", format!("D2b[o{j}]"), ch.len() as f64);
-                        Self::decode_raw(&ch, epr, m)
-                    };
-                    *dins_decoded.lock() = Some(decoded);
-                }),
-            });
-        }
-        let exec_result = run_overlapped_cancellable(tasks, &cancel);
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
-        if let Err(e) = exec_result {
-            return Err(FabricError::Worker {
-                detail: e.to_string(),
-            });
-        }
-        let dins_decoded: Vec<Vec<Tensor>> = dins_decoded
-            .into_iter()
-            .map(|mx| mx.into_inner().expect("pipeline completed"))
+                    let dins: Vec<Tensor> = mine.iter().enumerate().map(differentiate).collect();
+                    drop(bodies);
+                    drop(eb);
+                    let bytes = (rows_j * m * 4) as f64;
+                    let _c2b = obs::span_sized("encode", format!("C2b[s{j}]"), bytes);
+                    *out.lock() = Some(encode_chunk(raw, &dins));
+                    Ok(())
+                });
+                (j, task)
+            })
             .collect();
-        let d_weights = d_weights_box.into_inner().expect("pipeline completed");
+        let back_lane = ("A2b", lanes::LANE_BWD_RETURN);
+        let boxes = (&back_out[..], &back_in[..]);
+        let dins_at = wire.lane(&mut graph, back_lane, boxes, &differentiated, servers);
+        for &j in servers {
+            let (inbox, kept) = (&back_in[j], &returned[j]);
+            graph.push(Worker::Compute, vec![dins_at[j]], move || {
+                let chunk = take(inbox);
+                let _s = obs::span_sized("decode", format!("D2b[o{j}]"), chunk.len() as f64);
+                let experts = routing.served[j].len();
+                let tag = tag_base + back_lane.1;
+                *kept.lock() = Some(decode_chunk(raw, &chunk, experts, m, j, tag)?);
+                Ok(())
+            });
+        }
+        graph.run(routing.runs_inline(r))?;
 
-        // Scatter, exactly as the serial loop: each owner returned its
-        // full slot-order rows in one piece, accumulated owner-major.
+        // Scatter ascending-expert, so each token's additions come in the
+        // order of the one-chunk static backward.
+        let returned: Vec<Option<Vec<Tensor>>> =
+            returned.into_iter().map(Mutex::into_inner).collect();
         let mut dx = Tensor::zeros(&[n, m]);
-        for owner in 0..p {
-            for (le, rows) in dins_decoded[owner].iter().enumerate() {
-                let e = owner * epr + le;
-                let slots = &cache.decision.expert_slots[e];
-                assert_eq!(rows.dims()[0], slots.len(), "input-grad framing mismatch");
-                for (s, &(t, _)) in slots.iter().enumerate() {
-                    let drow = rows.row(s);
-                    let xrow = dx.row_mut(t);
-                    for i in 0..m {
-                        xrow[i] += drow[i];
+        for (e, slots) in decision.expert_slots.iter().enumerate() {
+            for &server in &routing.servers[e] {
+                let dins = returned[server].as_ref().expect("every server returned");
+                let part = &dins[routing.index_in(server, e)];
+                let share = routing.segment(e, server, slots.len(), 0, 1);
+                assert_eq!(part.dims()[0], share.len(), "input-grad framing mismatch");
+                for (row, s) in share.enumerate() {
+                    for (xj, &dj) in dx.row_mut(slots[s].0).iter_mut().zip(part.row(row)) {
+                        *xj += dj;
                     }
                 }
             }
         }
         let dx_gate = {
             let _g = obs::span("gate", "gateb");
+            let d_weights = d_weights.into_inner().expect("graph completed");
             self.gate.backward(&d_weights)
         };
         dx.add_assign(&dx_gate).expect("same shape");
@@ -2647,6 +1004,243 @@ impl DistributedMoeLayer {
         for e in &mut self.local_experts {
             e.visit_params(f);
         }
+    }
+}
+
+/// Mailbox between two graph stages: one producer, one consumer, ordered by
+/// the graph's dependency edges.
+type Slot<T> = Mutex<Option<T>>;
+
+fn slots<T>(count: usize) -> Vec<Slot<T>> {
+    (0..count).map(|_| Mutex::new(None)).collect()
+}
+
+/// What the task this one depends on left in `slot`.
+fn take<T>(slot: &Slot<T>) -> T {
+    slot.lock()
+        .take()
+        .expect("the upstream task filled its mailbox")
+}
+
+/// Empties one exchange leg's inbox and decodes it under a `decode` span:
+/// `experts(j)` row blocks from rank `j`, zero rows where the routing table
+/// expected no chunk.
+fn decode_inbox(
+    compressor: &dyn Compressor,
+    inbox: &[Slot<Bytes>],
+    experts: impl Fn(usize) -> usize,
+    m: usize,
+    tag: u64,
+    span: String,
+) -> Result<Vec<Vec<Tensor>>, FabricError> {
+    let chunks: Vec<Option<Bytes>> = inbox.iter().map(|slot| slot.lock().take()).collect();
+    let bytes: usize = chunks.iter().flatten().map(Bytes::len).sum();
+    let _s = obs::span_sized("decode", span, bytes as f64);
+    let decode = |(j, chunk): (usize, Option<Bytes>)| match chunk {
+        Some(chunk) => decode_chunk(compressor, &chunk, experts(j), m, j, tag),
+        None => Ok(vec![Tensor::zeros(&[0, m]); experts(j)]),
+    };
+    chunks.into_iter().enumerate().map(decode).collect()
+}
+
+/// The expert bodies this rank can serve from, borrowed apart from the rest
+/// of the layer so compute tasks run them while the codec is shared.
+struct Bodies<'a> {
+    me: usize,
+    epr: usize,
+    local: &'a mut [Box<dyn Expert>],
+    hosted: &'a mut BTreeMap<usize, Vec<Box<dyn Expert>>>,
+    guests: &'a mut BTreeMap<usize, Box<dyn Expert>>,
+}
+
+impl Bodies<'_> {
+    /// The body serving global expert `e` here: the local one when this
+    /// rank is `e`'s static home, the ward hosted for a dead home, else the
+    /// installed guest.
+    fn get(&mut self, e: usize) -> &mut dyn Expert {
+        let (home, le) = (e / self.epr, e % self.epr);
+        if home == self.me {
+            self.local[le].as_mut()
+        } else if let Some(wards) = self.hosted.get_mut(&home) {
+            wards[le].as_mut()
+        } else {
+            let guest = self.guests.get_mut(&e);
+            guest
+                .expect("a body is installed for every served expert")
+                .as_mut()
+        }
+    }
+}
+
+/// A step's first fabric error, and the flag that tells the executor to
+/// skip every task not yet started: one dead peer must cost one receive
+/// deadline, not one per lane.
+#[derive(Default)]
+struct Failure {
+    error: Mutex<Option<FabricError>>,
+    cancel: AtomicBool,
+}
+
+/// One step's task graph under construction.
+#[derive(Default)]
+struct Graph<'a> {
+    tasks: Vec<ExecTask<'a>>,
+    failure: Arc<Failure>,
+}
+
+impl<'a> Graph<'a> {
+    /// Appends a task and returns its index, for later tasks to depend on.
+    /// An `Err` from `run` takes the first-error-wins slot and cancels the
+    /// rest of the graph.
+    fn push(
+        &mut self,
+        worker: Worker,
+        deps: Vec<usize>,
+        run: impl FnOnce() -> Result<(), FabricError> + Send + 'a,
+    ) -> usize {
+        let failure = Arc::clone(&self.failure);
+        let run = Box::new(move || {
+            if let Err(e) = run() {
+                failure.error.lock().get_or_insert(e);
+                failure.cancel.store(true, Ordering::Release);
+            }
+        });
+        self.tasks.push(ExecTask {
+            worker,
+            deps,
+            span: None,
+            run,
+        });
+        self.tasks.len() - 1
+    }
+
+    /// Runs the graph: in submission order on the calling thread when
+    /// `inline`, else on the two-worker overlap executor. A task's typed
+    /// error wins over the executor's panic report, which is usually
+    /// downstream fallout of the fabric failure.
+    fn run(self, inline: bool) -> Result<(), FabricError> {
+        let exec = if inline {
+            run_inline_cancellable(self.tasks, &self.failure.cancel)
+        } else {
+            run_overlapped_cancellable(self.tasks, &self.failure.cancel)
+        };
+        if let Some(e) = self.failure.error.lock().take() {
+            return Err(e);
+        }
+        exec.map_err(|e| FabricError::Worker {
+            detail: e.to_string(),
+        })
+    }
+}
+
+/// What a graph's comm tasks share.
+#[derive(Clone, Copy)]
+struct Wire<'a> {
+    handle: &'a Mutex<&'a mut RankHandle>,
+    /// The configured algorithm when this step's exchanges are complete
+    /// whole-layer all-to-alls (degree 1 over a full mesh); `None` for
+    /// direct tagged sends.
+    a2a: Option<&'a dyn AllToAll>,
+    timeout: Option<Duration>,
+    tag_base: u64,
+    me: usize,
+}
+
+impl<'a> Wire<'a> {
+    /// A receive honouring the layer's liveness deadline.
+    fn recv(&self, from: usize, tag: u64) -> Result<Bytes, FabricError> {
+        let mut h = self.handle.lock();
+        match self.timeout {
+            Some(t) => h.recv_timeout(from, tag, t),
+            None => h.recv(from, tag),
+        }
+    }
+
+    /// One comm task moving chunk `c` of `lane` whole: every filled
+    /// `out[j]` goes to rank `j`, then `inbox[j]` is awaited from each `j`
+    /// in `from`. Returns the task's index.
+    fn exchange(
+        self,
+        graph: &mut Graph<'a>,
+        deps: Vec<usize>,
+        (stem, lane, c): (&'static str, u64, usize),
+        (out, inbox): (&'a [Slot<Bytes>], &'a [Slot<Bytes>]),
+        from: &'a [usize],
+    ) -> usize {
+        graph.push(Worker::Comm, deps, move || {
+            let chunks: Vec<Option<Bytes>> = out.iter().map(|slot| slot.lock().take()).collect();
+            let bytes: usize = chunks.iter().flatten().map(Bytes::len).sum();
+            let _s = obs::span_sized("a2a", format!("{stem}[c{c}]"), bytes as f64);
+            let tag = chunk_tag(self.tag_base, lane, c);
+            if let Some(a2a) = self.a2a {
+                let all = chunks.into_iter().map(|chunk| chunk.expect("full mesh"));
+                let got = a2a.all_to_all(&mut self.handle.lock(), all.collect(), tag)?;
+                for (slot, chunk) in inbox.iter().zip(got) {
+                    *slot.lock() = Some(chunk);
+                }
+                return Ok(());
+            }
+            let name = format!("ref:{}", lanes::lane_name(tag));
+            let _coll = obs::span_sized("coll", name, bytes as f64);
+            for (j, chunk) in chunks.into_iter().enumerate() {
+                if let Some(chunk) = chunk {
+                    self.handle.lock().send(j, tag, chunk)?;
+                }
+            }
+            for &j in from {
+                *inbox[j].lock() = Some(self.recv(j, tag)?);
+            }
+            Ok(())
+        })
+    }
+
+    /// The comm tasks of one backward lane; returns, per rank in `from`,
+    /// the task after which `inbox[rank]` is filled. Each `(j, task)` of
+    /// `produced` fills `out[j]`, bound for rank `j`. Over a full mesh at
+    /// degree 1 the lane is one whole [`exchange`](Self::exchange);
+    /// otherwise every chunk travels alone on its receiver's tag — a send
+    /// per destination as soon as its chunk exists, then a receive per
+    /// source, ascending — and this rank's own chunk just changes mailbox.
+    /// The `…w` wait spans are deliberately outside the profiler's stem
+    /// set: blocked-receive time measures peer skew, not wire cost.
+    fn lane(
+        self,
+        graph: &mut Graph<'a>,
+        (stem, lane): (&'static str, u64),
+        (out, inbox): (&'a [Slot<Bytes>], &'a [Slot<Bytes>]),
+        produced: &[(usize, usize)],
+        from: &'a [usize],
+    ) -> Vec<usize> {
+        let me = self.me;
+        if self.a2a.is_some() {
+            let deps = produced.iter().map(|&(_, task)| task).collect();
+            let task = self.exchange(graph, deps, (stem, lane, 0), (out, inbox), from);
+            return vec![task; out.len()];
+        }
+        let mut filled = vec![usize::MAX; out.len()];
+        for &(j, task) in produced {
+            let sent = graph.push(Worker::Comm, vec![task], move || {
+                let chunk = take(&out[j]);
+                if j == me {
+                    *inbox[me].lock() = Some(chunk);
+                    return Ok(());
+                }
+                let _s = obs::span_sized("a2a", format!("{stem}[p{j}]"), chunk.len() as f64);
+                let tag = chunk_tag(self.tag_base, lane, j);
+                self.handle.lock().send(j, tag, chunk)
+            });
+            if j == me {
+                filled[me] = sent;
+            }
+        }
+        for &j in from.iter().filter(|&&j| j != me) {
+            filled[j] = graph.push(Worker::Comm, vec![], move || {
+                let _s = obs::span("a2a", format!("{stem}w[p{j}]"));
+                *inbox[j].lock() = Some(self.recv(j, chunk_tag(self.tag_base, lane, me))?);
+                Ok(())
+            });
+        }
+        filled
     }
 }
 
@@ -2729,7 +1323,7 @@ mod tests {
     use crate::expert::FfExpert;
     use crate::layer::MoeLayer;
     use schemoe_cluster::{Fabric, Topology};
-    use schemoe_collectives::NcclA2A;
+    use schemoe_collectives::{NcclA2A, TAG_STRIDE};
     use schemoe_compression::NoCompression;
     use schemoe_tensor::nn::Module;
     use schemoe_tensor::rng::{self, seeded};
@@ -2747,6 +1341,10 @@ mod tests {
         TopKGate::new(M, experts, k, f, &mut seeded(555))
     }
 
+    /// The independent oracle — the single-process [`MoeLayer`] — at every
+    /// partition degree the distributed graph runs at.
+    const ORACLE_DEGREES: [usize; 3] = [1, 2, 4];
+
     #[test]
     fn matches_single_process_layer() {
         let topo = Topology::new(2, 2);
@@ -2755,36 +1353,43 @@ mod tests {
         // Global batch, split contiguously across ranks.
         let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(7));
 
-        // Distributed forward.
-        let dist_out = Fabric::run(topo, |mut h| {
-            let me = h.rank();
-            let gate = make_gate(p, 2, 8.0); // big capacity: no drops
-            let mut layer = DistributedMoeLayer::new(
-                gate,
-                vec![make_expert(me)],
-                Box::new(NoCompression),
-                Box::new(NcclA2A),
-            );
-            let mut x = Tensor::zeros(&[n_local, M]);
-            for r in 0..n_local {
-                x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
-            }
-            layer.forward(&mut h, &x, 0).unwrap()
-        });
+        for degree in ORACLE_DEGREES {
+            // Distributed forward.
+            let dist_out = Fabric::run(topo, |mut h| {
+                let me = h.rank();
+                let gate = make_gate(p, 2, 8.0); // big capacity: no drops
+                let mut layer = DistributedMoeLayer::new(
+                    gate,
+                    vec![make_expert(me)],
+                    Box::new(NoCompression),
+                    Box::new(NcclA2A),
+                )
+                .with_partition_degree(degree);
+                let mut x = Tensor::zeros(&[n_local, M]);
+                for r in 0..n_local {
+                    x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+                }
+                layer.forward(&mut h, &x, 0).unwrap()
+            });
 
-        // Single-process references, one per rank's shard (capacity is per
-        // shard in expert-parallel training, so compare shard by shard).
-        for me in 0..p {
-            let gate = make_gate(p, 2, 8.0);
-            let experts: Vec<Box<dyn Expert>> = (0..p).map(make_expert).collect();
-            let mut reference = MoeLayer::from_parts(gate, experts);
-            let mut x = Tensor::zeros(&[n_local, M]);
-            for r in 0..n_local {
-                x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+            // Single-process references, one per rank's shard (capacity is
+            // per shard in expert-parallel training, so compare shard by
+            // shard).
+            for me in 0..p {
+                let gate = make_gate(p, 2, 8.0);
+                let experts: Vec<Box<dyn Expert>> = (0..p).map(make_expert).collect();
+                let mut reference = MoeLayer::from_parts(gate, experts);
+                let mut x = Tensor::zeros(&[n_local, M]);
+                for r in 0..n_local {
+                    x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+                }
+                let want = reference.forward(&x);
+                let diff = dist_out[me].max_abs_diff(&want).unwrap();
+                assert!(
+                    diff < 1e-5,
+                    "degree {degree} rank {me} diverged from reference by {diff}"
+                );
             }
-            let want = reference.forward(&x);
-            let diff = dist_out[me].max_abs_diff(&want).unwrap();
-            assert!(diff < 1e-5, "rank {me} diverged from reference by {diff}");
         }
     }
 
@@ -2795,43 +1400,49 @@ mod tests {
         let n_local = 4;
         let x_global = rng::uniform(&[n_local * p, M], 0.7, &mut seeded(8));
 
-        let dist = Fabric::run(topo, |mut h| {
-            let me = h.rank();
-            let gate = make_gate(p, 1, 8.0);
-            let mut layer = DistributedMoeLayer::new(
-                gate,
-                vec![make_expert(me)],
-                Box::new(NoCompression),
-                Box::new(NcclA2A),
-            );
-            let mut x = Tensor::zeros(&[n_local, M]);
-            for r in 0..n_local {
-                x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
-            }
-            let y = layer.forward(&mut h, &x, 0).unwrap();
-            let dx = layer.backward(&mut h, &y).unwrap();
-            // Also return the gate gradient for cross-checking.
-            let mut gate_grad = Vec::new();
-            layer.visit_params(&mut |prm| {
-                if prm.name == "gate.wg" {
-                    gate_grad = prm.grad.data().to_vec();
+        for degree in ORACLE_DEGREES {
+            let dist = Fabric::run(topo, |mut h| {
+                let me = h.rank();
+                let gate = make_gate(p, 1, 8.0);
+                let mut layer = DistributedMoeLayer::new(
+                    gate,
+                    vec![make_expert(me)],
+                    Box::new(NoCompression),
+                    Box::new(NcclA2A),
+                )
+                .with_partition_degree(degree);
+                let mut x = Tensor::zeros(&[n_local, M]);
+                for r in 0..n_local {
+                    x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
                 }
+                let y = layer.forward(&mut h, &x, 0).unwrap();
+                let dx = layer.backward(&mut h, &y).unwrap();
+                // Also return the gate gradient for cross-checking.
+                let mut gate_grad = Vec::new();
+                layer.visit_params(&mut |prm| {
+                    if prm.name == "gate.wg" {
+                        gate_grad = prm.grad.data().to_vec();
+                    }
+                });
+                (dx, gate_grad)
             });
-            (dx, gate_grad)
-        });
 
-        for me in 0..p {
-            let gate = make_gate(p, 1, 8.0);
-            let experts: Vec<Box<dyn Expert>> = (0..p).map(make_expert).collect();
-            let mut reference = MoeLayer::from_parts(gate, experts);
-            let mut x = Tensor::zeros(&[n_local, M]);
-            for r in 0..n_local {
-                x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+            for me in 0..p {
+                let gate = make_gate(p, 1, 8.0);
+                let experts: Vec<Box<dyn Expert>> = (0..p).map(make_expert).collect();
+                let mut reference = MoeLayer::from_parts(gate, experts);
+                let mut x = Tensor::zeros(&[n_local, M]);
+                for r in 0..n_local {
+                    x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+                }
+                let y = reference.forward(&x);
+                let dx_want = reference.backward(&y);
+                let diff = dist[me].0.max_abs_diff(&dx_want).unwrap();
+                assert!(
+                    diff < 1e-4,
+                    "degree {degree} rank {me} dx diverged by {diff}"
+                );
             }
-            let y = reference.forward(&x);
-            let dx_want = reference.backward(&y);
-            let diff = dist[me].0.max_abs_diff(&dx_want).unwrap();
-            assert!(diff < 1e-4, "rank {me} dx diverged by {diff}");
         }
     }
 
@@ -2947,8 +1558,8 @@ mod tests {
         // Submitting the replicated-parameter allreduce as part of the
         // backward task graph must change nothing numerically: the reduced
         // values equal a standalone `allreduce_live`, and dx / param grads
-        // equal a plain `backward`. Degree 1 covers the serial fallback
-        // (which runs the allreduce first), degree 4 the pipelined graph.
+        // equal a plain `backward`. Degree 1 covers the inline run (the
+        // lanes are whole all-to-alls there), degree 4 the pipelined graph.
         let topo = Topology::new(1, 2);
         let p = topo.world_size();
         let n_local = 5;
@@ -3008,6 +1619,44 @@ mod tests {
                     "degree {degree} rank {me} allreduced values diverged"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_garbled_chunk_fails_the_step_with_a_typed_error() {
+        // Rank 1 speaks three bytes of garbage on every dispatch chunk.
+        // Rank 0's decode must surface it as `Corrupt` through the graph's
+        // error slot — inline at degree 1, on the executor at degree 2 —
+        // not as a panic on the rank thread.
+        for degree in [1usize, 2] {
+            let outs = Fabric::run(Topology::new(1, 2), |mut h| {
+                if h.rank() == 1 {
+                    let tags = (0..degree).map(|c| chunk_tag(0, lanes::LANE_DISPATCH, c));
+                    for tag in tags.clone() {
+                        h.send(0, tag, Bytes::from_static(&[1, 2, 3])).unwrap();
+                    }
+                    // Stay reachable until rank 0 has sent (or given up).
+                    for tag in tags {
+                        let _ = h.recv(0, tag);
+                    }
+                    return None;
+                }
+                let mut layer = DistributedMoeLayer::new(
+                    make_gate(2, 1, 8.0),
+                    vec![make_expert(0)],
+                    Box::new(NoCompression),
+                    Box::new(NcclA2A),
+                )
+                .with_partition_degree(degree)
+                .with_recv_timeout(std::time::Duration::from_secs(20));
+                let x = rng::uniform(&[4, M], 1.0, &mut seeded(25));
+                Some(layer.forward(&mut h, &x, 0))
+            });
+            assert!(
+                matches!(outs[0], Some(Err(FabricError::Corrupt { peer: 1, .. }))),
+                "degree {degree}: {:?}",
+                outs[0].as_ref().map(|r| r.as_ref().err())
+            );
         }
     }
 
@@ -3097,10 +1746,10 @@ mod tests {
     }
 
     #[test]
-    fn a_single_live_rank_falls_back_to_the_serial_path_and_still_completes() {
+    fn a_single_live_rank_runs_its_graph_inline_and_still_completes() {
         // With only one rank left alive there is no communication to
-        // overlap, so a layer configured for overlapped execution falls
-        // back to the serial degraded path and still completes.
+        // overlap, so a layer configured for overlapped execution runs its
+        // chunks inline, spawning no comm thread, and still completes.
         let topo = Topology::new(1, 2);
         let n_local = 5;
         let dead = 1usize;
@@ -3205,52 +1854,68 @@ mod tests {
         }
     }
 
+    /// Runs `step` with the process-wide span recorder on, one caller at a
+    /// time, and returns its result with the spans it recorded. Callers
+    /// pick a partition degree no other test in this binary uses, so their
+    /// highest chunk's spans can only be their own.
+    fn traced<T>(step: impl FnOnce() -> T) -> (T, obs::FuncTrace) {
+        static RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _one_at_a_time = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
+        obs::enable();
+        let out = step();
+        let trace = obs::take();
+        obs::disable();
+        (out, trace)
+    }
+
+    fn has_span(trace: &obs::FuncTrace, name: &str) -> bool {
+        trace.spans.iter().any(|s| s.name == name)
+    }
+
     #[test]
     fn degraded_steps_with_live_peers_still_overlap() {
-        // Regression for the old `is_degraded() → forward_serial` fallback:
-        // a degraded step with live peers must still run the chunked
-        // pipeline. Partition degree 17 is unique in this test binary, so
+        // Regression for an old fallback to an unpipelined forward whenever
+        // a rank was dead: a degraded step with live peers must still run
+        // the chunked pipeline. Partition degree 17 is unique in this test binary, so
         // the `A1[c16]` span can only come from this run.
         let topo = Topology::new(2, 2);
         let p = topo.world_size();
         let n_local = 6;
         let dead = 2usize;
         let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(44));
-        obs::enable();
-        let degraded_deltas = Fabric::run(topo, |mut h| {
-            let me = h.rank();
-            if me == dead {
-                return 0;
-            }
-            let before = obs::counters_for_rank(me).snapshot().degraded_steps;
-            let gate = make_gate(p, 2, 8.0);
-            let mut layer = DistributedMoeLayer::new(
-                gate,
-                vec![make_expert(me)],
-                Box::new(NoCompression),
-                Box::new(NcclA2A),
-            )
-            .with_partition_degree(17)
-            .with_recv_timeout(std::time::Duration::from_secs(30));
-            layer.mark_rank_dead(dead);
-            let mut x = Tensor::zeros(&[n_local, M]);
-            for r in 0..n_local {
-                x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
-            }
-            let y = layer.forward(&mut h, &x, 0).unwrap();
-            assert!(y.all_finite());
-            obs::counters_for_rank(me).snapshot().degraded_steps - before
+        let (degraded_deltas, trace) = traced(|| {
+            Fabric::run(topo, |mut h| {
+                let me = h.rank();
+                if me == dead {
+                    return 0;
+                }
+                let before = obs::counters_for_rank(me).snapshot().degraded_steps;
+                let gate = make_gate(p, 2, 8.0);
+                let mut layer = DistributedMoeLayer::new(
+                    gate,
+                    vec![make_expert(me)],
+                    Box::new(NoCompression),
+                    Box::new(NcclA2A),
+                )
+                .with_partition_degree(17)
+                .with_recv_timeout(std::time::Duration::from_secs(30));
+                layer.mark_rank_dead(dead);
+                let mut x = Tensor::zeros(&[n_local, M]);
+                for r in 0..n_local {
+                    x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+                }
+                let y = layer.forward(&mut h, &x, 0).unwrap();
+                assert!(y.all_finite());
+                obs::counters_for_rank(me).snapshot().degraded_steps - before
+            })
         });
-        let trace = obs::take();
-        obs::disable();
         for (r, delta) in degraded_deltas.iter().enumerate() {
             if r != dead {
                 assert!(*delta >= 1, "rank {r} did not record a degraded step");
             }
         }
-        let has = |name: &str| trace.spans.iter().any(|s| s.name == name);
         assert!(
-            has("A1[c16]") && has("A2[c16]"),
+            has_span(&trace, "A1[c16]") && has_span(&trace, "A2[c16]"),
             "degraded run did not produce per-chunk overlap spans"
         );
         assert!(
@@ -3349,20 +2014,19 @@ mod tests {
         })
     }
 
-    #[test]
-    fn a_failover_host_serves_the_dead_ranks_expert_bit_for_bit() {
-        // Rank 1 of 4 dies but rank 2 holds a fresh replica of its expert
-        // and a failover route is installed everywhere. Because no expert
-        // leaves the routing table and the hosted replica is bit-identical,
-        // every survivor's forward, dx, and the hosted expert's gradients
-        // must equal the never-degraded full-capacity run exactly.
+    /// Per surviving rank `(y, dx, hosted expert grads)` of one step on a
+    /// 2×2 world where `dead`'s expert is served by `host` from a replica
+    /// bit-identical to the original.
+    #[allow(clippy::type_complexity)]
+    fn failover_run(
+        x_global: &Tensor,
+        n_local: usize,
+        (dead, host): (usize, usize),
+        degree: usize,
+    ) -> Vec<Option<(Tensor, Tensor, Vec<Vec<f32>>)>> {
         let topo = Topology::new(2, 2);
         let p = topo.world_size();
-        let n_local = 6;
-        let (dead, host) = (1usize, 2usize);
-        let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(51));
-        let baseline = full_capacity_run(topo, &x_global, n_local, Some(dead));
-        let failover = Fabric::run(topo, |mut h| {
+        Fabric::run(topo, |mut h| {
             let me = h.rank();
             if me == dead {
                 return None;
@@ -3374,6 +2038,7 @@ mod tests {
                 Box::new(NoCompression),
                 Box::new(NcclA2A),
             )
+            .with_partition_degree(degree)
             .with_recv_timeout(std::time::Duration::from_secs(20));
             layer.mark_rank_dead(dead);
             layer.set_failover_route(dead, host);
@@ -3394,7 +2059,23 @@ mod tests {
                 hosted_grads.push(prm.grad.data().to_vec());
             });
             Some((y, dx, hosted_grads))
-        });
+        })
+    }
+
+    #[test]
+    fn a_failover_host_serves_the_dead_ranks_expert_bit_for_bit() {
+        // Rank 1 of 4 dies but rank 2 holds a fresh replica of its expert
+        // and a failover route is installed everywhere. Because no expert
+        // leaves the routing table and the hosted replica is bit-identical,
+        // every survivor's forward, dx, and the hosted expert's gradients
+        // must equal the never-degraded full-capacity run exactly.
+        let topo = Topology::new(2, 2);
+        let p = topo.world_size();
+        let n_local = 6;
+        let (dead, host) = (1usize, 2usize);
+        let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(51));
+        let baseline = full_capacity_run(topo, &x_global, n_local, Some(dead));
+        let failover = failover_run(&x_global, n_local, (dead, host), 1);
         for me in 0..p {
             if me == dead {
                 assert!(failover[me].is_none());
@@ -3422,6 +2103,33 @@ mod tests {
             } else {
                 assert!(hosted_grads.is_empty());
             }
+        }
+    }
+
+    #[test]
+    fn failover_steps_with_live_peers_still_overlap() {
+        // A failover route used to force the serial fork. The hosted expert
+        // is now a routing-table entry, so the step runs the chunked
+        // pipeline (degree 23 is unique in this test binary) and every
+        // survivor's y, dx and the hosted grads equal the inline r = 1 run
+        // bit for bit.
+        let n_local = 6;
+        let pair = (1usize, 2usize);
+        let x_global = rng::uniform(&[n_local * 4, M], 1.0, &mut seeded(53));
+        let inline = failover_run(&x_global, n_local, pair, 1);
+        let (chunked, trace) = traced(|| failover_run(&x_global, n_local, pair, 23));
+        assert!(
+            has_span(&trace, "A1[c22]") && has_span(&trace, "A2[c22]"),
+            "failover run did not produce per-chunk overlap spans"
+        );
+        for (me, (a, b)) in inline.iter().zip(&chunked).enumerate() {
+            let (Some((ya, dxa, ga)), Some((yb, dxb, gb))) = (a, b) else {
+                assert!(a.is_none() && b.is_none(), "rank {me} liveness differs");
+                continue;
+            };
+            assert_eq!(yb.max_abs_diff(ya).unwrap(), 0.0, "rank {me} y diverged");
+            assert_eq!(dxb.max_abs_diff(dxa).unwrap(), 0.0, "rank {me} dx diverged");
+            assert_eq!(gb, ga, "rank {me} hosted grads diverged");
         }
     }
 
@@ -3551,6 +2259,7 @@ mod tests {
         x_global: &Tensor,
         n_local: usize,
         servers: Option<&[Vec<usize>]>,
+        degree: usize,
     ) -> Vec<(Tensor, Tensor, Vec<Vec<f32>>, Vec<(usize, Vec<Vec<f32>>)>)> {
         let topo = Topology::new(2, 2);
         let p = topo.world_size();
@@ -3562,7 +2271,9 @@ mod tests {
                 vec![make_expert(me)],
                 Box::new(NoCompression),
                 Box::new(NcclA2A),
-            );
+            )
+            .with_partition_degree(degree)
+            .with_recv_timeout(std::time::Duration::from_secs(30));
             if let Some(servers) = servers {
                 let pl = Placement::new(1, 1, servers.to_vec());
                 for &e in &pl.guests_of(me) {
@@ -3598,8 +2309,8 @@ mod tests {
         let n_local = 7;
         let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(91));
         let servers = vec![vec![0usize, 2], vec![1], vec![2], vec![1]];
-        let serial = placed_step(&x_global, n_local, None);
-        let placed = placed_step(&x_global, n_local, Some(&servers));
+        let serial = placed_step(&x_global, n_local, None, 1);
+        let placed = placed_step(&x_global, n_local, Some(&servers), 1);
         for me in 0..p {
             let dy = placed[me].0.max_abs_diff(&serial[me].0).unwrap();
             assert_eq!(dy, 0.0, "rank {me} y diverged by {dy}");
@@ -3618,8 +2329,8 @@ mod tests {
         let n_local = 7;
         let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(92));
         let servers = vec![vec![0usize], vec![3], vec![2], vec![1]];
-        let serial = placed_step(&x_global, n_local, None);
-        let placed = placed_step(&x_global, n_local, Some(&servers));
+        let serial = placed_step(&x_global, n_local, None, 1);
+        let placed = placed_step(&x_global, n_local, Some(&servers), 1);
         for (e, host) in [(1usize, 3usize), (3, 1)] {
             let guest = &placed[host]
                 .3
@@ -3643,8 +2354,8 @@ mod tests {
         let n_local = 8;
         let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(93));
         let servers = vec![vec![0usize, 2], vec![1], vec![2], vec![3]];
-        let serial = placed_step(&x_global, n_local, None);
-        let placed = placed_step(&x_global, n_local, Some(&servers));
+        let serial = placed_step(&x_global, n_local, None, 1);
+        let placed = placed_step(&x_global, n_local, Some(&servers), 1);
         let home = &placed[0].2;
         let guest = &placed[2]
             .3
@@ -3665,38 +2376,73 @@ mod tests {
     }
 
     #[test]
+    fn placed_steps_still_overlap() {
+        // A non-static placement used to force the serial fork. Replica
+        // fan-out and migration are now routing-table entries, so the step
+        // runs the chunked pipeline (degree 19 is unique in this test
+        // binary) and y, dx and every home and guest weight grad equal the
+        // inline r = 1 run bit for bit.
+        let n_local = 7;
+        let x_global = rng::uniform(&[n_local * 4, M], 1.0, &mut seeded(95));
+        let servers = vec![vec![0usize, 2], vec![1], vec![2], vec![1]];
+        let inline = placed_step(&x_global, n_local, Some(&servers), 1);
+        let (chunked, trace) = traced(|| placed_step(&x_global, n_local, Some(&servers), 19));
+        assert!(
+            has_span(&trace, "A1[c18]") && has_span(&trace, "A2[c18]"),
+            "placed run did not produce per-chunk overlap spans"
+        );
+        for (me, (a, b)) in inline.iter().zip(&chunked).enumerate() {
+            assert_eq!(b.0.max_abs_diff(&a.0).unwrap(), 0.0, "rank {me} y diverged");
+            assert_eq!(
+                b.1.max_abs_diff(&a.1).unwrap(),
+                0.0,
+                "rank {me} dx diverged"
+            );
+            assert_eq!(b.2, a.2, "rank {me} home grads diverged");
+            assert_eq!(b.3, a.3, "rank {me} guest grads diverged");
+        }
+    }
+
+    #[test]
     fn load_stats_accumulate_and_drain() {
         let topo = Topology::new(1, 2);
         let p = topo.world_size();
         let n_local = 7;
         let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(94));
-        let outs = Fabric::run(topo, |mut h| {
-            let me = h.rank();
-            // A starved capacity factor guarantees shed assignments.
-            let gate = make_gate(p, 2, 0.05);
-            let mut layer = DistributedMoeLayer::new(
-                gate,
-                vec![make_expert(me)],
-                Box::new(NoCompression),
-                Box::new(NcclA2A),
-            );
-            let mut x = Tensor::zeros(&[n_local, M]);
-            for r in 0..n_local {
-                x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+        for degree in [1, 2] {
+            let outs = Fabric::run(topo, |mut h| {
+                let me = h.rank();
+                // A starved capacity factor guarantees shed assignments.
+                let gate = make_gate(p, 2, 0.05);
+                let mut layer = DistributedMoeLayer::new(
+                    gate,
+                    vec![make_expert(me)],
+                    Box::new(NoCompression),
+                    Box::new(NcclA2A),
+                )
+                .with_partition_degree(degree);
+                let mut x = Tensor::zeros(&[n_local, M]);
+                for r in 0..n_local {
+                    x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+                }
+                let _y = layer.forward(&mut h, &x, 0).unwrap();
+                let stats = layer.take_load_stats();
+                let drained = layer.take_load_stats();
+                (stats, drained)
+            });
+            for (me, ((loads, shed, routed, p99), drained)) in outs.iter().enumerate() {
+                assert_eq!(loads.iter().sum::<u64>(), *routed, "rank {me}");
+                assert!(*routed > 0, "rank {me} routed nothing");
+                assert!(*shed > 0, "rank {me} shed nothing despite f=0.05");
+                assert!(
+                    *p99 > 0,
+                    "degree {degree} rank {me} reported no service time"
+                );
+                assert!(
+                    drained.0.is_empty() && drained.1 == 0 && drained.2 == 0 && drained.3 == 0,
+                    "rank {me} drain did not reset"
+                );
             }
-            let _y = layer.forward(&mut h, &x, 0).unwrap();
-            let stats = layer.take_load_stats();
-            let drained = layer.take_load_stats();
-            (stats, drained)
-        });
-        for (me, ((loads, shed, routed, _p99), drained)) in outs.iter().enumerate() {
-            assert_eq!(loads.iter().sum::<u64>(), *routed, "rank {me}");
-            assert!(*routed > 0, "rank {me} routed nothing");
-            assert!(*shed > 0, "rank {me} shed nothing despite f=0.05");
-            assert!(
-                drained.0.is_empty() && drained.1 == 0 && drained.2 == 0 && drained.3 == 0,
-                "rank {me} drain did not reset"
-            );
         }
     }
 

@@ -18,6 +18,7 @@
 //!   computed by the owning rank's experts, and combined back. Tested for
 //!   equivalence against [`MoeLayer`].
 
+mod dispatch;
 pub mod distributed;
 pub mod expert;
 pub mod gating;

@@ -324,7 +324,10 @@ pub struct LoadReport {
     pub shed: u64,
     /// Total token assignments this rank's gate produced.
     pub routed: u64,
-    /// p99 of this rank's local expert service time, microseconds.
+    /// p99, over this rank's forwards since the previous quantum, of the
+    /// summed wall time of a forward's expert stages, in microseconds
+    /// rounded up. Recorded at every partition degree and in every mode;
+    /// a wall-clock reading, so reported, never fed to the policy.
     pub service_p99_us: u64,
     /// p99 send-stall toward each peer, microseconds (length = world);
     /// entry `[g]` is how long sends to rank `g` blocked on this rank.

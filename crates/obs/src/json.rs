@@ -1,7 +1,7 @@
 //! A minimal JSON parser.
 //!
 //! The workspace's dependency policy admits no JSON crate, yet the
-//! CI bench gate must read `BENCH_overlap.json` and the trace-validity
+//! CI bench gates must read the `BENCH_*.json` reports and the trace-validity
 //! tests must check that hand-written chrome traces are well-formed. This
 //! is a strict recursive-descent parser of RFC 8259 JSON: it rejects
 //! trailing garbage, unknown escapes, and malformed numbers. It is not a

@@ -210,6 +210,42 @@ pub fn run_overlapped_cancellable(
     }
 }
 
+/// Runs `tasks` in submission order on the calling thread: the degenerate
+/// schedule of the same graph, for submitters with nothing to overlap (one
+/// chunk, or no live peer). No thread is spawned and worker assignments are
+/// ignored, so the submission order must itself respect every dependency.
+///
+/// Panics and `cancel` behave as in [`run_overlapped_cancellable`]: the
+/// first panic comes back as an [`ExecError`], and once the flag is set the
+/// remaining tasks are skipped and the run returns `Ok`.
+///
+/// # Panics
+///
+/// Panics if a task depends on one submitted after it.
+pub fn run_inline_cancellable(
+    tasks: Vec<ExecTask<'_>>,
+    cancel: &AtomicBool,
+) -> Result<(), ExecError> {
+    for (idx, t) in tasks.into_iter().enumerate() {
+        assert!(
+            t.deps.iter().all(|&d| d < idx),
+            "task {idx} depends on a later task; inline runs need a topological order"
+        );
+        if cancel.load(Ordering::Acquire) {
+            break;
+        }
+        let (worker, span, run) = (t.worker, t.span, t.run);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_task(span, run))) {
+            return Err(ExecError {
+                worker,
+                task: idx,
+                detail: panic_detail(payload),
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,6 +438,58 @@ mod tests {
         ];
         run_overlapped_cancellable(tasks, &cancel).unwrap();
         assert_eq!(ran_after.load(Ordering::SeqCst), 0, "cancelled task ran");
+    }
+
+    #[test]
+    fn inline_run_keeps_submission_order_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let mk = |id: usize, worker: Worker, deps: Vec<usize>| ExecTask {
+            worker,
+            deps,
+            span: None,
+            run: Box::new({
+                let order = &order;
+                move || {
+                    assert_eq!(std::thread::current().id(), caller);
+                    order.lock().push(id);
+                }
+            }),
+        };
+        let tasks = vec![
+            mk(0, Worker::Compute, vec![]),
+            mk(1, Worker::Comm, vec![0]),
+            mk(2, Worker::Compute, vec![1]),
+        ];
+        run_inline_cancellable(tasks, &AtomicBool::new(false)).unwrap();
+        assert_eq!(*order.lock(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn inline_run_stops_at_cancel_and_types_a_panic() {
+        fn comm<'a>(run: impl FnOnce() + Send + 'a) -> ExecTask<'a> {
+            ExecTask {
+                worker: Worker::Comm,
+                deps: vec![],
+                span: None,
+                run: Box::new(run),
+            }
+        }
+        let cancel = AtomicBool::new(false);
+        let ran_after = AtomicUsize::new(0);
+        let tasks = vec![
+            comm(|| cancel.store(true, Ordering::Release)),
+            comm(|| {
+                ran_after.fetch_add(1, Ordering::SeqCst);
+            }),
+        ];
+        run_inline_cancellable(tasks, &cancel).unwrap();
+        assert_eq!(ran_after.load(Ordering::SeqCst), 0, "cancelled task ran");
+
+        let tasks = vec![comm(|| {}), comm(|| panic!("lane died"))];
+        let err = run_inline_cancellable(tasks, &AtomicBool::new(false)).unwrap_err();
+        assert_eq!((err.worker, err.task), (Worker::Comm, 1));
+        assert!(err.detail.contains("lane died"));
     }
 
     #[test]
