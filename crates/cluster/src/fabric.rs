@@ -16,7 +16,7 @@
 //! depend on what carries the bytes.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,6 +77,17 @@ pub enum FabricError {
         /// The receiver's current membership epoch.
         local_epoch: u32,
     },
+    /// A transfer or sub-stream would not fit the tag window its lane
+    /// reserves: sending it would spill into a neighbouring lane's tags, so
+    /// it is refused before the first frame leaves.
+    WindowOverflow {
+        /// First tag of the lane window.
+        tag: u64,
+        /// Tags (or sub-windows) the caller asked for.
+        needed: u64,
+        /// Tags (or sub-windows) the window holds.
+        width: u64,
+    },
     /// A pipeline worker thread died before its communication task could
     /// record a fabric error (e.g. a panic on the compute lane). Carried so
     /// executor failures still surface as one typed error family.
@@ -109,6 +120,9 @@ impl fmt::Display for FabricError {
                 f,
                 "stale frame from rank {peer} tag {tag}: epoch {frame_epoch} < local {local_epoch}"
             ),
+            FabricError::WindowOverflow { tag, needed, width } => {
+                write!(f, "tag window at {tag} holds {width}, {needed} requested")
+            }
             FabricError::Worker { detail } => write!(f, "pipeline worker died: {detail}"),
         }
     }
@@ -171,8 +185,9 @@ pub struct RankHandle {
     topology: Topology,
     /// The backend carrying raw `(tag, payload)` records between ranks.
     transport: Box<dyn Transport>,
-    /// Out-of-order messages parked until a matching tag is requested.
-    pending: HashMap<(Rank, u64), Vec<Bytes>>,
+    /// Out-of-order messages parked until a matching tag is requested. A
+    /// queue that drains is removed, so the map holds only live frames.
+    pending: HashMap<(Rank, u64), VecDeque<Bytes>>,
     /// Optional wall-clock charge applied to cross-rank sends.
     wire: Option<WireModel>,
     /// This rank's traffic counters (no-ops while the recorder is off).
@@ -409,6 +424,46 @@ impl RankHandle {
         }
     }
 
+    /// Parks a frame that arrived while another tag was awaited.
+    fn park(&mut self, from: Rank, tag: u64, payload: Bytes) {
+        self.pending
+            .entry((from, tag))
+            .or_default()
+            .push_back(payload);
+    }
+
+    /// Pops the oldest frame parked under `(from, tag)`.
+    fn take_parked(&mut self, from: Rank, tag: u64) -> Option<Bytes> {
+        let queue = self.pending.get_mut(&(from, tag))?;
+        let payload = queue.pop_front();
+        if queue.is_empty() {
+            self.pending.remove(&(from, tag));
+        }
+        payload
+    }
+
+    /// Drops every parked frame whose `(peer, tag)` satisfies `stale` and
+    /// returns how many frames went. Redundant copies and frames for
+    /// abandoned tag windows are never asked for again; a long-running
+    /// caller that knows which windows are closed calls this so they do
+    /// not accumulate.
+    pub fn discard_parked(&mut self, mut stale: impl FnMut(Rank, u64) -> bool) -> usize {
+        let mut dropped = 0;
+        self.pending.retain(|&(peer, tag), queue| {
+            let go = stale(peer, tag);
+            if go {
+                dropped += queue.len();
+            }
+            !go
+        });
+        dropped
+    }
+
+    /// Payload bytes currently parked (wire framing included).
+    pub fn parked_bytes(&self) -> usize {
+        self.pending.values().flatten().map(Bytes::len).sum()
+    }
+
     /// Sends `payload` to `to` under `tag`, stamped with this rank's
     /// current membership epoch.
     ///
@@ -547,11 +602,8 @@ impl RankHandle {
                 world_size: ws,
             });
         }
-        if let Some(queue) = self.pending.get_mut(&(from, tag)) {
-            if !queue.is_empty() {
-                let payload = queue.remove(0);
-                return self.unpack(from, tag, payload);
-            }
+        if let Some(payload) = self.take_parked(from, tag) {
+            return self.unpack(from, tag, payload);
         }
         let wait_start = (obs::enabled() || self.faults.is_some()).then(Instant::now);
         loop {
@@ -572,10 +624,7 @@ impl RankHandle {
                 }
                 return self.unpack(from, tag, payload);
             }
-            self.pending
-                .entry((from, msg_tag))
-                .or_default()
-                .push(payload);
+            self.park(from, msg_tag, payload);
         }
     }
 
@@ -602,11 +651,8 @@ impl RankHandle {
                 world_size: ws,
             });
         }
-        if let Some(queue) = self.pending.get_mut(&(from, tag)) {
-            if !queue.is_empty() {
-                let payload = queue.remove(0);
-                return self.unpack(from, tag, payload);
-            }
+        if let Some(payload) = self.take_parked(from, tag) {
+            return self.unpack(from, tag, payload);
         }
         let wait_start = (obs::enabled() || self.faults.is_some()).then(Instant::now);
         let deadline = Instant::now() + timeout;
@@ -642,10 +688,7 @@ impl RankHandle {
                     return self.unpack(from, tag, payload);
                 }
                 Ok((msg_tag, payload)) => {
-                    self.pending
-                        .entry((from, msg_tag))
-                        .or_default()
-                        .push(payload);
+                    self.park(from, msg_tag, payload);
                 }
                 Err(RawRecvError::Timeout) => {
                     // The slice drained nothing: anything the peer sent
@@ -1004,6 +1047,26 @@ mod tests {
         });
         assert_eq!(results[1][0].as_ref(), b"now");
         assert_eq!(results[1][1].as_ref(), b"later");
+    }
+
+    #[test]
+    fn parked_frames_can_be_discarded_and_drained_queues_leave_no_entry() {
+        Fabric::run_on(TransportKind::Channel, Topology::new(1, 2), |mut h| {
+            if h.rank() == 0 {
+                for tag in [5u64, 5, 6, 7, 9] {
+                    h.send(1, tag, Bytes::from_static(b"xy")).unwrap();
+                }
+            } else {
+                // Asking for the last tag parks the four frames ahead of it.
+                h.recv(0, 9).unwrap();
+                assert_eq!(h.parked_bytes(), 8);
+                assert_eq!(h.discard_parked(|peer, tag| peer == 0 && tag == 5), 2);
+                assert_eq!(h.parked_bytes(), 4);
+                h.recv(0, 6).unwrap();
+                h.recv_timeout(0, 7, Duration::from_secs(1)).unwrap();
+                assert!(h.pending.is_empty(), "a drained queue must not linger");
+            }
+        });
     }
 
     #[test]

@@ -375,9 +375,12 @@ impl Transport for ShmTransport {
                 return Ok(rec);
             }
             // Empty and the producer will never push again: the typed
-            // fast-fail a dropped channel gives in-process.
+            // fast-fail a dropped channel gives in-process. The producer
+            // sets the flag *after* its last push, so a record published
+            // between the pop above and this read is still in the ring:
+            // poll once more before declaring the link drained.
             if self.done(from) {
-                return Err(RawRecvError::Disconnected);
+                return ring.try_pop().ok_or(RawRecvError::Disconnected);
             }
             let countdown = &self.probe_countdown[from];
             countdown.set(countdown.get().saturating_sub(1));
@@ -389,7 +392,7 @@ impl Transport for ShmTransport {
                     // signal its closed channel would have.
                     self.post_death(from);
                     write_flag(&self.board, self.slot(from) + SLOT_DONE, true);
-                    return Err(RawRecvError::Disconnected);
+                    return ring.try_pop().ok_or(RawRecvError::Disconnected);
                 }
             }
             if let Some(d) = deadline {

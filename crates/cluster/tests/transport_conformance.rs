@@ -193,33 +193,31 @@ fn deadlines_expire_on_silent_peers() {
 }
 
 /// A peer that exits drains what it already sent, then fails typed with
-/// `Disconnected` — never a hang, never lost buffered data.
+/// `Disconnected` — never a hang, never lost buffered data. Repeated,
+/// because the loss this guards against is a race: the producer publishes
+/// its last record and its exit between two of the consumer's polls.
 #[test]
 fn peer_exit_drains_then_disconnects() {
     for kind in kinds() {
-        let topo = Topology::new(1, 2);
-        let results = Fabric::run_on(kind, topo, |mut h| {
-            if h.rank() == 0 {
-                h.send(1, 7, Bytes::from_static(b"parting gift")).unwrap();
-                Vec::new()
-            } else {
-                let first = h.recv(0, 7);
-                let second = h.recv(0, 7);
-                vec![first, second]
-            }
-        });
-        assert_eq!(
-            results[1][0].as_ref().unwrap().as_ref(),
-            b"parting gift",
-            "{}",
-            kind.label()
-        );
-        assert_eq!(
-            results[1][1],
-            Err(FabricError::Disconnected { peer: 0 }),
-            "{}",
-            kind.label()
-        );
+        for iter in 0..300usize {
+            let n = 1 + iter % 4;
+            let topo = Topology::new(1, 2);
+            let results = Fabric::run_on(kind, topo, |mut h| {
+                if h.rank() == 0 {
+                    for i in 0..n {
+                        h.send(1, 7, Bytes::copy_from_slice(&[i as u8])).unwrap();
+                    }
+                    Vec::new()
+                } else {
+                    (0..=n).map(|_| h.recv(0, 7)).collect()
+                }
+            });
+            let want: Vec<Result<Bytes, FabricError>> = (0..n)
+                .map(|i| Ok(Bytes::copy_from_slice(&[i as u8])))
+                .chain([Err(FabricError::Disconnected { peer: 0 })])
+                .collect();
+            assert_eq!(results[1], want, "{} iteration {iter}", kind.label());
+        }
     }
 }
 

@@ -118,19 +118,32 @@ fn parse(payload: &[u8]) -> Result<Vec<Entry>, CheckpointError> {
     if cursor.u32()? != VERSION {
         return Err(CheckpointError::BadHeader);
     }
+    // Counts and shapes are untrusted until the seal verifies below, so
+    // none of them may size an allocation: an entry costs at least its two
+    // length words and a dimension four bytes, which bounds both by the
+    // bytes actually present.
     let count = cursor.u32()? as usize;
+    if count > cursor.remaining() / 8 {
+        return Err(CheckpointError::Truncated);
+    }
     let mut entries: Vec<Entry> = Vec::with_capacity(count);
     for _ in 0..count {
         let name_len = cursor.u32()? as usize;
         let name = String::from_utf8(cursor.take(name_len)?.to_vec())
             .map_err(|_| CheckpointError::BadHeader)?;
         let rank = cursor.u32()? as usize;
+        if rank > cursor.remaining() / 4 {
+            return Err(CheckpointError::Truncated);
+        }
         let mut dims = Vec::with_capacity(rank);
         for _ in 0..rank {
             dims.push(cursor.u32()? as usize);
         }
-        let numel: usize = dims.iter().product();
-        let raw = cursor.take(numel * 4)?;
+        let bytes = dims
+            .iter()
+            .try_fold(4usize, |n, &d| n.checked_mul(d))
+            .ok_or(CheckpointError::Truncated)?;
+        let raw = cursor.take(bytes)?;
         let data: Vec<f32> = raw
             .chunks_exact(4)
             .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -250,8 +263,12 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(CheckpointError::Truncated);
         }
         let out = &self.buf[self.pos..self.pos + n];

@@ -2,8 +2,9 @@
 //! discipline under donor death and link damage.
 //!
 //! These tests drive [`schemoe_models::ft::stream_state`] /
-//! [`receive_state`](schemoe_models::ft::receive_state) directly — the same
-//! functions the elastic-membership rejoin path uses — and assert the
+//! [`receive_state`](schemoe_models::ft::receive_state) on the rejoin
+//! path's own lane, over the trainer's own [`RankState`] payloads — the
+//! same functions the elastic-membership rejoin path uses — and assert the
 //! failure contract: a transfer torn by a donor killed mid-stream, or
 //! damaged by a fully corrupting link, leaves the rejoiner's weights
 //! bit-for-bit untouched and its membership epoch unchanged. Nothing is
@@ -12,50 +13,31 @@
 use std::time::Duration;
 
 use schemoe_cluster::{Fabric, FaultPlan, LinkFaults, Topology};
-use schemoe_collectives::NcclA2A;
-use schemoe_compression::NoCompression;
-use schemoe_models::ft::{
-    apply_replicated_state, receive_state, replicated_state_payload, stream_state,
-};
-use schemoe_moe::{DistributedMoeLayer, Expert, FfExpert, TopKGate};
+use schemoe_models::ft::{receive_state, stream_state, Half, Lane, RankState};
+use schemoe_models::FtConfig;
 use schemoe_tensor::checkpoint;
-use schemoe_tensor::nn::{Embedding, Linear, Module};
-use schemoe_tensor::optim::Sgd;
-use schemoe_tensor::rng::seeded;
 
-const VOCAB: usize = 16;
-const DIM: usize = 16;
-const HIDDEN: usize = 32;
-const XFER_TAG: u64 = 1 << 40;
-
-/// The model triple + optimizer of one rank, shaped like the FT trainer's
-/// but seeded per rank so donor and rejoiner start with different weights.
-fn rank_state(seed: u64, world: usize) -> (Embedding, DistributedMoeLayer, Linear, Sgd) {
-    let embed = Embedding::new(VOCAB, DIM, &mut seeded(seed ^ 0xE3BED));
-    let gate = TopKGate::new(DIM, world, 2, 2.0, &mut seeded(seed ^ 0x6A7E));
-    let expert: Box<dyn Expert> = Box::new(FfExpert::new(DIM, HIDDEN, &mut seeded(seed ^ 0xE8)));
-    let moe = DistributedMoeLayer::new(
-        gate,
-        vec![expert],
-        Box::new(NoCompression),
-        Box::new(NcclA2A),
-    );
-    let head = Linear::new(DIM, VOCAB, &mut seeded(seed ^ 0x4EAD));
-    (embed, moe, head, Sgd::new(0.1))
+/// The trainer's own rank state for rank `me` of `world`, seeded per rank
+/// so donor and rejoiner start with different replicated weights.
+fn rank_state(seed: u64, me: usize, world: usize) -> RankState {
+    RankState::new(&FtConfig::tiny(4).with_seed(seed), me, world)
 }
 
 /// Serializes every parameter (replicated and expert) for bit-exact
 /// comparison.
-fn full_snapshot(
-    embed: &mut Embedding,
-    moe: &mut DistributedMoeLayer,
-    head: &mut Linear,
-) -> Vec<u8> {
-    checkpoint::save(&mut |f| {
-        embed.visit_params(f);
-        moe.visit_params(f);
-        head.visit_params(f);
-    })
+fn full_snapshot(st: &mut RankState) -> Vec<u8> {
+    checkpoint::save(&mut |f| st.model.visit_all(f))
+}
+
+/// This rank's expert weights (everything in the MoE layer but the gate).
+fn expert_weights(st: &mut RankState) -> Vec<f32> {
+    let mut weights = Vec::new();
+    st.model.moe.visit_params(&mut |p| {
+        if !p.name.starts_with("gate.") {
+            weights.extend_from_slice(p.value.data());
+        }
+    });
+    weights
 }
 
 #[test]
@@ -66,21 +48,22 @@ fn a_donor_killed_mid_stream_leaves_the_rejoiner_untouched() {
         .kill_after(0, 3)
         .with_recv_deadline(Duration::from_millis(200));
     let results = Fabric::run_with_faults(Topology::new(1, 2), plan, |mut h| {
-        let (mut embed, mut moe, mut head, mut opt) = rank_state(100 + h.rank() as u64, 2);
+        let mut st = rank_state(100 + h.rank() as u64, h.rank(), 2);
+        let lane = Lane::State.at(7).unwrap();
         if h.rank() == 0 {
             // Donor half: the stream must fail loudly with its own death,
             // never complete silently.
-            let payload = replicated_state_payload(&mut embed, &mut moe, &mut head, &mut opt);
+            let payload = st.save(Half::Replicated);
             assert!(payload.len() > 3 * 1024, "payload too small to tear");
-            stream_state(&mut h, 1, XFER_TAG, &payload).is_err()
+            stream_state(&mut h, 1, lane, &payload).is_err()
         } else {
-            let before = full_snapshot(&mut embed, &mut moe, &mut head);
+            let before = full_snapshot(&mut st);
             let epoch_before = h.epoch();
-            let got = receive_state(&mut h, 0, XFER_TAG, Duration::from_millis(300));
+            let got = receive_state(&mut h, 0, lane, Duration::from_millis(300));
             assert!(got.is_err(), "a torn transfer must not verify");
             // Rollback contract: receive failed, so nothing was applied —
             // weights bit-identical, epoch unchanged.
-            let after = full_snapshot(&mut embed, &mut moe, &mut head);
+            let after = full_snapshot(&mut st);
             assert_eq!(before, after, "partial state leaked into the model");
             assert_eq!(h.epoch(), epoch_before, "epoch must not move on failure");
             true
@@ -106,16 +89,17 @@ fn a_fully_corrupting_link_cannot_install_partial_state() {
         )
         .with_recv_deadline(Duration::from_millis(200));
     let results = Fabric::run_with_faults(Topology::new(1, 2), plan, |mut h| {
-        let (mut embed, mut moe, mut head, mut opt) = rank_state(200 + h.rank() as u64, 2);
+        let mut st = rank_state(200 + h.rank() as u64, h.rank(), 2);
+        let lane = Lane::State.at(7).unwrap();
         if h.rank() == 0 {
-            let payload = replicated_state_payload(&mut embed, &mut moe, &mut head, &mut opt);
+            let payload = st.save(Half::Replicated);
             // The link eats the frames after sending; the donor survives.
-            stream_state(&mut h, 1, XFER_TAG, &payload).is_ok()
+            stream_state(&mut h, 1, lane, &payload).is_ok()
         } else {
-            let before = full_snapshot(&mut embed, &mut moe, &mut head);
-            let got = receive_state(&mut h, 0, XFER_TAG, Duration::from_millis(300));
+            let before = full_snapshot(&mut st);
+            let got = receive_state(&mut h, 0, lane, Duration::from_millis(300));
             assert!(got.is_err(), "corrupted chunks must not reassemble");
-            let after = full_snapshot(&mut embed, &mut moe, &mut head);
+            let after = full_snapshot(&mut st);
             assert_eq!(before, after, "partial state leaked into the model");
             true
         }
@@ -131,29 +115,24 @@ fn an_intact_transfer_applies_atomically_and_matches_the_donor() {
     // part of the transfer — keeps its own weights.
     let plan = FaultPlan::seeded(23).with_recv_deadline(Duration::from_millis(500));
     let results = Fabric::run_with_faults(Topology::new(1, 2), plan, |mut h| {
-        let (mut embed, mut moe, mut head, mut opt) = rank_state(300 + h.rank() as u64, 2);
+        let mut st = rank_state(300 + h.rank() as u64, h.rank(), 2);
+        let lane = Lane::State.at(7).unwrap();
         if h.rank() == 0 {
-            let payload = replicated_state_payload(&mut embed, &mut moe, &mut head, &mut opt);
-            stream_state(&mut h, 1, XFER_TAG, &payload).expect("healthy stream");
+            let payload = st.save(Half::Replicated);
+            stream_state(&mut h, 1, lane, &payload).expect("healthy stream");
             payload
         } else {
-            let mut expert_before = Vec::new();
-            moe.visit_params(&mut |p| {
-                if !p.name.starts_with("gate.") {
-                    expert_before.extend_from_slice(p.value.data());
-                }
-            });
-            let payload =
-                receive_state(&mut h, 0, XFER_TAG, Duration::from_secs(2)).expect("verified");
-            apply_replicated_state(&payload, &mut embed, &mut moe, &mut head, &mut opt)
+            let expert_before = expert_weights(&mut st);
+            let payload = receive_state(&mut h, 0, lane, Duration::from_secs(2)).expect("verified");
+            assert_ne!(st.save(Half::Replicated), payload, "seeds must differ");
+            st.load(Half::Replicated, &payload)
                 .expect("verified payload applies");
-            let mut expert_after = Vec::new();
-            moe.visit_params(&mut |p| {
-                if !p.name.starts_with("gate.") {
-                    expert_after.extend_from_slice(p.value.data());
-                }
-            });
-            assert_eq!(expert_before, expert_after, "experts are rank-local");
+            assert_eq!(st.save(Half::Replicated), payload);
+            assert_eq!(
+                expert_before,
+                expert_weights(&mut st),
+                "experts are rank-local"
+            );
             payload
         }
     });
