@@ -38,20 +38,23 @@
 //! and writes `trace-rank<N>.json` in Trace Event Format (load at
 //! <https://ui.perfetto.dev>).
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::{Child, Command, ExitStatus, Stdio};
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use schemoe_cluster::storage::ChaosFsPlan;
+use schemoe_bench::campaign::chaosfs_plan;
 use schemoe_cluster::{
     transport, ChaosPlan, ChaosTransport, Fabric, RankHandle, Topology, Transport, TransportKind,
 };
 use schemoe_models::{run_ft_rank_durable, FtConfig, FtReport, SnapshotCfg};
 use schemoe_obs as obs;
+use schemoe_tensor::snapshot;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,56 +67,35 @@ fn main() {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: schemoe-launch [--transport tcp|shm|channel] [--ranks N] [--steps S] \
-         [--seed S] [--replica-interval K] [--kill-rank R] [--kill-after-ms MS] \
-         [--respawn] [--respawn-after-ms MS] [--kill-all-after-ms MS] \
-         [--partition LO-HI,LO-HI] [--heal-after-ms MS] [--chaos-seed S] \
-         [--vote-timeout-ms MS] [--retry-budget N] [--trace-dir DIR] \
-         [--snapshot-dir DIR] [--snapshot-interval K] [--snapshot-keep N] \
-         [--resume] [--chaosfs-seed S]"
-    );
+    let flags: Vec<String> = FLAGS
+        .iter()
+        .filter(|f| f.scope != Scope::Worker)
+        .map(|f| format!("[{}{}]", f.name, if f.switch { "" } else { " V" }))
+        .collect();
+    eprintln!("usage: schemoe-launch {}", flags.join(" "));
+    eprintln!("       --transport tcp|shm|channel, --partition LO-HI,LO-HI");
     std::process::exit(64);
-}
-
-/// The storage-fault plan a non-zero `--chaosfs-seed` installs beneath
-/// every rank's snapshot writes: rare seeded torn writes, silent bitrot,
-/// and crash-before-rename — frequent enough to exercise the fallback
-/// paths over a run, rare enough that generations still commit.
-fn chaosfs_plan(seed: u64) -> ChaosFsPlan {
-    ChaosFsPlan::seeded(seed)
-        .with_write_probs(0.05, 0.0, 0.05)
-        .with_crash_rename_prob(0.05)
 }
 
 /// Parses a `--partition` spec — two comma-separated rank groups, each a
 /// `LO-HI` range or a single rank — and checks the groups are disjoint
 /// and cover every rank exactly once.
 fn parse_partition(spec: &str, world: usize) -> Result<(Vec<usize>, Vec<usize>), String> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for part in spec.split(',') {
-        let (lo, hi) = match part.split_once('-') {
-            Some((l, h)) => (
-                l.parse::<usize>().map_err(|_| format!("bad rank {l:?}"))?,
-                h.parse::<usize>().map_err(|_| format!("bad rank {h:?}"))?,
-            ),
-            None => {
-                let r = part
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad rank {part:?}"))?;
-                (r, r)
-            }
-        };
+    let group = |part: &str| -> Result<Vec<usize>, String> {
+        let rank = |s: &str| s.parse::<usize>().map_err(|_| format!("bad rank {s:?}"));
+        let (lo, hi) = part.split_once('-').unwrap_or((part, part));
+        let (lo, hi) = (rank(lo)?, rank(hi)?);
         if lo > hi {
             return Err(format!("empty range {part:?}"));
         }
-        groups.push((lo..=hi).collect());
-    }
-    if groups.len() != 2 {
+        Ok((lo..=hi).collect())
+    };
+    let groups: Vec<Vec<usize>> = spec.split(',').map(group).collect::<Result<_, _>>()?;
+    let Ok([a, b]) = <[Vec<usize>; 2]>::try_from(groups) else {
         return Err("a partition needs exactly two groups".to_string());
-    }
+    };
     let mut seen = vec![false; world];
-    for &r in groups.iter().flatten() {
+    for &r in a.iter().chain(&b) {
         if r >= world {
             return Err(format!("rank {r} is outside the {world}-rank world"));
         }
@@ -125,8 +107,6 @@ fn parse_partition(spec: &str, world: usize) -> Result<(Vec<usize>, Vec<usize>),
     if !seen.iter().all(|&s| s) {
         return Err("the two groups must cover every rank".to_string());
     }
-    let b = groups.pop().expect("two groups");
-    let a = groups.pop().expect("two groups");
     Ok((a, b))
 }
 
@@ -139,99 +119,208 @@ fn partition_plan(chaos_seed: u64, a: &[usize], b: &[usize], heal_after_ms: u64)
         .heal_after(Duration::from_millis(heal_after_ms))
 }
 
-/// Pops the value of a `--flag VALUE` pair, parsing it with `FromStr`.
-fn take_value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> T {
-    let Some(v) = it.next() else {
-        eprintln!("{flag} needs a value");
-        usage();
+/// Who accepts a flag.
+#[derive(Clone, Copy, PartialEq)]
+enum Scope {
+    Launcher,
+    Worker,
+    Both,
+}
+
+/// One command-line flag: the single description both the parser and the
+/// worker-argv writer read.
+struct Flag {
+    name: &'static str,
+    scope: Scope,
+    /// A switch takes no value.
+    switch: bool,
+    /// Parses `value` into the field; false on a malformed value.
+    set: fn(&mut Opts, &str) -> bool,
+    /// The field as its flag value; `None` leaves the flag off the argv.
+    get: fn(&Opts) -> Option<String>,
+}
+
+/// How a field of [`Opts`] travels as a flag value: a `bool` is a switch,
+/// an `Option` is a flag that may be absent, anything else always has a
+/// value.
+trait FlagValue: Sized {
+    const SWITCH: bool = false;
+    fn parse(s: &str) -> Option<Self>;
+    fn show(&self) -> Option<String>;
+}
+
+impl FlagValue for bool {
+    const SWITCH: bool = true;
+    fn parse(_: &str) -> Option<bool> {
+        Some(true)
+    }
+    fn show(&self) -> Option<String> {
+        self.then(String::new)
+    }
+}
+
+impl<T: FromStr + ToString> FlagValue for Option<T> {
+    fn parse(s: &str) -> Option<Self> {
+        s.parse().ok().map(Some)
+    }
+    fn show(&self) -> Option<String> {
+        self.as_ref().map(T::to_string)
+    }
+}
+
+macro_rules! plain_flag_value {
+    ($($t:ty)*) => {$(
+        impl FlagValue for $t {
+            fn parse(s: &str) -> Option<Self> {
+                s.parse().ok()
+            }
+            fn show(&self) -> Option<String> {
+                Some(self.to_string())
+            }
+        }
+    )*};
+}
+plain_flag_value!(String usize u64 u32);
+
+/// Declares every option once — who takes it, its flag, its field and
+/// default — and derives [`Opts`], its defaults and the [`FLAGS`] table.
+macro_rules! opts {
+    ($($scope:ident $flag:literal $field:ident: $ty:ty = $default:expr,)*) => {
+        /// The options of the launcher and of a worker. The launcher
+        /// parses its command line into one, then hands each worker a
+        /// copy with the worker-only fields filled in ([`worker_opts`]).
+        #[derive(Clone, Debug, PartialEq)]
+        struct Opts {
+            $($field: $ty,)*
+        }
+
+        impl Default for Opts {
+            fn default() -> Self {
+                Opts { $($field: $default,)* }
+            }
+        }
+
+        const FLAGS: &[Flag] = &[$(Flag {
+            name: $flag,
+            scope: Scope::$scope,
+            switch: <$ty>::SWITCH,
+            set: |o, v| <$ty>::parse(v).map(|x| o.$field = x).is_some(),
+            get: |o| o.$field.show(),
+        },)*];
     };
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value {v:?} for {flag}");
-        usage();
-    })
+}
+
+opts! {
+    Launcher "--transport" transport: String = "tcp".to_string(),
+    Both "--ranks" ranks: usize = 4,
+    Both "--steps" steps: usize = 20,
+    Both "--seed" seed: u64 = 7,
+    Both "--replica-interval" replica_interval: usize = 2,
+    Launcher "--kill-rank" kill_rank: Option<usize> = None,
+    Launcher "--kill-after-ms" kill_after_ms: u64 = 800,
+    Launcher "--respawn" respawn: bool = false,
+    Launcher "--respawn-after-ms" respawn_after_ms: u64 = 400,
+    Launcher "--kill-all-after-ms" kill_all_after_ms: Option<u64> = None,
+    Both "--partition" partition: Option<String> = None,
+    Both "--heal-after-ms" heal_after_ms: u64 = 2000,
+    Both "--chaos-seed" chaos_seed: u64 = 7,
+    Both "--vote-timeout-ms" vote_timeout_ms: u64 = 500,
+    Both "--retry-budget" retry_budget: u32 = 3,
+    Launcher "--trace-dir" trace_dir: Option<String> = None,
+    Both "--snapshot-dir" snapshot_dir: Option<String> = None,
+    Both "--snapshot-interval" snapshot_interval: usize = 4,
+    Both "--snapshot-keep" snapshot_keep: usize = 2,
+    Both "--resume" resume: bool = false,
+    Both "--chaosfs-seed" chaosfs_seed: u64 = 0,
+    Worker "--rank" rank: usize = usize::MAX,
+    Worker "--rejoin" rejoin: bool = false,
+    Worker "--rendezvous" rendezvous: Option<String> = None,
+    Worker "--shm-dir" shm_dir: Option<String> = None,
+    Worker "--trace" trace: Option<String> = None,
+}
+
+/// Parses a launcher (`Scope::Launcher`) or worker command line.
+fn parse_opts(mode: Scope, args: &[String]) -> Result<Opts, String> {
+    let mut o = Opts::default();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == a && (f.scope == mode || f.scope == Scope::Both))
+            .ok_or_else(|| format!("unknown flag {a}"))?;
+        let value = match flag.switch {
+            true => "",
+            false => it.next().ok_or_else(|| format!("{a} needs a value"))?,
+        };
+        if !(flag.set)(&mut o, value) {
+            return Err(format!("bad value {value:?} for {a}"));
+        }
+    }
+    Ok(o)
+}
+
+/// The argv that makes a worker parse back exactly `o`.
+fn worker_argv(o: &Opts) -> Vec<String> {
+    let mut argv = vec!["worker".to_string()];
+    for f in FLAGS.iter().filter(|f| f.scope != Scope::Launcher) {
+        if let Some(value) = (f.get)(o) {
+            argv.push(f.name.to_string());
+            if !f.switch {
+                argv.push(value);
+            }
+        }
+    }
+    argv
+}
+
+/// The trainer configuration and snapshot policy a command line asks for.
+fn ft_setup(o: &Opts) -> (FtConfig, Option<SnapshotCfg>) {
+    let mut cfg = FtConfig::tiny(o.steps)
+        .with_seed(o.seed)
+        .with_replica_interval(o.replica_interval);
+    cfg.vote_timeout_ms = o.vote_timeout_ms;
+    cfg.retry_budget = o.retry_budget;
+    cfg.rejoin = o.rejoin;
+    let snap = o.snapshot_dir.as_ref().map(|dir| {
+        let mut s = SnapshotCfg::new(dir, o.snapshot_interval).with_keep(o.snapshot_keep);
+        if o.resume {
+            s = s.with_resume();
+        }
+        if o.chaosfs_seed != 0 {
+            s = s.with_chaos(Arc::new(chaosfs_plan(o.chaosfs_seed, None)));
+        }
+        s
+    });
+    (cfg, snap)
+}
+
+/// The receive deadline a rank needs once peers can fall silent. A
+/// SIGKILLed or partitioned-away peer abandons its step mid-exchange;
+/// without a deadline a survivor blocks on that abandoned step forever,
+/// misses the burial vote, and the cluster splits. The chaos tests get
+/// this deadline from their fault plan — a launched rank must install
+/// the equivalent on the handle itself.
+fn liveness_deadline(cfg: &FtConfig) -> Duration {
+    Duration::from_millis(cfg.vote_timeout_ms.max(100) * 4)
 }
 
 // ---------------------------------------------------------------------------
 // Worker mode: one rank in one process.
 // ---------------------------------------------------------------------------
 
-struct WorkerOpts {
-    rank: usize,
-    world: usize,
-    steps: usize,
-    seed: u64,
-    replica_interval: usize,
-    rejoin: bool,
-    rendezvous: Option<String>,
-    shm_dir: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    partition: Option<String>,
-    heal_after_ms: u64,
-    chaos_seed: u64,
-    vote_timeout_ms: u64,
-    retry_budget: u32,
-    snapshot_dir: Option<PathBuf>,
-    snapshot_interval: usize,
-    snapshot_keep: usize,
-    resume: bool,
-    chaosfs_seed: u64,
-}
-
 fn worker_main(args: &[String]) -> i32 {
-    let mut o = WorkerOpts {
-        rank: usize::MAX,
-        world: 0,
-        steps: 20,
-        seed: 7,
-        replica_interval: 2,
-        rejoin: false,
-        rendezvous: None,
-        shm_dir: None,
-        trace: None,
-        partition: None,
-        heal_after_ms: 2000,
-        chaos_seed: 7,
-        vote_timeout_ms: 500,
-        retry_budget: 3,
-        snapshot_dir: None,
-        snapshot_interval: 4,
-        snapshot_keep: 2,
-        resume: false,
-        chaosfs_seed: 0,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--rank" => o.rank = take_value(&mut it, a),
-            "--world" => o.world = take_value(&mut it, a),
-            "--steps" => o.steps = take_value(&mut it, a),
-            "--seed" => o.seed = take_value(&mut it, a),
-            "--replica-interval" => o.replica_interval = take_value(&mut it, a),
-            "--rejoin" => o.rejoin = true,
-            "--rendezvous" => o.rendezvous = Some(take_value(&mut it, a)),
-            "--shm-dir" => o.shm_dir = Some(take_value::<String>(&mut it, a).into()),
-            "--trace" => o.trace = Some(take_value::<String>(&mut it, a).into()),
-            "--partition" => o.partition = Some(take_value(&mut it, a)),
-            "--heal-after-ms" => o.heal_after_ms = take_value(&mut it, a),
-            "--chaos-seed" => o.chaos_seed = take_value(&mut it, a),
-            "--vote-timeout-ms" => o.vote_timeout_ms = take_value(&mut it, a),
-            "--retry-budget" => o.retry_budget = take_value(&mut it, a),
-            "--snapshot-dir" => o.snapshot_dir = Some(take_value::<String>(&mut it, a).into()),
-            "--snapshot-interval" => o.snapshot_interval = take_value(&mut it, a),
-            "--snapshot-keep" => o.snapshot_keep = take_value(&mut it, a),
-            "--resume" => o.resume = true,
-            "--chaosfs-seed" => o.chaosfs_seed = take_value(&mut it, a),
-            _ => usage(),
-        }
-    }
-    if o.rank >= o.world || o.world == 0 {
+    let o = parse_opts(Scope::Worker, args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage();
+    });
+    if o.rank >= o.ranks {
         usage();
     }
 
     let endpoint: Box<dyn Transport> = if let Some(dir) = &o.shm_dir {
         #[cfg(unix)]
         {
-            Box::new(transport::shm::ShmBootstrap::new(dir.clone(), o.rank, o.world).attach())
+            Box::new(transport::shm::ShmBootstrap::new(dir, o.rank, o.ranks).attach())
         }
         #[cfg(not(unix))]
         {
@@ -247,7 +336,7 @@ fn worker_main(args: &[String]) -> i32 {
             eprintln!("tcp workers need --rendezvous (the launcher hosts the rendezvous)");
             return 64;
         };
-        match transport::tcp::TcpBootstrap::new(rendezvous, o.rank, o.world).connect() {
+        match transport::tcp::TcpBootstrap::new(rendezvous, o.rank, o.ranks).connect() {
             Ok(t) => Box::new(t),
             Err(e) => {
                 eprintln!("rank {}: tcp bootstrap failed: {e}", o.rank);
@@ -260,7 +349,7 @@ fn worker_main(args: &[String]) -> i32 {
     // the *network* misbehaves beneath a perfectly healthy process: all
     // cross-group sends vanish until the wall-clock heal lifts them.
     let endpoint: Box<dyn Transport> = if let Some(spec) = &o.partition {
-        let (a, b) = match parse_partition(spec, o.world) {
+        let (a, b) = match parse_partition(spec, o.ranks) {
             Ok(groups) => groups,
             Err(e) => {
                 eprintln!("rank {}: bad --partition: {e}", o.rank);
@@ -273,34 +362,9 @@ fn worker_main(args: &[String]) -> i32 {
         endpoint
     };
 
-    let mut h = RankHandle::attach(Topology::new(1, o.world), o.rank, endpoint, None);
-    let mut cfg = FtConfig::tiny(o.steps)
-        .with_seed(o.seed)
-        .with_replica_interval(o.replica_interval);
-    cfg.vote_timeout_ms = o.vote_timeout_ms;
-    cfg.retry_budget = o.retry_budget;
-    if o.rejoin {
-        cfg = cfg.with_rejoin();
-    }
-    // A SIGKILLed peer abandons its step mid-exchange; without a receive
-    // deadline a survivor blocks on that abandoned step forever, misses
-    // the burial vote, and the cluster splits. The chaos tests get this
-    // deadline from their fault plan — a real-process worker must install
-    // the equivalent on the handle itself.
-    h.set_recv_deadline(Some(Duration::from_millis(
-        cfg.vote_timeout_ms.max(100) * 4,
-    )));
-
-    let snap = o.snapshot_dir.as_ref().map(|dir| {
-        let mut s = SnapshotCfg::new(dir, o.snapshot_interval).with_keep(o.snapshot_keep);
-        if o.resume {
-            s = s.with_resume();
-        }
-        if o.chaosfs_seed != 0 {
-            s = s.with_chaos(Arc::new(chaosfs_plan(o.chaosfs_seed)));
-        }
-        s
-    });
+    let mut h = RankHandle::attach(Topology::new(1, o.ranks), o.rank, endpoint, None);
+    let (cfg, snap) = ft_setup(&o);
+    h.set_recv_deadline(Some(liveness_deadline(&cfg)));
 
     if o.trace.is_some() {
         obs::reset_counters();
@@ -321,21 +385,15 @@ fn worker_main(args: &[String]) -> i32 {
 }
 
 fn report_line(rank: usize, r: &FtReport) -> String {
-    let died = r
-        .died_at_step
-        .map_or_else(|| "-".to_string(), |s| s.to_string());
-    let dead = if r.dead_ranks.is_empty() {
+    // `-` stands for "none": no death, nobody buried, no resume.
+    let step = |s: Option<usize>| s.map_or("-".to_string(), |s| s.to_string());
+    let (died, resumed) = (step(r.died_at_step), step(r.resumed_at_step));
+    let dead: Vec<String> = r.dead_ranks.iter().map(ToString::to_string).collect();
+    let dead = if dead.is_empty() {
         "-".to_string()
     } else {
-        r.dead_ranks
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
+        dead.join(",")
     };
-    let resumed = r
-        .resumed_at_step
-        .map_or_else(|| "-".to_string(), |s| s.to_string());
     format!(
         "SCHEMOE_REPORT rank={rank} died={died} dead={dead} rejoins={} restores={} \
          retries={} epoch={} loss={} parks={} resumed={resumed} snapgens={} snapshards={}",
@@ -354,31 +412,6 @@ fn report_line(rank: usize, r: &FtReport) -> String {
 // Launcher mode: spawn, kill, respawn, assert.
 // ---------------------------------------------------------------------------
 
-#[derive(Clone)]
-struct LaunchOpts {
-    transport: String,
-    ranks: usize,
-    steps: usize,
-    seed: u64,
-    replica_interval: usize,
-    kill_rank: Option<usize>,
-    kill_after_ms: u64,
-    respawn: bool,
-    respawn_after_ms: u64,
-    kill_all_after_ms: Option<u64>,
-    partition: Option<String>,
-    heal_after_ms: u64,
-    chaos_seed: u64,
-    vote_timeout_ms: u64,
-    retry_budget: u32,
-    trace_dir: Option<PathBuf>,
-    snapshot_dir: Option<PathBuf>,
-    snapshot_interval: usize,
-    snapshot_keep: usize,
-    resume: bool,
-    chaosfs_seed: u64,
-}
-
 /// One `SCHEMOE_REPORT` line, parsed back into numbers.
 #[derive(Debug)]
 struct ParsedReport {
@@ -393,43 +426,31 @@ struct ParsedReport {
 }
 
 fn parse_report(line: &str) -> Option<ParsedReport> {
-    let mut rank = None;
-    let mut died = None;
-    let mut dead = Vec::new();
-    let mut rejoins = 0;
-    let mut restores = 0;
-    let mut epoch = 0;
-    let mut parks = 0;
-    let mut resumed = None;
-    for field in line.split_whitespace().skip(1) {
-        let (key, val) = field.split_once('=')?;
-        match key {
-            "rank" => rank = Some(val.parse().ok()?),
-            "died" if val != "-" => died = Some(val.parse().ok()?),
-            "dead" if val != "-" => {
-                dead = val
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .ok()?;
-            }
-            "rejoins" => rejoins = val.parse().ok()?,
-            "restores" => restores = val.parse().ok()?,
-            "epoch" => epoch = val.parse().ok()?,
-            "parks" => parks = val.parse().ok()?,
-            "resumed" if val != "-" => resumed = Some(val.parse().ok()?),
-            _ => {}
-        }
-    }
+    let fields: HashMap<&str, &str> = line
+        .split_whitespace()
+        .skip(1)
+        .map(|field| field.split_once('='))
+        .collect::<Option<_>>()?;
+    let count = |key: &str| -> Option<u64> { fields.get(key)?.parse().ok() };
+    let step = |key: &str| match *fields.get(key)? {
+        "-" => Some(None),
+        v => v.parse::<usize>().ok().map(Some),
+    };
     Some(ParsedReport {
-        rank: rank?,
-        died,
-        dead,
-        rejoins,
-        restores,
-        epoch,
-        parks,
-        resumed,
+        rank: fields.get("rank")?.parse().ok()?,
+        died: step("died")?,
+        dead: match *fields.get("dead")? {
+            "-" => Vec::new(),
+            v => v
+                .split(',')
+                .map(|r| r.parse().ok())
+                .collect::<Option<_>>()?,
+        },
+        rejoins: count("rejoins")?,
+        restores: count("restores")?,
+        epoch: count("epoch")?,
+        parks: count("parks")?,
+        resumed: step("resumed")?,
     })
 }
 
@@ -441,56 +462,10 @@ struct Worker {
 }
 
 fn launcher_main(args: &[String]) -> i32 {
-    let mut o = LaunchOpts {
-        transport: "tcp".to_string(),
-        ranks: 4,
-        steps: 20,
-        seed: 7,
-        replica_interval: 2,
-        kill_rank: None,
-        kill_after_ms: 800,
-        respawn: false,
-        respawn_after_ms: 400,
-        kill_all_after_ms: None,
-        partition: None,
-        heal_after_ms: 2000,
-        chaos_seed: 7,
-        vote_timeout_ms: 500,
-        retry_budget: 3,
-        trace_dir: None,
-        snapshot_dir: None,
-        snapshot_interval: 4,
-        snapshot_keep: 2,
-        resume: false,
-        chaosfs_seed: 0,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--transport" => o.transport = take_value(&mut it, a),
-            "--ranks" => o.ranks = take_value(&mut it, a),
-            "--steps" => o.steps = take_value(&mut it, a),
-            "--seed" => o.seed = take_value(&mut it, a),
-            "--replica-interval" => o.replica_interval = take_value(&mut it, a),
-            "--kill-rank" => o.kill_rank = Some(take_value(&mut it, a)),
-            "--kill-after-ms" => o.kill_after_ms = take_value(&mut it, a),
-            "--respawn" => o.respawn = true,
-            "--respawn-after-ms" => o.respawn_after_ms = take_value(&mut it, a),
-            "--kill-all-after-ms" => o.kill_all_after_ms = Some(take_value(&mut it, a)),
-            "--partition" => o.partition = Some(take_value(&mut it, a)),
-            "--heal-after-ms" => o.heal_after_ms = take_value(&mut it, a),
-            "--chaos-seed" => o.chaos_seed = take_value(&mut it, a),
-            "--vote-timeout-ms" => o.vote_timeout_ms = take_value(&mut it, a),
-            "--retry-budget" => o.retry_budget = take_value(&mut it, a),
-            "--trace-dir" => o.trace_dir = Some(take_value::<String>(&mut it, a).into()),
-            "--snapshot-dir" => o.snapshot_dir = Some(take_value::<String>(&mut it, a).into()),
-            "--snapshot-interval" => o.snapshot_interval = take_value(&mut it, a),
-            "--snapshot-keep" => o.snapshot_keep = take_value(&mut it, a),
-            "--resume" => o.resume = true,
-            "--chaosfs-seed" => o.chaosfs_seed = take_value(&mut it, a),
-            _ => usage(),
-        }
-    }
+    let o = parse_opts(Scope::Launcher, args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage();
+    });
     if o.ranks == 0 || o.ranks > 64 {
         eprintln!("--ranks must be 1..=64");
         return 64;
@@ -535,7 +510,7 @@ fn launcher_main(args: &[String]) -> i32 {
     }
     match o.transport.as_str() {
         "channel" => launch_in_process(&o),
-        "tcp" | "shm" => launch_processes(&o),
+        "tcp" | "shm" => launch_processes(o),
         other => {
             eprintln!("unknown transport {other:?}");
             usage()
@@ -544,36 +519,18 @@ fn launcher_main(args: &[String]) -> i32 {
 }
 
 /// Channel mode: the classic in-process fabric, one thread per rank.
-fn launch_in_process(o: &LaunchOpts) -> i32 {
+fn launch_in_process(o: &Opts) -> i32 {
     if o.kill_rank.is_some() {
         eprintln!("--kill-rank needs a multi-process transport (tcp or shm)");
         return 64;
     }
-    let mut cfg = FtConfig::tiny(o.steps)
-        .with_seed(o.seed)
-        .with_replica_interval(o.replica_interval);
-    cfg.vote_timeout_ms = o.vote_timeout_ms;
-    cfg.retry_budget = o.retry_budget;
-    let snap = o.snapshot_dir.as_ref().map(|dir| {
-        let mut s = SnapshotCfg::new(dir, o.snapshot_interval).with_keep(o.snapshot_keep);
-        if o.resume {
-            s = s.with_resume();
-        }
-        if o.chaosfs_seed != 0 {
-            s = s.with_chaos(Arc::new(chaosfs_plan(o.chaosfs_seed)));
-        }
-        s
-    });
+    let (cfg, snap) = ft_setup(o);
     let topo = Topology::new(1, o.ranks);
     let reports = if let Some(spec) = &o.partition {
         let (a, b) = parse_partition(spec, o.ranks).expect("validated in launcher_main");
         let chaos = partition_plan(o.chaos_seed, &a, &b, o.heal_after_ms);
         Fabric::run_with_chaos_on(TransportKind::Channel, topo, chaos, None, |mut h| {
-            // Blackholed links look like pure silence; a deadline turns
-            // that silence into the timeouts the liveness vote feeds on.
-            h.set_recv_deadline(Some(Duration::from_millis(
-                cfg.vote_timeout_ms.max(100) * 4,
-            )));
+            h.set_recv_deadline(Some(liveness_deadline(&cfg)));
             run_ft_rank_durable(&mut h, &cfg, snap.as_ref())
         })
     } else {
@@ -581,30 +538,30 @@ fn launch_in_process(o: &LaunchOpts) -> i32 {
             run_ft_rank_durable(&mut h, &cfg, snap.as_ref())
         })
     };
-    for (rank, r) in reports.iter().enumerate() {
-        println!("{}", report_line(rank, r));
-    }
+    // The same line → parse pair the process modes go through.
     let parsed: Vec<ParsedReport> = reports
         .iter()
         .enumerate()
-        .map(|(rank, r)| ParsedReport {
-            rank,
-            died: r.died_at_step,
-            dead: r.dead_ranks.clone(),
-            rejoins: r.rejoins,
-            restores: r.restores,
-            epoch: u64::from(r.final_epoch),
-            parks: r.parks,
-            resumed: r.resumed_at_step,
+        .map(|(rank, r)| {
+            let line = report_line(rank, r);
+            println!("{line}");
+            parse_report(&line).expect("a report line parses back")
         })
         .collect();
-    let verdict = assess(o, None, &parsed, &[]);
+    conclude(o, assess(o, None, &parsed, &[]), "")
+}
+
+/// Prints the one-line outcome CI greps for.
+fn announce(o: &Opts, status: &str, tail: &str) {
     println!(
-        "SCHEMOE_LAUNCH {} transport=channel ranks={} steps={}",
-        if verdict.is_ok() { "OK" } else { "FAIL" },
-        o.ranks,
-        o.steps
+        "SCHEMOE_LAUNCH {status} transport={} ranks={} steps={}{tail}",
+        o.transport, o.ranks, o.steps
     );
+}
+
+/// Announces a verdict and turns it into the exit code.
+fn conclude(o: &Opts, verdict: Result<(), String>, tail: &str) -> i32 {
+    announce(o, if verdict.is_ok() { "OK" } else { "FAIL" }, tail);
     match verdict {
         Ok(()) => 0,
         Err(msg) => {
@@ -614,72 +571,30 @@ fn launch_in_process(o: &LaunchOpts) -> i32 {
     }
 }
 
-fn worker_command(o: &LaunchOpts, rank: usize, session: &WorkerSession, rejoin: bool) -> Command {
-    let exe = std::env::current_exe().expect("own executable path");
-    let mut cmd = Command::new(exe);
-    cmd.arg("worker")
-        .arg("--rank")
-        .arg(rank.to_string())
-        .arg("--world")
-        .arg(o.ranks.to_string())
-        .arg("--steps")
-        .arg(o.steps.to_string())
-        .arg("--seed")
-        .arg(o.seed.to_string())
-        .arg("--replica-interval")
-        .arg(o.replica_interval.to_string())
-        .arg("--vote-timeout-ms")
-        .arg(o.vote_timeout_ms.to_string())
-        .arg("--retry-budget")
-        .arg(o.retry_budget.to_string())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
-    if let Some(spec) = &o.partition {
-        cmd.arg("--partition")
-            .arg(spec)
-            .arg("--heal-after-ms")
-            .arg(o.heal_after_ms.to_string())
-            .arg("--chaos-seed")
-            .arg(o.chaos_seed.to_string());
-    }
-    match session {
-        WorkerSession::Tcp { rendezvous } => {
-            cmd.arg("--rendezvous").arg(rendezvous);
-        }
-        WorkerSession::Shm { dir } => {
-            cmd.arg("--shm-dir").arg(dir);
-        }
-    }
-    if rejoin {
-        cmd.arg("--rejoin");
-    }
-    if let Some(dir) = &o.snapshot_dir {
-        cmd.arg("--snapshot-dir")
-            .arg(dir)
-            .arg("--snapshot-interval")
-            .arg(o.snapshot_interval.to_string())
-            .arg("--snapshot-keep")
-            .arg(o.snapshot_keep.to_string());
+/// The options of one worker of launch `o`, which already names the
+/// session (`rendezvous` or `shm_dir`) the workers meet in.
+fn worker_opts(o: &Opts, rank: usize, rejoin: bool) -> Opts {
+    let suffix = if rejoin { "-rejoin" } else { "" };
+    Opts {
+        rank,
+        rejoin,
         // A respawned mid-run worker rejoins the live cluster through
         // announce/invite; only an initial spawn restores from disk.
-        if o.resume && !rejoin {
-            cmd.arg("--resume");
-        }
-        if o.chaosfs_seed != 0 {
-            cmd.arg("--chaosfs-seed").arg(o.chaosfs_seed.to_string());
-        }
+        resume: o.resume && !rejoin,
+        trace: o
+            .trace_dir
+            .as_ref()
+            .map(|dir| format!("{dir}/trace-rank{rank}{suffix}.json")),
+        ..o.clone()
     }
-    if let Some(dir) = &o.trace_dir {
-        let suffix = if rejoin { "-rejoin" } else { "" };
-        cmd.arg("--trace")
-            .arg(dir.join(format!("trace-rank{rank}{suffix}.json")));
-    }
-    cmd
 }
 
-enum WorkerSession {
-    Tcp { rendezvous: String },
-    Shm { dir: PathBuf },
+fn worker_command(o: &Opts, rank: usize, rejoin: bool) -> Command {
+    let mut cmd = Command::new(std::env::current_exe().expect("own executable path"));
+    cmd.args(worker_argv(&worker_opts(o, rank, rejoin)))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit());
+    cmd
 }
 
 /// Spawns a worker, wiring a forwarder thread that prefixes its stdout
@@ -710,7 +625,7 @@ fn spawn_worker(
     })
 }
 
-fn launch_processes(o: &LaunchOpts) -> i32 {
+fn launch_processes(mut o: Opts) -> i32 {
     let reports: Arc<Mutex<Vec<ParsedReport>>> = Arc::new(Mutex::new(Vec::new()));
 
     // Session setup. For tcp the *launcher* hosts the rendezvous — it
@@ -719,11 +634,14 @@ fn launch_processes(o: &LaunchOpts) -> i32 {
     // map is persisted beside the snapshots through the same durable
     // write-tmp → fsync → rename helper; any stale store from a previous
     // incarnation is cleared first (addresses are per-process).
-    let (session, _shm_guard) = match o.transport.as_str() {
+    let _shm_guard = match o.transport.as_str() {
         "tcp" => {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind rendezvous");
             let addr = listener.local_addr().expect("rendezvous addr").to_string();
-            let store = o.snapshot_dir.as_ref().map(|d| d.join("rendezvous.store"));
+            let store = o
+                .snapshot_dir
+                .as_ref()
+                .map(|d| Path::new(d).join("rendezvous.store"));
             if let Some(path) = &store {
                 if let Some(parent) = path.parent() {
                     let _ = std::fs::create_dir_all(parent);
@@ -735,10 +653,8 @@ fn launch_processes(o: &LaunchOpts) -> i32 {
                 transport::tcp::serve_rendezvous_with_store(listener, world, true, store);
             });
             println!("[launch] rendezvous at {addr}");
-            (
-                WorkerSession::Tcp { rendezvous: addr },
-                None::<tempdir::TempDir>,
-            )
+            o.rendezvous = Some(addr);
+            None::<TempDir>
         }
         "shm" => {
             #[cfg(unix)]
@@ -752,10 +668,8 @@ fn launch_processes(o: &LaunchOpts) -> i32 {
                     eprintln!("cannot initialise shm session {dir:?}: {e}");
                     return 1;
                 }
-                (
-                    WorkerSession::Shm { dir: dir.clone() },
-                    Some(tempdir::TempDir(dir)),
-                )
+                o.shm_dir = Some(dir.display().to_string());
+                Some(TempDir(dir))
             }
             #[cfg(not(unix))]
             {
@@ -765,10 +679,11 @@ fn launch_processes(o: &LaunchOpts) -> i32 {
         }
         _ => unreachable!("validated in launcher_main"),
     };
+    let o = &o;
 
     let mut workers: Vec<Worker> = Vec::new();
     for rank in 0..o.ranks {
-        match spawn_worker(worker_command(o, rank, &session, false), rank, &reports) {
+        match spawn_worker(worker_command(o, rank, false), rank, &reports) {
             Ok(w) => workers.push(w),
             Err(e) => {
                 eprintln!("failed to spawn rank {rank}: {e}");
@@ -800,17 +715,10 @@ fn launch_processes(o: &LaunchOpts) -> i32 {
             o.ranks
         );
         if still_running == 0 {
-            eprintln!("[launch] every rank finished before the kill-all fired — nothing to resume");
-            println!(
-                "SCHEMOE_LAUNCH FAIL transport={} ranks={} steps={}",
-                o.transport, o.ranks, o.steps
-            );
-            return 1;
+            let why = "every rank finished before the kill-all fired — nothing to resume";
+            return conclude(o, Err(why.to_string()), "");
         }
-        println!(
-            "SCHEMOE_LAUNCH KILLED transport={} ranks={} steps={}",
-            o.transport, o.ranks, o.steps
-        );
+        announce(o, "KILLED", "");
         return 0;
     }
 
@@ -830,7 +738,7 @@ fn launch_processes(o: &LaunchOpts) -> i32 {
         killed = Some(victim);
         if o.respawn {
             thread::sleep(Duration::from_millis(o.respawn_after_ms));
-            match spawn_worker(worker_command(o, victim, &session, true), victim, &reports) {
+            match spawn_worker(worker_command(o, victim, true), victim, &reports) {
                 Ok(w) => {
                     println!("[launch] respawned rank {victim} with --rejoin");
                     workers.push(w);
@@ -877,26 +785,12 @@ fn launch_processes(o: &LaunchOpts) -> i32 {
 
     let reports = reports.lock().expect("report list");
     let verdict = assess(o, o.kill_rank, &reports, &failures);
-    println!(
-        "SCHEMOE_LAUNCH {} transport={} ranks={} steps={} reports={}",
-        if verdict.is_ok() { "OK" } else { "FAIL" },
-        o.transport,
-        o.ranks,
-        o.steps,
-        reports.len()
-    );
-    match verdict {
-        Ok(()) => 0,
-        Err(msg) => {
-            eprintln!("[launch] {msg}");
-            1
-        }
-    }
+    conclude(o, verdict, &format!(" reports={}", reports.len()))
 }
 
 /// Decides whether the run proved what it was asked to prove.
 fn assess(
-    o: &LaunchOpts,
+    o: &Opts,
     victim: Option<usize>,
     reports: &[ParsedReport],
     failures: &[(usize, ExitStatus)],
@@ -935,9 +829,7 @@ fn assess(
         let has_manifest = o.snapshot_dir.as_ref().is_some_and(|dir| {
             std::fs::read_dir(dir).is_ok_and(|entries| {
                 entries.flatten().any(|e| {
-                    let name = e.file_name();
-                    let name = name.to_string_lossy();
-                    name.starts_with("manifest-") && name.ends_with(".smmf")
+                    snapshot::manifest_generation(&e.file_name().to_string_lossy()).is_some()
                 })
             })
         });
@@ -1043,17 +935,144 @@ fn assess_partition(spec: &str, ranks: usize, reports: &[ParsedReport]) -> Resul
     Ok(())
 }
 
-/// Just enough of a temp-dir guard for the shm session files.
-#[cfg(unix)]
-mod tempdir {
-    pub struct TempDir(pub std::path::PathBuf);
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
+/// Removes the shm session directory when the launcher returns.
+#[cfg_attr(not(unix), allow(dead_code))]
+struct TempDir(std::path::PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
-#[cfg(not(unix))]
-mod tempdir {
-    pub struct TempDir(pub std::path::PathBuf);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn opts_to_worker_argv_and_back_is_the_identity() {
+        // Every worker-visible flag off its default, in the combinations a
+        // launch produces: partition + resume + tracing, first spawn and
+        // respawn, over both session kinds.
+        let launches = [
+            "--ranks 8 --steps 600 --seed 11 --replica-interval 3 --partition 0-4,5-7 \
+             --heal-after-ms 8000 --chaos-seed 5 --vote-timeout-ms 50 --retry-budget 1 \
+             --trace-dir traces --snapshot-dir snaps --snapshot-interval 25 --snapshot-keep 3 \
+             --resume --chaosfs-seed 23",
+            "--ranks 4 --kill-rank 2 --kill-after-ms 10 --respawn --respawn-after-ms 20 \
+             --trace-dir t --snapshot-dir s --resume",
+            "--transport shm --kill-all-after-ms 1500 --snapshot-dir s",
+            "",
+        ];
+        for (i, line) in launches.iter().enumerate() {
+            let mut o = parse_opts(Scope::Launcher, &args(line)).expect(line);
+            if i % 2 == 0 {
+                o.rendezvous = Some("127.0.0.1:4100".to_string());
+            } else {
+                o.shm_dir = Some("/dev/shm/session".to_string());
+            }
+            for rejoin in [false, true] {
+                let w = worker_opts(&o, o.ranks - 1, rejoin);
+                let argv = worker_argv(&w);
+                assert_eq!(argv[0], "worker");
+                let back = parse_opts(Scope::Worker, &argv[1..]).expect("worker argv parses");
+                // Launcher-only options never reach a worker; everything
+                // else must survive the trip.
+                let expected = Opts {
+                    transport: back.transport.clone(),
+                    kill_rank: None,
+                    kill_after_ms: back.kill_after_ms,
+                    respawn: false,
+                    respawn_after_ms: back.respawn_after_ms,
+                    kill_all_after_ms: None,
+                    trace_dir: None,
+                    ..w.clone()
+                };
+                assert_eq!(back, expected, "launch {line:?} rejoin {rejoin}");
+                assert_eq!(back.resume, o.resume && !rejoin);
+                assert_eq!(back.trace.is_some(), o.trace_dir.is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn every_field_of_opts_is_reachable_from_some_flag() {
+        // Setting each flag to a non-default value must change the parsed
+        // options, and a worker must refuse launcher-only flags (and the
+        // reverse) instead of silently ignoring them.
+        for f in FLAGS {
+            let value = match f.name {
+                "--transport" => "shm",
+                "--partition" | "--trace-dir" | "--trace" | "--snapshot-dir" | "--rendezvous"
+                | "--shm-dir" => "x",
+                _ => "9",
+            };
+            let mut line = vec![f.name.to_string()];
+            if !f.switch {
+                line.push(value.to_string());
+            }
+            for mode in [Scope::Launcher, Scope::Worker] {
+                let parsed = parse_opts(mode, &line);
+                if f.scope == mode || f.scope == Scope::Both {
+                    assert_ne!(
+                        parsed.expect(f.name),
+                        Opts::default(),
+                        "{} is inert",
+                        f.name
+                    );
+                } else {
+                    assert!(parsed.is_err(), "{} crossed scopes", f.name);
+                }
+            }
+        }
+        assert!(parse_opts(Scope::Launcher, &args("--steps")).is_err());
+        assert!(parse_opts(Scope::Launcher, &args("--steps many")).is_err());
+        assert!(parse_opts(Scope::Launcher, &args("--world 4")).is_err());
+    }
+
+    #[test]
+    fn a_report_line_parses_back_to_every_field_assess_reads() {
+        let full = FtReport {
+            died_at_step: Some(17),
+            dead_ranks: vec![2, 5, 11],
+            rejoins: 3,
+            restores: 4,
+            retries: 9,
+            final_epoch: 6,
+            final_loss: 2.5,
+            parks: 2,
+            resumed_at_step: Some(16),
+            snapshot_generations: 7,
+            snapshot_shards: 8,
+            ..FtReport::default()
+        };
+        let quiet = FtReport {
+            final_loss: f32::NAN,
+            ..FtReport::default()
+        };
+        for (rank, r) in [(12usize, &full), (0, &quiet)] {
+            let line = report_line(rank, r);
+            assert!(line.starts_with("SCHEMOE_REPORT rank="), "{line}");
+            let p = parse_report(&line).expect("own line parses");
+            assert_eq!(p.rank, rank);
+            assert_eq!(p.died, r.died_at_step);
+            assert_eq!(p.dead, r.dead_ranks);
+            assert_eq!(p.rejoins, r.rejoins);
+            assert_eq!(p.restores, r.restores);
+            assert_eq!(p.epoch, u64::from(r.final_epoch));
+            assert_eq!(p.parks, r.parks);
+            assert_eq!(p.resumed, r.resumed_at_step);
+        }
+        let cut = |from: &str, to: &str| parse_report(&report_line(1, &full).replace(from, to));
+        assert!(cut("rank=1 ", "").is_none(), "no rank");
+        assert!(
+            cut("dead=2,5,11", "dead=2,x").is_none(),
+            "a rank that is no number"
+        );
+        assert!(cut("parks=2", "parks").is_none(), "a field without a value");
+    }
 }

@@ -1,6 +1,7 @@
 //! Shared utilities for the benchmark harness.
 //!
-//! One binary per paper artifact lives in `src/bin/`:
+//! The binaries in `src/bin/`, one per paper artifact plus the two that
+//! enforce the repo's contracts:
 //!
 //! | Binary | Regenerates |
 //! |---|---|
@@ -19,8 +20,13 @@
 //! | `ablation_routing` | routing strategies vs load balance |
 //! | `ablation_imbalance` | straggler factor vs routing skew (Eq. 1) |
 //! | `scaling` | weak scaling 4 → 128 GPUs |
+//! | `campaign <scenario>\|all` | the pass/fail contracts: runs a scenario of [`campaign::SCENARIOS`] (`overlap`, `recovery`, `replication`, `partition`, `durability`, `placement`), writes `BENCH_<bench>.json`, exits non-zero when a row of the gate table fails |
+//! | `schemoe-launch` | one OS process per rank over tcp / shm: real `SIGKILL`s, respawn + rejoin, partitions, whole-job crash + `--resume` |
 //!
-//! Criterion micro-benchmarks of the hot paths live in `benches/`.
+//! Per-layer and end-to-end performance numbers live in the stand-alone
+//! `perf/` crate, not here.
+
+pub mod campaign;
 
 use schemoe::prelude::*;
 use schemoe_netsim::cost::LinkModel;

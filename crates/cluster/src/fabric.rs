@@ -130,29 +130,6 @@ impl fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
-/// A wall-clock cost model for cross-rank transfers.
-///
-/// When installed via [`Fabric::run_with_wire`], every send to a *different*
-/// rank blocks the sender for `latency + len / bytes_per_sec`, occupying the
-/// sending thread the way a real NIC engine is occupied during a transfer.
-/// Self-sends stay free. This makes communication/computation overlap
-/// observable in wall-clock time on an otherwise instantaneous in-process
-/// fabric.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireModel {
-    /// Fixed per-message latency.
-    pub latency: Duration,
-    /// Link bandwidth in bytes per second.
-    pub bytes_per_sec: f64,
-}
-
-impl WireModel {
-    /// Time a message of `len` bytes occupies the wire.
-    pub fn transfer_time(&self, len: usize) -> Duration {
-        self.latency + Duration::from_secs_f64(len as f64 / self.bytes_per_sec)
-    }
-}
-
 /// Policy for deriving per-link receive deadlines from observed waits.
 ///
 /// With this installed (see [`RankHandle::set_adaptive_deadline`]), a plain
@@ -171,8 +148,8 @@ pub struct AdaptiveDeadline {
     /// only lengthen deadlines, never tighten them below the configured
     /// liveness bound.
     pub floor: Duration,
-    /// Upper clamp — the longest deadline adaptation may grant (from
-    /// `RecoverySpec`), bounding how long a dead peer can stall a step.
+    /// Upper clamp — the longest deadline adaptation may grant, bounding
+    /// how long a dead peer can stall a step.
     pub ceiling: Duration,
     /// Observations on a link before its deadline adapts; below this the
     /// static deadline applies unchanged.
@@ -188,8 +165,6 @@ pub struct RankHandle {
     /// Out-of-order messages parked until a matching tag is requested. A
     /// queue that drains is removed, so the map holds only live frames.
     pending: HashMap<(Rank, u64), VecDeque<Bytes>>,
-    /// Optional wall-clock charge applied to cross-rank sends.
-    wire: Option<WireModel>,
     /// This rank's traffic counters (no-ops while the recorder is off).
     counters: Arc<obs::RankCounters>,
     /// Installed fault plan; when present every payload is CRC-framed and
@@ -467,9 +442,7 @@ impl RankHandle {
     /// Sends `payload` to `to` under `tag`, stamped with this rank's
     /// current membership epoch.
     ///
-    /// Never blocks on the receiver (channels are unbounded); under a
-    /// [`WireModel`] a cross-rank send does block the *sender* for the
-    /// modeled transfer time.
+    /// Never blocks on the receiver (channels are unbounded).
     pub fn send(&self, to: Rank, tag: u64, payload: Bytes) -> Result<(), FabricError> {
         self.send_stamped(to, tag, payload, None)
     }
@@ -521,15 +494,6 @@ impl RankHandle {
                 rank: to,
                 world_size: ws,
             });
-        }
-        if let Some(wire) = self.wire {
-            if to != self.rank {
-                // The modeled transfer occupies the sending thread; record
-                // it as a span so traces show wire time where it is spent.
-                let _g = obs::enabled()
-                    .then(|| obs::span_sized("send", format!("send->{to}"), payload.len() as f64));
-                std::thread::sleep(wire.transfer_time(payload.len()));
-            }
         }
         self.counters.add_send(payload.len());
         // Fault decisions apply uniformly to every link — self-sends
@@ -735,14 +699,13 @@ impl RankHandle {
             topology.world_size(),
             "transport world size must match the topology"
         );
-        RankHandle::from_parts(topology, rank, transport, None, plan.map(Arc::new))
+        RankHandle::from_parts(topology, rank, transport, plan.map(Arc::new))
     }
 
     fn from_parts(
         topology: Topology,
         rank: Rank,
         transport: Box<dyn Transport>,
-        wire: Option<WireModel>,
         plan: Option<Arc<FaultPlan>>,
     ) -> RankHandle {
         let p = topology.world_size();
@@ -751,7 +714,6 @@ impl RankHandle {
             topology,
             transport,
             pending: HashMap::new(),
-            wire,
             counters: obs::counters_for_rank(rank),
             send_seq: (0..p).map(|_| Cell::new(0)).collect(),
             sends_total: Cell::new(0),
@@ -782,7 +744,7 @@ impl Fabric {
         T: Send,
         F: Fn(RankHandle) -> T + Sync,
     {
-        Self::run_inner(TransportKind::from_env(), topology, None, None, None, f)
+        Self::run_inner(TransportKind::from_env(), topology, None, None, f)
     }
 
     /// Like [`run`](Self::run), but on an explicit transport backend.
@@ -791,26 +753,7 @@ impl Fabric {
         T: Send,
         F: Fn(RankHandle) -> T + Sync,
     {
-        Self::run_inner(kind, topology, None, None, None, f)
-    }
-
-    /// Like [`run`](Self::run), but installs a [`WireModel`] so cross-rank
-    /// sends cost wall-clock time. Used by overlap benchmarks where an
-    /// instantaneous fabric would make serial and overlapped execution
-    /// indistinguishable.
-    pub fn run_with_wire<T, F>(topology: Topology, wire: WireModel, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(RankHandle) -> T + Sync,
-    {
-        Self::run_inner(
-            TransportKind::from_env(),
-            topology,
-            Some(wire),
-            None,
-            None,
-            f,
-        )
+        Self::run_inner(kind, topology, None, None, f)
     }
 
     /// Like [`run`](Self::run), but installs a seeded [`FaultPlan`]: every
@@ -826,7 +769,6 @@ impl Fabric {
         Self::run_inner(
             TransportKind::from_env(),
             topology,
-            None,
             Some(Arc::new(plan)),
             None,
             f,
@@ -846,7 +788,7 @@ impl Fabric {
         T: Send,
         F: Fn(RankHandle) -> T + Sync,
     {
-        Self::run_inner(kind, topology, None, Some(Arc::new(plan)), None, f)
+        Self::run_inner(kind, topology, Some(Arc::new(plan)), None, f)
     }
 
     /// Like [`run_with_faults_on`](Self::run_with_faults_on), but
@@ -868,20 +810,12 @@ impl Fabric {
         T: Send,
         F: Fn(RankHandle) -> T + Sync,
     {
-        Self::run_inner(
-            kind,
-            topology,
-            None,
-            plan.map(Arc::new),
-            Some(Arc::new(chaos)),
-            f,
-        )
+        Self::run_inner(kind, topology, plan.map(Arc::new), Some(Arc::new(chaos)), f)
     }
 
     fn run_inner<T, F>(
         kind: TransportKind,
         topology: Topology,
-        wire: Option<WireModel>,
         plan: Option<Arc<FaultPlan>>,
         chaos: Option<Arc<ChaosPlan>>,
         f: F,
@@ -909,8 +843,7 @@ impl Fabric {
                             Some(c) => Box::new(ChaosTransport::new(endpoint, rank, Arc::clone(c))),
                             None => endpoint,
                         };
-                        let h =
-                            RankHandle::from_parts(topology, rank, endpoint, wire, plan.clone());
+                        let h = RankHandle::from_parts(topology, rank, endpoint, plan.clone());
                         if obs::enabled() {
                             // Attribute this thread's spans to its rank so
                             // exported traces group by process = rank.
@@ -1091,41 +1024,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn wire_model_charges_transfer_time() {
-        let wire = WireModel {
-            latency: Duration::from_millis(10),
-            bytes_per_sec: 1000.0,
-        };
-        assert_eq!(wire.transfer_time(100), Duration::from_millis(110));
-
-        let topo = Topology::new(1, 2);
-        let start = Instant::now();
-        Fabric::run_with_wire(topo, wire, |mut h| {
-            if h.rank() == 0 {
-                h.send(1, 0, Bytes::copy_from_slice(&[0u8; 100])).unwrap();
-            } else {
-                h.recv(0, 0).unwrap();
-            }
-        });
-        assert!(start.elapsed() >= Duration::from_millis(100));
-    }
-
-    #[test]
-    fn wire_model_self_sends_are_free() {
-        let wire = WireModel {
-            latency: Duration::from_secs(60),
-            bytes_per_sec: 1.0,
-        };
-        let topo = Topology::new(1, 1);
-        let start = Instant::now();
-        Fabric::run_with_wire(topo, wire, |mut h| {
-            h.send(0, 0, Bytes::from_static(b"self")).unwrap();
-            h.recv(0, 0).unwrap()
-        });
-        assert!(start.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod storage;
 pub mod topology;
 pub mod transport;
 
-pub use fabric::{AdaptiveDeadline, Fabric, FabricError, RankHandle, WireModel};
+pub use fabric::{AdaptiveDeadline, Fabric, FabricError, RankHandle};
 pub use faults::{FaultDecision, FaultPlan, LinkFaults, EPOCH_ANY};
 pub use hardware::HardwareProfile;
 pub use memory::MemoryBudget;

@@ -2,9 +2,8 @@
 
 use std::time::Duration;
 
-use schemoe_cluster::{AdaptiveDeadline, FaultPlan};
+use schemoe_cluster::FaultPlan;
 use schemoe_compression::{Compressor, Fp16Compressor, NoCompression};
-use schemoe_models::{DomainMap, FtConfig};
 use schemoe_moe::DistributedMoeLayer;
 use serde::{Deserialize, Serialize};
 
@@ -165,12 +164,6 @@ impl FaultSpec {
         self
     }
 
-    /// Overrides the liveness-board poll slice.
-    pub fn with_board_poll_ms(mut self, ms: u64) -> Self {
-        self.board_poll_ms = ms;
-        self
-    }
-
     /// Materializes the runtime [`FaultPlan`] this spec describes.
     pub fn to_plan(&self) -> FaultPlan {
         let mut plan = FaultPlan::seeded(self.seed)
@@ -186,125 +179,6 @@ impl FaultSpec {
             plan = plan.revive_after(rank, self.revive_after_sends);
         }
         plan
-    }
-}
-
-/// Buddy-replication policy: how often each rank streams its expert state
-/// (weights + optimizer velocity) to its ring buddy at `(rank + 1) mod n`.
-///
-/// Replication trades bandwidth for staleness: with `interval == K` the
-/// buddy's warm copy lags the live expert by at most `K` committed steps,
-/// which is exactly the training the cluster loses when a rank dies and
-/// its buddy activates the replica. `interval == 0` disables replication
-/// (the PR 3 behaviour: a dead rank's expert is an expert-shaped hole
-/// until rejoin).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplicaSpec {
-    /// Replication quantum in committed steps; `0` disables.
-    pub interval: usize,
-    /// Optional per-rank failure-domain labels (rack, host, power feed).
-    /// When present, each rank's buddy becomes the next rank in a
-    /// *different* domain (`schemoe_models::buddy_of`), so losing one
-    /// whole domain never takes an expert together with its replica.
-    /// `None` keeps the plain `(rank + 1) mod n` ring.
-    pub domains: Option<DomainMap>,
-}
-
-impl ReplicaSpec {
-    /// Replicate every `interval` committed steps.
-    pub fn every(interval: usize) -> Self {
-        ReplicaSpec {
-            interval,
-            domains: None,
-        }
-    }
-
-    /// Steers buddy placement with per-rank failure-domain labels (one
-    /// label per rank, up to 16 domains, up to 64 ranks).
-    pub fn with_domains(mut self, labels: &[u8]) -> Self {
-        self.domains = Some(DomainMap::from_labels(labels));
-        self
-    }
-
-    /// Applies this policy to a fault-tolerant trainer configuration.
-    pub fn apply(&self, mut cfg: FtConfig) -> FtConfig {
-        cfg.replica_interval = self.interval;
-        cfg.replica_domains = self.domains;
-        cfg
-    }
-}
-
-/// Recovery policy of the fault-tolerant training loop
-/// (`schemoe_models::ft`): how patiently a step is retried, how often the
-/// model is checkpointed, how eagerly revived ranks are re-admitted, and
-/// how straggler deadlines adapt to the observed receive-wait tail.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RecoverySpec {
-    /// Transient-fault retries per step before a silent peer is presumed
-    /// dead.
-    pub retry_budget: u32,
-    /// Base backoff between retries, in milliseconds.
-    pub backoff_ms: u64,
-    /// Checkpoint cadence in committed steps.
-    pub checkpoint_every: usize,
-    /// Committed-step cadence at which survivors poll for rejoin
-    /// announcements from revived ranks. `0` disables elastic rejoin.
-    pub rejoin_check_every: usize,
-    /// Adaptive straggler-deadline margin: the per-link receive deadline
-    /// stretches to `p99 × margin` of that link's observed waits, clamped
-    /// below. `0.0` (the default) keeps deadlines fixed.
-    pub deadline_margin: f64,
-    /// Lower clamp of the adapted deadline, in milliseconds.
-    pub deadline_floor_ms: u64,
-    /// Upper clamp of the adapted deadline, in milliseconds — past this a
-    /// straggler is indistinguishable from a dead rank and the vote takes
-    /// over.
-    pub deadline_ceiling_ms: u64,
-    /// Observed waits a link must accumulate before its deadline adapts;
-    /// until then the configured deadline applies unchanged.
-    pub deadline_min_samples: u64,
-}
-
-impl Default for RecoverySpec {
-    fn default() -> Self {
-        RecoverySpec {
-            retry_budget: 3,
-            backoff_ms: 2,
-            checkpoint_every: 5,
-            rejoin_check_every: 2,
-            deadline_margin: 0.0,
-            deadline_floor_ms: 100,
-            deadline_ceiling_ms: 5_000,
-            deadline_min_samples: 32,
-        }
-    }
-}
-
-impl RecoverySpec {
-    /// Enables adaptive straggler deadlines with the given p99 margin.
-    pub fn with_deadline_margin(mut self, margin: f64) -> Self {
-        self.deadline_margin = margin;
-        self
-    }
-
-    /// The adaptive-deadline policy this spec describes, if enabled.
-    pub fn adaptive_deadline(&self) -> Option<AdaptiveDeadline> {
-        (self.deadline_margin > 0.0).then(|| AdaptiveDeadline {
-            margin: self.deadline_margin,
-            floor: Duration::from_millis(self.deadline_floor_ms),
-            ceiling: Duration::from_millis(self.deadline_ceiling_ms),
-            min_samples: self.deadline_min_samples,
-        })
-    }
-
-    /// Applies this policy to a fault-tolerant trainer configuration.
-    pub fn apply(&self, mut cfg: FtConfig) -> FtConfig {
-        cfg.retry_budget = self.retry_budget;
-        cfg.backoff_ms = self.backoff_ms;
-        cfg.checkpoint_every = self.checkpoint_every;
-        cfg.rejoin_check_every = self.rejoin_check_every;
-        cfg.adaptive_deadline = self.adaptive_deadline();
-        cfg
     }
 }
 
@@ -332,8 +206,6 @@ pub struct ScheMoeConfig {
     /// Deterministic fault-injection campaign to run the fabric under;
     /// `None` (the default) leaves the wire untouched and costs nothing.
     pub faults: Option<FaultSpec>,
-    /// Retry/backoff/checkpoint policy for fault-tolerant training.
-    pub recovery: RecoverySpec,
 }
 
 impl ScheMoeConfig {
@@ -346,7 +218,6 @@ impl ScheMoeConfig {
             fp16_wire: false,
             trace: false,
             faults: None,
-            recovery: RecoverySpec::default(),
         }
     }
 
@@ -372,19 +243,12 @@ impl ScheMoeConfig {
             fp16_wire: false,
             trace: false,
             faults: None,
-            recovery: RecoverySpec::default(),
         }
     }
 
     /// Runs the fabric under the given fault campaign.
     pub fn with_faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
-        self
-    }
-
-    /// Overrides the recovery policy.
-    pub fn with_recovery(mut self, recovery: RecoverySpec) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -528,67 +392,11 @@ mod tests {
     }
 
     #[test]
-    fn recovery_spec_applies_to_an_ft_config() {
-        let rec = RecoverySpec {
-            retry_budget: 7,
-            backoff_ms: 11,
-            checkpoint_every: 3,
-            rejoin_check_every: 4,
-            ..RecoverySpec::default()
-        }
-        .with_deadline_margin(1.5);
-        let ft = rec.apply(schemoe_models::FtConfig::tiny(10));
-        assert_eq!(ft.retry_budget, 7);
-        assert_eq!(ft.backoff_ms, 11);
-        assert_eq!(ft.checkpoint_every, 3);
-        assert_eq!(ft.rejoin_check_every, 4);
-        let policy = ft.adaptive_deadline.expect("margin > 0 enables the policy");
-        assert_eq!(policy.margin, 1.5);
-        assert_eq!(policy.floor, Duration::from_millis(100));
-        assert_eq!(policy.ceiling, Duration::from_millis(5_000));
-        assert_eq!(policy.min_samples, 32);
-        assert_eq!(ft.steps, 10, "non-recovery fields untouched");
-
-        // The default spec keeps deadlines fixed.
-        assert_eq!(RecoverySpec::default().adaptive_deadline(), None);
-    }
-
-    #[test]
-    fn replica_spec_applies_to_an_ft_config() {
-        let ft = ReplicaSpec::every(8).apply(schemoe_models::FtConfig::tiny(10));
-        assert_eq!(ft.replica_interval, 8);
-        assert_eq!(ft.replica_domains, None, "domain steering is opt-in");
-        // Replication is opt-in: the default spec and the default config
-        // both leave it disabled.
-        assert_eq!(ReplicaSpec::default().interval, 0);
-        assert_eq!(schemoe_models::FtConfig::tiny(10).replica_interval, 0);
-    }
-
-    #[test]
-    fn replica_spec_threads_failure_domains_into_buddy_placement() {
-        let ft = ReplicaSpec::every(4)
-            .with_domains(&[0, 0, 1, 1])
-            .apply(schemoe_models::FtConfig::tiny(10));
-        let domains = ft.replica_domains.expect("domains must thread through");
-        // The buddy of every rank crosses the domain boundary: losing all
-        // of domain 0 (ranks 0 and 1) leaves both of its experts' replicas
-        // in domain 1, and vice versa.
-        for rank in 0..4 {
-            let buddy = schemoe_models::buddy_of(rank, 4, Some(&domains));
-            assert_ne!(
-                domains.label(rank),
-                domains.label(buddy),
-                "rank {rank} must replicate into another domain"
-            );
-        }
-    }
-
-    #[test]
     fn fault_spec_threads_the_board_poll_slice() {
-        let spec = FaultSpec::seeded(4);
+        let mut spec = FaultSpec::seeded(4);
         assert_eq!(spec.board_poll_ms, 5, "default slice unchanged");
-        let plan = spec.with_board_poll_ms(250).to_plan();
-        assert_eq!(plan.board_poll(), Duration::from_millis(250));
+        spec.board_poll_ms = 250;
+        assert_eq!(spec.to_plan().board_poll(), Duration::from_millis(250));
     }
 
     #[test]

@@ -301,21 +301,9 @@ impl FtConfig {
         self
     }
 
-    /// Installs an adaptive per-link receive-deadline policy.
-    pub fn with_adaptive_deadline(mut self, policy: AdaptiveDeadline) -> Self {
-        self.adaptive_deadline = Some(policy);
-        self
-    }
-
     /// Sets the buddy-replication quantum (`0` disables replication).
     pub fn with_replica_interval(mut self, interval: usize) -> Self {
         self.replica_interval = interval;
-        self
-    }
-
-    /// Installs failure-domain labels for buddy placement.
-    pub fn with_replica_domains(mut self, domains: DomainMap) -> Self {
-        self.replica_domains = Some(domains);
         self
     }
 
@@ -331,21 +319,9 @@ impl FtConfig {
         self
     }
 
-    /// Sets the replica cap per expert in placement plans.
-    pub fn with_placement_max_replicas(mut self, max: usize) -> Self {
-        self.placement_max_replicas = max.max(1);
-        self
-    }
-
     /// Sets the hot-expert replication threshold.
     pub fn with_placement_hot_factor(mut self, factor: f64) -> Self {
         self.placement_hot_factor = factor;
-        self
-    }
-
-    /// Sets the gray-rank stall threshold multiple.
-    pub fn with_placement_gray_factor(mut self, factor: f64) -> Self {
-        self.placement_gray_factor = factor;
         self
     }
 }
@@ -907,7 +883,10 @@ mod tests {
             ceiling: Duration::from_secs(8),
             min_samples: 1,
         };
-        let adaptive_cfg = FtConfig::tiny(3).with_adaptive_deadline(policy);
+        let adaptive_cfg = FtConfig {
+            adaptive_deadline: Some(policy),
+            ..FtConfig::tiny(3)
+        };
         let plain_cfg = FtConfig::tiny(3);
         Fabric::run_with_faults(Topology::new(1, 2), plan, |mut h| {
             let entry_deadline = h.recv_deadline();
@@ -960,10 +939,10 @@ mod tests {
         // the domain boundary (the buddy of 0 and of 1 is rank 2), so
         // killing all of domain 0 loses no expert: rank 2 activates both
         // wards and training completes with the full expert set routed.
-        let cfg = FtConfig::tiny(10)
-            .with_seed(21)
-            .with_replica_interval(2)
-            .with_replica_domains(DomainMap::from_labels(&[0, 0, 1, 1]));
+        let cfg = FtConfig {
+            replica_domains: Some(DomainMap::from_labels(&[0, 0, 1, 1])),
+            ..FtConfig::tiny(10).with_seed(21).with_replica_interval(2)
+        };
         let plan = FaultPlan::seeded(5)
             .kill_after(0, 60)
             .kill_after(1, 64)
@@ -1438,10 +1417,10 @@ mod tests {
         // rank 3 to serving nothing (its expert migrates to a healthy
         // rank), and the run completes with nobody buried: gray handling
         // is *degradation*, not excommunication.
-        let cfg = FtConfig::tiny(10)
-            .with_seed(54)
-            .with_placement_interval(2)
-            .with_placement_gray_factor(4.0);
+        let cfg = FtConfig {
+            placement_gray_factor: 4.0,
+            ..FtConfig::tiny(10).with_seed(54).with_placement_interval(2)
+        };
         let chaos = ChaosPlan::seeded(54).slow_rank(3, Duration::from_millis(2), 5.0);
         let plan = FaultPlan::seeded(54).with_recv_deadline(Duration::from_secs(2));
         let reports = Fabric::run_with_chaos_on(

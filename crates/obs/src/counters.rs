@@ -10,341 +10,169 @@ use std::time::Duration;
 
 static REGISTRY: Mutex<Vec<Arc<RankCounters>>> = Mutex::new(Vec::new());
 
-/// The traffic counters of one rank.
-#[derive(Debug)]
-pub struct RankCounters {
-    rank: usize,
-    bytes_sent: AtomicU64,
-    msgs_sent: AtomicU64,
-    bytes_recv: AtomicU64,
-    recv_wait_ns: AtomicU64,
-    timeouts: AtomicU64,
-    faults_injected: AtomicU64,
-    corrupt_frames: AtomicU64,
-    retries: AtomicU64,
-    degraded_steps: AtomicU64,
-    invalid_ranks: AtomicU64,
-    stale_epochs: AtomicU64,
-    replica_bytes_sent: AtomicU64,
-    replica_quanta: AtomicU64,
-    failover_activations: AtomicU64,
-    handbacks: AtomicU64,
-    snapshot_bytes_written: AtomicU64,
-    snapshot_shards: AtomicU64,
-    snapshot_generations: AtomicU64,
-    snapshot_restores: AtomicU64,
-    snapshot_reconstructions: AtomicU64,
-    snapshot_gc_removed: AtomicU64,
-    placement_plans: AtomicU64,
-    placement_replications: AtomicU64,
-    placement_migrations: AtomicU64,
-    placement_demotions: AtomicU64,
-    placement_transfer_bytes: AtomicU64,
+/// Declares the counter fields once and derives everything that must
+/// stay in step with them: the atomic block, its plain-value snapshot
+/// (which carries the field docs), the zeroing constructor, `snapshot()`
+/// and `reset()`.
+macro_rules! rank_counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// The traffic counters of one rank.
+        #[derive(Debug)]
+        pub struct RankCounters {
+            rank: usize,
+            $($field: AtomicU64,)*
+        }
+
+        /// Plain-value copy of one rank's counters.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct CounterSnapshot {
+            /// The rank the counters belong to.
+            pub rank: usize,
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl RankCounters {
+            fn new(rank: usize) -> Self {
+                RankCounters { rank, $($field: AtomicU64::new(0),)* }
+            }
+
+            /// A point-in-time copy of the totals.
+            pub fn snapshot(&self) -> CounterSnapshot {
+                CounterSnapshot { rank: self.rank, $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+
+            fn reset(&self) {
+                $(self.$field.store(0, Ordering::Relaxed);)*
+            }
+        }
+    };
 }
 
-impl RankCounters {
+rank_counters! {
+    /// Total payload bytes sent.
+    bytes_sent,
+    /// Messages sent.
+    msgs_sent,
+    /// Total payload bytes received.
+    bytes_recv,
+    /// Nanoseconds spent blocked in receives (queue wait).
+    recv_wait_ns,
+    /// Receive deadlines that expired.
+    timeouts,
+    /// Faults the installed plan injected on this rank's send path.
+    faults_injected,
+    /// Received frames that failed their CRC32 check.
+    corrupt_frames,
+    /// Training steps retried after a transient fault.
+    retries,
+    /// Steps completed in degraded mode (dead peers rerouted).
+    degraded_steps,
+    /// Sends/receives that named a rank outside the topology.
+    invalid_ranks,
+    /// Received frames rejected for carrying a stale membership epoch.
+    stale_epochs,
+    /// Replication payload bytes shipped to the ring buddy.
+    replica_bytes_sent,
+    /// Replication quanta (frames) shipped to the ring buddy.
+    replica_quanta,
+    /// Failover activations: hosted experts brought up from a replica.
+    failover_activations,
+    /// Hosted-expert handbacks streamed to rejoined owners.
+    handbacks,
+    /// Durable snapshot bytes committed to disk.
+    snapshot_bytes_written,
+    /// Durable snapshot shards committed to disk.
+    snapshot_shards,
+    /// Snapshot generations committed (coordinator manifests).
+    snapshot_generations,
+    /// Restores performed from a durable snapshot generation.
+    snapshot_restores,
+    /// Restores that rebuilt the expert from a buddy's on-disk replica.
+    snapshot_reconstructions,
+    /// Snapshot generations retired by retention GC.
+    snapshot_gc_removed,
+    /// Placement plans committed by the load-aware controller.
+    placement_plans,
+    /// Expert replicas added by committed placement plans.
+    placement_replications,
+    /// Expert homes moved off their static rank by committed plans.
+    placement_migrations,
+    /// Gray-rank demotions decided by committed plans.
+    placement_demotions,
+    /// Expert-state bytes streamed for placement transfers.
+    placement_transfer_bytes,
+}
+
+/// Declares the increment methods: each one is a no-op while the recorder
+/// is off and otherwise a relaxed add per listed field.
+macro_rules! adders {
+    ($($(#[$doc:meta])* $name:ident($($arg:ident: $ty:ty),*) { $($field:ident += $by:expr),+ })*) => {
+        impl RankCounters {$(
+            $(#[$doc])*
+            #[inline]
+            pub fn $name(&self, $($arg: $ty),*) {
+                if crate::enabled() {
+                    $(self.$field.fetch_add($by, Ordering::Relaxed);)+
+                }
+            }
+        )*}
+    };
+}
+
+adders! {
     /// Counts one outgoing message of `bytes`.
-    #[inline]
-    pub fn add_send(&self, bytes: usize) {
-        if crate::enabled() {
-            self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-            self.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_send(bytes: usize) { bytes_sent += bytes as u64, msgs_sent += 1 }
     /// Counts one delivered message of `bytes`.
-    #[inline]
-    pub fn add_recv(&self, bytes: usize) {
-        if crate::enabled() {
-            self.bytes_recv.fetch_add(bytes as u64, Ordering::Relaxed);
-        }
-    }
-
+    add_recv(bytes: usize) { bytes_recv += bytes as u64 }
     /// Adds time spent blocked waiting for a matching message.
-    #[inline]
-    pub fn add_recv_wait(&self, wait: Duration) {
-        if crate::enabled() {
-            self.recv_wait_ns
-                .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
-
+    add_recv_wait(wait: Duration) { recv_wait_ns += wait.as_nanos() as u64 }
     /// Counts one expired receive deadline.
-    #[inline]
-    pub fn add_timeout(&self) {
-        if crate::enabled() {
-            self.timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_timeout() { timeouts += 1 }
     /// Counts one fault the installed plan injected on this rank's send
     /// path (drop, delay, corrupt, or kill).
-    #[inline]
-    pub fn add_fault_injected(&self) {
-        if crate::enabled() {
-            self.faults_injected.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_fault_injected() { faults_injected += 1 }
     /// Counts one received frame that failed its CRC32 check.
-    #[inline]
-    pub fn add_corrupt_frame(&self) {
-        if crate::enabled() {
-            self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_corrupt_frame() { corrupt_frames += 1 }
     /// Counts one retried training step (transient-fault recovery).
-    #[inline]
-    pub fn add_retry(&self) {
-        if crate::enabled() {
-            self.retries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_retry() { retries += 1 }
     /// Counts one step completed in degraded mode (dead peers rerouted).
-    #[inline]
-    pub fn add_degraded_step(&self) {
-        if crate::enabled() {
-            self.degraded_steps.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_degraded_step() { degraded_steps += 1 }
     /// Counts one send or receive that named a rank outside the topology.
-    #[inline]
-    pub fn add_invalid_rank(&self) {
-        if crate::enabled() {
-            self.invalid_ranks.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_invalid_rank() { invalid_ranks += 1 }
     /// Counts one received frame rejected for carrying a stale membership
     /// epoch (sent before the sender observed the current epoch).
-    #[inline]
-    pub fn add_stale_epoch(&self) {
-        if crate::enabled() {
-            self.stale_epochs.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_stale_epoch() { stale_epochs += 1 }
     /// Counts one replication frame of `bytes` shipped to the ring buddy.
-    #[inline]
-    pub fn add_replica_sent(&self, bytes: usize) {
-        if crate::enabled() {
-            self.replica_bytes_sent
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-            self.replica_quanta.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_replica_sent(bytes: usize) { replica_bytes_sent += bytes as u64, replica_quanta += 1 }
     /// Counts one failover activation: this rank began hosting a dead
     /// ward's expert from its stored replica.
-    #[inline]
-    pub fn add_failover_activation(&self) {
-        if crate::enabled() {
-            self.failover_activations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_failover_activation() { failover_activations += 1 }
     /// Counts one handback: a hosted expert's state streamed back to its
     /// rejoined owner.
-    #[inline]
-    pub fn add_handback(&self) {
-        if crate::enabled() {
-            self.handbacks.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_handback() { handbacks += 1 }
     /// Counts one durable snapshot shard of `bytes` committed to disk.
-    #[inline]
-    pub fn add_snapshot_write(&self, bytes: usize) {
-        if crate::enabled() {
-            self.snapshot_bytes_written
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-            self.snapshot_shards.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_snapshot_write(bytes: usize) { snapshot_bytes_written += bytes as u64, snapshot_shards += 1 }
     /// Counts one snapshot generation committed (manifest written by the
     /// coordinator after all shards acked durable).
-    #[inline]
-    pub fn add_snapshot_generation(&self) {
-        if crate::enabled() {
-            self.snapshot_generations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_snapshot_generation() { snapshot_generations += 1 }
     /// Counts one restore from a durable snapshot generation.
-    #[inline]
-    pub fn add_snapshot_restore(&self) {
-        if crate::enabled() {
-            self.snapshot_restores.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_snapshot_restore() { snapshot_restores += 1 }
     /// Counts one restore that rebuilt this rank's expert from a buddy's
     /// on-disk replica because its own shard was missing or corrupt.
-    #[inline]
-    pub fn add_snapshot_reconstruction(&self) {
-        if crate::enabled() {
-            self.snapshot_reconstructions
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_snapshot_reconstruction() { snapshot_reconstructions += 1 }
     /// Counts one snapshot generation retired by retention GC.
-    #[inline]
-    pub fn add_snapshot_gc(&self) {
-        if crate::enabled() {
-            self.snapshot_gc_removed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    add_snapshot_gc() { snapshot_gc_removed += 1 }
     /// Counts one committed placement plan, with its replica count (server
     /// list entries past each expert's first), migrated-home count, and
     /// gray demotions.
-    #[inline]
-    pub fn add_placement_plan(&self, replications: u64, migrations: u64, demotions: u64) {
-        if crate::enabled() {
-            self.placement_plans.fetch_add(1, Ordering::Relaxed);
-            self.placement_replications
-                .fetch_add(replications, Ordering::Relaxed);
-            self.placement_migrations
-                .fetch_add(migrations, Ordering::Relaxed);
-            self.placement_demotions
-                .fetch_add(demotions, Ordering::Relaxed);
-        }
+    add_placement_plan(replications: u64, migrations: u64, demotions: u64) {
+        placement_plans += 1,
+        placement_replications += replications,
+        placement_migrations += migrations,
+        placement_demotions += demotions
     }
-
     /// Counts expert-state bytes streamed for a placement transfer.
-    #[inline]
-    pub fn add_placement_transfer(&self, bytes: usize) {
-        if crate::enabled() {
-            self.placement_transfer_bytes
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// A point-in-time copy of the totals.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            rank: self.rank,
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
-            bytes_recv: self.bytes_recv.load(Ordering::Relaxed),
-            recv_wait_ns: self.recv_wait_ns.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            corrupt_frames: self.corrupt_frames.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            degraded_steps: self.degraded_steps.load(Ordering::Relaxed),
-            invalid_ranks: self.invalid_ranks.load(Ordering::Relaxed),
-            stale_epochs: self.stale_epochs.load(Ordering::Relaxed),
-            replica_bytes_sent: self.replica_bytes_sent.load(Ordering::Relaxed),
-            replica_quanta: self.replica_quanta.load(Ordering::Relaxed),
-            failover_activations: self.failover_activations.load(Ordering::Relaxed),
-            handbacks: self.handbacks.load(Ordering::Relaxed),
-            snapshot_bytes_written: self.snapshot_bytes_written.load(Ordering::Relaxed),
-            snapshot_shards: self.snapshot_shards.load(Ordering::Relaxed),
-            snapshot_generations: self.snapshot_generations.load(Ordering::Relaxed),
-            snapshot_restores: self.snapshot_restores.load(Ordering::Relaxed),
-            snapshot_reconstructions: self.snapshot_reconstructions.load(Ordering::Relaxed),
-            snapshot_gc_removed: self.snapshot_gc_removed.load(Ordering::Relaxed),
-            placement_plans: self.placement_plans.load(Ordering::Relaxed),
-            placement_replications: self.placement_replications.load(Ordering::Relaxed),
-            placement_migrations: self.placement_migrations.load(Ordering::Relaxed),
-            placement_demotions: self.placement_demotions.load(Ordering::Relaxed),
-            placement_transfer_bytes: self.placement_transfer_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.bytes_sent.store(0, Ordering::Relaxed);
-        self.msgs_sent.store(0, Ordering::Relaxed);
-        self.bytes_recv.store(0, Ordering::Relaxed);
-        self.recv_wait_ns.store(0, Ordering::Relaxed);
-        self.timeouts.store(0, Ordering::Relaxed);
-        self.faults_injected.store(0, Ordering::Relaxed);
-        self.corrupt_frames.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.degraded_steps.store(0, Ordering::Relaxed);
-        self.invalid_ranks.store(0, Ordering::Relaxed);
-        self.stale_epochs.store(0, Ordering::Relaxed);
-        self.replica_bytes_sent.store(0, Ordering::Relaxed);
-        self.replica_quanta.store(0, Ordering::Relaxed);
-        self.failover_activations.store(0, Ordering::Relaxed);
-        self.handbacks.store(0, Ordering::Relaxed);
-        self.snapshot_bytes_written.store(0, Ordering::Relaxed);
-        self.snapshot_shards.store(0, Ordering::Relaxed);
-        self.snapshot_generations.store(0, Ordering::Relaxed);
-        self.snapshot_restores.store(0, Ordering::Relaxed);
-        self.snapshot_reconstructions.store(0, Ordering::Relaxed);
-        self.snapshot_gc_removed.store(0, Ordering::Relaxed);
-        self.placement_plans.store(0, Ordering::Relaxed);
-        self.placement_replications.store(0, Ordering::Relaxed);
-        self.placement_migrations.store(0, Ordering::Relaxed);
-        self.placement_demotions.store(0, Ordering::Relaxed);
-        self.placement_transfer_bytes.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Plain-value copy of one rank's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// The rank the counters belong to.
-    pub rank: usize,
-    /// Total payload bytes sent.
-    pub bytes_sent: u64,
-    /// Messages sent.
-    pub msgs_sent: u64,
-    /// Total payload bytes received.
-    pub bytes_recv: u64,
-    /// Nanoseconds spent blocked in receives (queue wait).
-    pub recv_wait_ns: u64,
-    /// Receive deadlines that expired.
-    pub timeouts: u64,
-    /// Faults the installed plan injected on this rank's send path.
-    pub faults_injected: u64,
-    /// Received frames that failed their CRC32 check.
-    pub corrupt_frames: u64,
-    /// Training steps retried after a transient fault.
-    pub retries: u64,
-    /// Steps completed in degraded mode (dead peers rerouted).
-    pub degraded_steps: u64,
-    /// Sends/receives that named a rank outside the topology.
-    pub invalid_ranks: u64,
-    /// Received frames rejected for carrying a stale membership epoch.
-    pub stale_epochs: u64,
-    /// Replication payload bytes shipped to the ring buddy.
-    pub replica_bytes_sent: u64,
-    /// Replication quanta (frames) shipped to the ring buddy.
-    pub replica_quanta: u64,
-    /// Failover activations: hosted experts brought up from a replica.
-    pub failover_activations: u64,
-    /// Hosted-expert handbacks streamed to rejoined owners.
-    pub handbacks: u64,
-    /// Durable snapshot bytes committed to disk.
-    pub snapshot_bytes_written: u64,
-    /// Durable snapshot shards committed to disk.
-    pub snapshot_shards: u64,
-    /// Snapshot generations committed (coordinator manifests).
-    pub snapshot_generations: u64,
-    /// Restores performed from a durable snapshot generation.
-    pub snapshot_restores: u64,
-    /// Restores that rebuilt the expert from a buddy's on-disk replica.
-    pub snapshot_reconstructions: u64,
-    /// Snapshot generations retired by retention GC.
-    pub snapshot_gc_removed: u64,
-    /// Placement plans committed by the load-aware controller.
-    pub placement_plans: u64,
-    /// Expert replicas added by committed placement plans.
-    pub placement_replications: u64,
-    /// Expert homes moved off their static rank by committed plans.
-    pub placement_migrations: u64,
-    /// Gray-rank demotions decided by committed plans.
-    pub placement_demotions: u64,
-    /// Expert-state bytes streamed for placement transfers.
-    pub placement_transfer_bytes: u64,
+    add_placement_transfer(bytes: usize) { placement_transfer_bytes += bytes as u64 }
 }
 
 /// The counter block for `rank`, creating it on first request.
@@ -353,35 +181,7 @@ pub fn counters_for_rank(rank: usize) -> Arc<RankCounters> {
     if let Some(c) = reg.iter().find(|c| c.rank == rank) {
         return Arc::clone(c);
     }
-    let c = Arc::new(RankCounters {
-        rank,
-        bytes_sent: AtomicU64::new(0),
-        msgs_sent: AtomicU64::new(0),
-        bytes_recv: AtomicU64::new(0),
-        recv_wait_ns: AtomicU64::new(0),
-        timeouts: AtomicU64::new(0),
-        faults_injected: AtomicU64::new(0),
-        corrupt_frames: AtomicU64::new(0),
-        retries: AtomicU64::new(0),
-        degraded_steps: AtomicU64::new(0),
-        invalid_ranks: AtomicU64::new(0),
-        stale_epochs: AtomicU64::new(0),
-        replica_bytes_sent: AtomicU64::new(0),
-        replica_quanta: AtomicU64::new(0),
-        failover_activations: AtomicU64::new(0),
-        handbacks: AtomicU64::new(0),
-        snapshot_bytes_written: AtomicU64::new(0),
-        snapshot_shards: AtomicU64::new(0),
-        snapshot_generations: AtomicU64::new(0),
-        snapshot_restores: AtomicU64::new(0),
-        snapshot_reconstructions: AtomicU64::new(0),
-        snapshot_gc_removed: AtomicU64::new(0),
-        placement_plans: AtomicU64::new(0),
-        placement_replications: AtomicU64::new(0),
-        placement_migrations: AtomicU64::new(0),
-        placement_demotions: AtomicU64::new(0),
-        placement_transfer_bytes: AtomicU64::new(0),
-    });
+    let c = Arc::new(RankCounters::new(rank));
     reg.push(Arc::clone(&c));
     c
 }

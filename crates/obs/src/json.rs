@@ -1,10 +1,12 @@
-//! A minimal JSON parser.
+//! A minimal JSON parser and writer.
 //!
 //! The workspace's dependency policy admits no JSON crate, yet the
-//! CI bench gates must read the `BENCH_*.json` reports and the trace-validity
-//! tests must check that hand-written chrome traces are well-formed. This
-//! is a strict recursive-descent parser of RFC 8259 JSON: it rejects
-//! trailing garbage, unknown escapes, and malformed numbers. It is not a
+//! campaign harness must write the `BENCH_*.json` reports it gates on and
+//! the trace-validity tests must check that hand-written chrome traces are
+//! well-formed. The reader is a strict recursive-descent parser of RFC
+//! 8259 JSON: it rejects trailing garbage, unknown escapes, and malformed
+//! numbers. The writer is [`Json`]'s `Display`: compact, keys in sorted
+//! order, and always accepted back by [`parse`]. Neither is a
 //! performance-sensitive path.
 
 use std::collections::BTreeMap;
@@ -58,6 +60,84 @@ impl Json {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
+        }
+    }
+
+    /// An object from `(key, value)` pairs.
+    pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.into())
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(v: Vec<Json>) -> Json {
+        Json::Arr(v)
+    }
+}
+
+macro_rules! json_from_num {
+    ($($t:ty)*) => {$(
+        impl From<$t> for Json {
+            /// Counters past 2^53 lose their low bits, as in any JSON number.
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+json_from_num!(f64 f32 u64 u32 usize);
+
+/// Compact serialization that [`parse`] reads back: strings escape `"`,
+/// `\\` and control characters, and a non-finite number — which JSON cannot
+/// carry — is written as `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+            f.write_str("\"")?;
+            for c in s.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => write!(f, "{c}")?,
+                }
+            }
+            f.write_str("\"")
+        }
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => string(f, s),
+            Json::Arr(v) => {
+                f.write_str("[")?;
+                for (i, x) in v.iter().enumerate() {
+                    write!(f, "{}{x}", if i > 0 { "," } else { "" })?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(m) => {
+                f.write_str("{")?;
+                for (i, (k, x)) in m.iter().enumerate() {
+                    f.write_str(if i > 0 { "," } else { "" })?;
+                    string(f, k)?;
+                    write!(f, ":{x}")?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -378,6 +458,39 @@ mod tests {
         assert_eq!(
             parse("\"héllo → 世界\"").unwrap(),
             Json::Str("héllo → 世界".into())
+        );
+    }
+
+    #[test]
+    fn display_round_trips_through_parse() {
+        let doc = Json::obj([
+            ("s", "q\"uote \\ back\nline\u{1}\ttab é → 世".into()),
+            ("t", true.into()),
+            (
+                "n",
+                vec![1.5.into(), 3u64.into(), Json::Num(-0.25e-7), Json::Null].into(),
+            ),
+            (
+                "nested",
+                vec![vec![Json::Arr(vec![]), 7usize.into()].into(), Json::obj([])].into(),
+            ),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(parse(&text).unwrap(), doc, "{text}");
+    }
+
+    #[test]
+    fn display_writes_non_finite_numbers_as_null() {
+        let doc: Json = vec![
+            Json::Num(f64::NAN),
+            Json::Num(f64::NEG_INFINITY),
+            2.0.into(),
+        ]
+        .into();
+        assert_eq!(doc.to_string(), "[null,null,2]");
+        assert_eq!(
+            parse(&doc.to_string()).unwrap(),
+            Json::Arr(vec![Json::Null, Json::Null, Json::Num(2.0)])
         );
     }
 }

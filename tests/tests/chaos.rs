@@ -37,7 +37,9 @@ use std::thread;
 use std::time::Duration;
 
 use schemoe::prelude::*;
-use schemoe_models::{run_ft_rank, FtConfig, FtReport};
+use schemoe_bench::campaign::{kill_plan, mean_loss, run_world, seed};
+use schemoe_cluster::TransportKind;
+use schemoe_models::{FtConfig, FtReport};
 use schemoe_obs as obs;
 
 const WORLD: usize = 8;
@@ -51,13 +53,6 @@ const KILL_AFTER_SENDS: u64 = 900;
 /// degraded steps, early enough that it rejoins and trains to the end.
 const REVIVE_DELTA: u64 = 200;
 
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
-
 fn ft_config() -> FtConfig {
     let mut cfg = FtConfig::tiny(STEPS).with_seed(40);
     // Deadlines are orders of magnitude above in-process delivery time, so
@@ -67,27 +62,12 @@ fn ft_config() -> FtConfig {
     cfg
 }
 
-fn campaign() -> FaultSpec {
-    FaultSpec::seeded(chaos_seed())
-        .with_kill(KILLED, KILL_AFTER_SENDS)
-        .with_recv_deadline_ms(800)
+fn campaign(revive_delta: Option<u64>) -> FaultPlan {
+    kill_plan(seed(), KILLED, KILL_AFTER_SENDS, revive_delta)
 }
 
-fn run_world(cfg: FtConfig, spec: FaultSpec, topo: Topology) -> Vec<FtReport> {
-    let plan = ScheMoeConfig::serial()
-        .with_faults(spec)
-        .fault_plan()
-        .expect("campaign configured");
-    Fabric::run_with_faults(topo, plan, move |mut h| run_ft_rank(&mut h, &cfg))
-}
-
-fn survivor_mean_loss(reports: &[FtReport]) -> f32 {
-    let survivors: Vec<&FtReport> = reports
-        .iter()
-        .filter(|r| r.died_at_step.is_none())
-        .collect();
-    assert!(!survivors.is_empty(), "every rank died");
-    survivors.iter().map(|r| r.final_loss).sum::<f32>() / survivors.len() as f32
+fn run(cfg: &FtConfig, plan: Option<FaultPlan>, topo: Topology) -> Vec<FtReport> {
+    run_world(topo, TransportKind::from_env(), cfg, plan, None, None)
 }
 
 /// The deterministic slice of a rank's counters: pure functions of the
@@ -127,14 +107,14 @@ fn scenario() {
     let cfg = ft_config();
 
     // --- Run 1: fault-free baseline (counters off; nothing to count). ---
-    let clean = Fabric::run(Topology::new(2, 4), move |mut h| run_ft_rank(&mut h, &cfg));
+    let clean = run(&cfg, None, Topology::new(2, 4));
     assert!(clean.iter().all(|r| r.died_at_step.is_none()));
-    let clean_loss = survivor_mean_loss(&clean);
+    let clean_loss = mean_loss(&clean);
 
     // --- Run 2: the chaos campaign. ---
     obs::enable();
     obs::reset_counters();
-    let chaos = run_world(cfg, campaign(), Topology::new(2, 4));
+    let chaos = run(&cfg, Some(campaign(None)), Topology::new(2, 4));
     let first_counters = deterministic_counters(WORLD);
     let _ = obs::take(); // drain recorded spans
 
@@ -170,7 +150,7 @@ fn scenario() {
     );
 
     // Degraded routing plus a checkpoint rewind must not derail learning.
-    let chaos_loss = survivor_mean_loss(&chaos);
+    let chaos_loss = mean_loss(&chaos);
     assert!(
         (chaos_loss - clean_loss).abs() <= 0.10 * clean_loss,
         "chaos loss {chaos_loss} strays more than 10% from fault-free {clean_loss}"
@@ -178,7 +158,7 @@ fn scenario() {
 
     // --- Run 3: identical campaign, identical world — the replay. ---
     obs::reset_counters();
-    let replay = run_world(cfg, campaign(), Topology::new(2, 4));
+    let replay = run(&cfg, Some(campaign(None)), Topology::new(2, 4));
     let second_counters = deterministic_counters(WORLD);
     let _ = obs::take();
 
@@ -208,10 +188,10 @@ fn scenario() {
                                 // corruption lands on step-critical traffic (A2A / allreduce frames,
                                 // which abort the attempt and retry) rather than only on traffic the
                                 // protocol absorbs without a retry (redundant vote copies).
-    let lossy_spec = FaultSpec::seeded(chaos_seed() ^ 0xC0_FFEE)
+    let lossy_spec = FaultSpec::seeded(seed() ^ 0xC0_FFEE)
         .with_corrupt(0.008)
         .with_recv_deadline_ms(800);
-    let lossy = run_world(lossy_cfg, lossy_spec, Topology::new(2, 2));
+    let lossy = run(&lossy_cfg, Some(lossy_spec.to_plan()), Topology::new(2, 2));
     let lossy_counters = deterministic_counters(4);
     let _ = obs::take();
     obs::disable();
@@ -237,8 +217,11 @@ fn scenario() {
     // --- receive the donor's state, and train to the end.
     obs::enable();
     obs::reset_counters();
-    let revive_spec = campaign().with_revive(KILLED, KILL_AFTER_SENDS + REVIVE_DELTA);
-    let revived = run_world(cfg, revive_spec, Topology::new(2, 4));
+    let revived = run(
+        &cfg,
+        Some(campaign(Some(REVIVE_DELTA))),
+        Topology::new(2, 4),
+    );
     let revive_counters = deterministic_counters(WORLD);
     let _ = obs::take();
 
@@ -280,7 +263,7 @@ fn scenario() {
     }
     // Rejoin must cost less accuracy than staying degraded: within 5% of
     // the fault-free final loss.
-    let revive_loss = survivor_mean_loss(&revived);
+    let revive_loss = mean_loss(&revived);
     assert!(
         (revive_loss - clean_loss).abs() <= 0.05 * clean_loss,
         "revive loss {revive_loss} strays more than 5% from fault-free {clean_loss}"
@@ -289,7 +272,11 @@ fn scenario() {
     // --- Run 6: the revive campaign replayed — epoch transitions,
     // --- recovery counters, and loss curves are pure in the seed.
     obs::reset_counters();
-    let revive_replay = run_world(cfg, revive_spec, Topology::new(2, 4));
+    let revive_replay = run(
+        &cfg,
+        Some(campaign(Some(REVIVE_DELTA))),
+        Topology::new(2, 4),
+    );
     let revive_counters_replay = deterministic_counters(WORLD);
     let _ = obs::take();
     obs::disable();

@@ -25,14 +25,16 @@
 //! Everything lives in ONE `#[test]`: the obs counter registry is
 //! process-global, so the phases must not interleave.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use schemoe::prelude::*;
-use schemoe_cluster::storage::ChaosFsPlan;
-use schemoe_models::{run_ft_rank_durable, FtConfig, FtReport, SnapshotCfg};
+use schemoe_bench::campaign::{
+    agreed_resume_step, chaosfs_plan, corrupt_newest_shard, crash_and_resume, run_world, snap_dir,
+};
+use schemoe_cluster::TransportKind;
+use schemoe_models::{FtConfig, FtReport, SnapshotCfg};
 use schemoe_obs as obs;
-use schemoe_tensor::snapshot;
 
 const WORLD: usize = 4;
 const STEPS: usize = 24;
@@ -46,34 +48,23 @@ fn cfg(steps: usize) -> FtConfig {
     FtConfig::tiny(steps).with_seed(40).with_replica_interval(2)
 }
 
-fn run_world(cfg: FtConfig, snap: Option<SnapshotCfg>) -> Vec<FtReport> {
+fn run(cfg: FtConfig, snap: Option<&SnapshotCfg>) -> Vec<FtReport> {
+    let (topo, kind) = (Topology::new(1, WORLD), TransportKind::from_env());
+    run_world(topo, kind, &cfg, None, None, snap)
+}
+
+fn snap_in(label: &str) -> SnapshotCfg {
+    SnapshotCfg::new(snap_dir(&format!("durability-it-{label}")), INTERVAL).with_keep(KEEP)
+}
+
+/// Runs a truncated snapshotting job through `snap`, lets `tamper` at the
+/// directory, resumes the full step budget from whatever survived, and
+/// cleans up.
+fn cycle(snap: SnapshotCfg, tamper: impl FnOnce(&Path)) -> Vec<FtReport> {
     let topo = Topology::new(1, WORLD);
-    Fabric::run(topo, move |mut h| {
-        run_ft_rank_durable(&mut h, &cfg, snap.as_ref())
-    })
-}
-
-fn snap_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "schemoe-durability-it-{label}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Asserts every rank survived and resumed at the same step; returns it.
-fn agreed_resume_step(reports: &[FtReport]) -> usize {
-    let step = reports[0].resumed_at_step.expect("rank 0 resumed");
-    for (rank, r) in reports.iter().enumerate() {
-        assert!(r.died_at_step.is_none(), "rank {rank} died");
-        assert_eq!(
-            r.resumed_at_step,
-            Some(step),
-            "rank {rank} picked a different resume generation"
-        );
-    }
-    step
+    let (_, resumed) = crash_and_resume(topo, cfg(STEPS), CRASH_STEPS, &snap, tamper);
+    let _ = std::fs::remove_dir_all(&snap.dir);
+    resumed
 }
 
 /// Asserts a resumed world landed exactly on the reference trajectory.
@@ -89,30 +80,10 @@ fn assert_bit_identical(resumed: &[FtReport], reference: &[FtReport]) {
     }
 }
 
-/// Runs a truncated snapshotting job into `dir`, then resumes the full
-/// step budget from whatever it committed.
-fn crash_and_resume(dir: &Path, chaos: Option<Arc<ChaosFsPlan>>) -> Vec<FtReport> {
-    let mut crash_snap = SnapshotCfg::new(dir, INTERVAL).with_keep(KEEP);
-    if let Some(plan) = &chaos {
-        crash_snap = crash_snap.with_chaos(Arc::clone(plan));
-    }
-    let truncated = run_world(cfg(CRASH_STEPS), Some(crash_snap));
-    let committed: u64 = truncated.iter().map(|r| r.snapshot_generations).sum();
-    assert!(committed > 0, "no generation committed before the crash");
-
-    let mut resume_snap = SnapshotCfg::new(dir, INTERVAL)
-        .with_keep(KEEP)
-        .with_resume();
-    if let Some(plan) = &chaos {
-        resume_snap = resume_snap.with_chaos(Arc::clone(plan));
-    }
-    run_world(cfg(STEPS), Some(resume_snap))
-}
-
 #[test]
 fn whole_job_crash_recovery_under_storage_chaos() {
     // Phase 1: the uninterrupted reference trajectory.
-    let reference = run_world(cfg(STEPS), None);
+    let reference = run(cfg(STEPS), None);
     for (rank, r) in reference.iter().enumerate() {
         assert!(r.died_at_step.is_none(), "reference rank {rank} died");
         assert!(r.final_loss.is_finite());
@@ -121,8 +92,7 @@ fn whole_job_crash_recovery_under_storage_chaos() {
     // Phase 2: fault-free crash/resume, with counters watching.
     obs::enable();
     obs::reset_counters();
-    let dir = snap_dir("resume");
-    let resumed = crash_and_resume(&dir, None);
+    let resumed = cycle(snap_in("resume"), |_| ());
     let step = agreed_resume_step(&resumed);
     assert!(
         step > 0 && step < CRASH_STEPS,
@@ -154,7 +124,6 @@ fn whole_job_crash_recovery_under_storage_chaos() {
             assert_eq!(c.snapshot_generations, 0);
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 
     // Phase 3: the same cycle under seeded storage faults. Seed 23 pins
     // a crash-before-rename window on the coordinator's second manifest
@@ -163,48 +132,19 @@ fn whole_job_crash_recovery_under_storage_chaos() {
     // torn down between tmp and rename — and must stay invisible.
     obs::reset_counters();
     for &(seed, crash_window) in &[(11u64, false), (23u64, true)] {
-        let mut plan = ChaosFsPlan::seeded(seed)
-            .with_write_probs(0.05, 0.0, 0.05)
-            .with_crash_rename_prob(0.05);
-        if crash_window {
-            plan = plan.crash_rename_window(3, 4);
-        }
-        let dir = snap_dir(&format!("chaos{seed}"));
-        let resumed = crash_and_resume(&dir, Some(Arc::new(plan)));
+        let plan = chaosfs_plan(seed, crash_window.then_some((3, 4)));
+        let snap = snap_in(&format!("chaos{seed}")).with_chaos(Arc::new(plan));
+        let resumed = cycle(snap, |_| ());
         agreed_resume_step(&resumed);
         assert_bit_identical(&resumed, &reference);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // Phase 4: bitrot the victim's newest shard between crash and
     // resume; its buddy's embedded replica must cover the rebuild.
     obs::reset_counters();
-    let dir = snap_dir("reconstruct");
-    let truncated = run_world(
-        cfg(CRASH_STEPS),
-        Some(SnapshotCfg::new(&dir, INTERVAL).with_keep(KEEP)),
-    );
-    assert!(truncated.iter().all(|r| r.died_at_step.is_none()));
-    let newest = std::fs::read_dir(&dir)
-        .expect("snapshot dir")
-        .flatten()
-        .filter_map(|e| snapshot::manifest_generation(&e.file_name().to_string_lossy()))
-        .max()
-        .expect("a committed generation");
-    let shard_path = dir.join(snapshot::shard_file_name(newest, VICTIM));
-    let mut bytes = std::fs::read(&shard_path).expect("read victim shard");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&shard_path, &bytes).expect("corrupt victim shard");
-
-    let resumed = run_world(
-        cfg(STEPS),
-        Some(
-            SnapshotCfg::new(&dir, INTERVAL)
-                .with_keep(KEEP)
-                .with_resume(),
-        ),
-    );
+    let resumed = cycle(snap_in("reconstruct"), |dir| {
+        corrupt_newest_shard(dir, VICTIM);
+    });
     agreed_resume_step(&resumed);
     assert_bit_identical(&resumed, &reference);
     assert_eq!(
@@ -223,6 +163,5 @@ fn whole_job_crash_recovery_under_storage_chaos() {
             "rank {rank} reconstructed without a corrupt shard"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
     obs::disable();
 }

@@ -5,7 +5,7 @@
 //! rerouting.
 //!
 //! The scenario extends `chaos.rs` (which exercises the reroute-only
-//! recovery path) with `ReplicaSpec { interval: K }` installed:
+//! recovery path) with a replication quantum `K` installed:
 //!
 //! 1. **Reroute-only baseline** — the kill campaign at `K = 0`. The dead
 //!    rank's expert is an expert-shaped hole until the end of the run.
@@ -35,7 +35,9 @@ use std::thread;
 use std::time::Duration;
 
 use schemoe::prelude::*;
-use schemoe_models::{run_ft_rank, FtConfig, FtReport};
+use schemoe_bench::campaign::{kill_plan, mean_loss, run_world, seed};
+use schemoe_cluster::TransportKind;
+use schemoe_models::{FtConfig, FtReport};
 use schemoe_obs as obs;
 
 const WORLD: usize = 8;
@@ -68,15 +70,10 @@ const BUDDY_KILL_AFTER_SENDS: u64 = 950;
 /// Revivals reopen a victim's pipe this many send attempts after its kill.
 const REVIVE_DELTA: u64 = 200;
 
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
-
 fn ft_config(interval: usize) -> FtConfig {
-    let mut cfg = ReplicaSpec::every(interval).apply(FtConfig::tiny(STEPS).with_seed(40));
+    let mut cfg = FtConfig::tiny(STEPS)
+        .with_seed(40)
+        .with_replica_interval(interval);
     // Deadlines are orders of magnitude above in-process delivery time, so
     // timing noise cannot change which receives expire (replay determinism
     // depends on that): only messages that were *never sent* time out.
@@ -88,33 +85,13 @@ fn ft_config(interval: usize) -> FtConfig {
     cfg
 }
 
-fn campaign() -> FaultSpec {
-    FaultSpec::seeded(chaos_seed())
-        .with_kill(KILLED, KILL_AFTER_SENDS)
-        .with_recv_deadline_ms(800)
+fn campaign() -> FaultPlan {
+    kill_plan(seed(), KILLED, KILL_AFTER_SENDS, None)
 }
 
-fn run_world(cfg: FtConfig, spec: FaultSpec) -> Vec<FtReport> {
-    let plan = ScheMoeConfig::serial()
-        .with_faults(spec)
-        .fault_plan()
-        .expect("campaign configured");
-    run_plan(cfg, plan)
-}
-
-fn run_plan(cfg: FtConfig, plan: FaultPlan) -> Vec<FtReport> {
-    Fabric::run_with_faults(Topology::new(2, 4), plan, move |mut h| {
-        run_ft_rank(&mut h, &cfg)
-    })
-}
-
-fn survivor_mean_loss(reports: &[FtReport]) -> f32 {
-    let survivors: Vec<&FtReport> = reports
-        .iter()
-        .filter(|r| r.died_at_step.is_none())
-        .collect();
-    assert!(!survivors.is_empty(), "every rank died");
-    survivors.iter().map(|r| r.final_loss).sum::<f32>() / survivors.len() as f32
+fn run(cfg: FtConfig, plan: FaultPlan) -> Vec<FtReport> {
+    let kind = TransportKind::from_env();
+    run_world(Topology::new(2, 4), kind, &cfg, Some(plan), None, None)
 }
 
 /// The deterministic slice of a rank's counters, extended with the
@@ -157,18 +134,18 @@ fn replicated_expert_survives_its_ranks_death_and_replays_bit_identically() {
 fn scenario() {
     // --- Run 1: the reroute-only baseline (K = 0) under the kill. The
     // --- buried rank's expert is a hole for the rest of the run.
-    let baseline = run_world(ft_config(0), campaign());
+    let baseline = run(ft_config(0), campaign());
     assert!(baseline[KILLED].died_at_step.is_some());
     for rep in &baseline {
         assert_eq!(rep.failover_activations, 0, "K = 0 must never activate");
         assert_eq!(rep.replica_quanta, 0, "K = 0 must never replicate");
     }
-    let baseline_loss = survivor_mean_loss(&baseline);
+    let baseline_loss = mean_loss(&baseline);
 
     // --- Run 2: the same campaign with replication on. ---
     obs::enable();
     obs::reset_counters();
-    let failover = run_world(ft_config(K), campaign());
+    let failover = run(ft_config(K), campaign());
     let first_counters = deterministic_counters(WORLD);
     let trace = obs::take();
 
@@ -225,7 +202,7 @@ fn scenario() {
 
     // Full expert capacity must beat the expert-shaped hole: strictly
     // better end-of-run loss than the reroute-only baseline.
-    let failover_loss = survivor_mean_loss(&failover);
+    let failover_loss = mean_loss(&failover);
     assert!(
         failover_loss < baseline_loss,
         "failover loss {failover_loss} must beat reroute-only {baseline_loss}"
@@ -234,7 +211,7 @@ fn scenario() {
     // --- Run 3: identical campaign — the replay. Kill-only campaigns are
     // --- pure in the seed through replicate -> failover.
     obs::reset_counters();
-    let replay = run_world(ft_config(K), campaign());
+    let replay = run(ft_config(K), campaign());
     let second_counters = deterministic_counters(WORLD);
     let _ = obs::take();
 
@@ -270,11 +247,8 @@ fn scenario() {
     // --- the hosted expert back and deactivates. The kill lands early so
     // --- the rejoin handshake has most of the run to complete.
     obs::reset_counters();
-    let revive_spec = FaultSpec::seeded(chaos_seed())
-        .with_kill(KILLED, EARLY_KILL_AFTER_SENDS)
-        .with_revive(KILLED, EARLY_KILL_AFTER_SENDS + REVIVE_DELTA)
-        .with_recv_deadline_ms(800);
-    let revived = run_world(ft_config(K), revive_spec);
+    let revive_plan = kill_plan(seed(), KILLED, EARLY_KILL_AFTER_SENDS, Some(REVIVE_DELTA));
+    let revived = run(ft_config(K), revive_plan);
     let _ = obs::take();
 
     for (r, rep) in revived.iter().enumerate() {
@@ -315,13 +289,13 @@ fn scenario() {
     // --- Run 5: double fault — the victim AND its buddy die in the same
     // --- epoch. The orphaned expert falls back to degraded rerouting (no
     // --- panic, finite loss), and both ranks still rejoin.
-    let double_plan = FaultPlan::seeded(chaos_seed())
+    let double_plan = FaultPlan::seeded(seed())
         .kill_after(KILLED, EARLY_KILL_AFTER_SENDS)
         .kill_after(BUDDY, BUDDY_KILL_AFTER_SENDS)
         .revive_after(KILLED, EARLY_KILL_AFTER_SENDS + REVIVE_DELTA)
         .revive_after(BUDDY, BUDDY_KILL_AFTER_SENDS + REVIVE_DELTA)
         .with_recv_deadline(Duration::from_millis(800));
-    let double = run_plan(ft_config(K), double_plan);
+    let double = run(ft_config(K), double_plan);
     for (r, rep) in double.iter().enumerate() {
         assert_eq!(
             rep.died_at_step, None,
