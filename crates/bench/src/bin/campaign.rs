@@ -1,15 +1,17 @@
 //! Runs the repo's pass/fail campaigns.
 //!
 //! ```text
-//! campaign <scenario>|all
+//! campaign <row>|contract|paper|all
 //! ```
 //!
-//! Each scenario of [`schemoe_bench::campaign::SCENARIOS`] runs its
-//! worlds, writes its report to `BENCH_<bench>.json` and checks the
-//! report against its rows of the gate table; the exit code is non-zero
-//! when any gate fails. Thresholds are constants of that table — the
-//! only input besides the scenario name is the `CHAOS_SEED` environment
-//! variable the seeded scenarios read (default 1).
+//! Each selected row of [`schemoe_bench::campaign::SCENARIOS`] — one by
+//! name, a group (`contract`: the fault-tolerance and overlap contracts;
+//! `paper`: the paper's tables, figures and ablations) or all of them —
+//! runs, prints its tables if it has any, writes its report to
+//! `BENCH_<bench>.json` and checks the report against its rows of the
+//! gate table; the exit code is non-zero when any gate fails. Thresholds
+//! are constants of that table — the only input besides the selection is
+//! the `CHAOS_SEED` environment variable the seeded rows read (default 1).
 
 use schemoe_bench::campaign::{run_scenario, SCENARIOS};
 
@@ -19,12 +21,12 @@ fn main() {
     let selected: Vec<_> = match args.as_slice() {
         [one] => SCENARIOS
             .iter()
-            .filter(|s| one == "all" || one == s.name)
+            .filter(|s| one == "all" || one == s.group || one == s.name)
             .collect(),
         _ => Vec::new(),
     };
     if selected.is_empty() {
-        eprintln!("usage: campaign {}|all", names.join("|"));
+        eprintln!("usage: campaign {}|contract|paper|all", names.join("|"));
         std::process::exit(2);
     }
     // Run every selected scenario even after a failure: one report per

@@ -1,10 +1,13 @@
 //! The campaign harness: every pass/fail contract of the repo, one table.
 //!
-//! A [`Scenario`] is a row — a name, a `run` that produces its report as
-//! a [`Json`] tree, and the [`Gate`]s that tree must satisfy. The
-//! `campaign` binary runs a row, writes the tree to `BENCH_<bench>.json`
-//! and checks the *same in-memory tree* against the row's gates, so a
-//! threshold lives in exactly one place: [`SCENARIOS`].
+//! A [`Scenario`] is a row — a name, a group, a `run` that produces its
+//! report as a [`Json`] tree, and the [`Gate`]s that tree must satisfy.
+//! The `campaign` binary runs a row, writes the tree to
+//! `BENCH_<bench>.json` and checks the *same in-memory tree* against the
+//! row's gates, so a threshold lives in exactly one place: [`SCENARIOS`].
+//! The `contract` rows run worlds of the fault-tolerant trainer; the
+//! `paper` rows ([`paper`]) regenerate the paper's tables, figures and
+//! ablations, print them, and gate the shapes the paper claims.
 //!
 //! Beside the table sit the pieces every scenario (and the chaos
 //! integration tests) share: one world runner over the fault-tolerant
@@ -13,12 +16,12 @@
 
 mod ft;
 mod overlap;
+pub mod paper;
 mod placement;
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use schemoe::FaultSpec;
 use schemoe_cluster::storage::ChaosFsPlan;
 use schemoe_cluster::{ChaosLink, ChaosPlan, Fabric, FaultPlan, Topology, TransportKind};
 use schemoe_models::{run_ft_rank_durable, FtConfig, FtReport, SnapshotCfg};
@@ -41,6 +44,8 @@ const LE: Op = ("<=", f64::le);
 const EQ: Op = ("==", f64::eq);
 const GE: Op = (">=", f64::ge);
 const GT: Op = (">", f64::gt);
+/// `|x| <= bound`: a signed error inside a symmetric band.
+const WITHIN: Op = ("within +-", |x, bound| x.abs() <= *bound);
 
 /// What a gate compares against: a constant, or another value of the
 /// same report (a per-scenario bracket the scenario table already owns).
@@ -149,11 +154,32 @@ pub fn check(name: &str, doc: &Json, gates: &[Gate]) -> usize {
 pub struct Scenario {
     /// The name `campaign <name>` selects.
     pub name: &'static str,
+    /// The set `campaign <group>` selects the row with: `contract` or
+    /// `paper`.
+    pub group: &'static str,
     /// Runs the campaign under the chaos seed and returns its report; the
     /// report's `bench` string names the `BENCH_<bench>.json` it lands in.
     pub run: fn(u64) -> Json,
     /// The contract the report must satisfy.
     pub gates: &'static [Gate],
+}
+
+impl Scenario {
+    /// A row with no contract yet.
+    const fn new(name: &'static str, group: &'static str, run: fn(u64) -> Json) -> Self {
+        Scenario {
+            name,
+            group,
+            run,
+            gates: &[],
+        }
+    }
+
+    /// The row with `gates` as its contract.
+    const fn gates(mut self, gates: &'static [Gate]) -> Self {
+        self.gates = gates;
+        self
+    }
 }
 
 /// Replication's steady-state cost ceiling, in percent of step time.
@@ -162,97 +188,160 @@ const REPLICATION_OVERHEAD_PCT: f64 = 10.0;
 /// fault-free final loss.
 const LOSS_GAP: f64 = 0.05;
 
-/// Every campaign and every threshold.
+/// Every campaign and every threshold. An out-of-memory cell of a `paper`
+/// report is `NaN`, which fails whatever row reads it: "it fits" rides on
+/// the comparisons.
 pub const SCENARIOS: &[Scenario] = &[
-    Scenario {
-        name: "overlap",
-        run: overlap::run,
-        gates: &[
-            ("degrees[?].speedup", GE, Num(1.6)),
-            ("degrees[*].speedup", GE, Num(1.0)),
-            ("bit_identical", EQ, TRUE),
-            ("chosen_r", EQ, At("oracle_r")),
-        ],
-    },
-    Scenario {
-        name: "recovery",
-        run: ft::recovery,
-        gates: &[
-            ("all_alive", EQ, TRUE),
-            ("converged", EQ, TRUE),
-            ("rejoins", EQ, Num(1.0)),
-        ],
-    },
-    Scenario {
-        name: "replication",
-        run: ft::replication,
-        gates: &[
-            ("overhead.pct", LT, Num(REPLICATION_OVERHEAD_PCT)),
-            ("overhead.curves_bit_identical", EQ, TRUE),
-            ("overhead.quanta", GT, Num(0.0)),
-            ("failover.activations", EQ, Num(1.0)),
-            ("failover.staleness_steps", LE, At("quantum")),
-            ("handback.handbacks", EQ, Num(1.0)),
-            ("handback.host_bytes", GT, Num(0.0)),
-            ("handback.rejoiner_bytes", GT, Num(0.0)),
-        ],
-    },
-    Scenario {
-        name: "partition",
-        run: ft::partition,
-        gates: &[
-            (
-                "scenarios[*].parked_ranks",
-                GE,
-                At("scenarios[*].min_parked"),
-            ),
-            (
-                "scenarios[*].rejoined_ranks",
-                GE,
-                At("scenarios[*].min_rejoined"),
-            ),
-            (
-                "scenarios[*].rejoined_ranks",
-                LE,
-                At("scenarios[*].max_rejoined"),
-            ),
-            ("scenarios[*].epochs_equal", EQ, TRUE),
-            ("scenarios[*].converged", EQ, TRUE),
-            ("scenarios[*].replay_ok", EQ, TRUE),
-            ("scenarios[*].loss_gap", LE, Num(LOSS_GAP)),
-        ],
-    },
-    Scenario {
-        name: "durability",
-        run: ft::durability,
-        gates: &[
-            ("overhead", LT, Num(0.10)),
-            ("loss_gap", LE, Num(LOSS_GAP)),
-            ("seeds[#]", GE, Num(2.0)),
-            ("seeds[*].loss_gap", LE, Num(LOSS_GAP)),
-            ("seeds[?].crash_window", EQ, TRUE),
-            ("reconstruction.reconstructions", GE, Num(1.0)),
-            ("reconstruction.loss_gap", LE, Num(LOSS_GAP)),
-            ("gc_removed", GE, Num(1.0)),
-        ],
-    },
-    Scenario {
-        name: "placement",
-        run: placement::run,
-        gates: &[
-            ("seeds[#]", GE, Num(3.0)),
-            ("seeds[*].speedup", GE, Num(1.15)),
-            ("seeds[*].plans", GE, Num(2.0)),
-            ("seeds[*].replications", GE, Num(1.0)),
-            ("seeds[*].shed_fraction", GT, Num(0.0)),
-            ("seeds[*].shed_fraction", LT, Num(0.01)),
-            ("gray.ratio", LE, Num(1.5)),
-            ("gray.demotions", GE, Num(1.0)),
-            ("determinism.ok", EQ, TRUE),
-            ("determinism.obs_shed_matches", EQ, TRUE),
-            ("determinism.shed", GE, Num(1.0)),
-        ],
-    },
+    Scenario::new("overlap", "contract", overlap::run).gates(&[
+        ("degrees[?].speedup", GE, Num(1.6)),
+        ("degrees[*].speedup", GE, Num(1.0)),
+        ("bit_identical", EQ, TRUE),
+        ("chosen_r", EQ, At("oracle_r")),
+    ]),
+    Scenario::new("recovery", "contract", ft::recovery).gates(&[
+        ("all_alive", EQ, TRUE),
+        ("converged", EQ, TRUE),
+        ("rejoins", EQ, Num(1.0)),
+    ]),
+    Scenario::new("replication", "contract", ft::replication).gates(&[
+        ("overhead.pct", LT, Num(REPLICATION_OVERHEAD_PCT)),
+        ("overhead.curves_bit_identical", EQ, TRUE),
+        ("overhead.quanta", GT, Num(0.0)),
+        ("failover.activations", EQ, Num(1.0)),
+        ("failover.staleness_steps", LE, At("quantum")),
+        ("handback.handbacks", EQ, Num(1.0)),
+        ("handback.host_bytes", GT, Num(0.0)),
+        ("handback.rejoiner_bytes", GT, Num(0.0)),
+    ]),
+    Scenario::new("partition", "contract", ft::partition).gates(&[
+        (
+            "scenarios[*].parked_ranks",
+            GE,
+            At("scenarios[*].min_parked"),
+        ),
+        (
+            "scenarios[*].rejoined_ranks",
+            GE,
+            At("scenarios[*].min_rejoined"),
+        ),
+        (
+            "scenarios[*].rejoined_ranks",
+            LE,
+            At("scenarios[*].max_rejoined"),
+        ),
+        ("scenarios[*].epochs_equal", EQ, TRUE),
+        ("scenarios[*].converged", EQ, TRUE),
+        ("scenarios[*].replay_ok", EQ, TRUE),
+        ("scenarios[*].loss_gap", LE, Num(LOSS_GAP)),
+    ]),
+    Scenario::new("durability", "contract", ft::durability).gates(&[
+        ("overhead", LT, Num(0.10)),
+        ("loss_gap", LE, Num(LOSS_GAP)),
+        ("seeds[#]", GE, Num(2.0)),
+        ("seeds[*].loss_gap", LE, Num(LOSS_GAP)),
+        ("seeds[?].crash_window", EQ, TRUE),
+        ("reconstruction.reconstructions", GE, Num(1.0)),
+        ("reconstruction.loss_gap", LE, Num(LOSS_GAP)),
+        ("gc_removed", GE, Num(1.0)),
+    ]),
+    Scenario::new("placement", "contract", placement::run).gates(&[
+        ("seeds[#]", GE, Num(3.0)),
+        ("seeds[*].speedup", GE, Num(1.15)),
+        ("seeds[*].plans", GE, Num(2.0)),
+        ("seeds[*].replications", GE, Num(1.0)),
+        ("seeds[*].shed_fraction", GT, Num(0.0)),
+        ("seeds[*].shed_fraction", LT, Num(0.01)),
+        ("gray.ratio", LE, Num(1.5)),
+        ("gray.demotions", GE, Num(1.0)),
+        ("determinism.ok", EQ, TRUE),
+        ("determinism.obs_shed_matches", EQ, TRUE),
+        ("determinism.shed", GE, Num(1.0)),
+    ]),
+    Scenario::new("table1", "paper", paper::table1).gates(&[
+        ("rows[*].A2A_share_pct.model", GE, Num(50.0)),
+        ("rows[*].A2A_share_pct.model", LE, Num(60.0)),
+        ("a2a_growth_ms[*]", GT, Num(0.0)),
+        ("rows[*].A2A_ms.err", WITHIN, Num(0.25)),
+        ("rows[*].step_ms.err", WITHIN, Num(0.30)),
+    ]),
+    Scenario::new("table6", "paper", paper::table6).gates(&[
+        ("ppl_gap_vs_moe_base", GT, Num(0.0)),
+        ("ppl_gap_vs_moe_fp16", WITHIN, Num(0.05)),
+        ("ppl_gap_vs_moe_zfp", WITHIN, Num(0.05)),
+        ("outlier_rmse_int8_over_fp16", GE, Num(100.0)),
+        ("outlier_rmse_int8_over_zfp", GT, Num(1.0)),
+    ]),
+    Scenario::new("table7", "paper", paper::table7).gates(&[
+        ("rows[*].ScheMoE_speedup.model", GE, Num(1.05)),
+        ("rows[*].ScheMoE_speedup.model", LE, Num(1.20)),
+        ("rows[*].Faster-MoE_speedup.model", LT, Num(1.0)),
+    ]),
+    Scenario::new("table8", "paper", paper::table8).gates(&[
+        ("faster_moe_fits", EQ, Num(0.0)),
+        ("speedup.model", GE, Num(1.10)),
+        ("gain_pct_zfp.model", GT, At("gain_pct_sched.model")),
+    ]),
+    Scenario::new("table10", "paper", paper::table10).gates(&[
+        ("gain_ms_zfp", GT, At("gain_ms_pipe")),
+        ("gain_ms_zfp", GT, At("gain_ms_sched")),
+        ("gain_ms_pipe", GT, Num(0.0)),
+        ("gain_ms_sched", GT, Num(0.0)),
+        ("system_speedup.model", GE, Num(1.9)),
+        ("system_speedup.model", LE, Num(3.1)),
+        ("system_naive_ms.err", WITHIN, Num(0.05)),
+    ]),
+    Scenario::new("fig5", "paper", paper::fig5).gates(&[
+        ("valid_orders", EQ, Num(252.0)),
+        ("optsche_ms", EQ, At("best_ms")),
+        ("optsche_hidden_ms", GT, At("stage_major_hidden_ms")),
+    ]),
+    Scenario::new("fig8", "paper", paper::fig8).gates(&[
+        ("valid", EQ, Num(675.0)),
+        ("excluded", EQ, Num(0.0)),
+        ("losses_fwd", EQ, Num(0.0)),
+        ("losses", EQ, Num(0.0)),
+        ("mean.model", GE, Num(1.15)),
+        ("mean.model", LE, Num(1.40)),
+    ]),
+    Scenario::new("fig9", "paper", paper::fig9).gates(&[
+        ("a_small.rows[*].Pipe", LE, At("a_small.rows[*].NCCL")),
+        ("a_small.rows[*].Pipe", LE, At("a_small.rows[*].2DH")),
+        ("b_median.rows[*].Pipe", LE, At("b_median.rows[*].NCCL")),
+        ("b_median.rows[*].Pipe", LE, At("b_median.rows[*].2DH")),
+        ("b_median.rows[*].1DH", GT, At("b_median.rows[*].NCCL")),
+        ("b_median.rows[*].1DH", GT, At("b_median.rows[*].2DH")),
+        ("c_large.rows[*].Pipe_vs_NCCL.model", GE, Num(1.25)),
+        ("c_large.rows[*].Pipe_vs_NCCL.model", LE, Num(1.55)),
+        ("c_large.rows[*].Pipe_vs_2DH.model", GE, Num(1.7)),
+        ("c_large.rows[*].Pipe_vs_2DH.model", LE, Num(2.3)),
+        ("oom_1dh_largest", EQ, Num(3.0)),
+    ]),
+    Scenario::new("ablation_degree", "paper", paper::ablation_degree).gates(&[(
+        "rows[*].regret",
+        LE,
+        Num(0.05),
+    )]),
+    Scenario::new("ablation_hardware", "paper", paper::ablation_hardware).gates(&[
+        ("rows[*].gap", WITHIN, Num(0.01)),
+        ("fastest_row", EQ, At("balanced_row")),
+    ]),
+    Scenario::new("ablation_compression", "paper", paper::ablation_compression).gates(&[
+        ("rows[*].gain_pct", GT, Num(0.0)),
+        ("one_node.rows[*].gain_pct", LT, Num(0.0)),
+    ]),
+    Scenario::new("ablation_routing", "paper", paper::ablation_routing).gates(&[
+        ("expert_choice_imbalance[*]", EQ, Num(1.0)),
+        ("uncapped_buffer_growth_mb[*]", GT, Num(0.0)),
+    ]),
+    Scenario::new("ablation_imbalance", "paper", paper::ablation_imbalance).gates(&[
+        ("rows[*].capped_at_120pct", LE, At("rows[*].straggler")),
+        ("rows[*].capped_at_200pct", LE, At("rows[*].straggler")),
+    ]),
+    Scenario::new("scaling", "paper", paper::scaling).gates(&[(
+        "rows[*].ScheMoE",
+        LT,
+        At("rows[*].Tutel"),
+    )]),
 ];
 
 /// Runs one scenario end to end: produce the report, write it, gate it.
@@ -261,6 +350,9 @@ pub fn run_scenario(s: &Scenario) -> bool {
     let seed = seed();
     println!("campaign {}: seed {seed}", s.name);
     let doc = (s.run)(seed);
+    if let Some(table) = paper::render(&doc) {
+        print!("{table}");
+    }
     let bench = doc.get("bench").and_then(Json::as_str);
     let file = format!("BENCH_{}.json", bench.expect("a report names its bench"));
     std::fs::write(&file, format!("{doc}\n")).unwrap_or_else(|e| panic!("write {file}: {e}"));
@@ -307,12 +399,13 @@ pub fn kill_plan(
     after_sends: u64,
     revive_delta: Option<u64>,
 ) -> FaultPlan {
-    let spec = FaultSpec::seeded(seed)
-        .with_kill(victim, after_sends)
-        .with_recv_deadline_ms(800);
-    revive_delta
-        .map_or(spec, |d| spec.with_revive(victim, after_sends + d))
-        .to_plan()
+    let plan = FaultPlan::seeded(seed)
+        .kill_after(victim, after_sends)
+        .with_recv_deadline(Duration::from_millis(800));
+    match revive_delta {
+        Some(d) => plan.revive_after(victim, after_sends + d),
+        None => plan,
+    }
 }
 
 /// Mean final loss over the ranks that ended the run alive.
@@ -577,6 +670,8 @@ mod tests {
         for (i, s) in SCENARIOS.iter().enumerate() {
             assert!(!s.gates.is_empty(), "{} has no contract", s.name);
             assert!(SCENARIOS[..i].iter().all(|t| t.name != s.name));
+            let selector = [s.group, "all"].contains(&s.name);
+            assert!(!selector, "{} is also a selector", s.name);
         }
     }
 

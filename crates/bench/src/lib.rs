@@ -1,26 +1,8 @@
-//! Shared utilities for the benchmark harness.
+//! The benchmark harness: two binaries over one library.
 //!
-//! The binaries in `src/bin/`, one per paper artifact plus the two that
-//! enforce the repo's contracts:
-//!
-//! | Binary | Regenerates |
+//! | Binary | Does |
 //! |---|---|
-//! | `table1` | Table 1 — A2A time vs step time on Tutel |
-//! | `table6` | Table 6 — convergence under compression |
-//! | `table7` | Table 7 — CT-MoE-x step times, three systems |
-//! | `table8` | Table 8 — BERT-Large-MoE end-to-end |
-//! | `table10` | Table 10 — component ablation |
-//! | `fig5` | Fig. 5 — schedule timelines + Theorem 1 check |
-//! | `fig8` | Fig. 8 — 675-config speedup-over-Tutel histogram |
-//! | `fig9` | Fig. 9 — A2A algorithm comparison across sizes |
-//! | `calibrate` | model-vs-paper anchor summary |
-//! | `ablation_degree` | partition degree vs layer shape + adaptive choice |
-//! | `ablation_hardware` | Eq. 18 tent curve over intra/inter balance |
-//! | `ablation_compression` | ZFP break-even across hardware profiles |
-//! | `ablation_routing` | routing strategies vs load balance |
-//! | `ablation_imbalance` | straggler factor vs routing skew (Eq. 1) |
-//! | `scaling` | weak scaling 4 → 128 GPUs |
-//! | `campaign <scenario>\|all` | the pass/fail contracts: runs a scenario of [`campaign::SCENARIOS`] (`overlap`, `recovery`, `replication`, `partition`, `durability`, `placement`), writes `BENCH_<bench>.json`, exits non-zero when a row of the gate table fails |
+//! | `campaign <row>\|contract\|paper\|all` | runs rows of [`campaign::SCENARIOS`], prints their tables, writes `BENCH_<bench>.json`, exits non-zero when a row of the gate table fails. `contract` rows: `overlap`, `recovery`, `replication`, `partition`, `durability`, `placement`. `paper` rows ([`campaign::paper`]): `table1`, `table6`, `table7`, `table8`, `table10`, `fig5`, `fig8`, `fig9`, `ablation_degree`, `ablation_hardware`, `ablation_compression`, `ablation_routing`, `ablation_imbalance`, `scaling` — every table and figure of the paper plus the studies beyond it, each cell beside its published counterpart |
 //! | `schemoe-launch` | one OS process per rank over tcp / shm: real `SIGKILL`s, respawn + rejoin, partitions, whole-job crash + `--resume` |
 //!
 //! Per-layer and end-to-end performance numbers live in the stand-alone
@@ -28,125 +10,10 @@
 
 pub mod campaign;
 
-use schemoe::prelude::*;
-use schemoe_netsim::cost::LinkModel;
-use schemoe_tensor::rng::seeded;
-
-use rand::Rng;
-
-/// Mean and sample standard deviation of a series.
-pub fn mean_std(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len() as f64;
-    if xs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = xs.iter().sum::<f64>() / n;
-    if xs.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
-    (mean, var.sqrt())
-}
-
-/// A copy of `hw` with every link bandwidth perturbed by `N(1, sigma)`.
-///
-/// The paper reports mean ± std over three real runs; the simulator is
-/// deterministic, so run-to-run variance is modelled as small multiplicative
-/// noise on the link rates (network jitter is where real testbed variance
-/// comes from).
-pub fn jittered(hw: &HardwareProfile, sigma: f64, seed: u64) -> HardwareProfile {
-    let mut rng = seeded(seed);
-    let mut bump = |l: LinkModel| {
-        let noise: f64 = 1.0 + sigma * (rng.gen_range(0.0f64..1.0) * 2.0 - 1.0);
-        LinkModel::new(l.latency_s, l.bandwidth_bps * noise)
-    };
-    let mut out = hw.clone();
-    out.intra_link = bump(out.intra_link);
-    out.intra_link_exclusive = bump(out.intra_link_exclusive);
-    out.inter_link = bump(out.inter_link);
-    // Framework overhead also varies run to run (driver, Python, allocator).
-    let noise: f64 = 1.0 + sigma * (rng.gen_range(0.0f64..1.0) * 2.0 - 1.0);
-    out.layer_overhead = out.layer_overhead * noise;
-    out
-}
-
-/// Runs a step-time estimate under three jittered profiles and returns
-/// `(mean_ms, std_ms)`, or `None` when the system goes out of memory.
-pub fn step_ms_3runs(
-    system: &dyn MoeSystem,
-    model: &MoeModelConfig,
-    topo: &Topology,
-    hw: &HardwareProfile,
-) -> Option<(f64, f64)> {
-    let mut samples = Vec::with_capacity(3);
-    for run in 0..3u64 {
-        let hw_run = jittered(hw, 0.01, 1234 + run);
-        match model_step_time(system, model, topo, &hw_run) {
-            Ok(est) => samples.push(est.step.as_ms()),
-            Err(StepTimeError::OutOfMemory { .. }) => return None,
-        }
-    }
-    Some(mean_std(&samples))
-}
-
-/// Formats bytes with a binary-ish unit for table output.
-pub fn fmt_bytes(b: u64) -> String {
-    if b >= 1_000_000_000 {
-        format!("{:.1}G", b as f64 / 1e9)
-    } else if b >= 1_000_000 {
-        format!("{:.0}M", b as f64 / 1e6)
-    } else if b >= 1_000 {
-        format!("{:.0}K", b as f64 / 1e3)
-    } else {
-        format!("{b}B")
-    }
-}
-
-/// The Table 4 sweep grid: every (B, f, L, H, M) combination.
-pub fn table4_grid() -> Vec<LayerShape> {
-    let mut shapes = Vec::new();
-    for &b in &[2usize, 4, 8] {
-        for &f in &[1.0f64, 1.1, 1.2] {
-            for &l in &[512usize, 1024, 2048] {
-                for &h in &[512usize, 1024, 2048, 4096, 8192] {
-                    for &m in &[512usize, 1024, 2048, 4096, 8192] {
-                        shapes.push(LayerShape {
-                            tokens_per_gpu: b * l,
-                            model_dim: m,
-                            hidden_dim: h,
-                            experts: 32,
-                            k: 2,
-                            capacity_factor: f,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    shapes
-}
-
-/// Whether a sweep configuration fits in device memory (expert state +
-/// activations + capacity-padded A2A buffers), mirroring the paper's OOM
-/// exclusion of sweep cases (§6.1). The 3·3·3·5·5 grid is 675 cases and
-/// §6.3 reports 675 valid measurements, so on the paper's own budget every
-/// grid point fits a single MoE-layer microbenchmark; the check still
-/// guards the sweep against profile variants with less memory.
-pub fn sweep_config_fits(shape: &LayerShape, topo: &Topology, hw: &HardwareProfile) -> bool {
-    let mut budget = MemoryBudget::new(hw.gpu_mem_bytes);
-    budget.add("expert state", shape.expert_state_bytes(topo.world_size()));
-    budget.add(
-        "activations",
-        4 * (shape.tokens_per_gpu * shape.model_dim * 4) as u64,
-    );
-    budget.add("a2a buffers", 2 * shape.a2a_bytes());
-    budget.add("framework reserve", 1 << 30);
-    budget.fits()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::campaign::paper::{jittered, mean_std, sweep_config_fits, table4_grid};
+    use schemoe::prelude::*;
 
     #[test]
     fn mean_std_basics() {
@@ -192,13 +59,5 @@ mod tests {
             .filter(|s| !sweep_config_fits(s, &topo, &small_hw))
             .count();
         assert!(excluded > 0, "memory guard never triggers");
-    }
-
-    #[test]
-    fn byte_formatting() {
-        assert_eq!(fmt_bytes(512), "512B");
-        assert_eq!(fmt_bytes(2_000), "2K");
-        assert_eq!(fmt_bytes(3_500_000), "4M");
-        assert_eq!(fmt_bytes(2_500_000_000), "2.5G");
     }
 }

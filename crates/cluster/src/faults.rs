@@ -220,19 +220,23 @@ impl FaultPlan {
         FaultDecision::Deliver
     }
 
-    /// A uniform roll in `[0, 1)` keyed by the message identity and fault
-    /// kind (splitmix64 finalizer over the packed key).
     fn roll(&self, src: Rank, dst: Rank, msg_index: u64, kind: u64) -> f64 {
-        let key = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((src as u64) << 48)
-            .wrapping_add((dst as u64) << 32)
-            .wrapping_add(msg_index.wrapping_mul(4).wrapping_add(kind));
-        let h = splitmix64(key);
-        // 53 high bits -> uniform double in [0, 1).
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        roll(self.seed, src, dst, msg_index, kind)
     }
+}
+
+/// A uniform roll in `[0, 1)` keyed by the message identity and fault
+/// kind (splitmix64 finalizer over the packed key). Kinds 0–2 are the
+/// frame lottery's drop / corrupt / delay; kind 3 is the link lottery of
+/// [`ChaosPlan`](crate::ChaosPlan), so the two never correlate.
+pub(crate) fn roll(seed: u64, src: Rank, dst: Rank, msg_index: u64, kind: u64) -> f64 {
+    let key = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((src as u64) << 48)
+        .wrapping_add((dst as u64) << 32)
+        .wrapping_add(msg_index.wrapping_mul(4).wrapping_add(kind));
+    // 53 high bits -> uniform double in [0, 1).
+    (splitmix64(key) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The splitmix64 finalizer: a strong 64-bit mix with no state.

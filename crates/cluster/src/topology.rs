@@ -1,7 +1,5 @@
 //! Cluster shape and rank arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// A global GPU rank in `0..world_size`.
 pub type Rank = usize;
 
@@ -10,7 +8,7 @@ pub type Rank = usize;
 /// Ranks are assigned node-major: rank `r` lives on node `r / gpus_per_node`
 /// with local index `r % gpus_per_node`, matching the paper's testbed layout
 /// and typical MPI rank-by-node ordering.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Topology {
     nodes: usize,
     gpus_per_node: usize,

@@ -262,28 +262,11 @@ impl ChaosPlan {
         link.latency + bw
     }
 
-    /// A uniform roll in `[0, 1)` keyed by the send identity — the same
-    /// splitmix64 finalizer discipline as the frame-level fault plan,
-    /// with a distinct kind lane so the two lotteries never correlate.
+    /// A uniform roll in `[0, 1)` keyed by the send identity: the frame-
+    /// level fault plan's lottery on its own kind lane.
     fn roll(&self, src: Rank, dst: Rank, idx: u64) -> f64 {
-        let key = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((src as u64) << 48)
-            .wrapping_add((dst as u64) << 32)
-            .wrapping_add(idx.wrapping_mul(4).wrapping_add(3));
-        let h = splitmix64(key);
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        crate::faults::roll(self.seed, src, dst, idx, 3)
     }
-}
-
-/// The splitmix64 finalizer (duplicated from `faults` to keep this
-/// module free-standing; both must stay bit-identical).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Wraps any transport endpoint in a [`ChaosPlan`].

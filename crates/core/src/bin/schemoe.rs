@@ -5,7 +5,6 @@
 //! schemoe estimate --model ct-moe-12 --system schemoe
 //! schemoe layer --tokens 16384 --m 8192 --h 8192 [--e 32 --k 2 --f 1.2]
 //! schemoe a2a --bytes 640000000 [--profile paper|nvlink|ethernet]
-//! schemoe sweep [--limit 50]
 //! ```
 //!
 //! Argument parsing is hand-rolled (the workspace's dependency policy
@@ -36,7 +35,6 @@ fn main() -> ExitCode {
         "estimate" => cmd_estimate(&flags),
         "layer" => cmd_layer(&flags),
         "a2a" => cmd_a2a(&flags),
-        "sweep" => cmd_sweep(&flags),
         "trace" => cmd_trace(&flags),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -60,7 +58,6 @@ USAGE:
   schemoe estimate --model <name> [--system <name>] [--profile <name>]
   schemoe layer --tokens <n> --m <n> --h <n> [--e 32] [--k 2] [--f 1.2]
   schemoe a2a --bytes <n> [--profile <name>]
-  schemoe sweep [--limit <n>]
   schemoe trace --tokens <n> --m <n> --h <n> [--r 2] [--out trace.json]
                                              export a chrome://tracing JSON
                                              of the OptSche schedule
@@ -292,50 +289,6 @@ fn cmd_a2a(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
-    let limit: usize = flag_num(flags, "limit", Some(20))?;
-    let hw = profile(flags)?;
-    let topo = Topology::paper_testbed();
-    let tutel = TutelEmu::new();
-    let schemoe = ScheMoeSystem::without_compression();
-    println!(
-        "{:>8} {:>6} {:>6} {:>5} {:>12} {:>12} {:>9}",
-        "tokens", "M", "H", "f", "tutel", "schemoe", "speedup"
-    );
-    let mut count = 0usize;
-    'outer: for &tokens in &[1024usize, 4096, 16384] {
-        for &m in &[512usize, 2048, 8192] {
-            for &h in &[512usize, 2048, 8192] {
-                if count >= limit {
-                    break 'outer;
-                }
-                let shape = LayerShape {
-                    tokens_per_gpu: tokens,
-                    model_dim: m,
-                    hidden_dim: h,
-                    experts: 32,
-                    k: 2,
-                    capacity_factor: 1.2,
-                };
-                let t = tutel.layer_time(&shape, &topo, &hw);
-                let s = schemoe.layer_time(&shape, &topo, &hw);
-                println!(
-                    "{:>8} {:>6} {:>6} {:>5.1} {:>12} {:>12} {:>8.2}x",
-                    tokens,
-                    m,
-                    h,
-                    1.2,
-                    format!("{t}"),
-                    format!("{s}"),
-                    t / s
-                );
-                count += 1;
-            }
-        }
-    }
-    Ok(())
-}
-
 fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
     let shape = LayerShape {
         tokens_per_gpu: flag_num(flags, "tokens", None)?,
@@ -427,7 +380,6 @@ mod tests {
         cmd_estimate(&flags(&[("model", "ct-moe-12")])).unwrap();
         cmd_layer(&flags(&[("tokens", "4096"), ("m", "1024"), ("h", "2048")])).unwrap();
         cmd_a2a(&flags(&[("bytes", "64000000")])).unwrap();
-        cmd_sweep(&flags(&[("limit", "3")])).unwrap();
         let out = std::env::temp_dir().join("schemoe-cli-test-trace.json");
         cmd_trace(&flags(&[
             ("tokens", "4096"),

@@ -42,7 +42,7 @@ pub mod step_time;
 pub mod systems;
 
 pub use adaptive::AdaptiveScheMoe;
-pub use config::{FaultSpec, LayerShape, ScheMoeConfig};
+pub use config::{LayerShape, ScheMoeConfig};
 pub use registry::{A2aRegistry, CompressorRegistry, ScheduleRegistry};
 /// Runtime observability: span recorder, per-rank fabric counters, and the
 /// shared Trace Event Format writer both substrates export through.
@@ -52,7 +52,7 @@ pub use systems::{FasterMoeEmu, MoeSystem, NaiveSystem, ScheMoeSystem, TutelEmu}
 
 /// Convenience re-exports for downstream users and examples.
 pub mod prelude {
-    pub use crate::config::{FaultSpec, LayerShape, ScheMoeConfig};
+    pub use crate::config::{LayerShape, ScheMoeConfig};
     pub use crate::step_time::{model_step_time, StepEstimate, StepTimeError};
     pub use crate::systems::{FasterMoeEmu, MoeSystem, NaiveSystem, ScheMoeSystem, TutelEmu};
     pub use schemoe_cluster::{

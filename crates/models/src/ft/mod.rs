@@ -318,12 +318,6 @@ impl FtConfig {
         self.placement_interval = interval;
         self
     }
-
-    /// Sets the hot-expert replication threshold.
-    pub fn with_placement_hot_factor(mut self, factor: f64) -> Self {
-        self.placement_hot_factor = factor;
-        self
-    }
 }
 
 /// Durable-snapshot policy for [`run_ft_rank_durable`]. Kept apart from
@@ -1277,10 +1271,10 @@ mod tests {
         // runs must agree bit-for-bit on the loss curve *and* on every
         // placement decision (no chaos, so stall probes sit under the
         // gray floor and plans are a pure function of routed loads).
-        let cfg = FtConfig::tiny(12)
-            .with_seed(51)
-            .with_placement_interval(3)
-            .with_placement_hot_factor(1.05);
+        let cfg = FtConfig {
+            placement_hot_factor: 1.05,
+            ..FtConfig::tiny(12).with_seed(51).with_placement_interval(3)
+        };
         let run = || Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &cfg));
         let a = run();
         let b = run();
@@ -1329,10 +1323,10 @@ mod tests {
         // with replication enabled, through failover hosting too.
         let cfg = FtConfig {
             replica_interval: 2,
+            placement_hot_factor: 1.05,
             ..FtConfig::tiny(20)
                 .with_seed(52)
                 .with_placement_interval(2)
-                .with_placement_hot_factor(1.05)
                 .with_rejoin_check_every(0)
         };
         let plan = FaultPlan::seeded(52)
@@ -1367,10 +1361,10 @@ mod tests {
         // same placement (guest bodies, velocities, version) from the
         // manifest and replay the tail bit-for-bit.
         let dir = snap_dir("placement");
-        let cfg = FtConfig::tiny(12)
-            .with_seed(53)
-            .with_placement_interval(2)
-            .with_placement_hot_factor(1.05);
+        let cfg = FtConfig {
+            placement_hot_factor: 1.05,
+            ..FtConfig::tiny(12).with_seed(53).with_placement_interval(2)
+        };
         let snap = SnapshotCfg::new(&dir, 4);
         let full = Fabric::run(Topology::new(2, 2), |mut h| {
             run_ft_rank_durable(&mut h, &cfg, Some(&snap))
@@ -1456,11 +1450,13 @@ mod tests {
         // for some seed/cadence — and wherever it lands, the guarantee
         // is the same): survivors must abort or unwind any torn plan via
         // the burial reset and finish training on the static layout.
-        let cfg = FtConfig::tiny(20)
-            .with_seed(55)
-            .with_placement_interval(2)
-            .with_placement_hot_factor(1.05)
-            .with_rejoin_check_every(0);
+        let cfg = FtConfig {
+            placement_hot_factor: 1.05,
+            ..FtConfig::tiny(20)
+                .with_seed(55)
+                .with_placement_interval(2)
+                .with_rejoin_check_every(0)
+        };
         let plan = FaultPlan::seeded(55)
             .kill_after(2, 90)
             .with_recv_deadline(Duration::from_secs(2));
@@ -1490,11 +1486,13 @@ mod tests {
         // at exit independent of how long the run was.
         let parked_after = |steps: usize, name: &str| {
             let dir = snap_dir(name);
-            let cfg = FtConfig::tiny(steps)
-                .with_seed(51)
-                .with_replica_interval(1)
-                .with_placement_interval(2)
-                .with_placement_hot_factor(1.05);
+            let cfg = FtConfig {
+                placement_hot_factor: 1.05,
+                ..FtConfig::tiny(steps)
+                    .with_seed(51)
+                    .with_replica_interval(1)
+                    .with_placement_interval(2)
+            };
             let snap = SnapshotCfg::new(&dir, 2);
             let ranks = Fabric::run(Topology::new(2, 2), |mut h| {
                 let report = run_ft_rank_durable(&mut h, &cfg, Some(&snap));

@@ -81,6 +81,12 @@ impl From<&str> for Json {
     }
 }
 
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
 impl From<Vec<Json>> for Json {
     fn from(v: Vec<Json>) -> Json {
         Json::Arr(v)

@@ -36,5 +36,5 @@ pub use backward::{backward_task_set, layer_fwd_bwd_makespan, optsche_backward};
 pub use costs::MoeLayerCosts;
 pub use profiler::{span_kind, Profiler};
 pub use schedule::{Schedule, ScheduleError};
-pub use schedules::{brute_force_best, naive_makespan, optsche, stage_major};
+pub use schedules::{brute_force_best, chain_orders, naive_makespan, optsche, stage_major};
 pub use task::{TaskKind, TaskSet};

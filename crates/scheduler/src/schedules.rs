@@ -54,48 +54,49 @@ pub fn optsche(r: usize) -> Schedule {
     Schedule::new(order)
 }
 
-/// Exhaustive search over every dependency-respecting computing order.
-///
-/// Enumerates all interleavings of the `r` per-chunk chains
-/// `C1 ≺ D1 ≺ E ≺ C2 ≺ D2` (other orders deadlock and can never win),
-/// evaluates each, and returns the best `(schedule, makespan)`.
-///
-/// Exponential in `r` — this is the optimality *oracle* for tests and the
-/// Fig. 5 reproduction, not a production scheduler.
-pub fn brute_force_best(tasks: &TaskSet) -> (Schedule, SimTime) {
-    let r = tasks.r();
-    let mut best: Option<(Schedule, SimTime)> = None;
-    let mut progress = vec![0usize; r];
-    let mut order: Vec<(TaskKind, usize)> = Vec::with_capacity(5 * r);
+/// Calls `visit` with every schedule that interleaves the `r` per-chunk
+/// chains `C1 ≺ D1 ≺ E ≺ C2 ≺ D2` — the dependency-respecting computing
+/// orders; any other order deadlocks and can never win. There are
+/// `(5r)! / (5!)^r` of them (252 at `r = 2`).
+pub fn chain_orders(r: usize, visit: &mut dyn FnMut(Schedule)) {
     fn rec(
-        progress: &mut Vec<usize>,
+        progress: &mut [usize],
         order: &mut Vec<(TaskKind, usize)>,
-        tasks: &TaskSet,
-        best: &mut Option<(Schedule, SimTime)>,
+        visit: &mut dyn FnMut(Schedule),
     ) {
-        let r = progress.len();
-        if order.len() == 5 * r {
-            let s = Schedule::new(order.clone());
-            let m = s
-                .makespan(tasks)
-                .expect("chain-respecting orders are valid");
-            if best.as_ref().is_none_or(|(_, bm)| m < *bm) {
-                *best = Some((s, m));
-            }
-            return;
+        if order.len() == 5 * progress.len() {
+            return visit(Schedule::new(order.clone()));
         }
-        for chunk in 0..r {
+        for chunk in 0..progress.len() {
             if progress[chunk] < 5 {
                 let kind = TaskKind::COMPUTE[progress[chunk]];
                 progress[chunk] += 1;
                 order.push((kind, chunk));
-                rec(progress, order, tasks, best);
+                rec(progress, order, visit);
                 order.pop();
                 progress[chunk] -= 1;
             }
         }
     }
-    rec(&mut progress, &mut order, tasks, &mut best);
+    rec(&mut vec![0; r], &mut Vec::with_capacity(5 * r), visit);
+}
+
+/// Exhaustive search over every dependency-respecting computing order:
+/// evaluates each of [`chain_orders`] and returns the best
+/// `(schedule, makespan)`.
+///
+/// Exponential in `r` — this is the optimality *oracle* for tests and the
+/// Fig. 5 reproduction, not a production scheduler.
+pub fn brute_force_best(tasks: &TaskSet) -> (Schedule, SimTime) {
+    let mut best: Option<(Schedule, SimTime)> = None;
+    chain_orders(tasks.r(), &mut |s| {
+        let m = s
+            .makespan(tasks)
+            .expect("chain-respecting orders are valid");
+        if best.as_ref().is_none_or(|(_, bm)| m < *bm) {
+            best = Some((s, m));
+        }
+    });
     best.expect("at least one valid order exists")
 }
 

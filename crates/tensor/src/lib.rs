@@ -30,7 +30,6 @@ pub mod nn;
 pub mod ops;
 pub mod optim;
 pub mod rng;
-pub mod schedule_lr;
 pub mod shape;
 pub mod snapshot;
 pub mod tensor;

@@ -8,7 +8,6 @@
 
 mod activation;
 mod attention;
-mod dropout;
 mod embedding;
 mod feed_forward;
 mod layer_norm;
@@ -17,7 +16,6 @@ mod loss;
 
 pub use activation::{Activation, ActivationKind};
 pub use attention::MultiHeadAttention;
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use feed_forward::FeedForward;
 pub use layer_norm::LayerNorm;

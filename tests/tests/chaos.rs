@@ -3,7 +3,7 @@
 //!
 //! This is the end-to-end acceptance test of the fault-injection stack:
 //! an 8-rank fault-tolerant LM training run (`schemoe_models::ft`) under a
-//! [`FaultSpec`] campaign that kills one rank partway through the epoch.
+//! [`FaultPlan`] campaign that kills one rank partway through the epoch.
 //! The survivors must detect the death, reroute its tokens through
 //! degraded gating, restore the last checkpoint, and finish every step —
 //! landing within 10% of the fault-free final loss. Running the *same*
@@ -188,10 +188,10 @@ fn scenario() {
                                 // corruption lands on step-critical traffic (A2A / allreduce frames,
                                 // which abort the attempt and retry) rather than only on traffic the
                                 // protocol absorbs without a retry (redundant vote copies).
-    let lossy_spec = FaultSpec::seeded(seed() ^ 0xC0_FFEE)
-        .with_corrupt(0.008)
-        .with_recv_deadline_ms(800);
-    let lossy = run(&lossy_cfg, Some(lossy_spec.to_plan()), Topology::new(2, 2));
+    let lossy_plan = FaultPlan::seeded(seed() ^ 0xC0_FFEE)
+        .with_corrupt_prob(0.008)
+        .with_recv_deadline(Duration::from_millis(800));
+    let lossy = run(&lossy_cfg, Some(lossy_plan), Topology::new(2, 2));
     let lossy_counters = deterministic_counters(4);
     let _ = obs::take();
     obs::disable();
