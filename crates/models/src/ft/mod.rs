@@ -618,7 +618,10 @@ fn attempt_step(
         Err(_) => (1, 0, 0),
     };
     // Only a self-death escapes the vote.
-    let verdict = membership::vote(h, &st.live, step_tag, ballot, cfg.vote_deadline(), escalate)?;
+    let verdict = {
+        let _s = schemoe_obs::span("vote", "vote");
+        membership::vote(h, &st.live, step_tag, ballot, cfg.vote_deadline(), escalate)?
+    };
     if (0..st.p).any(|r| st.live[r] && verdict.suspects & bit(r) != 0) {
         return membership::regroup(h, st, &verdict);
     }

@@ -419,12 +419,23 @@ impl RankState {
         let inputs: Vec<usize> = rows.clone().flat_map(|row| &row[..l]).copied().collect();
         let targets: Vec<usize> = rows.flat_map(|row| &row[1..]).copied().collect();
 
-        let x = embed.forward(&inputs);
+        let x = {
+            let _s = schemoe_obs::span("embed", "fwd");
+            embed.forward(&inputs)
+        };
         let hid = moe.forward(h, &x, tag)?;
-        let logits = head.forward(&hid);
-        let loss = self.ce.forward(&logits, &targets);
-        let dlogits = self.ce.backward();
-        let dhid = head.backward(&dlogits);
+        let logits = {
+            let _s = schemoe_obs::span("head", "fwd");
+            head.forward(&hid)
+        };
+        let (loss, dlogits) = {
+            let _s = schemoe_obs::span("loss", "ce");
+            (self.ce.forward(&logits, &targets), self.ce.backward())
+        };
+        let dhid = {
+            let _s = schemoe_obs::span("head", "bwd");
+            head.backward(&dlogits)
+        };
 
         // Split replicated-gradient allreduce. The head's gradients are
         // final before the MoE backward starts, so their reduction is
@@ -438,7 +449,10 @@ impl RankState {
             live,
         };
         let dx = moe.backward_with_allreduce(h, &dhid, Some(folded))?;
-        embed.backward(&dx);
+        {
+            let _s = schemoe_obs::span("embed", "bwd");
+            embed.backward(&dx);
+        }
         let mut rest = |f: &mut dyn FnMut(&mut Param)| {
             embed.visit_params(f);
             moe.visit_params(&mut |p| {
@@ -448,7 +462,10 @@ impl RankState {
             });
         };
         let mut flat = grads_of(&mut rest);
-        allreduce_live(h, &mut flat, wire::allreduce_tag(tag, 1), live)?;
+        {
+            let _s = schemoe_obs::span("coll", "allreduce[embed+gate]");
+            allreduce_live(h, &mut flat, wire::allreduce_tag(tag, 1), live)?;
+        }
         let scale = 1.0 / live.iter().filter(|&&a| a).count() as f32;
         scatter_grads(&mut rest, &flat, scale);
         scatter_grads(&mut |f| head.visit_params(f), &head_flat, scale);
@@ -483,6 +500,7 @@ impl RankState {
     /// *sum*, identical on every member, so replicas never drift), the
     /// loss, and the periodic checkpoint.
     pub(super) fn commit(&mut self, loss: f32) {
+        let opt_span = schemoe_obs::span("optimizer", "sgd");
         self.opt.step_params(&mut |f| self.model.visit_all(f));
         let (lr, me, moe) = (self.cfg.lr, self.me, &mut self.model.moe);
         for r in moe.hosted_dead_ranks() {
@@ -495,6 +513,7 @@ impl RankState {
             let vel = vel.expect("guest expert without velocity");
             sgd_step(lr, vel, &mut |f| moe.visit_serving_params(me, e, f));
         }
+        drop(opt_span);
         self.report.loss_curve[self.step] = loss;
         self.step += 1;
         if self.step.is_multiple_of(self.cfg.checkpoint_every) || self.step == self.cfg.steps {

@@ -4,6 +4,8 @@
 //!
 //! * [`Tensor`] — a dense, row-major, `f32` n-dimensional array with the
 //!   operations MoE training needs (matmul, softmax, layer norm, GELU, ...).
+//! * [`gemm`] — the one register-tiled product kernel every matrix product
+//!   runs on, with the reduction-order contract bit-identity rests on.
 //! * [`nn`] — neural-network modules (linear, embedding, layer norm,
 //!   multi-head attention, feed-forward) with *hand-written* backward passes.
 //!   There is no autograd tape; every module caches what its backward needs
@@ -25,6 +27,7 @@
 //! ```
 
 pub mod checkpoint;
+pub mod gemm;
 pub mod grad_check;
 pub mod nn;
 pub mod ops;

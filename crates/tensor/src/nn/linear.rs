@@ -2,6 +2,7 @@
 
 use rand::rngs::SmallRng;
 
+use crate::gemm::{gemm, Init, Mat};
 use crate::nn::{Module, Param};
 use crate::rng;
 use crate::tensor::Tensor;
@@ -62,10 +63,18 @@ impl Linear {
 
 impl Module for Linear {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = x
-            .matmul(&self.w.value)
-            .and_then(|xw| xw.add_row_broadcast(&self.b.value))
-            .expect("linear forward: input shape must be [n, in_features]");
+        assert!(
+            x.rank() == 2 && x.dims()[1] == self.in_features(),
+            "linear forward: input shape must be [n, in_features]"
+        );
+        // y = b + x · W: the bias starts each element's reduction chain.
+        let mut y = Tensor::zeros(&[x.dims()[0], self.out_features()]);
+        gemm(
+            Mat::of(x),
+            Mat::of(&self.w.value),
+            Init::Row(self.b.value.data()),
+            y.data_mut(),
+        );
         self.cache_x = Some(x.clone());
         y
     }
@@ -75,9 +84,18 @@ impl Module for Linear {
             .cache_x
             .take()
             .expect("linear backward called without a cached forward");
-        // dW += x^T · dy, db += sum over rows of dy, dx = dy · W^T.
-        let dw = x.t_matmul(dy).expect("linear backward: dy shape mismatch");
-        self.w.grad.add_assign(&dw).expect("dw shape matches W");
+        assert!(
+            dy.rank() == 2 && dy.dims() == [x.dims()[0], self.out_features()],
+            "linear backward: dy shape mismatch"
+        );
+        // dW += x^T · dy, accumulated straight into the gradient;
+        // db += sum over rows of dy; dx = dy · W^T.
+        gemm(
+            Mat::of(&x).t(),
+            Mat::of(dy),
+            Init::Out,
+            self.w.grad.data_mut(),
+        );
         let db = dy.sum_rows().expect("dy must be rank-2");
         self.b.grad.add_assign(&db).expect("db shape matches b");
         dy.matmul_t(&self.w.value).expect("dx = dy · W^T")

@@ -70,12 +70,6 @@ impl Shape {
         }
         Some(off)
     }
-
-    /// Returns `true` when both shapes describe 2-D matrices that can be
-    /// multiplied (`[m, k] x [k, n]`).
-    pub fn matmul_compatible(&self, rhs: &Shape) -> bool {
-        self.rank() == 2 && rhs.rank() == 2 && self.0[1] == rhs.0[0]
-    }
 }
 
 impl From<&[usize]> for Shape {
@@ -134,12 +128,5 @@ mod tests {
         assert_eq!(s.offset(&[2, 0]), None);
         assert_eq!(s.offset(&[0]), None);
         assert_eq!(s.offset(&[0, 3]), None);
-    }
-
-    #[test]
-    fn matmul_compatibility() {
-        assert!(Shape::new(&[2, 3]).matmul_compatible(&Shape::new(&[3, 5])));
-        assert!(!Shape::new(&[2, 3]).matmul_compatible(&Shape::new(&[2, 5])));
-        assert!(!Shape::new(&[2, 3, 1]).matmul_compatible(&Shape::new(&[3, 5])));
     }
 }
