@@ -38,6 +38,8 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use bytes::Bytes;
+pub use schemoe_compression::crc32;
+use schemoe_compression::crc32_update;
 
 use crate::topology::Rank;
 
@@ -247,42 +249,6 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    !crc32_update(0xFFFF_FFFF, data)
-}
-
-/// Feeds `data` into an in-progress CRC32 (state starts at `0xFFFF_FFFF`,
-/// finalize by bitwise NOT). Lets the frame checksum cover the epoch and
-/// the payload without concatenating them.
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    static TABLE: [u32; 256] = build_crc_table();
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc
-}
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
 /// Byte length of the frame header (`len` + `epoch` + `crc32`).
 pub const FRAME_HEADER: usize = 12;
 
@@ -354,7 +320,7 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
-        // IEEE CRC32 check value for "123456789".
+        // IEEE CRC32 check value for "123456789", through the re-export.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
@@ -381,6 +347,21 @@ mod tests {
         }
         // Even an empty payload's corruption is caught (checksum bit flip).
         assert!(deframe(&frame_corrupted(b"", 0, 3)).is_none());
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_frame_is_rejected() {
+        // 1 KiB on the wire, header included: length, epoch, checksum
+        // and payload bits must all be covered.
+        let payload: Vec<u8> = (0..1024 - FRAME_HEADER).map(|i| (i * 7) as u8).collect();
+        let clean = frame(&payload, 5).to_vec();
+        assert_eq!(clean.len(), 1024);
+        for bit in 0..clean.len() * 8 {
+            let mut bad = clean.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(deframe(&Bytes::from(bad)).is_none(), "bit {bit} slipped");
+        }
+        assert!(deframe(&Bytes::from(clean)).is_some());
     }
 
     #[test]

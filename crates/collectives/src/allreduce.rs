@@ -5,8 +5,8 @@
 //! co-schedules with the MoE all-to-alls). Two algorithms are provided:
 //! a naive root-gather/broadcast and the bandwidth-optimal ring.
 
-use bytes::Bytes;
 use schemoe_cluster::{FabricError, RankHandle, Topology};
+use schemoe_compression::{add_f32_le, copy_f32_le, Compressor, NoCompression};
 
 use crate::plan::{A2aPlan, SrOp, StreamAssignment};
 
@@ -26,25 +26,6 @@ pub trait AllReduce: Send + Sync {
     /// Compiles the algorithm into a simulatable plan for `input_bytes`
     /// of gradient per rank.
     fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan;
-}
-
-fn encode(values: &[f32]) -> Bytes {
-    let mut buf = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    Bytes::from(buf)
-}
-
-fn decode_into(payload: &[u8], out: &mut [f32], add: bool) {
-    for (i, b) in payload.chunks_exact(4).enumerate() {
-        let v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        if add {
-            out[i] += v;
-        } else {
-            out[i] = v;
-        }
-    }
 }
 
 /// Root-based all-reduce: gather on rank 0, reduce, broadcast.
@@ -72,16 +53,16 @@ impl AllReduce for NaiveAllReduce {
         if handle.rank() == 0 {
             for src in 1..p {
                 let chunk = handle.recv(src, tag_base)?;
-                decode_into(&chunk, data, true);
+                add_f32_le(data, &chunk);
             }
-            let summed = encode(data);
+            let summed = NoCompression.compress(data);
             for dst in 1..p {
                 handle.send(dst, tag_base + 1, summed.clone())?;
             }
         } else {
-            handle.send(0, tag_base, encode(data))?;
+            handle.send(0, tag_base, NoCompression.compress(data))?;
             let summed = handle.recv(0, tag_base + 1)?;
-            decode_into(&summed, data, false);
+            copy_f32_le(data, &summed);
         }
         Ok(())
     }
@@ -161,23 +142,22 @@ impl AllReduce for RingAllReduce {
             let send_chunk = (me + p - step) % p;
             let recv_chunk = (me + p - step - 1) % p;
             let (s0, s1) = bounds[send_chunk];
-            handle.send(next, tag_base + step as u64, encode(&data[s0..s1]))?;
+            let chunk = NoCompression.compress(&data[s0..s1]);
+            handle.send(next, tag_base + step as u64, chunk)?;
             let payload = handle.recv(prev, tag_base + step as u64)?;
             let (r0, r1) = bounds[recv_chunk];
-            for (i, b) in payload.chunks_exact(4).enumerate() {
-                data[r0 + i] += f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-                debug_assert!(r0 + i < r1);
-            }
+            add_f32_le(&mut data[r0..r1], &payload);
         }
         // All-gather: circulate the finished chunks.
         for step in 0..p - 1 {
             let send_chunk = (me + 1 + p - step) % p;
             let recv_chunk = (me + p - step) % p;
             let (s0, s1) = bounds[send_chunk];
-            handle.send(next, tag_base + (p + step) as u64, encode(&data[s0..s1]))?;
+            let chunk = NoCompression.compress(&data[s0..s1]);
+            handle.send(next, tag_base + (p + step) as u64, chunk)?;
             let payload = handle.recv(prev, tag_base + (p + step) as u64)?;
-            let (r0, _r1) = bounds[recv_chunk];
-            decode_into(&payload, &mut data[r0..], false);
+            let (r0, r1) = bounds[recv_chunk];
+            copy_f32_le(&mut data[r0..r1], &payload);
         }
         Ok(())
     }

@@ -9,6 +9,7 @@
 
 use bytes::Bytes;
 use schemoe_cluster::{FabricError, Rank, RankHandle, Topology};
+use schemoe_compression::{add_f32_le, Compressor, NoCompression};
 
 use crate::plan::{A2aPlan, SrOp, StreamAssignment};
 
@@ -105,16 +106,11 @@ pub fn reduce_scatter(
         let send_chunk = (me + p - step) % p;
         let recv_chunk = (me + p - step - 1) % p;
         let (s0, s1) = bounds[send_chunk];
-        let mut buf = Vec::with_capacity((s1 - s0) * 4);
-        for &v in &work[s0..s1] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        handle.send(next, tag + step as u64, Bytes::from(buf))?;
+        let chunk = NoCompression.compress(&work[s0..s1]);
+        handle.send(next, tag + step as u64, chunk)?;
         let payload = handle.recv(prev, tag + step as u64)?;
-        let (r0, _) = bounds[recv_chunk];
-        for (i, b) in payload.chunks_exact(4).enumerate() {
-            work[r0 + i] += f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        }
+        let (r0, r1) = bounds[recv_chunk];
+        add_f32_le(&mut work[r0..r1], &payload);
     }
     // My owned chunk is (me + 1) % p after the rotation completes at...
     // After P−1 steps the chunk each rank holds fully reduced is

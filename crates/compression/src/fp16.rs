@@ -1,94 +1,63 @@
 //! IEEE 754 half-precision codec, implemented from scratch.
+//!
+//! Both scalar conversions are branch-free — float multiplies, integer
+//! adds and compare-selects only, no early return — and `#[inline]`, so
+//! the codec's slice loops compile to vector code.
 
-use bytes::Bytes;
-
-use crate::{CompressionError, Compressor};
+use crate::{check_len, grow, CompressionError, Compressor};
 
 /// Converts an `f32` to IEEE 754 binary16 bits with round-to-nearest-even.
 ///
 /// Handles normals, subnormals, overflow to infinity, and NaN (quieted).
+///
+/// The rounding is done by the FPU. `|v|·2¹¹²·2⁻¹¹⁰` is `4|v|`, except
+/// that everything past the half range has saturated to infinity on the
+/// way. Adding a power of two 13 binades above that (15 above `v`, clamped
+/// from below so that all half subnormals share one) leaves room in the
+/// sum for exactly eleven significand bits of `v`, so the addition itself
+/// rounds to nearest-even. The half's exponent is then the low five bits
+/// of the sum's exponent field and its mantissa the low bits of the sum's;
+/// the leading one, and a mantissa that rounded up to 2¹⁰, carry into the
+/// exponent through the plain add.
+#[inline]
 pub fn f32_to_f16_bits(v: f32) -> u16 {
+    const SCALE_TO_INF: f32 = f32::from_bits(0x7780_0000); // 2^112
+    const SCALE_TO_ZERO: f32 = f32::from_bits(0x0880_0000); // 2^-110
     let bits = v.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let mant = bits & 0x007f_ffff;
-
-    if exp == 0xff {
-        // Inf or NaN.
-        return if mant == 0 {
-            sign | 0x7c00
-        } else {
-            sign | 0x7e00
-        };
-    }
-    // Re-bias: f32 bias 127, f16 bias 15.
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        // Overflow to infinity.
-        return sign | 0x7c00;
-    }
-    if unbiased >= -14 {
-        // Normalized half. Round mantissa from 23 to 10 bits, ties to even.
-        let mut m = mant >> 13;
-        let rest = mant & 0x1fff;
-        if rest > 0x1000 || (rest == 0x1000 && (m & 1) == 1) {
-            m += 1;
-        }
-        let mut e = (unbiased + 15) as u32;
-        if m == 0x400 {
-            // Mantissa rounding overflowed into the exponent.
-            m = 0;
-            e += 1;
-            if e >= 0x1f {
-                return sign | 0x7c00;
-            }
-        }
-        return sign | ((e as u16) << 10) | (m as u16);
-    }
-    if unbiased >= -25 {
-        // Subnormal half. Inputs with unbiased exponent -25 sit between
-        // zero and the smallest subnormal 2^-24; the same rounding picks
-        // the nearer of the two (ties to the even pattern, zero).
-        let shift = (-14 - unbiased) as u32; // 1..=11
-        let full = mant | 0x0080_0000; // implicit leading 1
-        let total_shift = 13 + shift;
-        let mut m = full >> total_shift;
-        let rest = full & ((1 << total_shift) - 1);
-        let half = 1u32 << (total_shift - 1);
-        if rest > half || (rest == half && (m & 1) == 1) {
-            m += 1;
-        }
-        return sign | (m as u16);
-    }
-    // Underflow to signed zero.
-    sign
+    let sign = (bits >> 16) & 0x8000;
+    let shl1 = bits << 1; // the sign shifted out: exponent in the top byte
+    let base = (v.abs() * SCALE_TO_INF) * SCALE_TO_ZERO;
+    let bias = (shl1 & 0xFF00_0000).max(0x7100_0000);
+    let sum = (f32::from_bits((bias >> 1) + 0x0780_0000) + base).to_bits();
+    let nonsign = ((sum >> 13) & 0x7C00) + (sum & 0x0FFF);
+    let nonsign = if shl1 > 0xFF00_0000 { 0x7E00 } else { nonsign };
+    (sign | nonsign) as u16
 }
 
 /// Converts IEEE 754 binary16 bits to an `f32`.
+///
+/// Normals are re-biased by an exponent-offset add and an exact multiply
+/// by 2⁻¹¹²; subnormals `m·2⁻²⁴` by planting `m` in the mantissa of 0.5
+/// and subtracting 0.5. Infinities and NaNs are selected by their bits
+/// rather than pushed through the multiply, so a signalling payload comes
+/// out as it went in.
+#[inline]
 pub fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1f) as u32;
-    let mant = (h & 0x3ff) as u32;
-    let bits = match (exp, mant) {
-        (0, 0) => sign,
-        (0, m) => {
-            // Subnormal, value m·2^-24: normalize so that a mantissa
-            // whose highest set bit is j lands on unbiased exponent
-            // j - 24 (biased 103 + j).
-            let mut e = 0i32;
-            let mut m = m;
-            while m & 0x400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            m &= 0x3ff;
-            sign | (((127 - 15 + e + 1) as u32) << 23) | (m << 13)
-        }
-        (0x1f, 0) => sign | 0x7f80_0000,
-        (0x1f, m) => sign | 0x7f80_0000 | (m << 13),
-        (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
+    const EXP_SCALE: f32 = f32::from_bits(0x0780_0000); // 2^-112
+    let w = (h as u32) << 16;
+    let sign = w & 0x8000_0000;
+    let two_w = w << 1; // exponent in the top five bits
+    let normal = (f32::from_bits((two_w >> 4) + (0xE0 << 23)) * EXP_SCALE).to_bits();
+    let subnormal = (f32::from_bits((two_w >> 17) | (126 << 23)) - 0.5).to_bits();
+    let inf_nan = (two_w >> 4) | 0x7F80_0000;
+    let magnitude = if two_w < (1 << 27) {
+        subnormal
+    } else if two_w >= 0xF800_0000 {
+        inf_nan
+    } else {
+        normal
     };
-    f32::from_bits(bits)
+    f32::from_bits(sign | magnitude)
 }
 
 /// Half-precision codec: 2 bytes per value, 2× ratio.
@@ -100,30 +69,22 @@ impl Compressor for Fp16Compressor {
         "fp16"
     }
 
-    fn compress(&self, data: &[f32]) -> Bytes {
-        let mut out = Vec::with_capacity(data.len() * 2);
-        for &v in data {
-            out.extend_from_slice(&f32_to_f16_bits(v).to_le_bytes());
+    fn compress_into(&self, data: &[f32], out: &mut Vec<u8>) {
+        for (b, &v) in grow(out, data.len() * 2).chunks_exact_mut(2).zip(data) {
+            b.copy_from_slice(&f32_to_f16_bits(v).to_le_bytes());
         }
-        Bytes::from(out)
     }
 
-    fn decompress(&self, payload: &[u8], n_elems: usize) -> Result<Vec<f32>, CompressionError> {
-        if payload.len() != n_elems * 2 {
-            return Err(CompressionError::CorruptPayload {
-                codec: "fp16",
-                expected: n_elems * 2,
-                actual: payload.len(),
-            });
+    fn decompress_into(&self, payload: &[u8], out: &mut [f32]) -> Result<(), CompressionError> {
+        check_len("fp16", self.compressed_len(out.len()), payload.len())?;
+        for (o, b) in out.iter_mut().zip(payload.chunks_exact(2)) {
+            *o = f16_bits_to_f32(u16::from_le_bytes(b.try_into().expect("chunk of 2")));
         }
-        Ok(payload
-            .chunks_exact(2)
-            .map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])))
-            .collect())
+        Ok(())
     }
 
     fn compressed_len(&self, n_elems: usize) -> usize {
-        n_elems * 2
+        n_elems.saturating_mul(2)
     }
 
     fn is_lossless(&self) -> bool {

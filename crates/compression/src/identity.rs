@@ -1,8 +1,30 @@
-//! The lossless pass-through codec (plain little-endian `f32`).
+//! The lossless pass-through codec (plain little-endian `f32`), and the
+//! `f32` ⇄ little-endian byte helpers it is made of.
 
-use bytes::Bytes;
+use crate::{check_len, grow, CompressionError, Compressor};
 
-use crate::{CompressionError, Compressor};
+/// Appends `values` to `out` as little-endian `f32` bytes.
+pub fn extend_f32_le(out: &mut Vec<u8>, values: &[f32]) {
+    for (b, v) in grow(out, values.len() * 4).chunks_exact_mut(4).zip(values) {
+        b.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Overwrites `out` with the little-endian `f32`s of `bytes`, pairwise up
+/// to the shorter of the two.
+pub fn copy_f32_le(out: &mut [f32], bytes: &[u8]) {
+    for (o, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *o = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    }
+}
+
+/// Adds the little-endian `f32`s of `bytes` onto `out`, pairwise up to
+/// the shorter of the two: the reduce step of every allreduce.
+pub fn add_f32_le(out: &mut [f32], bytes: &[u8]) {
+    for (o, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *o += f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    }
+}
 
 /// No compression: values are shipped as little-endian `f32` bytes.
 #[derive(Clone, Copy, Debug, Default)]
@@ -13,30 +35,18 @@ impl Compressor for NoCompression {
         "fp32"
     }
 
-    fn compress(&self, data: &[f32]) -> Bytes {
-        let mut out = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Bytes::from(out)
+    fn compress_into(&self, data: &[f32], out: &mut Vec<u8>) {
+        extend_f32_le(out, data);
     }
 
-    fn decompress(&self, payload: &[u8], n_elems: usize) -> Result<Vec<f32>, CompressionError> {
-        if payload.len() != n_elems * 4 {
-            return Err(CompressionError::CorruptPayload {
-                codec: "fp32",
-                expected: n_elems * 4,
-                actual: payload.len(),
-            });
-        }
-        Ok(payload
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+    fn decompress_into(&self, payload: &[u8], out: &mut [f32]) -> Result<(), CompressionError> {
+        check_len("fp32", self.compressed_len(out.len()), payload.len())?;
+        copy_f32_le(out, payload);
+        Ok(())
     }
 
     fn compressed_len(&self, n_elems: usize) -> usize {
-        n_elems * 4
+        n_elems.saturating_mul(4)
     }
 
     fn is_lossless(&self) -> bool {

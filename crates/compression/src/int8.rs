@@ -1,8 +1,6 @@
 //! Linear INT8 quantization with a per-tensor scale.
 
-use bytes::Bytes;
-
-use crate::{CompressionError, Compressor};
+use crate::{absmax, check_len, grow, round_clamped, CompressionError, Compressor};
 
 /// INT8 codec: one global absmax scale, then 8-bit signed quantization.
 ///
@@ -13,6 +11,9 @@ use crate::{CompressionError, Compressor};
 /// small block.
 ///
 /// Wire format: 4-byte little-endian `f32` scale, then one `i8` per value.
+/// A NaN or infinite input makes the scale NaN or infinite, so the whole
+/// tensor decodes to NaN: a diverged activation poisons its tensor instead
+/// of crossing the wire as 0.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Int8Compressor;
 
@@ -21,35 +22,28 @@ impl Compressor for Int8Compressor {
         "int8"
     }
 
-    fn compress(&self, data: &[f32]) -> Bytes {
-        let absmax = data.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
-        let mut out = Vec::with_capacity(4 + data.len());
-        out.extend_from_slice(&scale.to_le_bytes());
-        for &v in data {
-            let q = (v / scale).round().clamp(-127.0, 127.0) as i8;
-            out.push(q as u8);
+    fn compress_into(&self, data: &[f32], out: &mut Vec<u8>) {
+        let absmax = absmax(data);
+        let scale = if absmax == 0.0 { 1.0 } else { absmax / 127.0 };
+        let (head, body) = grow(out, 4 + data.len()).split_at_mut(4);
+        head.copy_from_slice(&scale.to_le_bytes());
+        for (b, &v) in body.iter_mut().zip(data) {
+            *b = round_clamped(v / scale, 127.0) as i8 as u8;
         }
-        Bytes::from(out)
     }
 
-    fn decompress(&self, payload: &[u8], n_elems: usize) -> Result<Vec<f32>, CompressionError> {
-        if payload.len() != 4 + n_elems {
-            return Err(CompressionError::CorruptPayload {
-                codec: "int8",
-                expected: 4 + n_elems,
-                actual: payload.len(),
-            });
+    fn decompress_into(&self, payload: &[u8], out: &mut [f32]) -> Result<(), CompressionError> {
+        check_len("int8", self.compressed_len(out.len()), payload.len())?;
+        let (head, body) = payload.split_at(4);
+        let scale = f32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+        for (o, &b) in out.iter_mut().zip(body) {
+            *o = (b as i8) as f32 * scale;
         }
-        let scale = f32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
-        Ok(payload[4..]
-            .iter()
-            .map(|&b| (b as i8) as f32 * scale)
-            .collect())
+        Ok(())
     }
 
     fn compressed_len(&self, n_elems: usize) -> usize {
-        4 + n_elems
+        n_elems.saturating_add(4)
     }
 
     fn is_lossless(&self) -> bool {
@@ -89,6 +83,15 @@ mod tests {
         let data = vec![0.0f32; 16];
         let err = roundtrip_max_error(&Int8Compressor, &data);
         assert_eq!(err, 0.0);
+    }
+
+    #[test]
+    fn a_nan_poisons_the_whole_tensor() {
+        let mut data = vec![0.5f32; 10];
+        data[3] = f32::NAN;
+        let wire = Int8Compressor.compress(&data);
+        let back = Int8Compressor.decompress(&wire, 10).unwrap();
+        assert!(back.iter().all(|v| v.is_nan()), "{back:?}");
     }
 
     #[test]

@@ -22,14 +22,20 @@
 //! error is relative to the local data magnitude rather than the global
 //! tensor scale (which is exactly why it beats [`Int8Compressor`]'s
 //! per-tensor scaling in convergence).
+//!
+//! The crate also owns the two byte-level primitives every wire and disk
+//! format in the workspace shares: the one [`crc32`] and the `f32` ⇄
+//! little-endian pair ([`extend_f32_le`], [`copy_f32_le`], [`add_f32_le`]).
 
+mod crc;
 mod fp16;
 mod identity;
 mod int8;
 mod zfp;
 
+pub use crc::{crc32, crc32_update};
 pub use fp16::{f16_bits_to_f32, f32_to_f16_bits, Fp16Compressor};
-pub use identity::NoCompression;
+pub use identity::{add_f32_le, copy_f32_le, extend_f32_le, NoCompression};
 pub use int8::Int8Compressor;
 pub use zfp::ZfpCompressor;
 
@@ -70,15 +76,24 @@ impl std::error::Error for CompressionError {}
 /// Implementations must be stateless and thread-safe: the same compressor
 /// object is shared by every rank of the fabric and by the scheduler's
 /// cost models.
+///
+/// A codec implements the two *into* forms, which write into storage the
+/// caller owns; [`compress`](Self::compress) and
+/// [`decompress`](Self::decompress) are the allocating conveniences built
+/// on them, so each codec has exactly one encoder and one decoder.
 pub trait Compressor: Send + Sync {
     /// Stable codec name used in reports and registries.
     fn name(&self) -> &'static str;
 
-    /// Encodes `data` into wire bytes.
-    fn compress(&self, data: &[f32]) -> Bytes;
+    /// Appends the encoding of `data` — exactly
+    /// [`compressed_len(data.len())`](Self::compressed_len) bytes — to
+    /// `out`, leaving what `out` already holds untouched.
+    fn compress_into(&self, data: &[f32], out: &mut Vec<u8>);
 
-    /// Decodes exactly `n_elems` values from `payload`.
-    fn decompress(&self, payload: &[u8], n_elems: usize) -> Result<Vec<f32>, CompressionError>;
+    /// Decodes exactly `out.len()` values from `payload` into `out`. A
+    /// payload of any other length than `compressed_len(out.len())` is
+    /// [`CompressionError::CorruptPayload`] and leaves `out` untouched.
+    fn decompress_into(&self, payload: &[u8], out: &mut [f32]) -> Result<(), CompressionError>;
 
     /// Exact compressed size in bytes for `n_elems` values.
     fn compressed_len(&self, n_elems: usize) -> usize;
@@ -86,6 +101,23 @@ pub trait Compressor: Send + Sync {
     /// `true` when `decompress(compress(x)) == x` bit-for-bit for finite
     /// inputs.
     fn is_lossless(&self) -> bool;
+
+    /// Encodes `data` into wire bytes.
+    fn compress(&self, data: &[f32]) -> Bytes {
+        let mut out = Vec::with_capacity(self.compressed_len(data.len()));
+        self.compress_into(data, &mut out);
+        Bytes::from(out)
+    }
+
+    /// Decodes exactly `n_elems` values from `payload`.
+    fn decompress(&self, payload: &[u8], n_elems: usize) -> Result<Vec<f32>, CompressionError> {
+        // `n_elems` may come off the wire: check it against the bytes
+        // actually present before it sizes the output.
+        check_len(self.name(), self.compressed_len(n_elems), payload.len())?;
+        let mut out = vec![0.0; n_elems];
+        self.decompress_into(payload, &mut out)?;
+        Ok(out)
+    }
 
     /// Nominal input/output size ratio, used by the performance simulator.
     fn ratio(&self) -> f64 {
@@ -95,6 +127,54 @@ pub trait Compressor: Send + Sync {
             (4096.0 * 4.0) / self.compressed_len(4096) as f64
         }
     }
+}
+
+/// The length check every decoder opens with.
+fn check_len(codec: &'static str, expected: usize, actual: usize) -> Result<(), CompressionError> {
+    if actual == expected {
+        Ok(())
+    } else {
+        Err(CompressionError::CorruptPayload {
+            codec,
+            expected,
+            actual,
+        })
+    }
+}
+
+/// Grows `out` by `len` zeroed bytes and returns the new region: the
+/// pre-sized output every encoder's slice loop writes into.
+fn grow(out: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    let start = out.len();
+    out.resize(start + len, 0);
+    &mut out[start..]
+}
+
+/// `x.round().clamp(-limit, limit) as i32` for an integral `limit` below
+/// 2²³, without the libm `roundf` call that keeps a quantizer loop scalar:
+/// clamp first (rounding is monotone and the limits are integers, so the
+/// two commute), truncate through the integer conversion, then step away
+/// from zero when the dropped fraction reaches one half. NaN gives 0, as
+/// the saturating cast does.
+#[inline]
+fn round_clamped(x: f32, limit: f32) -> i32 {
+    let c = x.clamp(-limit, limit);
+    let t = c as i32;
+    let frac = c - t as f32;
+    t + (frac >= 0.5) as i32 - (frac <= -0.5) as i32
+}
+
+/// The largest magnitude in `data`, NaN if any value is NaN (0 for an
+/// empty slice). Magnitudes of non-negative floats order as their bit
+/// patterns do and every NaN pattern sorts above infinity, so an integer
+/// max is both the vectorisable form and the NaN-propagating one —
+/// `f32::max` would drop the NaN.
+#[inline]
+fn absmax(data: &[f32]) -> f32 {
+    let bits = data
+        .iter()
+        .fold(0u32, |m, v| m.max(v.to_bits() & 0x7FFF_FFFF));
+    f32::from_bits(bits)
 }
 
 /// Round-trips `data` through a codec and returns the maximum absolute error.

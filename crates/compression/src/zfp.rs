@@ -1,8 +1,6 @@
 //! Fixed-rate block floating-point codec in the spirit of ZFP.
 
-use bytes::Bytes;
-
-use crate::{CompressionError, Compressor};
+use crate::{absmax, check_len, grow, round_clamped, CompressionError, Compressor};
 
 /// Values per block sharing one exponent.
 const BLOCK: usize = 8;
@@ -24,7 +22,9 @@ const BLOCK: usize = 8;
 /// per-tensor-scaled [`crate::Int8Compressor`] fails (Table 6).
 ///
 /// Wire format per block: one exponent byte `e + 127` (0 ⇒ the encoder's
-/// chosen exponent was −127, which also covers the all-zero block), then
+/// chosen exponent was −127, which also covers the all-zero block; 255 ⇒
+/// the block held a NaN and decodes to eight NaNs, so a diverged
+/// activation poisons its block instead of crossing the wire as 0), then
 /// `mantissa_bits` bytes of bit-packed two's-complement mantissas.
 #[derive(Clone, Copy, Debug)]
 pub struct ZfpCompressor {
@@ -67,90 +67,92 @@ impl Default for ZfpCompressor {
     }
 }
 
+/// Exponent byte of a block that held a NaN.
+const NAN_BLOCK: u8 = 255;
+
+/// The quantization step an exponent byte stands for: `2^(byte − 127)`
+/// built from its bit pattern (subnormal at byte 0), NaN for
+/// [`NAN_BLOCK`].
+fn step_of(byte: u8) -> f32 {
+    match byte {
+        NAN_BLOCK => f32::NAN,
+        0 => f32::from_bits(1 << 22),
+        b => f32::from_bits((b as u32) << 23),
+    }
+}
+
+impl ZfpCompressor {
+    /// Encodes one full block into `1 + mantissa_bits` bytes.
+    fn encode_block(&self, values: &[f32; BLOCK], block: &mut [u8]) {
+        let qmax = self.qmax() as f32;
+        let absmax = absmax(values);
+        // Exponent e such that step = 2^e ≥ absmax / qmax.
+        block[0] = if absmax.is_nan() {
+            NAN_BLOCK
+        } else if absmax > 0.0 {
+            (((absmax / qmax).log2().ceil() as i32).clamp(-127, 127) + 127) as u8
+        } else {
+            0
+        };
+        let step = step_of(block[0]);
+        // Bit-pack `mantissa_bits`-bit two's-complement mantissas,
+        // LSB-first: 8 values × at most 16 bits fill at most one u128.
+        let mask = (1u128 << self.mantissa_bits) - 1;
+        let mut acc = 0u128;
+        for (i, &v) in values.iter().enumerate() {
+            let q = round_clamped(v / step, qmax);
+            acc |= (q as u128 & mask) << (i as u32 * self.mantissa_bits);
+        }
+        block[1..].copy_from_slice(&acc.to_le_bytes()[..self.mantissa_bits as usize]);
+    }
+
+    /// Decodes one block of `1 + mantissa_bits` bytes.
+    fn decode_block(&self, block: &[u8]) -> [f32; BLOCK] {
+        let step = step_of(block[0]);
+        let mut packed = [0u8; 16];
+        packed[..block.len() - 1].copy_from_slice(&block[1..]);
+        let acc = u128::from_le_bytes(packed);
+        // Sign-extend by parking each mantissa at the top of an i32.
+        let up = 32 - self.mantissa_bits;
+        std::array::from_fn(|i| {
+            let raw = (acc >> (i as u32 * self.mantissa_bits)) as u32;
+            ((raw << up) as i32 >> up) as f32 * step
+        })
+    }
+}
+
 impl Compressor for ZfpCompressor {
     fn name(&self) -> &'static str {
         "zfp"
     }
 
-    fn compress(&self, data: &[f32]) -> Bytes {
-        let qmax = self.qmax();
-        let mb = self.mantissa_bits;
-        let mut out = Vec::with_capacity(self.compressed_len(data.len()));
-        for chunk in data.chunks(BLOCK) {
-            let absmax = chunk.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            // Exponent e such that step = 2^e ≥ absmax / qmax.
-            let e = if absmax > 0.0 {
-                ((absmax / qmax as f32).log2().ceil() as i32).clamp(-127, 127)
-            } else {
-                -127
-            };
-            out.push((e + 127) as u8);
-            let step = (e as f32).exp2();
-            // Bit-pack `mb`-bit two's-complement mantissas, LSB-first.
-            let mut acc: u64 = 0;
-            let mut nbits: u32 = 0;
-            let mask = (1u64 << mb) - 1;
-            for i in 0..BLOCK {
-                let v = chunk.get(i).copied().unwrap_or(0.0);
-                let q = (v / step).round().clamp(-(qmax as f32), qmax as f32) as i32;
-                acc |= ((q as u64) & mask) << nbits;
-                nbits += mb;
-                while nbits >= 8 {
-                    out.push((acc & 0xff) as u8);
-                    acc >>= 8;
-                    nbits -= 8;
-                }
-            }
-            debug_assert_eq!(nbits, 0, "8 values x {mb} bits is byte aligned");
+    fn compress_into(&self, data: &[f32], out: &mut Vec<u8>) {
+        let values = data.chunks_exact(BLOCK);
+        let tail = values.remainder();
+        let (full, last) = grow(out, self.compressed_len(data.len()))
+            .split_at_mut(values.len() * self.block_bytes());
+        for (block, values) in full.chunks_exact_mut(self.block_bytes()).zip(values) {
+            self.encode_block(values.try_into().expect("exact chunk"), block);
         }
-        Bytes::from(out)
+        if !tail.is_empty() {
+            // A partial final block is padded with zeros.
+            let mut padded = [0.0; BLOCK];
+            padded[..tail.len()].copy_from_slice(tail);
+            self.encode_block(&padded, last);
+        }
     }
 
-    fn decompress(&self, payload: &[u8], n_elems: usize) -> Result<Vec<f32>, CompressionError> {
-        let expected = self.compressed_len(n_elems);
-        if payload.len() != expected {
-            return Err(CompressionError::CorruptPayload {
-                codec: "zfp",
-                expected,
-                actual: payload.len(),
-            });
+    fn decompress_into(&self, payload: &[u8], out: &mut [f32]) -> Result<(), CompressionError> {
+        check_len("zfp", self.compressed_len(out.len()), payload.len())?;
+        let blocks = payload.chunks_exact(self.block_bytes());
+        for (values, block) in out.chunks_mut(BLOCK).zip(blocks) {
+            values.copy_from_slice(&self.decode_block(block)[..values.len()]);
         }
-        let mb = self.mantissa_bits;
-        let sign_bit = 1u64 << (mb - 1);
-        let mask = (1u64 << mb) - 1;
-        let mut out = Vec::with_capacity(n_elems);
-        for (bi, block) in payload.chunks(self.block_bytes()).enumerate() {
-            let e = block[0] as i32 - 127;
-            let step = (e as f32).exp2();
-            let mut acc: u64 = 0;
-            let mut nbits: u32 = 0;
-            let mut next_byte = 1usize;
-            for i in 0..BLOCK {
-                if bi * BLOCK + i >= n_elems {
-                    break;
-                }
-                while nbits < mb {
-                    acc |= (block[next_byte] as u64) << nbits;
-                    next_byte += 1;
-                    nbits += 8;
-                }
-                let raw = acc & mask;
-                acc >>= mb;
-                nbits -= mb;
-                // Sign-extend.
-                let q = if raw & sign_bit != 0 {
-                    (raw as i64 - (1i64 << mb)) as i32
-                } else {
-                    raw as i32
-                };
-                out.push(q as f32 * step);
-            }
-        }
-        Ok(out)
+        Ok(())
     }
 
     fn compressed_len(&self, n_elems: usize) -> usize {
-        n_elems.div_ceil(BLOCK) * self.block_bytes()
+        n_elems.div_ceil(BLOCK).saturating_mul(self.block_bytes())
     }
 
     fn is_lossless(&self) -> bool {
@@ -162,6 +164,25 @@ impl Compressor for ZfpCompressor {
 mod tests {
     use super::*;
     use crate::roundtrip_max_error;
+
+    #[test]
+    fn steps_are_the_powers_of_two_exp2_returns() {
+        for byte in 0..NAN_BLOCK {
+            assert_eq!(step_of(byte), (byte as f32 - 127.0).exp2(), "byte {byte}");
+        }
+        assert!(step_of(NAN_BLOCK).is_nan());
+    }
+
+    #[test]
+    fn a_nan_poisons_exactly_its_own_block() {
+        let z = ZfpCompressor::default();
+        let mut data = vec![0.5f32; 24];
+        data[11] = f32::NAN;
+        let back = z.decompress(&z.compress(&data), 24).unwrap();
+        for (i, v) in back.iter().enumerate() {
+            assert_eq!(v.is_nan(), (8..16).contains(&i), "elem {i}: {v}");
+        }
+    }
 
     #[test]
     fn default_rate_is_4x() {

@@ -58,6 +58,94 @@ fn reference_f32_to_f16_bits(v: f32) -> u16 {
     sign | pick
 }
 
+/// The match-on-class decoder the branch-free one replaced, retained as
+/// the oracle of the exhaustive decode test.
+fn reference_f16_bits_to_f32(h: u16) -> f32 {
+    let sign = ((h & 0x8000) as u32) << 16;
+    let exp = ((h >> 10) & 0x1f) as u32;
+    let mant = (h & 0x3ff) as u32;
+    let bits = match (exp, mant) {
+        (0, 0) => sign,
+        (0, m) => {
+            // Subnormal, value m·2^-24: normalize so that a mantissa
+            // whose highest set bit is j lands on unbiased exponent
+            // j - 24 (biased 103 + j).
+            let mut e = 0i32;
+            let mut m = m;
+            while m & 0x400 == 0 {
+                m <<= 1;
+                e -= 1;
+            }
+            m &= 0x3ff;
+            sign | (((127 - 15 + e + 1) as u32) << 23) | (m << 13)
+        }
+        (0x1f, 0) => sign | 0x7f80_0000,
+        (0x1f, m) => sign | 0x7f80_0000 | (m << 13),
+        (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
+    };
+    f32::from_bits(bits)
+}
+
+/// The class-by-class encoder the branch-free one replaced, retained: fast
+/// enough to be the oracle of the 2³² sweep, and itself held to the grid
+/// reference above by the boundary sweep.
+fn branchy_f32_to_f16_bits(v: f32) -> u16 {
+    let bits = v.to_bits();
+    let sign = ((bits >> 16) & 0x8000) as u16;
+    let exp = ((bits >> 23) & 0xff) as i32;
+    let mant = bits & 0x007f_ffff;
+
+    if exp == 0xff {
+        // Inf or NaN.
+        return if mant == 0 {
+            sign | 0x7c00
+        } else {
+            sign | 0x7e00
+        };
+    }
+    // Re-bias: f32 bias 127, f16 bias 15.
+    let unbiased = exp - 127;
+    if unbiased > 15 {
+        // Overflow to infinity.
+        return sign | 0x7c00;
+    }
+    if unbiased >= -14 {
+        // Normalized half. Round mantissa from 23 to 10 bits, ties to even.
+        let mut m = mant >> 13;
+        let rest = mant & 0x1fff;
+        if rest > 0x1000 || (rest == 0x1000 && (m & 1) == 1) {
+            m += 1;
+        }
+        let mut e = (unbiased + 15) as u32;
+        if m == 0x400 {
+            // Mantissa rounding overflowed into the exponent.
+            m = 0;
+            e += 1;
+            if e >= 0x1f {
+                return sign | 0x7c00;
+            }
+        }
+        return sign | ((e as u16) << 10) | (m as u16);
+    }
+    if unbiased >= -25 {
+        // Subnormal half. Inputs with unbiased exponent -25 sit between
+        // zero and the smallest subnormal 2^-24; the same rounding picks
+        // the nearer of the two (ties to the even pattern, zero).
+        let shift = (-14 - unbiased) as u32; // 1..=11
+        let full = mant | 0x0080_0000; // implicit leading 1
+        let total_shift = 13 + shift;
+        let mut m = full >> total_shift;
+        let rest = full & ((1 << total_shift) - 1);
+        let half = 1u32 << (total_shift - 1);
+        if rest > half || (rest == half && (m & 1) == 1) {
+            m += 1;
+        }
+        return sign | (m as u16);
+    }
+    // Underflow to signed zero.
+    sign
+}
+
 fn check_against_reference(v: f32) {
     let got = f32_to_f16_bits(v);
     let want = reference_f32_to_f16_bits(v);
@@ -82,6 +170,49 @@ fn exhaustive_half_grid_round_trips() {
         } else {
             assert_eq!(back, h, "pattern {h:#06x} decoded to {v}");
         }
+    }
+}
+
+/// Decoding is exact on every pattern, bit for bit: signalling NaNs keep
+/// their payloads and their signalling bit.
+#[test]
+fn exhaustive_decode_matches_the_reference_bitwise() {
+    for h in 0..=u16::MAX {
+        assert_eq!(
+            f16_bits_to_f32(h).to_bits(),
+            reference_f16_bits_to_f32(h).to_bits(),
+            "pattern {h:#06x}"
+        );
+    }
+}
+
+/// Every `f32` whose 13 discarded bits sit on or beside a rounding
+/// boundary, across all 2¹⁹ sign / exponent / kept-mantissa parts: every
+/// tie, every carry into the exponent, both edges of the subnormal range
+/// and the overflow edge. 3.1 M cases against the grid reference.
+#[test]
+fn every_rounding_boundary_matches_the_reference() {
+    for high in 0..1u32 << 19 {
+        for low in [0, 1, 0x0fff, 0x1000, 0x1001, 0x1fff] {
+            let v = f32::from_bits((high << 13) | low);
+            check_against_reference(v);
+            assert_eq!(branchy_f32_to_f16_bits(v), f32_to_f16_bits(v));
+        }
+    }
+}
+
+/// All 2³² inputs against the encoder this one replaced (~20 s
+/// optimised; CI runs it in the release leg).
+#[test]
+#[ignore = "2^32 cases: run with --release -- --include-ignored"]
+fn all_f32_bit_patterns_encode_as_before() {
+    for bits in 0..=u32::MAX {
+        let v = f32::from_bits(bits);
+        assert_eq!(
+            f32_to_f16_bits(v),
+            branchy_f32_to_f16_bits(v),
+            "bits {bits:#010x}"
+        );
     }
 }
 

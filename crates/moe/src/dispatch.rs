@@ -6,7 +6,7 @@
 //! serves) is the layout of every chunk sent to or from that rank: a count
 //! per served expert, then the rows of all of them.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use schemoe_cluster::FabricError;
 use schemoe_compression::Compressor;
 use schemoe_tensor::Tensor;
@@ -125,13 +125,13 @@ pub(crate) fn encode_chunk(compressor: &dyn Compressor, per_expert_rows: &[Tenso
     let elems = per_expert_rows.iter().map(Tensor::numel).sum();
     let mut flat: Vec<f32> = Vec::with_capacity(elems);
     let header_len = 4 * per_expert_rows.len();
-    let mut chunk = BytesMut::with_capacity(header_len + compressor.compressed_len(elems));
+    let mut chunk = Vec::with_capacity(header_len + compressor.compressed_len(elems));
     for rows in per_expert_rows {
         chunk.extend_from_slice(&(rows.dims()[0] as u32).to_le_bytes());
         flat.extend_from_slice(rows.data());
     }
-    chunk.extend_from_slice(&compressor.compress(&flat));
-    chunk.freeze()
+    compressor.compress_into(&flat, &mut chunk);
+    Bytes::from(chunk)
 }
 
 /// Decodes a chunk received from `peer` under `tag` into one `[count, m]`

@@ -5,11 +5,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::Mutex;
 use schemoe_cluster::{FabricError, RankHandle};
 use schemoe_collectives::{chunk_tag, lanes, AllToAll, MAX_PARTITION_DEGREE};
-use schemoe_compression::{Compressor, NoCompression};
+use schemoe_compression::{add_f32_le, copy_f32_le, Compressor, NoCompression};
 use schemoe_obs as obs;
 use schemoe_scheduler::executor::{
     run_inline_cancellable, run_overlapped_cancellable, ExecTask, Worker,
@@ -693,6 +693,7 @@ impl DistributedMoeLayer {
         }
         graph.run(routing.runs_inline(r))?;
         self.service_us.push(service_ns.into_inner().div_ceil(1000));
+        let _combine = obs::span("combine", "combine");
         let chunk_inputs: Vec<Vec<Vec<Tensor>>> = chunk_inputs.iter().map(take).collect();
         let chunk_returned: Vec<Vec<Vec<Tensor>>> = chunk_returned.iter().map(take).collect();
 
@@ -1284,35 +1285,22 @@ pub fn allreduce_live(
     if live.iter().filter(|&&l| l).count() <= 1 {
         return Ok(());
     }
-    let encode = |v: &[f32]| {
-        let mut buf = BytesMut::with_capacity(v.len() * 4);
-        for &x in v {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        buf.freeze()
-    };
     if me == root {
         for src in 0..p {
             if src == root || !live[src] {
                 continue;
             }
-            let chunk = h.recv(src, tag)?;
-            for (i, b) in chunk.chunks_exact(4).enumerate() {
-                values[i] += f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-            }
+            add_f32_le(values, &h.recv(src, tag)?);
         }
-        let summed = encode(values);
+        let summed = NoCompression.compress(values);
         for dst in 0..p {
             if dst != root && live[dst] {
                 h.send(dst, tag + 1, summed.clone())?;
             }
         }
     } else {
-        h.send(root, tag, encode(values))?;
-        let summed = h.recv(root, tag + 1)?;
-        for (i, b) in summed.chunks_exact(4).enumerate() {
-            values[i] = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        }
+        h.send(root, tag, NoCompression.compress(values))?;
+        copy_f32_le(values, &h.recv(root, tag + 1)?);
     }
     Ok(())
 }

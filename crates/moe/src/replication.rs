@@ -407,7 +407,49 @@ mod tests {
         assert_eq!(store.replica(), None);
     }
 
+    /// A store holding quantum 0 of a three-chunk state, and the quantum-1
+    /// delta (two chunks changed) that applies to it.
+    fn store_and_delta() -> (ReplicaStore, Vec<u8>) {
+        let mut s = state(2 * REPLICA_CHUNK + 100, 10);
+        let mut enc = DeltaEncoder::new();
+        let mut store = ReplicaStore::new();
+        store.apply(&enc.encode(&s, 0)).expect("full frame applies");
+        s[3] ^= 0x55;
+        s[2 * REPLICA_CHUNK + 7] ^= 0x55;
+        (store, enc.encode(&s, 1))
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_delta_frame_is_rejected() {
+        let (mut store, delta) = store_and_delta();
+        let before = store.replica().map(|(q, p)| (q, p.to_vec()));
+        for bit in 0..delta.len() * 8 {
+            let mut bad = delta.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(store.apply(&bad).is_err(), "bit {bit} slipped");
+        }
+        assert_eq!(store.replica().map(|(q, p)| (q, p.to_vec())), before);
+        assert_eq!(store.apply(&delta), Ok(1));
+    }
+
     proptest! {
+        /// Noise, and noise behind any prefix of a real frame (so the
+        /// parser is led deep before the bytes turn hostile), never panics
+        /// and never applies.
+        #[test]
+        fn hostile_frames_never_panic_and_never_apply(
+            keep in 0usize..400,
+            noise in proptest::collection::vec(0u8..=255, 0..120),
+        ) {
+            let (mut store, delta) = store_and_delta();
+            let mut bytes = delta[..keep.min(delta.len())].to_vec();
+            bytes.extend_from_slice(&noise);
+            if bytes != delta {
+                prop_assert!(store.apply(&bytes).is_err());
+                prop_assert_eq!(store.replica().map(|(q, _)| q), Some(0));
+            }
+        }
+
         /// Arbitrary per-quantum change masks round-trip bit-identically:
         /// after any sequence of mutations and deltas the store equals the
         /// sender's state exactly.

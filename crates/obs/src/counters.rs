@@ -399,6 +399,7 @@ mod tests {
 
     #[test]
     fn increments_are_gated_on_the_recorder_switch() {
+        let _g = crate::serial_tests();
         let c = counters_for_rank(901);
         crate::disable();
         c.add_send(100);
@@ -492,6 +493,7 @@ mod tests {
 
     #[test]
     fn routing_board_tracks_loads_shed_and_trims() {
+        let _g = crate::serial_tests();
         let b = routing_for_rank(903);
         crate::enable();
         b.add_expert_load(0, 10);
@@ -514,6 +516,7 @@ mod tests {
 
     #[test]
     fn placement_counters_accumulate_and_reset() {
+        let _g = crate::serial_tests();
         let c = counters_for_rank(904);
         crate::enable();
         c.add_placement_plan(2, 1, 1);

@@ -58,3 +58,12 @@ pub use recorder::{
     disable, enable, enabled, set_thread_name, set_thread_rank, span, span_sized, take,
     thread_rank, FuncTrace, SpanGuard, SpanRecord,
 };
+
+/// The recorder and its switch are process-global, so every unit test in
+/// this crate that flips the switch or drains spans — in whichever module —
+/// holds this one lock while it does.
+#[cfg(test)]
+pub(crate) fn serial_tests() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -436,13 +436,7 @@ impl FuncTrace {
 mod tests {
     use super::*;
 
-    // The recorder is global; tests in this module share it and therefore
-    // run under a lock to avoid draining each other's spans.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::serial_tests as locked;
 
     #[test]
     fn disabled_spans_record_nothing() {

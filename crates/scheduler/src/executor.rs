@@ -104,8 +104,16 @@ struct DoneBoard {
 }
 
 impl DoneBoard {
+    /// Blocks until every task in `deps` is done. Time actually spent
+    /// blocked — a worker idle because the other has not delivered yet,
+    /// which on the compute worker is exposed communication — is a `wait`
+    /// span; a dependency already met records nothing.
     fn wait_for(&self, deps: &[usize]) {
         let mut done = self.done.lock();
+        if deps.iter().all(|&d| done[d]) {
+            return;
+        }
+        let _wait = schemoe_obs::span("wait", "deps");
         while !deps.iter().all(|&d| done[d]) {
             self.cv.wait(&mut done);
         }
@@ -191,7 +199,7 @@ pub fn run_overlapped_cancellable(
     let rank = schemoe_obs::thread_rank();
     std::thread::scope(|scope| {
         let drain = &drain;
-        scope.spawn(move || {
+        let comm_worker = scope.spawn(move || {
             if schemoe_obs::enabled() {
                 if let Some(r) = rank {
                     schemoe_obs::set_thread_rank(r);
@@ -201,6 +209,12 @@ pub fn run_overlapped_cancellable(
             drain(Worker::Comm, comm);
         });
         drain(Worker::Compute, comp);
+        // The caller is done; what the comm worker still has queued is
+        // exposed communication too.
+        let _wait = (!comm_worker.is_finished()).then(|| schemoe_obs::span("wait", "join"));
+        if let Err(panic) = comm_worker.join() {
+            std::panic::resume_unwind(panic);
+        }
     });
 
     let err = failure.lock().take();
@@ -332,6 +346,59 @@ mod tests {
         run_overlapped(tasks).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 3);
         assert_eq!(*order.lock(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn blocked_time_is_recorded_as_wait_spans_and_met_dependencies_record_nothing() {
+        fn task<'a>(worker: Worker, deps: Vec<usize>, ms: u64) -> ExecTask<'a> {
+            ExecTask {
+                worker,
+                deps,
+                span: None,
+                run: Box::new(move || std::thread::sleep(Duration::from_millis(ms))),
+            }
+        }
+        // Ranks nobody else uses: the recorder is process-wide, and the
+        // comm worker inherits the submitter's rank.
+        let waits = |rank: usize, tasks: Vec<ExecTask<'_>>| -> Vec<(String, String, f64)> {
+            schemoe_obs::set_thread_rank(rank);
+            run_overlapped(tasks).unwrap();
+            schemoe_obs::take()
+                .spans
+                .into_iter()
+                .filter(|s| s.rank == rank && s.cat == "wait")
+                .map(|s| (s.name, s.thread, s.dur_us))
+                .collect()
+        };
+        schemoe_obs::enable();
+        // Comm waits ~20 ms for the compute task, then runs ~20 ms while
+        // the caller has nothing left to do but join it.
+        let blocked = waits(
+            7_701,
+            vec![
+                task(Worker::Compute, vec![], 20),
+                task(Worker::Comm, vec![0], 20),
+            ],
+        );
+        // Same worker, so task 0 is done before task 1 asks; and the comm
+        // worker has nothing queued to be joined on.
+        let met = waits(
+            7_702,
+            vec![
+                task(Worker::Compute, vec![], 1),
+                task(Worker::Compute, vec![0], 20),
+            ],
+        );
+        schemoe_obs::disable();
+        let find = |name: &str| blocked.iter().find(|(n, _, _)| n == name);
+        let (_, thread, dur_us) = find("deps").expect("the comm worker blocked on task 0");
+        assert!(thread.ends_with("/comm"), "deps wait on {thread}");
+        assert!(*dur_us > 10_000.0, "deps wait of {dur_us} us");
+        let (_, thread, dur_us) = find("join").expect("the caller blocked on the comm worker");
+        assert!(!thread.ends_with("/comm"), "join wait on {thread}");
+        assert!(*dur_us > 10_000.0, "join wait of {dur_us} us");
+        assert_eq!(blocked.len(), 2, "{blocked:?}");
+        assert!(met.iter().all(|(n, _, _)| n != "deps"), "{met:?}");
     }
 
     #[test]

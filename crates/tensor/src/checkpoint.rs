@@ -19,6 +19,9 @@
 
 use std::fmt;
 
+pub use schemoe_compression::crc32;
+use schemoe_compression::{copy_f32_le, extend_f32_le};
+
 use crate::nn::Param;
 use crate::tensor::Tensor;
 
@@ -92,9 +95,7 @@ pub fn save(visit: &mut ParamVisitor<'_>) -> Vec<u8> {
         for &d in dims {
             out.extend_from_slice(&(d as u32).to_le_bytes());
         }
-        for &v in data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        extend_f32_le(&mut out, data);
     }
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -144,10 +145,8 @@ fn parse(payload: &[u8]) -> Result<Vec<Entry>, CheckpointError> {
             .try_fold(4usize, |n, &d| n.checked_mul(d))
             .ok_or(CheckpointError::Truncated)?;
         let raw = cursor.take(bytes)?;
-        let data: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect();
+        let mut data = vec![0.0; raw.len() / 4];
+        copy_f32_le(&mut data, raw);
         entries.push((name, dims, data));
     }
 
@@ -219,42 +218,6 @@ pub fn load(payload: &[u8], visit: &mut ParamVisitor<'_>) -> Result<(), Checkpoi
         });
     }
     Ok(())
-}
-
-/// CRC32 (IEEE 802.3, the zlib/PNG polynomial) over `data`.
-///
-/// `schemoe-cluster` carries its own copy for wire frames; the two crates
-/// are independent leaves of the workspace, so the ~20 lines are
-/// duplicated rather than creating a dependency between the tensor
-/// library and the communication fabric.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = build_crc_table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
-    }
-    !crc
-}
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
 }
 
 struct Cursor<'a> {
@@ -346,7 +309,7 @@ mod tests {
 
     #[test]
     fn crc32_matches_the_reference_check_value() {
-        // The canonical IEEE CRC32 test vector.
+        // The canonical IEEE CRC32 test vector, through the re-export.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
@@ -355,11 +318,12 @@ mod tests {
     fn a_single_bit_flip_anywhere_is_detected() {
         let mut model = Linear::new(3, 2, &mut seeded(10));
         let clean = save(&mut |f| model.visit_params(f));
-        // Flip one bit in every byte position in turn: header, names,
-        // dims, f32 data, and the seal itself must all be covered.
-        for pos in 0..clean.len() {
+        // Flip every bit in turn: header, names, dims, f32 data, and the
+        // seal itself must all be covered.
+        for bit in 0..clean.len() * 8 {
+            let pos = bit / 8;
             let mut damaged = clean.clone();
-            damaged[pos] ^= 0x10;
+            damaged[pos] ^= 1 << (bit % 8);
             let err = load(&damaged, &mut |f| model.visit_params(f)).unwrap_err();
             assert!(
                 matches!(
@@ -368,7 +332,7 @@ mod tests {
                         | CheckpointError::BadHeader
                         | CheckpointError::Truncated
                 ),
-                "flip at {pos} slipped through as {err:?}"
+                "flip of bit {bit} slipped through as {err:?}"
             );
         }
         // And the clean payload still restores.
@@ -431,5 +395,25 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch { .. }));
+    }
+
+    proptest::proptest! {
+        /// Bytes off a disk or a wire: noise, and noise behind any prefix
+        /// of a real checkpoint (so the parser is led deep before the
+        /// bytes turn hostile), never panic and never verify.
+        #[test]
+        fn hostile_bytes_never_panic_and_never_verify(
+            keep in 0usize..200,
+            noise in proptest::collection::vec(0u8..=255, 0..120),
+        ) {
+            let mut model = Linear::new(3, 2, &mut seeded(13));
+            let clean = save(&mut |f| model.visit_params(f));
+            let mut bytes = clean[..keep.min(clean.len())].to_vec();
+            bytes.extend_from_slice(&noise);
+            if bytes != clean {
+                proptest::prop_assert!(verify(&bytes).is_err());
+                proptest::prop_assert!(load(&bytes, &mut |f| model.visit_params(f)).is_err());
+            }
+        }
     }
 }

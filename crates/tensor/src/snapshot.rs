@@ -77,7 +77,10 @@ pub struct Shard {
 impl Shard {
     /// Serializes the shard into a CRC-sealed buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Sized up front: the sections are megabytes, and a buffer that
+        // doubles its way there copies them again.
+        let replicas: usize = self.replicas.iter().map(|r| 16 + r.payload.len()).sum();
+        let mut out = Vec::with_capacity(56 + self.replicated.len() + self.expert.len() + replicas);
         out.extend_from_slice(SHARD_MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&self.generation.to_le_bytes());
@@ -488,7 +491,46 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn every_single_bit_flip_of_a_shard_and_of_a_manifest_is_refused() {
+        let shard = sample_shard().encode();
+        for bit in 0..shard.len() * 8 {
+            let mut bad = shard.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(Shard::decode(&bad).is_err(), "shard bit {bit} slipped");
+        }
+        let mut manifest = sample_manifest();
+        manifest.placement = vec![0x50, 0x4C, 0x4D, 0x54, 1, 2, 3];
+        let manifest = manifest.encode();
+        for bit in 0..manifest.len() * 8 {
+            let mut bad = manifest.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                Manifest::decode(&bad).is_err(),
+                "manifest bit {bit} slipped"
+            );
+        }
+    }
+
     proptest! {
+        /// Noise, and noise behind any prefix of a real shard or manifest
+        /// (so the parser is led deep before the bytes turn hostile),
+        /// never panics and never decodes.
+        #[test]
+        fn hostile_bytes_never_panic_and_never_decode(
+            keep in 0usize..200,
+            noise in proptest::collection::vec(0u8..=255, 0..120),
+        ) {
+            for clean in [sample_shard().encode(), sample_manifest().encode()] {
+                let mut bytes = clean[..keep.min(clean.len())].to_vec();
+                bytes.extend_from_slice(&noise);
+                if bytes != clean {
+                    prop_assert!(Shard::decode(&bytes).is_err());
+                    prop_assert!(Manifest::decode(&bytes).is_err());
+                }
+            }
+        }
+
         #[test]
         fn shard_round_trips_for_arbitrary_contents(
             generation in 0u64..1_000_000,

@@ -27,9 +27,8 @@ impl Compressor for SignLog4 {
         "sign-log4"
     }
 
-    fn compress(&self, data: &[f32]) -> Bytes {
-        let mut out = Vec::with_capacity(data.len().div_ceil(2));
-        let mut nibbles = data.iter().map(|&v| {
+    fn compress_into(&self, data: &[f32], out: &mut Vec<u8>) {
+        let nibble = |v: f32| {
             let sign = if v < 0.0 { 8u8 } else { 0 };
             // 3-bit magnitude bucket: 2^-4 .. 2^2.
             let mag = if v == 0.0 {
@@ -38,30 +37,22 @@ impl Compressor for SignLog4 {
                 (v.abs().log2().clamp(-4.0, 2.0) + 5.0) as u8
             };
             sign | mag.min(7)
-        });
-        loop {
-            match (nibbles.next(), nibbles.next()) {
-                (Some(a), Some(b)) => out.push(a | (b << 4)),
-                (Some(a), None) => {
-                    out.push(a);
-                    break;
-                }
-                _ => break,
-            }
-        }
-        Bytes::from(out)
+        };
+        out.extend(data.chunks(2).map(|pair| {
+            let high = pair.get(1).map_or(0, |&v| nibble(v) << 4);
+            nibble(pair[0]) | high
+        }));
     }
 
-    fn decompress(&self, payload: &[u8], n_elems: usize) -> Result<Vec<f32>, CompressionError> {
-        if payload.len() != self.compressed_len(n_elems) {
+    fn decompress_into(&self, payload: &[u8], out: &mut [f32]) -> Result<(), CompressionError> {
+        if payload.len() != self.compressed_len(out.len()) {
             return Err(CompressionError::CorruptPayload {
                 codec: "sign-log4",
-                expected: self.compressed_len(n_elems),
+                expected: self.compressed_len(out.len()),
                 actual: payload.len(),
             });
         }
-        let mut out = Vec::with_capacity(n_elems);
-        for i in 0..n_elems {
+        for (i, o) in out.iter_mut().enumerate() {
             let nib = (payload[i / 2] >> ((i % 2) * 4)) & 0xf;
             let sign = if nib & 8 != 0 { -1.0f32 } else { 1.0 };
             let mag = nib & 7;
@@ -70,9 +61,9 @@ impl Compressor for SignLog4 {
             } else {
                 (mag as f32 - 5.0).exp2()
             };
-            out.push(sign * v);
+            *o = sign * v;
         }
-        Ok(out)
+        Ok(())
     }
 
     fn compressed_len(&self, n_elems: usize) -> usize {
