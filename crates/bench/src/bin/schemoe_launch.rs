@@ -50,7 +50,7 @@ use std::time::Duration;
 
 use schemoe_bench::campaign::chaosfs_plan;
 use schemoe_cluster::{
-    transport, ChaosPlan, ChaosTransport, Fabric, RankHandle, Topology, Transport, TransportKind,
+    transport, ChaosPlan, Fabric, RankHandle, Topology, Transport, TransportKind,
 };
 use schemoe_models::{run_ft_rank_durable, FtConfig, FtReport, SnapshotCfg};
 use schemoe_obs as obs;
@@ -298,7 +298,7 @@ fn ft_setup(o: &Opts) -> (FtConfig, Option<SnapshotCfg>) {
 /// SIGKILLed or partitioned-away peer abandons its step mid-exchange;
 /// without a deadline a survivor blocks on that abandoned step forever,
 /// misses the burial vote, and the cluster splits. The chaos tests get
-/// this deadline from their fault plan — a launched rank must install
+/// this deadline from their chaos plan — a launched rank must install
 /// the equivalent on the handle itself.
 fn liveness_deadline(cfg: &FtConfig) -> Duration {
     Duration::from_millis(cfg.vote_timeout_ms.max(100) * 4)
@@ -345,24 +345,26 @@ fn worker_main(args: &[String]) -> i32 {
         }
     };
 
-    // A `--partition` run wraps the endpoint in the chaos decorator so
-    // the *network* misbehaves beneath a perfectly healthy process: all
-    // cross-group sends vanish until the wall-clock heal lifts them.
-    let endpoint: Box<dyn Transport> = if let Some(spec) = &o.partition {
-        let (a, b) = match parse_partition(spec, o.ranks) {
-            Ok(groups) => groups,
+    // A `--partition` run attaches under a chaos plan so the *network*
+    // misbehaves beneath a perfectly healthy process: all cross-group
+    // sends vanish until the wall-clock heal lifts them.
+    let plan = match &o.partition {
+        None => None,
+        Some(spec) => match parse_partition(spec, o.ranks) {
+            Ok((a, b)) => Some(Arc::new(partition_plan(
+                o.chaos_seed,
+                &a,
+                &b,
+                o.heal_after_ms,
+            ))),
             Err(e) => {
                 eprintln!("rank {}: bad --partition: {e}", o.rank);
                 return 64;
             }
-        };
-        let plan = partition_plan(o.chaos_seed, &a, &b, o.heal_after_ms);
-        Box::new(ChaosTransport::new(endpoint, o.rank, Arc::new(plan)))
-    } else {
-        endpoint
+        },
     };
 
-    let mut h = RankHandle::attach(Topology::new(1, o.ranks), o.rank, endpoint, None);
+    let mut h = RankHandle::attach(Topology::new(1, o.ranks), o.rank, endpoint, plan);
     let (cfg, snap) = ft_setup(&o);
     h.set_recv_deadline(Some(liveness_deadline(&cfg)));
 
@@ -529,7 +531,7 @@ fn launch_in_process(o: &Opts) -> i32 {
     let reports = if let Some(spec) = &o.partition {
         let (a, b) = parse_partition(spec, o.ranks).expect("validated in launcher_main");
         let chaos = partition_plan(o.chaos_seed, &a, &b, o.heal_after_ms);
-        Fabric::run_with_chaos_on(TransportKind::Channel, topo, chaos, None, |mut h| {
+        Fabric::run_with(TransportKind::Channel, topo, Some(chaos), |mut h| {
             h.set_recv_deadline(Some(liveness_deadline(&cfg)));
             run_ft_rank_durable(&mut h, &cfg, snap.as_ref())
         })

@@ -7,7 +7,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use schemoe_cluster::{ChaosPlan, FaultPlan, Topology, TransportKind};
+use schemoe_cluster::{ChaosPlan, Topology, TransportKind};
 use schemoe_models::{FtConfig, FtReport, SnapshotCfg};
 use schemoe_obs::json::Json;
 
@@ -24,9 +24,9 @@ const KILL_AFTER_SENDS: u64 = 900;
 const REVIVE_DELTA: u64 = 200;
 const KILL_STEPS: usize = 20;
 
-fn kill_world(cfg: &FtConfig, faults: Option<FaultPlan>) -> Vec<FtReport> {
+fn kill_world(cfg: &FtConfig, plan: Option<ChaosPlan>) -> Vec<FtReport> {
     let kind = TransportKind::from_env();
-    run_world(Topology::new(2, 4), kind, cfg, faults, None, None)
+    run_world(Topology::new(2, 4), kind, cfg, plan, None)
 }
 
 fn kill_cfg(steps: usize, replica_interval: usize) -> FtConfig {
@@ -237,15 +237,13 @@ fn partition_outcome(p: &Partition, seed: u64) -> Json {
         ..FtConfig::tiny(p.steps).with_seed(p.model_seed)
     };
     let run = |chaos: Option<ChaosPlan>| {
-        // Blackholed links are pure silence; the deadline turns that into
-        // the typed timeouts the liveness vote feeds on.
-        let faults = chaos
-            .as_ref()
-            .map(|c| FaultPlan::seeded(c.seed()).with_recv_deadline(Duration::from_millis(300)));
         let (topo, kind) = (Topology::new(2, 4), TransportKind::Channel);
-        run_world(topo, kind, &cfg, faults, chaos, None)
+        run_world(topo, kind, &cfg, chaos, None)
     };
-    let chaos = (p.darken)(ChaosPlan::seeded(p.chaos_seed + seed));
+    // Blackholed links are pure silence; the deadline turns that into
+    // the typed timeouts the liveness vote feeds on.
+    let chaos = (p.darken)(ChaosPlan::seeded(p.chaos_seed + seed))
+        .with_recv_deadline(Duration::from_millis(300));
     let clean = run(None);
     let first = run(Some(chaos.clone()));
     let second = run(Some(chaos));
@@ -301,7 +299,7 @@ pub fn durability(_seed: u64) -> Json {
     let topo = Topology::new(1, WORLD);
     let base = FtConfig::tiny(STEPS).with_seed(40).with_replica_interval(2);
     let world = |cfg: &FtConfig, snap: Option<&SnapshotCfg>| {
-        run_world(topo, TransportKind::from_env(), cfg, None, None, snap)
+        run_world(topo, TransportKind::from_env(), cfg, None, snap)
     };
     let snap_in = |label: &str| SnapshotCfg::new(snap_dir(label), INTERVAL).with_keep(KEEP);
 

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use schemoe_cluster::storage::ChaosFsPlan;
-use schemoe_cluster::{ChaosLink, ChaosPlan, Fabric, FaultPlan, Topology, TransportKind};
+use schemoe_cluster::{ChaosLink, ChaosPlan, Fabric, Topology, TransportKind};
 use schemoe_models::{run_ft_rank_durable, FtConfig, FtReport, SnapshotCfg};
 use schemoe_obs::{self as obs, json::Json, FuncTrace};
 use schemoe_tensor::snapshot;
@@ -369,23 +369,18 @@ pub fn seed() -> u64 {
         .unwrap_or(1)
 }
 
-/// Runs the fault-tolerant trainer on every rank of one world: frame
-/// faults from `faults`, link misbehaviour from `chaos`, durable
-/// snapshots per `snap`, each optional.
+/// Runs the fault-tolerant trainer on every rank of one world: faults
+/// from `plan`, durable snapshots per `snap`, each optional.
 pub fn run_world(
     topo: Topology,
     kind: TransportKind,
     cfg: &FtConfig,
-    faults: Option<FaultPlan>,
-    chaos: Option<ChaosPlan>,
+    plan: Option<ChaosPlan>,
     snap: Option<&SnapshotCfg>,
 ) -> Vec<FtReport> {
-    let rank = |mut h| run_ft_rank_durable(&mut h, cfg, snap);
-    match (chaos, faults) {
-        (Some(chaos), faults) => Fabric::run_with_chaos_on(kind, topo, chaos, faults, rank),
-        (None, Some(faults)) => Fabric::run_with_faults_on(kind, topo, faults, rank),
-        (None, None) => Fabric::run_on(kind, topo, rank),
-    }
+    Fabric::run_with(kind, topo, plan, |mut h| {
+        run_ft_rank_durable(&mut h, cfg, snap)
+    })
 }
 
 /// The kill campaign the recovery scenarios share: `victim` dies after
@@ -398,8 +393,8 @@ pub fn kill_plan(
     victim: usize,
     after_sends: u64,
     revive_delta: Option<u64>,
-) -> FaultPlan {
-    let plan = FaultPlan::seeded(seed)
+) -> ChaosPlan {
+    let plan = ChaosPlan::seeded(seed)
         .kill_after(victim, after_sends)
         .with_recv_deadline(Duration::from_millis(800));
     match revive_delta {
@@ -490,7 +485,7 @@ pub fn crash_and_resume(
         steps: crash_steps,
         ..cfg
     };
-    let truncated = run_world(topo, kind, &crash_cfg, None, None, Some(snap));
+    let truncated = run_world(topo, kind, &crash_cfg, None, Some(snap));
     let alive = truncated.iter().all(|r| r.died_at_step.is_none());
     assert!(alive, "a rank died before the crash");
     let committed: u64 = truncated.iter().map(|r| r.snapshot_generations).sum();
@@ -500,7 +495,7 @@ pub fn crash_and_resume(
     );
     tamper(&snap.dir);
     let resume = snap.clone().with_resume();
-    let resumed = run_world(topo, kind, &cfg, None, None, Some(&resume));
+    let resumed = run_world(topo, kind, &cfg, None, Some(&resume));
     (truncated, resumed)
 }
 
@@ -554,9 +549,9 @@ pub fn wire_plan(
         for dst in (0..world).filter(|&dst| dst != src) {
             let shaped = gray.filter(|_| src == world - 1 || dst == world - 1);
             let link = ChaosLink {
-                loss_prob: 0.0,
                 latency: shaped.unwrap_or(latency),
                 bytes_per_sec: Some(bytes_per_sec),
+                ..ChaosLink::default()
             };
             plan = plan.with_link(src, dst, link);
         }

@@ -53,38 +53,37 @@ type StepOut = (Tensor, Tensor, Vec<f32>);
 fn run_once(x_global: &Tensor, degree: usize) -> (f64, Vec<StepOut>) {
     let wire = wire_plan(WORLD, WIRE_LATENCY, WIRE_BW, None);
     let topo = Topology::new(1, WORLD);
-    let results =
-        Fabric::run_with_chaos_on(TransportKind::from_env(), topo, wire, None, |mut h| {
-            let me = h.rank();
-            let gate = TopKGate::new(M, WORLD, K, CAPACITY, &mut seeded(555));
-            let experts: Vec<Box<dyn Expert>> =
-                vec![Box::new(FfExpert::new(M, H, &mut seeded(1000 + me as u64)))];
-            let mut layer =
-                DistributedMoeLayer::new(gate, experts, Box::new(NoCompression), Box::new(NcclA2A))
-                    .with_partition_degree(degree)
-                    .with_recv_timeout(Duration::from_secs(60));
-            let mut x = Tensor::zeros(&[N_LOCAL, M]);
-            for r in 0..N_LOCAL {
-                x.row_mut(r).copy_from_slice(x_global.row(me * N_LOCAL + r));
-            }
-            let live = vec![true; WORLD];
-            let mut replicated: Vec<f32> = (0..REPLICATED)
-                .map(|i| ((me * REPLICATED + i) % 97) as f32 * 0.01)
-                .collect();
-            h.barrier();
-            let _step = obs::span("step", "step0");
-            let t0 = Instant::now();
-            let (y, dx) =
-                distributed_full_step(&mut h, &mut layer, &x, 0, &mut replicated, &live).unwrap();
-            let elapsed = t0.elapsed();
-            {
-                let _s = obs::span("optimizer", "adam");
-                let mut opt = Adam::new(1e-3).with_grad_clip(1.0);
-                opt.step_params(&mut |f| layer.visit_params(f));
-            }
-            h.barrier();
-            (elapsed.as_secs_f64() * 1e3, (y, dx, replicated))
-        });
+    let results = Fabric::run_with(TransportKind::from_env(), topo, Some(wire), |mut h| {
+        let me = h.rank();
+        let gate = TopKGate::new(M, WORLD, K, CAPACITY, &mut seeded(555));
+        let experts: Vec<Box<dyn Expert>> =
+            vec![Box::new(FfExpert::new(M, H, &mut seeded(1000 + me as u64)))];
+        let mut layer =
+            DistributedMoeLayer::new(gate, experts, Box::new(NoCompression), Box::new(NcclA2A))
+                .with_partition_degree(degree)
+                .with_recv_timeout(Duration::from_secs(60));
+        let mut x = Tensor::zeros(&[N_LOCAL, M]);
+        for r in 0..N_LOCAL {
+            x.row_mut(r).copy_from_slice(x_global.row(me * N_LOCAL + r));
+        }
+        let live = vec![true; WORLD];
+        let mut replicated: Vec<f32> = (0..REPLICATED)
+            .map(|i| ((me * REPLICATED + i) % 97) as f32 * 0.01)
+            .collect();
+        h.barrier();
+        let _step = obs::span("step", "step0");
+        let t0 = Instant::now();
+        let (y, dx) =
+            distributed_full_step(&mut h, &mut layer, &x, 0, &mut replicated, &live).unwrap();
+        let elapsed = t0.elapsed();
+        {
+            let _s = obs::span("optimizer", "adam");
+            let mut opt = Adam::new(1e-3).with_grad_clip(1.0);
+            opt.step_params(&mut |f| layer.visit_params(f));
+        }
+        h.barrier();
+        (elapsed.as_secs_f64() * 1e3, (y, dx, replicated))
+    });
     let ms = results.iter().map(|(ms, _)| *ms).fold(0.0, f64::max);
     (ms, results.into_iter().map(|(_, out)| out).collect())
 }

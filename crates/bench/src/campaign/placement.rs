@@ -286,7 +286,7 @@ fn run_world(batches: &Batches, steps: usize, dynamic: bool, gray: bool) -> Vec<
         gray.then_some(Duration::from_micros(GRAY_LATENCY_US)),
     );
     let topo = Topology::new(1, WORLD);
-    Fabric::run_with_chaos_on(TransportKind::Channel, topo, wire, None, |mut h| {
+    Fabric::run_with(TransportKind::Channel, topo, Some(wire), |mut h| {
         run_rank(&mut h, batches, steps, dynamic)
     })
 }

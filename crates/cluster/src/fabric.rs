@@ -10,10 +10,14 @@
 //! NCCL send/recv pairs.
 //!
 //! The handle owns every fabric *semantic* — tag demultiplexing with
-//! out-of-order parking, CRC/epoch framing, the seeded fault lottery,
-//! liveness deadlines, and traffic counters — so those behaviors are
-//! identical on every backend and a chaos replay's fault sequence does not
-//! depend on what carries the bytes.
+//! out-of-order parking, CRC/epoch framing, liveness deadlines, the
+//! latched death of a killed rank, and traffic counters — so those
+//! behaviors are identical on every backend. What happens to a sealed
+//! record in flight belongs to the fault layer beneath it
+//! ([`crate::transport::chaos`]); the handle only reads the kill schedule
+//! from the same [`ChaosPlan`]. One rule covers an installed plan: frames
+//! are sealed, deadlined receives wait in 5 ms slices so a posted death is
+//! noticed, and waits feed the per-link histograms.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -24,7 +28,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use schemoe_obs as obs;
 
-use crate::faults::{self, FaultDecision, FaultPlan};
+use crate::faults;
 use crate::topology::{Rank, Topology};
 use crate::transport::{self, ChaosPlan, ChaosTransport, RawRecvError, Transport, TransportKind};
 
@@ -156,6 +160,10 @@ pub struct AdaptiveDeadline {
     pub min_samples: u64,
 }
 
+/// How often a deadlined receive under a plan interrupts its wait to check
+/// whether the awaited peer has posted its own death on the liveness board.
+const BOARD_POLL: Duration = Duration::from_millis(5);
+
 /// A rank's endpoint into the fabric.
 pub struct RankHandle {
     rank: Rank,
@@ -167,11 +175,10 @@ pub struct RankHandle {
     pending: HashMap<(Rank, u64), VecDeque<Bytes>>,
     /// This rank's traffic counters (no-ops while the recorder is off).
     counters: Arc<obs::RankCounters>,
-    /// Installed fault plan; when present every payload is CRC-framed and
-    /// every send consults the plan.
-    faults: Option<Arc<FaultPlan>>,
-    /// Per-destination message index, the replay key for fault decisions.
-    send_seq: Vec<Cell<u64>>,
+    /// The installed plan — the same one the transport's
+    /// [`ChaosTransport`] decorator injects from; the handle reads the
+    /// kill schedule and the default deadline.
+    plan: Option<Arc<ChaosPlan>>,
     /// Total sends this rank has *attempted*, successful or denied (drives
     /// `kill_after` and `revive_after`: liveness is a pure window of this
     /// counter, so kills and revivals replay bit-identically).
@@ -193,12 +200,12 @@ pub struct RankHandle {
     /// Default liveness deadline applied to plain `recv` calls.
     deadline: Cell<Option<Duration>>,
     /// This rank's current membership epoch, stamped on every outgoing
-    /// frame while a fault plan is installed.
+    /// frame.
     epoch: Cell<u32>,
     /// Optional per-link deadline adaptation policy.
     adaptive: Cell<Option<AdaptiveDeadline>>,
     /// Per-peer receive-wait histograms feeding deadline adaptation.
-    /// Recorded only while a fault plan is installed.
+    /// Recorded only while a plan is installed.
     wait_hist: Vec<obs::WaitHistogram>,
 }
 
@@ -227,15 +234,17 @@ impl RankHandle {
         self.dead.get()
     }
 
-    /// The installed fault plan, if any. The rejoin protocol reads revival
-    /// schedules from it — the in-process stand-in for a cluster manager
-    /// announcing that a replacement node is being provisioned.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref()
+    /// Whether the installed plan schedules `rank`'s revival — the
+    /// in-process stand-in for a cluster manager announcing that a
+    /// replacement node is being provisioned, read by the rejoin protocol.
+    pub fn revive_scheduled(&self, rank: Rank) -> bool {
+        self.plan
+            .as_ref()
+            .is_some_and(|plan| plan.revive_threshold(rank).is_some())
     }
 
     /// The default liveness deadline applied to plain [`recv`](Self::recv)
-    /// calls (installed by the fault plan, overridable per handle).
+    /// calls (installed by the plan, overridable per handle).
     pub fn recv_deadline(&self) -> Option<Duration> {
         self.deadline.get()
     }
@@ -281,9 +290,10 @@ impl RankHandle {
     }
 
     /// True when a buried peer can physically come back — as a respawned
-    /// OS process dialing back in — without a fault plan scheduling its
-    /// revival. The rejoin protocol polls announcements from *all* dead
-    /// ranks on such transports rather than only plan-scheduled revivals.
+    /// OS process dialing back in, or from behind a misbehaving link —
+    /// without the plan scheduling its revival. The rejoin protocol polls
+    /// announcements from *all* dead ranks on such transports rather than
+    /// only plan-scheduled revivals.
     pub fn reconnectable(&self) -> bool {
         self.transport.reconnectable()
     }
@@ -317,24 +327,28 @@ impl RankHandle {
     /// is a pure function of the plan — wall clock never enters. Returns
     /// `true` once the rank is alive again (immediately, if it never died).
     pub fn try_revive(&self) -> bool {
-        if !self.dead.get() {
-            return true;
+        // The pipe reopens, but the liveness board still lists this rank:
+        // until the rejoin protocol re-admits it (see
+        // [`mark_peer_reachable`](Self::mark_peer_reachable)) it is a limbo
+        // member peers must not wait on.
+        if self.dead.get() && self.attempt_in_live_window() {
+            self.dead.set(false);
         }
-        let Some(plan) = &self.faults else {
-            return false;
+        !self.dead.get()
+    }
+
+    /// Counts one attempted send against the plan's kill schedule and
+    /// reports whether the attempt falls outside the dead window. Every
+    /// attempt counts, denied or not, so `kill_after` / `revive_after`
+    /// fire at points that are pure functions of this rank's own control
+    /// flow.
+    fn attempt_in_live_window(&self) -> bool {
+        let Some(plan) = &self.plan else {
+            return true;
         };
         let attempts = self.sends_total.get();
         self.sends_total.set(attempts + 1);
-        if plan.rank_alive(self.rank, attempts) {
-            // The pipe reopens, but the liveness board still lists this
-            // rank: until the rejoin protocol re-admits it (see
-            // [`mark_peer_reachable`](Self::mark_peer_reachable)) it is a
-            // limbo member peers must not wait on.
-            self.dead.set(false);
-            true
-        } else {
-            false
-        }
+        plan.rank_alive(self.rank, attempts)
     }
 
     /// Clears `peer`'s entry on the cluster liveness board, restoring
@@ -352,7 +366,7 @@ impl RankHandle {
         }
     }
 
-    /// Fails fast when this rank has been killed by the fault plan.
+    /// Fails fast when this rank has been killed by the plan.
     fn check_alive(&self) -> Result<(), FabricError> {
         if self.dead.get() {
             Err(FabricError::Disconnected { peer: self.rank })
@@ -361,19 +375,11 @@ impl RankHandle {
         }
     }
 
-    /// True when payloads travel CRC/epoch-framed: always on real-wire
-    /// transports (damage is physically possible), and on the channel
-    /// backend exactly when a fault plan is installed — so channel runs
-    /// without a plan stay byte-identical to the pre-trait fabric.
-    fn framed(&self) -> bool {
-        self.faults.is_some() || self.transport.always_framed()
-    }
-
     /// Delivers a wire payload to the caller: strips and validates the CRC
     /// frame when framing is on, rejects frames from a stale membership
     /// epoch, and records receive counters.
     fn unpack(&self, from: Rank, tag: u64, payload: Bytes) -> Result<Bytes, FabricError> {
-        if !self.framed() {
+        if !self.transport.always_framed() {
             self.counters.add_recv(payload.len());
             return Ok(payload);
         }
@@ -462,134 +468,61 @@ impl RankHandle {
         payload: Bytes,
         stamp: Option<u32>,
     ) -> Result<(), FabricError> {
-        // Liveness first: every call here is one *attempt*, whether or not
-        // it is denied, so `kill_after`/`revive_after` fire at points that
-        // are pure functions of this rank's own control flow.
-        if let Some(plan) = &self.faults {
-            let attempts = self.sends_total.get();
-            self.sends_total.set(attempts + 1);
-            // Death latches: crossing the revive threshold does NOT
-            // silently reopen the pipe — only an explicit
-            // [`try_revive`](Self::try_revive) probe (the limbo path) can.
-            // Otherwise a victim that has not yet noticed its own death
-            // would resume sending mid-protocol, and its zombie vote
-            // frames would perturb the survivors' burial tally.
-            if self.dead.get() || !plan.rank_alive(self.rank, attempts) {
-                if !self.dead.get() {
-                    // The kill itself is the injected fault; later denied
-                    // attempts are consequences, not new injections.
-                    self.dead.set(true);
-                    self.transport.post_death(self.rank);
-                    self.counters.add_fault_injected();
-                }
-                return Err(FabricError::Disconnected { peer: self.rank });
+        // Death latches: crossing the revive threshold does NOT silently
+        // reopen the pipe — only an explicit
+        // [`try_revive`](Self::try_revive) probe (the limbo path) can.
+        // Otherwise a victim that has not yet noticed its own death would
+        // resume sending mid-protocol, and its zombie vote frames would
+        // perturb the survivors' burial tally.
+        let in_live_window = self.attempt_in_live_window();
+        if self.dead.get() || !in_live_window {
+            if !self.dead.replace(true) {
+                // The kill itself is the injected fault; later denied
+                // attempts are consequences, not new injections.
+                self.transport.post_death(self.rank);
+                self.counters.add_fault_injected();
             }
-        } else {
-            self.check_alive()?;
+            return Err(FabricError::Disconnected { peer: self.rank });
         }
-        let ws = self.world_size();
-        if to >= ws {
-            self.counters.add_invalid_rank();
-            return Err(FabricError::InvalidRank {
-                rank: to,
-                world_size: ws,
-            });
-        }
+        self.check_rank(to)?;
         self.counters.add_send(payload.len());
-        // Fault decisions apply uniformly to every link — self-sends
-        // included — so the fault counters stay consistent across paths.
-        let payload = match &self.faults {
-            None => {
-                if self.transport.always_framed() {
-                    // Real wires get the `[len][epoch][crc32]` frame even
-                    // without a fault plan: bit damage and stale-epoch
-                    // traffic are physically possible there.
-                    let epoch = stamp.unwrap_or_else(|| self.epoch.get());
-                    faults::frame(&payload, epoch)
-                } else {
-                    payload
-                }
-            }
-            Some(plan) => {
-                let idx = self.send_seq[to].get();
-                self.send_seq[to].set(idx + 1);
-                let epoch = stamp.unwrap_or_else(|| self.epoch.get());
-                match plan.decide(self.rank, to, idx) {
-                    FaultDecision::Deliver => faults::frame(&payload, epoch),
-                    FaultDecision::Drop => {
-                        // The message silently vanishes; the receiver's
-                        // deadline turns the loss into a Timeout.
-                        self.counters.add_fault_injected();
-                        return Ok(());
-                    }
-                    FaultDecision::Delay(d) => {
-                        self.counters.add_fault_injected();
-                        std::thread::sleep(d);
-                        faults::frame(&payload, epoch)
-                    }
-                    FaultDecision::Corrupt => {
-                        self.counters.add_fault_injected();
-                        faults::frame_corrupted(&payload, epoch, idx)
-                    }
-                }
-            }
+        let payload = if self.transport.always_framed() {
+            faults::frame(&payload, stamp.unwrap_or_else(|| self.epoch.get()))
+        } else {
+            payload
         };
         self.transport
             .send_raw(to, tag, payload)
             .map_err(|_| FabricError::Disconnected { peer: to })
     }
 
-    /// Receives the next message from `from` with the given `tag`, blocking.
+    /// Rejects a rank index outside the topology.
+    fn check_rank(&self, rank: Rank) -> Result<(), FabricError> {
+        let world_size = self.world_size();
+        if rank >= world_size {
+            self.counters.add_invalid_rank();
+            return Err(FabricError::InvalidRank { rank, world_size });
+        }
+        Ok(())
+    }
+
+    /// Receives the next message from `from` with the given `tag`.
     ///
     /// Messages from the same peer with other tags are parked and delivered
     /// to later `recv` calls, so receive order across tags is free while
-    /// order *within* a `(peer, tag)` pair is preserved.
+    /// order *within* a `(peer, tag)` pair is preserved. Blocks
+    /// indefinitely unless a default deadline is in force (the plan's, or
+    /// an explicit [`set_recv_deadline`](Self::set_recv_deadline)), in
+    /// which case a lost message or dead peer surfaces as a typed
+    /// `Timeout`; the per-link deadline adapts to observed waits when a
+    /// policy is installed.
     pub fn recv(&mut self, from: Rank, tag: u64) -> Result<Bytes, FabricError> {
-        // Under a fault plan (or an explicit handle deadline) every plain
-        // receive is deadline-aware: a lost message or dead peer surfaces
-        // as a typed Timeout instead of an indefinite hang. The per-link
-        // deadline adapts to observed waits when a policy is installed.
-        let effective = if from < self.world_size() {
+        let timeout = if from < self.world_size() {
             self.effective_deadline(from)
         } else {
             self.deadline.get()
         };
-        if let Some(deadline) = effective {
-            return self.recv_timeout(from, tag, deadline);
-        }
-        self.check_alive()?;
-        let ws = self.world_size();
-        if from >= ws {
-            self.counters.add_invalid_rank();
-            return Err(FabricError::InvalidRank {
-                rank: from,
-                world_size: ws,
-            });
-        }
-        if let Some(payload) = self.take_parked(from, tag) {
-            return self.unpack(from, tag, payload);
-        }
-        let wait_start = (obs::enabled() || self.faults.is_some()).then(Instant::now);
-        loop {
-            // A blocking raw receive only fails when the link is closed
-            // and drained — the transport contract never surfaces
-            // `Timeout` without a deadline.
-            let (msg_tag, payload) = self
-                .transport
-                .recv_raw(from, None)
-                .map_err(|_| FabricError::Disconnected { peer: from })?;
-            if msg_tag == tag {
-                if let Some(t0) = wait_start {
-                    let waited = t0.elapsed();
-                    self.counters.add_recv_wait(waited);
-                    if self.faults.is_some() {
-                        self.wait_hist[from].record(waited);
-                    }
-                }
-                return self.unpack(from, tag, payload);
-            }
-            self.park(from, msg_tag, payload);
-        }
+        self.recv_within(from, tag, timeout)
     }
 
     /// Like [`recv`](Self::recv), but gives up after `timeout` with
@@ -598,79 +531,85 @@ impl RankHandle {
     /// This is the liveness guard for the overlapped pipeline: a crashed
     /// peer is caught by `Disconnected`, but a peer that is alive yet never
     /// sends (deadlocked, wedged on a mismatched schedule) would hang a
-    /// plain `recv` forever. Non-matching tags that arrive while waiting are
-    /// parked exactly as in `recv`.
+    /// plain `recv` forever.
     pub fn recv_timeout(
         &mut self,
         from: Rank,
         tag: u64,
         timeout: Duration,
     ) -> Result<Bytes, FabricError> {
+        self.recv_within(from, tag, Some(timeout))
+    }
+
+    /// The one receive loop: waits for `(from, tag)` until `timeout`, if
+    /// there is one, parking other tags as they arrive.
+    fn recv_within(
+        &mut self,
+        from: Rank,
+        tag: u64,
+        timeout: Option<Duration>,
+    ) -> Result<Bytes, FabricError> {
         self.check_alive()?;
-        let ws = self.world_size();
-        if from >= ws {
-            self.counters.add_invalid_rank();
-            return Err(FabricError::InvalidRank {
-                rank: from,
-                world_size: ws,
-            });
-        }
+        self.check_rank(from)?;
         if let Some(payload) = self.take_parked(from, tag) {
             return self.unpack(from, tag, payload);
         }
-        let wait_start = (obs::enabled() || self.faults.is_some()).then(Instant::now);
-        let deadline = Instant::now() + timeout;
-        // Under a fault plan the wait is sliced so a peer's death posted on
-        // the liveness board mid-wait is noticed promptly; a latched-dead
-        // peer will provably never send again (its pipe denies every
-        // attempt until an explicit revival probe), so once its channel is
-        // drained the receive fails fast with `Disconnected` — the same
-        // signal a crashed thread's dropped channel gives — instead of
-        // stalling out the full deadline and skewing the caller against
-        // its peers.
-        let poll = self.faults.as_ref().map(|p| p.board_poll().min(timeout));
+        let planned = self.plan.is_some();
+        let wait_start = (obs::enabled() || planned).then(Instant::now);
+        let deadline = timeout.map(|t| (t, Instant::now() + t));
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                self.counters.add_timeout();
-                return Err(FabricError::Timeout {
-                    peer: from,
-                    tag,
-                    waited: timeout,
-                });
-            }
-            let slice = poll.map_or(remaining, |p| p.min(remaining));
-            match self.transport.recv_raw(from, Some(slice)) {
+            // Under a plan a deadlined wait is sliced so a peer's death
+            // posted on the liveness board mid-wait is noticed promptly; a
+            // latched-dead peer will provably never send again (its pipe
+            // denies every attempt until an explicit revival probe), so
+            // once its link is drained the receive fails fast with
+            // `Disconnected` — the same signal a crashed thread's dropped
+            // channel gives — instead of stalling out the full deadline
+            // and skewing the caller against its peers.
+            let slice = match deadline {
+                None => None,
+                Some((waited, at)) => {
+                    let remaining = at.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        self.counters.add_timeout();
+                        return Err(FabricError::Timeout {
+                            peer: from,
+                            tag,
+                            waited,
+                        });
+                    }
+                    Some(if planned {
+                        remaining.min(BOARD_POLL)
+                    } else {
+                        remaining
+                    })
+                }
+            };
+            match self.transport.recv_raw(from, slice) {
                 Ok((msg_tag, payload)) if msg_tag == tag => {
                     if let Some(t0) = wait_start {
                         let waited = t0.elapsed();
                         self.counters.add_recv_wait(waited);
-                        if self.faults.is_some() {
+                        if planned {
                             self.wait_hist[from].record(waited);
                         }
                     }
                     return self.unpack(from, tag, payload);
                 }
-                Ok((msg_tag, payload)) => {
-                    self.park(from, msg_tag, payload);
-                }
+                Ok((msg_tag, payload)) => self.park(from, msg_tag, payload),
+                // The slice drained nothing: anything the peer sent before
+                // latching dead has already been delivered or parked, so a
+                // posted death means no frame will ever arrive on this
+                // link again. Otherwise the top of the loop decides
+                // whether the deadline itself has run out.
                 Err(RawRecvError::Timeout) => {
-                    // The slice drained nothing: anything the peer sent
-                    // before latching dead has already been delivered or
-                    // parked, so a posted death means no frame will ever
-                    // arrive on this link again.
                     if from != self.rank && self.transport.peer_dead(from) {
                         return Err(FabricError::Disconnected { peer: from });
                     }
-                    if poll.is_none() {
-                        self.counters.add_timeout();
-                        return Err(FabricError::Timeout {
-                            peer: from,
-                            tag,
-                            waited: timeout,
-                        });
-                    }
                 }
+                // Closed and drained. (A blocking raw receive fails no
+                // other way: the transport contract never surfaces
+                // `Timeout` without a deadline.)
                 Err(RawRecvError::Disconnected) => {
                     return Err(FabricError::Disconnected { peer: from });
                 }
@@ -687,42 +626,38 @@ impl RankHandle {
     /// transport endpoint — the entry point for multi-process workers,
     /// where each OS process builds its own endpoint (see
     /// [`crate::transport::TransportBootstrap`]) instead of receiving
-    /// one from [`Fabric::run`].
+    /// one from [`Fabric::run`]. With a `plan`, the endpoint is wrapped in
+    /// the [`ChaosTransport`] that injects it and the handle reads its
+    /// kill schedule and default deadline from the same plan.
     pub fn attach(
         topology: Topology,
         rank: Rank,
         transport: Box<dyn Transport>,
-        plan: Option<FaultPlan>,
-    ) -> RankHandle {
-        assert_eq!(
-            transport.world_size(),
-            topology.world_size(),
-            "transport world size must match the topology"
-        );
-        RankHandle::from_parts(topology, rank, transport, plan.map(Arc::new))
-    }
-
-    fn from_parts(
-        topology: Topology,
-        rank: Rank,
-        transport: Box<dyn Transport>,
-        plan: Option<Arc<FaultPlan>>,
+        plan: Option<Arc<ChaosPlan>>,
     ) -> RankHandle {
         let p = topology.world_size();
+        assert_eq!(
+            transport.world_size(),
+            p,
+            "transport world size must match the topology"
+        );
+        let transport = match &plan {
+            Some(plan) => Box::new(ChaosTransport::new(transport, rank, Arc::clone(plan))),
+            None => transport,
+        };
         RankHandle {
             rank,
             topology,
             transport,
             pending: HashMap::new(),
             counters: obs::counters_for_rank(rank),
-            send_seq: (0..p).map(|_| Cell::new(0)).collect(),
             sends_total: Cell::new(0),
             dead: Cell::new(false),
             deadline: Cell::new(plan.as_ref().and_then(|pl| pl.recv_deadline())),
             epoch: Cell::new(0),
             adaptive: Cell::new(None),
             wait_hist: (0..p).map(|_| obs::WaitHistogram::new()).collect(),
-            faults: plan,
+            plan,
         }
     }
 }
@@ -744,7 +679,7 @@ impl Fabric {
         T: Send,
         F: Fn(RankHandle) -> T + Sync,
     {
-        Self::run_inner(TransportKind::from_env(), topology, None, None, f)
+        Self::run_with(TransportKind::from_env(), topology, None, f)
     }
 
     /// Like [`run`](Self::run), but on an explicit transport backend.
@@ -753,82 +688,31 @@ impl Fabric {
         T: Send,
         F: Fn(RankHandle) -> T + Sync,
     {
-        Self::run_inner(kind, topology, None, None, f)
+        Self::run_with(kind, topology, None, f)
     }
 
-    /// Like [`run`](Self::run), but installs a seeded [`FaultPlan`]: every
-    /// payload travels CRC-framed, sends consult the plan (drop / delay /
-    /// corrupt / kill), and plain receives inherit the plan's liveness
-    /// deadline. The same plan replays an identical fault sequence on every
-    /// run (see [`crate::faults`]).
-    pub fn run_with_faults<T, F>(topology: Topology, plan: FaultPlan, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(RankHandle) -> T + Sync,
-    {
-        Self::run_inner(
-            TransportKind::from_env(),
-            topology,
-            Some(Arc::new(plan)),
-            None,
-            f,
-        )
-    }
-
-    /// Like [`run_with_faults`](Self::run_with_faults), but on an explicit
-    /// transport backend (the conformance suite drives every backend
-    /// through identical fault scenarios this way).
-    pub fn run_with_faults_on<T, F>(
+    /// Like [`run_on`](Self::run_on), but with a seeded [`ChaosPlan`]
+    /// installed on every rank: payloads travel CRC-framed, sends meet the
+    /// plan's windows, lottery, shaping and kill schedule, and plain
+    /// receives inherit its liveness deadline. The same plan replays an
+    /// identical fault sequence on every run and every backend. A plan
+    /// without [`with_recv_deadline`](ChaosPlan::with_recv_deadline) suits
+    /// only closures that set their own deadlines — lost sends surface as
+    /// timeouts, and an undeadlined `recv` would hang instead.
+    pub fn run_with<T, F>(
         kind: TransportKind,
         topology: Topology,
-        plan: FaultPlan,
+        plan: Option<ChaosPlan>,
         f: F,
     ) -> Vec<T>
     where
         T: Send,
         F: Fn(RankHandle) -> T + Sync,
     {
-        Self::run_inner(kind, topology, Some(Arc::new(plan)), None, f)
-    }
-
-    /// Like [`run_with_faults_on`](Self::run_with_faults_on), but
-    /// additionally wraps every rank's endpoint in a [`ChaosPlan`]: the
-    /// network itself misbehaves (partitions, flaps, refusals, shaping)
-    /// beneath whatever frame-level faults `plan` injects. Both plans
-    /// are seeded and pure, so the combined campaign replays
-    /// bit-identically. Pass `plan: None` only when the closure installs
-    /// its own receive deadlines — blackholed links surface as timeouts,
-    /// and an undeadlined `recv` would hang instead.
-    pub fn run_with_chaos_on<T, F>(
-        kind: TransportKind,
-        topology: Topology,
-        chaos: ChaosPlan,
-        plan: Option<FaultPlan>,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(RankHandle) -> T + Sync,
-    {
-        Self::run_inner(kind, topology, plan.map(Arc::new), Some(Arc::new(chaos)), f)
-    }
-
-    fn run_inner<T, F>(
-        kind: TransportKind,
-        topology: Topology,
-        plan: Option<Arc<FaultPlan>>,
-        chaos: Option<Arc<ChaosPlan>>,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(RankHandle) -> T + Sync,
-    {
-        let p = topology.world_size();
-        let bootstraps = transport::mesh(kind, p);
+        let bootstraps = transport::mesh(kind, topology.world_size());
         let f = &f;
+        let plan = plan.map(Arc::new);
         let plan = &plan;
-        let chaos = &chaos;
         std::thread::scope(|scope| {
             let joins: Vec<_> = bootstraps
                 .into_iter()
@@ -839,11 +723,7 @@ impl Fabric {
                         // here, on the rank's own thread — a tcp endpoint
                         // blocks in rendezvous until all ranks register.
                         let endpoint = bootstrap.establish();
-                        let endpoint: Box<dyn Transport> = match chaos {
-                            Some(c) => Box::new(ChaosTransport::new(endpoint, rank, Arc::clone(c))),
-                            None => endpoint,
-                        };
-                        let h = RankHandle::from_parts(topology, rank, endpoint, plan.clone());
+                        let h = RankHandle::attach(topology, rank, endpoint, plan.clone());
                         if obs::enabled() {
                             // Attribute this thread's spans to its rank so
                             // exported traces group by process = rank.
@@ -865,6 +745,26 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{ChaosDecision, ChaosLink};
+
+    /// Runs `f` on the environment's backend with `plan` installed.
+    fn run_planned<T: Send>(
+        topo: Topology,
+        plan: ChaosPlan,
+        f: impl Fn(RankHandle) -> T + Sync,
+    ) -> Vec<T> {
+        Fabric::run_with(TransportKind::from_env(), topo, Some(plan), f)
+    }
+
+    /// A plan whose every link (self-sends included) loses and corrupts
+    /// with the given odds.
+    fn lottery(seed: u64, loss_prob: f64, corrupt_prob: f64) -> ChaosPlan {
+        ChaosPlan::seeded(seed).with_default_link(ChaosLink {
+            loss_prob,
+            corrupt_prob,
+            ..ChaosLink::default()
+        })
+    }
 
     #[test]
     fn ring_pass_accumulates_rank_sum() {
@@ -1059,9 +959,9 @@ mod tests {
 
     #[test]
     fn fault_plan_framing_is_transparent_when_no_fault_fires() {
-        let plan = FaultPlan::seeded(11); // all probabilities zero
+        let plan = ChaosPlan::seeded(11); // all probabilities zero
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults(topo, plan, |mut h| {
+        let results = run_planned(topo, plan, |mut h| {
             if h.rank() == 0 {
                 h.send(1, 5, Bytes::from_static(b"framed")).unwrap();
                 Bytes::new()
@@ -1076,11 +976,9 @@ mod tests {
     fn dropped_message_surfaces_as_timeout_not_hang() {
         // drop_prob = 1: every message vanishes; the plan's deadline makes
         // the plain recv return Timeout.
-        let plan = FaultPlan::seeded(12)
-            .with_drop_prob(1.0)
-            .with_recv_deadline(Duration::from_millis(50));
+        let plan = lottery(12, 1.0, 0.0).with_recv_deadline(Duration::from_millis(50));
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults(topo, plan, |mut h| {
+        let results = run_planned(topo, plan, |mut h| {
             if h.rank() == 0 {
                 h.send(1, 1, Bytes::from_static(b"gone")).unwrap();
                 h.barrier();
@@ -1103,9 +1001,9 @@ mod tests {
 
     #[test]
     fn corrupted_message_surfaces_as_corrupt() {
-        let plan = FaultPlan::seeded(13).with_corrupt_prob(1.0);
+        let plan = lottery(13, 0.0, 1.0);
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults(topo, plan, |mut h| {
+        let results = run_planned(topo, plan, |mut h| {
             if h.rank() == 0 {
                 h.send(1, 2, Bytes::from_static(b"tensor row")).unwrap();
                 None
@@ -1124,11 +1022,11 @@ mod tests {
         // before the 2 s deadline — instead of stalling it out. The
         // barrier orders the latch before rank 1's probe so the fast path
         // is deterministic.
-        let plan = FaultPlan::seeded(14)
+        let plan = ChaosPlan::seeded(14)
             .kill_after(0, 2)
             .with_recv_deadline(Duration::from_secs(2));
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults(topo, plan, |mut h| {
+        let results = run_planned(topo, plan, |mut h| {
             if h.rank() == 0 {
                 h.send(1, 0, Bytes::from_static(b"a")).unwrap();
                 h.send(1, 1, Bytes::from_static(b"b")).unwrap();
@@ -1157,55 +1055,15 @@ mod tests {
     }
 
     #[test]
-    fn a_custom_board_poll_slice_is_honored() {
-        // Same scenario as above, but the plan stretches the liveness-board
-        // poll slice to 800 ms: rank 0's death is already posted when rank 1
-        // starts waiting, yet the board is only consulted when a slice
-        // drains, so the Disconnected cannot surface before the first slice
-        // expires — proving the configured slice (not the 5 ms default)
-        // governs the wait.
-        let plan = FaultPlan::seeded(14)
-            .kill_after(0, 2)
-            .with_recv_deadline(Duration::from_secs(3))
-            .with_board_poll(Duration::from_millis(800));
-        let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults(topo, plan, |mut h| {
-            if h.rank() == 0 {
-                h.send(1, 0, Bytes::from_static(b"a")).unwrap();
-                h.send(1, 1, Bytes::from_static(b"b")).unwrap();
-                h.send(1, 2, Bytes::from_static(b"c")).unwrap_err();
-                assert!(h.is_dead());
-                h.barrier();
-                h.barrier(); // hold the channel open while rank 1 waits
-                None
-            } else {
-                h.recv(0, 0).unwrap();
-                h.recv(0, 1).unwrap();
-                h.barrier();
-                let t0 = Instant::now();
-                let err = h.recv(0, 2).unwrap_err();
-                let waited = t0.elapsed();
-                h.barrier();
-                assert!(
-                    waited >= Duration::from_millis(700),
-                    "an 800 ms slice must not notice the death early (waited {waited:?})"
-                );
-                assert!(
-                    waited < Duration::from_millis(2500),
-                    "the death must still cut the 3 s deadline short (waited {waited:?})"
-                );
-                Some(err)
-            }
-        });
-        assert_eq!(results[1], Some(FabricError::Disconnected { peer: 0 }));
-    }
-
-    #[test]
     fn delay_fault_stalls_the_sender_but_delivers() {
-        let plan = FaultPlan::seeded(15).with_delay(1.0, Duration::from_millis(30));
+        let plan = ChaosPlan::seeded(15).with_default_link(ChaosLink {
+            stall_prob: 1.0,
+            stall: Duration::from_millis(30),
+            ..ChaosLink::default()
+        });
         let topo = Topology::new(1, 2);
         let start = Instant::now();
-        let results = Fabric::run_with_faults(topo, plan, |mut h| {
+        let results = run_planned(topo, plan, |mut h| {
             if h.rank() == 0 {
                 h.send(1, 0, Bytes::from_static(b"slow")).unwrap();
                 Bytes::new()
@@ -1223,9 +1081,9 @@ mod tests {
         let before_faults = obs::counters_for_rank(0).snapshot().faults_injected;
         let before_corrupt = obs::counters_for_rank(1).snapshot().corrupt_frames;
         let before_invalid = obs::counters_for_rank(0).snapshot().invalid_ranks;
-        let plan = FaultPlan::seeded(16).with_corrupt_prob(1.0);
+        let plan = lottery(16, 0.0, 1.0);
         let topo = Topology::new(1, 2);
-        Fabric::run_with_faults(topo, plan, |mut h| {
+        run_planned(topo, plan, |mut h| {
             if h.rank() == 0 {
                 // Self-sends roll fault decisions too: this one corrupts.
                 h.send(0, 7, Bytes::from_static(b"self")).unwrap();
@@ -1251,10 +1109,8 @@ mod tests {
 
     #[test]
     fn same_seed_replays_an_identical_fault_sequence() {
-        let decisions = |seed: u64| -> Vec<FaultDecision> {
-            let plan = FaultPlan::seeded(seed)
-                .with_drop_prob(0.3)
-                .with_corrupt_prob(0.2);
+        let decisions = |seed: u64| -> Vec<ChaosDecision> {
+            let plan = lottery(seed, 0.3, 0.2);
             (0..128).map(|i| plan.decide(1, 0, i)).collect()
         };
         assert_eq!(decisions(77), decisions(77));
@@ -1277,9 +1133,9 @@ mod tests {
         // (it observed a membership transition rank 0 has not). The data
         // frame is stale; the control frame bypasses the check; a data
         // frame sent after rank 0 catches up is accepted again.
-        let plan = FaultPlan::seeded(21);
+        let plan = ChaosPlan::seeded(21);
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults(topo, plan, |mut h| {
+        let results = run_planned(topo, plan, |mut h| {
             if h.rank() == 0 {
                 assert_eq!(h.epoch(), 0);
                 h.send(1, 1, Bytes::from_static(b"old world")).unwrap();
@@ -1314,9 +1170,9 @@ mod tests {
     fn frames_from_a_future_epoch_are_accepted() {
         // Epoch bumps are not atomic across ranks: the peer that completes
         // a transition first must not have its traffic bounced by laggards.
-        let plan = FaultPlan::seeded(22);
+        let plan = ChaosPlan::seeded(22);
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults(topo, plan, |mut h| {
+        let results = run_planned(topo, plan, |mut h| {
             if h.rank() == 0 {
                 h.set_epoch(5);
                 h.send(1, 1, Bytes::from_static(b"ahead")).unwrap();
@@ -1330,8 +1186,8 @@ mod tests {
 
     #[test]
     fn epoch_only_moves_forward() {
-        let plan = FaultPlan::seeded(23);
-        Fabric::run_with_faults(Topology::new(1, 1), plan, |h| {
+        let plan = ChaosPlan::seeded(23);
+        run_planned(Topology::new(1, 1), plan, |h| {
             h.set_epoch(4);
             h.set_epoch(2); // ignored: epochs are monotone
             assert_eq!(h.epoch(), 4);
@@ -1344,12 +1200,12 @@ mod tests {
         // Rank 0 dies on its third attempted send and revives on its
         // sixth attempt. Probes are attempts, so exactly
         // revive - (kill + 1) = 2 probes fail before the third succeeds.
-        let plan = FaultPlan::seeded(24)
+        let plan = ChaosPlan::seeded(24)
             .kill_after(0, 2)
             .revive_after(0, 5)
             .with_recv_deadline(Duration::from_secs(5));
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults(topo, plan, |mut h| {
+        let results = run_planned(topo, plan, |mut h| {
             if h.rank() == 0 {
                 h.send(1, 0, Bytes::from_static(b"a")).unwrap(); // attempt 0
                 h.send(1, 1, Bytes::from_static(b"b")).unwrap(); // attempt 1
@@ -1377,9 +1233,9 @@ mod tests {
 
     #[test]
     fn adaptive_deadline_stretches_with_observed_waits_but_stays_clamped() {
-        let plan = FaultPlan::seeded(25).with_recv_deadline(Duration::from_secs(2));
+        let plan = ChaosPlan::seeded(25).with_recv_deadline(Duration::from_secs(2));
         let topo = Topology::new(1, 2);
-        Fabric::run_with_faults(topo, plan, |mut h| {
+        run_planned(topo, plan, |mut h| {
             if h.rank() == 0 {
                 h.barrier();
                 // Rank 1 is already blocked in recv; make it wait ~400 ms.

@@ -1,25 +1,25 @@
-//! Deterministic, seeded fault injection for the in-process fabric.
+//! The two primitives the fault layer is built from: the keyed lottery
+//! roll and the wire frame.
 //!
-//! A [`FaultPlan`] describes *what goes wrong* on a fabric run: per-link
-//! message drop/delay/corruption probabilities, per-rank kill points
-//! (`kill_after(n_sends)`), and the liveness deadline that turns a lost
-//! message into a loud [`FabricError::Timeout`](crate::FabricError::Timeout)
-//! instead of a hang.
+//! What goes wrong on a run is described by a
+//! [`ChaosPlan`](crate::ChaosPlan) and injected by the
+//! [`ChaosTransport`](crate::ChaosTransport) decorator; this module holds
+//! only the pure functions both sides of that seam share.
 //!
 //! # Determinism
 //!
-//! Every fault decision is a pure function of
-//! `(seed, src, dst, per-link message index, fault kind)` — no RNG state,
-//! no wall clock, no thread identity. Two runs of the same program under
-//! the same plan therefore inject *bit-identical* fault sequences
-//! regardless of thread interleaving: the n-th message from rank `i` to
-//! rank `j` is dropped (or delayed, or corrupted) in one run iff it is in
-//! every run. Chaos failures reproduce from nothing but the seed.
+//! `roll` is a pure function of `(seed, src, dst, per-link message
+//! index, fault kind)` — no RNG state, no wall clock, no thread identity.
+//! Two runs of the same program under the same plan therefore meet
+//! *bit-identical* fault sequences regardless of thread interleaving: the
+//! n-th message from rank `i` to rank `j` is lost (or stalled, or
+//! corrupted) in one run iff it is in every run. Chaos failures reproduce
+//! from nothing but the seed.
 //!
 //! # Wire framing
 //!
-//! While a plan is installed every payload travels inside a
-//! length + epoch + CRC32 frame
+//! On real-wire transports, and on any transport while a plan is
+//! installed, every payload travels inside a length + epoch + CRC32 frame
 //! (`[len u32-le][epoch u32-le][crc32 u32-le][payload]`). The CRC covers
 //! the epoch *and* the payload, so a flipped epoch is indistinguishable
 //! from a flipped payload bit — both surface as
@@ -31,11 +31,8 @@
 //! talking as if nothing happened. Frames stamped [`EPOCH_ANY`] bypass the
 //! staleness check — that is the stamp control-plane traffic (rejoin
 //! invites and acknowledgements) uses, because by definition it crosses an
-//! epoch boundary. With no plan installed the frame (and its cost) does
-//! not exist.
-
-use std::collections::HashMap;
-use std::time::Duration;
+//! epoch boundary. On a plan-less channel run the frame (and its cost)
+//! does not exist.
 
 use bytes::Bytes;
 pub use schemoe_compression::crc32;
@@ -43,194 +40,10 @@ use schemoe_compression::crc32_update;
 
 use crate::topology::Rank;
 
-/// Fault probabilities of one directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LinkFaults {
-    /// Probability a message silently vanishes (the receiver's deadline
-    /// turns the loss into a `Timeout`).
-    pub drop_prob: f64,
-    /// Probability a message is delayed by [`delay`](Self::delay) before
-    /// delivery (the sender blocks, modelling a stalled NIC engine).
-    pub delay_prob: f64,
-    /// The stall applied to delayed messages.
-    pub delay: Duration,
-    /// Probability a delivered message has one payload bit flipped (the
-    /// receiver's checksum turns the damage into a `Corrupt`).
-    pub corrupt_prob: f64,
-}
-
-/// What the plan decided for one concrete message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultDecision {
-    /// Deliver untouched.
-    Deliver,
-    /// Silently discard; the receiver never sees it.
-    Drop,
-    /// Stall the sender for the duration, then deliver.
-    Delay(Duration),
-    /// Deliver with one payload bit flipped.
-    Corrupt,
-}
-
-/// A seeded, replayable description of everything that goes wrong on a run.
-///
-/// Install it with [`Fabric::run_with_faults`](crate::Fabric::run_with_faults).
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    seed: u64,
-    default_link: LinkFaults,
-    links: HashMap<(Rank, Rank), LinkFaults>,
-    kills: HashMap<Rank, u64>,
-    revives: HashMap<Rank, u64>,
-    recv_deadline: Option<Duration>,
-    board_poll: Option<Duration>,
-}
-
-impl FaultPlan {
-    /// A plan with the given replay seed and no faults configured yet.
-    pub fn seeded(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            ..FaultPlan::default()
-        }
-    }
-
-    /// The replay seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Sets the default per-link drop probability.
-    pub fn with_drop_prob(mut self, p: f64) -> Self {
-        self.default_link.drop_prob = p;
-        self
-    }
-
-    /// Sets the default per-link delay probability and stall duration.
-    pub fn with_delay(mut self, p: f64, delay: Duration) -> Self {
-        self.default_link.delay_prob = p;
-        self.default_link.delay = delay;
-        self
-    }
-
-    /// Sets the default per-link corruption probability.
-    pub fn with_corrupt_prob(mut self, p: f64) -> Self {
-        self.default_link.corrupt_prob = p;
-        self
-    }
-
-    /// Overrides the fault rates of one directed link `src -> dst`.
-    pub fn with_link(mut self, src: Rank, dst: Rank, faults: LinkFaults) -> Self {
-        self.links.insert((src, dst), faults);
-        self
-    }
-
-    /// Kills `rank` after it has completed `n_sends` sends: the `n+1`-th
-    /// send (and every later send or receive) fails with
-    /// `Disconnected { peer: rank }` on the dead rank itself, and peers see
-    /// its silence as timeouts or, once its thread exits, disconnects.
-    pub fn kill_after(mut self, rank: Rank, n_sends: u64) -> Self {
-        self.kills.insert(rank, n_sends);
-        self
-    }
-
-    /// Revives `rank` once it has *attempted* `n_sends` sends in total
-    /// (denied sends while dead count too, so the revival point is a pure
-    /// function of the rank's own control flow, not of wall clock).
-    /// Requires a matching [`kill_after`](Self::kill_after) with a smaller
-    /// threshold; a revive without a kill is inert.
-    pub fn revive_after(mut self, rank: Rank, n_sends: u64) -> Self {
-        self.revives.insert(rank, n_sends);
-        self
-    }
-
-    /// Default liveness deadline applied to every plain `recv` while this
-    /// plan is installed, so dropped messages and dead peers surface as
-    /// [`Timeout`](crate::FabricError::Timeout) instead of hanging.
-    pub fn with_recv_deadline(mut self, deadline: Duration) -> Self {
-        self.recv_deadline = Some(deadline);
-        self
-    }
-
-    /// The configured default receive deadline, if any.
-    pub fn recv_deadline(&self) -> Option<Duration> {
-        self.recv_deadline
-    }
-
-    /// Overrides the liveness-board poll slice: how often a deadlined
-    /// receive interrupts its wait to check whether the awaited peer has
-    /// posted its own death on the shared board. Smaller slices notice a
-    /// death faster at the cost of more wakeups; the default is 5 ms.
-    pub fn with_board_poll(mut self, slice: Duration) -> Self {
-        self.board_poll = Some(slice);
-        self
-    }
-
-    /// The liveness-board poll slice receives wait between death checks.
-    pub fn board_poll(&self) -> Duration {
-        self.board_poll.unwrap_or(Duration::from_millis(5))
-    }
-
-    /// The send count after which `rank` dies, if a kill is scheduled.
-    pub fn kill_threshold(&self, rank: Rank) -> Option<u64> {
-        self.kills.get(&rank).copied()
-    }
-
-    /// The attempted-send count after which `rank` revives, if scheduled.
-    pub fn revive_threshold(&self, rank: Rank) -> Option<u64> {
-        self.revives.get(&rank).copied()
-    }
-
-    /// Whether `rank` is alive after `attempts` attempted sends: dead in
-    /// the window `[kill, revive)` and alive everywhere else. Pure in
-    /// `(plan, rank, attempts)` — liveness replays bit-identically because
-    /// it depends only on the rank's own send counter.
-    pub fn rank_alive(&self, rank: Rank, attempts: u64) -> bool {
-        match self.kill_threshold(rank) {
-            None => true,
-            Some(kill) => {
-                attempts < kill
-                    || self
-                        .revive_threshold(rank)
-                        .is_some_and(|revive| attempts >= revive.max(kill))
-            }
-        }
-    }
-
-    /// The fault rates of the directed link `src -> dst`.
-    pub fn link(&self, src: Rank, dst: Rank) -> &LinkFaults {
-        self.links.get(&(src, dst)).unwrap_or(&self.default_link)
-    }
-
-    /// Decides the fate of the `msg_index`-th message on `src -> dst`.
-    ///
-    /// Pure in `(seed, src, dst, msg_index)`: the same arguments always
-    /// return the same decision. Drop takes precedence over corrupt, which
-    /// takes precedence over delay; each uses an independent roll so the
-    /// configured probabilities apply marginally.
-    pub fn decide(&self, src: Rank, dst: Rank, msg_index: u64) -> FaultDecision {
-        let lf = self.link(src, dst);
-        if lf.drop_prob > 0.0 && self.roll(src, dst, msg_index, 0) < lf.drop_prob {
-            return FaultDecision::Drop;
-        }
-        if lf.corrupt_prob > 0.0 && self.roll(src, dst, msg_index, 1) < lf.corrupt_prob {
-            return FaultDecision::Corrupt;
-        }
-        if lf.delay_prob > 0.0 && self.roll(src, dst, msg_index, 2) < lf.delay_prob {
-            return FaultDecision::Delay(lf.delay);
-        }
-        FaultDecision::Deliver
-    }
-
-    fn roll(&self, src: Rank, dst: Rank, msg_index: u64, kind: u64) -> f64 {
-        roll(self.seed, src, dst, msg_index, kind)
-    }
-}
-
 /// A uniform roll in `[0, 1)` keyed by the message identity and fault
-/// kind (splitmix64 finalizer over the packed key). Kinds 0–2 are the
-/// frame lottery's drop / corrupt / delay; kind 3 is the link lottery of
-/// [`ChaosPlan`](crate::ChaosPlan), so the two never correlate.
+/// kind (splitmix64 finalizer over the packed key). Kinds 0 / 1 / 2 are
+/// the plan's loss / corrupt / stall lotteries, so the three never
+/// correlate.
 pub(crate) fn roll(seed: u64, src: Rank, dst: Rank, msg_index: u64, kind: u64) -> f64 {
     let key = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -271,22 +84,6 @@ pub fn frame(payload: &[u8], epoch: u32) -> Bytes {
     Bytes::from(out)
 }
 
-/// Frames `payload`, then flips one bit so the receiver's checksum fails.
-///
-/// The flipped bit is in the payload when there is one (keyed by
-/// `msg_index` so different corruptions hit different bits), and in the
-/// checksum itself for empty payloads.
-pub fn frame_corrupted(payload: &[u8], epoch: u32, msg_index: u64) -> Bytes {
-    let mut out = frame(payload, epoch).to_vec();
-    let target = if payload.is_empty() {
-        8 // first checksum byte
-    } else {
-        FRAME_HEADER + (splitmix64(msg_index) as usize % payload.len())
-    };
-    out[target] ^= 1 << (msg_index % 8) as u8;
-    Bytes::from(out)
-}
-
 /// Validates and strips a `[len][epoch][crc32][payload]` frame.
 ///
 /// Returns `None` on a short frame, a length mismatch, or a checksum
@@ -316,7 +113,22 @@ pub fn deframe(framed: &Bytes) -> Option<(u32, Bytes)> {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
+    use crate::transport::chaos::flip_one_bit;
+    use crate::transport::{ChaosDecision, ChaosLink, ChaosPlan};
+
+    /// A plan whose default link carries the given lottery odds.
+    fn lottery(seed: u64, loss_prob: f64, corrupt_prob: f64, stall_prob: f64) -> ChaosPlan {
+        ChaosPlan::seeded(seed).with_default_link(ChaosLink {
+            loss_prob,
+            corrupt_prob,
+            stall_prob,
+            stall: Duration::from_micros(50),
+            ..ChaosLink::default()
+        })
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -342,11 +154,11 @@ mod tests {
     #[test]
     fn corrupted_frames_are_detected() {
         for idx in 0..32u64 {
-            let bad = frame_corrupted(b"some tensor bytes", 1, idx);
+            let bad = flip_one_bit(&frame(b"some tensor bytes", 1), idx);
             assert!(deframe(&bad).is_none(), "corruption at index {idx} missed");
         }
-        // Even an empty payload's corruption is caught (checksum bit flip).
-        assert!(deframe(&frame_corrupted(b"", 0, 3)).is_none());
+        // Even an empty payload's corruption is caught (a header bit flip).
+        assert!(deframe(&flip_one_bit(&frame(b"", 0), 3)).is_none());
     }
 
     #[test]
@@ -379,12 +191,12 @@ mod tests {
         assert!(deframe(&Bytes::new()).is_none());
     }
 
+    // The plan lives in `transport::chaos`; the tests of its lottery and
+    // kill window stay beside `roll`, whose keys they pin.
+
     #[test]
     fn decisions_are_pure_in_the_key() {
-        let plan = FaultPlan::seeded(42)
-            .with_drop_prob(0.3)
-            .with_corrupt_prob(0.2)
-            .with_delay(0.2, Duration::from_micros(50));
+        let plan = lottery(42, 0.3, 0.2, 0.2);
         for src in 0..4 {
             for dst in 0..4 {
                 for idx in 0..64 {
@@ -400,53 +212,69 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_fault_sequences() {
-        let a = FaultPlan::seeded(1).with_drop_prob(0.5);
-        let b = FaultPlan::seeded(2).with_drop_prob(0.5);
         let seq =
-            |p: &FaultPlan| -> Vec<FaultDecision> { (0..256).map(|i| p.decide(0, 1, i)).collect() };
-        assert_ne!(seq(&a), seq(&b));
+            |p: &ChaosPlan| -> Vec<ChaosDecision> { (0..256).map(|i| p.decide(0, 1, i)).collect() };
+        assert_ne!(
+            seq(&lottery(1, 0.5, 0.0, 0.0)),
+            seq(&lottery(2, 0.5, 0.0, 0.0))
+        );
     }
 
     #[test]
     fn rates_are_roughly_honoured() {
-        let plan = FaultPlan::seeded(7).with_drop_prob(0.25);
+        let plan = lottery(7, 0.25, 0.0, 0.0);
         let n = 10_000;
         let drops = (0..n)
-            .filter(|&i| plan.decide(0, 1, i) == FaultDecision::Drop)
+            .filter(|&i| plan.decide(0, 1, i) == ChaosDecision::Blackhole)
             .count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "drop rate {rate} far from 0.25");
     }
 
     #[test]
+    fn the_lottery_keeps_its_keys_and_precedence() {
+        // Loss, corrupt and stall roll on kinds 0, 1 and 2 of the one
+        // per-link index, loss first: the keys every committed seed was
+        // chosen against.
+        let plan = lottery(42, 0.3, 0.2, 0.2);
+        for idx in 0..256 {
+            let hit = |kind, p| roll(42, 1, 2, idx, kind) < p;
+            let want = if hit(0, 0.3) {
+                ChaosDecision::Blackhole
+            } else if hit(1, 0.2) {
+                ChaosDecision::Corrupt
+            } else if hit(2, 0.2) {
+                ChaosDecision::Stall(Duration::from_micros(50))
+            } else {
+                ChaosDecision::Deliver
+            };
+            assert_eq!(plan.decide(1, 2, idx), want, "index {idx}");
+        }
+    }
+
+    #[test]
     fn link_overrides_shadow_the_default() {
-        let plan = FaultPlan::seeded(9)
-            .with_drop_prob(1.0)
-            .with_link(0, 1, LinkFaults::default());
-        assert_eq!(plan.decide(0, 1, 0), FaultDecision::Deliver);
-        assert_eq!(plan.decide(1, 0, 0), FaultDecision::Drop);
+        let plan = lottery(9, 1.0, 0.0, 0.0).with_link(0, 1, ChaosLink::default());
+        assert_eq!(plan.decide(0, 1, 0), ChaosDecision::Deliver);
+        assert_eq!(plan.decide(1, 0, 0), ChaosDecision::Blackhole);
     }
 
     #[test]
     fn kill_threshold_and_deadline_accessors() {
-        let plan = FaultPlan::seeded(3)
+        let plan = ChaosPlan::seeded(3)
             .kill_after(2, 100)
+            .revive_after(2, 130)
             .with_recv_deadline(Duration::from_secs(1));
-        assert_eq!(plan.kill_threshold(2), Some(100));
-        assert_eq!(plan.kill_threshold(0), None);
+        assert!(plan.rank_alive(2, 99) && !plan.rank_alive(2, 100));
+        assert_eq!(plan.revive_threshold(2), Some(130));
+        assert_eq!(plan.revive_threshold(0), None);
         assert_eq!(plan.recv_deadline(), Some(Duration::from_secs(1)));
-    }
-
-    #[test]
-    fn board_poll_defaults_to_five_ms_and_overrides() {
-        assert_eq!(FaultPlan::seeded(1).board_poll(), Duration::from_millis(5));
-        let plan = FaultPlan::seeded(1).with_board_poll(Duration::from_millis(250));
-        assert_eq!(plan.board_poll(), Duration::from_millis(250));
+        assert_eq!(ChaosPlan::seeded(3).recv_deadline(), None);
     }
 
     #[test]
     fn liveness_is_a_pure_window_of_the_attempt_counter() {
-        let plan = FaultPlan::seeded(3).kill_after(5, 10).revive_after(5, 14);
+        let plan = ChaosPlan::seeded(3).kill_after(5, 10).revive_after(5, 14);
         // No kill scheduled: always alive.
         assert!(plan.rank_alive(0, 0));
         assert!(plan.rank_alive(0, u64::MAX));
@@ -457,12 +285,12 @@ mod tests {
         assert!(plan.rank_alive(5, 14));
         assert!(plan.rank_alive(5, 100));
         // Kill without revive: dead forever.
-        let forever = FaultPlan::seeded(3).kill_after(5, 10);
+        let forever = ChaosPlan::seeded(3).kill_after(5, 10);
         assert!(!forever.rank_alive(5, 10));
         assert!(!forever.rank_alive(5, u64::MAX));
         // A revive threshold at or below the kill threshold makes the dead
         // window `[kill, max(revive, kill))` empty: the rank never dies.
-        let odd = FaultPlan::seeded(3).kill_after(5, 10).revive_after(5, 4);
+        let odd = ChaosPlan::seeded(3).kill_after(5, 10).revive_after(5, 4);
         assert!(odd.rank_alive(5, 9));
         assert!(odd.rank_alive(5, 10));
         assert_eq!(odd.revive_threshold(5), Some(4));

@@ -18,12 +18,16 @@
 //!   channels are the interconnect. The functional all-to-all and
 //!   distributed MoE layers run on it, so collective correctness is tested
 //!   with real data movement rather than mocks.
-//! * [`faults`] — deterministic, seeded fault injection for the fabric:
-//!   per-link drop/delay/corrupt rates, per-rank kill and revive points,
-//!   and the epoch-stamped CRC32 wire framing that turns bit damage into
-//!   typed [`FabricError::Corrupt`] errors and stale-membership traffic
-//!   into [`FabricError::StaleEpoch`]. Chaos runs replay bit-identically
-//!   from the seed alone.
+//! * [`transport`] — the interchangeable byte carriers under the fabric
+//!   (channels, shared-memory rings, TCP) and, in [`transport::chaos`],
+//!   the one fault layer: a seeded [`ChaosPlan`] — link windows, the
+//!   loss / corrupt / stall lottery, shaping, per-rank kill and revive
+//!   points — injected by a decorator beneath framing. Chaos runs replay
+//!   bit-identically from the seed alone.
+//! * [`faults`] — the two pure primitives that layer is built from: the
+//!   keyed lottery roll, and the epoch-stamped CRC32 wire frame that
+//!   turns bit damage into typed [`FabricError::Corrupt`] errors and
+//!   stale-membership traffic into [`FabricError::StaleEpoch`].
 
 pub mod fabric;
 pub mod faults;
@@ -34,7 +38,7 @@ pub mod topology;
 pub mod transport;
 
 pub use fabric::{AdaptiveDeadline, Fabric, FabricError, RankHandle};
-pub use faults::{FaultDecision, FaultPlan, LinkFaults, EPOCH_ANY};
+pub use faults::EPOCH_ANY;
 pub use hardware::HardwareProfile;
 pub use memory::MemoryBudget;
 pub use storage::{write_atomic, ChaosFs, ChaosFsPlan, RealFs, RenameFate, StorageFs, WriteFate};

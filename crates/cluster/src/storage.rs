@@ -49,6 +49,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::faults::splitmix64;
+
 /// The filesystem surface durable artifacts go through. Object-safe so
 /// [`ChaosFs`] can decorate any backend.
 pub trait StorageFs: Send + Sync {
@@ -313,15 +315,6 @@ impl ChaosFsPlan {
     fn roll(&self, salt: u64, lane: u64, idx: u64) -> f64 {
         (self.key(salt, lane, idx) >> 11) as f64 / (1u64 << 53) as f64
     }
-}
-
-/// The splitmix64 finalizer (duplicated from `faults` to keep this
-/// module free-standing; both must stay bit-identical).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Wraps any [`StorageFs`] in a [`ChaosFsPlan`].

@@ -1,10 +1,9 @@
-//! Network chaos at the transport boundary: a decorator that injects
-//! seeded, replayable *socket-level* faults into any [`Transport`].
+//! The fault layer: one seeded plan, one injector beneath framing.
 //!
-//! The frame-level [`FaultPlan`](crate::faults::FaultPlan) models damage
-//! to individual messages — drops, bit flips, stalls — but it cannot
-//! express the failure class real networks are actually made of: the
-//! *link* misbehaving. A [`ChaosPlan`] describes exactly that vocabulary:
+//! A [`ChaosPlan`] describes everything that goes wrong on a run, and a
+//! [`ChaosTransport`] wrapped around any [`Transport`] is the one place a
+//! byte in flight is dropped, flipped, stalled, shaped, refused or
+//! blackholed. The vocabulary:
 //!
 //! * **Blackholes** — a directed link silently eats every send for an
 //!   index window. Two opposing windows make a symmetric partition
@@ -19,19 +18,28 @@
 //! * **Refusals** — dialing fails: sends error typed for the window but
 //!   the existing stream is left alone, modelling a peer whose listener
 //!   is up-and-refusing rather than gone.
+//! * **The lottery** — per-link probabilities that an individual record
+//!   is lost, has one bit flipped, or stalls its sender ([`ChaosLink`]).
+//!   The flip lands in the already-sealed `[len][epoch][crc32]` record
+//!   (see [`crate::faults`]), so the receiver's checksum turns it into
+//!   [`FabricError::Corrupt`](crate::FabricError::Corrupt).
 //! * **Shaping** — per-link fixed latency and bandwidth ceilings charge
-//!   wall-clock on delivered sends, and a per-link loss probability
-//!   drops individual records by seeded lottery.
+//!   wall-clock on delivered sends.
+//! * **Kills** — [`kill_after`](ChaosPlan::kill_after) /
+//!   [`revive_after`](ChaosPlan::revive_after) schedule a rank's death
+//!   window over its attempted-send count. Death is a property of the
+//!   rank, not of a link, so the [`RankHandle`](crate::RankHandle) holds
+//!   the latch and reads the schedule from the same plan.
 //!
 //! # Determinism
 //!
 //! Every decision is a pure function of `(seed, src, dst, per-link
-//! outbound index, fault kind)` — the same splitmix64 discipline as
-//! [`crate::faults`], no RNG state and no wall clock — so a chaos
-//! campaign replays bit-identically from nothing but its seed. The one
+//! outbound index, fault kind)` — a splitmix64 roll, no RNG state and no
+//! wall clock — so a chaos campaign replays bit-identically from nothing
+//! but its seed, whatever the thread interleaving. The one
 //! deliberate exception is [`heal_after`](ChaosPlan::heal_after): a
-//! wall-clock switch that ends *all* chaos after a duration, used by the
-//! multi-process launcher where rank processes have no shared send
+//! wall-clock switch that ends *all* link chaos after a duration, used by
+//! the multi-process launcher where rank processes have no shared send
 //! counter to key a deterministic heal on. Deterministic campaigns use
 //! index windows and leave it unset.
 //!
@@ -45,15 +53,26 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use schemoe_obs as obs;
 
 use super::{LinkClosed, RawRecvError, Transport};
+use crate::faults::{roll, splitmix64};
 use crate::topology::Rank;
 
-/// Shaping parameters of one directed link.
+/// Lottery odds and shaping parameters of one directed link.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChaosLink {
-    /// Probability an individual delivered send silently vanishes.
+    /// Probability an individual send silently vanishes (the receiver's
+    /// deadline turns the loss into a `Timeout`).
     pub loss_prob: f64,
+    /// Probability a delivered record has one bit flipped (the
+    /// receiver's checksum turns the damage into a `Corrupt`).
+    pub corrupt_prob: f64,
+    /// Probability a send stalls its sender for [`stall`](Self::stall)
+    /// before delivery (a wedged NIC engine).
+    pub stall_prob: f64,
+    /// The stall applied when the stall roll hits.
+    pub stall: Duration,
     /// Fixed latency charged to every delivered send (the sender
     /// blocks, modelling propagation delay).
     pub latency: Duration,
@@ -75,9 +94,17 @@ pub enum ChaosDecision {
     /// Fail typed with [`LinkClosed`], stream left intact (a refused
     /// dial, not a torn link).
     Refuse,
+    /// Deliver with one bit of the record flipped.
+    Corrupt,
+    /// Stall the sender for the duration, then deliver.
+    Stall(Duration),
 }
 
-/// A seeded, replayable description of how the *network* misbehaves.
+type Windows = HashMap<(Rank, Rank), Vec<(u64, u64)>>;
+
+/// A seeded, replayable description of everything that goes wrong on a
+/// run. Install it with [`Fabric::run_with`](crate::Fabric::run_with) or
+/// [`RankHandle::attach`](crate::RankHandle::attach).
 ///
 /// Windows are half-open index ranges `[start, end)` over the directed
 /// link's outbound send counter — the n-th send from `src` to `dst`
@@ -85,13 +112,18 @@ pub enum ChaosDecision {
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
     seed: u64,
-    blackholes: HashMap<(Rank, Rank), Vec<(u64, u64)>>,
-    flaps: HashMap<(Rank, Rank), Vec<(u64, u64)>>,
-    refusals: HashMap<(Rank, Rank), Vec<(u64, u64)>>,
+    blackholes: Windows,
+    flaps: Windows,
+    refusals: Windows,
     links: HashMap<(Rank, Rank), ChaosLink>,
     /// Rank-wide shaping: applied to every link touching the rank (either
     /// direction) that has no explicit `links` entry.
     slow_ranks: HashMap<Rank, ChaosLink>,
+    /// The link in force where neither of the above has an entry.
+    default_link: ChaosLink,
+    kills: HashMap<Rank, u64>,
+    revives: HashMap<Rank, u64>,
+    recv_deadline: Option<Duration>,
     heal_after: Option<Duration>,
 }
 
@@ -106,11 +138,6 @@ impl ChaosPlan {
             seed,
             ..ChaosPlan::default()
         }
-    }
-
-    /// The replay seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Blackholes the directed link `src -> dst` for sends with index in
@@ -130,14 +157,9 @@ impl ChaosPlan {
     pub fn partition(mut self, a: &[Rank], b: &[Rank], start: u64, end: u64) -> Self {
         for &x in a {
             for &y in b {
-                self.blackholes
-                    .entry((x, y))
-                    .or_default()
-                    .push((start, end));
-                self.blackholes
-                    .entry((y, x))
-                    .or_default()
-                    .push((start, end));
+                self = self
+                    .blackhole_window(x, y, start, end)
+                    .blackhole_window(y, x, start, end);
             }
         }
         self
@@ -161,9 +183,17 @@ impl ChaosPlan {
         self
     }
 
-    /// Sets the loss/latency/bandwidth shaping of one directed link.
+    /// Sets the lottery odds and shaping of one directed link.
     pub fn with_link(mut self, src: Rank, dst: Rank, link: ChaosLink) -> Self {
         self.links.insert((src, dst), link);
+        self
+    }
+
+    /// Sets the link in force on every `src -> dst` (self-sends included)
+    /// that has neither a [`with_link`](Self::with_link) entry nor a
+    /// [`slow_rank`](Self::slow_rank) endpoint.
+    pub fn with_default_link(mut self, link: ChaosLink) -> Self {
+        self.default_link = link;
         self
     }
 
@@ -179,25 +209,42 @@ impl ChaosPlan {
         self.slow_ranks.insert(
             rank,
             ChaosLink {
-                loss_prob: 0.0,
                 latency,
                 bytes_per_sec,
+                ..ChaosLink::default()
             },
         );
         self
     }
 
-    /// The shaping in force on `src -> dst`: the explicit link entry if
-    /// one exists, else the rank-wide entry of whichever endpoint is
-    /// marked slow (source first).
-    fn link_for(&self, src: Rank, dst: Rank) -> Option<&ChaosLink> {
-        self.links
-            .get(&(src, dst))
-            .or_else(|| self.slow_ranks.get(&src))
-            .or_else(|| self.slow_ranks.get(&dst))
+    /// Kills `rank` after it has completed `n_sends` sends: the `n+1`-th
+    /// send (and every later send or receive) fails with
+    /// `Disconnected { peer: rank }` on the dead rank itself, and peers see
+    /// its silence as timeouts or, once its death is posted, disconnects.
+    pub fn kill_after(mut self, rank: Rank, n_sends: u64) -> Self {
+        self.kills.insert(rank, n_sends);
+        self
     }
 
-    /// Wall-clock heal: all chaos ends `after` the decorator's
+    /// Revives `rank` once it has *attempted* `n_sends` sends in total
+    /// (denied sends while dead count too, so the revival point is a pure
+    /// function of the rank's own control flow, not of wall clock).
+    /// Requires a matching [`kill_after`](Self::kill_after) with a smaller
+    /// threshold; a revive without a kill is inert.
+    pub fn revive_after(mut self, rank: Rank, n_sends: u64) -> Self {
+        self.revives.insert(rank, n_sends);
+        self
+    }
+
+    /// Default liveness deadline applied to every plain `recv` while this
+    /// plan is installed, so lost messages and dead peers surface as
+    /// [`Timeout`](crate::FabricError::Timeout) instead of hanging.
+    pub fn with_recv_deadline(mut self, deadline: Duration) -> Self {
+        self.recv_deadline = Some(deadline);
+        self
+    }
+
+    /// Wall-clock heal: all link chaos ends `after` the decorator's
     /// construction. **Not deterministic** — launcher-only; seeded
     /// campaigns should close their windows by index instead.
     pub fn heal_after(mut self, after: Duration) -> Self {
@@ -205,16 +252,58 @@ impl ChaosPlan {
         self
     }
 
-    /// The configured wall-clock heal, if any.
-    pub fn heal_deadline(&self) -> Option<Duration> {
-        self.heal_after
+    /// The configured default receive deadline, if any.
+    pub(crate) fn recv_deadline(&self) -> Option<Duration> {
+        self.recv_deadline
     }
 
-    fn in_window(
-        windows: &HashMap<(Rank, Rank), Vec<(u64, u64)>>,
-        key: (Rank, Rank),
-        idx: u64,
-    ) -> bool {
+    /// The attempted-send count after which `rank` revives, if scheduled.
+    pub(crate) fn revive_threshold(&self, rank: Rank) -> Option<u64> {
+        self.revives.get(&rank).copied()
+    }
+
+    /// Whether `rank` is alive after `attempts` attempted sends: dead in
+    /// the window `[kill, revive)` and alive everywhere else. Pure in
+    /// `(plan, rank, attempts)` — liveness replays bit-identically because
+    /// it depends only on the rank's own send counter.
+    pub fn rank_alive(&self, rank: Rank, attempts: u64) -> bool {
+        match self.kills.get(&rank) {
+            None => true,
+            Some(&kill) => {
+                attempts < kill
+                    || self
+                        .revive_threshold(rank)
+                        .is_some_and(|revive| attempts >= revive.max(kill))
+            }
+        }
+    }
+
+    /// True when the plan names a link: a window, a link or slow-rank
+    /// entry, or a wall-clock heal. A rank such a plan cuts off is never
+    /// physically gone — it is alive behind a misbehaving link — so
+    /// [`ChaosTransport::reconnectable`] answers `true` and survivors
+    /// poll for its announce without a scheduled revival.
+    fn misbehaves_by_link(&self) -> bool {
+        self.heal_after.is_some()
+            || !self.links.is_empty()
+            || !self.slow_ranks.is_empty()
+            || [&self.blackholes, &self.flaps, &self.refusals]
+                .iter()
+                .any(|windows| !windows.is_empty())
+    }
+
+    /// The link in force on `src -> dst`: the explicit entry if one
+    /// exists, else the rank-wide entry of whichever endpoint is marked
+    /// slow (source first), else the default link.
+    fn link_for(&self, src: Rank, dst: Rank) -> &ChaosLink {
+        self.links
+            .get(&(src, dst))
+            .or_else(|| self.slow_ranks.get(&src))
+            .or_else(|| self.slow_ranks.get(&dst))
+            .unwrap_or(&self.default_link)
+    }
+
+    fn in_window(windows: &Windows, key: (Rank, Rank), idx: u64) -> bool {
         windows
             .get(&key)
             .is_some_and(|ws| ws.iter().any(|&(s, e)| idx >= s && idx < e))
@@ -230,42 +319,47 @@ impl ChaosPlan {
 
     /// Decides the fate of the `idx`-th send on `src -> dst`. Pure in
     /// `(plan, src, dst, idx)`. Precedence: flap > refuse > blackhole >
-    /// loss lottery.
+    /// loss > corrupt > stall; each lottery kind rolls independently (kinds
+    /// 0 / 1 / 2 of `faults::roll`) so the configured odds apply marginally.
+    /// Self-sends meet the lottery but never a window.
     pub fn decide(&self, src: Rank, dst: Rank, idx: u64) -> ChaosDecision {
         let key = (src, dst);
-        if Self::in_window(&self.flaps, key, idx) {
-            return ChaosDecision::FlapClose;
-        }
-        if Self::in_window(&self.refusals, key, idx) {
-            return ChaosDecision::Refuse;
-        }
-        if Self::in_window(&self.blackholes, key, idx) {
-            return ChaosDecision::Blackhole;
-        }
-        if let Some(link) = self.link_for(src, dst) {
-            if link.loss_prob > 0.0 && self.roll(src, dst, idx) < link.loss_prob {
+        if src != dst {
+            if Self::in_window(&self.flaps, key, idx) {
+                return ChaosDecision::FlapClose;
+            }
+            if Self::in_window(&self.refusals, key, idx) {
+                return ChaosDecision::Refuse;
+            }
+            if Self::in_window(&self.blackholes, key, idx) {
                 return ChaosDecision::Blackhole;
             }
         }
-        ChaosDecision::Deliver
+        let link = self.link_for(src, dst);
+        let hit = |kind: u64, p: f64| p > 0.0 && roll(self.seed, src, dst, idx, kind) < p;
+        if hit(0, link.loss_prob) {
+            ChaosDecision::Blackhole
+        } else if hit(1, link.corrupt_prob) {
+            ChaosDecision::Corrupt
+        } else if hit(2, link.stall_prob) {
+            ChaosDecision::Stall(link.stall)
+        } else {
+            ChaosDecision::Deliver
+        }
     }
 
     /// The shaping stall charged to a delivered send of `len` bytes on
     /// `src -> dst` (fixed latency plus bandwidth serialization).
+    /// Self-sends are never shaped.
     pub fn shaping_delay(&self, src: Rank, dst: Rank, len: usize) -> Duration {
-        let Some(link) = self.link_for(src, dst) else {
+        if src == dst {
             return Duration::ZERO;
-        };
+        }
+        let link = self.link_for(src, dst);
         let bw = link.bytes_per_sec.map_or(Duration::ZERO, |bps| {
             Duration::from_secs_f64(len as f64 / bps.max(1) as f64)
         });
         link.latency + bw
-    }
-
-    /// A uniform roll in `[0, 1)` keyed by the send identity: the frame-
-    /// level fault plan's lottery on its own kind lane.
-    fn roll(&self, src: Rank, dst: Rank, idx: u64) -> f64 {
-        crate::faults::roll(self.seed, src, dst, idx, 3)
     }
 }
 
@@ -280,8 +374,11 @@ pub struct ChaosTransport {
     inner: Box<dyn Transport>,
     rank: Rank,
     plan: Arc<ChaosPlan>,
-    /// Per-destination outbound send index.
+    /// Per-destination outbound send index, the replay key of every
+    /// decision.
     counters: Vec<AtomicU64>,
+    /// The sender's `faults_injected` lives here.
+    obs_counters: Arc<obs::RankCounters>,
     /// Construction instant, anchoring the wall-clock heal.
     start: Instant,
 }
@@ -295,15 +392,29 @@ impl ChaosTransport {
             rank,
             plan,
             counters: (0..world).map(|_| AtomicU64::new(0)).collect(),
+            obs_counters: obs::counters_for_rank(rank),
             start: Instant::now(),
         }
     }
 
     fn healed(&self) -> bool {
         self.plan
-            .heal_deadline()
+            .heal_after
             .is_some_and(|d| self.start.elapsed() >= d)
     }
+}
+
+/// `record` with one bit flipped, byte and bit keyed by the send index so
+/// different corruptions hit different places. The fabric seals every
+/// record while a plan is installed, so whichever bit goes — length,
+/// epoch, checksum or payload — `deframe` rejects the record.
+pub(crate) fn flip_one_bit(record: &Bytes, idx: u64) -> Bytes {
+    let mut bytes = record.to_vec();
+    if !bytes.is_empty() {
+        let at = splitmix64(idx) as usize % bytes.len();
+        bytes[at] ^= 1 << (idx % 8);
+    }
+    Bytes::from(bytes)
 }
 
 impl Transport for ChaosTransport {
@@ -313,26 +424,31 @@ impl Transport for ChaosTransport {
 
     fn send_raw(&self, to: Rank, tag: u64, payload: Bytes) -> Result<(), LinkClosed> {
         let idx = self.counters[to].fetch_add(1, Ordering::Relaxed);
-        if to == self.rank || self.healed() {
+        if self.healed() {
             return self.inner.send_raw(to, tag, payload);
         }
-        match self.plan.decide(self.rank, to, idx) {
-            ChaosDecision::Deliver => {
-                let stall = self.plan.shaping_delay(self.rank, to, payload.len());
-                if !stall.is_zero() {
-                    std::thread::sleep(stall);
-                }
-                self.inner.send_raw(to, tag, payload)
-            }
-            ChaosDecision::Blackhole => Ok(()),
+        let decision = self.plan.decide(self.rank, to, idx);
+        if decision != ChaosDecision::Deliver {
+            self.obs_counters.add_fault_injected();
+        }
+        let (payload, stall) = match decision {
+            ChaosDecision::Deliver => (payload, Duration::ZERO),
+            ChaosDecision::Stall(stall) => (payload, stall),
+            ChaosDecision::Corrupt => (flip_one_bit(&payload, idx), Duration::ZERO),
+            ChaosDecision::Blackhole => return Ok(()),
             ChaosDecision::FlapClose => {
                 if self.plan.flap_entry(self.rank, to, idx) {
                     self.inner.reset_link(to);
                 }
-                Err(LinkClosed)
+                return Err(LinkClosed);
             }
-            ChaosDecision::Refuse => Err(LinkClosed),
+            ChaosDecision::Refuse => return Err(LinkClosed),
+        };
+        let stall = stall + self.plan.shaping_delay(self.rank, to, payload.len());
+        if !stall.is_zero() {
+            std::thread::sleep(stall);
         }
+        self.inner.send_raw(to, tag, payload)
     }
 
     fn recv_raw(
@@ -360,15 +476,13 @@ impl Transport for ChaosTransport {
     }
 
     fn always_framed(&self) -> bool {
-        self.inner.always_framed()
+        // A plan is installed: every record is sealed so a flipped bit
+        // is caught, whatever the backend.
+        true
     }
 
     fn reconnectable(&self) -> bool {
-        // A chaos-excommunicated rank is never physically gone — its
-        // process (or thread) is alive behind a misbehaving link — so
-        // survivors must poll for its announce and it may rejoin without
-        // a fault plan scheduling a revival.
-        true
+        self.inner.reconnectable() || self.plan.misbehaves_by_link()
     }
 
     fn reset_link(&self, to: Rank) {
@@ -559,6 +673,61 @@ mod tests {
     }
 
     #[test]
+    fn decorator_corrupts_one_bit_and_stalls_by_lottery() {
+        let link = |corrupt_prob, stall_prob| ChaosLink {
+            corrupt_prob,
+            stall_prob,
+            stall: Duration::from_millis(30),
+            ..ChaosLink::default()
+        };
+        let mesh = channel::mesh(2);
+        let mut it = mesh.into_iter();
+        let plan = ChaosPlan::seeded(10)
+            .with_default_link(link(1.0, 0.0))
+            .with_link(0, 0, link(0.0, 1.0));
+        let a = ChaosTransport::new(Box::new(it.next().unwrap()), 0, Arc::new(plan));
+        let b = it.next().unwrap();
+        let sent = Bytes::from_static(b"sealed record bytes");
+        a.send_raw(1, 7, sent.clone()).unwrap();
+        let (_, got) = b.recv_raw(0, Some(Duration::from_secs(1))).unwrap();
+        let flipped: u32 = sent
+            .iter()
+            .zip(got.iter())
+            .map(|(x, y)| (x ^ y).count_ones())
+            .sum();
+        assert_eq!((got.len(), flipped), (sent.len(), 1));
+        // The self-link's stall roll always hits: the sender pays it and
+        // the record arrives whole.
+        let t0 = Instant::now();
+        a.send_raw(0, 7, sent.clone()).unwrap();
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+        assert_eq!(a.recv_raw(0, Some(Duration::from_secs(1))).unwrap().1, sent);
+    }
+
+    /// A lone channel endpoint (never reconnectable itself) under `plan`.
+    fn wrap(plan: ChaosPlan) -> ChaosTransport {
+        let endpoint = channel::mesh(1).into_iter().next().unwrap();
+        ChaosTransport::new(Box::new(endpoint), 0, Arc::new(plan))
+    }
+
+    #[test]
+    fn a_kill_only_plan_leaves_reconnectable_to_the_backend() {
+        let kill_only = ChaosPlan::seeded(14)
+            .kill_after(0, 3)
+            .revive_after(0, 9)
+            .with_recv_deadline(Duration::from_secs(1));
+        assert!(!wrap(kill_only).reconnectable());
+    }
+
+    #[test]
+    fn a_plan_that_names_a_link_is_reconnectable_on_any_backend() {
+        let partition = ChaosPlan::seeded(15).partition(&[0], &[1], 0, 10);
+        assert!(wrap(partition).reconnectable());
+        let healing = ChaosPlan::seeded(15).heal_after(Duration::from_secs(1));
+        assert!(wrap(healing).reconnectable());
+    }
+
+    #[test]
     fn self_sends_and_healed_plans_bypass_chaos() {
         let mesh = channel::mesh(2);
         let mut it = mesh.into_iter();
@@ -577,7 +746,7 @@ mod tests {
         a.send_raw(1, 7, Bytes::from_static(b"healed")).unwrap();
         let (_, p) = b.recv_raw(0, Some(Duration::from_secs(1))).unwrap();
         assert_eq!(p.as_ref(), b"healed");
-        // Self-sends never consult the plan at all.
+        // Self-sends meet no window.
         a.send_raw(0, 7, Bytes::from_static(b"me")).unwrap();
         let (_, p) = a.recv_raw(0, Some(Duration::from_secs(1))).unwrap();
         assert_eq!(p.as_ref(), b"me");

@@ -2,10 +2,12 @@
 //!
 //! [`RankHandle`](crate::fabric::RankHandle) owns everything *semantic*
 //! about fabric traffic — tag demultiplexing and parking, CRC/epoch
-//! framing, fault injection, deadlines, counters. A [`Transport`] owns
-//! everything *physical*: moving an opaque `(tag, payload)` record from
-//! one rank's endpoint to another's, a rendezvous barrier, and a cluster
-//! liveness board. Three implementations ship:
+//! framing, deadlines, counters. A [`Transport`] owns everything
+//! *physical*: moving an opaque `(tag, payload)` record from one rank's
+//! endpoint to another's, a rendezvous barrier, and a cluster liveness
+//! board. Three implementations ship, and the [`chaos`] decorator wraps
+//! any of them in the seeded fault plan — the one place a record in
+//! flight is lost, flipped, stalled, shaped or refused:
 //!
 //! * [`channel`] — the reference impl: ranks are threads in one process,
 //!   links are unbounded channels. Zero syscalls, zero framing; this is
@@ -148,15 +150,16 @@ pub trait Transport: Send {
     /// Clears `rank`'s board entry (the rejoin protocol re-admitting it).
     fn clear_death(&self, rank: Rank);
 
-    /// True when every payload must travel CRC/epoch-framed even without
-    /// a fault plan: real wires can damage bytes, so the `[len][epoch]
-    /// [crc32]` frame goes on the wire verbatim for the shm and tcp
-    /// backends.
+    /// True when every payload must travel CRC/epoch-framed: real wires
+    /// can damage bytes, so the `[len][epoch][crc32]` frame goes on the
+    /// wire verbatim for the shm and tcp backends, and the chaos decorator
+    /// damages them on purpose, so any backend it wraps is framed too.
     fn always_framed(&self) -> bool;
 
     /// True when a buried peer can physically come back — as a respawned
-    /// OS process dialing in through rendezvous — without a fault plan
-    /// scheduling its revival. Gates the survivors' rejoin polling.
+    /// OS process dialing in through rendezvous, or from behind a link the
+    /// chaos plan cut — without the plan scheduling its revival. Gates the
+    /// survivors' rejoin polling.
     fn reconnectable(&self) -> bool;
 
     /// Tears down the physical stream to `to`, if the backend has one,

@@ -209,14 +209,14 @@ mod fault_plan_purity {
     use std::time::Duration;
 
     use proptest::prelude::*;
-    use schemoe_cluster::{FaultDecision, FaultPlan};
+    use schemoe_cluster::{ChaosDecision, ChaosLink, ChaosPlan};
 
     /// One observation of the plan: every link decision for a small world
     /// plus the liveness verdict at every attempt count, tagged by key so
     /// order of observation cannot matter.
-    type Observation = Vec<(u64, u64, u64, FaultDecision, bool)>;
+    type Observation = Vec<(u64, u64, u64, ChaosDecision, bool)>;
 
-    fn observe(plan: &FaultPlan, keys: &[(usize, usize, u64)]) -> Observation {
+    fn observe(plan: &ChaosPlan, keys: &[(usize, usize, u64)]) -> Observation {
         keys.iter()
             .map(|&(src, dst, idx)| {
                 (
@@ -233,9 +233,10 @@ mod fault_plan_purity {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Every fault decision — drop, delay, and corrupt via `decide`,
-        /// kill and revive via `rank_alive` — is a pure function of
-        /// `(seed, src, dst, link_idx)`. Two threads replaying independent
+        /// Every decision of the one plan — flap, refusal and blackhole
+        /// windows, the loss / corrupt / stall lottery via `decide`, kill
+        /// and revive via `rank_alive` — is a pure function of
+        /// `(plan, src, dst, link_idx)`. Two threads replaying independent
         /// clones of the plan under opposite traversal orders (a forced
         /// difference in thread interleaving) must observe bit-identical
         /// sequences, and both must match a single-threaded replay built
@@ -243,17 +244,26 @@ mod fault_plan_purity {
         #[test]
         fn decisions_are_pure_across_thread_interleavings(
             seed in 0u64..1_000_000,
-            drop_p in 0.0f64..0.5,
-            corrupt_p in 0.0f64..0.4,
-            delay_p in 0.0f64..0.4,
+            loss_prob in 0.0f64..0.5,
+            corrupt_prob in 0.0f64..0.4,
+            stall_prob in 0.0f64..0.4,
+            window in (0u64..48, 0u64..16),
             kill in 0u64..48,
             dead_window in 0u64..32,
         ) {
             let build = || {
-                FaultPlan::seeded(seed)
-                    .with_drop_prob(drop_p)
-                    .with_corrupt_prob(corrupt_p)
-                    .with_delay(delay_p, Duration::from_micros(10))
+                let (start, len) = window;
+                ChaosPlan::seeded(seed)
+                    .with_default_link(ChaosLink {
+                        loss_prob,
+                        corrupt_prob,
+                        stall_prob,
+                        stall: Duration::from_micros(10),
+                        ..ChaosLink::default()
+                    })
+                    .flap_window(0, 1, start, start + len)
+                    .refuse_window(1, 0, start, start + len)
+                    .partition(&[0, 1], &[2, 3], start + len / 2, start + 2 * len)
                     .kill_after(2, kill)
                     .revive_after(2, kill + dead_window)
             };

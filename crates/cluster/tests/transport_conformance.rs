@@ -6,15 +6,19 @@
 //! backend must clear before the fault-tolerance protocols can trust it:
 //! FIFO per `(src, dst, tag)`, out-of-order parking across tags, stale
 //! membership-epoch rejection, corrupt-frame surfacing, deadline expiry
-//! on silent-but-live peers, typed disconnection on peer exit, and
-//! barrier synchronization.
+//! on silent-but-live peers, typed disconnection on peer exit, barrier
+//! synchronization, and the fault layer: every kind of injected fault
+//! surfaces typed, counts once on its sender, and replays from its seed.
 //!
 //! [`Transport`]: schemoe_cluster::Transport
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use schemoe_cluster::{ChaosPlan, Fabric, FabricError, FaultPlan, Topology, TransportKind};
+use schemoe_cluster::{
+    ChaosLink, ChaosPlan, Fabric, FabricError, RankHandle, Topology, TransportKind,
+};
+use schemoe_obs as obs;
 
 /// Backends under test. The shm backend only exists on unix hosts.
 fn kinds() -> Vec<TransportKind> {
@@ -90,9 +94,9 @@ fn mismatched_tags_park_until_requested() {
 #[test]
 fn stale_epochs_are_rejected_on_every_backend() {
     for kind in kinds() {
-        let plan = FaultPlan::seeded(31);
+        let plan = ChaosPlan::seeded(31);
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults_on(kind, topo, plan, |mut h| {
+        let results = Fabric::run_with(kind, topo, Some(plan), |mut h| {
             if h.rank() == 0 {
                 h.send(1, 1, Bytes::from_static(b"old world")).unwrap();
                 h.send_control(1, 2, Bytes::from_static(b"invite")).unwrap();
@@ -126,9 +130,12 @@ fn stale_epochs_are_rejected_on_every_backend() {
 #[test]
 fn corrupt_frames_surface_typed() {
     for kind in kinds() {
-        let plan = FaultPlan::seeded(32).with_corrupt_prob(1.0);
+        let plan = ChaosPlan::seeded(32).with_default_link(ChaosLink {
+            corrupt_prob: 1.0,
+            ..ChaosLink::default()
+        });
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults_on(kind, topo, plan, |mut h| {
+        let results = Fabric::run_with(kind, topo, Some(plan), |mut h| {
             if h.rank() == 0 {
                 h.send(1, 2, Bytes::from_static(b"tensor row")).unwrap();
                 h.barrier();
@@ -244,11 +251,11 @@ fn barrier_synchronizes_every_backend() {
 #[test]
 fn kill_latch_fails_peers_fast_on_every_backend() {
     for kind in kinds() {
-        let plan = FaultPlan::seeded(33)
+        let plan = ChaosPlan::seeded(33)
             .kill_after(0, 1)
             .with_recv_deadline(Duration::from_secs(5));
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_faults_on(kind, topo, plan, |mut h| {
+        let results = Fabric::run_with(kind, topo, Some(plan), |mut h| {
             if h.rank() == 0 {
                 h.send(1, 0, Bytes::from_static(b"a")).unwrap();
                 let err = h.send(1, 1, Bytes::from_static(b"b")).unwrap_err();
@@ -290,7 +297,7 @@ fn link_flaps_fail_typed_then_recover_on_every_backend() {
         // Outbound sends 1 and 2 on the 0 -> 1 link flap; 0 and 3 pass.
         let chaos = ChaosPlan::seeded(41).flap_window(0, 1, 1, 3);
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_chaos_on(kind, topo, chaos, None, |mut h| {
+        let results = Fabric::run_with(kind, topo, Some(chaos), |mut h| {
             if h.rank() == 0 {
                 h.send(1, 5, Bytes::from_static(b"before")).unwrap();
                 h.barrier(); // rank 1 drains "before" ahead of the teardown
@@ -341,7 +348,7 @@ fn asymmetric_loss_silences_one_direction_only() {
         // The first two outbound sends on 0 -> 1 vanish; 1 -> 0 is clean.
         let chaos = ChaosPlan::seeded(42).blackhole_window(0, 1, 0, 2);
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_chaos_on(kind, topo, chaos, None, |mut h| {
+        let results = Fabric::run_with(kind, topo, Some(chaos), |mut h| {
             if h.rank() == 0 {
                 h.send(1, 6, Bytes::from_static(b"eaten")).unwrap();
                 h.send(1, 6, Bytes::from_static(b"eaten too")).unwrap();
@@ -401,9 +408,9 @@ fn slow_rank_shapes_only_its_links_on_every_backend() {
         // scheduler noise, small enough to keep the suite fast.
         let chaos = ChaosPlan::seeded(44).slow_rank(1, Duration::from_millis(40), 0.0);
         let topo = Topology::new(1, 3);
-        let results = Fabric::run_with_chaos_on(kind, topo, chaos, None, |mut h| {
+        let results = Fabric::run_with(kind, topo, Some(chaos), |mut h| {
             let me = h.rank();
-            let timed_send = |h: &mut schemoe_cluster::RankHandle, dst: usize| {
+            let timed_send = |h: &mut RankHandle, dst: usize| {
                 let t0 = Instant::now();
                 h.send(dst, 3, Bytes::from_static(b"probe")).unwrap();
                 t0.elapsed()
@@ -465,7 +472,7 @@ fn refused_links_recover_through_retry_on_every_backend() {
         // The first two outbound sends on 0 -> 1 are refused dials.
         let chaos = ChaosPlan::seeded(43).refuse_window(0, 1, 0, 2);
         let topo = Topology::new(1, 2);
-        let results = Fabric::run_with_chaos_on(kind, topo, chaos, None, |mut h| {
+        let results = Fabric::run_with(kind, topo, Some(chaos), |mut h| {
             if h.rank() == 0 {
                 let mut refusals = 0usize;
                 loop {
@@ -498,5 +505,169 @@ fn refused_links_recover_through_retry_on_every_backend() {
             "{}: exactly the windowed dials are refused",
             kind.label()
         );
+    }
+}
+
+/// The two counter tests below read exact `obs` totals. The recorder is
+/// process-global, so they take this lock against each other and act only
+/// on ranks 4 and 5 of a 6-rank world — counter blocks no other test in
+/// this binary (worlds of at most 4, none reading counters) ever touches.
+static OBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Runs `f` on a 6-rank world under `plan` with the recorder on, from
+/// zeroed counters, and returns the results of ranks 4 and 5 beside their
+/// counters (timing zeroed, so two runs compare equal).
+fn counted<T: Send>(
+    kind: TransportKind,
+    plan: ChaosPlan,
+    f: impl Fn(RankHandle) -> T + Sync,
+) -> Vec<(T, obs::CounterSnapshot)> {
+    let _serial = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    obs::reset_counters();
+    obs::enable();
+    let results = Fabric::run_with(kind, Topology::new(1, 6), Some(plan), f);
+    obs::disable();
+    let counters = [4, 5].map(|rank| obs::CounterSnapshot {
+        recv_wait_ns: 0,
+        ..obs::counters_for_rank(rank).snapshot()
+    });
+    results.into_iter().skip(4).zip(counters).collect()
+}
+
+/// Every injected fault — flap, refusal, blackhole, lottery loss, stall,
+/// corruption — counts once in the *sender's* `faults_injected`; shaping
+/// is not a fault and counts nothing.
+#[test]
+fn every_injected_fault_counts_once_on_its_sender() {
+    for kind in kinds() {
+        let link = ChaosLink::default();
+        let plan = ChaosPlan::seeded(46)
+            .flap_window(4, 5, 0, 1)
+            .refuse_window(4, 5, 1, 2)
+            .blackhole_window(4, 5, 2, 3)
+            .with_link(
+                4,
+                5,
+                ChaosLink {
+                    loss_prob: 1.0,
+                    ..link
+                },
+            )
+            .with_link(
+                4,
+                4,
+                ChaosLink {
+                    stall_prob: 1.0,
+                    stall: Duration::from_millis(2),
+                    ..link
+                },
+            )
+            .with_link(
+                5,
+                4,
+                ChaosLink {
+                    corrupt_prob: 1.0,
+                    latency: Duration::from_millis(1),
+                    ..link
+                },
+            );
+        let out = counted(kind, plan, |mut h| {
+            let long = Duration::from_secs(10);
+            let got = match h.rank() {
+                4 => {
+                    // Flapped, refused, blackholed, lost — in index order.
+                    let sends: Vec<bool> = (0..4)
+                        .map(|_| h.send(5, 1, Bytes::from_static(b"x")).is_ok())
+                        .collect();
+                    assert_eq!(sends, [false, false, true, true], "{}", kind.label());
+                    h.send(4, 2, Bytes::from_static(b"stalled")).unwrap();
+                    assert_eq!(h.recv_timeout(4, 2, long).unwrap().as_ref(), b"stalled");
+                    Some(h.recv_timeout(5, 3, long))
+                }
+                5 => {
+                    h.send(4, 3, Bytes::from_static(b"shaped and flipped"))
+                        .unwrap();
+                    None
+                }
+                _ => None,
+            };
+            h.barrier();
+            got
+        });
+        let label = kind.label();
+        assert_eq!(
+            out[0].0,
+            Some(Err(FabricError::Corrupt { peer: 5, tag: 3 })),
+            "{label}"
+        );
+        assert_eq!(out[0].1.faults_injected, 5, "{label}: rank 4's five faults");
+        assert_eq!(out[1].1.faults_injected, 1, "{label}: shaping is no fault");
+        assert_eq!(out[0].1.corrupt_frames, 1, "{label}");
+    }
+}
+
+/// One plan holding a kill, a blackhole window and a corrupt probability
+/// replays: two runs of it leave identical error sequences and identical
+/// per-rank counters, and every backend agrees with the channel reference.
+#[test]
+fn one_composed_plan_replays_identically_on_every_backend() {
+    let run = |kind: TransportKind| {
+        let plan = ChaosPlan::seeded(45)
+            .kill_after(5, 3)
+            .blackhole_window(4, 5, 1, 3)
+            .with_link(
+                5,
+                4,
+                ChaosLink {
+                    corrupt_prob: 0.5,
+                    ..ChaosLink::default()
+                },
+            )
+            .with_recv_deadline(Duration::from_secs(5));
+        counted(kind, plan, |mut h| {
+            let msg = |i: u64| Bytes::copy_from_slice(&i.to_le_bytes());
+            let short = Duration::from_millis(150);
+            let mut log = Vec::new();
+            if h.rank() == 4 {
+                // Sends 1 and 2 vanish into the window.
+                log.extend((0..4).map(|i| h.send(5, i, msg(i)).map(|()| Bytes::new())));
+            }
+            h.barrier();
+            if h.rank() == 5 {
+                log.extend((0..4).map(|i| h.recv_timeout(4, i, short)));
+                // Three sends meet the corrupt lottery; the fourth attempt
+                // is the kill.
+                log.extend((0..4).map(|i| h.send(4, i, msg(i)).map(|()| Bytes::new())));
+                assert!(h.is_dead());
+            }
+            h.barrier();
+            if h.rank() == 4 {
+                // The death is posted: the message that never left fails
+                // fast instead of burning the 5 s deadline.
+                log.extend((0..4).map(|i| h.recv(5, i)));
+            }
+            h.barrier(); // hold every endpoint open until the last probe
+            log
+        })
+    };
+    let reference = run(TransportKind::Channel);
+    let (sender, victim) = (&reference[0], &reference[1]);
+    let timeout = |tag| FabricError::Timeout {
+        peer: 4,
+        tag,
+        waited: Duration::from_millis(150),
+    };
+    assert_eq!(victim.0[1], Err(timeout(1)));
+    assert_eq!(victim.0[2], Err(timeout(2)));
+    assert_eq!(victim.0[7], Err(FabricError::Disconnected { peer: 5 }));
+    assert_eq!(sender.0[7], Err(FabricError::Disconnected { peer: 5 }));
+    let corrupt = sender.0[4..7].iter().filter(|r| r.is_err()).count() as u64;
+    assert!((1..=2).contains(&corrupt), "seed 45 flips some, not all");
+    assert_eq!(sender.1.faults_injected, 2, "the two blackholed sends");
+    assert_eq!(victim.1.faults_injected, corrupt + 1, "flips plus the kill");
+    assert_eq!(sender.1.corrupt_frames, corrupt);
+    for kind in kinds() {
+        assert_eq!(run(kind), reference, "{} first run", kind.label());
+        assert_eq!(run(kind), reference, "{} replay", kind.label());
     }
 }

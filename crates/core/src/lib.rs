@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::step_time::{model_step_time, StepEstimate, StepTimeError};
     pub use crate::systems::{FasterMoeEmu, MoeSystem, NaiveSystem, ScheMoeSystem, TutelEmu};
     pub use schemoe_cluster::{
-        Fabric, FabricError, FaultPlan, HardwareProfile, MemoryBudget, RankHandle, Topology,
+        ChaosPlan, Fabric, FabricError, HardwareProfile, MemoryBudget, RankHandle, Topology,
     };
     pub use schemoe_collectives::{AllToAll, NcclA2A, OneDimHierA2A, PipeA2A, TwoDimHierA2A};
     pub use schemoe_compression::{

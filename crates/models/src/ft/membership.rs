@@ -282,22 +282,19 @@ impl Invite {
 /// resume point); `false` — or this rank's renewed death — if it has no
 /// way back or every rejoin round failed.
 ///
-/// Two ways back in: a fault plan that schedules this rank's revival (the
+/// Two ways back in: a plan that schedules this rank's revival (the
 /// simulated path — spin until the pipe reopens) or a reconnectable
 /// transport (the code is running, so the process is alive: announce
-/// directly, even when a fault plan or chaos plan was installed only for
-/// deadlines or link faults). The revival spin burns send attempts via
+/// directly, even when the plan was installed only for deadlines or link
+/// faults). The revival spin burns send attempts via
 /// [`RankHandle::try_revive`], so the probe count — like every other
-/// decision on this path — is a pure function of the fault plan, never of
+/// decision on this path — is a pure function of the plan, never of
 /// wall clock.
 pub(super) fn limbo_rejoin(h: &mut RankHandle, st: &mut RankState) -> Result<bool, FabricError> {
     if st.cfg.rejoin_check_every == 0 {
         return Ok(false);
     }
-    let scheduled = h
-        .fault_plan()
-        .is_some_and(|plan| plan.revive_threshold(h.rank()).is_some());
-    if scheduled {
+    if h.revive_scheduled(h.rank()) {
         let mut probes = 0u64;
         while !h.try_revive() {
             probes += 1;
@@ -566,16 +563,12 @@ pub(super) fn try_rejoin_peers(
     st: &mut RankState,
 ) -> Result<bool, FabricError> {
     let (me, p, step) = (st.me, st.p, st.step as u64);
-    // A dead rank is a rejoin candidate if the fault plan schedules its
+    // A dead rank is a rejoin candidate if the plan schedules its
     // revival (the simulated path) or the transport can re-establish a
     // link to a fresh process claiming its rank (the real-process path).
     // Neither → nobody can come back and rejoin costs nothing.
     let reconnectable = h.reconnectable();
-    let revivable = |r: usize| {
-        reconnectable
-            || h.fault_plan()
-                .is_some_and(|plan| plan.revive_threshold(r).is_some())
-    };
+    let revivable = |r: usize| reconnectable || h.revive_scheduled(r);
     let candidates: Vec<usize> = (0..p).filter(|&r| !st.live[r] && revivable(r)).collect();
     if candidates.is_empty() {
         return Ok(false);

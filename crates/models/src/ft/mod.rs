@@ -2,9 +2,9 @@
 //!
 //! [`run_ft_rank`] is the per-rank body of a distributed language-model
 //! training loop that survives the faults injected by
-//! [`schemoe_cluster::FaultPlan`]: dropped, delayed, and corrupted
+//! [`schemoe_cluster::ChaosPlan`]: dropped, delayed, and corrupted
 //! messages, and ranks killed mid-step. Run it on every rank of a
-//! [`Fabric`](schemoe_cluster::Fabric) (with or without a fault plan) and
+//! [`Fabric`](schemoe_cluster::Fabric) (with or without a plan) and
 //! each survivor returns an [`FtReport`].
 //!
 //! The model is a tiny expert-parallel LM — embedding →
@@ -43,7 +43,7 @@
 //!
 //! # Elastic membership: rejoin
 //!
-//! A rank whose [`FaultPlan`](schemoe_cluster::FaultPlan) schedules a
+//! A rank whose [`ChaosPlan`](schemoe_cluster::ChaosPlan) schedules a
 //! revival (`revive_after`) does not exit when it dies — it enters *limbo*:
 //! it burns send attempts with [`RankHandle::try_revive`] until the plan's
 //! revive point reopens its pipe (a pure function of the attempt counter,
@@ -474,7 +474,7 @@ impl FtConfig {
 }
 
 /// Runs the fault-tolerant training loop on one rank. See the module docs
-/// for the protocol; call inside `Fabric::run` or `Fabric::run_with_faults`.
+/// for the protocol; call inside `Fabric::run` or `Fabric::run_with`.
 ///
 /// Deadline hygiene: the run may install [`FtConfig::adaptive_deadline`]
 /// on the handle, and historically never uninstalled it — whatever ran
@@ -659,9 +659,16 @@ fn attempt_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schemoe_cluster::{ChaosPlan, Fabric, FaultPlan, Topology, TransportKind};
+    use schemoe_cluster::{ChaosLink, ChaosPlan, Fabric, Topology, TransportKind};
     use schemoe_moe::Placement;
     use schemoe_tensor::snapshot::{self, Manifest};
+
+    /// Trains a 2x2 world on `kind` with `plan` installed.
+    fn train_under(kind: TransportKind, plan: ChaosPlan, cfg: &FtConfig) -> Vec<FtReport> {
+        Fabric::run_with(kind, Topology::new(2, 2), Some(plan), |mut h| {
+            run_ft_rank(&mut h, cfg)
+        })
+    }
 
     fn mean_final_loss(reports: &[FtReport]) -> f32 {
         let survivors: Vec<&FtReport> = reports
@@ -721,11 +728,13 @@ mod tests {
         // A lossy but alive fabric: ~1% of payload messages vanish. The
         // handle-level deadline turns each loss into a Timeout, the vote
         // round turns it into a cluster-wide retry.
-        let plan = FaultPlan::seeded(11)
-            .with_drop_prob(0.01)
+        let plan = ChaosPlan::seeded(11)
+            .with_default_link(ChaosLink {
+                loss_prob: 0.01,
+                ..ChaosLink::default()
+            })
             .with_recv_deadline(Duration::from_millis(300));
-        let reports =
-            Fabric::run_with_faults(Topology::new(2, 2), plan, |mut h| run_ft_rank(&mut h, &cfg));
+        let reports = train_under(TransportKind::from_env(), plan, &cfg);
         for r in &reports {
             assert_eq!(r.died_at_step, None, "no rank should die from drops");
             assert!(r.final_loss.is_finite());
@@ -765,11 +774,10 @@ mod tests {
         let cfg = FtConfig::tiny(8);
         // Rank 3 dies after 40 sends — mid-epoch, after the first
         // checkpoint window.
-        let plan = FaultPlan::seeded(5)
+        let plan = ChaosPlan::seeded(5)
             .kill_after(3, 40)
             .with_recv_deadline(Duration::from_millis(300));
-        let reports =
-            Fabric::run_with_faults(Topology::new(2, 2), plan, |mut h| run_ft_rank(&mut h, &cfg));
+        let reports = train_under(TransportKind::from_env(), plan, &cfg);
         assert!(
             reports[3].died_at_step.is_some(),
             "rank 3 must observe its death"
@@ -794,12 +802,11 @@ mod tests {
         let cfg = FtConfig::tiny(10).with_seed(9);
         // Rank 1 dies after 60 sends and its pipe reopens 40 send-attempts
         // later; survivors bury it, then re-admit it at a rejoin quantum.
-        let plan = FaultPlan::seeded(5)
+        let plan = ChaosPlan::seeded(5)
             .kill_after(1, 60)
             .revive_after(1, 100)
             .with_recv_deadline(Duration::from_millis(300));
-        let reports =
-            Fabric::run_with_faults(Topology::new(2, 2), plan, |mut h| run_ft_rank(&mut h, &cfg));
+        let reports = train_under(TransportKind::from_env(), plan, &cfg);
         for (r, rep) in reports.iter().enumerate() {
             assert_eq!(rep.died_at_step, None, "rank {r} must finish the run");
             assert!(
@@ -848,11 +855,11 @@ mod tests {
     fn rejoin_epoch_transitions_replay_bit_identically() {
         let cfg = FtConfig::tiny(10).with_seed(9);
         let run = || {
-            let plan = FaultPlan::seeded(5)
+            let plan = ChaosPlan::seeded(5)
                 .kill_after(1, 60)
                 .revive_after(1, 100)
                 .with_recv_deadline(Duration::from_millis(300));
-            Fabric::run_with_faults(Topology::new(2, 2), plan, |mut h| run_ft_rank(&mut h, &cfg))
+            train_under(TransportKind::from_env(), plan, &cfg)
         };
         let (a, b) = (run(), run());
         for (ra, rb) in a.iter().zip(&b) {
@@ -873,7 +880,7 @@ mod tests {
         // the fabric handle) silently inherited the previous run's
         // stretched deadlines. Both the policy and the static receive
         // deadline must come back to their entry values.
-        let plan = FaultPlan::seeded(91).with_recv_deadline(Duration::from_secs(2));
+        let plan = ChaosPlan::seeded(91).with_recv_deadline(Duration::from_secs(2));
         let policy = AdaptiveDeadline {
             margin: 4.0,
             floor: Duration::from_secs(2),
@@ -885,7 +892,8 @@ mod tests {
             ..FtConfig::tiny(3)
         };
         let plain_cfg = FtConfig::tiny(3);
-        Fabric::run_with_faults(Topology::new(1, 2), plan, |mut h| {
+        let kind = TransportKind::from_env();
+        Fabric::run_with(kind, Topology::new(1, 2), Some(plan), |mut h| {
             let entry_deadline = h.recv_deadline();
             assert_eq!(entry_deadline, Some(Duration::from_secs(2)));
             let first = run_ft_rank(&mut h, &adaptive_cfg);
@@ -940,12 +948,11 @@ mod tests {
             replica_domains: Some(DomainMap::from_labels(&[0, 0, 1, 1])),
             ..FtConfig::tiny(10).with_seed(21).with_replica_interval(2)
         };
-        let plan = FaultPlan::seeded(5)
+        let plan = ChaosPlan::seeded(5)
             .kill_after(0, 60)
             .kill_after(1, 64)
             .with_recv_deadline(Duration::from_millis(300));
-        let reports =
-            Fabric::run_with_faults(Topology::new(2, 2), plan, |mut h| run_ft_rank(&mut h, &cfg));
+        let reports = train_under(TransportKind::from_env(), plan, &cfg);
         for r in [2usize, 3] {
             assert_eq!(reports[r].died_at_step, None, "rank {r} must survive");
             assert_eq!(reports[r].dead_ranks, vec![0, 1]);
@@ -972,15 +979,10 @@ mod tests {
             vote_timeout_ms: 50,
             ..FtConfig::tiny(8).with_seed(33)
         };
-        let chaos = ChaosPlan::seeded(77).partition(&[0, 1], &[2, 3], 0, 60);
-        let plan = FaultPlan::seeded(77).with_recv_deadline(Duration::from_millis(300));
-        let parked = Fabric::run_with_chaos_on(
-            TransportKind::Channel,
-            Topology::new(2, 2),
-            chaos,
-            Some(plan),
-            |mut h| run_ft_rank(&mut h, &cfg),
-        );
+        let plan = ChaosPlan::seeded(77)
+            .partition(&[0, 1], &[2, 3], 0, 60)
+            .with_recv_deadline(Duration::from_millis(300));
+        let parked = train_under(TransportKind::Channel, plan, &cfg);
         let clean = Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &cfg));
         for (r, rep) in parked.iter().enumerate() {
             assert_eq!(rep.died_at_step, None, "rank {r} must survive the tie");
@@ -1021,15 +1023,10 @@ mod tests {
             vote_timeout_ms: 50,
             ..FtConfig::tiny(220).with_seed(34)
         };
-        let chaos = ChaosPlan::seeded(78).partition(&[0, 1, 2], &[3], 0, 36);
-        let plan = FaultPlan::seeded(78).with_recv_deadline(Duration::from_millis(300));
-        let reports = Fabric::run_with_chaos_on(
-            TransportKind::Channel,
-            Topology::new(2, 2),
-            chaos,
-            Some(plan),
-            |mut h| run_ft_rank(&mut h, &cfg),
-        );
+        let plan = ChaosPlan::seeded(78)
+            .partition(&[0, 1, 2], &[3], 0, 36)
+            .with_recv_deadline(Duration::from_millis(300));
+        let reports = train_under(TransportKind::Channel, plan, &cfg);
         for r in [0usize, 1, 2] {
             assert_eq!(reports[r].died_at_step, None, "majority rank {r} died");
             assert_eq!(reports[r].parks, 0, "the quorate side must never park");
@@ -1079,18 +1076,12 @@ mod tests {
             vote_timeout_ms: 50,
             ..FtConfig::tiny(200).with_seed(35)
         };
-        let chaos = ChaosPlan::seeded(79)
+        let plan = ChaosPlan::seeded(79)
             .blackhole_window(3, 0, 0, 24)
             .blackhole_window(3, 1, 0, 24)
-            .blackhole_window(3, 2, 0, 24);
-        let plan = FaultPlan::seeded(79).with_recv_deadline(Duration::from_millis(300));
-        let reports = Fabric::run_with_chaos_on(
-            TransportKind::Channel,
-            Topology::new(2, 2),
-            chaos,
-            Some(plan),
-            |mut h| run_ft_rank(&mut h, &cfg),
-        );
+            .blackhole_window(3, 2, 0, 24)
+            .with_recv_deadline(Duration::from_millis(300));
+        let reports = train_under(TransportKind::Channel, plan, &cfg);
         for r in [0usize, 1, 2] {
             assert_eq!(reports[r].died_at_step, None, "rank {r} died");
             assert!(
@@ -1332,11 +1323,10 @@ mod tests {
                 .with_placement_interval(2)
                 .with_rejoin_check_every(0)
         };
-        let plan = FaultPlan::seeded(52)
+        let plan = ChaosPlan::seeded(52)
             .kill_after(3, 160)
             .with_recv_deadline(Duration::from_secs(2));
-        let reports =
-            Fabric::run_with_faults(Topology::new(2, 2), plan, |mut h| run_ft_rank(&mut h, &cfg));
+        let reports = train_under(TransportKind::from_env(), plan, &cfg);
         let survivors: Vec<&FtReport> = reports
             .iter()
             .filter(|r| r.died_at_step.is_none())
@@ -1418,15 +1408,10 @@ mod tests {
             placement_gray_factor: 4.0,
             ..FtConfig::tiny(10).with_seed(54).with_placement_interval(2)
         };
-        let chaos = ChaosPlan::seeded(54).slow_rank(3, Duration::from_millis(2), 5.0);
-        let plan = FaultPlan::seeded(54).with_recv_deadline(Duration::from_secs(2));
-        let reports = Fabric::run_with_chaos_on(
-            TransportKind::Channel,
-            Topology::new(2, 2),
-            chaos,
-            Some(plan),
-            |mut h| run_ft_rank(&mut h, &cfg),
-        );
+        let plan = ChaosPlan::seeded(54)
+            .slow_rank(3, Duration::from_millis(2), 5.0)
+            .with_recv_deadline(Duration::from_secs(2));
+        let reports = train_under(TransportKind::Channel, plan, &cfg);
         for (r, rep) in reports.iter().enumerate() {
             assert_eq!(rep.died_at_step, None, "rank {r} died");
             assert!(
@@ -1460,11 +1445,10 @@ mod tests {
                 .with_placement_interval(2)
                 .with_rejoin_check_every(0)
         };
-        let plan = FaultPlan::seeded(55)
+        let plan = ChaosPlan::seeded(55)
             .kill_after(2, 90)
             .with_recv_deadline(Duration::from_secs(2));
-        let reports =
-            Fabric::run_with_faults(Topology::new(2, 2), plan, |mut h| run_ft_rank(&mut h, &cfg));
+        let reports = train_under(TransportKind::from_env(), plan, &cfg);
         let survivors: Vec<&FtReport> = reports
             .iter()
             .filter(|r| r.died_at_step.is_none())

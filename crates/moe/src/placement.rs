@@ -891,7 +891,54 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// A real frame and its decoder's verdict on arbitrary bytes.
+    type Sample = (Vec<u8>, fn(&[u8]) -> bool);
+
+    /// One sample of each frame kind.
+    fn sample_frames() -> [Sample; 3] {
+        let placement = Placement::new(2, 7, vec![vec![0, 3], vec![0], vec![1, 2, 0], vec![1]]);
+        let plan = PlacementPlan {
+            placement: placement.clone(),
+            capacity_override: Some(1.25),
+        };
+        let load = report(3, vec![60, 20, 5, 15], vec![10, 40, 10, 10]).expect("a report");
+        [
+            (placement.encode(), |b| Placement::decode(b).is_ok()),
+            (plan.encode(), |b| PlacementPlan::decode(b).is_ok()),
+            (load.encode(), |b| LoadReport::decode(b).is_ok()),
+        ]
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_placement_plan_and_report_is_rejected() {
+        for (kind, (frame, decodes)) in sample_frames().into_iter().enumerate() {
+            assert!(decodes(&frame));
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(!decodes(&bad), "frame kind {kind}: bit {bit} slipped");
+            }
+        }
+    }
+
     proptest! {
+        /// Noise, and noise behind any prefix of a real frame (so the
+        /// parser is led deep before the bytes turn hostile), never panics
+        /// and never decodes — for all three placement decoders.
+        #[test]
+        fn hostile_frames_never_panic_and_never_decode(
+            kind in 0usize..3,
+            keep in 0usize..160,
+            noise in proptest::collection::vec(0u8..=255, 0..120),
+        ) {
+            let (frame, decodes) = sample_frames()[kind].clone();
+            let mut bytes = frame[..keep.min(frame.len())].to_vec();
+            bytes.extend_from_slice(&noise);
+            if bytes != frame {
+                prop_assert!(!decodes(&bytes));
+            }
+        }
+
         /// Placement frames round-trip for arbitrary tables, and any
         /// single corrupted byte is rejected.
         #[test]

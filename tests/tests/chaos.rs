@@ -3,7 +3,7 @@
 //!
 //! This is the end-to-end acceptance test of the fault-injection stack:
 //! an 8-rank fault-tolerant LM training run (`schemoe_models::ft`) under a
-//! [`FaultPlan`] campaign that kills one rank partway through the epoch.
+//! [`ChaosPlan`] campaign that kills one rank partway through the epoch.
 //! The survivors must detect the death, reroute its tokens through
 //! degraded gating, restore the last checkpoint, and finish every step —
 //! landing within 10% of the fault-free final loss. Running the *same*
@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use schemoe::prelude::*;
 use schemoe_bench::campaign::{kill_plan, mean_loss, run_world, seed};
-use schemoe_cluster::TransportKind;
+use schemoe_cluster::{ChaosLink, TransportKind};
 use schemoe_models::{FtConfig, FtReport};
 use schemoe_obs as obs;
 
@@ -62,12 +62,12 @@ fn ft_config() -> FtConfig {
     cfg
 }
 
-fn campaign(revive_delta: Option<u64>) -> FaultPlan {
+fn campaign(revive_delta: Option<u64>) -> ChaosPlan {
     kill_plan(seed(), KILLED, KILL_AFTER_SENDS, revive_delta)
 }
 
-fn run(cfg: &FtConfig, plan: Option<FaultPlan>, topo: Topology) -> Vec<FtReport> {
-    run_world(topo, TransportKind::from_env(), cfg, plan, None, None)
+fn run(cfg: &FtConfig, plan: Option<ChaosPlan>, topo: Topology) -> Vec<FtReport> {
+    run_world(topo, TransportKind::from_env(), cfg, plan, None)
 }
 
 /// The deterministic slice of a rank's counters: pure functions of the
@@ -188,8 +188,11 @@ fn scenario() {
                                 // corruption lands on step-critical traffic (A2A / allreduce frames,
                                 // which abort the attempt and retry) rather than only on traffic the
                                 // protocol absorbs without a retry (redundant vote copies).
-    let lossy_plan = FaultPlan::seeded(seed() ^ 0xC0_FFEE)
-        .with_corrupt_prob(0.008)
+    let lossy_plan = ChaosPlan::seeded(seed() ^ 0xC0_FFEE)
+        .with_default_link(ChaosLink {
+            corrupt_prob: 0.008,
+            ..ChaosLink::default()
+        })
         .with_recv_deadline(Duration::from_millis(800));
     let lossy = run(&lossy_cfg, Some(lossy_plan), Topology::new(2, 2));
     let lossy_counters = deterministic_counters(4);

@@ -50,7 +50,7 @@ fn cfg(steps: usize) -> FtConfig {
 
 fn run(cfg: FtConfig, snap: Option<&SnapshotCfg>) -> Vec<FtReport> {
     let (topo, kind) = (Topology::new(1, WORLD), TransportKind::from_env());
-    run_world(topo, kind, &cfg, None, None, snap)
+    run_world(topo, kind, &cfg, None, snap)
 }
 
 fn snap_in(label: &str) -> SnapshotCfg {

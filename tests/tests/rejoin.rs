@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use schemoe_cluster::{Fabric, FaultPlan, LinkFaults, Topology};
+use schemoe_cluster::{ChaosLink, ChaosPlan, Fabric, RankHandle, Topology, TransportKind};
 use schemoe_models::ft::{receive_state, stream_state, Half, Lane, RankState};
 use schemoe_models::FtConfig;
 use schemoe_tensor::checkpoint;
@@ -21,6 +21,12 @@ use schemoe_tensor::checkpoint;
 /// so donor and rejoiner start with different replicated weights.
 fn rank_state(seed: u64, me: usize, world: usize) -> RankState {
     RankState::new(&FtConfig::tiny(4).with_seed(seed), me, world)
+}
+
+/// Runs donor (rank 0) and rejoiner (rank 1) under `plan`.
+fn run_pair<T: Send>(plan: ChaosPlan, f: impl Fn(RankHandle) -> T + Sync) -> Vec<T> {
+    let kind = TransportKind::from_env();
+    Fabric::run_with(kind, Topology::new(1, 2), Some(plan), f)
 }
 
 /// Serializes every parameter (replicated and expert) for bit-exact
@@ -44,10 +50,10 @@ fn expert_weights(st: &mut RankState) -> Vec<f32> {
 fn a_donor_killed_mid_stream_leaves_the_rejoiner_untouched() {
     // The donor dies after 3 sends: past the header copies, inside the
     // chunk stream — the canonical torn transfer.
-    let plan = FaultPlan::seeded(21)
+    let plan = ChaosPlan::seeded(21)
         .kill_after(0, 3)
         .with_recv_deadline(Duration::from_millis(200));
-    let results = Fabric::run_with_faults(Topology::new(1, 2), plan, |mut h| {
+    let results = run_pair(plan, |mut h| {
         let mut st = rank_state(100 + h.rank() as u64, h.rank(), 2);
         let lane = Lane::State.at(7).unwrap();
         if h.rank() == 0 {
@@ -78,17 +84,17 @@ fn a_fully_corrupting_link_cannot_install_partial_state() {
     // Every frame on the donor -> rejoiner link is bit-flipped, so every
     // copy of every chunk fails the wire CRC. The reassembly must fail
     // before verification ever sees a payload.
-    let plan = FaultPlan::seeded(22)
+    let plan = ChaosPlan::seeded(22)
         .with_link(
             0,
             1,
-            LinkFaults {
+            ChaosLink {
                 corrupt_prob: 1.0,
-                ..LinkFaults::default()
+                ..ChaosLink::default()
             },
         )
         .with_recv_deadline(Duration::from_millis(200));
-    let results = Fabric::run_with_faults(Topology::new(1, 2), plan, |mut h| {
+    let results = run_pair(plan, |mut h| {
         let mut st = rank_state(200 + h.rank() as u64, h.rank(), 2);
         let lane = Lane::State.at(7).unwrap();
         if h.rank() == 0 {
@@ -113,8 +119,8 @@ fn an_intact_transfer_applies_atomically_and_matches_the_donor() {
     // Control case: same protocol, healthy wire. The rejoiner's replicated
     // parameters become bit-identical to the donor's; its expert — never
     // part of the transfer — keeps its own weights.
-    let plan = FaultPlan::seeded(23).with_recv_deadline(Duration::from_millis(500));
-    let results = Fabric::run_with_faults(Topology::new(1, 2), plan, |mut h| {
+    let plan = ChaosPlan::seeded(23).with_recv_deadline(Duration::from_millis(500));
+    let results = run_pair(plan, |mut h| {
         let mut st = rank_state(300 + h.rank() as u64, h.rank(), 2);
         let lane = Lane::State.at(7).unwrap();
         if h.rank() == 0 {

@@ -85,13 +85,13 @@ fn ft_config(interval: usize) -> FtConfig {
     cfg
 }
 
-fn campaign() -> FaultPlan {
+fn campaign() -> ChaosPlan {
     kill_plan(seed(), KILLED, KILL_AFTER_SENDS, None)
 }
 
-fn run(cfg: FtConfig, plan: FaultPlan) -> Vec<FtReport> {
+fn run(cfg: FtConfig, plan: ChaosPlan) -> Vec<FtReport> {
     let kind = TransportKind::from_env();
-    run_world(Topology::new(2, 4), kind, &cfg, Some(plan), None, None)
+    run_world(Topology::new(2, 4), kind, &cfg, Some(plan), None)
 }
 
 /// The deterministic slice of a rank's counters, extended with the
@@ -289,7 +289,7 @@ fn scenario() {
     // --- Run 5: double fault — the victim AND its buddy die in the same
     // --- epoch. The orphaned expert falls back to degraded rerouting (no
     // --- panic, finite loss), and both ranks still rejoin.
-    let double_plan = FaultPlan::seeded(seed())
+    let double_plan = ChaosPlan::seeded(seed())
         .kill_after(KILLED, EARLY_KILL_AFTER_SENDS)
         .kill_after(BUDDY, BUDDY_KILL_AFTER_SENDS)
         .revive_after(KILLED, EARLY_KILL_AFTER_SENDS + REVIVE_DELTA)
