@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use schemoe_obs as obs;
 
-use crate::faults;
+use crate::faults::{self, FramePool};
+use crate::pool::FrameBuf;
 use crate::topology::{Rank, Topology};
 use crate::transport::{self, ChaosPlan, ChaosTransport, RawRecvError, Transport, TransportKind};
 
@@ -170,6 +171,10 @@ pub struct RankHandle {
     topology: Topology,
     /// The backend carrying raw `(tag, payload)` records between ranks.
     transport: Box<dyn Transport>,
+    /// Where outgoing frames are checked out: the rank's one buffer pool
+    /// (the transport's receive path fills from the same one) and the
+    /// header room this transport's framing needs.
+    frames: FramePool,
     /// Out-of-order messages parked until a matching tag is requested. A
     /// queue that drains is removed, so the map holds only live frames.
     pending: HashMap<(Rank, u64), VecDeque<Bytes>>,
@@ -445,8 +450,16 @@ impl RankHandle {
         self.pending.values().flatten().map(Bytes::len).sum()
     }
 
+    /// Where this rank's outgoing frames come from. Clone it out of the
+    /// handle once; checking a [`FrameBuf`] out of it takes no handle lock.
+    pub fn frames(&self) -> FramePool {
+        self.frames.clone()
+    }
+
     /// Sends `payload` to `to` under `tag`, stamped with this rank's
-    /// current membership epoch.
+    /// current membership epoch. On a framed transport the payload is
+    /// copied into a [`FrameBuf`] and sealed there; a caller that can build
+    /// its payload in place uses [`send_frame`](Self::send_frame).
     ///
     /// Never blocks on the receiver (channels are unbounded).
     pub fn send(&self, to: Rank, tag: u64, payload: Bytes) -> Result<(), FabricError> {
@@ -461,12 +474,41 @@ impl RankHandle {
         self.send_stamped(to, tag, payload, Some(faults::EPOCH_ANY))
     }
 
+    /// Sends a payload that was built in a frame checked out of
+    /// [`frames`](Self::frames): sealed in place with this rank's current
+    /// epoch — one CRC pass, no copy — and handed to the transport.
+    pub fn send_frame(&self, to: Rank, tag: u64, buf: FrameBuf) -> Result<(), FabricError> {
+        assert_eq!(buf.headroom, self.frames.headroom, "another handle's frame");
+        let epoch = self.epoch.get();
+        self.send_record(to, tag, buf.body_len(), || buf.seal(epoch))
+    }
+
     fn send_stamped(
         &self,
         to: Rank,
         tag: u64,
         payload: Bytes,
         stamp: Option<u32>,
+    ) -> Result<(), FabricError> {
+        self.send_record(to, tag, payload.len(), || {
+            if !self.transport.always_framed() {
+                return payload;
+            }
+            let mut buf = self.frames.checkout(payload.len());
+            buf.body_mut().extend_from_slice(&payload);
+            buf.seal(stamp.unwrap_or_else(|| self.epoch.get()))
+        })
+    }
+
+    /// The one send path: the kill window, the rank check and the counters,
+    /// then `record()` — the sealed bytes of a `len`-byte payload — goes to
+    /// the transport.
+    fn send_record(
+        &self,
+        to: Rank,
+        tag: u64,
+        len: usize,
+        record: impl FnOnce() -> Bytes,
     ) -> Result<(), FabricError> {
         // Death latches: crossing the revive threshold does NOT silently
         // reopen the pipe — only an explicit
@@ -485,14 +527,9 @@ impl RankHandle {
             return Err(FabricError::Disconnected { peer: self.rank });
         }
         self.check_rank(to)?;
-        self.counters.add_send(payload.len());
-        let payload = if self.transport.always_framed() {
-            faults::frame(&payload, stamp.unwrap_or_else(|| self.epoch.get()))
-        } else {
-            payload
-        };
+        self.counters.add_send(len);
         self.transport
-            .send_raw(to, tag, payload)
+            .send_raw(to, tag, record())
             .map_err(|_| FabricError::Disconnected { peer: to })
     }
 
@@ -648,6 +685,7 @@ impl RankHandle {
         RankHandle {
             rank,
             topology,
+            frames: FramePool::new(transport.pool(), transport.always_framed()),
             transport,
             pending: HashMap::new(),
             counters: obs::counters_for_rank(rank),

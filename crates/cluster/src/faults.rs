@@ -33,11 +33,18 @@
 //! invites and acknowledgements) uses, because by definition it crosses an
 //! epoch boundary. On a plan-less channel run the frame (and its cost)
 //! does not exist.
+//!
+//! A frame is never assembled by copying. The sender checks a
+//! [`FrameBuf`] out of its [`FramePool`] with the header's 12 bytes
+//! reserved in front, appends the payload, and [`FrameBuf::seal`] writes
+//! the header into that headroom; [`deframe`] checks the CRC over the
+//! received buffer and returns the payload as a window onto it.
 
 use bytes::Bytes;
 pub use schemoe_compression::crc32;
 use schemoe_compression::crc32_update;
 
+use crate::pool::{BufPool, FrameBuf};
 use crate::topology::Rank;
 
 /// A uniform roll in `[0, 1)` keyed by the message identity and fault
@@ -72,16 +79,57 @@ pub const FRAME_HEADER: usize = 12;
 /// this wildcard stamp instead of a concrete epoch.
 pub const EPOCH_ANY: u32 = u32::MAX;
 
-/// Wraps `payload` in a `[len][epoch][crc32][payload]` frame. The CRC
-/// covers the epoch and the payload.
+/// Where a rank's outgoing frames come from: its buffer pool plus the
+/// header room its transport calls for. Cheap to clone, so compute tasks
+/// check frames out without touching the handle.
+#[derive(Clone)]
+pub struct FramePool {
+    pool: BufPool,
+    pub(crate) headroom: usize,
+}
+
+impl FramePool {
+    /// Frames from `pool`, with [`FRAME_HEADER`] bytes of headroom iff the
+    /// transport is `framed`.
+    pub fn new(pool: BufPool, framed: bool) -> Self {
+        let headroom = if framed { FRAME_HEADER } else { 0 };
+        FramePool { pool, headroom }
+    }
+
+    /// An empty frame with room for a `body`-byte payload.
+    pub fn checkout(&self, body: usize) -> FrameBuf {
+        let mut frame = self.pool.checkout(self.headroom, self.headroom + body);
+        frame.body_mut().truncate(self.headroom);
+        frame
+    }
+
+    /// The pool behind the frames.
+    pub fn pool(&self) -> &BufPool {
+        &self.pool
+    }
+}
+
+impl FrameBuf {
+    /// Stamps `[len][epoch][crc32]` into the headroom, if there is any, and
+    /// freezes the record: one CRC pass over the epoch and the payload, no
+    /// copy.
+    pub(crate) fn seal(mut self, epoch: u32) -> Bytes {
+        if self.headroom == FRAME_HEADER {
+            let (header, payload) = self.body_mut().split_at_mut(FRAME_HEADER);
+            let crc = !crc32_update(crc32_update(0xFFFF_FFFF, &epoch.to_le_bytes()), payload);
+            header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+            header[4..8].copy_from_slice(&epoch.to_le_bytes());
+            header[8..12].copy_from_slice(&crc.to_le_bytes());
+        }
+        self.freeze()
+    }
+}
+
+/// Wraps `payload` in a `[len][epoch][crc32][payload]` frame.
 pub fn frame(payload: &[u8], epoch: u32) -> Bytes {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    let crc = !crc32_update(crc32_update(0xFFFF_FFFF, &epoch.to_le_bytes()), payload);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
-    Bytes::from(out)
+    let mut buf = FramePool::new(BufPool::default(), true).checkout(payload.len());
+    buf.body_mut().extend_from_slice(payload);
+    buf.seal(epoch)
 }
 
 /// Validates and strips a `[len][epoch][crc32][payload]` frame.
@@ -89,7 +137,9 @@ pub fn frame(payload: &[u8], epoch: u32) -> Bytes {
 /// Returns `None` on a short frame, a length mismatch, or a checksum
 /// mismatch — the caller maps this to
 /// [`FabricError::Corrupt`](crate::FabricError::Corrupt). On success
-/// returns the sender's epoch stamp alongside the payload; comparing it
+/// returns the sender's epoch stamp alongside the payload — a window onto
+/// `framed`'s storage, not a copy, every byte of it covered by the CRC
+/// that was just checked; comparing the stamp
 /// against the local epoch (and surfacing
 /// [`FabricError::StaleEpoch`](crate::FabricError::StaleEpoch)) is the
 /// caller's job — this layer only guarantees the stamp is undamaged.
@@ -149,6 +199,49 @@ mod tests {
         let (epoch, got) = deframe(&frame(b"", EPOCH_ANY)).unwrap();
         assert_eq!(epoch, EPOCH_ANY);
         assert_eq!(got.len(), 0);
+    }
+
+    /// The copying framer that sealing in place replaced, kept as its oracle.
+    fn frame_by_copy(payload: &[u8], epoch: u32) -> Vec<u8> {
+        let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&epoch.to_le_bytes());
+        let crc = !crc32_update(crc32_update(0xFFFF_FFFF, &epoch.to_le_bytes()), payload);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn sealing_in_place_writes_the_copied_frame_and_deframing_windows_it() {
+        let pool = BufPool::default();
+        for len in [0usize, 1, 11, 12, 13, 1000] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+            let mut buf = FramePool::new(pool.clone(), true).checkout(len);
+            buf.body_mut().extend_from_slice(&payload);
+            assert_eq!(buf.body_len(), len);
+            let sealed = buf.seal(9);
+            assert_eq!(&sealed[..], &frame_by_copy(&payload, 9)[..], "len {len}");
+            // The payload handed up is a window onto the sealed record.
+            let (epoch, got) = deframe(&sealed).unwrap();
+            assert_eq!((epoch, &got[..]), (9, &payload[..]));
+            assert_eq!(got.as_ptr(), sealed[FRAME_HEADER..].as_ptr());
+            drop(sealed);
+            assert!(pool.usage().0 > 0, "the window keeps the buffer");
+            drop(got);
+            assert_eq!(pool.usage().0, 0);
+        }
+        // Without headroom (a plan-less channel run) there is no frame: the
+        // record is the payload, and so is the mailbox form of either.
+        let bare = FramePool::new(pool.clone(), false);
+        let mut buf = bare.checkout(4);
+        buf.body_mut().extend_from_slice(b"bare");
+        assert_eq!(&buf.seal(3)[..], b"bare");
+        for frames in [bare, FramePool::new(pool, true)] {
+            let mut buf = frames.checkout(4);
+            buf.body_mut().extend_from_slice(b"self");
+            assert_eq!(&buf.into_payload()[..], b"self");
+        }
     }
 
     #[test]

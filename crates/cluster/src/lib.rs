@@ -24,23 +24,29 @@
 //!   loss / corrupt / stall lottery, shaping, per-rank kill and revive
 //!   points — injected by a decorator beneath framing. Chaos runs replay
 //!   bit-identically from the seed alone.
+//! * [`pool`] — the recycled buffers of the data path: a rank's one
+//!   [`BufPool`], shared by its transport's receive path and its outgoing
+//!   [`FrameBuf`]s, whose buffers go home when their last reference drops.
 //! * [`faults`] — the two pure primitives that layer is built from: the
 //!   keyed lottery roll, and the epoch-stamped CRC32 wire frame that
 //!   turns bit damage into typed [`FabricError::Corrupt`] errors and
-//!   stale-membership traffic into [`FabricError::StaleEpoch`].
+//!   stale-membership traffic into [`FabricError::StaleEpoch`] — sealed in
+//!   place in a frame's headroom, verified in the buffer it arrived in.
 
 pub mod fabric;
 pub mod faults;
 pub mod hardware;
 pub mod memory;
+pub mod pool;
 pub mod storage;
 pub mod topology;
 pub mod transport;
 
 pub use fabric::{AdaptiveDeadline, Fabric, FabricError, RankHandle};
-pub use faults::EPOCH_ANY;
+pub use faults::{FramePool, EPOCH_ANY, FRAME_HEADER};
 pub use hardware::HardwareProfile;
 pub use memory::MemoryBudget;
+pub use pool::{BufPool, FrameBuf, Pool};
 pub use storage::{write_atomic, ChaosFs, ChaosFsPlan, RealFs, RenameFate, StorageFs, WriteFate};
 pub use topology::{Rank, Topology};
 pub use transport::{

@@ -57,6 +57,7 @@ use schemoe_obs as obs;
 
 use super::{LinkClosed, RawRecvError, Transport};
 use crate::faults::{roll, splitmix64};
+use crate::pool::BufPool;
 use crate::topology::Rank;
 
 /// Lottery odds and shaping parameters of one directed link.
@@ -457,6 +458,10 @@ impl Transport for ChaosTransport {
         timeout: Option<Duration>,
     ) -> Result<(u64, Bytes), RawRecvError> {
         self.inner.recv_raw(from, timeout)
+    }
+
+    fn pool(&self) -> BufPool {
+        self.inner.pool()
     }
 
     fn barrier(&self) {

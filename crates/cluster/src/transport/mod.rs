@@ -29,6 +29,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
+use crate::pool::BufPool;
 use crate::topology::Rank;
 
 pub mod channel;
@@ -135,6 +136,15 @@ pub trait Transport: Send {
     /// blocks indefinitely; `Some(t)` gives up after `t`.
     fn recv_raw(&self, from: Rank, timeout: Option<Duration>)
         -> Result<(u64, Bytes), RawRecvError>;
+
+    /// The pool this endpoint's receive path fills its buffers from. The
+    /// rank's handle adopts it for outgoing frames too, so one pool serves
+    /// both directions and a payload goes home wherever it is dropped. A
+    /// backend whose receive path allocates nothing (channels hand the
+    /// sender's buffer over) keeps the default: a fresh pool.
+    fn pool(&self) -> BufPool {
+        BufPool::default()
+    }
 
     /// Blocks until every rank has reached the same barrier call.
     fn barrier(&self);

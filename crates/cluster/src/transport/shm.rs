@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use super::{LinkClosed, RawRecvError, Transport};
+use crate::pool::BufPool;
 use crate::topology::Rank;
 
 /// Per-rank slot size in the board file.
@@ -219,20 +220,17 @@ impl Ring {
         }
     }
 
-    /// Reads `len` bytes from the data region at logical cursor `pos`.
-    fn read_wrapped(&self, pos: u64, len: usize) -> Vec<u8> {
-        let mut buf = vec![0u8; len];
+    /// Fills `buf` from the data region at logical cursor `pos`.
+    fn read_wrapped(&self, pos: u64, buf: &mut [u8]) {
         let off = pos % self.cap;
-        let first = ((self.cap - off) as usize).min(len);
+        let first = ((self.cap - off) as usize).min(buf.len());
+        let (head, tail) = buf.split_at_mut(first);
         self.file
-            .read_exact_at(&mut buf[..first], DATA_OFF + off)
+            .read_exact_at(head, DATA_OFF + off)
             .expect("shm ring read");
-        if first < len {
-            self.file
-                .read_exact_at(&mut buf[first..], DATA_OFF)
-                .expect("shm ring read");
-        }
-        buf
+        self.file
+            .read_exact_at(tail, DATA_OFF)
+            .expect("shm ring read");
     }
 
     /// Appends one record if the ring has room; `false` means full.
@@ -261,19 +259,22 @@ impl Ring {
         true
     }
 
-    /// Removes and returns the next record, if any.
-    fn try_pop(&self) -> Option<(u64, Bytes)> {
+    /// Removes and returns the next record, if any, read straight into a
+    /// buffer of `pool`.
+    fn try_pop(&self, pool: &BufPool) -> Option<(u64, Bytes)> {
         let head = read_u64(&self.file, HEAD_OFF);
         let tail = read_u64(&self.file, TAIL_OFF);
         if head == tail {
             return None;
         }
-        let header = self.read_wrapped(tail, REC_HEADER as usize);
+        let mut header = [0u8; REC_HEADER as usize];
+        self.read_wrapped(tail, &mut header);
         let tag = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
         let len = u64::from_le_bytes(header[8..].try_into().expect("8 bytes")) as usize;
-        let payload = self.read_wrapped(tail + REC_HEADER, len);
+        let mut payload = pool.checkout(0, len);
+        self.read_wrapped(tail + REC_HEADER, payload.body_mut());
         write_u64(&self.file, TAIL_OFF, tail + REC_HEADER + len as u64);
-        Some((tag, Bytes::from(payload)))
+        Some((tag, payload.freeze()))
     }
 }
 
@@ -290,6 +291,7 @@ pub struct ShmTransport {
     barrier_gen: Cell<u64>,
     /// Per-peer empty-poll counters driving pid liveness probes.
     probe_countdown: Vec<Cell<u32>>,
+    pool: BufPool,
     _guard: Option<Arc<SessionGuard>>,
 }
 
@@ -320,6 +322,7 @@ impl ShmTransport {
             recv_rings,
             barrier_gen: Cell::new(gen),
             probe_countdown: (0..b.world).map(|_| Cell::new(PID_PROBE_EVERY)).collect(),
+            pool: BufPool::default(),
             _guard: b.guard,
         })
     }
@@ -371,7 +374,7 @@ impl Transport for ShmTransport {
         let ring = &self.recv_rings[from];
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
-            if let Some(rec) = ring.try_pop() {
+            if let Some(rec) = ring.try_pop(&self.pool) {
                 return Ok(rec);
             }
             // Empty and the producer will never push again: the typed
@@ -380,7 +383,7 @@ impl Transport for ShmTransport {
             // between the pop above and this read is still in the ring:
             // poll once more before declaring the link drained.
             if self.done(from) {
-                return ring.try_pop().ok_or(RawRecvError::Disconnected);
+                return ring.try_pop(&self.pool).ok_or(RawRecvError::Disconnected);
             }
             let countdown = &self.probe_countdown[from];
             countdown.set(countdown.get().saturating_sub(1));
@@ -392,7 +395,7 @@ impl Transport for ShmTransport {
                     // signal its closed channel would have.
                     self.post_death(from);
                     write_flag(&self.board, self.slot(from) + SLOT_DONE, true);
-                    return ring.try_pop().ok_or(RawRecvError::Disconnected);
+                    return ring.try_pop(&self.pool).ok_or(RawRecvError::Disconnected);
                 }
             }
             if let Some(d) = deadline {
@@ -402,6 +405,10 @@ impl Transport for ShmTransport {
             }
             std::thread::sleep(POLL);
         }
+    }
+
+    fn pool(&self) -> BufPool {
+        self.pool.clone()
     }
 
     fn barrier(&self) {

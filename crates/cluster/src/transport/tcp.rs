@@ -29,7 +29,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,6 +42,7 @@ use parking_lot::Mutex;
 
 use super::{LinkClosed, RawRecvError, Transport, RESERVED_TAG_BASE};
 use crate::faults::splitmix64;
+use crate::pool::{BufPool, FrameBuf};
 use crate::topology::Rank;
 
 /// Control tags (all within the reserved range).
@@ -195,6 +196,8 @@ struct Shared {
     addrs: Mutex<Vec<String>>,
     /// Set by `Drop` so the acceptor exits on its wake-up connection.
     shutdown: AtomicBool,
+    /// The rank's buffer pool: readers fill received payloads from it.
+    pool: BufPool,
 }
 
 /// A rendezvous to dial as one rank.
@@ -368,15 +371,32 @@ fn reply_map(mut conn: TcpStream, addrs: &[Option<String>]) -> std::io::Result<(
     conn.write_all(line.as_bytes())
 }
 
+/// Writes one `[tag][len][payload]` record with as few syscalls as the
+/// socket allows: header and payload leave in one vectored write (one
+/// segment, for a small control frame on this `TCP_NODELAY` stream), and a
+/// partial write resumes where it stopped.
 fn write_record(stream: &mut TcpStream, tag: u64, payload: &[u8]) -> std::io::Result<()> {
     let mut header = [0u8; 12];
     header[..8].copy_from_slice(&tag.to_le_bytes());
     header[8..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    stream.write_all(&header)?;
-    stream.write_all(payload)
+    let mut sent = 0;
+    while sent < header.len() {
+        let parts = [IoSlice::new(&header[sent..]), IoSlice::new(payload)];
+        match stream.write_vectored(&parts) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    stream.write_all(&payload[sent - header.len()..])
 }
 
-fn read_record(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u64, Vec<u8>)> {
+/// Reads one record, its payload into a buffer of `pool`.
+fn read_record(
+    reader: &mut BufReader<TcpStream>,
+    pool: &BufPool,
+) -> std::io::Result<(u64, FrameBuf)> {
     let mut header = [0u8; 12];
     reader.read_exact(&mut header)?;
     let tag = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
@@ -387,8 +407,8 @@ fn read_record(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u64, Vec<u
             "record length out of range",
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    reader.read_exact(&mut payload)?;
+    let mut payload = pool.checkout(0, len as usize);
+    reader.read_exact(payload.body_mut())?;
     Ok((tag, payload))
 }
 
@@ -399,10 +419,10 @@ fn run_reader(stream: TcpStream, shared: Arc<Shared>) {
     let mut reader = BufReader::new(stream);
     let mut src: Option<Rank> = None;
     let mut my_gen = 0u64;
-    while let Ok((tag, payload)) = read_record(&mut reader) {
+    while let Ok((tag, payload)) = read_record(&mut reader, &shared.pool) {
         match tag {
             CTRL_HELLO => {
-                let Some((r, addr)) = decode_hello(&payload) else {
+                let Some((r, addr)) = decode_hello(payload.as_ref()) else {
                     return;
                 };
                 if r >= shared.world {
@@ -417,7 +437,7 @@ fn run_reader(stream: TcpStream, shared: Arc<Shared>) {
                 src = Some(r);
             }
             CTRL_DEATH => {
-                if let Some(&r) = payload.first() {
+                if let Some(&r) = payload.as_ref().first() {
                     let r = r as usize;
                     if r < shared.world {
                         shared.dead[r].store(true, Ordering::Release);
@@ -426,7 +446,9 @@ fn run_reader(stream: TcpStream, shared: Arc<Shared>) {
             }
             CTRL_ARRIVE | CTRL_RELEASE => {
                 let Some(s) = src else { return };
-                let gen = u64::from_le_bytes(payload.as_slice().try_into().unwrap_or([0; 8]));
+                let gen = u64::from_le_bytes(payload.as_ref().try_into().unwrap_or([0; 8]));
+                // Home before the barrier it announces can be observed.
+                drop(payload);
                 if tag == CTRL_ARRIVE {
                     let _ = shared.arrive_tx.send((s, gen));
                 } else {
@@ -437,7 +459,7 @@ fn run_reader(stream: TcpStream, shared: Arc<Shared>) {
                 let Some(s) = src else { return };
                 let _ = shared.inbox_tx[s].send(Msg {
                     tag,
-                    payload: Bytes::from(payload),
+                    payload: payload.freeze(),
                 });
             }
         }
@@ -548,6 +570,7 @@ impl TcpTransport {
             release_tx,
             addrs: Mutex::new(addrs),
             shutdown: AtomicBool::new(false),
+            pool: BufPool::default(),
         });
 
         let acceptor_shared = Arc::clone(&shared);
@@ -690,6 +713,10 @@ impl Transport for TcpTransport {
                 }
             }
         }
+    }
+
+    fn pool(&self) -> BufPool {
+        self.shared.pool.clone()
     }
 
     fn barrier(&self) {

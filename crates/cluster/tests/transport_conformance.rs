@@ -671,3 +671,91 @@ fn one_composed_plan_replays_identically_on_every_backend() {
         assert_eq!(run(kind), reference, "{} replay", kind.label());
     }
 }
+
+/// The data path's ownership rule on every backend: a received payload is
+/// a window onto the buffer the record arrived in — holding the payload
+/// holds the buffer, on whichever rank's pool it came from — and the
+/// buffer goes home when the payload, a parked frame, or a corrupt frame
+/// is dropped. One peer flooding a thousand records leaves no pool holding
+/// more than its cap, and a torn-down fabric leaves nothing checked out.
+#[test]
+fn a_received_payload_is_a_window_and_its_buffer_goes_home() {
+    const FLOOD: usize = 1000;
+    for kind in kinds() {
+        let results = Fabric::run_on(kind, Topology::new(1, 2), |mut h| {
+            let frames = h.frames();
+            let pool = frames.pool().clone();
+            // Bytes checked out of this rank's pool at each quiet point.
+            let mut outstanding = Vec::new();
+            let mut quiesce = |h: &RankHandle| {
+                h.barrier();
+                let (in_use, retained, cap) = pool.usage();
+                outstanding.push(in_use);
+                assert!(retained <= cap);
+                h.barrier();
+            };
+            if h.rank() == 0 {
+                // Built in place, sealed in place: tag 1, two for tag 7,
+                // then the tag 2 the receiver asks for first.
+                for (tag, fill) in [(1, 0xA1u8), (7, 0x71), (7, 0x72), (2, 0xB2)] {
+                    let mut frame = frames.checkout(4096);
+                    frame.body_mut().extend_from_slice(&[fill; 4096]);
+                    h.send_frame(1, tag, frame).unwrap();
+                }
+                quiesce(&h); // four held by the receiver
+                quiesce(&h); // none
+                for i in 0..FLOOD {
+                    h.send(1, 9, Bytes::from(vec![i as u8; 2048])).unwrap();
+                }
+                quiesce(&h); // the flood is queued, parked or in flight
+                quiesce(&h); // drained
+            } else {
+                let asked = h.recv(0, 2).unwrap();
+                let first = h.recv(0, 1).unwrap();
+                assert!(asked.iter().all(|&b| b == 0xB2) && asked.len() == 4096);
+                assert!(first.iter().all(|&b| b == 0xA1) && first.len() == 4096);
+                quiesce(&h);
+                drop((asked, first));
+                assert_eq!(h.discard_parked(|_, tag| tag == 7), 2);
+                quiesce(&h);
+                quiesce(&h);
+                for i in 0..FLOOD {
+                    assert_eq!(h.recv(0, 9).unwrap()[0], i as u8);
+                }
+                quiesce(&h);
+            }
+            (outstanding, pool)
+        });
+        let held = |at: usize| results.iter().map(|(counts, _)| counts[at]).sum::<usize>();
+        // Two payloads and two parked frames: four buffers of 4 KiB and up.
+        let four = 4 * 4096..=4 * 2 * 4096;
+        assert!(
+            four.contains(&held(0)),
+            "{}: held {}",
+            kind.label(),
+            held(0)
+        );
+        assert_eq!(held(1), 0, "{}: dropped and discarded", kind.label());
+        assert_eq!(held(3), 0, "{}: flood drained", kind.label());
+        for (rank, (_, pool)) in results.iter().enumerate() {
+            assert_eq!(pool.usage().0, 0, "{} rank {rank} torn down", kind.label());
+        }
+
+        // A frame that fails its CRC gives its buffer back too.
+        let plan = ChaosPlan::seeded(32).with_default_link(ChaosLink {
+            corrupt_prob: 1.0,
+            ..ChaosLink::default()
+        });
+        let results = Fabric::run_with(kind, Topology::new(1, 2), Some(plan), |mut h| {
+            if h.rank() == 0 {
+                h.send(1, 2, Bytes::from_static(b"tensor row")).unwrap();
+            } else {
+                let corrupt = FabricError::Corrupt { peer: 0, tag: 2 };
+                assert_eq!(h.recv(0, 2).unwrap_err(), corrupt);
+            }
+            h.barrier();
+            h.frames().pool().usage().0
+        });
+        assert_eq!(results, vec![0, 0], "{}: corrupt frame", kind.label());
+    }
+}

@@ -17,7 +17,7 @@ use bytes::Bytes;
 use schemoe_cluster::storage::{write_atomic, ChaosFs, RealFs, StorageFs};
 use schemoe_cluster::{FabricError, RankHandle};
 use schemoe_moe::{decide_plan, LoadReport, Placement, PlacementPlan, PolicyConfig};
-use schemoe_obs::SpanGuard;
+use schemoe_obs::span;
 use schemoe_tensor::checkpoint;
 use schemoe_tensor::snapshot::{self, Manifest, ManifestEntry, Shard};
 
@@ -29,10 +29,6 @@ use super::{buddy_of, SnapshotCfg};
 /// the batch stands in for the p99 link stall; chaos shaping sleeps the
 /// sender, so shaped links read high while in-process links read ~0.
 const PLACEMENT_PROBES: usize = 3;
-
-fn span(cat: &'static str, name: impl FnOnce() -> String) -> Option<SpanGuard> {
-    schemoe_obs::enabled().then(|| schemoe_obs::span(cat, name()))
-}
 
 /// One buddy-replication quantum. Each rank sends its expert frame to
 /// [`buddy_of`]`(rank)`, then absorbs a frame from every *ward* — each
@@ -61,11 +57,11 @@ pub(super) fn replicate_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
     let lane = Lane::Replica.at(step as u64)?;
     if buddy != me && st.live[buddy] {
         let frame = {
-            let _s = span("replication", || format!("encode@{step}"));
+            let _s = span("replication", format_args!("encode@{step}"));
             let payload = st.save(Half::OwnExpert);
             Bytes::from(st.enc.encode(&payload, step as u64))
         };
-        let _s = span("replication", || format!("send@{step}"));
+        let _s = span("replication", format_args!("send@{step}"));
         match wire::send_copies(h, buddy, lane, &frame) {
             Ok(1..) => {
                 st.report.replica_quanta += 1;
@@ -81,7 +77,7 @@ pub(super) fn replicate_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
         st.enc.reset();
     }
     for ward in wards {
-        let _s = span("replication", || format!("recv{ward}@{step}"));
+        let _s = span("replication", format_args!("recv{ward}@{step}"));
         // A damaged or out-of-chain frame leaves the store untouched; the
         // ward's next full frame re-anchors it.
         let store = st.stores.entry(ward).or_default();
@@ -145,11 +141,11 @@ pub(super) fn snapshot_quantum(
     let lane = Lane::SnapshotAck.at(generation)?;
     let dir = &disk.cfg.dir;
     let bytes = {
-        let _s = span("durability", || format!("encode-g{generation}@{step}"));
+        let _s = span("durability", format_args!("encode-g{generation}@{step}"));
         st.encode_shard()
     };
     let wrote = {
-        let _s = span("durability", || format!("write-g{generation}@{step}"));
+        let _s = span("durability", format_args!("write-g{generation}@{step}"));
         let path = dir.join(snapshot::shard_file_name(generation, me));
         write_atomic(&*disk.fs, &path, &bytes)
             .is_ok()
@@ -166,7 +162,7 @@ pub(super) fn snapshot_quantum(
     if me != coordinator {
         return Ok(());
     }
-    let _s = span("durability", || format!("commit-g{generation}@{step}"));
+    let _s = span("durability", format_args!("commit-g{generation}@{step}"));
     let peers = st.live_peers();
     // A straggler ack from a failed generation is skipped like a damaged
     // copy.

@@ -280,8 +280,7 @@ impl RankState {
     /// Panics if the in-memory checkpoint fails to restore (it was
     /// produced by this very process, so damage indicates a bug).
     pub(super) fn bury(&mut self, h: &RankHandle, dead: &[usize]) {
-        let _span = schemoe_obs::enabled()
-            .then(|| schemoe_obs::span("ft", format!("restore after {dead:?} died")));
+        let _span = schemoe_obs::span("ft", format_args!("restore after {dead:?} died"));
         for &r in dead {
             self.live[r] = false;
             self.model.moe.mark_rank_dead(r);

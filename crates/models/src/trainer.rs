@@ -96,7 +96,7 @@ impl Trainer {
         let mut curve = Vec::new();
         let mut window = Vec::new();
         for step in 0..self.steps {
-            let _step_span = obs::span("step", format!("step{step}"));
+            let _step_span = obs::span("step", format_args!("step{step}"));
             let tokens = data.sample_batch(self.batch, t, &mut rng);
             let loss = {
                 let _s = obs::span("forward", "forward");
@@ -143,7 +143,7 @@ impl Trainer {
         let mut curve = Vec::new();
         let mut window = Vec::new();
         for step in 0..self.steps {
-            let _step_span = obs::span("step", format!("step{step}"));
+            let _step_span = obs::span("step", format_args!("step{step}"));
             let tokens = data.sample_batch(self.batch, &mut rng);
             let loss = {
                 let _s = obs::span("forward", "forward");

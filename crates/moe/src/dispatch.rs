@@ -6,8 +6,7 @@
 //! serves) is the layout of every chunk sent to or from that rank: a count
 //! per served expert, then the rows of all of them.
 
-use bytes::Bytes;
-use schemoe_cluster::FabricError;
+use schemoe_cluster::{FabricError, FrameBuf, FramePool, Pool};
 use schemoe_compression::Compressor;
 use schemoe_tensor::Tensor;
 
@@ -100,52 +99,111 @@ impl Routing {
     }
 }
 
-/// The rows of `src` at `indices`, in that order.
-pub(crate) fn gather_rows(src: &Tensor, indices: impl ExactSizeIterator<Item = usize>) -> Tensor {
-    let mut rows = Tensor::zeros(&[indices.len(), src.dims()[1]]);
-    for (row, idx) in indices.enumerate() {
-        rows.row_mut(row).copy_from_slice(src.row(idx));
+/// A layer's recycled `f32` blocks: decode targets, gather staging, the
+/// rows a forward keeps for its backward. Contents of a block fresh out of
+/// [`take`](Pool::take) are stale; every user overwrites what it reads.
+pub(crate) type Workspace = Pool<f32>;
+
+/// A `[rows, m]` tensor over a block of `ws`, contents stale.
+pub(crate) fn block(ws: &Workspace, rows: usize, m: usize) -> Tensor {
+    Tensor::from_vec(ws.take(rows * m), &[rows, m]).expect("the block was taken at this size")
+}
+
+/// The row ranges `parts`, one after another, as a tensor over a block of
+/// `ws`.
+pub(crate) fn gather_block<'p>(
+    ws: &Workspace,
+    m: usize,
+    parts: impl Iterator<Item = &'p [f32]> + Clone,
+) -> Tensor {
+    let mut rows = block(ws, parts.clone().map(<[f32]>::len).sum::<usize>() / m, m);
+    let mut filled = 0;
+    for part in parts {
+        rows.data_mut()[filled..filled + part.len()].copy_from_slice(part);
+        filled += part.len();
     }
     rows
 }
 
-/// Concatenates row blocks of width `m`.
-pub(crate) fn concat_rows<'t>(parts: impl Iterator<Item = &'t Tensor> + Clone, m: usize) -> Tensor {
-    let total: usize = parts.clone().map(|t| t.dims()[0]).sum();
-    let mut data = Vec::with_capacity(total * m);
-    for part in parts {
-        data.extend_from_slice(part.data());
-    }
-    Tensor::from_vec(data, &[total, m]).expect("row blocks share the width")
-}
-
-/// Serializes the rows bound for one rank: a little-endian `u32` row count
-/// per served expert, then the codec's encoding of all rows concatenated.
-pub(crate) fn encode_chunk(compressor: &dyn Compressor, per_expert_rows: &[Tensor]) -> Bytes {
-    let elems = per_expert_rows.iter().map(Tensor::numel).sum();
-    let mut flat: Vec<f32> = Vec::with_capacity(elems);
-    let header_len = 4 * per_expert_rows.len();
-    let mut chunk = Vec::with_capacity(header_len + compressor.compressed_len(elems));
-    for rows in per_expert_rows {
-        chunk.extend_from_slice(&(rows.dims()[0] as u32).to_le_bytes());
-        flat.extend_from_slice(rows.data());
-    }
-    compressor.compress_into(&flat, &mut chunk);
-    Bytes::from(chunk)
-}
-
-/// Decodes a chunk received from `peer` under `tag` into one `[count, m]`
-/// row block per served expert. The bytes came off the wire, so anything
-/// inconsistent — a short header, counts the payload cannot hold, a codec
-/// error — is [`FabricError::Corrupt`], never a panic or a partial result.
-pub(crate) fn decode_chunk(
+/// Serializes the rows bound for one rank straight into a frame: a
+/// little-endian `u32` row count per served expert, then the codec's
+/// encoding of all rows concatenated. The `k`-th served expert has the
+/// `k`-th of `counts` rows of width `m`, and `gather(k, rows)` fills exactly
+/// that many values: they are staged in one block of `ws` (a codec sees the
+/// chunk whole) and encoded into the frame body, where the bytes leave from.
+pub(crate) fn encode_chunk_into(
     compressor: &dyn Compressor,
-    chunk: &[u8],
-    experts: usize,
+    (frames, ws): (&FramePool, &Workspace),
     m: usize,
-    peer: usize,
-    tag: u64,
-) -> Result<Vec<Tensor>, FabricError> {
+    counts: impl Iterator<Item = usize> + Clone,
+    mut gather: impl FnMut(usize, &mut [f32]),
+) -> FrameBuf {
+    let elems = counts.clone().sum::<usize>() * m;
+    let mut buf = frames.checkout(4 * counts.clone().count() + compressor.compressed_len(elems));
+    let mut staging = ws.take(elems);
+    let mut rest = &mut staging[..];
+    for (k, count) in counts.enumerate() {
+        buf.body_mut()
+            .extend_from_slice(&(count as u32).to_le_bytes());
+        let (rows, tail) = rest.split_at_mut(count * m);
+        gather(k, rows);
+        rest = tail;
+    }
+    compressor.compress_into(&staging, buf.body_mut());
+    ws.put(staging);
+    buf
+}
+
+/// A decoded chunk: every row in one block of the workspace, expert-major.
+pub(crate) struct Rows {
+    data: Vec<f32>,
+    /// Rows `offs[k]..offs[k + 1]` are the `k`-th served expert's.
+    offs: Vec<usize>,
+    m: usize,
+}
+
+impl Rows {
+    /// The chunk a rank that sent nothing would have sent.
+    pub fn empty(experts: usize, m: usize) -> Self {
+        Rows {
+            data: Vec::new(),
+            offs: vec![0; experts + 1],
+            m,
+        }
+    }
+
+    /// Row count over all experts.
+    pub fn total(&self) -> usize {
+        self.offs[self.offs.len() - 1]
+    }
+
+    /// Row count of the `k`-th served expert.
+    pub fn count(&self, k: usize) -> usize {
+        self.offs[k + 1] - self.offs[k]
+    }
+
+    /// The `k`-th served expert's rows, flat.
+    pub fn expert(&self, k: usize) -> &[f32] {
+        &self.data[self.offs[k] * self.m..self.offs[k + 1] * self.m]
+    }
+
+    /// Sends the block home.
+    pub fn recycle(self, ws: &Workspace) {
+        ws.put(self.data);
+    }
+}
+
+/// Decodes a chunk received from `peer` under `tag` into one block of
+/// `ws`. The bytes came off the wire, so anything inconsistent — a short
+/// header, counts the payload cannot hold, a codec error — is
+/// [`FabricError::Corrupt`], never a panic or a partial result.
+pub(crate) fn decode_chunk_into(
+    compressor: &dyn Compressor,
+    ws: &Workspace,
+    chunk: &[u8],
+    (experts, m): (usize, usize),
+    (peer, tag): (usize, u64),
+) -> Result<Rows, FabricError> {
     let corrupt = FabricError::Corrupt { peer, tag };
     let Some((header, payload)) = experts
         .checked_mul(4)
@@ -153,42 +211,134 @@ pub(crate) fn decode_chunk(
     else {
         return Err(corrupt);
     };
-    let counts: Vec<usize> = header
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
-        .collect();
+    let (mut total, mut offs) = (Some(0usize), vec![0usize]);
+    for b in header.chunks_exact(4) {
+        let count = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
+        total = total.and_then(|sum| sum.checked_add(count));
+        offs.push(total.unwrap_or(0));
+    }
     // Every codec spends at least a bit per value; bounding the element
     // count by the payload keeps a hostile header from sizing anything.
-    let Some(elems) = counts
-        .iter()
-        .try_fold(0usize, |sum, &c| sum.checked_add(c))
-        .and_then(|total| total.checked_mul(m))
+    let Some(elems) = total
+        .and_then(|rows| rows.checked_mul(m))
         .filter(|&elems| elems <= payload.len().saturating_mul(8))
+        .filter(|&elems| compressor.compressed_len(elems) == payload.len())
     else {
         return Err(corrupt);
     };
-    let Ok(flat) = compressor.decompress(payload, elems) else {
+    let mut data = ws.take(elems);
+    if compressor.decompress_into(payload, &mut data).is_err() {
+        ws.put(data);
         return Err(corrupt);
-    };
-    let mut off = 0usize;
-    Ok(counts
-        .iter()
-        .map(|&c| {
-            let rows = Tensor::from_vec(flat[off * m..(off + c) * m].to_vec(), &[c, m])
-                .expect("counts sum to the decoded length");
-            off += c;
-            rows
-        })
-        .collect())
+    }
+    Ok(Rows { data, offs, m })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use proptest::prelude::*;
+    use schemoe_cluster::BufPool;
     use schemoe_compression::{Fp16Compressor, Int8Compressor, NoCompression, ZfpCompressor};
 
     const M: usize = 3;
+
+    /// The allocating encoder the into-form replaced, kept as its oracle.
+    fn encode_chunk(compressor: &dyn Compressor, per_expert_rows: &[Tensor]) -> Bytes {
+        let elems = per_expert_rows.iter().map(Tensor::numel).sum();
+        let mut flat: Vec<f32> = Vec::with_capacity(elems);
+        let header_len = 4 * per_expert_rows.len();
+        let mut chunk = Vec::with_capacity(header_len + compressor.compressed_len(elems));
+        for rows in per_expert_rows {
+            chunk.extend_from_slice(&(rows.dims()[0] as u32).to_le_bytes());
+            flat.extend_from_slice(rows.data());
+        }
+        compressor.compress_into(&flat, &mut chunk);
+        Bytes::from(chunk)
+    }
+
+    /// The allocating decoder the into-form replaced, kept as its oracle.
+    fn decode_chunk(
+        compressor: &dyn Compressor,
+        chunk: &[u8],
+        experts: usize,
+        m: usize,
+        peer: usize,
+        tag: u64,
+    ) -> Result<Vec<Tensor>, FabricError> {
+        let corrupt = FabricError::Corrupt { peer, tag };
+        let Some((header, payload)) = experts
+            .checked_mul(4)
+            .and_then(|n| chunk.split_at_checked(n))
+        else {
+            return Err(corrupt);
+        };
+        let counts: Vec<usize> = header
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+            .collect();
+        let Some(elems) = counts
+            .iter()
+            .try_fold(0usize, |sum, &c| sum.checked_add(c))
+            .and_then(|total| total.checked_mul(m))
+            .filter(|&elems| elems <= payload.len().saturating_mul(8))
+        else {
+            return Err(corrupt);
+        };
+        let Ok(flat) = compressor.decompress(payload, elems) else {
+            return Err(corrupt);
+        };
+        let mut off = 0usize;
+        Ok(counts
+            .iter()
+            .map(|&c| {
+                let rows = Tensor::from_vec(flat[off * m..(off + c) * m].to_vec(), &[c, m])
+                    .expect("counts sum to the decoded length");
+                off += c;
+                rows
+            })
+            .collect())
+    }
+
+    /// A workspace whose shelf holds one poisoned block, so a decode or a
+    /// staging gather that left an element unwritten would read a NaN.
+    fn stale_workspace() -> Workspace {
+        let ws = Workspace::default();
+        let mut poisoned = ws.take(1 << 12);
+        poisoned.fill(f32::NAN);
+        ws.put(poisoned);
+        ws
+    }
+
+    /// The into-form encoder over whole row blocks, as a payload.
+    fn encode_into(compressor: &dyn Compressor, framed: bool, blocks: &[Tensor]) -> Bytes {
+        let pools = (
+            &FramePool::new(BufPool::default(), framed),
+            &stale_workspace(),
+        );
+        let counts = blocks.iter().map(|b| b.dims()[0]);
+        let whole = |k: usize, rows: &mut [f32]| rows.copy_from_slice(blocks[k].data());
+        let frame = encode_chunk_into(compressor, pools, M, counts, whole);
+        assert_eq!(pools.1.usage().0, 0, "the staging block went home");
+        frame.into_payload()
+    }
+
+    /// The into-form decoder, its rows copied out as one tensor per expert.
+    fn decode_into(
+        compressor: &dyn Compressor,
+        bytes: &[u8],
+        experts: usize,
+    ) -> Result<Vec<Tensor>, FabricError> {
+        let ws = stale_workspace();
+        let decoded = decode_chunk_into(compressor, &ws, bytes, (experts, M), (3, 9));
+        // A refusal leaves nothing checked out, whatever it touched.
+        assert!(decoded.is_ok() || ws.usage().0 == 0);
+        decoded.map(|rows| {
+            let tensor = |k| Tensor::from_vec(rows.expert(k).to_vec(), &[rows.count(k), M]);
+            (0..experts).map(|k| tensor(k).unwrap()).collect()
+        })
+    }
 
     fn codec(idx: usize) -> Box<dyn Compressor> {
         match idx {
@@ -212,15 +362,36 @@ mod tests {
         matches!(result, Err(FabricError::Corrupt { peer: 3, tag: 9 }))
     }
 
+    /// Equal outcomes: both `Corrupt`, or the same rows bit for bit.
+    fn same(a: &Result<Vec<Tensor>, FabricError>, b: &Result<Vec<Tensor>, FabricError>) -> bool {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b)
+                        .all(|(a, b)| a.dims() == b.dims() && bits(a) == bits(b))
+            }
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        }
+    }
+
     #[test]
     fn gradient_chunks_keep_their_length_and_round_trip_exactly() {
         // Gradients ride the same framing under `NoCompression`: a count
         // per expert and four bytes per value, as the raw framing had.
         let rows = blocks(&[2, 0, 5]);
-        let chunk = encode_chunk(&NoCompression, &rows);
+        let chunk = encode_into(&NoCompression, true, &rows);
         assert_eq!(chunk.len(), 4 * rows.len() + 4 * (2 + 5) * M);
-        let back = decode_chunk(&NoCompression, &chunk, rows.len(), M, 0, 0).unwrap();
+        let back = decode_into(&NoCompression, &chunk, rows.len()).unwrap();
         assert_eq!(back, rows);
+    }
+
+    #[test]
+    fn an_absent_chunk_reads_as_zero_rows_per_expert() {
+        let rows = Rows::empty(3, M);
+        assert!((0..3).all(|k| rows.count(k) == 0 && rows.expert(k).is_empty()));
     }
 
     #[test]
@@ -282,8 +453,8 @@ mod tests {
         ) {
             let codec = codec(codec_idx);
             let experts = counts.len();
-            let chunk = encode_chunk(codec.as_ref(), &blocks(&counts));
-            let decode = |bytes: &[u8]| decode_chunk(codec.as_ref(), bytes, experts, M, 3, 9);
+            let chunk = encode_into(codec.as_ref(), true, &blocks(&counts));
+            let decode = |bytes: &[u8]| decode_into(codec.as_ref(), bytes, experts);
             prop_assert!(decode(&chunk).is_ok());
 
             let truncated = &chunk[..chunk.len() - cut.min(chunk.len())];
@@ -299,6 +470,47 @@ mod tests {
             );
 
             prop_assert!(rejected_or_whole(&noise, experts, &decode(&noise)));
+        }
+
+        /// The into-forms are the allocating forms they replaced: the same
+        /// bytes out of the encoder whether or not the frame has headroom,
+        /// and out of the decoder the same rows bit for bit — or the same
+        /// refusal — for clean, truncated, bit-flipped and arbitrary bytes,
+        /// over every codec, zero-row experts included, decoding into a
+        /// block that still holds someone else's values.
+        #[test]
+        fn the_into_forms_equal_the_allocating_oracles(
+            codec_idx in 0usize..4,
+            framed in 0usize..2,
+            counts in proptest::collection::vec(0usize..6, 1..4),
+            values in proptest::collection::vec(-4.0f32..4.0, 15 * M),
+            cut in 1usize..64,
+            flip in 0usize..1 << 16,
+            noise in proptest::collection::vec(0u8..=255, 0..48),
+        ) {
+            let codec = codec(codec_idx);
+            let experts = counts.len();
+            let mut values = values.into_iter();
+            let rows: Vec<Tensor> = counts
+                .iter()
+                .map(|&c| Tensor::from_vec(values.by_ref().take(c * M).collect(), &[c, M]).unwrap())
+                .collect();
+            let oracle = encode_chunk(codec.as_ref(), &rows);
+            let chunk = encode_into(codec.as_ref(), framed == 1, &rows);
+            prop_assert_eq!(&chunk[..], &oracle[..]);
+
+            let agree = |bytes: &[u8]| same(
+                &decode_into(codec.as_ref(), bytes, experts),
+                &decode_chunk(codec.as_ref(), bytes, experts, M, 3, 9),
+            );
+            prop_assert!(decode_into(codec.as_ref(), &chunk, experts).is_ok());
+            prop_assert!(agree(&chunk));
+            prop_assert!(agree(&chunk[..chunk.len() - cut.min(chunk.len())]), "cut {}", cut);
+            let mut flipped = chunk.to_vec();
+            let bit = flip % (8 * flipped.len());
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(agree(&flipped), "bit {} flipped", bit);
+            prop_assert!(agree(&noise));
         }
     }
 }

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use schemoe_cluster::{FabricError, RankHandle};
+use schemoe_cluster::{FabricError, FrameBuf, RankHandle};
 use schemoe_collectives::{chunk_tag, lanes, AllToAll, MAX_PARTITION_DEGREE};
 use schemoe_compression::{add_f32_le, copy_f32_le, Compressor, NoCompression};
 use schemoe_obs as obs;
@@ -17,7 +17,9 @@ use schemoe_scheduler::executor::{
 use schemoe_tensor::nn::Param;
 use schemoe_tensor::Tensor;
 
-use crate::dispatch::{concat_rows, decode_chunk, encode_chunk, gather_rows, Routing};
+use crate::dispatch::{
+    block, decode_chunk_into, encode_chunk_into, gather_block, Routing, Rows, Workspace,
+};
 use crate::expert::Expert;
 use crate::gating::{GateDecision, TopKGate};
 use crate::placement::Placement;
@@ -53,6 +55,9 @@ pub struct DistributedMoeLayer {
     compressor: Box<dyn Compressor>,
     a2a: Box<dyn AllToAll>,
     cache: Option<Cache>,
+    /// The recycled blocks every step decodes into, stages through and
+    /// caches in: sized by the first step, reused by the rest.
+    workspace: Workspace,
     /// ScheMoE pipelining degree `r`; 1 = the same graph run inline.
     partition_degree: usize,
     /// Liveness deadline for the direct exchanges' receives.
@@ -91,24 +96,44 @@ pub struct DistributedMoeLayer {
     service_us: Vec<u64>,
 }
 
-/// What a forward leaves for its backward.
+/// What a forward leaves for its backward. Everything row-shaped in it is
+/// a block of the layer's workspace, sent home by [`release`](Self::release).
 struct Cache {
     decision: GateDecision,
     /// The routing table the forward ran under; the backward mirrors it.
     routing: Routing,
-    /// Per served expert, per src rank: row count received.
-    recv_counts: Vec<Vec<usize>>,
-    /// Per served expert: its src-major input rows, each source's in slot
-    /// order. The backward recomputes each (expert, source) group's
-    /// activations from these before differentiating it, which is what
-    /// makes the weight-gradient accumulation order — and therefore the
-    /// grads — independent of the partition degree.
-    expert_inputs: Vec<Tensor>,
+    /// Per chunk, per src rank: the dispatched rows as `D1` decoded them,
+    /// each source's in slot order. The backward recomputes each (expert,
+    /// source) group's activations from these before differentiating it,
+    /// which is what makes the weight-gradient accumulation order — and
+    /// therefore the grads — independent of the partition degree.
+    chunks: Vec<Vec<Rows>>,
     /// Per global expert: the returned output rows in this rank's slot
     /// order.
     returned_outputs: Vec<Tensor>,
     n: usize,
     tag_base: u64,
+}
+
+impl Cache {
+    /// Rows served expert `k` received from source `j` over the step.
+    fn count(&self, k: usize, j: usize) -> usize {
+        self.chunks.iter().map(|chunk| chunk[j].count(k)).sum()
+    }
+
+    /// Those rows in slot order: the source's segment of each chunk, chunks
+    /// ascending.
+    fn group_input(&self, ws: &Workspace, k: usize, j: usize, m: usize) -> Tensor {
+        gather_block(ws, m, self.chunks.iter().map(|chunk| chunk[j].expert(k)))
+    }
+
+    /// Sends every block home.
+    fn release(self, ws: &Workspace) {
+        let decoded = self.chunks.into_iter().flatten();
+        decoded.for_each(|rows| rows.recycle(ws));
+        let outputs = self.returned_outputs.into_iter();
+        outputs.for_each(|rows| ws.put(rows.into_vec()));
+    }
 }
 
 /// A replicated-parameter gradient allreduce to fold into the MoE
@@ -156,6 +181,7 @@ impl DistributedMoeLayer {
             compressor,
             a2a,
             cache: None,
+            workspace: Workspace::default(),
             partition_degree: 1,
             recv_timeout: None,
             dead_ranks: BTreeSet::new(),
@@ -470,10 +496,8 @@ impl DistributedMoeLayer {
     /// short of ranks.
     fn degraded_span(&self) -> Option<obs::SpanGuard> {
         self.is_degraded().then(|| {
-            obs::span(
-                "degraded",
-                format!("degraded step ({} dead)", self.dead_ranks.len()),
-            )
+            let dead = self.dead_ranks.len();
+            obs::span("degraded", format_args!("degraded step ({dead} dead)"))
         })
     }
 
@@ -562,6 +586,11 @@ impl DistributedMoeLayer {
                 .forward_masked(x, masked.contains(&true).then_some(&masked[..]))
         };
         self.note_decision(me, p, &decision);
+        // A forward whose backward never ran hands its blocks back.
+        let ws = &self.workspace;
+        if let Some(unused) = self.cache.take() {
+            unused.release(ws);
+        }
 
         // Dispatch legs run from every source to the serving ranks, combine
         // legs back. Field split: the tasks share the codec immutably while
@@ -578,6 +607,10 @@ impl DistributedMoeLayer {
             hosted: &mut self.hosted_experts,
             guests: &mut self.guest_experts,
         });
+        // Read before the handle goes behind its mutex: compute tasks
+        // check frames out of the pool without ever locking the handle.
+        let frames = h.frames();
+        let pools = (&frames, ws);
         let handle = Mutex::new(h);
         let wire = Wire {
             handle: &handle,
@@ -586,15 +619,20 @@ impl DistributedMoeLayer {
             tag_base,
             me,
         };
-        // Per chunk and rank: encoded rows out to it / in from it, on the
-        // dispatch and on the combine leg.
-        let mailboxes = || -> Vec<Vec<Slot<Bytes>>> { (0..r).map(|_| slots(p)).collect() };
-        let (dispatch_out, dispatch_in) = (mailboxes(), mailboxes());
-        let (combine_out, combine_in) = (mailboxes(), mailboxes());
-        // Per chunk: decoded dispatch rows `[src][k]` and decoded combine
-        // rows `[server][k]`, `k` indexing the sender's served list.
-        let chunk_inputs = slots::<Vec<Vec<Tensor>>>(r);
-        let chunk_returned = slots::<Vec<Vec<Tensor>>>(r);
+        // Per chunk and rank: the frame out to it / the payload in from it,
+        // on the dispatch and on the combine leg.
+        let outboxes = || -> Vec<Vec<Slot<FrameBuf>>> { (0..r).map(|_| slots(p)).collect() };
+        let inboxes = || -> Vec<Vec<Slot<Bytes>>> { (0..r).map(|_| slots(p)).collect() };
+        let (dispatch_out, dispatch_in) = (outboxes(), inboxes());
+        let (combine_out, combine_in) = (outboxes(), inboxes());
+        // Per chunk: the decoded dispatch rows per source. Per global expert: the
+        // returned output rows in this rank's slot order, which every D2
+        // scatters its segments into (stale until then: every slot is in
+        // exactly one server's share, so every row gets overwritten).
+        let chunk_inputs = slots::<Vec<Rows>>(r);
+        let sized = |slots: &Vec<(usize, f32)>| block(ws, slots.len(), m);
+        let returned_outputs: Mutex<Vec<Tensor>> =
+            Mutex::new(decision.expert_slots.iter().map(sized).collect());
         let service_ns = AtomicU64::new(0);
 
         let mut graph = Graph::default();
@@ -603,17 +641,23 @@ impl DistributedMoeLayer {
                 let out = &dispatch_out[c];
                 graph.push(Worker::Compute, vec![], move || {
                     let bytes = (n * m * 4) as f64 / r as f64;
-                    let _s = obs::span_sized("encode", format!("C1[c{c}]"), bytes);
+                    let _s = obs::span_sized("encode", format_args!("C1[c{c}]"), bytes);
                     for &dst in servers {
-                        let rows: Vec<Tensor> = routing_ref.served[dst]
-                            .iter()
-                            .map(|&e| {
-                                let slots = &decision_ref.expert_slots[e];
-                                let segment = routing_ref.segment(e, dst, slots.len(), c, r);
-                                gather_rows(x, segment.map(|s| slots[s].0))
-                            })
-                            .collect();
-                        *out[dst].lock() = Some(encode_chunk(compressor, &rows));
+                        let tokens = |k: usize| {
+                            let e = routing_ref.served[dst][k];
+                            let slots = &decision_ref.expert_slots[e];
+                            let segment = routing_ref.segment(e, dst, slots.len(), c, r);
+                            segment.map(move |s| slots[s].0)
+                        };
+                        let experts = routing_ref.served[dst].len();
+                        let counts = (0..experts).map(|k| tokens(k).len());
+                        let gather = |k: usize, rows: &mut [f32]| {
+                            for (row, t) in rows.chunks_exact_mut(m).zip(tokens(k)) {
+                                row.copy_from_slice(x.row(t));
+                            }
+                        };
+                        let chunk = encode_chunk_into(compressor, pools, m, counts, gather);
+                        *out[dst].lock() = Some(chunk);
                     }
                     Ok(())
                 })
@@ -631,43 +675,44 @@ impl DistributedMoeLayer {
                 let (inbox, out, kept) = (&dispatch_in[c], &combine_out[c], &chunk_inputs[c]);
                 let (bodies, service_ns) = (&bodies, &service_ns);
                 graph.push(Worker::Compute, vec![a1[c]], move || {
-                    let _pipe = obs::span("pipe", format!("D1·E·C2[c{c}]"));
+                    let _pipe = obs::span("pipe", format_args!("D1·E·C2[c{c}]"));
                     let tag = chunk_tag(tag_base, lanes::LANE_DISPATCH, c);
-                    let decoded = decode_inbox(
-                        compressor,
-                        inbox,
-                        |_| mine.len(),
-                        m,
-                        tag,
-                        format!("D1[c{c}]"),
-                    )?;
-                    // Chunk expert input: src-major concat, the chunk-local
-                    // analogue of the whole-layer layout.
-                    let rows_total: usize = decoded.iter().flatten().map(|t| t.dims()[0]).sum();
-                    let e_span = obs::span_sized("expert", format!("E[c{c}]"), rows_total as f64);
+                    let name = format_args!("D1[c{c}]");
+                    let decoded =
+                        decode_inbox(compressor, ws, inbox, |_| mine.len(), m, tag, name)?;
+                    let rows_total: usize = decoded.iter().map(Rows::total).sum();
+                    let name = format_args!("E[c{c}]");
+                    let e_span = obs::span_sized("expert", name, rows_total as f64);
                     let started = Instant::now();
                     let outputs: Vec<Tensor> = {
                         let mut bodies = bodies.lock();
-                        let input = |k| concat_rows(decoded.iter().map(move |d| &d[k]), m);
-                        let run = |(k, &e)| bodies.get(e).forward(&input(k));
+                        // Chunk expert input: src-major, the chunk-local
+                        // analogue of the whole-layer layout.
+                        let run = |(k, &e)| {
+                            let rows = decoded.iter().map(|d: &Rows| d.expert(k));
+                            let input = gather_block(ws, m, rows);
+                            let output = bodies.get(e).forward(&input);
+                            ws.put(input.into_vec());
+                            output
+                        };
                         mine.iter().enumerate().map(run).collect()
                     };
                     service_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     drop(e_span);
                     let bytes = (rows_total * m * 4) as f64;
-                    let _c2 = obs::span_sized("encode", format!("C2[c{c}]"), bytes);
+                    let _c2 = obs::span_sized("encode", format_args!("C2[c{c}]"), bytes);
                     // Dead sources sent no rows, so skipping them leaves
                     // every live source's offset where it belongs.
                     let mut offsets = vec![0usize; mine.len()];
                     for &src in sources {
-                        let rows: Vec<Tensor> = (0..mine.len())
-                            .map(|k| {
-                                let start = offsets[k];
-                                offsets[k] += decoded[src][k].dims()[0];
-                                gather_rows(&outputs[k], start..offsets[k])
-                            })
-                            .collect();
-                        *out[src].lock() = Some(encode_chunk(compressor, &rows));
+                        let sent = &decoded[src];
+                        let counts = (0..mine.len()).map(|k| sent.count(k));
+                        let gather = |k: usize, rows: &mut [f32]| {
+                            rows.copy_from_slice(&outputs[k].data()[offsets[k]..][..rows.len()]);
+                            offsets[k] += rows.len();
+                        };
+                        let back = encode_chunk_into(compressor, pools, m, counts, gather);
+                        *out[src].lock() = Some(back);
                     }
                     *kept.lock() = Some(decoded);
                     Ok(())
@@ -682,69 +727,54 @@ impl DistributedMoeLayer {
             })
             .collect();
         for c in 0..r {
-            let (inbox, kept) = (&combine_in[c], &chunk_returned[c]);
+            let (inbox, outputs) = (&combine_in[c], &returned_outputs);
             graph.push(Worker::Compute, vec![a2[c]], move || {
                 let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, c);
                 let experts = |rank: usize| routing_ref.served[rank].len();
-                let name = format!("D2[c{c}]");
-                *kept.lock() = Some(decode_inbox(compressor, inbox, experts, m, tag, name)?);
+                let name = format_args!("D2[c{c}]");
+                let decoded = decode_inbox(compressor, ws, inbox, experts, m, tag, name)?;
+                // Interleaving each server's share, its segments in chunk
+                // order, restores full slot order.
+                let _s = obs::span("combine", format_args!("scatter[c{c}]"));
+                let mut outputs = outputs.lock();
+                for &server in servers {
+                    for (k, &e) in routing_ref.served[server].iter().enumerate() {
+                        let slots = decision_ref.expert_slots[e].len();
+                        let segment = routing_ref.segment(e, server, slots, c, r);
+                        let part = decoded[server].expert(k);
+                        assert_eq!(part.len(), segment.len() * m, "combine framing mismatch");
+                        for (row, s) in part.chunks_exact(m).zip(segment) {
+                            outputs[e].row_mut(s).copy_from_slice(row);
+                        }
+                    }
+                }
+                decoded.into_iter().for_each(|rows| rows.recycle(ws));
                 Ok(())
             });
         }
         graph.run(routing.runs_inline(r))?;
         self.service_us.push(service_ns.into_inner().div_ceil(1000));
         let _combine = obs::span("combine", "combine");
-        let chunk_inputs: Vec<Vec<Vec<Tensor>>> = chunk_inputs.iter().map(take).collect();
-        let chunk_returned: Vec<Vec<Vec<Tensor>>> = chunk_returned.iter().map(take).collect();
-
         // Whole-layer state for the backward, the same at every degree: a
-        // source's segments concatenated in chunk order are its share in
-        // slot order, and the expert input is those shares src-major.
-        let chunks = &chunk_inputs;
-        let recv_counts: Vec<Vec<usize>> = (0..mine.len())
-            .map(|k| {
-                let from = |src: usize| chunks.iter().map(|ch| ch[src][k].dims()[0]).sum();
-                (0..p).map(from).collect()
-            })
-            .collect();
-        let expert_inputs: Vec<Tensor> = (0..mine.len())
-            .map(|k| {
-                let of = move |src: usize| chunks.iter().map(move |ch| &ch[src][k]);
-                concat_rows((0..p).flat_map(of), m)
-            })
-            .collect();
+        // source's segments in chunk order are its share in slot order.
+        let chunks: Vec<Vec<Rows>> = chunk_inputs.iter().map(take).collect();
+        let returned_outputs: Vec<Tensor> = returned_outputs.into_inner();
 
-        // Combine: interleaving each server's share, its segments in chunk
-        // order, restores full slot order, and accumulating ascending-
-        // expert is then the one-chunk static computation verbatim (a token
-        // meets each expert at most once).
+        // Combine: accumulating ascending-expert over rows in slot order is
+        // the one-chunk static computation verbatim (a token meets each
+        // expert at most once).
         let mut y = Tensor::zeros(&[n, m]);
-        let mut returned_outputs: Vec<Tensor> = Vec::with_capacity(decision.expert_slots.len());
-        for (e, slots) in decision.expert_slots.iter().enumerate() {
-            let mut rows = Tensor::zeros(&[slots.len(), m]);
-            for &server in &routing.servers[e] {
-                let k = routing.index_in(server, e);
-                for (c, returned) in chunk_returned.iter().enumerate() {
-                    let part = &returned[server][k];
-                    let segment = routing.segment(e, server, slots.len(), c, r);
-                    assert_eq!(part.dims()[0], segment.len(), "combine framing mismatch");
-                    for (row, s) in segment.enumerate() {
-                        rows.row_mut(s).copy_from_slice(part.row(row));
-                    }
-                }
-            }
+        for (slots, rows) in decision.expert_slots.iter().zip(&returned_outputs) {
             for (s, &(t, w)) in slots.iter().enumerate() {
                 for (yj, &oj) in y.row_mut(t).iter_mut().zip(rows.row(s)) {
                     *yj += w * oj;
                 }
             }
-            returned_outputs.push(rows);
         }
         self.cache = Some(Cache {
             decision,
             routing,
-            recv_counts,
-            expert_inputs,
+            chunks,
             returned_outputs,
             n,
             tag_base,
@@ -808,8 +838,7 @@ impl DistributedMoeLayer {
             .cache
             .take()
             .expect("distributed backward without forward");
-        let (decision, routing) = (&cache.decision, &cache.routing);
-        let (recv_counts, expert_inputs) = (&cache.recv_counts, &cache.expert_inputs);
+        let (decision, routing, cache_ref) = (&cache.decision, &cache.routing, &cache);
         let (returned_outputs, n, tag_base) = (&cache.returned_outputs, cache.n, cache.tag_base);
         let (p, me) = (h.world_size(), h.rank());
         let m = dy.dims()[1];
@@ -828,6 +857,8 @@ impl DistributedMoeLayer {
             hosted: &mut self.hosted_experts,
             guests: &mut self.guest_experts,
         });
+        let (frames, ws) = (h.frames(), &self.workspace);
+        let pools = (&frames, ws);
         let handle = Mutex::new(h);
         let wire = Wire {
             handle: &handle,
@@ -838,9 +869,9 @@ impl DistributedMoeLayer {
         };
         // Per rank: output grads out to / in from it, input grads back out
         // to / in from it, and the decoded input grads it returned.
-        let (grad_out, grad_in) = (slots::<Bytes>(p), slots::<Bytes>(p));
-        let (back_out, back_in) = (slots::<Bytes>(p), slots::<Bytes>(p));
-        let returned = slots::<Vec<Tensor>>(p);
+        let (grad_out, grad_in) = (slots::<FrameBuf>(p), slots::<Bytes>(p));
+        let (back_out, back_in) = (slots::<FrameBuf>(p), slots::<Bytes>(p));
+        let returned = slots::<Rows>(p);
         let d_weights: Slot<Vec<Vec<f32>>> = Mutex::new(None);
 
         let mut graph = Graph::default();
@@ -852,23 +883,23 @@ impl DistributedMoeLayer {
                 let out = &grad_out[dst];
                 let task = graph.push(Worker::Compute, vec![], move || {
                     let bytes = (n * m * 4) as f64 / servers.len() as f64;
-                    let _s = obs::span_sized("encode", format!("C1b[o{dst}]"), bytes);
-                    let rows: Vec<Tensor> = routing.served[dst]
-                        .iter()
-                        .map(|&e| {
-                            let slots = &decision.expert_slots[e];
-                            let share = routing.segment(e, dst, slots.len(), 0, 1);
-                            let mut rows = Tensor::zeros(&[share.len(), m]);
-                            for (row, s) in share.enumerate() {
-                                let (t, w) = slots[s];
-                                for (g, &d) in rows.row_mut(row).iter_mut().zip(dy.row(t)) {
-                                    *g = w * d;
-                                }
+                    let _s = obs::span_sized("encode", format_args!("C1b[o{dst}]"), bytes);
+                    let share = |k: usize| {
+                        let e = routing.served[dst][k];
+                        let slots = &decision.expert_slots[e];
+                        let share = routing.segment(e, dst, slots.len(), 0, 1);
+                        share.map(move |s| slots[s])
+                    };
+                    let experts = routing.served[dst].len();
+                    let counts = (0..experts).map(|k| share(k).len());
+                    let weigh = |k: usize, rows: &mut [f32]| {
+                        for (row, (t, w)) in rows.chunks_exact_mut(m).zip(share(k)) {
+                            for (g, &d) in row.iter_mut().zip(dy.row(t)) {
+                                *g = w * d;
                             }
-                            rows
-                        })
-                        .collect();
-                    *out.lock() = Some(encode_chunk(raw, &rows));
+                        }
+                    };
+                    *out.lock() = Some(encode_chunk_into(raw, pools, m, counts, weigh));
                     Ok(())
                 });
                 (dst, task)
@@ -926,31 +957,39 @@ impl DistributedMoeLayer {
                 let (inbox, out, bodies) = (&grad_in[j], &back_out[j], &bodies);
                 let task = graph.push(Worker::Compute, vec![grads_at[j]], move || {
                     let chunk = take(inbox);
-                    let d1b = obs::span_sized("decode", format!("D1b[s{j}]"), chunk.len() as f64);
+                    let name = format_args!("D1b[s{j}]");
+                    let d1b = obs::span_sized("decode", name, chunk.len() as f64);
                     let tag = tag_base + grad_lane.1;
-                    let grads = decode_chunk(raw, &chunk, mine.len(), m, j, tag)?;
-                    drop(d1b);
-                    let rows_j: usize = recv_counts.iter().map(|counts| counts[j]).sum();
-                    let eb = obs::span_sized("expert", format!("Eb[s{j}]"), rows_j as f64);
+                    let grads = decode_chunk_into(raw, ws, &chunk, (mine.len(), m), (j, tag))?;
+                    drop((chunk, d1b));
+                    let rows_j: usize = (0..mine.len()).map(|k| cache_ref.count(k, j)).sum();
+                    let eb = obs::span_sized("expert", format_args!("Eb[s{j}]"), rows_j as f64);
                     let mut bodies = bodies.lock();
                     let differentiate = |(k, &e): (usize, &usize)| {
-                        let count = recv_counts[k][j];
-                        assert_eq!(grads[k].dims()[0], count, "gradient framing mismatch");
+                        let count = cache_ref.count(k, j);
+                        assert_eq!(grads.count(k), count, "gradient framing mismatch");
                         if count == 0 {
                             return Tensor::zeros(&[0, m]);
                         }
-                        let before: usize = recv_counts[k][..j].iter().sum();
                         let body = bodies.get(e);
-                        let _ =
-                            body.forward(&gather_rows(&expert_inputs[k], before..before + count));
-                        body.backward(&grads[k])
+                        let mut rows = cache_ref.group_input(ws, k, j, m);
+                        let _ = body.forward(&rows);
+                        // The layers saved what they need of the input, so
+                        // its block carries the group's output grads next.
+                        rows.data_mut().copy_from_slice(grads.expert(k));
+                        let din = body.backward(&rows);
+                        ws.put(rows.into_vec());
+                        din
                     };
                     let dins: Vec<Tensor> = mine.iter().enumerate().map(differentiate).collect();
                     drop(bodies);
+                    grads.recycle(ws);
                     drop(eb);
                     let bytes = (rows_j * m * 4) as f64;
-                    let _c2b = obs::span_sized("encode", format!("C2b[s{j}]"), bytes);
-                    *out.lock() = Some(encode_chunk(raw, &dins));
+                    let _c2b = obs::span_sized("encode", format_args!("C2b[s{j}]"), bytes);
+                    let counts = dins.iter().map(|din| din.dims()[0]);
+                    let whole = |k: usize, rows: &mut [f32]| rows.copy_from_slice(dins[k].data());
+                    *out.lock() = Some(encode_chunk_into(raw, pools, m, counts, whole));
                     Ok(())
                 });
                 (j, task)
@@ -963,10 +1002,11 @@ impl DistributedMoeLayer {
             let (inbox, kept) = (&back_in[j], &returned[j]);
             graph.push(Worker::Compute, vec![dins_at[j]], move || {
                 let chunk = take(inbox);
-                let _s = obs::span_sized("decode", format!("D2b[o{j}]"), chunk.len() as f64);
-                let experts = routing.served[j].len();
+                let name = format_args!("D2b[o{j}]");
+                let _s = obs::span_sized("decode", name, chunk.len() as f64);
+                let shape = (routing.served[j].len(), m);
                 let tag = tag_base + back_lane.1;
-                *kept.lock() = Some(decode_chunk(raw, &chunk, experts, m, j, tag)?);
+                *kept.lock() = Some(decode_chunk_into(raw, ws, &chunk, shape, (j, tag))?);
                 Ok(())
             });
         }
@@ -974,17 +1014,16 @@ impl DistributedMoeLayer {
 
         // Scatter ascending-expert, so each token's additions come in the
         // order of the one-chunk static backward.
-        let returned: Vec<Option<Vec<Tensor>>> =
-            returned.into_iter().map(Mutex::into_inner).collect();
+        let returned: Vec<Option<Rows>> = returned.into_iter().map(Mutex::into_inner).collect();
         let mut dx = Tensor::zeros(&[n, m]);
         for (e, slots) in decision.expert_slots.iter().enumerate() {
             for &server in &routing.servers[e] {
                 let dins = returned[server].as_ref().expect("every server returned");
-                let part = &dins[routing.index_in(server, e)];
+                let part = dins.expert(routing.index_in(server, e));
                 let share = routing.segment(e, server, slots.len(), 0, 1);
-                assert_eq!(part.dims()[0], share.len(), "input-grad framing mismatch");
-                for (row, s) in share.enumerate() {
-                    for (xj, &dj) in dx.row_mut(slots[s].0).iter_mut().zip(part.row(row)) {
+                assert_eq!(part.len(), share.len() * m, "input-grad framing mismatch");
+                for (row, s) in part.chunks_exact(m).zip(share) {
+                    for (xj, &dj) in dx.row_mut(slots[s].0).iter_mut().zip(row) {
                         *xj += dj;
                     }
                 }
@@ -996,6 +1035,10 @@ impl DistributedMoeLayer {
             self.gate.backward(&d_weights)
         };
         dx.add_assign(&dx_gate).expect("same shape");
+        for rows in returned.into_iter().flatten() {
+            rows.recycle(ws);
+        }
+        cache.release(ws);
         Ok(dx)
     }
 
@@ -1023,23 +1066,24 @@ fn take<T>(slot: &Slot<T>) -> T {
         .expect("the upstream task filled its mailbox")
 }
 
-/// Empties one exchange leg's inbox and decodes it under a `decode` span:
-/// `experts(j)` row blocks from rank `j`, zero rows where the routing table
-/// expected no chunk.
+/// Empties one exchange leg's inbox and decodes it into blocks of `ws`
+/// under a `decode` span: `experts(j)` experts' rows from rank `j`, none
+/// where the routing table expected no chunk.
 fn decode_inbox(
     compressor: &dyn Compressor,
+    ws: &Workspace,
     inbox: &[Slot<Bytes>],
     experts: impl Fn(usize) -> usize,
     m: usize,
     tag: u64,
-    span: String,
-) -> Result<Vec<Vec<Tensor>>, FabricError> {
+    span: impl std::fmt::Display,
+) -> Result<Vec<Rows>, FabricError> {
     let chunks: Vec<Option<Bytes>> = inbox.iter().map(|slot| slot.lock().take()).collect();
     let bytes: usize = chunks.iter().flatten().map(Bytes::len).sum();
     let _s = obs::span_sized("decode", span, bytes as f64);
     let decode = |(j, chunk): (usize, Option<Bytes>)| match chunk {
-        Some(chunk) => decode_chunk(compressor, &chunk, experts(j), m, j, tag),
-        None => Ok(vec![Tensor::zeros(&[0, m]); experts(j)]),
+        Some(chunk) => decode_chunk_into(compressor, ws, &chunk, (experts(j), m), (j, tag)),
+        None => Ok(Rows::empty(experts(j), m)),
     };
     chunks.into_iter().enumerate().map(decode).collect()
 }
@@ -1165,27 +1209,29 @@ impl<'a> Wire<'a> {
         graph: &mut Graph<'a>,
         deps: Vec<usize>,
         (stem, lane, c): (&'static str, u64, usize),
-        (out, inbox): (&'a [Slot<Bytes>], &'a [Slot<Bytes>]),
+        (out, inbox): (&'a [Slot<FrameBuf>], &'a [Slot<Bytes>]),
         from: &'a [usize],
     ) -> usize {
         graph.push(Worker::Comm, deps, move || {
-            let chunks: Vec<Option<Bytes>> = out.iter().map(|slot| slot.lock().take()).collect();
-            let bytes: usize = chunks.iter().flatten().map(Bytes::len).sum();
-            let _s = obs::span_sized("a2a", format!("{stem}[c{c}]"), bytes as f64);
+            let chunks: Vec<Option<FrameBuf>> = out.iter().map(|slot| slot.lock().take()).collect();
+            let bytes: usize = chunks.iter().flatten().map(FrameBuf::body_len).sum();
+            let _s = obs::span_sized("a2a", format_args!("{stem}[c{c}]"), bytes as f64);
             let tag = chunk_tag(self.tag_base, lane, c);
             if let Some(a2a) = self.a2a {
-                let all = chunks.into_iter().map(|chunk| chunk.expect("full mesh"));
-                let got = a2a.all_to_all(&mut self.handle.lock(), all.collect(), tag)?;
+                // The algorithm moves payloads and frames them itself.
+                let full = |chunk: Option<FrameBuf>| chunk.expect("full mesh").into_payload();
+                let all = chunks.into_iter().map(full).collect();
+                let got = a2a.all_to_all(&mut self.handle.lock(), all, tag)?;
                 for (slot, chunk) in inbox.iter().zip(got) {
                     *slot.lock() = Some(chunk);
                 }
                 return Ok(());
             }
-            let name = format!("ref:{}", lanes::lane_name(tag));
+            let name = format_args!("ref:{}", lanes::lane_name(tag));
             let _coll = obs::span_sized("coll", name, bytes as f64);
             for (j, chunk) in chunks.into_iter().enumerate() {
                 if let Some(chunk) = chunk {
-                    self.handle.lock().send(j, tag, chunk)?;
+                    self.handle.lock().send_frame(j, tag, chunk)?;
                 }
             }
             for &j in from {
@@ -1208,7 +1254,7 @@ impl<'a> Wire<'a> {
         self,
         graph: &mut Graph<'a>,
         (stem, lane): (&'static str, u64),
-        (out, inbox): (&'a [Slot<Bytes>], &'a [Slot<Bytes>]),
+        (out, inbox): (&'a [Slot<FrameBuf>], &'a [Slot<Bytes>]),
         produced: &[(usize, usize)],
         from: &'a [usize],
     ) -> Vec<usize> {
@@ -1223,12 +1269,13 @@ impl<'a> Wire<'a> {
             let sent = graph.push(Worker::Comm, vec![task], move || {
                 let chunk = take(&out[j]);
                 if j == me {
-                    *inbox[me].lock() = Some(chunk);
+                    *inbox[me].lock() = Some(chunk.into_payload());
                     return Ok(());
                 }
-                let _s = obs::span_sized("a2a", format!("{stem}[p{j}]"), chunk.len() as f64);
+                let name = format_args!("{stem}[p{j}]");
+                let _s = obs::span_sized("a2a", name, chunk.body_len() as f64);
                 let tag = chunk_tag(self.tag_base, lane, j);
-                self.handle.lock().send(j, tag, chunk)
+                self.handle.lock().send_frame(j, tag, chunk)
             });
             if j == me {
                 filled[me] = sent;
@@ -1236,7 +1283,7 @@ impl<'a> Wire<'a> {
         }
         for &j in from.iter().filter(|&&j| j != me) {
             filled[j] = graph.push(Worker::Comm, vec![], move || {
-                let _s = obs::span("a2a", format!("{stem}w[p{j}]"));
+                let _s = obs::span("a2a", format_args!("{stem}w[p{j}]"));
                 *inbox[j].lock() = Some(self.recv(j, chunk_tag(self.tag_base, lane, me))?);
                 Ok(())
             });
@@ -1285,6 +1332,12 @@ pub fn allreduce_live(
     if live.iter().filter(|&&l| l).count() <= 1 {
         return Ok(());
     }
+    // Each message is encoded where it leaves from.
+    let raw = |h: &RankHandle, values: &[f32]| {
+        let mut frame = h.frames().checkout(4 * values.len());
+        NoCompression.compress_into(values, frame.body_mut());
+        frame
+    };
     if me == root {
         for src in 0..p {
             if src == root || !live[src] {
@@ -1292,14 +1345,13 @@ pub fn allreduce_live(
             }
             add_f32_le(values, &h.recv(src, tag)?);
         }
-        let summed = NoCompression.compress(values);
         for dst in 0..p {
             if dst != root && live[dst] {
-                h.send(dst, tag + 1, summed.clone())?;
+                h.send_frame(dst, tag + 1, raw(h, values))?;
             }
         }
     } else {
-        h.send(root, tag, NoCompression.compress(values))?;
+        h.send_frame(root, tag, raw(h, values))?;
         copy_f32_le(values, &h.recv(root, tag + 1)?);
     }
     Ok(())
@@ -1312,7 +1364,7 @@ mod tests {
     use crate::layer::MoeLayer;
     use schemoe_cluster::{Fabric, Topology};
     use schemoe_collectives::{NcclA2A, TAG_STRIDE};
-    use schemoe_compression::NoCompression;
+    use schemoe_compression::{Fp16Compressor, NoCompression};
     use schemoe_tensor::nn::Module;
     use schemoe_tensor::rng::{self, seeded};
 
@@ -1730,6 +1782,65 @@ mod tests {
                 y.data().iter().any(|&v| v.abs() > 1e-6),
                 "rank {r} output is all zeros"
             );
+        }
+    }
+
+    #[test]
+    fn a_recycled_block_never_leaks_a_previous_steps_rows() {
+        // Blocks come out of the workspace holding the last step's rows. A
+        // batch that shrinks leaves stale rows past every block's new
+        // length, one that grows back reads blocks sized by the small step,
+        // and a degraded step changes which experts have rows at all. Each
+        // step must equal, bit for bit in y, dx and every accumulated grad,
+        // the same step on a layer whose workspace is replaced before it.
+        let topo = Topology::new(1, 3);
+        let p = topo.world_size();
+        let dead = 2usize;
+        let batches = [9usize, 4, 11, 7];
+        let run = |recycle: bool| {
+            Fabric::run(topo, |mut h| {
+                let me = h.rank();
+                let gate = make_gate(2 * p, 2, 1.25);
+                let mut layer = DistributedMoeLayer::new(
+                    gate,
+                    vec![make_expert(2 * me), make_expert(2 * me + 1)],
+                    Box::new(Fp16Compressor),
+                    Box::new(NcclA2A),
+                )
+                .with_partition_degree(2)
+                .with_recv_timeout(std::time::Duration::from_secs(20));
+                let mut steps = Vec::new();
+                for (step, &n) in batches.iter().enumerate() {
+                    if step == batches.len() - 1 {
+                        if me == dead {
+                            break;
+                        }
+                        layer.mark_rank_dead(dead);
+                    }
+                    if !recycle {
+                        layer.workspace = Workspace::default();
+                    }
+                    let x = rng::uniform(&[n, M], 1.0, &mut seeded((31 * step + me) as u64));
+                    let y = layer.forward(&mut h, &x, step as u64 * TAG_STRIDE).unwrap();
+                    let dx = layer.backward(&mut h, &y).unwrap();
+                    let mut grads = Vec::new();
+                    layer.visit_params(&mut |prm| grads.push(prm.grad.data().to_vec()));
+                    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+                    let (y, dx): (Vec<u32>, Vec<u32>) = (bits(&y), bits(&dx));
+                    steps.push((y, dx, grads));
+                }
+                assert_eq!(layer.workspace.usage().0, 0, "every block went home");
+                steps
+            })
+        };
+        let (recycled, fresh) = (run(true), run(false));
+        for rank in 0..p {
+            assert_eq!(recycled[rank].len(), fresh[rank].len());
+            for (step, (a, b)) in recycled[rank].iter().zip(&fresh[rank]).enumerate() {
+                assert_eq!(a.0, b.0, "rank {rank} step {step}: y");
+                assert_eq!(a.1, b.1, "rank {rank} step {step}: dx");
+                assert_eq!(a.2, b.2, "rank {rank} step {step}: grads");
+            }
         }
     }
 

@@ -177,11 +177,13 @@ impl TopKGate {
         let mut assignments: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n];
         let mut expert_slots: Vec<Vec<(usize, f32)>> = vec![Vec::new(); e];
         let mut dropped = 0usize;
+        let mut order: Vec<usize> = Vec::with_capacity(e);
         for t in 0..n {
             let row = probs.row(t);
             // Expert preference order by probability (E is small); masked
             // experts do not participate at all.
-            let mut order: Vec<usize> = (0..e).filter(|&j| masked.is_none_or(|m| !m[j])).collect();
+            order.clear();
+            order.extend((0..e).filter(|&j| masked.is_none_or(|m| !m[j])));
             order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("finite probs"));
             let e = order.len();
             let mut admitted = 0usize;

@@ -7,6 +7,7 @@
 //! which is what keeps instrumented code free when tracing is off.
 
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -154,14 +155,15 @@ pub struct SpanGuard {
 
 /// Opens a span of `cat`/`name` on the current thread.
 ///
-/// Returns a no-op guard when recording is disabled — callers building an
-/// expensive `name` should check [`enabled`] first.
-pub fn span(cat: &'static str, name: impl Into<String>) -> SpanGuard {
+/// Returns a no-op guard when recording is disabled, without formatting
+/// `name`: pass `format_args!(..)` for a computed name and the disabled
+/// path stays one relaxed load.
+pub fn span(cat: &'static str, name: impl fmt::Display) -> SpanGuard {
     span_sized(cat, name, 0.0)
 }
 
 /// Like [`span`], with a task-size annotation (bytes, rows, ...).
-pub fn span_sized(cat: &'static str, name: impl Into<String>, size: f64) -> SpanGuard {
+pub fn span_sized(cat: &'static str, name: impl fmt::Display, size: f64) -> SpanGuard {
     if !enabled() {
         return SpanGuard { id: 0 };
     }
@@ -171,7 +173,7 @@ pub fn span_sized(cat: &'static str, name: impl Into<String>, size: f64) -> Span
         t.stack.push(Frame {
             id,
             cat,
-            name: name.into(),
+            name: name.to_string(),
             size,
             start_us,
         });

@@ -1,6 +1,6 @@
 //! Elementwise activation layers (ReLU, GELU).
 
-use crate::nn::{Module, Param};
+use crate::nn::{Module, Param, Saved};
 use crate::ops::{gelu, gelu_grad, relu, relu_grad};
 use crate::tensor::Tensor;
 
@@ -16,7 +16,7 @@ pub enum ActivationKind {
 /// A parameter-free elementwise activation layer.
 pub struct Activation {
     kind: ActivationKind,
-    cache_x: Option<Tensor>,
+    cache_x: Saved,
 }
 
 impl Activation {
@@ -24,7 +24,7 @@ impl Activation {
     pub fn new(kind: ActivationKind) -> Self {
         Activation {
             kind,
-            cache_x: None,
+            cache_x: Saved::default(),
         }
     }
 
@@ -40,15 +40,12 @@ impl Module for Activation {
             ActivationKind::Relu => x.map(relu),
             ActivationKind::Gelu => x.map(gelu),
         };
-        self.cache_x = Some(x.clone());
+        self.cache_x.store(x);
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self
-            .cache_x
-            .take()
-            .expect("activation backward called without a cached forward");
+        let x = self.cache_x.consume("activation");
         // One match, then a loop over the slices that the compiler
         // specializes (and vectorizes) per kind.
         match self.kind {

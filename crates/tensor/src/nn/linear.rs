@@ -3,7 +3,7 @@
 use rand::rngs::SmallRng;
 
 use crate::gemm::{gemm, Init, Mat};
-use crate::nn::{Module, Param};
+use crate::nn::{Module, Param, Saved};
 use crate::rng;
 use crate::tensor::Tensor;
 
@@ -11,7 +11,7 @@ use crate::tensor::Tensor;
 pub struct Linear {
     w: Param,
     b: Param,
-    cache_x: Option<Tensor>,
+    cache_x: Saved,
 }
 
 impl Linear {
@@ -20,7 +20,7 @@ impl Linear {
         Linear {
             w: Param::new("linear.w", rng::xavier(in_features, out_features, rng)),
             b: Param::new("linear.b", Tensor::zeros(&[out_features])),
-            cache_x: None,
+            cache_x: Saved::default(),
         }
     }
 
@@ -36,7 +36,7 @@ impl Linear {
         Linear {
             w: Param::new("linear.w", w),
             b: Param::new("linear.b", b),
-            cache_x: None,
+            cache_x: Saved::default(),
         }
     }
 
@@ -75,23 +75,21 @@ impl Module for Linear {
             Init::Row(self.b.value.data()),
             y.data_mut(),
         );
-        self.cache_x = Some(x.clone());
+        self.cache_x.store(x);
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self
-            .cache_x
-            .take()
-            .expect("linear backward called without a cached forward");
+        let out_features = self.out_features();
+        let x = self.cache_x.consume("linear");
         assert!(
-            dy.rank() == 2 && dy.dims() == [x.dims()[0], self.out_features()],
+            dy.rank() == 2 && dy.dims() == [x.dims()[0], out_features],
             "linear backward: dy shape mismatch"
         );
         // dW += x^T · dy, accumulated straight into the gradient;
         // db += sum over rows of dy; dx = dy · W^T.
         gemm(
-            Mat::of(&x).t(),
+            Mat::of(x).t(),
             Mat::of(dy),
             Init::Out,
             self.w.grad.data_mut(),
@@ -136,6 +134,15 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut rng = rng::seeded(1);
         let mut lin = Linear::new(2, 2, &mut rng);
+        lin.backward(&Tensor::ones(&[1, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "without a cached forward")]
+    fn a_backward_consumes_the_saved_input_though_its_storage_stays() {
+        let mut lin = Linear::new(2, 2, &mut rng::seeded(1));
+        lin.forward(&Tensor::ones(&[1, 2]));
+        lin.backward(&Tensor::ones(&[1, 2]));
         lin.backward(&Tensor::ones(&[1, 2]));
     }
 

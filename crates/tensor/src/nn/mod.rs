@@ -59,6 +59,34 @@ impl Param {
     }
 }
 
+/// A layer's input, saved by `forward` for `backward`. Each forward
+/// overwrites the retained tensor in place, so the allocation outlives the
+/// step; the backward consumes the *value*, not the storage.
+#[derive(Default)]
+pub(crate) struct Saved {
+    x: Option<Tensor>,
+    live: bool,
+}
+
+impl Saved {
+    pub(crate) fn store(&mut self, x: &Tensor) {
+        match &mut self.x {
+            Some(kept) => kept.clone_from(x),
+            None => self.x = Some(x.clone()),
+        }
+        self.live = true;
+    }
+
+    /// The saved input, once per forward.
+    pub(crate) fn consume(&mut self, layer: &str) -> &Tensor {
+        assert!(
+            std::mem::take(&mut self.live),
+            "{layer} backward called without a cached forward"
+        );
+        self.x.as_ref().expect("a live cache holds a tensor")
+    }
+}
+
 /// A differentiable layer mapping a rank-2 activation to a rank-2 activation.
 ///
 /// The contract between `forward` and `backward` is strict alternation:

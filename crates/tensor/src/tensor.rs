@@ -74,10 +74,26 @@ impl std::error::Error for TensorError {}
 /// `Tensor` is deliberately simple: contiguous storage, eager operations, no
 /// views or broadcasting beyond what the MoE stack needs. This keeps the
 /// backward passes in [`crate::nn`] easy to audit against the math.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            data: self.data.clone(),
+            shape: self.shape.clone(),
+        }
+    }
+
+    /// Overwrites `self` with `source`, reusing `self`'s allocation when it
+    /// is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        self.shape.clone_from(&source.shape);
+    }
 }
 
 impl Tensor {
@@ -300,6 +316,16 @@ impl fmt::Debug for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clone_from_overwrites_in_place_when_the_allocation_is_large_enough() {
+        let mut kept = Tensor::full(&[4, 3], 7.0);
+        let ptr = kept.data().as_ptr();
+        let smaller = Tensor::arange(6).reshape(&[2, 3]).unwrap();
+        kept.clone_from(&smaller);
+        assert_eq!(kept, smaller);
+        assert_eq!(kept.data().as_ptr(), ptr, "the allocation survived");
+    }
 
     #[test]
     fn from_vec_validates_length() {
