@@ -21,7 +21,7 @@ use schemoe_compression::NoCompression;
 use schemoe_models::distributed_full_step;
 use schemoe_moe::{DistributedMoeLayer, Expert, FfExpert, TopKGate};
 use schemoe_obs::{self as obs, json::Json, FuncTrace};
-use schemoe_scheduler::{Profiler, TaskKind};
+use schemoe_scheduler::{Pass, Profiler, TaskKind};
 use schemoe_tensor::optim::Adam;
 use schemoe_tensor::rng::{self, seeded};
 use schemoe_tensor::Tensor;
@@ -125,7 +125,8 @@ fn export_step_trace(trace: &FuncTrace) {
     let ingested = profiler.ingest_trace(trace);
     assert!(ingested > 0, "no stage spans reached the profiler");
     for kind in [TaskKind::AllToAll1, TaskKind::Expert] {
-        assert!(profiler.covers(kind), "no {kind:?} spans were sampled");
+        let sampled = profiler.covers((Pass::Forward, kind));
+        assert!(sampled, "no {kind:?} spans were sampled");
     }
     write_trace("step_trace.json", trace);
     println!(

@@ -26,7 +26,7 @@ use schemoe_moe::{balance_stats, ExpertChoiceRouter, RandomRouter, Router, Token
 use schemoe_netsim::cost::LinkModel;
 use schemoe_obs::json::Json;
 use schemoe_scheduler::schedules::{brute_force_best, chain_orders, naive_makespan, stage_major};
-use schemoe_scheduler::Schedule;
+use schemoe_scheduler::{optsche_makespan, Schedule};
 use schemoe_tensor::rng::{self, seeded};
 
 use super::{obj, round};
@@ -198,7 +198,7 @@ fn optsche_ms(shape: &LayerShape, r: usize) -> f64 {
     let tasks = costs.task_set(&topo, &hw, &PipeA2A::new(), r.max(1));
     match r {
         0 => naive_makespan(&tasks).as_ms(),
-        _ => optsche(r).makespan(&tasks).expect("valid").as_ms(),
+        _ => optsche_makespan(&tasks).as_ms(),
     }
 }
 
@@ -236,7 +236,7 @@ pub fn jittered(hw: &HardwareProfile, sigma: f64, seed: u64) -> HardwareProfile 
 
 /// `(mean, std)` step ms of `system` on the testbed under three jittered
 /// profiles; `NaN` when it runs out of memory.
-fn step_ms_3runs(system: &dyn MoeSystem, model: &MoeModelConfig) -> (f64, f64) {
+fn step_ms_3runs(system: &MoeSystem, model: &MoeModelConfig) -> (f64, f64) {
     let (topo, hw) = testbed();
     let run = |seed| model_step_time(system, model, &topo, &jittered(&hw, 0.01, seed));
     match [run(1234), run(1235), run(1236)] {
@@ -391,7 +391,7 @@ fn outlier_rmse() -> [f64; 3] {
 /// scheduling + Pipe-A2A and no ZFP, the reading consistent with the
 /// paper's own speedups (EXPERIMENTS.md); Table 10 isolates compression.
 pub fn table7(_seed: u64) -> Json {
-    let systems: [&dyn MoeSystem; 3] = [
+    let systems: [&MoeSystem; 3] = [
         &TutelEmu::new(),
         &FasterMoeEmu::new(),
         &ScheMoeSystem::without_compression(),
@@ -466,7 +466,7 @@ pub fn table10(_seed: u64) -> Json {
         let costs = shape.costs(if arm >= 1 { 4.0 } else { 1.0 });
         let a2a: &dyn AllToAll = if arm >= 2 { &PipeA2A::new() } else { &NcclA2A };
         let tasks = |r| costs.task_set(&topo, hw, a2a, r);
-        let scheduled = |r| optsche(r).makespan(&tasks(r)).expect("valid").as_ms();
+        let scheduled = |r| optsche_makespan(&tasks(r)).as_ms();
         match arm >= 3 {
             true => scheduled(2).min(scheduled(4)).min(scheduled(8)),
             false => naive_makespan(&tasks(1)).as_ms(),
@@ -537,7 +537,7 @@ pub fn fig8(_seed: u64) -> Json {
     let (topo, hw) = testbed();
     let grid = table4_grid();
     let speedup = |shape: &LayerShape, passes: &[f64]| {
-        let time = |sys: &dyn MoeSystem| -> SimTime {
+        let time = |sys: &MoeSystem| -> SimTime {
             let pass = |&scale| sys.layer_time_scaled(shape, &topo, &hw, scale);
             passes.iter().map(pass).sum()
         };
@@ -709,7 +709,7 @@ pub fn ablation_compression(_seed: u64) -> Json {
     let row = |hw: &HardwareProfile, topo: Topology, tokens: usize| {
         let system = ScheMoeSystem::default_config();
         let shape = layer(tokens, 4096, 4096, 32);
-        let ms = |sys: ScheMoeSystem| sys.layer_time(&shape, &topo, hw).as_ms();
+        let ms = |sys: MoeSystem| sys.layer_time(&shape, &topo, hw).as_ms();
         let (plain, zfp) = (ms(system.with_compression_ratio(1.0)), ms(system));
         let (name, gpus, gain) = (
             hw.name.clone(),
@@ -833,7 +833,7 @@ pub fn scaling(_seed: u64) -> Json {
     let rows = [1, 2, 4, 8, 16, 32].map(|nodes| {
         let topo = Topology::new(nodes, 4);
         let shape = layer(8 * 1024, 4096, 4096, topo.world_size());
-        let ms = |sys: &dyn MoeSystem| sys.layer_time(&shape, &topo, &hw).as_ms();
+        let ms = |sys: &MoeSystem| sys.layer_time(&shape, &topo, &hw).as_ms();
         let (naive, tutel) = (ms(&NaiveSystem::new()), ms(&TutelEmu::new()));
         let schemoe = ms(&ScheMoeSystem::default_config());
         let ceiling = analysis::max_speedup(&topo, &hw, shape.a2a_bytes());

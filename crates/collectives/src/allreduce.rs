@@ -3,7 +3,8 @@
 //! MoE models train the non-expert parameters data-parallel, so every
 //! step also all-reduces dense gradients (the collective that Lina [20]
 //! co-schedules with the MoE all-to-alls). Two algorithms are provided:
-//! a naive root-gather/broadcast and the bandwidth-optimal ring.
+//! a naive root-gather/broadcast ([`allreduce_live`], which also runs
+//! among the survivors of a degraded world) and the bandwidth-optimal ring.
 
 use schemoe_cluster::{FabricError, RankHandle, Topology};
 use schemoe_compression::{add_f32_le, copy_f32_le, Compressor, NoCompression};
@@ -28,7 +29,74 @@ pub trait AllReduce: Send + Sync {
     fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan;
 }
 
-/// Root-based all-reduce: gather on rank 0, reduce, broadcast.
+/// Sums `values` elementwise across all ranks in place (naive allreduce:
+/// gather on rank 0, reduce, broadcast).
+///
+/// Used to keep replicated parameters (the gate) synchronized in
+/// data-parallel training.
+pub fn allreduce_inplace(
+    h: &mut RankHandle,
+    values: &mut [f32],
+    tag: u64,
+) -> Result<(), FabricError> {
+    let live = vec![true; h.world_size()];
+    allreduce_live(h, values, tag, &live)
+}
+
+/// [`allreduce_inplace`] restricted to the ranks marked `true` in `live`:
+/// the sum is gathered on the lowest live rank and broadcast back to the
+/// survivors only, so a dead rank (which can no longer participate) does
+/// not wedge the reduction. The caller must itself be live. Occupies the
+/// tags `tag` (gather) and `tag + 1` (broadcast).
+///
+/// # Panics
+///
+/// Panics if `live` disagrees with the world size, marks no rank, or marks
+/// the caller dead.
+pub fn allreduce_live(
+    h: &mut RankHandle,
+    values: &mut [f32],
+    tag: u64,
+    live: &[bool],
+) -> Result<(), FabricError> {
+    let p = h.world_size();
+    let me = h.rank();
+    assert_eq!(live.len(), p, "live mask must cover the world");
+    assert!(live[me], "a dead rank cannot join an allreduce");
+    let root = live
+        .iter()
+        .position(|&l| l)
+        .expect("at least one live rank");
+    if live.iter().filter(|&&l| l).count() <= 1 {
+        return Ok(());
+    }
+    // Each message is encoded where it leaves from.
+    let raw = |h: &RankHandle, values: &[f32]| {
+        let mut frame = h.frames().checkout(4 * values.len());
+        NoCompression.compress_into(values, frame.body_mut());
+        frame
+    };
+    if me == root {
+        for src in 0..p {
+            if src == root || !live[src] {
+                continue;
+            }
+            add_f32_le(values, &h.recv(src, tag)?);
+        }
+        for dst in 0..p {
+            if dst != root && live[dst] {
+                h.send_frame(dst, tag + 1, raw(h, values))?;
+            }
+        }
+    } else {
+        h.send_frame(root, tag, raw(h, values))?;
+        copy_f32_le(values, &h.recv(root, tag + 1)?);
+    }
+    Ok(())
+}
+
+/// Root-based all-reduce, [`allreduce_inplace`] behind the trait: gather
+/// on rank 0, reduce, broadcast.
 ///
 /// Simple and latency-friendly at small sizes; rank 0's link serializes
 /// `2(P−1)` full-size messages, so it scales poorly with `P`.
@@ -46,25 +114,7 @@ impl AllReduce for NaiveAllReduce {
         data: &mut [f32],
         tag_base: u64,
     ) -> Result<(), FabricError> {
-        let p = handle.world_size();
-        if p == 1 {
-            return Ok(());
-        }
-        if handle.rank() == 0 {
-            for src in 1..p {
-                let chunk = handle.recv(src, tag_base)?;
-                add_f32_le(data, &chunk);
-            }
-            let summed = NoCompression.compress(data);
-            for dst in 1..p {
-                handle.send(dst, tag_base + 1, summed.clone())?;
-            }
-        } else {
-            handle.send(0, tag_base, NoCompression.compress(data))?;
-            let summed = handle.recv(0, tag_base + 1)?;
-            copy_f32_le(data, &summed);
-        }
-        Ok(())
+        allreduce_inplace(handle, data, tag_base)
     }
 
     fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan {
@@ -215,6 +265,37 @@ mod tests {
         let want = expected(4, 10);
         for (r, got) in results.iter().enumerate() {
             assert_eq!(got, &want, "rank {r}");
+        }
+    }
+
+    /// The trait object and the free function are one protocol: on 1, 2
+    /// and 5 ranks both produce, bit for bit, the sum accumulated on the
+    /// root in ascending rank order.
+    #[test]
+    fn naive_allreduce_and_allreduce_inplace_agree_bit_for_bit() {
+        let input = |rank: usize, len: usize| -> Vec<f32> {
+            (0..len).map(|i| (rank * 37 + i) as f32 * 0.1).collect()
+        };
+        for p in [1usize, 2, 5] {
+            let len = 9;
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut want = input(0, len);
+            for rank in 1..p {
+                for (w, x) in want.iter_mut().zip(input(rank, len)) {
+                    *w += x;
+                }
+            }
+            let results = Fabric::run(Topology::new(1, p), |mut h| {
+                let mut by_trait = input(h.rank(), len);
+                NaiveAllReduce.all_reduce(&mut h, &mut by_trait, 0).unwrap();
+                let mut by_fn = input(h.rank(), len);
+                allreduce_inplace(&mut h, &mut by_fn, 2).unwrap();
+                (by_trait, by_fn)
+            });
+            for (rank, (by_trait, by_fn)) in results.iter().enumerate() {
+                assert_eq!(bits(by_trait), bits(&want), "p={p} rank {rank}");
+                assert_eq!(bits(by_fn), bits(&want), "p={p} rank {rank}");
+            }
         }
     }
 

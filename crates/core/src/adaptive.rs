@@ -26,13 +26,24 @@
 use std::collections::HashMap;
 
 use schemoe_cluster::{HardwareProfile, Topology};
-use schemoe_collectives::{AllToAll, PipeA2A};
+use schemoe_collectives::PipeA2A;
 use schemoe_netsim::SimTime;
 use schemoe_obs::FuncTrace;
-use schemoe_scheduler::schedules::optsche;
-use schemoe_scheduler::{span_kind, MoeLayerCosts, Profiler, TaskKind, TaskSet};
+use schemoe_scheduler::{
+    backward_task_set, choose_degree, optsche_makespan, span_kind, LayerShape, MoeLayerCosts, Pass,
+    Profiler, Stage, TaskKind, TaskSet, Uncovered,
+};
 
-use crate::config::LayerShape;
+/// What each stage's model is sized by, in [`TaskKind::ALL`] order: raw
+/// activation bytes for the codec stages, wire bytes for the A2As, FLOPs
+/// for the expert.
+fn stage_sizes(costs: &MoeLayerCosts) -> [f64; 7] {
+    TaskKind::ALL.map(|kind| match kind {
+        TaskKind::AllToAll1 | TaskKind::AllToAll2 => costs.wire_bytes() as f64,
+        TaskKind::Expert => costs.shape.expert_flops() as f64,
+        _ => costs.shape.a2a_bytes() as f64,
+    })
+}
 
 /// ScheMoE with a profiler-backed degree decision.
 pub struct AdaptiveScheMoe {
@@ -43,13 +54,11 @@ pub struct AdaptiveScheMoe {
     /// Degree in force until the online models take over (and the
     /// fallback whenever coverage is missing).
     configured: usize,
-    /// Steps to observe before trusting the online models.
-    warmup_steps: usize,
     /// Steps ingested via [`Self::observe_step`].
     steps_seen: usize,
-    /// Per-kind full-step size (sum of that kind's span sizes within one
+    /// Per-stage full-step size (sum of that stage's span sizes within one
     /// step — degree-invariant: `r` chunks of `S/r` sum to `S`).
-    full_sizes: HashMap<TaskKind, f64>,
+    full_sizes: HashMap<Stage, f64>,
     /// Pipeline granularity of the overlapped backward, when it differs
     /// from the forward degree. The functional layer's backward chunks
     /// per *source rank*, so any `r > 1` runs the same backward pipeline;
@@ -59,15 +68,12 @@ pub struct AdaptiveScheMoe {
 }
 
 impl AdaptiveScheMoe {
-    /// Creates an uncalibrated instance (ZFP ratio, degrees {1, 2, 4, 8},
-    /// warm-up of one step per candidate degree).
+    /// Creates an uncalibrated instance (ZFP ratio, degrees {1, 2, 4, 8}).
     pub fn new() -> Self {
-        let degrees = vec![1, 2, 4, 8];
         AdaptiveScheMoe {
             profiler: Profiler::new(),
             compression_ratio: 4.0,
-            warmup_steps: degrees.len(),
-            degrees,
+            degrees: vec![1, 2, 4, 8],
             calibrated: false,
             configured: 1,
             steps_seen: 0,
@@ -89,14 +95,7 @@ impl AdaptiveScheMoe {
     /// decision time — the never-lose-to-serial clamp is not optional).
     pub fn with_degrees(mut self, degrees: Vec<usize>) -> Self {
         assert!(!degrees.is_empty(), "at least one candidate degree");
-        self.warmup_steps = degrees.len().max(2);
         self.degrees = degrees;
-        self
-    }
-
-    /// Overrides the warm-up length (in observed steps).
-    pub fn with_warmup(mut self, steps: usize) -> Self {
-        self.warmup_steps = steps;
         self
     }
 
@@ -117,178 +116,76 @@ impl AdaptiveScheMoe {
         cands
     }
 
-    /// Whether [`Self::calibrate`] has run (or measured samples have been
-    /// recorded).
-    pub fn is_calibrated(&self) -> bool {
-        self.calibrated
-    }
-
-    /// Read access to the fitted profiler.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    /// Records one externally measured `(size, time)` sample for `kind`
-    /// and marks the instance calibrated. This is the measured-data
-    /// entry point tests and custom calibration harnesses use; bulk
-    /// ingestion from a trace goes through [`Self::observe_step`].
-    pub fn record_sample(&mut self, kind: TaskKind, size: f64, t: SimTime) {
-        self.profiler.record(kind, size, t);
-        self.calibrated = true;
-    }
-
-    /// Runs the profiling phase: times every task kind at several probe
-    /// sizes on the target cluster (here: the simulator standing in for
-    /// the wall clock, exactly as the real system's profiler stands in
-    /// front of CUDA events) and records the samples.
+    /// Runs the profiling phase: times every stage at several probe sizes
+    /// on the target cluster (here: the simulator standing in for the
+    /// wall clock, exactly as the real system's profiler stands in front
+    /// of CUDA events) and records the samples.
     ///
     /// The combine half (`C2`/`A2`/`D2`) is recorded independently of the
-    /// dispatch half, and the backward kinds independently of the forward
-    /// ones: gradient A2As travel uncompressed (raw activation bytes on
-    /// the wire) and the expert backward runs the dX+dW pair (2× the
-    /// forward GEMMs).
+    /// dispatch half, and the backward pass independently of the forward
+    /// one: gradient A2As travel uncompressed (raw activation bytes on
+    /// the wire), the expert backward runs the dX+dW pair (2× the forward
+    /// GEMMs), and the codec-free grad builds are costed like the forward
+    /// encode/decode of the same bytes.
     pub fn calibrate(&mut self, topo: &Topology, hw: &HardwareProfile) {
-        let probe_tokens = [512usize, 2048, 8192, 32768];
-        let (m, h) = (1024usize, 4096usize);
-        for &tokens in &probe_tokens {
-            let costs = MoeLayerCosts {
-                tokens,
-                model_dim: m,
-                hidden_dim: h,
-                compression_ratio: self.compression_ratio,
+        for tokens_per_gpu in [512, 2048, 8192, 32768] {
+            let shape = LayerShape {
+                tokens_per_gpu,
+                model_dim: 1024,
+                hidden_dim: 4096,
+                experts: 32,
+                k: 1,
+                capacity_factor: 1.0,
             };
+            let (costs, raw) = (shape.costs(self.compression_ratio), shape.costs(1.0));
             let tasks = costs.task_set(topo, hw, &PipeA2A::new(), 1);
-            // Gradient exchanges skip the codec, so their wire time is the
-            // uncompressed A2A's.
-            let raw = MoeLayerCosts {
-                compression_ratio: 1.0,
-                ..costs
-            };
             let raw_tasks = raw.task_set(topo, hw, &PipeA2A::new(), 1);
-            let bytes = costs.a2a_bytes() as f64;
-            let wire = costs.wire_bytes() as f64;
-            let flops = costs.expert_flops() as f64;
-            // Forward, dispatch and combine sides each from their own
-            // task durations.
-            for (kind, size) in [
-                (TaskKind::Compress1, bytes),
-                (TaskKind::AllToAll1, wire),
-                (TaskKind::Decompress1, bytes),
-                (TaskKind::Expert, flops),
-                (TaskKind::Compress2, bytes),
-                (TaskKind::AllToAll2, wire),
-                (TaskKind::Decompress2, bytes),
-            ] {
-                self.profiler.record(kind, size, tasks.duration(kind, 0));
+            let mut grads = backward_task_set(&tasks, 2.0);
+            for a2a in [TaskKind::AllToAll1, TaskKind::AllToAll2] {
+                grads.set_duration(a2a, 0, raw_tasks.duration(a2a, 0));
             }
-            // Backward: raw-wire A2As, 2× expert, codec-free grad builds
-            // costed like the forward encode/decode of the same bytes.
-            let raw_a2a = raw_tasks.duration(TaskKind::AllToAll1, 0);
-            for (kind, size, t) in [
-                (
-                    TaskKind::BwdCompress1,
-                    bytes,
-                    tasks.duration(TaskKind::Compress1, 0),
-                ),
-                (TaskKind::BwdAllToAll1, bytes, raw_a2a),
-                (
-                    TaskKind::BwdDecompress1,
-                    bytes,
-                    tasks.duration(TaskKind::Decompress1, 0),
-                ),
-                (
-                    TaskKind::BwdExpert,
-                    flops,
-                    tasks.duration(TaskKind::Expert, 0) * 2.0,
-                ),
-                (
-                    TaskKind::BwdCompress2,
-                    bytes,
-                    tasks.duration(TaskKind::Compress2, 0),
-                ),
-                (TaskKind::BwdAllToAll2, bytes, raw_a2a),
-                (
-                    TaskKind::BwdDecompress2,
-                    bytes,
-                    tasks.duration(TaskKind::Decompress2, 0),
-                ),
+            for (pass, costs, tasks) in [
+                (Pass::Forward, costs, &tasks),
+                (Pass::Backward, raw, &grads),
             ] {
-                self.profiler.record(kind, size, t);
+                let sizes = stage_sizes(&costs);
+                for kind in TaskKind::ALL {
+                    let t = tasks.duration(kind, 0);
+                    self.profiler.record((pass, kind), sizes[kind as usize], t);
+                }
             }
         }
         self.calibrated = true;
     }
 
-    /// Predicts the forward task set for `shape` at degree `r` from the
-    /// fitted models — no simulator involved. Each of the seven stages is
-    /// predicted from its own model (the combine half is *not* mirrored
-    /// from the dispatch half). Returns `None` if any stage lacks model
+    /// The `pass` task set at `r` chunks, every stage predicted by its own
+    /// model at `1/r` of `size(kind)` (the combine half is *not* mirrored
+    /// from the dispatch half). `None` if any stage lacks a size or model
     /// coverage: an unmeasured stage must not be priced as free.
+    fn predict(
+        &self,
+        pass: Pass,
+        r: usize,
+        size: impl Fn(TaskKind) -> Option<f64>,
+    ) -> Option<TaskSet> {
+        let mut stages = [SimTime::ZERO; 7];
+        for kind in TaskKind::ALL {
+            let chunk = size(kind)? / r as f64;
+            stages[kind as usize] = self.profiler.predict((pass, kind), chunk)?;
+        }
+        Some(TaskSet::per_stage(r, stages))
+    }
+
+    /// Predicts the forward task set for `shape` at degree `r` from the
+    /// fitted models — no simulator involved.
     ///
     /// # Panics
     ///
-    /// Panics if called before [`Self::calibrate`] (or any sample
-    /// recording).
-    pub fn predict_task_set(&self, shape: &LayerShape, r: usize) -> Option<TaskSet> {
+    /// Panics if called before [`Self::calibrate`] (or any observed step).
+    fn predict_task_set(&self, shape: &LayerShape, r: usize) -> Option<TaskSet> {
         assert!(self.calibrated, "calibrate() must run before predictions");
-        let costs = shape.costs(self.compression_ratio);
-        let chunk_bytes = costs.a2a_bytes() as f64 / r as f64;
-        let chunk_wire = costs.wire_bytes() as f64 / r as f64;
-        let chunk_flops = costs.expert_flops() as f64 / r as f64;
-        let p = &self.profiler;
-        Some(TaskSet::per_stage(
-            r,
-            [
-                p.predict(TaskKind::Compress1, chunk_bytes)?,
-                p.predict(TaskKind::AllToAll1, chunk_wire)?,
-                p.predict(TaskKind::Decompress1, chunk_bytes)?,
-                p.predict(TaskKind::Expert, chunk_flops)?,
-                p.predict(TaskKind::Compress2, chunk_bytes)?,
-                p.predict(TaskKind::AllToAll2, chunk_wire)?,
-                p.predict(TaskKind::Decompress2, chunk_bytes)?,
-            ],
-        ))
-    }
-
-    /// Predicts the backward task set for `shape` at degree `r`. Gradient
-    /// payloads travel uncompressed, so every byte-sized stage is queried
-    /// at raw activation bytes. `None` on missing coverage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Self::calibrate`] (or any sample
-    /// recording).
-    pub fn predict_backward_task_set(&self, shape: &LayerShape, r: usize) -> Option<TaskSet> {
-        assert!(self.calibrated, "calibrate() must run before predictions");
-        let costs = shape.costs(self.compression_ratio);
-        let chunk_bytes = costs.a2a_bytes() as f64 / r as f64;
-        let chunk_flops = costs.expert_flops() as f64 / r as f64;
-        let p = &self.profiler;
-        Some(TaskSet::per_stage(
-            r,
-            [
-                p.predict(TaskKind::BwdCompress1, chunk_bytes)?,
-                p.predict(TaskKind::BwdAllToAll1, chunk_bytes)?,
-                p.predict(TaskKind::BwdDecompress1, chunk_bytes)?,
-                p.predict(TaskKind::BwdExpert, chunk_flops)?,
-                p.predict(TaskKind::BwdCompress2, chunk_bytes)?,
-                p.predict(TaskKind::BwdAllToAll2, chunk_bytes)?,
-                p.predict(TaskKind::BwdDecompress2, chunk_bytes)?,
-            ],
-        ))
-    }
-
-    /// Predicted whole-step (forward + backward) makespan under OptSche at
-    /// degree `r`. `None` on missing coverage for any stage of either
-    /// pass.
-    pub fn predict_step_makespan(&self, shape: &LayerShape, r: usize) -> Option<SimTime> {
-        let fwd = self.predict_task_set(shape, r)?;
-        let bwd = self.predict_backward_task_set(shape, r)?;
-        let sched = optsche(r);
-        Some(
-            sched.makespan(&fwd).expect("optsche is valid")
-                + sched.makespan(&bwd).expect("optsche is valid"),
-        )
+        let sizes = stage_sizes(&shape.costs(self.compression_ratio));
+        self.predict(Pass::Forward, r, |kind| Some(sizes[kind as usize]))
     }
 
     /// Chooses the partition degree from model predictions alone.
@@ -296,44 +193,31 @@ impl AdaptiveScheMoe {
     /// `r = 1` is always among the candidates and wins ties, so the
     /// decision never trades a measured serial time for a predicted
     /// overlap gain of zero; candidates whose makespan cannot be fully
-    /// predicted (missing kind coverage) are treated as unknown and
-    /// skipped, and with no predictable candidate at all the choice is
-    /// serial.
+    /// predicted (missing stage coverage) are skipped, and with no
+    /// predictable candidate at all the choice is serial.
     ///
     /// # Panics
     ///
-    /// Panics if called before [`Self::calibrate`] (or any sample
-    /// recording).
+    /// Panics if called before [`Self::calibrate`] (or any observed step).
     pub fn choose_degree(&self, shape: &LayerShape) -> usize {
-        let mut best: Option<(usize, SimTime)> = None;
-        for r in self.candidates() {
-            let Some(tasks) = self.predict_task_set(shape, r) else {
-                continue;
-            };
-            let m = optsche(r).makespan(&tasks).expect("valid");
-            if best.is_none_or(|(_, bm)| m < bm) {
-                best = Some((r, m));
-            }
-        }
-        best.map_or(1, |(r, _)| r)
+        let predict = |r| Some(optsche_makespan(&self.predict_task_set(shape, r)?));
+        choose_degree(&self.candidates(), Uncovered::Skip, predict).unwrap_or(1)
     }
 
     /// Ingests one training step's measured trace: every stage span feeds
-    /// the per-kind models, and per-kind full-step sizes (the sum of a
-    /// kind's span sizes within the step, which is degree-invariant) are
+    /// the per-stage models, and per-stage full-step sizes (the sum of a
+    /// stage's span sizes within the step, which is degree-invariant) are
     /// remembered for online degree decisions. Returns the number of
     /// samples ingested.
     pub fn observe_step(&mut self, trace: &FuncTrace) -> usize {
         let n = self.profiler.ingest_trace(trace);
-        let mut sums: HashMap<TaskKind, f64> = HashMap::new();
+        let mut sums: HashMap<Stage, f64> = HashMap::new();
         for s in &trace.spans {
-            if let Some(kind) = span_kind(&s.name) {
-                *sums.entry(kind).or_insert(0.0) += s.size;
+            if let Some(stage) = span_kind(&s.name) {
+                *sums.entry(stage).or_insert(0.0) += s.size;
             }
         }
-        for (kind, total) in sums {
-            self.full_sizes.insert(kind, total);
-        }
+        self.full_sizes.extend(sums);
         self.steps_seen += 1;
         if n > 0 {
             self.calibrated = true;
@@ -341,19 +225,16 @@ impl AdaptiveScheMoe {
         n
     }
 
-    /// Steps observed so far via [`Self::observe_step`].
-    pub fn steps_seen(&self) -> usize {
-        self.steps_seen
-    }
-
-    /// Whether the online loop is still warming up.
+    /// Whether the online loop is still warming up: one observed step per
+    /// configured degree, and at least two, so every stage is sampled at
+    /// ≥ 2 sizes.
     pub fn in_warmup(&self) -> bool {
-        self.steps_seen < self.warmup_steps
+        self.steps_seen < self.degrees.len().max(2)
     }
 
     /// The degree to *run* step `step` at: during warm-up, cycle through
-    /// the candidate degrees (one step each) so every task kind is
-    /// sampled at ≥ 2 distinct chunk sizes and the linear models become
+    /// the candidate degrees (one step each) so every stage is sampled at
+    /// ≥ 2 distinct chunk sizes and the linear models become
     /// identifiable; afterwards, whatever the online chooser picked.
     pub fn warmup_degree(&self, step: usize) -> usize {
         let cands = self.candidates();
@@ -363,48 +244,25 @@ impl AdaptiveScheMoe {
     /// Re-chooses the degree from spans ingested during the run.
     ///
     /// During warm-up — or whenever any stage of the whole-step pipeline
-    /// lacks model coverage — this returns the configured degree
-    /// unchanged: an unmeasured stage is unknown, not free, so it can
-    /// never push the decision toward more pipelining (the bug that made
-    /// `choose_degree` over-pipeline to r=8). Otherwise it is the argmin
-    /// of the predicted forward+backward OptSche makespans over the
-    /// candidates, with serial always present and winning ties.
+    /// lacks model coverage — this keeps the configured degree: an
+    /// unmeasured stage is unknown, not free, so it can never push the
+    /// decision toward more pipelining (the bug that made `choose_degree`
+    /// over-pipeline to r=8). Otherwise it is the argmin of the predicted
+    /// forward+backward OptSche makespans over the candidates, with serial
+    /// always present and winning ties.
     pub fn choose_degree_online(&self) -> usize {
         if self.in_warmup() {
             return self.configured;
         }
-        let mut best: Option<(usize, SimTime)> = None;
-        for r in self.candidates() {
-            let Some(m) = self.predict_online_step(r) else {
-                return self.configured;
-            };
-            if best.is_none_or(|(_, bm)| m < bm) {
-                best = Some((r, m));
-            }
-        }
-        best.map_or(self.configured, |(r, _)| r)
+        let predict = |r| self.predict_online_step(r);
+        choose_degree(&self.candidates(), Uncovered::Keep, predict).unwrap_or(self.configured)
     }
 
     /// Predicted whole-step makespan at degree `r` from the observed
     /// full-step sizes. `None` if any of the 14 stages lacks either an
     /// observed size or model coverage.
     pub fn predict_online_step(&self, r: usize) -> Option<SimTime> {
-        let pred = |kind: TaskKind, chunks: usize| -> Option<SimTime> {
-            let full = self.full_sizes.get(&kind).copied()?;
-            self.profiler.predict(kind, full / chunks as f64)
-        };
-        let fwd = TaskSet::per_stage(
-            r,
-            [
-                pred(TaskKind::Compress1, r)?,
-                pred(TaskKind::AllToAll1, r)?,
-                pred(TaskKind::Decompress1, r)?,
-                pred(TaskKind::Expert, r)?,
-                pred(TaskKind::Compress2, r)?,
-                pred(TaskKind::AllToAll2, r)?,
-                pred(TaskKind::Decompress2, r)?,
-            ],
-        );
+        let observed = |pass| move |kind| self.full_sizes.get(&(pass, kind)).copied();
         // The backward pipelines per source rank, not per forward chunk:
         // serial at r = 1, the fixed per-source pipeline at any r > 1.
         let rb = if r <= 1 {
@@ -412,22 +270,9 @@ impl AdaptiveScheMoe {
         } else {
             self.backward_chunks.unwrap_or(r)
         };
-        let bwd = TaskSet::per_stage(
-            rb,
-            [
-                pred(TaskKind::BwdCompress1, rb)?,
-                pred(TaskKind::BwdAllToAll1, rb)?,
-                pred(TaskKind::BwdDecompress1, rb)?,
-                pred(TaskKind::BwdExpert, rb)?,
-                pred(TaskKind::BwdCompress2, rb)?,
-                pred(TaskKind::BwdAllToAll2, rb)?,
-                pred(TaskKind::BwdDecompress2, rb)?,
-            ],
-        );
-        Some(
-            optsche(r).makespan(&fwd).expect("optsche is valid")
-                + optsche(rb).makespan(&bwd).expect("optsche is valid"),
-        )
+        let fwd = self.predict(Pass::Forward, r, observed(Pass::Forward))?;
+        let bwd = self.predict(Pass::Backward, rb, observed(Pass::Backward))?;
+        Some(optsche_makespan(&fwd) + optsche_makespan(&bwd))
     }
 
     /// The oracle decision: pick the degree by actually simulating every
@@ -440,29 +285,16 @@ impl AdaptiveScheMoe {
         hw: &HardwareProfile,
     ) -> usize {
         let costs = shape.costs(self.compression_ratio);
-        let mut best: Option<(usize, SimTime)> = None;
-        for r in self.candidates() {
-            let tasks = costs.task_set(topo, hw, &PipeA2A::new(), r);
-            let m = optsche(r).makespan(&tasks).expect("valid");
-            if best.is_none_or(|(_, bm)| m < bm) {
-                best = Some((r, m));
-            }
-        }
-        best.expect("non-empty degree set").0
-    }
-
-    /// Executes (simulates) the layer at the predicted-best degree and
-    /// returns the realized time.
-    pub fn layer_time(&self, shape: &LayerShape, topo: &Topology, hw: &HardwareProfile) -> SimTime {
-        let r = self.choose_degree(shape);
-        let costs = shape.costs(self.compression_ratio);
-        let tasks = costs.task_set(topo, hw, &PipeA2A::new(), r);
-        optsche(r).makespan(&tasks).expect("valid")
-    }
-
-    /// The A2A algorithm used for probing and execution.
-    pub fn a2a(&self) -> Box<dyn AllToAll> {
-        Box::new(PipeA2A::new())
+        let simulate = |r| {
+            Some(optsche_makespan(&costs.task_set(
+                topo,
+                hw,
+                &PipeA2A::new(),
+                r,
+            )))
+        };
+        choose_degree(&self.candidates(), Uncovered::Skip, simulate)
+            .expect("serial is always a candidate")
     }
 }
 
@@ -475,6 +307,50 @@ impl Default for AdaptiveScheMoe {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const FWD: Pass = Pass::Forward;
+
+    /// One span per `(stage, size, seconds)`, named as the MoE layer names
+    /// its stage spans.
+    fn trace_of(samples: &[(Stage, f64, f64)]) -> FuncTrace {
+        let span = |&((pass, kind), size, secs): &(Stage, f64, f64)| schemoe_obs::SpanRecord {
+            cat: "stage",
+            name: format!("{}[c0]", pass.label(kind)),
+            rank: 0,
+            thread: "t".to_string(),
+            start_us: 0.0,
+            dur_us: secs * 1e6,
+            size,
+            depth: 0,
+        };
+        FuncTrace {
+            spans: samples.iter().map(span).collect(),
+            counters: Vec::new(),
+            routing: Vec::new(),
+        }
+    }
+
+    /// An instance whose models were fitted on `rate(kind)` seconds per
+    /// unit of size (+ `fixed` seconds) at two sizes per forward stage;
+    /// a kind with no rate stays unsampled.
+    fn fitted(
+        sys: AdaptiveScheMoe,
+        fixed: f64,
+        rate: impl Fn(TaskKind) -> Option<f64>,
+    ) -> AdaptiveScheMoe {
+        let mut sys = sys;
+        for scale in [1.0, 4.0] {
+            let samples: Vec<_> = TaskKind::ALL
+                .into_iter()
+                .filter_map(|kind| {
+                    let size = scale * if kind == TaskKind::Expert { 1e9 } else { 1e6 };
+                    Some(((FWD, kind), size, fixed + size * rate(kind)?))
+                })
+                .collect();
+            sys.observe_step(&trace_of(&samples));
+        }
+        sys
+    }
 
     fn env() -> (Topology, HardwareProfile) {
         (Topology::paper_testbed(), HardwareProfile::paper_testbed())
@@ -536,8 +412,7 @@ mod tests {
             // realized-time regret.
             let costs = shape.costs(4.0);
             let run = |r: usize| {
-                let tasks = costs.task_set(&topo, &hw, &PipeA2A::new(), r);
-                optsche(r).makespan(&tasks).expect("valid").as_secs()
+                optsche_makespan(&costs.task_set(&topo, &hw, &PipeA2A::new(), r)).as_secs()
             };
             let regret = run(chosen) / run(oracle) - 1.0;
             regret_worst = regret_worst.max(regret);
@@ -553,27 +428,18 @@ mod tests {
         let (topo, hw) = env();
         let mut sys = AdaptiveScheMoe::new();
         sys.calibrate(&topo, &hw);
-        for kind in [
-            TaskKind::Compress1,
-            TaskKind::AllToAll1,
-            TaskKind::Expert,
-            TaskKind::Compress2,
-            TaskKind::AllToAll2,
-            TaskKind::Decompress2,
-            TaskKind::BwdCompress1,
-            TaskKind::BwdAllToAll1,
-            TaskKind::BwdExpert,
-            TaskKind::BwdAllToAll2,
-            TaskKind::BwdDecompress2,
-        ] {
-            assert!(
-                sys.profiler().sample_count(kind) >= 4,
-                "{kind:?} undersampled"
-            );
-            assert!(
-                sys.profiler().model(kind).is_some(),
-                "{kind:?} unidentifiable"
-            );
+        for pass in [Pass::Forward, Pass::Backward] {
+            for kind in TaskKind::ALL {
+                let stage = (pass, kind);
+                assert!(
+                    sys.profiler.sample_count(stage) >= 4,
+                    "{stage:?} undersampled"
+                );
+                assert!(
+                    sys.profiler.model(stage).is_some(),
+                    "{stage:?} unidentifiable"
+                );
+            }
         }
     }
 
@@ -585,25 +451,16 @@ mod tests {
     /// here — and the decision must fall back to serial.
     #[test]
     fn missing_kind_pins_choice_to_serial_not_max_r() {
-        let mut sys = AdaptiveScheMoe::new();
         // Comm-heavy models for everything except Compress1, which stays
         // unsampled.
-        for (kind, per_byte) in [
-            (TaskKind::AllToAll1, 1e-8),
-            (TaskKind::Decompress1, 1e-11),
-            (TaskKind::Compress2, 1e-11),
-            (TaskKind::AllToAll2, 1e-8),
-            (TaskKind::Decompress2, 1e-11),
-        ] {
-            for &size in &[1e6, 4e6] {
-                sys.record_sample(kind, size, SimTime::from_secs(size * per_byte));
-            }
-        }
-        for &flops in &[1e9, 4e9] {
-            sys.record_sample(TaskKind::Expert, flops, SimTime::from_secs(flops * 1e-12));
-        }
-        assert!(sys.profiler().covers(TaskKind::AllToAll1));
-        assert!(!sys.profiler().covers(TaskKind::Compress1));
+        let sys = fitted(AdaptiveScheMoe::new(), 0.0, |kind| match kind {
+            TaskKind::Compress1 => None,
+            TaskKind::AllToAll1 | TaskKind::AllToAll2 => Some(1e-8),
+            TaskKind::Expert => Some(1e-12),
+            _ => Some(1e-11),
+        });
+        assert!(sys.profiler.covers((FWD, TaskKind::AllToAll1)));
+        assert!(!sys.profiler.covers((FWD, TaskKind::Compress1)));
         let shape = shapes()[0];
         assert!(
             sys.predict_task_set(&shape, 8).is_none(),
@@ -621,23 +478,16 @@ mod tests {
     /// in practice).
     #[test]
     fn combine_half_is_modelled_independently() {
-        let mut sys = AdaptiveScheMoe::new();
-        let dispatch = 1e-9; // s/byte
-        let combine = 3e-9; // combine side 3× slower
-        for &size in &[1e6, 4e6] {
-            for kind in [TaskKind::Compress1, TaskKind::Decompress1] {
-                sys.record_sample(kind, size, SimTime::from_secs(size * dispatch));
-            }
-            for kind in [TaskKind::Compress2, TaskKind::Decompress2] {
-                sys.record_sample(kind, size, SimTime::from_secs(size * combine));
-            }
-            for kind in [TaskKind::AllToAll1, TaskKind::AllToAll2] {
-                sys.record_sample(kind, size, SimTime::from_secs(size * 5e-9));
-            }
-        }
-        for &flops in &[1e9, 4e9] {
-            sys.record_sample(TaskKind::Expert, flops, SimTime::from_secs(flops * 1e-12));
-        }
+        // s/byte: the combine side's codec is 3× slower than the dispatch
+        // side's.
+        let sys = fitted(AdaptiveScheMoe::new(), 0.0, |kind| {
+            Some(match kind {
+                TaskKind::Compress1 | TaskKind::Decompress1 => 1e-9,
+                TaskKind::Compress2 | TaskKind::Decompress2 => 3e-9,
+                TaskKind::AllToAll1 | TaskKind::AllToAll2 => 5e-9,
+                TaskKind::Expert => 1e-12,
+            })
+        });
         let ts = sys.predict_task_set(&shapes()[0], 2).expect("covered");
         let c1 = ts.duration(TaskKind::Compress1, 0).as_secs();
         let c2 = ts.duration(TaskKind::Compress2, 0).as_secs();
@@ -653,15 +503,11 @@ mod tests {
     /// is negative and the choice must be serial.
     #[test]
     fn negative_overlap_gain_pins_choice_to_serial() {
-        let mut sys = AdaptiveScheMoe::new().with_degrees(vec![2, 4, 8]);
         // Every stage costs 10 ms fixed + a negligible size term: at
         // degree r the pipeline pays ~r× the fixed cost per stage while
         // the overlappable part is tiny.
-        for kind in TaskKind::ALL {
-            for &size in &[1e6, 4e6] {
-                sys.record_sample(kind, size, SimTime::from_secs(10e-3 + size * 1e-15));
-            }
-        }
+        let sys = AdaptiveScheMoe::new().with_degrees(vec![2, 4, 8]);
+        let sys = fitted(sys, 10e-3, |_| Some(1e-15));
         let choice = sys.choose_degree(&shapes()[0]);
         assert_eq!(
             choice, 1,
@@ -672,7 +518,7 @@ mod tests {
 
     #[test]
     fn online_loop_warms_up_then_follows_the_models() {
-        let mut sys = AdaptiveScheMoe::new().with_warmup(2);
+        let mut sys = AdaptiveScheMoe::new().with_degrees(vec![1, 2]);
         sys.set_configured_degree(4);
         assert!(sys.in_warmup());
         assert_eq!(
@@ -728,12 +574,12 @@ mod tests {
             chosen > 1,
             "comm-bound step must choose an overlapped degree, got {chosen}"
         );
-        assert_eq!(sys.steps_seen(), 2);
+        assert_eq!(sys.steps_seen, 2);
     }
 
     #[test]
     fn online_loop_without_backward_coverage_keeps_configured_degree() {
-        let mut sys = AdaptiveScheMoe::new().with_warmup(1);
+        let mut sys = AdaptiveScheMoe::new().with_degrees(vec![1, 2]);
         sys.set_configured_degree(2);
         let mk = |name: &str, size: f64| schemoe_obs::SpanRecord {
             cat: "stage",
@@ -754,6 +600,7 @@ mod tests {
             counters: Vec::new(),
             routing: Vec::new(),
         };
+        sys.observe_step(&trace);
         sys.observe_step(&trace);
         assert!(!sys.in_warmup());
         assert_eq!(

@@ -14,7 +14,7 @@
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | generic scheduling framework (§3) | [`schemoe_scheduler`], [`registry`] |
+//! | generic scheduling framework (§3) | [`schemoe_scheduler`]; the [`Compressor`](schemoe_compression::Compressor) and [`AllToAll`](schemoe_collectives::AllToAll) traits are its extension points |
 //! | OptSche optimal schedule (§4, Thm. 1) | [`schemoe_scheduler::schedules::optsche`] |
 //! | Pipe-A2A (§5) | [`schemoe_collectives::PipeA2A`] |
 //!
@@ -36,23 +36,19 @@
 //! ```
 
 pub mod adaptive;
-pub mod config;
-pub mod registry;
 pub mod step_time;
 pub mod systems;
 
 pub use adaptive::AdaptiveScheMoe;
-pub use config::{LayerShape, ScheMoeConfig};
-pub use registry::{A2aRegistry, CompressorRegistry, ScheduleRegistry};
 /// Runtime observability: span recorder, per-rank fabric counters, and the
 /// shared Trace Event Format writer both substrates export through.
 pub use schemoe_obs as obs;
+pub use schemoe_scheduler::LayerShape;
 pub use step_time::{model_step_time, StepEstimate, StepTimeError};
 pub use systems::{FasterMoeEmu, MoeSystem, NaiveSystem, ScheMoeSystem, TutelEmu};
 
 /// Convenience re-exports for downstream users and examples.
 pub mod prelude {
-    pub use crate::config::{LayerShape, ScheMoeConfig};
     pub use crate::step_time::{model_step_time, StepEstimate, StepTimeError};
     pub use crate::systems::{FasterMoeEmu, MoeSystem, NaiveSystem, ScheMoeSystem, TutelEmu};
     pub use schemoe_cluster::{
@@ -68,5 +64,5 @@ pub mod prelude {
     pub use schemoe_moe::{DistributedMoeLayer, MoeLayer, TopKGate};
     pub use schemoe_netsim::SimTime;
     pub use schemoe_obs::{FuncTrace, SpanRecord};
-    pub use schemoe_scheduler::{optsche, MoeLayerCosts, Profiler, TaskSet};
+    pub use schemoe_scheduler::{optsche, LayerShape, MoeLayerCosts, Profiler, TaskSet};
 }

@@ -6,7 +6,6 @@ use schemoe_cluster::{HardwareProfile, MemoryBudget, Topology};
 use schemoe_models::MoeModelConfig;
 use schemoe_netsim::SimTime;
 
-use crate::config::LayerShape;
 use crate::systems::MoeSystem;
 
 /// Why a step-time estimate could not be produced.
@@ -64,19 +63,12 @@ impl StepEstimate {
 /// sharded expert state, dense state, activations, and the system's
 /// per-layer dispatch buffers (pinned across all layers for backward).
 pub fn model_step_time(
-    system: &dyn MoeSystem,
+    system: &MoeSystem,
     model: &MoeModelConfig,
     topo: &Topology,
     hw: &HardwareProfile,
 ) -> Result<StepEstimate, StepTimeError> {
-    let shape = LayerShape {
-        tokens_per_gpu: model.tokens_per_gpu,
-        model_dim: model.model_dim,
-        hidden_dim: model.hidden_dim,
-        experts: model.experts,
-        k: model.k,
-        capacity_factor: model.capacity_factor,
-    };
+    let shape = model.layer_shape();
 
     // Memory first: a model that does not fit produces no timing.
     let mut budget = MemoryBudget::new(hw.gpu_mem_bytes);
@@ -86,7 +78,7 @@ pub fn model_step_time(
     );
     budget.add(
         "dispatch/combine buffers",
-        model.layers as u64 * system.layer_buffer_bytes(&shape, topo),
+        model.layers as u64 * system.layer_buffer_bytes(&shape),
     );
     if !budget.fits() {
         return Err(StepTimeError::OutOfMemory { budget });
@@ -100,7 +92,7 @@ pub fn model_step_time(
     // Unoverlapped A2A accounting (Table 1 style): 4 A2As per layer per
     // step at the system's wire size.
     let a2a_alg = system.a2a();
-    let wire = (shape.a2a_bytes() as f64 / system.compression_ratio()) as u64;
+    let wire = shape.costs(system.compression_ratio()).wire_bytes();
     let one_a2a = schemoe_collectives::a2a_time(a2a_alg.as_ref(), topo, hw, wire)
         .expect("uniform plans are valid");
     let a2a = one_a2a * (4 * model.layers) as f64;
@@ -133,7 +125,7 @@ mod tests {
         // Table 1, CT-MoE-12 on Tutel: step ≈ 497 ms, A2A ratio ≈ 50.8%.
         let (topo, hw) = env();
         let model = MoeModelConfig::ct_moe(12);
-        let est = model_step_time(&TutelEmu, &model, &topo, &hw).unwrap();
+        let est = model_step_time(&TutelEmu::new(), &model, &topo, &hw).unwrap();
         let step_ms = est.step.as_ms();
         assert!(
             (350.0..650.0).contains(&step_ms),
@@ -149,10 +141,10 @@ mod tests {
     #[test]
     fn step_time_grows_with_layers() {
         let (topo, hw) = env();
-        let t12 = model_step_time(&TutelEmu, &MoeModelConfig::ct_moe(12), &topo, &hw)
+        let t12 = model_step_time(&TutelEmu::new(), &MoeModelConfig::ct_moe(12), &topo, &hw)
             .unwrap()
             .step;
-        let t24 = model_step_time(&TutelEmu, &MoeModelConfig::ct_moe(24), &topo, &hw)
+        let t24 = model_step_time(&TutelEmu::new(), &MoeModelConfig::ct_moe(24), &topo, &hw)
             .unwrap()
             .step;
         let ratio = t24 / t12;
@@ -170,8 +162,10 @@ mod tests {
             let s = model_step_time(&ScheMoeSystem::without_compression(), &model, &topo, &hw)
                 .unwrap()
                 .step;
-            let t = model_step_time(&TutelEmu, &model, &topo, &hw).unwrap().step;
-            let f = model_step_time(&FasterMoeEmu, &model, &topo, &hw)
+            let t = model_step_time(&TutelEmu::new(), &model, &topo, &hw)
+                .unwrap()
+                .step;
+            let f = model_step_time(&FasterMoeEmu::new(), &model, &topo, &hw)
                 .unwrap()
                 .step;
             assert!(s < t, "x={layers}: ScheMoE {s} !< Tutel {t}");
@@ -190,10 +184,10 @@ mod tests {
         let (topo, hw) = env();
         let model = MoeModelConfig::bert_large_moe();
         assert!(matches!(
-            model_step_time(&FasterMoeEmu, &model, &topo, &hw),
+            model_step_time(&FasterMoeEmu::new(), &model, &topo, &hw),
             Err(StepTimeError::OutOfMemory { .. })
         ));
-        let tutel = model_step_time(&TutelEmu, &model, &topo, &hw).unwrap();
+        let tutel = model_step_time(&TutelEmu::new(), &model, &topo, &hw).unwrap();
         let schemoe =
             model_step_time(&ScheMoeSystem::default_config(), &model, &topo, &hw).unwrap();
         let speedup = tutel.step / schemoe.step;

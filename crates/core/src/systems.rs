@@ -1,111 +1,60 @@
 //! The system zoo: ScheMoE and the baselines it is evaluated against.
+//!
+//! A system is data — a name, an A2A algorithm, a compression ratio, the
+//! partition degrees it searches (or none) and how it provisions its
+//! dispatch buffers — and one [`MoeSystem`] value interprets it. The four
+//! systems of the paper's tables are built by [`NaiveSystem::new`],
+//! [`TutelEmu::new`], [`FasterMoeEmu::new`] and [`ScheMoeSystem`]'s
+//! constructors.
+// The four names are constructor namespaces for one value type.
+#![allow(clippy::new_ret_no_self)]
 
 use schemoe_cluster::{HardwareProfile, Topology};
 use schemoe_collectives::{AllToAll, NcclA2A, PipeA2A};
 use schemoe_netsim::SimTime;
-use schemoe_scheduler::backward::backward_task_set;
-use schemoe_scheduler::schedules::{naive_makespan, optsche};
-use schemoe_scheduler::Schedule;
-
-use crate::config::{LayerShape, ScheMoeConfig};
+use schemoe_scheduler::{
+    backward_task_set, choose_degree, naive_makespan, optsche_makespan, LayerShape, Uncovered,
+};
 
 /// A complete MoE execution strategy: codec + A2A algorithm + schedule.
 ///
-/// Implementations answer two questions the benchmarks need: how long does
-/// one MoE layer pass take on given hardware, and how much GPU memory do
-/// its communication buffers pin. The `expert_flops_scale` parameter
-/// distinguishes forward (1×) from backward (2×: dW and dX GEMMs) passes.
-pub trait MoeSystem: Send + Sync {
-    /// System name as it appears in the paper's tables.
-    fn name(&self) -> &'static str;
+/// It answers the two questions the benchmarks need: how long does one MoE
+/// layer pass take on given hardware, and how much GPU memory do its
+/// communication buffers pin.
+#[derive(Clone, Copy, Debug)]
+pub struct MoeSystem {
+    name: &'static str,
+    a2a: fn() -> Box<dyn AllToAll>,
+    compression_ratio: f64,
+    /// Candidate partition degrees, searched for the best predicted
+    /// OptSche makespan; `None` runs every task with zero overlap.
+    degrees: Option<&'static [usize]>,
+    /// `None` buffers exactly the capacity-padded payload; `Some(h)` has
+    /// no capacity cap and provisions `h`× the unpadded payload instead.
+    imbalance_headroom: Option<u64>,
+}
 
-    /// Compression ratio applied to A2A payloads (1.0 = none).
-    fn compression_ratio(&self) -> f64 {
-        1.0
-    }
+fn nccl() -> Box<dyn AllToAll> {
+    Box::new(NcclA2A)
+}
 
-    /// The A2A algorithm the system uses.
-    fn a2a(&self) -> Box<dyn AllToAll>;
-
-    /// The input-partition degree and schedule used for a layer.
-    fn schedule(
-        &self,
-        shape: &LayerShape,
-        topo: &Topology,
-        hw: &HardwareProfile,
-    ) -> Option<(usize, Schedule)>;
-
-    /// Simulated time of one MoE layer pass.
-    ///
-    /// With no schedule (`None`) tasks run with zero overlap (Eq. 10).
-    fn layer_time_scaled(
-        &self,
-        shape: &LayerShape,
-        topo: &Topology,
-        hw: &HardwareProfile,
-        expert_flops_scale: f64,
-    ) -> SimTime {
-        let costs = shape.costs(self.compression_ratio());
-        let a2a = self.a2a();
-        // A scale of 2.0 is the backward pass: same wire volume, doubled
-        // expert GEMMs, reversed dependencies (which OptSche handles
-        // unchanged; see `schemoe_scheduler::backward`).
-        match self.schedule(shape, topo, hw) {
-            Some((r, schedule)) => {
-                let fwd = costs.task_set(topo, hw, a2a.as_ref(), r);
-                let tasks = backward_task_set(&fwd, expert_flops_scale);
-                schedule
-                    .makespan(&tasks)
-                    .expect("system schedules are dependency-valid")
-            }
-            None => {
-                let fwd = costs.task_set(topo, hw, a2a.as_ref(), 1);
-                naive_makespan(&backward_task_set(&fwd, expert_flops_scale))
-            }
-        }
-    }
-
-    /// Forward-pass layer time.
-    fn layer_time(&self, shape: &LayerShape, topo: &Topology, hw: &HardwareProfile) -> SimTime {
-        self.layer_time_scaled(shape, topo, hw, 1.0)
-    }
-
-    /// Per-GPU bytes of dispatch/combine buffers pinned per MoE layer
-    /// (held for the backward pass, so they accumulate across layers).
-    fn layer_buffer_bytes(&self, shape: &LayerShape, _topo: &Topology) -> u64 {
-        // Capacity-limited systems buffer exactly the padded payload, in
-        // and out.
-        2 * shape.a2a_bytes()
-    }
+fn pipe() -> Box<dyn AllToAll> {
+    Box::new(PipeA2A::new())
 }
 
 /// The no-optimization baseline: fp32, NCCL A2A, zero overlap.
-#[derive(Clone, Copy, Debug, Default)]
 pub struct NaiveSystem;
 
 impl NaiveSystem {
     /// Creates the baseline.
-    pub fn new() -> Self {
-        NaiveSystem
-    }
-}
-
-impl MoeSystem for NaiveSystem {
-    fn name(&self) -> &'static str {
-        "Naive"
-    }
-
-    fn a2a(&self) -> Box<dyn AllToAll> {
-        Box::new(NcclA2A)
-    }
-
-    fn schedule(
-        &self,
-        _: &LayerShape,
-        _: &Topology,
-        _: &HardwareProfile,
-    ) -> Option<(usize, Schedule)> {
-        None
+    pub fn new() -> MoeSystem {
+        MoeSystem {
+            name: "Naive",
+            a2a: nccl,
+            compression_ratio: 1.0,
+            degrees: None,
+            imbalance_headroom: None,
+        }
     }
 }
 
@@ -118,45 +67,16 @@ impl MoeSystem for NaiveSystem {
 /// coincides with OptSche's middle section, so the baseline is not
 /// handicapped by a strawman schedule — its deficit comes from fp32
 /// payloads and the sequential A2A, exactly as in the ablation.
-#[derive(Clone, Copy, Debug, Default)]
 pub struct TutelEmu;
 
 impl TutelEmu {
     /// Creates the emulation.
-    pub fn new() -> Self {
-        TutelEmu
-    }
-}
-
-impl MoeSystem for TutelEmu {
-    fn name(&self) -> &'static str {
-        "Tutel"
-    }
-
-    fn a2a(&self) -> Box<dyn AllToAll> {
-        Box::new(NcclA2A)
-    }
-
-    fn schedule(
-        &self,
-        shape: &LayerShape,
-        topo: &Topology,
-        hw: &HardwareProfile,
-    ) -> Option<(usize, Schedule)> {
-        // Heuristic degree search over {1, 2, 4, 8} with the chunk
-        // pipeline, minimizing predicted makespan.
-        let costs = shape.costs(1.0);
-        let a2a = self.a2a();
-        let mut best: Option<(usize, SimTime)> = None;
-        for r in [1usize, 2, 4, 8] {
-            let tasks = costs.task_set(topo, hw, a2a.as_ref(), r);
-            let m = optsche(r).makespan(&tasks).expect("valid");
-            if best.is_none_or(|(_, bm)| m < bm) {
-                best = Some((r, m));
-            }
+    pub fn new() -> MoeSystem {
+        MoeSystem {
+            name: "Tutel",
+            degrees: Some(&[1, 2, 4, 8]),
+            ..NaiveSystem::new()
         }
-        let (r, _) = best.expect("searched at least one degree");
-        Some((r, optsche(r)))
     }
 }
 
@@ -164,74 +84,55 @@ impl MoeSystem for TutelEmu {
 /// 2 (paper §8: "Faster-MoE only allows a pipeline degree of 2"), and no
 /// capacity limit on dispatch buffers — the mechanism behind its
 /// BERT-Large-MoE OOM (Table 8, "improper handling of imbalanced tokens").
-#[derive(Clone, Copy, Debug, Default)]
 pub struct FasterMoeEmu;
 
 impl FasterMoeEmu {
     /// Creates the emulation.
-    pub fn new() -> Self {
-        FasterMoeEmu
-    }
-}
-
-impl MoeSystem for FasterMoeEmu {
-    fn name(&self) -> &'static str {
-        "Faster-MoE"
-    }
-
-    fn a2a(&self) -> Box<dyn AllToAll> {
-        Box::new(NcclA2A)
-    }
-
-    fn schedule(
-        &self,
-        _: &LayerShape,
-        _: &Topology,
-        _: &HardwareProfile,
-    ) -> Option<(usize, Schedule)> {
-        Some((2, optsche(2)))
-    }
-
-    fn layer_buffer_bytes(&self, shape: &LayerShape, _topo: &Topology) -> u64 {
-        // Without a capacity cap, receive buffers grow with the worst
-        // observed imbalance instead of the f-bounded padding; a 4×
-        // headroom reproduces the reported behaviour (fits CT-MoE-24,
-        // fails BERT-Large-MoE).
-        const IMBALANCE_HEADROOM: u64 = 4;
-        2 * shape.tokens_per_gpu as u64
-            * shape.k as u64
-            * shape.model_dim as u64
-            * 4
-            * IMBALANCE_HEADROOM
+    pub fn new() -> MoeSystem {
+        MoeSystem {
+            name: "Faster-MoE",
+            degrees: Some(&[2]),
+            // Without a capacity cap, receive buffers grow with the worst
+            // observed imbalance instead of the f-bounded padding; a 4×
+            // headroom reproduces the reported behaviour (fits CT-MoE-24,
+            // fails BERT-Large-MoE).
+            imbalance_headroom: Some(4),
+            ..NaiveSystem::new()
+        }
     }
 }
 
 /// The full ScheMoE system: ZFP-compressed payloads, Pipe-A2A, and the
 /// OptSche schedule with an adaptive partition degree.
-#[derive(Clone, Copy, Debug)]
-pub struct ScheMoeSystem {
-    compression_ratio: f64,
-    /// Candidate partition degrees for the adaptive search. Degree 1 is
-    /// included: on latency-bound payloads chunking costs more than the
-    /// overlap it buys, and the adaptive profiler is what notices.
-    degrees: [usize; 4],
-}
+pub struct ScheMoeSystem;
 
 impl ScheMoeSystem {
-    /// The paper's configuration: ZFP at 4×, degrees {1, 2, 4, 8}.
-    pub fn default_config() -> Self {
-        ScheMoeSystem {
-            compression_ratio: 4.0,
-            degrees: [1, 2, 4, 8],
-        }
+    /// The paper's configuration: ZFP at 4×, degrees {1, 2, 4, 8}. Degree
+    /// 1 is a candidate: on latency-bound payloads chunking costs more
+    /// than the overlap it buys, and the degree search is what notices.
+    pub fn default_config() -> MoeSystem {
+        Self::without_compression().with_compression_ratio(4.0)
     }
 
     /// ScheMoE without compression (the `w/o ZFP` ablation arm).
-    pub fn without_compression() -> Self {
-        ScheMoeSystem {
-            compression_ratio: 1.0,
-            degrees: [1, 2, 4, 8],
+    pub fn without_compression() -> MoeSystem {
+        MoeSystem {
+            name: "ScheMoE",
+            a2a: pipe,
+            ..TutelEmu::new()
         }
+    }
+}
+
+impl MoeSystem {
+    /// System name as it appears in the paper's tables.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Compression ratio applied to A2A payloads (1.0 = none).
+    pub fn compression_ratio(&self) -> f64 {
+        self.compression_ratio
     }
 
     /// Overrides the compression ratio.
@@ -240,65 +141,71 @@ impl ScheMoeSystem {
         self
     }
 
-    /// The functional-layer configuration for `shape` on this cluster:
-    /// the partition degree the simulator search selects, a 30 s liveness
-    /// deadline, and fp16 wire compression whenever the system compresses.
-    ///
-    /// This is the bridge from the performance substrate to the functional
-    /// one — the degree that minimizes *predicted* layer time is the degree
-    /// the real [`schemoe_moe::DistributedMoeLayer`] pipeline runs at.
-    pub fn functional_config(
+    /// The A2A algorithm the system uses.
+    pub fn a2a(&self) -> Box<dyn AllToAll> {
+        (self.a2a)()
+    }
+
+    /// The input-partition degree the system runs a layer at: the
+    /// candidate with the best predicted OptSche makespan, or `None` for
+    /// a system that does not pipeline.
+    pub fn degree(
         &self,
         shape: &LayerShape,
         topo: &Topology,
         hw: &HardwareProfile,
-    ) -> ScheMoeConfig {
-        let (r, _) = self
-            .schedule(shape, topo, hw)
-            .expect("ScheMoE always schedules");
-        let cfg = ScheMoeConfig::overlapped(r);
-        if self.compression_ratio > 1.0 {
-            cfg.with_fp16_wire()
-        } else {
-            cfg
-        }
-    }
-}
-
-impl MoeSystem for ScheMoeSystem {
-    fn name(&self) -> &'static str {
-        "ScheMoE"
-    }
-
-    fn compression_ratio(&self) -> f64 {
-        self.compression_ratio
-    }
-
-    fn a2a(&self) -> Box<dyn AllToAll> {
-        Box::new(PipeA2A::new())
-    }
-
-    fn schedule(
-        &self,
-        shape: &LayerShape,
-        topo: &Topology,
-        hw: &HardwareProfile,
-    ) -> Option<(usize, Schedule)> {
-        // OptSche gives the optimal order for any fixed r (Theorem 1);
-        // choosing r is the orthogonal problem the paper defers to
-        // profiling — here: pick the degree with the best predicted time.
+    ) -> Option<usize> {
         let costs = shape.costs(self.compression_ratio);
         let a2a = self.a2a();
-        let mut best: Option<(usize, SimTime)> = None;
-        for &r in &self.degrees {
-            let tasks = costs.task_set(topo, hw, a2a.as_ref(), r);
-            let m = optsche(r).makespan(&tasks).expect("valid");
-            if best.is_none_or(|(_, bm)| m < bm) {
-                best = Some((r, m));
+        choose_degree(self.degrees?, Uncovered::Skip, |r| {
+            Some(optsche_makespan(&costs.task_set(topo, hw, a2a.as_ref(), r)))
+        })
+    }
+
+    /// Simulated time of one MoE layer pass. `expert_flops_scale`
+    /// distinguishes forward (1×) from backward (2×: dW and dX GEMMs, same
+    /// wire volume, reversed dependencies — which OptSche handles
+    /// unchanged; see `schemoe_scheduler::backward`).
+    ///
+    /// With no degree tasks run with zero overlap (Eq. 10).
+    pub fn layer_time_scaled(
+        &self,
+        shape: &LayerShape,
+        topo: &Topology,
+        hw: &HardwareProfile,
+        expert_flops_scale: f64,
+    ) -> SimTime {
+        let costs = shape.costs(self.compression_ratio);
+        let a2a = self.a2a();
+        let tasks = |r| {
+            let forward = costs.task_set(topo, hw, a2a.as_ref(), r);
+            backward_task_set(&forward, expert_flops_scale)
+        };
+        match self.degree(shape, topo, hw) {
+            Some(r) => optsche_makespan(&tasks(r)),
+            None => naive_makespan(&tasks(1)),
+        }
+    }
+
+    /// Forward-pass layer time.
+    pub fn layer_time(&self, shape: &LayerShape, topo: &Topology, hw: &HardwareProfile) -> SimTime {
+        self.layer_time_scaled(shape, topo, hw, 1.0)
+    }
+
+    /// Per-GPU bytes of dispatch/combine buffers pinned per MoE layer
+    /// (held for the backward pass, so they accumulate across layers),
+    /// in and out.
+    pub fn layer_buffer_bytes(&self, shape: &LayerShape) -> u64 {
+        match self.imbalance_headroom {
+            None => 2 * shape.a2a_bytes(),
+            Some(headroom) => {
+                2 * shape.tokens_per_gpu as u64
+                    * shape.k as u64
+                    * shape.model_dim as u64
+                    * 4
+                    * headroom
             }
         }
-        let (r, _) = best.expect("searched at least one degree");
-        Some((r, optsche(r)))
     }
 }
 
@@ -323,28 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn functional_config_mirrors_the_degree_search() {
-        let (topo, hw) = env();
-        let shape = ablation_shape();
-        let sys = ScheMoeSystem::default_config();
-        let (r, _) = sys.schedule(&shape, &topo, &hw).unwrap();
-        let cfg = sys.functional_config(&shape, &topo, &hw);
-        assert_eq!(cfg.partition_degree, r);
-        assert!(cfg.fp16_wire, "compressing system selects a wire codec");
-        assert!(
-            cfg.recv_timeout().is_some(),
-            "pipeline always has a deadline"
-        );
-        let plain = ScheMoeSystem::without_compression().functional_config(&shape, &topo, &hw);
-        assert!(!plain.fp16_wire);
-    }
-
-    #[test]
     fn schemoe_beats_every_baseline_on_the_ablation_layer() {
         let (topo, hw) = env();
         let shape = ablation_shape();
         let schemoe = ScheMoeSystem::default_config().layer_time(&shape, &topo, &hw);
-        for sys in [&NaiveSystem as &dyn MoeSystem, &TutelEmu, &FasterMoeEmu] {
+        for sys in [NaiveSystem::new(), TutelEmu::new(), FasterMoeEmu::new()] {
             let t = sys.layer_time(&shape, &topo, &hw);
             assert!(
                 schemoe < t,
@@ -358,7 +248,7 @@ mod tests {
     fn naive_time_matches_table10_scale() {
         // Table 10: Naive ≈ 2401 ms (forward pass of the ablation layer).
         let (topo, hw) = env();
-        let t = NaiveSystem
+        let t = NaiveSystem::new()
             .layer_time(&ablation_shape(), &topo, &hw)
             .as_ms();
         assert!(
@@ -371,7 +261,7 @@ mod tests {
     fn ablation_speedup_is_about_2_4x() {
         let (topo, hw) = env();
         let shape = ablation_shape();
-        let naive = NaiveSystem.layer_time(&shape, &topo, &hw);
+        let naive = NaiveSystem::new().layer_time(&shape, &topo, &hw);
         let schemoe = ScheMoeSystem::default_config().layer_time(&shape, &topo, &hw);
         let speedup = naive / schemoe;
         assert!(
@@ -392,10 +282,9 @@ mod tests {
 
     #[test]
     fn fastermoe_buffers_blow_up_without_capacity() {
-        let (topo, _) = env();
         let shape = ablation_shape();
-        let capped = TutelEmu.layer_buffer_bytes(&shape, &topo);
-        let uncapped = FasterMoeEmu.layer_buffer_bytes(&shape, &topo);
+        let capped = TutelEmu::new().layer_buffer_bytes(&shape);
+        let uncapped = FasterMoeEmu::new().layer_buffer_bytes(&shape);
         // Headroom provisioning is 4/f ≈ 3.3× larger.
         assert!(
             uncapped > 2 * capped,
@@ -407,7 +296,7 @@ mod tests {
     fn tutel_degree_search_prefers_pipelining() {
         let (topo, hw) = env();
         let shape = ablation_shape();
-        let (r, _) = TutelEmu.schedule(&shape, &topo, &hw).unwrap();
+        let r = TutelEmu::new().degree(&shape, &topo, &hw).unwrap();
         assert!(
             r >= 2,
             "on a comm-heavy layer Tutel should pipeline, chose r={r}"

@@ -37,7 +37,7 @@
 //!
 //! The optimizer step happens only *after* an all-OK verdict, so
 //! replicated parameters cannot diverge when one rank fails mid-attempt.
-//! Checkpoints are taken in memory every [`FtConfig::checkpoint_every`]
+//! Checkpoints are taken in memory every `CHECKPOINT_EVERY` (5)
 //! committed steps; batches are a pure function of `(seed, step, rank)`,
 //! so rewinding the step counter replays identical data.
 //!
@@ -164,8 +164,6 @@ pub fn buddy_of(rank: usize, n: usize, domains: Option<&DomainMap>) -> usize {
 pub struct FtConfig {
     /// Vocabulary size of the synthetic LM task.
     pub vocab: usize,
-    /// Number of Markov regimes in the data generator.
-    pub regimes: usize,
     /// Embedding size `M`.
     pub model_dim: usize,
     /// Expert hidden size `H`.
@@ -190,10 +188,6 @@ pub struct FtConfig {
     /// Transient-fault retries per step before a silent peer is escalated
     /// to a death suspicion.
     pub retry_budget: u32,
-    /// Base backoff between retries; multiplied by the attempt number.
-    pub backoff_ms: u64,
-    /// Checkpoint cadence in committed steps.
-    pub checkpoint_every: usize,
     /// Per-message deadline inside the vote protocol.
     pub vote_timeout_ms: u64,
     /// Committed-step cadence at which survivors poll for rejoin
@@ -234,17 +228,12 @@ pub struct FtConfig {
     /// capacity factor. `0` disables the placement controller (the static
     /// expert layout).
     pub placement_interval: usize,
-    /// Replica cap per expert in a placement plan (static home included).
-    pub placement_max_replicas: usize,
     /// An expert is *hot* when its busiest server's share exceeds this
     /// multiple of the mean per-rank load.
     pub placement_hot_factor: f64,
     /// A rank is *gray* when its observed link stall exceeds this multiple
     /// of the cluster median (and an absolute floor).
     pub placement_gray_factor: f64,
-    /// Overload-shed capacity override is clamped to at least this
-    /// fraction of the configured capacity factor, bounding token loss.
-    pub placement_shed_floor: f64,
 }
 
 impl FtConfig {
@@ -253,7 +242,6 @@ impl FtConfig {
     pub fn tiny(steps: usize) -> Self {
         FtConfig {
             vocab: 16,
-            regimes: 2,
             model_dim: 16,
             hidden_dim: 32,
             k: 2,
@@ -264,8 +252,6 @@ impl FtConfig {
             lr: 0.1,
             seed: 7,
             retry_budget: 3,
-            backoff_ms: 1,
-            checkpoint_every: 5,
             vote_timeout_ms: 500,
             rejoin_check_every: 2,
             adaptive_deadline: None,
@@ -274,10 +260,8 @@ impl FtConfig {
             partition_degree: 1,
             rejoin: false,
             placement_interval: 0,
-            placement_max_replicas: 2,
             placement_hot_factor: 1.75,
             placement_gray_factor: 4.0,
-            placement_shed_floor: 0.5,
         }
     }
 
@@ -527,6 +511,10 @@ enum Attempt {
     GaveUp,
 }
 
+/// Base backoff between retries of a step, in milliseconds; multiplied by
+/// the attempt number.
+const BACKOFF_MS: u64 = 1;
+
 /// The train loop: attempts until every step has committed, with every
 /// path that observes this rank's death funnelled through one arm — a rank
 /// with a way back (a scheduled revival, a reconnectable transport)
@@ -556,7 +544,7 @@ fn train(h: &mut RankHandle, cfg: &FtConfig, snap: Option<&SnapshotCfg>) -> FtRe
         match outcome {
             Ok(Attempt::Retry) => {
                 attempt += 1;
-                let backoff = cfg.backoff_ms * u64::from(attempt.min(5));
+                let backoff = BACKOFF_MS * u64::from(attempt.min(5));
                 std::thread::sleep(Duration::from_millis(backoff));
                 continue;
             }

@@ -30,6 +30,13 @@ use super::{buddy_of, SnapshotCfg};
 /// sender, so shaped links read high while in-process links read ~0.
 const PLACEMENT_PROBES: usize = 3;
 
+/// Replica cap per expert in a placement plan (static home included).
+const PLACEMENT_MAX_REPLICAS: usize = 2;
+
+/// The overload-shed capacity override is clamped to at least this
+/// fraction of the configured capacity factor, bounding token loss.
+const PLACEMENT_SHED_FLOOR: f64 = 0.5;
+
 /// One buddy-replication quantum. Each rank sends its expert frame to
 /// [`buddy_of`]`(rank)`, then absorbs a frame from every *ward* — each
 /// rank whose buddy it is. Sends never block and every rank sends before
@@ -472,8 +479,8 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
             let policy = PolicyConfig {
                 hot_factor: cfg.placement_hot_factor,
                 gray_factor: cfg.placement_gray_factor,
-                max_replicas: cfg.placement_max_replicas,
-                shed_floor: cfg.placement_shed_floor,
+                max_replicas: PLACEMENT_MAX_REPLICAS,
+                shed_floor: PLACEMENT_SHED_FLOOR,
                 min_tokens: 1,
             };
             let (live, version) = (&st.live, st.placement_version + 1);

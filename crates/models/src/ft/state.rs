@@ -23,6 +23,12 @@ use super::wire;
 use super::{buddy_of, FtConfig, FtReport};
 use crate::data::RegimeMarkov;
 
+/// Number of Markov regimes in the data generator.
+const REGIMES: usize = 2;
+
+/// In-memory checkpoint cadence in committed steps.
+const CHECKPOINT_EVERY: usize = 5;
+
 /// A walk over parameters, as [`checkpoint`] and the optimizer take them.
 type Walk<'a> = dyn FnMut(&mut dyn FnMut(&mut Param)) + 'a;
 
@@ -194,7 +200,7 @@ impl RankState {
             model,
             opt: Sgd::new(cfg.lr),
             ce: SoftmaxCrossEntropy::new(),
-            markov: RegimeMarkov::new(cfg.vocab, cfg.regimes, &mut seeded(seed ^ 0xDA7A)),
+            markov: RegimeMarkov::new(cfg.vocab, REGIMES, &mut seeded(seed ^ 0xDA7A)),
             flags,
             live: vec![true; p],
             confirmed_gone: 0,
@@ -515,7 +521,7 @@ impl RankState {
         drop(opt_span);
         self.report.loss_curve[self.step] = loss;
         self.step += 1;
-        if self.step.is_multiple_of(self.cfg.checkpoint_every) || self.step == self.cfg.steps {
+        if self.step.is_multiple_of(CHECKPOINT_EVERY) || self.step == self.cfg.steps {
             self.checkpoint();
         }
     }

@@ -9,6 +9,8 @@
 //! message; we use `M=1024, H=4096, k=1` which reproduces both the ~6.4 B
 //! parameter count and the quoted message size.
 
+use schemoe_scheduler::LayerShape;
+
 /// A Table 5 model configuration.
 #[derive(Clone, Debug)]
 pub struct MoeModelConfig {
@@ -121,15 +123,27 @@ impl MoeModelConfig {
         }
     }
 
+    /// The shape of each of the model's MoE layers: the owner of Eq. 1–2.
+    pub fn layer_shape(&self) -> LayerShape {
+        LayerShape {
+            tokens_per_gpu: self.tokens_per_gpu,
+            model_dim: self.model_dim,
+            hidden_dim: self.hidden_dim,
+            experts: self.experts,
+            k: self.k,
+            capacity_factor: self.capacity_factor,
+        }
+    }
+
     /// Assigned tokens per GPU per MoE layer after capacity padding
     /// (`f · k · B · L`).
     pub fn assigned_tokens(&self) -> usize {
-        (self.capacity_factor * self.k as f64 * self.tokens_per_gpu as f64).ceil() as usize
+        self.layer_shape().assigned_tokens()
     }
 
     /// Per-GPU A2A payload in bytes (Eq. 2, fp32).
     pub fn a2a_bytes(&self) -> u64 {
-        self.assigned_tokens() as u64 * self.model_dim as u64 * 4
+        self.layer_shape().a2a_bytes()
     }
 
     /// Parameters of one expert (two GEMMs + biases).
@@ -158,7 +172,7 @@ impl MoeModelConfig {
 
     /// Forward FLOPs per GPU of one MoE layer's experts.
     pub fn expert_flops(&self) -> u64 {
-        4 * self.assigned_tokens() as u64 * self.model_dim as u64 * self.hidden_dim as u64
+        self.layer_shape().expert_flops()
     }
 
     /// Forward FLOPs per GPU of one layer's dense parts (attention
@@ -215,6 +229,35 @@ mod tests {
         // Roughly 200-420 M total.
         let total = cfg.total_params() as f64 / 1e6;
         assert!((150.0..450.0).contains(&total), "total {total:.0} M");
+    }
+
+    /// `(name, assigned_tokens, a2a_bytes, expert_flops)` as printed by the
+    /// commit before `LayerShape` owned the formulas.
+    #[test]
+    fn layer_shape_reproduces_the_recorded_sizes() {
+        let golden = [
+            ("Transformer-MoE", 4096, 8388608, 17179869184),
+            ("GPT2-Tiny-MoE", 2048, 524288, 33554432),
+            ("CT-MoE-12", 4216, 8634368, 4420796416),
+            ("CT-MoE-24", 4216, 8634368, 4420796416),
+            ("BERT-Large-MoE", 4096, 16777216, 68719476736),
+        ];
+        let models = [
+            MoeModelConfig::transformer_moe(),
+            MoeModelConfig::gpt2_tiny_moe(),
+            MoeModelConfig::ct_moe(12),
+            MoeModelConfig::ct_moe(24),
+            MoeModelConfig::bert_large_moe(),
+        ];
+        for (model, (name, tokens, bytes, flops)) in models.iter().zip(golden) {
+            let shape = model.layer_shape();
+            assert_eq!(model.name, name);
+            assert_eq!(shape.assigned_tokens(), tokens, "{name}");
+            assert_eq!(shape.a2a_bytes(), bytes, "{name}");
+            assert_eq!(shape.expert_flops(), flops, "{name}");
+            assert_eq!(model.a2a_bytes(), bytes, "{name}");
+            assert_eq!(model.expert_flops(), flops, "{name}");
+        }
     }
 
     #[test]

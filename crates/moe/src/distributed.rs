@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use schemoe_cluster::{FabricError, FrameBuf, RankHandle};
-use schemoe_collectives::{chunk_tag, lanes, AllToAll, MAX_PARTITION_DEGREE};
-use schemoe_compression::{add_f32_le, copy_f32_le, Compressor, NoCompression};
+use schemoe_collectives::{allreduce_live, chunk_tag, lanes, AllToAll, MAX_PARTITION_DEGREE};
+use schemoe_compression::{Compressor, NoCompression};
 use schemoe_obs as obs;
 use schemoe_scheduler::executor::{
     run_inline_cancellable, run_overlapped_cancellable, ExecTask, Worker,
@@ -1292,78 +1292,13 @@ impl<'a> Wire<'a> {
     }
 }
 
-/// Sums `values` elementwise across all ranks in place (naive allreduce:
-/// gather on rank 0, reduce, broadcast).
-///
-/// Used to keep replicated parameters (the gate) synchronized in
-/// data-parallel training.
-pub fn allreduce_inplace(
-    h: &mut RankHandle,
-    values: &mut [f32],
-    tag: u64,
-) -> Result<(), FabricError> {
-    let live = vec![true; h.world_size()];
-    allreduce_live(h, values, tag, &live)
-}
-
-/// [`allreduce_inplace`] restricted to the ranks marked `true` in `live`:
-/// the sum is gathered on the lowest live rank and broadcast back to the
-/// survivors only, so a dead rank (which can no longer participate) does
-/// not wedge the reduction. The caller must itself be live.
-///
-/// # Panics
-///
-/// Panics if `live` disagrees with the world size, marks no rank, or marks
-/// the caller dead.
-pub fn allreduce_live(
-    h: &mut RankHandle,
-    values: &mut [f32],
-    tag: u64,
-    live: &[bool],
-) -> Result<(), FabricError> {
-    let p = h.world_size();
-    let me = h.rank();
-    assert_eq!(live.len(), p, "live mask must cover the world");
-    assert!(live[me], "a dead rank cannot join an allreduce");
-    let root = live
-        .iter()
-        .position(|&l| l)
-        .expect("at least one live rank");
-    if live.iter().filter(|&&l| l).count() <= 1 {
-        return Ok(());
-    }
-    // Each message is encoded where it leaves from.
-    let raw = |h: &RankHandle, values: &[f32]| {
-        let mut frame = h.frames().checkout(4 * values.len());
-        NoCompression.compress_into(values, frame.body_mut());
-        frame
-    };
-    if me == root {
-        for src in 0..p {
-            if src == root || !live[src] {
-                continue;
-            }
-            add_f32_le(values, &h.recv(src, tag)?);
-        }
-        for dst in 0..p {
-            if dst != root && live[dst] {
-                h.send_frame(dst, tag + 1, raw(h, values))?;
-            }
-        }
-    } else {
-        h.send_frame(root, tag, raw(h, values))?;
-        copy_f32_le(values, &h.recv(root, tag + 1)?);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expert::FfExpert;
     use crate::layer::MoeLayer;
     use schemoe_cluster::{Fabric, Topology};
-    use schemoe_collectives::{NcclA2A, TAG_STRIDE};
+    use schemoe_collectives::{allreduce_inplace, NcclA2A, TAG_STRIDE};
     use schemoe_compression::{Fp16Compressor, NoCompression};
     use schemoe_tensor::nn::Module;
     use schemoe_tensor::rng::{self, seeded};
@@ -1384,6 +1319,21 @@ mod tests {
     /// The independent oracle — the single-process [`MoeLayer`] — at every
     /// partition degree the distributed graph runs at.
     const ORACLE_DEGREES: [usize; 3] = [1, 2, 4];
+
+    /// One past the lane capacity fails at configuration, not at the first
+    /// collective call: past it the per-chunk tags would overflow their
+    /// lane and collide with another lane's traffic.
+    #[test]
+    #[should_panic(expected = "exceeds MAX_PARTITION_DEGREE")]
+    fn partition_degree_is_capped_at_the_lane_capacity() {
+        let _ = DistributedMoeLayer::new(
+            make_gate(1, 1, 2.0),
+            vec![make_expert(0)],
+            Box::new(NoCompression),
+            Box::new(NcclA2A),
+        )
+        .with_partition_degree(MAX_PARTITION_DEGREE + 1);
+    }
 
     #[test]
     fn matches_single_process_layer() {

@@ -27,7 +27,7 @@ pub mod placement;
 pub mod replication;
 pub mod routing;
 
-pub use distributed::{allreduce_inplace, allreduce_live, DistributedMoeLayer, GradAllreduce};
+pub use distributed::{DistributedMoeLayer, GradAllreduce};
 pub use expert::{Expert, FfExpert};
 pub use gating::{GateDecision, OverflowPolicy, TopKGate};
 pub use layer::MoeLayer;
@@ -38,6 +38,7 @@ pub use replication::{DeltaEncoder, ReplicaError, ReplicaStore, REPLICA_CHUNK};
 pub use routing::{
     balance_stats, BalanceStats, ExpertChoiceRouter, RandomRouter, Router, TokenChoiceRouter,
 };
+pub use schemoe_collectives::{allreduce_inplace, allreduce_live};
 
 /// Computes the expert capacity of Eq. 1: `C = ceil(f · k · tokens / E)`.
 ///

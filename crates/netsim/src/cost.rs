@@ -37,16 +37,6 @@ impl LinkModel {
     pub fn time(&self, bytes: u64) -> SimTime {
         SimTime::from_secs(self.latency_s + bytes as f64 / self.bandwidth_bps)
     }
-
-    /// A derived link with bandwidth divided by `n` (static sharing).
-    ///
-    /// Used to model, e.g., four GPUs of a node sharing one NIC.
-    pub fn shared_by(&self, n: usize) -> LinkModel {
-        LinkModel {
-            latency_s: self.latency_s,
-            bandwidth_bps: self.bandwidth_bps / n.max(1) as f64,
-        }
-    }
 }
 
 /// Throughput model of a GPU's compute pipeline.
@@ -139,12 +129,6 @@ mod tests {
         let l = LinkModel::new(10e-6, 1e9);
         let t = l.time(1_000_000);
         assert!((t.as_secs() - (10e-6 + 1e-3)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shared_link_divides_bandwidth() {
-        let l = LinkModel::new(0.0, 4e9).shared_by(4);
-        assert!((l.time(1_000_000_000).as_secs() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -239,7 +239,7 @@ impl StreamSim {
                 end: end[i].expect("all fired"),
             })
             .collect();
-        Ok(Trace::new(records, self.streams.clone()))
+        Ok(Trace::new(records))
     }
 }
 

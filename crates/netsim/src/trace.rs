@@ -22,15 +22,11 @@ pub struct OpRecord {
 #[derive(Clone, Debug)]
 pub struct Trace {
     records: Vec<OpRecord>,
-    stream_names: Vec<String>,
 }
 
 impl Trace {
-    pub(crate) fn new(records: Vec<OpRecord>, stream_names: Vec<String>) -> Self {
-        Trace {
-            records,
-            stream_names,
-        }
+    pub(crate) fn new(records: Vec<OpRecord>) -> Self {
+        Trace { records }
     }
 
     /// Total simulated time from 0 to the last finish.
@@ -72,59 +68,6 @@ impl Trace {
             .map(|r| r.end - r.start)
             .sum()
     }
-
-    /// Busy time divided by makespan, in `[0, 1]`.
-    pub fn utilization(&self, stream: StreamId) -> f64 {
-        let ms = self.makespan();
-        if ms == SimTime::ZERO {
-            0.0
-        } else {
-            self.busy_time(stream) / ms
-        }
-    }
-
-    /// Sum of busy time over streams whose name contains `substr`.
-    ///
-    /// Useful for aggregating, e.g., every "inter" stream of a cluster.
-    pub fn busy_time_matching(&self, substr: &str) -> SimTime {
-        let ids: Vec<StreamId> = self
-            .stream_names
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.contains(substr))
-            .map(|(i, _)| StreamId(i))
-            .collect();
-        ids.iter().map(|&s| self.busy_time(s)).sum()
-    }
-
-    /// Renders an ASCII Gantt chart, one row per stream, `width` columns.
-    ///
-    /// Intended for examples and debugging; the output is stable for a
-    /// given trace.
-    pub fn gantt(&self, width: usize) -> String {
-        let ms = self.makespan();
-        if ms == SimTime::ZERO || width == 0 {
-            return String::new();
-        }
-        let name_w = self.stream_names.iter().map(|n| n.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (si, name) in self.stream_names.iter().enumerate() {
-            let mut row = vec![' '; width];
-            for r in self.records.iter().filter(|r| r.stream.0 == si) {
-                let b = ((r.start / ms) * width as f64).floor() as usize;
-                let e = (((r.end / ms) * width as f64).ceil() as usize).min(width);
-                let c = r.label.chars().next().unwrap_or('#');
-                for cell in row.iter_mut().take(e).skip(b) {
-                    *cell = c;
-                }
-            }
-            out.push_str(&format!("{name:<name_w$} |"));
-            out.extend(row);
-            out.push_str("|\n");
-        }
-        out.push_str(&format!("{:name_w$} makespan = {}\n", "", ms));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -147,30 +90,5 @@ mod tests {
         assert_eq!(t.busy_time(StreamId(0)), SimTime::from_ms(4.0));
         assert_eq!(t.busy_time(StreamId(1)), SimTime::from_ms(6.0));
         assert_eq!(t.makespan(), SimTime::from_ms(10.0));
-    }
-
-    #[test]
-    fn utilization_is_fraction_of_makespan() {
-        let t = two_stream_trace();
-        assert!((t.utilization(StreamId(0)) - 0.4).abs() < 1e-12);
-        assert!((t.utilization(StreamId(1)) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn busy_time_matching_aggregates_by_name() {
-        let t = two_stream_trace();
-        assert_eq!(t.busy_time_matching("net"), SimTime::from_ms(6.0));
-        assert_eq!(t.busy_time_matching("zzz"), SimTime::ZERO);
-    }
-
-    #[test]
-    fn gantt_renders_every_stream() {
-        let t = two_stream_trace();
-        let g = t.gantt(40);
-        assert!(g.contains("compute"));
-        assert!(g.contains("network"));
-        assert!(g.contains("makespan"));
-        assert!(g.contains('a'));
-        assert!(g.contains('b'));
     }
 }

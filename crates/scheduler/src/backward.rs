@@ -14,70 +14,30 @@
 //! twice its forward (the dX and dW GEMMs). Because the chain has the same
 //! `comp → comm → comp → comp → comp → comm → comp` shape as the forward
 //! pass, Theorem 1's argument applies verbatim with the roles relabelled —
-//! which this module encodes and the test suite re-verifies against the
-//! exhaustive oracle rather than taking by symmetry.
+//! which the test below re-verifies against the exhaustive oracle.
 
-use schemoe_netsim::SimTime;
-
-use crate::schedule::Schedule;
-use crate::schedules::optsche;
 use crate::task::{TaskKind, TaskSet};
 
 /// Builds the backward-pass task set from a forward task set.
 ///
-/// Per-chunk durations: compressing a gradient costs what compressing the
-/// activation cost (same bytes), the A2As carry the same wire volume, and
-/// the expert backward is `expert_backward_scale`× the forward (2.0 for
-/// the standard dX+dW pair).
+/// Per chunk, compressing a gradient costs what compressing the activation
+/// cost (same bytes), the A2As carry the same wire volume, and the expert
+/// backward is `expert_backward_scale`× the forward (2.0 for the standard
+/// dX+dW pair).
 pub fn backward_task_set(forward: &TaskSet, expert_backward_scale: f64) -> TaskSet {
-    let r = forward.r();
-    let mut out = TaskSet::uniform(
-        r,
-        forward.duration(TaskKind::Compress1, 0),
-        forward.duration(TaskKind::AllToAll1, 0),
-        forward.duration(TaskKind::Decompress1, 0),
-        forward.duration(TaskKind::Expert, 0) * expert_backward_scale,
-    );
-    // Preserve any per-chunk overrides.
-    for chunk in 0..r {
-        for kind in TaskKind::ALL {
-            let scale = if kind == TaskKind::Expert {
-                expert_backward_scale
-            } else {
-                1.0
-            };
-            out.set_duration(kind, chunk, forward.duration(kind, chunk) * scale);
-        }
+    let mut out = forward.clone();
+    for chunk in 0..forward.r() {
+        let expert = forward.duration(TaskKind::Expert, chunk);
+        out.set_duration(TaskKind::Expert, chunk, expert * expert_backward_scale);
     }
     out
-}
-
-/// The optimal backward-pass order.
-///
-/// Relabelling the reversed chain onto the forward task names (position
-/// 1 ↔ gradient-of-C2, etc.) shows the backward problem *is* the forward
-/// problem with different durations, so the OptSche order itself is
-/// optimal for it; only the semantic labels differ. This function exists
-/// to make that reasoning explicit at the call site.
-pub fn optsche_backward(r: usize) -> Schedule {
-    optsche(r)
-}
-
-/// Total simulated time of one layer's forward + backward under OptSche.
-pub fn layer_fwd_bwd_makespan(forward: &TaskSet, expert_backward_scale: f64) -> SimTime {
-    let r = forward.r();
-    let fwd = optsche(r).makespan(forward).expect("optsche is valid");
-    let bwd_tasks = backward_task_set(forward, expert_backward_scale);
-    let bwd = optsche_backward(r)
-        .makespan(&bwd_tasks)
-        .expect("optsche is valid");
-    fwd + bwd
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedules::brute_force_best;
+    use crate::schedules::{brute_force_best, optsche};
+    use schemoe_netsim::SimTime;
 
     fn fwd(r: usize) -> TaskSet {
         TaskSet::uniform(
@@ -118,19 +78,7 @@ mod tests {
         // Not by symmetry — by exhaustive search on the backward task set.
         let b = backward_task_set(&fwd(2), 2.0);
         let (_, best) = brute_force_best(&b);
-        let opt = optsche_backward(2).makespan(&b).expect("valid");
+        let opt = optsche(2).makespan(&b).expect("valid");
         assert!((opt.as_secs() - best.as_secs()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fwd_bwd_makespan_adds_both_passes() {
-        let f = fwd(2);
-        let total = layer_fwd_bwd_makespan(&f, 2.0);
-        let fwd_only = optsche(2).makespan(&f).expect("valid");
-        assert!(total > fwd_only);
-        assert!(
-            total < fwd_only * 3.0,
-            "backward should not triple the layer"
-        );
     }
 }

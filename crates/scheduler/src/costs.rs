@@ -1,4 +1,5 @@
-//! Builds a [`TaskSet`] for a concrete MoE layer on concrete hardware.
+//! The layer shape (Eq. 1–2) and the [`TaskSet`] it costs on concrete
+//! hardware.
 
 use schemoe_cluster::{HardwareProfile, Topology};
 use schemoe_collectives::AllToAll;
@@ -6,37 +7,71 @@ use schemoe_netsim::SimTime;
 
 use crate::task::TaskSet;
 
-/// The per-layer quantities that determine task durations.
-///
-/// `tokens` is the *assigned* token count per GPU after capacity padding
-/// (`f · k · B · L`), so the A2A payload is `tokens × model_dim × 4` bytes
-/// (paper Eq. 2) and the expert GEMM volume is `4 · tokens · M · H` FLOPs.
-#[derive(Clone, Copy, Debug)]
-pub struct MoeLayerCosts {
-    /// Assigned tokens per GPU (`f · k · B · L`).
-    pub tokens: usize,
+/// The size parameters of one MoE layer on one GPU (paper Table 2): the
+/// one owner of Eq. 1–2.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LayerShape {
+    /// Tokens per GPU per step, `B × L`.
+    pub tokens_per_gpu: usize,
     /// Embedding size `M`.
     pub model_dim: usize,
     /// Expert hidden size `H`.
     pub hidden_dim: usize,
+    /// Total experts `E`.
+    pub experts: usize,
+    /// Top-k routing.
+    pub k: usize,
+    /// Capacity factor `f`.
+    pub capacity_factor: f64,
+}
+
+impl LayerShape {
+    /// Assigned tokens per GPU after capacity padding, `f · k · B · L`.
+    pub fn assigned_tokens(&self) -> usize {
+        (self.capacity_factor * self.k as f64 * self.tokens_per_gpu as f64).ceil() as usize
+    }
+
+    /// Per-GPU A2A payload in bytes (Eq. 2 with `b = 32`).
+    pub fn a2a_bytes(&self) -> u64 {
+        self.assigned_tokens() as u64 * self.model_dim as u64 * 4
+    }
+
+    /// Forward expert FLOPs per GPU (two GEMMs over the assigned tokens).
+    pub fn expert_flops(&self) -> u64 {
+        4 * self.assigned_tokens() as u64 * self.model_dim as u64 * self.hidden_dim as u64
+    }
+
+    /// Per-GPU expert weight bytes with experts sharded over `world` GPUs
+    /// (fp32 value + grad + two Adam moments).
+    pub fn expert_state_bytes(&self, world: usize) -> u64 {
+        let local = self.experts.div_ceil(world).max(1) as u64;
+        let params =
+            (2 * self.model_dim * self.hidden_dim + self.model_dim + self.hidden_dim) as u64;
+        local * params * 16
+    }
+
+    /// This shape under a codec of the given compression ratio.
+    pub fn costs(&self, compression_ratio: f64) -> MoeLayerCosts {
+        MoeLayerCosts {
+            shape: *self,
+            compression_ratio,
+        }
+    }
+}
+
+/// What determines a layer's task durations: its shape and the wire codec.
+#[derive(Clone, Copy, Debug)]
+pub struct MoeLayerCosts {
+    /// The layer.
+    pub shape: LayerShape,
     /// Compression ratio of the configured codec (1.0 = none).
     pub compression_ratio: f64,
 }
 
 impl MoeLayerCosts {
-    /// Uncompressed A2A payload per GPU in bytes (Eq. 2 with `b = 32`).
-    pub fn a2a_bytes(&self) -> u64 {
-        self.tokens as u64 * self.model_dim as u64 * 4
-    }
-
     /// Compressed payload crossing the wire.
     pub fn wire_bytes(&self) -> u64 {
-        (self.a2a_bytes() as f64 / self.compression_ratio) as u64
-    }
-
-    /// Forward expert FLOPs per GPU (two GEMMs).
-    pub fn expert_flops(&self) -> u64 {
-        4 * self.tokens as u64 * self.model_dim as u64 * self.hidden_dim as u64
+        (self.shape.a2a_bytes() as f64 / self.compression_ratio) as u64
     }
 
     /// Compiles the `7 × r` task durations for this layer.
@@ -55,9 +90,9 @@ impl MoeLayerCosts {
         r: usize,
     ) -> TaskSet {
         assert!(r > 0, "at least one chunk required");
-        let chunk_bytes = self.a2a_bytes() / r as u64;
+        let chunk_bytes = self.shape.a2a_bytes() / r as u64;
         let chunk_wire = self.wire_bytes() / r as u64;
-        let chunk_flops = self.expert_flops() / r as u64;
+        let chunk_flops = self.shape.expert_flops() / r as u64;
         let compress = if self.compression_ratio > 1.0 {
             hw.compress_time(chunk_bytes)
         } else {
@@ -86,30 +121,62 @@ mod tests {
     use crate::task::TaskKind;
     use schemoe_collectives::{NcclA2A, PipeA2A};
 
-    fn costs() -> MoeLayerCosts {
-        // The Table 10 ablation layer: B=8, f=1.2, L=2048, k=2, M=H=8192.
-        MoeLayerCosts {
-            tokens: (1.2 * 2.0 * 8.0 * 2048.0) as usize,
+    /// The Table 10 ablation layer: B=8, f=1.2, L=2048, k=2, M=H=8192.
+    fn shape() -> LayerShape {
+        LayerShape {
+            tokens_per_gpu: 8 * 2048,
             model_dim: 8192,
             hidden_dim: 8192,
-            compression_ratio: 1.0,
+            experts: 32,
+            k: 2,
+            capacity_factor: 1.2,
         }
+    }
+
+    fn costs() -> MoeLayerCosts {
+        shape().costs(1.0)
     }
 
     #[test]
     fn payload_matches_eq2() {
-        let c = costs();
+        let s = shape();
         // S = f·k·B·L·M·4 = 1.2·2·8·2048·8192·4 ≈ 1.29 GB.
-        assert_eq!(c.a2a_bytes(), 39321 * 8192 * 4);
-        assert!((c.a2a_bytes() as f64 - 1.29e9).abs() < 0.01e9);
+        assert_eq!(s.assigned_tokens(), 39322);
+        assert_eq!(s.a2a_bytes(), 39322 * 8192 * 4);
+        assert!((s.a2a_bytes() as f64 - 1.29e9).abs() < 0.01e9);
+    }
+
+    #[test]
+    fn derived_quantities_follow_the_formulas() {
+        let s = LayerShape {
+            tokens_per_gpu: 4096,
+            model_dim: 512,
+            hidden_dim: 1024,
+            capacity_factor: 1.25,
+            ..shape()
+        };
+        assert_eq!(s.assigned_tokens(), (1.25f64 * 2.0 * 4096.0) as usize);
+        assert_eq!(s.a2a_bytes(), s.assigned_tokens() as u64 * 512 * 4);
+        assert_eq!(
+            s.expert_flops(),
+            4 * s.assigned_tokens() as u64 * 512 * 1024
+        );
+    }
+
+    #[test]
+    fn expert_state_shards_across_the_world() {
+        let s = shape();
+        // 32 experts on 32 GPUs: one local expert.
+        let one = s.expert_state_bytes(32);
+        // On 8 GPUs: four local experts.
+        assert_eq!(s.expert_state_bytes(8), 4 * one);
     }
 
     #[test]
     fn compression_shrinks_wire_but_not_flops() {
-        let mut c = costs();
-        c.compression_ratio = 4.0;
-        assert_eq!(c.wire_bytes(), c.a2a_bytes() / 4);
-        assert_eq!(c.expert_flops(), costs().expert_flops());
+        let c = shape().costs(4.0);
+        assert_eq!(c.wire_bytes(), c.shape.a2a_bytes() / 4);
+        assert_eq!(c.shape.expert_flops(), costs().shape.expert_flops());
     }
 
     #[test]
@@ -134,8 +201,7 @@ mod tests {
         let topo = Topology::paper_testbed();
         let hw = HardwareProfile::paper_testbed();
         let naive = naive_makespan(&costs().task_set(&topo, &hw, &NcclA2A, 1));
-        let mut zc = costs();
-        zc.compression_ratio = 4.0;
+        let zc = shape().costs(4.0);
         let with_zfp = naive_makespan(&zc.task_set(&topo, &hw, &NcclA2A, 1));
         let with_pipe = naive_makespan(&zc.task_set(&topo, &hw, &PipeA2A::new(), 1));
         let sched_ts = zc.task_set(&topo, &hw, &PipeA2A::new(), 2);

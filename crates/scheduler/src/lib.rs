@@ -9,18 +9,19 @@
 //!
 //! This crate provides:
 //!
-//! * [`TaskKind`] / [`TaskSet`] — the task taxonomy with per-chunk
-//!   durations.
+//! * [`TaskKind`] / [`Pass`] / [`TaskSet`] — the seven-stage chain, the
+//!   pass a stage belongs to, and per-chunk durations.
 //! * [`Schedule`] — a total order of the computing tasks (communication
 //!   fires as soon as ready, Eq. 13–14), plus the makespan evaluator that
 //!   compiles a schedule onto the two-stream simulator.
 //! * [`schedules`] — the schedule zoo: the no-overlap baseline, the
 //!   stage-major pipeline existing systems use, **OptSche** (Theorem 1),
-//!   and an exhaustive-search oracle used to verify OptSche's optimality.
-//! * [`Profiler`] — per-task-kind linear performance models fitted from
+//!   an exhaustive-search oracle used to verify OptSche's optimality, and
+//!   the one partition-degree chooser ([`choose_degree`]).
+//! * [`Profiler`] — per-stage linear performance models fitted from
 //!   recorded samples (§3.2).
-//! * [`costs`] — builds a [`TaskSet`] for a concrete layer configuration
-//!   from a hardware profile, an A2A algorithm, and a codec ratio.
+//! * [`costs`] — [`LayerShape`] (Eq. 1–2) and the [`TaskSet`] it costs on
+//!   a hardware profile under an A2A algorithm and a codec ratio.
 //! * [`executor`] — a real two-worker overlap executor that runs closures
 //!   in a schedule's order with genuine wall-clock comm/comp overlap.
 
@@ -32,9 +33,12 @@ pub mod schedule;
 pub mod schedules;
 pub mod task;
 
-pub use backward::{backward_task_set, layer_fwd_bwd_makespan, optsche_backward};
-pub use costs::MoeLayerCosts;
+pub use backward::backward_task_set;
+pub use costs::{LayerShape, MoeLayerCosts};
 pub use profiler::{span_kind, Profiler};
 pub use schedule::{Schedule, ScheduleError};
-pub use schedules::{brute_force_best, chain_orders, naive_makespan, optsche, stage_major};
-pub use task::{TaskKind, TaskSet};
+pub use schedules::{
+    brute_force_best, chain_orders, choose_degree, naive_makespan, optsche, optsche_makespan,
+    stage_major, Uncovered,
+};
+pub use task::{Pass, Stage, TaskKind, TaskSet};

@@ -6,37 +6,27 @@ use schemoe_netsim::cost::LinearModel;
 use schemoe_netsim::SimTime;
 use schemoe_obs::FuncTrace;
 
-use crate::task::TaskKind;
+use crate::task::{Pass, Stage, TaskKind};
 
-/// The [`TaskKind`] a recorded span feeds, if any.
+/// The [`Stage`] a recorded span feeds, if any.
 ///
 /// The MoE pipeline names its stage spans `"C1"`, `"A1[c3]"`, etc. — the
 /// stage mnemonic, optionally followed by a bracketed chunk index. The part
-/// before `'['` identifies the kind; backward-pass spans use distinct
-/// mnemonics (`"A1b"`) and feed the backward kinds, never the forward
-/// models.
-pub fn span_kind(name: &str) -> Option<TaskKind> {
+/// before `'['` is a [`TaskKind::label`] stem plus, for the backward pass,
+/// a trailing `b` (`"A1b"`) — what [`Pass::label`] prints — so backward
+/// spans never feed the forward models. Anything else — the `"A1bw[p1]"`
+/// wait spans included — is not a stage.
+pub fn span_kind(name: &str) -> Option<Stage> {
     let stem = name.split('[').next().unwrap_or(name);
-    match stem {
-        "C1" => Some(TaskKind::Compress1),
-        "A1" => Some(TaskKind::AllToAll1),
-        "D1" => Some(TaskKind::Decompress1),
-        "E" => Some(TaskKind::Expert),
-        "C2" => Some(TaskKind::Compress2),
-        "A2" => Some(TaskKind::AllToAll2),
-        "D2" => Some(TaskKind::Decompress2),
-        "C1b" => Some(TaskKind::BwdCompress1),
-        "A1b" => Some(TaskKind::BwdAllToAll1),
-        "D1b" => Some(TaskKind::BwdDecompress1),
-        "Eb" => Some(TaskKind::BwdExpert),
-        "C2b" => Some(TaskKind::BwdCompress2),
-        "A2b" => Some(TaskKind::BwdAllToAll2),
-        "D2b" => Some(TaskKind::BwdDecompress2),
-        _ => None,
-    }
+    let (pass, stem) = match stem.strip_suffix('b') {
+        Some(forward_stem) => (Pass::Backward, forward_stem),
+        None => (Pass::Forward, stem),
+    };
+    let kind = TaskKind::ALL.into_iter().find(|k| k.label() == stem)?;
+    Some((pass, kind))
 }
 
-/// Records `(size, time)` samples per task kind and fits `t = a + b·size`
+/// Records `(size, time)` samples per stage and fits `t = a + b·size`
 /// models on demand.
 ///
 /// "Size" is task-type specific: bytes for compression and A2A, FLOPs for
@@ -44,7 +34,7 @@ pub fn span_kind(name: &str) -> Option<TaskKind> {
 /// opaque here as long as recording and prediction agree.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    samples: HashMap<TaskKind, Vec<(f64, f64)>>,
+    samples: HashMap<Stage, Vec<(f64, f64)>>,
 }
 
 impl Profiler {
@@ -53,70 +43,63 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// Records one observation of a task of `kind` at `size` taking `t`.
-    pub fn record(&mut self, kind: TaskKind, size: f64, t: SimTime) {
+    /// Records one observation of a task of `stage` at `size` taking `t`.
+    pub fn record(&mut self, stage: Stage, size: f64, t: SimTime) {
         self.samples
-            .entry(kind)
+            .entry(stage)
             .or_default()
             .push((size, t.as_secs()));
     }
 
-    /// Number of samples recorded for `kind`.
-    pub fn sample_count(&self, kind: TaskKind) -> usize {
-        self.samples.get(&kind).map_or(0, Vec::len)
+    /// Number of samples recorded for `stage`.
+    pub fn sample_count(&self, stage: Stage) -> usize {
+        self.samples.get(&stage).map_or(0, Vec::len)
     }
 
-    /// Whether `kind` has at least one sample (so [`predict`](Self::predict)
-    /// returns `Some`).
-    pub fn covers(&self, kind: TaskKind) -> bool {
-        self.sample_count(kind) > 0
-    }
-
-    /// The kinds in `kinds` that have no samples yet — the coverage gap a
-    /// caller must close (or refuse to decide on) before trusting a
-    /// makespan comparison.
-    pub fn missing_kinds(&self, kinds: &[TaskKind]) -> Vec<TaskKind> {
-        kinds.iter().copied().filter(|&k| !self.covers(k)).collect()
+    /// Whether `stage` has at least one sample (so
+    /// [`predict`](Self::predict) returns `Some`).
+    pub fn covers(&self, stage: Stage) -> bool {
+        self.sample_count(stage) > 0
     }
 
     /// Feeds every stage span of a measured trace into the models.
     ///
     /// This is the measured-side closing of the paper's profiling loop: the
     /// same spans the recorder captures for the Perfetto timeline become
-    /// `(size, time)` samples for [`TaskKind`] prediction, so OptSche plans
+    /// `(size, time)` samples for per-stage prediction, so OptSche plans
     /// future steps from what the hardware actually did. Spans whose names
     /// are not stage mnemonics (fabric sends, trainer phases, …) are
     /// ignored. Returns the number of samples ingested.
     pub fn ingest_trace(&mut self, trace: &FuncTrace) -> usize {
         let mut n = 0;
         for s in &trace.spans {
-            if let Some(kind) = span_kind(&s.name) {
-                self.record(kind, s.size, SimTime::from_secs(s.dur_us * 1e-6));
+            if let Some(stage) = span_kind(&s.name) {
+                self.record(stage, s.size, SimTime::from_secs(s.dur_us * 1e-6));
                 n += 1;
             }
         }
         n
     }
 
-    /// Fits the linear model for `kind`; `None` until two distinct sizes
+    /// Fits the linear model for `stage`; `None` until two distinct sizes
     /// have been recorded.
-    pub fn model(&self, kind: TaskKind) -> Option<LinearModel> {
-        LinearModel::fit(self.samples.get(&kind)?)
+    pub fn model(&self, stage: Stage) -> Option<LinearModel> {
+        LinearModel::fit(self.samples.get(&stage)?)
     }
 
-    /// Predicts the duration of a task of `kind` at `size`.
+    /// Predicts the duration of a task of `stage` at `size`.
     ///
     /// Falls back to the mean of recorded samples when the model is
     /// unidentifiable (all samples at one size). Returns `None` when the
-    /// kind has no samples at all: an unmeasured stage is *unknown*, not
+    /// stage has no samples at all: an unmeasured stage is *unknown*, not
     /// free, and callers comparing makespans must treat missing coverage as
     /// "cannot decide" rather than zero cost (the old zero-cost fallback
     /// made `choose_degree` over-pipeline whenever one kind was unsampled).
-    pub fn predict(&self, kind: TaskKind, size: f64) -> Option<SimTime> {
-        if let Some(m) = self.model(kind) {
+    pub fn predict(&self, stage: Stage, size: f64) -> Option<SimTime> {
+        if let Some(m) = self.model(stage) {
             return Some(m.predict(size));
         }
-        let s = self.samples.get(&kind)?;
+        let s = self.samples.get(&stage)?;
         if s.is_empty() {
             return None;
         }
@@ -130,45 +113,57 @@ impl Profiler {
 mod tests {
     use super::*;
 
+    const FWD: Pass = Pass::Forward;
+    const BWD: Pass = Pass::Backward;
+
+    #[test]
+    fn span_names_round_trip_through_label_and_span_kind() {
+        for pass in [FWD, BWD] {
+            for kind in TaskKind::ALL {
+                let stem = pass.label(kind);
+                for name in [stem.clone(), format!("{stem}[c3]"), format!("{stem}[p1]")] {
+                    assert_eq!(span_kind(&name), Some((pass, kind)), "{name}");
+                }
+            }
+        }
+        // Wait spans, fabric sends and trainer phases are not stages.
+        for name in ["A1bw[p1]", "send->3", "gate", "b", ""] {
+            assert_eq!(span_kind(name), None, "{name}");
+        }
+    }
+
     #[test]
     fn fits_linear_task_model() {
+        let a1 = (FWD, TaskKind::AllToAll1);
         let mut p = Profiler::new();
         for i in 1..=8u32 {
             let size = i as f64 * 1e6;
-            p.record(
-                TaskKind::AllToAll1,
-                size,
-                SimTime::from_secs(1e-4 + size * 1e-9),
-            );
+            p.record(a1, size, SimTime::from_secs(1e-4 + size * 1e-9));
         }
-        assert_eq!(p.sample_count(TaskKind::AllToAll1), 8);
-        let m = p.model(TaskKind::AllToAll1).unwrap();
+        assert_eq!(p.sample_count(a1), 8);
+        let m = p.model(a1).unwrap();
         assert!((m.a - 1e-4).abs() < 1e-7);
         assert!((m.b - 1e-9).abs() < 1e-12);
-        let pred = p.predict(TaskKind::AllToAll1, 20e6).unwrap();
+        let pred = p.predict(a1, 20e6).unwrap();
         assert!((pred.as_secs() - (1e-4 + 0.02)).abs() < 1e-6);
     }
 
     #[test]
     fn single_size_falls_back_to_mean() {
+        let e = (FWD, TaskKind::Expert);
         let mut p = Profiler::new();
-        p.record(TaskKind::Expert, 100.0, SimTime::from_ms(2.0));
-        p.record(TaskKind::Expert, 100.0, SimTime::from_ms(4.0));
-        assert!(p.model(TaskKind::Expert).is_none());
-        assert_eq!(
-            p.predict(TaskKind::Expert, 100.0),
-            Some(SimTime::from_ms(3.0))
-        );
+        p.record(e, 100.0, SimTime::from_ms(2.0));
+        p.record(e, 100.0, SimTime::from_ms(4.0));
+        assert!(p.model(e).is_none());
+        assert_eq!(p.predict(e, 100.0), Some(SimTime::from_ms(3.0)));
     }
 
     #[test]
     fn unknown_kind_predicts_none_not_zero() {
         let p = Profiler::new();
-        assert_eq!(p.predict(TaskKind::Compress1, 1e6), None);
-        assert!(!p.covers(TaskKind::Compress1));
-        assert_eq!(
-            p.missing_kinds(&TaskKind::ALL),
-            TaskKind::ALL.to_vec(),
+        assert_eq!(p.predict((FWD, TaskKind::Compress1), 1e6), None);
+        assert!(
+            TaskKind::ALL.iter().all(|&k| !p.covers((FWD, k))),
             "everything is missing on an empty profiler"
         );
     }
@@ -178,11 +173,14 @@ mod tests {
         let mut p = Profiler::new();
         for k in TaskKind::ALL {
             if k != TaskKind::AllToAll2 {
-                p.record(k, 1.0, SimTime::from_ms(1.0));
+                p.record((FWD, k), 1.0, SimTime::from_ms(1.0));
             }
         }
-        assert_eq!(p.missing_kinds(&TaskKind::ALL), vec![TaskKind::AllToAll2]);
-        assert!(p.covers(TaskKind::Compress1));
+        let missing: Vec<_> = TaskKind::ALL
+            .into_iter()
+            .filter(|&k| !p.covers((FWD, k)))
+            .collect();
+        assert_eq!(missing, vec![TaskKind::AllToAll2]);
     }
 
     #[test]
@@ -204,7 +202,7 @@ mod tests {
                 mk("E[c0]", 5e5, 700.0),
                 // Not a stage mnemonic: fabric send.
                 mk("send->3", 1e6, 50.0),
-                // Backward A2A feeds the backward kind, not the forward one.
+                // Backward A2A feeds the backward stage, not the forward one.
                 mk("A1b[c0]", 1e6, 900.0),
             ],
             counters: Vec::new(),
@@ -212,29 +210,30 @@ mod tests {
         };
         let mut p = Profiler::new();
         assert_eq!(p.ingest_trace(&trace), 4);
-        assert_eq!(p.sample_count(TaskKind::AllToAll1), 2);
-        assert_eq!(p.sample_count(TaskKind::BwdAllToAll1), 1);
-        assert_eq!(p.sample_count(TaskKind::Expert), 1);
+        assert_eq!(p.sample_count((FWD, TaskKind::AllToAll1)), 2);
+        assert_eq!(p.sample_count((BWD, TaskKind::AllToAll1)), 1);
+        assert_eq!(p.sample_count((FWD, TaskKind::Expert)), 1);
         // Two distinct A1 sizes identify a model: 1 ms per MB, no offset.
-        let pred = p.predict(TaskKind::AllToAll1, 4e6).unwrap();
+        let pred = p.predict((FWD, TaskKind::AllToAll1), 4e6).unwrap();
         assert!((pred.as_secs() - 4e-3).abs() < 1e-9, "{pred:?}");
     }
 
     #[test]
     fn backward_spans_never_feed_forward_models() {
         let mut p = Profiler::new();
-        p.record(TaskKind::BwdAllToAll1, 1e6, SimTime::from_ms(9.0));
-        assert_eq!(p.sample_count(TaskKind::AllToAll1), 0);
-        assert_eq!(p.predict(TaskKind::AllToAll1, 1e6), None);
+        p.record((BWD, TaskKind::AllToAll1), 1e6, SimTime::from_ms(9.0));
+        assert_eq!(p.sample_count((FWD, TaskKind::AllToAll1)), 0);
+        assert_eq!(p.predict((FWD, TaskKind::AllToAll1), 1e6), None);
     }
 
     #[test]
     fn kinds_are_modelled_independently() {
+        let (c1, d1) = ((FWD, TaskKind::Compress1), (FWD, TaskKind::Decompress1));
         let mut p = Profiler::new();
-        p.record(TaskKind::Compress1, 1.0, SimTime::from_ms(1.0));
-        p.record(TaskKind::Compress1, 2.0, SimTime::from_ms(2.0));
-        p.record(TaskKind::Decompress1, 1.0, SimTime::from_ms(10.0));
-        p.record(TaskKind::Decompress1, 2.0, SimTime::from_ms(20.0));
-        assert!(p.predict(TaskKind::Decompress1, 3.0) > p.predict(TaskKind::Compress1, 3.0));
+        p.record(c1, 1.0, SimTime::from_ms(1.0));
+        p.record(c1, 2.0, SimTime::from_ms(2.0));
+        p.record(d1, 1.0, SimTime::from_ms(10.0));
+        p.record(d1, 2.0, SimTime::from_ms(20.0));
+        assert!(p.predict(d1, 3.0) > p.predict(c1, 3.0));
     }
 }

@@ -54,6 +54,54 @@ pub fn optsche(r: usize) -> Schedule {
     Schedule::new(order)
 }
 
+/// The OptSche makespan of `tasks` at their own partition degree (the
+/// order is dependency-valid for every `r`, so this cannot fail).
+pub fn optsche_makespan(tasks: &TaskSet) -> SimTime {
+    optsche(tasks.r())
+        .makespan(tasks)
+        .expect("optsche is dependency-valid")
+}
+
+/// What [`choose_degree`] does with a candidate whose makespan cannot be
+/// predicted: an unmeasured stage is unknown, never free, so it can never
+/// argue for more pipelining.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Uncovered {
+    /// Leave the candidate out of the comparison.
+    Skip,
+    /// Decide nothing (`None`): the caller keeps the degree it has.
+    Keep,
+}
+
+/// The candidate partition degree with the smallest predicted makespan.
+///
+/// OptSche is optimal for any fixed `r` (Theorem 1); choosing `r` is the
+/// orthogonal problem the paper defers to profiling. Candidates are tried
+/// in ascending order and only a strictly smaller makespan displaces the
+/// incumbent, so the smallest degree — serial, when it is a candidate —
+/// wins ties. `None` when no candidate could be compared.
+pub fn choose_degree(
+    candidates: &[usize],
+    uncovered: Uncovered,
+    predict: impl Fn(usize) -> Option<SimTime>,
+) -> Option<usize> {
+    let mut ascending = candidates.to_vec();
+    ascending.sort_unstable();
+    let mut best: Option<(usize, SimTime)> = None;
+    for r in ascending {
+        let Some(makespan) = predict(r) else {
+            match uncovered {
+                Uncovered::Skip => continue,
+                Uncovered::Keep => return None,
+            }
+        };
+        if best.is_none_or(|(_, incumbent)| makespan < incumbent) {
+            best = Some((r, makespan));
+        }
+    }
+    best.map(|(r, _)| r)
+}
+
 /// Calls `visit` with every schedule that interleaves the `r` per-chunk
 /// chains `C1 ≺ D1 ≺ E ≺ C2 ≺ D2` — the dependency-respecting computing
 /// orders; any other order deadlocks and can never win. There are

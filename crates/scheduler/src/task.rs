@@ -2,14 +2,12 @@
 
 use schemoe_netsim::SimTime;
 
-/// The seven task types of one MoE layer pass (paper Eq. 3), plus their
-/// backward-pass mirrors (paper §2.3: the dependency between A2A and
-/// expert tasks is reversed, but the task taxonomy is the same shape).
+/// The seven task types of one MoE layer pass (paper Eq. 3), in chain
+/// order: a kind's discriminant is its position in the per-chunk chain.
 ///
-/// Forward kinds and backward kinds are modelled independently: a
-/// gradient exchange travels uncompressed and the expert backward runs
-/// the dX+dW pair, so their durations share nothing with the forward
-/// stages beyond the pipeline structure.
+/// The backward pass has the same chain shape (paper §2.3: only the
+/// dependency between A2A and expert tasks is reversed), so a backward
+/// stage is a [`Pass::Backward`] beside the same seven kinds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TaskKind {
     /// First data compression `C1` (before dispatch).
@@ -26,27 +24,37 @@ pub enum TaskKind {
     AllToAll2,
     /// Second decompression `D2` (after combine).
     Decompress2,
-    /// Backward: combine-gradient build + encode `C1b`.
-    BwdCompress1,
-    /// Backward: output-gradient all-to-all `A1b` (lane `LANE_BWD_GRAD`).
-    BwdAllToAll1,
-    /// Backward: gradient decode `D1b`.
-    BwdDecompress1,
-    /// Backward: expert dX+dW computation `Eb`.
-    BwdExpert,
-    /// Backward: input-gradient build + encode `C2b`.
-    BwdCompress2,
-    /// Backward: input-gradient all-to-all `A2b` (lane `LANE_BWD_RETURN`).
-    BwdAllToAll2,
-    /// Backward: input-gradient decode + scatter `D2b`.
-    BwdDecompress2,
 }
 
+/// Which pass of the layer a stage belongs to.
+///
+/// The two passes are modelled independently: a gradient exchange travels
+/// uncompressed and the expert backward runs the dX+dW pair, so their
+/// durations share nothing with the forward stages beyond the chain shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Pass {
+    /// The forward pass.
+    Forward,
+    /// The backward pass (span stems carry a trailing `b`: `A1b`, `Eb`).
+    Backward,
+}
+
+impl Pass {
+    /// The span stem of `kind` in this pass — what
+    /// [`span_kind`](crate::span_kind) parses back.
+    pub fn label(self, kind: TaskKind) -> String {
+        match self {
+            Pass::Forward => kind.label().to_string(),
+            Pass::Backward => format!("{}b", kind.label()),
+        }
+    }
+}
+
+/// One stage of a training step: the profiler's key.
+pub type Stage = (Pass, TaskKind);
+
 impl TaskKind {
-    /// All *forward* kinds in data-dependency order. ([`TaskSet`] and the
-    /// schedule zoo are defined over this seven-kind pipeline; backward
-    /// durations are mapped onto the same positions by
-    /// [`crate::backward`].)
+    /// All kinds in data-dependency order.
     pub const ALL: [TaskKind; 7] = [
         TaskKind::Compress1,
         TaskKind::AllToAll1,
@@ -57,7 +65,7 @@ impl TaskKind {
         TaskKind::Decompress2,
     ];
 
-    /// Forward computing-task kinds only, in dependency order.
+    /// Computing-task kinds only, in dependency order.
     pub const COMPUTE: [TaskKind; 5] = [
         TaskKind::Compress1,
         TaskKind::Decompress1,
@@ -66,65 +74,19 @@ impl TaskKind {
         TaskKind::Decompress2,
     ];
 
-    /// The backward-pass kinds in data-dependency order, mirroring
-    /// [`Self::ALL`] position by position.
-    pub const BACKWARD: [TaskKind; 7] = [
-        TaskKind::BwdCompress1,
-        TaskKind::BwdAllToAll1,
-        TaskKind::BwdDecompress1,
-        TaskKind::BwdExpert,
-        TaskKind::BwdCompress2,
-        TaskKind::BwdAllToAll2,
-        TaskKind::BwdDecompress2,
-    ];
-
     /// Whether the task occupies the network (a CommTask).
     pub fn is_comm(self) -> bool {
-        matches!(
-            self,
-            TaskKind::AllToAll1
-                | TaskKind::AllToAll2
-                | TaskKind::BwdAllToAll1
-                | TaskKind::BwdAllToAll2
-        )
-    }
-
-    /// Whether this is a backward-pass kind.
-    pub fn is_backward(self) -> bool {
-        TaskKind::BACKWARD.contains(&self)
-    }
-
-    /// The forward kind occupying the same pipeline position as this
-    /// backward kind (identity for forward kinds). This is how backward
-    /// durations are laid into a [`TaskSet`], whose positions are the
-    /// forward pipeline's.
-    pub fn forward_position(self) -> TaskKind {
-        match TaskKind::BACKWARD.iter().position(|&k| k == self) {
-            Some(pos) => TaskKind::ALL[pos],
-            None => self,
-        }
+        matches!(self, TaskKind::AllToAll1 | TaskKind::AllToAll2)
     }
 
     /// The immediately preceding kind in the per-chunk dependency chain,
-    /// or `None` for the chain head (`C1` / `C1b`).
+    /// or `None` for the chain head `C1`.
     pub fn predecessor(self) -> Option<TaskKind> {
-        let chain: &[TaskKind] = if self.is_backward() {
-            &TaskKind::BACKWARD
-        } else {
-            &TaskKind::ALL
-        };
-        let pos = chain
-            .iter()
-            .position(|&k| k == self)
-            .expect("kind in chain");
-        if pos == 0 {
-            None
-        } else {
-            Some(chain[pos - 1])
-        }
+        (self as usize).checked_sub(1).map(|pos| TaskKind::ALL[pos])
     }
 
-    /// Short label (`C1`, `A1`, ..., `C1b`, `A1b`, ...).
+    /// Short label (`C1`, `A1`, ..., `D2`): the stem of the stage's span
+    /// names.
     pub fn label(self) -> &'static str {
         match self {
             TaskKind::Compress1 => "C1",
@@ -134,13 +96,6 @@ impl TaskKind {
             TaskKind::Compress2 => "C2",
             TaskKind::AllToAll2 => "A2",
             TaskKind::Decompress2 => "D2",
-            TaskKind::BwdCompress1 => "C1b",
-            TaskKind::BwdAllToAll1 => "A1b",
-            TaskKind::BwdDecompress1 => "D1b",
-            TaskKind::BwdExpert => "Eb",
-            TaskKind::BwdCompress2 => "C2b",
-            TaskKind::BwdAllToAll2 => "A2b",
-            TaskKind::BwdDecompress2 => "D2b",
         }
     }
 }
@@ -151,15 +106,12 @@ impl TaskKind {
 /// one duration per kind suffices; per-chunk overrides are available for
 /// experiments with non-uniform splits.
 ///
-/// Positions are the *forward* pipeline's; a backward pass is represented
-/// by a second `TaskSet` holding backward durations in the same positions
-/// (see [`crate::backward`]). Backward [`TaskKind`]s are accepted by
-/// [`duration`](Self::duration) / [`set_duration`](Self::set_duration) and
-/// map onto their mirrored position.
+/// A backward pass is a second `TaskSet` holding backward durations in the
+/// same positions (see [`crate::backward`]).
 #[derive(Clone, Debug)]
 pub struct TaskSet {
     r: usize,
-    /// Duration per kind per chunk; `durations[kind_pos][chunk]`.
+    /// Duration per kind per chunk; `durations[kind as usize][chunk]`.
     durations: Vec<Vec<SimTime>>,
 }
 
@@ -207,32 +159,22 @@ impl TaskSet {
         self.r
     }
 
-    fn pos(kind: TaskKind) -> usize {
-        let fwd = kind.forward_position();
-        TaskKind::ALL
-            .iter()
-            .position(|&k| k == fwd)
-            .expect("forward_position lands in ALL")
-    }
-
-    /// Duration of `(kind, chunk)`. Backward kinds address the mirrored
-    /// forward position.
+    /// Duration of `(kind, chunk)`.
     ///
     /// # Panics
     ///
     /// Panics if `chunk >= r`.
     pub fn duration(&self, kind: TaskKind, chunk: usize) -> SimTime {
-        self.durations[Self::pos(kind)][chunk]
+        self.durations[kind as usize][chunk]
     }
 
-    /// Overrides the duration of one `(kind, chunk)` task. Backward kinds
-    /// address the mirrored forward position.
+    /// Overrides the duration of one `(kind, chunk)` task.
     ///
     /// # Panics
     ///
     /// Panics if `chunk >= r`.
     pub fn set_duration(&mut self, kind: TaskKind, chunk: usize, t: SimTime) {
-        self.durations[Self::pos(kind)][chunk] = t;
+        self.durations[kind as usize][chunk] = t;
     }
 
     /// Sum of all task durations (the no-overlap time, Eq. 10).

@@ -1,8 +1,11 @@
-//! Property-based verification of Theorem 1: OptSche is optimal.
+//! Property-based verification of Theorem 1: OptSche is optimal — and of
+//! the one partition-degree chooser built on it.
 
 use proptest::prelude::*;
 use schemoe_netsim::SimTime;
-use schemoe_scheduler::{brute_force_best, naive_makespan, optsche, stage_major, TaskSet};
+use schemoe_scheduler::{
+    brute_force_best, choose_degree, naive_makespan, optsche, stage_major, TaskSet, Uncovered,
+};
 
 fn random_tasks(r: usize) -> impl Strategy<Value = TaskSet> {
     (0.01f64..20.0, 0.01f64..50.0, 0.01f64..20.0, 0.01f64..50.0).prop_map(move |(c, a, d, e)| {
@@ -70,5 +73,41 @@ proptest! {
                 i, opt, m
             );
         }
+    }
+
+    /// The degree chooser over arbitrary candidate lists and a predictor
+    /// with few distinct makespans (so ties are common) and holes
+    /// (`ms[r] == 0`: degree `r` cannot be predicted).
+    #[test]
+    fn degree_chooser_is_an_order_free_argmin_with_two_hole_policies(
+        candidates in proptest::collection::vec(1usize..12, 1..8),
+        ms in proptest::collection::vec(0u32..4, 12),
+        rotate in 0usize..8,
+    ) {
+        let predict = |r: usize| (ms[r] > 0).then(|| SimTime::from_ms(f64::from(ms[r])));
+        let skip = choose_degree(&candidates, Uncovered::Skip, predict);
+        let keep = choose_degree(&candidates, Uncovered::Keep, predict);
+
+        // Skip: the smallest makespan among the predictable candidates,
+        // ties to the smallest degree; nothing predictable decides nothing
+        // (the caller's `unwrap_or(1)` is serial).
+        let want = candidates
+            .iter()
+            .filter(|&&r| ms[r] > 0)
+            .min_by_key(|&&r| (ms[r], r))
+            .copied();
+        prop_assert_eq!(skip, want);
+
+        // Keep: one hole anywhere decides nothing (the caller's
+        // `unwrap_or(configured)`); with no hole the two policies agree.
+        let hole = candidates.iter().any(|&r| ms[r] == 0);
+        prop_assert_eq!(keep, if hole { None } else { want });
+
+        // Neither depends on the order the candidates are listed in.
+        let mut shuffled = candidates.clone();
+        shuffled.reverse();
+        shuffled.rotate_left(rotate % candidates.len());
+        prop_assert_eq!(choose_degree(&shuffled, Uncovered::Skip, predict), skip);
+        prop_assert_eq!(choose_degree(&shuffled, Uncovered::Keep, predict), keep);
     }
 }

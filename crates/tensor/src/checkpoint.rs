@@ -108,17 +108,7 @@ type Entry = (String, Vec<usize>, Vec<f32>);
 /// Parses a checkpoint's entries and verifies its CRC seal, without
 /// touching any model. The shared front half of [`load`] and [`verify`].
 fn parse(payload: &[u8]) -> Result<Vec<Entry>, CheckpointError> {
-    if payload.len() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let (body, seal) = payload.split_at(payload.len() - 4);
-    let mut cursor = Cursor { buf: body, pos: 0 };
-    if cursor.take(4)? != MAGIC {
-        return Err(CheckpointError::BadHeader);
-    }
-    if cursor.u32()? != VERSION {
-        return Err(CheckpointError::BadHeader);
-    }
+    let (body, mut cursor) = open_sealed(payload, MAGIC, VERSION)?;
     // Counts and shapes are untrusted until the seal verifies below, so
     // none of them may size an allocation: an entry costs at least its two
     // length words and a dimension four bytes, which bounds both by the
@@ -154,11 +144,7 @@ fn parse(payload: &[u8]) -> Result<Vec<Entry>, CheckpointError> {
     // parsable but bit-damaged payload must not reach the model. (A
     // truncated payload usually fails the structural parse above first,
     // which keeps `Truncated` the answer for short reads.)
-    let stored = u32::from_le_bytes([seal[0], seal[1], seal[2], seal[3]]);
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(CheckpointError::Corrupt { stored, computed });
-    }
+    check_seal(body, payload)?;
     Ok(entries)
 }
 
@@ -220,17 +206,54 @@ pub fn load(payload: &[u8], visit: &mut ParamVisitor<'_>) -> Result<(), Checkpoi
     Ok(())
 }
 
-struct Cursor<'a> {
+/// Splits a sealed buffer — `magic`, `version`, fields, CRC-32 of all of
+/// it — into (body, cursor-past-magic-and-version): the front half of
+/// every decoder of this crate's on-disk formats.
+pub(crate) fn open_sealed<'a>(
+    payload: &'a [u8],
+    magic: &[u8; 4],
+    version: u32,
+) -> Result<(&'a [u8], Cursor<'a>), CheckpointError> {
+    if payload.len() < 4 {
+        return Err(CheckpointError::Truncated);
+    }
+    let body = &payload[..payload.len() - 4];
+    let mut cur = Cursor { buf: body, pos: 0 };
+    if cur.take(4)? != magic {
+        return Err(CheckpointError::BadHeader);
+    }
+    if cur.u32()? != version {
+        return Err(CheckpointError::BadHeader);
+    }
+    Ok((body, cur))
+}
+
+/// Verifies the trailing CRC seal of a buffer [`open_sealed`] accepted,
+/// after a successful structural parse — the last gate before a decoded
+/// value escapes its module.
+pub(crate) fn check_seal(body: &[u8], payload: &[u8]) -> Result<(), CheckpointError> {
+    let seal = &payload[payload.len() - 4..];
+    let stored = u32::from_le_bytes([seal[0], seal[1], seal[2], seal[3]]);
+    let computed = crc32(body);
+    if stored != computed {
+        return Err(CheckpointError::Corrupt { stored, computed });
+    }
+    Ok(())
+}
+
+/// A bounds-checked reader over untrusted bytes: every read past the end
+/// is `Truncated`, never a panic.
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         if n > self.remaining() {
             return Err(CheckpointError::Truncated);
         }
@@ -239,9 +262,14 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
+        let b = self.take(8)?;
+        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 }
 

@@ -27,7 +27,7 @@
 //! CRC32 seal is checked before anything is returned — a decoded value
 //! is bit-exact or it does not exist.
 
-use crate::checkpoint::{crc32, CheckpointError};
+use crate::checkpoint::{check_seal, crc32, open_sealed, CheckpointError, Cursor};
 
 const SHARD_MAGIC: &[u8; 4] = b"SMSH";
 const MANIFEST_MAGIC: &[u8; 4] = b"SMMF";
@@ -107,14 +107,14 @@ impl Shard {
     /// Parses and verifies a shard buffer. Returns the shard only if it
     /// is structurally complete *and* its CRC seal matches.
     pub fn decode(payload: &[u8]) -> Result<Shard, CheckpointError> {
-        let (body, mut cur) = open_sealed(payload, SHARD_MAGIC)?;
+        let (body, mut cur) = open_sealed(payload, SHARD_MAGIC, VERSION)?;
         let generation = cur.u64()?;
         let rank = cur.u32()?;
         let world = cur.u32()?;
         let step = cur.u64()?;
         let seed = cur.u64()?;
-        let replicated = cur.section()?;
-        let expert = cur.section()?;
+        let replicated = section(&mut cur)?;
+        let expert = section(&mut cur)?;
         let nreplicas = cur.u32()?;
         if nreplicas > MAX_SECTION {
             return Err(CheckpointError::BadHeader);
@@ -123,7 +123,7 @@ impl Shard {
         for _ in 0..nreplicas {
             let ward = cur.u32()?;
             let quantum = cur.u64()?;
-            let payload = cur.section()?;
+            let payload = section(&mut cur)?;
             replicas.push(ShardReplica {
                 ward,
                 quantum,
@@ -214,7 +214,7 @@ impl Manifest {
 
     /// Parses and verifies a manifest buffer.
     pub fn decode(payload: &[u8]) -> Result<Manifest, CheckpointError> {
-        let (body, mut cur) = open_sealed(payload, MANIFEST_MAGIC)?;
+        let (body, mut cur) = open_sealed(payload, MANIFEST_MAGIC, VERSION)?;
         let generation = cur.u64()?;
         let world = cur.u32()?;
         let step = cur.u64()?;
@@ -226,7 +226,7 @@ impl Manifest {
         let mut shards = Vec::with_capacity(count.min(1024) as usize);
         for _ in 0..count {
             let rank = cur.u32()?;
-            let name_raw = cur.section()?;
+            let name_raw = section(&mut cur)?;
             let name = String::from_utf8(name_raw).map_err(|_| CheckpointError::BadHeader)?;
             let len = cur.u32()?;
             let crc = cur.u32()?;
@@ -239,8 +239,8 @@ impl Manifest {
         }
         // Optional trailing placement section: absent in older files,
         // which therefore read back as the static layout.
-        let placement = if cur.pos < body.len() {
-            cur.section()?
+        let placement = if cur.remaining() > 0 {
+            section(&mut cur)?
         } else {
             Vec::new()
         };
@@ -295,72 +295,14 @@ pub fn shard_file_parts(file_name: &str) -> Option<(u64, usize)> {
     Some((gen.parse().ok()?, rank.parse().ok()?))
 }
 
-/// Splits a sealed buffer into (body, cursor-past-magic-and-version),
-/// shared by both codecs.
-fn open_sealed<'a>(
-    payload: &'a [u8],
-    magic: &[u8; 4],
-) -> Result<(&'a [u8], Cursor<'a>), CheckpointError> {
-    if payload.len() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let body = &payload[..payload.len() - 4];
-    let mut cur = Cursor { buf: body, pos: 0 };
-    if cur.take(4)? != magic {
+/// A length-prefixed byte section, with the length sanity-bounded before
+/// allocation.
+fn section(cur: &mut Cursor<'_>) -> Result<Vec<u8>, CheckpointError> {
+    let len = cur.u32()?;
+    if len > MAX_SECTION {
         return Err(CheckpointError::BadHeader);
     }
-    if cur.u32()? != VERSION {
-        return Err(CheckpointError::BadHeader);
-    }
-    Ok((body, cur))
-}
-
-/// Verifies the trailing CRC seal after a successful structural parse —
-/// the last gate before a decoded value escapes this module.
-fn check_seal(body: &[u8], payload: &[u8]) -> Result<(), CheckpointError> {
-    let seal = &payload[payload.len() - 4..];
-    let stored = u32::from_le_bytes([seal[0], seal[1], seal[2], seal[3]]);
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(CheckpointError::Corrupt { stored, computed });
-    }
-    Ok(())
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// A length-prefixed byte section, with the length sanity-bounded
-    /// before allocation.
-    fn section(&mut self) -> Result<Vec<u8>, CheckpointError> {
-        let len = self.u32()?;
-        if len > MAX_SECTION {
-            return Err(CheckpointError::BadHeader);
-        }
-        Ok(self.take(len as usize)?.to_vec())
-    }
+    Ok(cur.take(len as usize)?.to_vec())
 }
 
 #[cfg(test)]

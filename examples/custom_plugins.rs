@@ -5,12 +5,11 @@
 //! ```
 //!
 //! The Rust analogue of the paper's Listing 1–2: implement the
-//! `Compressor` and `AllToAll` traits, register them, and use them inside
-//! a real MoE layer — without touching any training logic.
+//! `Compressor` and `AllToAll` traits and hand the values to a real MoE
+//! layer and to the simulator — without touching any training logic.
 
 use bytes::Bytes;
 use schemoe::prelude::*;
-use schemoe::{A2aRegistry, CompressorRegistry};
 use schemoe_cluster::FabricError;
 use schemoe_collectives::plan::A2aPlan;
 use schemoe_compression::CompressionError;
@@ -102,18 +101,11 @@ impl AllToAll for CautiousPipe {
 }
 
 fn main() {
-    // Register the plugins next to the built-ins.
-    let mut codecs = CompressorRegistry::with_builtins();
-    codecs.register("sign-log4", || Box::new(SignLog4));
-    let mut a2as = A2aRegistry::with_builtins();
-    a2as.register("cautious-pipe", || Box::new(CautiousPipe));
-    println!("registered codecs: {:?}", codecs.names());
-    println!("registered A2As:   {:?}", a2as.names());
-
-    // Use the custom codec inside a real MoE layer.
+    // Use the custom codec inside a real MoE layer: the layer takes any
+    // `Box<dyn Compressor>`.
     let mut exact = MoeLayer::new(16, 32, 4, 2, 2.0, &mut seeded(42));
-    let mut lossy = MoeLayer::new(16, 32, 4, 2, 2.0, &mut seeded(42))
-        .with_compressor(codecs.create("sign-log4").expect("registered"));
+    let mut lossy =
+        MoeLayer::new(16, 32, 4, 2, 2.0, &mut seeded(42)).with_compressor(Box::new(SignLog4));
     let x = rng::uniform(&[32, 16], 1.0, &mut seeded(43));
     use schemoe_tensor::nn::Module;
     let y_exact = exact.forward(&x);
@@ -129,15 +121,14 @@ fn main() {
         }
     );
 
-    // And use the custom A2A in the performance simulator.
+    // And use the custom A2A in the performance simulator: every cost
+    // function takes any `&dyn AllToAll`.
     let topo = Topology::paper_testbed();
     let hw = HardwareProfile::paper_testbed();
-    let custom = a2as.create("cautious-pipe").expect("registered");
-    let stock = a2as.create("pipe").expect("builtin");
     let s = 64_000_000;
     println!(
         "\nsimulated 64 MB exchange: stock pipe {}, cautious pipe {}",
-        schemoe_collectives::a2a_time(stock.as_ref(), &topo, &hw, s).expect("valid"),
-        schemoe_collectives::a2a_time(custom.as_ref(), &topo, &hw, s).expect("valid"),
+        schemoe_collectives::a2a_time(&PipeA2A::new(), &topo, &hw, s).expect("valid"),
+        schemoe_collectives::a2a_time(&CautiousPipe, &topo, &hw, s).expect("valid"),
     );
 }

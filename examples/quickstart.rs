@@ -45,12 +45,12 @@ fn main() {
     );
 
     // 3. Compare systems.
-    let systems: Vec<Box<dyn MoeSystem>> = vec![
-        Box::new(NaiveSystem::new()),
-        Box::new(FasterMoeEmu::new()),
-        Box::new(TutelEmu::new()),
-        Box::new(ScheMoeSystem::without_compression()),
-        Box::new(ScheMoeSystem::default_config()),
+    let systems: [MoeSystem; 5] = [
+        NaiveSystem::new(),
+        FasterMoeEmu::new(),
+        TutelEmu::new(),
+        ScheMoeSystem::without_compression(),
+        ScheMoeSystem::default_config(),
     ];
     println!("{:>24} {:>12} {:>9}", "system", "layer fwd", "speedup");
     let baseline = systems[0].layer_time(&shape, &topo, &hw);

@@ -20,6 +20,18 @@ fn env() -> (Topology, HardwareProfile) {
     (Topology::paper_testbed(), HardwareProfile::paper_testbed())
 }
 
+/// A `k = 1`, `f = 1` layer: `tokens` are the assigned tokens.
+fn layer(tokens_per_gpu: usize, model_dim: usize, hidden_dim: usize) -> LayerShape {
+    LayerShape {
+        tokens_per_gpu,
+        model_dim,
+        hidden_dim,
+        experts: 32,
+        k: 1,
+        capacity_factor: 1.0,
+    }
+}
+
 /// Every simulator-backed paper row beside its report, each run once.
 /// `table6` trains for over a minute in release; the CI `paper` job runs it.
 fn reports() -> &'static [(&'static Scenario, Json)] {
@@ -97,12 +109,7 @@ fn optsche_is_optimal_for_real_layer_costs() {
         (16384, 8192, 8192, 4.0),
         (1024, 512, 512, 1.0),
     ] {
-        let costs = schemoe_scheduler::MoeLayerCosts {
-            tokens,
-            model_dim: m,
-            hidden_dim: h,
-            compression_ratio: ratio,
-        };
+        let costs = layer(tokens, m, h).costs(ratio);
         let tasks = costs.task_set(&topo, &hw, &PipeA2A::new(), 2);
         let (_, best) = brute_force_best(&tasks);
         let opt = optsche(2).makespan(&tasks).expect("valid");
@@ -144,12 +151,7 @@ fn scheduling_matrix_is_total() {
     for alg in &algs {
         for ratio in [1.0, 2.0, 4.0] {
             for r in [1usize, 2, 4, 8] {
-                let costs = schemoe_scheduler::MoeLayerCosts {
-                    tokens: 4096,
-                    model_dim: 1024,
-                    hidden_dim: 2048,
-                    compression_ratio: ratio,
-                };
+                let costs = layer(4096, 1024, 2048).costs(ratio);
                 let tasks: TaskSet = costs.task_set(&topo, &hw, alg.as_ref(), r);
                 let m = optsche(r).makespan(&tasks).expect("always valid");
                 assert!(m <= naive_makespan(&tasks));
