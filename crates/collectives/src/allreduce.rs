@@ -9,7 +9,7 @@
 use schemoe_cluster::{FabricError, RankHandle, Topology};
 use schemoe_compression::{add_f32_le, copy_f32_le, Compressor, NoCompression};
 
-use crate::plan::{A2aPlan, SrOp, StreamAssignment};
+use crate::plan::{A2aPlan, Blocks, Ranks::One, SrOp};
 
 /// A sum all-reduce over `f32` buffers.
 pub trait AllReduce: Send + Sync {
@@ -120,29 +120,22 @@ impl AllReduce for NaiveAllReduce {
     fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan {
         // Rank 0's ingress then egress carry P−1 full-size messages each;
         // charge them to rank 0's stream, which is the bottleneck.
-        let p = topo.world_size();
-        let mut gather = Vec::new();
-        let mut bcast = Vec::new();
-        for r in 1..p {
+        let (mut gather, mut bcast) = (Vec::new(), Vec::new());
+        for r in 1..topo.world_size() {
             gather.push(SrOp {
                 owner: 0,
-                src: r,
-                dst: 0,
-                bytes: input_bytes,
-                stream: StreamAssignment::Main,
-                exclusive_intra: false,
+                ..pair(topo, r, 0, input_bytes)
             });
-            bcast.push(SrOp {
-                owner: 0,
-                src: 0,
-                dst: r,
-                bytes: input_bytes,
-                stream: StreamAssignment::Main,
-                exclusive_intra: false,
-            });
+            bcast.push(pair(topo, 0, r, input_bytes));
         }
         A2aPlan::new(self.name(), vec![gather, bcast]).with_staging_bytes(input_bytes)
     }
+}
+
+/// An allreduce message of `bytes` from `src` to `dst`. It carries a
+/// partial sum, not exchange blocks, so its block set is just its own pair.
+fn pair(topo: &Topology, src: usize, dst: usize, bytes: u64) -> SrOp {
+    SrOp::carrying(topo, src, dst, Blocks(One(src), One(dst)), bytes)
 }
 
 /// Ring all-reduce: reduce-scatter then all-gather, `2(P−1)` steps of
@@ -218,21 +211,11 @@ impl AllReduce for RingAllReduce {
         // bulk-synchronous: step i+1 needs step i's data).
         let p = topo.world_size();
         let per_step = input_bytes / p as u64;
-        let mut phases = Vec::with_capacity(2 * (p - 1));
-        for _ in 0..2 * (p.saturating_sub(1)) {
-            let ops = topo
-                .ranks()
-                .map(|src| SrOp {
-                    owner: src,
-                    src,
-                    dst: (src + 1) % p,
-                    bytes: per_step,
-                    stream: StreamAssignment::Main,
-                    exclusive_intra: false,
-                })
-                .collect();
-            phases.push(ops);
-        }
+        let step: Vec<SrOp> = topo
+            .ranks()
+            .map(|src| pair(topo, src, (src + 1) % p, per_step))
+            .collect();
+        let phases = vec![step; 2 * p.saturating_sub(1)];
         A2aPlan::new(self.name(), phases).with_staging_bytes(2 * input_bytes / p as u64)
     }
 }

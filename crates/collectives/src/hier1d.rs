@@ -1,11 +1,8 @@
 //! 1D-hierarchical all-to-all (HetuMoE style).
 
-use std::collections::HashMap;
+use schemoe_cluster::Topology;
 
-use bytes::Bytes;
-use schemoe_cluster::{FabricError, Rank, RankHandle, Topology};
-
-use crate::plan::{A2aPlan, SrOp, StreamAssignment};
+use crate::plan::{A2aPlan, Blocks, Ranks::*, SrOp};
 use crate::AllToAll;
 
 /// 1D-hierarchical all-to-all: gather every rank's full payload onto its
@@ -21,171 +18,36 @@ use crate::AllToAll;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OneDimHierA2A;
 
-impl OneDimHierA2A {
-    fn leader_of(topo: &Topology, rank: Rank) -> Rank {
-        topo.rank_of(topo.node_of(rank), 0)
-    }
-}
-
 impl AllToAll for OneDimHierA2A {
     fn name(&self) -> &'static str {
         "1dh-a2a"
     }
 
-    fn all_to_all(
-        &self,
-        handle: &mut RankHandle,
-        chunks: Vec<Bytes>,
-        tag_base: u64,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        let topo = handle.topology();
-        let p = topo.world_size();
-        assert_eq!(chunks.len(), p, "one chunk per destination rank required");
-        let _span = crate::coll_span("1dh", tag_base, &chunks);
-        let me = handle.rank();
-        let my_node = topo.node_of(me);
-        let leader = Self::leader_of(&topo, me);
-        let is_leader = me == leader;
-        // Tag layout within this invocation's namespace:
-        //   gather:  tag_base + dst            (dst < P)
-        //   exchange: tag_base + P + src*P+dst (< P + P²)
-        //   scatter: tag_base + P + P² + src   (< 2P + P²)
-        let t_gather = |dst: usize| tag_base + dst as u64;
-        let t_xchg = |src: usize, dst: usize| tag_base + p as u64 + (src * p + dst) as u64;
-        let t_scatter = |src: usize| tag_base + (p + p * p) as u64 + src as u64;
-
-        if !is_leader {
-            // Phase 1: ship everything to the leader.
-            for (dst, chunk) in chunks.into_iter().enumerate() {
-                handle.send(leader, t_gather(dst), chunk)?;
-            }
-            // Phase 3: receive my whole output from the leader.
-            let mut out = Vec::with_capacity(p);
-            for src in 0..p {
-                out.push(handle.recv(leader, t_scatter(src))?);
-            }
-            return Ok(out);
-        }
-
-        // Leader: collect (src, dst) -> chunk for every src on this node.
-        let mut staged: HashMap<(Rank, Rank), Bytes> = HashMap::new();
-        for (dst, chunk) in chunks.into_iter().enumerate() {
-            staged.insert((me, dst), chunk);
-        }
-        for src in topo.node_ranks(my_node) {
-            if src == me {
-                continue;
-            }
-            for dst in 0..p {
-                let chunk = handle.recv(src, t_gather(dst))?;
-                staged.insert((src, dst), chunk);
-            }
-        }
-
-        // Phase 2: leader-to-leader exchange of node-to-node bundles.
-        for dst_node in 0..topo.nodes() {
-            if dst_node == my_node {
-                continue;
-            }
-            let peer_leader = topo.rank_of(dst_node, 0);
-            for src in topo.node_ranks(my_node) {
-                for dst in topo.node_ranks(dst_node) {
-                    let chunk = staged
-                        .remove(&(src, dst))
-                        .expect("gathered every local chunk");
-                    handle.send(peer_leader, t_xchg(src, dst), chunk)?;
-                }
-            }
-        }
-        for src_node in 0..topo.nodes() {
-            if src_node == my_node {
-                continue;
-            }
-            let peer_leader = topo.rank_of(src_node, 0);
-            for src in topo.node_ranks(src_node) {
-                for dst in topo.node_ranks(my_node) {
-                    let chunk = handle.recv(peer_leader, t_xchg(src, dst))?;
-                    staged.insert((src, dst), chunk);
-                }
-            }
-        }
-
-        // Phase 3: deliver every destination's output.
-        let mut my_out: Vec<Option<Bytes>> = (0..p).map(|_| None).collect();
-        for dst in topo.node_ranks(my_node) {
-            for src in 0..p {
-                let chunk = staged.remove(&(src, dst)).expect("exchange complete");
-                if dst == me {
-                    my_out[src] = Some(chunk);
-                } else {
-                    handle.send(dst, t_scatter(src), chunk)?;
-                }
-            }
-        }
-        Ok(my_out
-            .into_iter()
-            .map(|o| o.expect("complete output"))
-            .collect())
-    }
-
     fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan {
-        let p = topo.world_size();
-        let m = topo.gpus_per_node();
-        let n = topo.nodes();
-        let per_peer = input_bytes / p as u64;
-
-        // Phase 1: each non-leader ships its whole payload to the leader;
-        // the leader's ingress link serializes the arrivals.
-        let mut gather = Vec::new();
-        for node in 0..n {
-            let leader = topo.rank_of(node, 0);
-            for src in topo.node_ranks(node) {
-                if src != leader {
-                    gather.push(SrOp {
-                        owner: leader,
-                        src,
-                        dst: leader,
-                        bytes: input_bytes,
-                        stream: StreamAssignment::Main,
-                        exclusive_intra: true,
-                    });
-                }
-            }
-        }
-
-        // Phase 2: leaders exchange M²·per_peer per node pair.
-        let bundle = per_peer * (m * m) as u64;
-        let mut exchange = Vec::new();
-        for src_node in 0..n {
-            let src_leader = topo.rank_of(src_node, 0);
-            for step in 1..n {
-                let dst_node = (src_node + step) % n;
-                exchange.push(SrOp {
-                    owner: src_leader,
-                    src: src_leader,
-                    dst: topo.rank_of(dst_node, 0),
-                    bytes: bundle,
-                    stream: StreamAssignment::Main,
-                    exclusive_intra: false,
+        let (n, m) = (topo.nodes(), topo.gpus_per_node());
+        let per_peer = input_bytes / topo.world_size() as u64;
+        let op = |src, dst, blocks| SrOp::carrying(topo, src, dst, blocks, per_peer);
+        let (mut gather, mut exchange, mut scatter) = (Vec::new(), Vec::new(), Vec::new());
+        for a in 0..n {
+            let lead = topo.rank_of(a, 0);
+            for r in topo.node_ranks(a).into_iter().skip(1) {
+                // Phase 1: each non-leader ships its whole payload to the
+                // leader; the leader's ingress link serializes the arrivals.
+                gather.push(SrOp {
+                    owner: lead,
+                    exclusive_intra: true,
+                    ..op(r, lead, Blocks(One(r), All))
+                });
+                // Phase 3: the leader scatters each non-leader's output.
+                scatter.push(SrOp {
+                    exclusive_intra: true,
+                    ..op(lead, r, Blocks(All, One(r)))
                 });
             }
-        }
-
-        // Phase 3: scatter each non-leader's full output back.
-        let mut scatter = Vec::new();
-        for node in 0..n {
-            let leader = topo.rank_of(node, 0);
-            for dst in topo.node_ranks(node) {
-                if dst != leader {
-                    scatter.push(SrOp {
-                        owner: leader,
-                        src: leader,
-                        dst,
-                        bytes: per_peer * p as u64,
-                        stream: StreamAssignment::Main,
-                        exclusive_intra: true,
-                    });
-                }
+            // Phase 2: leaders exchange the M² blocks of each node pair.
+            for step in 1..n {
+                let b = (a + step) % n;
+                exchange.push(op(lead, topo.rank_of(b, 0), Blocks(Node(a), Node(b))));
             }
         }
 
@@ -194,16 +56,13 @@ impl AllToAll for OneDimHierA2A {
         let staging = 2 * input_bytes * m as u64;
         A2aPlan::new(self.name(), vec![gather, exchange, scatter]).with_staging_bytes(staging)
     }
-
-    fn staging_bytes(&self, topo: &Topology, input_bytes: u64) -> u64 {
-        2 * input_bytes * topo.gpus_per_node() as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{a2a_fits_memory, a2a_time, NcclA2A};
+    use bytes::Bytes;
     use schemoe_cluster::{Fabric, HardwareProfile};
 
     #[test]

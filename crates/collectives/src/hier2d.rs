@@ -1,11 +1,8 @@
 //! 2D-hierarchical all-to-all (Tutel / DeepSpeed-MoE style).
 
-use std::collections::HashMap;
+use schemoe_cluster::Topology;
 
-use bytes::Bytes;
-use schemoe_cluster::{FabricError, Rank, RankHandle, Topology};
-
-use crate::plan::{A2aPlan, SrOp, StreamAssignment};
+use crate::plan::{A2aPlan, Blocks, Ranks::*, SrOp};
 use crate::AllToAll;
 
 /// 2D-hierarchical all-to-all: an intra-node phase regroups every rank's
@@ -24,123 +21,38 @@ impl AllToAll for TwoDimHierA2A {
         "2dh-a2a"
     }
 
-    fn all_to_all(
-        &self,
-        handle: &mut RankHandle,
-        chunks: Vec<Bytes>,
-        tag_base: u64,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        let topo = handle.topology();
-        let p = topo.world_size();
-        assert_eq!(chunks.len(), p, "one chunk per destination rank required");
-        let _span = crate::coll_span("2dh", tag_base, &chunks);
-        let me = handle.rank();
-        let my_node = topo.node_of(me);
-        let my_local = topo.local_rank(me);
-        // Tags: phase 1 = tag_base + dst_global; phase 2 = tag_base + P + src_global.
-        let t1 = |dst: usize| tag_base + dst as u64;
-        let t2 = |src: usize| tag_base + p as u64 + src as u64;
-
-        // Phase 1 (intra): route each chunk to the local rank whose local
-        // index matches the chunk's destination local index.
-        let mut staged: HashMap<(Rank, Rank), Bytes> = HashMap::new();
-        for (dst, chunk) in chunks.into_iter().enumerate() {
-            let via = topo.rank_of(my_node, topo.local_rank(dst));
-            if via == me {
-                staged.insert((me, dst), chunk);
-            } else {
-                handle.send(via, t1(dst), chunk)?;
-            }
-        }
-        for src in topo.node_ranks(my_node) {
-            if src == me {
-                continue;
-            }
-            // From each local peer: one chunk per node, destined to the
-            // rank with my local index on that node.
-            for dst_node in 0..topo.nodes() {
-                let dst = topo.rank_of(dst_node, my_local);
-                let chunk = handle.recv(src, t1(dst))?;
-                staged.insert((src, dst), chunk);
-            }
-        }
-
-        // Phase 2 (inter): exchange along the rail of my local index.
-        let mut out: Vec<Option<Bytes>> = (0..p).map(|_| None).collect();
-        for dst_node in 0..topo.nodes() {
-            let dst = topo.rank_of(dst_node, my_local);
-            for src in topo.node_ranks(my_node) {
-                let chunk = staged.remove(&(src, dst)).expect("phase 1 complete");
-                if dst == me {
-                    out[src] = Some(chunk);
-                } else {
-                    handle.send(dst, t2(src), chunk)?;
-                }
-            }
-        }
-        for src_node in 0..topo.nodes() {
-            if src_node == my_node {
-                continue;
-            }
-            for src in topo.node_ranks(src_node) {
-                let chunk = handle.recv(topo.rank_of(src_node, my_local), t2(src))?;
-                out[src] = Some(chunk);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("complete output"))
-            .collect())
-    }
-
     fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan {
-        let p = topo.world_size();
-        let m = topo.gpus_per_node();
-        let n = topo.nodes();
-        let per_peer = input_bytes / p as u64;
-
-        // Phase 1 (intra): M−1 messages of N·per_peer plus a local keep.
-        let intra_msg = per_peer * n as u64;
-        let mut intra = Vec::new();
-        for src in topo.ranks() {
-            let node = topo.node_of(src);
-            for step in 0..m {
-                let dst = topo.rank_of(node, (topo.local_rank(src) + step) % m);
-                intra.push(SrOp {
-                    owner: src,
-                    src,
-                    dst,
-                    bytes: intra_msg,
-                    stream: StreamAssignment::Main,
-                    exclusive_intra: true,
-                });
-            }
-        }
-
-        // Phase 2 (inter): N−1 messages of M·per_peer along the rail.
-        let inter_msg = per_peer * m as u64;
-        let mut inter = Vec::new();
+        let (n, m) = (topo.nodes(), topo.gpus_per_node());
+        let per_peer = input_bytes / topo.world_size() as u64;
+        let (mut intra, mut inter) = (Vec::new(), Vec::new());
         for src in topo.ranks() {
             let (node, local) = (topo.node_of(src), topo.local_rank(src));
+            // Phase 1 (intra): to each local peer (and a local keep), the N
+            // blocks bound for that peer's rail.
+            for step in 0..m {
+                let via = topo.rank_of(node, (local + step) % m);
+                let blocks = Blocks(One(src), Rail(topo.local_rank(via)));
+                intra.push(SrOp {
+                    exclusive_intra: true,
+                    ..SrOp::carrying(topo, src, via, blocks, per_peer)
+                });
+            }
+            // Phase 2 (inter): along the rail, the M blocks this node holds
+            // for each rail peer.
             for step in 0..n {
                 let dst = topo.rank_of((node + step) % n, local);
-                inter.push(SrOp {
-                    owner: src,
+                inter.push(SrOp::carrying(
+                    topo,
                     src,
                     dst,
-                    bytes: inter_msg,
-                    stream: StreamAssignment::Main,
-                    exclusive_intra: false,
-                });
+                    Blocks(Node(node), One(dst)),
+                    per_peer,
+                ));
             }
         }
 
         // Staging: the full regrouped payload between phases.
         A2aPlan::new(self.name(), vec![intra, inter]).with_staging_bytes(input_bytes)
-    }
-
-    fn staging_bytes(&self, _topo: &Topology, input_bytes: u64) -> u64 {
-        input_bytes
     }
 }
 
@@ -148,6 +60,7 @@ impl AllToAll for TwoDimHierA2A {
 mod tests {
     use super::*;
     use crate::{a2a_time, NcclA2A, PipeA2A};
+    use bytes::Bytes;
     use schemoe_cluster::{Fabric, HardwareProfile};
 
     #[test]

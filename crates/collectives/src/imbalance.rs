@@ -5,17 +5,17 @@
 //! dynamic: "the number of assigned tokens for each expert is different
 //! and the same expert may have a different number of tokens at different
 //! training iterations ... the workloads of experts [can be] extremely
-//! unbalanced". This module compiles A2A plans from an explicit
-//! `[src][dst]` byte matrix, generates skewed matrices from routing
-//! statistics, and quantifies the straggler effect that motivates both the
-//! capacity factor (Eq. 1) and Faster-MoE's BERT OOM.
+//! unbalanced". This module holds an explicit `[src][dst]` byte matrix
+//! that re-costs any algorithm's plan ([`crate::A2aPlan::with_traffic`]),
+//! generates skewed matrices from routing statistics, and quantifies the
+//! straggler effect that motivates both the capacity factor (Eq. 1) and
+//! Faster-MoE's BERT OOM.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 use schemoe_cluster::{HardwareProfile, Topology};
-use schemoe_netsim::SimTime;
 
-use crate::plan::{A2aPlan, SrOp, StreamAssignment};
+use crate::{AllToAll, NcclA2A};
 
 /// A per-pair traffic matrix: `bytes[src][dst]`.
 #[derive(Clone, Debug)]
@@ -131,63 +131,6 @@ impl TrafficMatrix {
         }
         TrafficMatrix { bytes: out }
     }
-
-    /// Compiles a sequential (NCCL-style) plan from this matrix.
-    pub fn nccl_plan(&self, topo: &Topology) -> A2aPlan {
-        let p = topo.world_size();
-        assert_eq!(p, self.world_size(), "matrix/topology mismatch");
-        let mut ops = Vec::with_capacity(p * p);
-        for src in topo.ranks() {
-            for step in 0..p {
-                let dst = (src + step) % p;
-                ops.push(SrOp {
-                    owner: src,
-                    src,
-                    dst,
-                    bytes: self.get(src, dst),
-                    stream: StreamAssignment::Main,
-                    exclusive_intra: false,
-                });
-            }
-        }
-        A2aPlan::new("nccl-a2a(matrix)", vec![ops])
-    }
-
-    /// Compiles a Pipe-A2A plan from this matrix.
-    pub fn pipe_plan(&self, topo: &Topology) -> A2aPlan {
-        let p = topo.world_size();
-        assert_eq!(p, self.world_size(), "matrix/topology mismatch");
-        let mut ops = Vec::with_capacity(p * p);
-        for src in topo.ranks() {
-            for step in 0..p {
-                let dst = (src + step) % p;
-                if topo.same_node(src, dst) {
-                    ops.push(SrOp {
-                        owner: src,
-                        src,
-                        dst,
-                        bytes: self.get(src, dst),
-                        stream: StreamAssignment::Main,
-                        exclusive_intra: false,
-                    });
-                }
-            }
-            for step in 0..p {
-                let dst = (src + step) % p;
-                if !topo.same_node(src, dst) {
-                    ops.push(SrOp {
-                        owner: src,
-                        src,
-                        dst,
-                        bytes: self.get(src, dst),
-                        stream: StreamAssignment::Secondary,
-                        exclusive_intra: false,
-                    });
-                }
-            }
-        }
-        A2aPlan::new("pipe-a2a(matrix)", vec![ops]).with_join_overhead(SimTime::from_us(150.0))
-    }
 }
 
 /// The straggler factor of a matrix under an algorithm: makespan divided
@@ -198,17 +141,11 @@ pub fn straggler_factor(matrix: &TrafficMatrix, topo: &Topology, hw: &HardwarePr
         .map(|d| matrix.received_by(d))
         .sum();
     let uniform = TrafficMatrix::uniform(matrix.world_size(), total / p);
-    let skewed_t = matrix
-        .nccl_plan(topo)
-        .simulate(topo, hw)
-        .expect("valid")
-        .makespan();
-    let uniform_t = uniform
-        .nccl_plan(topo)
-        .simulate(topo, hw)
-        .expect("valid")
-        .makespan();
-    skewed_t / uniform_t
+    let makespan = |m: &TrafficMatrix| {
+        let plan = NcclA2A.plan(topo, 0).with_traffic(topo, m);
+        plan.simulate(topo, hw).expect("valid").makespan()
+    };
+    makespan(matrix) / makespan(&uniform)
 }
 
 #[cfg(test)]
@@ -227,7 +164,7 @@ mod tests {
         }
     }
 
-    use crate::AllToAll;
+    use crate::PipeA2A;
 
     fn env() -> (Topology, HardwareProfile) {
         (Topology::paper_testbed(), HardwareProfile::paper_testbed())
@@ -295,8 +232,9 @@ mod tests {
         let (topo, hw) = env();
         let s = 64_000_000u64;
         let m = TrafficMatrix::uniform(32, s);
-        let matrix_t = m.nccl_plan(&topo).simulate(&topo, &hw).unwrap().makespan();
-        let uniform_t = crate::NcclA2A
+        let matrix_plan = NcclA2A.plan(&topo, 0).with_traffic(&topo, &m);
+        let matrix_t = matrix_plan.simulate(&topo, &hw).unwrap().makespan();
+        let uniform_t = NcclA2A
             .plan(&topo, s)
             .simulate(&topo, &hw)
             .unwrap()
@@ -309,9 +247,12 @@ mod tests {
     fn pipe_still_beats_nccl_under_skew() {
         let (topo, hw) = env();
         let m = TrafficMatrix::hot_expert(32, 640_000_000, 3, 0.4);
-        let nccl = m.nccl_plan(&topo).simulate(&topo, &hw).unwrap().makespan();
-        let pipe =
-            m.pipe_plan(&topo).simulate(&topo, &hw).unwrap().makespan() + SimTime::from_us(150.0);
+        let time = |plan: crate::A2aPlan| {
+            let plan = plan.with_traffic(&topo, &m);
+            plan.simulate(&topo, &hw).unwrap().makespan() + plan.join_overhead()
+        };
+        let nccl = time(NcclA2A.plan(&topo, 0));
+        let pipe = time(PipeA2A::new().plan(&topo, 0));
         assert!(pipe < nccl);
     }
 }

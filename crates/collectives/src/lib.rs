@@ -15,14 +15,13 @@
 //!   one stream and inter-node pairs on another, so the two kinds of link
 //!   are busy *simultaneously* (paper Eq. 16, Fig. 7).
 //!
-//! Every algorithm exists in two coupled forms behind the one [`AllToAll`]
-//! trait: a **functional** implementation moving real bytes over the
-//! in-process [`schemoe_cluster::fabric`] (tested for exact equivalence
-//! against the direct exchange), and a **plan** ([`A2aPlan`]) of
-//! send/recv pairs on streams that the discrete-event simulator times
-//! against a [`HardwareProfile`]. The plan is derived from the same phase
-//! structure the functional code executes, so what we time is what we
-//! tested.
+//! An algorithm has one form, its **plan** ([`A2aPlan`]): phases of
+//! send/recv pairs on streams, each naming the (origin, destination) blocks
+//! it carries. The discrete-event simulator times the plan against a
+//! [`HardwareProfile`]; [`AllToAll::all_to_all`] executes the same plan
+//! over the in-process [`schemoe_cluster::fabric`] through one interpreter
+//! ([`A2aPlan::execute`]), tested for exact equivalence against the direct
+//! exchange. So what is timed is what runs.
 
 pub mod allreduce;
 pub mod analysis;
@@ -32,7 +31,6 @@ pub mod imbalance;
 mod nccl;
 mod pipe;
 pub mod plan;
-pub mod primitives;
 
 pub use allreduce::{allreduce_inplace, allreduce_live, AllReduce, NaiveAllReduce, RingAllReduce};
 pub use hier1d::OneDimHierA2A;
@@ -40,7 +38,7 @@ pub use hier2d::TwoDimHierA2A;
 pub use imbalance::{straggler_factor, TrafficMatrix};
 pub use nccl::NcclA2A;
 pub use pipe::PipeA2A;
-pub use plan::{A2aPlan, SrOp, StreamAssignment};
+pub use plan::{A2aPlan, Blocks, Ranks, SrOp, StreamAssignment};
 
 use bytes::Bytes;
 use schemoe_cluster::{FabricError, HardwareProfile, RankHandle, Topology};
@@ -127,12 +125,18 @@ pub fn chunk_tag(tag_base: u64, lane: u64, chunk: usize) -> u64 {
 }
 
 /// The `AbsAlltoAll` abstraction: a complete exchange where rank `i`'s
-/// `chunks[j]` ends up at rank `j` as `received[i]`.
+/// `chunks[j]` ends up at rank `j` as `received[i]`. An algorithm is its
+/// [`plan`](Self::plan); executing it is the one provided method.
 pub trait AllToAll: Send + Sync {
-    /// Stable algorithm name used in reports and registries.
+    /// Stable algorithm name used in reports and spans.
     fn name(&self) -> &'static str;
 
-    /// Executes the exchange on the functional fabric.
+    /// Compiles the algorithm into its plan for a uniform exchange of
+    /// `input_bytes` total per rank.
+    fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan;
+
+    /// Executes the exchange on the functional fabric by interpreting
+    /// [`plan`](Self::plan) (see [`A2aPlan::execute`]).
     ///
     /// `chunks[j]` is this rank's payload for rank `j` (length must be the
     /// world size); the result's element `j` is the payload rank `j` sent
@@ -143,16 +147,11 @@ pub trait AllToAll: Send + Sync {
         handle: &mut RankHandle,
         chunks: Vec<Bytes>,
         tag_base: u64,
-    ) -> Result<Vec<Bytes>, FabricError>;
-
-    /// Compiles the algorithm into a simulatable plan for a uniform
-    /// exchange of `input_bytes` total per rank.
-    fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan;
-
-    /// Peak per-GPU staging-buffer requirement for the exchange, beyond
-    /// the caller's own input and output tensors.
-    fn staging_bytes(&self, _topo: &Topology, _input_bytes: u64) -> u64 {
-        0
+    ) -> Result<Vec<Bytes>, FabricError> {
+        let _span = coll_span(self.name(), tag_base, &chunks);
+        let total: usize = chunks.iter().map(Bytes::len).sum();
+        let plan = self.plan(&handle.topology(), total as u64);
+        plan.execute(handle, chunks, tag_base)
     }
 }
 
@@ -171,9 +170,9 @@ pub fn a2a_time(
 
 /// Whether an exchange of `input_bytes` fits in device memory.
 ///
-/// Accounts for the caller's input and output tensors plus the algorithm's
-/// staging buffers against the profile's capacity, leaving `reserved` bytes
-/// for the rest of the application.
+/// Accounts for the caller's input and output tensors plus the staging
+/// buffers of the algorithm's plan against the profile's capacity, leaving
+/// `reserved` bytes for the rest of the application.
 pub fn a2a_fits_memory(
     alg: &dyn AllToAll,
     topo: &Topology,
@@ -185,7 +184,7 @@ pub fn a2a_fits_memory(
     budget
         .add("a2a input", input_bytes)
         .add("a2a output", input_bytes)
-        .add("staging", alg.staging_bytes(topo, input_bytes))
+        .add("staging", alg.plan(topo, input_bytes).staging_bytes())
         .add("reserved", reserved);
     budget.fits()
 }

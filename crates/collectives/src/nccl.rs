@@ -1,9 +1,8 @@
 //! NCCL-style sequential all-to-all.
 
-use bytes::Bytes;
-use schemoe_cluster::{FabricError, RankHandle, Topology};
+use schemoe_cluster::Topology;
 
-use crate::plan::{A2aPlan, SrOp, StreamAssignment};
+use crate::plan::{A2aPlan, Blocks, Ranks::One, SrOp};
 use crate::AllToAll;
 
 /// The baseline all-to-all: rank `i` executes its `P` send/recv pairs
@@ -20,57 +19,14 @@ impl AllToAll for NcclA2A {
         "nccl-a2a"
     }
 
-    fn all_to_all(
-        &self,
-        handle: &mut RankHandle,
-        chunks: Vec<Bytes>,
-        tag_base: u64,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        let p = handle.world_size();
-        assert_eq!(chunks.len(), p, "one chunk per destination rank required");
-        let _span = crate::coll_span("nccl", tag_base, &chunks);
-        let me = handle.rank();
-        let mut out: Vec<Option<Bytes>> = (0..p).map(|_| None).collect();
-        let mut chunks: Vec<Option<Bytes>> = chunks.into_iter().map(Some).collect();
-        // Ring order avoids every rank hammering rank 0 first.
-        for step in 0..p {
-            let peer = (me + step) % p;
-            let payload = chunks[peer].take().expect("each peer visited once");
-            if peer == me {
-                out[me] = Some(payload);
-            } else {
-                handle.send(peer, tag_base, payload)?;
-            }
-        }
-        for step in 0..p {
-            let peer = (me + step) % p;
-            if peer != me {
-                out[peer] = Some(handle.recv(peer, tag_base)?);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("all peers received"))
-            .collect())
-    }
-
     fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan {
         let p = topo.world_size();
         let per_peer = input_bytes / p as u64;
-        let mut ops = Vec::with_capacity(p * p);
-        for src in topo.ranks() {
-            for step in 0..p {
-                let dst = (src + step) % p;
-                ops.push(SrOp {
-                    owner: src,
-                    src,
-                    dst,
-                    bytes: per_peer,
-                    stream: StreamAssignment::Main,
-                    exclusive_intra: false,
-                });
-            }
-        }
+        let ops = topo
+            .ranks()
+            .flat_map(|src| (0..p).map(move |step| (src, (src + step) % p)))
+            .map(|(src, dst)| SrOp::carrying(topo, src, dst, Blocks(One(src), One(dst)), per_peer))
+            .collect();
         A2aPlan::new(self.name(), vec![ops])
     }
 }
@@ -78,6 +34,7 @@ impl AllToAll for NcclA2A {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use schemoe_cluster::{Fabric, HardwareProfile};
 
     #[test]

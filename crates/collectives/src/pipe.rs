@@ -1,10 +1,9 @@
 //! Pipe-A2A: the paper's pipelined all-to-all (§5).
 
-use bytes::Bytes;
-use schemoe_cluster::{FabricError, RankHandle, Topology};
+use schemoe_cluster::{Rank, Topology};
 use schemoe_netsim::SimTime;
 
-use crate::plan::{A2aPlan, SrOp, StreamAssignment};
+use crate::plan::{A2aPlan, Blocks, Ranks::One, SrOp, StreamAssignment::*};
 use crate::AllToAll;
 
 /// Pipelined all-to-all: intra-node send/recv pairs run on an
@@ -15,7 +14,9 @@ use crate::AllToAll;
 /// and stream assignment change, so the simulated time follows the paper's
 /// Eq. 16, `max(M·t1, (P−M)·t2)`, instead of Eq. 17's sum. A fixed
 /// dual-stream join overhead is charged at the end, which is why the gain
-/// at small message sizes is only a few percent (Fig. 9a).
+/// at small message sizes is only a few percent (Fig. 9a). Executed, both
+/// streams' pairs are issued from the caller's thread, intra first: the
+/// stream assignment is timing metadata until a rank has a second lane.
 #[derive(Clone, Copy, Debug)]
 pub struct PipeA2A {
     join_overhead: SimTime,
@@ -47,77 +48,21 @@ impl AllToAll for PipeA2A {
         "pipe-a2a"
     }
 
-    fn all_to_all(
-        &self,
-        handle: &mut RankHandle,
-        chunks: Vec<Bytes>,
-        tag_base: u64,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        let p = handle.world_size();
-        assert_eq!(chunks.len(), p, "one chunk per destination rank required");
-        let _span = crate::coll_span("pipe", tag_base, &chunks);
-        let me = handle.rank();
-        let topo = handle.topology();
-        let mut out: Vec<Option<Bytes>> = (0..p).map(|_| None).collect();
-        let mut chunks: Vec<Option<Bytes>> = chunks.into_iter().map(Some).collect();
-        // Issue order mirrors the two streams: all intra-node peers first
-        // (they complete on the fast local links), then inter-node peers.
-        // Over the fabric both orders are functionally identical; keeping
-        // the order explicit documents the algorithm and exercises the
-        // same code path the plan encodes.
-        let mut peers: Vec<usize> = (0..p).map(|s| (me + s) % p).collect();
-        peers.sort_by_key(|&j| !topo.same_node(me, j));
-        for &peer in &peers {
-            let payload = chunks[peer].take().expect("each peer visited once");
-            if peer == me {
-                out[me] = Some(payload);
-            } else {
-                handle.send(peer, tag_base, payload)?;
-            }
-        }
-        for &peer in &peers {
-            if peer != me {
-                out[peer] = Some(handle.recv(peer, tag_base)?);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("all peers received"))
-            .collect())
-    }
-
     fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan {
         let p = topo.world_size();
         let per_peer = input_bytes / p as u64;
         let mut ops = Vec::with_capacity(p * p);
         for src in topo.ranks() {
-            // Intra pairs (and the self copy) on Main = Intra-Stream.
-            for step in 0..p {
-                let dst = (src + step) % p;
-                if topo.same_node(src, dst) {
-                    ops.push(SrOp {
-                        owner: src,
-                        src,
-                        dst,
-                        bytes: per_peer,
-                        stream: StreamAssignment::Main,
-                        exclusive_intra: false,
-                    });
-                }
-            }
-            // Inter pairs on Secondary = Inter-Stream.
-            for step in 0..p {
-                let dst = (src + step) % p;
-                if !topo.same_node(src, dst) {
-                    ops.push(SrOp {
-                        owner: src,
-                        src,
-                        dst,
-                        bytes: per_peer,
-                        stream: StreamAssignment::Secondary,
-                        exclusive_intra: false,
-                    });
-                }
+            // Intra pairs (and the self copy) on Main = Intra-Stream, then
+            // inter pairs on Secondary = Inter-Stream, each in ring order.
+            let ring = (0..p).map(|step| (src + step) % p);
+            let (intra, inter): (Vec<Rank>, Vec<Rank>) =
+                ring.partition(|&dst| topo.same_node(src, dst));
+            for (dsts, stream) in [(intra, Main), (inter, Secondary)] {
+                ops.extend(dsts.into_iter().map(|dst| SrOp {
+                    stream,
+                    ..SrOp::carrying(topo, src, dst, Blocks(One(src), One(dst)), per_peer)
+                }));
             }
         }
         A2aPlan::new(self.name(), vec![ops]).with_join_overhead(self.join_overhead)
@@ -128,6 +73,7 @@ impl AllToAll for PipeA2A {
 mod tests {
     use super::*;
     use crate::NcclA2A;
+    use bytes::Bytes;
     use schemoe_cluster::{Fabric, HardwareProfile};
 
     #[test]

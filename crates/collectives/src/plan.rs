@@ -1,7 +1,16 @@
-//! Simulatable all-to-all plans: phases of send/recv pairs on streams.
+//! All-to-all plans: phases of send/recv pairs on streams, each naming the
+//! blocks it carries. The simulator times a plan; [`A2aPlan::execute`]
+//! runs the same plan over the fabric.
 
-use schemoe_cluster::{HardwareProfile, Rank, Topology};
+use std::collections::HashMap;
+
+use bytes::Bytes;
+use schemoe_cluster::{
+    FabricError, FrameBuf, FramePool, HardwareProfile, Rank, RankHandle, Topology,
+};
 use schemoe_netsim::{SimError, SimTime, StreamSim, Trace};
+
+use crate::TrafficMatrix;
 
 /// Which of a rank's two communication streams an operation is issued on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -12,6 +21,54 @@ pub enum StreamAssignment {
     /// The rank's secondary stream (stream 1). Pipe-A2A issues inter-node
     /// pairs here so they overlap with intra-node pairs on [`Self::Main`].
     Secondary,
+}
+
+/// A set of ranks: one side of the blocks an op carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Ranks {
+    /// One rank.
+    One(Rank),
+    /// Every rank.
+    All,
+    /// The ranks of one node.
+    Node(usize),
+    /// The ranks with one local index, one per node (a "rail").
+    Rail(usize),
+}
+
+impl Ranks {
+    /// The members, ascending.
+    pub fn members(self, topo: &Topology) -> Vec<Rank> {
+        match self {
+            Ranks::One(rank) => vec![rank],
+            Ranks::All => topo.ranks().collect(),
+            Ranks::Node(node) => topo.node_ranks(node),
+            Ranks::Rail(local) => topo.rail_ranks(local),
+        }
+    }
+}
+
+/// The blocks an op carries: every `(origin, final destination)` pair of
+/// `origins × destinations`, where block `(o, d)` is the payload rank `o`
+/// passed the exchange for rank `d`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Blocks(pub Ranks, pub Ranks);
+
+impl Blocks {
+    /// The pairs, origin-major: the order a bundle lays them out in.
+    pub fn list(self, topo: &Topology) -> Vec<(Rank, Rank)> {
+        let dests = self.1.members(topo);
+        let origins = self.0.members(topo);
+        origins
+            .into_iter()
+            .flat_map(|o| dests.iter().map(move |&d| (o, d)))
+            .collect()
+    }
+
+    /// How many pairs.
+    pub fn count(self, topo: &Topology) -> usize {
+        self.0.members(topo).len() * self.1.members(topo).len()
+    }
 }
 
 /// One send/recv pair `SR(src, dst)` within a plan.
@@ -25,6 +82,8 @@ pub struct SrOp {
     pub src: Rank,
     /// Receiving rank.
     pub dst: Rank,
+    /// The blocks the message carries.
+    pub blocks: Blocks,
     /// Message size in bytes.
     pub bytes: u64,
     /// Stream assignment on the owner.
@@ -35,6 +94,20 @@ pub struct SrOp {
 }
 
 impl SrOp {
+    /// `src` sending `blocks` to `dst`, `per_pair` bytes each, on its own
+    /// main stream at the shared intra-node rate.
+    pub fn carrying(topo: &Topology, src: Rank, dst: Rank, blocks: Blocks, per_pair: u64) -> Self {
+        SrOp {
+            owner: src,
+            src,
+            dst,
+            blocks,
+            bytes: blocks.count(topo) as u64 * per_pair,
+            stream: StreamAssignment::Main,
+            exclusive_intra: false,
+        }
+    }
+
     /// Simulated duration of this pair under `hw`.
     pub fn duration(&self, topo: &Topology, hw: &HardwareProfile) -> SimTime {
         if self.src == self.dst {
@@ -91,6 +164,20 @@ impl A2aPlan {
     /// builder style.
     pub fn with_join_overhead(mut self, overhead: SimTime) -> Self {
         self.join_overhead = overhead;
+        self
+    }
+
+    /// Re-costs every op for a non-uniform exchange: its `bytes` become
+    /// the sum of `matrix[o][d]` over its blocks `(o, d)`.
+    pub fn with_traffic(mut self, topo: &Topology, matrix: &TrafficMatrix) -> Self {
+        for op in self.phases.iter_mut().flatten() {
+            op.bytes = op
+                .blocks
+                .list(topo)
+                .into_iter()
+                .map(|(o, d)| matrix.get(o, d))
+                .sum();
+        }
         self
     }
 
@@ -167,48 +254,124 @@ impl A2aPlan {
         }
         sim.run()
     }
+
+    /// Runs the plan on the fabric: this rank's `chunks[j]` is block
+    /// `(me, j)`, and the result's element `j` is block `(j, me)`.
+    ///
+    /// Phase `k` travels on tag `tag_base + k`. In it this rank first sends
+    /// each op whose `src` it is, in plan order, taking the op's blocks out
+    /// of its staging map, then receives each op whose `dst` it is into the
+    /// map. A one-block message is the block itself; a larger one is a
+    /// bundle: the blocks' lengths as little-endian `u32`s, then their
+    /// bytes, split on arrival into windows onto the message (a header that
+    /// disagrees with the length is [`FabricError::Corrupt`]). A self-op
+    /// moves nothing. A plan only sends
+    /// blocks its source held when the phase began, so every send of a
+    /// phase is issued before any rank waits on it: the exchange cannot
+    /// deadlock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunks` is not one per rank, or if the plan sends a block
+    /// its source does not hold or leaves one undelivered.
+    pub fn execute(
+        &self,
+        handle: &mut RankHandle,
+        chunks: Vec<Bytes>,
+        tag_base: u64,
+    ) -> Result<Vec<Bytes>, FabricError> {
+        let topo = handle.topology();
+        let me = handle.rank();
+        let p = topo.world_size();
+        assert_eq!(chunks.len(), p, "one chunk per destination rank required");
+        let mut staging: HashMap<(Rank, Rank), Bytes> =
+            (0..p).map(|d| (me, d)).zip(chunks).collect();
+        for (phase, ops) in self.phases.iter().enumerate() {
+            let tag = tag_base + phase as u64;
+            for op in ops.iter().filter(|op| op.src == me && op.dst != me) {
+                let take = |block| staging.remove(&block).expect("a plan sends held blocks");
+                let mut blocks: Vec<Bytes> = op.blocks.list(&topo).into_iter().map(take).collect();
+                match blocks.len() {
+                    1 => handle.send(op.dst, tag, blocks.pop().expect("one block"))?,
+                    _ => handle.send_frame(op.dst, tag, bundle(&handle.frames(), &blocks))?,
+                }
+            }
+            for op in ops.iter().filter(|op| op.dst == me && op.src != me) {
+                let msg = handle.recv(op.src, tag)?;
+                let keys = op.blocks.list(&topo);
+                let blocks = match keys.len() {
+                    1 => vec![msg],
+                    k => unbundle(&msg, k).ok_or(FabricError::Corrupt { peer: op.src, tag })?,
+                };
+                staging.extend(keys.into_iter().zip(blocks));
+            }
+        }
+        let deliver = |src| {
+            staging
+                .remove(&(src, me))
+                .expect("a plan delivers every block")
+        };
+        Ok((0..p).map(deliver).collect())
+    }
 }
 
-/// Splits `total` bytes evenly across `parts`, assigning the remainder to
-/// the earliest parts so sizes never differ by more than one byte.
-pub fn split_bytes(total: u64, parts: usize) -> Vec<u64> {
-    let parts = parts.max(1) as u64;
-    let base = total / parts;
-    let rem = total % parts;
-    (0..parts).map(|i| base + u64::from(i < rem)).collect()
+/// Packs `blocks`, in the order both ends derive from the plan, into one
+/// frame from the rank's pool, laid out as [`A2aPlan::execute`] describes.
+fn bundle(frames: &FramePool, blocks: &[Bytes]) -> FrameBuf {
+    let mut frame = frames.checkout(blocks.iter().map(|b| 4 + b.len()).sum());
+    let body = frame.body_mut();
+    for block in blocks {
+        let len = u32::try_from(block.len()).expect("a block under 4 GiB");
+        body.extend_from_slice(&len.to_le_bytes());
+    }
+    for block in blocks {
+        body.extend_from_slice(block);
+    }
+    frame
+}
+
+/// Splits a bundle of `k` blocks into windows onto it, copying nothing;
+/// `None` when its header and its length disagree.
+fn unbundle(msg: &Bytes, k: usize) -> Option<Vec<Bytes>> {
+    let header = msg.get(..k.checked_mul(4)?)?;
+    let mut at = header.len();
+    let mut blocks = Vec::with_capacity(k);
+    for len in header.chunks_exact(4) {
+        let end = at + u32::from_le_bytes(len.try_into().ok()?) as usize;
+        if end > msg.len() {
+            return None;
+        }
+        blocks.push(msg.slice(at..end));
+        at = end;
+    }
+    (at == msg.len()).then_some(blocks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use Ranks::One;
 
     fn hw() -> HardwareProfile {
         HardwareProfile::paper_testbed()
+    }
+
+    fn op(src: Rank, dst: Rank, bytes: u64) -> SrOp {
+        SrOp::carrying(
+            &Topology::new(2, 2),
+            src,
+            dst,
+            Blocks(One(src), One(dst)),
+            bytes,
+        )
     }
 
     #[test]
     fn single_phase_plan_runs_per_rank_sequentially() {
         let topo = Topology::new(1, 2);
         // Rank 0 does two intra pairs on Main: they serialize.
-        let ops = vec![
-            SrOp {
-                owner: 0,
-                src: 0,
-                dst: 1,
-                bytes: 1_000_000,
-                stream: StreamAssignment::Main,
-                exclusive_intra: false,
-            },
-            SrOp {
-                owner: 0,
-                src: 0,
-                dst: 1,
-                bytes: 1_000_000,
-                stream: StreamAssignment::Main,
-                exclusive_intra: false,
-            },
-        ];
-        let plan = A2aPlan::new("test", vec![ops]);
+        let plan = A2aPlan::new("test", vec![vec![op(0, 1, 1_000_000); 2]]);
         let trace = plan.simulate(&topo, &hw()).unwrap();
         let one = hw().intra_sr(1_000_000);
         assert!((trace.makespan().as_secs() - 2.0 * one.as_secs()).abs() < 1e-9);
@@ -218,12 +381,8 @@ mod tests {
     fn secondary_stream_overlaps_with_main() {
         let topo = Topology::new(2, 2);
         let mk = |stream, dst| SrOp {
-            owner: 0,
-            src: 0,
-            dst,
-            bytes: 10_000_000,
             stream,
-            exclusive_intra: false,
+            ..op(0, dst, 10_000_000)
         };
         let plan = A2aPlan::new(
             "test",
@@ -245,12 +404,8 @@ mod tests {
     fn phase_barrier_serializes_and_costs_sync() {
         let topo = Topology::new(1, 2);
         let op = SrOp {
-            owner: 0,
-            src: 0,
-            dst: 1,
-            bytes: 1_000_000,
-            stream: StreamAssignment::Main,
             exclusive_intra: true,
+            ..op(0, 1, 1_000_000)
         };
         let plan = A2aPlan::new("test", vec![vec![op], vec![op]]);
         let trace = plan.simulate(&topo, &hw()).unwrap();
@@ -262,14 +417,7 @@ mod tests {
     #[test]
     fn exclusive_intra_rate_is_faster() {
         let topo = Topology::new(1, 2);
-        let base = SrOp {
-            owner: 0,
-            src: 0,
-            dst: 1,
-            bytes: 100_000_000,
-            stream: StreamAssignment::Main,
-            exclusive_intra: false,
-        };
+        let base = op(0, 1, 100_000_000);
         let shared = base.duration(&topo, &hw());
         let exclusive = SrOp {
             exclusive_intra: true,
@@ -280,11 +428,73 @@ mod tests {
     }
 
     #[test]
-    fn split_bytes_is_balanced_and_complete() {
-        let parts = split_bytes(10, 3);
-        assert_eq!(parts.iter().sum::<u64>(), 10);
-        assert_eq!(parts, vec![4, 3, 3]);
-        assert_eq!(split_bytes(9, 3), vec![3, 3, 3]);
-        assert_eq!(split_bytes(0, 4), vec![0, 0, 0, 0]);
+    fn block_sets_enumerate_origin_major() {
+        let topo = Topology::new(3, 2);
+        let rail = Blocks(One(4), Ranks::Rail(1)).list(&topo);
+        assert_eq!(rail, vec![(4, 1), (4, 3), (4, 5)]);
+        let nodes = Blocks(Ranks::Node(0), Ranks::Node(2));
+        assert_eq!(nodes.list(&topo), vec![(0, 4), (0, 5), (1, 4), (1, 5)]);
+        assert_eq!(Blocks(Ranks::All, One(3)).count(&topo), 6);
+    }
+
+    fn sample_blocks(lens: &[usize]) -> Vec<Bytes> {
+        let block = |(i, &len): (usize, &usize)| Bytes::from(vec![i as u8 ^ 0x5A; len]);
+        lens.iter().enumerate().map(block).collect()
+    }
+
+    fn packed(blocks: &[Bytes]) -> Bytes {
+        let frames = FramePool::new(schemoe_cluster::BufPool::default(), true);
+        bundle(&frames, blocks).into_payload()
+    }
+
+    #[test]
+    fn a_bundle_splits_back_into_windows_onto_itself() {
+        let blocks = sample_blocks(&[3, 0, 17, 1]);
+        let msg = packed(&blocks);
+        assert_eq!(msg.len(), 4 * 4 + 21);
+        let got = unbundle(&msg, 4).unwrap();
+        assert_eq!(got, blocks);
+        assert_eq!(got[3].as_ptr(), msg[msg.len() - 1..].as_ptr(), "zero-copy");
+        // The block count is the plan's, not the bundle's.
+        assert_eq!(unbundle(&msg, 3), None);
+        assert_eq!(unbundle(&msg, 5), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hostile bytes: a truncated, bit-flipped or arbitrary bundle is
+        /// refused (the interpreter's `Corrupt`) or split at the same block
+        /// boundaries — never a panic, never an allocation the plan did not
+        /// size.
+        #[test]
+        fn hostile_bundles_are_refused_or_split_alike(
+            lens in proptest::collection::vec(0usize..40, 2..6),
+            cut in 1usize..64,
+            flip in 0usize..4096,
+            noise in proptest::collection::vec(0u8..=255, 0..96),
+            k in 0usize..8,
+        ) {
+            let blocks = sample_blocks(&lens);
+            let msg = packed(&blocks);
+            let k0 = blocks.len();
+            let truncated = msg.slice(0..msg.len().saturating_sub(cut));
+            prop_assert_eq!(unbundle(&truncated, k0), None);
+            let mut flipped = msg.to_vec();
+            let bit = flip % (8 * flipped.len());
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match unbundle(&Bytes::from(flipped), k0) {
+                None => prop_assert!(bit < 32 * k0, "a payload flip keeps the header valid"),
+                Some(got) => {
+                    let same: Vec<usize> = got.iter().map(Bytes::len).collect();
+                    prop_assert_eq!(same, lens.clone(), "a flip moved a block boundary");
+                }
+            }
+            if let Some(got) = unbundle(&Bytes::from(noise.clone()), k) {
+                prop_assert_eq!(got.len(), k);
+                let total: usize = got.iter().map(|b| 4 + b.len()).sum();
+                prop_assert_eq!(total, noise.len());
+            }
+        }
     }
 }

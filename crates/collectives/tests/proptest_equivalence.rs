@@ -21,6 +21,21 @@ fn payload(seed: u64, src: usize, dst: usize) -> Bytes {
     Bytes::from(data)
 }
 
+/// Every shape up to 3 × 3, and the two 8-rank shapes 4 × 2 and 2 × 4.
+const SHAPES: [(usize, usize); 11] = [
+    (1, 1),
+    (1, 2),
+    (1, 3),
+    (2, 1),
+    (2, 2),
+    (2, 3),
+    (3, 1),
+    (3, 2),
+    (3, 3),
+    (4, 2),
+    (2, 4),
+];
+
 fn run_alg(alg: &dyn AllToAll, topo: Topology, seed: u64, tag: u64) -> Vec<Vec<Bytes>> {
     Fabric::run(topo, |mut h| {
         let me = h.rank();
@@ -30,14 +45,14 @@ fn run_alg(alg: &dyn AllToAll, topo: Topology, seed: u64, tag: u64) -> Vec<Vec<B
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn all_algorithms_match_the_reference(
-        nodes in 1usize..4,
-        gpus in 1usize..4,
+        shape in 0usize..SHAPES.len(),
         seed in 0u64..1000,
     ) {
+        let (nodes, gpus) = SHAPES[shape];
         let topo = Topology::new(nodes, gpus);
         let expected = Fabric::run(topo, |mut h| {
             let me = h.rank();

@@ -135,12 +135,6 @@ impl MoeModelConfig {
         }
     }
 
-    /// Assigned tokens per GPU per MoE layer after capacity padding
-    /// (`f · k · B · L`).
-    pub fn assigned_tokens(&self) -> usize {
-        self.layer_shape().assigned_tokens()
-    }
-
     /// Per-GPU A2A payload in bytes (Eq. 2, fp32).
     pub fn a2a_bytes(&self) -> u64 {
         self.layer_shape().a2a_bytes()
@@ -168,11 +162,6 @@ impl MoeModelConfig {
     /// Total parameters of the MoE variant.
     pub fn total_params(&self) -> u64 {
         self.dense_params() + self.moe_params()
-    }
-
-    /// Forward FLOPs per GPU of one MoE layer's experts.
-    pub fn expert_flops(&self) -> u64 {
-        self.layer_shape().expert_flops()
     }
 
     /// Forward FLOPs per GPU of one layer's dense parts (attention
@@ -256,16 +245,16 @@ mod tests {
             assert_eq!(shape.a2a_bytes(), bytes, "{name}");
             assert_eq!(shape.expert_flops(), flops, "{name}");
             assert_eq!(model.a2a_bytes(), bytes, "{name}");
-            assert_eq!(model.expert_flops(), flops, "{name}");
         }
     }
 
     #[test]
     fn assigned_tokens_scale_with_f_and_k() {
         let mut cfg = MoeModelConfig::gpt2_tiny_moe();
-        let base = cfg.assigned_tokens();
+        let base = cfg.layer_shape().assigned_tokens();
         cfg.capacity_factor = 1.5;
-        assert_eq!(cfg.assigned_tokens(), (base as f64 * 1.5).ceil() as usize);
+        let padded = cfg.layer_shape().assigned_tokens();
+        assert_eq!(padded, (base as f64 * 1.5).ceil() as usize);
         assert_eq!(base, 2 * cfg.tokens_per_gpu); // k = 2
     }
 

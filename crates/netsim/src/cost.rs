@@ -87,11 +87,6 @@ pub struct LinearModel {
 }
 
 impl LinearModel {
-    /// Creates a model from explicit coefficients.
-    pub fn new(a: f64, b: f64) -> Self {
-        LinearModel { a, b }
-    }
-
     /// Least-squares fit through observation pairs `(x, seconds)`.
     ///
     /// Returns `None` for fewer than two points or a degenerate (constant
@@ -182,7 +177,7 @@ mod tests {
 
     #[test]
     fn prediction_clamps_negative_times() {
-        let m = LinearModel::new(-1.0, 0.001);
+        let m = LinearModel { a: -1.0, b: 0.001 };
         assert_eq!(m.predict(10.0), SimTime::ZERO);
     }
 }

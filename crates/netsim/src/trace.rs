@@ -59,36 +59,4 @@ impl Trace {
     pub fn records(&self) -> &[OpRecord] {
         &self.records
     }
-
-    /// Total busy time of one stream.
-    pub fn busy_time(&self, stream: StreamId) -> SimTime {
-        self.records
-            .iter()
-            .filter(|r| r.stream == stream)
-            .map(|r| r.end - r.start)
-            .sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::StreamSim;
-
-    fn two_stream_trace() -> Trace {
-        let mut sim = StreamSim::new();
-        let s1 = sim.stream("compute");
-        let s2 = sim.stream("network");
-        let a = sim.push(s1, SimTime::from_ms(4.0), &[], "a");
-        sim.push(s2, SimTime::from_ms(6.0), &[a], "b");
-        sim.run().unwrap()
-    }
-
-    #[test]
-    fn busy_time_per_stream() {
-        let t = two_stream_trace();
-        assert_eq!(t.busy_time(StreamId(0)), SimTime::from_ms(4.0));
-        assert_eq!(t.busy_time(StreamId(1)), SimTime::from_ms(6.0));
-        assert_eq!(t.makespan(), SimTime::from_ms(10.0));
-    }
 }

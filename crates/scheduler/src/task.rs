@@ -79,12 +79,6 @@ impl TaskKind {
         matches!(self, TaskKind::AllToAll1 | TaskKind::AllToAll2)
     }
 
-    /// The immediately preceding kind in the per-chunk dependency chain,
-    /// or `None` for the chain head `C1`.
-    pub fn predecessor(self) -> Option<TaskKind> {
-        (self as usize).checked_sub(1).map(|pos| TaskKind::ALL[pos])
-    }
-
     /// Short label (`C1`, `A1`, ..., `D2`): the stem of the stage's span
     /// names.
     pub fn label(self) -> &'static str {
@@ -207,16 +201,6 @@ mod tests {
         assert_eq!(comm.len(), 2);
         assert_eq!(TaskKind::COMPUTE.len(), 5);
         assert!(TaskKind::COMPUTE.iter().all(|k| !k.is_comm()));
-    }
-
-    #[test]
-    fn predecessor_chain_is_the_pipeline() {
-        assert_eq!(TaskKind::Compress1.predecessor(), None);
-        assert_eq!(TaskKind::AllToAll1.predecessor(), Some(TaskKind::Compress1));
-        assert_eq!(
-            TaskKind::Decompress2.predecessor(),
-            Some(TaskKind::AllToAll2)
-        );
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! `Compressor` and `AllToAll` traits and hand the values to a real MoE
 //! layer and to the simulator — without touching any training logic.
 
-use bytes::Bytes;
 use schemoe::prelude::*;
-use schemoe_cluster::FabricError;
 use schemoe_collectives::plan::A2aPlan;
 use schemoe_compression::CompressionError;
 use schemoe_tensor::rng::{self, seeded};
@@ -75,22 +73,14 @@ impl Compressor for SignLog4 {
 }
 
 /// A user A2A: Pipe-A2A with an extra-long stream-join budget, as a stand-
-/// in for "my cluster needs different tuning".
+/// in for "my cluster needs different tuning". An algorithm is its plan:
+/// the simulator times it and the provided `all_to_all` executes it.
 #[derive(Clone, Copy, Debug)]
 struct CautiousPipe;
 
 impl AllToAll for CautiousPipe {
     fn name(&self) -> &'static str {
         "cautious-pipe"
-    }
-
-    fn all_to_all(
-        &self,
-        handle: &mut schemoe_cluster::RankHandle,
-        chunks: Vec<Bytes>,
-        tag_base: u64,
-    ) -> Result<Vec<Bytes>, FabricError> {
-        PipeA2A::new().all_to_all(handle, chunks, tag_base)
     }
 
     fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan {
