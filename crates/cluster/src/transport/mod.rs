@@ -216,6 +216,12 @@ impl TransportBootstrap {
 }
 
 /// Builds one bootstrap per rank for an in-process run over `kind`.
+///
+/// # Panics
+///
+/// Panics if the backend cannot be set up on this host (no loopback
+/// listener, no shm session directory): an in-process run has no caller
+/// that could recover.
 pub fn mesh(kind: TransportKind, world: usize) -> Vec<TransportBootstrap> {
     match kind {
         TransportKind::Channel => channel::mesh(world)
@@ -230,6 +236,7 @@ pub fn mesh(kind: TransportKind, world: usize) -> Vec<TransportBootstrap> {
         #[cfg(not(unix))]
         TransportKind::Shm => panic!("the shm transport requires a unix host"),
         TransportKind::Tcp => tcp::mesh(world)
+            .unwrap_or_else(|e| panic!("tcp mesh: {e}"))
             .into_iter()
             .map(TransportBootstrap::Tcp)
             .collect(),

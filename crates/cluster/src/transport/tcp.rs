@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
+use schemoe_compression::record::{Reader, Writer};
 
 use super::{LinkClosed, RawRecvError, Transport, RESERVED_TAG_BASE};
 use crate::faults::splitmix64;
@@ -58,6 +59,10 @@ const RECV_POLL: Duration = Duration::from_millis(5);
 /// Sanity cap on record payloads (a damaged length prefix must not
 /// allocate the moon).
 const MAX_RECORD: u32 = 1 << 30;
+
+/// Longest rendezvous line read, newline included: the peer on the other
+/// end of a rendezvous socket must not size the allocation.
+const MAX_LINE: u64 = 4096;
 
 /// Dial schedule for lazy *data* connections: quick, because a send to
 /// a genuinely dead peer must fail fast enough not to stall the
@@ -96,19 +101,15 @@ fn dial_with_backoff(
     cap: Duration,
     seed: u64,
 ) -> std::io::Result<TcpStream> {
-    let mut last = None;
-    for attempt in 0..attempts.max(1) {
+    let mut attempt = 0;
+    loop {
         match TcpStream::connect(addr) {
             Ok(s) => return Ok(s),
-            Err(e) => {
-                last = Some(e);
-                if attempt + 1 < attempts {
-                    std::thread::sleep(backoff_delay(attempt, base, cap, seed));
-                }
-            }
+            Err(e) if attempt + 1 >= attempts => return Err(e),
+            Err(_) => std::thread::sleep(backoff_delay(attempt, base, cap, seed)),
         }
+        attempt += 1;
     }
-    Err(last.expect("at least one attempt"))
 }
 
 /// Why standing up a TCP endpoint failed — typed, so a worker process
@@ -129,7 +130,8 @@ pub enum BootstrapError {
     },
     /// The rendezvous accepted but the JOIN/MAP exchange failed.
     Handshake(std::io::Error),
-    /// The MAP reply did not cover the expected world.
+    /// The MAP reply did not cover the expected world (a reply without
+    /// the `MAP` keyword has no entries).
     BadMap {
         /// Entries received.
         got: usize,
@@ -239,19 +241,19 @@ impl TcpBootstrap {
 /// Spawns an in-process rendezvous service for `world` ranks and
 /// returns one bootstrap per rank. The service thread exits after the
 /// initial map broadcast.
-pub fn mesh(world: usize) -> Vec<TcpBootstrap> {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind rendezvous");
-    let addr = listener.local_addr().expect("rendezvous addr").to_string();
+pub fn mesh(world: usize) -> Result<Vec<TcpBootstrap>, BootstrapError> {
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(BootstrapError::Bind)?;
+    let addr = listener.local_addr().map_err(BootstrapError::Bind)?;
     std::thread::spawn(move || serve_rendezvous(listener, world, false));
-    (0..world)
+    Ok((0..world)
         .map(|rank| TcpBootstrap {
-            rendezvous: addr.clone(),
+            rendezvous: addr.to_string(),
             rank,
             world,
             reconnectable: false,
             rendezvous_attempts: RENDEZVOUS_DIAL_ATTEMPTS,
         })
-        .collect()
+        .collect())
 }
 
 /// Runs the rendezvous service: collects `JOIN <rank> <addr>` lines
@@ -288,23 +290,11 @@ pub fn serve_rendezvous_with_store(
     let mut initial_served = addrs.iter().all(Option::is_some);
     for conn in listener.incoming() {
         let Ok(conn) = conn else { continue };
-        let mut reader = BufReader::new(conn.try_clone().expect("clone rendezvous conn"));
-        let mut line = String::new();
-        if reader.read_line(&mut line).is_err() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some("JOIN"), Some(rank), Some(addr)) = (parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        let Ok(rank) = rank.parse::<usize>() else {
-            continue;
-        };
-        if rank >= world {
-            continue;
-        }
-        addrs[rank] = Some(addr.to_string());
+        let join = read_line(&conn)
+            .ok()
+            .and_then(|line| parse_join(&line, world));
+        let Some((rank, addr)) = join else { continue };
+        addrs[rank] = Some(addr);
         if let Some(path) = store.as_deref() {
             persist_store(path, &addrs);
         }
@@ -325,14 +315,55 @@ pub fn serve_rendezvous_with_store(
     }
 }
 
-/// Reads a rank→addr store written by [`persist_store`]. Unknown ranks
-/// and damaged lines are skipped, so a torn or stale file degrades to a
-/// partial (or empty) prefill rather than an error.
-fn load_store(path: &Path, world: usize) -> Vec<Option<String>> {
-    let mut addrs = vec![None; world];
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return addrs;
+/// Reads one `\n`-terminated line of at most [`MAX_LINE`] bytes; a longer
+/// or unterminated one is an error.
+fn read_line(conn: impl Read) -> std::io::Result<String> {
+    let mut line = String::new();
+    BufReader::new(conn.take(MAX_LINE)).read_line(&mut line)?;
+    if !line.ends_with('\n') {
+        return Err(std::io::ErrorKind::InvalidData.into());
+    }
+    Ok(line)
+}
+
+/// Parses a `JOIN <rank> <host:port>` line from a rank of a `world`-rank
+/// cluster.
+fn parse_join(line: &str, world: usize) -> Option<(Rank, String)> {
+    let mut parts = line.split_whitespace();
+    let (Some("JOIN"), Some(rank), Some(addr)) = (parts.next(), parts.next(), parts.next()) else {
+        return None;
     };
+    let rank = rank.parse().ok().filter(|&r| r < world)?;
+    Some((rank, addr.to_string()))
+}
+
+/// Parses the `MAP <addr0> <addr1> ...` reply, which must name exactly
+/// `world` addresses.
+fn parse_map(line: &str, world: usize) -> Result<Vec<String>, BootstrapError> {
+    let mut parts = line.split_whitespace();
+    let addrs: Vec<String> = match parts.next() {
+        Some("MAP") => parts.map(str::to_string).collect(),
+        _ => Vec::new(),
+    };
+    if addrs.len() != world {
+        return Err(BootstrapError::BadMap {
+            got: addrs.len(),
+            want: world,
+        });
+    }
+    Ok(addrs)
+}
+
+/// Reads a rank→addr store written by [`persist_store`].
+fn load_store(path: &Path, world: usize) -> Vec<Option<String>> {
+    parse_store(&std::fs::read_to_string(path).unwrap_or_default(), world)
+}
+
+/// Parses a store's `RANK ADDR` lines. Unknown ranks and damaged lines are
+/// skipped, so a torn or stale file degrades to a partial (or empty)
+/// prefill rather than an error.
+fn parse_store(text: &str, world: usize) -> Vec<Option<String>> {
+    let mut addrs = vec![None; world];
     for line in text.lines() {
         let mut parts = line.split_whitespace();
         let (Some(rank), Some(addr)) = (parts.next(), parts.next()) else {
@@ -375,7 +406,7 @@ fn reply_map(mut conn: TcpStream, addrs: &[Option<String>]) -> std::io::Result<(
 /// socket allows: header and payload leave in one vectored write (one
 /// segment, for a small control frame on this `TCP_NODELAY` stream), and a
 /// partial write resumes where it stopped.
-fn write_record(stream: &mut TcpStream, tag: u64, payload: &[u8]) -> std::io::Result<()> {
+fn write_record(stream: &mut impl Write, tag: u64, payload: &[u8]) -> std::io::Result<()> {
     let mut header = [0u8; 12];
     header[..8].copy_from_slice(&tag.to_le_bytes());
     header[8..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -392,15 +423,13 @@ fn write_record(stream: &mut TcpStream, tag: u64, payload: &[u8]) -> std::io::Re
     stream.write_all(&payload[sent - header.len()..])
 }
 
-/// Reads one record, its payload into a buffer of `pool`.
-fn read_record(
-    reader: &mut BufReader<TcpStream>,
-    pool: &BufPool,
-) -> std::io::Result<(u64, FrameBuf)> {
+/// Reads one record, its payload into a buffer of `pool`. A length past
+/// [`MAX_RECORD`] is refused before anything is allocated for it.
+fn read_record(reader: &mut impl Read, pool: &BufPool) -> std::io::Result<(u64, FrameBuf)> {
     let mut header = [0u8; 12];
     reader.read_exact(&mut header)?;
-    let tag = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(header[8..].try_into().expect("4 bytes"));
+    let (tag, len) = Reader::frame(&header, |r| Ok((r.u64()?, r.u32()?)))
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     if len > MAX_RECORD {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -446,7 +475,7 @@ fn run_reader(stream: TcpStream, shared: Arc<Shared>) {
             }
             CTRL_ARRIVE | CTRL_RELEASE => {
                 let Some(s) = src else { return };
-                let gen = u64::from_le_bytes(payload.as_ref().try_into().unwrap_or([0; 8]));
+                let gen = Reader::frame(payload.as_ref(), Reader::u64).unwrap_or(0);
                 // Home before the barrier it announces can be observed.
                 drop(payload);
                 if tag == CTRL_ARRIVE {
@@ -479,16 +508,18 @@ fn run_reader(stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
+/// `HELLO` payload `[rank u64][listener address, UTF-8]`.
 fn encode_hello(rank: Rank, addr: &str) -> Vec<u8> {
-    let mut v = rank.to_le_bytes().to_vec();
-    v.extend_from_slice(addr.as_bytes());
-    v
+    let mut w = Writer::new(8 + addr.len());
+    w.u64(rank as u64).bytes(addr.as_bytes());
+    w.finish()
 }
 
 fn decode_hello(payload: &[u8]) -> Option<(Rank, String)> {
-    let rank_bytes: [u8; 8] = payload.get(..8)?.try_into().ok()?;
-    let addr = String::from_utf8(payload.get(8..)?.to_vec()).ok()?;
-    Some((usize::from_le_bytes(rank_bytes), addr))
+    let mut r = Reader::new(payload);
+    let rank = usize::try_from(r.u64().ok()?).ok()?;
+    let addr = String::from_utf8(r.take(r.remaining()).ok()?.to_vec()).ok()?;
+    Some((rank, addr))
 }
 
 /// One rank's endpoint into a TCP mesh.
@@ -535,21 +566,8 @@ impl TcpTransport {
         rendezvous
             .write_all(format!("JOIN {} {}\n", b.rank, listen_addr).as_bytes())
             .map_err(BootstrapError::Handshake)?;
-        let mut line = String::new();
-        BufReader::new(rendezvous)
-            .read_line(&mut line)
-            .map_err(BootstrapError::Handshake)?;
-        let addrs: Vec<String> = line
-            .split_whitespace()
-            .skip(1)
-            .map(str::to_string)
-            .collect();
-        if addrs.len() != b.world {
-            return Err(BootstrapError::BadMap {
-                got: addrs.len(),
-                want: b.world,
-            });
-        }
+        let line = read_line(rendezvous).map_err(BootstrapError::Handshake)?;
+        let addrs = parse_map(&line, b.world)?;
 
         let mut inbox_tx = Vec::with_capacity(b.world);
         let mut inbox_rx = Vec::with_capacity(b.world);
@@ -645,13 +663,10 @@ impl TcpTransport {
     fn write_to(&self, to: Rank, tag: u64, payload: &[u8]) -> Result<(), LinkClosed> {
         let mut slot = self.out[to].lock();
         for attempt in 0..2 {
-            if slot.is_none() {
-                match self.dial(to) {
-                    Ok(s) => *slot = Some(s),
-                    Err(_) => return Err(LinkClosed),
-                }
-            }
-            let stream = slot.as_mut().expect("dialed above");
+            let stream = match &mut *slot {
+                Some(stream) => stream,
+                empty => empty.insert(self.dial(to).map_err(|_| LinkClosed)?),
+            };
             match write_record(stream, tag, payload) {
                 Ok(()) => return Ok(()),
                 Err(_) if attempt == 0 => *slot = None,
@@ -729,6 +744,7 @@ impl Transport for TcpTransport {
             let mut early = self.early_arrivals.take();
             let mut arrived = 1 + early.remove(&gen).unwrap_or(0);
             while arrived < self.world {
+                // `shared` holds the sender for as long as `self` lives.
                 let (_, g) = self.arrive_rx.recv().expect("arrive channel open");
                 if g == gen {
                     arrived += 1;
@@ -737,12 +753,14 @@ impl Transport for TcpTransport {
                 }
             }
             self.early_arrivals.set(early);
+            let release = Writer::new(8).u64(gen).finish();
             for r in 1..self.world {
-                let _ = self.write_to(r, CTRL_RELEASE, &gen.to_le_bytes());
+                let _ = self.write_to(r, CTRL_RELEASE, &release);
             }
         } else {
-            let _ = self.write_to(0, CTRL_ARRIVE, &gen.to_le_bytes());
+            let _ = self.write_to(0, CTRL_ARRIVE, &Writer::new(8).u64(gen).finish());
             loop {
+                // `shared` holds the sender for as long as `self` lives.
                 let g = self.release_rx.recv().expect("release channel open");
                 if g >= gen {
                     return;
@@ -956,5 +974,172 @@ mod tests {
         );
         assert_eq!(load_store(&dir.join("missing.map"), 2), vec![None, None]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hello_keeps_its_bytes() {
+        let hello = encode_hello(3, "127.0.0.1:5000");
+        let hex: String = hello.iter().map(|x| format!("{x:02x}")).collect();
+        assert_eq!(hex, "03000000000000003132372e302e302e313a35303030");
+        assert_eq!(decode_hello(&hello), Some((3, "127.0.0.1:5000".into())));
+        assert_eq!(decode_hello(&hello[..7]), None);
+        assert_eq!(decode_hello(&[0, 0, 0, 0, 0, 0, 0, 0, 0xFF]), None);
+    }
+
+    #[test]
+    fn records_round_trip_and_an_oversized_length_allocates_nothing() {
+        let mut wire = Vec::new();
+        write_record(&mut wire, 7, b"abc").unwrap();
+        write_record(&mut wire, CTRL_HELLO, b"").unwrap();
+        let pool = BufPool::default();
+        let mut stream = &wire[..];
+        let (tag, payload) = read_record(&mut stream, &pool).unwrap();
+        assert_eq!((tag, payload.as_ref()), (7, &b"abc"[..]));
+        let (tag, payload) = read_record(&mut stream, &pool).unwrap();
+        assert_eq!((tag, payload.as_ref()), (CTRL_HELLO, &b""[..]));
+        drop(payload);
+        let eof = read_record(&mut stream, &pool).err().unwrap();
+        assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
+
+        let fresh = BufPool::default();
+        for len in [MAX_RECORD + 1, u32::MAX] {
+            let mut header = 9u64.to_le_bytes().to_vec();
+            header.extend_from_slice(&len.to_le_bytes());
+            let err = read_record(&mut &header[..], &fresh).err().unwrap();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+        assert_eq!(fresh.usage(), (0, 0, 0), "nothing was checked out");
+    }
+
+    #[test]
+    fn rendezvous_lines_are_bounded_and_keyworded() {
+        // A line never ends: the read stops at the bound instead of
+        // growing with what the peer sends.
+        assert!(read_line(std::io::repeat(b'J')).is_err());
+        assert!(read_line(&b"JOIN 0 a:1"[..]).is_err(), "unterminated");
+        assert_eq!(read_line(&b"MAP a b\nrest"[..]).unwrap(), "MAP a b\n");
+
+        assert_eq!(parse_join("JOIN 1 h:2\n", 2), Some((1, "h:2".into())));
+        for bad in [
+            "JOIN 2 h:2",
+            "JOIN x h:2",
+            "JOIN 1",
+            "join 1 h:2",
+            "MAP 1 h:2",
+            "",
+        ] {
+            assert_eq!(parse_join(bad, 2), None, "{bad:?}");
+        }
+        assert_eq!(parse_map("MAP a b\n", 2).unwrap(), ["a", "b"]);
+        for bad in ["NOPE a b", "a b", "MAP a", "MAP a b c", ""] {
+            assert!(
+                matches!(
+                    parse_map(bad, 2),
+                    Err(BootstrapError::BadMap { want: 2, .. })
+                ),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_endless_join_line_does_not_wedge_the_rendezvous() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let rdv = listener.local_addr().unwrap();
+        let serve = std::thread::spawn(move || serve_rendezvous(listener, 1, false));
+        // A peer that sends and sends but never ends its line, and stays.
+        let mut babbler = TcpStream::connect(rdv).unwrap();
+        babbler.write_all(&[b'x'; 64 << 10]).unwrap();
+        let mut rank0 = TcpStream::connect(rdv).unwrap();
+        rank0.write_all(b"JOIN 0 10.0.0.1:5000\n").unwrap();
+        rank0
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(read_line(rank0).unwrap(), "MAP 10.0.0.1:5000\n");
+        serve.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_without_the_map_keyword_is_refused() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let rdv = listener.local_addr().unwrap().to_string();
+        let fake = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            read_line(&conn).unwrap();
+            conn.write_all(b"NOPE 127.0.0.1:1 127.0.0.1:1\n").unwrap();
+        });
+        let got = TcpBootstrap::new(rdv, 0, 2)
+            .with_rendezvous_attempts(1)
+            .connect();
+        assert!(matches!(
+            got,
+            Err(BootstrapError::BadMap { got: 0, want: 2 })
+        ));
+        fake.join().unwrap();
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes through the HELLO decoder and the three line
+        /// parsers: a value in range or nothing, never a panic.
+        #[test]
+        fn hostile_hellos_and_lines_never_panic(
+            bytes in proptest::collection::vec(0u8..=255, 0..48),
+            world in 1usize..8,
+        ) {
+            if let Some((rank, addr)) = decode_hello(&bytes) {
+                proptest::prop_assert_eq!(encode_hello(rank, &addr), bytes.clone());
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Some((rank, addr)) = parse_join(&text, world) {
+                proptest::prop_assert!(rank < world && !addr.is_empty());
+            }
+            if let Ok(addrs) = parse_map(&text, world) {
+                proptest::prop_assert_eq!(addrs.len(), world);
+            }
+            proptest::prop_assert_eq!(parse_store(&text, world).len(), world);
+        }
+
+        /// A record stream that turns hostile after any number of good
+        /// records — cut anywhere, a length past the cap, a length past
+        /// the bytes present — yields every good record exactly, then an
+        /// error, never a panic, and leaves no buffer checked out.
+        #[test]
+        fn hostile_record_streams_end_in_an_error(
+            good in proptest::collection::vec(
+                (0u64..=u64::MAX, proptest::collection::vec(0u8..=255, 0..40)),
+                0..4,
+            ),
+            tail in 0u8..3,
+            extra in 1u32..64,
+            cut in 0usize..400,
+        ) {
+            let mut wire = Vec::new();
+            for (tag, payload) in &good {
+                write_record(&mut wire, *tag, payload).unwrap();
+            }
+            let clean = wire.len();
+            match tail {
+                0 => wire.truncate(cut % (clean + 1)),
+                1 => {
+                    wire.extend_from_slice(&5u64.to_le_bytes());
+                    wire.extend_from_slice(&(MAX_RECORD + extra).to_le_bytes());
+                }
+                _ => {
+                    wire.extend_from_slice(&5u64.to_le_bytes());
+                    wire.extend_from_slice(&extra.to_le_bytes());
+                    wire.extend_from_slice(&vec![0; extra as usize - 1]);
+                }
+            }
+            let pool = BufPool::default();
+            let mut stream = &wire[..];
+            let mut read = 0;
+            while let Ok((tag, payload)) = read_record(&mut stream, &pool) {
+                proptest::prop_assert_eq!((tag, payload.as_ref()), (good[read].0, &good[read].1[..]));
+                read += 1;
+            }
+            proptest::prop_assert!(read <= good.len());
+            proptest::prop_assert!(tail != 0 || wire.len() < clean || read == good.len());
+            proptest::prop_assert_eq!(pool.usage().0, 0);
+        }
     }
 }

@@ -23,14 +23,17 @@
 //! tensor scale (which is exactly why it beats [`Int8Compressor`]'s
 //! per-tensor scaling in convergence).
 //!
-//! The crate also owns the two byte-level primitives every wire and disk
-//! format in the workspace shares: the one [`crc32`] and the `f32` ⇄
-//! little-endian pair ([`extend_f32_le`], [`copy_f32_le`], [`add_f32_le`]).
+//! The crate also owns the byte-level primitives every wire and disk
+//! format in the workspace shares: the one [`crc32`], the `f32` ⇄
+//! little-endian pair ([`extend_f32_le`], [`copy_f32_le`], [`add_f32_le`]),
+//! and the one [`record`] codec the control plane's formats are written
+//! and read with.
 
 mod crc;
 mod fp16;
 mod identity;
 mod int8;
+pub mod record;
 mod zfp;
 
 pub use crc::{crc32, crc32_update};

@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use schemoe_cluster::{FabricError, RankHandle};
+use schemoe_compression::record::{Reader, RecordError, Writer};
 
 use super::state::{Half, RankState};
 use super::wire::{self, Lane};
@@ -32,18 +33,15 @@ fn mask_of(ranks: impl IntoIterator<Item = usize>) -> u64 {
 /// the subset of those backed by first-hand disconnection evidence.
 pub(super) type Ballot = (u8, u64, u64);
 
+/// Ballot frame `[status u8][suspects u64][confirmed u64]`.
 fn encode_ballot((status, suspects, confirmed): Ballot) -> Bytes {
-    let mut buf = [0u8; 17];
-    buf[0] = status;
-    buf[1..9].copy_from_slice(&suspects.to_le_bytes());
-    buf[9..].copy_from_slice(&confirmed.to_le_bytes());
-    Bytes::copy_from_slice(&buf)
+    let mut w = Writer::new(17);
+    w.u8(status).u64(suspects).u64(confirmed);
+    Bytes::from(w.finish())
 }
 
 fn decode_ballot(m: &[u8]) -> Option<Ballot> {
-    let (&status, masks) = m.split_first()?;
-    let (suspects, confirmed) = wire::decode_pair(masks)?;
-    Some((status, suspects, confirmed))
+    Reader::frame(m, |r| Ok((r.u8()?, r.u64()?, r.u64()?))).ok()
 }
 
 /// The outcome of one cluster-wide vote.
@@ -235,37 +233,37 @@ struct Invite {
 }
 
 impl Invite {
+    /// `[step u64][tag u64][epoch u32][donor u32][live u64][handback u32]
+    /// [n u32][n × (dead u8, host u8)]`.
     fn encode(&self) -> Bytes {
-        let mut b = Vec::with_capacity(40 + 2 * self.routes.len());
-        b.extend_from_slice(&(self.step as u64).to_le_bytes());
-        b.extend_from_slice(&self.tag.to_le_bytes());
-        b.extend_from_slice(&self.epoch.to_le_bytes());
-        b.extend_from_slice(&(self.donor as u32).to_le_bytes());
-        b.extend_from_slice(&self.live.to_le_bytes());
-        b.extend_from_slice(&self.handback.to_le_bytes());
-        b.extend_from_slice(&(self.routes.len() as u32).to_le_bytes());
+        let mut w = Writer::new(40 + 2 * self.routes.len());
+        w.u64(self.step as u64).u64(self.tag).u32(self.epoch);
+        w.u32(self.donor as u32).u64(self.live).u32(self.handback);
+        w.u32(self.routes.len() as u32);
         for &(d, host) in &self.routes {
-            b.extend_from_slice(&[d, host]);
+            w.u8(d).u8(host);
         }
-        Bytes::from(b)
+        Bytes::from(w.finish())
     }
 
     /// Decodes an invite for a `world`-rank cluster. Every rank it names
     /// must exist, every live bit must be a rank, and no route may host a
     /// rank on itself — the fields index per-rank tables downstream.
     fn decode(b: &[u8], world: usize) -> Option<Invite> {
-        let u32_at = |i: usize| Some(u32::from_le_bytes(b.get(i..i + 4)?.try_into().ok()?));
-        let u64_at = |i: usize| Some(u64::from_le_bytes(b.get(i..i + 8)?.try_into().ok()?));
-        let pairs = b.get(40..)?;
-        let inv = Invite {
-            step: usize::try_from(u64_at(0)?).ok()?,
-            tag: u64_at(8)?,
-            epoch: u32_at(16)?,
-            donor: u32_at(20)? as usize,
-            live: u64_at(24)?,
-            handback: u32_at(32)?,
-            routes: pairs.chunks_exact(2).map(|c| (c[0], c[1])).collect(),
-        };
+        let inv = Reader::frame(b, |r| {
+            Ok(Invite {
+                step: usize::try_from(r.u64()?).map_err(|_| RecordError::Malformed("step"))?,
+                tag: r.u64()?,
+                epoch: r.u32()?,
+                donor: r.u32()? as usize,
+                live: r.u64()?,
+                handback: r.u32()?,
+                routes: (0..r.count(2)?)
+                    .map(|_| Ok((r.u8()?, r.u8()?)))
+                    .collect::<Result<_, RecordError>>()?,
+            })
+        })
+        .ok()?;
         let ranks_exist = inv.donor < world
             && inv.handback as usize <= world
             && (world >= 64 || inv.live >> world == 0)
@@ -273,7 +271,7 @@ impl Invite {
                 .routes
                 .iter()
                 .all(|&(d, host)| d != host && (d as usize) < world && (host as usize) < world);
-        (pairs.len() == 2 * u32_at(36)? as usize && ranks_exist).then_some(inv)
+        ranks_exist.then_some(inv)
     }
 }
 
@@ -420,17 +418,22 @@ fn apply_invite(h: &mut RankHandle, st: &mut RankState, inv: &Invite) -> Result<
 
 /// Park ping `[rank u8][epoch u32][step u64][tag u64]`.
 fn encode_ping(me: usize, epoch: u32, step: usize, tag: u64) -> Bytes {
-    let mut ping = [0u8; 21];
-    ping[0] = me as u8;
-    ping[1..5].copy_from_slice(&epoch.to_le_bytes());
-    ping[5..].copy_from_slice(&wire::encode_pair(step as u64, tag));
-    Bytes::copy_from_slice(&ping)
+    let mut w = Writer::new(21);
+    w.u8(me as u8).u32(epoch).u64(step as u64).u64(tag);
+    Bytes::from(w.finish())
 }
 
 fn decode_ping(m: &[u8]) -> Option<(usize, u32, u64, u64)> {
-    let (step, tag) = wire::decode_pair(m.get(5..)?)?;
-    let epoch = u32::from_le_bytes(m[1..5].try_into().ok()?);
-    Some((m[0] as usize, epoch, step, tag))
+    Reader::frame(m, |r| Ok((r.u8()? as usize, r.u32()?, r.u64()?, r.u64()?))).ok()
+}
+
+/// The common resume point `[step u64][tag u64]` of a healed park.
+fn encode_resume(step: usize, tag: u64) -> Bytes {
+    Bytes::from(Writer::new(16).u64(step as u64).u64(tag).finish())
+}
+
+fn decode_resume(m: &[u8]) -> Option<(u64, u64)> {
+    Reader::frame(m, |r| Ok((r.u64()?, r.u64()?))).ok()
 }
 
 /// A rank that cannot assemble a voting majority *parks*: it stops
@@ -503,7 +506,7 @@ fn park_until_heal(
         let mut resumed: Option<u64> = None;
         for &r in &everyone {
             wire::drain(h, r, resume_lane, short_dl, short_dl, |m| {
-                let fresh = wire::decode_pair(m).filter(|&(s, t)| s == step as u64 && t > tag);
+                let fresh = decode_resume(m).filter(|&(s, t)| s == step as u64 && t > tag);
                 resumed = resumed.max(fresh.map(|(_, t)| t));
             });
         }
@@ -521,8 +524,7 @@ fn park_until_heal(
         if 1 + heard >= majority && lowest == Some(me) {
             let max_tag = parked.iter().flatten().copied().fold(tag, u64::max);
             let resume_tag = wire::next_attempt(max_tag);
-            let resume = wire::encode_pair(step as u64, resume_tag);
-            wire::broadcast(h, &everyone, resume_lane, &resume)?;
+            wire::broadcast(h, &everyone, resume_lane, &encode_resume(step, resume_tag))?;
             st.tag = resume_tag;
             drain_park_traffic(h, &everyone)?;
             return Ok(true);
@@ -547,8 +549,12 @@ fn drain_park_traffic(h: &mut RankHandle, peers: &[usize]) -> Result<(), FabricE
 }
 
 /// The coordinator's admission mask, `[ranks u64]`.
+fn encode_mask(mask: u64) -> Bytes {
+    Bytes::from(Writer::new(8).u64(mask).finish())
+}
+
 fn decode_mask(m: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(m.try_into().ok()?))
+    Reader::frame(m, Reader::u64).ok()
 }
 
 /// The survivors' half of the rejoin protocol, run at a fixed
@@ -585,8 +591,7 @@ pub(super) fn try_rejoin_peers(
                 }
             });
         }
-        let frame = Bytes::copy_from_slice(&mask.to_le_bytes());
-        wire::broadcast(h, &st.live_peers(), decision_lane, &frame)?;
+        wire::broadcast(h, &st.live_peers(), decision_lane, &encode_mask(mask))?;
         mask
     } else {
         let deadline = st.cfg.vote_deadline();
@@ -804,6 +809,48 @@ mod tests {
         }
     }
 
+    fn hex(b: &[u8]) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    #[test]
+    fn control_frames_keep_their_bytes() {
+        assert_eq!(
+            hex(&encode_ballot((1, 0b1010, 0b0010))),
+            "010a000000000000000200000000000000"
+        );
+        let inv = Invite {
+            step: 17,
+            tag: 99 << 24,
+            epoch: 3,
+            donor: 2,
+            live: 0b1011_0111,
+            handback: 3,
+            routes: vec![(5, 6), (2, 3)],
+        };
+        assert_eq!(
+            hex(&inv.encode()),
+            "1100000000000000000000630000000003000000\
+             02000000b7000000000000000300000002000000\
+             05060203"
+        );
+        assert_eq!(
+            hex(&encode_ping(3, 2, 17, 5 << 24)),
+            "030200000011000000000000000000000500000000"
+        );
+        assert_eq!(
+            hex(&encode_resume(17, 6 << 24)),
+            "11000000000000000000000600000000"
+        );
+        assert_eq!(hex(&encode_mask(0b1010)), "0a00000000000000");
+        // And each decodes to what was encoded.
+        assert_eq!(decode_ballot(&encode_ballot((1, 10, 2))), Some((1, 10, 2)));
+        assert_eq!(Invite::decode(&inv.encode(), 8), Some(inv));
+        assert_eq!(decode_ping(&encode_ping(3, 2, 17, 9)), Some((3, 2, 17, 9)));
+        assert_eq!(decode_resume(&encode_resume(17, 9)), Some((17, 9)));
+        assert_eq!(decode_mask(&encode_mask(0b1010)), Some(0b1010));
+    }
+
     proptest! {
         /// Arbitrary bytes through every membership decoder: a value or
         /// `None`, never a panic — and whatever an invite decodes to is
@@ -815,6 +862,7 @@ mod tests {
         ) {
             let _ = decode_ballot(&bytes);
             let _ = decode_ping(&bytes);
+            let _ = decode_resume(&bytes);
             let _ = decode_mask(&bytes);
             if let Some(inv) = Invite::decode(&bytes, world) {
                 prop_assert!(inv.donor < world && inv.handback as usize <= world);

@@ -16,6 +16,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use schemoe_cluster::storage::{write_atomic, ChaosFs, RealFs, StorageFs};
 use schemoe_cluster::{FabricError, RankHandle};
+use schemoe_compression::record::{Reader, Writer};
 use schemoe_moe::{decide_plan, LoadReport, Placement, PlacementPlan, PolicyConfig};
 use schemoe_obs::span;
 use schemoe_tensor::checkpoint;
@@ -118,12 +119,11 @@ impl<'a> Disk<'a> {
 
 /// Durable-ack frame `[generation u64][len u32][crc u32]`.
 fn encode_ack(generation: u64, len: u32, crc: u32) -> Bytes {
-    wire::encode_pair(generation, u64::from(len) | u64::from(crc) << 32)
+    Bytes::from(Writer::new(16).u64(generation).u32(len).u32(crc).finish())
 }
 
 fn decode_ack(m: &[u8]) -> Option<(u64, u32, u32)> {
-    let (generation, rest) = wire::decode_pair(m)?;
-    Some((generation, rest as u32, (rest >> 32) as u32))
+    Reader::frame(m, |r| Ok((r.u64()?, r.u32()?, r.u32()?))).ok()
 }
 
 /// One durable-snapshot quantum: every live rank encodes its shard
@@ -387,25 +387,33 @@ fn restore_generation(st: &mut RankState, disk: &Disk<'_>, g: u64) -> Option<()>
     Some(())
 }
 
-/// Encodes the coordinator's plan frame: `[1][plan]`, or a 1-byte no-plan
-/// marker so peers never stall a full deadline on the no-plan path.
+/// Encodes the coordinator's plan frame: `[1][PLPL frame]`, or the 1-byte
+/// no-plan marker `[0]` so peers never stall a full deadline on the
+/// no-plan path.
 fn encode_plan(plan: Option<&PlacementPlan>) -> Bytes {
-    match plan {
-        Some(plan) => Bytes::from([&[1u8][..], &plan.encode()].concat()),
-        None => Bytes::from_static(&[0u8]),
+    let body = plan.map(PlacementPlan::encode).unwrap_or_default();
+    let mut w = Writer::new(1 + body.len());
+    w.u8(plan.is_some().into()).bytes(&body);
+    Bytes::from(w.finish())
+}
+
+/// `Some(None)` is the no-plan marker, exactly `[0]`; anything that is
+/// neither it nor `[1]` and a valid plan is damage, `None`.
+fn decode_plan(m: &[u8]) -> Option<Option<PlacementPlan>> {
+    match m.split_first()? {
+        (0, []) => Some(None),
+        (1, plan) => PlacementPlan::decode(plan).ok().map(Some),
+        _ => None,
     }
 }
 
-/// `Some(None)` is the explicit no-plan marker; `None` is damage.
-fn decode_plan(m: &[u8]) -> Option<Option<PlacementPlan>> {
-    match m.split_first()? {
-        (1, body) => PlacementPlan::decode(body).ok().map(Some),
-        _ => Some(None),
-    }
+/// Each rank's READY flag and the coordinator's COMMIT, `[1]` for yes.
+fn encode_flag(yes: bool) -> Bytes {
+    Bytes::from(Writer::new(1).u8(yes.into()).finish())
 }
 
 fn decode_flag(m: &[u8]) -> Option<bool> {
-    (m.len() == 1).then(|| m[0] == 1)
+    Reader::frame(m, Reader::u8).ok().map(|f| f == 1)
 }
 
 /// One placement quantum: every rank probes its links and drains its
@@ -548,16 +556,15 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
     // cleanly; one torn transfer aborts the whole quantum so no two ranks
     // ever route on different placements.
     let commit_lane = Lane::Commit.at(step)?;
-    let flag = |yes: bool| Bytes::from(vec![u8::from(yes)]);
     let commit = if me == coordinator {
         let ready = wire::gather(h, &peers, Lane::Ready.at(step)?, deadline, |_, m| {
             decode_flag(m)
         })?;
         let all_ok = ok && ready.is_some_and(|flags| flags.iter().all(|&f| f));
-        wire::broadcast(h, &peers, commit_lane, &flag(all_ok))?;
+        wire::broadcast(h, &peers, commit_lane, &encode_flag(all_ok))?;
         all_ok
     } else {
-        wire::send_copies(h, coordinator, Lane::Ready.at(step)?, &flag(ok))?;
+        wire::send_copies(h, coordinator, Lane::Ready.at(step)?, &encode_flag(ok))?;
         wire::recv_copy(h, coordinator, commit_lane, deadline, |m| decode_flag(m))?.unwrap_or(false)
     };
     if !commit {
@@ -593,6 +600,43 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn hex(b: &[u8]) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    #[test]
+    fn control_frames_keep_their_bytes() {
+        assert_eq!(
+            hex(&encode_ack(7, 197, 0xDEAD_BEEF)),
+            "0700000000000000c5000000efbeadde"
+        );
+        assert_eq!(hex(&encode_plan(None)), "00");
+        let plan = PlacementPlan {
+            placement: Placement::static_layout(2, 1).with_version(3),
+            capacity_override: None,
+        };
+        assert_eq!(
+            hex(&encode_plan(Some(&plan))),
+            "01504c504c010000000000000000000000002c000000504c4d54010000000300\
+             000000000000010000000200000001000000000000000100000001000000178435\
+             066b0849af"
+        );
+        assert_eq!(hex(&encode_flag(true)), "01");
+        assert_eq!(hex(&encode_flag(false)), "00");
+        assert_eq!(decode_plan(&encode_plan(Some(&plan))), Some(Some(plan)));
+        assert_eq!(decode_flag(&encode_flag(true)), Some(true));
+    }
+
+    #[test]
+    fn the_no_plan_marker_is_exactly_one_zero_byte() {
+        assert_eq!(decode_plan(&[0]), Some(None));
+        // Anything else that is not `[1]` and a plan is damage, never an
+        // instruction to skip the quantum.
+        for bad in [&[][..], &[0, 0], &[0, 1, 2], &[2], &[7, 0], &[1], &[1, 0]] {
+            assert_eq!(decode_plan(bad), None, "{bad:?}");
+        }
+    }
 
     proptest! {
         /// Arbitrary bytes through the quanta's frame parsers: a value or

@@ -7,12 +7,13 @@ use std::collections::BTreeMap;
 
 use schemoe_cluster::{FabricError, RankHandle};
 use schemoe_collectives::NcclA2A;
+use schemoe_compression::record::RecordError;
 use schemoe_compression::NoCompression;
 use schemoe_moe::{
     allreduce_live, DeltaEncoder, DistributedMoeLayer, Expert, FfExpert, GradAllreduce,
     ReplicaStore, TopKGate,
 };
-use schemoe_tensor::checkpoint::{self, CheckpointError};
+use schemoe_tensor::checkpoint;
 use schemoe_tensor::nn::{Embedding, Linear, Module, Param, SoftmaxCrossEntropy};
 use schemoe_tensor::optim::Sgd;
 use schemoe_tensor::rng::seeded;
@@ -265,8 +266,8 @@ impl RankState {
 
     /// Applies a payload [`save`](Self::save)d from the matching half (on
     /// any rank). Nothing is touched unless the seal verifies; a verified
-    /// payload of the wrong shape is a [`CheckpointError::Mismatch`].
-    pub fn load(&mut self, half: Half, payload: &[u8]) -> Result<(), CheckpointError> {
+    /// payload of the wrong shape is a [`RecordError::Mismatch`].
+    pub fn load(&mut self, half: Half, payload: &[u8]) -> Result<(), RecordError> {
         checkpoint::load(payload, &mut |f| self.visit_half(half, f))
     }
 
@@ -366,7 +367,7 @@ impl RankState {
         e: usize,
         home: usize,
         payload: &[u8],
-    ) -> Result<(), CheckpointError> {
+    ) -> Result<(), RecordError> {
         let (me, moe) = (self.me, &mut self.model.moe);
         moe.install_guest_expert(me, e, seeded_expert(&self.cfg, home));
         let vel = zero_velocity(&mut |f| moe.visit_serving_params(me, e, f));

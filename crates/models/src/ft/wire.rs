@@ -21,6 +21,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use schemoe_cluster::{FabricError, RankHandle};
 use schemoe_collectives::TAG_STRIDE;
+use schemoe_compression::record::{Reader, Writer};
 use schemoe_tensor::checkpoint;
 
 /// How many duplicates of each vote-class control frame are sent. A frame
@@ -318,28 +319,16 @@ pub fn drain(
     }
 }
 
-/// `[a u64][b u64]`, the shape of stream headers and resume points.
-pub fn encode_pair(a: u64, b: u64) -> Bytes {
-    let mut buf = [0u8; 16];
-    buf[..8].copy_from_slice(&a.to_le_bytes());
-    buf[8..].copy_from_slice(&b.to_le_bytes());
-    Bytes::copy_from_slice(&buf)
+/// A stream header `[total_bytes u64][n_chunks u64]`.
+fn encode_stream_header(total: u64, nchunks: u64) -> Bytes {
+    Bytes::from(Writer::new(16).u64(total).u64(nchunks).finish())
 }
 
-/// Inverse of [`encode_pair`]; any other length is damage.
-pub fn decode_pair(m: &[u8]) -> Option<(u64, u64)> {
-    let (a, b) = (m.get(..8)?, m.get(8..)?);
-    Some((
-        u64::from_le_bytes(a.try_into().ok()?),
-        u64::from_le_bytes(b.try_into().ok()?),
-    ))
-}
-
-/// A stream header `[total_bytes u64][n_chunks u64]` is believed only if
-/// the two agree with each other, with [`MAX_STREAM_BYTES`], and with the
-/// window the stream arrives in.
+/// A stream header is believed only if its two fields agree with each
+/// other, with [`MAX_STREAM_BYTES`], and with the window the stream arrives
+/// in.
 fn decode_stream_header(m: &[u8], width: u64) -> Option<(usize, usize)> {
-    let (total, nchunks) = decode_pair(m)?;
+    let (total, nchunks) = Reader::frame(m, |r| Ok((r.u64()?, r.u64()?))).ok()?;
     let total = usize::try_from(total)
         .ok()
         .filter(|&t| t <= MAX_STREAM_BYTES)?;
@@ -369,7 +358,12 @@ pub fn stream_state(
             width: t.width,
         });
     }
-    send_copies(h, to, t, &encode_pair(payload.len() as u64, nchunks))?;
+    send_copies(
+        h,
+        to,
+        t,
+        &encode_stream_header(payload.len() as u64, nchunks),
+    )?;
     for (i, chunk) in payload.chunks(TRANSFER_CHUNK).enumerate() {
         send_copies(h, to, t.nth(1 + i as u64), &Bytes::copy_from_slice(chunk))?;
     }
@@ -570,6 +564,14 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn a_stream_header_keeps_its_bytes() {
+        let header = encode_stream_header(5000, 2);
+        let hex: String = header.iter().map(|x| format!("{x:02x}")).collect();
+        assert_eq!(hex, "88130000000000000200000000000000");
+        assert_eq!(decode_stream_header(&header, 4096), Some((5000, 2)));
+    }
+
     proptest! {
         /// Arbitrary bytes never panic the frame parsers, and a stream
         /// header that is believed is internally consistent and fits.
@@ -579,9 +581,9 @@ mod tests {
             total in 0u64..(1 << 30),
             nchunks in 0u64..5000,
         ) {
-            let _ = decode_pair(&bytes);
             let _ = decode_stream_header(&bytes, 4096);
-            if let Some((t, n)) = decode_stream_header(&encode_pair(total, nchunks), 4096) {
+            let header = encode_stream_header(total, nchunks);
+            if let Some((t, n)) = decode_stream_header(&header, 4096) {
                 prop_assert!(t <= MAX_STREAM_BYTES && n < 4096);
                 prop_assert_eq!(n, t.div_ceil(TRANSFER_CHUNK));
             }

@@ -31,10 +31,8 @@ pub use distributed::{DistributedMoeLayer, GradAllreduce};
 pub use expert::{Expert, FfExpert};
 pub use gating::{GateDecision, OverflowPolicy, TopKGate};
 pub use layer::MoeLayer;
-pub use placement::{
-    decide_plan, gray_ranks, LoadReport, Placement, PlacementError, PlacementPlan, PolicyConfig,
-};
-pub use replication::{DeltaEncoder, ReplicaError, ReplicaStore, REPLICA_CHUNK};
+pub use placement::{decide_plan, gray_ranks, LoadReport, Placement, PlacementPlan, PolicyConfig};
+pub use replication::{DeltaEncoder, ReplicaStore, REPLICA_CHUNK};
 pub use routing::{
     balance_stats, BalanceStats, ExpertChoiceRouter, RandomRouter, Router, TokenChoiceRouter,
 };

@@ -32,9 +32,8 @@
 //! rejected without side effects.
 
 use std::collections::BTreeSet;
-use std::fmt;
 
-use schemoe_cluster::faults::crc32;
+use schemoe_compression::record::{Reader, RecordError, Writer};
 
 /// Replica lists longer than this are rejected as nonsense on the wire.
 const MAX_SERVERS: usize = 64;
@@ -45,26 +44,6 @@ const PLACEMENT_MAGIC: &[u8; 4] = b"PLMT";
 const PLAN_MAGIC: &[u8; 4] = b"PLPL";
 const REPORT_MAGIC: &[u8; 4] = b"PLRP";
 const FORMAT_VERSION: u32 = 1;
-
-/// Why a placement frame was rejected. Nothing was applied in any case.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlacementError {
-    /// Too short, bad magic, unknown version, or inconsistent contents.
-    Malformed(&'static str),
-    /// The CRC seal did not verify.
-    Corrupt,
-}
-
-impl fmt::Display for PlacementError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlacementError::Malformed(what) => write!(f, "malformed placement frame: {what}"),
-            PlacementError::Corrupt => write!(f, "placement frame failed its CRC seal"),
-        }
-    }
-}
-
-impl std::error::Error for PlacementError {}
 
 /// The expert→servers table: `servers(e)[0]` is the expert's current home,
 /// the rest are replicas. The *static home* `e / experts_per_rank` stays in
@@ -199,52 +178,46 @@ impl Placement {
     /// [per expert: count u32, ranks u32...][crc32 u32]
     /// ```
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.servers.len() * 8);
-        out.extend_from_slice(PLACEMENT_MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&(self.experts_per_rank as u32).to_le_bytes());
-        out.extend_from_slice(&(self.servers.len() as u32).to_le_bytes());
+        let mut w = Writer::sealed(PLACEMENT_MAGIC, FORMAT_VERSION, 16 + self.servers.len() * 8);
+        w.u64(self.version).u32(self.experts_per_rank as u32);
+        w.u32(self.servers.len() as u32);
         for s in &self.servers {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            w.u32(s.len() as u32);
             for &r in s {
-                out.extend_from_slice(&(r as u32).to_le_bytes());
+                w.u32(r as u32);
             }
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        w.seal()
     }
 
     /// Parses a sealed `PLMT` frame. Parse-then-verify: structure and CRC
     /// must both pass before anything is returned.
-    pub fn decode(frame: &[u8]) -> Result<Self, PlacementError> {
-        let mut cur = Cursor::new(frame, PLACEMENT_MAGIC)?;
-        let version = cur.u64()?;
-        let epr = cur.u32()? as usize;
-        let n = cur.u32()? as usize;
+    pub fn decode(frame: &[u8]) -> Result<Self, RecordError> {
+        let mut r = Reader::sealed(frame, PLACEMENT_MAGIC, FORMAT_VERSION)?;
+        let version = r.u64()?;
+        let epr = r.u32()? as usize;
+        let n = r.count(4)?;
         if epr == 0 {
-            return Err(PlacementError::Malformed("zero experts_per_rank"));
+            return Err(RecordError::Malformed("zero experts_per_rank"));
         }
         if n > MAX_EXPERTS {
-            return Err(PlacementError::Malformed("absurd expert count"));
+            return Err(RecordError::Malformed("absurd expert count"));
         }
         let mut servers = Vec::with_capacity(n);
         for _ in 0..n {
-            let cnt = cur.u32()? as usize;
+            let cnt = r.count(4)?;
             if cnt == 0 || cnt > MAX_SERVERS {
-                return Err(PlacementError::Malformed("bad server count"));
+                return Err(RecordError::Malformed("bad server count"));
             }
-            let mut s = Vec::with_capacity(cnt);
-            for _ in 0..cnt {
-                s.push(cur.u32()? as usize);
-            }
+            let s = (0..cnt)
+                .map(|_| Ok(r.u32()? as usize))
+                .collect::<Result<Vec<_>, RecordError>>()?;
             if s.iter().collect::<BTreeSet<_>>().len() != s.len() {
-                return Err(PlacementError::Malformed("duplicate server"));
+                return Err(RecordError::Malformed("duplicate server"));
             }
             servers.push(s);
         }
-        cur.finish()?;
+        r.finish()?;
         Ok(Placement {
             experts_per_rank: epr,
             version,
@@ -270,42 +243,28 @@ impl PlacementPlan {
     /// bit-exact).
     pub fn encode(&self) -> Vec<u8> {
         let inner = self.placement.encode();
-        let mut out = Vec::with_capacity(21 + inner.len());
-        out.extend_from_slice(PLAN_MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.push(self.capacity_override.is_some() as u8);
-        out.extend_from_slice(
-            &self
-                .capacity_override
-                .unwrap_or(0.0)
-                .to_bits()
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&(inner.len() as u32).to_le_bytes());
-        out.extend_from_slice(&inner);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let mut w = Writer::sealed(PLAN_MAGIC, FORMAT_VERSION, 13 + inner.len());
+        w.u8(self.capacity_override.is_some() as u8);
+        w.u64(self.capacity_override.unwrap_or(0.0).to_bits());
+        w.section(&inner).seal()
     }
 
     /// Parses a sealed `PLPL` frame.
-    pub fn decode(frame: &[u8]) -> Result<Self, PlacementError> {
-        let mut cur = Cursor::new(frame, PLAN_MAGIC)?;
-        let flag = cur.u8()?;
+    pub fn decode(frame: &[u8]) -> Result<Self, RecordError> {
+        let mut r = Reader::sealed(frame, PLAN_MAGIC, FORMAT_VERSION)?;
+        let flag = r.u8()?;
         if flag > 1 {
-            return Err(PlacementError::Malformed("bad override flag"));
+            return Err(RecordError::Malformed("bad override flag"));
         }
-        let bits = cur.u64()?;
+        let bits = r.u64()?;
         let cap = (flag == 1).then(|| f64::from_bits(bits));
         if cap.is_some_and(|c| !c.is_finite() || c <= 0.0) {
-            return Err(PlacementError::Malformed("non-finite capacity override"));
+            return Err(RecordError::Malformed("non-finite capacity override"));
         }
-        let inner_len = cur.u32()? as usize;
-        let inner = cur.bytes(inner_len)?.to_vec();
-        cur.finish()?;
-        let placement = Placement::decode(&inner)?;
+        let inner = r.section()?;
+        r.finish()?;
         Ok(PlacementPlan {
-            placement,
+            placement: Placement::decode(inner)?,
             capacity_override: cap,
         })
     }
@@ -337,47 +296,33 @@ pub struct LoadReport {
 impl LoadReport {
     /// Encodes the report as a sealed `PLRP` frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(44 + 8 * (self.loads.len() + self.stall_p99_us.len()));
-        out.extend_from_slice(REPORT_MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.rank as u32).to_le_bytes());
-        out.extend_from_slice(&(self.loads.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.stall_p99_us.len() as u32).to_le_bytes());
+        let n = self.loads.len() + self.stall_p99_us.len();
+        let mut w = Writer::sealed(REPORT_MAGIC, FORMAT_VERSION, 36 + 8 * n);
+        w.u32(self.rank as u32).u32(self.loads.len() as u32);
+        w.u32(self.stall_p99_us.len() as u32);
         for &l in &self.loads {
-            out.extend_from_slice(&l.to_le_bytes());
+            w.u64(l);
         }
-        out.extend_from_slice(&self.shed.to_le_bytes());
-        out.extend_from_slice(&self.routed.to_le_bytes());
-        out.extend_from_slice(&self.service_p99_us.to_le_bytes());
+        w.u64(self.shed).u64(self.routed).u64(self.service_p99_us);
         for &s in &self.stall_p99_us {
-            out.extend_from_slice(&s.to_le_bytes());
+            w.u64(s);
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        w.seal()
     }
 
     /// Parses a sealed `PLRP` frame.
-    pub fn decode(frame: &[u8]) -> Result<Self, PlacementError> {
-        let mut cur = Cursor::new(frame, REPORT_MAGIC)?;
-        let rank = cur.u32()? as usize;
-        let n_experts = cur.u32()? as usize;
-        let n_ranks = cur.u32()? as usize;
+    pub fn decode(frame: &[u8]) -> Result<Self, RecordError> {
+        let mut r = Reader::sealed(frame, REPORT_MAGIC, FORMAT_VERSION)?;
+        let rank = r.u32()? as usize;
+        let n_experts = r.count(8)?;
+        let n_ranks = r.count(8)?;
         if n_experts > MAX_EXPERTS || n_ranks > MAX_EXPERTS {
-            return Err(PlacementError::Malformed("absurd report dimensions"));
+            return Err(RecordError::Malformed("absurd report dimensions"));
         }
-        let mut loads = Vec::with_capacity(n_experts);
-        for _ in 0..n_experts {
-            loads.push(cur.u64()?);
-        }
-        let shed = cur.u64()?;
-        let routed = cur.u64()?;
-        let service_p99_us = cur.u64()?;
-        let mut stall_p99_us = Vec::with_capacity(n_ranks);
-        for _ in 0..n_ranks {
-            stall_p99_us.push(cur.u64()?);
-        }
-        cur.finish()?;
+        let loads = (0..n_experts).map(|_| r.u64()).collect::<Result<_, _>>()?;
+        let (shed, routed, service_p99_us) = (r.u64()?, r.u64()?, r.u64()?);
+        let stall_p99_us = (0..n_ranks).map(|_| r.u64()).collect::<Result<_, _>>()?;
+        r.finish()?;
         Ok(LoadReport {
             rank,
             loads,
@@ -592,68 +537,6 @@ pub fn decide_plan(
     }
 }
 
-/// Bounds-checked little-endian reader over a sealed frame; `finish`
-/// verifies the trailing CRC32 covers everything read.
-struct Cursor<'a> {
-    frame: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(frame: &'a [u8], magic: &[u8; 4]) -> Result<Self, PlacementError> {
-        if frame.len() < 12 {
-            return Err(PlacementError::Malformed("short frame"));
-        }
-        if &frame[0..4] != magic {
-            return Err(PlacementError::Malformed("bad magic"));
-        }
-        let fmt = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-        if fmt != FORMAT_VERSION {
-            return Err(PlacementError::Malformed("unknown format version"));
-        }
-        Ok(Cursor { frame, pos: 8 })
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], PlacementError> {
-        // The final 4 bytes are the seal; payload reads must stop short.
-        let end = self.frame.len().saturating_sub(4);
-        if self.pos + n > end {
-            return Err(PlacementError::Malformed("truncated frame"));
-        }
-        let out = &self.frame[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, PlacementError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, PlacementError> {
-        Ok(u32::from_le_bytes(
-            self.bytes(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, PlacementError> {
-        Ok(u64::from_le_bytes(
-            self.bytes(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn finish(self) -> Result<(), PlacementError> {
-        let end = self.frame.len() - 4;
-        if self.pos != end {
-            return Err(PlacementError::Malformed("trailing bytes"));
-        }
-        let crc = u32::from_le_bytes(self.frame[end..].try_into().expect("4 bytes"));
-        if crc32(&self.frame[..end]) != crc {
-            return Err(PlacementError::Corrupt);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -720,10 +603,7 @@ mod tests {
         bad[10] ^= 0x40;
         assert!(Placement::decode(&bad).is_err());
         assert!(Placement::decode(&frame[..frame.len() - 1]).is_err());
-        assert!(matches!(
-            Placement::decode(b"nope"),
-            Err(PlacementError::Malformed(_))
-        ));
+        assert_eq!(Placement::decode(b"nope"), Err(RecordError::Truncated));
     }
 
     #[test]
@@ -753,7 +633,10 @@ mod tests {
         let mut bad = frame.clone();
         let n = bad.len();
         bad[n - 2] ^= 1;
-        assert_eq!(LoadReport::decode(&bad), Err(PlacementError::Corrupt));
+        assert!(matches!(
+            LoadReport::decode(&bad),
+            Err(RecordError::Corrupt { .. })
+        ));
     }
 
     #[test]

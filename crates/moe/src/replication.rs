@@ -31,9 +31,7 @@
 //! failure leaves the store bit-identical. A buddy therefore never holds
 //! a torn replica, no matter what the wire did.
 
-use std::fmt;
-
-use schemoe_cluster::faults::crc32;
+use schemoe_compression::record::{Reader, RecordError, Writer};
 
 /// Chunk granularity of the delta mask, in bytes.
 ///
@@ -50,42 +48,8 @@ const FULL_EVERY: u64 = 8;
 
 const MAGIC: &[u8; 4] = b"SREP";
 const VERSION: u32 = 1;
-/// magic + version + quantum + base + total_len + chunk + n_chunks.
-const HEADER: usize = 4 + 4 + 8 + 8 + 8 + 4 + 4;
 /// Replica payloads larger than this are rejected as nonsense.
 const MAX_TOTAL: u64 = 1 << 28;
-
-/// Why a replica frame was rejected. The stored replica is untouched in
-/// every case.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplicaError {
-    /// Too short, bad magic, unknown version, or inconsistent lengths.
-    Malformed(&'static str),
-    /// The CRC seal did not verify.
-    Corrupt,
-    /// A delta frame whose base does not match the stored replica.
-    BaseMismatch {
-        /// The base quantum the frame was encoded against.
-        expected: u64,
-        /// The quantum of the replica actually stored (`None` = empty).
-        stored: Option<u64>,
-    },
-}
-
-impl fmt::Display for ReplicaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplicaError::Malformed(what) => write!(f, "malformed replica frame: {what}"),
-            ReplicaError::Corrupt => write!(f, "replica frame failed its CRC seal"),
-            ReplicaError::BaseMismatch { expected, stored } => write!(
-                f,
-                "delta base quantum {expected} does not match stored {stored:?}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ReplicaError {}
 
 /// Sender side: remembers the last state it shipped and encodes the next
 /// quantum as a delta against it.
@@ -152,23 +116,16 @@ fn encode_frame(state: &[u8], quantum: u64, base: u64, prev: Option<&Vec<u8>>) -
             changed.push(&state[lo..hi]);
         }
     }
-    let mut out = Vec::with_capacity(
-        HEADER + mask.len() + changed.iter().map(|c| c.len()).sum::<usize>() + 4,
-    );
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&quantum.to_le_bytes());
-    out.extend_from_slice(&base.to_le_bytes());
-    out.extend_from_slice(&(state.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(REPLICA_CHUNK as u32).to_le_bytes());
-    out.extend_from_slice(&(n_chunks as u32).to_le_bytes());
-    out.extend_from_slice(&mask);
+    let changed_len: usize = changed.iter().map(|c| c.len()).sum();
+    let mut w = Writer::sealed(MAGIC, VERSION, 32 + mask.len() + changed_len);
+    w.u64(quantum).u64(base).u64(state.len() as u64);
+    w.u32(REPLICA_CHUNK as u32)
+        .u32(n_chunks as u32)
+        .bytes(&mask);
     for c in changed {
-        out.extend_from_slice(c);
+        w.bytes(c);
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    w.seal()
 }
 
 /// Receiver side: the buddy's warm copy of its ward's expert state.
@@ -199,59 +156,27 @@ impl ReplicaStore {
     /// Parse-then-verify-then-apply: structural parse, bounds checks, CRC
     /// verification, and base compatibility all pass before the stored
     /// replica is rebuilt; any error leaves it bit-identical.
-    pub fn apply(&mut self, frame: &[u8]) -> Result<u64, ReplicaError> {
-        if frame.len() < HEADER + 4 {
-            return Err(ReplicaError::Malformed("short frame"));
-        }
-        if &frame[0..4] != MAGIC {
-            return Err(ReplicaError::Malformed("bad magic"));
-        }
-        let u32_at = |i: usize| u32::from_le_bytes(frame[i..i + 4].try_into().expect("4 bytes"));
-        let u64_at = |i: usize| u64::from_le_bytes(frame[i..i + 8].try_into().expect("8 bytes"));
-        if u32_at(4) != VERSION {
-            return Err(ReplicaError::Malformed("unknown version"));
-        }
-        let quantum = u64_at(8);
-        let base = u64_at(16);
-        let total_len = u64_at(24);
-        let chunk = u32_at(32) as usize;
-        let n_chunks = u32_at(36) as usize;
+    pub fn apply(&mut self, frame: &[u8]) -> Result<u64, RecordError> {
+        let mut r = Reader::sealed(frame, MAGIC, VERSION)?;
+        let (quantum, base, total_len) = (r.u64()?, r.u64()?, r.u64()?);
+        let (chunk, n_chunks) = (r.u32()? as usize, r.u32()? as usize);
         if total_len > MAX_TOTAL {
-            return Err(ReplicaError::Malformed("absurd total length"));
+            return Err(RecordError::Malformed("absurd total length"));
         }
         let total_len = total_len as usize;
         if chunk != REPLICA_CHUNK || n_chunks != total_len.div_ceil(REPLICA_CHUNK) {
-            return Err(ReplicaError::Malformed("inconsistent chunking"));
+            return Err(RecordError::Malformed("inconsistent chunking"));
         }
-        let mask_len = n_chunks.div_ceil(8);
-        let Some(body) = frame.get(HEADER..frame.len() - 4) else {
-            return Err(ReplicaError::Malformed("short frame"));
-        };
-        if body.len() < mask_len {
-            return Err(ReplicaError::Malformed("truncated mask"));
-        }
-        let (mask, chunks) = body.split_at(mask_len);
+        let mask = r.take(n_chunks.div_ceil(8))?;
+        let present = |c: usize| mask[c / 8] & (1 << (c % 8)) != 0;
         // Stray bits past n_chunks would make the mask ambiguous.
-        for c in n_chunks..mask_len * 8 {
-            if mask[c / 8] & (1 << (c % 8)) != 0 {
-                return Err(ReplicaError::Malformed("mask bit past n_chunks"));
-            }
+        if (n_chunks..mask.len() * 8).any(present) {
+            return Err(RecordError::Malformed("mask bit past n_chunks"));
         }
-        let mut expected_bytes = 0usize;
-        for c in 0..n_chunks {
-            if mask[c / 8] & (1 << (c % 8)) != 0 {
-                let lo = c * REPLICA_CHUNK;
-                expected_bytes += (lo + REPLICA_CHUNK).min(total_len) - lo;
-            }
-        }
-        if chunks.len() != expected_bytes {
-            return Err(ReplicaError::Malformed("chunk bytes do not match mask"));
-        }
-        let sealed = &frame[..frame.len() - 4];
-        let crc = u32_at(frame.len() - 4);
-        if crc32(sealed) != crc {
-            return Err(ReplicaError::Corrupt);
-        }
+        let span = |c: usize| c * REPLICA_CHUNK..((c + 1) * REPLICA_CHUNK).min(total_len);
+        let changed = (0..n_chunks).filter(|&c| present(c));
+        let chunks = r.take(changed.clone().map(|c| span(c).len()).sum())?;
+        r.finish()?;
         // Verified. Now check the delta is applicable, then rebuild.
         let mut next = if base == FULL_BASE {
             vec![0u8; total_len]
@@ -259,21 +184,20 @@ impl ReplicaStore {
             match &self.replica {
                 Some((q, prev)) if *q == base && prev.len() == total_len => prev.clone(),
                 other => {
-                    return Err(ReplicaError::BaseMismatch {
-                        expected: base,
-                        stored: other.as_ref().map(|(q, _)| *q),
+                    return Err(RecordError::Mismatch {
+                        detail: format!(
+                            "delta base quantum {base} does not match stored {:?}",
+                            other.as_ref().map(|(q, _)| *q)
+                        ),
                     })
                 }
             }
         };
         let mut off = 0;
-        for c in 0..n_chunks {
-            if mask[c / 8] & (1 << (c % 8)) != 0 {
-                let lo = c * REPLICA_CHUNK;
-                let hi = (lo + REPLICA_CHUNK).min(total_len);
-                next[lo..hi].copy_from_slice(&chunks[off..off + (hi - lo)]);
-                off += hi - lo;
-            }
+        for c in changed {
+            let span = span(c);
+            next[span.clone()].copy_from_slice(&chunks[off..off + span.len()]);
+            off += span.len();
         }
         self.replica = Some((quantum, next));
         Ok(quantum)
@@ -326,7 +250,8 @@ mod tests {
         let mut store = ReplicaStore::new();
         store.apply(&enc.encode(&s, 0)).expect("full");
         let delta = enc.encode(&s, 1);
-        assert!(delta.len() < HEADER + 8 + 4, "no chunks should travel");
+        // A 40-byte header, a one-byte mask and the seal.
+        assert_eq!(delta.len(), 45, "no chunks should travel");
         assert_eq!(store.apply(&delta), Ok(1));
         assert_eq!(store.replica(), Some((1, s.as_slice())));
     }
@@ -346,9 +271,8 @@ mod tests {
         let before = store.replica().map(|(q, p)| (q, p.to_vec()));
         assert_eq!(
             store.apply(&delta2),
-            Err(ReplicaError::BaseMismatch {
-                expected: 1,
-                stored: Some(0),
+            Err(RecordError::Mismatch {
+                detail: "delta base quantum 1 does not match stored Some(0)".into(),
             })
         );
         assert_eq!(
@@ -394,16 +318,10 @@ mod tests {
     #[test]
     fn garbage_frames_are_rejected() {
         let mut store = ReplicaStore::new();
-        assert!(matches!(
-            store.apply(b"short"),
-            Err(ReplicaError::Malformed(_))
-        ));
+        assert_eq!(store.apply(b"short"), Err(RecordError::Truncated));
         let mut frame = DeltaEncoder::new().encode(&state(100, 7), 0);
         frame[0] = b'X';
-        assert!(matches!(
-            store.apply(&frame),
-            Err(ReplicaError::Malformed("bad magic"))
-        ));
+        assert_eq!(store.apply(&frame), Err(RecordError::BadHeader));
         assert_eq!(store.replica(), None);
     }
 

@@ -15,12 +15,12 @@
 //! fault-tolerant training (see `schemoe-models`' `ft` module): restoring
 //! silently-damaged parameters would be worse than crashing, so [`load`]
 //! refuses a payload whose checksum disagrees with its content with
-//! [`CheckpointError::Corrupt`].
+//! [`RecordError::Corrupt`]. The bytes are written and read with the one
+//! [`record`](schemoe_compression::record) codec.
 
-use std::fmt;
-
+use schemoe_compression::copy_f32_le;
 pub use schemoe_compression::crc32;
-use schemoe_compression::{copy_f32_le, extend_f32_le};
+use schemoe_compression::record::{Reader, RecordError, Writer};
 
 use crate::nn::Param;
 use crate::tensor::Tensor;
@@ -31,120 +31,55 @@ const VERSION: u32 = 2;
 /// A parameter visitor: calls the given closure once per [`Param`].
 pub type ParamVisitor<'a> = dyn FnMut(&mut dyn FnMut(&mut Param)) + 'a;
 
-/// Errors from decoding a checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// The payload does not start with the `SMOE` magic or has a bad
-    /// version.
-    BadHeader,
-    /// The payload ended before the declared content.
-    Truncated,
-    /// The checkpoint's parameters do not match the model's.
-    Mismatch {
-        /// What went wrong, for diagnostics.
-        detail: String,
-    },
-    /// The trailing CRC32 disagrees with the payload: bytes were damaged
-    /// at rest or in transit.
-    Corrupt {
-        /// The checksum stored in the payload's last four bytes.
-        stored: u32,
-        /// The checksum recomputed over the content.
-        computed: u32,
-    },
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::BadHeader => write!(f, "not a SMOE v{VERSION} checkpoint"),
-            CheckpointError::Truncated => write!(f, "checkpoint payload truncated"),
-            CheckpointError::Mismatch { detail } => {
-                write!(f, "checkpoint does not match the model: {detail}")
-            }
-            CheckpointError::Corrupt { stored, computed } => {
-                write!(
-                    f,
-                    "checkpoint corrupt: stored crc32 {stored:#010x}, content hashes to {computed:#010x}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
 /// Serializes every parameter yielded by `visit` into a checkpoint buffer.
 pub fn save(visit: &mut ParamVisitor<'_>) -> Vec<u8> {
-    let mut entries: Vec<(String, Vec<usize>, Vec<f32>)> = Vec::new();
+    // Two walks: the first counts and sizes (the count leads the entries),
+    // the second writes each value once, straight into the record.
+    let (mut count, mut size) = (0u32, 4);
     visit(&mut |p: &mut Param| {
-        entries.push((
-            p.name.clone(),
-            p.value.dims().to_vec(),
-            p.value.data().to_vec(),
-        ));
+        count += 1;
+        size += 8 + p.name.len() + 4 * (p.value.dims().len() + p.value.numel());
     });
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (name, dims, data) in &entries {
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&(dims.len() as u32).to_le_bytes());
+    let mut w = Writer::sealed(MAGIC, VERSION, size);
+    w.u32(count);
+    visit(&mut |p: &mut Param| {
+        let dims = p.value.dims();
+        w.section(p.name.as_bytes()).u32(dims.len() as u32);
         for &d in dims {
-            out.extend_from_slice(&(d as u32).to_le_bytes());
+            w.u32(d as u32);
         }
-        extend_f32_le(&mut out, data);
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+        w.f32s(p.value.data());
+    });
+    w.seal()
 }
 
-/// One parsed checkpoint entry: `(name, dims, data)`.
-type Entry = (String, Vec<usize>, Vec<f32>);
+/// One parsed checkpoint entry: `(name, dims, little-endian values)`.
+type Entry<'a> = (&'a [u8], Vec<usize>, &'a [u8]);
 
 /// Parses a checkpoint's entries and verifies its CRC seal, without
 /// touching any model. The shared front half of [`load`] and [`verify`].
-fn parse(payload: &[u8]) -> Result<Vec<Entry>, CheckpointError> {
-    let (body, mut cursor) = open_sealed(payload, MAGIC, VERSION)?;
-    // Counts and shapes are untrusted until the seal verifies below, so
-    // none of them may size an allocation: an entry costs at least its two
-    // length words and a dimension four bytes, which bounds both by the
-    // bytes actually present.
-    let count = cursor.u32()? as usize;
-    if count > cursor.remaining() / 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut entries: Vec<Entry> = Vec::with_capacity(count);
+fn parse(payload: &[u8]) -> Result<Vec<Entry<'_>>, RecordError> {
+    let mut r = Reader::sealed(payload, MAGIC, VERSION)?;
+    // An entry costs at least its two length words and a dimension four
+    // bytes, so neither count can size more than the bytes present.
+    let count = r.count(8)?;
+    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        let name_len = cursor.u32()? as usize;
-        let name = String::from_utf8(cursor.take(name_len)?.to_vec())
-            .map_err(|_| CheckpointError::BadHeader)?;
-        let rank = cursor.u32()? as usize;
-        if rank > cursor.remaining() / 4 {
-            return Err(CheckpointError::Truncated);
-        }
+        let name = r.section()?;
+        let rank = r.count(4)?;
         let mut dims = Vec::with_capacity(rank);
         for _ in 0..rank {
-            dims.push(cursor.u32()? as usize);
+            dims.push(r.u32()? as usize);
         }
         let bytes = dims
             .iter()
             .try_fold(4usize, |n, &d| n.checked_mul(d))
-            .ok_or(CheckpointError::Truncated)?;
-        let raw = cursor.take(bytes)?;
-        let mut data = vec![0.0; raw.len() / 4];
-        copy_f32_le(&mut data, raw);
-        entries.push((name, dims, data));
+            .ok_or(RecordError::Truncated)?;
+        entries.push((name, dims, r.take(bytes)?));
     }
-
-    // Verify the seal before any parameter is touched: a structurally
-    // parsable but bit-damaged payload must not reach the model. (A
-    // truncated payload usually fails the structural parse above first,
-    // which keeps `Truncated` the answer for short reads.)
-    check_seal(body, payload)?;
+    // The seal verifies before any parameter is touched: a structurally
+    // parsable but bit-damaged payload must not reach the model.
+    r.finish()?;
     Ok(entries)
 }
 
@@ -155,7 +90,7 @@ fn parse(payload: &[u8]) -> Result<Vec<Entry>, CheckpointError> {
 /// this: a rank receiving state over the fabric verifies the assembled
 /// payload *before* its first weight is overwritten, so a torn or damaged
 /// transfer rolls back to exactly the pre-transfer state.
-pub fn verify(payload: &[u8]) -> Result<(), CheckpointError> {
+pub fn verify(payload: &[u8]) -> Result<(), RecordError> {
     parse(payload).map(|_| ())
 }
 
@@ -164,31 +99,34 @@ pub fn verify(payload: &[u8]) -> Result<(), CheckpointError> {
 /// Parameters must appear in the same order with the same names and shapes
 /// as at save time (visitor order is deterministic for every model in this
 /// workspace). Gradients are zeroed on restore.
-pub fn load(payload: &[u8], visit: &mut ParamVisitor<'_>) -> Result<(), CheckpointError> {
+pub fn load(payload: &[u8], visit: &mut ParamVisitor<'_>) -> Result<(), RecordError> {
     let entries = parse(payload)?;
     let mut idx = 0usize;
-    let mut error: Option<CheckpointError> = None;
+    let mut error: Option<RecordError> = None;
     visit(&mut |p: &mut Param| {
         if error.is_some() {
             return;
         }
-        let Some((name, dims, data)) = entries.get(idx) else {
-            error = Some(CheckpointError::Mismatch {
+        let Some((name, dims, raw)) = entries.get(idx) else {
+            error = Some(RecordError::Mismatch {
                 detail: format!("model has more parameters than the checkpoint ({idx}+)"),
             });
             return;
         };
-        if *name != p.name || dims.as_slice() != p.value.dims() {
-            error = Some(CheckpointError::Mismatch {
+        if *name != p.name.as_bytes() || dims.as_slice() != p.value.dims() {
+            error = Some(RecordError::Mismatch {
                 detail: format!(
-                    "parameter {idx}: checkpoint has {name} {dims:?}, model has {} {:?}",
+                    "parameter {idx}: checkpoint has {} {dims:?}, model has {} {:?}",
+                    String::from_utf8_lossy(name),
                     p.name,
                     p.value.dims()
                 ),
             });
             return;
         }
-        p.value = Tensor::from_vec(data.clone(), dims).expect("validated shape");
+        let mut data = vec![0.0; raw.len() / 4];
+        copy_f32_le(&mut data, raw);
+        p.value = Tensor::from_vec(data, dims).expect("validated shape");
         p.zero_grad();
         idx += 1;
     });
@@ -196,7 +134,7 @@ pub fn load(payload: &[u8], visit: &mut ParamVisitor<'_>) -> Result<(), Checkpoi
         return Err(e);
     }
     if idx != entries.len() {
-        return Err(CheckpointError::Mismatch {
+        return Err(RecordError::Mismatch {
             detail: format!(
                 "checkpoint has {} parameters, model consumed {idx}",
                 entries.len()
@@ -204,73 +142,6 @@ pub fn load(payload: &[u8], visit: &mut ParamVisitor<'_>) -> Result<(), Checkpoi
         });
     }
     Ok(())
-}
-
-/// Splits a sealed buffer — `magic`, `version`, fields, CRC-32 of all of
-/// it — into (body, cursor-past-magic-and-version): the front half of
-/// every decoder of this crate's on-disk formats.
-pub(crate) fn open_sealed<'a>(
-    payload: &'a [u8],
-    magic: &[u8; 4],
-    version: u32,
-) -> Result<(&'a [u8], Cursor<'a>), CheckpointError> {
-    if payload.len() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let body = &payload[..payload.len() - 4];
-    let mut cur = Cursor { buf: body, pos: 0 };
-    if cur.take(4)? != magic {
-        return Err(CheckpointError::BadHeader);
-    }
-    if cur.u32()? != version {
-        return Err(CheckpointError::BadHeader);
-    }
-    Ok((body, cur))
-}
-
-/// Verifies the trailing CRC seal of a buffer [`open_sealed`] accepted,
-/// after a successful structural parse — the last gate before a decoded
-/// value escapes its module.
-pub(crate) fn check_seal(body: &[u8], payload: &[u8]) -> Result<(), CheckpointError> {
-    let seal = &payload[payload.len() - 4..];
-    let stored = u32::from_le_bytes([seal[0], seal[1], seal[2], seal[3]]);
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(CheckpointError::Corrupt { stored, computed });
-    }
-    Ok(())
-}
-
-/// A bounds-checked reader over untrusted bytes: every read past the end
-/// is `Truncated`, never a panic.
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if n > self.remaining() {
-            return Err(CheckpointError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
 }
 
 #[cfg(test)]
@@ -311,7 +182,7 @@ mod tests {
         let ckpt = save(&mut |f| a.visit_params(f));
         let mut b = Linear::new(4, 7, &mut seeded(5));
         let err = load(&ckpt, &mut |f| b.visit_params(f)).unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
+        assert!(matches!(err, RecordError::Mismatch { .. }));
     }
 
     #[test]
@@ -320,18 +191,18 @@ mod tests {
         // Too short to even hold the magic plus the CRC seal.
         assert_eq!(
             load(b"nope", &mut |f| m.visit_params(f)).unwrap_err(),
-            CheckpointError::Truncated
+            RecordError::Truncated
         );
         // Long enough, but not our magic.
         assert_eq!(
             load(b"nope-nope-nope", &mut |f| m.visit_params(f)).unwrap_err(),
-            CheckpointError::BadHeader
+            RecordError::BadHeader
         );
         let mut ckpt = save(&mut |f| m.visit_params(f));
         ckpt.truncate(ckpt.len() - 3);
         assert_eq!(
             load(&ckpt, &mut |f| m.visit_params(f)).unwrap_err(),
-            CheckpointError::Truncated
+            RecordError::Truncated
         );
     }
 
@@ -356,9 +227,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    CheckpointError::Corrupt { .. }
-                        | CheckpointError::BadHeader
-                        | CheckpointError::Truncated
+                    RecordError::Corrupt { .. } | RecordError::BadHeader | RecordError::Truncated
                 ),
                 "flip of bit {bit} slipped through as {err:?}"
             );
@@ -382,10 +251,7 @@ mod tests {
         let mid = clean.len() - 12;
         damaged[mid] ^= 0x01;
         let err = load(&damaged, &mut |f| model.visit_params(f)).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Corrupt { .. }),
-            "got {err:?}"
-        );
+        assert!(matches!(err, RecordError::Corrupt { .. }), "got {err:?}");
         // The failed load must not have modified the model.
         let after: Vec<f32> = {
             let mut v = Vec::new();
@@ -422,7 +288,7 @@ mod tests {
             two_b.visit_params(f);
         })
         .unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
+        assert!(matches!(err, RecordError::Mismatch { .. }));
     }
 
     proptest::proptest! {

@@ -21,22 +21,18 @@
 //! supplies `r`'s expert — FoMoE's partial-replication insight applied
 //! to disk.
 //!
-//! Both codecs follow the parse-verify discipline of
-//! [`checkpoint`](crate::checkpoint): structural parse first (so short
-//! reads surface as [`CheckpointError::Truncated`]), then the trailing
-//! CRC32 seal is checked before anything is returned — a decoded value
-//! is bit-exact or it does not exist.
+//! Both codecs are [`record`](schemoe_compression::record)s: structural
+//! parse first (so short reads surface as [`RecordError::Truncated`]), then
+//! the trailing CRC32 seal is checked before anything is returned — a
+//! decoded value is bit-exact or it does not exist.
 
-use crate::checkpoint::{check_seal, crc32, open_sealed, CheckpointError, Cursor};
+use schemoe_compression::record::{Reader, RecordError, Writer};
+
+use crate::checkpoint::crc32;
 
 const SHARD_MAGIC: &[u8; 4] = b"SMSH";
 const MANIFEST_MAGIC: &[u8; 4] = b"SMMF";
 const VERSION: u32 = 1;
-
-/// Ceiling on any embedded payload or name length, shared with the wire
-/// transfer path's paranoia: a damaged length field must not provoke a
-/// huge allocation before the CRC check gets its say.
-const MAX_SECTION: u32 = 1 << 28;
 
 /// One hosted buddy replica embedded in a shard: the latest verified
 /// expert payload of ward `ward`, as of replication quantum `quantum`.
@@ -80,59 +76,41 @@ impl Shard {
         // Sized up front: the sections are megabytes, and a buffer that
         // doubles its way there copies them again.
         let replicas: usize = self.replicas.iter().map(|r| 16 + r.payload.len()).sum();
-        let mut out = Vec::with_capacity(56 + self.replicated.len() + self.expert.len() + replicas);
-        out.extend_from_slice(SHARD_MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&self.world.to_le_bytes());
-        out.extend_from_slice(&self.step.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(self.replicated.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.replicated);
-        out.extend_from_slice(&(self.expert.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.expert);
-        out.extend_from_slice(&(self.replicas.len() as u32).to_le_bytes());
+        let mut w = Writer::sealed(
+            SHARD_MAGIC,
+            VERSION,
+            44 + self.replicated.len() + self.expert.len() + replicas,
+        );
+        w.u64(self.generation).u32(self.rank).u32(self.world);
+        w.u64(self.step).u64(self.seed);
+        w.section(&self.replicated).section(&self.expert);
+        w.u32(self.replicas.len() as u32);
         for r in &self.replicas {
-            out.extend_from_slice(&r.ward.to_le_bytes());
-            out.extend_from_slice(&r.quantum.to_le_bytes());
-            out.extend_from_slice(&(r.payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&r.payload);
+            w.u32(r.ward).u64(r.quantum).section(&r.payload);
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        w.seal()
     }
 
     /// Parses and verifies a shard buffer. Returns the shard only if it
     /// is structurally complete *and* its CRC seal matches.
-    pub fn decode(payload: &[u8]) -> Result<Shard, CheckpointError> {
-        let (body, mut cur) = open_sealed(payload, SHARD_MAGIC, VERSION)?;
-        let generation = cur.u64()?;
-        let rank = cur.u32()?;
-        let world = cur.u32()?;
-        let step = cur.u64()?;
-        let seed = cur.u64()?;
-        let replicated = section(&mut cur)?;
-        let expert = section(&mut cur)?;
-        let nreplicas = cur.u32()?;
-        if nreplicas > MAX_SECTION {
-            return Err(CheckpointError::BadHeader);
-        }
-        let mut replicas = Vec::with_capacity(nreplicas.min(1024) as usize);
-        for _ in 0..nreplicas {
-            let ward = cur.u32()?;
-            let quantum = cur.u64()?;
-            let payload = section(&mut cur)?;
-            replicas.push(ShardReplica {
-                ward,
-                quantum,
-                payload,
-            });
-        }
-        check_seal(body, payload)?;
+    pub fn decode(payload: &[u8]) -> Result<Shard, RecordError> {
+        let mut r = Reader::sealed(payload, SHARD_MAGIC, VERSION)?;
+        let (generation, rank, world) = (r.u64()?, r.u32()?, r.u32()?);
+        let (step, seed) = (r.u64()?, r.u64()?);
+        let replicated = r.section()?.to_vec();
+        let expert = r.section()?.to_vec();
+        let replicas = (0..r.count(16)?)
+            .map(|_| {
+                Ok(ShardReplica {
+                    ward: r.u32()?,
+                    quantum: r.u64()?,
+                    payload: r.section()?.to_vec(),
+                })
+            })
+            .collect::<Result<_, RecordError>>()?;
+        r.finish()?;
         if rank >= world {
-            return Err(CheckpointError::Mismatch {
+            return Err(RecordError::Mismatch {
                 detail: format!("shard rank {rank} out of range for world {world}"),
             });
         }
@@ -190,61 +168,44 @@ pub struct Manifest {
 impl Manifest {
     /// Serializes the manifest into a CRC-sealed buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.world.to_le_bytes());
-        out.extend_from_slice(&self.step.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
+        let names: usize = self.shards.iter().map(|s| 16 + s.name.len()).sum();
+        let mut w = Writer::sealed(MANIFEST_MAGIC, VERSION, 36 + names + self.placement.len());
+        w.u64(self.generation).u32(self.world);
+        w.u64(self.step).u64(self.seed);
+        w.u32(self.shards.len() as u32);
         for s in &self.shards {
-            out.extend_from_slice(&s.rank.to_le_bytes());
-            out.extend_from_slice(&(s.name.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.name.as_bytes());
-            out.extend_from_slice(&s.len.to_le_bytes());
-            out.extend_from_slice(&s.crc.to_le_bytes());
+            w.u32(s.rank)
+                .section(s.name.as_bytes())
+                .u32(s.len)
+                .u32(s.crc);
         }
-        out.extend_from_slice(&(self.placement.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.placement);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        w.section(&self.placement).seal()
     }
 
     /// Parses and verifies a manifest buffer.
-    pub fn decode(payload: &[u8]) -> Result<Manifest, CheckpointError> {
-        let (body, mut cur) = open_sealed(payload, MANIFEST_MAGIC, VERSION)?;
-        let generation = cur.u64()?;
-        let world = cur.u32()?;
-        let step = cur.u64()?;
-        let seed = cur.u64()?;
-        let count = cur.u32()?;
-        if count > MAX_SECTION {
-            return Err(CheckpointError::BadHeader);
-        }
-        let mut shards = Vec::with_capacity(count.min(1024) as usize);
-        for _ in 0..count {
-            let rank = cur.u32()?;
-            let name_raw = section(&mut cur)?;
-            let name = String::from_utf8(name_raw).map_err(|_| CheckpointError::BadHeader)?;
-            let len = cur.u32()?;
-            let crc = cur.u32()?;
-            shards.push(ManifestEntry {
-                rank,
-                name,
-                len,
-                crc,
-            });
-        }
+    pub fn decode(payload: &[u8]) -> Result<Manifest, RecordError> {
+        let mut r = Reader::sealed(payload, MANIFEST_MAGIC, VERSION)?;
+        let (generation, world) = (r.u64()?, r.u32()?);
+        let (step, seed) = (r.u64()?, r.u64()?);
+        let shards = (0..r.count(16)?)
+            .map(|_| {
+                Ok(ManifestEntry {
+                    rank: r.u32()?,
+                    name: String::from_utf8(r.section()?.to_vec())
+                        .map_err(|_| RecordError::Malformed("shard name is not UTF-8"))?,
+                    len: r.u32()?,
+                    crc: r.u32()?,
+                })
+            })
+            .collect::<Result<_, RecordError>>()?;
         // Optional trailing placement section: absent in older files,
         // which therefore read back as the static layout.
-        let placement = if cur.remaining() > 0 {
-            section(&mut cur)?
+        let placement = if r.remaining() > 0 {
+            r.section()?.to_vec()
         } else {
             Vec::new()
         };
-        check_seal(body, payload)?;
+        r.finish()?;
         Ok(Manifest {
             generation,
             world,
@@ -293,16 +254,6 @@ pub fn shard_file_parts(file_name: &str) -> Option<(u64, usize)> {
     let rest = rest.strip_suffix(".smsh")?;
     let (gen, rank) = rest.split_once("-r")?;
     Some((gen.parse().ok()?, rank.parse().ok()?))
-}
-
-/// A length-prefixed byte section, with the length sanity-bounded before
-/// allocation.
-fn section(cur: &mut Cursor<'_>) -> Result<Vec<u8>, CheckpointError> {
-    let len = cur.u32()?;
-    if len > MAX_SECTION {
-        return Err(CheckpointError::BadHeader);
-    }
-    Ok(cur.take(len as usize)?.to_vec())
 }
 
 #[cfg(test)]
@@ -398,12 +349,12 @@ mod tests {
         let s = sample_shard();
         assert_eq!(
             Manifest::decode(&s.encode()).unwrap_err(),
-            CheckpointError::BadHeader
+            RecordError::BadHeader
         );
         let m = sample_manifest();
         assert_eq!(
             Shard::decode(&m.encode()).unwrap_err(),
-            CheckpointError::BadHeader
+            RecordError::BadHeader
         );
     }
 
@@ -429,7 +380,7 @@ mod tests {
         s.rank = 4;
         assert!(matches!(
             Shard::decode(&s.encode()).unwrap_err(),
-            CheckpointError::Mismatch { .. }
+            RecordError::Mismatch { .. }
         ));
     }
 
