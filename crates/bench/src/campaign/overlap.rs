@@ -43,7 +43,7 @@ const REPLICATED: usize = 65_536;
 /// Wire chosen so each pass's comm is on the order of its compute (the
 /// regime pipelining targets): the forward's two A2As balance the expert
 /// forward, and the backward's A2As plus the replicated-grad allreduce
-/// balance the recompute+backward.
+/// balance the expert backward.
 const WIRE_LATENCY: Duration = Duration::from_micros(200);
 const WIRE_BW: u64 = 5_000_000;
 

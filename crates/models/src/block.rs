@@ -8,7 +8,9 @@ use schemoe_tensor::nn::{
 use schemoe_tensor::Tensor;
 
 /// The feed-forward half of a block: dense (the paper's "Base" models) or
-/// mixture-of-experts (the paper's "-MoE" variants).
+/// mixture-of-experts (the paper's "-MoE" variants). A block holds exactly
+/// one, so the variants' sizes do not multiply.
+#[allow(clippy::large_enum_variant)]
 pub enum FfnKind {
     /// A single dense fflayer shared by all tokens.
     Dense(FeedForward),

@@ -138,19 +138,33 @@ pub(crate) fn encode_chunk_into(
     counts: impl Iterator<Item = usize> + Clone,
     mut gather: impl FnMut(usize, &mut [f32]),
 ) -> FrameBuf {
-    let elems = counts.clone().sum::<usize>() * m;
-    let mut buf = frames.checkout(4 * counts.clone().count() + compressor.compressed_len(elems));
-    let mut staging = ws.take(elems);
+    let mut staging = ws.take(counts.clone().sum::<usize>() * m);
     let mut rest = &mut staging[..];
-    for (k, count) in counts.enumerate() {
-        buf.body_mut()
-            .extend_from_slice(&(count as u32).to_le_bytes());
+    for (k, count) in counts.clone().enumerate() {
         let (rows, tail) = rest.split_at_mut(count * m);
         gather(k, rows);
         rest = tail;
     }
-    compressor.compress_into(&staging, buf.body_mut());
+    let buf = encode_rows_into(compressor, frames, counts, &staging);
     ws.put(staging);
+    buf
+}
+
+/// [`encode_chunk_into`] for rows already laid out as the chunk carries
+/// them — every expert's, expert after expert — so nothing is staged.
+pub(crate) fn encode_rows_into(
+    compressor: &dyn Compressor,
+    frames: &FramePool,
+    counts: impl Iterator<Item = usize> + Clone,
+    rows: &[f32],
+) -> FrameBuf {
+    let header = 4 * counts.clone().count();
+    let mut buf = frames.checkout(header + compressor.compressed_len(rows.len()));
+    for count in counts {
+        buf.body_mut()
+            .extend_from_slice(&(count as u32).to_le_bytes());
+    }
+    compressor.compress_into(rows, buf.body_mut());
     buf
 }
 

@@ -14,11 +14,17 @@ use schemoe_obs as obs;
 use schemoe_scheduler::executor::{
     run_inline_cancellable, run_overlapped_cancellable, ExecTask, Worker,
 };
-use schemoe_tensor::nn::Param;
+use schemoe_scheduler::TaskKind::{
+    AllToAll1, AllToAll2, Compress1, Compress2, Decompress1, Decompress2,
+};
+use schemoe_scheduler::{Pass, StageLabel, TaskKind};
+use schemoe_tensor::gemm::Mat;
+use schemoe_tensor::nn::{Param, Segment};
 use schemoe_tensor::Tensor;
 
 use crate::dispatch::{
-    block, decode_chunk_into, encode_chunk_into, gather_block, Routing, Rows, Workspace,
+    block, decode_chunk_into, encode_chunk_into, encode_rows_into, gather_block, Routing, Rows,
+    Workspace,
 };
 use crate::expert::Expert;
 use crate::gating::{GateDecision, TopKGate};
@@ -96,18 +102,21 @@ pub struct DistributedMoeLayer {
     service_us: Vec<u64>,
 }
 
+/// The span stems of the two passes' stages.
+const FWD: Pass = Pass::Forward;
+const BWD: Pass = Pass::Backward;
+
 /// What a forward leaves for its backward. Everything row-shaped in it is
 /// a block of the layer's workspace, sent home by [`release`](Self::release).
 struct Cache {
     decision: GateDecision,
     /// The routing table the forward ran under; the backward mirrors it.
     routing: Routing,
-    /// Per chunk, per src rank: the dispatched rows as `D1` decoded them,
-    /// each source's in slot order. The backward recomputes each (expert,
-    /// source) group's activations from these before differentiating it,
-    /// which is what makes the weight-gradient accumulation order — and
-    /// therefore the grads — independent of the partition degree.
-    chunks: Vec<Vec<Rows>>,
+    /// Per chunk: the rows its one expert forward per served expert read
+    /// and what that forward saved. The backward differentiates each
+    /// (expert, source) group from these — the source's segment of every
+    /// chunk, chunks ascending — without running the forward again.
+    chunks: Vec<Kept>,
     /// Per global expert: the returned output rows in this rank's slot
     /// order.
     returned_outputs: Vec<Tensor>,
@@ -115,22 +124,57 @@ struct Cache {
     tag_base: u64,
 }
 
+/// What one chunk's `D1·E·C2` keeps for the backward.
+struct Kept {
+    /// Per src rank: the dispatched rows as `D1` decoded them, each
+    /// source's in slot order.
+    inputs: Vec<Rows>,
+    /// Per served expert: what its forward saved, one row per input row,
+    /// sources ascending as the forward ran them.
+    saved: Vec<Vec<f32>>,
+}
+
 impl Cache {
     /// Rows served expert `k` received from source `j` over the step.
     fn count(&self, k: usize, j: usize) -> usize {
-        self.chunks.iter().map(|chunk| chunk[j].count(k)).sum()
+        self.chunks.iter().map(|kept| kept.inputs[j].count(k)).sum()
     }
 
-    /// Those rows in slot order: the source's segment of each chunk, chunks
-    /// ascending.
-    fn group_input(&self, ws: &Workspace, k: usize, j: usize, m: usize) -> Tensor {
-        gather_block(ws, m, self.chunks.iter().map(|chunk| chunk[j].expert(k)))
+    /// The backward group of served expert `k` and source `j`: per chunk
+    /// with rows of theirs, the `m`-wide input rows, what the forward saved
+    /// for them (`width` per row) and their share of `dy`, which holds the
+    /// group's output gradients in slot order.
+    fn group<'a>(
+        &'a self,
+        (k, j): (usize, usize),
+        (m, width): (usize, usize),
+        dy: &'a [f32],
+    ) -> Vec<Segment<'a>> {
+        let mut at = 0;
+        let mut group = Vec::with_capacity(self.chunks.len());
+        for kept in &self.chunks {
+            let rows = kept.inputs[j].count(k);
+            if rows == 0 {
+                continue;
+            }
+            let before: usize = kept.inputs[..j].iter().map(|src| src.count(k)).sum();
+            let saved = &kept.saved[k][before * width..(before + rows) * width];
+            group.push(Segment {
+                x: Mat::new(kept.inputs[j].expert(k), rows, m),
+                saved: Mat::new(saved, rows, width),
+                dy: Mat::new(&dy[at * m..(at + rows) * m], rows, m),
+            });
+            at += rows;
+        }
+        group
     }
 
     /// Sends every block home.
     fn release(self, ws: &Workspace) {
-        let decoded = self.chunks.into_iter().flatten();
-        decoded.for_each(|rows| rows.recycle(ws));
+        for kept in self.chunks {
+            kept.inputs.into_iter().for_each(|rows| rows.recycle(ws));
+            kept.saved.into_iter().for_each(|block| ws.put(block));
+        }
         let outputs = self.returned_outputs.into_iter();
         outputs.for_each(|rows| ws.put(rows.into_vec()));
     }
@@ -625,11 +669,11 @@ impl DistributedMoeLayer {
         let inboxes = || -> Vec<Vec<Slot<Bytes>>> { (0..r).map(|_| slots(p)).collect() };
         let (dispatch_out, dispatch_in) = (outboxes(), inboxes());
         let (combine_out, combine_in) = (outboxes(), inboxes());
-        // Per chunk: the decoded dispatch rows per source. Per global expert: the
-        // returned output rows in this rank's slot order, which every D2
-        // scatters its segments into (stale until then: every slot is in
-        // exactly one server's share, so every row gets overwritten).
-        let chunk_inputs = slots::<Vec<Rows>>(r);
+        // Per chunk: what its D1·E·C2 keeps for the backward. Per global
+        // expert: the returned output rows in this rank's slot order, which
+        // every D2 scatters its segments into (stale until then: every slot
+        // is in exactly one server's share, so every row gets overwritten).
+        let chunk_kept = slots::<Kept>(r);
         let sized = |slots: &Vec<(usize, f32)>| block(ws, slots.len(), m);
         let returned_outputs: Mutex<Vec<Tensor>> =
             Mutex::new(decision.expert_slots.iter().map(sized).collect());
@@ -641,7 +685,8 @@ impl DistributedMoeLayer {
                 let out = &dispatch_out[c];
                 graph.push(Worker::Compute, vec![], move || {
                     let bytes = (n * m * 4) as f64 / r as f64;
-                    let _s = obs::span_sized("encode", format_args!("C1[c{c}]"), bytes);
+                    let name = format_args!("{}[c{c}]", FWD.label(Compress1));
+                    let _s = obs::span_sized("encode", name, bytes);
                     for &dst in servers {
                         let tokens = |k: usize| {
                             let e = routing_ref.served[dst][k];
@@ -665,63 +710,68 @@ impl DistributedMoeLayer {
             .collect();
         let a1: Vec<usize> = (0..r)
             .map(|c| {
-                let stage = ("A1", lanes::LANE_DISPATCH, c);
+                let stage = (FWD.label(AllToAll1), lanes::LANE_DISPATCH, c);
                 let boxes = (&dispatch_out[c][..], &dispatch_in[c][..]);
                 wire.exchange(&mut graph, vec![c1[c]], stage, boxes, sources)
             })
             .collect();
         let dec: Vec<usize> = (0..r)
             .map(|c| {
-                let (inbox, out, kept) = (&dispatch_in[c], &combine_out[c], &chunk_inputs[c]);
+                let (inbox, out, kept) = (&dispatch_in[c], &combine_out[c], &chunk_kept[c]);
                 let (bodies, service_ns) = (&bodies, &service_ns);
                 graph.push(Worker::Compute, vec![a1[c]], move || {
                     let _pipe = obs::span("pipe", format_args!("D1·E·C2[c{c}]"));
                     let tag = chunk_tag(tag_base, lanes::LANE_DISPATCH, c);
-                    let name = format_args!("D1[c{c}]");
-                    let decoded =
-                        decode_inbox(compressor, ws, inbox, |_| mine.len(), m, tag, name)?;
-                    let rows_total: usize = decoded.iter().map(Rows::total).sum();
-                    let name = format_args!("E[c{c}]");
+                    let name = format_args!("{}[c{c}]", FWD.label(Decompress1));
+                    let inputs = decode_inbox(compressor, ws, inbox, |_| mine.len(), m, tag, name)?;
+                    let rows_total: usize = inputs.iter().map(Rows::total).sum();
+                    let name = format_args!("{}[c{c}]", FWD.label(TaskKind::Expert));
                     let e_span = obs::span_sized("expert", name, rows_total as f64);
                     let started = Instant::now();
-                    let outputs: Vec<Tensor> = {
+                    // One forward per served expert over the chunk's rows,
+                    // src-major: the chunk-local analogue of the
+                    // whole-layer layout. Its output and what it saves
+                    // land in blocks of the workspace.
+                    let (outputs, saved): (Vec<Vec<f32>>, Vec<Vec<f32>>) = {
                         let mut bodies = bodies.lock();
-                        // Chunk expert input: src-major, the chunk-local
-                        // analogue of the whole-layer layout.
-                        let run = |(k, &e)| {
-                            let rows = decoded.iter().map(|d: &Rows| d.expert(k));
-                            let input = gather_block(ws, m, rows);
-                            let output = bodies.get(e).forward(&input);
+                        let run = |(k, &e): (usize, &usize)| {
+                            let input = gather_block(ws, m, inputs.iter().map(|d| d.expert(k)));
+                            let (body, rows) = (bodies.get(e), input.dims()[0]);
+                            let mut saved = ws.take(rows * body.saved_width());
+                            let mut output = ws.take(rows * m);
+                            body.forward_saving(Mat::of(&input), &mut saved, &mut output);
                             ws.put(input.into_vec());
-                            output
+                            (output, saved)
                         };
-                        mine.iter().enumerate().map(run).collect()
+                        mine.iter().enumerate().map(run).unzip()
                     };
                     service_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     drop(e_span);
                     let bytes = (rows_total * m * 4) as f64;
-                    let _c2 = obs::span_sized("encode", format_args!("C2[c{c}]"), bytes);
+                    let name = format_args!("{}[c{c}]", FWD.label(Compress2));
+                    let _c2 = obs::span_sized("encode", name, bytes);
                     // Dead sources sent no rows, so skipping them leaves
                     // every live source's offset where it belongs.
                     let mut offsets = vec![0usize; mine.len()];
                     for &src in sources {
-                        let sent = &decoded[src];
+                        let sent = &inputs[src];
                         let counts = (0..mine.len()).map(|k| sent.count(k));
                         let gather = |k: usize, rows: &mut [f32]| {
-                            rows.copy_from_slice(&outputs[k].data()[offsets[k]..][..rows.len()]);
+                            rows.copy_from_slice(&outputs[k][offsets[k]..][..rows.len()]);
                             offsets[k] += rows.len();
                         };
                         let back = encode_chunk_into(compressor, pools, m, counts, gather);
                         *out[src].lock() = Some(back);
                     }
-                    *kept.lock() = Some(decoded);
+                    outputs.into_iter().for_each(|block| ws.put(block));
+                    *kept.lock() = Some(Kept { inputs, saved });
                     Ok(())
                 })
             })
             .collect();
         let a2: Vec<usize> = (0..r)
             .map(|c| {
-                let stage = ("A2", lanes::LANE_COMBINE, c);
+                let stage = (FWD.label(AllToAll2), lanes::LANE_COMBINE, c);
                 let boxes = (&combine_out[c][..], &combine_in[c][..]);
                 wire.exchange(&mut graph, vec![dec[c]], stage, boxes, servers)
             })
@@ -731,7 +781,7 @@ impl DistributedMoeLayer {
             graph.push(Worker::Compute, vec![a2[c]], move || {
                 let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, c);
                 let experts = |rank: usize| routing_ref.served[rank].len();
-                let name = format_args!("D2[c{c}]");
+                let name = format_args!("{}[c{c}]", FWD.label(Decompress2));
                 let decoded = decode_inbox(compressor, ws, inbox, experts, m, tag, name)?;
                 // Interleaving each server's share, its segments in chunk
                 // order, restores full slot order.
@@ -742,7 +792,10 @@ impl DistributedMoeLayer {
                         let slots = decision_ref.expert_slots[e].len();
                         let segment = routing_ref.segment(e, server, slots, c, r);
                         let part = decoded[server].expert(k);
-                        assert_eq!(part.len(), segment.len() * m, "combine framing mismatch");
+                        if part.len() != segment.len() * m {
+                            decoded.into_iter().for_each(|rows| rows.recycle(ws));
+                            return Err(FabricError::Corrupt { peer: server, tag });
+                        }
                         for (row, s) in part.chunks_exact(m).zip(segment) {
                             outputs[e].row_mut(s).copy_from_slice(row);
                         }
@@ -757,7 +810,7 @@ impl DistributedMoeLayer {
         let _combine = obs::span("combine", "combine");
         // Whole-layer state for the backward, the same at every degree: a
         // source's segments in chunk order are its share in slot order.
-        let chunks: Vec<Vec<Rows>> = chunk_inputs.iter().map(take).collect();
+        let chunks: Vec<Kept> = chunk_kept.iter().map(take).collect();
         let returned_outputs: Vec<Tensor> = returned_outputs.into_inner();
 
         // Combine: accumulating ascending-expert over rows in slot order is
@@ -803,12 +856,15 @@ impl DistributedMoeLayer {
     /// comm   : S1¹..S1ᑫ  R1¹..R1ᑫ  [AR]  S2¹..S2ᑫ  R2¹..R2ᑫ
     /// ```
     ///
-    /// The expert backward is one recompute+backward per non-empty
-    /// (expert, source) group, sources ascending, whatever the degree: a
-    /// whole-batch backward would fuse the sources into one GEMM and change
-    /// the floating-point grouping, while this canonical order makes every
+    /// The expert backward is one `backward_from` per non-empty (expert,
+    /// source) group, sources ascending, whatever the degree: a whole-batch
+    /// backward would fuse the sources into one GEMM and change the
+    /// floating-point grouping, while this canonical order makes every
     /// weight gradient identical at every degree by construction, and lets
     /// source `j`'s expert backward hide the exchanges of sources `> j`.
+    /// A group reads the source's segment of every chunk — the rows the
+    /// forward decoded and what its one forward saved — and its weight
+    /// chains continue from segment to segment, so no forward runs again.
     /// Under a placement each server differentiates only its share, so a
     /// replicated expert's weight grads are *partial* per server; the
     /// placement controller sums them over the expert's sync group.
@@ -834,6 +890,7 @@ impl DistributedMoeLayer {
         dy: &Tensor,
         allreduce: Option<GradAllreduce<'_>>,
     ) -> Result<Tensor, FabricError> {
+        // A documented panic: the caller ran no forward.
         let cache = self
             .cache
             .take()
@@ -872,7 +929,7 @@ impl DistributedMoeLayer {
         let (grad_out, grad_in) = (slots::<FrameBuf>(p), slots::<Bytes>(p));
         let (back_out, back_in) = (slots::<FrameBuf>(p), slots::<Bytes>(p));
         let returned = slots::<Rows>(p);
-        let d_weights: Slot<Vec<Vec<f32>>> = Mutex::new(None);
+        let d_weights: Slot<Vec<f32>> = Mutex::new(None);
 
         let mut graph = Graph::default();
         // C1b: per serving rank, w · dy for its share of every expert it
@@ -883,7 +940,8 @@ impl DistributedMoeLayer {
                 let out = &grad_out[dst];
                 let task = graph.push(Worker::Compute, vec![], move || {
                     let bytes = (n * m * 4) as f64 / servers.len() as f64;
-                    let _s = obs::span_sized("encode", format_args!("C1b[o{dst}]"), bytes);
+                    let name = format_args!("{}[o{dst}]", BWD.label(Compress1));
+                    let _s = obs::span_sized("encode", name, bytes);
                     let share = |k: usize| {
                         let e = routing.served[dst][k];
                         let slots = &decision.expert_slots[e];
@@ -905,35 +963,19 @@ impl DistributedMoeLayer {
                 (dst, task)
             })
             .collect();
-        // dW: combine-weight gradients in per-token assignment order, after
-        // the C1b encodes so the comm lanes start as early as possible.
+        // dW: combine-weight gradients, one per admitted slot, after the C1b
+        // encodes so the comm lanes start as early as possible.
         {
             let d_weights = &d_weights;
             graph.push(Worker::Compute, vec![], move || {
                 let _s = obs::span("encode", "dW");
-                let of_token = |(t, assigns): (usize, &Vec<(usize, f32)>)| {
-                    let of_expert = |&(e, _): &(usize, f32)| {
-                        let s = decision.expert_slots[e]
-                            .iter()
-                            .position(|&(tt, _)| tt == t)
-                            .expect("assignment implies slot");
-                        let pairs = dy.row(t).iter().zip(returned_outputs[e].row(s));
-                        pairs.map(|(a, b)| a * b).sum::<f32>()
-                    };
-                    assigns.iter().map(of_expert).collect()
-                };
-                *d_weights.lock() = Some(
-                    decision
-                        .assignments
-                        .iter()
-                        .enumerate()
-                        .map(of_token)
-                        .collect(),
-                );
+                let mut flat = ws.take(decision.slots().count());
+                decision.weight_grads(dy, returned_outputs, &mut flat);
+                *d_weights.lock() = Some(flat);
                 Ok(())
             });
         }
-        let grad_lane = ("A1b", lanes::LANE_BWD_GRAD);
+        let grad_lane = (BWD.label(AllToAll1), lanes::LANE_BWD_GRAD);
         let grads_at = wire.lane(
             &mut graph,
             grad_lane,
@@ -948,61 +990,64 @@ impl DistributedMoeLayer {
                 allreduce_live(&mut handle.lock(), ar.values, ar.tag, ar.live)
             });
         }
-        // Per source j ascending: decode j's output grads, recompute and
-        // differentiate each (served expert, j) group, and encode the input
-        // grads straight back for j.
+        // Per source j ascending: decode j's output grads, differentiate
+        // each (served expert, j) group from what the forward kept, and
+        // encode the input grads straight back for j.
         let differentiated: Vec<(usize, usize)> = sources
             .iter()
             .map(|&j| {
                 let (inbox, out, bodies) = (&grad_in[j], &back_out[j], &bodies);
                 let task = graph.push(Worker::Compute, vec![grads_at[j]], move || {
                     let chunk = take(inbox);
-                    let name = format_args!("D1b[s{j}]");
+                    let name = format_args!("{}[s{j}]", BWD.label(Decompress1));
                     let d1b = obs::span_sized("decode", name, chunk.len() as f64);
                     let tag = tag_base + grad_lane.1;
                     let grads = decode_chunk_into(raw, ws, &chunk, (mine.len(), m), (j, tag))?;
                     drop((chunk, d1b));
-                    let rows_j: usize = (0..mine.len()).map(|k| cache_ref.count(k, j)).sum();
-                    let eb = obs::span_sized("expert", format_args!("Eb[s{j}]"), rows_j as f64);
+                    if (0..mine.len()).any(|k| grads.count(k) != cache_ref.count(k, j)) {
+                        grads.recycle(ws);
+                        return Err(FabricError::Corrupt { peer: j, tag });
+                    }
+                    let rows_j = grads.total();
+                    let name = format_args!("{}[s{j}]", BWD.label(TaskKind::Expert));
+                    let eb = obs::span_sized("expert", name, rows_j as f64);
+                    // The groups' input grads, expert-major like `grads`.
+                    let mut dins = ws.take(rows_j * m);
+                    let mut at = 0;
                     let mut bodies = bodies.lock();
-                    let differentiate = |(k, &e): (usize, &usize)| {
-                        let count = cache_ref.count(k, j);
-                        assert_eq!(grads.count(k), count, "gradient framing mismatch");
-                        if count == 0 {
-                            return Tensor::zeros(&[0, m]);
+                    for (k, &e) in mine.iter().enumerate() {
+                        let rows = grads.count(k);
+                        if rows == 0 {
+                            continue;
                         }
                         let body = bodies.get(e);
-                        let mut rows = cache_ref.group_input(ws, k, j, m);
-                        let _ = body.forward(&rows);
-                        // The layers saved what they need of the input, so
-                        // its block carries the group's output grads next.
-                        rows.data_mut().copy_from_slice(grads.expert(k));
-                        let din = body.backward(&rows);
-                        ws.put(rows.into_vec());
-                        din
-                    };
-                    let dins: Vec<Tensor> = mine.iter().enumerate().map(differentiate).collect();
+                        let group =
+                            cache_ref.group((k, j), (m, body.saved_width()), grads.expert(k));
+                        body.backward_from(&group, &mut dins[at * m..(at + rows) * m]);
+                        at += rows;
+                    }
                     drop(bodies);
-                    grads.recycle(ws);
                     drop(eb);
                     let bytes = (rows_j * m * 4) as f64;
-                    let _c2b = obs::span_sized("encode", format_args!("C2b[s{j}]"), bytes);
-                    let counts = dins.iter().map(|din| din.dims()[0]);
-                    let whole = |k: usize, rows: &mut [f32]| rows.copy_from_slice(dins[k].data());
-                    *out.lock() = Some(encode_chunk_into(raw, pools, m, counts, whole));
+                    let name = format_args!("{}[s{j}]", BWD.label(Compress2));
+                    let _c2b = obs::span_sized("encode", name, bytes);
+                    let counts = (0..mine.len()).map(|k| grads.count(k));
+                    *out.lock() = Some(encode_rows_into(raw, pools.0, counts, &dins));
+                    grads.recycle(ws);
+                    ws.put(dins);
                     Ok(())
                 });
                 (j, task)
             })
             .collect();
-        let back_lane = ("A2b", lanes::LANE_BWD_RETURN);
+        let back_lane = (BWD.label(AllToAll2), lanes::LANE_BWD_RETURN);
         let boxes = (&back_out[..], &back_in[..]);
         let dins_at = wire.lane(&mut graph, back_lane, boxes, &differentiated, servers);
         for &j in servers {
             let (inbox, kept) = (&back_in[j], &returned[j]);
             graph.push(Worker::Compute, vec![dins_at[j]], move || {
                 let chunk = take(inbox);
-                let name = format_args!("D2b[o{j}]");
+                let name = format_args!("{}[o{j}]", BWD.label(Decompress2));
                 let _s = obs::span_sized("decode", name, chunk.len() as f64);
                 let shape = (routing.served[j].len(), m);
                 let tag = tag_base + back_lane.1;
@@ -1013,15 +1058,22 @@ impl DistributedMoeLayer {
         graph.run(routing.runs_inline(r))?;
 
         // Scatter ascending-expert, so each token's additions come in the
-        // order of the one-chunk static backward.
+        // order of the one-chunk static backward; the gate's part last.
+        let _scatter = obs::span("combine", "scatterb");
         let returned: Vec<Option<Rows>> = returned.into_iter().map(Mutex::into_inner).collect();
         let mut dx = Tensor::zeros(&[n, m]);
+        let mut framing = Ok(());
         for (e, slots) in decision.expert_slots.iter().enumerate() {
             for &server in &routing.servers[e] {
+                // A completed graph ran every server's D2b.
                 let dins = returned[server].as_ref().expect("every server returned");
                 let part = dins.expert(routing.index_in(server, e));
                 let share = routing.segment(e, server, slots.len(), 0, 1);
-                assert_eq!(part.len(), share.len() * m, "input-grad framing mismatch");
+                if part.len() != share.len() * m {
+                    let tag = tag_base + back_lane.1;
+                    framing = Err(FabricError::Corrupt { peer: server, tag });
+                    continue;
+                }
                 for (row, s) in part.chunks_exact(m).zip(share) {
                     for (xj, &dj) in dx.row_mut(slots[s].0).iter_mut().zip(row) {
                         *xj += dj;
@@ -1029,15 +1081,27 @@ impl DistributedMoeLayer {
                 }
             }
         }
-        let dx_gate = {
-            let _g = obs::span("gate", "gateb");
-            let d_weights = d_weights.into_inner().expect("graph completed");
-            self.gate.backward(&d_weights)
-        };
-        dx.add_assign(&dx_gate).expect("same shape");
         for rows in returned.into_iter().flatten() {
             rows.recycle(ws);
         }
+        if let Err(e) = framing {
+            cache.release(ws);
+            return Err(e);
+        }
+        // A completed graph ran the dW task.
+        let d_weights = d_weights.into_inner().expect("graph completed");
+        let mut dx_gate = ws.take(n * m);
+        {
+            let _g = obs::span("gate", "gateb");
+            let grads = decision.slots().zip(&d_weights);
+            let grads = grads.map(|((t, e), &w)| (t, e, w));
+            self.gate.backward_flat(grads, &mut dx_gate);
+        }
+        for (a, &b) in dx.data_mut().iter_mut().zip(&dx_gate) {
+            *a += b;
+        }
+        ws.put(dx_gate);
+        ws.put(d_weights);
         cache.release(ws);
         Ok(dx)
     }
@@ -1061,6 +1125,7 @@ fn slots<T>(count: usize) -> Vec<Slot<T>> {
 
 /// What the task this one depends on left in `slot`.
 fn take<T>(slot: &Slot<T>) -> T {
+    // A task runs only after the tasks it depends on, which fill the slot.
     slot.lock()
         .take()
         .expect("the upstream task filled its mailbox")
@@ -1109,6 +1174,8 @@ impl Bodies<'_> {
         } else if let Some(wards) = self.hosted.get_mut(&home) {
             wards[le].as_mut()
         } else {
+            // `set_placement` refuses a placement whose guest bodies are
+            // not installed, and only a placement serves a foreign expert.
             let guest = self.guests.get_mut(&e);
             guest
                 .expect("a body is installed for every served expert")
@@ -1208,7 +1275,7 @@ impl<'a> Wire<'a> {
         self,
         graph: &mut Graph<'a>,
         deps: Vec<usize>,
-        (stem, lane, c): (&'static str, u64, usize),
+        (stem, lane, c): (StageLabel, u64, usize),
         (out, inbox): (&'a [Slot<FrameBuf>], &'a [Slot<Bytes>]),
         from: &'a [usize],
     ) -> usize {
@@ -1218,7 +1285,8 @@ impl<'a> Wire<'a> {
             let _s = obs::span_sized("a2a", format_args!("{stem}[c{c}]"), bytes as f64);
             let tag = chunk_tag(self.tag_base, lane, c);
             if let Some(a2a) = self.a2a {
-                // The algorithm moves payloads and frames them itself.
+                // The algorithm moves payloads and frames them itself. It is
+                // only configured over a full mesh, where every rank got one.
                 let full = |chunk: Option<FrameBuf>| chunk.expect("full mesh").into_payload();
                 let all = chunks.into_iter().map(full).collect();
                 let got = a2a.all_to_all(&mut self.handle.lock(), all, tag)?;
@@ -1253,7 +1321,7 @@ impl<'a> Wire<'a> {
     fn lane(
         self,
         graph: &mut Graph<'a>,
-        (stem, lane): (&'static str, u64),
+        (stem, lane): (StageLabel, u64),
         (out, inbox): (&'a [Slot<FrameBuf>], &'a [Slot<Bytes>]),
         produced: &[(usize, usize)],
         from: &'a [usize],
@@ -1300,7 +1368,7 @@ mod tests {
     use schemoe_cluster::{Fabric, Topology};
     use schemoe_collectives::{allreduce_inplace, NcclA2A, TAG_STRIDE};
     use schemoe_compression::{Fp16Compressor, NoCompression};
-    use schemoe_tensor::nn::Module;
+    use schemoe_tensor::nn::{Module, SavedForm};
     use schemoe_tensor::rng::{self, seeded};
 
     const M: usize = 6;
@@ -2346,6 +2414,180 @@ mod tests {
             }
             (y, dx, own, guests)
         })
+    }
+
+    /// An expert body that counts its forwards — saving or not — in a
+    /// counter shared by every body of its rank.
+    struct CountingExpert {
+        body: FfExpert,
+        forwards: Arc<AtomicU64>,
+    }
+
+    impl CountingExpert {
+        fn boxed(e: usize, forwards: &Arc<AtomicU64>) -> Box<dyn Expert> {
+            Box::new(CountingExpert {
+                body: FfExpert::new(M, H, &mut seeded(1000 + e as u64)),
+                forwards: Arc::clone(forwards),
+            })
+        }
+    }
+
+    impl SavedForm for CountingExpert {
+        fn saved_width(&self) -> usize {
+            self.body.saved_width()
+        }
+
+        fn forward_saving(&mut self, x: Mat, saved: &mut [f32], y: &mut [f32]) {
+            self.forwards.fetch_add(1, Ordering::Relaxed);
+            self.body.forward_saving(x, saved, y);
+        }
+
+        fn backward_from(&mut self, group: &[Segment], dx: &mut [f32]) {
+            self.body.backward_from(group, dx);
+        }
+    }
+
+    impl Expert for CountingExpert {
+        fn forward(&mut self, x: &Tensor) -> Tensor {
+            self.forwards.fetch_add(1, Ordering::Relaxed);
+            self.body.forward(x)
+        }
+
+        fn backward(&mut self, dy: &Tensor) -> Tensor {
+            self.body.backward(dy)
+        }
+
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.body.visit_params(f);
+        }
+
+        fn forward_flops(&self, n: usize) -> u64 {
+            self.body.forward_flops(n)
+        }
+
+        fn model_dim(&self) -> usize {
+            self.body.model_dim()
+        }
+    }
+
+    /// Who serves which expert in [`an_expert_runs_one_forward_per_chunk_and_none_in_the_backward`].
+    #[derive(Clone, Copy, Debug)]
+    enum Serving {
+        /// Every rank its own expert.
+        Local,
+        /// Rank 1 dead, its expert hosted by rank 2.
+        Failover,
+        /// Expert 0 replicated on ranks 0 and 2, expert 3 migrated to rank 1.
+        Guests,
+    }
+
+    #[test]
+    fn an_expert_runs_one_forward_per_chunk_and_none_in_the_backward() {
+        let topo = Topology::new(2, 2);
+        let p = topo.world_size();
+        let n_local = 7;
+        let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(61));
+        for serving in [Serving::Local, Serving::Failover, Serving::Guests] {
+            for degree in [1, 2, 4] {
+                Fabric::run(topo, |mut h| {
+                    let me = h.rank();
+                    let (dead, host) = (1, 2);
+                    if matches!(serving, Serving::Failover) && me == dead {
+                        return;
+                    }
+                    let forwards = Arc::new(AtomicU64::new(0));
+                    let body = |e: usize| CountingExpert::boxed(e, &forwards);
+                    let mut layer = DistributedMoeLayer::new(
+                        make_gate(p, 2, 8.0),
+                        vec![body(me)],
+                        Box::new(NoCompression),
+                        Box::new(NcclA2A),
+                    )
+                    .with_partition_degree(degree)
+                    .with_recv_timeout(std::time::Duration::from_secs(30));
+                    match serving {
+                        Serving::Local => {}
+                        Serving::Failover => {
+                            layer.mark_rank_dead(dead);
+                            layer.set_failover_route(dead, host);
+                            if me == host {
+                                layer.install_hosted_experts(dead, vec![body(dead)]);
+                            }
+                        }
+                        Serving::Guests => {
+                            let servers = vec![vec![0, 2], vec![1], vec![2], vec![1]];
+                            let pl = Placement::new(1, 1, servers);
+                            for &e in &pl.guests_of(me) {
+                                layer.install_guest_expert(me, e, body(e));
+                            }
+                            layer.set_placement(me, pl);
+                        }
+                    }
+                    let served = layer.routing_table(p).served[me].len() as u64;
+                    let mut x = Tensor::zeros(&[n_local, M]);
+                    for r in 0..n_local {
+                        x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+                    }
+                    for step in 1..=2u64 {
+                        let tag = step * TAG_STRIDE;
+                        let y = layer.forward(&mut h, &x, tag).unwrap();
+                        let after_forward = forwards.load(Ordering::Relaxed);
+                        let want = step * served * degree as u64;
+                        let case = format!("{serving:?} r={degree} rank {me} step {step}");
+                        assert_eq!(after_forward, want, "{case}: forwards");
+                        layer.backward(&mut h, &y).unwrap();
+                        let after_backward = forwards.load(Ordering::Relaxed);
+                        assert_eq!(after_backward, want, "{case}: a forward in the backward");
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn every_stage_span_parses_back_to_its_stage() {
+        // Degree 5 is unique in this binary, so every `[c4]` span is ours;
+        // the backward's per-peer spans are told apart by their stems.
+        let topo = Topology::new(1, 2);
+        let p = topo.world_size();
+        let (_, trace) = traced(|| {
+            Fabric::run(topo, |mut h| {
+                let me = h.rank();
+                let mut layer = DistributedMoeLayer::new(
+                    make_gate(p, 1, 8.0),
+                    vec![make_expert(me)],
+                    Box::new(Fp16Compressor),
+                    Box::new(NcclA2A),
+                )
+                .with_partition_degree(5);
+                let x = rng::uniform(&[9, M], 1.0, &mut seeded(62 + me as u64));
+                let y = layer.forward(&mut h, &x, 0).unwrap();
+                layer.backward(&mut h, &y).unwrap();
+            })
+        });
+        // What each stage is recorded as: its span category.
+        let category = |(_, kind): schemoe_scheduler::Stage| match kind {
+            Compress1 | Compress2 => "encode",
+            AllToAll1 | AllToAll2 => "a2a",
+            Decompress1 | Decompress2 => "decode",
+            TaskKind::Expert => "expert",
+        };
+        let mut seen = BTreeSet::new();
+        for span in &trace.spans {
+            let ours = span.name.ends_with("[c4]") || !span.name.contains("[c");
+            let Some(stage) = schemoe_scheduler::span_kind(&span.name) else {
+                continue;
+            };
+            if ours {
+                assert_eq!(span.cat, category(stage), "{}", span.name);
+                seen.insert(stage);
+            }
+        }
+        for pass in [FWD, BWD] {
+            for kind in TaskKind::ALL {
+                assert!(seen.contains(&(pass, kind)), "no {} span", pass.label(kind));
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The expert abstraction (`AbsExpert`) and its feed-forward default.
 
 use rand::rngs::SmallRng;
-use schemoe_tensor::nn::{ActivationKind, FeedForward, Module, Param};
+use schemoe_tensor::gemm::Mat;
+use schemoe_tensor::nn::{ActivationKind, FeedForward, Module, Param, SavedForm, Segment};
 use schemoe_tensor::Tensor;
 
 /// The `AbsExpert` abstraction: a differentiable token transformer.
@@ -9,7 +10,12 @@ use schemoe_tensor::Tensor;
 /// The paper notes experts need no customization beyond the default
 /// fflayer (§3.1) but abstracts them anyway for profiling and scheduling;
 /// we keep the trait so alternative expert bodies can be plugged in.
-pub trait Expert: Send {
+///
+/// The MoE layers run a body through its [`SavedForm`]: one
+/// `forward_saving` per batch of rows, whose saved activations the layer
+/// keeps, and one `backward_from` per group of rows. `forward` /
+/// `backward` are the same computation behind a cache of the body's own.
+pub trait Expert: SavedForm + Send {
     /// Transforms `[n, M]` tokens, caching for backward.
     fn forward(&mut self, x: &Tensor) -> Tensor;
 
@@ -42,6 +48,20 @@ impl FfExpert {
     /// Hidden dimension `H`.
     pub fn hidden_dim(&self) -> usize {
         self.ff.hidden_dim()
+    }
+}
+
+impl SavedForm for FfExpert {
+    fn saved_width(&self) -> usize {
+        self.ff.saved_width()
+    }
+
+    fn forward_saving(&mut self, x: Mat, saved: &mut [f32], y: &mut [f32]) {
+        self.ff.forward_saving(x, saved, y);
+    }
+
+    fn backward_from(&mut self, group: &[Segment], dx: &mut [f32]) {
+        self.ff.backward_from(group, dx);
     }
 }
 

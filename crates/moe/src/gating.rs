@@ -1,6 +1,7 @@
 //! The learnable top-k gating function.
 
 use rand::rngs::SmallRng;
+use schemoe_tensor::gemm::{gemm, Init, Mat};
 use schemoe_tensor::nn::Param;
 use schemoe_tensor::{rng, Tensor};
 
@@ -19,6 +20,64 @@ pub struct GateDecision {
 }
 
 impl GateDecision {
+    /// Every admitted `(token, expert)`, expert-major in slot order.
+    pub fn slots(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let experts = self.expert_slots.iter().enumerate();
+        experts.flat_map(|(e, slots)| slots.iter().map(move |&(t, _)| (t, e)))
+    }
+
+    /// The loss gradient of every admitted assignment's combine weight, in
+    /// [`slots`](Self::slots) order, into `out`: `<dy[t], rows[e][s]>` given
+    /// the output gradient `dy` and each expert's output rows in slot
+    /// order. Each is the sequential sum `Iterator::sum` forms; eight are
+    /// formed side by side, so the chains overlap instead of waiting on
+    /// each other's latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold one value per admitted assignment.
+    pub fn weight_grads(&self, dy: &Tensor, rows: &[Tensor], out: &mut [f32]) {
+        const LANES: usize = 8;
+        assert_eq!(
+            out.len(),
+            self.slots().count(),
+            "one weight grad per assignment"
+        );
+        let m = dy.dims()[1];
+        let start: f32 = std::iter::empty::<f32>().sum();
+        let mut picks = self
+            .expert_slots
+            .iter()
+            .enumerate()
+            .flat_map(|(e, slots)| (0..slots.len()).map(move |s| (slots[s].0, e, s)));
+        for grads in out.chunks_mut(LANES) {
+            // Lanes past the last assignment repeat the first row, unread.
+            let mut xs = [&dy.data()[..m]; LANES];
+            let mut ys = xs;
+            for ((x, y), (t, e, s)) in xs.iter_mut().zip(&mut ys).zip(picks.by_ref()) {
+                (*x, *y) = (dy.row(t), &rows[e].row(s)[..m]);
+            }
+            let mut acc = [start; LANES];
+            let blocked = m / 8 * 8;
+            for j0 in (0..blocked).step_by(8) {
+                let eight =
+                    |row: &[f32]| -> [f32; 8] { row[j0..j0 + 8].try_into().expect("eight wide") };
+                let (xb, yb) = (xs.map(eight), ys.map(eight));
+                for j in 0..8 {
+                    for q in 0..LANES {
+                        acc[q] += xb[q][j] * yb[q][j];
+                    }
+                }
+            }
+            for j in blocked..m {
+                for q in 0..LANES {
+                    acc[q] += xs[q][j] * ys[q][j];
+                }
+            }
+            grads.copy_from_slice(&acc[..grads.len()]);
+        }
+    }
+
     /// Fraction of assignments dropped by the capacity limit.
     pub fn drop_rate(&self, k: usize) -> f64 {
         let total = self.assignments.len() * k;
@@ -66,11 +125,18 @@ pub struct TopKGate {
     cache: Option<Cache>,
 }
 
+/// What a forward leaves for the backward. Each forward overwrites it in
+/// place, so its storage outlives the step.
 struct Cache {
     x: Tensor,
     probs: Tensor,
-    decision: GateDecision,
+    /// Per admitted assignment, token-major: `(token, expert)`.
+    picks: Vec<(usize, usize)>,
     aux_grad: Option<Tensor>,
+    /// `dWg` before it is added to the gradient.
+    dwg: Vec<f32>,
+    /// Whether a backward may still consume this forward.
+    live: bool,
 }
 
 impl TopKGate {
@@ -224,12 +290,22 @@ impl TopKGate {
         } else {
             None
         };
-        self.cache = Some(Cache {
-            x: x.clone(),
-            probs,
-            decision: decision.clone(),
-            aux_grad,
+        let cache = self.cache.get_or_insert_with(|| Cache {
+            x: Tensor::zeros(&[0]),
+            probs: Tensor::zeros(&[0]),
+            picks: Vec::new(),
+            aux_grad: None,
+            dwg: Vec::new(),
+            live: false,
         });
+        cache.x.clone_from(x);
+        cache.probs = probs;
+        cache.picks.clear();
+        let picks = decision.assignments.iter().enumerate();
+        let picks = picks.flat_map(|(t, a)| a.iter().map(move |&(e, _)| (t, e)));
+        cache.picks.extend(picks);
+        cache.aux_grad = aux_grad;
+        cache.live = true;
         decision
     }
 
@@ -246,7 +322,8 @@ impl TopKGate {
         let e = self.num_experts();
         let mut loss = 0.0f32;
         for ex in 0..e {
-            let f_e = cache.decision.expert_slots[ex].len() as f32 / n.max(1.0);
+            let load = cache.picks.iter().filter(|&&(_, e)| e == ex).count();
+            let f_e = load as f32 / n.max(1.0);
             let mut p_mean = 0.0f32;
             for t in 0..cache.probs.dims()[0] {
                 p_mean += cache.probs.row(t)[ex];
@@ -284,37 +361,78 @@ impl TopKGate {
     /// Panics if called without a cached forward or with a ragged
     /// `d_weights` that disagrees with the cached decision.
     pub fn backward(&mut self, d_weights: &[Vec<f32>]) -> Tensor {
-        let cache = self.cache.take().expect("gate backward without forward");
-        let (n, e) = (cache.probs.dims()[0], cache.probs.dims()[1]);
+        let cache = self.cache.as_ref().filter(|c| c.live);
+        let cache = cache.expect("gate backward without forward");
+        let n = cache.probs.dims()[0];
         assert_eq!(d_weights.len(), n, "one weight-grad list per token");
-        // dL/dprobs: scatter the admitted weight grads, plus the aux term.
-        let mut dprobs = cache.aux_grad.unwrap_or_else(|| Tensor::zeros(&[n, e]));
-        for t in 0..n {
-            let assigns = &cache.decision.assignments[t];
-            assert_eq!(
-                d_weights[t].len(),
-                assigns.len(),
-                "token {t}: weight-grad arity mismatch"
-            );
-            for (&(ex, _), &dw) in assigns.iter().zip(d_weights[t].iter()) {
-                dprobs.row_mut(t)[ex] += dw;
+        let mut picks = cache.picks.iter().peekable();
+        let mut grads = Vec::with_capacity(cache.picks.len());
+        for (t, dw) in d_weights.iter().enumerate() {
+            for &w in dw {
+                let Some(&(_, e)) = picks.next_if(|&&(tt, _)| tt == t) else {
+                    panic!("token {t}: weight-grad arity mismatch");
+                };
+                grads.push((t, e, w));
             }
+            let left = picks.peek().is_some_and(|&&(tt, _)| tt == t);
+            assert!(!left, "token {t}: weight-grad arity mismatch");
         }
-        // Softmax backward per row: dlogit = p ⊙ (dp − Σ p·dp).
-        let mut dlogits = Tensor::zeros(&[n, e]);
+        let mut dx = Tensor::zeros(&[n, self.wg.value.dims()[0]]);
+        self.backward_flat(grads, dx.data_mut());
+        dx
+    }
+
+    /// [`backward`](Self::backward) over `(token, expert, weight grad)`
+    /// triples, one per admitted assignment in any order — each adds to a
+    /// probability of its own — writing the input gradient into `dx`
+    /// (`[n, model_dim]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if called without a cached forward, or if the triples or `dx`
+    /// disagree with it.
+    pub fn backward_flat(
+        &mut self,
+        d_weights: impl IntoIterator<Item = (usize, usize, f32)>,
+        dx: &mut [f32],
+    ) {
+        let cache = self.cache.as_mut().filter(|c| c.live);
+        let cache = cache.expect("gate backward without forward");
+        cache.live = false;
+        let (n, e) = (cache.probs.dims()[0], cache.probs.dims()[1]);
+        // dL/dprobs: scatter the admitted weight grads, plus the aux term.
+        let mut dprobs = cache
+            .aux_grad
+            .take()
+            .unwrap_or_else(|| Tensor::zeros(&[n, e]));
+        let mut count = 0;
+        for (t, ex, dw) in d_weights {
+            dprobs.row_mut(t)[ex] += dw;
+            count += 1;
+        }
+        assert_eq!(
+            count,
+            cache.picks.len(),
+            "one weight grad per admitted assignment"
+        );
+        // Softmax backward per row: dlogit = p ⊙ (dp − Σ p·dp), in place.
         for t in 0..n {
             let p = cache.probs.row(t);
-            let dp = dprobs.row(t);
+            let dp = dprobs.row_mut(t);
             let dot: f32 = p.iter().zip(dp.iter()).map(|(a, b)| a * b).sum();
-            let out = dlogits.row_mut(t);
             for j in 0..e {
-                out[j] = p[j] * (dp[j] - dot);
+                dp[j] = p[j] * (dp[j] - dot);
             }
         }
-        // Linear backward: dWg += x^T·dlogits ; dx = dlogits·Wg^T.
-        let dwg = cache.x.t_matmul(&dlogits).expect("shapes agree");
-        self.wg.grad.add_assign(&dwg).expect("dWg shape");
-        dlogits.matmul_t(&self.wg.value).expect("dx shape")
+        let dlogits = Mat::of(&dprobs);
+        // Linear backward: dWg += xᵀ · dlogits, formed whole and then added;
+        // dx = dlogits · Wgᵀ.
+        cache.dwg.resize(self.wg.grad.numel(), 0.0);
+        gemm(Mat::of(&cache.x).t(), dlogits, Init::Zero, &mut cache.dwg);
+        for (g, &d) in self.wg.grad.data_mut().iter_mut().zip(&cache.dwg) {
+            *g += d;
+        }
+        gemm(dlogits, Mat::of(&self.wg.value).t(), Init::Zero, dx);
     }
 
     /// Visits the gate's learnable parameter.
@@ -500,6 +618,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn weight_grads_are_the_sequential_dot_products_bit_for_bit() {
+        let mut g = gate(2, 1.0);
+        let x = rng::uniform(&[19, 8], 1.0, &mut seeded(40));
+        let d = g.forward(&x);
+        let dy = rng::uniform(&[19, 21], 1.0, &mut seeded(41));
+        let rows: Vec<Tensor> = (0..4)
+            .map(|e| {
+                rng::uniform(
+                    &[d.expert_slots[e].len(), 21],
+                    1.0,
+                    &mut seeded(42 + e as u64),
+                )
+            })
+            .collect();
+        let mut want = Vec::new();
+        for (e, slots) in d.expert_slots.iter().enumerate() {
+            for (s, &(t, _)) in slots.iter().enumerate() {
+                let pairs = dy.row(t).iter().zip(rows[e].row(s));
+                want.push(pairs.map(|(a, b)| a * b).sum::<f32>());
+            }
+        }
+        let mut got = vec![0.0; want.len()];
+        d.weight_grads(&dy, &rows, &mut got);
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn the_backward_is_the_textbook_formulas_bit_for_bit() {
+        let mut g = gate(2, 1.0);
+        g.visit_params(&mut |p| p.grad = rng::uniform(&[8, 4], 1.0, &mut seeded(50)));
+        let x = rng::uniform(&[13, 8], 1.0, &mut seeded(51));
+        let d = g.forward(&x);
+        let d_weights: Vec<Vec<f32>> = (0..13)
+            .map(|t| {
+                (0..d.assignments[t].len())
+                    .map(|i| 0.1 + (t + i) as f32)
+                    .collect()
+            })
+            .collect();
+        let mut want_grad = g.weight().grad.clone();
+        let probs = x.matmul(&g.weight().value).unwrap().softmax_rows().unwrap();
+        let mut dlogits = Tensor::zeros(&[13, 4]);
+        for t in 0..13 {
+            let mut dp = [0.0f32; 4];
+            for (&(e, _), &dw) in d.assignments[t].iter().zip(&d_weights[t]) {
+                dp[e] += dw;
+            }
+            let p = probs.row(t);
+            let dot: f32 = p.iter().zip(dp.iter()).map(|(a, b)| a * b).sum();
+            for j in 0..4 {
+                dlogits.row_mut(t)[j] = p[j] * (dp[j] - dot);
+            }
+        }
+        want_grad
+            .add_assign(&x.t_matmul(&dlogits).unwrap())
+            .unwrap();
+        let want_dx = dlogits.matmul_t(&g.weight().value).unwrap();
+        let dx = g.backward(&d_weights);
+        assert_eq!(bits(dx.data()), bits(want_dx.data()));
+        assert_eq!(bits(g.weight().grad.data()), bits(want_grad.data()));
     }
 
     #[test]

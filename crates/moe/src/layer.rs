@@ -2,7 +2,8 @@
 
 use rand::rngs::SmallRng;
 use schemoe_compression::Compressor;
-use schemoe_tensor::nn::{Module, Param};
+use schemoe_tensor::gemm::Mat;
+use schemoe_tensor::nn::{Module, Param, Segment};
 use schemoe_tensor::Tensor;
 
 use crate::expert::{Expert, FfExpert};
@@ -30,8 +31,11 @@ pub struct MoeLayer {
 
 struct Cache {
     decision: GateDecision,
-    /// Per expert: the (possibly compressed) outputs, in slot order.
-    /// (Expert *inputs* are cached inside each expert for its backward.)
+    /// Per expert, in slot order: the (possibly compressed) inputs, what
+    /// its forward saved for the backward, and the (possibly compressed)
+    /// outputs.
+    expert_inputs: Vec<Tensor>,
+    saved: Vec<Vec<f32>>,
     expert_outputs: Vec<Tensor>,
     n: usize,
 }
@@ -127,22 +131,25 @@ impl Module for MoeLayer {
         let decision = self.gate.forward(x);
 
         // Dispatch: gather admitted rows per expert (the first A2A), with
-        // the codec applied to what would cross the wire.
-        let mut expert_inputs = Vec::with_capacity(self.experts.len());
-        for slots in &decision.expert_slots {
+        // the codec applied to what would cross the wire; then each
+        // expert's one forward, whose outputs the second A2A carries back.
+        let experts = self.experts.len();
+        let mut expert_inputs = Vec::with_capacity(experts);
+        let mut saved = Vec::with_capacity(experts);
+        let mut expert_outputs = Vec::with_capacity(experts);
+        for (e, slots) in decision.expert_slots.iter().enumerate() {
             let mut rows = Tensor::zeros(&[slots.len(), m]);
             for (s, &(t, _)) in slots.iter().enumerate() {
                 rows.row_mut(s).copy_from_slice(x.row(t));
             }
-            expert_inputs.push(self.maybe_compress(&rows));
-        }
-
-        // Expert computation.
-        let mut expert_outputs = Vec::with_capacity(self.experts.len());
-        for (e, input) in expert_inputs.iter().enumerate() {
-            let out = self.experts[e].forward(input);
-            // The second A2A carries the outputs back.
+            let input = self.maybe_compress(&rows);
+            let body = &mut self.experts[e];
+            let mut kept = vec![0.0; slots.len() * body.saved_width()];
+            let mut out = Tensor::zeros(&[slots.len(), m]);
+            body.forward_saving(Mat::of(&input), &mut kept, out.data_mut());
             expert_outputs.push(self.maybe_compress(&out));
+            expert_inputs.push(input);
+            saved.push(kept);
         }
 
         // Combine: weighted scatter back to token positions.
@@ -158,6 +165,8 @@ impl Module for MoeLayer {
         }
         self.cache = Some(Cache {
             decision,
+            expert_inputs,
+            saved,
             expert_outputs,
             n,
         });
@@ -169,50 +178,40 @@ impl Module for MoeLayer {
         let m = dy.dims()[1];
         assert_eq!(dy.dims()[0], cache.n, "gradient row count mismatch");
 
-        // Combine backward: per admitted slot, d_out = w · dy[t] and the
-        // weight gradient is <dy[t], expert_out[slot]>.
-        let mut d_weights: Vec<Vec<f32>> = vec![Vec::new(); cache.n];
+        // Combine backward: per admitted slot, d_out = w · dy[t]; then the
+        // expert's backward over its one group, and the dispatch backward
+        // (scatter to tokens).
         let mut dx = Tensor::zeros(&[cache.n, m]);
         for (e, slots) in cache.decision.expert_slots.iter().enumerate() {
             let mut d_out = Tensor::zeros(&[slots.len(), m]);
             for (s, &(t, w)) in slots.iter().enumerate() {
-                let dyrow = dy.row(t);
-                let orow = cache.expert_outputs[e].row(s);
-                let dorow = d_out.row_mut(s);
-                for j in 0..m {
-                    dorow[j] = w * dyrow[j];
+                for (d, &g) in d_out.row_mut(s).iter_mut().zip(dy.row(t)) {
+                    *d = w * g;
                 }
-                let _ = orow;
             }
-            // Expert backward, then dispatch backward (scatter to tokens).
-            let d_in = self.experts[e].backward(&d_out);
+            let body = &mut self.experts[e];
+            let saved = Mat::new(&cache.saved[e], slots.len(), body.saved_width());
+            let x = Mat::of(&cache.expert_inputs[e]);
+            let mut d_in = Tensor::zeros(&[slots.len(), m]);
+            let dy = Mat::of(&d_out);
+            body.backward_from(&[Segment { x, saved, dy }], d_in.data_mut());
             for (s, &(t, _)) in slots.iter().enumerate() {
-                let drow = d_in.row(s);
-                let xrow = dx.row_mut(t);
-                for j in 0..m {
-                    xrow[j] += drow[j];
+                for (xj, &dj) in dx.row_mut(t).iter_mut().zip(d_in.row(s)) {
+                    *xj += dj;
                 }
             }
         }
-        // Weight gradients need the expert outputs in per-token assignment
-        // order.
-        for (t, assigns) in cache.decision.assignments.iter().enumerate() {
-            for &(e, _) in assigns {
-                // Find this token's slot in expert e (token order = slot
-                // order, binary search is possible; linear is fine at our
-                // slot counts).
-                let s = cache.decision.expert_slots[e]
-                    .iter()
-                    .position(|&(tt, _)| tt == t)
-                    .expect("assignment implies a slot");
-                let dyrow = dy.row(t);
-                let orow = cache.expert_outputs[e].row(s);
-                let dw: f32 = dyrow.iter().zip(orow.iter()).map(|(a, b)| a * b).sum();
-                d_weights[t].push(dw);
-            }
+        // Weight gradients: <dy[t], expert_out[slot]> per admitted slot.
+        let decision = &cache.decision;
+        let mut d_weights = vec![0.0; decision.slots().count()];
+        decision.weight_grads(dy, &cache.expert_outputs, &mut d_weights);
+        let grads = decision.slots().zip(&d_weights);
+        let mut dx_gate = Tensor::zeros(&[cache.n, m]);
+        self.gate
+            .backward_flat(grads.map(|((t, e), &w)| (t, e, w)), dx_gate.data_mut());
+        for (a, &b) in dx.data_mut().iter_mut().zip(dx_gate.data()) {
+            *a += b;
         }
-        let dx_gate = self.gate.backward(&d_weights);
-        dx.add_assign(&dx_gate).expect("same shape");
         dx
     }
 

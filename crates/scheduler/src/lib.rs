@@ -41,4 +41,4 @@ pub use schedules::{
     brute_force_best, chain_orders, choose_degree, naive_makespan, optsche, optsche_makespan,
     stage_major, Uncovered,
 };
-pub use task::{Pass, Stage, TaskKind, TaskSet};
+pub use task::{Pass, Stage, StageLabel, TaskKind, TaskSet};

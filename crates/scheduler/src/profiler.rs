@@ -121,7 +121,11 @@ mod tests {
         for pass in [FWD, BWD] {
             for kind in TaskKind::ALL {
                 let stem = pass.label(kind);
-                for name in [stem.clone(), format!("{stem}[c3]"), format!("{stem}[p1]")] {
+                for name in [
+                    stem.to_string(),
+                    format!("{stem}[c3]"),
+                    format!("{stem}[p1]"),
+                ] {
                     assert_eq!(span_kind(&name), Some((pass, kind)), "{name}");
                 }
             }

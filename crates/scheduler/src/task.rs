@@ -42,11 +42,24 @@ pub enum Pass {
 impl Pass {
     /// The span stem of `kind` in this pass — what
     /// [`span_kind`](crate::span_kind) parses back.
-    pub fn label(self, kind: TaskKind) -> String {
-        match self {
-            Pass::Forward => kind.label().to_string(),
-            Pass::Backward => format!("{}b", kind.label()),
+    pub fn label(self, kind: TaskKind) -> StageLabel {
+        StageLabel(self, kind)
+    }
+}
+
+/// A stage's span stem: its [`TaskKind::label`], with a trailing `b` in
+/// the backward pass. Displays without allocating, so the data path
+/// formats every stage span through it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StageLabel(Pass, TaskKind);
+
+impl std::fmt::Display for StageLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.1.label())?;
+        if self.0 == Pass::Backward {
+            f.write_str("b")?;
         }
+        Ok(())
     }
 }
 

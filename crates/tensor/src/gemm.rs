@@ -29,9 +29,17 @@ const NR_WIDE: usize = 16;
 /// `[rows, 1024] × [1024, 8]` (the `moe_wide` expert) would spend half of
 /// every 16-wide tile on padding.
 const NR_NARROW: usize = 8;
+/// Rows per narrow tile in a long reduction: eight independent chains, one
+/// register each, keep both FMA ports busy where four would wait on each
+/// other's latency.
+const MR_NARROW: usize = 8;
 /// Reduction steps per packed panel: `KC × NR_WIDE` floats (16 KiB) sit in
 /// L1 beside the rows of `A` that stream past them.
 const KC: usize = 256;
+/// Reductions this short run row tiles outermost ([`rows_outer`]).
+const SMALL_K: usize = 16;
+/// Floats of `B` that path packs at once (32 KiB).
+const PACK: usize = 8 * 1024;
 
 /// A borrowed matrix: `rows × cols` elements of `data`, element `(i, j)`
 /// at `i * rs + j * cs`. Transposing swaps the strides, not the data.
@@ -80,6 +88,19 @@ impl<'a> Mat<'a> {
             rs: self.cs,
             cs: self.rs,
         }
+    }
+
+    /// The elements of a row-major view, row after row.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a transposed view.
+    pub(crate) fn as_slice(&self) -> &'a [f32] {
+        assert!(
+            self.cs == 1 && self.rs == self.cols,
+            "a transposed view has no row-major slice"
+        );
+        self.data
     }
 
     /// Row count.
@@ -161,29 +182,41 @@ fn op<const FMA: bool>(a: f32, b: f32, acc: f32) -> f32 {
 }
 
 /// Column panels outermost (each element of `B` is packed once per call),
-/// `k` blocks next, row tiles innermost.
+/// `k` blocks next, row tiles innermost — except for a short reduction,
+/// which runs [`rows_outer`].
 #[inline(always)]
 fn gemm_body<const FMA: bool>(a: Mat, b: Mat, init: Init, out: &mut [f32]) {
-    let n = b.cols;
+    if a.cols <= SMALL_K {
+        return rows_outer::<FMA>(a, b, init, out);
+    }
     let mut panel = [0.0f32; KC * NR_WIDE];
-    let mut j0 = 0;
-    while j0 < n {
-        let nr = n - j0;
-        if nr > NR_NARROW {
-            panels::<FMA, NR_WIDE>(a, b, init, out, j0, nr.min(NR_WIDE), &mut panel);
-            j0 += NR_WIDE;
+    for (j0, nr, wide) in column_panels(0, b.cols) {
+        if wide {
+            panels::<FMA, MR, NR_WIDE>(a, b, init, out, j0, nr, &mut panel);
         } else {
-            panels::<FMA, NR_NARROW>(a, b, init, out, j0, nr, &mut panel);
-            j0 += NR_NARROW;
+            panels::<FMA, MR_NARROW, NR_NARROW>(a, b, init, out, j0, nr, &mut panel);
         }
     }
 }
 
+/// The column panels of output columns `j0..end` as `(j0, nr, wide)`:
+/// `NR_WIDE` columns while more than `NR_NARROW` are left, then one
+/// narrow panel of the rest.
+fn column_panels(mut j0: usize, end: usize) -> impl Iterator<Item = (usize, usize, bool)> {
+    std::iter::from_fn(move || {
+        let left = end.checked_sub(j0).filter(|&left| left > 0)?;
+        let wide = left > NR_NARROW;
+        let width = if wide { NR_WIDE } else { NR_NARROW };
+        let panel = (j0, left.min(width), wide);
+        j0 += width;
+        Some(panel)
+    })
+}
+
 /// Output columns `j0 .. j0 + nr` (`nr <= NR`): for each `k` block, pack
-/// `B`'s block into `panel` as `[kc][NR]`, zero-padded past `nr`, and run
-/// every row tile over it.
+/// `B`'s block into `panel` and run every row tile over it.
 #[inline(always)]
-fn panels<const FMA: bool, const NR: usize>(
+fn panels<const FMA: bool, const MR: usize, const NR: usize>(
     a: Mat,
     b: Mat,
     init: Init,
@@ -192,45 +225,15 @@ fn panels<const FMA: bool, const NR: usize>(
     nr: usize,
     panel: &mut [f32],
 ) {
-    let (m, n, k) = (a.rows, b.cols, a.cols);
+    let k = a.cols;
     // `k == 0` still runs one (empty) block so that `init` reaches `out`.
     let mut p0 = 0;
     loop {
         let kc = (k - p0).min(KC);
         let panel = &mut panel[..kc * NR];
-        for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
-            let src = (p0 + p) * b.rs + j0 * b.cs;
-            if b.cs == 1 {
-                row[..nr].copy_from_slice(&b.data[src..src + nr]);
-            } else {
-                for (c, v) in row[..nr].iter_mut().enumerate() {
-                    *v = b.data[src + c * b.cs];
-                }
-            }
-            row[nr..].fill(0.0);
-        }
-        let mut i0 = 0;
-        while i0 < m {
-            let mr = (m - i0).min(MR);
-            // A row tail re-reads its last row into the spare lanes.
-            let rows: [usize; MR] =
-                std::array::from_fn(|r| (i0 + r.min(mr - 1)) * a.rs + p0 * a.cs);
-            let mut acc = [[0.0f32; NR]; MR];
-            for r in 0..mr {
-                let o = (i0 + r) * n + j0;
-                match init {
-                    Init::Zero if p0 == 0 => {}
-                    Init::Row(row) if p0 == 0 => acc[r][..nr].copy_from_slice(&row[j0..j0 + nr]),
-                    // `Init::Out`, and every later `k` block: resume.
-                    _ => acc[r][..nr].copy_from_slice(&out[o..o + nr]),
-                }
-            }
-            let acc = tile::<FMA, NR>(a.data, rows, a.cs, panel, acc);
-            for r in 0..mr {
-                let o = (i0 + r) * n + j0;
-                out[o..o + nr].copy_from_slice(&acc[r][..nr]);
-            }
-            i0 += MR;
+        pack::<NR>(b, p0, j0, nr, panel);
+        for i0 in (0..a.rows).step_by(MR) {
+            row_tile::<FMA, MR, NR>(a, init, out, b.cols, (i0, j0, nr, p0), panel);
         }
         p0 += kc;
         if p0 >= k {
@@ -239,26 +242,157 @@ fn panels<const FMA: bool, const NR: usize>(
     }
 }
 
+/// A reduction of at most [`SMALL_K`] steps: column panels outermost would
+/// write a wide output a few bytes per row per pass, with almost no
+/// arithmetic to hide the stride. So `B` is packed whole — up to
+/// `PACK / k` columns at a time, the panels side by side — and row tiles
+/// run outermost, each writing its rows across every packed panel. There
+/// is one `k` block, so every element's chain is the one [`panels`] runs.
+#[inline(always)]
+fn rows_outer<const FMA: bool>(a: Mat, b: Mat, init: Init, out: &mut [f32]) {
+    let (n, k) = (b.cols, a.cols);
+    let mut packed = [0.0f32; PACK];
+    let cols = PACK / k.max(1) / NR_WIDE * NR_WIDE;
+    for c0 in (0..n).step_by(cols) {
+        let end = (c0 + cols).min(n);
+        let mut at = 0;
+        for (j0, nr, wide) in column_panels(c0, end) {
+            if wide {
+                pack::<NR_WIDE>(b, 0, j0, nr, &mut packed[at..at + k * NR_WIDE]);
+                at += k * NR_WIDE;
+            } else {
+                pack::<NR_NARROW>(b, 0, j0, nr, &mut packed[at..at + k * NR_NARROW]);
+                at += k * NR_NARROW;
+            }
+        }
+        for i0 in (0..a.rows).step_by(MR) {
+            let mut at = 0;
+            for (j0, nr, wide) in column_panels(c0, end) {
+                let tile = (i0, j0, nr, 0);
+                if wide {
+                    let panel = &packed[at..at + k * NR_WIDE];
+                    row_tile::<FMA, MR, NR_WIDE>(a, init, out, n, tile, panel);
+                    at += k * NR_WIDE;
+                } else {
+                    let panel = &packed[at..at + k * NR_NARROW];
+                    row_tile::<FMA, MR, NR_NARROW>(a, init, out, n, tile, panel);
+                    at += k * NR_NARROW;
+                }
+            }
+        }
+    }
+}
+
+/// Packs `B[p0 .., j0 .. j0 + nr]` into `panel` as `[kc][NR]` (`kc` rows of
+/// `B`, as many as `panel` holds), zero-padded past `nr`.
+#[inline(always)]
+fn pack<const NR: usize>(b: Mat, p0: usize, j0: usize, nr: usize, panel: &mut [f32]) {
+    for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
+        let src = (p0 + p) * b.rs + j0 * b.cs;
+        if b.cs == 1 {
+            row[..nr].copy_from_slice(&b.data[src..src + nr]);
+        } else {
+            for (c, v) in row[..nr].iter_mut().enumerate() {
+                *v = b.data[src + c * b.cs];
+            }
+        }
+        row[nr..].fill(0.0);
+    }
+}
+
+/// One `MR × NR` output tile at rows `i0..`, columns `j0 .. j0 + nr` of the
+/// `n`-wide `out`, advanced over the packed `k` block starting at `p0`:
+/// its chains start from `init` in the first block and resume from `out`
+/// in every later one.
+#[inline(always)]
+fn row_tile<const FMA: bool, const MR: usize, const NR: usize>(
+    a: Mat,
+    init: Init,
+    out: &mut [f32],
+    n: usize,
+    (i0, j0, nr, p0): (usize, usize, usize, usize),
+    panel: &[f32],
+) {
+    let mr = (a.rows - i0).min(MR);
+    // A row tail re-reads its last row into the spare lanes.
+    let rows: [usize; MR] = std::array::from_fn(|r| (i0 + r.min(mr - 1)) * a.rs + p0 * a.cs);
+    let mut acc = [[0.0f32; NR]; MR];
+    for r in 0..mr {
+        let o = (i0 + r) * n + j0;
+        match init {
+            Init::Zero if p0 == 0 => {}
+            Init::Row(row) if p0 == 0 => copy_lanes::<NR>(&mut acc[r], &row[j0..], nr),
+            // `Init::Out`, and every later `k` block: resume.
+            _ => copy_lanes::<NR>(&mut acc[r], &out[o..], nr),
+        }
+    }
+    let acc = tile::<FMA, MR, NR>(a.data, rows, a.cs, panel, acc);
+    for r in 0..mr {
+        let o = (i0 + r) * n + j0;
+        copy_lanes::<NR>(&mut out[o..], &acc[r], nr);
+    }
+}
+
+/// The first `nr` lanes of `src` into `dst`: a copy of fixed length for a
+/// full tile, so a short reduction does not pay a call per row.
+#[inline(always)]
+fn copy_lanes<const NR: usize>(dst: &mut [f32], src: &[f32], nr: usize) {
+    if nr == NR {
+        dst[..NR].copy_from_slice(&src[..NR]);
+    } else {
+        dst[..nr].copy_from_slice(&src[..nr]);
+    }
+}
+
 /// The register tile: `MR × NR` chains advanced over one packed panel.
 /// Plain loops over fixed-size arrays; the optimiser unrolls the two inner
-/// ones into vector multiply-adds and keeps `acc` in registers.
+/// ones into vector multiply-adds and keeps `acc` in registers. A
+/// row-major `A` is read through one slice per row of the panel's length,
+/// and a full tile of a transposed one through one slice per step, which
+/// lets the optimiser drop most per-element bounds checks.
 #[inline(always)]
-fn tile<const FMA: bool, const NR: usize>(
+fn tile<const FMA: bool, const MR: usize, const NR: usize>(
     a: &[f32],
     rows: [usize; MR],
     cs: usize,
     panel: &[f32],
     mut acc: [[f32; NR]; MR],
 ) -> [[f32; NR]; MR] {
-    for (p, brow) in panel.chunks_exact(NR).enumerate() {
-        for r in 0..MR {
-            let av = a[rows[r] + p * cs];
-            for c in 0..NR {
-                acc[r][c] = op::<FMA>(av, brow[c], acc[r][c]);
-            }
+    let kc = panel.len() / NR;
+    if cs == 1 {
+        let a_rows: [&[f32]; MR] = std::array::from_fn(|r| &a[rows[r]..rows[r] + kc]);
+        for (p, brow) in panel.chunks_exact(NR).enumerate() {
+            step::<FMA, MR, NR>(&mut acc, std::array::from_fn(|r| a_rows[r][p]), brow);
+        }
+    } else if kc > 0 && (1..MR).all(|r| rows[r] == rows[0] + r) {
+        // A transposed view: each step's values of the tile's rows lie side
+        // by side, one slice per step.
+        let a = &a[rows[0]..rows[0] + (kc - 1) * cs + MR];
+        for (p, brow) in panel.chunks_exact(NR).enumerate() {
+            let run = &a[p * cs..p * cs + MR];
+            step::<FMA, MR, NR>(&mut acc, std::array::from_fn(|r| run[r]), brow);
+        }
+    } else {
+        for (p, brow) in panel.chunks_exact(NR).enumerate() {
+            step::<FMA, MR, NR>(&mut acc, std::array::from_fn(|r| a[rows[r] + p * cs]), brow);
         }
     }
     acc
+}
+
+/// One reduction step of every chain of a tile: column `p` of its rows of
+/// `A`, `av`, against row `p` of the packed panel.
+#[inline(always)]
+fn step<const FMA: bool, const MR: usize, const NR: usize>(
+    acc: &mut [[f32; NR]; MR],
+    av: [f32; MR],
+    brow: &[f32],
+) {
+    for r in 0..MR {
+        for c in 0..NR {
+            acc[r][c] = op::<FMA>(av[r], brow[c], acc[r][c]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -365,6 +499,29 @@ mod tests {
                 );
                 prop_assert_eq!(bits(&parts), bits(&whole), "m={} cut={} fma={}", m, cut, fma);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every reduction short enough for [`rows_outer`], over outputs
+        /// wide enough to need more than one packed block of `B` and with
+        /// odd row tails, in both instantiations.
+        #[test]
+        fn a_short_reduction_equals_the_naive_chain_bit_for_bit(
+            half in 0usize..=33, n in 0usize..=1040, k in 1usize..=SMALL_K, seed in 0u64..1 << 32
+        ) {
+            check_shape(2 * half + 1, n, k, seed);
+        }
+    }
+
+    #[test]
+    fn the_widest_packed_blocks_split_where_the_buffer_ends() {
+        for k in [1, 8, SMALL_K, SMALL_K + 1] {
+            let cols = PACK / k;
+            check_shape(5, cols + NR_WIDE + 3, k, 9);
+            check_shape(3, cols, k, 10);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Elementwise activation layers (ReLU, GELU).
 
-use crate::nn::{Module, Param, Saved};
+use crate::gemm::Mat;
+use crate::nn::{Module, Param, Saved, SavedForm, Segment};
 use crate::ops::{gelu, gelu_grad, relu, relu_grad};
 use crate::tensor::Tensor;
 
@@ -16,7 +17,7 @@ pub enum ActivationKind {
 /// A parameter-free elementwise activation layer.
 pub struct Activation {
     kind: ActivationKind,
-    cache_x: Saved,
+    cache: Saved,
 }
 
 impl Activation {
@@ -24,7 +25,7 @@ impl Activation {
     pub fn new(kind: ActivationKind) -> Self {
         Activation {
             kind,
-            cache_x: Saved::default(),
+            cache: Saved::default(),
         }
     }
 
@@ -34,25 +35,73 @@ impl Activation {
     }
 }
 
+impl ActivationKind {
+    /// `y = f(x)`, elementwise.
+    pub(crate) fn apply(self, x: &[f32], y: &mut [f32]) {
+        assert_eq!(
+            x.len(),
+            y.len(),
+            "activation: output shape must match input"
+        );
+        let pairs = y.iter_mut().zip(x);
+        match self {
+            ActivationKind::Relu => pairs.for_each(|(yv, &xv)| *yv = relu(xv)),
+            ActivationKind::Gelu => pairs.for_each(|(yv, &xv)| *yv = gelu(xv)),
+        }
+    }
+
+    /// `dx = f'(x) · dy`, elementwise, in place over `dy`. One match, then
+    /// a loop over the slices that the compiler specializes (and
+    /// vectorizes) per kind.
+    pub(crate) fn grad(self, x: &[f32], dy: &mut [f32]) {
+        assert_eq!(
+            x.len(),
+            dy.len(),
+            "activation backward: gradient shape must match input"
+        );
+        let pairs = dy.iter_mut().zip(x);
+        match self {
+            ActivationKind::Relu => pairs.for_each(|(d, &xv)| *d *= relu_grad(xv)),
+            ActivationKind::Gelu => pairs.for_each(|(d, &xv)| *d *= gelu_grad(xv)),
+        }
+    }
+}
+
+impl SavedForm for Activation {
+    /// Nothing: the backward reads the input itself.
+    fn saved_width(&self) -> usize {
+        0
+    }
+
+    fn forward_saving(&mut self, x: Mat, _saved: &mut [f32], y: &mut [f32]) {
+        self.kind.apply(x.as_slice(), y);
+    }
+
+    fn backward_from(&mut self, group: &[Segment], dx: &mut [f32]) {
+        let mut dx = dx;
+        for seg in group {
+            let (x, dy) = (seg.x.as_slice(), seg.dy.as_slice());
+            assert_eq!(
+                x.len(),
+                dy.len(),
+                "activation backward: gradient shape must match input"
+            );
+            let (rows, rest) = dx.split_at_mut(x.len());
+            rows.copy_from_slice(dy);
+            self.kind.grad(x, rows);
+            dx = rest;
+        }
+    }
+}
+
 impl Module for Activation {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = match self.kind {
-            ActivationKind::Relu => x.map(relu),
-            ActivationKind::Gelu => x.map(gelu),
-        };
-        self.cache_x.store(x);
-        y
+        let out = x.dims()[1];
+        Saved::forward(self, |l| &mut l.cache, x, out)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self.cache_x.consume("activation");
-        // One match, then a loop over the slices that the compiler
-        // specializes (and vectorizes) per kind.
-        match self.kind {
-            ActivationKind::Relu => x.zip_with(dy, "relu backward", |xv, dv| relu_grad(xv) * dv),
-            ActivationKind::Gelu => x.zip_with(dy, "gelu backward", |xv, dv| gelu_grad(xv) * dv),
-        }
-        .expect("activation backward: gradient shape must match input")
+        Saved::backward(self, |l| &mut l.cache, dy, "activation")
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

@@ -2,7 +2,8 @@
 
 use rand::rngs::SmallRng;
 
-use crate::nn::{Activation, ActivationKind, Linear, Module, Param};
+use crate::gemm::Mat;
+use crate::nn::{ActivationKind, Linear, Module, Param, Saved, SavedForm, Segment};
 use crate::tensor::Tensor;
 
 /// A position-wise feed-forward block: `Linear(M→H) → act → Linear(H→M)`.
@@ -11,8 +12,12 @@ use crate::tensor::Tensor;
 /// expert is an independent `FeedForward` with its own parameters.
 pub struct FeedForward {
     lin1: Linear,
-    act: Activation,
+    kind: ActivationKind,
     lin2: Linear,
+    cache: Saved,
+    /// What the saved form reuses call to call: the activation's output
+    /// and gradient, the backward's two bias chains.
+    scratch: Vec<f32>,
 }
 
 impl FeedForward {
@@ -20,8 +25,10 @@ impl FeedForward {
     pub fn new(m: usize, h: usize, kind: ActivationKind, rng: &mut SmallRng) -> Self {
         FeedForward {
             lin1: Linear::new(m, h, rng),
-            act: Activation::new(kind),
+            kind,
             lin2: Linear::new(h, m, rng),
+            cache: Saved::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -42,17 +49,64 @@ impl FeedForward {
     }
 }
 
+impl SavedForm for FeedForward {
+    /// `h`, the first layer's output: the backward recomputes the
+    /// activation from it.
+    fn saved_width(&self) -> usize {
+        self.hidden_dim()
+    }
+
+    fn forward_saving(&mut self, x: Mat, saved: &mut [f32], y: &mut [f32]) {
+        let (rows, hidden) = (x.rows(), self.hidden_dim());
+        assert_eq!(
+            saved.len(),
+            rows * hidden,
+            "feed-forward: saved must be [rows, H]"
+        );
+        self.lin1.forward_saving(x, &mut [], saved);
+        self.scratch.resize(rows * hidden, 0.0);
+        let a = &mut self.scratch[..rows * hidden];
+        self.kind.apply(saved, a);
+        self.lin2
+            .forward_saving(Mat::new(a, rows, hidden), &mut [], y);
+    }
+
+    fn backward_from(&mut self, group: &[Segment], dx: &mut [f32]) {
+        let (m, hidden) = (self.model_dim(), self.hidden_dim());
+        let kind = self.kind;
+        let most = group.iter().map(|seg| seg.x.rows()).max().unwrap_or(0);
+        self.scratch.clear();
+        self.scratch.resize(m + hidden + 2 * most * hidden, 0.0);
+        let (db2, rest) = self.scratch.split_at_mut(m);
+        let (db1, rest) = rest.split_at_mut(hidden);
+        let (a, da) = rest.split_at_mut(most * hidden);
+        let mut dx = dx;
+        for seg in group {
+            let rows = seg.x.rows();
+            let h = seg.saved.as_slice();
+            let (a, da) = (&mut a[..rows * hidden], &mut da[..rows * hidden]);
+            kind.apply(h, a);
+            self.lin2
+                .backward_segment(Mat::new(a, rows, hidden), seg.dy, db2, da);
+            kind.grad(h, da);
+            let (out, rest) = dx.split_at_mut(rows * m);
+            self.lin1
+                .backward_segment(seg.x, Mat::new(da, rows, hidden), db1, out);
+            dx = rest;
+        }
+        self.lin2.add_bias_grad(db2);
+        self.lin1.add_bias_grad(db1);
+    }
+}
+
 impl Module for FeedForward {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let h = self.lin1.forward(x);
-        let a = self.act.forward(&h);
-        self.lin2.forward(&a)
+        let out = self.model_dim();
+        Saved::forward(self, |l| &mut l.cache, x, out)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let da = self.lin2.backward(dy);
-        let dh = self.act.backward(&da);
-        self.lin1.backward(&dh)
+        Saved::backward(self, |l| &mut l.cache, dy, "feed-forward")
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -3,7 +3,7 @@
 use rand::rngs::SmallRng;
 
 use crate::gemm::{gemm, Init, Mat};
-use crate::nn::{Module, Param, Saved};
+use crate::nn::{Module, Param, Saved, SavedForm, Segment};
 use crate::rng;
 use crate::tensor::Tensor;
 
@@ -11,7 +11,7 @@ use crate::tensor::Tensor;
 pub struct Linear {
     w: Param,
     b: Param,
-    cache_x: Saved,
+    cache: Saved,
 }
 
 impl Linear {
@@ -20,7 +20,7 @@ impl Linear {
         Linear {
             w: Param::new("linear.w", rng::xavier(in_features, out_features, rng)),
             b: Param::new("linear.b", Tensor::zeros(&[out_features])),
-            cache_x: Saved::default(),
+            cache: Saved::default(),
         }
     }
 
@@ -36,7 +36,7 @@ impl Linear {
         Linear {
             w: Param::new("linear.w", w),
             b: Param::new("linear.b", b),
-            cache_x: Saved::default(),
+            cache: Saved::default(),
         }
     }
 
@@ -61,42 +61,73 @@ impl Linear {
     }
 }
 
-impl Module for Linear {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+impl Linear {
+    /// One segment of a backward group: `dW += xᵀ · dy` straight into the
+    /// gradient (the chain resumes from the stored `f32`), `db += ` the rows
+    /// of `dy` (the group's bias chain, which the caller started at zero),
+    /// and `dx = dy · Wᵀ`.
+    pub(crate) fn backward_segment(&mut self, x: Mat, dy: Mat, db: &mut [f32], dx: &mut [f32]) {
+        let out_features = self.out_features();
         assert!(
-            x.rank() == 2 && x.dims()[1] == self.in_features(),
+            dy.rows() == x.rows() && dy.cols() == out_features,
+            "linear backward: dy shape mismatch"
+        );
+        gemm(x.t(), dy, Init::Out, self.w.grad.data_mut());
+        let dy_rows = dy.as_slice();
+        for i in 0..dy.rows() {
+            let row = &dy_rows[i * out_features..(i + 1) * out_features];
+            for (d, &g) in db.iter_mut().zip(row) {
+                *d += g;
+            }
+        }
+        gemm(dy, Mat::of(&self.w.value).t(), Init::Zero, dx);
+    }
+
+    /// Closes a group's bias chain: `b.grad += db`.
+    pub(crate) fn add_bias_grad(&mut self, db: &[f32]) {
+        for (g, &d) in self.b.grad.data_mut().iter_mut().zip(db) {
+            *g += d;
+        }
+    }
+}
+
+impl SavedForm for Linear {
+    /// Nothing: the backward reads the input itself.
+    fn saved_width(&self) -> usize {
+        0
+    }
+
+    fn forward_saving(&mut self, x: Mat, _saved: &mut [f32], y: &mut [f32]) {
+        assert_eq!(
+            x.cols(),
+            self.in_features(),
             "linear forward: input shape must be [n, in_features]"
         );
         // y = b + x · W: the bias starts each element's reduction chain.
-        let mut y = Tensor::zeros(&[x.dims()[0], self.out_features()]);
-        gemm(
-            Mat::of(x),
-            Mat::of(&self.w.value),
-            Init::Row(self.b.value.data()),
-            y.data_mut(),
-        );
-        self.cache_x.store(x);
-        y
+        gemm(x, Mat::of(&self.w.value), Init::Row(self.b.value.data()), y);
+    }
+
+    fn backward_from(&mut self, group: &[Segment], dx: &mut [f32]) {
+        let (in_features, out_features) = (self.in_features(), self.out_features());
+        let mut db = vec![0.0; out_features];
+        let mut dx = dx;
+        for seg in group {
+            let (rows, rest) = dx.split_at_mut(seg.x.rows() * in_features);
+            self.backward_segment(seg.x, seg.dy, &mut db, rows);
+            dx = rest;
+        }
+        self.add_bias_grad(&db);
+    }
+}
+
+impl Module for Linear {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let out = self.out_features();
+        Saved::forward(self, |l| &mut l.cache, x, out)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let out_features = self.out_features();
-        let x = self.cache_x.consume("linear");
-        assert!(
-            dy.rank() == 2 && dy.dims() == [x.dims()[0], out_features],
-            "linear backward: dy shape mismatch"
-        );
-        // dW += x^T · dy, accumulated straight into the gradient;
-        // db += sum over rows of dy; dx = dy · W^T.
-        gemm(
-            Mat::of(x).t(),
-            Mat::of(dy),
-            Init::Out,
-            self.w.grad.data_mut(),
-        );
-        let db = dy.sum_rows().expect("dy must be rank-2");
-        self.b.grad.add_assign(&db).expect("db shape matches b");
-        dy.matmul_t(&self.w.value).expect("dx = dy · W^T")
+        Saved::backward(self, |l| &mut l.cache, dy, "linear")
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

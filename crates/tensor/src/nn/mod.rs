@@ -2,9 +2,11 @@
 //!
 //! Every module caches exactly what its backward pass needs during
 //! [`Module::forward`], and [`Module::backward`] consumes that cache while
-//! accumulating parameter gradients. Gradient correctness for each module is
-//! validated against finite differences in the test suite (see
-//! [`crate::grad_check`]).
+//! accumulating parameter gradients. [`Linear`], [`Activation`] and
+//! [`FeedForward`] also have the explicit form that cache wraps,
+//! [`SavedForm`]: the caller keeps the activations and hands them back.
+//! Gradient correctness for each module is validated against finite
+//! differences in the test suite (see [`crate::grad_check`]).
 
 mod activation;
 mod attention;
@@ -22,6 +24,7 @@ pub use layer_norm::LayerNorm;
 pub use linear::Linear;
 pub use loss::SoftmaxCrossEntropy;
 
+use crate::gemm::Mat;
 use crate::tensor::Tensor;
 
 /// A learnable parameter: a value tensor and its accumulated gradient.
@@ -59,31 +62,113 @@ impl Param {
     }
 }
 
-/// A layer's input, saved by `forward` for `backward`. Each forward
-/// overwrites the retained tensor in place, so the allocation outlives the
-/// step; the backward consumes the *value*, not the storage.
+/// One run of rows of a backward group, as row-major views: the layer's
+/// input `x`, what [`SavedForm::forward_saving`] kept for those rows, and
+/// the gradient of their outputs.
+#[derive(Clone, Copy)]
+pub struct Segment<'a> {
+    /// The rows' input, `[rows, in]`.
+    pub x: Mat<'a>,
+    /// What the forward kept for them, `[rows, saved_width]`.
+    pub saved: Mat<'a>,
+    /// The gradient of their output, `[rows, out]`.
+    pub dy: Mat<'a>,
+}
+
+/// A layer whose backward reads activations its caller keeps, instead of a
+/// cache of its own: the explicit form under [`Module`]'s `forward` /
+/// `backward` for [`Linear`], [`Activation`] and [`FeedForward`].
+///
+/// Every row is independent in the forward, so a batch may be split into
+/// any calls. The backward takes one *group* of rows as segments in order:
+/// a weight gradient's reduction chain continues from segment to segment
+/// (`Init::Out` resumes from the stored `f32`, which is exact), and a bias
+/// gradient is one chain per group added to the parameter at its end — so
+/// a group split anywhere accumulates the bits of one whole call.
+pub trait SavedForm {
+    /// Floats per row that [`forward_saving`](Self::forward_saving) keeps.
+    fn saved_width(&self) -> usize;
+
+    /// `y = f(x)` into the row-major `y`, keeping in `saved`
+    /// (`[rows, saved_width]`) what the backward needs beyond `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`, `saved` or `y` disagree with the layer's shape.
+    fn forward_saving(&mut self, x: Mat, saved: &mut [f32], y: &mut [f32]);
+
+    /// The backward of one group of rows: accumulates the parameter
+    /// gradients and writes each segment's input gradient into `dx`, one
+    /// segment after another.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment or `dx` disagrees with the layer's shape.
+    fn backward_from(&mut self, group: &[Segment], dx: &mut [f32]);
+}
+
+/// The implicit cache of a [`SavedForm`] layer's [`Module`] form: the last
+/// forward's input and what it saved. Each forward overwrites the retained
+/// storage in place, so the allocation outlives the step; the backward
+/// consumes the *value*, not the storage.
 #[derive(Default)]
 pub(crate) struct Saved {
     x: Option<Tensor>,
+    saved: Vec<f32>,
     live: bool,
 }
 
+/// Where a layer keeps its [`Saved`].
+pub(crate) type CacheOf<L> = fn(&mut L) -> &mut Saved;
+
 impl Saved {
-    pub(crate) fn store(&mut self, x: &Tensor) {
-        match &mut self.x {
-            Some(kept) => kept.clone_from(x),
-            None => self.x = Some(x.clone()),
+    /// `layer`'s implicit forward over `x` (`out` features wide): its
+    /// saved form, cached in `cache(layer)`.
+    pub(crate) fn forward<L: SavedForm>(
+        layer: &mut L,
+        cache: CacheOf<L>,
+        x: &Tensor,
+        out: usize,
+    ) -> Tensor {
+        let mut kept = std::mem::take(cache(layer));
+        let rows = Mat::of(x).rows();
+        kept.saved.resize(rows * layer.saved_width(), 0.0);
+        let mut y = Tensor::zeros(&[rows, out]);
+        layer.forward_saving(Mat::of(x), &mut kept.saved, y.data_mut());
+        match &mut kept.x {
+            Some(input) => input.clone_from(x),
+            None => kept.x = Some(x.clone()),
         }
-        self.live = true;
+        kept.live = true;
+        *cache(layer) = kept;
+        y
     }
 
-    /// The saved input, once per forward.
-    pub(crate) fn consume(&mut self, layer: &str) -> &Tensor {
-        assert!(
-            std::mem::take(&mut self.live),
-            "{layer} backward called without a cached forward"
-        );
-        self.x.as_ref().expect("a live cache holds a tensor")
+    /// `layer`'s implicit backward for the forward cached in `cache(layer)`,
+    /// as one group.
+    pub(crate) fn backward<L: SavedForm>(
+        layer: &mut L,
+        cache: CacheOf<L>,
+        dy: &Tensor,
+        name: &str,
+    ) -> Tensor {
+        let kept = std::mem::take(cache(layer));
+        assert!(kept.live, "{name} backward called without a cached forward");
+        let x = kept.x.as_ref().expect("a live cache holds a tensor");
+        let saved = Mat::new(&kept.saved, x.dims()[0], layer.saved_width());
+        let mut dx = Tensor::zeros(x.dims());
+        let dy = Mat::of(dy);
+        let group = [Segment {
+            x: Mat::of(x),
+            saved,
+            dy,
+        }];
+        layer.backward_from(&group, dx.data_mut());
+        *cache(layer) = Saved {
+            live: false,
+            ..kept
+        };
+        dx
     }
 }
 

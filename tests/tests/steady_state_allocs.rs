@@ -1,8 +1,8 @@
 //! The steady-state allocation guard: after warm-up, a whole MoE step —
 //! forward, backward, folded allreduce — re-uses the buffers of the step
 //! before instead of asking the allocator for new ones. What a step may
-//! still allocate is what it hands to someone else (`y`, `dx`, the expert
-//! bodies' own activations and gradients) and bookkeeping; a reintroduced
+//! still allocate is what it hands to someone else (`y`, `dx`) and
+//! bookkeeping; a reintroduced
 //! staging copy of a chunk shows up as bytes here, in `cargo test`, not
 //! only in `perf`'s `alloc.bytes_per_step`.
 //!
@@ -74,7 +74,7 @@ const WARM_UP: usize = 3;
 
 fn layer(h: &RankHandle) -> DistributedMoeLayer {
     let p = h.world_size();
-    let gate = TopKGate::new(M, p * LOCAL_EXPERTS, 2, 1.25, &mut seeded(7));
+    let gate = TopKGate::new(M, p * LOCAL_EXPERTS, K, 1.25, &mut seeded(7));
     let experts: Vec<Box<dyn Expert>> = (0..LOCAL_EXPERTS)
         .map(|e| {
             let global = (h.rank() * LOCAL_EXPERTS + e) as u64;
@@ -126,18 +126,19 @@ fn a_steady_state_step_reuses_its_buffers() {
     let first = per_step[0][0].0;
     let &(bytes, largest) = per_step[0][WARM_UP..].iter().min().expect("steps remain");
     // What a step still allocates at tensor scale, whole world: per rank
-    // four `[TOKENS, M]` tensors (`y`, `dx`, the gate's input copy and its
-    // `dx`), and per admitted row three rows of the expert body's own at
-    // width `M + H` (the forward's activations, the backward's recomputed
-    // ones, the gradients). Everything the data path itself moves —
-    // gathered rows, encoded chunks, frames, received records, decoded
-    // rows, the backward's cache — is recycled, so what is left beyond
-    // that list is bookkeeping, and the smallest staging copy that could
-    // come back (one leg's fp16 chunks, two outputs' worth) exceeds it.
+    // the two `[TOKENS, M]` tensors it hands out, `y` and `dx`. Everything
+    // else of that scale is recycled — gathered rows, encoded chunks,
+    // frames, received records, decoded rows, the expert bodies' outputs,
+    // saved activations and input grads, the backward's cache, the gate's
+    // weight grads and `dx` — or kept in storage the gate and the bodies
+    // retain across steps (the gate's input, their scratch). What is left
+    // beyond that list is bookkeeping (routing lists, the gate's logits,
+    // task closures), under one output's worth; the smallest staging copy
+    // that could come back (one leg's fp16 chunks, two outputs' worth)
+    // exceeds it.
     let output = (TOKENS * M * 4) as u64;
-    let expert_rows = (2 * TOKENS * K * (M + H) * 4) as u64;
-    let itemised = 2 * 4 * output + 3 * expert_rows;
-    let bookkeeping = 3 * output;
+    let itemised = 2 * 2 * output;
+    let bookkeeping = output;
     assert!(
         bytes <= itemised + bookkeeping,
         "a steady-state step requested {bytes} B (the first: {first} B); the tensors it \
