@@ -260,21 +260,29 @@ impl Ring {
     }
 
     /// Removes and returns the next record, if any, read straight into a
-    /// buffer of `pool`.
-    fn try_pop(&self, pool: &BufPool) -> Option<(u64, Bytes)> {
+    /// buffer of `pool`. The ring file is shared, so its cursors and
+    /// headers are not trusted: a record that overruns what the producer
+    /// published breaks the link, before anything is allocated or
+    /// consumed for it.
+    fn try_pop(&self, pool: &BufPool) -> Result<Option<(u64, Bytes)>, RawRecvError> {
         let head = read_u64(&self.file, HEAD_OFF);
         let tail = read_u64(&self.file, TAIL_OFF);
         if head == tail {
-            return None;
+            return Ok(None);
         }
+        let published = head.checked_sub(tail).filter(|&n| n <= self.cap);
+        let published = published.ok_or(RawRecvError::Disconnected)?;
         let mut header = [0u8; REC_HEADER as usize];
         self.read_wrapped(tail, &mut header);
-        let tag = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(header[8..].try_into().expect("8 bytes")) as usize;
-        let mut payload = pool.checkout(0, len);
+        let (tag, len) = header.split_at(8);
+        let tag = u64::from_le_bytes(tag.try_into().expect("8 bytes"));
+        let len = u64::from_le_bytes(len.try_into().expect("8 bytes"));
+        let rec = REC_HEADER.checked_add(len).filter(|&rec| rec <= published);
+        let rec = rec.ok_or(RawRecvError::Disconnected)?;
+        let mut payload = pool.checkout(0, len as usize);
         self.read_wrapped(tail + REC_HEADER, payload.body_mut());
-        write_u64(&self.file, TAIL_OFF, tail + REC_HEADER + len as u64);
-        Some((tag, payload.freeze()))
+        write_u64(&self.file, TAIL_OFF, tail + rec);
+        Ok(Some((tag, payload.freeze())))
     }
 }
 
@@ -374,7 +382,7 @@ impl Transport for ShmTransport {
         let ring = &self.recv_rings[from];
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
-            if let Some(rec) = ring.try_pop(&self.pool) {
+            if let Some(rec) = ring.try_pop(&self.pool)? {
                 return Ok(rec);
             }
             // Empty and the producer will never push again: the typed
@@ -383,7 +391,7 @@ impl Transport for ShmTransport {
             // between the pop above and this read is still in the ring:
             // poll once more before declaring the link drained.
             if self.done(from) {
-                return ring.try_pop(&self.pool).ok_or(RawRecvError::Disconnected);
+                return ring.try_pop(&self.pool)?.ok_or(RawRecvError::Disconnected);
             }
             let countdown = &self.probe_countdown[from];
             countdown.set(countdown.get().saturating_sub(1));
@@ -395,7 +403,7 @@ impl Transport for ShmTransport {
                     // signal its closed channel would have.
                     self.post_death(from);
                     write_flag(&self.board, self.slot(from) + SLOT_DONE, true);
-                    return ring.try_pop(&self.pool).ok_or(RawRecvError::Disconnected);
+                    return ring.try_pop(&self.pool)?.ok_or(RawRecvError::Disconnected);
                 }
             }
             if let Some(d) = deadline {
@@ -452,5 +460,49 @@ impl Drop for ShmTransport {
         // The analogue of dropping channel endpoints: peers' receives
         // drain what was queued, then fail typed instead of hanging.
         write_flag(&self.board, self.slot(self.rank) + SLOT_DONE, true);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Publishes a bare record header `[tag][len]` on the `0 -> 1` ring,
+    /// with `extra` bytes of payload behind it, then lets rank 1 receive.
+    fn recv_after_header(len: u64, extra: u64) -> Result<(u64, Bytes), RawRecvError> {
+        let mut ends = mesh(2).into_iter().map(ShmBootstrap::attach);
+        let (_producer, consumer) = (ends.next().unwrap(), ends.next().unwrap());
+        let ring = &consumer.recv_rings[0];
+        let mut header = [0u8; REC_HEADER as usize];
+        header[..8].copy_from_slice(&7u64.to_le_bytes());
+        header[8..].copy_from_slice(&len.to_le_bytes());
+        ring.write_wrapped(0, &header);
+        write_u64(&ring.file, HEAD_OFF, REC_HEADER + extra);
+        consumer.recv_raw(0, Some(Duration::from_millis(50)))
+    }
+
+    #[test]
+    fn a_record_header_that_overruns_the_published_bytes_breaks_the_link() {
+        // An honest header for the bytes published is a record.
+        let (tag, payload) = recv_after_header(3, 3).expect("an honest record");
+        assert_eq!((tag, payload.len()), (7, 3));
+        // A header claiming more than the producer published — a byte
+        // more, the whole ring, or a length that overflows the cursor —
+        // is damage: a typed error, never an allocation or a panic.
+        for len in [4, DEFAULT_RING_CAP, u64::MAX] {
+            let got = recv_after_header(len, 3).map(|(tag, _)| tag);
+            assert_eq!(got, Err(RawRecvError::Disconnected), "len {len}");
+        }
+    }
+
+    #[test]
+    fn cursors_out_of_order_break_the_link() {
+        let mut ends = mesh(2).into_iter().map(ShmBootstrap::attach);
+        let (_producer, consumer) = (ends.next().unwrap(), ends.next().unwrap());
+        let ring = &consumer.recv_rings[0];
+        write_u64(&ring.file, TAIL_OFF, 64);
+        write_u64(&ring.file, HEAD_OFF, 32);
+        let got = consumer.recv_raw(0, Some(Duration::from_millis(50)));
+        assert_eq!(got.map(|(tag, _)| tag), Err(RawRecvError::Disconnected));
     }
 }

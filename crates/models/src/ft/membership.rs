@@ -398,10 +398,8 @@ fn apply_invite(h: &mut RankHandle, st: &mut RankState, inv: &Invite) -> Result<
     // Adopt the survivors' failover routing (set after the live-flag
     // loop: mark_rank_dead prunes routes hosted by dead ranks, which
     // would drop freshly installed entries).
-    st.model.moe.clear_failover_routes();
-    for &(d, host) in &inv.routes {
-        st.model.moe.set_failover_route(d as usize, host as usize);
-    }
+    let routes = inv.routes.iter().map(|&(d, host)| (d.into(), host.into()));
+    st.model.moe.set_failover_routes(routes);
     // The host streams the hosted expert — trained while this rank was
     // dead — back on the handback lane. A torn handback falls back to
     // the checkpoint-stale own expert.
@@ -606,12 +604,13 @@ pub(super) fn try_rejoin_peers(
     }
     // Capture handback material before admission tears the routes down:
     // which host serves each admitted rank's expert, and (on the host) the
-    // hosted weights + velocity serialized in the owner's own layout.
+    // guest's weights + velocity serialized in the owner's own layout.
+    let routes = st.model.moe.failover_routes();
     let handbacks: Vec<(Option<usize>, Option<Vec<u8>>)> = admitted
         .iter()
         .map(|&r| {
-            let host = st.model.moe.failover_host_of(r);
-            (host, (host == Some(me)).then(|| st.save(Half::Hosted(r))))
+            let host = routes.iter().find(|&&(d, _)| d == r).map(|&(_, host)| host);
+            (host, (host == Some(me)).then(|| st.save(Half::Guest(r))))
         })
         .collect();
     // Admit every announced rank first — one epoch bump each — so the
@@ -661,7 +660,49 @@ pub(super) fn try_rejoin_peers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ft::FtConfig;
     use proptest::prelude::*;
+    use schemoe_cluster::{Fabric, Topology};
+
+    #[test]
+    fn a_rejoiner_comes_back_holding_no_guest() {
+        // Rank 1 hosted buried rank 3's expert before it was cut off
+        // itself. While it was away rank 2 took the ward over, so the
+        // invite names rank 3 still dead and routed elsewhere: whatever
+        // rank 1 hosted is stale and must not survive the invite.
+        let cfg = FtConfig::tiny(4);
+        let invite = Invite {
+            step: 0,
+            tag: 0,
+            epoch: 3,
+            donor: 0,
+            live: 0b0111,
+            handback: 0,
+            routes: vec![(3, 2)],
+        };
+        let out = Fabric::run(Topology::new(1, 4), |mut h| {
+            let mut st = RankState::new(&cfg, h.rank(), 4);
+            match h.rank() {
+                0 => {
+                    let payload = st.save(Half::Replicated);
+                    let lane = Lane::State.at(0).expect("step 0 has a lane");
+                    wire::stream_state(&mut h, 1, lane, &payload).expect("donor streams");
+                    None
+                }
+                1 => {
+                    st.live[3] = false;
+                    st.model.moe.mark_rank_dead(3);
+                    st.model.moe.set_failover_routes([(3, 1)]);
+                    st.install_guest(3, None).expect("no payload to refuse");
+                    let applied = apply_invite(&mut h, &mut st, &invite).expect("invite applies");
+                    let routes = st.model.moe.failover_routes();
+                    Some((applied, st.model.moe.guest_expert_ids(), routes))
+                }
+                _ => None,
+            }
+        });
+        assert_eq!(out[1], Some((true, vec![], vec![(3, 2)])));
+    }
 
     #[test]
     fn a_late_voter_is_not_double_counted_as_suspect() {
@@ -766,7 +807,7 @@ mod tests {
     #[test]
     fn invites_naming_ranks_outside_the_world_are_rejected() {
         // Every rank an invite names indexes a per-rank table downstream
-        // (and a `(d, d)` route trips `set_failover_route`'s assert), so
+        // (and a `(d, d)` route trips `set_failover_routes`'s assert), so
         // the decoder is where they stop.
         let good = Invite {
             step: 4,

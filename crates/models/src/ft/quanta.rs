@@ -127,7 +127,8 @@ fn decode_ack(m: &[u8]) -> Option<(u64, u32, u32)> {
 }
 
 /// One durable-snapshot quantum: every live rank encodes its shard
-/// (replicated modules + own expert + hosted/stored replicas + step/seed),
+/// (replicated modules + own expert + stored and hosted ward replicas +
+/// step/seed),
 /// writes it via write-tmp → fsync → rename, and acks `[generation, len,
 /// crc]` to the coordinator. The coordinator commits the generation by
 /// atomically writing a manifest listing every acked shard — only after
@@ -375,13 +376,13 @@ fn restore_generation(st: &mut RankState, disk: &Disk<'_>, g: u64) -> Option<()>
             .all(|&e| checkpoint::verify(&homes[pl.static_home(e)].expert).is_ok())
         {
             for e in guests {
-                let home = pl.static_home(e);
-                st.install_guest(e, home, &homes[home].expert).expect(shape);
+                let home = &homes[pl.static_home(e)];
+                st.install_guest(e, Some(&home.expert)).expect(shape);
             }
             // Resume under the snapshotted version, so the next quantum's
             // plan stamps a strictly newer one.
             st.placement_version = pl.version();
-            st.model.moe.set_placement(me, pl);
+            st.set_placement(pl);
         }
     }
     Some(())
@@ -540,7 +541,7 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
                 staged.push(e);
                 let lane = Lane::Transfer.sub(step, e as u64)?;
                 let payload = wire::receive_state(h, home, lane, deadline)?;
-                if st.install_guest(e, home, &payload).is_err() {
+                if st.install_guest(e, Some(&payload)).is_err() {
                     return Ok(false);
                 }
                 let got = 16 + payload.len();
@@ -587,11 +588,9 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
     st.report.placement_migrations += migrations;
     st.report.placement_demotions += demotions;
     st.placement_version = next.version();
-    st.model.moe.set_placement(me, next.clone());
+    st.set_placement(next.clone());
     let capacity = plan.capacity_override.unwrap_or(cfg.capacity_factor);
     st.model.moe.set_capacity_factor(capacity);
-    st.guest_vel
-        .retain(|&e, _| next.servers(e).contains(&me) && next.static_home(e) != me);
     schemoe_obs::counters_for_rank(me).add_placement_plan(replications, migrations, demotions);
     Ok(())
 }

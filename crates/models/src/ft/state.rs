@@ -10,7 +10,7 @@ use schemoe_collectives::NcclA2A;
 use schemoe_compression::record::RecordError;
 use schemoe_compression::NoCompression;
 use schemoe_moe::{
-    allreduce_live, DeltaEncoder, DistributedMoeLayer, Expert, FfExpert, GradAllreduce,
+    allreduce_live, DeltaEncoder, DistributedMoeLayer, Expert, FfExpert, GradAllreduce, Placement,
     ReplicaStore, TopKGate,
 };
 use schemoe_tensor::checkpoint;
@@ -18,7 +18,6 @@ use schemoe_tensor::nn::{Embedding, Linear, Module, Param, SoftmaxCrossEntropy};
 use schemoe_tensor::optim::Sgd;
 use schemoe_tensor::rng::seeded;
 use schemoe_tensor::snapshot::{Shard, ShardReplica};
-use schemoe_tensor::Tensor;
 
 use super::wire;
 use super::{buddy_of, FtConfig, FtReport};
@@ -35,9 +34,9 @@ type Walk<'a> = dyn FnMut(&mut dyn FnMut(&mut Param)) + 'a;
 
 /// Which slice of a rank's state a sealed payload carries. Every payload
 /// is weights followed by the optimizer velocity slots that belong to
-/// them, velocity entries named by their *global* slot index — so the four
-/// halves share one layout and a host's frame for an expert loads into its
-/// owner, a home's into a guest.
+/// them, velocity entries named by their *global* slot index — so the
+/// three halves share one layout and a host's frame for an expert loads
+/// into its owner, a home's into a guest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Half {
     /// Embedding, gate and head: what a rejoiner needs to continue the
@@ -46,10 +45,9 @@ pub enum Half {
     /// This rank's own expert: the replica a buddy keeps, the expert half
     /// of a snapshot shard, and what a handback or transfer applies to.
     OwnExpert,
-    /// The expert this rank hosts for dead rank `.0`, with the host-side
+    /// The guest body this rank serves for expert `.0` — a placement
+    /// replica, or a dead home's expert it hosts by failover — with the
     /// velocity it has been training it with.
-    Hosted(usize),
-    /// The guest body this rank serves for expert `.0` under a placement.
     Guest(usize),
 }
 
@@ -112,11 +110,11 @@ pub struct RankState {
     /// can give one rank several wards).
     pub(super) enc: DeltaEncoder,
     pub(super) stores: BTreeMap<usize, ReplicaStore>,
-    /// The velocity this rank trains each hosted (failover) and guest
-    /// (placement) expert with, kept outside the optimizer because its
-    /// slot order must not shift when hosting starts or stops mid-run.
-    hosted_vel: BTreeMap<usize, Vec<Tensor>>,
-    pub(super) guest_vel: BTreeMap<usize, Vec<Tensor>>,
+    /// The optimizer of each guest body, by global expert: the home's own
+    /// rule, kept outside [`opt`](Self::opt) because its slot order must
+    /// not shift when guests come and go mid-run. One expert per rank, so
+    /// expert `e`'s static home is rank `e`.
+    guest_opt: BTreeMap<usize, Sgd>,
     /// Version of the last committed placement plan.
     pub(super) placement_version: u64,
     /// Snapshot generations started.
@@ -128,12 +126,6 @@ pub struct RankState {
 fn seeded_expert(cfg: &FtConfig, home: usize) -> Box<dyn Expert> {
     let mut rng = seeded(cfg.seed ^ 0xE8_0000 ^ home as u64);
     Box::new(FfExpert::new(cfg.model_dim, cfg.hidden_dim, &mut rng))
-}
-
-fn zero_velocity(walk: &mut Walk<'_>) -> Vec<Tensor> {
-    let mut vel = Vec::new();
-    walk(&mut |p| vel.push(Tensor::zeros(p.value.dims())));
-    vel
 }
 
 fn grads_of(walk: &mut Walk<'_>) -> Vec<f32> {
@@ -150,20 +142,6 @@ fn scatter_grads(walk: &mut Walk<'_>, src: &[f32], scale: f32) {
             *g = r * scale;
         }
         off += n;
-    });
-}
-
-/// Plain SGD for a body the optimizer does not own (momentum 0: velocity
-/// is the last gradient).
-fn sgd_step(lr: f32, vel: &mut [Tensor], walk: &mut Walk<'_>) {
-    let mut k = 0usize;
-    walk(&mut |p| {
-        vel[k] = p.grad.clone();
-        for (w, &g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
-            *w -= lr * g;
-        }
-        p.zero_grad();
-        k += 1;
     });
 }
 
@@ -211,8 +189,7 @@ impl RankState {
             ckpt_step: 0,
             enc: DeltaEncoder::new(),
             stores: BTreeMap::new(),
-            hosted_vel: BTreeMap::new(),
-            guest_vel: BTreeMap::new(),
+            guest_opt: BTreeMap::new(),
             placement_version: 0,
             generation: 0,
             report: FtReport::default(),
@@ -223,7 +200,8 @@ impl RankState {
     }
 
     fn visit_half(&mut self, half: Half, f: &mut dyn FnMut(&mut Param)) {
-        let vel = match half {
+        let (me, flags) = (self.me, &self.flags);
+        match half {
             Half::Replicated | Half::OwnExpert => {
                 let want = half == Half::Replicated;
                 self.opt.ensure_state(&mut |g| self.model.visit_all(g));
@@ -234,28 +212,26 @@ impl RankState {
                 });
                 let mut i = 0usize;
                 self.opt.visit_state(&mut |p| {
-                    if self.flags[i] == want {
+                    if flags[i] == want {
                         f(p);
                     }
                     i += 1;
                 });
-                return;
-            }
-            Half::Hosted(r) => {
-                self.model.moe.visit_hosted_params(r, f);
-                self.hosted_vel.get_mut(&r)
             }
             Half::Guest(e) => {
-                self.model.moe.visit_serving_params(self.me, e, f);
-                self.guest_vel.get_mut(&e)
+                let moe = &mut self.model.moe;
+                moe.visit_serving_params(me, e, f);
+                let opt = self.guest_opt.get_mut(&e).expect("guest without optimizer");
+                opt.ensure_state(&mut |g| moe.visit_serving_params(me, e, g));
+                // Named by the expert's global slot, as on its home.
+                let mut slots = (0..flags.len()).filter(|&i| !flags[i]);
+                opt.visit_state(&mut |p| {
+                    if let Some(i) = slots.next() {
+                        p.name = format!("opt.v{i}");
+                        f(p);
+                    }
+                });
             }
-        };
-        let vel = vel.expect("side body without velocity");
-        let slots = (0..self.flags.len()).filter(|&i| !self.flags[i]);
-        for (v, i) in vel.iter_mut().zip(slots) {
-            let mut p = Param::new(format!("opt.v{i}"), v.clone());
-            f(&mut p);
-            *v = p.value;
         }
     }
 
@@ -316,24 +292,17 @@ impl RankState {
             return;
         }
         let moe = &mut self.model.moe;
-        moe.set_failover_route(r, buddy);
+        moe.set_failover_routes(moe.failover_routes().into_iter().chain([(r, buddy)]));
         if self.me != buddy {
             return;
         }
-        moe.install_hosted_experts(r, vec![seeded_expert(&self.cfg, r)]);
-        let vel = zero_velocity(&mut |f| moe.visit_hosted_params(r, f));
-        self.hosted_vel.insert(r, vel);
+        // No frame ever arrived: the re-init, as of quantum 0, is as stale
+        // as the whole run so far.
         let replica = self.stores.get(&r).and_then(|s| s.replica());
-        let stale = match replica.map(|(q, payload)| (q, payload.to_vec())) {
-            Some((q, payload)) => {
-                self.load(Half::Hosted(r), &payload)
-                    .expect("a CRC-verified replica must apply");
-                (self.step as u64).saturating_sub(q)
-            }
-            // No frame ever arrived: the re-init is as stale as the whole
-            // run so far.
-            None => self.step as u64,
-        };
+        let (q, payload) = replica.map_or((0, None), |(q, frame)| (q, Some(frame.to_vec())));
+        self.install_guest(r, payload.as_deref())
+            .expect("a CRC-verified replica must apply");
+        let stale = (self.step as u64).saturating_sub(q);
         self.report.failover_staleness_steps.push(stale);
         self.report.failover_activations += 1;
         schemoe_obs::counters_for_rank(self.me).add_failover_activation();
@@ -346,51 +315,66 @@ impl RankState {
         self.live[r] = true;
         self.model.moe.mark_rank_alive(r);
         h.mark_peer_reachable(r);
-        self.hosted_vel.remove(&r);
+        self.prune_guest_opts();
     }
 
     /// The placement reset every membership disturbance forces: back to
-    /// the static layout and the configured capacity, guests gone. Every
-    /// live rank computes the same verdict, so everyone resets together
-    /// and the controller re-derives a plan once the cluster is whole.
+    /// the static layout and the configured capacity, placement guests
+    /// gone (failover wards stay). Every live rank computes the same
+    /// verdict, so everyone resets together and the controller re-derives
+    /// a plan once the cluster is whole.
     pub(super) fn reset_placement(&mut self) {
         self.model.moe.reset_placement();
         self.model.moe.set_capacity_factor(self.cfg.capacity_factor);
-        self.guest_vel.clear();
+        self.prune_guest_opts();
     }
 
-    /// Installs a deterministically seeded guest body for expert `e` of
-    /// static home `home`, zeroes its velocity, and applies `payload` —
-    /// the home's sealed [`Half::OwnExpert`] — over both.
+    /// Installs `placement` as this rank's committed one. Its guest bodies
+    /// are already installed; those it no longer assigns here go.
+    pub(super) fn set_placement(&mut self, placement: Placement) {
+        self.model.moe.set_placement(self.me, placement);
+        self.prune_guest_opts();
+    }
+
+    /// Drops the optimizers of guests the layer no longer holds.
+    fn prune_guest_opts(&mut self) {
+        let kept = self.model.moe.guest_expert_ids();
+        self.guest_opt.retain(|e, _| kept.contains(e));
+    }
+
+    /// Installs a deterministically seeded guest body for expert `e` with
+    /// a fresh optimizer, and applies `payload` — the sealed
+    /// [`Half::OwnExpert`] of `e`'s home, or a buddy's replica of it — over
+    /// both.
     pub(super) fn install_guest(
         &mut self,
         e: usize,
-        home: usize,
-        payload: &[u8],
+        payload: Option<&[u8]>,
     ) -> Result<(), RecordError> {
-        let (me, moe) = (self.me, &mut self.model.moe);
-        moe.install_guest_expert(me, e, seeded_expert(&self.cfg, home));
-        let vel = zero_velocity(&mut |f| moe.visit_serving_params(me, e, f));
-        self.guest_vel.insert(e, vel);
-        self.load(Half::Guest(e), payload)
+        let body = seeded_expert(&self.cfg, e);
+        self.model.moe.install_guest_expert(self.me, e, body);
+        self.guest_opt.insert(e, Sgd::new(self.cfg.lr));
+        payload.map_or(Ok(()), |payload| self.load(Half::Guest(e), payload))
     }
 
-    /// Drops guest `e`'s body and velocity (a staged transfer that will
+    /// Drops guest `e`'s body and optimizer (a staged transfer that will
     /// not commit).
     pub(super) fn discard_guest(&mut self, e: usize) {
         self.model.moe.discard_guest_expert(e);
-        self.guest_vel.remove(&e);
+        self.guest_opt.remove(&e);
     }
 
     /// The reset a rank performs on coming back through an invite, to
     /// resume at `step` under the tag window at `tag`: anything it hosted
-    /// or replicated before is stale, so the chains start over and the
-    /// checkpoint is retaken at the invited step.
+    /// or replicated before is stale, so its guests go, the chains start
+    /// over and the checkpoint is retaken at the invited step.
     pub(super) fn resume_at(&mut self, step: usize, tag: u64) {
         self.report.rejoins += 1;
         self.step = step;
         self.tag = tag;
-        self.hosted_vel.clear();
+        for e in self.model.moe.guest_expert_ids() {
+            self.discard_guest(e);
+        }
         self.enc.reset();
         self.stores.clear();
         self.checkpoint();
@@ -402,9 +386,6 @@ impl RankState {
     pub(super) fn zero_grads(&mut self) {
         self.model.visit_all(&mut |p| p.zero_grad());
         let moe = &mut self.model.moe;
-        for r in moe.hosted_dead_ranks() {
-            moe.visit_hosted_params(r, &mut |p| p.zero_grad());
-        }
         for e in moe.guest_expert_ids() {
             moe.visit_serving_params(self.me, e, &mut |p| p.zero_grad());
         }
@@ -501,23 +482,16 @@ impl RankState {
     }
 
     /// Commits the step everywhere an all-OK verdict allows: optimizer
-    /// step, the hosted and guest bodies under the same SGD rule (guest
+    /// step, each guest body under its own optimizer (a placement guest's
     /// gradients left [`try_step`](Self::try_step) as the sync-group
     /// *sum*, identical on every member, so replicas never drift), the
     /// loss, and the periodic checkpoint.
     pub(super) fn commit(&mut self, loss: f32) {
         let opt_span = schemoe_obs::span("optimizer", "sgd");
         self.opt.step_params(&mut |f| self.model.visit_all(f));
-        let (lr, me, moe) = (self.cfg.lr, self.me, &mut self.model.moe);
-        for r in moe.hosted_dead_ranks() {
-            let vel = self.hosted_vel.get_mut(&r);
-            let vel = vel.expect("hosted expert without velocity");
-            sgd_step(lr, vel, &mut |f| moe.visit_hosted_params(r, f));
-        }
-        for e in moe.guest_expert_ids() {
-            let vel = self.guest_vel.get_mut(&e);
-            let vel = vel.expect("guest expert without velocity");
-            sgd_step(lr, vel, &mut |f| moe.visit_serving_params(me, e, f));
+        let (me, moe) = (self.me, &mut self.model.moe);
+        for (&e, opt) in &mut self.guest_opt {
+            opt.step_params(&mut |f| moe.visit_serving_params(me, e, f));
         }
         drop(opt_span);
         self.report.loss_curve[self.step] = loss;
@@ -548,7 +522,8 @@ impl RankState {
 
     /// This rank's snapshot shard: both halves of its own state, plus
     /// every ward's stored replica — superseded by the live state of a
-    /// ward it hosts, which kept training after failover.
+    /// ward it hosts, which kept training after failover. A placement
+    /// guest is never embedded: its home's shard carries it.
     pub(super) fn encode_shard(&mut self) -> Vec<u8> {
         let step = self.step as u64;
         let replica = |ward: usize, quantum: u64, payload: Vec<u8>| ShardReplica {
@@ -562,10 +537,10 @@ impl RankState {
                 replicas.push(replica(ward, quantum, payload.to_vec()));
             }
         }
-        for r in self.model.moe.hosted_dead_ranks() {
-            if self.hosted_vel.contains_key(&r) {
+        for r in self.model.moe.guest_expert_ids() {
+            if !self.live[r] {
                 replicas.retain(|rep| rep.ward != r as u32);
-                replicas.push(replica(r, step, self.save(Half::Hosted(r))));
+                replicas.push(replica(r, step, self.save(Half::Guest(r))));
             }
         }
         let shard = Shard {
@@ -601,6 +576,7 @@ impl RankState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use schemoe_cluster::{Fabric, Topology};
 
     fn expert_values(st: &mut RankState) -> Vec<Vec<f32>> {
         let mut values = Vec::new();
@@ -610,6 +586,109 @@ mod tests {
             }
         });
         values
+    }
+
+    /// Runs `f` as rank 2 of a four-rank fabric; the other ranks idle.
+    fn on_rank_2<T: Send>(f: impl Fn(&RankHandle) -> T + Send + Sync) -> T {
+        let out = Fabric::run(Topology::new(1, 4), |h| (h.rank() == 2).then(|| f(&h)));
+        out.into_iter().flatten().next().expect("rank 2 ran")
+    }
+
+    /// Rank 2, buddy of rank 1, after burying it: it hosts rank 1's expert
+    /// from its owner's frame and has trained it for two commits on
+    /// seeded gradients.
+    fn trained_host(h: &RankHandle) -> RankState {
+        let cfg = FtConfig::tiny(4).with_replica_interval(1);
+        let payload = RankState::new(&cfg, 1, 4).save(Half::OwnExpert);
+        let mut host = RankState::new(&cfg, 2, 4);
+        host.bury(h, &[1]);
+        host.load(Half::Guest(1), &payload)
+            .expect("the owner's frame applies to the hosted guest");
+        let mut rng = seeded(0xC0FFEE);
+        for loss in [0.5, 0.25] {
+            host.model.moe.visit_serving_params(2, 1, &mut |p| {
+                p.grad = schemoe_tensor::rng::uniform(p.value.dims(), 1.0, &mut rng);
+            });
+            host.commit(loss);
+        }
+        host
+    }
+
+    /// CRC-32 of a sealed record's content (the whole record's CRC is the
+    /// same constant for every sealed record).
+    fn content_crc(sealed: &[u8]) -> u32 {
+        schemoe_compression::crc32(&sealed[..sealed.len() - 4])
+    }
+
+    #[test]
+    fn a_hosts_handback_and_shard_bytes_are_pinned() {
+        // The bytes a failover host sends its revived owner and writes to
+        // disk, pinned to what the host wrote when it kept its wards apart
+        // from its placement guests under a hand-written SGD.
+        let (handback, shard) = on_rank_2(|h| {
+            let mut host = trained_host(h);
+            (host.save(Half::Guest(1)), host.encode_shard())
+        });
+        assert_eq!(
+            (content_crc(&handback), handback.len()),
+            (0x5284_4460, 8760)
+        );
+        assert_eq!((content_crc(&shard), shard.len()), (0x65fd_276e, 22526));
+        let shard = Shard::decode(&shard).expect("the shard decodes");
+        let wards: Vec<(u32, u64)> = shard.replicas.iter().map(|r| (r.ward, r.quantum)).collect();
+        assert_eq!(
+            wards,
+            vec![(1, 2)],
+            "the hosted ward rides at the live step"
+        );
+    }
+
+    #[test]
+    fn a_hosted_ward_keeps_its_body_and_optimizer_through_resets_and_burials() {
+        // Every membership disturbance resets placement and then buries.
+        // The ward's guest body and its optimizer are the only copy of the
+        // expert's trained state: both must come through untouched.
+        on_rank_2(|h| {
+            let mut host = trained_host(h);
+            let before = host.save(Half::Guest(1));
+            host.reset_placement();
+            host.bury(h, &[3]);
+            host.reset_placement();
+            assert_eq!(host.model.moe.guest_expert_ids(), vec![1]);
+            assert_eq!(host.guest_opt.keys().copied().collect::<Vec<_>>(), vec![1]);
+            assert_eq!(host.save(Half::Guest(1)), before);
+        });
+    }
+
+    #[test]
+    fn a_placement_guest_never_rides_the_shard() {
+        // Rank 2 is rank 1's buddy and, under this placement, one of its
+        // servers too. Its shard embeds the ward's stored replica, never
+        // the guest's live state: the home's own shard carries that.
+        let cfg = FtConfig::tiny(4);
+        let mut owner = RankState::new(&cfg, 1, 4);
+        let frame = owner.save(Half::OwnExpert);
+        let mut st = RankState::new(&cfg, 2, 4);
+        let mut store = ReplicaStore::new();
+        store
+            .apply(&DeltaEncoder::new().encode(&frame, 0))
+            .expect("frame applies");
+        st.stores.insert(1, store);
+        st.install_guest(1, Some(&frame))
+            .expect("the home's frame applies");
+        st.set_placement(Placement::new(
+            1,
+            1,
+            vec![vec![0], vec![1, 2], vec![2], vec![3]],
+        ));
+        st.step = 3;
+        let shard = Shard::decode(&st.encode_shard()).expect("the shard decodes");
+        let wards: Vec<(u32, u64, &[u8])> = shard
+            .replicas
+            .iter()
+            .map(|r| (r.ward, r.quantum, &r.payload[..]))
+            .collect();
+        assert_eq!(wards, vec![(1, 0, &frame[..])]);
     }
 
     #[test]
@@ -636,10 +715,10 @@ mod tests {
         // strict positional load accepts it too.
         let mut host = RankState::new(&cfg, 2, 4);
         host.activate_failover(1);
-        host.load(Half::Hosted(1), &payload)
+        host.load(Half::Guest(1), &payload)
             .expect("the owner's payload must apply to the hosted copy");
-        let handback = host.save(Half::Hosted(1));
-        assert_eq!(handback, payload, "one layout for all four halves");
+        let handback = host.save(Half::Guest(1));
+        assert_eq!(handback, payload, "one layout for all three halves");
         owner
             .model
             .moe
@@ -652,7 +731,7 @@ mod tests {
         // And a guest installed from the home's frame serves it again.
         let mut guest = RankState::new(&cfg, 3, 4);
         guest
-            .install_guest(1, 1, &payload)
+            .install_guest(1, Some(&payload))
             .expect("the home's payload must apply to a guest body");
         assert_eq!(guest.save(Half::Guest(1)), payload);
         assert!(guest.load(Half::Replicated, &payload).is_err());

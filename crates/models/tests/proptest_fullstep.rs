@@ -4,12 +4,12 @@
 //! `distributed_full_step` runs the forward, the backward, and the
 //! replicated-parameter allreduce folded into the backward task graph. One
 //! graph builder serves every mode — healthy, degraded with one dead rank,
-//! that rank's expert hosted on a failover buddy, a non-static placement
-//! with replica fan-out and a migrated expert — so the same step at degree
+//! that rank's expert hosted as a guest on a failover buddy, a non-static
+//! placement with replica fan-out and a migrated expert — so the same step at degree
 //! 2..9 (chunked, on the two-worker executor) and at degree 1 (inline)
 //! crosses two schedules of it. Whatever the topology, codec, capacity
 //! factor or mode, every live rank's forward output, input gradients,
-//! parameter gradients (home, hosted and guest bodies), reduced replicated
+//! parameter gradients (home and guest bodies), reduced replicated
 //! values, per-expert routed loads and shed counts must agree bit for bit.
 
 use proptest::prelude::*;
@@ -101,9 +101,9 @@ fn run_step(
             Mode::Failover { dead } => {
                 let host = (dead + 1) % p;
                 layer.mark_rank_dead(dead);
-                layer.set_failover_route(dead, host);
+                layer.set_failover_routes([(dead, host)]);
                 if me == host {
-                    layer.install_hosted_experts(dead, vec![expert(dead)]);
+                    layer.install_guest_expert(me, dead, expert(dead));
                 }
             }
             Mode::Placed => {
@@ -131,9 +131,6 @@ fn run_step(
         let mut grads = Vec::new();
         let mut keep = |prm: &mut schemoe_tensor::nn::Param| grads.push(prm.grad.data().to_vec());
         layer.visit_params(&mut keep);
-        for dead in layer.hosted_dead_ranks() {
-            layer.visit_hosted_params(dead, &mut keep);
-        }
         for e in layer.guest_expert_ids() {
             layer.visit_serving_params(me, e, &mut keep);
         }

@@ -74,20 +74,21 @@ pub struct DistributedMoeLayer {
     /// Hot-failover routing: dead rank → live host currently serving its
     /// experts from a buddy replica. Every live rank must hold the same
     /// table so the exchanges agree on who speaks for whom; a dead rank
-    /// with a route keeps its experts in the routing table.
+    /// with a route keeps its experts in the routing table; the host
+    /// serves them from guest bodies.
     failover_hosts: BTreeMap<usize, usize>,
-    /// The expert bodies this rank serves on behalf of dead wards (the
-    /// host side of `failover_hosts`), keyed by the dead rank.
-    hosted_experts: BTreeMap<usize, Vec<Box<dyn Expert>>>,
     /// Load-aware expert placement installed by the placement controller;
     /// `None` (or a static table) keeps the owner-per-rank layout. A
     /// non-static placement fans each expert's slots across its replica
     /// set.
     placement: Option<Placement>,
     /// Guest expert bodies this rank serves for experts whose static home
-    /// is elsewhere (replicated or migrated onto this rank), keyed by
-    /// global expert id. Kept out of [`visit_params`](Self::visit_params)
-    /// so optimizer slot order never shifts when placements change.
+    /// is elsewhere — replicated or migrated onto this rank by a placement,
+    /// or hosted for a dead home by a failover route — keyed by global
+    /// expert id. The two kinds never coexist: a placement needs a fully
+    /// live world, and a guest whose home is dead is a failover ward. Kept
+    /// out of [`visit_params`](Self::visit_params) so optimizer slot order
+    /// never shifts when guests come and go.
     guest_experts: BTreeMap<usize, Box<dyn Expert>>,
     /// Per-global-expert routed token counts since the last
     /// [`take_load_stats`](Self::take_load_stats) drain (placement policy
@@ -230,7 +231,6 @@ impl DistributedMoeLayer {
             recv_timeout: None,
             dead_ranks: BTreeSet::new(),
             failover_hosts: BTreeMap::new(),
-            hosted_experts: BTreeMap::new(),
             placement: None,
             guest_experts: BTreeMap::new(),
             routing_loads: Vec::new(),
@@ -309,80 +309,37 @@ impl DistributedMoeLayer {
     /// rejoined (its state was restored by the rejoin protocol), so its
     /// experts re-enter the routing table, the gate's normalization expands
     /// back over them, exchanges include it again, and — once the dead set
-    /// is empty — the forward leaves degraded mode entirely.
+    /// is empty — the forward leaves degraded mode entirely. Its route and
+    /// any guest bodies hosted for it go: the owner serves them again.
     pub fn mark_rank_alive(&mut self, rank: usize) {
         self.dead_ranks.remove(&rank);
         self.failover_hosts.remove(&rank);
-        self.hosted_experts.remove(&rank);
+        let epr = self.experts_per_rank;
+        self.guest_experts.retain(|e, _| e / epr != rank);
     }
 
-    /// Installs a failover route: live rank `host` serves the experts of
-    /// dead rank `dead` from its buddy replica, so `dead`'s experts stay
-    /// in the routing table instead of being masked out. Every live rank
-    /// must install the same route for the exchanges to line up; only the
-    /// host itself also calls
-    /// [`install_hosted_experts`](Self::install_hosted_experts).
+    /// Replaces the failover route table with `routes`, `(dead, host)`
+    /// pairs: live rank `host` serves the experts of dead rank `dead` from
+    /// its buddy replica, so `dead`'s experts stay in the routing table
+    /// instead of being masked out. Every live rank must hold the same
+    /// table for the exchanges to line up; the host itself also installs a
+    /// [guest body](Self::install_guest_expert) for each of `dead`'s
+    /// experts.
     ///
     /// # Panics
     ///
-    /// Panics if `dead == host`.
-    pub fn set_failover_route(&mut self, dead: usize, host: usize) {
-        assert_ne!(dead, host, "a rank cannot host its own failover");
-        self.failover_hosts.insert(dead, host);
-    }
-
-    /// Hands this rank the expert bodies it will serve for dead rank
-    /// `dead` (typically rebuilt from the buddy replica).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expert count differs from `experts_per_rank`.
-    pub fn install_hosted_experts(&mut self, dead: usize, experts: Vec<Box<dyn Expert>>) {
-        assert_eq!(
-            experts.len(),
-            self.experts_per_rank,
-            "hosted expert count must match experts_per_rank"
+    /// Panics if a route hosts a rank on itself.
+    pub fn set_failover_routes(&mut self, routes: impl IntoIterator<Item = (usize, usize)>) {
+        self.failover_hosts = routes.into_iter().collect();
+        assert!(
+            self.failover_hosts.iter().all(|(d, h)| d != h),
+            "a rank cannot host its own failover"
         );
-        self.hosted_experts.insert(dead, experts);
-    }
-
-    /// The live rank currently serving `dead`'s experts, if routed.
-    pub fn failover_host_of(&self, dead: usize) -> Option<usize> {
-        self.failover_hosts.get(&dead).copied()
     }
 
     /// All `(dead, host)` failover routes, ascending by dead rank.
     pub fn failover_routes(&self) -> Vec<(usize, usize)> {
         self.failover_hosts.iter().map(|(&d, &h)| (d, h)).collect()
-    }
-
-    /// Drops every failover route and hosted expert (used when the dead
-    /// rank rejoins and takes its experts back).
-    pub fn clear_failover_routes(&mut self) {
-        self.failover_hosts.clear();
-        self.hosted_experts.clear();
-    }
-
-    /// True when any failover route is active.
-    pub fn has_failover(&self) -> bool {
-        !self.failover_hosts.is_empty()
-    }
-
-    /// The dead ranks whose experts this rank is hosting, ascending.
-    pub fn hosted_dead_ranks(&self) -> Vec<usize> {
-        self.hosted_experts.keys().copied().collect()
-    }
-
-    /// Visits the parameters of the experts hosted for dead rank `dead`
-    /// (no-op when this rank does not host it). Kept separate from
-    /// [`visit_params`](Self::visit_params) so optimizer state indexed by
-    /// visit order is not shifted by transient hosted experts.
-    pub fn visit_hosted_params(&mut self, dead: usize, f: &mut dyn FnMut(&mut Param)) {
-        if let Some(wards) = self.hosted_experts.get_mut(&dead) {
-            for e in wards {
-                e.visit_params(f);
-            }
-        }
     }
 
     /// The installed placement, if any.
@@ -414,7 +371,7 @@ impl DistributedMoeLayer {
     /// guest body is missing.
     pub fn set_placement(&mut self, me: usize, placement: Placement) {
         assert!(
-            self.dead_ranks.is_empty() && !self.has_failover(),
+            self.dead_ranks.is_empty() && self.failover_hosts.is_empty(),
             "placement requires a fully live world; degraded mode resets to static"
         );
         assert_eq!(
@@ -433,17 +390,21 @@ impl DistributedMoeLayer {
         self.placement = Some(placement);
     }
 
-    /// Drops any installed placement and all guest bodies, returning the
+    /// Drops any installed placement and its guest bodies, returning the
     /// layer to the static owner-per-rank layout. Called on every epoch
-    /// transition (burial, failover routing, rejoin admission).
+    /// transition (burial, failover routing, rejoin admission). Guests
+    /// whose static home is dead are failover wards, not placement guests,
+    /// and stay.
     pub fn reset_placement(&mut self) {
         self.placement = None;
-        self.guest_experts.clear();
+        let (epr, dead) = (self.experts_per_rank, &self.dead_ranks);
+        self.guest_experts.retain(|e, _| dead.contains(&(e / epr)));
     }
 
-    /// Hands this rank a guest body for global expert `e` (state streamed
-    /// from the expert's static home). Inert until a placement assigning
-    /// `e` here is activated.
+    /// Hands this rank a guest body for global expert `e`: state streamed
+    /// from the expert's static home for a placement (inert until a
+    /// placement assigning `e` here is activated), or rebuilt from the
+    /// buddy replica of a dead home this rank hosts by failover route.
     ///
     /// # Panics
     ///
@@ -648,7 +609,6 @@ impl DistributedMoeLayer {
             me,
             epr: self.experts_per_rank,
             local: &mut self.local_experts,
-            hosted: &mut self.hosted_experts,
             guests: &mut self.guest_experts,
         });
         // Read before the handle goes behind its mutex: compute tasks
@@ -911,7 +871,6 @@ impl DistributedMoeLayer {
             me,
             epr: self.experts_per_rank,
             local: &mut self.local_experts,
-            hosted: &mut self.hosted_experts,
             guests: &mut self.guest_experts,
         });
         let (frames, ws) = (h.frames(), &self.workspace);
@@ -1159,23 +1118,19 @@ struct Bodies<'a> {
     me: usize,
     epr: usize,
     local: &'a mut [Box<dyn Expert>],
-    hosted: &'a mut BTreeMap<usize, Vec<Box<dyn Expert>>>,
     guests: &'a mut BTreeMap<usize, Box<dyn Expert>>,
 }
 
 impl Bodies<'_> {
     /// The body serving global expert `e` here: the local one when this
-    /// rank is `e`'s static home, the ward hosted for a dead home, else the
-    /// installed guest.
+    /// rank is `e`'s static home, else the installed guest.
     fn get(&mut self, e: usize) -> &mut dyn Expert {
-        let (home, le) = (e / self.epr, e % self.epr);
-        if home == self.me {
-            self.local[le].as_mut()
-        } else if let Some(wards) = self.hosted.get_mut(&home) {
-            wards[le].as_mut()
+        if e / self.epr == self.me {
+            self.local[e % self.epr].as_mut()
         } else {
             // `set_placement` refuses a placement whose guest bodies are
-            // not installed, and only a placement serves a foreign expert.
+            // not installed, and a failover host installs its wards' before
+            // the first step routed to it.
             let guest = self.guests.get_mut(&e);
             guest
                 .expect("a body is installed for every served expert")
@@ -2131,9 +2086,9 @@ mod tests {
         })
     }
 
-    /// Per surviving rank `(y, dx, hosted expert grads)` of one step on a
-    /// 2×2 world where `dead`'s expert is served by `host` from a replica
-    /// bit-identical to the original.
+    /// Per surviving rank `(y, dx, hosted guest grads)` of one step on a
+    /// 2×2 world where `dead`'s expert is served by `host` from a guest
+    /// body bit-identical to the original.
     #[allow(clippy::type_complexity)]
     fn failover_run(
         x_global: &Tensor,
@@ -2158,13 +2113,12 @@ mod tests {
             .with_partition_degree(degree)
             .with_recv_timeout(std::time::Duration::from_secs(20));
             layer.mark_rank_dead(dead);
-            layer.set_failover_route(dead, host);
+            layer.set_failover_routes([(dead, host)]);
             if me == host {
-                layer.install_hosted_experts(dead, vec![make_expert(dead)]);
-                assert_eq!(layer.hosted_dead_ranks(), vec![dead]);
+                layer.install_guest_expert(me, dead, make_expert(dead));
+                assert_eq!(layer.guest_expert_ids(), vec![dead]);
             }
-            assert!(layer.has_failover());
-            assert_eq!(layer.failover_host_of(dead), Some(host));
+            assert_eq!(layer.failover_routes(), vec![(dead, host)]);
             let mut x = Tensor::zeros(&[n_local, M]);
             for r in 0..n_local {
                 x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
@@ -2172,7 +2126,7 @@ mod tests {
             let y = layer.forward(&mut h, &x, 0).unwrap();
             let dx = layer.backward(&mut h, &y).unwrap();
             let mut hosted_grads = Vec::new();
-            layer.visit_hosted_params(dead, &mut |prm| {
+            layer.visit_serving_params(me, dead, &mut |prm| {
                 hosted_grads.push(prm.grad.data().to_vec());
             });
             Some((y, dx, hosted_grads))
@@ -2275,9 +2229,9 @@ mod tests {
             .with_recv_timeout(std::time::Duration::from_secs(20));
             layer.mark_rank_dead(1);
             layer.mark_rank_dead(3);
-            layer.set_failover_route(1, 2);
+            layer.set_failover_routes([(1, 2)]);
             if me == 2 {
-                layer.install_hosted_experts(1, vec![make_expert(1)]);
+                layer.install_guest_expert(me, 1, make_expert(1));
             }
             let mut x = Tensor::zeros(&[n_local, M]);
             for r in 0..n_local {
@@ -2286,7 +2240,7 @@ mod tests {
             let y = layer.forward(&mut h, &x, 0).unwrap();
             let dx = layer.backward(&mut h, &y).unwrap();
             let mut hosted_nonzero = false;
-            layer.visit_hosted_params(1, &mut |prm| {
+            layer.visit_serving_params(me, 1, &mut |prm| {
                 hosted_nonzero |= prm.grad.data().iter().any(|&g| g != 0.0);
             });
             Some((y, dx, hosted_nonzero))
@@ -2318,19 +2272,65 @@ mod tests {
             Box::new(NcclA2A),
         );
         layer.mark_rank_dead(1);
-        layer.set_failover_route(1, 2);
+        layer.set_failover_routes([(1, 2)]);
         assert_eq!(layer.failover_routes(), vec![(1, 2)]);
         // The host dies too: the ward's route is dropped, so its expert
         // is masked again (orphaned).
         layer.mark_rank_dead(2);
-        assert!(!layer.has_failover());
-        assert_eq!(layer.failover_host_of(1), None);
-        // Rejoin clears a rank's own route and hosted entry.
-        layer.set_failover_route(1, 3);
-        layer.install_hosted_experts(1, vec![make_expert(1)]);
+        assert!(layer.failover_routes().is_empty());
+        // Rejoin clears a rank's own route and the guest hosted for it.
+        layer.set_failover_routes([(1, 3)]);
+        layer.install_guest_expert(0, 1, make_expert(1));
         layer.mark_rank_alive(1);
-        assert!(!layer.has_failover());
-        assert!(layer.hosted_dead_ranks().is_empty());
+        assert!(layer.failover_routes().is_empty());
+        assert!(layer.guest_expert_ids().is_empty());
+    }
+
+    #[test]
+    fn a_failover_ward_outlives_placement_resets_and_later_burials() {
+        // Rank 2 hosts buried rank 1's expert as a guest. Every membership
+        // disturbance resets placement before it buries, so the ward's
+        // body must outlive those resets untouched — it is the only copy
+        // of the expert's trained state.
+        let me = 2;
+        let mut layer = DistributedMoeLayer::new(
+            make_gate(4, 2, 8.0),
+            vec![make_expert(me)],
+            Box::new(NoCompression),
+            Box::new(NcclA2A),
+        );
+        let weights = |layer: &mut DistributedMoeLayer| {
+            let mut w = Vec::new();
+            layer.visit_serving_params(me, 1, &mut |prm| w.push(prm.value.data().to_vec()));
+            w
+        };
+        layer.mark_rank_dead(1);
+        layer.set_failover_routes([(1, me)]);
+        layer.install_guest_expert(me, 1, make_expert(1));
+        let before = weights(&mut layer);
+        assert!(!before.is_empty());
+        layer.reset_placement();
+        layer.mark_rank_dead(3);
+        layer.reset_placement();
+        assert_eq!(layer.guest_expert_ids(), vec![1]);
+        assert_eq!(layer.failover_routes(), vec![(1, me)]);
+        assert_eq!(weights(&mut layer), before);
+
+        // A placement guest, by contrast, lives only as long as its
+        // placement: its home is live.
+        let mut placed = DistributedMoeLayer::new(
+            make_gate(4, 2, 8.0),
+            vec![make_expert(me)],
+            Box::new(NoCompression),
+            Box::new(NcclA2A),
+        );
+        placed.install_guest_expert(me, 1, make_expert(1));
+        placed.set_placement(
+            me,
+            Placement::new(1, 1, vec![vec![0], vec![1, 2], vec![2], vec![3]]),
+        );
+        placed.reset_placement();
+        assert!(placed.guest_expert_ids().is_empty());
     }
 
     #[test]
@@ -2509,9 +2509,9 @@ mod tests {
                         Serving::Local => {}
                         Serving::Failover => {
                             layer.mark_rank_dead(dead);
-                            layer.set_failover_route(dead, host);
+                            layer.set_failover_routes([(dead, host)]);
                             if me == host {
-                                layer.install_hosted_experts(dead, vec![body(dead)]);
+                                layer.install_guest_expert(me, dead, body(dead));
                             }
                         }
                         Serving::Guests => {
