@@ -38,7 +38,7 @@ pub use hier2d::TwoDimHierA2A;
 pub use imbalance::{straggler_factor, TrafficMatrix};
 pub use nccl::NcclA2A;
 pub use pipe::PipeA2A;
-pub use plan::{A2aPlan, Blocks, Ranks, SrOp, StreamAssignment};
+pub use plan::{A2aPlan, Block, Blocks, Held, Ranks, SrOp, Step, StreamAssignment};
 
 use bytes::Bytes;
 use schemoe_cluster::{FabricError, HardwareProfile, RankHandle, Topology};
@@ -54,11 +54,8 @@ pub const TAG_STRIDE: u64 = 1 << 24;
 ///
 /// A single MoE layer invocation owns `[tag_base, tag_base + TAG_STRIDE)`
 /// and quarters it into four lanes — one per logical exchange of the
-/// forward/backward pass. Within a lane a message's tag adds an index (see
-/// [`chunk_tag`]): the chunk in the forward, whose `r` in-flight chunk
-/// exchanges must never collide, and the receiving rank in the backward,
-/// which pipelines per peer. A whole-layer exchange at degree 1 is the
-/// degenerate index `0` of the same scheme.
+/// forward/backward pass. Within a lane every message's tag is
+/// [`chunk_tag`] of its chunk and its plan phase.
 pub mod lanes {
     use super::TAG_STRIDE;
 
@@ -83,45 +80,36 @@ pub mod lanes {
     }
 }
 
-/// Opens the per-lane observability span every functional exchange records:
-/// category `"coll"`, name `"{algorithm}:{lane}"`, size = total payload
-/// bytes this rank contributes. No-op (and allocation-free) while the
-/// recorder is disabled.
-fn coll_span(alg: &str, tag: u64, chunks: &[Bytes]) -> schemoe_obs::SpanGuard {
-    if !schemoe_obs::enabled() {
-        return schemoe_obs::span("coll", String::new());
-    }
-    let bytes: usize = chunks.iter().map(Bytes::len).sum();
-    schemoe_obs::span_sized(
-        "coll",
-        format!("{alg}:{}", lanes::lane_name(tag)),
-        bytes as f64,
-    )
-}
-
-/// Hard ceiling on the pipeline partition degree `r`.
-///
-/// A lane is `TAG_STRIDE / 4` tags wide and a message's tag offsets into
-/// it by a chunk index (forward) or a rank (backward, ranks ≤ 64), so 4096
-/// indices per lane stay collision-free with orders of magnitude to spare.
-/// Configuration layers cap degrees here at construction so a
-/// misconfigured degree fails loudly instead of silently colliding tags
-/// across lanes in a release build.
+/// Hard ceiling on the pipeline partition degree `r`. Configuration
+/// layers cap degrees here at construction, so a misconfigured degree
+/// fails loudly instead of colliding tags across lanes in a release build.
 pub const MAX_PARTITION_DEGREE: usize = 4096;
 
-/// The tag for chunk `chunk` of the exchange in `lane`, under `tag_base`.
+/// The most phases a plan run inside a lane may have (every algorithm
+/// here has at most three).
+pub const MAX_PLAN_PHASES: usize = 4;
+
+// Every (chunk, phase) of a lane fits in the lane.
+const _: () = assert!(MAX_PARTITION_DEGREE * MAX_PLAN_PHASES <= (TAG_STRIDE / 4) as usize);
+
+/// The tag of phase `phase` of chunk `chunk`'s exchange in `lane`:
+/// `tag_base + lane + chunk · MAX_PLAN_PHASES + phase`. Below the two caps
+/// every (lane, chunk, phase) gets its own tag, and a plan whose phase `k`
+/// travels on `chunk_tag(.., 0) + k` (as [`A2aPlan::execute`] does) stays
+/// in its chunk's window.
 ///
 /// # Panics
 ///
-/// Panics (in every build profile) if `chunk` would overflow its lane —
-/// a collision here silently crosses gradient and activation traffic, so
-/// the guard must not compile away in release builds.
-pub fn chunk_tag(tag_base: u64, lane: u64, chunk: usize) -> u64 {
+/// Panics (in every build profile) if `chunk` or `phase` would overflow
+/// its window — a collision here silently crosses gradient and activation
+/// traffic, so the guard must not compile away in release builds.
+pub fn chunk_tag(tag_base: u64, lane: u64, chunk: usize, phase: usize) -> u64 {
     assert!(
-        chunk < MAX_PARTITION_DEGREE && (chunk as u64) < TAG_STRIDE / 4,
-        "chunk {chunk} overflows its lane (max degree {MAX_PARTITION_DEGREE})"
+        chunk < MAX_PARTITION_DEGREE && phase < MAX_PLAN_PHASES,
+        "chunk {chunk} phase {phase} overflows its lane (max degree {MAX_PARTITION_DEGREE}, \
+         max phases {MAX_PLAN_PHASES})"
     );
-    tag_base + lane + chunk as u64
+    tag_base + lane + (chunk * MAX_PLAN_PHASES + phase) as u64
 }
 
 /// The `AbsAlltoAll` abstraction: a complete exchange where rank `i`'s
@@ -136,7 +124,9 @@ pub trait AllToAll: Send + Sync {
     fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan;
 
     /// Executes the exchange on the functional fabric by interpreting
-    /// [`plan`](Self::plan) (see [`A2aPlan::execute`]).
+    /// [`plan`](Self::plan) (see [`A2aPlan::execute`]), under an
+    /// observability span: category `"coll"`, name `"{algorithm}:{lane}"`,
+    /// size = total payload bytes this rank contributes.
     ///
     /// `chunks[j]` is this rank's payload for rank `j` (length must be the
     /// world size); the result's element `j` is the payload rank `j` sent
@@ -148,8 +138,9 @@ pub trait AllToAll: Send + Sync {
         chunks: Vec<Bytes>,
         tag_base: u64,
     ) -> Result<Vec<Bytes>, FabricError> {
-        let _span = coll_span(self.name(), tag_base, &chunks);
         let total: usize = chunks.iter().map(Bytes::len).sum();
+        let name = format_args!("{}:{}", self.name(), lanes::lane_name(tag_base));
+        let _span = schemoe_obs::span_sized("coll", name, total as f64);
         let plan = self.plan(&handle.topology(), total as u64);
         plan.execute(handle, chunks, tag_base)
     }
@@ -189,52 +180,14 @@ pub fn a2a_fits_memory(
     budget.fits()
 }
 
-/// Reference all-to-all used as the correctness oracle in tests: a direct
-/// tagged exchange with no algorithmic structure.
-pub fn reference_all_to_all(
-    handle: &mut RankHandle,
-    chunks: Vec<Bytes>,
-    tag_base: u64,
-) -> Result<Vec<Bytes>, FabricError> {
-    let p = handle.world_size();
-    assert_eq!(chunks.len(), p, "one chunk per destination rank required");
-    let _span = coll_span("ref", tag_base, &chunks);
-    for (j, chunk) in chunks.into_iter().enumerate() {
-        handle.send(j, tag_base, chunk)?;
-    }
-    let mut out = Vec::with_capacity(p);
-    for j in 0..p {
-        out.push(handle.recv(j, tag_base)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schemoe_cluster::Fabric;
-
-    #[test]
-    fn reference_exchange_routes_correctly() {
-        let topo = Topology::new(2, 2);
-        let results = Fabric::run(topo, |mut h| {
-            let me = h.rank() as u8;
-            let chunks: Vec<Bytes> = (0..h.world_size())
-                .map(|j| Bytes::copy_from_slice(&[me, j as u8]))
-                .collect();
-            reference_all_to_all(&mut h, chunks, 0).unwrap()
-        });
-        for (me, got) in results.iter().enumerate() {
-            for (j, payload) in got.iter().enumerate() {
-                assert_eq!(payload.as_ref(), &[j as u8, me as u8]);
-            }
-        }
-    }
 
     #[test]
     fn chunk_tags_never_collide_across_lanes() {
-        // Every (lane, chunk) pair within one tag_base window is distinct,
-        // and windows themselves stay disjoint.
+        // Every (lane, chunk, phase) within one tag_base window is
+        // distinct, and windows themselves stay disjoint.
         let lanes_all = [
             lanes::LANE_DISPATCH,
             lanes::LANE_COMBINE,
@@ -244,10 +197,24 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for base in [0, TAG_STRIDE, 7 * TAG_STRIDE] {
             for lane in lanes_all {
-                for chunk in 0..64 {
-                    assert!(seen.insert(chunk_tag(base, lane, chunk)));
+                let chunks = (0..64).chain(MAX_PARTITION_DEGREE - 2..MAX_PARTITION_DEGREE);
+                for chunk in chunks {
+                    for phase in 0..MAX_PLAN_PHASES {
+                        let tag = chunk_tag(base, lane, chunk, phase);
+                        assert!(seen.insert(tag), "{lane} {chunk} {phase}");
+                        assert_eq!(lanes::lane_name(tag), lanes::lane_name(base + lane));
+                        assert_eq!(tag / TAG_STRIDE, base / TAG_STRIDE);
+                    }
                 }
+                // A plan's phase k rides on its chunk's first tag + k.
+                assert_eq!(chunk_tag(base, lane, 3, 0) + 2, chunk_tag(base, lane, 3, 2));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows its lane")]
+    fn a_phase_past_the_cap_fails_loudly() {
+        chunk_tag(0, lanes::LANE_COMBINE, 0, MAX_PLAN_PHASES);
     }
 }

@@ -255,19 +255,40 @@ impl A2aPlan {
         sim.run()
     }
 
+    /// Rank `me`'s part of the plan, in the order it runs: per phase, the
+    /// ops it sends, then the ops it receives, each with the blocks it
+    /// carries that `present` admits, origin-major. A self-op moves nothing
+    /// and an op with no present block is no message, so neither is a
+    /// step. Both ends of an op derive its blocks from the same rule, so
+    /// they agree on every bundle's layout.
+    pub fn steps(
+        &self,
+        topo: &Topology,
+        me: Rank,
+        present: impl Fn(Rank, Rank) -> bool,
+    ) -> Vec<Step<'_>> {
+        let mut steps = Vec::new();
+        for (phase, ops) in self.phases.iter().enumerate() {
+            for end in [|op: &SrOp| op.src, |op: &SrOp| op.dst] {
+                for op in ops.iter().filter(|op| op.src != op.dst && end(op) == me) {
+                    let mut keys = op.blocks.list(topo);
+                    keys.retain(|&(o, d)| present(o, d));
+                    if !keys.is_empty() {
+                        steps.push(Step { phase, op, keys });
+                    }
+                }
+            }
+        }
+        steps
+    }
+
     /// Runs the plan on the fabric: this rank's `chunks[j]` is block
     /// `(me, j)`, and the result's element `j` is block `(j, me)`.
     ///
-    /// Phase `k` travels on tag `tag_base + k`. In it this rank first sends
-    /// each op whose `src` it is, in plan order, taking the op's blocks out
-    /// of its staging map, then receives each op whose `dst` it is into the
-    /// map. A one-block message is the block itself; a larger one is a
-    /// bundle: the blocks' lengths as little-endian `u32`s, then their
-    /// bytes, split on arrival into windows onto the message (a header that
-    /// disagrees with the length is [`FabricError::Corrupt`]). A self-op
-    /// moves nothing. A plan only sends
-    /// blocks its source held when the phase began, so every send of a
-    /// phase is issued before any rank waits on it: the exchange cannot
+    /// Phase `k` travels on tag `tag_base + k`. The rank runs its
+    /// [`steps`](Self::steps) in order, every block present. A plan only
+    /// sends blocks its source held when the phase began, so every send of
+    /// a phase is issued before any rank waits on it: the exchange cannot
     /// deadlock.
     ///
     /// # Panics
@@ -280,43 +301,123 @@ impl A2aPlan {
         chunks: Vec<Bytes>,
         tag_base: u64,
     ) -> Result<Vec<Bytes>, FabricError> {
-        let topo = handle.topology();
-        let me = handle.rank();
+        let (topo, me) = (handle.topology(), handle.rank());
         let p = topo.world_size();
         assert_eq!(chunks.len(), p, "one chunk per destination rank required");
-        let mut staging: HashMap<(Rank, Rank), Bytes> =
-            (0..p).map(|d| (me, d)).zip(chunks).collect();
-        for (phase, ops) in self.phases.iter().enumerate() {
-            let tag = tag_base + phase as u64;
-            for op in ops.iter().filter(|op| op.src == me && op.dst != me) {
-                let take = |block| staging.remove(&block).expect("a plan sends held blocks");
-                let mut blocks: Vec<Bytes> = op.blocks.list(&topo).into_iter().map(take).collect();
-                match blocks.len() {
-                    1 => handle.send(op.dst, tag, blocks.pop().expect("one block"))?,
-                    _ => handle.send_frame(op.dst, tag, bundle(&handle.frames(), &blocks))?,
-                }
-            }
-            for op in ops.iter().filter(|op| op.dst == me && op.src != me) {
-                let msg = handle.recv(op.src, tag)?;
-                let keys = op.blocks.list(&topo);
-                let blocks = match keys.len() {
-                    1 => vec![msg],
-                    k => unbundle(&msg, k).ok_or(FabricError::Corrupt { peer: op.src, tag })?,
-                };
-                staging.extend(keys.into_iter().zip(blocks));
+        let own = chunks.into_iter().enumerate();
+        let mut held: Held = own.map(|(d, c)| ((me, d), Block::Bytes(c))).collect();
+        for step in self.steps(&topo, me, |_, _| true) {
+            let tag = tag_base + step.phase as u64;
+            match step.op.src == me {
+                true => step.send(handle, tag, step.take(&mut held))?,
+                false => step.file(&mut held, handle.recv(step.op.src, tag)?, tag)?,
             }
         }
-        let deliver = |src| {
-            staging
-                .remove(&(src, me))
-                .expect("a plan delivers every block")
+        let mut deliver = |src| held.remove(&(src, me)).map(Block::into_payload);
+        Ok((0..p)
+            .map(|src| deliver(src).expect("a plan delivers every block"))
+            .collect())
+    }
+}
+
+/// A block as one rank holds it while a plan runs: its own, still in the
+/// frame it was encoded into, or bytes it was handed or received.
+pub enum Block {
+    /// An outgoing payload built in a frame of the rank's pool.
+    Frame(FrameBuf),
+    /// Anything else.
+    Bytes(Bytes),
+}
+
+impl Block {
+    /// Payload bytes.
+    pub fn payload_len(&self) -> usize {
+        match self {
+            Block::Frame(frame) => frame.body_len(),
+            Block::Bytes(bytes) => bytes.len(),
+        }
+    }
+
+    /// The payload, copying nothing.
+    pub fn into_payload(self) -> Bytes {
+        match self {
+            Block::Frame(frame) => frame.into_payload(),
+            Block::Bytes(bytes) => bytes,
+        }
+    }
+}
+
+/// The blocks one rank holds while a plan runs, by `(origin, destination)`.
+pub type Held = HashMap<(Rank, Rank), Block>;
+
+/// One message of a rank's part in a plan ([`A2aPlan::steps`]): this rank
+/// sends it when it is the op's `src`, else receives it.
+#[derive(Debug)]
+pub struct Step<'p> {
+    /// The phase the op belongs to.
+    pub phase: usize,
+    /// The op.
+    pub op: &'p SrOp,
+    /// The blocks the message carries, in bundle order.
+    pub keys: Vec<(Rank, Rank)>,
+}
+
+impl Step<'_> {
+    /// Takes this send's blocks out of `held`, in bundle order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `held` lacks one: the plan sends a block its source does
+    /// not hold.
+    pub fn take(&self, held: &mut Held) -> Vec<Block> {
+        let take = |key| held.remove(key).expect("a plan sends held blocks");
+        self.keys.iter().map(take).collect()
+    }
+
+    /// Sends `blocks` to the op's `dst` as one message: a lone block is
+    /// the message itself (a frame goes out as built, with no copy), more
+    /// are a bundle: the blocks' lengths as little-endian `u32`s, then
+    /// their bytes.
+    pub fn send(
+        &self,
+        h: &RankHandle,
+        tag: u64,
+        mut blocks: Vec<Block>,
+    ) -> Result<(), FabricError> {
+        let to = self.op.dst;
+        match (blocks.pop(), blocks.is_empty()) {
+            (Some(Block::Frame(frame)), true) => h.send_frame(to, tag, frame),
+            (Some(Block::Bytes(bytes)), true) => h.send(to, tag, bytes),
+            (last, _) => {
+                let all = blocks.into_iter().chain(last).map(Block::into_payload);
+                h.send_frame(to, tag, bundle(&h.frames(), &all.collect::<Vec<_>>()))
+            }
+        }
+    }
+
+    /// Files the received `msg` in `held` under this step's blocks, a
+    /// bundle split into windows onto it. A bundle whose header disagrees
+    /// with its length is [`FabricError::Corrupt`].
+    pub fn file(&self, held: &mut Held, msg: Bytes, tag: u64) -> Result<(), FabricError> {
+        let parts = match self.keys.len() {
+            1 => vec![msg],
+            k => unbundle(&msg, k).ok_or(FabricError::Corrupt {
+                peer: self.op.src,
+                tag,
+            })?,
         };
-        Ok((0..p).map(deliver).collect())
+        held.extend(
+            self.keys
+                .iter()
+                .copied()
+                .zip(parts.into_iter().map(Block::Bytes)),
+        );
+        Ok(())
     }
 }
 
 /// Packs `blocks`, in the order both ends derive from the plan, into one
-/// frame from the rank's pool, laid out as [`A2aPlan::execute`] describes.
+/// frame from the rank's pool, laid out as [`Step::send`] describes.
 fn bundle(frames: &FramePool, blocks: &[Bytes]) -> FrameBuf {
     let mut frame = frames.checkout(blocks.iter().map(|b| 4 + b.len()).sum());
     let body = frame.body_mut();

@@ -12,13 +12,16 @@
 //! * every block reaches its destination exactly once, and at the end each
 //!   rank holds exactly the blocks addressed to it;
 //! * an op's `bytes` are its blocks times the per-pair bytes;
-//! * every tag `tag_base + phase` stays inside the lane `tag_base` opens.
+//! * a plan has at most `MAX_PLAN_PHASES` phases, and every tag
+//!   `tag_base + phase` stays inside the lane `tag_base` opens.
 
 use std::collections::{HashMap, HashSet};
 
 use schemoe_cluster::Topology;
 use schemoe_collectives::lanes::{lane_name, LANE_BWD_RETURN, LANE_COMBINE};
-use schemoe_collectives::{AllToAll, NcclA2A, OneDimHierA2A, PipeA2A, TwoDimHierA2A, TAG_STRIDE};
+use schemoe_collectives::{
+    AllToAll, NcclA2A, OneDimHierA2A, PipeA2A, TwoDimHierA2A, MAX_PLAN_PHASES, TAG_STRIDE,
+};
 
 const PER_PAIR: u64 = 1_000;
 
@@ -88,7 +91,12 @@ fn every_plan_delivers_each_block_once_from_blocks_its_senders_hold() {
                 let want: HashSet<_> = (0..p).map(|s| (s, r)).collect();
                 assert_eq!(held, want, "{ctx}: rank {r}'s final blocks");
             }
-            let last = plan.phases().len() as u64 - 1;
+            let phases = plan.phases().len();
+            assert!(
+                phases <= MAX_PLAN_PHASES,
+                "{ctx}: {phases} phases overflow a chunk's tags"
+            );
+            let last = phases as u64 - 1;
             for base in [0, LANE_COMBINE, 3 * TAG_STRIDE + LANE_BWD_RETURN] {
                 assert_eq!(
                     lane_name(base + last),

@@ -85,12 +85,6 @@ impl TransformerBlock {
         }
     }
 
-    /// Replaces the feed-forward half (e.g. to inject a compressing MoE).
-    pub fn with_ffn(mut self, ffn: FfnKind) -> Self {
-        self.ffn = ffn;
-        self
-    }
-
     /// Access to the feed-forward half.
     pub fn ffn(&self) -> &FfnKind {
         &self.ffn

@@ -403,7 +403,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use schemoe_cluster::{Fabric, Topology, TransportKind};
-    use schemoe_collectives::{chunk_tag, lanes, MAX_PARTITION_DEGREE};
+    use schemoe_collectives::{chunk_tag, lanes, MAX_PARTITION_DEGREE, MAX_PLAN_PHASES};
 
     const CONTROL_LANES: [Lane; 15] = [
         Lane::Announce,
@@ -490,8 +490,13 @@ mod tests {
             lanes::LANE_BWD_GRAD,
             lanes::LANE_BWD_RETURN,
         ] {
-            let first = chunk_tag(step_tag, lane, 0);
-            let last = chunk_tag(step_tag, lane, MAX_PARTITION_DEGREE - 1);
+            let first = chunk_tag(step_tag, lane, 0, 0);
+            let last = chunk_tag(
+                step_tag,
+                lane,
+                MAX_PARTITION_DEGREE - 1,
+                MAX_PLAN_PHASES - 1,
+            );
             inside.push((first, last + 1, format!("chunks@{lane}")));
         }
         assert!(inside

@@ -38,21 +38,13 @@ impl Routing {
         }
     }
 
-    /// Ranks serving at least one expert, ascending: the far end of every
-    /// dispatch leg.
-    pub fn serving_ranks(&self) -> Vec<usize> {
-        (0..self.live.len())
-            .filter(|&rank| !self.served[rank].is_empty())
-            .collect()
-    }
-
-    /// The ranks `rank` receives dispatched rows from, ascending: every
-    /// live rank when it serves anything, else none.
-    pub fn sources_of(&self, rank: usize) -> Vec<usize> {
-        let serves = !self.served[rank].is_empty();
-        (0..self.live.len())
-            .filter(|&src| serves && self.live[src])
-            .collect()
+    /// The ranks live rank `me` sends dispatched rows to (those serving
+    /// anything) and receives them from (every live rank, if `me` serves
+    /// anything), ascending.
+    pub fn peers(&self, me: usize) -> (Vec<usize>, Vec<usize>) {
+        let ranks = || 0..self.live.len();
+        let to = ranks().filter(|&d| self.dispatches(me, d)).collect();
+        (to, ranks().filter(|&o| self.dispatches(o, me)).collect())
     }
 
     /// Whether a step at degree `r` has nothing to overlap — one chunk, or
@@ -61,10 +53,11 @@ impl Routing {
         r == 1 || self.live.iter().filter(|&&l| l).count() < 2
     }
 
-    /// True when every rank is live and serves something, so a whole-layer
-    /// exchange is a complete all-to-all.
-    pub fn full_mesh(&self) -> bool {
-        self.live.iter().all(|&l| l) && self.served.iter().all(|s| !s.is_empty())
+    /// Whether a dispatch-direction leg carries block `(o, d)`: rank `o` is
+    /// live and rank `d` serves something. A combine-direction leg carries
+    /// `(o, d)` exactly when a dispatch leg carries `(d, o)`.
+    pub fn dispatches(&self, o: usize, d: usize) -> bool {
+        self.live[o] && !self.served[d].is_empty()
     }
 
     /// Position of expert `e` in `rank`'s served list.

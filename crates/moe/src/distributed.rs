@@ -1,14 +1,16 @@
 //! Expert-parallel MoE execution over the rank fabric.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use schemoe_cluster::{FabricError, FrameBuf, RankHandle};
-use schemoe_collectives::{allreduce_live, chunk_tag, lanes, AllToAll, MAX_PARTITION_DEGREE};
+use schemoe_cluster::{FabricError, RankHandle, Topology};
+use schemoe_collectives::{
+    allreduce_live, chunk_tag, lanes, A2aPlan, AllToAll, Block, Held, NcclA2A, MAX_PARTITION_DEGREE,
+};
 use schemoe_compression::{Compressor, NoCompression};
 use schemoe_obs as obs;
 use schemoe_scheduler::executor::{
@@ -52,8 +54,9 @@ use crate::placement::Placement;
 /// `C1 → A1 → (D1·E·C2) → A2 → D2` chain per chunk: on a two-worker
 /// overlap executor at `r > 1`, so chunk `c`'s exchange overlaps chunk
 /// `c + 1`'s compute (the paper's OptSche order), and inline on the
-/// calling thread at `r = 1`. Outputs and every gradient are bit-identical
-/// across degrees in every mode.
+/// calling thread at `r = 1`. Every exchange in it runs the configured
+/// [`AllToAll`]'s plan. Outputs and every gradient are bit-identical
+/// across degrees and algorithms in every mode.
 pub struct DistributedMoeLayer {
     gate: TopKGate,
     local_experts: Vec<Box<dyn Expert>>,
@@ -66,7 +69,7 @@ pub struct DistributedMoeLayer {
     workspace: Workspace,
     /// ScheMoE pipelining degree `r`; 1 = the same graph run inline.
     partition_degree: usize,
-    /// Liveness deadline for the direct exchanges' receives.
+    /// Liveness deadline for every receive of a step.
     recv_timeout: Option<Duration>,
     /// Ranks declared dead mid-training: their experts are masked out of
     /// routing and all exchanges skip them (degraded mode).
@@ -347,12 +350,6 @@ impl DistributedMoeLayer {
         self.placement.as_ref()
     }
 
-    /// True when a non-static placement is active: the next step's routing
-    /// table follows it (replica fan-out / migrated homes).
-    pub fn is_placed(&self) -> bool {
-        self.placement.as_ref().is_some_and(|p| !p.is_static())
-    }
-
     /// Installs a placement for rank `me`. Guest bodies for every expert
     /// the placement assigns to `me` away from its static home must
     /// already be installed
@@ -540,6 +537,17 @@ impl DistributedMoeLayer {
         Routing::new(servers, live)
     }
 
+    /// The plan every exchange leg of a step under `routing` runs: the
+    /// configured [`AllToAll`]'s, or [`NcclA2A`]'s while a rank is dead —
+    /// its ops are direct, so no block relays through the dead rank.
+    fn plan(&self, routing: &Routing, topo: &Topology) -> A2aPlan {
+        let direct = routing
+            .live
+            .contains(&false)
+            .then_some(&NcclA2A as &dyn AllToAll);
+        direct.unwrap_or(self.a2a.as_ref()).plan(topo, 0)
+    }
+
     /// Expert-parallel forward over the fabric.
     ///
     /// `tag_base` namespaces this invocation; step it by
@@ -564,22 +572,21 @@ impl DistributedMoeLayer {
     /// interleaves the returned segments back into full slot order before
     /// accumulating ascending-expert.
     ///
-    /// Chunk `c`'s exchanges are direct tagged sends at
-    /// `chunk_tag(tag_base, lane, c)` among the ranks the routing table
-    /// names: nothing is sent to a rank that serves no expert and nothing
-    /// is awaited from a dead one. Only a degree-1 exchange over a full
-    /// mesh is a complete all-to-all, and that one goes through the
-    /// configured [`AllToAll`].
+    /// Every exchange leg — each chunk's dispatch and combine here, each
+    /// backward lane — runs the configured [`AllToAll`]'s plan over the
+    /// blocks the routing table says exist (NCCL-A2A's direct plan while a
+    /// rank is dead).
     pub fn forward(
         &mut self,
         h: &mut RankHandle,
         x: &Tensor,
         tag_base: u64,
     ) -> Result<Tensor, FabricError> {
-        let (p, me) = (h.world_size(), h.rank());
+        let (p, me, topo) = (h.world_size(), h.rank(), h.topology());
         let (n, m) = (x.dims()[0], x.dims()[1]);
         let r = self.partition_degree;
         let routing = self.routing_table(p);
+        let plan = self.plan(&routing, &topo);
         let _degraded = self.degraded_span();
         if self.is_degraded() {
             obs::counters_for_rank(me).add_degraded_step();
@@ -602,7 +609,7 @@ impl DistributedMoeLayer {
         // the expert bodies go to the compute stages mutably.
         let (routing_ref, decision_ref) = (&routing, &decision);
         let mine = &routing.served[me][..];
-        let (servers, sources) = (routing.serving_ranks(), routing.sources_of(me));
+        let (servers, sources) = routing.peers(me);
         let (servers, sources) = (&servers[..], &sources[..]);
         let compressor = self.compressor.as_ref();
         let bodies = Mutex::new(Bodies {
@@ -618,17 +625,13 @@ impl DistributedMoeLayer {
         let handle = Mutex::new(h);
         let wire = Wire {
             handle: &handle,
-            a2a: (r == 1 && routing.full_mesh()).then_some(self.a2a.as_ref()),
+            plan: &plan,
             timeout: self.recv_timeout,
             tag_base,
-            me,
         };
-        // Per chunk and rank: the frame out to it / the payload in from it,
-        // on the dispatch and on the combine leg.
-        let outboxes = || -> Vec<Vec<Slot<FrameBuf>>> { (0..r).map(|_| slots(p)).collect() };
-        let inboxes = || -> Vec<Vec<Slot<Bytes>>> { (0..r).map(|_| slots(p)).collect() };
-        let (dispatch_out, dispatch_in) = (outboxes(), inboxes());
-        let (combine_out, combine_in) = (outboxes(), inboxes());
+        // Per chunk: the blocks of its dispatch and of its combine leg.
+        let legs = || -> Vec<Mutex<Held>> { (0..r).map(|_| Mutex::default()).collect() };
+        let (dispatch, combine) = (legs(), legs());
         // Per chunk: what its D1·E·C2 keeps for the backward. Per global
         // expert: the returned output rows in this rank's slot order, which
         // every D2 scatters its segments into (stale until then: every slot
@@ -642,7 +645,7 @@ impl DistributedMoeLayer {
         let mut graph = Graph::default();
         let c1: Vec<usize> = (0..r)
             .map(|c| {
-                let out = &dispatch_out[c];
+                let leg = &dispatch[c];
                 graph.push(Worker::Compute, vec![], move || {
                     let bytes = (n * m * 4) as f64 / r as f64;
                     let name = format_args!("{}[c{c}]", FWD.label(Compress1));
@@ -662,28 +665,29 @@ impl DistributedMoeLayer {
                             }
                         };
                         let chunk = encode_chunk_into(compressor, pools, m, counts, gather);
-                        *out[dst].lock() = Some(chunk);
+                        leg.lock().insert((me, dst), Block::Frame(chunk));
                     }
                     Ok(())
                 })
             })
             .collect();
-        let a1: Vec<usize> = (0..r)
+        let to_servers = |o, d| routing_ref.dispatches(o, d);
+        let a1: Vec<Vec<Option<usize>>> = (0..r)
             .map(|c| {
-                let stage = (FWD.label(AllToAll1), lanes::LANE_DISPATCH, c);
-                let boxes = (&dispatch_out[c][..], &dispatch_in[c][..]);
-                wire.exchange(&mut graph, vec![c1[c]], stage, boxes, sources)
+                let stage = (FWD.label(AllToAll1), lanes::LANE_DISPATCH, Some(c));
+                wire.post(&mut graph, stage, &dispatch[c], to_servers, |_| c1[c])
             })
             .collect();
         let dec: Vec<usize> = (0..r)
             .map(|c| {
-                let (inbox, out, kept) = (&dispatch_in[c], &combine_out[c], &chunk_kept[c]);
+                let (leg, out, kept) = ((&dispatch[c], me, p), &combine[c], &chunk_kept[c]);
                 let (bodies, service_ns) = (&bodies, &service_ns);
-                graph.push(Worker::Compute, vec![a1[c]], move || {
+                let deps = a1[c].iter().flatten().copied().collect();
+                graph.push(Worker::Compute, deps, move || {
                     let _pipe = obs::span("pipe", format_args!("D1·E·C2[c{c}]"));
-                    let tag = chunk_tag(tag_base, lanes::LANE_DISPATCH, c);
+                    let tag = chunk_tag(tag_base, lanes::LANE_DISPATCH, c, 0);
                     let name = format_args!("{}[c{c}]", FWD.label(Decompress1));
-                    let inputs = decode_inbox(compressor, ws, inbox, |_| mine.len(), m, tag, name)?;
+                    let inputs = decode_leg(compressor, ws, leg, |_| mine.len(), m, tag, name)?;
                     let rows_total: usize = inputs.iter().map(Rows::total).sum();
                     let name = format_args!("{}[c{c}]", FWD.label(TaskKind::Expert));
                     let e_span = obs::span_sized("expert", name, rows_total as f64);
@@ -721,7 +725,7 @@ impl DistributedMoeLayer {
                             offsets[k] += rows.len();
                         };
                         let back = encode_chunk_into(compressor, pools, m, counts, gather);
-                        *out[src].lock() = Some(back);
+                        out.lock().insert((me, src), Block::Frame(back));
                     }
                     outputs.into_iter().for_each(|block| ws.put(block));
                     *kept.lock() = Some(Kept { inputs, saved });
@@ -729,20 +733,17 @@ impl DistributedMoeLayer {
                 })
             })
             .collect();
-        let a2: Vec<usize> = (0..r)
-            .map(|c| {
-                let stage = (FWD.label(AllToAll2), lanes::LANE_COMBINE, c);
-                let boxes = (&combine_out[c][..], &combine_in[c][..]);
-                wire.exchange(&mut graph, vec![dec[c]], stage, boxes, servers)
-            })
-            .collect();
         for c in 0..r {
-            let (inbox, outputs) = (&combine_in[c], &returned_outputs);
-            graph.push(Worker::Compute, vec![a2[c]], move || {
-                let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, c);
+            let stage = (FWD.label(AllToAll2), lanes::LANE_COMBINE, Some(c));
+            let from_servers = |o, d| to_servers(d, o);
+            let a2 = wire.post(&mut graph, stage, &combine[c], from_servers, |_| dec[c]);
+            let (leg, outputs) = ((&combine[c], me, p), &returned_outputs);
+            let deps = a2.into_iter().flatten().collect();
+            graph.push(Worker::Compute, deps, move || {
+                let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, c, 0);
                 let experts = |rank: usize| routing_ref.served[rank].len();
                 let name = format_args!("{}[c{c}]", FWD.label(Decompress2));
-                let decoded = decode_inbox(compressor, ws, inbox, experts, m, tag, name)?;
+                let decoded = decode_leg(compressor, ws, leg, experts, m, tag, name)?;
                 // Interleaving each server's share, its segments in chunk
                 // order, restores full slot order.
                 let _s = obs::span("combine", format_args!("scatter[c{c}]"));
@@ -829,17 +830,12 @@ impl DistributedMoeLayer {
     /// replicated expert's weight grads are *partial* per server; the
     /// placement controller sums them over the expert's sync group.
     ///
-    /// Messages travel uncompressed (the paper's §7 caution) on receiver-
-    /// indexed tags, `i → j` on `chunk_tag(.., lane, j)`. The comm queue
-    /// issues every send of a lane before any receive of it, and sends
-    /// depend only on local compute, so the order cannot deadlock, on two
-    /// workers or inline. This rank's own chunk loops back through the
-    /// mailboxes without touching the wire. The allreduce sits *between*
-    /// the two lanes: any earlier it would stall every peer's expert
-    /// backward behind it; there it fills the window where the comm worker
-    /// would otherwise idle waiting for return traffic. As in the forward,
-    /// a degree-1 step over a full mesh instead moves each lane as one
-    /// all-to-all through the configured [`AllToAll`].
+    /// Messages travel uncompressed (the paper's §7 caution). Each lane is
+    /// one run of the forward's plan, posted like a forward leg, so a
+    /// peer's chunk ships as soon as it exists. The allreduce sits
+    /// *between* the two lanes: any earlier it would stall every peer's
+    /// expert backward behind it; there it fills the window where the comm
+    /// worker would otherwise idle waiting for return traffic.
     ///
     /// # Panics
     ///
@@ -857,14 +853,15 @@ impl DistributedMoeLayer {
             .expect("distributed backward without forward");
         let (decision, routing, cache_ref) = (&cache.decision, &cache.routing, &cache);
         let (returned_outputs, n, tag_base) = (&cache.returned_outputs, cache.n, cache.tag_base);
-        let (p, me) = (h.world_size(), h.rank());
+        let (p, me, topo) = (h.world_size(), h.rank(), h.topology());
         let m = dy.dims()[1];
         let r = self.partition_degree;
         assert_eq!(dy.dims()[0], n, "gradient row count mismatch");
         let _degraded = self.degraded_span();
+        let plan = self.plan(routing, &topo);
 
         let mine = &routing.served[me][..];
-        let (servers, sources) = (routing.serving_ranks(), routing.sources_of(me));
+        let (servers, sources) = routing.peers(me);
         let (servers, sources) = (&servers[..], &sources[..]);
         let raw: &dyn Compressor = &NoCompression;
         let bodies = Mutex::new(Bodies {
@@ -878,70 +875,61 @@ impl DistributedMoeLayer {
         let handle = Mutex::new(h);
         let wire = Wire {
             handle: &handle,
-            a2a: (r == 1 && routing.full_mesh()).then_some(self.a2a.as_ref()),
+            plan: &plan,
             timeout: self.recv_timeout,
             tag_base,
-            me,
         };
-        // Per rank: output grads out to / in from it, input grads back out
-        // to / in from it, and the decoded input grads it returned.
-        let (grad_out, grad_in) = (slots::<FrameBuf>(p), slots::<Bytes>(p));
-        let (back_out, back_in) = (slots::<FrameBuf>(p), slots::<Bytes>(p));
+        // The blocks of the output-grad and of the input-grad lane, and per
+        // rank the decoded input grads it returned.
+        let (grad, back) = (Mutex::<Held>::default(), Mutex::<Held>::default());
         let returned = slots::<Rows>(p);
         let d_weights: Slot<Vec<f32>> = Mutex::new(None);
 
         let mut graph = Graph::default();
         // C1b: per serving rank, w · dy for its share of every expert it
         // serves, so its send can start while the next rank's still builds.
-        let built: Vec<(usize, usize)> = servers
-            .iter()
-            .map(|&dst| {
-                let out = &grad_out[dst];
-                let task = graph.push(Worker::Compute, vec![], move || {
-                    let bytes = (n * m * 4) as f64 / servers.len() as f64;
-                    let name = format_args!("{}[o{dst}]", BWD.label(Compress1));
-                    let _s = obs::span_sized("encode", name, bytes);
-                    let share = |k: usize| {
-                        let e = routing.served[dst][k];
-                        let slots = &decision.expert_slots[e];
-                        let share = routing.segment(e, dst, slots.len(), 0, 1);
-                        share.map(move |s| slots[s])
-                    };
-                    let experts = routing.served[dst].len();
-                    let counts = (0..experts).map(|k| share(k).len());
-                    let weigh = |k: usize, rows: &mut [f32]| {
-                        for (row, (t, w)) in rows.chunks_exact_mut(m).zip(share(k)) {
-                            for (g, &d) in row.iter_mut().zip(dy.row(t)) {
-                                *g = w * d;
-                            }
+        let mut built = vec![usize::MAX; p];
+        for &dst in servers {
+            let grad = &grad;
+            built[dst] = graph.push(Worker::Compute, vec![], move || {
+                let bytes = (n * m * 4) as f64 / servers.len() as f64;
+                let name = format_args!("{}[o{dst}]", BWD.label(Compress1));
+                let _s = obs::span_sized("encode", name, bytes);
+                let share = |k: usize| {
+                    let e = routing.served[dst][k];
+                    let slots = &decision.expert_slots[e];
+                    let share = routing.segment(e, dst, slots.len(), 0, 1);
+                    share.map(move |s| slots[s])
+                };
+                let experts = routing.served[dst].len();
+                let counts = (0..experts).map(|k| share(k).len());
+                let weigh = |k: usize, rows: &mut [f32]| {
+                    for (row, (t, w)) in rows.chunks_exact_mut(m).zip(share(k)) {
+                        for (g, &d) in row.iter_mut().zip(dy.row(t)) {
+                            *g = w * d;
                         }
-                    };
-                    *out.lock() = Some(encode_chunk_into(raw, pools, m, counts, weigh));
-                    Ok(())
-                });
-                (dst, task)
-            })
-            .collect();
+                    }
+                };
+                let chunk = encode_chunk_into(raw, pools, m, counts, weigh);
+                grad.lock().insert((me, dst), Block::Frame(chunk));
+                Ok(())
+            });
+        }
         // dW: combine-weight gradients, one per admitted slot, after the C1b
         // encodes so the comm lanes start as early as possible.
         {
             let d_weights = &d_weights;
             graph.push(Worker::Compute, vec![], move || {
-                let _s = obs::span("encode", "dW");
+                let _s = obs::span("gate", "dW");
                 let mut flat = ws.take(decision.slots().count());
                 decision.weight_grads(dy, returned_outputs, &mut flat);
                 *d_weights.lock() = Some(flat);
                 Ok(())
             });
         }
-        let grad_lane = (BWD.label(AllToAll1), lanes::LANE_BWD_GRAD);
-        let grads_at = wire.lane(
-            &mut graph,
-            grad_lane,
-            (&grad_out, &grad_in),
-            &built,
-            sources,
-        );
+        let to_servers = |o, d| routing.dispatches(o, d);
+        let grad_lane = (BWD.label(AllToAll1), lanes::LANE_BWD_GRAD, None);
+        let grads_at = wire.post(&mut graph, grad_lane, &grad, to_servers, |d| built[d]);
         if let Some(ar) = allreduce {
             let handle = &handle;
             graph.push(Worker::Comm, vec![], move || {
@@ -952,65 +940,64 @@ impl DistributedMoeLayer {
         // Per source j ascending: decode j's output grads, differentiate
         // each (served expert, j) group from what the forward kept, and
         // encode the input grads straight back for j.
-        let differentiated: Vec<(usize, usize)> = sources
-            .iter()
-            .map(|&j| {
-                let (inbox, out, bodies) = (&grad_in[j], &back_out[j], &bodies);
-                let task = graph.push(Worker::Compute, vec![grads_at[j]], move || {
-                    let chunk = take(inbox);
-                    let name = format_args!("{}[s{j}]", BWD.label(Decompress1));
-                    let d1b = obs::span_sized("decode", name, chunk.len() as f64);
-                    let tag = tag_base + grad_lane.1;
-                    let grads = decode_chunk_into(raw, ws, &chunk, (mine.len(), m), (j, tag))?;
-                    drop((chunk, d1b));
-                    if (0..mine.len()).any(|k| grads.count(k) != cache_ref.count(k, j)) {
-                        grads.recycle(ws);
-                        return Err(FabricError::Corrupt { peer: j, tag });
-                    }
-                    let rows_j = grads.total();
-                    let name = format_args!("{}[s{j}]", BWD.label(TaskKind::Expert));
-                    let eb = obs::span_sized("expert", name, rows_j as f64);
-                    // The groups' input grads, expert-major like `grads`.
-                    let mut dins = ws.take(rows_j * m);
-                    let mut at = 0;
-                    let mut bodies = bodies.lock();
-                    for (k, &e) in mine.iter().enumerate() {
-                        let rows = grads.count(k);
-                        if rows == 0 {
-                            continue;
-                        }
-                        let body = bodies.get(e);
-                        let group =
-                            cache_ref.group((k, j), (m, body.saved_width()), grads.expert(k));
-                        body.backward_from(&group, &mut dins[at * m..(at + rows) * m]);
-                        at += rows;
-                    }
-                    drop(bodies);
-                    drop(eb);
-                    let bytes = (rows_j * m * 4) as f64;
-                    let name = format_args!("{}[s{j}]", BWD.label(Compress2));
-                    let _c2b = obs::span_sized("encode", name, bytes);
-                    let counts = (0..mine.len()).map(|k| grads.count(k));
-                    *out.lock() = Some(encode_rows_into(raw, pools.0, counts, &dins));
+        let mut diffed = vec![usize::MAX; p];
+        for &j in sources {
+            let (grad, back, bodies) = (&grad, &back, &bodies);
+            let deps = vec![grads_at[j].expect("a source's grads arrive")];
+            diffed[j] = graph.push(Worker::Compute, deps, move || {
+                let chunk = take_block(grad, (j, me));
+                let name = format_args!("{}[s{j}]", BWD.label(Decompress1));
+                let d1b = obs::span_sized("decode", name, chunk.len() as f64);
+                let tag = chunk_tag(tag_base, lanes::LANE_BWD_GRAD, 0, 0);
+                let grads = decode_chunk_into(raw, ws, &chunk, (mine.len(), m), (j, tag))?;
+                drop((chunk, d1b));
+                if (0..mine.len()).any(|k| grads.count(k) != cache_ref.count(k, j)) {
                     grads.recycle(ws);
-                    ws.put(dins);
-                    Ok(())
-                });
-                (j, task)
-            })
-            .collect();
-        let back_lane = (BWD.label(AllToAll2), lanes::LANE_BWD_RETURN);
-        let boxes = (&back_out[..], &back_in[..]);
-        let dins_at = wire.lane(&mut graph, back_lane, boxes, &differentiated, servers);
+                    return Err(FabricError::Corrupt { peer: j, tag });
+                }
+                let rows_j = grads.total();
+                let name = format_args!("{}[s{j}]", BWD.label(TaskKind::Expert));
+                let eb = obs::span_sized("expert", name, rows_j as f64);
+                // The groups' input grads, expert-major like `grads`.
+                let mut dins = ws.take(rows_j * m);
+                let mut at = 0;
+                let mut bodies = bodies.lock();
+                for (k, &e) in mine.iter().enumerate() {
+                    let rows = grads.count(k);
+                    if rows == 0 {
+                        continue;
+                    }
+                    let body = bodies.get(e);
+                    let group = cache_ref.group((k, j), (m, body.saved_width()), grads.expert(k));
+                    body.backward_from(&group, &mut dins[at * m..(at + rows) * m]);
+                    at += rows;
+                }
+                drop(bodies);
+                drop(eb);
+                let bytes = (rows_j * m * 4) as f64;
+                let name = format_args!("{}[s{j}]", BWD.label(Compress2));
+                let _c2b = obs::span_sized("encode", name, bytes);
+                let counts = (0..mine.len()).map(|k| grads.count(k));
+                let chunk = encode_rows_into(raw, pools.0, counts, &dins);
+                back.lock().insert((me, j), Block::Frame(chunk));
+                grads.recycle(ws);
+                ws.put(dins);
+                Ok(())
+            });
+        }
+        let back_lane = (BWD.label(AllToAll2), lanes::LANE_BWD_RETURN, None);
+        let from_servers = |o, d| to_servers(d, o);
+        let dins_at = wire.post(&mut graph, back_lane, &back, from_servers, |d| diffed[d]);
+        let back_tag = chunk_tag(tag_base, lanes::LANE_BWD_RETURN, 0, 0);
         for &j in servers {
-            let (inbox, kept) = (&back_in[j], &returned[j]);
-            graph.push(Worker::Compute, vec![dins_at[j]], move || {
-                let chunk = take(inbox);
+            let (back, kept) = (&back, &returned[j]);
+            let deps = vec![dins_at[j].expect("a server's input grads arrive")];
+            graph.push(Worker::Compute, deps, move || {
+                let chunk = take_block(back, (j, me));
                 let name = format_args!("{}[o{j}]", BWD.label(Decompress2));
                 let _s = obs::span_sized("decode", name, chunk.len() as f64);
                 let shape = (routing.served[j].len(), m);
-                let tag = tag_base + back_lane.1;
-                *kept.lock() = Some(decode_chunk_into(raw, ws, &chunk, shape, (j, tag))?);
+                *kept.lock() = Some(decode_chunk_into(raw, ws, &chunk, shape, (j, back_tag))?);
                 Ok(())
             });
         }
@@ -1029,8 +1016,10 @@ impl DistributedMoeLayer {
                 let part = dins.expert(routing.index_in(server, e));
                 let share = routing.segment(e, server, slots.len(), 0, 1);
                 if part.len() != share.len() * m {
-                    let tag = tag_base + back_lane.1;
-                    framing = Err(FabricError::Corrupt { peer: server, tag });
+                    framing = Err(FabricError::Corrupt {
+                        peer: server,
+                        tag: back_tag,
+                    });
                     continue;
                 }
                 for (row, s) in part.chunks_exact(m).zip(share) {
@@ -1090,19 +1079,32 @@ fn take<T>(slot: &Slot<T>) -> T {
         .expect("the upstream task filled its mailbox")
 }
 
-/// Empties one exchange leg's inbox and decodes it into blocks of `ws`
-/// under a `decode` span: `experts(j)` experts' rows from rank `j`, none
-/// where the routing table expected no chunk.
-fn decode_inbox(
+/// Block `key` of a leg, which the task this one depends on delivered.
+fn take_block(leg: &Mutex<Held>, key: (usize, usize)) -> Bytes {
+    let block = leg.lock().remove(&key);
+    block
+        .expect("the upstream task delivered the block")
+        .into_payload()
+}
+
+/// Takes the blocks a leg delivered to `me` out of it and decodes them into
+/// blocks of `ws` under a `decode` span: `experts(j)` experts' rows from
+/// rank `j` of `p`, none where the leg carried no block from `j`.
+fn decode_leg(
     compressor: &dyn Compressor,
     ws: &Workspace,
-    inbox: &[Slot<Bytes>],
+    (leg, me, p): (&Mutex<Held>, usize, usize),
     experts: impl Fn(usize) -> usize,
     m: usize,
     tag: u64,
     span: impl std::fmt::Display,
 ) -> Result<Vec<Rows>, FabricError> {
-    let chunks: Vec<Option<Bytes>> = inbox.iter().map(|slot| slot.lock().take()).collect();
+    let chunks: Vec<Option<Bytes>> = {
+        let mut held = leg.lock();
+        (0..p)
+            .map(|j| held.remove(&(j, me)).map(Block::into_payload))
+            .collect()
+    };
     let bytes: usize = chunks.iter().flatten().map(Bytes::len).sum();
     let _s = obs::span_sized("decode", span, bytes as f64);
     let decode = |(j, chunk): (usize, Option<Bytes>)| match chunk {
@@ -1204,13 +1206,10 @@ impl<'a> Graph<'a> {
 #[derive(Clone, Copy)]
 struct Wire<'a> {
     handle: &'a Mutex<&'a mut RankHandle>,
-    /// The configured algorithm when this step's exchanges are complete
-    /// whole-layer all-to-alls (degree 1 over a full mesh); `None` for
-    /// direct tagged sends.
-    a2a: Option<&'a dyn AllToAll>,
+    /// The plan every leg of the step runs.
+    plan: &'a A2aPlan,
     timeout: Option<Duration>,
     tag_base: u64,
-    me: usize,
 }
 
 impl<'a> Wire<'a> {
@@ -1223,95 +1222,59 @@ impl<'a> Wire<'a> {
         }
     }
 
-    /// One comm task moving chunk `c` of `lane` whole: every filled
-    /// `out[j]` goes to rank `j`, then `inbox[j]` is awaited from each `j`
-    /// in `from`. Returns the task's index.
-    fn exchange(
+    /// Posts one leg — chunk `c` of `lane`, or the whole lane (`None`) —
+    /// as comm tasks in the order of this rank's
+    /// [steps](A2aPlan::steps) of the plan: per phase its sends, then its
+    /// receives, phase `k` on `chunk_tag(.., c, k)`. The leg's blocks live
+    /// in `leg`, and `present` says which exist. A send waits for the tasks
+    /// producing its blocks: `produced(d)` for this rank's own block for
+    /// `d`, the receive that brought a relayed one. Returns per origin `o`
+    /// the task after which block `(o, me)` is held, if the leg carries
+    /// it; this rank's own block never leaves `leg`.
+    ///
+    /// A send's span is `{stem}[c{c}]`, or `{stem}[p{dst}]` in a whole
+    /// lane; a receive's is its `…w` twin, deliberately outside the
+    /// profiler's stem set: blocked-receive time measures peer skew, not
+    /// wire cost.
+    fn post(
         self,
         graph: &mut Graph<'a>,
-        deps: Vec<usize>,
-        (stem, lane, c): (StageLabel, u64, usize),
-        (out, inbox): (&'a [Slot<FrameBuf>], &'a [Slot<Bytes>]),
-        from: &'a [usize],
-    ) -> usize {
-        graph.push(Worker::Comm, deps, move || {
-            let chunks: Vec<Option<FrameBuf>> = out.iter().map(|slot| slot.lock().take()).collect();
-            let bytes: usize = chunks.iter().flatten().map(FrameBuf::body_len).sum();
-            let _s = obs::span_sized("a2a", format_args!("{stem}[c{c}]"), bytes as f64);
-            let tag = chunk_tag(self.tag_base, lane, c);
-            if let Some(a2a) = self.a2a {
-                // The algorithm moves payloads and frames them itself. It is
-                // only configured over a full mesh, where every rank got one.
-                let full = |chunk: Option<FrameBuf>| chunk.expect("full mesh").into_payload();
-                let all = chunks.into_iter().map(full).collect();
-                let got = a2a.all_to_all(&mut self.handle.lock(), all, tag)?;
-                for (slot, chunk) in inbox.iter().zip(got) {
-                    *slot.lock() = Some(chunk);
-                }
-                return Ok(());
-            }
-            let name = format_args!("ref:{}", lanes::lane_name(tag));
-            let _coll = obs::span_sized("coll", name, bytes as f64);
-            for (j, chunk) in chunks.into_iter().enumerate() {
-                if let Some(chunk) = chunk {
-                    self.handle.lock().send_frame(j, tag, chunk)?;
-                }
-            }
-            for &j in from {
-                *inbox[j].lock() = Some(self.recv(j, tag)?);
-            }
-            Ok(())
-        })
-    }
-
-    /// The comm tasks of one backward lane; returns, per rank in `from`,
-    /// the task after which `inbox[rank]` is filled. Each `(j, task)` of
-    /// `produced` fills `out[j]`, bound for rank `j`. Over a full mesh at
-    /// degree 1 the lane is one whole [`exchange`](Self::exchange);
-    /// otherwise every chunk travels alone on its receiver's tag — a send
-    /// per destination as soon as its chunk exists, then a receive per
-    /// source, ascending — and this rank's own chunk just changes mailbox.
-    /// The `…w` wait spans are deliberately outside the profiler's stem
-    /// set: blocked-receive time measures peer skew, not wire cost.
-    fn lane(
-        self,
-        graph: &mut Graph<'a>,
-        (stem, lane): (StageLabel, u64),
-        (out, inbox): (&'a [Slot<FrameBuf>], &'a [Slot<Bytes>]),
-        produced: &[(usize, usize)],
-        from: &'a [usize],
-    ) -> Vec<usize> {
-        let me = self.me;
-        if self.a2a.is_some() {
-            let deps = produced.iter().map(|&(_, task)| task).collect();
-            let task = self.exchange(graph, deps, (stem, lane, 0), (out, inbox), from);
-            return vec![task; out.len()];
-        }
-        let mut filled = vec![usize::MAX; out.len()];
-        for &(j, task) in produced {
-            let sent = graph.push(Worker::Comm, vec![task], move || {
-                let chunk = take(&out[j]);
-                if j == me {
-                    *inbox[me].lock() = Some(chunk.into_payload());
-                    return Ok(());
-                }
-                let name = format_args!("{stem}[p{j}]");
-                let _s = obs::span_sized("a2a", name, chunk.body_len() as f64);
-                let tag = chunk_tag(self.tag_base, lane, j);
-                self.handle.lock().send_frame(j, tag, chunk)
-            });
-            if j == me {
-                filled[me] = sent;
+        (stem, lane, chunk): (StageLabel, u64, Option<usize>),
+        leg: &'a Mutex<Held>,
+        present: impl Fn(usize, usize) -> bool,
+        produced: impl Fn(usize) -> usize,
+    ) -> Vec<Option<usize>> {
+        let topo = self.handle.lock().topology();
+        let (me, p) = (self.handle.lock().rank(), topo.world_size());
+        let own = (0..p).filter(|&d| present(me, d));
+        let mut held_after: HashMap<(usize, usize), usize> =
+            own.map(|d| ((me, d), produced(d))).collect();
+        for step in self.plan.steps(&topo, me, &present) {
+            let tag = chunk_tag(self.tag_base, lane, chunk.unwrap_or(0), step.phase);
+            let sends = step.op.src == me;
+            let peer = if sends { step.op.dst } else { step.op.src };
+            let (at, i) = chunk.map_or(('p', peer), |c| ('c', c));
+            if sends {
+                let mut deps: Vec<usize> = step.keys.iter().map(|k| held_after[k]).collect();
+                deps.sort_unstable();
+                deps.dedup();
+                graph.push(Worker::Comm, deps, move || {
+                    let blocks = step.take(&mut leg.lock());
+                    let bytes: usize = blocks.iter().map(Block::payload_len).sum();
+                    let _s = obs::span_sized("a2a", format_args!("{stem}[{at}{i}]"), bytes as f64);
+                    step.send(&self.handle.lock(), tag, blocks)
+                });
+            } else {
+                let keys = step.keys.clone();
+                let task = graph.push(Worker::Comm, vec![], move || {
+                    let _s = obs::span("a2a", format_args!("{stem}w[{at}{i}]"));
+                    let msg = self.recv(peer, tag)?;
+                    step.file(&mut leg.lock(), msg, tag)
+                });
+                held_after.extend(keys.into_iter().map(|key| (key, task)));
             }
         }
-        for &j in from.iter().filter(|&&j| j != me) {
-            filled[j] = graph.push(Worker::Comm, vec![], move || {
-                let _s = obs::span("a2a", format_args!("{stem}w[p{j}]"));
-                *inbox[j].lock() = Some(self.recv(j, chunk_tag(self.tag_base, lane, me))?);
-                Ok(())
-            });
-        }
-        filled
+        (0..p).map(|o| held_after.get(&(o, me)).copied()).collect()
     }
 }
 
@@ -1644,7 +1607,7 @@ mod tests {
         for degree in [1usize, 2] {
             let outs = Fabric::run(Topology::new(1, 2), |mut h| {
                 if h.rank() == 1 {
-                    let tags = (0..degree).map(|c| chunk_tag(0, lanes::LANE_DISPATCH, c));
+                    let tags = (0..degree).map(|c| chunk_tag(0, lanes::LANE_DISPATCH, c, 0));
                     for tag in tags.clone() {
                         h.send(0, tag, Bytes::from_static(&[1, 2, 3])).unwrap();
                     }

@@ -169,11 +169,6 @@ impl TopKGate {
         self
     }
 
-    /// The configured overflow policy.
-    pub fn overflow_policy(&self) -> OverflowPolicy {
-        self.overflow
-    }
-
     /// Top-k value.
     pub fn k(&self) -> usize {
         self.k
@@ -443,20 +438,6 @@ impl TopKGate {
     /// Read-only access to the router weight.
     pub fn weight(&self) -> &Param {
         &self.wg
-    }
-
-    /// Replaces the router weight (used to replicate gates across ranks).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch.
-    pub fn set_weight(&mut self, w: Tensor) {
-        assert_eq!(
-            w.dims(),
-            self.wg.value.dims(),
-            "router weight shape mismatch"
-        );
-        self.wg = Param::new("gate.wg", w);
     }
 }
 

@@ -129,11 +129,6 @@ impl Placement {
         s[slot % s.len()]
     }
 
-    /// True when `rank` serves expert `e` (home or replica).
-    pub fn is_server(&self, e: usize, rank: usize) -> bool {
-        self.servers[e].contains(&rank)
-    }
-
     /// Experts served by `rank`, ascending.
     pub fn served_by(&self, rank: usize) -> Vec<usize> {
         (0..self.servers.len())

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use schemoe_cluster::{Fabric, Topology};
-use schemoe_collectives::{AllToAll, NcclA2A, PipeA2A, TwoDimHierA2A};
+use schemoe_collectives::{AllToAll, NcclA2A, OneDimHierA2A, PipeA2A, TwoDimHierA2A};
 use schemoe_compression::{Compressor, Fp16Compressor, NoCompression};
 use schemoe_moe::{DistributedMoeLayer, Expert, FfExpert, MoeLayer, TopKGate};
 use schemoe_tensor::nn::Module;
@@ -53,63 +53,81 @@ proptest! {
         prop_assert_eq!(admitted + d.dropped, n * k);
     }
 
-    /// The distributed layer equals the per-shard single-process layer for
-    /// every A2A algorithm, under a lossless and an elementwise-lossy
-    /// codec.
+    /// Every A2A algorithm runs inside every chunk at every degree, so the
+    /// layer's forward output and input gradients are bit-identical across
+    /// algorithms and degrees — on 2 × 2, where the hierarchical plans
+    /// bundle and relay, and on a drawn shape — and the forward equals the
+    /// per-shard single-process layer, under a lossless and an
+    /// elementwise-lossy codec.
     #[test]
     fn distributed_matches_reference_for_all_a2a(
         nodes in 1usize..3,
         gpus in 1usize..3,
         n_local in 1usize..6,
         k_raw in 1usize..3,
-        alg_idx in 0usize..3,
         codec_idx in 0usize..2,
         seed in 0u64..200,
     ) {
-        let topo = Topology::new(nodes, gpus);
-        let p = topo.world_size();
-        let k = k_raw.min(p);
-        let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(seed));
-        let mk_alg = move || -> Box<dyn AllToAll> {
-            match alg_idx {
-                0 => Box::new(NcclA2A),
-                1 => Box::new(PipeA2A::new()),
-                _ => Box::new(TwoDimHierA2A),
+        for topo in [Topology::new(2, 2), Topology::new(nodes, gpus)] {
+            let p = topo.world_size();
+            let k = k_raw.min(p);
+            let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(seed));
+            let shard = |me: usize| {
+                let mut x = Tensor::zeros(&[n_local, M]);
+                for r in 0..n_local {
+                    x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
+                }
+                x
+            };
+            let mk_codec = move || -> Box<dyn Compressor> {
+                match codec_idx {
+                    0 => Box::new(NoCompression),
+                    _ => Box::new(Fp16Compressor),
+                }
+            };
+            let run = |alg: &(dyn Fn() -> Box<dyn AllToAll> + Sync), degree: usize| {
+                Fabric::run(topo, |mut h| {
+                    let me = h.rank();
+                    let mut layer = DistributedMoeLayer::new(
+                        make_gate(p, k, 8.0),
+                        vec![make_expert(me)],
+                        mk_codec(),
+                        alg(),
+                    )
+                    .with_partition_degree(degree)
+                    .with_recv_timeout(std::time::Duration::from_secs(30));
+                    let y = layer.forward(&mut h, &shard(me), 0).unwrap();
+                    let dx = layer.backward(&mut h, &y).unwrap();
+                    (y, dx)
+                })
+            };
+            let algs: [&(dyn Fn() -> Box<dyn AllToAll> + Sync); 4] = [
+                &|| Box::new(NcclA2A),
+                &|| Box::new(PipeA2A::new()),
+                &|| Box::new(OneDimHierA2A),
+                &|| Box::new(TwoDimHierA2A),
+            ];
+            let first = run(algs[0], 1);
+            for (i, alg) in algs.iter().enumerate() {
+                for degree in [1, 2, 4] {
+                    let got = run(*alg, degree);
+                    for me in 0..p {
+                        let at = format!("alg {i} r {degree} rank {me}");
+                        prop_assert_eq!(got[me].0.data(), first[me].0.data(), "y: {}", at);
+                        prop_assert_eq!(got[me].1.data(), first[me].1.data(), "dx: {}", at);
+                    }
+                }
             }
-        };
-        let mk_codec = move || -> Box<dyn Compressor> {
-            match codec_idx {
-                0 => Box::new(NoCompression),
-                _ => Box::new(Fp16Compressor),
+            for me in 0..p {
+                let experts: Vec<Box<dyn Expert>> = (0..p).map(make_expert).collect();
+                let mut reference = MoeLayer::from_parts(make_gate(p, k, 8.0), experts);
+                if codec_idx == 1 {
+                    reference = reference.with_compressor(Box::new(Fp16Compressor));
+                }
+                let want = reference.forward(&shard(me));
+                let diff = first[me].0.max_abs_diff(&want).unwrap();
+                prop_assert!(diff < 2e-4, "rank {} diverged by {}", me, diff);
             }
-        };
-        let outs = Fabric::run(topo, |mut h| {
-            let me = h.rank();
-            let mut layer = DistributedMoeLayer::new(
-                make_gate(p, k, 8.0),
-                vec![make_expert(me)],
-                mk_codec(),
-                mk_alg(),
-            );
-            let mut x = Tensor::zeros(&[n_local, M]);
-            for r in 0..n_local {
-                x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
-            }
-            layer.forward(&mut h, &x, 0).unwrap()
-        });
-        for me in 0..p {
-            let experts: Vec<Box<dyn Expert>> = (0..p).map(make_expert).collect();
-            let mut reference = MoeLayer::from_parts(make_gate(p, k, 8.0), experts);
-            if codec_idx == 1 {
-                reference = reference.with_compressor(Box::new(Fp16Compressor));
-            }
-            let mut x = Tensor::zeros(&[n_local, M]);
-            for r in 0..n_local {
-                x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
-            }
-            let want = reference.forward(&x);
-            let diff = outs[me].max_abs_diff(&want).unwrap();
-            prop_assert!(diff < 2e-4, "rank {} diverged by {}", me, diff);
         }
     }
 

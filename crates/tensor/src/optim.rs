@@ -44,11 +44,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Overrides the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one update to every parameter of `module`, then zeroes grads.
     pub fn step<M: Module + ?Sized>(&mut self, module: &mut M) {
         self.step_params(&mut |f| module.visit_params(f));
@@ -149,11 +144,6 @@ impl Adam {
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
         self.lr
-    }
-
-    /// Overrides the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
     }
 
     /// Applies one update to every parameter of `module`, then zeroes grads.

@@ -241,21 +241,6 @@ impl Tensor {
         })
     }
 
-    /// Reinterprets the tensor in place with a new shape.
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the element counts differ.
-    pub fn reshape_in_place(&mut self, dims: &[usize]) -> Result<(), TensorError> {
-        let shape = Shape::new(dims);
-        if shape.numel() != self.numel() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.numel(),
-                actual: self.numel(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Returns row `r` of a rank-2 tensor as a slice.
     ///
     /// # Panics

@@ -11,6 +11,7 @@
 use schemoe::prelude::*;
 use schemoe_collectives::plan::A2aPlan;
 use schemoe_compression::CompressionError;
+use schemoe_moe::FfExpert;
 use schemoe_tensor::rng::{self, seeded};
 
 /// A user codec: keep only the sign and a shared 4-bit log-magnitude —
@@ -74,7 +75,7 @@ impl Compressor for SignLog4 {
 
 /// A user A2A: Pipe-A2A with an extra-long stream-join budget, as a stand-
 /// in for "my cluster needs different tuning". An algorithm is its plan:
-/// the simulator times it and the provided `all_to_all` executes it.
+/// the simulator times it, and a distributed layer runs it in every chunk.
 #[derive(Clone, Copy, Debug)]
 struct CautiousPipe;
 
@@ -110,6 +111,24 @@ fn main() {
             y_exact.max_abs_diff(&fp16.forward(&x)).expect("same shape")
         }
     );
+
+    // Hand the custom A2A to a real distributed layer: each chunk of a
+    // pipelined (r = 2) step on a 2 x 2 cluster runs its plan. It moves the
+    // same blocks as NCCL-A2A, so the output is the same bit for bit.
+    let step = |a2a: fn() -> Box<dyn AllToAll>| {
+        Fabric::run(Topology::new(2, 2), |mut h| {
+            let seed = h.rank() as u64;
+            let gate = TopKGate::new(16, 4, 2, 2.0, &mut seeded(42));
+            let expert = Box::new(FfExpert::new(16, 32, &mut seeded(100 + seed)));
+            let codec = Box::new(Fp16Compressor);
+            let layer = DistributedMoeLayer::new(gate, vec![expert], codec, a2a());
+            let x = rng::uniform(&[8, 16], 1.0, &mut seeded(43 + seed));
+            let y = layer.with_partition_degree(2).forward(&mut h, &x, 0);
+            y.expect("a healthy step").data().to_vec()
+        })
+    };
+    assert_eq!(step(|| Box::new(CautiousPipe)), step(|| Box::new(NcclA2A)));
+    println!("\ncautious pipe inside an r = 2 pipelined layer: output equals NCCL-A2A's");
 
     // And use the custom A2A in the performance simulator: every cost
     // function takes any `&dyn AllToAll`.
