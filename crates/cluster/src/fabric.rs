@@ -16,8 +16,8 @@
 //! record in flight belongs to the fault layer beneath it
 //! ([`crate::transport::chaos`]); the handle only reads the kill schedule
 //! from the same [`ChaosPlan`]. One rule covers an installed plan: frames
-//! are sealed, deadlined receives wait in 5 ms slices so a posted death is
-//! noticed, and waits feed the per-link histograms.
+//! are sealed, and deadlined receives wait in 5 ms slices so a posted death
+//! is noticed.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -135,32 +135,6 @@ impl fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
-/// Policy for deriving per-link receive deadlines from observed waits.
-///
-/// With this installed (see [`RankHandle::set_adaptive_deadline`]), a plain
-/// `recv` from peer `p` uses `clamp(p99(waits from p) × margin, floor,
-/// ceiling)` instead of the static plan deadline — but never *less* than
-/// the static deadline, so adaptation only ever grants slack. The point is
-/// straggler tolerance under `delay` campaigns: a slow-but-alive link
-/// inflates its own p99, its deadline stretches with it, and the peer stops
-/// being misclassified as a death suspect; a genuinely dead peer still
-/// times out at the (clamped) ceiling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveDeadline {
-    /// Multiplier applied to the observed p99 wait.
-    pub margin: f64,
-    /// Lower clamp — normally the static plan deadline, so adaptation can
-    /// only lengthen deadlines, never tighten them below the configured
-    /// liveness bound.
-    pub floor: Duration,
-    /// Upper clamp — the longest deadline adaptation may grant, bounding
-    /// how long a dead peer can stall a step.
-    pub ceiling: Duration,
-    /// Observations on a link before its deadline adapts; below this the
-    /// static deadline applies unchanged.
-    pub min_samples: u64,
-}
-
 /// How often a deadlined receive under a plan interrupts its wait to check
 /// whether the awaited peer has posted its own death on the liveness board.
 const BOARD_POLL: Duration = Duration::from_millis(5);
@@ -207,11 +181,6 @@ pub struct RankHandle {
     /// This rank's current membership epoch, stamped on every outgoing
     /// frame.
     epoch: Cell<u32>,
-    /// Optional per-link deadline adaptation policy.
-    adaptive: Cell<Option<AdaptiveDeadline>>,
-    /// Per-peer receive-wait histograms feeding deadline adaptation.
-    /// Recorded only while a plan is installed.
-    wait_hist: Vec<obs::WaitHistogram>,
 }
 
 impl RankHandle {
@@ -281,19 +250,6 @@ impl RankHandle {
         next
     }
 
-    /// Installs (or clears) the per-link deadline adaptation policy.
-    pub fn set_adaptive_deadline(&self, policy: Option<AdaptiveDeadline>) {
-        self.adaptive.set(policy);
-    }
-
-    /// The currently installed deadline adaptation policy. Long-lived
-    /// callers (the FT trainer) snapshot this so they can restore the
-    /// handle's deadline state on exit instead of leaking their policy
-    /// into whatever runs on the handle next.
-    pub fn adaptive_deadline(&self) -> Option<AdaptiveDeadline> {
-        self.adaptive.get()
-    }
-
     /// True when a buried peer can physically come back — as a respawned
     /// OS process dialing back in, or from behind a misbehaving link —
     /// without the plan scheduling its revival. The rejoin protocol polls
@@ -301,30 +257,6 @@ impl RankHandle {
     /// only plan-scheduled revivals.
     pub fn reconnectable(&self) -> bool {
         self.transport.reconnectable()
-    }
-
-    /// The liveness deadline a plain `recv` from `peer` will use right now:
-    /// the adapted per-link value when an [`AdaptiveDeadline`] policy is
-    /// installed and the link has enough samples, otherwise the static
-    /// default. Never shorter than the static default.
-    pub fn effective_deadline(&self, peer: Rank) -> Option<Duration> {
-        let base = self.deadline.get();
-        let Some(policy) = self.adaptive.get() else {
-            return base;
-        };
-        if peer >= self.wait_hist.len() {
-            return base;
-        }
-        let hist = &self.wait_hist[peer];
-        if hist.samples() < policy.min_samples {
-            return base;
-        }
-        let Some(p99) = hist.quantile(0.99) else {
-            return base;
-        };
-        let adapted = p99.mul_f64(policy.margin.max(1.0));
-        let adapted = adapted.clamp(policy.floor.min(policy.ceiling), policy.ceiling);
-        Some(base.map_or(adapted, |b| adapted.max(b)))
     }
 
     /// A dead rank polling for its scheduled revival. Each call counts as
@@ -551,15 +483,9 @@ impl RankHandle {
     /// indefinitely unless a default deadline is in force (the plan's, or
     /// an explicit [`set_recv_deadline`](Self::set_recv_deadline)), in
     /// which case a lost message or dead peer surfaces as a typed
-    /// `Timeout`; the per-link deadline adapts to observed waits when a
-    /// policy is installed.
+    /// `Timeout`.
     pub fn recv(&mut self, from: Rank, tag: u64) -> Result<Bytes, FabricError> {
-        let timeout = if from < self.world_size() {
-            self.effective_deadline(from)
-        } else {
-            self.deadline.get()
-        };
-        self.recv_within(from, tag, timeout)
+        self.recv_within(from, tag, self.deadline.get())
     }
 
     /// Like [`recv`](Self::recv), but gives up after `timeout` with
@@ -592,7 +518,7 @@ impl RankHandle {
             return self.unpack(from, tag, payload);
         }
         let planned = self.plan.is_some();
-        let wait_start = (obs::enabled() || planned).then(Instant::now);
+        let wait_start = obs::enabled().then(Instant::now);
         let deadline = timeout.map(|t| (t, Instant::now() + t));
         loop {
             // Under a plan a deadlined wait is sliced so a peer's death
@@ -625,11 +551,7 @@ impl RankHandle {
             match self.transport.recv_raw(from, slice) {
                 Ok((msg_tag, payload)) if msg_tag == tag => {
                     if let Some(t0) = wait_start {
-                        let waited = t0.elapsed();
-                        self.counters.add_recv_wait(waited);
-                        if planned {
-                            self.wait_hist[from].record(waited);
-                        }
+                        self.counters.add_recv_wait(t0.elapsed());
                     }
                     return self.unpack(from, tag, payload);
                 }
@@ -672,10 +594,9 @@ impl RankHandle {
         transport: Box<dyn Transport>,
         plan: Option<Arc<ChaosPlan>>,
     ) -> RankHandle {
-        let p = topology.world_size();
         assert_eq!(
             transport.world_size(),
-            p,
+            topology.world_size(),
             "transport world size must match the topology"
         );
         let transport = match &plan {
@@ -693,8 +614,6 @@ impl RankHandle {
             dead: Cell::new(false),
             deadline: Cell::new(plan.as_ref().and_then(|pl| pl.recv_deadline())),
             epoch: Cell::new(0),
-            adaptive: Cell::new(None),
-            wait_hist: (0..p).map(|_| obs::WaitHistogram::new()).collect(),
             plan,
         }
     }
@@ -1267,41 +1186,5 @@ mod tests {
         assert_eq!(results[0].0, FabricError::Disconnected { peer: 0 });
         // Attempts 3 and 4 are denied probes; attempt 5 revives.
         assert_eq!(results[0].1, 2);
-    }
-
-    #[test]
-    fn adaptive_deadline_stretches_with_observed_waits_but_stays_clamped() {
-        let plan = ChaosPlan::seeded(25).with_recv_deadline(Duration::from_secs(2));
-        let topo = Topology::new(1, 2);
-        run_planned(topo, plan, |mut h| {
-            if h.rank() == 0 {
-                h.barrier();
-                // Rank 1 is already blocked in recv; make it wait ~400 ms.
-                std::thread::sleep(Duration::from_millis(400));
-                h.send(1, 0, Bytes::from_static(b"straggler")).unwrap();
-                h.barrier();
-            } else {
-                let policy = AdaptiveDeadline {
-                    margin: 16.0,
-                    floor: Duration::from_secs(2),
-                    ceiling: Duration::from_millis(2500),
-                    min_samples: 1,
-                };
-                h.set_adaptive_deadline(Some(policy));
-                // No samples yet: the static deadline applies unchanged.
-                assert_eq!(h.effective_deadline(0), Some(Duration::from_secs(2)));
-                h.barrier();
-                h.recv(0, 0).unwrap();
-                // A ~400 ms wait was observed: its p99 upper bound x16
-                // overshoots the ceiling, so the deadline clamps to it.
-                // (Robust to scheduler noise: any observed wait above
-                // ~157 ms lands here, and the wait only shrinks below that
-                // if this thread entered recv over 240 ms late.)
-                assert_eq!(h.effective_deadline(0), Some(Duration::from_millis(2500)));
-                // A link with no samples keeps the static deadline.
-                assert_eq!(h.effective_deadline(1), Some(Duration::from_secs(2)));
-                h.barrier();
-            }
-        });
     }
 }

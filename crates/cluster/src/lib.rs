@@ -42,7 +42,7 @@ pub mod storage;
 pub mod topology;
 pub mod transport;
 
-pub use fabric::{AdaptiveDeadline, Fabric, FabricError, RankHandle};
+pub use fabric::{Fabric, FabricError, RankHandle};
 pub use faults::{FramePool, EPOCH_ANY, FRAME_HEADER};
 pub use hardware::HardwareProfile;
 pub use memory::MemoryBudget;

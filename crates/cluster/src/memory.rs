@@ -46,11 +46,6 @@ impl MemoryBudget {
         self.total() <= self.capacity
     }
 
-    /// Bytes by which the budget exceeds capacity (0 when it fits).
-    pub fn overshoot(&self) -> u64 {
-        self.total().saturating_sub(self.capacity)
-    }
-
     /// The labelled components, in insertion order.
     pub fn components(&self) -> &[(String, u64)] {
         &self.components
@@ -77,19 +72,6 @@ impl fmt::Display for MemoryBudget {
     }
 }
 
-/// Bytes of a float tensor with `elems` elements at `bits` per element.
-pub fn tensor_bytes(elems: u64, bits: u32) -> u64 {
-    elems * bits as u64 / 8
-}
-
-/// Parameter + gradient + Adam-moment bytes for `params` f32 parameters.
-///
-/// Training state is 4× the raw parameter bytes (value, gradient, first and
-/// second Adam moments), matching standard mixed-state accounting.
-pub fn training_state_bytes(params: u64) -> u64 {
-    params * 4 * 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +81,6 @@ mod tests {
         let b = MemoryBudget::new(1000);
         assert!(b.fits());
         assert_eq!(b.total(), 0);
-        assert_eq!(b.overshoot(), 0);
     }
 
     #[test]
@@ -110,7 +91,7 @@ mod tests {
         assert!(b.fits());
         b.add("buffers", 200);
         assert!(!b.fits());
-        assert_eq!(b.overshoot(), 100);
+        assert_eq!(b.total() - b.capacity(), 100);
     }
 
     #[test]
@@ -120,13 +101,5 @@ mod tests {
         let s = format!("{b}");
         assert!(s.contains("OOM"));
         assert!(s.contains("huge"));
-    }
-
-    #[test]
-    fn helper_math() {
-        assert_eq!(tensor_bytes(1000, 32), 4000);
-        assert_eq!(tensor_bytes(1000, 16), 2000);
-        assert_eq!(tensor_bytes(1000, 8), 1000);
-        assert_eq!(training_state_bytes(1_000_000), 16_000_000);
     }
 }

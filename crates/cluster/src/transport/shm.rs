@@ -168,24 +168,29 @@ pub fn mesh(world: usize) -> Vec<ShmBootstrap> {
         .collect()
 }
 
-fn read_u64(file: &File, off: u64) -> u64 {
+fn read_u64(file: &File, off: u64) -> io::Result<u64> {
     let mut buf = [0u8; 8];
-    file.read_exact_at(&mut buf, off).expect("shm read");
-    u64::from_le_bytes(buf)
+    file.read_exact_at(&mut buf, off)?;
+    Ok(u64::from_le_bytes(buf))
 }
 
-fn write_u64(file: &File, off: u64, v: u64) {
-    file.write_all_at(&v.to_le_bytes(), off).expect("shm write");
+fn write_u64(file: &File, off: u64, v: u64) -> io::Result<()> {
+    file.write_all_at(&v.to_le_bytes(), off)
 }
 
-fn read_flag(file: &File, off: u64) -> bool {
+fn read_flag(file: &File, off: u64) -> io::Result<bool> {
     let mut buf = [0u8; 1];
-    file.read_exact_at(&mut buf, off).expect("shm read");
-    buf[0] != 0
+    file.read_exact_at(&mut buf, off)?;
+    Ok(buf[0] != 0)
 }
 
-fn write_flag(file: &File, off: u64, v: bool) {
-    file.write_all_at(&[v as u8], off).expect("shm write");
+fn write_flag(file: &File, off: u64, v: bool) -> io::Result<()> {
+    file.write_all_at(&[v as u8], off)
+}
+
+/// Cursors or a record header that do not add up: the ring is damaged.
+fn damaged() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "shm ring damaged")
 }
 
 /// One directed link's ring file plus its capacity.
@@ -206,35 +211,26 @@ impl Ring {
     }
 
     /// Copies `bytes` into the data region at logical cursor `pos`,
-    /// wrapping at the capacity boundary.
-    fn write_wrapped(&self, pos: u64, bytes: &[u8]) {
+    /// wrapping at the capacity boundary. (An empty second half is no
+    /// syscall.)
+    fn write_wrapped(&self, pos: u64, bytes: &[u8]) -> io::Result<()> {
         let off = pos % self.cap;
         let first = ((self.cap - off) as usize).min(bytes.len());
-        self.file
-            .write_all_at(&bytes[..first], DATA_OFF + off)
-            .expect("shm ring write");
-        if first < bytes.len() {
-            self.file
-                .write_all_at(&bytes[first..], DATA_OFF)
-                .expect("shm ring write");
-        }
+        self.file.write_all_at(&bytes[..first], DATA_OFF + off)?;
+        self.file.write_all_at(&bytes[first..], DATA_OFF)
     }
 
     /// Fills `buf` from the data region at logical cursor `pos`.
-    fn read_wrapped(&self, pos: u64, buf: &mut [u8]) {
+    fn read_wrapped(&self, pos: u64, buf: &mut [u8]) -> io::Result<()> {
         let off = pos % self.cap;
         let first = ((self.cap - off) as usize).min(buf.len());
         let (head, tail) = buf.split_at_mut(first);
-        self.file
-            .read_exact_at(head, DATA_OFF + off)
-            .expect("shm ring read");
-        self.file
-            .read_exact_at(tail, DATA_OFF)
-            .expect("shm ring read");
+        self.file.read_exact_at(head, DATA_OFF + off)?;
+        self.file.read_exact_at(tail, DATA_OFF)
     }
 
     /// Appends one record if the ring has room; `false` means full.
-    fn try_push(&self, tag: u64, payload: &[u8]) -> bool {
+    fn try_push(&self, tag: u64, payload: &[u8]) -> io::Result<bool> {
         let rec = REC_HEADER + payload.len() as u64;
         assert!(
             rec <= self.cap,
@@ -242,46 +238,46 @@ impl Ring {
             payload.len(),
             self.cap
         );
-        let head = read_u64(&self.file, HEAD_OFF);
-        let tail = read_u64(&self.file, TAIL_OFF);
+        let head = read_u64(&self.file, HEAD_OFF)?;
+        let tail = read_u64(&self.file, TAIL_OFF)?;
         if head - tail + rec > self.cap {
-            return false;
+            return Ok(false);
         }
         let mut header = [0u8; REC_HEADER as usize];
         header[..8].copy_from_slice(&tag.to_le_bytes());
         header[8..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        self.write_wrapped(head, &header);
-        self.write_wrapped(head + REC_HEADER, payload);
+        self.write_wrapped(head, &header)?;
+        self.write_wrapped(head + REC_HEADER, payload)?;
         // Publish last: a consumer that observes the new head is
         // guaranteed to observe the record bytes (positioned writes from
         // one process are ordered through the page cache).
-        write_u64(&self.file, HEAD_OFF, head + rec);
-        true
+        write_u64(&self.file, HEAD_OFF, head + rec)?;
+        Ok(true)
     }
 
     /// Removes and returns the next record, if any, read straight into a
     /// buffer of `pool`. The ring file is shared, so its cursors and
     /// headers are not trusted: a record that overruns what the producer
-    /// published breaks the link, before anything is allocated or
+    /// published is [`damaged`], before anything is allocated or
     /// consumed for it.
-    fn try_pop(&self, pool: &BufPool) -> Result<Option<(u64, Bytes)>, RawRecvError> {
-        let head = read_u64(&self.file, HEAD_OFF);
-        let tail = read_u64(&self.file, TAIL_OFF);
+    fn try_pop(&self, pool: &BufPool) -> io::Result<Option<(u64, Bytes)>> {
+        let head = read_u64(&self.file, HEAD_OFF)?;
+        let tail = read_u64(&self.file, TAIL_OFF)?;
         if head == tail {
             return Ok(None);
         }
         let published = head.checked_sub(tail).filter(|&n| n <= self.cap);
-        let published = published.ok_or(RawRecvError::Disconnected)?;
+        let published = published.ok_or_else(damaged)?;
         let mut header = [0u8; REC_HEADER as usize];
-        self.read_wrapped(tail, &mut header);
+        self.read_wrapped(tail, &mut header)?;
         let (tag, len) = header.split_at(8);
         let tag = u64::from_le_bytes(tag.try_into().expect("8 bytes"));
         let len = u64::from_le_bytes(len.try_into().expect("8 bytes"));
         let rec = REC_HEADER.checked_add(len).filter(|&rec| rec <= published);
-        let rec = rec.ok_or(RawRecvError::Disconnected)?;
+        let rec = rec.ok_or_else(damaged)?;
         let mut payload = pool.checkout(0, len as usize);
-        self.read_wrapped(tail + REC_HEADER, payload.body_mut());
-        write_u64(&self.file, TAIL_OFF, tail + rec);
+        self.read_wrapped(tail + REC_HEADER, payload.body_mut())?;
+        write_u64(&self.file, TAIL_OFF, tail + rec)?;
         Ok(Some((tag, payload.freeze())))
     }
 }
@@ -319,9 +315,9 @@ impl ShmTransport {
         // A respawned process re-attaching as a rejoiner resumes the
         // slot: it is producing again (clear done) but stays on the dead
         // board until the rejoin protocol re-admits it.
-        write_flag(&board, slot + SLOT_DONE, false);
-        write_u64(&board, slot + SLOT_PID, std::process::id() as u64);
-        let gen = read_u64(&board, slot + SLOT_GEN);
+        write_flag(&board, slot + SLOT_DONE, false)?;
+        write_u64(&board, slot + SLOT_PID, std::process::id() as u64)?;
+        let gen = read_u64(&board, slot + SLOT_GEN)?;
         Ok(ShmTransport {
             rank: b.rank,
             world: b.world,
@@ -339,18 +335,30 @@ impl ShmTransport {
         rank as u64 * SLOT
     }
 
-    fn done(&self, rank: Rank) -> bool {
+    fn done(&self, rank: Rank) -> io::Result<bool> {
         read_flag(&self.board, self.slot(rank) + SLOT_DONE)
     }
 
     /// True when `rank`'s registered process has vanished from the host.
     /// Skipped for in-process peers (same pid) and unregistered slots.
-    fn process_gone(&self, rank: Rank) -> bool {
-        let pid = read_u64(&self.board, self.slot(rank) + SLOT_PID);
+    fn process_gone(&self, rank: Rank) -> io::Result<bool> {
+        let pid = read_u64(&self.board, self.slot(rank) + SLOT_PID)?;
         if pid == 0 || pid == std::process::id() as u64 {
-            return false;
+            return Ok(false);
         }
-        !Path::new(&format!("/proc/{pid}")).exists()
+        Ok(!Path::new(&format!("/proc/{pid}")).exists())
+    }
+
+    /// Publishes this rank's barrier generation `gen`, then waits until
+    /// every rank has published it.
+    fn enter_barrier(&self, gen: u64) -> io::Result<()> {
+        write_u64(&self.board, self.slot(self.rank) + SLOT_GEN, gen)?;
+        for r in 0..self.world {
+            while read_u64(&self.board, self.slot(r) + SLOT_GEN)? < gen {
+                std::thread::sleep(POLL);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -360,14 +368,17 @@ impl Transport for ShmTransport {
     }
 
     fn send_raw(&self, to: Rank, tag: u64, payload: Bytes) -> Result<(), LinkClosed> {
+        // A ring or board this rank cannot read or write (a full tmpfs, a
+        // truncated file) closes the link.
+        let closed = |_: io::Error| LinkClosed;
         let ring = &self.send_rings[to];
         loop {
-            if ring.try_push(tag, &payload) {
+            if ring.try_push(tag, &payload).map_err(closed)? {
                 return Ok(());
             }
             // Backpressure: the ring is full. A consumer that is done or
             // whose process is gone will never drain it.
-            if self.done(to) || self.process_gone(to) {
+            if self.done(to).map_err(closed)? || self.process_gone(to).map_err(closed)? {
                 return Err(LinkClosed);
             }
             std::thread::sleep(POLL);
@@ -379,10 +390,14 @@ impl Transport for ShmTransport {
         from: Rank,
         timeout: Option<Duration>,
     ) -> Result<(u64, Bytes), RawRecvError> {
+        // A damaged ring, or one this rank cannot read or write, breaks
+        // the link.
+        let broken = |_: io::Error| RawRecvError::Disconnected;
         let ring = &self.recv_rings[from];
+        let pop = || ring.try_pop(&self.pool).map_err(broken);
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
-            if let Some(rec) = ring.try_pop(&self.pool)? {
+            if let Some(rec) = pop()? {
                 return Ok(rec);
             }
             // Empty and the producer will never push again: the typed
@@ -390,20 +405,21 @@ impl Transport for ShmTransport {
             // sets the flag *after* its last push, so a record published
             // between the pop above and this read is still in the ring:
             // poll once more before declaring the link drained.
-            if self.done(from) {
-                return ring.try_pop(&self.pool)?.ok_or(RawRecvError::Disconnected);
+            if self.done(from).map_err(broken)? {
+                return pop()?.ok_or(RawRecvError::Disconnected);
             }
             let countdown = &self.probe_countdown[from];
             countdown.set(countdown.get().saturating_sub(1));
             if countdown.get() == 0 {
                 countdown.set(PID_PROBE_EVERY);
-                if self.process_gone(from) {
+                if self.process_gone(from).map_err(broken)? {
                     // A SIGKILLed producer: post it dead so every peer's
                     // deadline checks fail fast, then surface the same
                     // signal its closed channel would have.
-                    self.post_death(from);
-                    write_flag(&self.board, self.slot(from) + SLOT_DONE, true);
-                    return ring.try_pop(&self.pool)?.ok_or(RawRecvError::Disconnected);
+                    let slot = self.slot(from);
+                    write_flag(&self.board, slot + SLOT_DEAD, true).map_err(broken)?;
+                    write_flag(&self.board, slot + SLOT_DONE, true).map_err(broken)?;
+                    return pop()?.ok_or(RawRecvError::Disconnected);
                 }
             }
             if let Some(d) = deadline {
@@ -422,27 +438,26 @@ impl Transport for ShmTransport {
     fn barrier(&self) {
         let gen = self.barrier_gen.get() + 1;
         self.barrier_gen.set(gen);
-        write_u64(&self.board, self.slot(self.rank) + SLOT_GEN, gen);
-        for r in 0..self.world {
-            while read_u64(&self.board, self.slot(r) + SLOT_GEN) < gen {
-                std::thread::sleep(POLL);
-            }
-        }
+        self.enter_barrier(gen)
+            .expect("shm board I/O failed, and Transport::barrier has no error path");
     }
 
     fn post_death(&self, rank: Rank) {
         if rank < self.world {
-            write_flag(&self.board, self.slot(rank) + SLOT_DEAD, true);
+            write_flag(&self.board, self.slot(rank) + SLOT_DEAD, true)
+                .expect("shm board write failed, and Transport::post_death has no error path");
         }
     }
 
+    /// An unreadable board slot reads as dead.
     fn peer_dead(&self, rank: Rank) -> bool {
-        rank < self.world && read_flag(&self.board, self.slot(rank) + SLOT_DEAD)
+        rank < self.world && read_flag(&self.board, self.slot(rank) + SLOT_DEAD).unwrap_or(true)
     }
 
     fn clear_death(&self, rank: Rank) {
         if rank < self.world {
-            write_flag(&self.board, self.slot(rank) + SLOT_DEAD, false);
+            write_flag(&self.board, self.slot(rank) + SLOT_DEAD, false)
+                .expect("shm board write failed, and Transport::clear_death has no error path");
         }
     }
 
@@ -458,8 +473,10 @@ impl Transport for ShmTransport {
 impl Drop for ShmTransport {
     fn drop(&mut self) {
         // The analogue of dropping channel endpoints: peers' receives
-        // drain what was queued, then fail typed instead of hanging.
-        write_flag(&self.board, self.slot(self.rank) + SLOT_DONE, true);
+        // drain what was queued, then fail typed instead of hanging. A
+        // board that cannot be written leaves peers their deadlines and
+        // the pid probe; a drop does not panic.
+        let _ = write_flag(&self.board, self.slot(self.rank) + SLOT_DONE, true);
     }
 }
 
@@ -476,8 +493,8 @@ mod tests {
         let mut header = [0u8; REC_HEADER as usize];
         header[..8].copy_from_slice(&7u64.to_le_bytes());
         header[8..].copy_from_slice(&len.to_le_bytes());
-        ring.write_wrapped(0, &header);
-        write_u64(&ring.file, HEAD_OFF, REC_HEADER + extra);
+        ring.write_wrapped(0, &header).unwrap();
+        write_u64(&ring.file, HEAD_OFF, REC_HEADER + extra).unwrap();
         consumer.recv_raw(0, Some(Duration::from_millis(50)))
     }
 
@@ -500,8 +517,20 @@ mod tests {
         let mut ends = mesh(2).into_iter().map(ShmBootstrap::attach);
         let (_producer, consumer) = (ends.next().unwrap(), ends.next().unwrap());
         let ring = &consumer.recv_rings[0];
-        write_u64(&ring.file, TAIL_OFF, 64);
-        write_u64(&ring.file, HEAD_OFF, 32);
+        write_u64(&ring.file, TAIL_OFF, 64).unwrap();
+        write_u64(&ring.file, HEAD_OFF, 32).unwrap();
+        let got = consumer.recv_raw(0, Some(Duration::from_millis(50)));
+        assert_eq!(got.map(|(tag, _)| tag), Err(RawRecvError::Disconnected));
+    }
+
+    #[test]
+    fn a_ring_that_cannot_be_read_breaks_the_link_instead_of_panicking() {
+        let mut ends = mesh(2).into_iter().map(ShmBootstrap::attach);
+        let (producer, consumer) = (ends.next().unwrap(), ends.next().unwrap());
+        producer.send_raw(1, 7, Bytes::from_static(b"abc")).unwrap();
+        // The cursors survive, but the record they publish is gone: the
+        // read fails with an I/O error, as on a tmpfs that ran out of room.
+        consumer.recv_rings[0].file.set_len(DATA_OFF).unwrap();
         let got = consumer.recv_raw(0, Some(Duration::from_millis(50)));
         assert_eq!(got.map(|(tag, _)| tag), Err(RawRecvError::Disconnected));
     }

@@ -97,64 +97,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use schemoe_cluster::storage::ChaosFsPlan;
-use schemoe_cluster::{AdaptiveDeadline, FabricError, RankHandle};
+use schemoe_cluster::{FabricError, RankHandle};
 
 use membership::bit;
 use quanta::Disk;
 pub use state::{Half, RankState};
 pub use wire::{receive_state, stream_state, Lane, ALLREDUCE_LANE, TRANSFER_CHUNK, VOTE_COPIES};
 
-/// Failure-domain labels for up to 64 ranks — one 4-bit label per rank
-/// (16 domains), packed into four words so the map stays `Copy` like the
-/// [`FtConfig`] that carries it. Two ranks with the same label share a
-/// failure domain (a host, a rack, a power feed) and are expected to die
-/// together; buddy placement routes replicas across domains so a single
-/// domain loss never takes an expert and its replica at once.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DomainMap {
-    words: [u64; 4],
-}
-
-impl DomainMap {
-    /// Builds a map from one label per rank.
-    ///
-    /// # Panics
-    ///
-    /// Panics past 64 ranks or a label ≥ 16 (the packing width).
-    pub fn from_labels(labels: &[u8]) -> DomainMap {
-        assert!(labels.len() <= 64, "domain maps cover at most 64 ranks");
-        let mut words = [0u64; 4];
-        for (r, &l) in labels.iter().enumerate() {
-            assert!(l < 16, "domain labels are 4-bit (got {l})");
-            words[r / 16] |= u64::from(l) << ((r % 16) * 4);
-        }
-        DomainMap { words }
-    }
-
-    /// The domain label of `rank` (0 for ranks past the labelled prefix).
-    pub fn label(&self, rank: usize) -> u8 {
-        ((self.words[rank / 16] >> ((rank % 16) * 4)) & 0xF) as u8
-    }
-}
-
-/// The replication buddy of `rank` in an `n`-rank world: the next rank
-/// (scanning forward, wrapping) in a *different* failure domain when a
-/// domain map is given, falling back to the plain ring neighbour
-/// `(rank + 1) % n` when no map is set or every rank shares one domain.
-/// Pure and identical on every rank, so survivors agree on failover hosts
-/// without any coordination.
-pub fn buddy_of(rank: usize, n: usize, domains: Option<&DomainMap>) -> usize {
+/// The replication buddy of `rank` in an `n`-rank world: the ring
+/// neighbour `(rank + 1) % n`. Pure and identical on every rank, so
+/// survivors agree on failover hosts without any coordination.
+pub fn buddy_of(rank: usize, n: usize) -> usize {
     if n == 0 {
         return rank;
-    }
-    if let Some(d) = domains {
-        let mine = d.label(rank);
-        for i in 1..n {
-            let c = (rank + i) % n;
-            if d.label(c) != mine {
-                return c;
-            }
-        }
     }
     (rank + 1) % n
 }
@@ -193,23 +148,12 @@ pub struct FtConfig {
     /// Committed-step cadence at which survivors poll for rejoin
     /// announcements from revivable dead ranks. `0` disables rejoin.
     pub rejoin_check_every: usize,
-    /// Optional per-link adaptive receive-deadline policy, installed on the
-    /// rank handle at startup (see
-    /// [`AdaptiveDeadline`](schemoe_cluster::AdaptiveDeadline)): deadlines
-    /// stretch with each link's observed p99 wait instead of misclassifying
-    /// a straggler as dead.
-    pub adaptive_deadline: Option<AdaptiveDeadline>,
     /// Buddy-replication quantum in committed steps: every `K` steps each
     /// rank streams its expert weights + optimizer velocity to the buddy
     /// at `(rank + 1) mod n`, so a death costs at most `K` steps of expert
     /// staleness instead of an expert-shaped hole. `0` disables
     /// replication (the reroute-only behaviour).
     pub replica_interval: usize,
-    /// Optional failure-domain labels steering buddy placement: each
-    /// rank's buddy becomes the next rank in a *different* domain (see
-    /// [`buddy_of`]), so losing one domain never takes an expert and its
-    /// replica together. `None` keeps the plain `(rank + 1) mod n` ring.
-    pub replica_domains: Option<DomainMap>,
     /// Partition degree `r` of the MoE layer's task graph. `1` = the same
     /// graph run inline; higher degrees chunk the all-to-alls and overlap
     /// them with compute in both forward and backward, in every mode
@@ -254,9 +198,7 @@ impl FtConfig {
             retry_budget: 3,
             vote_timeout_ms: 500,
             rejoin_check_every: 2,
-            adaptive_deadline: None,
             replica_interval: 0,
-            replica_domains: None,
             partition_degree: 1,
             rejoin: false,
             placement_interval: 0,
@@ -274,14 +216,6 @@ impl FtConfig {
     /// Overrides the rejoin polling cadence (`0` disables rejoin).
     pub fn with_rejoin_check_every(mut self, every: usize) -> Self {
         self.rejoin_check_every = every;
-        self
-    }
-
-    /// Starts this rank in limbo: it announces itself and waits for an
-    /// invite instead of training from step 0. Used by respawned worker
-    /// processes joining a running cluster over a reconnectable transport.
-    pub fn with_rejoin(mut self) -> Self {
-        self.rejoin = true;
         self
     }
 
@@ -460,12 +394,6 @@ impl FtConfig {
 /// Runs the fault-tolerant training loop on one rank. See the module docs
 /// for the protocol; call inside `Fabric::run` or `Fabric::run_with`.
 ///
-/// Deadline hygiene: the run may install [`FtConfig::adaptive_deadline`]
-/// on the handle, and historically never uninstalled it — whatever ran
-/// next on the same handle inherited the policy (and any receive-deadline
-/// override) from the previous run. Both are snapshotted on entry and
-/// restored before this returns.
-///
 /// # Panics
 ///
 /// Panics if the world is larger than 64 ranks (the vote bitmask width) or
@@ -485,47 +413,19 @@ pub fn run_ft_rank(h: &mut RankHandle, cfg: &FtConfig) -> FtReport {
 /// every rank can restore from — rebuilding a rank whose shard is
 /// missing or corrupt from a buddy's on-disk replica — and trains on
 /// from the snapshotted step.
+///
+/// The train loop attempts until every step has committed, with every
+/// path that observes this rank's death funnelled through one arm — a rank
+/// with a way back (a scheduled revival, a reconnectable transport)
+/// rejoins and resumes at the invited step; every other death ends the
+/// run with a report.
 pub fn run_ft_rank_durable(
     h: &mut RankHandle,
     cfg: &FtConfig,
     snap: Option<&SnapshotCfg>,
 ) -> FtReport {
-    let saved_deadline = h.recv_deadline();
-    let saved_adaptive = h.adaptive_deadline();
-    let report = train(h, cfg, snap);
-    h.set_adaptive_deadline(saved_adaptive);
-    h.set_recv_deadline(saved_deadline);
-    report
-}
-
-/// What one step attempt came to.
-enum Attempt {
-    /// The step committed everywhere and its quanta ran — or membership
-    /// changed (burial, park, resume) and the step counter may have
-    /// rewound. Either way: on to whatever step the state now stands at,
-    /// with a fresh retry budget.
-    Settled,
-    /// A transient fault somewhere: back off and rerun under fresh tags.
-    Retry,
-    /// This rank parked and the cluster never healed.
-    GaveUp,
-}
-
-/// Base backoff between retries of a step, in milliseconds; multiplied by
-/// the attempt number.
-const BACKOFF_MS: u64 = 1;
-
-/// The train loop: attempts until every step has committed, with every
-/// path that observes this rank's death funnelled through one arm — a rank
-/// with a way back (a scheduled revival, a reconnectable transport)
-/// rejoins and resumes at the invited step; every other death ends the
-/// run with a report.
-fn train(h: &mut RankHandle, cfg: &FtConfig, snap: Option<&SnapshotCfg>) -> FtReport {
     let (me, p) = (h.rank(), h.world_size());
     assert!(p <= 64, "vote bitmask supports at most 64 ranks");
-    if let Some(policy) = cfg.adaptive_deadline {
-        h.set_adaptive_deadline(Some(policy));
-    }
     let mut st = RankState::new(cfg, me, p);
     let disk = snap.map(|s| Disk::open(s, me));
     if let Some(disk) = disk.as_ref().filter(|d| d.cfg.resume) {
@@ -566,6 +466,23 @@ fn train(h: &mut RankHandle, cfg: &FtConfig, snap: Option<&SnapshotCfg>) -> FtRe
     let died = (st.step < cfg.steps).then_some(st.step);
     st.into_report(h, died)
 }
+
+/// What one step attempt came to.
+enum Attempt {
+    /// The step committed everywhere and its quanta ran — or membership
+    /// changed (burial, park, resume) and the step counter may have
+    /// rewound. Either way: on to whatever step the state now stands at,
+    /// with a fresh retry budget.
+    Settled,
+    /// A transient fault somewhere: back off and rerun under fresh tags.
+    Retry,
+    /// This rank parked and the cluster never healed.
+    GaveUp,
+}
+
+/// Base backoff between retries of a step, in milliseconds; multiplied by
+/// the attempt number.
+const BACKOFF_MS: u64 = 1;
 
 /// One attempt at the current step: fresh tag window, forward/backward,
 /// vote, and — on an all-OK verdict — the commit and its quanta. Errors
@@ -863,95 +780,22 @@ mod tests {
 
     #[test]
     fn back_to_back_runs_do_not_inherit_deadline_state() {
-        // Regression: a run that installed an adaptive deadline policy
-        // never uninstalled it, so a second run (or a later test sharing
-        // the fabric handle) silently inherited the previous run's
-        // stretched deadlines. Both the policy and the static receive
-        // deadline must come back to their entry values.
+        // A run must leave the handle's static receive deadline at its
+        // entry value, so a second run (or a later test sharing the fabric
+        // handle) starts from the plan's deadline.
         let plan = ChaosPlan::seeded(91).with_recv_deadline(Duration::from_secs(2));
-        let policy = AdaptiveDeadline {
-            margin: 4.0,
-            floor: Duration::from_secs(2),
-            ceiling: Duration::from_secs(8),
-            min_samples: 1,
-        };
-        let adaptive_cfg = FtConfig {
-            adaptive_deadline: Some(policy),
-            ..FtConfig::tiny(3)
-        };
-        let plain_cfg = FtConfig::tiny(3);
+        let cfg = FtConfig::tiny(3);
         let kind = TransportKind::from_env();
         Fabric::run_with(kind, Topology::new(1, 2), Some(plan), |mut h| {
             let entry_deadline = h.recv_deadline();
             assert_eq!(entry_deadline, Some(Duration::from_secs(2)));
-            let first = run_ft_rank(&mut h, &adaptive_cfg);
+            let first = run_ft_rank(&mut h, &cfg);
             assert_eq!(first.died_at_step, None);
-            assert_eq!(h.adaptive_deadline(), None, "adaptive policy leaked");
             assert_eq!(h.recv_deadline(), entry_deadline, "static deadline leaked");
-            let second = run_ft_rank(&mut h, &plain_cfg);
+            let second = run_ft_rank(&mut h, &cfg);
             assert_eq!(second.died_at_step, None);
-            assert_eq!(h.adaptive_deadline(), None);
             assert_eq!(h.recv_deadline(), entry_deadline);
         });
-    }
-
-    #[test]
-    fn buddy_placement_crosses_failure_domains() {
-        // Two experts per domain: every buddy lands in the other domain.
-        let d = DomainMap::from_labels(&[0, 0, 1, 1]);
-        assert_eq!(buddy_of(0, 4, Some(&d)), 2);
-        assert_eq!(buddy_of(1, 4, Some(&d)), 2);
-        assert_eq!(buddy_of(2, 4, Some(&d)), 0);
-        assert_eq!(buddy_of(3, 4, Some(&d)), 0);
-        // Whenever a second domain exists at all, an expert and its replica
-        // are never co-domained — a single-domain loss cannot take both.
-        let labels = [0u8, 1, 0, 1, 2, 2, 0, 1];
-        let d = DomainMap::from_labels(&labels);
-        for r in 0..labels.len() {
-            let b = buddy_of(r, labels.len(), Some(&d));
-            assert_ne!(r, b);
-            assert_ne!(
-                labels[r], labels[b],
-                "rank {r} would replicate inside its own failure domain"
-            );
-        }
-        // A degenerate single-domain world falls back to the plain ring.
-        let d = DomainMap::from_labels(&[5, 5, 5]);
-        for r in 0..3 {
-            assert_eq!(buddy_of(r, 3, Some(&d)), (r + 1) % 3);
-        }
-        // So does an unlabelled one.
-        assert_eq!(buddy_of(2, 4, None), 3);
-        assert_eq!(buddy_of(3, 4, None), 0);
-    }
-
-    #[test]
-    fn losing_a_whole_failure_domain_fails_over_to_the_other_domain() {
-        // Ranks 0 and 1 share domain 0; ranks 2 and 3 share domain 1.
-        // Domain-aware placement replicates both domain-0 experts across
-        // the domain boundary (the buddy of 0 and of 1 is rank 2), so
-        // killing all of domain 0 loses no expert: rank 2 activates both
-        // wards and training completes with the full expert set routed.
-        let cfg = FtConfig {
-            replica_domains: Some(DomainMap::from_labels(&[0, 0, 1, 1])),
-            ..FtConfig::tiny(10).with_seed(21).with_replica_interval(2)
-        };
-        let plan = ChaosPlan::seeded(5)
-            .kill_after(0, 60)
-            .kill_after(1, 64)
-            .with_recv_deadline(Duration::from_millis(300));
-        let reports = train_under(TransportKind::from_env(), plan, &cfg);
-        for r in [2usize, 3] {
-            assert_eq!(reports[r].died_at_step, None, "rank {r} must survive");
-            assert_eq!(reports[r].dead_ranks, vec![0, 1]);
-            assert!(reports[r].final_loss.is_finite());
-            assert!(reports[r].loss_curve.iter().all(|l| l.is_finite()));
-        }
-        assert_eq!(
-            reports[2].failover_activations, 2,
-            "the cross-domain buddy must host both domain-0 experts"
-        );
-        assert_eq!(reports[3].failover_activations, 0);
     }
 
     #[test]

@@ -43,10 +43,8 @@ const PLACEMENT_SHED_FLOOR: f64 = 0.5;
 /// rank whose buddy it is. Sends never block and every rank sends before
 /// it receives, so the exchange cannot deadlock; the receive deadline
 /// bounds the wait even when a ward died between the vote and this
-/// quantum. Without a domain map the buddy graph is the plain ring and
-/// each rank has exactly one ward; domain-aware placement can assign
-/// several wards to one rank (it is not a permutation), hence the per-ward
-/// store map.
+/// quantum. The buddy graph is the plain ring, so each rank has at most
+/// one live ward.
 ///
 /// A skipped send (dead buddy) or failed send breaks the delta chain, so
 /// the encoder is reset and the next frame the buddy sees is a full
@@ -55,12 +53,11 @@ const PLACEMENT_SHED_FLOOR: f64 = 0.5;
 /// ward's periodic full frame re-anchors the chain.
 pub(super) fn replicate_quantum(h: &mut RankHandle, st: &mut RankState) -> Result<(), FabricError> {
     let (me, p, step) = (st.me, st.p, st.step);
-    let domains = st.cfg.replica_domains;
-    let buddy = buddy_of(me, p, domains.as_ref());
+    let buddy = buddy_of(me, p);
     let wards: Vec<usize> = st
         .live_peers()
         .into_iter()
-        .filter(|&r| buddy_of(r, p, domains.as_ref()) == me)
+        .filter(|&r| buddy_of(r, p) == me)
         .collect();
     let lane = Lane::Replica.at(step as u64)?;
     if buddy != me && st.live[buddy] {

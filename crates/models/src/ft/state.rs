@@ -106,8 +106,7 @@ pub struct RankState {
     ckpt: Vec<u8>,
     ckpt_step: usize,
     /// Buddy replication: the delta encoder for frames this rank streams,
-    /// and per ward its latest verified replica (domain-aware placement
-    /// can give one rank several wards).
+    /// and per ward its latest verified replica.
     pub(super) enc: DeltaEncoder,
     pub(super) stores: BTreeMap<usize, ReplicaStore>,
     /// The optimizer of each guest body, by global expert: the home's own
@@ -287,7 +286,7 @@ impl RankState {
     /// the same verdict the ward is orphaned and stays masked — the
     /// reroute-only fallback.
     fn activate_failover(&mut self, r: usize) {
-        let buddy = buddy_of(r, self.p, self.cfg.replica_domains.as_ref());
+        let buddy = buddy_of(r, self.p);
         if buddy == r || !self.live[buddy] {
             return;
         }

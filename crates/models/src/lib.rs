@@ -25,9 +25,7 @@ pub mod zoo;
 
 pub use block::{FfnKind, TransformerBlock};
 pub use data::{CopyTranslation, RegimeMarkov};
-pub use ft::{
-    buddy_of, run_ft_rank, run_ft_rank_durable, DomainMap, FtConfig, FtReport, SnapshotCfg,
-};
+pub use ft::{buddy_of, run_ft_rank, run_ft_rank_durable, FtConfig, FtReport, SnapshotCfg};
 pub use lm::{LmConfig, TinyMoeLm};
 pub use trainer::{distributed_full_step, TrainReport, Trainer};
 pub use zoo::MoeModelConfig;

@@ -45,12 +45,6 @@ impl LmConfig {
             capacity_factor: 2.0,
         }
     }
-
-    /// Switches the feed-forward layers to MoE with `experts` experts.
-    pub fn with_experts(mut self, experts: usize) -> Self {
-        self.experts = Some(experts);
-        self
-    }
 }
 
 /// A causal LM: token + position embeddings, transformer blocks, final
@@ -269,7 +263,10 @@ mod tests {
 
     #[test]
     fn a_few_steps_reduce_loss_on_a_fixed_batch() {
-        let cfg = LmConfig::small(16, 8).with_experts(4);
+        let cfg = LmConfig {
+            experts: Some(4),
+            ..LmConfig::small(16, 8)
+        };
         let mut lm = TinyMoeLm::new(cfg, &mut seeded(23));
         let tokens = toy_tokens(4, 8);
         let mut opt = Adam::new(3e-3);
@@ -290,7 +287,10 @@ mod tests {
 
     #[test]
     fn compressor_injection_keeps_model_functional() {
-        let cfg = LmConfig::small(16, 8).with_experts(4);
+        let cfg = LmConfig {
+            experts: Some(4),
+            ..LmConfig::small(16, 8)
+        };
         let mut lm = TinyMoeLm::new(cfg, &mut seeded(24));
         lm.set_compressor(|| Box::new(Fp16Compressor));
         let loss = lm.loss_on(&toy_tokens(2, 8));

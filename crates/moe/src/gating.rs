@@ -94,24 +94,12 @@ impl GateDecision {
     }
 }
 
-/// What happens to an assignment whose chosen expert is at capacity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Drop the assignment (GShard/Switch default; the residual connection
-    /// carries the token).
-    #[default]
-    Drop,
-    /// Reroute to the next-best expert with free capacity (GShard's
-    /// secondary routing, generalized down the preference list).
-    NextBest,
-}
-
 /// A learnable linear router with softmax probabilities and top-k routing.
 ///
 /// Follows GShard/Switch: logits are `x · Wg`, probabilities are a row
 /// softmax, each token picks its top-`k` experts, and tokens beyond an
-/// expert's capacity (Eq. 1) are handled by the configured
-/// [`OverflowPolicy`]. The combine weight of an admitted `(token, expert)`
+/// expert's capacity (Eq. 1) are dropped (the residual connection carries
+/// them). The combine weight of an admitted `(token, expert)`
 /// pair is the softmax probability; gradients flow back through the
 /// selected probabilities into `Wg` and the token embeddings, while
 /// dropped assignments contribute nothing.
@@ -119,9 +107,6 @@ pub struct TopKGate {
     wg: Param,
     k: usize,
     capacity_factor: f64,
-    overflow: OverflowPolicy,
-    /// Weight of the auxiliary load-balancing loss (0 disables it).
-    pub aux_loss_weight: f32,
     cache: Option<Cache>,
 }
 
@@ -132,7 +117,6 @@ struct Cache {
     probs: Tensor,
     /// Per admitted assignment, token-major: `(token, expert)`.
     picks: Vec<(usize, usize)>,
-    aux_grad: Option<Tensor>,
     /// `dWg` before it is added to the gradient.
     dwg: Vec<f32>,
     /// Whether a backward may still consume this forward.
@@ -157,16 +141,8 @@ impl TopKGate {
             wg: Param::new("gate.wg", rng::xavier(model_dim, experts, rng_)),
             k,
             capacity_factor,
-            overflow: OverflowPolicy::Drop,
-            aux_loss_weight: 0.0,
             cache: None,
         }
-    }
-
-    /// Sets the overflow policy, builder style.
-    pub fn with_overflow(mut self, policy: OverflowPolicy) -> Self {
-        self.overflow = policy;
-        self
     }
 
     /// Top-k value.
@@ -246,33 +222,17 @@ impl TopKGate {
             order.clear();
             order.extend((0..e).filter(|&j| masked.is_none_or(|m| !m[j])));
             order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("finite probs"));
-            let e = order.len();
-            let mut admitted = 0usize;
-            let mut cursor = 0usize;
-            while admitted < self.k && cursor < e {
-                let ex = order[cursor];
-                cursor += 1;
+            for &ex in order.iter().take(self.k) {
                 if expert_slots[ex].len() < capacity {
                     let w = row[ex];
                     expert_slots[ex].push((t, w));
                     assignments[t].push((ex, w));
-                    admitted += 1;
                 } else {
-                    match self.overflow {
-                        // Drop: this preference slot is lost.
-                        OverflowPolicy::Drop => {
-                            dropped += 1;
-                            admitted += 1;
-                        }
-                        // NextBest: keep scanning down the preference list.
-                        OverflowPolicy::NextBest => {}
-                    }
+                    dropped += 1;
                 }
             }
-            // NextBest may exhaust every expert; account the shortfall.
-            if cursor >= e {
-                dropped += self.k - admitted.min(self.k);
-            }
+            // Fewer than k live experts: each missing preference is a drop.
+            dropped += self.k.saturating_sub(order.len());
         }
         let decision = GateDecision {
             assignments,
@@ -280,16 +240,10 @@ impl TopKGate {
             capacity,
             dropped,
         };
-        let aux_grad = if self.aux_loss_weight > 0.0 {
-            Some(self.aux_loss_grad(&probs, &decision))
-        } else {
-            None
-        };
         let cache = self.cache.get_or_insert_with(|| Cache {
             x: Tensor::zeros(&[0]),
             probs: Tensor::zeros(&[0]),
             picks: Vec::new(),
-            aux_grad: None,
             dwg: Vec::new(),
             live: false,
         });
@@ -299,49 +253,8 @@ impl TopKGate {
         let picks = decision.assignments.iter().enumerate();
         let picks = picks.flat_map(|(t, a)| a.iter().map(move |&(e, _)| (t, e)));
         cache.picks.extend(picks);
-        cache.aux_grad = aux_grad;
         cache.live = true;
         decision
-    }
-
-    /// The Switch auxiliary loss value for the most recent forward:
-    /// `E · Σ_e f_e · p̄_e`, where `f_e` is the admitted token fraction and
-    /// `p̄_e` the mean router probability of expert `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called without a cached forward.
-    pub fn aux_loss(&self) -> f32 {
-        let cache = self.cache.as_ref().expect("aux_loss requires a forward");
-        let n = cache.probs.dims()[0] as f32;
-        let e = self.num_experts();
-        let mut loss = 0.0f32;
-        for ex in 0..e {
-            let load = cache.picks.iter().filter(|&&(_, e)| e == ex).count();
-            let f_e = load as f32 / n.max(1.0);
-            let mut p_mean = 0.0f32;
-            for t in 0..cache.probs.dims()[0] {
-                p_mean += cache.probs.row(t)[ex];
-            }
-            p_mean /= n.max(1.0);
-            loss += f_e * p_mean;
-        }
-        loss * e as f32
-    }
-
-    /// Gradient of the auxiliary loss with respect to the probabilities,
-    /// treating the discrete token fractions as constants (Switch-style).
-    fn aux_loss_grad(&self, probs: &Tensor, decision: &GateDecision) -> Tensor {
-        let (n, e) = (probs.dims()[0], probs.dims()[1]);
-        let mut g = Tensor::zeros(&[n, e]);
-        for ex in 0..e {
-            let f_e = decision.expert_slots[ex].len() as f32 / n.max(1) as f32;
-            let coeff = self.aux_loss_weight * e as f32 * f_e / n.max(1) as f32;
-            for t in 0..n {
-                g.row_mut(t)[ex] = coeff;
-            }
-        }
-        g
     }
 
     /// Backward pass given the gradient of the loss with respect to each
@@ -395,11 +308,8 @@ impl TopKGate {
         let cache = cache.expect("gate backward without forward");
         cache.live = false;
         let (n, e) = (cache.probs.dims()[0], cache.probs.dims()[1]);
-        // dL/dprobs: scatter the admitted weight grads, plus the aux term.
-        let mut dprobs = cache
-            .aux_grad
-            .take()
-            .unwrap_or_else(|| Tensor::zeros(&[n, e]));
+        // dL/dprobs: scatter the admitted weight grads.
+        let mut dprobs = Tensor::zeros(&[n, e]);
         let mut count = 0;
         for (t, ex, dw) in d_weights {
             dprobs.row_mut(t)[ex] += dw;
@@ -669,18 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn aux_loss_penalizes_imbalance() {
-        let mut g = gate(1, 10.0);
-        g.aux_loss_weight = 1.0;
-        // A batch the router sends mostly to one expert has higher aux loss
-        // than a perfectly balanced batch would (lower bound is 1.0).
-        let x = rng::uniform(&[32, 8], 1.0, &mut seeded(6));
-        g.forward(&x);
-        let loss = g.aux_loss();
-        assert!(loss >= 1.0 - 1e-3, "aux loss {loss} below balanced optimum");
-    }
-
-    #[test]
     #[should_panic(expected = "1 <= k <= experts")]
     fn k_larger_than_experts_is_rejected() {
         TopKGate::new(4, 2, 3, 1.0, &mut seeded(1));
@@ -708,6 +606,31 @@ mod tests {
             let sum: f32 = a.iter().map(|&(_, w)| w).sum();
             assert!((sum - 1.0).abs() < 1e-4, "weights sum to {sum}, not 1");
         }
+    }
+
+    #[test]
+    fn fewer_live_experts_than_k_count_one_drop_per_missing_preference() {
+        // k = 2 with one live expert: each token's second preference does
+        // not exist, and counts as dropped on top of capacity overflow.
+        let mut g = gate(2, 0.5);
+        let n = 16;
+        let x = rng::uniform(&[n, 8], 1.0, &mut seeded(36));
+        let d = g.forward_masked(&x, Some(&[true, true, false, true]));
+        let cap = d.capacity;
+        assert_eq!(cap, 4, "ceil(0.5 * 2 * 16 / 4)");
+        let slots: Vec<usize> = d.expert_slots[2].iter().map(|&(t, _)| t).collect();
+        assert_eq!(slots, (0..cap).collect::<Vec<_>>());
+        for (t, a) in d.assignments.iter().enumerate() {
+            if t < cap {
+                assert_eq!(a.len(), 1);
+                assert_eq!(a[0].0, 2);
+                assert!((a[0].1 - 1.0).abs() < 1e-6, "lone survivor's weight");
+            } else {
+                assert!(a.is_empty(), "token {t} admitted past capacity");
+            }
+        }
+        // One missing preference per token (k - live = 1), plus overflow.
+        assert_eq!(d.dropped, n + (n - cap));
     }
 
     #[test]
@@ -755,56 +678,5 @@ mod tests {
         let want = fresh.forward(&x);
         assert_eq!(expanded.assignments, want.assignments);
         assert_eq!(expanded.expert_slots, want.expert_slots);
-    }
-
-    #[test]
-    fn next_best_overflow_reroutes_instead_of_dropping() {
-        // Tight capacity: Drop loses assignments, NextBest finds room.
-        let x = rng::uniform(&[32, 8], 1.0, &mut seeded(21));
-        let mut drop_gate = TopKGate::new(8, 4, 1, 0.5, &mut seeded(77));
-        let d_drop = drop_gate.forward(&x);
-        assert!(
-            d_drop.dropped > 0,
-            "tight capacity must drop under Drop policy"
-        );
-        let mut reroute_gate =
-            TopKGate::new(8, 4, 1, 0.5, &mut seeded(77)).with_overflow(OverflowPolicy::NextBest);
-        let d_next = reroute_gate.forward(&x);
-        // Capacity 0.5·32/4 = 4 slots × 4 experts = 16 total; 32 tokens
-        // cannot all fit, but every slot fills before anything drops.
-        assert!(d_next.dropped < d_drop.dropped + 1);
-        let total: usize = d_next.expert_loads().iter().sum();
-        assert_eq!(total, 4 * d_next.capacity, "NextBest fills every slot");
-        assert!(d_next.expert_loads().iter().all(|&l| l <= d_next.capacity));
-    }
-
-    #[test]
-    fn next_best_with_ample_capacity_matches_drop_policy() {
-        let x = rng::uniform(&[16, 8], 1.0, &mut seeded(22));
-        let mut a = TopKGate::new(8, 4, 2, 8.0, &mut seeded(78));
-        let mut b =
-            TopKGate::new(8, 4, 2, 8.0, &mut seeded(78)).with_overflow(OverflowPolicy::NextBest);
-        let da = a.forward(&x);
-        let db = b.forward(&x);
-        // No overflow happens, so the decisions are identical.
-        assert_eq!(da.dropped, 0);
-        assert_eq!(db.dropped, 0);
-        for (x_, y_) in da.assignments.iter().zip(db.assignments.iter()) {
-            assert_eq!(x_, y_);
-        }
-    }
-
-    #[test]
-    fn gradients_still_correct_under_next_best() {
-        // The backward contract only depends on the decision structure, so
-        // rerouted assignments must flow gradients like any other.
-        let mut g =
-            TopKGate::new(8, 4, 1, 0.5, &mut seeded(79)).with_overflow(OverflowPolicy::NextBest);
-        let x = rng::uniform(&[16, 8], 0.5, &mut seeded(23));
-        let d = g.forward(&x);
-        let d_weights: Vec<Vec<f32>> = d.assignments.iter().map(|a| vec![1.0; a.len()]).collect();
-        let dx = g.backward(&d_weights);
-        assert_eq!(dx.dims(), &[16, 8]);
-        assert!(dx.all_finite());
     }
 }

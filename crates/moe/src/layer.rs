@@ -88,12 +88,6 @@ impl MoeLayer {
         self
     }
 
-    /// Enables the auxiliary load-balancing loss with the given weight.
-    pub fn with_aux_loss(mut self, weight: f32) -> Self {
-        self.gate.aux_loss_weight = weight;
-        self
-    }
-
     /// The gate.
     pub fn gate(&self) -> &TopKGate {
         &self.gate
@@ -294,13 +288,5 @@ mod tests {
         let mut l = layer(1, 1.0);
         // Gate 6*4; each expert 6*12+12+12*6+6.
         assert_eq!(l.num_params(), 6 * 4 + 4 * (6 * 12 + 12 + 12 * 6 + 6));
-    }
-
-    #[test]
-    fn aux_loss_is_exposed_through_gate() {
-        let mut l = layer(1, 2.0).with_aux_loss(0.01);
-        let x = rng::uniform(&[16, 6], 1.0, &mut seeded(98));
-        l.forward(&x);
-        assert!(l.gate().aux_loss() >= 1.0 - 1e-3);
     }
 }

@@ -3,8 +3,7 @@
 //! Implements the paper's §2.1 MoE structure end to end:
 //!
 //! * [`TopKGate`] — a learnable linear router with softmax probabilities,
-//!   top-`k` selection, and capacity-factor token dropping (Eq. 1), plus
-//!   the Switch-Transformer auxiliary load-balancing loss.
+//!   top-`k` selection, and capacity-factor token dropping (Eq. 1).
 //! * [`FfExpert`] — the expert abstraction (`AbsExpert`): a two-layer
 //!   feed-forward network with hand-written backward.
 //! * [`MoeLayer`] — a single-process MoE layer (all experts local) with a
@@ -29,7 +28,7 @@ pub mod routing;
 
 pub use distributed::{DistributedMoeLayer, GradAllreduce};
 pub use expert::{Expert, FfExpert};
-pub use gating::{GateDecision, OverflowPolicy, TopKGate};
+pub use gating::{GateDecision, TopKGate};
 pub use layer::MoeLayer;
 pub use placement::{decide_plan, gray_ranks, LoadReport, Placement, PlacementPlan, PolicyConfig};
 pub use replication::{DeltaEncoder, ReplicaStore, REPLICA_CHUNK};

@@ -324,75 +324,6 @@ pub fn routing_snapshots() -> Vec<RoutingSnapshot> {
     snaps
 }
 
-/// A lock-free log2-bucketed histogram of wait durations.
-///
-/// Bucket `i` counts waits in `[2^i, 2^(i+1))` nanoseconds (bucket 0 also
-/// absorbs sub-nanosecond waits); 64 buckets cover every representable
-/// `u64` nanosecond count. Quantiles come back as the *upper* edge of the
-/// covering bucket, so deadlines derived from them always err on the long
-/// side — a straggler gets extra slack, never less.
-///
-/// Unlike [`RankCounters`] this is NOT gated on the recorder switch:
-/// adaptive receive deadlines need wait samples even when tracing is off.
-/// The fabric only records into it while a fault plan is installed, which
-/// keeps the no-plan fast path free of `Instant::now` calls.
-#[derive(Debug)]
-pub struct WaitHistogram {
-    buckets: [AtomicU64; 64],
-}
-
-impl Default for WaitHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WaitHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        WaitHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// Records one observed wait.
-    #[inline]
-    pub fn record(&self, wait: Duration) {
-        let ns = wait.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let idx = 63 - ns.max(1).leading_zeros() as usize;
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total recorded waits.
-    pub fn samples(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// The upper bucket edge covering quantile `q` (clamped to `[0, 1]`),
-    /// or `None` when nothing has been recorded.
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-        let mut acc = 0u64;
-        for (i, c) in counts.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                let upper = if i >= 63 { u64::MAX } else { 1u64 << (i + 1) };
-                return Some(Duration::from_nanos(upper));
-            }
-        }
-        unreachable!("cumulative count reaches the total")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,36 +382,6 @@ mod tests {
         assert_eq!(c.snapshot().snapshot_bytes_written, 0);
         assert_eq!(c.snapshot().snapshot_shards, 0);
         assert_eq!(c.snapshot().bytes_sent, 0);
-    }
-
-    #[test]
-    fn wait_histogram_quantiles_bound_the_samples_from_above() {
-        let h = WaitHistogram::new();
-        assert_eq!(h.quantile(0.99), None);
-        // 99 fast waits (~1 µs) and one slow outlier (~1 ms).
-        for _ in 0..99 {
-            h.record(Duration::from_micros(1));
-        }
-        h.record(Duration::from_millis(1));
-        assert_eq!(h.samples(), 100);
-        // The median bucket upper-bounds 1 µs but sits far below 1 ms.
-        let p50 = h.quantile(0.5).unwrap();
-        assert!(p50 >= Duration::from_micros(1) && p50 < Duration::from_micros(10));
-        // The tail quantile covers the outlier.
-        let p100 = h.quantile(1.0).unwrap();
-        assert!(p100 >= Duration::from_millis(1));
-        // q is clamped; zero maps to the first non-empty bucket.
-        assert!(h.quantile(-3.0).unwrap() <= p50);
-        assert_eq!(h.quantile(7.5), h.quantile(1.0));
-    }
-
-    #[test]
-    fn wait_histogram_handles_extreme_durations() {
-        let h = WaitHistogram::new();
-        h.record(Duration::ZERO);
-        h.record(Duration::from_secs(u64::MAX / 1_000_000_000));
-        assert_eq!(h.samples(), 2);
-        assert!(h.quantile(1.0).unwrap() >= Duration::from_secs(1 << 32));
     }
 
     #[test]

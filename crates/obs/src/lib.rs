@@ -52,7 +52,7 @@ pub mod recorder;
 
 pub use counters::{
     counters_for_rank, reset_counters, routing_for_rank, routing_snapshots, CounterSnapshot,
-    RankCounters, RoutingBoard, RoutingSnapshot, WaitHistogram, MAX_ROUTING_EXPERTS,
+    RankCounters, RoutingBoard, RoutingSnapshot, MAX_ROUTING_EXPERTS,
 };
 pub use recorder::{
     disable, enable, enabled, set_thread_name, set_thread_rank, span, span_sized, take,

@@ -256,47 +256,12 @@ pub fn take() -> FuncTrace {
 }
 
 impl FuncTrace {
-    /// Total recorded duration of all spans in `cat`, in milliseconds.
-    pub fn total_ms_by_cat(&self, cat: &str) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.cat == cat)
-            .map(|s| s.dur_us)
-            .sum::<f64>()
-            / 1e3
-    }
-
-    /// Number of spans in `cat`.
-    pub fn count_by_cat(&self, cat: &str) -> usize {
-        self.spans.iter().filter(|s| s.cat == cat).count()
-    }
-
     /// The distinct categories present, sorted.
     pub fn cats(&self) -> Vec<&'static str> {
         let mut cats: Vec<&'static str> = self.spans.iter().map(|s| s.cat).collect();
         cats.sort_unstable();
         cats.dedup();
         cats
-    }
-
-    /// Wall-clock extent of the trace (first start to last end), in
-    /// milliseconds.
-    pub fn span_ms(&self) -> f64 {
-        let start = self
-            .spans
-            .iter()
-            .map(|s| s.start_us)
-            .fold(f64::INFINITY, f64::min);
-        let end = self
-            .spans
-            .iter()
-            .map(|s| s.start_us + s.dur_us)
-            .fold(0.0f64, f64::max);
-        if start.is_finite() {
-            (end - start) / 1e3
-        } else {
-            0.0
-        }
     }
 
     /// Serializes the trace as Trace Event Format JSON: one process per
@@ -667,10 +632,7 @@ mod tests {
         }
         let t = take();
         disable();
-        assert_eq!(t.count_by_cat("alpha"), 1);
-        assert_eq!(t.count_by_cat("beta"), 1);
-        assert!(t.cats().contains(&"alpha"));
-        assert!(t.total_ms_by_cat("alpha") >= 0.0);
-        assert!(t.span_ms() >= 0.0);
+        let cats = t.cats();
+        assert!(cats.contains(&"alpha") && cats.contains(&"beta"));
     }
 }
