@@ -1,7 +1,7 @@
 //! Multi-process launcher for the fault-tolerant trainer.
 //!
 //! `schemoe-launch` spawns one OS process per rank, wires them together
-//! over a real transport, and runs [`run_ft_rank`] in each — the same
+//! over a real transport, and runs [`run_ft_rank_durable`] in each — the same
 //! trainer the in-process chaos tests drive, now with real process
 //! boundaries: a `--kill-rank` is a genuine `SIGKILL`, the peers see a
 //! socket reset (TCP) or a vanished pid (shared memory) instead of a

@@ -5,7 +5,7 @@
 //! returns `{bench, title, columns, rows, …}`: one table whose column
 //! keys double as headings and whose cells are numbers, strings or, where
 //! the paper published a counterpart, `{model, paper, err}` read from
-//! [`published`] (`err` is the signed relative error, so calibration is a
+//! `published` (`err` is the signed relative error, so calibration is a
 //! column, not a program), plus *facts* — nested tables and the named
 //! values the row's gates in [`super::SCENARIOS`] read. A time a system
 //! could not produce because it ran out of memory is `NaN`: it prints as

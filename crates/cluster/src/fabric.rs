@@ -15,9 +15,10 @@
 //! behaviors are identical on every backend. What happens to a sealed
 //! record in flight belongs to the fault layer beneath it
 //! ([`crate::transport::chaos`]); the handle only reads the kill schedule
-//! from the same [`ChaosPlan`]. One rule covers an installed plan: frames
-//! are sealed, and deadlined receives wait in 5 ms slices so a posted death
-//! is noticed.
+//! from the same [`ChaosPlan`]. Every record is sealed on every backend, so
+//! a damaged or stale frame means the same thing on each. One rule covers
+//! an installed plan: deadlined receives wait in 5 ms slices so a posted
+//! death is noticed.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -146,8 +147,7 @@ pub struct RankHandle {
     /// The backend carrying raw `(tag, payload)` records between ranks.
     transport: Box<dyn Transport>,
     /// Where outgoing frames are checked out: the rank's one buffer pool
-    /// (the transport's receive path fills from the same one) and the
-    /// header room this transport's framing needs.
+    /// (the transport's receive path fills from the same one).
     frames: FramePool,
     /// Out-of-order messages parked until a matching tag is requested. A
     /// queue that drains is removed, so the map holds only live frames.
@@ -313,13 +313,9 @@ impl RankHandle {
     }
 
     /// Delivers a wire payload to the caller: strips and validates the CRC
-    /// frame when framing is on, rejects frames from a stale membership
-    /// epoch, and records receive counters.
+    /// frame, rejects frames from a stale membership epoch, and records
+    /// receive counters.
     fn unpack(&self, from: Rank, tag: u64, payload: Bytes) -> Result<Bytes, FabricError> {
-        if !self.transport.always_framed() {
-            self.counters.add_recv(payload.len());
-            return Ok(payload);
-        }
         match faults::deframe(&payload) {
             Some((frame_epoch, p)) => {
                 let local_epoch = self.epoch.get();
@@ -389,9 +385,9 @@ impl RankHandle {
     }
 
     /// Sends `payload` to `to` under `tag`, stamped with this rank's
-    /// current membership epoch. On a framed transport the payload is
-    /// copied into a [`FrameBuf`] and sealed there; a caller that can build
-    /// its payload in place uses [`send_frame`](Self::send_frame).
+    /// current membership epoch. The payload is copied into a [`FrameBuf`]
+    /// and sealed there; a caller that can build its payload in place uses
+    /// [`send_frame`](Self::send_frame).
     ///
     /// Never blocks on the receiver (channels are unbounded).
     pub fn send(&self, to: Rank, tag: u64, payload: Bytes) -> Result<(), FabricError> {
@@ -410,7 +406,7 @@ impl RankHandle {
     /// [`frames`](Self::frames): sealed in place with this rank's current
     /// epoch — one CRC pass, no copy — and handed to the transport.
     pub fn send_frame(&self, to: Rank, tag: u64, buf: FrameBuf) -> Result<(), FabricError> {
-        assert_eq!(buf.headroom, self.frames.headroom, "another handle's frame");
+        assert_eq!(buf.headroom, faults::FRAME_HEADER, "not a FramePool frame");
         let epoch = self.epoch.get();
         self.send_record(to, tag, buf.body_len(), || buf.seal(epoch))
     }
@@ -423,9 +419,6 @@ impl RankHandle {
         stamp: Option<u32>,
     ) -> Result<(), FabricError> {
         self.send_record(to, tag, payload.len(), || {
-            if !self.transport.always_framed() {
-                return payload;
-            }
             let mut buf = self.frames.checkout(payload.len());
             buf.body_mut().extend_from_slice(&payload);
             buf.seal(stamp.unwrap_or_else(|| self.epoch.get()))
@@ -606,7 +599,7 @@ impl RankHandle {
         RankHandle {
             rank,
             topology,
-            frames: FramePool::new(transport.pool(), transport.always_framed()),
+            frames: FramePool::new(transport.pool()),
             transport,
             pending: HashMap::new(),
             counters: obs::counters_for_rank(rank),
@@ -649,10 +642,10 @@ impl Fabric {
     }
 
     /// Like [`run_on`](Self::run_on), but with a seeded [`ChaosPlan`]
-    /// installed on every rank: payloads travel CRC-framed, sends meet the
-    /// plan's windows, lottery, shaping and kill schedule, and plain
-    /// receives inherit its liveness deadline. The same plan replays an
-    /// identical fault sequence on every run and every backend. A plan
+    /// installed on every rank: sends meet the plan's windows, lottery,
+    /// shaping and kill schedule, and plain receives inherit its liveness
+    /// deadline. The same plan replays an identical fault sequence on every
+    /// run and every backend. A plan
     /// without [`with_recv_deadline`](ChaosPlan::with_recv_deadline) suits
     /// only closures that set their own deadlines — lost sends surface as
     /// timeouts, and an undeadlined `recv` would hang instead.
@@ -849,9 +842,10 @@ mod tests {
             } else {
                 // Asking for the last tag parks the four frames ahead of it.
                 h.recv(0, 9).unwrap();
-                assert_eq!(h.parked_bytes(), 8);
+                // Each parked frame is 2 payload bytes behind a 12-byte header.
+                assert_eq!(h.parked_bytes(), 4 * 14);
                 assert_eq!(h.discard_parked(|peer, tag| peer == 0 && tag == 5), 2);
-                assert_eq!(h.parked_bytes(), 4);
+                assert_eq!(h.parked_bytes(), 2 * 14);
                 h.recv(0, 6).unwrap();
                 h.recv_timeout(0, 7, Duration::from_secs(1)).unwrap();
                 assert!(h.pending.is_empty(), "a drained queue must not linger");

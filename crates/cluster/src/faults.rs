@@ -18,11 +18,10 @@
 //!
 //! # Wire framing
 //!
-//! On real-wire transports, and on any transport while a plan is
-//! installed, every payload travels inside a length + epoch + CRC32 frame
-//! (`[len u32-le][epoch u32-le][crc32 u32-le][payload]`). The CRC covers
-//! the epoch *and* the payload, so a flipped epoch is indistinguishable
-//! from a flipped payload bit — both surface as
+//! On every transport every payload travels inside a length + epoch +
+//! CRC32 frame (`[len u32-le][epoch u32-le][crc32 u32-le][payload]`). The
+//! CRC covers the epoch *and* the payload, so a flipped epoch is
+//! indistinguishable from a flipped payload bit — both surface as
 //! [`FabricError::Corrupt`](crate::FabricError::Corrupt). The epoch is the
 //! membership epoch of the sender at send time; receivers reject frames
 //! whose epoch is *older* than their own as
@@ -31,12 +30,11 @@
 //! talking as if nothing happened. Frames stamped [`EPOCH_ANY`] bypass the
 //! staleness check — that is the stamp control-plane traffic (rejoin
 //! invites and acknowledgements) uses, because by definition it crosses an
-//! epoch boundary. On a plan-less channel run the frame (and its cost)
-//! does not exist.
+//! epoch boundary.
 //!
 //! A frame is never assembled by copying. The sender checks a
 //! [`FrameBuf`] out of its [`FramePool`] with the header's 12 bytes
-//! reserved in front, appends the payload, and [`FrameBuf::seal`] writes
+//! reserved in front, appends the payload, and `FrameBuf::seal` writes
 //! the header into that headroom; [`deframe`] checks the CRC over the
 //! received buffer and returns the payload as a window onto it.
 
@@ -79,27 +77,24 @@ pub const FRAME_HEADER: usize = 12;
 /// this wildcard stamp instead of a concrete epoch.
 pub const EPOCH_ANY: u32 = u32::MAX;
 
-/// Where a rank's outgoing frames come from: its buffer pool plus the
-/// header room its transport calls for. Cheap to clone, so compute tasks
-/// check frames out without touching the handle.
+/// Where a rank's outgoing frames come from: its buffer pool, each frame
+/// checked out with [`FRAME_HEADER`] bytes of header room. Cheap to clone,
+/// so compute tasks check frames out without touching the handle.
 #[derive(Clone)]
 pub struct FramePool {
     pool: BufPool,
-    pub(crate) headroom: usize,
 }
 
 impl FramePool {
-    /// Frames from `pool`, with [`FRAME_HEADER`] bytes of headroom iff the
-    /// transport is `framed`.
-    pub fn new(pool: BufPool, framed: bool) -> Self {
-        let headroom = if framed { FRAME_HEADER } else { 0 };
-        FramePool { pool, headroom }
+    /// Frames from `pool`.
+    pub fn new(pool: BufPool) -> Self {
+        FramePool { pool }
     }
 
     /// An empty frame with room for a `body`-byte payload.
     pub fn checkout(&self, body: usize) -> FrameBuf {
-        let mut frame = self.pool.checkout(self.headroom, self.headroom + body);
-        frame.body_mut().truncate(self.headroom);
+        let mut frame = self.pool.checkout(FRAME_HEADER, FRAME_HEADER + body);
+        frame.body_mut().truncate(FRAME_HEADER);
         frame
     }
 
@@ -110,24 +105,21 @@ impl FramePool {
 }
 
 impl FrameBuf {
-    /// Stamps `[len][epoch][crc32]` into the headroom, if there is any, and
-    /// freezes the record: one CRC pass over the epoch and the payload, no
-    /// copy.
+    /// Stamps `[len][epoch][crc32]` into the headroom and freezes the
+    /// record: one CRC pass over the epoch and the payload, no copy.
     pub(crate) fn seal(mut self, epoch: u32) -> Bytes {
-        if self.headroom == FRAME_HEADER {
-            let (header, payload) = self.body_mut().split_at_mut(FRAME_HEADER);
-            let crc = !crc32_update(crc32_update(0xFFFF_FFFF, &epoch.to_le_bytes()), payload);
-            header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-            header[4..8].copy_from_slice(&epoch.to_le_bytes());
-            header[8..12].copy_from_slice(&crc.to_le_bytes());
-        }
+        let (header, payload) = self.body_mut().split_at_mut(FRAME_HEADER);
+        let crc = !crc32_update(crc32_update(0xFFFF_FFFF, &epoch.to_le_bytes()), payload);
+        header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..8].copy_from_slice(&epoch.to_le_bytes());
+        header[8..12].copy_from_slice(&crc.to_le_bytes());
         self.freeze()
     }
 }
 
 /// Wraps `payload` in a `[len][epoch][crc32][payload]` frame.
 pub fn frame(payload: &[u8], epoch: u32) -> Bytes {
-    let mut buf = FramePool::new(BufPool::default(), true).checkout(payload.len());
+    let mut buf = FramePool::new(BufPool::default()).checkout(payload.len());
     buf.body_mut().extend_from_slice(payload);
     buf.seal(epoch)
 }
@@ -217,7 +209,7 @@ mod tests {
         let pool = BufPool::default();
         for len in [0usize, 1, 11, 12, 13, 1000] {
             let payload: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
-            let mut buf = FramePool::new(pool.clone(), true).checkout(len);
+            let mut buf = FramePool::new(pool.clone()).checkout(len);
             buf.body_mut().extend_from_slice(&payload);
             assert_eq!(buf.body_len(), len);
             let sealed = buf.seal(9);
@@ -231,17 +223,10 @@ mod tests {
             drop(got);
             assert_eq!(pool.usage().0, 0);
         }
-        // Without headroom (a plan-less channel run) there is no frame: the
-        // record is the payload, and so is the mailbox form of either.
-        let bare = FramePool::new(pool.clone(), false);
-        let mut buf = bare.checkout(4);
-        buf.body_mut().extend_from_slice(b"bare");
-        assert_eq!(&buf.seal(3)[..], b"bare");
-        for frames in [bare, FramePool::new(pool, true)] {
-            let mut buf = frames.checkout(4);
-            buf.body_mut().extend_from_slice(b"self");
-            assert_eq!(&buf.into_payload()[..], b"self");
-        }
+        // A chunk that changes mailbox without the wire is the payload.
+        let mut buf = FramePool::new(pool).checkout(4);
+        buf.body_mut().extend_from_slice(b"self");
+        assert_eq!(&buf.into_payload()[..], b"self");
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! This is the original in-process fabric interconnect, unchanged in
 //! behavior: one channel per ordered rank pair so sends never block, a
 //! [`std::sync::Barrier`] shared by the mesh, and a process-local
-//! liveness board of atomics. Payloads travel as the fabric hands them
-//! over — framing only happens above the transport, when a fault plan
-//! asks for it — so channel-backed runs stay bit-identical to every
-//! pre-trait chaos replay.
+//! liveness board of atomics. Records travel as the fabric hands them
+//! over: the sealed `[len][epoch][crc32][payload]` frame every backend
+//! carries, moved by reference, never copied.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -117,10 +116,6 @@ impl Transport for ChannelTransport {
         if rank < self.dead_board.len() {
             self.dead_board[rank].store(false, Ordering::Release);
         }
-    }
-
-    fn always_framed(&self) -> bool {
-        false
     }
 
     fn reconnectable(&self) -> bool {

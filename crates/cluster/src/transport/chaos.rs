@@ -480,12 +480,6 @@ impl Transport for ChaosTransport {
         self.inner.clear_death(rank)
     }
 
-    fn always_framed(&self) -> bool {
-        // A plan is installed: every record is sealed so a flipped bit
-        // is caught, whatever the backend.
-        true
-    }
-
     fn reconnectable(&self) -> bool {
         self.inner.reconnectable() || self.plan.misbehaves_by_link()
     }

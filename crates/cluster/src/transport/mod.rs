@@ -10,8 +10,8 @@
 //! flight is lost, flipped, stalled, shaped or refused:
 //!
 //! * [`channel`] — the reference impl: ranks are threads in one process,
-//!   links are unbounded channels. Zero syscalls, zero framing; this is
-//!   the backend every deterministic chaos replay is defined against.
+//!   links are unbounded channels. Zero syscalls; this is the backend
+//!   every deterministic chaos replay is defined against.
 //! * [`shm`] — ranks are OS processes on one host; every directed link is
 //!   a single-producer single-consumer ring buffer in a `/dev/shm`-backed
 //!   file, and the liveness board is a shared file of per-rank slots.
@@ -159,12 +159,6 @@ pub trait Transport: Send {
 
     /// Clears `rank`'s board entry (the rejoin protocol re-admitting it).
     fn clear_death(&self, rank: Rank);
-
-    /// True when every payload must travel CRC/epoch-framed: real wires
-    /// can damage bytes, so the `[len][epoch][crc32]` frame goes on the
-    /// wire verbatim for the shm and tcp backends, and the chaos decorator
-    /// damages them on purpose, so any backend it wraps is framed too.
-    fn always_framed(&self) -> bool;
 
     /// True when a buried peer can physically come back — as a respawned
     /// OS process dialing in through rendezvous, or from behind a link the

@@ -461,10 +461,6 @@ impl Transport for ShmTransport {
         }
     }
 
-    fn always_framed(&self) -> bool {
-        true
-    }
-
     fn reconnectable(&self) -> bool {
         true
     }

@@ -795,10 +795,6 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn always_framed(&self) -> bool {
-        true
-    }
-
     fn reconnectable(&self) -> bool {
         self.reconnectable
     }

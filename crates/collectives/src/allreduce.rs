@@ -1,15 +1,13 @@
 //! All-reduce collectives for the data-parallel (dense) gradients.
 //!
 //! MoE models train the non-expert parameters data-parallel, so every
-//! step also all-reduces dense gradients (the collective that Lina [20]
+//! step also all-reduces dense gradients (the collective that Lina \[20\]
 //! co-schedules with the MoE all-to-alls). Two algorithms are provided:
 //! a naive root-gather/broadcast ([`allreduce_live`], which also runs
 //! among the survivors of a degraded world) and the bandwidth-optimal ring.
 
-use schemoe_cluster::{FabricError, RankHandle, Topology};
+use schemoe_cluster::{FabricError, RankHandle};
 use schemoe_compression::{add_f32_le, copy_f32_le, Compressor, NoCompression};
-
-use crate::plan::{A2aPlan, Blocks, Ranks::One, SrOp};
 
 /// A sum all-reduce over `f32` buffers.
 pub trait AllReduce: Send + Sync {
@@ -23,10 +21,6 @@ pub trait AllReduce: Send + Sync {
         data: &mut [f32],
         tag_base: u64,
     ) -> Result<(), FabricError>;
-
-    /// Compiles the algorithm into a simulatable plan for `input_bytes`
-    /// of gradient per rank.
-    fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan;
 }
 
 /// Sums `values` elementwise across all ranks in place (naive allreduce:
@@ -116,26 +110,6 @@ impl AllReduce for NaiveAllReduce {
     ) -> Result<(), FabricError> {
         allreduce_inplace(handle, data, tag_base)
     }
-
-    fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan {
-        // Rank 0's ingress then egress carry P−1 full-size messages each;
-        // charge them to rank 0's stream, which is the bottleneck.
-        let (mut gather, mut bcast) = (Vec::new(), Vec::new());
-        for r in 1..topo.world_size() {
-            gather.push(SrOp {
-                owner: 0,
-                ..pair(topo, r, 0, input_bytes)
-            });
-            bcast.push(pair(topo, 0, r, input_bytes));
-        }
-        A2aPlan::new(self.name(), vec![gather, bcast]).with_staging_bytes(input_bytes)
-    }
-}
-
-/// An allreduce message of `bytes` from `src` to `dst`. It carries a
-/// partial sum, not exchange blocks, so its block set is just its own pair.
-fn pair(topo: &Topology, src: usize, dst: usize, bytes: u64) -> SrOp {
-    SrOp::carrying(topo, src, dst, Blocks(One(src), One(dst)), bytes)
 }
 
 /// Ring all-reduce: reduce-scatter then all-gather, `2(P−1)` steps of
@@ -204,26 +178,12 @@ impl AllReduce for RingAllReduce {
         }
         Ok(())
     }
-
-    fn plan(&self, topo: &Topology, input_bytes: u64) -> A2aPlan {
-        // 2(P−1) synchronous ring steps; each rank forwards bytes/P to its
-        // successor per step. Every step is one phase (the ring is
-        // bulk-synchronous: step i+1 needs step i's data).
-        let p = topo.world_size();
-        let per_step = input_bytes / p as u64;
-        let step: Vec<SrOp> = topo
-            .ranks()
-            .map(|src| pair(topo, src, (src + 1) % p, per_step))
-            .collect();
-        let phases = vec![step; 2 * p.saturating_sub(1)];
-        A2aPlan::new(self.name(), phases).with_staging_bytes(2 * input_bytes / p as u64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schemoe_cluster::{Fabric, HardwareProfile};
+    use schemoe_cluster::{Fabric, Topology};
 
     fn run_allreduce(alg: &dyn AllReduce, topo: Topology, len: usize) -> Vec<Vec<f32>> {
         Fabric::run(topo, |mut h| {
@@ -309,27 +269,6 @@ mod tests {
         for got in results {
             assert_eq!(got, want);
         }
-    }
-
-    #[test]
-    fn ring_beats_naive_at_scale_in_the_simulator() {
-        let topo = Topology::paper_testbed();
-        let hw = HardwareProfile::paper_testbed();
-        let bytes = 100_000_000u64;
-        let ring = RingAllReduce
-            .plan(&topo, bytes)
-            .simulate(&topo, &hw)
-            .unwrap()
-            .makespan();
-        let naive = NaiveAllReduce
-            .plan(&topo, bytes)
-            .simulate(&topo, &hw)
-            .unwrap()
-            .makespan();
-        assert!(
-            ring < naive,
-            "ring {ring} should beat the root bottleneck {naive} at 100 MB"
-        );
     }
 
     #[test]

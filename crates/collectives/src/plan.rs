@@ -544,7 +544,7 @@ mod tests {
     }
 
     fn packed(blocks: &[Bytes]) -> Bytes {
-        let frames = FramePool::new(schemoe_cluster::BufPool::default(), true);
+        let frames = FramePool::new(schemoe_cluster::BufPool::default());
         bundle(&frames, blocks).into_payload()
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Every sealed byte in the system passes through [`crc32_update`]: wire
 //! frames at both ends of a hop (`schemoe_cluster::faults`), checkpoints,
-//! shards and manifests (`schemoe_tensor::{checkpoint, snapshot}`), delta
+//! shards and manifests (`schemoe_tensor::{checkpoint, snapshot}`), replica
 //! and placement frames (`schemoe_moe`). It is slicing-by-16: sixteen
 //! 256-entry tables built at compile time, sixteen input bytes folded per
 //! iteration, the bytewise loop for the tail.

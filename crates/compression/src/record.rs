@@ -34,7 +34,7 @@ pub enum RecordError {
         computed: u32,
     },
     /// A verified record that does not fit where it is applied: a
-    /// checkpoint of another model's shape, a delta against another base.
+    /// checkpoint of another model's shape.
     Mismatch {
         /// What did not fit, for diagnostics.
         detail: String,

@@ -64,8 +64,8 @@
 //!
 //! With [`FtConfig::replica_interval`] `K > 0`, every `K` committed steps
 //! each rank streams its expert weights **and** optimizer velocity to the
-//! buddy at `(rank + 1) mod n` as one CRC-sealed, delta-encoded frame
-//! (see [`schemoe_moe::DeltaEncoder`]), and absorbs the frame of each
+//! buddy at `(rank + 1) mod n` as one whole CRC-sealed frame (see
+//! [`schemoe_moe::replication`]), and absorbs the frame of each
 //! rank whose buddy it is. When a rank is buried, its buddy *activates* the
 //! replica: every survivor installs a failover route in the MoE layer,
 //! the buddy rebuilds the dead rank's expert (replica if one arrived,

@@ -17,7 +17,7 @@ use bytes::Bytes;
 use schemoe_cluster::storage::{write_atomic, ChaosFs, RealFs, StorageFs};
 use schemoe_cluster::{FabricError, RankHandle};
 use schemoe_compression::record::{Reader, Writer};
-use schemoe_moe::{decide_plan, LoadReport, Placement, PlacementPlan, PolicyConfig};
+use schemoe_moe::{decide_plan, DeltaEncoder, LoadReport, Placement, PlacementPlan, PolicyConfig};
 use schemoe_obs::span;
 use schemoe_tensor::checkpoint;
 use schemoe_tensor::snapshot::{self, Manifest, ManifestEntry, Shard};
@@ -46,11 +46,10 @@ const PLACEMENT_SHED_FLOOR: f64 = 0.5;
 /// quantum. The buddy graph is the plain ring, so each rank has at most
 /// one live ward.
 ///
-/// A skipped send (dead buddy) or failed send breaks the delta chain, so
-/// the encoder is reset and the next frame the buddy sees is a full
-/// resync. A missed or damaged inbound frame is simply dropped: the store
-/// keeps its previous replica and later deltas are rejected until the
-/// ward's periodic full frame re-anchors the chain.
+/// Every frame carries the whole expert state, so nothing chains: a
+/// skipped or failed send costs the buddy that one quantum, and a missed
+/// or damaged inbound frame is dropped while the store keeps its previous
+/// replica until the ward's next frame replaces it.
 pub(super) fn replicate_quantum(h: &mut RankHandle, st: &mut RankState) -> Result<(), FabricError> {
     let (me, p, step) = (st.me, st.p, st.step);
     let buddy = buddy_of(me, p);
@@ -64,27 +63,18 @@ pub(super) fn replicate_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
         let frame = {
             let _s = span("replication", format_args!("encode@{step}"));
             let payload = st.save(Half::OwnExpert);
-            Bytes::from(st.enc.encode(&payload, step as u64))
+            Bytes::from(DeltaEncoder::new().encode(&payload, step as u64))
         };
         let _s = span("replication", format_args!("send@{step}"));
-        match wire::send_copies(h, buddy, lane, &frame) {
-            Ok(1..) => {
-                st.report.replica_quanta += 1;
-                st.report.replica_bytes += frame.len() as u64;
-                schemoe_obs::counters_for_rank(me).add_replica_sent(frame.len());
-            }
-            refused => {
-                st.enc.reset();
-                refused?;
-            }
+        if wire::send_copies(h, buddy, lane, &frame)? > 0 {
+            st.report.replica_quanta += 1;
+            st.report.replica_bytes += frame.len() as u64;
+            schemoe_obs::counters_for_rank(me).add_replica_sent(frame.len());
         }
-    } else {
-        st.enc.reset();
     }
     for ward in wards {
         let _s = span("replication", format_args!("recv{ward}@{step}"));
-        // A damaged or out-of-chain frame leaves the store untouched; the
-        // ward's next full frame re-anchors it.
+        // A damaged frame leaves the store untouched.
         let store = st.stores.entry(ward).or_default();
         wire::recv_copy(h, ward, lane, st.cfg.vote_deadline(), |m| {
             store.apply(m).ok()
@@ -595,7 +585,9 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ft::FtConfig;
     use proptest::prelude::*;
+    use schemoe_cluster::{ChaosPlan, Fabric, Topology, TransportKind};
 
     fn hex(b: &[u8]) -> String {
         b.iter().map(|x| format!("{x:02x}")).collect()
@@ -622,6 +614,27 @@ mod tests {
         assert_eq!(hex(&encode_flag(false)), "00");
         assert_eq!(decode_plan(&encode_plan(Some(&plan))), Some(Some(plan)));
         assert_eq!(decode_flag(&encode_flag(true)), Some(true));
+    }
+
+    #[test]
+    fn a_lost_replica_frame_costs_only_its_own_quantum() {
+        // Send 1 on link 0 -> 1 is quantum 2's frame to rank 0's buddy.
+        let cfg = FtConfig::tiny(4);
+        let plan = ChaosPlan::seeded(1).blackhole_window(0, 1, 1, 2);
+        let stored = Fabric::run_with(
+            TransportKind::Channel,
+            Topology::new(1, 2),
+            Some(plan),
+            |mut h| {
+                let mut st = RankState::new(&cfg, h.rank(), 2);
+                for step in 1..=3 {
+                    st.step = step;
+                    replicate_quantum(&mut h, &mut st).expect("no rank dies");
+                }
+                st.stores.get(&0).and_then(|s| s.replica()).map(|(q, _)| q)
+            },
+        );
+        assert_eq!(stored[1], Some(3), "rank 1's replica of ward 0");
     }
 
     #[test]

@@ -10,8 +10,8 @@ use schemoe_collectives::NcclA2A;
 use schemoe_compression::record::RecordError;
 use schemoe_compression::NoCompression;
 use schemoe_moe::{
-    allreduce_live, DeltaEncoder, DistributedMoeLayer, Expert, FfExpert, GradAllreduce, Placement,
-    ReplicaStore, TopKGate,
+    allreduce_live, DistributedMoeLayer, Expert, FfExpert, GradAllreduce, Placement, ReplicaStore,
+    TopKGate,
 };
 use schemoe_tensor::checkpoint;
 use schemoe_tensor::nn::{Embedding, Linear, Module, Param, SoftmaxCrossEntropy};
@@ -105,9 +105,7 @@ pub struct RankState {
     pub(super) tag: u64,
     ckpt: Vec<u8>,
     ckpt_step: usize,
-    /// Buddy replication: the delta encoder for frames this rank streams,
-    /// and per ward its latest verified replica.
-    pub(super) enc: DeltaEncoder,
+    /// Buddy replication: per ward its latest verified replica.
     pub(super) stores: BTreeMap<usize, ReplicaStore>,
     /// The optimizer of each guest body, by global expert: the home's own
     /// rule, kept outside [`opt`](Self::opt) because its slot order must
@@ -186,7 +184,6 @@ impl RankState {
             tag: 0,
             ckpt: Vec::new(),
             ckpt_step: 0,
-            enc: DeltaEncoder::new(),
             stores: BTreeMap::new(),
             guest_opt: BTreeMap::new(),
             placement_version: 0,
@@ -365,8 +362,8 @@ impl RankState {
 
     /// The reset a rank performs on coming back through an invite, to
     /// resume at `step` under the tag window at `tag`: anything it hosted
-    /// or replicated before is stale, so its guests go, the chains start
-    /// over and the checkpoint is retaken at the invited step.
+    /// or replicated before is stale, so its guests and stored replicas go
+    /// and the checkpoint is retaken at the invited step.
     pub(super) fn resume_at(&mut self, step: usize, tag: u64) {
         self.report.rejoins += 1;
         self.step = step;
@@ -374,7 +371,6 @@ impl RankState {
         for e in self.model.moe.guest_expert_ids() {
             self.discard_guest(e);
         }
-        self.enc.reset();
         self.stores.clear();
         self.checkpoint();
     }
@@ -576,6 +572,7 @@ impl RankState {
 mod tests {
     use super::*;
     use schemoe_cluster::{Fabric, Topology};
+    use schemoe_moe::DeltaEncoder;
 
     fn expert_values(st: &mut RankState) -> Vec<Vec<f32>> {
         let mut values = Vec::new();

@@ -100,7 +100,7 @@ pub enum Lane {
     Resume,
     /// The coordinator's admission mask at a rejoin quantum.
     Decision,
-    /// A delta-encoded expert frame for the buddy.
+    /// A whole expert frame for the buddy.
     Replica,
     /// A rank's durable-shard ack to the snapshot coordinator.
     SnapshotAck,

@@ -319,11 +319,8 @@ mod tests {
     }
 
     /// The into-form encoder over whole row blocks, as a payload.
-    fn encode_into(compressor: &dyn Compressor, framed: bool, blocks: &[Tensor]) -> Bytes {
-        let pools = (
-            &FramePool::new(BufPool::default(), framed),
-            &stale_workspace(),
-        );
+    fn encode_into(compressor: &dyn Compressor, blocks: &[Tensor]) -> Bytes {
+        let pools = (&FramePool::new(BufPool::default()), &stale_workspace());
         let counts = blocks.iter().map(|b| b.dims()[0]);
         let whole = |k: usize, rows: &mut [f32]| rows.copy_from_slice(blocks[k].data());
         let frame = encode_chunk_into(compressor, pools, M, counts, whole);
@@ -389,7 +386,7 @@ mod tests {
         // Gradients ride the same framing under `NoCompression`: a count
         // per expert and four bytes per value, as the raw framing had.
         let rows = blocks(&[2, 0, 5]);
-        let chunk = encode_into(&NoCompression, true, &rows);
+        let chunk = encode_into(&NoCompression, &rows);
         assert_eq!(chunk.len(), 4 * rows.len() + 4 * (2 + 5) * M);
         let back = decode_into(&NoCompression, &chunk, rows.len()).unwrap();
         assert_eq!(back, rows);
@@ -460,7 +457,7 @@ mod tests {
         ) {
             let codec = codec(codec_idx);
             let experts = counts.len();
-            let chunk = encode_into(codec.as_ref(), true, &blocks(&counts));
+            let chunk = encode_into(codec.as_ref(), &blocks(&counts));
             let decode = |bytes: &[u8]| decode_into(codec.as_ref(), bytes, experts);
             prop_assert!(decode(&chunk).is_ok());
 
@@ -480,15 +477,14 @@ mod tests {
         }
 
         /// The into-forms are the allocating forms they replaced: the same
-        /// bytes out of the encoder whether or not the frame has headroom,
-        /// and out of the decoder the same rows bit for bit — or the same
-        /// refusal — for clean, truncated, bit-flipped and arbitrary bytes,
-        /// over every codec, zero-row experts included, decoding into a
-        /// block that still holds someone else's values.
+        /// bytes out of the encoder, and out of the decoder the same rows
+        /// bit for bit — or the same refusal — for clean, truncated,
+        /// bit-flipped and arbitrary bytes, over every codec, zero-row
+        /// experts included, decoding into a block that still holds someone
+        /// else's values.
         #[test]
         fn the_into_forms_equal_the_allocating_oracles(
             codec_idx in 0usize..4,
-            framed in 0usize..2,
             counts in proptest::collection::vec(0usize..6, 1..4),
             values in proptest::collection::vec(-4.0f32..4.0, 15 * M),
             cut in 1usize..64,
@@ -503,7 +499,7 @@ mod tests {
                 .map(|&c| Tensor::from_vec(values.by_ref().take(c * M).collect(), &[c, M]).unwrap())
                 .collect();
             let oracle = encode_chunk(codec.as_ref(), &rows);
-            let chunk = encode_into(codec.as_ref(), framed == 1, &rows);
+            let chunk = encode_into(codec.as_ref(), &rows);
             prop_assert_eq!(&chunk[..], &oracle[..]);
 
             let agree = |bytes: &[u8]| same(

@@ -7,13 +7,15 @@
 //! * [`FfExpert`] — the expert abstraction (`AbsExpert`): a two-layer
 //!   feed-forward network with hand-written backward.
 //! * [`MoeLayer`] — a single-process MoE layer (all experts local) with a
-//!   full forward/backward. An optional [`Compressor`] round-trips the
+//!   full forward/backward. An optional
+//!   [`Compressor`](schemoe_compression::Compressor) round-trips the
 //!   dispatched tokens and expert outputs through the codec, reproducing
 //!   exactly the numeric effect of compressed all-to-alls — this is the
 //!   engine behind the Table 6 convergence study.
 //! * [`DistributedMoeLayer`] — the same layer executed across fabric ranks
 //!   with expert parallelism: tokens are really serialized, compressed,
-//!   exchanged through a pluggable [`AllToAll`] algorithm, decompressed,
+//!   exchanged through a pluggable
+//!   [`AllToAll`](schemoe_collectives::AllToAll) algorithm, decompressed,
 //!   computed by the owning rank's experts, and combined back. Tested for
 //!   equivalence against [`MoeLayer`].
 
@@ -31,7 +33,7 @@ pub use expert::{Expert, FfExpert};
 pub use gating::{GateDecision, TopKGate};
 pub use layer::MoeLayer;
 pub use placement::{decide_plan, gray_ranks, LoadReport, Placement, PlacementPlan, PolicyConfig};
-pub use replication::{DeltaEncoder, ReplicaStore, REPLICA_CHUNK};
+pub use replication::{DeltaEncoder, ReplicaStore};
 pub use routing::{
     balance_stats, BalanceStats, ExpertChoiceRouter, RandomRouter, Router, TokenChoiceRouter,
 };

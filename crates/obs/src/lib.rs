@@ -14,7 +14,7 @@
 //!   receive queue-wait, timeout counts). Lookup takes a lock once per
 //!   rank; increments are relaxed atomics.
 //! * [`chrome`] — the Trace Event Format writer. Both the simulator's
-//!   traces ([`schemoe_netsim::chrome`] builds on this module) and the
+//!   traces (`schemoe_netsim::chrome` builds on this module) and the
 //!   functional recorder's [`FuncTrace`] serialize through the same
 //!   builder, so measured and simulated timelines can be overlaid in
 //!   Perfetto.

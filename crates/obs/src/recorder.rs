@@ -267,7 +267,7 @@ impl FuncTrace {
     /// Serializes the trace as Trace Event Format JSON: one process per
     /// rank, one track per recording thread, complete (`"ph":"X"`) events
     /// carrying the category and size. Loadable in Perfetto alongside the
-    /// simulator's [`schemoe_netsim::chrome`] output for overlay.
+    /// simulator's `schemoe_netsim::chrome` output for overlay.
     pub fn to_chrome_trace(&self) -> String {
         let mut b = ChromeTraceBuilder::new();
         // Stable (rank, thread) -> tid mapping in first-seen order.

@@ -1,6 +1,6 @@
 //! Golden bytes for the seven sealed record formats: one fixed sample of
 //! each — checkpoint `SMOE`, shard `SMSH`, manifest `SMMF`, placement
-//! `PLMT` / `PLPL` / `PLRP` and replica delta `SREP` — pinned as
+//! `PLMT` / `PLPL` / `PLRP` and replica `SREP` — pinned as
 //! `(len, digest)`. Any change to an encoder (a field's order or width, a
 //! header, the seal) fails here, and each sample must still decode to what
 //! was encoded. The unsealed control frames are pinned as hex beside their
@@ -142,15 +142,12 @@ fn placement_plmt_plpl_plrp() {
 
 #[test]
 fn replica_delta_srep() {
-    let mut state: Vec<u8> = (0..700u32).map(|i| (i * 31) as u8).collect();
-    let mut enc = DeltaEncoder::new();
+    // The test keeps its name from the delta-chained version 1; version 2
+    // ships every quantum whole.
+    let state: Vec<u8> = (0..700u32).map(|i| (i * 31) as u8).collect();
+    let frame = DeltaEncoder::new().encode(&state, 4);
+    assert_pinned("SREP", &frame, (724, 0x1A1C_3E1E_8490_C638));
     let mut store = ReplicaStore::new();
-    let full = enc.encode(&state, 4);
-    assert_pinned("SREP full", &full, (745, 0x2049_886A_C6D6_58DD));
-    assert_eq!(store.apply(&full), Ok(4));
-    state[300] ^= 0x5A;
-    let delta = enc.encode(&state, 5);
-    assert_pinned("SREP delta", &delta, (301, 0x6610_4101_39C8_DE6C));
-    assert_eq!(store.apply(&delta), Ok(5));
-    assert_eq!(store.replica(), Some((5, state.as_slice())));
+    assert_eq!(store.apply(&frame), Ok(4));
+    assert_eq!(store.replica(), Some((4, state.as_slice())));
 }
