@@ -41,7 +41,6 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
-use std::path::Path;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
@@ -632,28 +631,14 @@ fn launch_processes(mut o: Opts) -> i32 {
 
     // Session setup. For tcp the *launcher* hosts the rendezvous — it
     // outlives every worker, so killing any rank (rank 0 included)
-    // leaves the bootstrap standing. With a snapshot dir the rank→addr
-    // map is persisted beside the snapshots through the same durable
-    // write-tmp → fsync → rename helper; any stale store from a previous
-    // incarnation is cleared first (addresses are per-process).
+    // leaves the bootstrap standing, and a respawned rank re-registers
+    // with it under a fresh port.
     let _shm_guard = match o.transport.as_str() {
         "tcp" => {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind rendezvous");
             let addr = listener.local_addr().expect("rendezvous addr").to_string();
-            let store = o
-                .snapshot_dir
-                .as_ref()
-                .map(|d| Path::new(d).join("rendezvous.store"));
-            if let Some(path) = &store {
-                if let Some(parent) = path.parent() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-                let _ = std::fs::remove_file(path);
-            }
             let world = o.ranks;
-            thread::spawn(move || {
-                transport::tcp::serve_rendezvous_with_store(listener, world, true, store);
-            });
+            thread::spawn(move || transport::tcp::serve_rendezvous(listener, world, true));
             println!("[launch] rendezvous at {addr}");
             o.rendezvous = Some(addr);
             None::<TempDir>

@@ -83,15 +83,15 @@ pub enum FabricError {
         /// The receiver's current membership epoch.
         local_epoch: u32,
     },
-    /// A transfer or sub-stream would not fit the tag window its lane
-    /// reserves: sending it would spill into a neighbouring lane's tags, so
-    /// it is refused before the first frame leaves.
+    /// A scope or sub-window (a step, a placement's expert, a vote round)
+    /// the lane table has no tag for: using it would spill into a
+    /// neighbouring lane's tags, so it is refused before any frame leaves.
     WindowOverflow {
         /// First tag of the lane window.
         tag: u64,
-        /// Tags (or sub-windows) the caller asked for.
+        /// Sub-windows (or scope values) the caller asked for.
         needed: u64,
-        /// Tags (or sub-windows) the window holds.
+        /// Sub-windows (or scope values) the lane holds.
         width: u64,
     },
     /// A pipeline worker thread died before its communication task could

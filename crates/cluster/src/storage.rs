@@ -2,8 +2,8 @@
 //! fault injection ([`ChaosFs`], the storage sibling of
 //! [`ChaosTransport`](crate::transport::ChaosTransport)).
 //!
-//! Every durable artifact the system writes — the rendezvous store, the
-//! snapshot shards, the snapshot manifest — goes through one discipline:
+//! Every durable artifact the system writes — the snapshot shards and the
+//! snapshot manifest — goes through one discipline:
 //! **write a sibling tmp file, fsync it, rename it over the target, and
 //! fsync the parent directory**. A reader therefore observes either the
 //! old complete file or the new complete file, never a torn hybrid, and

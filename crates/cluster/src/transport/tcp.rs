@@ -31,7 +31,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -260,34 +259,12 @@ pub fn mesh(world: usize) -> Result<Vec<TcpBootstrap>, BootstrapError> {
 /// until all `world` ranks have registered, then sends every waiter the
 /// full `MAP`. In `persistent` mode the service keeps accepting after
 /// the initial broadcast, answering late (re)joining ranks immediately
-/// with the current map — run it on a thread for the life of rank 0's
-/// process.
+/// with the current map — run it on a thread of a process that outlives
+/// every rank (the launcher's).
 pub fn serve_rendezvous(listener: TcpListener, world: usize, persistent: bool) {
-    serve_rendezvous_with_store(listener, world, persistent, None)
-}
-
-/// [`serve_rendezvous`] with an optional on-disk rank→addr store.
-///
-/// Every accepted JOIN is persisted (atomic tmp + rename, one `RANK
-/// ADDR` line per registered rank), and a service started over an
-/// existing store begins *pre-filled*: a restarted rendezvous process
-/// immediately serves the surviving map to rejoiners instead of
-/// wedging on ranks that will never re-register — this is what removes
-/// the rank-0 rendezvous as a single point of failure.
-pub fn serve_rendezvous_with_store(
-    listener: TcpListener,
-    world: usize,
-    persistent: bool,
-    store: Option<PathBuf>,
-) {
-    let mut addrs: Vec<Option<String>> = store
-        .as_deref()
-        .map(|p| load_store(p, world))
-        .unwrap_or_else(|| vec![None; world]);
+    let mut addrs: Vec<Option<String>> = vec![None; world];
     let mut waiting: Vec<TcpStream> = Vec::new();
-    // A store that already covers the world means the initial broadcast
-    // happened in a previous incarnation: answer every join immediately.
-    let mut initial_served = addrs.iter().all(Option::is_some);
+    let mut initial_served = false;
     for conn in listener.incoming() {
         let Ok(conn) = conn else { continue };
         let join = read_line(&conn)
@@ -295,9 +272,6 @@ pub fn serve_rendezvous_with_store(
             .and_then(|line| parse_join(&line, world));
         let Some((rank, addr)) = join else { continue };
         addrs[rank] = Some(addr);
-        if let Some(path) = store.as_deref() {
-            persist_store(path, &addrs);
-        }
         if initial_served {
             let _ = reply_map(conn, &addrs);
             continue;
@@ -352,44 +326,6 @@ fn parse_map(line: &str, world: usize) -> Result<Vec<String>, BootstrapError> {
         });
     }
     Ok(addrs)
-}
-
-/// Reads a rank→addr store written by [`persist_store`].
-fn load_store(path: &Path, world: usize) -> Vec<Option<String>> {
-    parse_store(&std::fs::read_to_string(path).unwrap_or_default(), world)
-}
-
-/// Parses a store's `RANK ADDR` lines. Unknown ranks and damaged lines are
-/// skipped, so a torn or stale file degrades to a partial (or empty)
-/// prefill rather than an error.
-fn parse_store(text: &str, world: usize) -> Vec<Option<String>> {
-    let mut addrs = vec![None; world];
-    for line in text.lines() {
-        let mut parts = line.split_whitespace();
-        let (Some(rank), Some(addr)) = (parts.next(), parts.next()) else {
-            continue;
-        };
-        if let Ok(r) = rank.parse::<usize>() {
-            if r < world {
-                addrs[r] = Some(addr.to_string());
-            }
-        }
-    }
-    addrs
-}
-
-/// Atomically replaces the store with the current map through the
-/// shared durable-commit helper (write-tmp → fsync → rename → fsync
-/// parent) — a crashed rendezvous never leaves a half-written store
-/// behind, and a committed one survives power loss.
-fn persist_store(path: &Path, addrs: &[Option<String>]) {
-    let mut text = String::new();
-    for (r, a) in addrs.iter().enumerate() {
-        if let Some(a) = a {
-            text.push_str(&format!("{r} {a}\n"));
-        }
-    }
-    let _ = crate::storage::write_atomic(&crate::storage::RealFs, path, text.as_bytes());
 }
 
 fn reply_map(mut conn: TcpStream, addrs: &[Option<String>]) -> std::io::Result<()> {
@@ -902,19 +838,10 @@ mod tests {
     }
 
     #[test]
-    fn rendezvous_store_round_trips_and_prefills_a_restart() {
-        let dir = std::env::temp_dir().join(format!("schemoe-rdv-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = dir.join("rendezvous.map");
-        let _ = std::fs::remove_file(&store);
-
-        // First incarnation: both ranks join, map is broadcast and
-        // persisted, service exits (non-persistent).
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let rdv1 = l1.local_addr().unwrap().to_string();
-        let s1 = store.clone();
-        let serve1 =
-            std::thread::spawn(move || serve_rendezvous_with_store(l1, 2, false, Some(s1)));
+    fn a_persistent_rendezvous_answers_a_rejoiner_with_the_current_map() {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let rdv = l.local_addr().unwrap().to_string();
+        std::thread::spawn(move || serve_rendezvous(l, 2, true));
         let join = |rdv: String, rank: usize, addr: &str| -> String {
             let mut c = TcpStream::connect(&rdv).unwrap();
             c.write_all(format!("JOIN {rank} {addr}\n").as_bytes())
@@ -923,53 +850,19 @@ mod tests {
             BufReader::new(c).read_line(&mut line).unwrap();
             line
         };
+        // Both ranks join and receive the initial broadcast.
         let j0 = std::thread::spawn({
-            let rdv = rdv1.clone();
+            let rdv = rdv.clone();
             move || join(rdv, 0, "10.0.0.1:5000")
         });
-        let map1 = join(rdv1, 1, "10.0.0.2:5001");
+        let map1 = join(rdv.clone(), 1, "10.0.0.2:5001");
         assert_eq!(map1.trim(), "MAP 10.0.0.1:5000 10.0.0.2:5001");
-        j0.join().unwrap();
-        serve1.join().unwrap();
-        assert_eq!(
-            load_store(&store, 2),
-            vec![
-                Some("10.0.0.1:5000".to_string()),
-                Some("10.0.0.2:5001".to_string())
-            ]
-        );
+        assert_eq!(j0.join().unwrap(), map1);
 
-        // Second incarnation over the same store: pre-filled, so a
-        // single rejoiner is answered immediately with the full map
-        // (its own entry updated to the fresh address).
-        let l2 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let rdv2 = l2.local_addr().unwrap().to_string();
-        let s2 = store.clone();
-        std::thread::spawn(move || serve_rendezvous_with_store(l2, 2, true, Some(s2)));
-        let map2 = join(rdv2, 1, "10.0.0.2:6001");
+        // A respawned rank 1 re-joins under a fresh port: it is answered
+        // at once, its own entry updated and the survivor's kept.
+        let map2 = join(rdv, 1, "10.0.0.2:6001");
         assert_eq!(map2.trim(), "MAP 10.0.0.1:5000 10.0.0.2:6001");
-        assert_eq!(
-            load_store(&store, 2),
-            vec![
-                Some("10.0.0.1:5000".to_string()),
-                Some("10.0.0.2:6001".to_string())
-            ]
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn damaged_stores_degrade_to_partial_prefill() {
-        let dir = std::env::temp_dir().join(format!("schemoe-rdv-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = dir.join("rendezvous.map");
-        std::fs::write(&store, "0 1.2.3.4:1\ngarbage\n9 out.of:range\n1\n").unwrap();
-        assert_eq!(
-            load_store(&store, 2),
-            vec![Some("1.2.3.4:1".to_string()), None]
-        );
-        assert_eq!(load_store(&dir.join("missing.map"), 2), vec![None, None]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1075,7 +968,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Arbitrary bytes through the HELLO decoder and the three line
+        /// Arbitrary bytes through the HELLO decoder and the two line
         /// parsers: a value in range or nothing, never a panic.
         #[test]
         fn hostile_hellos_and_lines_never_panic(
@@ -1092,7 +985,6 @@ mod tests {
             if let Ok(addrs) = parse_map(&text, world) {
                 proptest::prop_assert_eq!(addrs.len(), world);
             }
-            proptest::prop_assert_eq!(parse_store(&text, world).len(), world);
         }
 
         /// A record stream that turns hostile after any number of good

@@ -212,8 +212,8 @@ pub(super) fn regroup(
 }
 
 /// The re-admission ticket survivors send a rejoining rank: where to resume
-/// (`step`, `tag`), the membership epoch after the rejoin bump, who streams
-/// state, which host (if any) streams the hosted expert back, and the
+/// (`step`, `tag`), the membership epoch after the rejoin bump, who sends
+/// state, which host (if any) sends the hosted expert back, and the
 /// post-admission live set and failover routes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Invite {
@@ -222,7 +222,7 @@ struct Invite {
     epoch: u32,
     donor: usize,
     live: u64,
-    /// Failover host that will stream the hosted expert back on the
+    /// Failover host that will send the hosted expert back on the
     /// handback lane, encoded as `host + 1`; `0` means no handback (the
     /// rejoiner resumes from its checkpoint-stale own expert).
     handback: u32,
@@ -358,7 +358,7 @@ fn freshest_invite(
 }
 
 /// Applies one accepted invite: receives and verifies the donor's state
-/// stream, adopts the invite's epoch / live mask / failover routes, and
+/// frame, adopts the invite's epoch / live mask / failover routes, and
 /// receives the hosted-expert handback if one is due, and leaves the rank
 /// state standing at the invited resume point. Returns `false` when the
 /// transfer was torn — nothing was applied and the caller's epoch is
@@ -378,7 +378,7 @@ fn apply_invite(h: &mut RankHandle, st: &mut RankState, inv: &Invite) -> Result<
     };
     st.load(Half::Replicated, &payload)
         .expect("a verified transfer payload must apply");
-    st.report.transfer_bytes += payload.len() as u64 + 16;
+    st.report.transfer_bytes += payload.len() as u64;
     h.set_epoch(inv.epoch);
     st.report.epoch_transitions.push(inv.epoch);
     for r in 0..st.p {
@@ -400,14 +400,14 @@ fn apply_invite(h: &mut RankHandle, st: &mut RankState, inv: &Invite) -> Result<
     // would drop freshly installed entries).
     let routes = inv.routes.iter().map(|&(d, host)| (d.into(), host.into()));
     st.model.moe.set_failover_routes(routes);
-    // The host streams the hosted expert — trained while this rank was
-    // dead — back on the handback lane. A torn handback falls back to
+    // The host sends the hosted expert — trained while this rank was
+    // dead — back on the handback lane. A lost handback falls back to
     // the checkpoint-stale own expert.
     if let Some(host) = (inv.handback as usize).checked_sub(1) {
         if let Ok(hb) = wire::receive_state(h, host, handback_lane, deadline) {
             st.load(Half::OwnExpert, &hb)
                 .expect("a verified handback payload must apply");
-            st.report.handback_bytes += hb.len() as u64 + 16;
+            st.report.handback_bytes += hb.len() as u64;
         }
     }
     st.resume_at(inv.step, inv.tag);
@@ -559,7 +559,7 @@ fn decode_mask(m: &[u8]) -> Option<u64> {
 /// committed-step cadence. The coordinator — which is also the donor —
 /// drains the announcement queues of revivable dead ranks and broadcasts
 /// its admission mask so every survivor applies the same membership
-/// change; it then streams state to each admitted rank. Returns `true` if
+/// change; it then sends state to each admitted rank. Returns `true` if
 /// membership changed (callers must refresh their checkpoint so a later
 /// rewind lands every rank on the same step).
 pub(super) fn try_rejoin_peers(
@@ -606,11 +606,12 @@ pub(super) fn try_rejoin_peers(
     // which host serves each admitted rank's expert, and (on the host) the
     // guest's weights + velocity serialized in the owner's own layout.
     let routes = st.model.moe.failover_routes();
-    let handbacks: Vec<(Option<usize>, Option<Vec<u8>>)> = admitted
+    let handbacks: Vec<(Option<usize>, Option<Bytes>)> = admitted
         .iter()
         .map(|&r| {
             let host = routes.iter().find(|&&(d, _)| d == r).map(|&(_, host)| host);
-            (host, (host == Some(me)).then(|| st.save(Half::Guest(r))))
+            let hosted = (host == Some(me)).then(|| Bytes::from(st.save(Half::Guest(r))));
+            (host, hosted)
         })
         .collect();
     // Admit every announced rank first — one epoch bump each — so the
@@ -624,12 +625,12 @@ pub(super) fn try_rejoin_peers(
         .iter()
         .map(|&(d, host)| (d as u8, host as u8))
         .collect();
-    let replicated = (me == coordinator).then(|| st.save(Half::Replicated));
+    let replicated = (me == coordinator).then(|| Bytes::from(st.save(Half::Replicated)));
     // Every survivor sends the invite (redundancy against drops); only the
-    // donor streams replicated state, and only the host streams the
-    // hosted expert back. A stream the lane table refuses (too large for
-    // its window) is that transfer's failure: the rejoiner times out and
-    // announces again.
+    // donor sends replicated state, and only the host sends the hosted
+    // expert back, each as the lane's copies of one sealed frame. A frame
+    // that never arrives intact is that transfer's failure: the rejoiner
+    // times out and announces again.
     for (&r, (host, hosted)) in admitted.iter().zip(handbacks) {
         let invite = Invite {
             step: st.step,
@@ -642,16 +643,14 @@ pub(super) fn try_rejoin_peers(
         };
         wire::send_copies(h, r, Lane::Invite.at(0)?, &invite.encode())?;
         if let Some(payload) = &replicated {
-            if let Ok(sent) = wire::stream_state(h, r, Lane::State.at(step)?, payload) {
-                st.report.transfer_bytes += sent;
-            }
+            wire::send_copies(h, r, Lane::State.at(step)?, payload)?;
+            st.report.transfer_bytes += payload.len() as u64;
         }
         if let Some(payload) = hosted {
-            if let Ok(sent) = wire::stream_state(h, r, Lane::Handback.at(step)?, &payload) {
-                st.report.handbacks += 1;
-                st.report.handback_bytes += sent;
-                schemoe_obs::counters_for_rank(me).add_handback();
-            }
+            wire::send_copies(h, r, Lane::Handback.at(step)?, &payload)?;
+            st.report.handbacks += 1;
+            st.report.handback_bytes += payload.len() as u64;
+            schemoe_obs::counters_for_rank(me).add_handback();
         }
     }
     Ok(true)
@@ -684,9 +683,9 @@ mod tests {
             let mut st = RankState::new(&cfg, h.rank(), 4);
             match h.rank() {
                 0 => {
-                    let payload = st.save(Half::Replicated);
+                    let payload = Bytes::from(st.save(Half::Replicated));
                     let lane = Lane::State.at(0).expect("step 0 has a lane");
-                    wire::stream_state(&mut h, 1, lane, &payload).expect("donor streams");
+                    wire::send_copies(&h, 1, lane, &payload).expect("donor sends");
                     None
                 }
                 1 => {

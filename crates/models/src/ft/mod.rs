@@ -51,11 +51,11 @@
 //! control-plane lane. Survivors poll for announcements at a fixed step
 //! cadence ([`FtConfig::rejoin_check_every`]); on seeing one they bump the
 //! membership epoch, re-admit the rank, and the lowest live rank — the
-//! *donor* — streams the replicated parameters and their optimizer-state
-//! slots as one CRC-sealed checkpoint payload in bounded chunks. The
-//! rejoiner reassembles, **verifies the seal, and only then applies**:
-//! a transfer torn by a donor death or link damage leaves it untouched, at
-//! its old epoch, and it simply re-announces. Every membership change —
+//! *donor* — sends the replicated parameters and their optimizer-state
+//! slots as one CRC-sealed checkpoint frame. The rejoiner **verifies the
+//! seal, and only then applies**: a transfer lost to a donor death or
+//! link damage leaves it untouched, at its old epoch, and it simply
+//! re-announces. Every membership change —
 //! burial or rejoin — advances the epoch stamped on data frames, so a rank
 //! that has not observed the transition has its traffic rejected as
 //! [`FabricError::StaleEpoch`] instead of feeding stale collectives.
@@ -72,7 +72,7 @@
 //! deterministic re-init otherwise) and hosts it, and the gate keeps the
 //! full expert set — a death costs at most `K` steps of expert staleness
 //! instead of an expert-shaped hole in the model. On rejoin the invite
-//! names the host, which streams the hosted expert (trained while its
+//! names the host, which sends the hosted expert (trained while its
 //! owner was dead) back on a dedicated handback lane; the rejoiner
 //! applies it, routes clear, and full ownership resumes.
 //!
@@ -82,7 +82,7 @@
 //! everything a rank carries through a run and the transitions the
 //! protocols share; [`wire`] is the lane table (the only place a
 //! control-plane tag is computed), the redundant-copy primitive,
-//! gather/broadcast, and the sealed state stream; `quanta` (replication,
+//! gather/broadcast, and the verified state receive; `quanta` (replication,
 //! snapshots, placement) and `membership` (vote, burial, park, rejoin)
 //! are plain functions over those two. This file holds the configuration,
 //! the report, and the train loop.
@@ -102,7 +102,7 @@ use schemoe_cluster::{FabricError, RankHandle};
 use membership::bit;
 use quanta::Disk;
 pub use state::{Half, RankState};
-pub use wire::{receive_state, stream_state, Lane, ALLREDUCE_LANE, TRANSFER_CHUNK, VOTE_COPIES};
+pub use wire::{receive_state, send_copies, Lane, ALLREDUCE_LANE, VOTE_COPIES};
 
 /// The replication buddy of `rank` in an `n`-rank world: the ring
 /// neighbour `(rank + 1) % n`. Pure and identical on every rank, so
@@ -335,7 +335,7 @@ pub struct FtReport {
     /// Failover activations this rank performed as a buddy (hosting a dead
     /// rank's expert).
     pub failover_activations: u64,
-    /// Hosted experts this rank streamed back to their revived owners.
+    /// Hosted experts this rank sent back to their revived owners.
     pub handbacks: u64,
     /// Handback bytes: shipped as a host plus applied as a rejoiner.
     pub handback_bytes: u64,
@@ -368,8 +368,8 @@ pub struct FtReport {
     pub placement_migrations: u64,
     /// Ranks demoted to serving no experts, summed per committed plan.
     pub placement_demotions: u64,
-    /// Bytes of expert state streamed for placement transfers (shipped as
-    /// a home plus applied as a new server).
+    /// Bytes of expert state moved by placement transfers (shipped as a
+    /// home plus applied as a new server).
     pub placement_transfer_bytes: u64,
     /// Token-to-expert assignments the gate admitted on this rank.
     pub tokens_routed: u64,
@@ -385,7 +385,8 @@ impl FtConfig {
     }
 
     /// Per-message deadline inside a snapshot or placement quantum, which
-    /// wait on disk writes and state streams rather than a single frame.
+    /// wait on disk writes and whole expert frames rather than a small
+    /// control frame.
     pub(crate) fn quantum_deadline(&self) -> Duration {
         Duration::from_millis(self.vote_timeout_ms.max(100) * 2)
     }
@@ -849,7 +850,7 @@ mod tests {
         // burying the (actually healthy) majority. Its park announces
         // carry its outbound links to their heal indices; the majority's
         // re-invites carry the reverse direction; the first intact invite
-        // plus state stream re-admits it.
+        // plus state frame re-admits it.
         let cfg = FtConfig {
             retry_budget: 1,
             vote_timeout_ms: 50,
@@ -1299,7 +1300,7 @@ mod tests {
 
     #[test]
     fn parked_frames_do_not_accumulate_with_run_length() {
-        // Surplus vote copies, second copies of every placement stream and
+        // Surplus vote copies, second copies of every placement transfer and
         // unasked-for probes all land in the handle's parking map under
         // step-unique tags. The per-step discard must keep what is parked
         // at exit independent of how long the run was.
@@ -1319,7 +1320,7 @@ mod tests {
                 (h.parked_bytes(), report.placement_transfer_bytes)
             });
             let _ = std::fs::remove_dir_all(&dir);
-            assert!(ranks.iter().any(|r| r.1 > 0), "no state stream ran");
+            assert!(ranks.iter().any(|r| r.1 > 0), "no state transfer ran");
             ranks.iter().map(|r| r.0).collect::<Vec<_>>()
         };
         assert_eq!(parked_after(10, "parked10"), parked_after(40, "parked40"));

@@ -5,8 +5,8 @@
 //! The coordinated ones (snapshots, placement) share one shape: the lowest
 //! live rank coordinates, every rank's frame reaches it through
 //! [`wire::gather`] (all-or-nothing), its decision goes out through
-//! [`wire::broadcast`], and bulk state moves as CRC-sealed streams that
-//! are verified before anything is applied. A quantum that fails for any
+//! [`wire::broadcast`], and bulk state moves as whole CRC-sealed frames
+//! that are verified before anything is applied. A quantum that fails for any
 //! reason leaves the previous state in force; the only error one returns
 //! is this rank's own death (or a window the lane table has no room for).
 
@@ -409,7 +409,7 @@ fn decode_flag(m: &[u8]) -> Option<bool> {
 /// the deterministic policy ([`decide_plan`]) — replicate hot experts onto
 /// underloaded ranks, migrate experts off gray ranks, retune the shed
 /// capacity factor — and the plan commits two-phase: reports → plan →
-/// staged expert transfers (sealed streams, parse-verify-apply) →
+/// staged expert transfers (whole sealed frames, parse-verify-apply) →
 /// all-ranks READY → coordinator COMMIT. Any failure anywhere aborts the
 /// quantum on that rank: staged guest bodies are discarded and routing
 /// stays on the old placement. A rank that dies mid-quantum tears the
@@ -506,8 +506,9 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
 
     // Stage transfers. For each expert gaining a server outside its old
     // sync group, the static home (always in sync — see the per-expert
-    // gradient reduce in `try_step`) streams weights + velocity; the new
-    // server installs a guest body and applies the verified payload.
+    // gradient reduce in `try_step`) sends weights + velocity as one
+    // frame; the new server installs a guest body and applies the
+    // verified payload.
     let next = &plan.placement;
     let current = st.model.moe.placement().cloned();
     let current = current.unwrap_or_else(|| Placement::static_layout(n_experts, epr));
@@ -517,12 +518,12 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
             let receivers = next.receivers_vs(&current, e);
             let home = next.static_home(e);
             if me == home && !receivers.is_empty() {
-                let payload = st.save(Half::OwnExpert);
+                let payload = Bytes::from(st.save(Half::OwnExpert));
                 for &r in &receivers {
                     let lane = Lane::Transfer.sub(step, e as u64)?;
-                    let sent = wire::stream_state(h, r, lane, &payload)?;
-                    st.report.placement_transfer_bytes += sent;
-                    schemoe_obs::counters_for_rank(me).add_placement_transfer(sent as usize);
+                    wire::send_copies(h, r, lane, &payload)?;
+                    st.report.placement_transfer_bytes += payload.len() as u64;
+                    schemoe_obs::counters_for_rank(me).add_placement_transfer(payload.len());
                 }
             } else if receivers.contains(&me) {
                 staged.push(e);
@@ -531,9 +532,8 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
                 if st.install_guest(e, Some(&payload)).is_err() {
                     return Ok(false);
                 }
-                let got = 16 + payload.len();
-                st.report.placement_transfer_bytes += got as u64;
-                schemoe_obs::counters_for_rank(me).add_placement_transfer(got);
+                st.report.placement_transfer_bytes += payload.len() as u64;
+                schemoe_obs::counters_for_rank(me).add_placement_transfer(payload.len());
             }
         }
         Ok::<bool, FabricError>(true)

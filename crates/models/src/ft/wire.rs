@@ -1,5 +1,5 @@
 //! The control plane's wire kit: the lane table, the redundant-copy
-//! primitive, gather/broadcast, and the sealed state stream.
+//! primitive, gather/broadcast, and the verified state receive.
 //!
 //! Every control-plane tag is computed here, from one table: a [`Lane`]
 //! resolves — given its scope value (a step, a generation, an attempt's
@@ -15,13 +15,16 @@
 //! them. The only error any primitive here returns for a fault is this
 //! rank's *own* death — everything a peer or a link can do is absorbed by
 //! the copies and reported as absence.
+//!
+//! A saved state payload (rejoin state, handback, placement transfer)
+//! travels like any other frame: the lane's copies of one sealed
+//! checkpoint, bounded only by the transport's record bound.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 use schemoe_cluster::{FabricError, RankHandle};
 use schemoe_collectives::TAG_STRIDE;
-use schemoe_compression::record::{Reader, Writer};
 use schemoe_tensor::checkpoint;
 
 /// How many duplicates of each vote-class control frame are sent. A frame
@@ -29,18 +32,9 @@ use schemoe_tensor::checkpoint;
 /// VOTE_COPIES` per (link, round).
 pub const VOTE_COPIES: u64 = 4;
 
-/// Copies of each bulk frame (state-stream chunks, placement reports and
+/// Copies of each bulk frame (state payloads, placement reports and
 /// plans): redundancy against a single drop at half the vote lanes' cost.
 const XFER_COPIES: u64 = 2;
-
-/// Bounded chunk size for state streams: a payload is shipped in frames of
-/// at most this many bytes, so a transfer never sends one unbounded
-/// message.
-pub const TRANSFER_CHUNK: usize = 4096;
-
-/// Largest payload a stream header may announce: a damaged header that
-/// slipped through the wire CRC must not drive an unbounded allocation.
-const MAX_STREAM_BYTES: usize = 1 << 28;
 
 /// Tag offset (from the start of an attempt's tag window) of the gradient
 /// allreduce slots; see [`allreduce_tag`].
@@ -114,11 +108,11 @@ pub enum Lane {
     Ready,
     /// The coordinator's commit/abort decision.
     Commit,
-    /// Expert bodies streamed to a placement's new servers; sub = expert.
+    /// Expert bodies sent to a placement's new servers; sub = expert.
     Transfer,
-    /// Replicated state streamed to a rejoiner.
+    /// Replicated state sent to a rejoiner.
     State,
-    /// A hosted expert streamed back to its revived owner.
+    /// A hosted expert sent back to its revived owner.
     Handback,
     /// The two gossip rounds of an attempt's vote; sub = round.
     Vote,
@@ -126,32 +120,31 @@ pub enum Lane {
 
 impl Lane {
     /// The lane table: what scopes the lane's windows, how many
-    /// sub-windows a scope value has (experts of a placement step, rounds
-    /// of a vote), how many consecutive tags one sub-window may use (1 for
-    /// single frames, header + chunk budget for streams), how many copies
-    /// of each frame travel, and whether frames are stamped `EPOCH_ANY`
-    /// (they cross membership epochs by construction) rather than with the
-    /// sender's epoch.
+    /// sub-windows (one tag each) a scope value has (experts of a
+    /// placement step, rounds of a vote), how many copies of each frame
+    /// travel, and whether frames are stamped `EPOCH_ANY` (they cross
+    /// membership epochs by construction) rather than with the sender's
+    /// epoch.
     #[rustfmt::skip]
-    fn spec(self) -> (Scope, u64, u64, u64, bool) {
+    fn spec(self) -> (Scope, u64, u64, bool) {
         use Scope::{Attempt, Generation, Global, Step};
         match self {
-            Lane::Announce    => (Global,     1,   1,    VOTE_COPIES, true),
-            Lane::Invite      => (Global,     1,   1,    VOTE_COPIES, true),
-            Lane::Park        => (Global,     1,   1,    VOTE_COPIES, true),
-            Lane::Resume      => (Global,     1,   1,    VOTE_COPIES, true),
-            Lane::Decision    => (Step,       1,   1,    VOTE_COPIES, true),
-            Lane::Replica     => (Step,       1,   1,    1,           false),
-            Lane::SnapshotAck => (Generation, 1,   1,    VOTE_COPIES, true),
-            Lane::Probe       => (Step,       1,   1,    1,           true),
-            Lane::Report      => (Step,       1,   1,    XFER_COPIES, true),
-            Lane::Plan        => (Step,       1,   1,    XFER_COPIES, true),
-            Lane::Ready       => (Step,       1,   1,    VOTE_COPIES, true),
-            Lane::Commit      => (Step,       1,   1,    VOTE_COPIES, true),
-            Lane::Transfer    => (Step,       256, 4096, XFER_COPIES, true),
-            Lane::State       => (Step,       1,   4096, XFER_COPIES, true),
-            Lane::Handback    => (Step,       1,   4096, XFER_COPIES, true),
-            Lane::Vote        => (Attempt,    2,   1,    VOTE_COPIES, false),
+            Lane::Announce    => (Global,     1,   VOTE_COPIES, true),
+            Lane::Invite      => (Global,     1,   VOTE_COPIES, true),
+            Lane::Park        => (Global,     1,   VOTE_COPIES, true),
+            Lane::Resume      => (Global,     1,   VOTE_COPIES, true),
+            Lane::Decision    => (Step,       1,   VOTE_COPIES, true),
+            Lane::Replica     => (Step,       1,   1,           false),
+            Lane::SnapshotAck => (Generation, 1,   VOTE_COPIES, true),
+            Lane::Probe       => (Step,       1,   1,           true),
+            Lane::Report      => (Step,       1,   XFER_COPIES, true),
+            Lane::Plan        => (Step,       1,   XFER_COPIES, true),
+            Lane::Ready       => (Step,       1,   VOTE_COPIES, true),
+            Lane::Commit      => (Step,       1,   VOTE_COPIES, true),
+            Lane::Transfer    => (Step,       256, XFER_COPIES, true),
+            Lane::State       => (Step,       1,   XFER_COPIES, true),
+            Lane::Handback    => (Step,       1,   XFER_COPIES, true),
+            Lane::Vote        => (Attempt,    2,   VOTE_COPIES, false),
         }
     }
 
@@ -166,7 +159,7 @@ impl Lane {
     /// scope the table has no room for is a typed error, never a tag in
     /// some other lane's window.
     pub fn sub(self, scope: u64, sub: u64) -> Result<Tag, FabricError> {
-        let (kind, subs, width, copies, control) = self.spec();
+        let (kind, subs, copies, control) = self.spec();
         let namespace = CONTROL_BASE | (kind as u64) << KIND_SHIFT | (self as u64) << LANE_SHIFT;
         let (window, scopes) = match kind {
             Scope::Attempt => (scope + VOTE_OFFSET, CONTROL_BASE),
@@ -183,8 +176,7 @@ impl Lane {
             }
         }
         Ok(Tag {
-            tag: window + sub * width,
-            width,
+            tag: window + sub,
             copies,
             control,
         })
@@ -195,17 +187,8 @@ impl Lane {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Tag {
     tag: u64,
-    width: u64,
     copies: u64,
     control: bool,
-}
-
-impl Tag {
-    /// Tag `i` of the window (streams: the header at 0, chunks after it).
-    fn nth(mut self, i: u64) -> Tag {
-        self.tag += i;
-        self
-    }
 }
 
 /// True when `tag` lies in a window this rank will never ask for again,
@@ -319,89 +302,28 @@ pub fn drain(
     }
 }
 
-/// A stream header `[total_bytes u64][n_chunks u64]`.
-fn encode_stream_header(total: u64, nchunks: u64) -> Bytes {
-    Bytes::from(Writer::new(16).u64(total).u64(nchunks).finish())
-}
-
-/// A stream header is believed only if its two fields agree with each
-/// other, with [`MAX_STREAM_BYTES`], and with the window the stream arrives
-/// in.
-fn decode_stream_header(m: &[u8], width: u64) -> Option<(usize, usize)> {
-    let (total, nchunks) = Reader::frame(m, |r| Ok((r.u64()?, r.u64()?))).ok()?;
-    let total = usize::try_from(total)
-        .ok()
-        .filter(|&t| t <= MAX_STREAM_BYTES)?;
-    (nchunks == total.div_ceil(TRANSFER_CHUNK) as u64 && nchunks < width)
-        .then_some((total, nchunks as usize))
-}
-
-/// Streams a sealed state payload to `to` in bounded chunks: the 16-byte
-/// header on the window's first tag, then chunk `i` on tag `1 + i`, each
-/// frame sent the lane's copies. Returns the byte count shipped (header +
-/// payload, one copy). A payload the window has no tags for is refused
-/// before anything is sent.
-///
-/// Only a self-death aborts the stream — link faults are covered by the
-/// duplicate copies and the receiver's seal check.
-pub fn stream_state(
-    h: &mut RankHandle,
-    to: usize,
-    t: Tag,
-    payload: &[u8],
-) -> Result<u64, FabricError> {
-    let nchunks = payload.len().div_ceil(TRANSFER_CHUNK) as u64;
-    if nchunks >= t.width {
-        return Err(FabricError::WindowOverflow {
-            tag: t.tag,
-            needed: nchunks + 1,
-            width: t.width,
-        });
-    }
-    send_copies(
-        h,
-        to,
-        t,
-        &encode_stream_header(payload.len() as u64, nchunks),
-    )?;
-    for (i, chunk) in payload.chunks(TRANSFER_CHUNK).enumerate() {
-        send_copies(h, to, t.nth(1 + i as u64), &Bytes::copy_from_slice(chunk))?;
-    }
-    Ok(16 + payload.len() as u64)
-}
-
-/// Receives a state transfer streamed by [`stream_state`]:
-/// **parse, verify, then let the caller apply**. The reassembled payload is
-/// returned only after its length matches the header and its checkpoint
-/// seal verifies — a transfer torn by a donor death, a dropped chunk, or
-/// link damage yields an error and leaves no partial state anywhere.
+/// Receives a saved state payload sent with [`send_copies`]: **parse,
+/// verify, then let the caller apply**. The first copy whose checkpoint
+/// seal verifies is returned; when every copy is lost, late or damaged
+/// (a donor death, a dropped frame, link damage) the result is `Corrupt`
+/// and no partial state exists anywhere.
 pub fn receive_state(
     h: &mut RankHandle,
     from: usize,
     t: Tag,
     deadline: Duration,
 ) -> Result<Vec<u8>, FabricError> {
-    let torn = |offset: u64| FabricError::Corrupt {
+    let verified = |m: &Bytes| checkpoint::verify(m).is_ok().then(|| m.to_vec());
+    recv_copy(h, from, t, deadline, verified)?.ok_or(FabricError::Corrupt {
         peer: from,
-        tag: t.tag + offset,
-    };
-    let header = recv_copy(h, from, t, deadline, |m| decode_stream_header(m, t.width))?;
-    let (total, nchunks) = header.ok_or(torn(0))?;
-    let mut buf = Vec::with_capacity(total);
-    for i in 1..=nchunks as u64 {
-        let chunk = recv_copy(h, from, t.nth(i), deadline, |m| Some(m.clone()))?;
-        buf.extend_from_slice(&chunk.ok_or(torn(i))?);
-    }
-    if buf.len() != total || checkpoint::verify(&buf).is_err() {
-        return Err(torn(0));
-    }
-    Ok(buf)
+        tag: t.tag,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::ft::{FtConfig, Half, RankState};
     use schemoe_cluster::{Fabric, Topology, TransportKind};
     use schemoe_collectives::{chunk_tag, lanes, MAX_PARTITION_DEGREE, MAX_PLAN_PHASES};
 
@@ -443,7 +365,8 @@ mod tests {
     #[test]
     fn lane_windows_are_pairwise_disjoint_and_clear_of_step_traffic() {
         // Every control lane, at the scopes where neighbours would touch
-        // (first, adjacent, last) and at its first and last sub-window.
+        // (first, adjacent, last) and at its first and last sub-window,
+        // each sub-window one tag.
         let mut windows = Vec::new();
         for lane in CONTROL_LANES {
             let global = lane.at(1).is_err();
@@ -456,7 +379,7 @@ mod tests {
             for &scope in scopes {
                 for sub in std::collections::BTreeSet::from([0, subs - 1]) {
                     let t = lane.sub(scope, sub).unwrap();
-                    windows.push((t.tag, t.tag + t.width, format!("{lane:?}@{scope}/{sub}")));
+                    windows.push((t.tag, t.tag + 1, format!("{lane:?}@{scope}/{sub}")));
                 }
             }
             assert!(
@@ -477,7 +400,7 @@ mod tests {
         let mut inside = Vec::new();
         for round in 0..2 {
             let t = Lane::Vote.sub(step_tag, round).unwrap();
-            inside.push((t.tag, t.tag + t.width, format!("vote{round}")));
+            inside.push((t.tag, t.tag + 1, format!("vote{round}")));
         }
         assert!(Lane::Vote.sub(step_tag, 2).is_err());
         for slot in 0..2 + 64 {
@@ -528,37 +451,34 @@ mod tests {
     }
 
     #[test]
-    fn an_oversized_stream_is_a_typed_error_and_sends_nothing() {
-        // One chunk more than the window has tags for (the old code
-        // asserted here: expert + velocity at model_dim 512 / hidden_dim
-        // 2048 is 16.8 MB).
-        let payload = vec![0u8; 4095 * TRANSFER_CHUNK + 1];
+    fn an_expert_past_the_old_16_mib_window_transfers_whole() {
+        // Expert + velocity at model_dim 512 / hidden_dim 2048 is 16.8 MB,
+        // past 4,095 × 4 KiB: a state frame has no window bound, only the
+        // transport's record bound.
+        let mut cfg = FtConfig::tiny(1);
+        cfg.model_dim = 512;
+        cfg.hidden_dim = 2048;
         let got = Fabric::run_on(TransportKind::Channel, Topology::new(1, 2), |mut h| {
+            let lane = Lane::Handback.at(3).unwrap();
             if h.rank() == 0 {
-                let lane = Lane::State.at(3).unwrap();
-                let refused = stream_state(&mut h, 1, lane, &payload).err();
-                h.send(1, 1, Bytes::from_static(b"done")).unwrap();
-                refused
+                let payload = RankState::new(&cfg, 0, 2).save(Half::OwnExpert);
+                assert!(payload.len() > 4095 * 4096, "{} B", payload.len());
+                let sent = send_copies(&h, 1, lane, &Bytes::from(payload.clone()));
+                assert_eq!(sent, Ok(XFER_COPIES));
+                payload
             } else {
-                // Anything sent ahead of the sentinel would be parked now.
-                h.recv(0, 1).unwrap();
-                assert_eq!(h.parked_bytes(), 0, "a refused stream sends nothing");
-                None
+                receive_state(&mut h, 0, lane, Duration::from_secs(30)).expect("verified")
             }
         });
-        let refused = FabricError::WindowOverflow {
-            tag: Lane::State.at(3).unwrap().tag,
-            needed: 4097,
-            width: 4096,
-        };
-        assert_eq!(got[0], Some(refused));
+        assert!(got[0] == got[1], "the payload arrives byte-equal");
     }
 
     #[test]
     fn an_expert_beyond_the_placement_window_is_a_typed_error() {
         let last = Lane::Transfer.sub(9, 255).unwrap();
-        let next_step = Lane::Transfer.sub(10, 0).unwrap();
-        assert_eq!(last.tag + last.width, next_step.tag);
+        let first = Lane::Transfer.sub(9, 0).unwrap();
+        assert_eq!(last.tag, first.tag + 255, "one tag per expert");
+        assert!(last.tag < Lane::Transfer.sub(10, 0).unwrap().tag);
         assert!(matches!(
             Lane::Transfer.sub(9, 256),
             Err(FabricError::WindowOverflow {
@@ -567,31 +487,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn a_stream_header_keeps_its_bytes() {
-        let header = encode_stream_header(5000, 2);
-        let hex: String = header.iter().map(|x| format!("{x:02x}")).collect();
-        assert_eq!(hex, "88130000000000000200000000000000");
-        assert_eq!(decode_stream_header(&header, 4096), Some((5000, 2)));
-    }
-
-    proptest! {
-        /// Arbitrary bytes never panic the frame parsers, and a stream
-        /// header that is believed is internally consistent and fits.
-        #[test]
-        fn hostile_headers_never_panic(
-            bytes in proptest::collection::vec(0u8..=255, 0..40),
-            total in 0u64..(1 << 30),
-            nchunks in 0u64..5000,
-        ) {
-            let _ = decode_stream_header(&bytes, 4096);
-            let header = encode_stream_header(total, nchunks);
-            if let Some((t, n)) = decode_stream_header(&header, 4096) {
-                prop_assert!(t <= MAX_STREAM_BYTES && n < 4096);
-                prop_assert_eq!(n, t.div_ceil(TRANSFER_CHUNK));
-            }
-        }
     }
 }

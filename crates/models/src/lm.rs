@@ -105,10 +105,8 @@ impl TinyMoeLm {
     /// (convergence-under-compression experiments).
     pub fn set_compressor(&mut self, codec: impl Fn() -> Box<dyn Compressor>) {
         for b in &mut self.blocks {
-            if let FfnKind::Moe(_) = b.ffn() {
-                // Rebuild the ffn with the codec attached: MoeLayer owns its
-                // compressor, so we swap through a take-and-replace.
-                take_ffn(b, &codec);
+            if let FfnKind::Moe(moe) = b.ffn_mut() {
+                moe.set_compressor(codec());
             }
         }
     }
@@ -199,33 +197,6 @@ impl TinyMoeLm {
         self.ln_f.visit_params(f);
         self.head.visit_params(f);
     }
-}
-
-/// Swaps a block's MoE ffn for one with a compressor attached, preserving
-/// parameters.
-fn take_ffn(block: &mut TransformerBlock, codec: &impl Fn() -> Box<dyn Compressor>) {
-    // MoeLayer has no parameter-preserving clone; instead we wrap by
-    // rebuilding with the same boxed value. We temporarily replace the ffn
-    // with a zero-size dense layer to take ownership.
-    use schemoe_tensor::nn::ActivationKind;
-    use schemoe_tensor::rng::seeded;
-    let placeholder = FfnKind::Dense(schemoe_tensor::nn::FeedForward::new(
-        1,
-        1,
-        ActivationKind::Relu,
-        &mut seeded(0),
-    ));
-    let old = std::mem::replace(block_ffn_mut(block), placeholder);
-    let new = match old {
-        FfnKind::Moe(moe) => FfnKind::Moe(moe.with_compressor(codec())),
-        dense => dense,
-    };
-    *block_ffn_mut(block) = new;
-}
-
-fn block_ffn_mut(block: &mut TransformerBlock) -> &mut FfnKind {
-    // TransformerBlock keeps ffn private; expose a crate-internal accessor.
-    block.ffn_mut()
 }
 
 #[cfg(test)]

@@ -87,17 +87,21 @@ impl Default for Trainer {
 }
 
 impl Trainer {
-    /// Trains on the regime-Markov language-modelling task and reports
-    /// validation perplexity.
-    pub fn run_markov(&self, lm: &mut TinyMoeLm, data: &RegimeMarkov) -> TrainReport {
-        let t = lm.config().seq_len;
+    /// The Adam loop both tasks share: `self.steps` steps on batches that
+    /// `sample` draws from the data-seed RNG. Returns the last window's
+    /// mean loss and the loss curve (one mean per tenth of the run).
+    fn train(
+        &self,
+        lm: &mut TinyMoeLm,
+        mut sample: impl FnMut(&mut SmallRng) -> Vec<usize>,
+    ) -> (f32, Vec<f32>) {
         let mut rng = seeded(self.data_seed);
         let mut opt = Adam::new(self.lr).with_grad_clip(1.0);
         let mut curve = Vec::new();
         let mut window = Vec::new();
         for step in 0..self.steps {
             let _step_span = obs::span("step", format_args!("step{step}"));
-            let tokens = data.sample_batch(self.batch, t, &mut rng);
+            let tokens = sample(&mut rng);
             let loss = {
                 let _s = obs::span("forward", "forward");
                 lm.loss_on(&tokens)
@@ -116,7 +120,14 @@ impl Trainer {
                 window.clear();
             }
         }
-        let final_loss = *curve.last().unwrap_or(&f32::NAN);
+        (*curve.last().unwrap_or(&f32::NAN), curve)
+    }
+
+    /// Trains on the regime-Markov language-modelling task and reports
+    /// validation perplexity.
+    pub fn run_markov(&self, lm: &mut TinyMoeLm, data: &RegimeMarkov) -> TrainReport {
+        let t = lm.config().seq_len;
+        let (final_loss, curve) = self.train(lm, |rng| data.sample_batch(self.batch, t, rng));
         // Held-out evaluation with a fixed seed so every codec variant
         // sees the same validation set.
         let mut val_rng = seeded(self.data_seed + 1_000_000);
@@ -138,32 +149,7 @@ impl Trainer {
             data.seq_len(),
             "model seq_len must match the task"
         );
-        let mut rng = seeded(self.data_seed);
-        let mut opt = Adam::new(self.lr).with_grad_clip(1.0);
-        let mut curve = Vec::new();
-        let mut window = Vec::new();
-        for step in 0..self.steps {
-            let _step_span = obs::span("step", format_args!("step{step}"));
-            let tokens = data.sample_batch(self.batch, &mut rng);
-            let loss = {
-                let _s = obs::span("forward", "forward");
-                lm.loss_on(&tokens)
-            };
-            {
-                let _s = obs::span("backward", "backward");
-                lm.backward();
-            }
-            {
-                let _s = obs::span("optimizer", "adam");
-                opt.step_params(&mut |f| lm.visit_params(f));
-            }
-            window.push(loss);
-            if (step + 1) % (self.steps / 10).max(1) == 0 {
-                curve.push(window.iter().sum::<f32>() / window.len() as f32);
-                window.clear();
-            }
-        }
-        let final_loss = *curve.last().unwrap_or(&f32::NAN);
+        let (final_loss, curve) = self.train(lm, |rng| data.sample_batch(self.batch, rng));
         let mut val_rng = seeded(self.data_seed + 1_000_000);
         let mut acc_sum = 0.0f32;
         let val_loss = {

@@ -81,10 +81,14 @@ impl MoeLayer {
         }
     }
 
-    /// Round-trips dispatch and combine payloads through `codec`,
-    /// builder style.
-    pub fn with_compressor(mut self, codec: Box<dyn Compressor>) -> Self {
+    /// Round-trips dispatch and combine payloads through `codec`.
+    pub fn set_compressor(&mut self, codec: Box<dyn Compressor>) {
         self.compressor = Some(codec);
+    }
+
+    /// [`set_compressor`](Self::set_compressor), builder style.
+    pub fn with_compressor(mut self, codec: Box<dyn Compressor>) -> Self {
+        self.set_compressor(codec);
         self
     }
 

@@ -87,7 +87,7 @@ fn parse(payload: &[u8]) -> Result<Vec<Entry<'_>>, RecordError> {
 /// without applying it to anything.
 ///
 /// The rejoin protocol's parse-then-verify-then-apply discipline hangs on
-/// this: a rank receiving state over the fabric verifies the assembled
+/// this: a rank receiving state over the fabric verifies the received
 /// payload *before* its first weight is overwritten, so a torn or damaged
 /// transfer rolls back to exactly the pre-transfer state.
 pub fn verify(payload: &[u8]) -> Result<(), RecordError> {

@@ -1,19 +1,21 @@
-//! Torn state transfers: the rejoin protocol's parse-then-verify-then-apply
+//! Lost state transfers: the rejoin protocol's parse-then-verify-then-apply
 //! discipline under donor death and link damage.
 //!
-//! These tests drive [`schemoe_models::ft::stream_state`] /
+//! These tests drive [`schemoe_models::ft::send_copies`] /
 //! [`receive_state`](schemoe_models::ft::receive_state) on the rejoin
 //! path's own lane, over the trainer's own [`RankState`] payloads — the
 //! same functions the elastic-membership rejoin path uses — and assert the
-//! failure contract: a transfer torn by a donor killed mid-stream, or
+//! failure contract: a transfer lost to a donor killed before it sends, or
 //! damaged by a fully corrupting link, leaves the rejoiner's weights
-//! bit-for-bit untouched and its membership epoch unchanged. Nothing is
-//! applied until the reassembled payload's checkpoint seal verifies.
+//! bit-for-bit untouched and its membership epoch unchanged. A payload
+//! travels as the lane's copies of one sealed frame, and nothing is
+//! applied until a received copy's checkpoint seal verifies.
 
 use std::time::Duration;
 
+use bytes::Bytes;
 use schemoe_cluster::{ChaosLink, ChaosPlan, Fabric, RankHandle, Topology, TransportKind};
-use schemoe_models::ft::{receive_state, stream_state, Half, Lane, RankState};
+use schemoe_models::ft::{receive_state, send_copies, Half, Lane, RankState};
 use schemoe_models::FtConfig;
 use schemoe_tensor::checkpoint;
 
@@ -48,25 +50,24 @@ fn expert_weights(st: &mut RankState) -> Vec<f32> {
 
 #[test]
 fn a_donor_killed_mid_stream_leaves_the_rejoiner_untouched() {
-    // The donor dies after 3 sends: past the header copies, inside the
-    // chunk stream — the canonical torn transfer.
+    // The donor dies before its first send: no copy of the state frame
+    // ever leaves.
     let plan = ChaosPlan::seeded(21)
-        .kill_after(0, 3)
+        .kill_after(0, 0)
         .with_recv_deadline(Duration::from_millis(200));
     let results = run_pair(plan, |mut h| {
         let mut st = rank_state(100 + h.rank() as u64, h.rank(), 2);
         let lane = Lane::State.at(7).unwrap();
         if h.rank() == 0 {
-            // Donor half: the stream must fail loudly with its own death,
+            // Donor half: the send must fail loudly with its own death,
             // never complete silently.
-            let payload = st.save(Half::Replicated);
-            assert!(payload.len() > 3 * 1024, "payload too small to tear");
-            stream_state(&mut h, 1, lane, &payload).is_err()
+            let payload = Bytes::from(st.save(Half::Replicated));
+            send_copies(&h, 1, lane, &payload).is_err()
         } else {
             let before = full_snapshot(&mut st);
             let epoch_before = h.epoch();
             let got = receive_state(&mut h, 0, lane, Duration::from_millis(300));
-            assert!(got.is_err(), "a torn transfer must not verify");
+            assert!(got.is_err(), "a lost transfer must not verify");
             // Rollback contract: receive failed, so nothing was applied —
             // weights bit-identical, epoch unchanged.
             let after = full_snapshot(&mut st);
@@ -75,14 +76,14 @@ fn a_donor_killed_mid_stream_leaves_the_rejoiner_untouched() {
             true
         }
     });
-    assert!(results[0], "the donor must observe its mid-stream death");
+    assert!(results[0], "the donor must observe its own death");
     assert!(results[1]);
 }
 
 #[test]
 fn a_fully_corrupting_link_cannot_install_partial_state() {
     // Every frame on the donor -> rejoiner link is bit-flipped, so every
-    // copy of every chunk fails the wire CRC. The reassembly must fail
+    // copy of the state frame fails the wire CRC. The receive must fail
     // before verification ever sees a payload.
     let plan = ChaosPlan::seeded(22)
         .with_link(
@@ -98,13 +99,13 @@ fn a_fully_corrupting_link_cannot_install_partial_state() {
         let mut st = rank_state(200 + h.rank() as u64, h.rank(), 2);
         let lane = Lane::State.at(7).unwrap();
         if h.rank() == 0 {
-            let payload = st.save(Half::Replicated);
+            let payload = Bytes::from(st.save(Half::Replicated));
             // The link eats the frames after sending; the donor survives.
-            stream_state(&mut h, 1, lane, &payload).is_ok()
+            send_copies(&h, 1, lane, &payload).is_ok()
         } else {
             let before = full_snapshot(&mut st);
             let got = receive_state(&mut h, 0, lane, Duration::from_millis(300));
-            assert!(got.is_err(), "corrupted chunks must not reassemble");
+            assert!(got.is_err(), "corrupted copies must not verify");
             let after = full_snapshot(&mut st);
             assert_eq!(before, after, "partial state leaked into the model");
             true
@@ -125,7 +126,7 @@ fn an_intact_transfer_applies_atomically_and_matches_the_donor() {
         let lane = Lane::State.at(7).unwrap();
         if h.rank() == 0 {
             let payload = st.save(Half::Replicated);
-            stream_state(&mut h, 1, lane, &payload).expect("healthy stream");
+            send_copies(&h, 1, lane, &Bytes::from(payload.clone())).expect("healthy send");
             payload
         } else {
             let expert_before = expert_weights(&mut st);
