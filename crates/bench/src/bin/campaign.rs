@@ -13,6 +13,8 @@
 //! are constants of that table — the only input besides the selection is
 //! the `CHAOS_SEED` environment variable the seeded rows read (default 1).
 
+#![deny(unsafe_code)]
+
 use schemoe_bench::campaign::{run_scenario, SCENARIOS};
 
 fn main() {

@@ -38,6 +38,8 @@
 //! and writes `trace-rank<N>.json` in Trace Event Format (load at
 //! <https://ui.perfetto.dev>).
 
+#![deny(unsafe_code)]
+
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;

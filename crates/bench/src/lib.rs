@@ -8,6 +8,8 @@
 //! Per-layer and end-to-end performance numbers live in the stand-alone
 //! `perf/` crate, not here.
 
+#![deny(unsafe_code)]
+
 pub mod campaign;
 
 #[cfg(test)]

@@ -33,6 +33,8 @@
 //!   stale-membership traffic into [`FabricError::StaleEpoch`] — sealed in
 //!   place in a frame's headroom, verified in the buffer it arrived in.
 
+#![deny(unsafe_code)]
+
 pub mod fabric;
 pub mod faults;
 pub mod hardware;

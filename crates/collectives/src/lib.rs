@@ -23,6 +23,8 @@
 //! ([`A2aPlan::execute`]), tested for exact equivalence against the direct
 //! exchange. So what is timed is what runs.
 
+#![deny(unsafe_code)]
+
 pub mod allreduce;
 pub mod analysis;
 mod hier1d;

@@ -10,6 +10,14 @@ pub fn extend_f32_le(out: &mut Vec<u8>, values: &[f32]) {
     }
 }
 
+/// Appends `w * v` for every `v` of `values` to `out` as little-endian
+/// `f32` bytes: a scaled row encoded without being formed first.
+pub fn extend_scaled_f32_le(out: &mut Vec<u8>, w: f32, values: &[f32]) {
+    for (b, v) in grow(out, values.len() * 4).chunks_exact_mut(4).zip(values) {
+        b.copy_from_slice(&(w * v).to_le_bytes());
+    }
+}
+
 /// Overwrites `out` with the little-endian `f32`s of `bytes`, pairwise up
 /// to the shorter of the two.
 pub fn copy_f32_le(out: &mut [f32], bytes: &[u8]) {
@@ -37,6 +45,17 @@ impl Compressor for NoCompression {
 
     fn compress_into(&self, data: &[f32], out: &mut Vec<u8>) {
         extend_f32_le(out, data);
+    }
+
+    fn compress_rows_into(
+        &self,
+        rows: &mut dyn Iterator<Item = &[f32]>,
+        n: usize,
+        out: &mut Vec<u8>,
+    ) {
+        let end = out.len() + self.compressed_len(n);
+        rows.for_each(|row| extend_f32_le(out, row));
+        assert_eq!(out.len(), end, "the rows hold n values");
     }
 
     fn decompress_into(&self, payload: &[u8], out: &mut [f32]) -> Result<(), CompressionError> {

@@ -25,9 +25,11 @@
 //!
 //! The crate also owns the byte-level primitives every wire and disk
 //! format in the workspace shares: the one [`crc32`], the `f32` ⇄
-//! little-endian pair ([`extend_f32_le`], [`copy_f32_le`], [`add_f32_le`]),
-//! and the one [`record`] codec the control plane's formats are written
-//! and read with.
+//! little-endian helpers ([`extend_f32_le`], [`extend_scaled_f32_le`],
+//! [`copy_f32_le`], [`add_f32_le`]), and the one [`record`] codec the
+//! control plane's formats are written and read with.
+
+#![deny(unsafe_code)]
 
 mod crc;
 mod fp16;
@@ -38,7 +40,7 @@ mod zfp;
 
 pub use crc::{crc32, crc32_update};
 pub use fp16::{f16_bits_to_f32, f32_to_f16_bits, Fp16Compressor};
-pub use identity::{add_f32_le, copy_f32_le, extend_f32_le, NoCompression};
+pub use identity::{add_f32_le, copy_f32_le, extend_f32_le, extend_scaled_f32_le, NoCompression};
 pub use int8::Int8Compressor;
 pub use zfp::ZfpCompressor;
 
@@ -83,7 +85,10 @@ impl std::error::Error for CompressionError {}
 /// A codec implements the two *into* forms, which write into storage the
 /// caller owns; [`compress`](Self::compress) and
 /// [`decompress`](Self::decompress) are the allocating conveniences built
-/// on them, so each codec has exactly one encoder and one decoder.
+/// on them, so each codec has exactly one encoder and one decoder. The
+/// segmented form [`compress_rows_into`](Self::compress_rows_into) is that
+/// encoder over rows that live apart: by default it stages them, and an
+/// elementwise codec overrides it to encode each row where it lies.
 pub trait Compressor: Send + Sync {
     /// Stable codec name used in reports and registries.
     fn name(&self) -> &'static str;
@@ -104,6 +109,27 @@ pub trait Compressor: Send + Sync {
     /// `true` when `decompress(compress(x)) == x` bit-for-bit for finite
     /// inputs.
     fn is_lossless(&self) -> bool;
+
+    /// Appends the encoding of `rows` concatenated — `n` values in all —
+    /// to `out`: the bytes [`compress_into`](Self::compress_into) writes
+    /// for their concatenation. The default stages the rows in one `Vec`
+    /// (a codec that scales or blocks over the whole input needs it
+    /// whole); an elementwise codec encodes row by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows do not hold exactly `n` values.
+    fn compress_rows_into(
+        &self,
+        rows: &mut dyn Iterator<Item = &[f32]>,
+        n: usize,
+        out: &mut Vec<u8>,
+    ) {
+        let mut flat = Vec::with_capacity(n);
+        rows.for_each(|row| flat.extend_from_slice(row));
+        assert_eq!(flat.len(), n, "the rows hold n values");
+        self.compress_into(&flat, out);
+    }
 
     /// Encodes `data` into wire bytes.
     fn compress(&self, data: &[f32]) -> Bytes {

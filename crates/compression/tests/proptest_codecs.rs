@@ -172,6 +172,29 @@ proptest! {
         }
     }
 
+    /// The segmented encoder is the whole-slice one: ragged rows, empty
+    /// ones included, appended after what the buffer held, give exactly
+    /// the bytes of their concatenation, on every codec.
+    #[test]
+    fn rows_encode_as_their_concatenation(
+        data in proptest::collection::vec(finite_f32(), 0..70),
+        cuts in proptest::collection::vec(0usize..70, 0..8),
+        prefix in proptest::collection::vec(0u8..=255, 0..5),
+    ) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+        cuts.push(0);
+        cuts.push(data.len());
+        cuts.sort_unstable();
+        for codec in codecs() {
+            let mut want = prefix.clone();
+            codec.compress_into(&data, &mut want);
+            let mut got = prefix.clone();
+            let mut rows = cuts.windows(2).map(|w| &data[w[0]..w[1]]);
+            codec.compress_rows_into(&mut rows, data.len(), &mut got);
+            prop_assert_eq!(&got, &want, "codec {}", codec.name());
+        }
+    }
+
     /// Every codec's wire size matches its `compressed_len` contract and
     /// decoding returns exactly the requested element count.
     #[test]

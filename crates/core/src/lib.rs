@@ -35,6 +35,8 @@
 //! assert!(schemoe.as_secs() < naive.as_secs());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod adaptive;
 pub mod step_time;
 pub mod systems;

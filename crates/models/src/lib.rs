@@ -16,6 +16,8 @@
 //!   functionally on one machine, exactly as in the paper where they
 //!   needed 32 GPUs.
 
+#![deny(unsafe_code)]
+
 pub mod block;
 pub mod data;
 pub mod ft;

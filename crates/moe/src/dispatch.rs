@@ -92,8 +92,10 @@ impl Routing {
     }
 }
 
-/// A layer's recycled `f32` blocks: decode targets, gather staging, the
-/// rows a forward keeps for its backward. Contents of a block fresh out of
+/// A layer's recycled `f32` blocks: decode targets, an expert's gathered
+/// input, its output and what it saves for the backward, the input grads.
+/// No encode stages through it: every leg encodes its rows from where they
+/// live ([`encode_into`]). Contents of a block fresh out of
 /// [`take`](Pool::take) are stale; every user overwrites what it reads.
 pub(crate) type Workspace = Pool<f32>;
 
@@ -121,43 +123,34 @@ pub(crate) fn gather_block<'p>(
 /// Serializes the rows bound for one rank straight into a frame: a
 /// little-endian `u32` row count per served expert, then the codec's
 /// encoding of all rows concatenated. The `k`-th served expert has the
-/// `k`-th of `counts` rows of width `m`, and `gather(k, rows)` fills exactly
-/// that many values: they are staged in one block of `ws` (a codec sees the
-/// chunk whole) and encoded into the frame body, where the bytes leave from.
-pub(crate) fn encode_chunk_into(
+/// `k`-th of `counts` rows of width `m`, and `rows` yields their values in
+/// that order as slices of wherever they live; the codec encodes each one
+/// straight into the frame body, where the bytes leave from.
+pub(crate) fn encode_into<'r>(
     compressor: &dyn Compressor,
-    (frames, ws): (&FramePool, &Workspace),
+    frames: &FramePool,
     m: usize,
     counts: impl Iterator<Item = usize> + Clone,
-    mut gather: impl FnMut(usize, &mut [f32]),
+    mut rows: impl Iterator<Item = &'r [f32]>,
 ) -> FrameBuf {
-    let mut staging = ws.take(counts.clone().sum::<usize>() * m);
-    let mut rest = &mut staging[..];
-    for (k, count) in counts.clone().enumerate() {
-        let (rows, tail) = rest.split_at_mut(count * m);
-        gather(k, rows);
-        rest = tail;
-    }
-    let buf = encode_rows_into(compressor, frames, counts, &staging);
-    ws.put(staging);
+    let n = counts.clone().sum::<usize>() * m;
+    let mut buf = chunk_frame(frames, counts, compressor.compressed_len(n));
+    compressor.compress_rows_into(&mut rows, n, buf.body_mut());
     buf
 }
 
-/// [`encode_chunk_into`] for rows already laid out as the chunk carries
-/// them — every expert's, expert after expert — so nothing is staged.
-pub(crate) fn encode_rows_into(
-    compressor: &dyn Compressor,
+/// A frame holding a chunk's header — the `counts` — with room for a
+/// `payload`-byte encoding after it.
+pub(crate) fn chunk_frame(
     frames: &FramePool,
     counts: impl Iterator<Item = usize> + Clone,
-    rows: &[f32],
+    payload: usize,
 ) -> FrameBuf {
-    let header = 4 * counts.clone().count();
-    let mut buf = frames.checkout(header + compressor.compressed_len(rows.len()));
+    let mut buf = frames.checkout(4 * counts.clone().count() + payload);
     for count in counts {
         buf.body_mut()
             .extend_from_slice(&(count as u32).to_le_bytes());
     }
-    compressor.compress_into(rows, buf.body_mut());
     buf
 }
 
@@ -308,8 +301,8 @@ mod tests {
             .collect())
     }
 
-    /// A workspace whose shelf holds one poisoned block, so a decode or a
-    /// staging gather that left an element unwritten would read a NaN.
+    /// A workspace whose shelf holds one poisoned block, so a decode that
+    /// left an element unwritten would read a NaN.
     fn stale_workspace() -> Workspace {
         let ws = Workspace::default();
         let mut poisoned = ws.take(1 << 12);
@@ -318,14 +311,13 @@ mod tests {
         ws
     }
 
-    /// The into-form encoder over whole row blocks, as a payload.
-    fn encode_into(compressor: &dyn Compressor, blocks: &[Tensor]) -> Bytes {
-        let pools = (&FramePool::new(BufPool::default()), &stale_workspace());
+    /// The into-form encoder over row blocks, fed one row at a time as
+    /// the layer's dispatch feeds it, as a payload.
+    fn encode_frame(compressor: &dyn Compressor, blocks: &[Tensor]) -> Bytes {
+        let frames = FramePool::new(BufPool::default());
         let counts = blocks.iter().map(|b| b.dims()[0]);
-        let whole = |k: usize, rows: &mut [f32]| rows.copy_from_slice(blocks[k].data());
-        let frame = encode_chunk_into(compressor, pools, M, counts, whole);
-        assert_eq!(pools.1.usage().0, 0, "the staging block went home");
-        frame.into_payload()
+        let rows = blocks.iter().flat_map(|b| b.data().chunks_exact(M));
+        encode_into(compressor, &frames, M, counts, rows).into_payload()
     }
 
     /// The into-form decoder, its rows copied out as one tensor per expert.
@@ -386,7 +378,7 @@ mod tests {
         // Gradients ride the same framing under `NoCompression`: a count
         // per expert and four bytes per value, as the raw framing had.
         let rows = blocks(&[2, 0, 5]);
-        let chunk = encode_into(&NoCompression, &rows);
+        let chunk = encode_frame(&NoCompression, &rows);
         assert_eq!(chunk.len(), 4 * rows.len() + 4 * (2 + 5) * M);
         let back = decode_into(&NoCompression, &chunk, rows.len()).unwrap();
         assert_eq!(back, rows);
@@ -457,7 +449,7 @@ mod tests {
         ) {
             let codec = codec(codec_idx);
             let experts = counts.len();
-            let chunk = encode_into(codec.as_ref(), &blocks(&counts));
+            let chunk = encode_frame(codec.as_ref(), &blocks(&counts));
             let decode = |bytes: &[u8]| decode_into(codec.as_ref(), bytes, experts);
             prop_assert!(decode(&chunk).is_ok());
 
@@ -499,7 +491,7 @@ mod tests {
                 .map(|&c| Tensor::from_vec(values.by_ref().take(c * M).collect(), &[c, M]).unwrap())
                 .collect();
             let oracle = encode_chunk(codec.as_ref(), &rows);
-            let chunk = encode_into(codec.as_ref(), &rows);
+            let chunk = encode_frame(codec.as_ref(), &rows);
             prop_assert_eq!(&chunk[..], &oracle[..]);
 
             let agree = |bytes: &[u8]| same(

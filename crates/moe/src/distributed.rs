@@ -1,6 +1,7 @@
 //! Expert-parallel MoE execution over the rank fabric.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::iter::once;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -11,7 +12,7 @@ use schemoe_cluster::{FabricError, RankHandle, Topology};
 use schemoe_collectives::{
     allreduce_live, chunk_tag, lanes, A2aPlan, AllToAll, Block, Held, NcclA2A, MAX_PARTITION_DEGREE,
 };
-use schemoe_compression::{Compressor, NoCompression};
+use schemoe_compression::{extend_scaled_f32_le, Compressor, NoCompression};
 use schemoe_obs as obs;
 use schemoe_scheduler::executor::{
     run_inline_cancellable, run_overlapped_cancellable, ExecTask, Worker,
@@ -25,8 +26,7 @@ use schemoe_tensor::nn::{Param, Segment};
 use schemoe_tensor::Tensor;
 
 use crate::dispatch::{
-    block, decode_chunk_into, encode_chunk_into, encode_rows_into, gather_block, Routing, Rows,
-    Workspace,
+    block, chunk_frame, decode_chunk_into, encode_into, gather_block, Routing, Rows, Workspace,
 };
 use crate::expert::Expert;
 use crate::gating::{GateDecision, TopKGate};
@@ -620,8 +620,7 @@ impl DistributedMoeLayer {
         });
         // Read before the handle goes behind its mutex: compute tasks
         // check frames out of the pool without ever locking the handle.
-        let frames = h.frames();
-        let pools = (&frames, ws);
+        let frames = &h.frames();
         let handle = Mutex::new(h);
         let wire = Wire {
             handle: &handle,
@@ -657,14 +656,10 @@ impl DistributedMoeLayer {
                             let segment = routing_ref.segment(e, dst, slots.len(), c, r);
                             segment.map(move |s| slots[s].0)
                         };
-                        let experts = routing_ref.served[dst].len();
-                        let counts = (0..experts).map(|k| tokens(k).len());
-                        let gather = |k: usize, rows: &mut [f32]| {
-                            for (row, t) in rows.chunks_exact_mut(m).zip(tokens(k)) {
-                                row.copy_from_slice(x.row(t));
-                            }
-                        };
-                        let chunk = encode_chunk_into(compressor, pools, m, counts, gather);
+                        let experts = 0..routing_ref.served[dst].len();
+                        let counts = experts.clone().map(|k| tokens(k).len());
+                        let rows = experts.flat_map(tokens).map(|t| x.row(t));
+                        let chunk = encode_into(compressor, frames, m, counts, rows);
                         leg.lock().insert((me, dst), Block::Frame(chunk));
                     }
                     Ok(())
@@ -720,11 +715,13 @@ impl DistributedMoeLayer {
                     for &src in sources {
                         let sent = &inputs[src];
                         let counts = (0..mine.len()).map(|k| sent.count(k));
-                        let gather = |k: usize, rows: &mut [f32]| {
-                            rows.copy_from_slice(&outputs[k][offsets[k]..][..rows.len()]);
-                            offsets[k] += rows.len();
-                        };
-                        let back = encode_chunk_into(compressor, pools, m, counts, gather);
+                        let parts = counts.clone().zip(&mut offsets).zip(&outputs);
+                        let rows = parts.map(|((count, at), output)| {
+                            let part = &output[*at..*at + count * m];
+                            *at += count * m;
+                            part
+                        });
+                        let back = encode_into(compressor, frames, m, counts, rows);
                         out.lock().insert((me, src), Block::Frame(back));
                     }
                     outputs.into_iter().for_each(|block| ws.put(block));
@@ -870,8 +867,7 @@ impl DistributedMoeLayer {
             local: &mut self.local_experts,
             guests: &mut self.guest_experts,
         });
-        let (frames, ws) = (h.frames(), &self.workspace);
-        let pools = (&frames, ws);
+        let (frames, ws) = (&h.frames(), &self.workspace);
         let handle = Mutex::new(h);
         let wire = Wire {
             handle: &handle,
@@ -901,16 +897,13 @@ impl DistributedMoeLayer {
                     let share = routing.segment(e, dst, slots.len(), 0, 1);
                     share.map(move |s| slots[s])
                 };
-                let experts = routing.served[dst].len();
-                let counts = (0..experts).map(|k| share(k).len());
-                let weigh = |k: usize, rows: &mut [f32]| {
-                    for (row, (t, w)) in rows.chunks_exact_mut(m).zip(share(k)) {
-                        for (g, &d) in row.iter_mut().zip(dy.row(t)) {
-                            *g = w * d;
-                        }
-                    }
-                };
-                let chunk = encode_chunk_into(raw, pools, m, counts, weigh);
+                let experts = 0..routing.served[dst].len();
+                let counts = experts.clone().map(|k| share(k).len());
+                let n = counts.clone().sum::<usize>() * m;
+                let mut chunk = chunk_frame(frames, counts, raw.compressed_len(n));
+                for (t, w) in experts.flat_map(share) {
+                    extend_scaled_f32_le(chunk.body_mut(), w, dy.row(t));
+                }
                 grad.lock().insert((me, dst), Block::Frame(chunk));
                 Ok(())
             });
@@ -978,7 +971,7 @@ impl DistributedMoeLayer {
                 let name = format_args!("{}[s{j}]", BWD.label(Compress2));
                 let _c2b = obs::span_sized("encode", name, bytes);
                 let counts = (0..mine.len()).map(|k| grads.count(k));
-                let chunk = encode_rows_into(raw, pools.0, counts, &dins);
+                let chunk = encode_into(raw, frames, m, counts, once(&dins[..]));
                 back.lock().insert((me, j), Block::Frame(chunk));
                 grads.recycle(ws);
                 ws.put(dins);

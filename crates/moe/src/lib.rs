@@ -19,6 +19,8 @@
 //!   computed by the owning rank's experts, and combined back. Tested for
 //!   equivalence against [`MoeLayer`].
 
+#![deny(unsafe_code)]
+
 mod dispatch;
 pub mod distributed;
 pub mod expert;

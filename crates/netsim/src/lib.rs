@@ -33,6 +33,8 @@
 //! assert!(trace.start(c) < trace.end(b));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod chrome;
 pub mod cost;
 pub mod engine;

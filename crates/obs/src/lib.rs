@@ -45,6 +45,8 @@
 //! schemoe_obs::disable();
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod chrome;
 pub mod counters;
 pub mod json;

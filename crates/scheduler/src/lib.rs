@@ -25,6 +25,8 @@
 //! * [`executor`] — a real two-worker overlap executor that runs closures
 //!   in a schedule's order with genuine wall-clock comm/comp overlap.
 
+#![deny(unsafe_code)]
+
 pub mod backward;
 pub mod costs;
 pub mod executor;

@@ -154,9 +154,10 @@ fn gemm_with(fma: bool, a: Mat, b: Mat, init: Init, out: &mut [f32]) {
         assert_eq!(row.len(), b.cols, "gemm: init row must be [n]");
     }
     if fma && fma_detected() {
-        // SAFETY: the two features the callee is compiled for were just
-        // detected on the running CPU.
+        // SAFETY: avx2 and fma, the two features the callee is compiled
+        // for, were just detected on the running CPU.
         #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
         return unsafe { gemm_avx2_fma(a, b, init, out) };
     }
     gemm_body::<false>(a, b, init, out);

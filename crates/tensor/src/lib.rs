@@ -26,6 +26,8 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod checkpoint;
 pub mod gemm;
 pub mod grad_check;
