@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use schemoe_cluster::{ChaosPlan, Topology, TransportKind};
 use schemoe_models::{FtConfig, FtReport, SnapshotCfg};
+use schemoe_moe::{Expert, FfExpert};
 use schemoe_obs::json::Json;
+use schemoe_tensor::{checkpoint, rng::seeded};
 
 use super::{
     agreed_resume_step, best_of_ab, chaosfs_plan, corrupt_newest_shard, crash_and_resume,
@@ -85,10 +87,16 @@ pub fn recovery(seed: u64) -> Json {
     }
 }
 
+/// An `SREP` replica frame's bytes around its payload: magic, version,
+/// quantum, length and CRC.
+const SREP_FRAMING: u64 = 24;
+
 /// Buddy replication: what keeping every expert's warm replica costs in
 /// steady state (`K = 0` vs `K = 8`, loss curves compared bit for bit),
 /// how stale the replica is when the buddy activates it at failover, and
-/// what the buddy streams back when the victim rejoins.
+/// what the buddy streams back when the victim rejoins — each frame and
+/// the handback against the checkpoint of a bare expert's weights, so no
+/// optimizer state rides along unseen.
 pub fn replication(seed: u64) -> Json {
     /// Replication quantum under test.
     const K: usize = 8;
@@ -120,6 +128,11 @@ pub fn replication(seed: u64) -> Json {
     let revived = kill_world(&cfg, Some(plan));
     assert_eq!(revived[KILLED].rejoins, 1, "the victim must rejoin once");
 
+    let mut bare = FfExpert::new(cfg.model_dim, cfg.hidden_dim, &mut seeded(0));
+    let weight_bytes = checkpoint::save(&mut |f| bare.visit_params(f)).len() as u64;
+    let quanta = repl.iter().map(|r| r.replica_quanta).sum::<u64>();
+    let bytes = repl.iter().map(|r| r.replica_bytes).sum::<u64>();
+
     obj! {
         "bench": "replication",
         "seed": seed,
@@ -133,8 +146,10 @@ pub fn replication(seed: u64) -> Json {
             "pct": round((repl_ms - base_ms) / base_ms * 100.0, 4),
             "gate_pct": REPLICATION_OVERHEAD_PCT,
             "curves_bit_identical": curves_equal,
-            "quanta": repl.iter().map(|r| r.replica_quanta).sum::<u64>(),
-            "bytes": repl.iter().map(|r| r.replica_bytes).sum::<u64>(),
+            "quanta": quanta,
+            "bytes": bytes,
+            "frame_bytes": bytes as f64 / quanta as f64,
+            "weight_frame_bytes": weight_bytes + SREP_FRAMING,
         },
         "failover": obj! {
             "steps": KILL_STEPS,
@@ -148,6 +163,7 @@ pub fn replication(seed: u64) -> Json {
             "handbacks": revived[buddy].handbacks,
             "host_bytes": revived[buddy].handback_bytes,
             "rejoiner_bytes": revived[KILLED].handback_bytes,
+            "weight_bytes": weight_bytes,
         },
     }
 }

@@ -207,10 +207,16 @@ pub const SCENARIOS: &[Scenario] = &[
         ("overhead.pct", LT, Num(REPLICATION_OVERHEAD_PCT)),
         ("overhead.curves_bit_identical", EQ, TRUE),
         ("overhead.quanta", GT, Num(0.0)),
+        (
+            "overhead.frame_bytes",
+            EQ,
+            At("overhead.weight_frame_bytes"),
+        ),
         ("failover.activations", EQ, Num(1.0)),
         ("failover.staleness_steps", LE, At("quantum")),
         ("handback.handbacks", EQ, Num(1.0)),
         ("handback.host_bytes", GT, Num(0.0)),
+        ("handback.host_bytes", EQ, At("handback.weight_bytes")),
         ("handback.rejoiner_bytes", GT, Num(0.0)),
     ]),
     Scenario::new("partition", "contract", ft::partition).gates(&[

@@ -604,7 +604,7 @@ pub(super) fn try_rejoin_peers(
     }
     // Capture handback material before admission tears the routes down:
     // which host serves each admitted rank's expert, and (on the host) the
-    // guest's weights + velocity serialized in the owner's own layout.
+    // guest's weights serialized in the owner's own layout.
     let routes = st.model.moe.failover_routes();
     let handbacks: Vec<(Option<usize>, Option<Bytes>)> = admitted
         .iter()

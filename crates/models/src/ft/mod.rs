@@ -51,11 +51,11 @@
 //! control-plane lane. Survivors poll for announcements at a fixed step
 //! cadence ([`FtConfig::rejoin_check_every`]); on seeing one they bump the
 //! membership epoch, re-admit the rank, and the lowest live rank — the
-//! *donor* — sends the replicated parameters and their optimizer-state
-//! slots as one CRC-sealed checkpoint frame. The rejoiner **verifies the
-//! seal, and only then applies**: a transfer lost to a donor death or
-//! link damage leaves it untouched, at its old epoch, and it simply
-//! re-announces. Every membership change —
+//! *donor* — sends the replicated parameters as one CRC-sealed checkpoint
+//! frame (plain SGD holds no state, so the weights are all there is). The
+//! rejoiner **verifies the seal, and only then applies**: a transfer lost
+//! to a donor death or link damage leaves it untouched, at its old epoch,
+//! and it simply re-announces. Every membership change —
 //! burial or rejoin — advances the epoch stamped on data frames, so a rank
 //! that has not observed the transition has its traffic rejected as
 //! [`FabricError::StaleEpoch`] instead of feeding stale collectives.
@@ -63,15 +63,15 @@
 //! # Buddy replication and hot failover
 //!
 //! With [`FtConfig::replica_interval`] `K > 0`, every `K` committed steps
-//! each rank streams its expert weights **and** optimizer velocity to the
-//! buddy at `(rank + 1) mod n` as one whole CRC-sealed frame (see
-//! [`schemoe_moe::replication`]), and absorbs the frame of each
-//! rank whose buddy it is. When a rank is buried, its buddy *activates* the
-//! replica: every survivor installs a failover route in the MoE layer,
-//! the buddy rebuilds the dead rank's expert (replica if one arrived,
-//! deterministic re-init otherwise) and hosts it, and the gate keeps the
-//! full expert set — a death costs at most `K` steps of expert staleness
-//! instead of an expert-shaped hole in the model. On rejoin the invite
+//! each rank streams its expert weights to the buddy at `(rank + 1) mod n`
+//! as one whole CRC-sealed frame (see [`schemoe_moe::replication`]), and
+//! absorbs the frame of each rank whose buddy it is. When a rank is
+//! buried, its buddy *activates* the replica: every survivor installs a
+//! failover route in the MoE layer, the buddy rebuilds the dead rank's
+//! expert (replica if one arrived, deterministic re-init otherwise) and
+//! hosts it, and the gate keeps the full expert set — a death costs at
+//! most `K` steps of expert staleness instead of an expert-shaped hole in
+//! the model. On rejoin the invite
 //! names the host, which sends the hosted expert (trained while its
 //! owner was dead) back on a dedicated handback lane; the rejoiner
 //! applies it, routes clear, and full ownership resumes.
@@ -134,8 +134,8 @@ pub struct FtConfig {
     pub seq_len: usize,
     /// Training steps to commit.
     pub steps: usize,
-    /// SGD learning rate (no momentum: optimizer state is not
-    /// checkpointed, so restores must not inherit stale velocity).
+    /// Learning rate of the plain, stateless SGD every rank steps with, so
+    /// checkpoints, replicas and transfers carry the weights alone.
     pub lr: f32,
     /// Master seed: model init, data, and per-step batches all derive from
     /// it, so two runs with the same seed see identical inputs.
@@ -149,10 +149,10 @@ pub struct FtConfig {
     /// announcements from revivable dead ranks. `0` disables rejoin.
     pub rejoin_check_every: usize,
     /// Buddy-replication quantum in committed steps: every `K` steps each
-    /// rank streams its expert weights + optimizer velocity to the buddy
-    /// at `(rank + 1) mod n`, so a death costs at most `K` steps of expert
-    /// staleness instead of an expert-shaped hole. `0` disables
-    /// replication (the reroute-only behaviour).
+    /// rank streams its expert weights to the buddy at `(rank + 1) mod n`,
+    /// so a death costs at most `K` steps of expert staleness instead of
+    /// an expert-shaped hole. `0` disables replication (the reroute-only
+    /// behaviour).
     pub replica_interval: usize,
     /// Partition degree `r` of the MoE layer's task graph. `1` = the same
     /// graph run inline; higher degrees chunk the all-to-alls and overlap

@@ -506,9 +506,8 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
 
     // Stage transfers. For each expert gaining a server outside its old
     // sync group, the static home (always in sync — see the per-expert
-    // gradient reduce in `try_step`) sends weights + velocity as one
-    // frame; the new server installs a guest body and applies the
-    // verified payload.
+    // gradient reduce in `try_step`) sends its weights as one frame; the
+    // new server installs a guest body and applies the verified payload.
     let next = &plan.placement;
     let current = st.model.moe.placement().cloned();
     let current = current.unwrap_or_else(|| Placement::static_layout(n_experts, epr));

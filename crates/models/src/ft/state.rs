@@ -33,10 +33,9 @@ const CHECKPOINT_EVERY: usize = 5;
 type Walk<'a> = dyn FnMut(&mut dyn FnMut(&mut Param)) + 'a;
 
 /// Which slice of a rank's state a sealed payload carries. Every payload
-/// is weights followed by the optimizer velocity slots that belong to
-/// them, velocity entries named by their *global* slot index — so the
-/// three halves share one layout and a host's frame for an expert loads
-/// into its owner, a home's into a guest.
+/// is weights alone (plain SGD holds no state), and an expert's are the
+/// same parameters under the same names wherever it is served — so a
+/// host's frame for an expert loads into its owner, a home's into a guest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Half {
     /// Embedding, gate and head: what a rejoiner needs to continue the
@@ -46,8 +45,7 @@ pub enum Half {
     /// of a snapshot shard, and what a handback or transfer applies to.
     OwnExpert,
     /// The guest body this rank serves for expert `.0` — a placement
-    /// replica, or a dead home's expert it hosts by failover — with the
-    /// velocity it has been training it with.
+    /// replica, or a dead home's expert it hosts by failover.
     Guest(usize),
 }
 
@@ -59,10 +57,9 @@ pub struct Model {
 }
 
 impl Model {
-    /// Visits every parameter in the fixed order checkpoints and the
-    /// optimizer rely on, flagging each as replicated (embedding, gate,
-    /// head — gradients averaged across live ranks) or rank-local (the
-    /// expert).
+    /// Visits every parameter in the fixed order checkpoints rely on,
+    /// flagging each as replicated (embedding, gate, head — gradients
+    /// averaged across live ranks) or rank-local (the expert).
     fn visit_flagged(&mut self, f: &mut dyn FnMut(&mut Param, bool)) {
         self.embed.visit_params(&mut |p| f(p, true));
         self.moe.visit_params(&mut |p| {
@@ -72,8 +69,7 @@ impl Model {
         self.head.visit_params(&mut |p| f(p, true));
     }
 
-    /// Visits every parameter, in the fixed order checkpoints and the
-    /// optimizer rely on.
+    /// Visits every parameter, in the fixed order checkpoints rely on.
     pub fn visit_all(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.visit_flagged(&mut |p, _| f(p));
     }
@@ -90,11 +86,6 @@ pub struct RankState {
     pub opt: Sgd,
     ce: SoftmaxCrossEntropy,
     markov: RegimeMarkov,
-    /// Per parameter in [`Model::visit_all`]'s order — which the
-    /// optimizer's velocity slots mirror — whether it is replicated.
-    /// Identical on every rank (the model structure is), so a host can
-    /// name a ward's velocity slots without ever holding its optimizer.
-    flags: Vec<bool>,
     pub(super) live: Vec<bool>,
     /// Ranks buried on first-hand disconnection evidence: provably
     /// crashed, so they shrink the quorum base. Silence-buried ranks do
@@ -107,11 +98,6 @@ pub struct RankState {
     ckpt_step: usize,
     /// Buddy replication: per ward its latest verified replica.
     pub(super) stores: BTreeMap<usize, ReplicaStore>,
-    /// The optimizer of each guest body, by global expert: the home's own
-    /// rule, kept outside [`opt`](Self::opt) because its slot order must
-    /// not shift when guests come and go mid-run. One expert per rank, so
-    /// expert `e`'s static home is rank `e`.
-    guest_opt: BTreeMap<usize, Sgd>,
     /// Version of the last committed placement plan.
     pub(super) placement_version: u64,
     /// Snapshot generations started.
@@ -162,13 +148,11 @@ impl RankState {
         .with_partition_degree(cfg.partition_degree.max(1))
         // As patient as a vote is with all four of its tries.
         .with_recv_timeout(cfg.quantum_deadline() * 2);
-        let mut model = Model {
+        let model = Model {
             embed: Embedding::new(cfg.vocab, cfg.model_dim, &mut seeded(seed ^ 0xE3BED)),
             moe,
             head: Linear::new(cfg.model_dim, cfg.vocab, &mut seeded(seed ^ 0x4EAD)),
         };
-        let mut flags = Vec::new();
-        model.visit_flagged(&mut |_, replicated| flags.push(replicated));
         let mut st = RankState {
             cfg: *cfg,
             me,
@@ -177,7 +161,6 @@ impl RankState {
             opt: Sgd::new(cfg.lr),
             ce: SoftmaxCrossEntropy::new(),
             markov: RegimeMarkov::new(cfg.vocab, REGIMES, &mut seeded(seed ^ 0xDA7A)),
-            flags,
             live: vec![true; p],
             confirmed_gone: 0,
             step: 0,
@@ -185,7 +168,6 @@ impl RankState {
             ckpt: Vec::new(),
             ckpt_step: 0,
             stores: BTreeMap::new(),
-            guest_opt: BTreeMap::new(),
             placement_version: 0,
             generation: 0,
             report: FtReport::default(),
@@ -196,38 +178,16 @@ impl RankState {
     }
 
     fn visit_half(&mut self, half: Half, f: &mut dyn FnMut(&mut Param)) {
-        let (me, flags) = (self.me, &self.flags);
         match half {
             Half::Replicated | Half::OwnExpert => {
                 let want = half == Half::Replicated;
-                self.opt.ensure_state(&mut |g| self.model.visit_all(g));
                 self.model.visit_flagged(&mut |p, replicated| {
                     if replicated == want {
                         f(p);
                     }
                 });
-                let mut i = 0usize;
-                self.opt.visit_state(&mut |p| {
-                    if flags[i] == want {
-                        f(p);
-                    }
-                    i += 1;
-                });
             }
-            Half::Guest(e) => {
-                let moe = &mut self.model.moe;
-                moe.visit_serving_params(me, e, f);
-                let opt = self.guest_opt.get_mut(&e).expect("guest without optimizer");
-                opt.ensure_state(&mut |g| moe.visit_serving_params(me, e, g));
-                // Named by the expert's global slot, as on its home.
-                let mut slots = (0..flags.len()).filter(|&i| !flags[i]);
-                opt.visit_state(&mut |p| {
-                    if let Some(i) = slots.next() {
-                        p.name = format!("opt.v{i}");
-                        f(p);
-                    }
-                });
-            }
+            Half::Guest(e) => self.model.moe.visit_serving_params(self.me, e, f),
         }
     }
 
@@ -311,7 +271,6 @@ impl RankState {
         self.live[r] = true;
         self.model.moe.mark_rank_alive(r);
         h.mark_peer_reachable(r);
-        self.prune_guest_opts();
     }
 
     /// The placement reset every membership disturbance forces: back to
@@ -322,26 +281,17 @@ impl RankState {
     pub(super) fn reset_placement(&mut self) {
         self.model.moe.reset_placement();
         self.model.moe.set_capacity_factor(self.cfg.capacity_factor);
-        self.prune_guest_opts();
     }
 
     /// Installs `placement` as this rank's committed one. Its guest bodies
     /// are already installed; those it no longer assigns here go.
     pub(super) fn set_placement(&mut self, placement: Placement) {
         self.model.moe.set_placement(self.me, placement);
-        self.prune_guest_opts();
     }
 
-    /// Drops the optimizers of guests the layer no longer holds.
-    fn prune_guest_opts(&mut self) {
-        let kept = self.model.moe.guest_expert_ids();
-        self.guest_opt.retain(|e, _| kept.contains(e));
-    }
-
-    /// Installs a deterministically seeded guest body for expert `e` with
-    /// a fresh optimizer, and applies `payload` — the sealed
-    /// [`Half::OwnExpert`] of `e`'s home, or a buddy's replica of it — over
-    /// both.
+    /// Installs a deterministically seeded guest body for expert `e` and
+    /// applies `payload` — the sealed [`Half::OwnExpert`] of `e`'s home,
+    /// or a buddy's replica of it — over it.
     pub(super) fn install_guest(
         &mut self,
         e: usize,
@@ -349,15 +299,12 @@ impl RankState {
     ) -> Result<(), RecordError> {
         let body = seeded_expert(&self.cfg, e);
         self.model.moe.install_guest_expert(self.me, e, body);
-        self.guest_opt.insert(e, Sgd::new(self.cfg.lr));
         payload.map_or(Ok(()), |payload| self.load(Half::Guest(e), payload))
     }
 
-    /// Drops guest `e`'s body and optimizer (a staged transfer that will
-    /// not commit).
+    /// Drops guest `e`'s body (a staged transfer that will not commit).
     pub(super) fn discard_guest(&mut self, e: usize) {
         self.model.moe.discard_guest_expert(e);
-        self.guest_opt.remove(&e);
     }
 
     /// The reset a rank performs on coming back through an invite, to
@@ -477,16 +424,17 @@ impl RankState {
     }
 
     /// Commits the step everywhere an all-OK verdict allows: optimizer
-    /// step, each guest body under its own optimizer (a placement guest's
-    /// gradients left [`try_step`](Self::try_step) as the sync-group
-    /// *sum*, identical on every member, so replicas never drift), the
-    /// loss, and the periodic checkpoint.
+    /// step, each guest body under the same stateless rule its home uses
+    /// (a placement guest's gradients left [`try_step`](Self::try_step) as
+    /// the sync-group *sum*, identical on every member, so replicas never
+    /// drift), the loss, and the periodic checkpoint.
     pub(super) fn commit(&mut self, loss: f32) {
         let opt_span = schemoe_obs::span("optimizer", "sgd");
         self.opt.step_params(&mut |f| self.model.visit_all(f));
         let (me, moe) = (self.me, &mut self.model.moe);
-        for (&e, opt) in &mut self.guest_opt {
-            opt.step_params(&mut |f| moe.visit_serving_params(me, e, f));
+        for e in moe.guest_expert_ids() {
+            self.opt
+                .step_params(&mut |f| moe.visit_serving_params(me, e, f));
         }
         drop(opt_span);
         self.report.loss_curve[self.step] = loss;
@@ -620,16 +568,30 @@ mod tests {
     fn a_hosts_handback_and_shard_bytes_are_pinned() {
         // The bytes a failover host sends its revived owner and writes to
         // disk, pinned to what the host wrote when it kept its wards apart
-        // from its placement guests under a hand-written SGD.
-        let (handback, shard) = on_rank_2(|h| {
+        // from its placement guests under a hand-written SGD: the weights
+        // alone, since SGD holds no state.
+        let (handback, shard, body) = on_rank_2(|h| {
             let mut host = trained_host(h);
-            (host.save(Half::Guest(1)), host.encode_shard())
+            let mut body = Vec::new();
+            host.model.moe.visit_serving_params(2, 1, &mut |p| {
+                body.push((p.name.clone(), p.value.data().to_vec()));
+            });
+            (host.save(Half::Guest(1)), host.encode_shard(), body)
         });
         assert_eq!(
             (content_crc(&handback), handback.len()),
-            (0x5284_4460, 8760)
+            (0x6cd4_2469, 4392)
         );
-        assert_eq!((content_crc(&shard), shard.len()), (0x65fd_276e, 22526));
+        assert_eq!((content_crc(&shard), shard.len()), (0x143b_f954, 11338));
+        // The handback is the guest body's parameters and nothing else: it
+        // loads whole into a bare expert of the same shape.
+        let cfg = FtConfig::tiny(4);
+        let mut bare = FfExpert::new(cfg.model_dim, cfg.hidden_dim, &mut seeded(0));
+        checkpoint::load(&handback, &mut |f| bare.visit_params(f))
+            .expect("the handback is weights alone");
+        let mut loaded = Vec::new();
+        bare.visit_params(&mut |p| loaded.push((p.name.clone(), p.value.data().to_vec())));
+        assert_eq!(loaded, body);
         let shard = Shard::decode(&shard).expect("the shard decodes");
         let wards: Vec<(u32, u64)> = shard.replicas.iter().map(|r| (r.ward, r.quantum)).collect();
         assert_eq!(
@@ -640,10 +602,10 @@ mod tests {
     }
 
     #[test]
-    fn a_hosted_ward_keeps_its_body_and_optimizer_through_resets_and_burials() {
+    fn a_hosted_ward_keeps_its_body_through_resets_and_burials() {
         // Every membership disturbance resets placement and then buries.
-        // The ward's guest body and its optimizer are the only copy of the
-        // expert's trained state: both must come through untouched.
+        // The ward's guest body is the only copy of the expert's trained
+        // state: it must come through untouched.
         on_rank_2(|h| {
             let mut host = trained_host(h);
             let before = host.save(Half::Guest(1));
@@ -651,7 +613,6 @@ mod tests {
             host.bury(h, &[3]);
             host.reset_placement();
             assert_eq!(host.model.moe.guest_expert_ids(), vec![1]);
-            assert_eq!(host.guest_opt.keys().copied().collect::<Vec<_>>(), vec![1]);
             assert_eq!(host.save(Half::Guest(1)), before);
         });
     }

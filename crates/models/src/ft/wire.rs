@@ -452,12 +452,12 @@ mod tests {
 
     #[test]
     fn an_expert_past_the_old_16_mib_window_transfers_whole() {
-        // Expert + velocity at model_dim 512 / hidden_dim 2048 is 16.8 MB,
-        // past 4,095 × 4 KiB: a state frame has no window bound, only the
-        // transport's record bound.
+        // An expert's weights at model_dim 512 / hidden_dim 4096 are
+        // 16.8 MB, past 4,095 × 4 KiB: a state frame has no window bound,
+        // only the transport's record bound.
         let mut cfg = FtConfig::tiny(1);
         cfg.model_dim = 512;
-        cfg.hidden_dim = 2048;
+        cfg.hidden_dim = 4096;
         let got = Fabric::run_on(TransportKind::Channel, Topology::new(1, 2), |mut h| {
             let lane = Lane::Handback.at(3).unwrap();
             if h.rank() == 0 {

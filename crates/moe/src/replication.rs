@@ -1,11 +1,11 @@
 //! Buddy-replication frame codec: the wire format that keeps a warm copy
 //! of every rank's expert state on its ring buddy.
 //!
-//! Every rank streams its expert weights and optimizer velocity to the
-//! buddy at `(rank + 1) mod n` once per replication quantum (every `K`
-//! committed steps). Each frame carries the whole state: SGD moves every
-//! byte of the weights and the velocity every step, so a frame depends on
-//! no earlier frame, and a lost one costs nothing but its own quantum.
+//! Every rank streams its expert weights to the buddy at `(rank + 1) mod n`
+//! once per replication quantum (every `K` committed steps). Each frame
+//! carries the whole state: SGD moves every byte of the weights every
+//! step, so a frame depends on no earlier frame, and a lost one costs
+//! nothing but its own quantum.
 //!
 //! # Frame format (`SREP`, version 2)
 //!

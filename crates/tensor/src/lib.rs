@@ -11,7 +11,7 @@
 //!   There is no autograd tape; every module caches what its backward needs
 //!   and the composition order is explicit, which mirrors how the ScheMoE
 //!   paper decomposes an MoE layer into schedulable tasks.
-//! * [`optim`] — SGD (with momentum) and Adam optimizers over [`nn::Param`].
+//! * [`optim`] — plain SGD and Adam optimizers over [`nn::Param`].
 //! * [`grad_check`] — finite-difference gradient checking used by the test
 //!   suite to validate every backward implementation.
 //!

@@ -1,4 +1,4 @@
-//! Optimizers: SGD with momentum and Adam.
+//! Optimizers: plain SGD and Adam.
 
 use crate::nn::{Module, Param};
 use crate::tensor::Tensor;
@@ -8,35 +8,17 @@ use crate::tensor::Tensor;
 /// themselves [`Module`]s.
 pub type ParamWalker<'a> = dyn FnMut(&mut dyn FnMut(&mut Param)) + 'a;
 
-/// Stochastic gradient descent with optional momentum and gradient clipping.
+/// Plain stochastic gradient descent: `w -= lr * g`. It holds no state
+/// beyond its learning rate, so a fresh `Sgd` continues any other's
+/// trajectory bit-for-bit and restoring training needs the weights alone.
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    clip: Option<f32>,
-    velocity: Vec<Tensor>,
 }
 
 impl Sgd {
-    /// Creates plain SGD with learning rate `lr`.
+    /// Creates SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            clip: None,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Adds heavy-ball momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Clips each parameter's gradient to the given global-norm bound.
-    pub fn with_grad_clip(mut self, max_norm: f32) -> Self {
-        self.clip = Some(max_norm);
-        self
+        Sgd { lr }
     }
 
     /// Current learning rate.
@@ -49,61 +31,16 @@ impl Sgd {
         self.step_params(&mut |f| module.visit_params(f));
     }
 
-    /// Materializes one velocity slot per parameter yielded by `visit`
-    /// without applying any update, so the optimizer's state can be
-    /// visited (or restored from a peer's) before the first step.
-    pub fn ensure_state(&mut self, visit: &mut ParamWalker<'_>) {
-        let velocity = &mut self.velocity;
-        let mut idx = 0usize;
-        visit(&mut |p: &mut Param| {
-            if velocity.len() <= idx {
-                velocity.push(Tensor::zeros(p.value.dims()));
-            }
-            idx += 1;
-        });
-    }
-
-    /// Walks the optimizer's per-parameter state — the momentum velocity
-    /// tensors — as pseudo-parameters named `opt.v{i}`, in step order.
-    ///
-    /// This is how fault-tolerant training ships optimizer state alongside
-    /// model weights during a rank rejoin: the velocities ride the same
-    /// sealed checkpoint format as real parameters. Mutations made by the
-    /// callback to `value` are written back to the velocity.
-    pub fn visit_state(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for (i, v) in self.velocity.iter_mut().enumerate() {
-            let mut p = Param::new(format!("opt.v{i}"), v.clone());
-            f(&mut p);
-            *v = p.value;
-        }
-    }
-
     /// Like [`Self::step`], but over an arbitrary parameter visitor — for
     /// models (whole networks, embeddings) that are not themselves
     /// [`Module`]s.
     pub fn step_params(&mut self, visit: &mut ParamWalker<'_>) {
         let lr = self.lr;
-        let momentum = self.momentum;
-        let clip = self.clip;
-        let velocity = &mut self.velocity;
-        let mut idx = 0usize;
         visit(&mut |p: &mut Param| {
-            if velocity.len() <= idx {
-                velocity.push(Tensor::zeros(p.value.dims()));
-            }
-            let scale = clip_scale(&p.grad, clip);
-            let vel = &mut velocity[idx];
-            for ((v, g), w) in vel
-                .data_mut()
-                .iter_mut()
-                .zip(p.grad.data().iter())
-                .zip(p.value.data_mut().iter_mut())
-            {
-                *v = momentum * *v + g * scale;
-                *w -= lr * *v;
+            for (w, g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
+                *w -= lr * g;
             }
             p.zero_grad();
-            idx += 1;
         });
     }
 }
@@ -233,7 +170,7 @@ mod tests {
 
     #[test]
     fn sgd_reduces_loss() {
-        let mut opt = Sgd::new(0.5).with_momentum(0.9);
+        let mut opt = Sgd::new(0.5);
         let final_loss = train_and_measure(|m| opt.step(m));
         assert!(final_loss < 0.1, "final loss {final_loss}");
     }
@@ -247,29 +184,31 @@ mod tests {
 
     #[test]
     fn grad_clip_bounds_update_size() {
+        // The clip Adam applies: a planted huge gradient is rescaled onto
+        // the norm bound, so a unit-rate step with it moves no weight
+        // further than the bound.
         let mut rng = rng::seeded(42);
         let mut lin = Linear::new(2, 2, &mut rng);
-        let before = lin.weight().value.clone();
-        // Plant a huge gradient.
         lin.visit_params(&mut |p| {
             for g in p.grad.data_mut() {
                 *g = 1e6;
             }
+            assert_eq!(clip_scale(&p.grad, None), 1.0);
+            let clipped = p.grad.scale(clip_scale(&p.grad, Some(1.0)));
+            let norm = clipped.norm();
+            assert!(norm <= 1.0 + 1e-5, "clipped norm {norm} exceeds the bound");
+            let delta = clipped.data().iter().fold(0.0f32, |m, g| m.max(g.abs()));
+            assert!(delta <= 1.0 + 1e-5, "update magnitude {delta} exceeds clip");
         });
-        let mut opt = Sgd::new(1.0).with_grad_clip(1.0);
-        opt.step(&mut lin);
-        let after = &lin.weight().value;
-        let delta = after.max_abs_diff(&before).unwrap();
-        assert!(delta <= 1.0 + 1e-5, "update magnitude {delta} exceeds clip");
     }
 
     #[test]
-    fn sgd_state_transfer_reproduces_the_donor_trajectory() {
-        // The rejoin scenario: a fresh optimizer that receives a stepped
-        // donor's velocity through visit_state continues bit-identically.
+    fn a_fresh_sgd_continues_a_long_lived_ones_trajectory() {
+        // The rejoin scenario: SGD holds nothing but its rate, so a fresh
+        // optimizer over shipped weights continues bit-identically.
         let mut rng = rng::seeded(44);
         let mut donor_model = Linear::new(3, 3, &mut rng);
-        let mut donor = Sgd::new(0.1).with_momentum(0.9);
+        let mut donor = Sgd::new(0.1);
         let x = rng::uniform(&[4, 3], 1.0, &mut rng);
         for _ in 0..3 {
             let y = donor_model.forward(&x);
@@ -277,40 +216,27 @@ mod tests {
             donor.step(&mut donor_model);
         }
 
-        // Ship weights and velocity, as the rejoin protocol does.
+        // Ship the weights alone, as the rejoin protocol does.
         let mut weights = Vec::new();
         donor_model.visit_params(&mut |p| weights.push(p.value.clone()));
-        let mut velocity = Vec::new();
-        donor.visit_state(&mut |p| {
-            assert!(p.name.starts_with("opt.v"), "state name {}", p.name);
-            velocity.push(p.value.clone());
-        });
-        assert!(!velocity.is_empty());
-
         let mut rejoiner_model = Linear::new(3, 3, &mut rng::seeded(45));
         let mut wi = 0;
         rejoiner_model.visit_params(&mut |p| {
             p.value = weights[wi].clone();
             wi += 1;
         });
-        let mut rejoiner = Sgd::new(0.1).with_momentum(0.9);
-        // Without ensure_state the fresh optimizer has no slots to fill.
-        rejoiner.ensure_state(&mut |f| rejoiner_model.visit_params(f));
-        let mut vi = 0;
-        rejoiner.visit_state(&mut |p| {
-            p.value = velocity[vi].clone();
-            vi += 1;
-        });
-        assert_eq!(vi, velocity.len());
+        let mut rejoiner = Sgd::new(0.1);
 
-        // One more step on each side must agree exactly.
+        // More steps on each side must agree exactly.
         for (model, opt) in [
             (&mut donor_model, &mut donor),
             (&mut rejoiner_model, &mut rejoiner),
         ] {
-            let y = model.forward(&x);
-            model.backward(&y);
-            opt.step(model);
+            for _ in 0..2 {
+                let y = model.forward(&x);
+                model.backward(&y);
+                opt.step(model);
+            }
         }
         let mut donor_after = Vec::new();
         donor_model.visit_params(&mut |p| donor_after.push(p.value.data().to_vec()));

@@ -60,11 +60,10 @@ pub struct Shard {
     /// The job seed, so a resume refuses state from a different run.
     pub seed: u64,
     /// Sealed checkpoint payload of the replicated parameters
-    /// (embedding, gate, head + optimizer velocity) — identical across
-    /// ranks at a committed step.
+    /// (embedding, gate, head) — identical across ranks at a committed
+    /// step.
     pub replicated: Vec<u8>,
-    /// Sealed checkpoint payload of this rank's own expert state
-    /// (+ optimizer velocity).
+    /// Sealed checkpoint payload of this rank's own expert weights.
     pub expert: Vec<u8>,
     /// Buddy replicas this rank hosts, one per ward.
     pub replicas: Vec<ShardReplica>,

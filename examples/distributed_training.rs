@@ -48,7 +48,7 @@ fn main() {
             Box::new(ZfpCompressor::default()),
             Box::new(PipeA2A::new()),
         );
-        let mut opt = Sgd::new(0.05).with_momentum(0.9);
+        let mut opt = Sgd::new(0.5);
         let mut data_rng = seeded(300 + me as u64);
         let mut tag = 0u64;
         let mut history = Vec::new();
