@@ -27,7 +27,9 @@ pub trait AllReduce: Send + Sync {
 /// gather on rank 0, reduce, broadcast).
 ///
 /// Used to keep replicated parameters (the gate) synchronized in
-/// data-parallel training.
+/// data-parallel training. Simple and latency-friendly at small sizes;
+/// rank 0's link serializes `2(P−1)` full-size messages, so it scales
+/// poorly with `P`.
 pub fn allreduce_inplace(
     h: &mut RankHandle,
     values: &mut [f32],
@@ -87,29 +89,6 @@ pub fn allreduce_live(
         copy_f32_le(values, &h.recv(root, tag + 1)?);
     }
     Ok(())
-}
-
-/// Root-based all-reduce, [`allreduce_inplace`] behind the trait: gather
-/// on rank 0, reduce, broadcast.
-///
-/// Simple and latency-friendly at small sizes; rank 0's link serializes
-/// `2(P−1)` full-size messages, so it scales poorly with `P`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NaiveAllReduce;
-
-impl AllReduce for NaiveAllReduce {
-    fn name(&self) -> &'static str {
-        "naive-allreduce"
-    }
-
-    fn all_reduce(
-        &self,
-        handle: &mut RankHandle,
-        data: &mut [f32],
-        tag_base: u64,
-    ) -> Result<(), FabricError> {
-        allreduce_inplace(handle, data, tag_base)
-    }
 }
 
 /// Ring all-reduce: reduce-scatter then all-gather, `2(P−1)` steps of
@@ -185,14 +164,22 @@ mod tests {
     use super::*;
     use schemoe_cluster::{Fabric, Topology};
 
-    fn run_allreduce(alg: &dyn AllReduce, topo: Topology, len: usize) -> Vec<Vec<f32>> {
+    fn run_allreduce(
+        all_reduce: impl Fn(&mut RankHandle, &mut [f32]) + Sync,
+        topo: Topology,
+        len: usize,
+    ) -> Vec<Vec<f32>> {
         Fabric::run(topo, |mut h| {
             let me = h.rank();
             // Distinct, recomputable values per (rank, index).
             let mut v: Vec<f32> = (0..len).map(|i| (me * 1000 + i) as f32 * 0.25).collect();
-            alg.all_reduce(&mut h, &mut v, 0).unwrap();
+            all_reduce(&mut h, &mut v);
             v
         })
+    }
+
+    fn ring(h: &mut RankHandle, v: &mut [f32]) {
+        RingAllReduce.all_reduce(h, v, 0).unwrap();
     }
 
     fn expected(p: usize, len: usize) -> Vec<f32> {
@@ -204,18 +191,18 @@ mod tests {
     #[test]
     fn naive_allreduce_sums_correctly() {
         let topo = Topology::new(2, 2);
-        let results = run_allreduce(&NaiveAllReduce, topo, 10);
+        let naive = |h: &mut RankHandle, v: &mut [f32]| allreduce_inplace(h, v, 0).unwrap();
+        let results = run_allreduce(naive, topo, 10);
         let want = expected(4, 10);
         for (r, got) in results.iter().enumerate() {
             assert_eq!(got, &want, "rank {r}");
         }
     }
 
-    /// The trait object and the free function are one protocol: on 1, 2
-    /// and 5 ranks both produce, bit for bit, the sum accumulated on the
-    /// root in ascending rank order.
+    /// On 1, 2 and 5 ranks every rank ends with, bit for bit, the sum
+    /// accumulated on the root in ascending rank order.
     #[test]
-    fn naive_allreduce_and_allreduce_inplace_agree_bit_for_bit() {
+    fn allreduce_inplace_is_the_roots_ascending_rank_sum_bit_for_bit() {
         let input = |rank: usize, len: usize| -> Vec<f32> {
             (0..len).map(|i| (rank * 37 + i) as f32 * 0.1).collect()
         };
@@ -229,15 +216,12 @@ mod tests {
                 }
             }
             let results = Fabric::run(Topology::new(1, p), |mut h| {
-                let mut by_trait = input(h.rank(), len);
-                NaiveAllReduce.all_reduce(&mut h, &mut by_trait, 0).unwrap();
-                let mut by_fn = input(h.rank(), len);
-                allreduce_inplace(&mut h, &mut by_fn, 2).unwrap();
-                (by_trait, by_fn)
+                let mut got = input(h.rank(), len);
+                allreduce_inplace(&mut h, &mut got, 2).unwrap();
+                got
             });
-            for (rank, (by_trait, by_fn)) in results.iter().enumerate() {
-                assert_eq!(bits(by_trait), bits(&want), "p={p} rank {rank}");
-                assert_eq!(bits(by_fn), bits(&want), "p={p} rank {rank}");
+            for (rank, got) in results.iter().enumerate() {
+                assert_eq!(bits(got), bits(&want), "p={p} rank {rank}");
             }
         }
     }
@@ -247,7 +231,7 @@ mod tests {
         for (nodes, gpus, len) in [(2usize, 2usize, 16usize), (3, 2, 7), (1, 5, 23), (1, 1, 4)] {
             let topo = Topology::new(nodes, gpus);
             let p = topo.world_size();
-            let results = run_allreduce(&RingAllReduce, topo, len);
+            let results = run_allreduce(ring, topo, len);
             let want = expected(p, len);
             for (r, got) in results.iter().enumerate() {
                 for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
@@ -264,7 +248,7 @@ mod tests {
     fn ring_handles_len_smaller_than_world() {
         // Chunks of size zero must not break the ring.
         let topo = Topology::new(1, 4);
-        let results = run_allreduce(&RingAllReduce, topo, 2);
+        let results = run_allreduce(ring, topo, 2);
         let want = expected(4, 2);
         for got in results {
             assert_eq!(got, want);

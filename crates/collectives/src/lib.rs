@@ -34,7 +34,7 @@ mod nccl;
 mod pipe;
 pub mod plan;
 
-pub use allreduce::{allreduce_inplace, allreduce_live, AllReduce, NaiveAllReduce, RingAllReduce};
+pub use allreduce::{allreduce_inplace, allreduce_live, AllReduce, RingAllReduce};
 pub use hier1d::OneDimHierA2A;
 pub use hier2d::TwoDimHierA2A;
 pub use imbalance::{straggler_factor, TrafficMatrix};

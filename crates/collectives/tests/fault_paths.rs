@@ -21,9 +21,9 @@ use std::thread;
 use std::time::Duration;
 
 use bytes::Bytes;
-use schemoe_cluster::{Fabric, FabricError, Topology};
+use schemoe_cluster::{Fabric, FabricError, RankHandle, Topology};
 use schemoe_collectives::{
-    AllReduce, AllToAll, NaiveAllReduce, NcclA2A, OneDimHierA2A, PipeA2A, RingAllReduce,
+    allreduce_inplace, AllReduce, AllToAll, NcclA2A, OneDimHierA2A, PipeA2A, RingAllReduce,
     TwoDimHierA2A,
 };
 
@@ -98,9 +98,11 @@ fn a2a_with_faulty_rank(alg: Arc<dyn AllToAll>, faulty: usize, dead: bool) {
     }
 }
 
+/// One live rank's call of the all-reduce under test.
+type AllReduceCall = fn(&mut RankHandle, &mut [f32]) -> Result<(), FabricError>;
+
 /// Same scenario for a sum all-reduce.
-fn allreduce_with_faulty_rank(alg: Arc<dyn AllReduce>, faulty: usize, dead: bool) {
-    let name = alg.name();
+fn allreduce_with_faulty_rank(name: &'static str, alg: AllReduceCall, faulty: usize, dead: bool) {
     let results = under_watchdog(name, move || {
         Fabric::run(Topology::new(2, 2), move |mut h| {
             let me = h.rank();
@@ -112,7 +114,7 @@ fn allreduce_with_faulty_rank(alg: Arc<dyn AllReduce>, faulty: usize, dead: bool
             }
             h.set_recv_deadline(Some(DEADLINE));
             let mut data = vec![me as f32; 64];
-            Some(alg.all_reduce(&mut h, &mut data, 0))
+            Some(alg(&mut h, &mut data))
         })
     });
     for (r, res) in results.into_iter().enumerate() {
@@ -207,22 +209,30 @@ fn hier2d_errors_when_a_peer_dies() {
 // --- All-reduce: the naive algorithm has a root role; the ring has a
 // --- uniform role but two passes over every link.
 
+fn naive(h: &mut RankHandle, data: &mut [f32]) -> Result<(), FabricError> {
+    allreduce_inplace(h, data, 0)
+}
+
+fn ring(h: &mut RankHandle, data: &mut [f32]) -> Result<(), FabricError> {
+    RingAllReduce.all_reduce(h, data, 0)
+}
+
 #[test]
 fn naive_allreduce_times_out_when_the_root_is_silent() {
-    allreduce_with_faulty_rank(Arc::new(NaiveAllReduce), 0, false);
+    allreduce_with_faulty_rank("naive-allreduce", naive, 0, false);
 }
 
 #[test]
 fn naive_allreduce_times_out_when_a_leaf_is_silent() {
-    allreduce_with_faulty_rank(Arc::new(NaiveAllReduce), 2, false);
+    allreduce_with_faulty_rank("naive-allreduce", naive, 2, false);
 }
 
 #[test]
 fn ring_allreduce_times_out_on_a_silent_rank() {
-    allreduce_with_faulty_rank(Arc::new(RingAllReduce), 1, false);
+    allreduce_with_faulty_rank(RingAllReduce.name(), ring, 1, false);
 }
 
 #[test]
 fn ring_allreduce_errors_when_a_peer_dies() {
-    allreduce_with_faulty_rank(Arc::new(RingAllReduce), 1, true);
+    allreduce_with_faulty_rank(RingAllReduce.name(), ring, 1, true);
 }

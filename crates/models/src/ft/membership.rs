@@ -647,10 +647,11 @@ pub(super) fn try_rejoin_peers(
             st.report.transfer_bytes += payload.len() as u64;
         }
         if let Some(payload) = hosted {
+            let name = format_args!("handback{r}@{step}");
+            let _s = schemoe_obs::span_sized("replication", name, payload.len() as f64);
             wire::send_copies(h, r, Lane::Handback.at(step)?, &payload)?;
             st.report.handbacks += 1;
             st.report.handback_bytes += payload.len() as u64;
-            schemoe_obs::counters_for_rank(me).add_handback();
         }
     }
     Ok(true)

@@ -295,7 +295,9 @@ impl SnapshotCfg {
     }
 }
 
-/// What one rank experienced over a fault-tolerant training run.
+/// What one rank experienced over a fault-tolerant training run: the one
+/// count of its control-plane events. The span recorder, when on, marks
+/// each event on the timeline when it happens.
 #[derive(Clone, Debug, Default)]
 pub struct FtReport {
     /// Loss of the last committed step (`NaN` if none committed).
@@ -406,14 +408,13 @@ pub fn run_ft_rank(h: &mut RankHandle, cfg: &FtConfig) -> FtReport {
 
 /// [`run_ft_rank`] with an optional durable-snapshot lane: every
 /// `snap.interval` committed steps each rank persists a CRC-sealed shard
-/// (replicated modules + own expert + optimizer slots + hosted/stored
-/// replicas + step/seed) via write-tmp → fsync → rename, and the
-/// coordinator (lowest live rank) commits a generation manifest only
-/// after every live rank has acked its shard durable. With
-/// `snap.resume`, the run first restores from the newest generation
-/// every rank can restore from — rebuilding a rank whose shard is
-/// missing or corrupt from a buddy's on-disk replica — and trains on
-/// from the snapshotted step.
+/// (replicated modules + own expert + hosted/stored replicas + step/seed)
+/// via write-tmp → fsync → rename, and the coordinator (lowest live rank)
+/// commits a generation manifest only after every live rank has acked its
+/// shard durable. With `snap.resume`, the run first restores from the
+/// newest generation every rank can restore from — rebuilding a rank whose
+/// shard is missing or corrupt from a buddy's on-disk replica — and trains
+/// on from the snapshotted step.
 ///
 /// The train loop attempts until every step has committed, with every
 /// path that observes this rank's death funnelled through one arm — a rank
@@ -430,6 +431,7 @@ pub fn run_ft_rank_durable(
     let mut st = RankState::new(cfg, me, p);
     let disk = snap.map(|s| Disk::open(s, me));
     if let Some(disk) = disk.as_ref().filter(|d| d.cfg.resume) {
+        let _s = schemoe_obs::span("durability", "restore");
         quanta::resume_from_disk(&mut st, disk);
     }
     // A fresh process joining a running cluster starts in limbo: announce,
@@ -446,6 +448,7 @@ pub fn run_ft_rank_durable(
             Ok(Attempt::Retry) => {
                 attempt += 1;
                 let backoff = BACKOFF_MS * u64::from(attempt.min(5));
+                let _s = schemoe_obs::span("ft", format_args!("retry{attempt}"));
                 std::thread::sleep(Duration::from_millis(backoff));
                 continue;
             }
@@ -533,7 +536,6 @@ fn attempt_step(
     }
     if verdict.any_error {
         st.report.retries += 1;
-        schemoe_obs::counters_for_rank(me).add_retry();
         return Ok(Attempt::Retry);
     }
     st.commit(outcome.expect("all-OK verdict implies a local success"));

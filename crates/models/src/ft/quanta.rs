@@ -69,7 +69,6 @@ pub(super) fn replicate_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
         if wire::send_copies(h, buddy, lane, &frame)? > 0 {
             st.report.replica_quanta += 1;
             st.report.replica_bytes += frame.len() as u64;
-            schemoe_obs::counters_for_rank(me).add_replica_sent(frame.len());
         }
     }
     for ward in wards {
@@ -149,7 +148,6 @@ pub(super) fn snapshot_quantum(
     if let Some((len, crc)) = wrote {
         st.report.snapshot_shards += 1;
         st.report.snapshot_bytes += u64::from(len);
-        schemoe_obs::counters_for_rank(me).add_snapshot_write(len as usize);
         if me != coordinator {
             wire::send_copies(h, coordinator, lane, &encode_ack(generation, len, crc))?;
         }
@@ -200,11 +198,6 @@ pub(super) fn snapshot_quantum(
         let removed = gc_generations(&*disk.fs, dir, disk.cfg.keep);
         st.report.snapshot_generations += 1;
         st.report.snapshot_gc += removed;
-        let counters = schemoe_obs::counters_for_rank(me);
-        counters.add_snapshot_generation();
-        for _ in 0..removed {
-            counters.add_snapshot_gc();
-        }
     }
     Ok(())
 }
@@ -305,7 +298,6 @@ pub(super) fn resume_from_disk(st: &mut RankState, disk: &Disk<'_>) {
     {
         st.checkpoint();
         st.report.resumed_at_step = Some(st.step);
-        schemoe_obs::counters_for_rank(st.me).add_snapshot_restore();
     }
     st.report.restore_ms = t0.elapsed().as_secs_f64() * 1e3;
 }
@@ -341,7 +333,6 @@ fn restore_generation(st: &mut RankState, disk: &Disk<'_>, g: u64) -> Option<()>
     st.load(Half::OwnExpert, expert).expect(shape);
     if shards[me].is_none() {
         st.report.snapshot_reconstructions += 1;
-        schemoe_obs::counters_for_rank(me).add_snapshot_reconstruction();
     }
     st.step = man.step as usize;
     st.generation = man.generation;
@@ -522,7 +513,6 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
                     let lane = Lane::Transfer.sub(step, e as u64)?;
                     wire::send_copies(h, r, lane, &payload)?;
                     st.report.placement_transfer_bytes += payload.len() as u64;
-                    schemoe_obs::counters_for_rank(me).add_placement_transfer(payload.len());
                 }
             } else if receivers.contains(&me) {
                 staged.push(e);
@@ -532,7 +522,6 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
                     return Ok(false);
                 }
                 st.report.placement_transfer_bytes += payload.len() as u64;
-                schemoe_obs::counters_for_rank(me).add_placement_transfer(payload.len());
             }
         }
         Ok::<bool, FabricError>(true)
@@ -560,6 +549,8 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
         }
         return Ok(());
     }
+    let version = next.version();
+    let _s = span("placement", format_args!("commit-v{version}@{step}"));
     let replications: u64 = (0..n_experts)
         .map(|e| next.servers(e).len().saturating_sub(1) as u64)
         .sum();
@@ -573,11 +564,10 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
     st.report.placement_replications += replications;
     st.report.placement_migrations += migrations;
     st.report.placement_demotions += demotions;
-    st.placement_version = next.version();
+    st.placement_version = version;
     st.set_placement(next.clone());
     let capacity = plan.capacity_override.unwrap_or(cfg.capacity_factor);
     st.model.moe.set_capacity_factor(capacity);
-    schemoe_obs::counters_for_rank(me).add_placement_plan(replications, migrations, demotions);
     Ok(())
 }
 

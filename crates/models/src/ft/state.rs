@@ -252,6 +252,7 @@ impl RankState {
         if self.me != buddy {
             return;
         }
+        let _s = schemoe_obs::span("replication", format_args!("failover{r}@{}", self.step));
         // No frame ever arrived: the re-init, as of quantum 0, is as stale
         // as the whole run so far.
         let replica = self.stores.get(&r).and_then(|s| s.replica());
@@ -261,7 +262,6 @@ impl RankState {
         let stale = (self.step as u64).saturating_sub(q);
         self.report.failover_staleness_steps.push(stale);
         self.report.failover_activations += 1;
-        schemoe_obs::counters_for_rank(self.me).add_failover_activation();
     }
 
     /// Re-admits `r` on a survivor: epoch bump, live again everywhere, and

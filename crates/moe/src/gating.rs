@@ -210,36 +210,7 @@ impl TopKGate {
         }
         let probs = logits.softmax_rows().expect("rank-2 logits");
         let capacity = crate::expert_capacity(self.capacity_factor, self.k, n, e);
-
-        let mut assignments: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n];
-        let mut expert_slots: Vec<Vec<(usize, f32)>> = vec![Vec::new(); e];
-        let mut dropped = 0usize;
-        let mut order: Vec<usize> = Vec::with_capacity(e);
-        for t in 0..n {
-            let row = probs.row(t);
-            // Expert preference order by probability (E is small); masked
-            // experts do not participate at all.
-            order.clear();
-            order.extend((0..e).filter(|&j| masked.is_none_or(|m| !m[j])));
-            order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("finite probs"));
-            for &ex in order.iter().take(self.k) {
-                if expert_slots[ex].len() < capacity {
-                    let w = row[ex];
-                    expert_slots[ex].push((t, w));
-                    assignments[t].push((ex, w));
-                } else {
-                    dropped += 1;
-                }
-            }
-            // Fewer than k live experts: each missing preference is a drop.
-            dropped += self.k.saturating_sub(order.len());
-        }
-        let decision = GateDecision {
-            assignments,
-            expert_slots,
-            capacity,
-            dropped,
-        };
+        let decision = token_choice(&probs, self.k, capacity, masked);
         let cache = self.cache.get_or_insert_with(|| Cache {
             x: Tensor::zeros(&[0]),
             probs: Tensor::zeros(&[0]),
@@ -348,6 +319,47 @@ impl TopKGate {
     /// Read-only access to the router weight.
     pub fn weight(&self) -> &Param {
         &self.wg
+    }
+}
+
+/// Token-choice routing over `probs` (`[tokens, experts]`): each token
+/// takes its top-`k` experts by score, stable in expert order on ties, and
+/// an expert past `capacity` drops the overflow in token order. Masked
+/// experts do not participate; with fewer than `k` unmasked experts each
+/// missing preference counts as a drop.
+pub(crate) fn token_choice(
+    probs: &Tensor,
+    k: usize,
+    capacity: usize,
+    masked: Option<&[bool]>,
+) -> GateDecision {
+    let (n, e) = (probs.dims()[0], probs.dims()[1]);
+    let mut assignments: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n];
+    let mut expert_slots: Vec<Vec<(usize, f32)>> = vec![Vec::new(); e];
+    let mut dropped = 0usize;
+    let mut order: Vec<usize> = Vec::with_capacity(e);
+    for t in 0..n {
+        let row = probs.row(t);
+        // Expert preference order by probability (E is small).
+        order.clear();
+        order.extend((0..e).filter(|&j| masked.is_none_or(|m| !m[j])));
+        order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("finite probs"));
+        for &ex in order.iter().take(k) {
+            if expert_slots[ex].len() < capacity {
+                let w = row[ex];
+                expert_slots[ex].push((t, w));
+                assignments[t].push((ex, w));
+            } else {
+                dropped += 1;
+            }
+        }
+        dropped += k.saturating_sub(order.len());
+    }
+    GateDecision {
+        assignments,
+        expert_slots,
+        capacity,
+        dropped,
     }
 }
 

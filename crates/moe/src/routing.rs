@@ -45,31 +45,11 @@ impl Router for TokenChoiceRouter {
         "token-choice"
     }
 
+    /// The gate's own rule ([`TopKGate`](crate::TopKGate)), unmasked.
     fn route(&mut self, scores: &Tensor) -> GateDecision {
         let (n, e) = (scores.dims()[0], scores.dims()[1]);
         let capacity = crate::expert_capacity(self.capacity_factor, self.k, n, e);
-        let mut assignments: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n];
-        let mut expert_slots: Vec<Vec<(usize, f32)>> = vec![Vec::new(); e];
-        let mut dropped = 0usize;
-        for t in 0..n {
-            let row = scores.row(t);
-            let mut order: Vec<usize> = (0..e).collect();
-            order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("finite"));
-            for &ex in order.iter().take(self.k) {
-                if expert_slots[ex].len() < capacity {
-                    expert_slots[ex].push((t, row[ex]));
-                    assignments[t].push((ex, row[ex]));
-                } else {
-                    dropped += 1;
-                }
-            }
-        }
-        GateDecision {
-            assignments,
-            expert_slots,
-            capacity,
-            dropped,
-        }
+        crate::gating::token_choice(scores, self.k, capacity, None)
     }
 }
 

@@ -1,4 +1,7 @@
-//! Lock-free per-rank counters for fabric traffic.
+//! Lock-free per-rank counters for what the fabric and the MoE layer
+//! measure: traffic, receive waits, faults and degraded steps. Control-plane
+//! events (retries, replicas, snapshots, placement) are counted once, in the
+//! trainer's report, and shown on the timeline as spans.
 //!
 //! A rank's counter block is fetched once (one registry lock) when its
 //! fabric handle is built; every increment afterwards is a relaxed atomic
@@ -63,44 +66,12 @@ rank_counters! {
     faults_injected,
     /// Received frames that failed their CRC32 check.
     corrupt_frames,
-    /// Training steps retried after a transient fault.
-    retries,
     /// Steps completed in degraded mode (dead peers rerouted).
     degraded_steps,
     /// Sends/receives that named a rank outside the topology.
     invalid_ranks,
     /// Received frames rejected for carrying a stale membership epoch.
     stale_epochs,
-    /// Replication payload bytes shipped to the ring buddy.
-    replica_bytes_sent,
-    /// Replication quanta (frames) shipped to the ring buddy.
-    replica_quanta,
-    /// Failover activations: hosted experts brought up from a replica.
-    failover_activations,
-    /// Hosted-expert handbacks streamed to rejoined owners.
-    handbacks,
-    /// Durable snapshot bytes committed to disk.
-    snapshot_bytes_written,
-    /// Durable snapshot shards committed to disk.
-    snapshot_shards,
-    /// Snapshot generations committed (coordinator manifests).
-    snapshot_generations,
-    /// Restores performed from a durable snapshot generation.
-    snapshot_restores,
-    /// Restores that rebuilt the expert from a buddy's on-disk replica.
-    snapshot_reconstructions,
-    /// Snapshot generations retired by retention GC.
-    snapshot_gc_removed,
-    /// Placement plans committed by the load-aware controller.
-    placement_plans,
-    /// Expert replicas added by committed placement plans.
-    placement_replications,
-    /// Expert homes moved off their static rank by committed plans.
-    placement_migrations,
-    /// Gray-rank demotions decided by committed plans.
-    placement_demotions,
-    /// Expert-state bytes streamed for placement transfers.
-    placement_transfer_bytes,
 }
 
 /// Declares the increment methods: each one is a no-op while the recorder
@@ -133,8 +104,6 @@ adders! {
     add_fault_injected() { faults_injected += 1 }
     /// Counts one received frame that failed its CRC32 check.
     add_corrupt_frame() { corrupt_frames += 1 }
-    /// Counts one retried training step (transient-fault recovery).
-    add_retry() { retries += 1 }
     /// Counts one step completed in degraded mode (dead peers rerouted).
     add_degraded_step() { degraded_steps += 1 }
     /// Counts one send or receive that named a rank outside the topology.
@@ -142,37 +111,6 @@ adders! {
     /// Counts one received frame rejected for carrying a stale membership
     /// epoch (sent before the sender observed the current epoch).
     add_stale_epoch() { stale_epochs += 1 }
-    /// Counts one replication frame of `bytes` shipped to the ring buddy.
-    add_replica_sent(bytes: usize) { replica_bytes_sent += bytes as u64, replica_quanta += 1 }
-    /// Counts one failover activation: this rank began hosting a dead
-    /// ward's expert from its stored replica.
-    add_failover_activation() { failover_activations += 1 }
-    /// Counts one handback: a hosted expert's state streamed back to its
-    /// rejoined owner.
-    add_handback() { handbacks += 1 }
-    /// Counts one durable snapshot shard of `bytes` committed to disk.
-    add_snapshot_write(bytes: usize) { snapshot_bytes_written += bytes as u64, snapshot_shards += 1 }
-    /// Counts one snapshot generation committed (manifest written by the
-    /// coordinator after all shards acked durable).
-    add_snapshot_generation() { snapshot_generations += 1 }
-    /// Counts one restore from a durable snapshot generation.
-    add_snapshot_restore() { snapshot_restores += 1 }
-    /// Counts one restore that rebuilt this rank's expert from a buddy's
-    /// on-disk replica because its own shard was missing or corrupt.
-    add_snapshot_reconstruction() { snapshot_reconstructions += 1 }
-    /// Counts one snapshot generation retired by retention GC.
-    add_snapshot_gc() { snapshot_gc_removed += 1 }
-    /// Counts one committed placement plan, with its replica count (server
-    /// list entries past each expert's first), migrated-home count, and
-    /// gray demotions.
-    add_placement_plan(replications: u64, migrations: u64, demotions: u64) {
-        placement_plans += 1,
-        placement_replications += replications,
-        placement_migrations += migrations,
-        placement_demotions += demotions
-    }
-    /// Counts expert-state bytes streamed for a placement transfer.
-    add_placement_transfer(bytes: usize) { placement_transfer_bytes += bytes as u64 }
 }
 
 /// The counter block for `rank`, creating it on first request.
@@ -342,18 +280,9 @@ mod tests {
         c.add_timeout();
         c.add_fault_injected();
         c.add_corrupt_frame();
-        c.add_retry();
         c.add_degraded_step();
         c.add_invalid_rank();
         c.add_stale_epoch();
-        c.add_replica_sent(64);
-        c.add_failover_activation();
-        c.add_handback();
-        c.add_snapshot_write(128);
-        c.add_snapshot_generation();
-        c.add_snapshot_restore();
-        c.add_snapshot_reconstruction();
-        c.add_snapshot_gc();
         crate::disable();
         let s = c.snapshot();
         assert_eq!(s.bytes_sent, 100);
@@ -363,25 +292,17 @@ mod tests {
         assert_eq!(s.timeouts, 1);
         assert_eq!(s.faults_injected, 1);
         assert_eq!(s.corrupt_frames, 1);
-        assert_eq!(s.retries, 1);
         assert_eq!(s.degraded_steps, 1);
         assert_eq!(s.invalid_ranks, 1);
         assert_eq!(s.stale_epochs, 1);
-        assert_eq!(s.replica_bytes_sent, 64);
-        assert_eq!(s.replica_quanta, 1);
-        assert_eq!(s.failover_activations, 1);
-        assert_eq!(s.handbacks, 1);
-        assert_eq!(s.snapshot_bytes_written, 128);
-        assert_eq!(s.snapshot_shards, 1);
-        assert_eq!(s.snapshot_generations, 1);
-        assert_eq!(s.snapshot_restores, 1);
-        assert_eq!(s.snapshot_reconstructions, 1);
-        assert_eq!(s.snapshot_gc_removed, 1);
         c.reset();
-        assert_eq!(c.snapshot().replica_bytes_sent, 0);
-        assert_eq!(c.snapshot().snapshot_bytes_written, 0);
-        assert_eq!(c.snapshot().snapshot_shards, 0);
-        assert_eq!(c.snapshot().bytes_sent, 0);
+        assert_eq!(
+            c.snapshot(),
+            CounterSnapshot {
+                rank: 901,
+                ..CounterSnapshot::default()
+            }
+        );
     }
 
     #[test]
@@ -413,25 +334,5 @@ mod tests {
         b.reset();
         assert!(b.snapshot().loads.is_empty());
         assert_eq!(b.snapshot().shed, 0);
-    }
-
-    #[test]
-    fn placement_counters_accumulate_and_reset() {
-        let _g = crate::serial_tests();
-        let c = counters_for_rank(904);
-        crate::enable();
-        c.add_placement_plan(2, 1, 1);
-        c.add_placement_plan(0, 0, 0);
-        c.add_placement_transfer(4096);
-        crate::disable();
-        let s = c.snapshot();
-        assert_eq!(s.placement_plans, 2);
-        assert_eq!(s.placement_replications, 2);
-        assert_eq!(s.placement_migrations, 1);
-        assert_eq!(s.placement_demotions, 1);
-        assert_eq!(s.placement_transfer_bytes, 4096);
-        c.reset();
-        assert_eq!(c.snapshot().placement_plans, 0);
-        assert_eq!(c.snapshot().placement_transfer_bytes, 0);
     }
 }

@@ -168,6 +168,7 @@ impl std::error::Error for JsonError {}
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(s: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        s,
         b: s.as_bytes(),
         i: 0,
     };
@@ -181,6 +182,7 @@ pub fn parse(s: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -337,10 +339,10 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = std::str::from_utf8(&self.b[self.i..]).expect("input was a str");
-                    let c = rest.chars().next().expect("peeked non-empty");
+                    // Consume one UTF-8 scalar. `i` sits on a char
+                    // boundary, so slicing the input there is O(1);
+                    // re-validating the rest per char would be quadratic.
+                    let c = self.s[self.i..].chars().next().expect("peeked non-empty");
                     out.push(c);
                     self.i += c.len_utf8();
                 }

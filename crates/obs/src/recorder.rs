@@ -327,57 +327,14 @@ impl FuncTrace {
                     ("timeouts", c.timeouts as f64),
                     ("faults_injected", c.faults_injected as f64),
                     ("corrupt_frames", c.corrupt_frames as f64),
-                    ("retries", c.retries as f64),
                     ("degraded_steps", c.degraded_steps as f64),
                     ("stale_epochs", c.stale_epochs as f64),
                 ],
             );
-            b.counter_event(
-                c.rank as u64,
-                "replication",
-                end_us,
-                &[
-                    ("replica_bytes_sent", c.replica_bytes_sent as f64),
-                    ("replica_quanta", c.replica_quanta as f64),
-                    ("failover_activations", c.failover_activations as f64),
-                    ("handbacks", c.handbacks as f64),
-                ],
-            );
-            b.counter_event(
-                c.rank as u64,
-                "durability",
-                end_us,
-                &[
-                    ("snapshot_bytes_written", c.snapshot_bytes_written as f64),
-                    ("snapshot_shards", c.snapshot_shards as f64),
-                    ("snapshot_generations", c.snapshot_generations as f64),
-                    ("snapshot_restores", c.snapshot_restores as f64),
-                    (
-                        "snapshot_reconstructions",
-                        c.snapshot_reconstructions as f64,
-                    ),
-                    ("snapshot_gc_removed", c.snapshot_gc_removed as f64),
-                ],
-            );
-            b.counter_event(
-                c.rank as u64,
-                "placement",
-                end_us,
-                &[
-                    ("placement_plans", c.placement_plans as f64),
-                    ("placement_replications", c.placement_replications as f64),
-                    ("placement_migrations", c.placement_migrations as f64),
-                    ("placement_demotions", c.placement_demotions as f64),
-                    (
-                        "placement_transfer_bytes",
-                        c.placement_transfer_bytes as f64,
-                    ),
-                ],
-            );
         }
         // Per-expert routing load and shed as one "routing" track per rank,
-        // so Perfetto shows the hot-set shift (and the controller's
-        // response on the placement track above) on one timeline.
+        // beside the `placement` spans that mark each committed plan when
+        // it committed.
         for r in &self.routing {
             if r.loads.is_empty() && r.shed == 0 && r.routed == 0 {
                 continue;
@@ -518,9 +475,8 @@ mod tests {
     fn chrome_export_carries_per_rank_counter_tracks() {
         let _g = locked();
         enable();
-        crate::counters::counters_for_rank(7).add_replica_sent(128);
-        crate::counters::counters_for_rank(7).add_snapshot_write(256);
-        crate::counters::counters_for_rank(7).add_snapshot_generation();
+        crate::counters::counters_for_rank(7).add_send(128);
+        crate::counters::counters_for_rank(7).add_timeout();
         set_thread_rank(7);
         {
             let _s = span("step", "s0");
@@ -530,49 +486,30 @@ mod tests {
         let json = t.to_chrome_trace();
         let v = crate::json::parse(&json).expect("valid JSON");
         let events = v.as_array().expect("array");
-        let c = events
-            .iter()
-            .find(|e| {
+        let track = |name: &str| {
+            events.iter().find(|e| {
                 e.get("ph").and_then(|p| p.as_str()) == Some("C")
-                    && e.get("name").and_then(|n| n.as_str()) == Some("replication")
+                    && e.get("name").and_then(|n| n.as_str()) == Some(name)
                     && e.get("pid").and_then(|p| p.as_f64()) == Some(7.0)
             })
-            .expect("rank 7 replication counter track");
-        let args = c.get("args").expect("args");
-        assert_eq!(
-            args.get("replica_bytes_sent").and_then(|b| b.as_f64()),
-            Some(128.0)
-        );
-        assert_eq!(
-            args.get("replica_quanta").and_then(|q| q.as_f64()),
-            Some(1.0)
-        );
-        assert!(args.get("failover_activations").is_some());
-        assert!(args.get("handbacks").is_some());
-        let d = events
-            .iter()
-            .find(|e| {
-                e.get("ph").and_then(|p| p.as_str()) == Some("C")
-                    && e.get("name").and_then(|n| n.as_str()) == Some("durability")
-                    && e.get("pid").and_then(|p| p.as_f64()) == Some(7.0)
-            })
-            .expect("rank 7 durability counter track");
-        let args = d.get("args").expect("args");
-        assert_eq!(
-            args.get("snapshot_bytes_written").and_then(|b| b.as_f64()),
-            Some(256.0)
-        );
-        assert_eq!(
-            args.get("snapshot_generations").and_then(|g| g.as_f64()),
-            Some(1.0)
-        );
-        assert!(args.get("snapshot_restores").is_some());
-        assert!(args.get("snapshot_reconstructions").is_some());
-        assert!(args.get("snapshot_gc_removed").is_some());
+        };
+        let fabric = track("fabric").expect("rank 7 fabric counter track");
+        let args = fabric.get("args").expect("args");
+        assert!(args.get("bytes_sent").and_then(|b| b.as_f64()) >= Some(128.0));
+        assert!(args.get("msgs_sent").and_then(|m| m.as_f64()) >= Some(1.0));
+        let resilience = track("resilience").expect("rank 7 resilience counter track");
+        let args = resilience.get("args").expect("args");
+        assert!(args.get("timeouts").and_then(|x| x.as_f64()) >= Some(1.0));
+        assert!(args.get("retries").is_none());
+        // Control-plane events are spans of their own, not end-of-trace
+        // tallies.
+        for gone in ["replication", "durability", "placement"] {
+            assert!(track(gone).is_none(), "no {gone} counter track");
+        }
     }
 
     #[test]
-    fn chrome_export_carries_routing_and_placement_tracks() {
+    fn chrome_export_carries_the_routing_track() {
         let _g = locked();
         enable();
         let board = crate::counters::routing_for_rank(11);
@@ -580,7 +517,6 @@ mod tests {
         board.add_expert_load(1, 10);
         board.add_shed(2);
         board.add_routed(52);
-        crate::counters::counters_for_rank(11).add_placement_plan(1, 0, 1);
         set_thread_rank(11);
         {
             let _s = span("step", "s0");
@@ -603,23 +539,6 @@ mod tests {
         assert_eq!(args.get("expert1").and_then(|x| x.as_f64()), Some(10.0));
         assert_eq!(args.get("shed").and_then(|x| x.as_f64()), Some(2.0));
         assert_eq!(args.get("routed").and_then(|x| x.as_f64()), Some(52.0));
-        let p = events
-            .iter()
-            .find(|e| {
-                e.get("ph").and_then(|p| p.as_str()) == Some("C")
-                    && e.get("name").and_then(|n| n.as_str()) == Some("placement")
-                    && e.get("pid").and_then(|p| p.as_f64()) == Some(11.0)
-            })
-            .expect("rank 11 placement counter track");
-        let args = p.get("args").expect("args");
-        assert_eq!(
-            args.get("placement_plans").and_then(|x| x.as_f64()),
-            Some(1.0)
-        );
-        assert_eq!(
-            args.get("placement_demotions").and_then(|x| x.as_f64()),
-            Some(1.0)
-        );
     }
 
     #[test]

@@ -42,7 +42,6 @@ use schemoe_cluster::{ChaosLink, TransportKind};
 use schemoe_models::{FtConfig, FtReport};
 use schemoe_obs as obs;
 
-const WORLD: usize = 8;
 const STEPS: usize = 20;
 const KILLED: usize = 5;
 /// Fires around halfway through the epoch (after the first checkpoint
@@ -70,17 +69,20 @@ fn run(cfg: &FtConfig, plan: Option<ChaosPlan>, topo: Topology) -> Vec<FtReport>
     run_world(topo, TransportKind::from_env(), cfg, plan, None)
 }
 
-/// The deterministic slice of a rank's counters: pure functions of the
+/// The deterministic slice of each rank's tallies — the fabric's and the
+/// layer's counters beside the report's retries: pure functions of the
 /// fault lottery and the (deterministic) training control flow. Timing
 /// fields (`recv_wait_ns`, `timeouts`) are deliberately excluded.
-fn deterministic_counters(world: usize) -> Vec<(u64, u64, u64, u64)> {
-    (0..world)
-        .map(|r| {
+fn deterministic_counters(reports: &[FtReport]) -> Vec<(u64, u64, u64, u64)> {
+    reports
+        .iter()
+        .enumerate()
+        .map(|(r, rep)| {
             let s = obs::counters_for_rank(r).snapshot();
             (
                 s.faults_injected,
                 s.corrupt_frames,
-                s.retries,
+                rep.retries,
                 s.degraded_steps,
             )
         })
@@ -115,7 +117,7 @@ fn scenario() {
     obs::enable();
     obs::reset_counters();
     let chaos = run(&cfg, Some(campaign(None)), Topology::new(2, 4));
-    let first_counters = deterministic_counters(WORLD);
+    let first_counters = deterministic_counters(&chaos);
     let _ = obs::take(); // drain recorded spans
 
     let died_at = chaos[KILLED]
@@ -159,7 +161,7 @@ fn scenario() {
     // --- Run 3: identical campaign, identical world — the replay. ---
     obs::reset_counters();
     let replay = run(&cfg, Some(campaign(None)), Topology::new(2, 4));
-    let second_counters = deterministic_counters(WORLD);
+    let second_counters = deterministic_counters(&replay);
     let _ = obs::take();
 
     assert_eq!(
@@ -195,8 +197,8 @@ fn scenario() {
         })
         .with_recv_deadline(Duration::from_millis(800));
     let lossy = run(&lossy_cfg, Some(lossy_plan), Topology::new(2, 2));
-    let lossy_counters = deterministic_counters(4);
-    let _ = obs::take();
+    let lossy_counters = deterministic_counters(&lossy);
+    let lossy_trace = obs::take();
     obs::disable();
 
     for (r, rep) in lossy.iter().enumerate() {
@@ -213,6 +215,15 @@ fn scenario() {
         retries >= 1,
         "corrupted frames must surface as step retries"
     );
+    // Each counted retry is one `ft` span around its backoff, on its rank.
+    for (r, rep) in lossy.iter().enumerate() {
+        let spans = lossy_trace
+            .spans
+            .iter()
+            .filter(|s| s.rank == r && s.cat == "ft" && s.name.starts_with("retry"))
+            .count();
+        assert_eq!(spans as u64, rep.retries, "rank {r}: one span per retry");
+    }
 
     // --- Run 5: kill-then-revive — elastic membership end to end. The
     // --- same kill, but the victim's pipe reopens 200 send attempts
@@ -225,7 +236,7 @@ fn scenario() {
         Some(campaign(Some(REVIVE_DELTA))),
         Topology::new(2, 4),
     );
-    let revive_counters = deterministic_counters(WORLD);
+    let revive_counters = deterministic_counters(&revived);
     let _ = obs::take();
 
     for (r, rep) in revived.iter().enumerate() {
@@ -280,7 +291,7 @@ fn scenario() {
         Some(campaign(Some(REVIVE_DELTA))),
         Topology::new(2, 4),
     );
-    let revive_counters_replay = deterministic_counters(WORLD);
+    let revive_counters_replay = deterministic_counters(&revive_replay);
     let _ = obs::take();
     obs::disable();
 

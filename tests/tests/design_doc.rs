@@ -1,0 +1,113 @@
+//! DESIGN.md cites tests and helpers by their `fn` names, so a rename or a
+//! deletion must not leave it pointing at nothing. A backticked
+//! `[module::]name` whose last segment is a snake_case identifier with at
+//! least three underscores reads as a function (fields, flags and short
+//! names stay out); every such name must be a `fn` defined somewhere in the
+//! source tree.
+
+use std::collections::HashSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Where the cited functions may live, relative to the repository root.
+const SOURCE_DIRS: [&str; 5] = ["crates", "tests", "examples", "perf/src", "vendor"];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.flatten().map(|e| e.path()) {
+        if path.is_dir() {
+            if path.file_name() != Some("target".as_ref()) {
+                rust_files(&path, out);
+            }
+        } else if path.extension() == Some("rs".as_ref()) {
+            out.push(path);
+        }
+    }
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// Every name that follows `fn ` in `src`.
+fn defined_fns(src: &str) -> impl Iterator<Item = &str> {
+    src.match_indices("fn ").filter_map(move |(i, _)| {
+        let before = src[..i].chars().next_back();
+        if before.is_some_and(is_ident_char) {
+            return None;
+        }
+        let rest = &src[i + 3..];
+        let end = rest.find(|c: char| !is_ident_char(c)).unwrap_or(rest.len());
+        (end > 0).then(|| &rest[..end])
+    })
+}
+
+/// The last segment of every backticked `[module::]name` in `doc` that
+/// reads as a function name.
+fn cited_fns(doc: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    for line in doc.lines() {
+        let mut rest = line;
+        while let Some(open) = rest.find('`') {
+            let code = &rest[open + 1..];
+            let end = code
+                .find(|c: char| !is_ident_char(c) && c != ':')
+                .unwrap_or(code.len());
+            if end == 0 || !code[end..].starts_with('`') {
+                rest = code;
+                continue;
+            }
+            let path = &code[..end];
+            rest = &code[end + 1..];
+            let last = path.rsplit("::").next().unwrap_or(path);
+            let snake = last.starts_with(|c: char| c.is_ascii_lowercase())
+                && last
+                    .chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+            if snake && last.matches('_').count() >= 3 {
+                names.push(last);
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn every_function_design_md_cites_is_defined() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("the test crate sits in the repository root");
+    let mut files = Vec::new();
+    for dir in SOURCE_DIRS {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let sources: Vec<String> = files
+        .iter()
+        .map(|f| fs::read_to_string(f).expect("a readable source file"))
+        .collect();
+    let defined: HashSet<&str> = sources.iter().flat_map(|s| defined_fns(s)).collect();
+
+    let doc = fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let cited = cited_fns(&doc);
+    assert!(!cited.is_empty(), "DESIGN.md cites no function by name");
+    let missing: Vec<&str> = cited
+        .into_iter()
+        .filter(|name| !defined.contains(name))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md cites functions no source file defines: {missing:?}"
+    );
+}
+
+#[test]
+fn the_scanners_read_what_they_claim() {
+    let src = "pub fn a_b_c_d(x: u8) {}\nfn gen<T>() {}\nlet fnord = 1; // defn x";
+    let fns: Vec<&str> = defined_fns(src).collect();
+    assert_eq!(fns, ["a_b_c_d", "gen"]);
+    let doc = "`mod::one_two_three_four` and `two_under_scores`, `A_B_C_D`,\n\
+               `not a_name_at_all_x` ```rust `x::y_z_w_v`";
+    assert_eq!(cited_fns(doc), ["one_two_three_four", "y_z_w_v"]);
+}

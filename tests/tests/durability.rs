@@ -17,13 +17,12 @@
 //! 4. **Buddy reconstruction** — a victim rank's newest shard is
 //!    corrupted on disk; the victim must rebuild its expert from the
 //!    replica embedded in its buddy's shard, not abandon the generation.
-//! 5. **Counters** — the per-rank obs counter registry must agree with
-//!    the reports: shards written everywhere, generations committed and
-//!    GC'd only by the coordinator, one restore per resumed rank, and
-//!    exactly one reconstruction on the corrupted rank.
 //!
-//! Everything lives in ONE `#[test]`: the obs counter registry is
-//! process-global, so the phases must not interleave.
+//! Phases 2 and 4 also read the tally of the whole cycle off the reports
+//! of both halves: shards written everywhere, generations committed and
+//! GC'd only by the coordinator, one restore per rank (the resumed half's
+//! `resumed_at_step`), and exactly one reconstruction on the corrupted
+//! rank.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -34,7 +33,6 @@ use schemoe_bench::campaign::{
 };
 use schemoe_cluster::TransportKind;
 use schemoe_models::{FtConfig, FtReport, SnapshotCfg};
-use schemoe_obs as obs;
 
 const WORLD: usize = 4;
 const STEPS: usize = 24;
@@ -59,12 +57,21 @@ fn snap_in(label: &str) -> SnapshotCfg {
 
 /// Runs a truncated snapshotting job through `snap`, lets `tamper` at the
 /// directory, resumes the full step budget from whatever survived, and
-/// cleans up.
-fn cycle(snap: SnapshotCfg, tamper: impl FnOnce(&Path)) -> Vec<FtReport> {
+/// cleans up. Returns the truncated and the resumed run's reports.
+fn cycle(snap: SnapshotCfg, tamper: impl FnOnce(&Path)) -> (Vec<FtReport>, Vec<FtReport>) {
     let topo = Topology::new(1, WORLD);
-    let (_, resumed) = crash_and_resume(topo, cfg(STEPS), CRASH_STEPS, &snap, tamper);
+    let halves = crash_and_resume(topo, cfg(STEPS), CRASH_STEPS, &snap, tamper);
     let _ = std::fs::remove_dir_all(&snap.dir);
-    resumed
+    halves
+}
+
+/// `field` summed over both halves of a cycle, for `rank`.
+fn over_cycle(
+    (truncated, resumed): &(Vec<FtReport>, Vec<FtReport>),
+    rank: usize,
+    field: impl Fn(&FtReport) -> u64,
+) -> u64 {
+    field(&truncated[rank]) + field(&resumed[rank])
 }
 
 /// Asserts a resumed world landed exactly on the reference trajectory.
@@ -89,39 +96,39 @@ fn whole_job_crash_recovery_under_storage_chaos() {
         assert!(r.final_loss.is_finite());
     }
 
-    // Phase 2: fault-free crash/resume, with counters watching.
-    obs::enable();
-    obs::reset_counters();
-    let resumed = cycle(snap_in("resume"), |_| ());
-    let step = agreed_resume_step(&resumed);
+    // Phase 2: fault-free crash/resume, tallied over both halves.
+    let halves = cycle(snap_in("resume"), |_| ());
+    let resumed = &halves.1;
+    let step = agreed_resume_step(resumed);
     assert!(
         step > 0 && step < CRASH_STEPS,
         "resume step {step} out of range"
     );
-    assert_bit_identical(&resumed, &reference);
+    assert_bit_identical(resumed, &reference);
     for rank in 0..WORLD {
-        let c = obs::counters_for_rank(rank).snapshot();
+        let sum = |field: fn(&FtReport) -> u64| over_cycle(&halves, rank, field);
         assert!(
-            c.snapshot_shards > 0 && c.snapshot_bytes_written > 0,
+            sum(|r| r.snapshot_shards) > 0 && sum(|r| r.snapshot_bytes) > 0,
             "rank {rank} never wrote a durable shard"
         );
         assert_eq!(
-            c.snapshot_restores, 1,
+            sum(|r| u64::from(r.resumed_at_step.is_some())),
+            1,
             "rank {rank} must restore exactly once across the cycle"
         );
-        assert_eq!(c.snapshot_reconstructions, 0);
+        assert_eq!(sum(|r| r.snapshot_reconstructions), 0);
         // Only the coordinator (lowest live rank) commits and collects.
         if rank == 0 {
             assert!(
-                c.snapshot_generations > 0,
+                sum(|r| r.snapshot_generations) > 0,
                 "the coordinator never committed"
             );
             assert!(
-                c.snapshot_gc_removed > 0,
+                sum(|r| r.snapshot_gc) > 0,
                 "retention never collected an old generation"
             );
         } else {
-            assert_eq!(c.snapshot_generations, 0);
+            assert_eq!(sum(|r| r.snapshot_generations), 0);
         }
     }
 
@@ -130,38 +137,31 @@ fn whole_job_crash_recovery_under_storage_chaos() {
     // rename (its rename sequence interleaves shard g1, manifest g1,
     // shard g2, manifest g2, ...), so one generation is guaranteed to be
     // torn down between tmp and rename — and must stay invisible.
-    obs::reset_counters();
     for &(seed, crash_window) in &[(11u64, false), (23u64, true)] {
         let plan = chaosfs_plan(seed, crash_window.then_some((3, 4)));
         let snap = snap_in(&format!("chaos{seed}")).with_chaos(Arc::new(plan));
-        let resumed = cycle(snap, |_| ());
+        let (_, resumed) = cycle(snap, |_| ());
         agreed_resume_step(&resumed);
         assert_bit_identical(&resumed, &reference);
     }
 
     // Phase 4: bitrot the victim's newest shard between crash and
     // resume; its buddy's embedded replica must cover the rebuild.
-    obs::reset_counters();
-    let resumed = cycle(snap_in("reconstruct"), |dir| {
+    let halves = cycle(snap_in("reconstruct"), |dir| {
         corrupt_newest_shard(dir, VICTIM);
     });
-    agreed_resume_step(&resumed);
-    assert_bit_identical(&resumed, &reference);
+    agreed_resume_step(&halves.1);
+    assert_bit_identical(&halves.1, &reference);
     assert_eq!(
-        resumed[VICTIM].snapshot_reconstructions, 1,
+        over_cycle(&halves, VICTIM, |r| r.snapshot_reconstructions),
+        1,
         "the corrupted rank must rebuild from its buddy's replica"
-    );
-    assert_eq!(
-        obs::counters_for_rank(VICTIM)
-            .snapshot()
-            .snapshot_reconstructions,
-        1
     );
     for rank in (0..WORLD).filter(|&r| r != VICTIM) {
         assert_eq!(
-            resumed[rank].snapshot_reconstructions, 0,
+            over_cycle(&halves, rank, |r| r.snapshot_reconstructions),
+            0,
             "rank {rank} reconstructed without a corrupt shard"
         );
     }
-    obs::disable();
 }

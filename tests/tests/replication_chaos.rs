@@ -23,10 +23,10 @@
 //!    orphaned expert falls back to degraded rerouting (no panic, finite
 //!    loss) and both ranks still rejoin.
 //!
-//! Everything lives in ONE `#[test]`: the obs counter registry is
-//! process-global, so the runs must not interleave with each other.
-//! (`chaos.rs` runs in its own process — integration-test binaries are
-//! separate processes — so the two suites cannot collide.)
+//! Everything lives in ONE `#[test]`: the obs counter registry and the
+//! span recorder are process-global, so the runs must not interleave with
+//! each other. (`chaos.rs` runs in its own process — integration-test
+//! binaries are separate processes — so the two suites cannot collide.)
 //!
 //! `CHAOS_SEED` selects the campaign seed (default 1); CI sweeps several.
 
@@ -94,22 +94,25 @@ fn run(cfg: FtConfig, plan: ChaosPlan) -> Vec<FtReport> {
     run_world(Topology::new(2, 4), kind, &cfg, Some(plan), None)
 }
 
-/// The deterministic slice of a rank's counters, extended with the
-/// replication family: frames, activations, and handbacks are pure
+/// The deterministic slice of each rank's tallies: the fabric's injected
+/// faults and the layer's degraded steps beside the report's retries and
+/// replication family. Frames, activations, and handbacks are pure
 /// functions of the fault lottery and the training control flow.
 #[allow(clippy::type_complexity)]
-fn deterministic_counters(world: usize) -> Vec<(u64, u64, u64, u64, u64, u64, u64)> {
-    (0..world)
-        .map(|r| {
+fn deterministic_counters(reports: &[FtReport]) -> Vec<(u64, u64, u64, u64, u64, u64, u64)> {
+    reports
+        .iter()
+        .enumerate()
+        .map(|(r, rep)| {
             let s = obs::counters_for_rank(r).snapshot();
             (
                 s.faults_injected,
-                s.retries,
+                rep.retries,
                 s.degraded_steps,
-                s.replica_quanta,
-                s.replica_bytes_sent,
-                s.failover_activations,
-                s.handbacks,
+                rep.replica_quanta,
+                rep.replica_bytes,
+                rep.failover_activations,
+                rep.handbacks,
             )
         })
         .collect()
@@ -146,7 +149,7 @@ fn scenario() {
     obs::enable();
     obs::reset_counters();
     let failover = run(ft_config(K), campaign());
-    let first_counters = deterministic_counters(WORLD);
+    let first_counters = deterministic_counters(&failover);
     let trace = obs::take();
 
     let died_at = failover[KILLED]
@@ -188,16 +191,26 @@ fn scenario() {
         staleness <= K as u64,
         "activated replica lags {staleness} steps, quantum allows at most {K}"
     );
-    // The obs counter registry saw the same story (satellite: counters are
-    // surfaced in the chrome trace and asserted here).
-    let buddy_counters = obs::counters_for_rank(BUDDY).snapshot();
-    assert_eq!(buddy_counters.failover_activations, 1);
-    assert!(buddy_counters.replica_quanta > 0);
-    assert!(buddy_counters.replica_bytes_sent > 0);
-    let chrome = trace.to_chrome_trace();
-    assert!(
-        chrome.contains("\"replication\""),
-        "the chrome trace must carry the replication counter track"
+    // The timeline shows the activation when it happened: the chrome
+    // export carries one `failover{KILLED}@{step}` span, on the buddy's
+    // track.
+    let chrome = obs::json::parse(&trace.to_chrome_trace()).expect("valid chrome JSON");
+    let activation = format!("failover{KILLED}@");
+    let on_ranks: Vec<f64> = chrome
+        .as_array()
+        .expect("an event array")
+        .iter()
+        .filter(|e| {
+            e.get("name")
+                .and_then(|n| n.as_str())
+                .is_some_and(|n| n.starts_with(&activation))
+        })
+        .filter_map(|e| e.get("pid").and_then(|p| p.as_f64()))
+        .collect();
+    assert_eq!(
+        on_ranks,
+        vec![BUDDY as f64],
+        "one {activation} span, on the buddy's track"
     );
 
     // Full expert capacity must beat the expert-shaped hole: strictly
@@ -212,7 +225,7 @@ fn scenario() {
     // --- pure in the seed through replicate -> failover.
     obs::reset_counters();
     let replay = run(ft_config(K), campaign());
-    let second_counters = deterministic_counters(WORLD);
+    let second_counters = deterministic_counters(&replay);
     let _ = obs::take();
 
     assert_eq!(
@@ -249,7 +262,7 @@ fn scenario() {
     obs::reset_counters();
     let revive_plan = kill_plan(seed(), KILLED, EARLY_KILL_AFTER_SENDS, Some(REVIVE_DELTA));
     let revived = run(ft_config(K), revive_plan);
-    let _ = obs::take();
+    let revive_trace = obs::take();
 
     for (r, rep) in revived.iter().enumerate() {
         assert_eq!(rep.died_at_step, None, "rank {r} must end the run alive");
@@ -273,10 +286,19 @@ fn scenario() {
         revived[KILLED].handback_bytes > 0,
         "the rejoiner must account the handback it applied"
     );
+    // The host's send is one `handback{KILLED}@{step}` span sized in the
+    // bytes it shipped.
+    let handback = format!("handback{KILLED}@");
+    let sent: Vec<(usize, f64)> = revive_trace
+        .spans
+        .iter()
+        .filter(|s| s.cat == "replication" && s.name.starts_with(&handback))
+        .map(|s| (s.rank, s.size))
+        .collect();
     assert_eq!(
-        obs::counters_for_rank(BUDDY).snapshot().handbacks,
-        1,
-        "the obs registry must see the handback"
+        sent,
+        vec![(BUDDY, revived[BUDDY].handback_bytes as f64)],
+        "one handback span, on the host, sized in bytes"
     );
     // The staleness bound is what makes the handback meaningful: the
     // expert the owner gets back diverges from a fault-free trajectory by
