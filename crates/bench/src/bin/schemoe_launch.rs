@@ -16,14 +16,12 @@
 //! ```
 //!
 //! Transports: `tcp` (the *launcher* hosts the rendezvous — killing any
-//! rank, including rank 0, leaves the cluster formable), `shm` (a
-//! session directory of ring files under `/dev/shm`), and `channel`
-//! (single process, rank threads — no kill support, kept for
-//! apples-to-apples output). Every worker prints one parseable
-//! `SCHEMOE_REPORT` line; the launcher parses them all and exits
-//! non-zero unless the run proves what it was asked to prove: fault-free
-//! completion, degraded completion after a kill, and a successful rejoin
-//! after a respawn.
+//! rank, including rank 0, leaves the cluster formable) and `shm` (a
+//! session directory of ring files under `/dev/shm`). Every worker prints
+//! one parseable `SCHEMOE_REPORT` line; the launcher parses them all and
+//! exits non-zero unless the run proves what it was asked to prove:
+//! fault-free completion, degraded completion after a kill, and a
+//! successful rejoin after a respawn.
 //!
 //! With `--snapshot-dir` every rank persists generation-numbered shards
 //! through the durable snapshot lane (`--snapshot-interval` steps apart,
@@ -50,9 +48,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use schemoe_bench::campaign::chaosfs_plan;
-use schemoe_cluster::{
-    transport, ChaosPlan, Fabric, RankHandle, Topology, Transport, TransportKind,
-};
+use schemoe_cluster::{transport, ChaosPlan, RankHandle, Topology, Transport};
 use schemoe_models::{run_ft_rank_durable, FtConfig, FtReport, SnapshotCfg};
 use schemoe_obs as obs;
 use schemoe_tensor::snapshot;
@@ -74,7 +70,7 @@ fn usage() -> ! {
         .map(|f| format!("[{}{}]", f.name, if f.switch { "" } else { " V" }))
         .collect();
     eprintln!("usage: schemoe-launch {}", flags.join(" "));
-    eprintln!("       --transport tcp|shm|channel, --partition LO-HI,LO-HI");
+    eprintln!("       --transport tcp|shm, --partition LO-HI,LO-HI");
     std::process::exit(64);
 }
 
@@ -483,15 +479,9 @@ fn launcher_main(args: &[String]) -> i32 {
             return 64;
         }
     }
-    if o.kill_all_after_ms.is_some() {
-        if o.kill_rank.is_some() || o.partition.is_some() {
-            eprintln!("--kill-all-after-ms is its own scenario (no --kill-rank/--partition)");
-            return 64;
-        }
-        if o.transport == "channel" {
-            eprintln!("--kill-all-after-ms needs a multi-process transport (tcp or shm)");
-            return 64;
-        }
+    if o.kill_all_after_ms.is_some() && (o.kill_rank.is_some() || o.partition.is_some()) {
+        eprintln!("--kill-all-after-ms is its own scenario (no --kill-rank/--partition)");
+        return 64;
     }
     // Any rank may be the kill victim: the launcher hosts the tcp
     // rendezvous, so killing rank 0 no longer takes the bootstrap down.
@@ -512,46 +502,12 @@ fn launcher_main(args: &[String]) -> i32 {
         }
     }
     match o.transport.as_str() {
-        "channel" => launch_in_process(&o),
         "tcp" | "shm" => launch_processes(o),
         other => {
             eprintln!("unknown transport {other:?}");
             usage()
         }
     }
-}
-
-/// Channel mode: the classic in-process fabric, one thread per rank.
-fn launch_in_process(o: &Opts) -> i32 {
-    if o.kill_rank.is_some() {
-        eprintln!("--kill-rank needs a multi-process transport (tcp or shm)");
-        return 64;
-    }
-    let (cfg, snap) = ft_setup(o);
-    let topo = Topology::new(1, o.ranks);
-    let reports = if let Some(spec) = &o.partition {
-        let (a, b) = parse_partition(spec, o.ranks).expect("validated in launcher_main");
-        let chaos = partition_plan(o.chaos_seed, &a, &b, o.heal_after_ms);
-        Fabric::run_with(TransportKind::Channel, topo, Some(chaos), |mut h| {
-            h.set_recv_deadline(Some(liveness_deadline(&cfg)));
-            run_ft_rank_durable(&mut h, &cfg, snap.as_ref())
-        })
-    } else {
-        Fabric::run(topo, |mut h| {
-            run_ft_rank_durable(&mut h, &cfg, snap.as_ref())
-        })
-    };
-    // The same line → parse pair the process modes go through.
-    let parsed: Vec<ParsedReport> = reports
-        .iter()
-        .enumerate()
-        .map(|(rank, r)| {
-            let line = report_line(rank, r);
-            println!("{line}");
-            parse_report(&line).expect("a report line parses back")
-        })
-        .collect();
-    conclude(o, assess(o, None, &parsed, &[]), "")
 }
 
 /// Prints the one-line outcome CI greps for.

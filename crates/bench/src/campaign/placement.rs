@@ -33,7 +33,8 @@ use schemoe_cluster::{Fabric, RankHandle, Topology, TransportKind};
 use schemoe_collectives::NcclA2A;
 use schemoe_compression::NoCompression;
 use schemoe_moe::{
-    decide_plan, DistributedMoeLayer, Expert, FfExpert, LoadReport, PolicyConfig, TopKGate,
+    decide_plan, DistributedMoeLayer, Expert, FfExpert, LoadReport, Placement, PolicyConfig,
+    TopKGate,
 };
 use schemoe_obs::{self as obs, json::Json};
 use schemoe_tensor::rng::seeded;
@@ -192,6 +193,8 @@ fn run_rank(h: &mut RankHandle, batches: &Batches, steps: usize, dynamic: bool) 
         loads: vec![0; WORLD],
         ..RankOutcome::default()
     };
+    // The placement this rank last handed its layer.
+    let mut current: Option<Placement> = None;
 
     h.barrier();
     let t0 = Instant::now();
@@ -250,7 +253,7 @@ fn run_rank(h: &mut RankHandle, batches: &Batches, steps: usize, dynamic: bool) 
         let live = [true; WORLD];
         let plan = decide_plan(WORLD, 1, &live, &reports, CAP, &policy, out.version + 1);
         let next = plan.placement;
-        let moved = layer.placement().map_or(!next.is_static(), |cur| {
+        let moved = current.as_ref().map_or(!next.is_static(), |cur| {
             (0..WORLD).any(|e| cur.servers(e) != next.servers(e))
         });
         if moved {
@@ -267,7 +270,8 @@ fn run_rank(h: &mut RankHandle, batches: &Batches, steps: usize, dynamic: bool) 
                 .map(|e| next.servers(e).len().saturating_sub(1) as u64)
                 .sum::<u64>();
             out.demotions += (0..WORLD).filter(|&r| next.served_by(r).is_empty()).count() as u64;
-            layer.set_placement(me, next);
+            layer.set_placement(me, next.clone());
+            current = Some(next);
         }
         out.version += 1;
         layer.set_capacity_factor(plan.capacity_override.unwrap_or(CAP));

@@ -384,6 +384,12 @@ impl RankHandle {
         self.frames.clone()
     }
 
+    /// This rank's counter block, fetched when the handle was built: a
+    /// caller counting through it takes no registry lock.
+    pub fn counters(&self) -> &obs::RankCounters {
+        &self.counters
+    }
+
     /// Sends `payload` to `to` under `tag`, stamped with this rank's
     /// current membership epoch. The payload is copied into a [`FrameBuf`]
     /// and sealed there; a caller that can build its payload in place uses

@@ -384,22 +384,18 @@ fn apply_invite(h: &mut RankHandle, st: &mut RankState, inv: &Invite) -> Result<
     for r in 0..st.p {
         st.live[r] = inv.live & bit(r) != 0;
         if st.live[r] {
-            st.model.moe.mark_rank_alive(r);
             // The invite's live mask is the authoritative membership:
             // deaths and re-admissions that happened while this rank was
             // away never reached its local liveness board (on process
             // transports the board is per-endpoint, not shared), so reset
             // the board to match — this rank's own entry included.
             h.mark_peer_reachable(r);
-        } else {
-            st.model.moe.mark_rank_dead(r);
         }
     }
-    // Adopt the survivors' failover routing (set after the live-flag
-    // loop: mark_rank_dead prunes routes hosted by dead ranks, which
-    // would drop freshly installed entries).
+    // Adopt the survivors' failover routing.
     let routes = inv.routes.iter().map(|&(d, host)| (d.into(), host.into()));
-    st.model.moe.set_failover_routes(routes);
+    st.failover_hosts = routes.collect();
+    st.route();
     // The host sends the hosted expert — trained while this rank was
     // dead — back on the handback lane. A lost handback falls back to
     // the checkpoint-stale own expert.
@@ -605,11 +601,10 @@ pub(super) fn try_rejoin_peers(
     // Capture handback material before admission tears the routes down:
     // which host serves each admitted rank's expert, and (on the host) the
     // guest's weights serialized in the owner's own layout.
-    let routes = st.model.moe.failover_routes();
     let handbacks: Vec<(Option<usize>, Option<Bytes>)> = admitted
         .iter()
         .map(|&r| {
-            let host = routes.iter().find(|&&(d, _)| d == r).map(|&(_, host)| host);
+            let host = st.failover_hosts.get(&r).copied();
             let hosted = (host == Some(me)).then(|| Bytes::from(st.save(Half::Guest(r))));
             (host, hosted)
         })
@@ -620,10 +615,10 @@ pub(super) fn try_rejoin_peers(
         st.admit(h, r);
     }
     let live = mask_of((0..p).filter(|&r| st.live[r]));
-    let routes = st.model.moe.failover_routes();
-    let routes: Vec<(u8, u8)> = routes
+    let routes: Vec<(u8, u8)> = st
+        .failover_hosts
         .iter()
-        .map(|&(d, host)| (d as u8, host as u8))
+        .map(|(&d, &host)| (d as u8, host as u8))
         .collect();
     let replicated = (me == coordinator).then(|| Bytes::from(st.save(Half::Replicated)));
     // Every survivor sends the invite (redundancy against drops); only the
@@ -669,7 +664,8 @@ mod tests {
         // Rank 1 hosted buried rank 3's expert before it was cut off
         // itself. While it was away rank 2 took the ward over, so the
         // invite names rank 3 still dead and routed elsewhere: whatever
-        // rank 1 hosted is stale and must not survive the invite.
+        // rank 1 hosted is stale and must not survive the invite, and rank
+        // 1 must route exactly as the survivors do.
         let cfg = FtConfig::tiny(4);
         let invite = Invite {
             step: 0,
@@ -691,17 +687,24 @@ mod tests {
                 }
                 1 => {
                     st.live[3] = false;
-                    st.model.moe.mark_rank_dead(3);
-                    st.model.moe.set_failover_routes([(3, 1)]);
+                    st.failover_hosts.insert(3, 1);
                     st.install_guest(3, None).expect("no payload to refuse");
+                    st.route();
                     let applied = apply_invite(&mut h, &mut st, &invite).expect("invite applies");
-                    let routes = st.model.moe.failover_routes();
-                    Some((applied, st.model.moe.guest_expert_ids(), routes))
+                    Some((applied, st.model.moe.guest_expert_ids(), st.table()))
                 }
                 _ => None,
             }
         });
-        assert_eq!(out[1], Some((true, vec![], vec![(3, 2)])));
+        let mut survivor = RankState::new(&cfg, 0, 4);
+        survivor.live[3] = false;
+        survivor.failover_hosts.insert(3, 2);
+        let table = (
+            vec![vec![0], vec![1], vec![2], vec![2]],
+            vec![true, true, true, false],
+        );
+        assert_eq!(survivor.table(), table);
+        assert_eq!(out[1], Some((true, vec![], table)));
     }
 
     #[test]
@@ -807,7 +810,7 @@ mod tests {
     #[test]
     fn invites_naming_ranks_outside_the_world_are_rejected() {
         // Every rank an invite names indexes a per-rank table downstream
-        // (and a `(d, d)` route trips `set_failover_routes`'s assert), so
+        // (and a `(d, d)` route would have a dead rank serve itself), so
         // the decoder is where they stop.
         let good = Invite {
             step: 4,

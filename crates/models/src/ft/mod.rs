@@ -175,9 +175,6 @@ pub struct FtConfig {
     /// An expert is *hot* when its busiest server's share exceeds this
     /// multiple of the mean per-rank load.
     pub placement_hot_factor: f64,
-    /// A rank is *gray* when its observed link stall exceeds this multiple
-    /// of the cluster median (and an absolute floor).
-    pub placement_gray_factor: f64,
 }
 
 impl FtConfig {
@@ -203,7 +200,6 @@ impl FtConfig {
             rejoin: false,
             placement_interval: 0,
             placement_hot_factor: 1.75,
-            placement_gray_factor: 4.0,
         }
     }
 
@@ -1239,10 +1235,7 @@ mod tests {
         // rank 3 to serving nothing (its expert migrates to a healthy
         // rank), and the run completes with nobody buried: gray handling
         // is *degradation*, not excommunication.
-        let cfg = FtConfig {
-            placement_gray_factor: 4.0,
-            ..FtConfig::tiny(10).with_seed(54).with_placement_interval(2)
-        };
+        let cfg = FtConfig::tiny(10).with_seed(54).with_placement_interval(2);
         let plan = ChaosPlan::seeded(54)
             .slow_rank(3, Duration::from_millis(2), 5.0)
             .with_recv_deadline(Duration::from_secs(2));

@@ -184,7 +184,7 @@ pub(super) fn snapshot_quantum(
     );
     // The active placement rides the manifest so a resumed job restarts
     // with the expert layout it snapshotted under.
-    let placement = st.model.moe.placement().map(|pl| pl.encode());
+    let placement = st.placement.as_ref().map(Placement::encode);
     let manifest = Manifest {
         generation,
         world: st.p as u32,
@@ -465,10 +465,9 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
                 std::iter::once(report).chain(reports).map(Some).collect();
             let policy = PolicyConfig {
                 hot_factor: cfg.placement_hot_factor,
-                gray_factor: cfg.placement_gray_factor,
                 max_replicas: PLACEMENT_MAX_REPLICAS,
                 shed_floor: PLACEMENT_SHED_FLOOR,
-                min_tokens: 1,
+                ..PolicyConfig::default()
             };
             let (live, version) = (&st.live, st.placement_version + 1);
             decide_plan(
@@ -500,7 +499,7 @@ pub(super) fn placement_quantum(h: &mut RankHandle, st: &mut RankState) -> Resul
     // gradient reduce in `try_step`) sends its weights as one frame; the
     // new server installs a guest body and applies the verified payload.
     let next = &plan.placement;
-    let current = st.model.moe.placement().cloned();
+    let current = st.placement.clone();
     let current = current.unwrap_or_else(|| Placement::static_layout(n_experts, epr));
     let mut staged: Vec<usize> = Vec::new();
     let staging = (|| {

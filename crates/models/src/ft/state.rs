@@ -2,6 +2,11 @@
 //! membership view, in-memory checkpoint, replication and placement side
 //! state, and the [`FtReport`] it accumulates — with the state transitions
 //! the protocols share as methods, so each exists once.
+//!
+//! The membership view is the one ledger of who serves what: the live
+//! mask, the failover hosts and the committed placement. After every
+//! change to it the rank hands the MoE layer the routing table it implies
+//! (`RankState::table`); the layer keeps no copy of its own.
 
 use std::collections::BTreeMap;
 
@@ -87,6 +92,12 @@ pub struct RankState {
     ce: SoftmaxCrossEntropy,
     markov: RegimeMarkov,
     pub(super) live: Vec<bool>,
+    /// Hot failover: dead rank → the live host serving its expert from a
+    /// buddy replica. Every live rank holds the same map.
+    pub(super) failover_hosts: BTreeMap<usize, usize>,
+    /// The committed load-aware placement; `None` is the static layout.
+    /// Only a fully live world commits one, and any burial voids it.
+    pub(super) placement: Option<Placement>,
     /// Ranks buried on first-hand disconnection evidence: provably
     /// crashed, so they shrink the quorum base. Silence-buried ranks do
     /// not.
@@ -162,6 +173,8 @@ impl RankState {
             ce: SoftmaxCrossEntropy::new(),
             markov: RegimeMarkov::new(cfg.vocab, REGIMES, &mut seeded(seed ^ 0xDA7A)),
             live: vec![true; p],
+            failover_hosts: BTreeMap::new(),
+            placement: None,
             confirmed_gone: 0,
             step: 0,
             tag: 0,
@@ -220,9 +233,12 @@ impl RankState {
     /// produced by this very process, so damage indicates a bug).
     pub(super) fn bury(&mut self, h: &RankHandle, dead: &[usize]) {
         let _span = schemoe_obs::span("ft", format_args!("restore after {dead:?} died"));
+        self.placement = None;
         for &r in dead {
             self.live[r] = false;
-            self.model.moe.mark_rank_dead(r);
+            // A dying host orphans its wards: the gate masks their experts
+            // again until a new host takes over.
+            self.failover_hosts.retain(|_, host| *host != r);
             self.report.epoch_transitions.push(h.advance_epoch());
         }
         checkpoint::load(&self.ckpt, &mut |f| self.model.visit_all(f))
@@ -233,6 +249,7 @@ impl RankState {
                 self.activate_failover(r);
             }
         }
+        self.route();
         self.step = self.ckpt_step;
     }
 
@@ -247,8 +264,7 @@ impl RankState {
         if buddy == r || !self.live[buddy] {
             return;
         }
-        let moe = &mut self.model.moe;
-        moe.set_failover_routes(moe.failover_routes().into_iter().chain([(r, buddy)]));
+        self.failover_hosts.insert(r, buddy);
         if self.me != buddy {
             return;
         }
@@ -269,7 +285,8 @@ impl RankState {
     pub(super) fn admit(&mut self, h: &RankHandle, r: usize) {
         self.report.epoch_transitions.push(h.advance_epoch());
         self.live[r] = true;
-        self.model.moe.mark_rank_alive(r);
+        self.failover_hosts.remove(&r);
+        self.route();
         h.mark_peer_reachable(r);
     }
 
@@ -279,14 +296,39 @@ impl RankState {
     /// verdict, so everyone resets together and the controller re-derives
     /// a plan once the cluster is whole.
     pub(super) fn reset_placement(&mut self) {
-        self.model.moe.reset_placement();
+        self.placement = None;
+        self.route();
         self.model.moe.set_capacity_factor(self.cfg.capacity_factor);
     }
 
     /// Installs `placement` as this rank's committed one. Its guest bodies
     /// are already installed; those it no longer assigns here go.
     pub(super) fn set_placement(&mut self, placement: Placement) {
-        self.model.moe.set_placement(self.me, placement);
+        self.placement = Some(placement);
+        self.route();
+    }
+
+    /// The routing table the ledger implies, `(servers per global expert,
+    /// live mask)`: a committed placement's servers; otherwise a live
+    /// owner serves its own experts, a dead owner's are served by its
+    /// failover host, and an orphaned one's by nobody (the gate masks
+    /// them).
+    pub(super) fn table(&self) -> (Vec<Vec<usize>>, Vec<bool>) {
+        let epr = self.model.moe.experts_per_rank();
+        let servers = (0..self.p * epr)
+            .map(|e| match (&self.placement, e / epr) {
+                (Some(pl), _) => pl.servers(e).to_vec(),
+                (None, home) if self.live[home] => vec![home],
+                (None, home) => Vec::from_iter(self.failover_hosts.get(&home).copied()),
+            })
+            .collect();
+        (servers, self.live.clone())
+    }
+
+    /// Hands the MoE layer the ledger's routing table.
+    pub(super) fn route(&mut self) {
+        let (servers, live) = self.table();
+        self.model.moe.set_routing(self.me, servers, live);
     }
 
     /// Installs a deterministically seeded guest body for expert `e` and
@@ -337,7 +379,7 @@ impl RankState {
     /// `tag`. Any fabric fault aborts the attempt with a typed error; no
     /// parameter is updated here.
     pub(super) fn try_step(&mut self, h: &mut RankHandle, tag: u64) -> Result<f32, FabricError> {
-        let (cfg, me, live) = (self.cfg, self.me, &self.live);
+        let (cfg, me, live, placement) = (self.cfg, self.me, &self.live, &self.placement);
         let Model { embed, moe, head } = &mut self.model;
         // The batch is a pure function of (seed, step, rank): a rewound
         // step replays exactly the same tokens.
@@ -408,7 +450,7 @@ impl RankState {
         // untouched this attempt), so the sum is the full-batch gradient
         // regardless of how tokens fanned out. Groups of one (the static
         // layout) skip the wire entirely.
-        if let Some(pl) = moe.placement().cloned() {
+        if let Some(pl) = placement {
             for e in 0..pl.n_experts() {
                 let group = pl.sync_group(e);
                 if group.len() < 2 || !group.contains(&me) {
@@ -614,6 +656,92 @@ mod tests {
             host.reset_placement();
             assert_eq!(host.model.moe.guest_expert_ids(), vec![1]);
             assert_eq!(host.save(Half::Guest(1)), before);
+        });
+    }
+
+    #[test]
+    fn the_ledger_routes_every_membership_and_placement_state() {
+        // Rank 2's view of a four-rank world whose buddies follow the ring
+        // (0 → 1 → 2 → 3 → 0): per change, the table it hands the layer
+        // and the guest bodies it keeps.
+        type Change = fn(&mut RankState, &RankHandle);
+        // A change, then the servers, live mask and guests it leaves.
+        type Row = (
+            &'static str,
+            Change,
+            [&'static [usize]; 4],
+            [bool; 4],
+            &'static [usize],
+        );
+        let placed: Change = |st, h| {
+            st.admit(h, 0);
+            st.install_guest(1, None).expect("no payload to refuse");
+            st.set_placement(Placement::new(
+                1,
+                1,
+                vec![vec![0], vec![1, 2], vec![2], vec![3]],
+            ));
+        };
+        let states: [Row; 7] = [
+            (
+                "static",
+                |_, _| {},
+                [&[0], &[1], &[2], &[3]],
+                [true; 4],
+                &[],
+            ),
+            (
+                "owner dead, buddy live",
+                |st, h| st.bury(h, &[3]),
+                [&[0], &[1], &[2], &[0]],
+                [true, true, true, false],
+                &[],
+            ),
+            (
+                "host dies",
+                |st, h| st.bury(h, &[0]),
+                [&[1], &[1], &[2], &[]],
+                [false, true, true, false],
+                &[],
+            ),
+            (
+                "rejoin",
+                |st, h| st.admit(h, 3),
+                [&[1], &[1], &[2], &[3]],
+                [false, true, true, true],
+                &[],
+            ),
+            (
+                "placement",
+                placed,
+                [&[0], &[1, 2], &[2], &[3]],
+                [true; 4],
+                &[1],
+            ),
+            (
+                "burial under a placement",
+                |st, h| st.bury(h, &[1]),
+                [&[0], &[2], &[2], &[3]],
+                [true, false, true, true],
+                &[1],
+            ),
+            (
+                "everyone back",
+                |st, h| st.admit(h, 1),
+                [&[0], &[1], &[2], &[3]],
+                [true; 4],
+                &[],
+            ),
+        ];
+        on_rank_2(|h| {
+            let cfg = FtConfig::tiny(4).with_replica_interval(1);
+            let mut st = RankState::new(&cfg, 2, 4);
+            for (state, change, servers, live, guests) in states {
+                change(&mut st, h);
+                let servers: Vec<Vec<usize>> = servers.iter().map(|s| s.to_vec()).collect();
+                assert_eq!(st.table(), (servers, live.to_vec()), "{state}");
+                assert_eq!(st.model.moe.guest_expert_ids(), guests, "{state}");
+            }
         });
     }
 

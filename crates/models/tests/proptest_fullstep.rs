@@ -95,16 +95,26 @@ fn run_step(
         let mut layer = DistributedMoeLayer::new(gate, vec![expert(me)], codec, Box::new(NcclA2A))
             .with_partition_degree(degree)
             .with_recv_timeout(std::time::Duration::from_secs(30));
+        // The static layout, the dead rank's expert hosted or masked.
+        let servers = |dead: usize, host: Option<usize>| -> Vec<Vec<usize>> {
+            let serving = |e: usize| {
+                if e == dead {
+                    host.into_iter().collect()
+                } else {
+                    vec![e]
+                }
+            };
+            (0..p).map(serving).collect()
+        };
         match mode {
             Mode::Healthy => {}
-            Mode::Degraded { dead } => layer.mark_rank_dead(dead),
+            Mode::Degraded { dead } => layer.set_routing(me, servers(dead, None), live.clone()),
             Mode::Failover { dead } => {
                 let host = (dead + 1) % p;
-                layer.mark_rank_dead(dead);
-                layer.set_failover_routes([(dead, host)]);
                 if me == host {
                     layer.install_guest_expert(me, dead, expert(dead));
                 }
+                layer.set_routing(me, servers(dead, Some(host)), live.clone());
             }
             Mode::Placed => {
                 // Guest bodies mirror the home's seeding, exactly as the

@@ -1,6 +1,6 @@
 //! Expert-parallel MoE execution over the rank fabric.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::iter::once;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,11 +43,11 @@ use crate::placement::Placement;
 /// uncompressed, matching the paper's §7 caution about compressing
 /// backpropagation).
 ///
-/// There is one data path. Each step derives a routing table — for every
-/// global expert, the ranks serving it — from the state the layer holds:
-/// the owner in the static layout, the failover host for a dead owner,
-/// nobody for an orphaned one (the gate masks it), the replica set under a
-/// load-aware [`Placement`]. [`forward`](Self::forward) and
+/// There is one data path. Every step runs under the routing table its
+/// control plane handed in through [`set_routing`](Self::set_routing) —
+/// for every global expert, the ranks serving it, and which ranks are
+/// live — or, until one is, the static owner-per-rank layout over a live
+/// world. [`forward`](Self::forward) and
 /// [`backward_with_allreduce`](Self::backward_with_allreduce) each build
 /// one task graph from that table and the
 /// [partition degree](Self::with_partition_degree) `r`, ScheMoE's
@@ -71,27 +71,14 @@ pub struct DistributedMoeLayer {
     partition_degree: usize,
     /// Liveness deadline for every receive of a step.
     recv_timeout: Option<Duration>,
-    /// Ranks declared dead mid-training: their experts are masked out of
-    /// routing and all exchanges skip them (degraded mode).
-    dead_ranks: BTreeSet<usize>,
-    /// Hot-failover routing: dead rank → live host currently serving its
-    /// experts from a buddy replica. Every live rank must hold the same
-    /// table so the exchanges agree on who speaks for whom; a dead rank
-    /// with a route keeps its experts in the routing table; the host
-    /// serves them from guest bodies.
-    failover_hosts: BTreeMap<usize, usize>,
-    /// Load-aware expert placement installed by the placement controller;
-    /// `None` (or a static table) keeps the owner-per-rank layout. A
-    /// non-static placement fans each expert's slots across its replica
-    /// set.
-    placement: Option<Placement>,
+    /// The routing table every step runs under; a forward's cache shares
+    /// it with its backward.
+    routing: Arc<Routing>,
     /// Guest expert bodies this rank serves for experts whose static home
     /// is elsewhere — replicated or migrated onto this rank by a placement,
     /// or hosted for a dead home by a failover route — keyed by global
-    /// expert id. The two kinds never coexist: a placement needs a fully
-    /// live world, and a guest whose home is dead is a failover ward. Kept
-    /// out of [`visit_params`](Self::visit_params) so optimizer slot order
-    /// never shifts when guests come and go.
+    /// expert id. Kept out of [`visit_params`](Self::visit_params) so
+    /// optimizer slot order never shifts when guests come and go.
     guest_experts: BTreeMap<usize, Box<dyn Expert>>,
     /// Per-global-expert routed token counts since the last
     /// [`take_load_stats`](Self::take_load_stats) drain (placement policy
@@ -115,7 +102,7 @@ const BWD: Pass = Pass::Backward;
 struct Cache {
     decision: GateDecision,
     /// The routing table the forward ran under; the backward mirrors it.
-    routing: Routing,
+    routing: Arc<Routing>,
     /// Per chunk: the rows its one expert forward per served expert read
     /// and what that forward saved. The backward differentiates each
     /// (expert, source) group from these — the source's segment of every
@@ -222,6 +209,9 @@ impl DistributedMoeLayer {
     ) -> Self {
         let experts_per_rank = local_experts.len();
         assert!(experts_per_rank > 0, "at least one local expert required");
+        let n_experts = gate.num_experts();
+        let owners = (0..n_experts).map(|e| vec![e / experts_per_rank]).collect();
+        let routing = Routing::new(owners, vec![true; n_experts / experts_per_rank]);
         DistributedMoeLayer {
             gate,
             local_experts,
@@ -232,9 +222,7 @@ impl DistributedMoeLayer {
             workspace: Workspace::default(),
             partition_degree: 1,
             recv_timeout: None,
-            dead_ranks: BTreeSet::new(),
-            failover_hosts: BTreeMap::new(),
-            placement: None,
+            routing: Arc::new(routing),
             guest_experts: BTreeMap::new(),
             routing_loads: Vec::new(),
             shed_tokens: 0,
@@ -294,113 +282,60 @@ impl DistributedMoeLayer {
         self.gate.set_capacity_factor(factor);
     }
 
-    /// Declares `rank` dead: its experts leave the routing table (the gate
-    /// renormalizes over survivors) and every exchange skips it. The next
+    /// Installs the routing table every step runs under until the next
+    /// call, as rank `me`: `servers[e]` lists the ranks serving global
+    /// expert `e` in replica order (none: the gate masks it out), and
+    /// `live[r]` says whether rank `r` takes part in the exchanges. Every
+    /// live rank must install the same table. While a rank is dead the
     /// forward runs in degraded mode — with a quality warning recorded on
-    /// the `degraded` span and counter — instead of hanging on the dead
-    /// peer. With at least two live ranks an `r > 1` pipeline keeps
-    /// overlapping over the survivors; a world shrunk to one live rank has
-    /// no communication left to overlap and runs its graph inline.
-    pub fn mark_rank_dead(&mut self, rank: usize) {
-        self.dead_ranks.insert(rank);
-        // A dying host orphans its wards: their routes vanish and the gate
-        // masks their experts out again until a new host takes over.
-        self.failover_hosts.retain(|_, host| *host != rank);
-    }
-
-    /// The inverse of [`mark_rank_dead`](Self::mark_rank_dead): `rank` has
-    /// rejoined (its state was restored by the rejoin protocol), so its
-    /// experts re-enter the routing table, the gate's normalization expands
-    /// back over them, exchanges include it again, and — once the dead set
-    /// is empty — the forward leaves degraded mode entirely. Its route and
-    /// any guest bodies hosted for it go: the owner serves them again.
-    pub fn mark_rank_alive(&mut self, rank: usize) {
-        self.dead_ranks.remove(&rank);
-        self.failover_hosts.remove(&rank);
+    /// the `degraded` span and counter — and an `r > 1` pipeline keeps
+    /// overlapping over two or more live ranks.
+    ///
+    /// A table change drops every guest body the new table does not have
+    /// `me` serve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table does not cover the gate's experts over
+    /// `live.len()` ranks, or if it has `me` serve an expert away from its
+    /// static home whose guest body is not installed
+    /// ([`install_guest_expert`](Self::install_guest_expert)).
+    pub fn set_routing(&mut self, me: usize, servers: Vec<Vec<usize>>, live: Vec<bool>) {
         let epr = self.experts_per_rank;
-        self.guest_experts.retain(|e, _| e / epr != rank);
-    }
-
-    /// Replaces the failover route table with `routes`, `(dead, host)`
-    /// pairs: live rank `host` serves the experts of dead rank `dead` from
-    /// its buddy replica, so `dead`'s experts stay in the routing table
-    /// instead of being masked out. Every live rank must hold the same
-    /// table for the exchanges to line up; the host itself also installs a
-    /// [guest body](Self::install_guest_expert) for each of `dead`'s
-    /// experts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a route hosts a rank on itself.
-    pub fn set_failover_routes(&mut self, routes: impl IntoIterator<Item = (usize, usize)>) {
-        self.failover_hosts = routes.into_iter().collect();
+        let n = self.gate.num_experts();
         assert!(
-            self.failover_hosts.iter().all(|(d, h)| d != h),
-            "a rank cannot host its own failover"
+            servers.len() == n && live.len() * epr == n,
+            "a routing table must cover the gate's {n} experts"
         );
-    }
-
-    /// All `(dead, host)` failover routes, ascending by dead rank.
-    pub fn failover_routes(&self) -> Vec<(usize, usize)> {
-        self.failover_hosts.iter().map(|(&d, &h)| (d, h)).collect()
-    }
-
-    /// The installed placement, if any.
-    pub fn placement(&self) -> Option<&Placement> {
-        self.placement.as_ref()
-    }
-
-    /// Installs a placement for rank `me`. Guest bodies for every expert
-    /// the placement assigns to `me` away from its static home must
-    /// already be installed
-    /// ([`install_guest_expert`](Self::install_guest_expert)); guests the
-    /// new placement no longer assigns here are dropped.
-    ///
-    /// Placement composes with a fully live world only: burial, failover
-    /// and rejoin all reset to the static layout first
-    /// ([`reset_placement`](Self::reset_placement)), so a placement's
-    /// routing table never names a dead rank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the world is degraded or a failover route is active, if
-    /// the placement's shape disagrees with this layer, or if a required
-    /// guest body is missing.
-    pub fn set_placement(&mut self, me: usize, placement: Placement) {
-        assert!(
-            self.dead_ranks.is_empty() && self.failover_hosts.is_empty(),
-            "placement requires a fully live world; degraded mode resets to static"
-        );
-        assert_eq!(
-            placement.experts_per_rank(),
-            self.experts_per_rank,
-            "placement experts_per_rank mismatch"
-        );
-        let guests = placement.guests_of(me);
-        for &e in &guests {
+        let routing = Routing::new(servers, live);
+        let mine = &routing.served[me];
+        self.guest_experts.retain(|e, _| mine.contains(e));
+        for &e in mine.iter().filter(|&&e| e / epr != me) {
             assert!(
                 self.guest_experts.contains_key(&e),
                 "guest body for expert {e} must be installed before activation"
             );
         }
-        self.guest_experts.retain(|e, _| guests.contains(e));
-        self.placement = Some(placement);
+        self.routing = Arc::new(routing);
     }
 
-    /// Drops any installed placement and its guest bodies, returning the
-    /// layer to the static owner-per-rank layout. Called on every epoch
-    /// transition (burial, failover routing, rejoin admission). Guests
-    /// whose static home is dead are failover wards, not placement guests,
-    /// and stay.
-    pub fn reset_placement(&mut self) {
-        self.placement = None;
-        let (epr, dead) = (self.experts_per_rank, &self.dead_ranks);
-        self.guest_experts.retain(|e, _| dead.contains(&(e / epr)));
+    /// Routes by `placement` over a fully live world: the
+    /// [routing table](Self::set_routing) of its servers with every rank
+    /// live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the placement does not cover the gate's experts, or if a
+    /// guest body it assigns to `me` is not installed.
+    pub fn set_placement(&mut self, me: usize, placement: Placement) {
+        let n = placement.n_experts();
+        let servers = (0..n).map(|e| placement.servers(e).to_vec()).collect();
+        self.set_routing(me, servers, vec![true; n / self.experts_per_rank]);
     }
 
     /// Hands this rank a guest body for global expert `e`: state streamed
     /// from the expert's static home for a placement (inert until a
-    /// placement assigning `e` here is activated), or rebuilt from the
+    /// routing table has this rank serve `e`), or rebuilt from the
     /// buddy replica of a dead home this rank hosts by failover route.
     ///
     /// # Panics
@@ -484,57 +419,18 @@ impl DistributedMoeLayer {
         }
     }
 
-    /// The ranks currently declared dead, ascending.
-    pub fn dead_ranks(&self) -> Vec<usize> {
-        self.dead_ranks.iter().copied().collect()
-    }
-
-    /// True when any peer has been declared dead.
+    /// True when the routing table has a rank dead.
     pub fn is_degraded(&self) -> bool {
-        !self.dead_ranks.is_empty()
+        self.routing.live.contains(&false)
     }
 
     /// The degraded-mode quality warning, recorded over a step that runs
     /// short of ranks.
     fn degraded_span(&self) -> Option<obs::SpanGuard> {
         self.is_degraded().then(|| {
-            let dead = self.dead_ranks.len();
+            let dead = self.routing.live.iter().filter(|&&l| !l).count();
             obs::span("degraded", format_args!("degraded step ({dead} dead)"))
         })
-    }
-
-    /// This step's routing table, from state the layer already holds. Under
-    /// a non-static placement an expert's servers are the placement's
-    /// (placement composes with a fully live world only, see
-    /// [`set_placement`](Self::set_placement)). Otherwise a live owner
-    /// serves its own experts, a dead owner's are served by its failover
-    /// host, and an orphaned dead owner's by nobody: the gate masks them.
-    fn routing_table(&self, world: usize) -> Routing {
-        let epr = self.experts_per_rank;
-        let placed = self.placement.as_ref().filter(|pl| !pl.is_static());
-        if let Some(pl) = placed {
-            assert_eq!(
-                pl.n_experts(),
-                world * epr,
-                "placement must cover the routing table"
-            );
-        }
-        let servers = (0..world * epr)
-            .map(|e| match placed {
-                Some(pl) => pl.servers(e).to_vec(),
-                None if !self.dead_ranks.contains(&(e / epr)) => vec![e / epr],
-                None => self
-                    .failover_hosts
-                    .get(&(e / epr))
-                    .copied()
-                    .into_iter()
-                    .collect(),
-            })
-            .collect();
-        let live = (0..world)
-            .map(|rank| !self.dead_ranks.contains(&rank))
-            .collect();
-        Routing::new(servers, live)
     }
 
     /// The plan every exchange leg of a step under `routing` runs: the
@@ -585,11 +481,12 @@ impl DistributedMoeLayer {
         let (p, me, topo) = (h.world_size(), h.rank(), h.topology());
         let (n, m) = (x.dims()[0], x.dims()[1]);
         let r = self.partition_degree;
-        let routing = self.routing_table(p);
+        let routing = Arc::clone(&self.routing);
+        assert_eq!(routing.live.len(), p, "a table for the fabric's world");
         let plan = self.plan(&routing, &topo);
         let _degraded = self.degraded_span();
         if self.is_degraded() {
-            obs::counters_for_rank(me).add_degraded_step();
+            h.counters().add_degraded_step();
         }
         let decision = {
             let _g = obs::span("gate", "gate");
@@ -1123,9 +1020,8 @@ impl Bodies<'_> {
         if e / self.epr == self.me {
             self.local[e % self.epr].as_mut()
         } else {
-            // `set_placement` refuses a placement whose guest bodies are
-            // not installed, and a failover host installs its wards' before
-            // the first step routed to it.
+            // `set_routing` refuses a table whose guest bodies are not
+            // installed.
             let guest = self.guests.get_mut(&e);
             guest
                 .expect("a body is installed for every served expert")
@@ -1281,6 +1177,7 @@ mod tests {
     use schemoe_compression::{Fp16Compressor, NoCompression};
     use schemoe_tensor::nn::{Module, SavedForm};
     use schemoe_tensor::rng::{self, seeded};
+    use std::collections::BTreeSet;
 
     const M: usize = 6;
     const H: usize = 10;
@@ -1293,6 +1190,28 @@ mod tests {
 
     fn make_gate(experts: usize, k: usize, f: f64) -> TopKGate {
         TopKGate::new(M, experts, k, f, &mut seeded(555))
+    }
+
+    /// Hands `layer` the table a control plane computes for `p` ranks with
+    /// `dead` out: a live owner serves its own experts, a dead owner's go
+    /// to its host in `hosts`, or to nobody.
+    fn route(
+        layer: &mut DistributedMoeLayer,
+        me: usize,
+        p: usize,
+        dead: &[usize],
+        hosts: &[(usize, usize)],
+    ) {
+        let epr = layer.experts_per_rank();
+        let live: Vec<bool> = (0..p).map(|r| !dead.contains(&r)).collect();
+        let host = |r: usize| hosts.iter().find(|&&(d, _)| d == r).map(|&(_, h)| h);
+        let servers = (0..p * epr)
+            .map(|e| match e / epr {
+                home if live[home] => vec![home],
+                home => host(home).into_iter().collect(),
+            })
+            .collect();
+        layer.set_routing(me, servers, live);
     }
 
     /// The independent oracle — the single-process [`MoeLayer`] — at every
@@ -1687,7 +1606,7 @@ mod tests {
                 Box::new(NcclA2A),
             )
             .with_recv_timeout(std::time::Duration::from_secs(20));
-            layer.mark_rank_dead(dead);
+            route(&mut layer, me, p, &[dead], &[]);
             assert!(layer.is_degraded());
             let mut x = Tensor::zeros(&[n_local, M]);
             for r in 0..n_local {
@@ -1744,7 +1663,7 @@ mod tests {
                         if me == dead {
                             break;
                         }
-                        layer.mark_rank_dead(dead);
+                        route(&mut layer, me, p, &[dead], &[]);
                     }
                     if !recycle {
                         layer.workspace = Workspace::default();
@@ -1796,7 +1715,7 @@ mod tests {
             )
             .with_partition_degree(4)
             .with_recv_timeout(std::time::Duration::from_secs(20));
-            layer.mark_rank_dead(dead);
+            route(&mut layer, me, 2, &[dead], &[]);
             let mut x = Tensor::zeros(&[n_local, M]);
             for r in 0..n_local {
                 x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
@@ -1833,7 +1752,7 @@ mod tests {
             )
             .with_partition_degree(degree)
             .with_recv_timeout(std::time::Duration::from_secs(30));
-            layer.mark_rank_dead(dead);
+            route(&mut layer, me, p, &[dead], &[]);
             let mut x = Tensor::zeros(&[n_local, M]);
             for r in 0..n_local {
                 x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
@@ -1927,7 +1846,7 @@ mod tests {
                 )
                 .with_partition_degree(17)
                 .with_recv_timeout(std::time::Duration::from_secs(30));
-                layer.mark_rank_dead(dead);
+                route(&mut layer, me, p, &[dead], &[]);
                 let mut x = Tensor::zeros(&[n_local, M]);
                 for r in 0..n_local {
                     x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
@@ -1953,11 +1872,11 @@ mod tests {
     }
 
     #[test]
-    fn mark_rank_alive_restores_full_capacity_bit_for_bit() {
-        // Kill rank 1, run a degraded step, revive it, and check the next
-        // step is indistinguishable from one that never degraded: the gate
-        // expands back over the returned experts and the overlapped path
-        // re-engages.
+    fn a_restored_table_restores_full_capacity_bit_for_bit() {
+        // Kill rank 1, run a degraded step, hand the full table back, and
+        // check the next step is indistinguishable from one that never
+        // degraded: the gate expands back over the returned experts and
+        // the overlapped path re-engages.
         let topo = Topology::new(2, 2);
         let p = topo.world_size();
         let n_local = 5;
@@ -1982,10 +1901,10 @@ mod tests {
             let baseline = layer.forward(&mut h, &x, 0).unwrap();
             // Step 1: rank 1 is out; survivors run degraded.
             if me != dead {
-                layer.mark_rank_dead(dead);
+                route(&mut layer, me, p, &[dead], &[]);
                 assert!(layer.is_degraded());
                 layer.forward(&mut h, &x, TAG_STRIDE).unwrap();
-                layer.mark_rank_alive(dead);
+                route(&mut layer, me, p, &[], &[]);
                 assert!(!layer.is_degraded());
             }
             // Step 2: the revived rank is back; full-capacity output must
@@ -2068,13 +1987,12 @@ mod tests {
             )
             .with_partition_degree(degree)
             .with_recv_timeout(std::time::Duration::from_secs(20));
-            layer.mark_rank_dead(dead);
-            layer.set_failover_routes([(dead, host)]);
             if me == host {
                 layer.install_guest_expert(me, dead, make_expert(dead));
-                assert_eq!(layer.guest_expert_ids(), vec![dead]);
             }
-            assert_eq!(layer.failover_routes(), vec![(dead, host)]);
+            route(&mut layer, me, p, &[dead], &[(dead, host)]);
+            let hosted = if me == host { vec![dead] } else { vec![] };
+            assert_eq!(layer.guest_expert_ids(), hosted);
             let mut x = Tensor::zeros(&[n_local, M]);
             for r in 0..n_local {
                 x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
@@ -2183,12 +2101,10 @@ mod tests {
                 Box::new(NcclA2A),
             )
             .with_recv_timeout(std::time::Duration::from_secs(20));
-            layer.mark_rank_dead(1);
-            layer.mark_rank_dead(3);
-            layer.set_failover_routes([(1, 2)]);
             if me == 2 {
                 layer.install_guest_expert(me, 1, make_expert(1));
             }
+            route(&mut layer, me, p, &[1, 3], &[(1, 2)]);
             let mut x = Tensor::zeros(&[n_local, M]);
             for r in 0..n_local {
                 x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
@@ -2219,73 +2135,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_dying_host_orphans_its_wards_and_rejoin_clears_routes() {
+    /// Rank 2's layer with buried rank 1's expert installed as a guest.
+    fn a_ward_host() -> DistributedMoeLayer {
         let mut layer = DistributedMoeLayer::new(
             make_gate(4, 2, 8.0),
-            vec![make_expert(0)],
+            vec![make_expert(2)],
             Box::new(NoCompression),
             Box::new(NcclA2A),
         );
-        layer.mark_rank_dead(1);
-        layer.set_failover_routes([(1, 2)]);
-        assert_eq!(layer.failover_routes(), vec![(1, 2)]);
-        // The host dies too: the ward's route is dropped, so its expert
-        // is masked again (orphaned).
-        layer.mark_rank_dead(2);
-        assert!(layer.failover_routes().is_empty());
-        // Rejoin clears a rank's own route and the guest hosted for it.
-        layer.set_failover_routes([(1, 3)]);
-        layer.install_guest_expert(0, 1, make_expert(1));
-        layer.mark_rank_alive(1);
-        assert!(layer.failover_routes().is_empty());
+        layer.install_guest_expert(2, 1, make_expert(1));
+        layer
+    }
+
+    #[test]
+    fn a_dying_host_orphans_its_wards_and_rejoin_clears_routes() {
+        // The control plane computes the tables; the layer's one rule is
+        // that a table change drops every guest it does not route here.
+        let me = 2;
+        let mut layer = a_ward_host();
+        route(&mut layer, me, 4, &[1], &[(1, me)]);
+        assert_eq!(layer.guest_expert_ids(), vec![1]);
+        // The ward is orphaned (no server) or moved to another host: the
+        // body goes.
+        route(&mut layer, me, 4, &[1, 3], &[]);
+        assert!(layer.guest_expert_ids().is_empty());
+        layer.install_guest_expert(me, 1, make_expert(1));
+        route(&mut layer, me, 4, &[1, 3], &[(1, 0)]);
+        assert!(layer.guest_expert_ids().is_empty());
+        // The owner rejoins and serves its own expert again: the body goes.
+        layer.install_guest_expert(me, 1, make_expert(1));
+        route(&mut layer, me, 4, &[1], &[(1, me)]);
+        route(&mut layer, me, 4, &[], &[]);
         assert!(layer.guest_expert_ids().is_empty());
     }
 
     #[test]
     fn a_failover_ward_outlives_placement_resets_and_later_burials() {
-        // Rank 2 hosts buried rank 1's expert as a guest. Every membership
-        // disturbance resets placement before it buries, so the ward's
-        // body must outlive those resets untouched — it is the only copy
-        // of the expert's trained state.
+        // Every membership disturbance resets placement (hands over the
+        // placement-free table) before it buries, so the ward's body must
+        // come through those tables untouched: it is the only copy of the
+        // expert's trained state.
         let me = 2;
-        let mut layer = DistributedMoeLayer::new(
-            make_gate(4, 2, 8.0),
-            vec![make_expert(me)],
-            Box::new(NoCompression),
-            Box::new(NcclA2A),
-        );
+        let mut layer = a_ward_host();
         let weights = |layer: &mut DistributedMoeLayer| {
             let mut w = Vec::new();
             layer.visit_serving_params(me, 1, &mut |prm| w.push(prm.value.data().to_vec()));
             w
         };
-        layer.mark_rank_dead(1);
-        layer.set_failover_routes([(1, me)]);
-        layer.install_guest_expert(me, 1, make_expert(1));
+        route(&mut layer, me, 4, &[1], &[(1, me)]);
         let before = weights(&mut layer);
         assert!(!before.is_empty());
-        layer.reset_placement();
-        layer.mark_rank_dead(3);
-        layer.reset_placement();
+        route(&mut layer, me, 4, &[1], &[(1, me)]);
+        route(&mut layer, me, 4, &[1, 3], &[(1, me)]);
+        route(&mut layer, me, 4, &[1, 3], &[(1, me)]);
         assert_eq!(layer.guest_expert_ids(), vec![1]);
-        assert_eq!(layer.failover_routes(), vec![(1, me)]);
         assert_eq!(weights(&mut layer), before);
 
         // A placement guest, by contrast, lives only as long as its
         // placement: its home is live.
-        let mut placed = DistributedMoeLayer::new(
-            make_gate(4, 2, 8.0),
-            vec![make_expert(me)],
-            Box::new(NoCompression),
-            Box::new(NcclA2A),
-        );
-        placed.install_guest_expert(me, 1, make_expert(1));
+        let mut placed = a_ward_host();
         placed.set_placement(
             me,
             Placement::new(1, 1, vec![vec![0], vec![1, 2], vec![2], vec![3]]),
         );
-        placed.reset_placement();
+        assert_eq!(placed.guest_expert_ids(), vec![1]);
+        route(&mut placed, me, 4, &[], &[]);
         assert!(placed.guest_expert_ids().is_empty());
     }
 
@@ -2464,11 +2378,10 @@ mod tests {
                     match serving {
                         Serving::Local => {}
                         Serving::Failover => {
-                            layer.mark_rank_dead(dead);
-                            layer.set_failover_routes([(dead, host)]);
                             if me == host {
                                 layer.install_guest_expert(me, dead, body(dead));
                             }
+                            route(&mut layer, me, p, &[dead], &[(dead, host)]);
                         }
                         Serving::Guests => {
                             let servers = vec![vec![0, 2], vec![1], vec![2], vec![1]];
@@ -2479,7 +2392,7 @@ mod tests {
                             layer.set_placement(me, pl);
                         }
                     }
-                    let served = layer.routing_table(p).served[me].len() as u64;
+                    let served = layer.routing.served[me].len() as u64;
                     let mut x = Tensor::zeros(&[n_local, M]);
                     for r in 0..n_local {
                         x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));

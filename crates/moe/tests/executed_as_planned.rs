@@ -57,7 +57,10 @@ fn counted(
     )
     .with_partition_degree(r);
     if let Some(dead) = dead {
-        layer.mark_rank_dead(dead);
+        // The static layout with `dead`'s expert masked and its rank out.
+        let servers = (0..p).map(|e| if e == dead { vec![] } else { vec![e] });
+        let live = (0..p).map(|r| r != dead).collect();
+        layer.set_routing(me, servers.collect(), live);
     }
     let counters = obs::counters_for_rank(me);
     let before = counters.snapshot();

@@ -1,9 +1,9 @@
 //! DESIGN.md cites tests and helpers by their `fn` names, so a rename or a
 //! deletion must not leave it pointing at nothing. A backticked
 //! `[module::]name` whose last segment is a snake_case identifier with at
-//! least three underscores reads as a function (fields, flags and short
-//! names stay out); every such name must be a `fn` defined somewhere in the
-//! source tree.
+//! least two underscores reads as a function (flags and short names stay
+//! out); every such name must be a `fn` defined somewhere in the source
+//! tree, or be one of the few [`NOT_FNS`] the document names on purpose.
 
 use std::collections::HashSet;
 use std::fs;
@@ -11,6 +11,19 @@ use std::path::{Path, PathBuf};
 
 /// Where the cited functions may live, relative to the repository root.
 const SOURCE_DIRS: [&str; 5] = ["crates", "tests", "examples", "perf/src", "vendor"];
+
+/// Names DESIGN.md cites that read as functions but are not `fn`s of the
+/// tree.
+const NOT_FNS: [&str; 5] = [
+    // std's positioned file I/O, which the shm ring calls.
+    "read_exact_at",
+    "write_all_at",
+    // Fields: an obs counter and an `FtReport` entry.
+    "recv_wait_ns",
+    "resumed_at_step",
+    // A benchmark workload.
+    "lm_ft_tcp",
+];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
@@ -66,7 +79,7 @@ fn cited_fns(doc: &str) -> Vec<&str> {
                 && last
                     .chars()
                     .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-            if snake && last.matches('_').count() >= 3 {
+            if snake && last.matches('_').count() >= 2 {
                 names.push(last);
             }
         }
@@ -94,7 +107,7 @@ fn every_function_design_md_cites_is_defined() {
     assert!(!cited.is_empty(), "DESIGN.md cites no function by name");
     let missing: Vec<&str> = cited
         .into_iter()
-        .filter(|name| !defined.contains(name))
+        .filter(|name| !defined.contains(name) && !NOT_FNS.contains(name))
         .collect();
     assert!(
         missing.is_empty(),
@@ -108,6 +121,9 @@ fn the_scanners_read_what_they_claim() {
     let fns: Vec<&str> = defined_fns(src).collect();
     assert_eq!(fns, ["a_b_c_d", "gen"]);
     let doc = "`mod::one_two_three_four` and `two_under_scores`, `A_B_C_D`,\n\
-               `not a_name_at_all_x` ```rust `x::y_z_w_v`";
-    assert_eq!(cited_fns(doc), ["one_two_three_four", "y_z_w_v"]);
+               `one_under`, `not a_name_at_all_x` ```rust `x::y_z_w_v`";
+    assert_eq!(
+        cited_fns(doc),
+        ["one_two_three_four", "two_under_scores", "y_z_w_v"]
+    );
 }
