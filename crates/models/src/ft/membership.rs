@@ -247,8 +247,10 @@ impl Invite {
     }
 
     /// Decodes an invite for a `world`-rank cluster. Every rank it names
-    /// must exist, every live bit must be a rank, and no route may host a
-    /// rank on itself — the fields index per-rank tables downstream.
+    /// must exist, every live bit must be a rank — the fields index
+    /// per-rank tables downstream — and the invite must agree with its own
+    /// live mask: a route hosts a dead rank on a live one, and the
+    /// handback host is live.
     fn decode(b: &[u8], world: usize) -> Option<Invite> {
         let inv = Reader::frame(b, |r| {
             Ok(Invite {
@@ -264,13 +266,14 @@ impl Invite {
             })
         })
         .ok()?;
+        let live = |r: usize| r < world.min(64) && inv.live & bit(r) != 0;
         let ranks_exist = inv.donor < world
-            && inv.handback as usize <= world
             && (world >= 64 || inv.live >> world == 0)
+            && (inv.handback as usize).checked_sub(1).is_none_or(live)
             && inv
                 .routes
                 .iter()
-                .all(|&(d, host)| d != host && (d as usize) < world && (host as usize) < world);
+                .all(|&(d, host)| (d as usize) < world && !live(d.into()) && live(host.into()));
         ranks_exist.then_some(inv)
     }
 }
@@ -361,9 +364,18 @@ fn freshest_invite(
 /// frame, adopts the invite's epoch / live mask / failover routes, and
 /// receives the hosted-expert handback if one is due, and leaves the rank
 /// state standing at the invited resume point. Returns `false` when the
-/// transfer was torn — nothing was applied and the caller's epoch is
-/// unchanged, so it can simply announce again.
+/// transfer was torn, or when the invite routes an expert to this rank
+/// itself (the survivors' table would have it serve a body it does not
+/// hold) — nothing was applied and the caller's epoch is unchanged, so it
+/// can simply announce again.
 fn apply_invite(h: &mut RankHandle, st: &mut RankState, inv: &Invite) -> Result<bool, FabricError> {
+    if inv
+        .routes
+        .iter()
+        .any(|&(_, host)| usize::from(host) == st.me)
+    {
+        return Ok(false);
+    }
     let deadline = st.cfg.vote_deadline() * 4;
     // An invite for a step no lane window covers is damage; ignore it.
     let step = inv.step as u64;
@@ -788,7 +800,7 @@ mod tests {
             donor: 2,
             live: 0b1011_0111,
             handback: 3,
-            routes: vec![(5, 6), (2, 3)],
+            routes: vec![(6, 5), (3, 2)],
         };
         assert_eq!(Invite::decode(&inv.encode(), 8), Some(inv.clone()));
         let bare = Invite {
@@ -810,14 +822,16 @@ mod tests {
     #[test]
     fn invites_naming_ranks_outside_the_world_are_rejected() {
         // Every rank an invite names indexes a per-rank table downstream
-        // (and a `(d, d)` route would have a dead rank serve itself), so
-        // the decoder is where they stop.
+        // (and a `(d, d)` route would have a dead rank serve itself), and
+        // a route or handback that contradicts the invite's own live mask
+        // would have the next step wait on a dead server, so the decoder
+        // is where they stop.
         let good = Invite {
             step: 4,
             tag: 5 << 24,
             epoch: 2,
             donor: 0,
-            live: 0b1111,
+            live: 0b1101,
             handback: 4,
             routes: vec![(1, 2)],
         };
@@ -847,10 +861,60 @@ mod tests {
                 routes: vec![(2, 2)],
                 ..good.clone()
             },
+            // The route's host is dead in the invite's own mask.
+            Invite {
+                live: 0b1001,
+                ..good.clone()
+            },
+            // The route's dead rank is marked live.
+            Invite {
+                live: 0b1111,
+                ..good.clone()
+            },
+            // The handback host (rank 1) is dead.
+            Invite {
+                handback: 2,
+                ..good.clone()
+            },
         ];
         for inv in bad {
             assert_eq!(Invite::decode(&inv.encode(), 4), None, "{inv:?}");
         }
+    }
+
+    #[test]
+    fn an_invite_routing_an_expert_to_the_rejoiner_applies_nothing() {
+        // Rank 1 rejoins, but the invite has it host dead rank 3's expert,
+        // whose body it does not hold: it must refuse before receiving
+        // anything, with its epoch, live mask and routes as they were.
+        let cfg = FtConfig::tiny(4);
+        let invite = Invite {
+            step: 0,
+            tag: 0,
+            epoch: 3,
+            donor: 0,
+            live: 0b0111,
+            handback: 0,
+            routes: vec![(3, 1)],
+        };
+        assert_eq!(Invite::decode(&invite.encode(), 4), Some(invite.clone()));
+        let out = Fabric::run(Topology::new(1, 4), |mut h| {
+            let mut st = RankState::new(&cfg, h.rank(), 4);
+            (h.rank() == 1).then(|| {
+                st.live[2] = false;
+                let epoch = h.epoch();
+                let applied = apply_invite(&mut h, &mut st, &invite).expect("no receive");
+                let untouched = h.epoch() == epoch && st.failover_hosts.is_empty();
+                (applied, untouched, st.live.clone())
+            })
+        });
+        let (applied, untouched, live) = out[1].clone().expect("rank 1 reports");
+        assert!(!applied, "the invite was adopted");
+        assert!(
+            untouched,
+            "a refused invite changed the epoch or the routes"
+        );
+        assert_eq!(live, [true, true, false, true]);
     }
 
     fn hex(b: &[u8]) -> String {
@@ -870,13 +934,13 @@ mod tests {
             donor: 2,
             live: 0b1011_0111,
             handback: 3,
-            routes: vec![(5, 6), (2, 3)],
+            routes: vec![(6, 5), (3, 2)],
         };
         assert_eq!(
             hex(&inv.encode()),
             "1100000000000000000000630000000003000000\
              02000000b7000000000000000300000002000000\
-             05060203"
+             06050302"
         );
         assert_eq!(
             hex(&encode_ping(3, 2, 17, 5 << 24)),
@@ -909,10 +973,12 @@ mod tests {
             let _ = decode_resume(&bytes);
             let _ = decode_mask(&bytes);
             if let Some(inv) = Invite::decode(&bytes, world) {
+                let live = |r: usize| r < world && inv.live & bit(r) != 0;
                 prop_assert!(inv.donor < world && inv.handback as usize <= world);
                 prop_assert!(world == 64 || inv.live >> world == 0);
+                prop_assert!((inv.handback as usize).checked_sub(1).is_none_or(live));
                 for (d, host) in inv.routes {
-                    prop_assert!(d != host && (d as usize) < world && (host as usize) < world);
+                    prop_assert!((d as usize) < world && !live(d.into()) && live(host.into()));
                 }
             }
         }

@@ -31,9 +31,10 @@
 //!    advances; verdict **retry** (a transient `Timeout`/`Corrupt`/
 //!    `Worker` fault somewhere): every rank backs off and reruns the
 //!    attempt under fresh tags; verdict **death** (a peer is
-//!    `Disconnected` or unresponsive): survivors mark it dead in the MoE
-//!    layer (degraded routing), restore the last checkpoint, and rewind to
-//!    the checkpointed step.
+//!    `Disconnected` or unresponsive): survivors mark it dead in their
+//!    rank state, whose ledger hands the MoE layer its degraded routing
+//!    table (`RankState::route`), restore the last checkpoint, and rewind
+//!    to the checkpointed step.
 //!
 //! The optimizer step happens only *after* an all-OK verdict, so
 //! replicated parameters cannot diverge when one rank fails mid-attempt.
@@ -66,10 +67,12 @@
 //! each rank streams its expert weights to the buddy at `(rank + 1) mod n`
 //! as one whole CRC-sealed frame (see [`schemoe_moe::replication`]), and
 //! absorbs the frame of each rank whose buddy it is. When a rank is
-//! buried, its buddy *activates* the replica: every survivor installs a
-//! failover route in the MoE layer, the buddy rebuilds the dead rank's
-//! expert (replica if one arrived, deterministic re-init otherwise) and
-//! hosts it, and the gate keeps the full expert set — a death costs at
+//! buried, its buddy *activates* the replica: every survivor records a
+//! failover route in its rank state's ledger, which hands the MoE layer
+//! the routing table naming the host (`RankState::route`), the buddy
+//! rebuilds the dead rank's expert (replica if one arrived,
+//! deterministic re-init otherwise) and hosts it, and the gate keeps the
+//! full expert set — a death costs at
 //! most `K` steps of expert staleness instead of an expert-shaped hole in
 //! the model. On rejoin the invite
 //! names the host, which sends the hosted expert (trained while its

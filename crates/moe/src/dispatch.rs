@@ -92,8 +92,8 @@ impl Routing {
     }
 }
 
-/// A layer's recycled `f32` blocks: decode targets, an expert's gathered
-/// input, its output and what it saves for the backward, the input grads.
+/// A layer's recycled `f32` blocks: decode targets, an expert's output and
+/// what it saves for the backward, the input grads.
 /// No encode stages through it: every leg encodes its rows from where they
 /// live ([`encode_into`]). Contents of a block fresh out of
 /// [`take`](Pool::take) are stale; every user overwrites what it reads.
@@ -102,22 +102,6 @@ pub(crate) type Workspace = Pool<f32>;
 /// A `[rows, m]` tensor over a block of `ws`, contents stale.
 pub(crate) fn block(ws: &Workspace, rows: usize, m: usize) -> Tensor {
     Tensor::from_vec(ws.take(rows * m), &[rows, m]).expect("the block was taken at this size")
-}
-
-/// The row ranges `parts`, one after another, as a tensor over a block of
-/// `ws`.
-pub(crate) fn gather_block<'p>(
-    ws: &Workspace,
-    m: usize,
-    parts: impl Iterator<Item = &'p [f32]> + Clone,
-) -> Tensor {
-    let mut rows = block(ws, parts.clone().map(<[f32]>::len).sum::<usize>() / m, m);
-    let mut filled = 0;
-    for part in parts {
-        rows.data_mut()[filled..filled + part.len()].copy_from_slice(part);
-        filled += part.len();
-    }
-    rows
 }
 
 /// Serializes the rows bound for one rank straight into a frame: a
@@ -163,15 +147,6 @@ pub(crate) struct Rows {
 }
 
 impl Rows {
-    /// The chunk a rank that sent nothing would have sent.
-    pub fn empty(experts: usize, m: usize) -> Self {
-        Rows {
-            data: Vec::new(),
-            offs: vec![0; experts + 1],
-            m,
-        }
-    }
-
     /// Row count over all experts.
     pub fn total(&self) -> usize {
         self.offs[self.offs.len() - 1]
@@ -382,12 +357,6 @@ mod tests {
         assert_eq!(chunk.len(), 4 * rows.len() + 4 * (2 + 5) * M);
         let back = decode_into(&NoCompression, &chunk, rows.len()).unwrap();
         assert_eq!(back, rows);
-    }
-
-    #[test]
-    fn an_absent_chunk_reads_as_zero_rows_per_expert() {
-        let rows = Rows::empty(3, M);
-        assert!((0..3).all(|k| rows.count(k) == 0 && rows.expert(k).is_empty()));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use schemoe_cluster::{FabricError, RankHandle, Topology};
+use schemoe_cluster::{FabricError, FrameBuf, FramePool, RankHandle, Topology};
 use schemoe_collectives::{
     allreduce_live, chunk_tag, lanes, A2aPlan, AllToAll, Block, Held, NcclA2A, MAX_PARTITION_DEGREE,
 };
@@ -26,7 +26,7 @@ use schemoe_tensor::nn::{Param, Segment};
 use schemoe_tensor::Tensor;
 
 use crate::dispatch::{
-    block, chunk_frame, decode_chunk_into, encode_into, gather_block, Routing, Rows, Workspace,
+    block, chunk_frame, decode_chunk_into, encode_into, Routing, Rows, Workspace,
 };
 use crate::expert::Expert;
 use crate::gating::{GateDecision, TopKGate};
@@ -48,15 +48,16 @@ use crate::placement::Placement;
 /// for every global expert, the ranks serving it, and which ranks are
 /// live — or, until one is, the static owner-per-rank layout over a live
 /// world. [`forward`](Self::forward) and
-/// [`backward_with_allreduce`](Self::backward_with_allreduce) each build
-/// one task graph from that table and the
-/// [partition degree](Self::with_partition_degree) `r`, ScheMoE's
-/// `C1 → A1 → (D1·E·C2) → A2 → D2` chain per chunk: on a two-worker
-/// overlap executor at `r > 1`, so chunk `c`'s exchange overlaps chunk
-/// `c + 1`'s compute (the paper's OptSche order), and inline on the
-/// calling thread at `r = 1`. Every exchange in it runs the configured
-/// [`AllToAll`]'s plan. Outputs and every gradient are bit-identical
-/// across degrees and algorithms in every mode.
+/// [`backward_with_allreduce`](Self::backward_with_allreduce) build their
+/// task graphs with one builder from that table: ScheMoE's
+/// `C1 → A1 → D1·E·C2 → A2 → D2` chain per (chunk, peer), over `r` chunks
+/// (the [partition degree](Self::with_partition_degree)) in the forward
+/// and one in the backward. At `r > 1` it runs on a two-worker overlap
+/// executor, so chunk `c`'s exchange overlaps chunk `c + 1`'s compute (the
+/// paper's OptSche order), and inline on the calling thread at `r = 1`.
+/// Every exchange in it runs the configured [`AllToAll`]'s plan. Outputs
+/// and every gradient are bit-identical across degrees and algorithms in
+/// every mode.
 pub struct DistributedMoeLayer {
     gate: TopKGate,
     local_experts: Vec<Box<dyn Expert>>,
@@ -103,11 +104,10 @@ struct Cache {
     decision: GateDecision,
     /// The routing table the forward ran under; the backward mirrors it.
     routing: Arc<Routing>,
-    /// Per chunk: the rows its one expert forward per served expert read
-    /// and what that forward saved. The backward differentiates each
-    /// (expert, source) group from these — the source's segment of every
-    /// chunk, chunks ascending — without running the forward again.
-    chunks: Vec<Kept>,
+    /// Per source rank: what the forward's serve of each of its chunks
+    /// kept, chunks ascending. The backward differentiates each (served
+    /// expert, source) group from these without running the forward again.
+    kept: Vec<Vec<Kept>>,
     /// Per global expert: the returned output rows in this rank's slot
     /// order.
     returned_outputs: Vec<Tensor>,
@@ -115,20 +115,20 @@ struct Cache {
     tag_base: u64,
 }
 
-/// What one chunk's `D1·E·C2` keeps for the backward.
+/// What the forward's serve of one (chunk, source) keeps for the backward.
 struct Kept {
-    /// Per src rank: the dispatched rows as `D1` decoded them, each
-    /// source's in slot order.
-    inputs: Vec<Rows>,
-    /// Per served expert: what its forward saved, one row per input row,
-    /// sources ascending as the forward ran them.
+    /// The source's rows as `D1` decoded them, each served expert's in
+    /// slot order.
+    inputs: Rows,
+    /// Per served expert: what its forward saved, one row per input row
+    /// (no block where the source sent it none).
     saved: Vec<Vec<f32>>,
 }
 
 impl Cache {
     /// Rows served expert `k` received from source `j` over the step.
     fn count(&self, k: usize, j: usize) -> usize {
-        self.chunks.iter().map(|kept| kept.inputs[j].count(k)).sum()
+        self.kept[j].iter().map(|kept| kept.inputs.count(k)).sum()
     }
 
     /// The backward group of served expert `k` and source `j`: per chunk
@@ -142,17 +142,15 @@ impl Cache {
         dy: &'a [f32],
     ) -> Vec<Segment<'a>> {
         let mut at = 0;
-        let mut group = Vec::with_capacity(self.chunks.len());
-        for kept in &self.chunks {
-            let rows = kept.inputs[j].count(k);
+        let mut group = Vec::with_capacity(self.kept[j].len());
+        for kept in &self.kept[j] {
+            let rows = kept.inputs.count(k);
             if rows == 0 {
                 continue;
             }
-            let before: usize = kept.inputs[..j].iter().map(|src| src.count(k)).sum();
-            let saved = &kept.saved[k][before * width..(before + rows) * width];
             group.push(Segment {
-                x: Mat::new(kept.inputs[j].expert(k), rows, m),
-                saved: Mat::new(saved, rows, width),
+                x: Mat::new(kept.inputs.expert(k), rows, m),
+                saved: Mat::new(&kept.saved[k], rows, width),
                 dy: Mat::new(&dy[at * m..(at + rows) * m], rows, m),
             });
             at += rows;
@@ -162,9 +160,12 @@ impl Cache {
 
     /// Sends every block home.
     fn release(self, ws: &Workspace) {
-        for kept in self.chunks {
-            kept.inputs.into_iter().for_each(|rows| rows.recycle(ws));
-            kept.saved.into_iter().for_each(|block| ws.put(block));
+        for kept in self.kept.into_iter().flatten() {
+            kept.inputs.recycle(ws);
+            kept.saved
+                .into_iter()
+                .filter(|b| b.capacity() > 0)
+                .for_each(|b| ws.put(b));
         }
         let outputs = self.returned_outputs.into_iter();
         outputs.for_each(|rows| ws.put(rows.into_vec()));
@@ -454,13 +455,13 @@ impl DistributedMoeLayer {
     /// whole batch once; the step's routing table (static owners, failover
     /// hosts, or a placement's replica sets) says where each expert's
     /// admitted slots go, and each destination's share is cut into
-    /// `r = partition_degree` contiguous segments. Per chunk the chain
-    /// `C1 → A1 → (D1·E·C2) → A2 → D2` is submitted in the OptSche order
-    /// `(C1¹..C1ʳ)(D1·E·C2)¹..(D1·E·C2)ʳ(D2¹..D2ʳ)` on the compute worker
-    /// and `A1¹..A1ʳ A2¹..A2ʳ` on the comm worker, so chunk `c`'s exchange
-    /// overlaps chunk `c + 1`'s compute. At degree 1, or with fewer than
-    /// two live ranks, there is nothing to overlap and the same graph runs
-    /// in submission order on the calling thread.
+    /// `r = partition_degree` contiguous segments. The pass's pipeline
+    /// serves each (chunk, source) as soon as its block is here: one
+    /// `forward_saving` per served expert with rows from that source, its
+    /// outputs encoded straight back, what it saved kept for the backward.
+    /// At degree 1, or with fewer than two live ranks, there is nothing to
+    /// overlap and the same graph runs in submission order on the calling
+    /// thread.
     ///
     /// The output is bit-identical at every degree and in every mode: the
     /// gate sees the whole batch, expert bodies are row-wise (and replica
@@ -501,13 +502,9 @@ impl DistributedMoeLayer {
             unused.release(ws);
         }
 
-        // Dispatch legs run from every source to the serving ranks, combine
-        // legs back. Field split: the tasks share the codec immutably while
-        // the expert bodies go to the compute stages mutably.
-        let (routing_ref, decision_ref) = (&routing, &decision);
+        // Field split: the stages share the codec immutably while the
+        // expert bodies go to the serve stage mutably.
         let mine = &routing.served[me][..];
-        let (servers, sources) = routing.peers(me);
-        let (servers, sources) = (&servers[..], &sources[..]);
         let compressor = self.compressor.as_ref();
         let bodies = Mutex::new(Bodies {
             me,
@@ -518,154 +515,100 @@ impl DistributedMoeLayer {
         // Read before the handle goes behind its mutex: compute tasks
         // check frames out of the pool without ever locking the handle.
         let frames = &h.frames();
-        let handle = Mutex::new(h);
-        let wire = Wire {
-            handle: &handle,
-            plan: &plan,
-            timeout: self.recv_timeout,
-            tag_base,
-        };
-        // Per chunk: the blocks of its dispatch and of its combine leg.
-        let legs = || -> Vec<Mutex<Held>> { (0..r).map(|_| Mutex::default()).collect() };
-        let (dispatch, combine) = (legs(), legs());
-        // Per chunk: what its D1·E·C2 keeps for the backward. Per global
-        // expert: the returned output rows in this rank's slot order, which
-        // every D2 scatters its segments into (stale until then: every slot
-        // is in exactly one server's share, so every row gets overwritten).
-        let chunk_kept = slots::<Kept>(r);
+        // Per (chunk, source): what its serve keeps for the backward. Per
+        // global expert: the returned output rows in this rank's slot
+        // order, which every collect scatters its segment into (stale until
+        // then: every slot is in exactly one server's share, so every row
+        // gets overwritten).
+        let kept = slots::<Kept>(r * p);
         let sized = |slots: &Vec<(usize, f32)>| block(ws, slots.len(), m);
         let returned_outputs: Mutex<Vec<Tensor>> =
             Mutex::new(decision.expert_slots.iter().map(sized).collect());
         let service_ns = AtomicU64::new(0);
 
-        let mut graph = Graph::default();
-        let c1: Vec<usize> = (0..r)
-            .map(|c| {
-                let leg = &dispatch[c];
-                graph.push(Worker::Compute, vec![], move || {
-                    let bytes = (n * m * 4) as f64 / r as f64;
-                    let name = format_args!("{}[c{c}]", FWD.label(Compress1));
-                    let _s = obs::span_sized("encode", name, bytes);
-                    for &dst in servers {
-                        let tokens = |k: usize| {
-                            let e = routing_ref.served[dst][k];
-                            let slots = &decision_ref.expert_slots[e];
-                            let segment = routing_ref.segment(e, dst, slots.len(), c, r);
-                            segment.map(move |s| slots[s].0)
-                        };
-                        let experts = 0..routing_ref.served[dst].len();
-                        let counts = experts.clone().map(|k| tokens(k).len());
-                        let rows = experts.flat_map(tokens).map(|t| x.row(t));
-                        let chunk = encode_into(compressor, frames, m, counts, rows);
-                        leg.lock().insert((me, dst), Block::Frame(chunk));
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        let to_servers = |o, d| routing_ref.dispatches(o, d);
-        let a1: Vec<Vec<Option<usize>>> = (0..r)
-            .map(|c| {
-                let stage = (FWD.label(AllToAll1), lanes::LANE_DISPATCH, Some(c));
-                wire.post(&mut graph, stage, &dispatch[c], to_servers, |_| c1[c])
-            })
-            .collect();
-        let dec: Vec<usize> = (0..r)
-            .map(|c| {
-                let (leg, out, kept) = ((&dispatch[c], me, p), &combine[c], &chunk_kept[c]);
-                let (bodies, service_ns) = (&bodies, &service_ns);
-                let deps = a1[c].iter().flatten().copied().collect();
-                graph.push(Worker::Compute, deps, move || {
-                    let _pipe = obs::span("pipe", format_args!("D1·E·C2[c{c}]"));
-                    let tag = chunk_tag(tag_base, lanes::LANE_DISPATCH, c, 0);
-                    let name = format_args!("{}[c{c}]", FWD.label(Decompress1));
-                    let inputs = decode_leg(compressor, ws, leg, |_| mine.len(), m, tag, name)?;
-                    let rows_total: usize = inputs.iter().map(Rows::total).sum();
-                    let name = format_args!("{}[c{c}]", FWD.label(TaskKind::Expert));
-                    let e_span = obs::span_sized("expert", name, rows_total as f64);
-                    let started = Instant::now();
-                    // One forward per served expert over the chunk's rows,
-                    // src-major: the chunk-local analogue of the
-                    // whole-layer layout. Its output and what it saves
-                    // land in blocks of the workspace.
-                    let (outputs, saved): (Vec<Vec<f32>>, Vec<Vec<f32>>) = {
-                        let mut bodies = bodies.lock();
-                        let run = |(k, &e): (usize, &usize)| {
-                            let input = gather_block(ws, m, inputs.iter().map(|d| d.expert(k)));
-                            let (body, rows) = (bodies.get(e), input.dims()[0]);
-                            let mut saved = ws.take(rows * body.saved_width());
-                            let mut output = ws.take(rows * m);
-                            body.forward_saving(Mat::of(&input), &mut saved, &mut output);
-                            ws.put(input.into_vec());
-                            (output, saved)
-                        };
-                        mine.iter().enumerate().map(run).unzip()
-                    };
-                    service_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    drop(e_span);
-                    let bytes = (rows_total * m * 4) as f64;
-                    let name = format_args!("{}[c{c}]", FWD.label(Compress2));
-                    let _c2 = obs::span_sized("encode", name, bytes);
-                    // Dead sources sent no rows, so skipping them leaves
-                    // every live source's offset where it belongs.
-                    let mut offsets = vec![0usize; mine.len()];
-                    for &src in sources {
-                        let sent = &inputs[src];
-                        let counts = (0..mine.len()).map(|k| sent.count(k));
-                        let parts = counts.clone().zip(&mut offsets).zip(&outputs);
-                        let rows = parts.map(|((count, at), output)| {
-                            let part = &output[*at..*at + count * m];
-                            *at += count * m;
-                            part
-                        });
-                        let back = encode_into(compressor, frames, m, counts, rows);
-                        out.lock().insert((me, src), Block::Frame(back));
-                    }
-                    outputs.into_iter().for_each(|block| ws.put(block));
-                    *kept.lock() = Some(Kept { inputs, saved });
-                    Ok(())
-                })
-            })
-            .collect();
-        for c in 0..r {
-            let stage = (FWD.label(AllToAll2), lanes::LANE_COMBINE, Some(c));
-            let from_servers = |o, d| to_servers(d, o);
-            let a2 = wire.post(&mut graph, stage, &combine[c], from_servers, |_| dec[c]);
-            let (leg, outputs) = ((&combine[c], me, p), &returned_outputs);
-            let deps = a2.into_iter().flatten().collect();
-            graph.push(Worker::Compute, deps, move || {
-                let tag = chunk_tag(tag_base, lanes::LANE_COMBINE, c, 0);
-                let experts = |rank: usize| routing_ref.served[rank].len();
-                let name = format_args!("{}[c{c}]", FWD.label(Decompress2));
-                let decoded = decode_leg(compressor, ws, leg, experts, m, tag, name)?;
-                // Interleaving each server's share, its segments in chunk
-                // order, restores full slot order.
-                let _s = obs::span("combine", format_args!("scatter[c{c}]"));
-                let mut outputs = outputs.lock();
-                for &server in servers {
-                    for (k, &e) in routing_ref.served[server].iter().enumerate() {
-                        let slots = decision_ref.expert_slots[e].len();
-                        let segment = routing_ref.segment(e, server, slots, c, r);
-                        let part = decoded[server].expert(k);
-                        if part.len() != segment.len() * m {
-                            decoded.into_iter().for_each(|rows| rows.recycle(ws));
-                            return Err(FabricError::Corrupt { peer: server, tag });
-                        }
-                        for (row, s) in part.chunks_exact(m).zip(segment) {
-                            outputs[e].row_mut(s).copy_from_slice(row);
-                        }
-                    }
+        // C1: chunk `c` of the rows bound for server `dst`, encoded
+        // straight from `x`.
+        let encode = |c: usize, dst: usize| {
+            let tokens = |k: usize| {
+                let e = routing.served[dst][k];
+                let slots = &decision.expert_slots[e];
+                let segment = routing.segment(e, dst, slots.len(), c, r);
+                segment.map(move |s| slots[s].0)
+            };
+            let experts = 0..routing.served[dst].len();
+            let counts = experts.clone().map(|k| tokens(k).len());
+            let rows = experts.flat_map(tokens).map(|t| x.row(t));
+            encode_into(compressor, frames, m, counts, rows)
+        };
+        // E: one forward per served expert with rows from source `j`,
+        // reading them where `D1` decoded them; its output lands in the
+        // reply block, what it saves in a block of its own.
+        let serve = |c: usize, j: usize, inputs: Rows, out: &mut [f32]| {
+            let started = Instant::now();
+            let mut bodies = bodies.lock();
+            let mut at = 0;
+            let run = |(k, &e): (usize, &usize)| {
+                let rows = inputs.count(k);
+                if rows == 0 {
+                    return Vec::new();
                 }
-                decoded.into_iter().for_each(|rows| rows.recycle(ws));
-                Ok(())
+                let body = bodies.get(e);
+                let mut saved = ws.take(rows * body.saved_width());
+                let x = Mat::new(inputs.expert(k), rows, m);
+                body.forward_saving(x, &mut saved, &mut out[at * m..(at + rows) * m]);
+                at += rows;
+                saved
+            };
+            let saved = mine.iter().enumerate().map(run).collect();
+            service_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            *kept[c * p + j].lock() = Some(Kept { inputs, saved });
+            true
+        };
+        // D2's consumer: server `s`'s segments of chunk `c` into slot
+        // order. Interleaving each server's share, its segments in chunk
+        // order, restores full slot order.
+        let collect = |c: usize, s: usize, rows: Rows| {
+            let _s = obs::span("combine", format_args!("scatter[c{c}p{s}]"));
+            let mut outputs = returned_outputs.lock();
+            let fits = routing.served[s].iter().enumerate().all(|(k, &e)| {
+                let slots = decision.expert_slots[e].len();
+                let segment = routing.segment(e, s, slots, c, r);
+                let part = rows.expert(k);
+                if part.len() != segment.len() * m {
+                    return false;
+                }
+                for (row, slot) in part.chunks_exact(m).zip(segment) {
+                    outputs[e].row_mut(slot).copy_from_slice(row);
+                }
+                true
             });
-        }
+            rows.recycle(ws);
+            fits
+        };
+
+        let handle = Mutex::new(h);
+        let pipeline = Pipeline {
+            pass: FWD,
+            handle: &handle,
+            plan: &plan,
+            timeout: self.recv_timeout,
+            tag_base,
+            routing: &routing,
+            rows: (n, m),
+            codec: compressor,
+            ws,
+            frames,
+        };
+        let legs = legs(r);
+        let mut graph = Graph::default();
+        pipeline.build(&mut graph, &legs, &encode, &serve, &collect, |_| ());
         graph.run(routing.runs_inline(r))?;
         self.service_us.push(service_ns.into_inner().div_ceil(1000));
         let _combine = obs::span("combine", "combine");
         // Whole-layer state for the backward, the same at every degree: a
         // source's segments in chunk order are its share in slot order.
-        let chunks: Vec<Kept> = chunk_kept.iter().map(take).collect();
+        let take_chunks = |j| kept[j..].iter().step_by(p).filter_map(|s| s.lock().take());
+        let kept: Vec<Vec<Kept>> = (0..p).map(|j| take_chunks(j).collect()).collect();
         let returned_outputs: Vec<Tensor> = returned_outputs.into_inner();
 
         // Combine: accumulating ascending-expert over rows in slot order is
@@ -682,7 +625,7 @@ impl DistributedMoeLayer {
         self.cache = Some(Cache {
             decision,
             routing,
-            chunks,
+            kept,
             returned_outputs,
             n,
             tag_base,
@@ -703,12 +646,12 @@ impl DistributedMoeLayer {
     /// parameter gradient allreduce into the same task graph. Every rank
     /// must agree on whether an allreduce is attached.
     ///
-    /// The graph mirrors the forward's routing table (cached by it) but
-    /// pipelines per *peer*, not per chunk (`p` ranks, `q` live peers):
+    /// The graph is the forward's pipeline over the routing table the
+    /// forward cached, at one chunk:
     ///
     /// ```text
-    /// compute: C1b⁰..C1bᵖ⁻¹  dW  (D1b·Eb·C2b)⁰..(D1b·Eb·C2b)ᵖ⁻¹  D2b⁰..D2bᵖ⁻¹
-    /// comm   : S1¹..S1ᑫ  R1¹..R1ᑫ  [AR]  S2¹..S2ᑫ  R2¹..R2ᑫ
+    /// compute: C1b[c0p0..] dW  (D1b·Eb·C2b)[c0p0..]  D2b[c0p0..]
+    /// comm   : A1b[c0]  [AR]  A2b[c0]
     /// ```
     ///
     /// The expert backward is one `backward_from` per non-empty (expert,
@@ -717,19 +660,17 @@ impl DistributedMoeLayer {
     /// floating-point grouping, while this canonical order makes every
     /// weight gradient identical at every degree by construction, and lets
     /// source `j`'s expert backward hide the exchanges of sources `> j`.
-    /// A group reads the source's segment of every chunk — the rows the
-    /// forward decoded and what its one forward saved — and its weight
+    /// A group reads the source's segment of every forward chunk — the
+    /// rows the forward decoded and what its forward saved — and its weight
     /// chains continue from segment to segment, so no forward runs again.
     /// Under a placement each server differentiates only its share, so a
     /// replicated expert's weight grads are *partial* per server; the
     /// placement controller sums them over the expert's sync group.
     ///
-    /// Messages travel uncompressed (the paper's §7 caution). Each lane is
-    /// one run of the forward's plan, posted like a forward leg, so a
-    /// peer's chunk ships as soon as it exists. The allreduce sits
-    /// *between* the two lanes: any earlier it would stall every peer's
-    /// expert backward behind it; there it fills the window where the comm
-    /// worker would otherwise idle waiting for return traffic.
+    /// Messages travel uncompressed (the paper's §7 caution). The allreduce
+    /// sits *between* the two lanes: any earlier it would stall every
+    /// peer's expert backward behind it; there it fills the window where
+    /// the comm worker would otherwise idle waiting for return traffic.
     ///
     /// # Panics
     ///
@@ -745,18 +686,17 @@ impl DistributedMoeLayer {
             .cache
             .take()
             .expect("distributed backward without forward");
-        let (decision, routing, cache_ref) = (&cache.decision, &cache.routing, &cache);
+        let (decision, routing) = (&cache.decision, &*cache.routing);
         let (returned_outputs, n, tag_base) = (&cache.returned_outputs, cache.n, cache.tag_base);
         let (p, me, topo) = (h.world_size(), h.rank(), h.topology());
         let m = dy.dims()[1];
-        let r = self.partition_degree;
         assert_eq!(dy.dims()[0], n, "gradient row count mismatch");
         let _degraded = self.degraded_span();
         let plan = self.plan(routing, &topo);
+        // The backward runs as one chunk.
+        let legs = legs(1);
 
         let mine = &routing.served[me][..];
-        let (servers, sources) = routing.peers(me);
-        let (servers, sources) = (&servers[..], &sources[..]);
         let raw: &dyn Compressor = &NoCompression;
         let bodies = Mutex::new(Bodies {
             me,
@@ -765,49 +705,71 @@ impl DistributedMoeLayer {
             guests: &mut self.guest_experts,
         });
         let (frames, ws) = (&h.frames(), &self.workspace);
+        // Per server: the decoded input grads it returned.
+        let returned = slots::<Rows>(p);
+        let d_weights: Slot<Vec<f32>> = Mutex::new(None);
+
+        // C1b: w · dy for server `dst`'s share of every expert it serves,
+        // written straight into its frame.
+        let encode = |c: usize, dst: usize| {
+            let share = |k: usize| {
+                let e = routing.served[dst][k];
+                let slots = &decision.expert_slots[e];
+                let share = routing.segment(e, dst, slots.len(), c, legs.len());
+                share.map(move |s| slots[s])
+            };
+            let experts = 0..routing.served[dst].len();
+            let counts = experts.clone().map(|k| share(k).len());
+            let n = counts.clone().sum::<usize>() * m;
+            let mut chunk = chunk_frame(frames, counts, raw.compressed_len(n));
+            for (t, w) in experts.flat_map(share) {
+                extend_scaled_f32_le(chunk.body_mut(), w, dy.row(t));
+            }
+            chunk
+        };
+        // Eb: each (served expert, `j`) group differentiated from what the
+        // forward kept, its input grads into the reply block, expert-major
+        // like `grads`.
+        let serve = |_: usize, j: usize, grads: Rows, dins: &mut [f32]| {
+            let fits = (0..mine.len()).all(|k| grads.count(k) == cache.count(k, j));
+            if fits {
+                let (mut bodies, mut at) = (bodies.lock(), 0);
+                for (k, &e) in mine.iter().enumerate() {
+                    let rows = grads.count(k);
+                    if rows == 0 {
+                        continue;
+                    }
+                    let body = bodies.get(e);
+                    let group = cache.group((k, j), (m, body.saved_width()), grads.expert(k));
+                    body.backward_from(&group, &mut dins[at * m..(at + rows) * m]);
+                    at += rows;
+                }
+            }
+            grads.recycle(ws);
+            fits
+        };
+        let collect = |_: usize, s: usize, rows: Rows| {
+            *returned[s].lock() = Some(rows);
+            true
+        };
+
         let handle = Mutex::new(h);
-        let wire = Wire {
+        let pipeline = Pipeline {
+            pass: BWD,
             handle: &handle,
             plan: &plan,
             timeout: self.recv_timeout,
             tag_base,
+            routing,
+            rows: (n, m),
+            codec: raw,
+            ws,
+            frames,
         };
-        // The blocks of the output-grad and of the input-grad lane, and per
-        // rank the decoded input grads it returned.
-        let (grad, back) = (Mutex::<Held>::default(), Mutex::<Held>::default());
-        let returned = slots::<Rows>(p);
-        let d_weights: Slot<Vec<f32>> = Mutex::new(None);
-
         let mut graph = Graph::default();
-        // C1b: per serving rank, w · dy for its share of every expert it
-        // serves, so its send can start while the next rank's still builds.
-        let mut built = vec![usize::MAX; p];
-        for &dst in servers {
-            let grad = &grad;
-            built[dst] = graph.push(Worker::Compute, vec![], move || {
-                let bytes = (n * m * 4) as f64 / servers.len() as f64;
-                let name = format_args!("{}[o{dst}]", BWD.label(Compress1));
-                let _s = obs::span_sized("encode", name, bytes);
-                let share = |k: usize| {
-                    let e = routing.served[dst][k];
-                    let slots = &decision.expert_slots[e];
-                    let share = routing.segment(e, dst, slots.len(), 0, 1);
-                    share.map(move |s| slots[s])
-                };
-                let experts = 0..routing.served[dst].len();
-                let counts = experts.clone().map(|k| share(k).len());
-                let n = counts.clone().sum::<usize>() * m;
-                let mut chunk = chunk_frame(frames, counts, raw.compressed_len(n));
-                for (t, w) in experts.flat_map(share) {
-                    extend_scaled_f32_le(chunk.body_mut(), w, dy.row(t));
-                }
-                grad.lock().insert((me, dst), Block::Frame(chunk));
-                Ok(())
-            });
-        }
-        // dW: combine-weight gradients, one per admitted slot, after the C1b
-        // encodes so the comm lanes start as early as possible.
-        {
+        pipeline.build(&mut graph, &legs, &encode, &serve, &collect, |graph| {
+            // dW: combine-weight gradients, one per admitted slot, after
+            // the C1b encodes so the comm lanes start as early as possible.
             let d_weights = &d_weights;
             graph.push(Worker::Compute, vec![], move || {
                 let _s = obs::span("gate", "dW");
@@ -816,86 +778,20 @@ impl DistributedMoeLayer {
                 *d_weights.lock() = Some(flat);
                 Ok(())
             });
-        }
-        let to_servers = |o, d| routing.dispatches(o, d);
-        let grad_lane = (BWD.label(AllToAll1), lanes::LANE_BWD_GRAD, None);
-        let grads_at = wire.post(&mut graph, grad_lane, &grad, to_servers, |d| built[d]);
-        if let Some(ar) = allreduce {
-            let handle = &handle;
-            graph.push(Worker::Comm, vec![], move || {
-                let _s = obs::span("coll", "allreduce[replicated]");
-                allreduce_live(&mut handle.lock(), ar.values, ar.tag, ar.live)
-            });
-        }
-        // Per source j ascending: decode j's output grads, differentiate
-        // each (served expert, j) group from what the forward kept, and
-        // encode the input grads straight back for j.
-        let mut diffed = vec![usize::MAX; p];
-        for &j in sources {
-            let (grad, back, bodies) = (&grad, &back, &bodies);
-            let deps = vec![grads_at[j].expect("a source's grads arrive")];
-            diffed[j] = graph.push(Worker::Compute, deps, move || {
-                let chunk = take_block(grad, (j, me));
-                let name = format_args!("{}[s{j}]", BWD.label(Decompress1));
-                let d1b = obs::span_sized("decode", name, chunk.len() as f64);
-                let tag = chunk_tag(tag_base, lanes::LANE_BWD_GRAD, 0, 0);
-                let grads = decode_chunk_into(raw, ws, &chunk, (mine.len(), m), (j, tag))?;
-                drop((chunk, d1b));
-                if (0..mine.len()).any(|k| grads.count(k) != cache_ref.count(k, j)) {
-                    grads.recycle(ws);
-                    return Err(FabricError::Corrupt { peer: j, tag });
-                }
-                let rows_j = grads.total();
-                let name = format_args!("{}[s{j}]", BWD.label(TaskKind::Expert));
-                let eb = obs::span_sized("expert", name, rows_j as f64);
-                // The groups' input grads, expert-major like `grads`.
-                let mut dins = ws.take(rows_j * m);
-                let mut at = 0;
-                let mut bodies = bodies.lock();
-                for (k, &e) in mine.iter().enumerate() {
-                    let rows = grads.count(k);
-                    if rows == 0 {
-                        continue;
-                    }
-                    let body = bodies.get(e);
-                    let group = cache_ref.group((k, j), (m, body.saved_width()), grads.expert(k));
-                    body.backward_from(&group, &mut dins[at * m..(at + rows) * m]);
-                    at += rows;
-                }
-                drop(bodies);
-                drop(eb);
-                let bytes = (rows_j * m * 4) as f64;
-                let name = format_args!("{}[s{j}]", BWD.label(Compress2));
-                let _c2b = obs::span_sized("encode", name, bytes);
-                let counts = (0..mine.len()).map(|k| grads.count(k));
-                let chunk = encode_into(raw, frames, m, counts, once(&dins[..]));
-                back.lock().insert((me, j), Block::Frame(chunk));
-                grads.recycle(ws);
-                ws.put(dins);
-                Ok(())
-            });
-        }
-        let back_lane = (BWD.label(AllToAll2), lanes::LANE_BWD_RETURN, None);
-        let from_servers = |o, d| to_servers(d, o);
-        let dins_at = wire.post(&mut graph, back_lane, &back, from_servers, |d| diffed[d]);
-        let back_tag = chunk_tag(tag_base, lanes::LANE_BWD_RETURN, 0, 0);
-        for &j in servers {
-            let (back, kept) = (&back, &returned[j]);
-            let deps = vec![dins_at[j].expect("a server's input grads arrive")];
-            graph.push(Worker::Compute, deps, move || {
-                let chunk = take_block(back, (j, me));
-                let name = format_args!("{}[o{j}]", BWD.label(Decompress2));
-                let _s = obs::span_sized("decode", name, chunk.len() as f64);
-                let shape = (routing.served[j].len(), m);
-                *kept.lock() = Some(decode_chunk_into(raw, ws, &chunk, shape, (j, back_tag))?);
-                Ok(())
-            });
-        }
-        graph.run(routing.runs_inline(r))?;
+            if let Some(ar) = allreduce {
+                let handle = &handle;
+                graph.push(Worker::Comm, vec![], move || {
+                    let _s = obs::span("coll", "allreduce[replicated]");
+                    allreduce_live(&mut handle.lock(), ar.values, ar.tag, ar.live)
+                });
+            }
+        });
+        graph.run(routing.runs_inline(self.partition_degree))?;
 
         // Scatter ascending-expert, so each token's additions come in the
         // order of the one-chunk static backward; the gate's part last.
         let _scatter = obs::span("combine", "scatterb");
+        let back_tag = chunk_tag(tag_base, lanes::LANE_BWD_RETURN, 0, 0);
         let returned: Vec<Option<Rows>> = returned.into_iter().map(Mutex::into_inner).collect();
         let mut dx = Tensor::zeros(&[n, m]);
         let mut framing = Ok(());
@@ -961,47 +857,12 @@ fn slots<T>(count: usize) -> Vec<Slot<T>> {
     (0..count).map(|_| Mutex::new(None)).collect()
 }
 
-/// What the task this one depends on left in `slot`.
-fn take<T>(slot: &Slot<T>) -> T {
-    // A task runs only after the tasks it depends on, which fill the slot.
-    slot.lock()
-        .take()
-        .expect("the upstream task filled its mailbox")
-}
-
 /// Block `key` of a leg, which the task this one depends on delivered.
 fn take_block(leg: &Mutex<Held>, key: (usize, usize)) -> Bytes {
     let block = leg.lock().remove(&key);
     block
         .expect("the upstream task delivered the block")
         .into_payload()
-}
-
-/// Takes the blocks a leg delivered to `me` out of it and decodes them into
-/// blocks of `ws` under a `decode` span: `experts(j)` experts' rows from
-/// rank `j` of `p`, none where the leg carried no block from `j`.
-fn decode_leg(
-    compressor: &dyn Compressor,
-    ws: &Workspace,
-    (leg, me, p): (&Mutex<Held>, usize, usize),
-    experts: impl Fn(usize) -> usize,
-    m: usize,
-    tag: u64,
-    span: impl std::fmt::Display,
-) -> Result<Vec<Rows>, FabricError> {
-    let chunks: Vec<Option<Bytes>> = {
-        let mut held = leg.lock();
-        (0..p)
-            .map(|j| held.remove(&(j, me)).map(Block::into_payload))
-            .collect()
-    };
-    let bytes: usize = chunks.iter().flatten().map(Bytes::len).sum();
-    let _s = obs::span_sized("decode", span, bytes as f64);
-    let decode = |(j, chunk): (usize, Option<Bytes>)| match chunk {
-        Some(chunk) => decode_chunk_into(compressor, ws, &chunk, (experts(j), m), (j, tag)),
-        None => Ok(Rows::empty(experts(j), m)),
-    };
-    chunks.into_iter().enumerate().map(decode).collect()
 }
 
 /// The expert bodies this rank can serve from, borrowed apart from the rest
@@ -1091,17 +952,142 @@ impl<'a> Graph<'a> {
     }
 }
 
-/// What a graph's comm tasks share.
+/// A pass's two legs per chunk: towards the servers (`A1`), and back
+/// (`A2`).
+type Legs = [Mutex<Held>; 2];
+
+fn legs(chunks: usize) -> Vec<Legs> {
+    (0..chunks).map(|_| Default::default()).collect()
+}
+
+/// A pass's `serve` stage body (see [`Pipeline::build`]).
+type Serve<'a> = dyn Fn(usize, usize, Rows, &mut [f32]) -> bool + Sync + 'a;
+
+/// What one pass's tasks share.
 #[derive(Clone, Copy)]
-struct Wire<'a> {
+struct Pipeline<'a> {
+    pass: Pass,
     handle: &'a Mutex<&'a mut RankHandle>,
-    /// The plan every leg of the step runs.
+    /// The plan every leg of the pass runs.
     plan: &'a A2aPlan,
     timeout: Option<Duration>,
     tag_base: u64,
+    routing: &'a Routing,
+    /// The pass's token count and row width.
+    rows: (usize, usize),
+    /// The layer's codec in the forward, [`NoCompression`] in the backward.
+    codec: &'a dyn Compressor,
+    ws: &'a Workspace,
+    frames: &'a FramePool,
 }
 
-impl<'a> Wire<'a> {
+impl<'a> Pipeline<'a> {
+    /// Adds a pass of `legs.len()` chunks to `graph`: ScheMoE's
+    /// `C1 → A1 → D1·E·C2 → A2 → D2` chain per (chunk, peer), from three
+    /// stage bodies. Per chunk `c`: a `C1` per server `dst`, which hands
+    /// `encode(c, dst)`'s frame to the `A1` leg; a `serve(c, j)` per source
+    /// `j`, which waits only for the task after which block `(j, me)` is
+    /// held (this rank's own `C1` for its own block), decodes it, hands the
+    /// rows to `serve` with a reply block to fill (one `m`-wide row per
+    /// row, expert-major), and encodes the reply for the `A2` leg, whose
+    /// sends wait for their `serve`; and a `collect(c, s)` per server,
+    /// which decodes `s`'s reply for `collect`. `serve` and `collect`
+    /// return `false` when a peer's rows do not match the shares this rank
+    /// expects of it: a corrupt message.
+    ///
+    /// Compute tasks go in OptSche order: every `C1`, every `serve`, every
+    /// `collect`, chunks ascending and peers ascending within a chunk (the
+    /// order the backward's weight-gradient chains need). Comm tasks go as
+    /// every `A1` leg, what `between` adds, every `A2` leg. A stage's span
+    /// is `{stem}[c{c}p{peer}]`.
+    fn build(
+        self,
+        graph: &mut Graph<'a>,
+        legs: &'a [Legs],
+        encode: &'a (dyn Fn(usize, usize) -> FrameBuf + Sync),
+        serve: &'a Serve<'a>,
+        collect: &'a (dyn Fn(usize, usize, Rows) -> bool + Sync),
+        between: impl FnOnce(&mut Graph<'a>),
+    ) {
+        let (pass, routing, (n, m)) = (self.pass, self.routing, self.rows);
+        let (codec, ws, frames) = (self.codec, self.ws, self.frames);
+        let (me, p, chunks) = (self.handle.lock().rank(), routing.live.len(), legs.len());
+        let (servers, sources) = routing.peers(me);
+        let (out_lane, back_lane) = match pass {
+            Pass::Forward => (lanes::LANE_DISPATCH, lanes::LANE_COMBINE),
+            Pass::Backward => (lanes::LANE_BWD_GRAD, lanes::LANE_BWD_RETURN),
+        };
+        let c1_bytes = (n * m * 4) as f64 / (chunks * servers.len().max(1)) as f64;
+        let to_servers = |o, d| routing.dispatches(o, d);
+        let mut held = Vec::with_capacity(chunks);
+        for (c, [out, _]) in legs.iter().enumerate() {
+            let mut built = vec![usize::MAX; p];
+            for &dst in &servers {
+                built[dst] = graph.push(Worker::Compute, vec![], move || {
+                    let name = format_args!("{}[c{c}p{dst}]", pass.label(Compress1));
+                    let _s = obs::span_sized("encode", name, c1_bytes);
+                    out.lock().insert((me, dst), Block::Frame(encode(c, dst)));
+                    Ok(())
+                });
+            }
+            let stage = (pass.label(AllToAll1), out_lane, c);
+            held.push(self.post(graph, stage, out, to_servers, |d| built[d]));
+        }
+        between(graph);
+        let mut replied = Vec::with_capacity(chunks);
+        for (c, [out, back]) in legs.iter().enumerate() {
+            let tag = chunk_tag(self.tag_base, out_lane, c, 0);
+            let mut served = vec![usize::MAX; p];
+            for &j in &sources {
+                let deps = vec![held[c][j].expect("a source's block arrives")];
+                served[j] = graph.push(Worker::Compute, deps, move || {
+                    let chunk = take_block(out, (j, me));
+                    let name = format_args!("{}[c{c}p{j}]", pass.label(Decompress1));
+                    let d1 = obs::span_sized("decode", name, chunk.len() as f64);
+                    let experts = routing.served[me].len();
+                    let rows = decode_chunk_into(codec, ws, &chunk, (experts, m), (j, tag))?;
+                    drop((chunk, d1));
+                    let (total, len) = (rows.total(), rows.total() * m);
+                    let counts = (0..experts).map(|k| rows.count(k));
+                    let mut reply = chunk_frame(frames, counts, codec.compressed_len(len));
+                    let mut outputs = ws.take(len);
+                    let name = format_args!("{}[c{c}p{j}]", pass.label(TaskKind::Expert));
+                    let e = obs::span_sized("expert", name, total as f64);
+                    let fits = serve(c, j, rows, &mut outputs);
+                    drop(e);
+                    if fits {
+                        let name = format_args!("{}[c{c}p{j}]", pass.label(Compress2));
+                        let _c2 = obs::span_sized("encode", name, (len * 4) as f64);
+                        codec.compress_rows_into(&mut once(&outputs[..]), len, reply.body_mut());
+                        back.lock().insert((me, j), Block::Frame(reply));
+                    }
+                    ws.put(outputs);
+                    fits.then_some(())
+                        .ok_or(FabricError::Corrupt { peer: j, tag })
+                });
+            }
+            let stage = (pass.label(AllToAll2), back_lane, c);
+            replied.push(self.post(graph, stage, back, |o, d| to_servers(d, o), |d| served[d]));
+        }
+        for (c, [_, back]) in legs.iter().enumerate() {
+            let tag = chunk_tag(self.tag_base, back_lane, c, 0);
+            for &s in &servers {
+                let deps = vec![replied[c][s].expect("a server's reply arrives")];
+                graph.push(Worker::Compute, deps, move || {
+                    let chunk = take_block(back, (s, me));
+                    let name = format_args!("{}[c{c}p{s}]", pass.label(Decompress2));
+                    let d2 = obs::span_sized("decode", name, chunk.len() as f64);
+                    let shape = (routing.served[s].len(), m);
+                    let rows = decode_chunk_into(codec, ws, &chunk, shape, (s, tag))?;
+                    drop((chunk, d2));
+                    let fits = collect(c, s, rows);
+                    fits.then_some(())
+                        .ok_or(FabricError::Corrupt { peer: s, tag })
+                });
+            }
+        }
+    }
+
     /// A receive honouring the layer's liveness deadline.
     fn recv(&self, from: usize, tag: u64) -> Result<Bytes, FabricError> {
         let mut h = self.handle.lock();
@@ -1111,8 +1097,7 @@ impl<'a> Wire<'a> {
         }
     }
 
-    /// Posts one leg — chunk `c` of `lane`, or the whole lane (`None`) —
-    /// as comm tasks in the order of this rank's
+    /// Posts chunk `c` of `lane` as comm tasks in the order of this rank's
     /// [steps](A2aPlan::steps) of the plan: per phase its sends, then its
     /// receives, phase `k` on `chunk_tag(.., c, k)`. The leg's blocks live
     /// in `leg`, and `present` says which exist. A send waits for the tasks
@@ -1121,28 +1106,26 @@ impl<'a> Wire<'a> {
     /// the task after which block `(o, me)` is held, if the leg carries
     /// it; this rank's own block never leaves `leg`.
     ///
-    /// A send's span is `{stem}[c{c}]`, or `{stem}[p{dst}]` in a whole
-    /// lane; a receive's is its `…w` twin, deliberately outside the
-    /// profiler's stem set: blocked-receive time measures peer skew, not
-    /// wire cost.
+    /// A send's span is `{stem}[c{c}p{dst}]`; a receive's is its `…w`
+    /// twin, deliberately outside the profiler's stem set: blocked-receive
+    /// time measures peer skew, not wire cost.
     fn post(
         self,
         graph: &mut Graph<'a>,
-        (stem, lane, chunk): (StageLabel, u64, Option<usize>),
+        (stem, lane, c): (StageLabel, u64, usize),
         leg: &'a Mutex<Held>,
         present: impl Fn(usize, usize) -> bool,
         produced: impl Fn(usize) -> usize,
     ) -> Vec<Option<usize>> {
         let topo = self.handle.lock().topology();
-        let (me, p) = (self.handle.lock().rank(), topo.world_size());
-        let own = (0..p).filter(|&d| present(me, d));
+        let me = self.handle.lock().rank();
+        let own = (0..topo.world_size()).filter(|&d| present(me, d));
         let mut held_after: HashMap<(usize, usize), usize> =
             own.map(|d| ((me, d), produced(d))).collect();
         for step in self.plan.steps(&topo, me, &present) {
-            let tag = chunk_tag(self.tag_base, lane, chunk.unwrap_or(0), step.phase);
+            let tag = chunk_tag(self.tag_base, lane, c, step.phase);
             let sends = step.op.src == me;
             let peer = if sends { step.op.dst } else { step.op.src };
-            let (at, i) = chunk.map_or(('p', peer), |c| ('c', c));
             if sends {
                 let mut deps: Vec<usize> = step.keys.iter().map(|k| held_after[k]).collect();
                 deps.sort_unstable();
@@ -1150,20 +1133,23 @@ impl<'a> Wire<'a> {
                 graph.push(Worker::Comm, deps, move || {
                     let blocks = step.take(&mut leg.lock());
                     let bytes: usize = blocks.iter().map(Block::payload_len).sum();
-                    let _s = obs::span_sized("a2a", format_args!("{stem}[{at}{i}]"), bytes as f64);
+                    let name = format_args!("{stem}[c{c}p{peer}]");
+                    let _s = obs::span_sized("a2a", name, bytes as f64);
                     step.send(&self.handle.lock(), tag, blocks)
                 });
             } else {
                 let keys = step.keys.clone();
                 let task = graph.push(Worker::Comm, vec![], move || {
-                    let _s = obs::span("a2a", format_args!("{stem}w[{at}{i}]"));
+                    let _s = obs::span("a2a", format_args!("{stem}w[c{c}p{peer}]"));
                     let msg = self.recv(peer, tag)?;
                     step.file(&mut leg.lock(), msg, tag)
                 });
                 held_after.extend(keys.into_iter().map(|key| (key, task)));
             }
         }
-        (0..p).map(|o| held_after.get(&(o, me)).copied()).collect()
+        (0..topo.world_size())
+            .map(|o| held_after.get(&(o, me)).copied())
+            .collect()
     }
 }
 
@@ -1815,8 +1801,10 @@ mod tests {
         (out, trace)
     }
 
-    fn has_span(trace: &obs::FuncTrace, name: &str) -> bool {
-        trace.spans.iter().any(|s| s.name == name)
+    /// Whether a span's name starts with `prefix`, e.g. `A1[c16p` for any
+    /// peer's send of chunk 16's dispatch.
+    fn has_span(trace: &obs::FuncTrace, prefix: &str) -> bool {
+        trace.spans.iter().any(|s| s.name.starts_with(prefix))
     }
 
     #[test]
@@ -1824,7 +1812,7 @@ mod tests {
         // Regression for an old fallback to an unpipelined forward whenever
         // a rank was dead: a degraded step with live peers must still run
         // the chunked pipeline. Partition degree 17 is unique in this test binary, so
-        // the `A1[c16]` span can only come from this run.
+        // the `A1[c16p…]` spans can only come from this run.
         let topo = Topology::new(2, 2);
         let p = topo.world_size();
         let n_local = 6;
@@ -1862,7 +1850,7 @@ mod tests {
             }
         }
         assert!(
-            has_span(&trace, "A1[c16]") && has_span(&trace, "A2[c16]"),
+            has_span(&trace, "A1[c16p") && has_span(&trace, "A2[c16p"),
             "degraded run did not produce per-chunk overlap spans"
         );
         assert!(
@@ -2064,7 +2052,7 @@ mod tests {
         let inline = failover_run(&x_global, n_local, pair, 1);
         let (chunked, trace) = traced(|| failover_run(&x_global, n_local, pair, 23));
         assert!(
-            has_span(&trace, "A1[c22]") && has_span(&trace, "A2[c22]"),
+            has_span(&trace, "A1[c22p") && has_span(&trace, "A2[c22p"),
             "failover run did not produce per-chunk overlap spans"
         );
         for (me, (a, b)) in inline.iter().zip(&chunked).enumerate() {
@@ -2340,7 +2328,8 @@ mod tests {
         }
     }
 
-    /// Who serves which expert in [`an_expert_runs_one_forward_per_chunk_and_none_in_the_backward`].
+    /// Who serves which expert in
+    /// [`an_expert_runs_one_forward_per_chunk_and_source_and_none_in_the_backward`].
     #[derive(Clone, Copy, Debug)]
     enum Serving {
         /// Every rank its own expert.
@@ -2352,11 +2341,18 @@ mod tests {
     }
 
     #[test]
-    fn an_expert_runs_one_forward_per_chunk_and_none_in_the_backward() {
+    fn an_expert_runs_one_forward_per_chunk_and_source_and_none_in_the_backward() {
         let topo = Topology::new(2, 2);
         let p = topo.world_size();
         let n_local = 7;
         let x_global = rng::uniform(&[n_local * p, M], 1.0, &mut seeded(61));
+        let shard = |j: usize| {
+            let mut x = Tensor::zeros(&[n_local, M]);
+            for r in 0..n_local {
+                x.row_mut(r).copy_from_slice(x_global.row(j * n_local + r));
+            }
+            x
+        };
         for serving in [Serving::Local, Serving::Failover, Serving::Guests] {
             for degree in [1, 2, 4] {
                 Fabric::run(topo, |mut h| {
@@ -2392,16 +2388,29 @@ mod tests {
                             layer.set_placement(me, pl);
                         }
                     }
-                    let served = layer.routing.served[me].len() as u64;
-                    let mut x = Tensor::zeros(&[n_local, M]);
-                    for r in 0..n_local {
-                        x.row_mut(r).copy_from_slice(x_global.row(me * n_local + r));
-                    }
+                    // The non-empty (chunk, source, served expert) groups,
+                    // from each live source's own gate decision.
+                    let routing = Arc::clone(&layer.routing);
+                    let live = (0..p).filter(|&j| routing.live[j]);
+                    let groups: usize = live
+                        .map(|j| {
+                            let slots = make_gate(p, 2, 8.0).forward(&shard(j)).expert_slots;
+                            let cells = (0..degree).flat_map(|c| {
+                                let mine = routing.served[me].iter();
+                                mine.map(move |&e| (c, e))
+                            });
+                            let rows = |(c, e): (usize, usize)| {
+                                routing.segment(e, me, slots[e].len(), c, degree).len()
+                            };
+                            cells.filter(|&cell| rows(cell) > 0).count()
+                        })
+                        .sum();
+                    let x = shard(me);
                     for step in 1..=2u64 {
                         let tag = step * TAG_STRIDE;
                         let y = layer.forward(&mut h, &x, tag).unwrap();
                         let after_forward = forwards.load(Ordering::Relaxed);
-                        let want = step * served * degree as u64;
+                        let want = step * groups as u64;
                         let case = format!("{serving:?} r={degree} rank {me} step {step}");
                         assert_eq!(after_forward, want, "{case}: forwards");
                         layer.backward(&mut h, &y).unwrap();
@@ -2414,9 +2423,70 @@ mod tests {
     }
 
     #[test]
+    fn every_served_block_is_served_as_soon_as_it_is_held() {
+        // 2 x 2 at r = 2 under NCCL-A2A's one-phase plan: serve(c, j) waits
+        // for exactly the task after which block (j, me) of chunk c is
+        // held — the C1 that encoded it when j == me, else the receive that
+        // brought it — read off the plan, not off the builder.
+        let topo = Topology::new(2, 2);
+        let (p, r) = (topo.world_size(), 2);
+        Fabric::run(topo, |mut h| {
+            let me = h.rank();
+            let routing = Routing::new((0..p).map(|e| vec![e]).collect(), vec![true; p]);
+            let plan = NcclA2A.plan(&topo, 0);
+            let (frames, ws) = (h.frames(), Workspace::default());
+            let handle = Mutex::new(&mut h);
+            let pipeline = Pipeline {
+                pass: FWD,
+                handle: &handle,
+                plan: &plan,
+                timeout: None,
+                tag_base: 0,
+                routing: &routing,
+                rows: (8, M),
+                codec: &NoCompression,
+                ws: &ws,
+                frames: &frames,
+            };
+            let encode = |_: usize, _: usize| -> FrameBuf { unreachable!("never run") };
+            let serve = |_: usize, _: usize, _: Rows, _: &mut [f32]| -> bool { unreachable!() };
+            let collect = |_: usize, _: usize, _: Rows| -> bool { unreachable!() };
+            let legs = legs(r);
+            let mut graph = Graph::default();
+            pipeline.build(&mut graph, &legs, &encode, &serve, &collect, |_| ());
+            let tasks = &graph.tasks;
+            let on = |worker| (0..tasks.len()).filter(move |&i| tasks[i].worker == worker);
+            let compute: Vec<usize> = on(Worker::Compute).collect();
+            // Every C1 (chunk-major, p servers a chunk), then every serve.
+            let (c1, serves) = (&compute[..r * p], &compute[r * p..2 * r * p]);
+            let mut comm = on(Worker::Comm);
+            let mut held = HashMap::new();
+            for c in 0..r {
+                for step in plan.steps(&topo, me, |_, _| true) {
+                    let task = comm.next().expect("a comm task per plan step");
+                    if step.op.dst == me {
+                        held.extend(step.keys.into_iter().map(|key| ((c, key), task)));
+                    }
+                }
+            }
+            for c in 0..r {
+                for j in 0..p {
+                    let want = if j == me {
+                        c1[c * p + me]
+                    } else {
+                        held[&(c, (j, me))]
+                    };
+                    let deps = &tasks[serves[c * p + j]].deps;
+                    assert_eq!(deps, &[want], "rank {me}: serve(c{c}, {j})");
+                }
+            }
+        });
+    }
+
+    #[test]
     fn every_stage_span_parses_back_to_its_stage() {
-        // Degree 5 is unique in this binary, so every `[c4]` span is ours;
-        // the backward's per-peer spans are told apart by their stems.
+        // Degree 5 is unique in this binary, so every `[c4p…]` span is ours;
+        // the backward's one-chunk spans are told apart by their stems.
         let topo = Topology::new(1, 2);
         let p = topo.world_size();
         let (_, trace) = traced(|| {
@@ -2443,11 +2513,15 @@ mod tests {
         };
         let mut seen = BTreeSet::new();
         for span in &trace.spans {
-            let ours = span.name.ends_with("[c4]") || !span.name.contains("[c");
             let Some(stage) = schemoe_scheduler::span_kind(&span.name) else {
                 continue;
             };
-            if ours {
+            // Every stage span of either pass names its chunk and its peer.
+            let suffix = span.name.split_once('[').map(|(_, at)| at);
+            let at = suffix.and_then(|at| at.strip_prefix('c')?.strip_suffix(']'));
+            let (chunk, peer) = at.and_then(|at| at.split_once('p')).expect(&span.name);
+            assert!(peer.parse::<usize>().is_ok(), "{}", span.name);
+            if chunk == "4" || stage.0 == BWD {
                 assert_eq!(span.cat, category(stage), "{}", span.name);
                 seen.insert(stage);
             }
@@ -2548,7 +2622,7 @@ mod tests {
         let inline = placed_step(&x_global, n_local, Some(&servers), 1);
         let (chunked, trace) = traced(|| placed_step(&x_global, n_local, Some(&servers), 19));
         assert!(
-            has_span(&trace, "A1[c18]") && has_span(&trace, "A2[c18]"),
+            has_span(&trace, "A1[c18p") && has_span(&trace, "A2[c18p"),
             "placed run did not produce per-chunk overlap spans"
         );
         for (me, (a, b)) in inline.iter().zip(&chunked).enumerate() {

@@ -4,6 +4,11 @@
 //! least two underscores reads as a function (flags and short names stay
 //! out); every such name must be a `fn` defined somewhere in the source
 //! tree, or be one of the few [`NOT_FNS`] the document names on purpose.
+//!
+//! DESIGN.md and the doc comments under `crates/` also point into the
+//! document by section: `§N *Title*`. Every such reference must resolve to
+//! a `###` heading or a bold paragraph lead of section `N` that starts with
+//! `Title`, so a retitled or deleted passage cannot leave one dangling.
 
 use std::collections::HashSet;
 use std::fs;
@@ -87,6 +92,88 @@ fn cited_fns(doc: &str) -> Vec<&str> {
     names
 }
 
+/// Per `## N.` section of a design document: `(N, lead)` for each of its
+/// `###` headings and bold paragraph leads, in order.
+fn section_leads(doc: &str) -> Vec<(u32, &str)> {
+    let mut section = 0;
+    let mut leads = Vec::new();
+    for line in doc.lines() {
+        if let Some(rest) = line.strip_prefix("## ") {
+            section = rest
+                .split('.')
+                .next()
+                .and_then(|n| n.parse().ok())
+                .unwrap_or(0);
+        } else if let Some(heading) = line.strip_prefix("### ") {
+            leads.push((section, heading));
+        } else if let Some(bold) = line.strip_prefix("**") {
+            leads.push((section, bold.split("**").next().unwrap_or(bold)));
+        }
+    }
+    leads
+}
+
+/// `(N, title)` of every `§N *Title*` in `text`, reading a line break and
+/// the comment markers that open the next line as one space.
+fn section_refs(text: &str) -> Vec<(u32, String)> {
+    let lines = text
+        .lines()
+        .map(|l| l.trim_start().trim_start_matches(['/', '!']));
+    let flat = lines.collect::<Vec<_>>().join(" ");
+    let flat = flat.split_whitespace().collect::<Vec<_>>().join(" ");
+    let mut refs = Vec::new();
+    for (at, _) in flat.match_indices('§') {
+        let rest = &flat[at + '§'.len_utf8()..];
+        let digits = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        let Ok(section) = rest[..digits].parse() else {
+            continue;
+        };
+        let Some(title) = rest[digits..].strip_prefix(" *") else {
+            continue;
+        };
+        if let Some(end) = title.find('*') {
+            refs.push((section, title[..end].to_string()));
+        }
+    }
+    refs
+}
+
+#[test]
+fn every_section_reference_resolves() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("the test crate sits in the repository root");
+    let doc = fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let leads = section_leads(&doc);
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    let mut texts = vec![("DESIGN.md".to_string(), doc.clone())];
+    for f in files {
+        let text = fs::read_to_string(&f).expect("a readable source file");
+        texts.push((f.display().to_string(), text));
+    }
+    let refs: Vec<(&str, (u32, String))> = texts
+        .iter()
+        .flat_map(|(name, text)| section_refs(text).into_iter().map(move |r| (&name[..], r)))
+        .collect();
+    assert!(!refs.is_empty(), "nothing cites DESIGN.md by section");
+    let resolves = |(section, title): &(u32, String)| {
+        let lead = |&(s, lead): &(u32, &str)| s == *section && lead.starts_with(title.as_str());
+        leads.iter().any(lead)
+    };
+    let dangling: Vec<String> = refs
+        .iter()
+        .filter(|(_, r)| !resolves(r))
+        .map(|(name, (section, title))| format!("{name}: §{section} *{title}*"))
+        .collect();
+    assert!(
+        dangling.is_empty(),
+        "section references no DESIGN.md heading or bold lead starts with: {dangling:?}"
+    );
+}
+
 #[test]
 fn every_function_design_md_cites_is_defined() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -125,5 +212,22 @@ fn the_scanners_read_what_they_claim() {
     assert_eq!(
         cited_fns(doc),
         ["one_two_three_four", "two_under_scores", "y_z_w_v"]
+    );
+    let design = "# T\n## 5. Pipe\n### Task graph\n**One exchange path.** Every\n\
+                  ## 12. Wire\n**Records** x\n";
+    assert_eq!(
+        section_leads(design),
+        [
+            (5, "Task graph"),
+            (5, "One exchange path."),
+            (12, "Records")
+        ]
+    );
+    let text = "see §5 *Task\n    /// graph*, §12 *Records on* and §§3–5,\n\
+                //! the paper's §7 caution, §9*x*";
+    let title = |t: &str| t.to_string();
+    assert_eq!(
+        section_refs(text),
+        [(5, title("Task graph")), (12, title("Records on"))]
     );
 }
