@@ -261,16 +261,19 @@ impl AdaptiveScheMoe {
     /// Predicted whole-step makespan at degree `r` from the observed
     /// full-step sizes. `None` if any of the 14 stages lacks either an
     /// observed size or model coverage.
+    ///
+    /// At `r = 1` both passes run serially, one task per stage. Above it
+    /// the layer runs one task per (chunk, peer), which is also what each
+    /// stage span measures: with the backward's granularity `p` declared,
+    /// the forward is `r · p` tasks per stage and the backward `p`.
     pub fn predict_online_step(&self, r: usize) -> Option<SimTime> {
         let observed = |pass| move |kind| self.full_sizes.get(&(pass, kind)).copied();
-        // The backward pipelines per source rank, not per forward chunk:
-        // serial at r = 1, the fixed per-source pipeline at any r > 1.
-        let rb = if r <= 1 {
-            1
-        } else {
-            self.backward_chunks.unwrap_or(r)
+        let (rf, rb) = match self.backward_chunks {
+            _ if r <= 1 => (1, 1),
+            Some(peers) => (r * peers, peers),
+            None => (r, r),
         };
-        let fwd = self.predict(Pass::Forward, r, observed(Pass::Forward))?;
+        let fwd = self.predict(Pass::Forward, rf, observed(Pass::Forward))?;
         let bwd = self.predict(Pass::Backward, rb, observed(Pass::Backward))?;
         Some(optsche_makespan(&fwd) + optsche_makespan(&bwd))
     }

@@ -569,6 +569,35 @@ mod tests {
     use schemoe_cluster::{ChaosLink, ChaosPlan, Fabric, Topology, TransportKind};
     use schemoe_moe::Placement;
     use schemoe_tensor::snapshot::{self, Manifest};
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+
+    /// The longest a whole-fabric scenario may run before its test fails.
+    const WATCHDOG: Duration = Duration::from_secs(600);
+
+    /// Runs the scenario `body` of the test `name` on a thread of its own
+    /// and fails the test if it has not finished within [`WATCHDOG`]: a
+    /// lock-order hang or a lost wake-up fails instead of wedging the
+    /// suite. A panic in `body` is the test's own.
+    fn watched(name: &str, body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let scenario = thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(WATCHDOG) {
+            Ok(()) => {}
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("{name}: still running after {WATCHDOG:?}, hung")
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                if let Err(panic) = scenario.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+    }
 
     /// Trains a 2x2 world on `kind` with `plan` installed.
     fn train_under(kind: TransportKind, plan: ChaosPlan, cfg: &FtConfig) -> Vec<FtReport> {
@@ -588,356 +617,396 @@ mod tests {
 
     #[test]
     fn fault_free_training_converges() {
-        let cfg = FtConfig::tiny(12);
-        let reports = Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &cfg));
-        for r in &reports {
-            assert_eq!(r.died_at_step, None);
-            assert_eq!(r.retries, 0);
-            assert_eq!(r.restores, 0);
-            assert!(r.dead_ranks.is_empty());
-            assert_eq!(r.loss_curve.len(), 12);
-            assert!(r.loss_curve.iter().all(|l| l.is_finite()));
-        }
-        // Replicated losses are identical across ranks only in expectation
-        // (data differs per rank); the mean must fall.
-        let first = reports.iter().map(|r| r.loss_curve[0]).sum::<f32>() / 4.0;
-        let last = mean_final_loss(&reports);
-        assert!(last < first, "loss should fall: {first} -> {last}");
+        watched("fault_free_training_converges", || {
+            let cfg = FtConfig::tiny(12);
+            let reports = Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &cfg));
+            for r in &reports {
+                assert_eq!(r.died_at_step, None);
+                assert_eq!(r.retries, 0);
+                assert_eq!(r.restores, 0);
+                assert!(r.dead_ranks.is_empty());
+                assert_eq!(r.loss_curve.len(), 12);
+                assert!(r.loss_curve.iter().all(|l| l.is_finite()));
+            }
+            // Replicated losses are identical across ranks only in expectation
+            // (data differs per rank); the mean must fall.
+            let first = reports.iter().map(|r| r.loss_curve[0]).sum::<f32>() / 4.0;
+            let last = mean_final_loss(&reports);
+            assert!(last < first, "loss should fall: {first} -> {last}");
+        });
     }
 
     #[test]
     fn overlapped_training_reproduces_the_serial_loss_curve_bit_for_bit() {
-        // The whole-step pipeline (overlapped forward + backward with the
-        // head-grad allreduce folded into the backward graph) must not
-        // change a single bit of the training trajectory.
-        let run = |degree: usize| {
-            let cfg = FtConfig::tiny(6).with_partition_degree(degree);
-            Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &cfg))
-        };
-        let serial = run(1);
-        for degree in [2, 4] {
-            let overlapped = run(degree);
-            for (r, (s, o)) in serial.iter().zip(&overlapped).enumerate() {
-                assert_eq!(o.died_at_step, None);
-                let same = s
-                    .loss_curve
-                    .iter()
-                    .zip(&o.loss_curve)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "degree {degree} rank {r} loss curve diverged");
-            }
-        }
+        watched(
+            "overlapped_training_reproduces_the_serial_loss_curve_bit_for_bit",
+            || {
+                // The whole-step pipeline (overlapped forward + backward with the
+                // head-grad allreduce folded into the backward graph) must not
+                // change a single bit of the training trajectory.
+                let run = |degree: usize| {
+                    let cfg = FtConfig::tiny(6).with_partition_degree(degree);
+                    Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &cfg))
+                };
+                let serial = run(1);
+                for degree in [2, 4] {
+                    let overlapped = run(degree);
+                    for (r, (s, o)) in serial.iter().zip(&overlapped).enumerate() {
+                        assert_eq!(o.died_at_step, None);
+                        let same = s
+                            .loss_curve
+                            .iter()
+                            .zip(&o.loss_curve)
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "degree {degree} rank {r} loss curve diverged");
+                    }
+                }
+            },
+        );
     }
 
     #[test]
     fn training_survives_dropped_messages_via_retries() {
-        let cfg = FtConfig::tiny(6);
-        // A lossy but alive fabric: ~1% of payload messages vanish. The
-        // handle-level deadline turns each loss into a Timeout, the vote
-        // round turns it into a cluster-wide retry.
-        let plan = ChaosPlan::seeded(11)
-            .with_default_link(ChaosLink {
-                loss_prob: 0.01,
-                ..ChaosLink::default()
-            })
-            .with_recv_deadline(Duration::from_millis(300));
-        let reports = train_under(TransportKind::from_env(), plan, &cfg);
-        for r in &reports {
-            assert_eq!(r.died_at_step, None, "no rank should die from drops");
-            assert!(r.final_loss.is_finite());
-        }
-        let total_retries: u64 = reports.iter().map(|r| r.retries).sum();
-        assert!(
-            total_retries > 0,
-            "1% drop over 6 steps should trigger a retry"
-        );
+        watched("training_survives_dropped_messages_via_retries", || {
+            let cfg = FtConfig::tiny(6);
+            // A lossy but alive fabric: ~1% of payload messages vanish. The
+            // handle-level deadline turns each loss into a Timeout, the vote
+            // round turns it into a cluster-wide retry.
+            let plan = ChaosPlan::seeded(11)
+                .with_default_link(ChaosLink {
+                    loss_prob: 0.01,
+                    ..ChaosLink::default()
+                })
+                .with_recv_deadline(Duration::from_millis(300));
+            let reports = train_under(TransportKind::from_env(), plan, &cfg);
+            for r in &reports {
+                assert_eq!(r.died_at_step, None, "no rank should die from drops");
+                assert!(r.final_loss.is_finite());
+            }
+            let total_retries: u64 = reports.iter().map(|r| r.retries).sum();
+            assert!(
+                total_retries > 0,
+                "1% drop over 6 steps should trigger a retry"
+            );
+        });
     }
 
     #[test]
     fn fault_free_replication_is_invisible_to_training() {
-        let base = FtConfig::tiny(8).with_seed(21);
-        let with = base.with_replica_interval(2);
-        let a = Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &base));
-        let b = Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &with));
-        let bits = |c: &[f32]| c.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!(
-                bits(&ra.loss_curve),
-                bits(&rb.loss_curve),
-                "replication must not perturb the training trajectory"
-            );
-            assert_eq!(ra.replica_quanta, 0);
-            // Quanta fire at committed steps 2, 4, and 6 (8 is the last
-            // step and skipped).
-            assert_eq!(rb.replica_quanta, 3);
-            assert!(rb.replica_bytes > 0);
-            assert_eq!(rb.failover_activations, 0);
-            assert_eq!(rb.handbacks, 0);
-        }
+        watched("fault_free_replication_is_invisible_to_training", || {
+            let base = FtConfig::tiny(8).with_seed(21);
+            let with = base.with_replica_interval(2);
+            let a = Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &base));
+            let b = Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &with));
+            let bits = |c: &[f32]| c.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            for (ra, rb) in a.iter().zip(&b) {
+                assert_eq!(
+                    bits(&ra.loss_curve),
+                    bits(&rb.loss_curve),
+                    "replication must not perturb the training trajectory"
+                );
+                assert_eq!(ra.replica_quanta, 0);
+                // Quanta fire at committed steps 2, 4, and 6 (8 is the last
+                // step and skipped).
+                assert_eq!(rb.replica_quanta, 3);
+                assert!(rb.replica_bytes > 0);
+                assert_eq!(rb.failover_activations, 0);
+                assert_eq!(rb.handbacks, 0);
+            }
+        });
     }
 
     #[test]
     fn a_killed_rank_is_detected_and_training_completes_degraded() {
-        let cfg = FtConfig::tiny(8);
-        // Rank 3 dies after 40 sends — mid-epoch, after the first
-        // checkpoint window.
-        let plan = ChaosPlan::seeded(5)
-            .kill_after(3, 40)
-            .with_recv_deadline(Duration::from_millis(300));
-        let reports = train_under(TransportKind::from_env(), plan, &cfg);
-        assert!(
-            reports[3].died_at_step.is_some(),
-            "rank 3 must observe its death"
+        watched(
+            "a_killed_rank_is_detected_and_training_completes_degraded",
+            || {
+                let cfg = FtConfig::tiny(8);
+                // Rank 3 dies after 40 sends — mid-epoch, after the first
+                // checkpoint window.
+                let plan = ChaosPlan::seeded(5)
+                    .kill_after(3, 40)
+                    .with_recv_deadline(Duration::from_millis(300));
+                let reports = train_under(TransportKind::from_env(), plan, &cfg);
+                assert!(
+                    reports[3].died_at_step.is_some(),
+                    "rank 3 must observe its death"
+                );
+                for (r, rep) in reports.iter().enumerate() {
+                    if r == 3 {
+                        continue;
+                    }
+                    assert_eq!(rep.died_at_step, None, "rank {r} should survive");
+                    assert_eq!(rep.dead_ranks, vec![3], "rank {r} should bury rank 3");
+                    assert!(rep.restores >= 1, "rank {r} should restore a checkpoint");
+                    assert!(rep.final_loss.is_finite());
+                    assert!(
+                        rep.loss_curve.iter().all(|l| l.is_finite()),
+                        "every step must commit after recovery"
+                    );
+                }
+            },
         );
-        for (r, rep) in reports.iter().enumerate() {
-            if r == 3 {
-                continue;
-            }
-            assert_eq!(rep.died_at_step, None, "rank {r} should survive");
-            assert_eq!(rep.dead_ranks, vec![3], "rank {r} should bury rank 3");
-            assert!(rep.restores >= 1, "rank {r} should restore a checkpoint");
-            assert!(rep.final_loss.is_finite());
-            assert!(
-                rep.loss_curve.iter().all(|l| l.is_finite()),
-                "every step must commit after recovery"
-            );
-        }
     }
 
     #[test]
     fn a_revived_rank_rejoins_and_the_cluster_ends_at_full_strength() {
-        let cfg = FtConfig::tiny(10).with_seed(9);
-        // Rank 1 dies after 60 sends and its pipe reopens 40 send-attempts
-        // later; survivors bury it, then re-admit it at a rejoin quantum.
-        let plan = ChaosPlan::seeded(5)
-            .kill_after(1, 60)
-            .revive_after(1, 100)
-            .with_recv_deadline(Duration::from_millis(300));
-        let reports = train_under(TransportKind::from_env(), plan, &cfg);
-        for (r, rep) in reports.iter().enumerate() {
-            assert_eq!(rep.died_at_step, None, "rank {r} must finish the run");
-            assert!(
-                rep.dead_ranks.is_empty(),
-                "rank {r} must end with everyone live, got {:?}",
-                rep.dead_ranks
-            );
-            assert!(rep.final_loss.is_finite());
-        }
-        assert_eq!(reports[1].rejoins, 1, "rank 1 must rejoin exactly once");
-        assert!(
-            reports[1].transfer_bytes > 0,
-            "the rejoiner must account the state it applied"
-        );
-        let donors: u64 = reports
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| *r != 1)
-            .map(|(_, rep)| rep.transfer_bytes)
-            .sum();
-        assert!(donors > 0, "some survivor must have streamed state");
-        // Membership epochs converge: one bump for the burial, one for the
-        // rejoin, identical everywhere.
-        for (r, rep) in reports.iter().enumerate() {
-            assert_eq!(
-                rep.final_epoch, 2,
-                "rank {r} final epoch {} (transitions {:?})",
-                rep.final_epoch, rep.epoch_transitions
-            );
-        }
-        for r in [0usize, 2, 3] {
-            assert_eq!(
-                reports[r].epoch_transitions,
-                vec![1, 2],
-                "survivor {r} must observe burial then rejoin"
-            );
-        }
-        assert_eq!(
-            reports[1].epoch_transitions,
-            vec![2],
-            "the rejoiner adopts the post-rejoin epoch it was invited into"
+        watched(
+            "a_revived_rank_rejoins_and_the_cluster_ends_at_full_strength",
+            || {
+                let cfg = FtConfig::tiny(10).with_seed(9);
+                // Rank 1 dies after 60 sends and its pipe reopens 40 send-attempts
+                // later; survivors bury it, then re-admit it at a rejoin quantum.
+                let plan = ChaosPlan::seeded(5)
+                    .kill_after(1, 60)
+                    .revive_after(1, 100)
+                    .with_recv_deadline(Duration::from_millis(300));
+                let reports = train_under(TransportKind::from_env(), plan, &cfg);
+                for (r, rep) in reports.iter().enumerate() {
+                    assert_eq!(rep.died_at_step, None, "rank {r} must finish the run");
+                    assert!(
+                        rep.dead_ranks.is_empty(),
+                        "rank {r} must end with everyone live, got {:?}",
+                        rep.dead_ranks
+                    );
+                    assert!(rep.final_loss.is_finite());
+                }
+                assert_eq!(reports[1].rejoins, 1, "rank 1 must rejoin exactly once");
+                assert!(
+                    reports[1].transfer_bytes > 0,
+                    "the rejoiner must account the state it applied"
+                );
+                let donors: u64 = reports
+                    .iter()
+                    .enumerate()
+                    .filter(|(r, _)| *r != 1)
+                    .map(|(_, rep)| rep.transfer_bytes)
+                    .sum();
+                assert!(donors > 0, "some survivor must have streamed state");
+                // Membership epochs converge: one bump for the burial, one for the
+                // rejoin, identical everywhere.
+                for (r, rep) in reports.iter().enumerate() {
+                    assert_eq!(
+                        rep.final_epoch, 2,
+                        "rank {r} final epoch {} (transitions {:?})",
+                        rep.final_epoch, rep.epoch_transitions
+                    );
+                }
+                for r in [0usize, 2, 3] {
+                    assert_eq!(
+                        reports[r].epoch_transitions,
+                        vec![1, 2],
+                        "survivor {r} must observe burial then rejoin"
+                    );
+                }
+                assert_eq!(
+                    reports[1].epoch_transitions,
+                    vec![2],
+                    "the rejoiner adopts the post-rejoin epoch it was invited into"
+                );
+            },
         );
     }
 
     #[test]
     fn rejoin_epoch_transitions_replay_bit_identically() {
-        let cfg = FtConfig::tiny(10).with_seed(9);
-        let run = || {
-            let plan = ChaosPlan::seeded(5)
-                .kill_after(1, 60)
-                .revive_after(1, 100)
-                .with_recv_deadline(Duration::from_millis(300));
-            train_under(TransportKind::from_env(), plan, &cfg)
-        };
-        let (a, b) = (run(), run());
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!(ra.epoch_transitions, rb.epoch_transitions);
-            assert_eq!(ra.final_epoch, rb.final_epoch);
-            assert_eq!(ra.rejoins, rb.rejoins);
-            assert_eq!(ra.transfer_bytes, rb.transfer_bytes);
-            // Bitwise so the rejoiner's NaN gap entries compare equal too.
-            let bits = |c: &[f32]| c.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&ra.loss_curve), bits(&rb.loss_curve));
-        }
+        watched("rejoin_epoch_transitions_replay_bit_identically", || {
+            let cfg = FtConfig::tiny(10).with_seed(9);
+            let run = || {
+                let plan = ChaosPlan::seeded(5)
+                    .kill_after(1, 60)
+                    .revive_after(1, 100)
+                    .with_recv_deadline(Duration::from_millis(300));
+                train_under(TransportKind::from_env(), plan, &cfg)
+            };
+            let (a, b) = (run(), run());
+            for (ra, rb) in a.iter().zip(&b) {
+                assert_eq!(ra.epoch_transitions, rb.epoch_transitions);
+                assert_eq!(ra.final_epoch, rb.final_epoch);
+                assert_eq!(ra.rejoins, rb.rejoins);
+                assert_eq!(ra.transfer_bytes, rb.transfer_bytes);
+                // Bitwise so the rejoiner's NaN gap entries compare equal too.
+                let bits = |c: &[f32]| c.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&ra.loss_curve), bits(&rb.loss_curve));
+            }
+        });
     }
 
     #[test]
     fn back_to_back_runs_do_not_inherit_deadline_state() {
-        // A run must leave the handle's static receive deadline at its
-        // entry value, so a second run (or a later test sharing the fabric
-        // handle) starts from the plan's deadline.
-        let plan = ChaosPlan::seeded(91).with_recv_deadline(Duration::from_secs(2));
-        let cfg = FtConfig::tiny(3);
-        let kind = TransportKind::from_env();
-        Fabric::run_with(kind, Topology::new(1, 2), Some(plan), |mut h| {
-            let entry_deadline = h.recv_deadline();
-            assert_eq!(entry_deadline, Some(Duration::from_secs(2)));
-            let first = run_ft_rank(&mut h, &cfg);
-            assert_eq!(first.died_at_step, None);
-            assert_eq!(h.recv_deadline(), entry_deadline, "static deadline leaked");
-            let second = run_ft_rank(&mut h, &cfg);
-            assert_eq!(second.died_at_step, None);
-            assert_eq!(h.recv_deadline(), entry_deadline);
+        watched("back_to_back_runs_do_not_inherit_deadline_state", || {
+            // A run must leave the handle's static receive deadline at its
+            // entry value, so a second run (or a later test sharing the fabric
+            // handle) starts from the plan's deadline.
+            let plan = ChaosPlan::seeded(91).with_recv_deadline(Duration::from_secs(2));
+            let cfg = FtConfig::tiny(3);
+            let kind = TransportKind::from_env();
+            Fabric::run_with(kind, Topology::new(1, 2), Some(plan), |mut h| {
+                let entry_deadline = h.recv_deadline();
+                assert_eq!(entry_deadline, Some(Duration::from_secs(2)));
+                let first = run_ft_rank(&mut h, &cfg);
+                assert_eq!(first.died_at_step, None);
+                assert_eq!(h.recv_deadline(), entry_deadline, "static deadline leaked");
+                let second = run_ft_rank(&mut h, &cfg);
+                assert_eq!(second.died_at_step, None);
+                assert_eq!(h.recv_deadline(), entry_deadline);
+            });
         });
     }
 
     #[test]
     fn a_tied_partition_parks_both_sides_and_resumes_without_divergence() {
-        // A 2|2 split: neither side can assemble floor(4/2)+1 = 3 votes
-        // against its silent half, so both sides park instead of burying
-        // each other. The park pings themselves carry the chaos windows to
-        // their heal indices; once pings cross, the lowest parked rank
-        // broadcasts a common resume point and training continues with
-        // nobody buried and nothing diverged.
-        let cfg = FtConfig {
-            retry_budget: 1,
-            vote_timeout_ms: 50,
-            ..FtConfig::tiny(8).with_seed(33)
-        };
-        let plan = ChaosPlan::seeded(77)
-            .partition(&[0, 1], &[2, 3], 0, 60)
-            .with_recv_deadline(Duration::from_millis(300));
-        let parked = train_under(TransportKind::Channel, plan, &cfg);
-        let clean = Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &cfg));
-        for (r, rep) in parked.iter().enumerate() {
-            assert_eq!(rep.died_at_step, None, "rank {r} must survive the tie");
-            assert!(
-                rep.dead_ranks.is_empty(),
-                "a tie must bury nobody, rank {r} buried {:?}",
-                rep.dead_ranks
-            );
-            assert!(rep.parks >= 1, "rank {r} must park at least once");
-            assert_eq!(rep.rejoins, 0, "a parked tie resumes, it does not rejoin");
-            assert_eq!(rep.restores, 0, "no burial, no checkpoint rewind");
-            assert_eq!(rep.final_epoch, 0, "no burial, no epoch bump");
-            assert_eq!(rep.loss_curve.len(), 8);
-        }
-        // A partition costs staleness, never divergence: the committed
-        // trajectory is bit-identical to the fault-free run's.
-        let bits = |curve: &[f32]| curve.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-        for (r, (pr, cr)) in parked.iter().zip(&clean).enumerate() {
-            assert_eq!(
-                bits(&pr.loss_curve),
-                bits(&cr.loss_curve),
-                "rank {r} committed a diverged trajectory"
-            );
-        }
+        watched(
+            "a_tied_partition_parks_both_sides_and_resumes_without_divergence",
+            || {
+                // A 2|2 split: neither side can assemble floor(4/2)+1 = 3 votes
+                // against its silent half, so both sides park instead of burying
+                // each other. The park pings themselves carry the chaos windows to
+                // their heal indices; once pings cross, the lowest parked rank
+                // broadcasts a common resume point and training continues with
+                // nobody buried and nothing diverged.
+                let cfg = FtConfig {
+                    retry_budget: 1,
+                    vote_timeout_ms: 50,
+                    ..FtConfig::tiny(8).with_seed(33)
+                };
+                let plan = ChaosPlan::seeded(77)
+                    .partition(&[0, 1], &[2, 3], 0, 60)
+                    .with_recv_deadline(Duration::from_millis(300));
+                let parked = train_under(TransportKind::Channel, plan, &cfg);
+                let clean = Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &cfg));
+                for (r, rep) in parked.iter().enumerate() {
+                    assert_eq!(rep.died_at_step, None, "rank {r} must survive the tie");
+                    assert!(
+                        rep.dead_ranks.is_empty(),
+                        "a tie must bury nobody, rank {r} buried {:?}",
+                        rep.dead_ranks
+                    );
+                    assert!(rep.parks >= 1, "rank {r} must park at least once");
+                    assert_eq!(rep.rejoins, 0, "a parked tie resumes, it does not rejoin");
+                    assert_eq!(rep.restores, 0, "no burial, no checkpoint rewind");
+                    assert_eq!(rep.final_epoch, 0, "no burial, no epoch bump");
+                    assert_eq!(rep.loss_curve.len(), 8);
+                }
+                // A partition costs staleness, never divergence: the committed
+                // trajectory is bit-identical to the fault-free run's.
+                let bits = |curve: &[f32]| curve.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+                for (r, (pr, cr)) in parked.iter().zip(&clean).enumerate() {
+                    assert_eq!(
+                        bits(&pr.loss_curve),
+                        bits(&cr.loss_curve),
+                        "rank {r} committed a diverged trajectory"
+                    );
+                }
+            },
+        );
     }
 
     #[test]
     fn a_partitioned_minority_parks_and_rejoins_through_an_invite() {
-        // A 3|1 split: the majority holds quorum (4 - 1 silent = 3 >= 3),
-        // buries rank 3, rewinds, and continues degraded. Rank 3 sees
-        // three silent peers — 4 - 3 = 1 < 3 — so it parks rather than
-        // burying the (actually healthy) majority. Its park announces
-        // carry its outbound links to their heal indices; the majority's
-        // re-invites carry the reverse direction; the first intact invite
-        // plus state frame re-admits it.
-        let cfg = FtConfig {
-            retry_budget: 1,
-            vote_timeout_ms: 50,
-            ..FtConfig::tiny(220).with_seed(34)
-        };
-        let plan = ChaosPlan::seeded(78)
-            .partition(&[0, 1, 2], &[3], 0, 36)
-            .with_recv_deadline(Duration::from_millis(300));
-        let reports = train_under(TransportKind::Channel, plan, &cfg);
-        for r in [0usize, 1, 2] {
-            assert_eq!(reports[r].died_at_step, None, "majority rank {r} died");
-            assert_eq!(reports[r].parks, 0, "the quorate side must never park");
-            assert!(
-                reports[r].restores >= 1,
-                "rank {r} must rewind after burying the minority"
-            );
-            assert!(
-                reports[r].dead_ranks.is_empty(),
-                "rank {r} must re-admit the minority, still buried: {:?}",
-                reports[r].dead_ranks
-            );
-            assert!(reports[r].final_loss.is_finite());
-        }
-        let minority = &reports[3];
-        assert_eq!(minority.died_at_step, None);
-        assert!(minority.parks >= 1, "the minority side must park");
-        assert_eq!(
-            minority.rejoins, 1,
-            "the parked rank must come back through the invite path"
+        watched(
+            "a_partitioned_minority_parks_and_rejoins_through_an_invite",
+            || {
+                // A 3|1 split: the majority holds quorum (4 - 1 silent = 3 >= 3),
+                // buries rank 3, rewinds, and continues degraded. Rank 3 sees
+                // three silent peers — 4 - 3 = 1 < 3 — so it parks rather than
+                // burying the (actually healthy) majority. Its park announces
+                // carry its outbound links to their heal indices; the majority's
+                // re-invites carry the reverse direction; the first intact invite
+                // plus state frame re-admits it.
+                let cfg = FtConfig {
+                    retry_budget: 1,
+                    vote_timeout_ms: 50,
+                    ..FtConfig::tiny(220).with_seed(34)
+                };
+                let plan = ChaosPlan::seeded(78)
+                    .partition(&[0, 1, 2], &[3], 0, 36)
+                    .with_recv_deadline(Duration::from_millis(300));
+                let reports = train_under(TransportKind::Channel, plan, &cfg);
+                for r in [0usize, 1, 2] {
+                    assert_eq!(reports[r].died_at_step, None, "majority rank {r} died");
+                    assert_eq!(reports[r].parks, 0, "the quorate side must never park");
+                    assert!(
+                        reports[r].restores >= 1,
+                        "rank {r} must rewind after burying the minority"
+                    );
+                    assert!(
+                        reports[r].dead_ranks.is_empty(),
+                        "rank {r} must re-admit the minority, still buried: {:?}",
+                        reports[r].dead_ranks
+                    );
+                    assert!(reports[r].final_loss.is_finite());
+                }
+                let minority = &reports[3];
+                assert_eq!(minority.died_at_step, None);
+                assert!(minority.parks >= 1, "the minority side must park");
+                assert_eq!(
+                    minority.rejoins, 1,
+                    "the parked rank must come back through the invite path"
+                );
+                assert_eq!(minority.restores, 0, "a parked rank buries nobody");
+                assert!(minority.dead_ranks.is_empty());
+                let epoch = reports[0].final_epoch;
+                assert!(epoch >= 2, "one burial plus one rejoin, got {epoch}");
+                for (r, rep) in reports.iter().enumerate() {
+                    assert_eq!(
+                        rep.final_epoch, epoch,
+                        "rank {r} must converge to the one surviving membership"
+                    );
+                }
+            },
         );
-        assert_eq!(minority.restores, 0, "a parked rank buries nobody");
-        assert!(minority.dead_ranks.is_empty());
-        let epoch = reports[0].final_epoch;
-        assert!(epoch >= 2, "one burial plus one rejoin, got {epoch}");
-        for (r, rep) in reports.iter().enumerate() {
-            assert_eq!(
-                rep.final_epoch, epoch,
-                "rank {r} must converge to the one surviving membership"
-            );
-        }
     }
 
     #[test]
     fn an_asymmetric_link_loss_excommunicates_the_mute_rank_and_it_rejoins() {
-        // Rank 3's outbound links go dark while its inbound stays clean —
-        // the one-way loss a dying NIC produces. The other three hear
-        // nothing from it and bury it under a 3-of-4 quorum, then keep
-        // training degraded. Rank 3 hears the verdict against itself on
-        // its still-working inbound; whether it accepts the accusation
-        // outright or parks first (its own aborted collectives give it
-        // first-hand suspicions too, which can cost the accusation quorum
-        // from its local view), it must never bury the majority — and once
-        // its links heal it comes back through the invite path.
-        let cfg = FtConfig {
-            retry_budget: 1,
-            vote_timeout_ms: 50,
-            ..FtConfig::tiny(200).with_seed(35)
-        };
-        let plan = ChaosPlan::seeded(79)
-            .blackhole_window(3, 0, 0, 24)
-            .blackhole_window(3, 1, 0, 24)
-            .blackhole_window(3, 2, 0, 24)
-            .with_recv_deadline(Duration::from_millis(300));
-        let reports = train_under(TransportKind::Channel, plan, &cfg);
-        for r in [0usize, 1, 2] {
-            assert_eq!(reports[r].died_at_step, None, "rank {r} died");
-            assert!(
-                reports[r].restores >= 1,
-                "rank {r} must rewind after the burial"
-            );
-            assert_eq!(reports[r].parks, 0);
-            assert!(
-                reports[r].dead_ranks.is_empty(),
-                "rank {r} must re-admit rank 3, still buried: {:?}",
-                reports[r].dead_ranks
-            );
-            assert!(reports[r].final_loss.is_finite());
-        }
-        assert_eq!(reports[3].rejoins, 1, "rank 3 must rejoin after the heal");
-        assert_eq!(reports[3].restores, 0, "the mute rank must bury nobody");
-        assert_eq!(reports[3].died_at_step, None);
-        let epoch = reports[0].final_epoch;
-        assert!(epoch >= 2);
-        for (r, rep) in reports.iter().enumerate() {
-            assert_eq!(rep.final_epoch, epoch, "rank {r} epoch diverged");
-        }
+        watched(
+            "an_asymmetric_link_loss_excommunicates_the_mute_rank_and_it_rejoins",
+            || {
+                // Rank 3's outbound links go dark while its inbound stays clean —
+                // the one-way loss a dying NIC produces. The other three hear
+                // nothing from it and bury it under a 3-of-4 quorum, then keep
+                // training degraded. Rank 3 hears the verdict against itself on
+                // its still-working inbound; whether it accepts the accusation
+                // outright or parks first (its own aborted collectives give it
+                // first-hand suspicions too, which can cost the accusation quorum
+                // from its local view), it must never bury the majority — and once
+                // its links heal it comes back through the invite path.
+                let cfg = FtConfig {
+                    retry_budget: 1,
+                    vote_timeout_ms: 50,
+                    ..FtConfig::tiny(200).with_seed(35)
+                };
+                let plan = ChaosPlan::seeded(79)
+                    .blackhole_window(3, 0, 0, 24)
+                    .blackhole_window(3, 1, 0, 24)
+                    .blackhole_window(3, 2, 0, 24)
+                    .with_recv_deadline(Duration::from_millis(300));
+                let reports = train_under(TransportKind::Channel, plan, &cfg);
+                for r in [0usize, 1, 2] {
+                    assert_eq!(reports[r].died_at_step, None, "rank {r} died");
+                    assert!(
+                        reports[r].restores >= 1,
+                        "rank {r} must rewind after the burial"
+                    );
+                    assert_eq!(reports[r].parks, 0);
+                    assert!(
+                        reports[r].dead_ranks.is_empty(),
+                        "rank {r} must re-admit rank 3, still buried: {:?}",
+                        reports[r].dead_ranks
+                    );
+                    assert!(reports[r].final_loss.is_finite());
+                }
+                assert_eq!(reports[3].rejoins, 1, "rank 3 must rejoin after the heal");
+                assert_eq!(reports[3].restores, 0, "the mute rank must bury nobody");
+                assert_eq!(reports[3].died_at_step, None);
+                let epoch = reports[0].final_epoch;
+                assert!(epoch >= 2);
+                for (r, rep) in reports.iter().enumerate() {
+                    assert_eq!(rep.final_epoch, epoch, "rank {r} epoch diverged");
+                }
+            },
+        );
     }
 
     /// A fresh per-test snapshot directory under the system temp dir
@@ -950,377 +1019,415 @@ mod tests {
 
     #[test]
     fn snapshot_resume_replays_the_uninterrupted_run_bit_for_bit() {
-        let dir = snap_dir("resume");
-        let cfg = FtConfig::tiny(12);
-        let snap = SnapshotCfg::new(&dir, 4);
-        let full = Fabric::run(Topology::new(2, 2), |mut h| {
-            run_ft_rank_durable(&mut h, &cfg, Some(&snap))
-        });
-        for r in &full {
-            assert!(r.snapshot_shards >= 2, "every rank persists each quantum");
-            assert!(r.snapshot_bytes > 0);
-            assert_eq!(r.resumed_at_step, None);
-        }
-        // The coordinator committed generations at steps 4 and 8.
-        assert_eq!(full[0].snapshot_generations, 2);
-        assert!(dir.join(snapshot::manifest_file_name(1)).exists());
-        assert!(dir.join(snapshot::manifest_file_name(2)).exists());
+        watched(
+            "snapshot_resume_replays_the_uninterrupted_run_bit_for_bit",
+            || {
+                let dir = snap_dir("resume");
+                let cfg = FtConfig::tiny(12);
+                let snap = SnapshotCfg::new(&dir, 4);
+                let full = Fabric::run(Topology::new(2, 2), |mut h| {
+                    run_ft_rank_durable(&mut h, &cfg, Some(&snap))
+                });
+                for r in &full {
+                    assert!(r.snapshot_shards >= 2, "every rank persists each quantum");
+                    assert!(r.snapshot_bytes > 0);
+                    assert_eq!(r.resumed_at_step, None);
+                }
+                // The coordinator committed generations at steps 4 and 8.
+                assert_eq!(full[0].snapshot_generations, 2);
+                assert!(dir.join(snapshot::manifest_file_name(1)).exists());
+                assert!(dir.join(snapshot::manifest_file_name(2)).exists());
 
-        // A cold restart resumes from step 8 and — because f32 state
-        // round-trips exactly — replays the tail bit-for-bit.
-        let rsnap = snap.clone().with_resume();
-        let resumed = Fabric::run(Topology::new(2, 2), |mut h| {
-            run_ft_rank_durable(&mut h, &cfg, Some(&rsnap))
-        });
-        for (i, (r, f)) in resumed.iter().zip(&full).enumerate() {
-            assert_eq!(r.resumed_at_step, Some(8), "rank {i}");
-            assert_eq!(r.snapshot_reconstructions, 0, "rank {i}");
-            assert!(r.loss_curve[..8].iter().all(|l| l.is_nan()));
-            for s in 8..12 {
-                assert_eq!(
-                    r.loss_curve[s].to_bits(),
-                    f.loss_curve[s].to_bits(),
-                    "rank {i} step {s} diverged after resume"
-                );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+                // A cold restart resumes from step 8 and — because f32 state
+                // round-trips exactly — replays the tail bit-for-bit.
+                let rsnap = snap.clone().with_resume();
+                let resumed = Fabric::run(Topology::new(2, 2), |mut h| {
+                    run_ft_rank_durable(&mut h, &cfg, Some(&rsnap))
+                });
+                for (i, (r, f)) in resumed.iter().zip(&full).enumerate() {
+                    assert_eq!(r.resumed_at_step, Some(8), "rank {i}");
+                    assert_eq!(r.snapshot_reconstructions, 0, "rank {i}");
+                    assert!(r.loss_curve[..8].iter().all(|l| l.is_nan()));
+                    for s in 8..12 {
+                        assert_eq!(
+                            r.loss_curve[s].to_bits(),
+                            f.loss_curve[s].to_bits(),
+                            "rank {i} step {s} diverged after resume"
+                        );
+                    }
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            },
+        );
     }
 
     #[test]
     fn a_crash_before_manifest_rename_never_commits_the_generation() {
-        let dir = snap_dir("crash");
-        let cfg = FtConfig::tiny(12);
-        // The coordinator's rename order is shard g1 (idx 0), manifest g1
-        // (1), shard g2 (2), manifest g2 (3): crash exactly the second
-        // manifest's rename. Non-coordinators never reach rename idx 3.
-        let plan = Arc::new(ChaosFsPlan::seeded(5).crash_rename_window(3, 4));
-        let snap = SnapshotCfg::new(&dir, 4).with_chaos(plan);
-        let chaos = Fabric::run(Topology::new(2, 2), |mut h| {
-            run_ft_rank_durable(&mut h, &cfg, Some(&snap))
-        });
-        // Generation 2's shards all landed, but without the manifest the
-        // generation was never committed — and the orphan tmp proves the
-        // crash hit after the write, before the rename.
-        assert_eq!(chaos[0].snapshot_generations, 1);
-        let g2_manifest = dir.join(snapshot::manifest_file_name(2));
-        assert!(dir.join(snapshot::manifest_file_name(1)).exists());
-        assert!(!g2_manifest.exists());
-        assert!(schemoe_cluster::storage::tmp_sibling(&g2_manifest).exists());
+        watched(
+            "a_crash_before_manifest_rename_never_commits_the_generation",
+            || {
+                let dir = snap_dir("crash");
+                let cfg = FtConfig::tiny(12);
+                // The coordinator's rename order is shard g1 (idx 0), manifest g1
+                // (1), shard g2 (2), manifest g2 (3): crash exactly the second
+                // manifest's rename. Non-coordinators never reach rename idx 3.
+                let plan = Arc::new(ChaosFsPlan::seeded(5).crash_rename_window(3, 4));
+                let snap = SnapshotCfg::new(&dir, 4).with_chaos(plan);
+                let chaos = Fabric::run(Topology::new(2, 2), |mut h| {
+                    run_ft_rank_durable(&mut h, &cfg, Some(&snap))
+                });
+                // Generation 2's shards all landed, but without the manifest the
+                // generation was never committed — and the orphan tmp proves the
+                // crash hit after the write, before the rename.
+                assert_eq!(chaos[0].snapshot_generations, 1);
+                let g2_manifest = dir.join(snapshot::manifest_file_name(2));
+                assert!(dir.join(snapshot::manifest_file_name(1)).exists());
+                assert!(!g2_manifest.exists());
+                assert!(schemoe_cluster::storage::tmp_sibling(&g2_manifest).exists());
 
-        // Resume ignores the interrupted generation and replays from the
-        // last complete one (step 4), bit-for-bit.
-        let rsnap = SnapshotCfg::new(&dir, 4).with_resume();
-        let resumed = Fabric::run(Topology::new(2, 2), |mut h| {
-            run_ft_rank_durable(&mut h, &cfg, Some(&rsnap))
-        });
-        for (i, (r, c)) in resumed.iter().zip(&chaos).enumerate() {
-            assert_eq!(r.resumed_at_step, Some(4), "rank {i}");
-            for s in 4..12 {
-                assert_eq!(
-                    r.loss_curve[s].to_bits(),
-                    c.loss_curve[s].to_bits(),
-                    "rank {i} step {s} diverged after resume"
-                );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+                // Resume ignores the interrupted generation and replays from the
+                // last complete one (step 4), bit-for-bit.
+                let rsnap = SnapshotCfg::new(&dir, 4).with_resume();
+                let resumed = Fabric::run(Topology::new(2, 2), |mut h| {
+                    run_ft_rank_durable(&mut h, &cfg, Some(&rsnap))
+                });
+                for (i, (r, c)) in resumed.iter().zip(&chaos).enumerate() {
+                    assert_eq!(r.resumed_at_step, Some(4), "rank {i}");
+                    for s in 4..12 {
+                        assert_eq!(
+                            r.loss_curve[s].to_bits(),
+                            c.loss_curve[s].to_bits(),
+                            "rank {i} step {s} diverged after resume"
+                        );
+                    }
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            },
+        );
     }
 
     #[test]
     fn a_corrupt_shard_restores_from_the_buddy_replica_on_disk() {
-        let dir = snap_dir("buddy");
-        let cfg = FtConfig::tiny(12).with_replica_interval(2);
-        let snap = SnapshotCfg::new(&dir, 4);
-        let full = Fabric::run(Topology::new(2, 2), |mut h| {
-            run_ft_rank_durable(&mut h, &cfg, Some(&snap))
-        });
-        assert_eq!(full[0].snapshot_generations, 2);
+        watched(
+            "a_corrupt_shard_restores_from_the_buddy_replica_on_disk",
+            || {
+                let dir = snap_dir("buddy");
+                let cfg = FtConfig::tiny(12).with_replica_interval(2);
+                let snap = SnapshotCfg::new(&dir, 4);
+                let full = Fabric::run(Topology::new(2, 2), |mut h| {
+                    run_ft_rank_durable(&mut h, &cfg, Some(&snap))
+                });
+                assert_eq!(full[0].snapshot_generations, 2);
 
-        // Silently rot one byte in rank 1's newest shard, beneath the CRC.
-        let victim = dir.join(snapshot::shard_file_name(2, 1));
-        let mut bytes = std::fs::read(&victim).expect("shard must exist");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&victim, &bytes).expect("rewrite shard");
+                // Silently rot one byte in rank 1's newest shard, beneath the CRC.
+                let victim = dir.join(snapshot::shard_file_name(2, 1));
+                let mut bytes = std::fs::read(&victim).expect("shard must exist");
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x01;
+                std::fs::write(&victim, &bytes).expect("rewrite shard");
 
-        // Rank 1 reconstructs from its buddy's embedded replica — which
-        // was streamed at the same committed step, so the tail still
-        // replays bit-for-bit on every rank.
-        let rsnap = SnapshotCfg::new(&dir, 4).with_resume();
-        let resumed = Fabric::run(Topology::new(2, 2), |mut h| {
-            run_ft_rank_durable(&mut h, &cfg, Some(&rsnap))
-        });
-        assert_eq!(resumed[1].snapshot_reconstructions, 1);
-        assert_eq!(resumed[0].snapshot_reconstructions, 0);
-        for (i, (r, f)) in resumed.iter().zip(&full).enumerate() {
-            assert_eq!(r.resumed_at_step, Some(8), "rank {i}");
-            for s in 8..12 {
-                assert_eq!(
-                    r.loss_curve[s].to_bits(),
-                    f.loss_curve[s].to_bits(),
-                    "rank {i} step {s} diverged after reconstruction"
-                );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+                // Rank 1 reconstructs from its buddy's embedded replica — which
+                // was streamed at the same committed step, so the tail still
+                // replays bit-for-bit on every rank.
+                let rsnap = SnapshotCfg::new(&dir, 4).with_resume();
+                let resumed = Fabric::run(Topology::new(2, 2), |mut h| {
+                    run_ft_rank_durable(&mut h, &cfg, Some(&rsnap))
+                });
+                assert_eq!(resumed[1].snapshot_reconstructions, 1);
+                assert_eq!(resumed[0].snapshot_reconstructions, 0);
+                for (i, (r, f)) in resumed.iter().zip(&full).enumerate() {
+                    assert_eq!(r.resumed_at_step, Some(8), "rank {i}");
+                    for s in 8..12 {
+                        assert_eq!(
+                            r.loss_curve[s].to_bits(),
+                            f.loss_curve[s].to_bits(),
+                            "rank {i} step {s} diverged after reconstruction"
+                        );
+                    }
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            },
+        );
     }
 
     #[test]
     fn gc_keeps_only_the_newest_complete_generations() {
-        let dir = snap_dir("gc");
-        let cfg = FtConfig::tiny(10);
-        let snap = SnapshotCfg::new(&dir, 2).with_keep(2);
-        let reports = Fabric::run(Topology::new(2, 2), |mut h| {
-            run_ft_rank_durable(&mut h, &cfg, Some(&snap))
+        watched("gc_keeps_only_the_newest_complete_generations", || {
+            let dir = snap_dir("gc");
+            let cfg = FtConfig::tiny(10);
+            let snap = SnapshotCfg::new(&dir, 2).with_keep(2);
+            let reports = Fabric::run(Topology::new(2, 2), |mut h| {
+                run_ft_rank_durable(&mut h, &cfg, Some(&snap))
+            });
+            // Generations committed at steps 2, 4, 6, 8; the oldest two GC'd.
+            assert_eq!(reports[0].snapshot_generations, 4);
+            assert_eq!(reports[0].snapshot_gc, 2);
+            let manifests = std::fs::read_dir(&dir)
+                .expect("snapshot dir")
+                .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                .filter(|n| n.starts_with("manifest-"))
+                .count();
+            assert_eq!(manifests, 2);
+            // A GC'd generation loses its shards too; the survivors keep theirs.
+            assert!(!dir.join(snapshot::shard_file_name(1, 0)).exists());
+            assert!(!dir.join(snapshot::manifest_file_name(2)).exists());
+            assert!(dir.join(snapshot::manifest_file_name(3)).exists());
+            assert!(dir.join(snapshot::shard_file_name(4, 0)).exists());
+            let _ = std::fs::remove_dir_all(&dir);
         });
-        // Generations committed at steps 2, 4, 6, 8; the oldest two GC'd.
-        assert_eq!(reports[0].snapshot_generations, 4);
-        assert_eq!(reports[0].snapshot_gc, 2);
-        let manifests = std::fs::read_dir(&dir)
-            .expect("snapshot dir")
-            .filter_map(|e| e.ok()?.file_name().into_string().ok())
-            .filter(|n| n.starts_with("manifest-"))
-            .count();
-        assert_eq!(manifests, 2);
-        // A GC'd generation loses its shards too; the survivors keep theirs.
-        assert!(!dir.join(snapshot::shard_file_name(1, 0)).exists());
-        assert!(!dir.join(snapshot::manifest_file_name(2)).exists());
-        assert!(dir.join(snapshot::manifest_file_name(3)).exists());
-        assert!(dir.join(snapshot::shard_file_name(4, 0)).exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn placement_commits_plans_and_replays_bit_identically() {
-        // An aggressive hot threshold forces replication on the natural
-        // routing skew of the seeded gate. The run must converge, commit
-        // plans, and — the tentpole determinism claim — two same-seed
-        // runs must agree bit-for-bit on the loss curve *and* on every
-        // placement decision (no chaos, so stall probes sit under the
-        // gray floor and plans are a pure function of routed loads).
-        let cfg = FtConfig {
-            placement_hot_factor: 1.05,
-            ..FtConfig::tiny(12).with_seed(51).with_placement_interval(3)
-        };
-        let run = || Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &cfg));
-        let a = run();
-        let b = run();
-        for (r, rep) in a.iter().enumerate() {
-            assert_eq!(rep.died_at_step, None, "rank {r} died");
-            assert!(rep.loss_curve.iter().all(|l| l.is_finite()));
-            // Quanta at steps 3, 6, 9 — every one must commit (fully
-            // live, no chaos, so the two-phase protocol cannot abort).
-            assert_eq!(rep.placement_plans, 3, "rank {r}");
-            assert!(
-                rep.placement_replications > 0,
-                "rank {r}: a 1.05x hot threshold must trigger replication"
-            );
-            assert!(rep.tokens_routed > 0, "rank {r} routed nothing");
-        }
-        let bits = |c: &[f32]| c.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-        for (r, (ra, rb)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(
-                bits(&ra.loss_curve),
-                bits(&rb.loss_curve),
-                "rank {r}: replicated routing must not perturb the trajectory"
-            );
-            assert_eq!(ra.placement_plans, rb.placement_plans, "rank {r}");
-            assert_eq!(
-                ra.placement_replications, rb.placement_replications,
-                "rank {r}"
-            );
-            assert_eq!(ra.placement_migrations, rb.placement_migrations, "rank {r}");
-            assert_eq!(ra.placement_demotions, rb.placement_demotions, "rank {r}");
-            assert_eq!(ra.tokens_shed, rb.tokens_shed, "rank {r}");
-        }
-        // Placement decisions are cluster-wide agreements: every rank
-        // reports the identical plan counters.
-        for rep in &a[1..] {
-            assert_eq!(rep.placement_plans, a[0].placement_plans);
-            assert_eq!(rep.placement_replications, a[0].placement_replications);
-        }
+        watched(
+            "placement_commits_plans_and_replays_bit_identically",
+            || {
+                // An aggressive hot threshold forces replication on the natural
+                // routing skew of the seeded gate. The run must converge, commit
+                // plans, and — the tentpole determinism claim — two same-seed
+                // runs must agree bit-for-bit on the loss curve *and* on every
+                // placement decision (no chaos, so stall probes sit under the
+                // gray floor and plans are a pure function of routed loads).
+                let cfg = FtConfig {
+                    placement_hot_factor: 1.05,
+                    ..FtConfig::tiny(12).with_seed(51).with_placement_interval(3)
+                };
+                let run = || Fabric::run(Topology::new(2, 2), |mut h| run_ft_rank(&mut h, &cfg));
+                let a = run();
+                let b = run();
+                for (r, rep) in a.iter().enumerate() {
+                    assert_eq!(rep.died_at_step, None, "rank {r} died");
+                    assert!(rep.loss_curve.iter().all(|l| l.is_finite()));
+                    // Quanta at steps 3, 6, 9 — every one must commit (fully
+                    // live, no chaos, so the two-phase protocol cannot abort).
+                    assert_eq!(rep.placement_plans, 3, "rank {r}");
+                    assert!(
+                        rep.placement_replications > 0,
+                        "rank {r}: a 1.05x hot threshold must trigger replication"
+                    );
+                    assert!(rep.tokens_routed > 0, "rank {r} routed nothing");
+                }
+                let bits = |c: &[f32]| c.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+                for (r, (ra, rb)) in a.iter().zip(&b).enumerate() {
+                    assert_eq!(
+                        bits(&ra.loss_curve),
+                        bits(&rb.loss_curve),
+                        "rank {r}: replicated routing must not perturb the trajectory"
+                    );
+                    assert_eq!(ra.placement_plans, rb.placement_plans, "rank {r}");
+                    assert_eq!(
+                        ra.placement_replications, rb.placement_replications,
+                        "rank {r}"
+                    );
+                    assert_eq!(ra.placement_migrations, rb.placement_migrations, "rank {r}");
+                    assert_eq!(ra.placement_demotions, rb.placement_demotions, "rank {r}");
+                    assert_eq!(ra.tokens_shed, rb.tokens_shed, "rank {r}");
+                }
+                // Placement decisions are cluster-wide agreements: every rank
+                // reports the identical plan counters.
+                for rep in &a[1..] {
+                    assert_eq!(rep.placement_plans, a[0].placement_plans);
+                    assert_eq!(rep.placement_replications, a[0].placement_replications);
+                }
+            },
+        );
     }
 
     #[test]
     fn placement_resets_to_static_when_a_rank_dies() {
-        // Kill a rank mid-run with the placement controller active (its
-        // quantum cadence guarantees a committed non-static placement
-        // before the death). The burial path must reset every survivor
-        // to the static layout and training must complete degraded —
-        // with replication enabled, through failover hosting too.
-        let cfg = FtConfig {
-            replica_interval: 2,
-            placement_hot_factor: 1.05,
-            ..FtConfig::tiny(20)
-                .with_seed(52)
-                .with_placement_interval(2)
-                .with_rejoin_check_every(0)
-        };
-        let plan = ChaosPlan::seeded(52)
-            .kill_after(3, 160)
-            .with_recv_deadline(Duration::from_secs(2));
-        let reports = train_under(TransportKind::from_env(), plan, &cfg);
-        let survivors: Vec<&FtReport> = reports
-            .iter()
-            .filter(|r| r.died_at_step.is_none())
-            .collect();
-        assert_eq!(survivors.len(), 3, "exactly rank 3 dies");
-        for rep in &survivors {
-            assert_eq!(rep.dead_ranks, vec![3]);
-            assert!(rep.restores >= 1, "survivors must rewind after the burial");
-            assert!(rep.final_loss.is_finite());
-            assert!(
-                rep.placement_plans >= 1,
-                "a plan must commit before the death"
-            );
-            // No placement quantum may run while a rank is buried: the
-            // controller is gated on a fully-live cluster, so plan
-            // counters froze at the death and stayed equal everywhere.
-            assert_eq!(rep.placement_plans, survivors[0].placement_plans);
-        }
+        watched("placement_resets_to_static_when_a_rank_dies", || {
+            // Kill a rank mid-run with the placement controller active (its
+            // quantum cadence guarantees a committed non-static placement
+            // before the death). The burial path must reset every survivor
+            // to the static layout and training must complete degraded —
+            // with replication enabled, through failover hosting too.
+            let cfg = FtConfig {
+                replica_interval: 2,
+                placement_hot_factor: 1.05,
+                ..FtConfig::tiny(20)
+                    .with_seed(52)
+                    .with_placement_interval(2)
+                    .with_rejoin_check_every(0)
+            };
+            let plan = ChaosPlan::seeded(52)
+                .kill_after(3, 160)
+                .with_recv_deadline(Duration::from_secs(2));
+            let reports = train_under(TransportKind::from_env(), plan, &cfg);
+            let survivors: Vec<&FtReport> = reports
+                .iter()
+                .filter(|r| r.died_at_step.is_none())
+                .collect();
+            assert_eq!(survivors.len(), 3, "exactly rank 3 dies");
+            for rep in &survivors {
+                assert_eq!(rep.dead_ranks, vec![3]);
+                assert!(rep.restores >= 1, "survivors must rewind after the burial");
+                assert!(rep.final_loss.is_finite());
+                assert!(
+                    rep.placement_plans >= 1,
+                    "a plan must commit before the death"
+                );
+                // No placement quantum may run while a rank is buried: the
+                // controller is gated on a fully-live cluster, so plan
+                // counters froze at the death and stayed equal everywhere.
+                assert_eq!(rep.placement_plans, survivors[0].placement_plans);
+            }
+        });
     }
 
     #[test]
     fn placement_rides_the_snapshot_manifest_across_a_cold_restart() {
-        // A durable run with the placement controller active snapshots
-        // under a committed placement; a cold restart must rebuild the
-        // same placement (guest bodies, velocities, version) from the
-        // manifest and replay the tail bit-for-bit.
-        let dir = snap_dir("placement");
-        let cfg = FtConfig {
-            placement_hot_factor: 1.05,
-            ..FtConfig::tiny(12).with_seed(53).with_placement_interval(2)
-        };
-        let snap = SnapshotCfg::new(&dir, 4);
-        let full = Fabric::run(Topology::new(2, 2), |mut h| {
-            run_ft_rank_durable(&mut h, &cfg, Some(&snap))
-        });
-        for r in &full {
-            assert_eq!(r.died_at_step, None);
-            assert!(
-                r.placement_replications > 0,
-                "the run must train under a non-static placement"
-            );
-        }
-        // The newest manifest embeds the placement blob.
-        let man_bytes = std::fs::read(dir.join(snapshot::manifest_file_name(2))).unwrap();
-        let man = Manifest::decode(&man_bytes).unwrap();
-        assert!(
-            !man.placement.is_empty(),
-            "an active placement must ride the manifest"
-        );
-        let pl = Placement::decode(&man.placement).unwrap();
-        assert!(!pl.is_static() || pl.version() > 0);
-
-        let rsnap = snap.clone().with_resume();
-        let resumed = Fabric::run(Topology::new(2, 2), |mut h| {
-            run_ft_rank_durable(&mut h, &cfg, Some(&rsnap))
-        });
-        for (i, (r, f)) in resumed.iter().zip(&full).enumerate() {
-            assert_eq!(r.resumed_at_step, Some(8), "rank {i}");
-            for s in 8..12 {
-                assert_eq!(
-                    r.loss_curve[s].to_bits(),
-                    f.loss_curve[s].to_bits(),
-                    "rank {i} step {s}: resume under the snapshotted placement diverged"
+        watched(
+            "placement_rides_the_snapshot_manifest_across_a_cold_restart",
+            || {
+                // A durable run with the placement controller active snapshots
+                // under a committed placement; a cold restart must rebuild the
+                // same placement (guest bodies, velocities, version) from the
+                // manifest and replay the tail bit-for-bit.
+                let dir = snap_dir("placement");
+                let cfg = FtConfig {
+                    placement_hot_factor: 1.05,
+                    ..FtConfig::tiny(12).with_seed(53).with_placement_interval(2)
+                };
+                let snap = SnapshotCfg::new(&dir, 4);
+                let full = Fabric::run(Topology::new(2, 2), |mut h| {
+                    run_ft_rank_durable(&mut h, &cfg, Some(&snap))
+                });
+                for r in &full {
+                    assert_eq!(r.died_at_step, None);
+                    assert!(
+                        r.placement_replications > 0,
+                        "the run must train under a non-static placement"
+                    );
+                }
+                // The newest manifest embeds the placement blob.
+                let man_bytes = std::fs::read(dir.join(snapshot::manifest_file_name(2))).unwrap();
+                let man = Manifest::decode(&man_bytes).unwrap();
+                assert!(
+                    !man.placement.is_empty(),
+                    "an active placement must ride the manifest"
                 );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+                let pl = Placement::decode(&man.placement).unwrap();
+                assert!(!pl.is_static() || pl.version() > 0);
+
+                let rsnap = snap.clone().with_resume();
+                let resumed = Fabric::run(Topology::new(2, 2), |mut h| {
+                    run_ft_rank_durable(&mut h, &cfg, Some(&rsnap))
+                });
+                for (i, (r, f)) in resumed.iter().zip(&full).enumerate() {
+                    assert_eq!(r.resumed_at_step, Some(8), "rank {i}");
+                    for s in 8..12 {
+                        assert_eq!(
+                            r.loss_curve[s].to_bits(),
+                            f.loss_curve[s].to_bits(),
+                            "rank {i} step {s}: resume under the snapshotted placement diverged"
+                        );
+                    }
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            },
+        );
     }
 
     #[test]
     fn a_gray_rank_is_demoted_and_training_completes() {
-        // Rank 3 stays up and correct but every link touching it gets
-        // 2 ms of latency — the gray failure a liveness probe misses.
-        // The stall probes must read the shaping, the policy must demote
-        // rank 3 to serving nothing (its expert migrates to a healthy
-        // rank), and the run completes with nobody buried: gray handling
-        // is *degradation*, not excommunication.
-        let cfg = FtConfig::tiny(10).with_seed(54).with_placement_interval(2);
-        let plan = ChaosPlan::seeded(54)
-            .slow_rank(3, Duration::from_millis(2), 5.0)
-            .with_recv_deadline(Duration::from_secs(2));
-        let reports = train_under(TransportKind::Channel, plan, &cfg);
-        for (r, rep) in reports.iter().enumerate() {
-            assert_eq!(rep.died_at_step, None, "rank {r} died");
-            assert!(
-                rep.dead_ranks.is_empty(),
-                "gray handling must bury nobody, rank {r} buried {:?}",
-                rep.dead_ranks
-            );
-            assert!(rep.final_loss.is_finite());
-            assert!(
-                rep.placement_demotions > 0,
-                "rank {r}: the gray rank must be demoted at some quantum"
-            );
-            assert!(
-                rep.placement_migrations > 0,
-                "rank {r}: the gray rank's expert must migrate off it"
-            );
-        }
+        watched("a_gray_rank_is_demoted_and_training_completes", || {
+            // Rank 3 stays up and correct but every link touching it gets
+            // 2 ms of latency — the gray failure a liveness probe misses.
+            // The stall probes must read the shaping, the policy must demote
+            // rank 3 to serving nothing (its expert migrates to a healthy
+            // rank), and the run completes with nobody buried: gray handling
+            // is *degradation*, not excommunication.
+            let cfg = FtConfig::tiny(10).with_seed(54).with_placement_interval(2);
+            let plan = ChaosPlan::seeded(54)
+                .slow_rank(3, Duration::from_millis(2), 5.0)
+                .with_recv_deadline(Duration::from_secs(2));
+            let reports = train_under(TransportKind::Channel, plan, &cfg);
+            for (r, rep) in reports.iter().enumerate() {
+                assert_eq!(rep.died_at_step, None, "rank {r} died");
+                assert!(
+                    rep.dead_ranks.is_empty(),
+                    "gray handling must bury nobody, rank {r} buried {:?}",
+                    rep.dead_ranks
+                );
+                assert!(rep.final_loss.is_finite());
+                assert!(
+                    rep.placement_demotions > 0,
+                    "rank {r}: the gray rank must be demoted at some quantum"
+                );
+                assert!(
+                    rep.placement_migrations > 0,
+                    "rank {r}: the gray rank's expert must migrate off it"
+                );
+            }
+        });
     }
 
     #[test]
     fn a_mid_placement_kill_leaves_survivors_routing_and_completing() {
-        // Rank 2 dies while placement quanta are in flight (the kill
-        // index lands its death inside the protocol's message exchange
-        // for some seed/cadence — and wherever it lands, the guarantee
-        // is the same): survivors must abort or unwind any torn plan via
-        // the burial reset and finish training on the static layout.
-        let cfg = FtConfig {
-            placement_hot_factor: 1.05,
-            ..FtConfig::tiny(20)
-                .with_seed(55)
-                .with_placement_interval(2)
-                .with_rejoin_check_every(0)
-        };
-        let plan = ChaosPlan::seeded(55)
-            .kill_after(2, 90)
-            .with_recv_deadline(Duration::from_secs(2));
-        let reports = train_under(TransportKind::from_env(), plan, &cfg);
-        let survivors: Vec<&FtReport> = reports
-            .iter()
-            .filter(|r| r.died_at_step.is_none())
-            .collect();
-        assert_eq!(survivors.len(), 3, "exactly rank 2 dies");
-        for rep in &survivors {
-            assert_eq!(rep.dead_ranks, vec![2]);
-            assert!(rep.final_loss.is_finite());
-            assert_eq!(
-                rep.loss_curve.iter().filter(|l| l.is_finite()).count(),
-                20,
-                "every step must commit despite the torn quantum"
-            );
-        }
+        watched(
+            "a_mid_placement_kill_leaves_survivors_routing_and_completing",
+            || {
+                // Rank 2 dies while placement quanta are in flight (the kill
+                // index lands its death inside the protocol's message exchange
+                // for some seed/cadence — and wherever it lands, the guarantee
+                // is the same): survivors must abort or unwind any torn plan via
+                // the burial reset and finish training on the static layout.
+                let cfg = FtConfig {
+                    placement_hot_factor: 1.05,
+                    ..FtConfig::tiny(20)
+                        .with_seed(55)
+                        .with_placement_interval(2)
+                        .with_rejoin_check_every(0)
+                };
+                let plan = ChaosPlan::seeded(55)
+                    .kill_after(2, 90)
+                    .with_recv_deadline(Duration::from_secs(2));
+                let reports = train_under(TransportKind::from_env(), plan, &cfg);
+                let survivors: Vec<&FtReport> = reports
+                    .iter()
+                    .filter(|r| r.died_at_step.is_none())
+                    .collect();
+                assert_eq!(survivors.len(), 3, "exactly rank 2 dies");
+                for rep in &survivors {
+                    assert_eq!(rep.dead_ranks, vec![2]);
+                    assert!(rep.final_loss.is_finite());
+                    assert_eq!(
+                        rep.loss_curve.iter().filter(|l| l.is_finite()).count(),
+                        20,
+                        "every step must commit despite the torn quantum"
+                    );
+                }
+            },
+        );
     }
 
     #[test]
     fn parked_frames_do_not_accumulate_with_run_length() {
-        // Surplus vote copies, second copies of every placement transfer and
-        // unasked-for probes all land in the handle's parking map under
-        // step-unique tags. The per-step discard must keep what is parked
-        // at exit independent of how long the run was.
-        let parked_after = |steps: usize, name: &str| {
-            let dir = snap_dir(name);
-            let cfg = FtConfig {
-                placement_hot_factor: 1.05,
-                ..FtConfig::tiny(steps)
-                    .with_seed(51)
-                    .with_replica_interval(1)
-                    .with_placement_interval(2)
+        watched("parked_frames_do_not_accumulate_with_run_length", || {
+            // Surplus vote copies, second copies of every placement transfer and
+            // unasked-for probes all land in the handle's parking map under
+            // step-unique tags. The per-step discard must keep what is parked
+            // at exit independent of how long the run was.
+            let parked_after = |steps: usize, name: &str| {
+                let dir = snap_dir(name);
+                let cfg = FtConfig {
+                    placement_hot_factor: 1.05,
+                    ..FtConfig::tiny(steps)
+                        .with_seed(51)
+                        .with_replica_interval(1)
+                        .with_placement_interval(2)
+                };
+                let snap = SnapshotCfg::new(&dir, 2);
+                let ranks = Fabric::run(Topology::new(2, 2), |mut h| {
+                    let report = run_ft_rank_durable(&mut h, &cfg, Some(&snap));
+                    assert_eq!(report.died_at_step, None);
+                    (h.parked_bytes(), report.placement_transfer_bytes)
+                });
+                let _ = std::fs::remove_dir_all(&dir);
+                assert!(ranks.iter().any(|r| r.1 > 0), "no state transfer ran");
+                ranks.iter().map(|r| r.0).collect::<Vec<_>>()
             };
-            let snap = SnapshotCfg::new(&dir, 2);
-            let ranks = Fabric::run(Topology::new(2, 2), |mut h| {
-                let report = run_ft_rank_durable(&mut h, &cfg, Some(&snap));
-                assert_eq!(report.died_at_step, None);
-                (h.parked_bytes(), report.placement_transfer_bytes)
-            });
-            let _ = std::fs::remove_dir_all(&dir);
-            assert!(ranks.iter().any(|r| r.1 > 0), "no state transfer ran");
-            ranks.iter().map(|r| r.0).collect::<Vec<_>>()
-        };
-        assert_eq!(parked_after(10, "parked10"), parked_after(40, "parked40"));
+            assert_eq!(parked_after(10, "parked10"), parked_after(40, "parked40"));
+        });
     }
 }

@@ -1,7 +1,8 @@
 //! Expert-parallel MoE execution over the rank fabric.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::iter::once;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -771,7 +772,7 @@ impl DistributedMoeLayer {
             // dW: combine-weight gradients, one per admitted slot, after
             // the C1b encodes so the comm lanes start as early as possible.
             let d_weights = &d_weights;
-            graph.push(Worker::Compute, vec![], move || {
+            graph.push(Worker::Compute, [], move || {
                 let _s = obs::span("gate", "dW");
                 let mut flat = ws.take(decision.slots().count());
                 decision.weight_grads(dy, returned_outputs, &mut flat);
@@ -780,7 +781,7 @@ impl DistributedMoeLayer {
             });
             if let Some(ar) = allreduce {
                 let handle = &handle;
-                graph.push(Worker::Comm, vec![], move || {
+                graph.push(Worker::Comm, [], move || {
                     let _s = obs::span("coll", "allreduce[replicated]");
                     allreduce_live(&mut handle.lock(), ar.values, ar.tag, ar.live)
                 });
@@ -903,7 +904,10 @@ struct Failure {
 /// One step's task graph under construction.
 #[derive(Default)]
 struct Graph<'a> {
-    tasks: Vec<ExecTask<'a>>,
+    tasks: Vec<ExecTask<'a, Range<usize>>>,
+    /// Every task's dependencies, one run after another: a task's `deps`
+    /// is its range here.
+    deps: Vec<usize>,
     failure: Arc<Failure>,
 }
 
@@ -914,7 +918,7 @@ impl<'a> Graph<'a> {
     fn push(
         &mut self,
         worker: Worker,
-        deps: Vec<usize>,
+        deps: impl IntoIterator<Item = usize>,
         run: impl FnOnce() -> Result<(), FabricError> + Send + 'a,
     ) -> usize {
         let failure = Arc::clone(&self.failure);
@@ -924,13 +928,20 @@ impl<'a> Graph<'a> {
                 failure.cancel.store(true, Ordering::Release);
             }
         });
+        let start = self.deps.len();
+        self.deps.extend(deps);
         self.tasks.push(ExecTask {
             worker,
-            deps,
+            deps: start..self.deps.len(),
             span: None,
             run,
         });
         self.tasks.len() - 1
+    }
+
+    /// The index the next [`push`](Self::push) returns.
+    fn next(&self) -> usize {
+        self.tasks.len()
     }
 
     /// Runs the graph: in submission order on the calling thread when
@@ -938,12 +949,24 @@ impl<'a> Graph<'a> {
     /// error wins over the executor's panic report, which is usually
     /// downstream fallout of the fabric failure.
     fn run(self, inline: bool) -> Result<(), FabricError> {
+        let Graph {
+            tasks,
+            deps,
+            failure,
+        } = self;
+        let tasks = tasks.into_iter().map(|t| ExecTask {
+            worker: t.worker,
+            deps: &deps[t.deps],
+            span: t.span,
+            run: t.run,
+        });
+        let tasks: Vec<_> = tasks.collect();
         let exec = if inline {
-            run_inline_cancellable(self.tasks, &self.failure.cancel)
+            run_inline_cancellable(tasks, &failure.cancel)
         } else {
-            run_overlapped_cancellable(self.tasks, &self.failure.cancel)
+            run_overlapped_cancellable(tasks, &failure.cancel)
         };
-        if let Some(e) = self.failure.error.lock().take() {
+        if let Some(e) = failure.error.lock().take() {
             return Err(e);
         }
         exec.map_err(|e| FabricError::Worker {
@@ -1019,28 +1042,36 @@ impl<'a> Pipeline<'a> {
         };
         let c1_bytes = (n * m * 4) as f64 / (chunks * servers.len().max(1)) as f64;
         let to_servers = |o, d| routing.dispatches(o, d);
-        let mut held = Vec::with_capacity(chunks);
+        // Per (chunk, peer): the task after which the peer's block of the
+        // chunk is built, held here, served, and held back home.
+        let mut table = vec![None; 4 * chunks * p];
+        let (built, rest) = table.split_at_mut(chunks * p);
+        let (held, rest) = rest.split_at_mut(chunks * p);
+        let (served, replied) = rest.split_at_mut(chunks * p);
+        let mut scratch = PostScratch::default();
         for (c, [out, _]) in legs.iter().enumerate() {
-            let mut built = vec![usize::MAX; p];
+            let built = &mut built[c * p..(c + 1) * p];
             for &dst in &servers {
-                built[dst] = graph.push(Worker::Compute, vec![], move || {
+                built[dst] = Some(graph.push(Worker::Compute, [], move || {
                     let name = format_args!("{}[c{c}p{dst}]", pass.label(Compress1));
                     let _s = obs::span_sized("encode", name, c1_bytes);
                     out.lock().insert((me, dst), Block::Frame(encode(c, dst)));
                     Ok(())
-                });
+                }));
             }
             let stage = (pass.label(AllToAll1), out_lane, c);
-            held.push(self.post(graph, stage, out, to_servers, |d| built[d]));
+            let held = &mut held[c * p..(c + 1) * p];
+            self.post(graph, stage, (out, held, &mut scratch), to_servers, |d| {
+                built[d]
+            });
         }
         between(graph);
-        let mut replied = Vec::with_capacity(chunks);
         for (c, [out, back]) in legs.iter().enumerate() {
             let tag = chunk_tag(self.tag_base, out_lane, c, 0);
-            let mut served = vec![usize::MAX; p];
+            let served = &mut served[c * p..(c + 1) * p];
             for &j in &sources {
-                let deps = vec![held[c][j].expect("a source's block arrives")];
-                served[j] = graph.push(Worker::Compute, deps, move || {
+                let deps = held[c * p + j].expect("a source's block arrives");
+                served[j] = Some(graph.push(Worker::Compute, [deps], move || {
                     let chunk = take_block(out, (j, me));
                     let name = format_args!("{}[c{c}p{j}]", pass.label(Decompress1));
                     let d1 = obs::span_sized("decode", name, chunk.len() as f64);
@@ -1064,16 +1095,18 @@ impl<'a> Pipeline<'a> {
                     ws.put(outputs);
                     fits.then_some(())
                         .ok_or(FabricError::Corrupt { peer: j, tag })
-                });
+                }));
             }
             let stage = (pass.label(AllToAll2), back_lane, c);
-            replied.push(self.post(graph, stage, back, |o, d| to_servers(d, o), |d| served[d]));
+            let replied = &mut replied[c * p..(c + 1) * p];
+            let leg = (back, replied, &mut scratch);
+            self.post(graph, stage, leg, |o, d| to_servers(d, o), |d| served[d]);
         }
         for (c, [_, back]) in legs.iter().enumerate() {
             let tag = chunk_tag(self.tag_base, back_lane, c, 0);
             for &s in &servers {
-                let deps = vec![replied[c][s].expect("a server's reply arrives")];
-                graph.push(Worker::Compute, deps, move || {
+                let deps = replied[c * p + s].expect("a server's reply arrives");
+                graph.push(Worker::Compute, [deps], move || {
                     let chunk = take_block(back, (s, me));
                     let name = format_args!("{}[c{c}p{s}]", pass.label(Decompress2));
                     let d2 = obs::span_sized("decode", name, chunk.len() as f64);
@@ -1102,9 +1135,9 @@ impl<'a> Pipeline<'a> {
     /// receives, phase `k` on `chunk_tag(.., c, k)`. The leg's blocks live
     /// in `leg`, and `present` says which exist. A send waits for the tasks
     /// producing its blocks: `produced(d)` for this rank's own block for
-    /// `d`, the receive that brought a relayed one. Returns per origin `o`
-    /// the task after which block `(o, me)` is held, if the leg carries
-    /// it; this rank's own block never leaves `leg`.
+    /// `d`, the receive that brought a relayed one. Writes into `held`, per
+    /// origin `o`, the task after which block `(o, me)` is held, if the leg
+    /// carries it; this rank's own block never leaves `leg`.
     ///
     /// A send's span is `{stem}[c{c}p{dst}]`; a receive's is its `…w`
     /// twin, deliberately outside the profiler's stem set: blocked-receive
@@ -1113,24 +1146,28 @@ impl<'a> Pipeline<'a> {
         self,
         graph: &mut Graph<'a>,
         (stem, lane, c): (StageLabel, u64, usize),
-        leg: &'a Mutex<Held>,
+        (leg, held, scratch): (&'a Mutex<Held>, &mut [Option<usize>], &mut PostScratch),
         present: impl Fn(usize, usize) -> bool,
-        produced: impl Fn(usize) -> usize,
-    ) -> Vec<Option<usize>> {
+        produced: impl Fn(usize) -> Option<usize>,
+    ) {
         let topo = self.handle.lock().topology();
         let me = self.handle.lock().rank();
+        let PostScratch { held_after, deps } = scratch;
+        held_after.clear();
         let own = (0..topo.world_size()).filter(|&d| present(me, d));
-        let mut held_after: HashMap<(usize, usize), usize> =
-            own.map(|d| ((me, d), produced(d))).collect();
+        held_after.extend(own.map(|d| ((me, d), produced(d).expect("an own block is built"))));
         for step in self.plan.steps(&topo, me, &present) {
             let tag = chunk_tag(self.tag_base, lane, c, step.phase);
             let sends = step.op.src == me;
             let peer = if sends { step.op.dst } else { step.op.src };
             if sends {
-                let mut deps: Vec<usize> = step.keys.iter().map(|k| held_after[k]).collect();
-                deps.sort_unstable();
-                deps.dedup();
-                graph.push(Worker::Comm, deps, move || {
+                let after = |key: &(usize, usize)| {
+                    let held = held_after.iter().rfind(|(k, _)| k == key);
+                    held.expect("a block is held before it is sent").1
+                };
+                deps.clear();
+                deps.extend(step.keys.iter().map(after));
+                graph.push(Worker::Comm, deps.iter().copied(), move || {
                     let blocks = step.take(&mut leg.lock());
                     let bytes: usize = blocks.iter().map(Block::payload_len).sum();
                     let name = format_args!("{stem}[c{c}p{peer}]");
@@ -1138,19 +1175,30 @@ impl<'a> Pipeline<'a> {
                     step.send(&self.handle.lock(), tag, blocks)
                 });
             } else {
-                let keys = step.keys.clone();
-                let task = graph.push(Worker::Comm, vec![], move || {
+                let task = graph.next();
+                held_after.extend(step.keys.iter().map(|&key| (key, task)));
+                graph.push(Worker::Comm, [], move || {
                     let _s = obs::span("a2a", format_args!("{stem}w[c{c}p{peer}]"));
                     let msg = self.recv(peer, tag)?;
                     step.file(&mut leg.lock(), msg, tag)
                 });
-                held_after.extend(keys.into_iter().map(|key| (key, task)));
             }
         }
-        (0..topo.world_size())
-            .map(|o| held_after.get(&(o, me)).copied())
-            .collect()
+        for (o, held) in held.iter_mut().enumerate() {
+            *held = held_after
+                .iter()
+                .rfind(|(k, _)| *k == (o, me))
+                .map(|&(_, t)| t);
+        }
     }
+}
+
+/// What [`Pipeline::post`] reuses from leg to leg: which task holds each
+/// block (the latest entry for a key wins), and one send's dependencies.
+#[derive(Default)]
+struct PostScratch {
+    held_after: Vec<((usize, usize), usize)>,
+    deps: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -1164,6 +1212,7 @@ mod tests {
     use schemoe_tensor::nn::{Module, SavedForm};
     use schemoe_tensor::rng::{self, seeded};
     use std::collections::BTreeSet;
+    use std::collections::HashMap;
 
     const M: usize = 6;
     const H: usize = 10;
@@ -2476,7 +2525,7 @@ mod tests {
                     } else {
                         held[&(c, (j, me))]
                     };
-                    let deps = &tasks[serves[c * p + j]].deps;
+                    let deps = &graph.deps[tasks[serves[c * p + j]].deps.clone()];
                     assert_eq!(deps, &[want], "rank {me}: serve(c{c}, {j})");
                 }
             }

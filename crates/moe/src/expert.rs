@@ -105,6 +105,50 @@ mod tests {
     }
 
     #[test]
+    fn the_saved_form_at_the_moe_wide_shape_is_forward_and_backward_bitwise() {
+        // M 1024, H 8, as the `moe_wide` layer runs it: two forward calls,
+        // one backward group of two segments, against `forward` /
+        // `backward` on the whole batch.
+        let (m, h, rows, cut) = (1024, 8, 77, 30);
+        let (mut whole, mut saved) = (
+            FfExpert::new(m, h, &mut rng::seeded(4)),
+            FfExpert::new(m, h, &mut rng::seeded(4)),
+        );
+        let x = rng::uniform(&[rows, m], 1.0, &mut rng::seeded(5));
+        let dy = rng::uniform(&[rows, m], 1.0, &mut rng::seeded(6));
+        let y = whole.forward(&x);
+        let dx = whole.backward(&dy);
+
+        let sw = saved.saved_width();
+        let mut kept = vec![0.0; rows * sw];
+        let mut y2 = vec![0.0; rows * m];
+        let parts = [(0, cut), (cut, rows)];
+        for (lo, hi) in parts {
+            let xs = Mat::new(&x.data()[lo * m..hi * m], hi - lo, m);
+            saved.forward_saving(xs, &mut kept[lo * sw..hi * sw], &mut y2[lo * m..hi * m]);
+        }
+        let group: Vec<Segment> = parts
+            .iter()
+            .map(|&(lo, hi)| Segment {
+                x: Mat::new(&x.data()[lo * m..hi * m], hi - lo, m),
+                saved: Mat::new(&kept[lo * sw..hi * sw], hi - lo, sw),
+                dy: Mat::new(&dy.data()[lo * m..hi * m], hi - lo, m),
+            })
+            .collect();
+        let mut dx2 = vec![0.0; rows * m];
+        saved.backward_from(&group, &mut dx2);
+
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y2), bits(y.data()));
+        assert_eq!(bits(&dx2), bits(dx.data()));
+        let mut grads = [Vec::new(), Vec::new()];
+        for (g, e) in grads.iter_mut().zip([&mut whole, &mut saved]) {
+            Expert::visit_params(e, &mut |p| g.push(bits(p.grad.data())));
+        }
+        assert_eq!(grads[0], grads[1]);
+    }
+
+    #[test]
     fn empty_batch_is_supported() {
         // Capacity-dropped experts may receive zero tokens; the expert must
         // handle an empty batch without special casing upstream.

@@ -1,7 +1,7 @@
 //! The learnable top-k gating function.
 
 use rand::rngs::SmallRng;
-use schemoe_tensor::gemm::{gemm, Init, Mat};
+use schemoe_tensor::gemm::{linear_backward, Mat};
 use schemoe_tensor::nn::Param;
 use schemoe_tensor::{rng, Tensor};
 
@@ -119,6 +119,8 @@ struct Cache {
     picks: Vec<(usize, usize)>,
     /// `dWg` before it is added to the gradient.
     dwg: Vec<f32>,
+    /// What [`linear_backward`] reuses call to call.
+    scratch: Vec<f32>,
     /// Whether a backward may still consume this forward.
     live: bool,
 }
@@ -216,6 +218,7 @@ impl TopKGate {
             probs: Tensor::zeros(&[0]),
             picks: Vec::new(),
             dwg: Vec::new(),
+            scratch: Vec::new(),
             live: false,
         });
         cache.x.clone_from(x);
@@ -300,15 +303,17 @@ impl TopKGate {
                 dp[j] = p[j] * (dp[j] - dot);
             }
         }
-        let dlogits = Mat::of(&dprobs);
-        // Linear backward: dWg += xᵀ · dlogits, formed whole and then added;
-        // dx = dlogits · Wgᵀ.
+        // Linear backward: dWg += xᵀ · dlogits, formed whole from zero and
+        // then added; dx = dlogits · Wgᵀ.
+        cache.dwg.clear();
         cache.dwg.resize(self.wg.grad.numel(), 0.0);
-        gemm(Mat::of(&cache.x).t(), dlogits, Init::Zero, &mut cache.dwg);
+        let (x, dlogits) = (Mat::of(&cache.x), Mat::of(&dprobs));
+        let w = Mat::of(&self.wg.value);
+        let grads = (&mut cache.dwg[..], &mut [][..]);
+        linear_backward(x, dlogits, w, grads, dx, &mut cache.scratch);
         for (g, &d) in self.wg.grad.data_mut().iter_mut().zip(&cache.dwg) {
             *g += d;
         }
-        gemm(dlogits, Mat::of(&self.wg.value).t(), Init::Zero, dx);
     }
 
     /// Visits the gate's learnable parameter.

@@ -66,13 +66,14 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The `'a` lifetime lets task closures borrow from the submitting stack
 /// frame (tensors, rank handles), which is what the functional MoE pipeline
 /// needs; `run_overlapped` joins every worker before returning, so the
-/// borrows cannot escape.
-pub struct ExecTask<'a> {
+/// borrows cannot escape. `D` holds the dependencies: a `Vec` of its own
+/// by default, or a slice of one list a whole graph shares.
+pub struct ExecTask<'a, D = Vec<usize>> {
     /// Worker assignment.
     pub worker: Worker,
     /// Indices of tasks (within the submitted vector) that must complete
     /// first.
-    pub deps: Vec<usize>,
+    pub deps: D,
     /// Observability label: `(category, name)` of the span the executor
     /// records around `run` when the recorder is enabled. `None` runs
     /// unrecorded.
@@ -82,9 +83,9 @@ pub struct ExecTask<'a> {
 }
 
 /// A task staged on one worker's queue: (index, deps, span, work).
-type Queued<'a> = (
+type Queued<'a, D> = (
     usize,
-    Vec<usize>,
+    D,
     Option<(&'static str, String)>,
     Box<dyn FnOnce() + Send + 'a>,
 );
@@ -155,8 +156,8 @@ pub fn run_overlapped(tasks: Vec<ExecTask<'_>>) -> Result<(), ExecError> {
 /// design — a task already running is never interrupted — and a cancelled
 /// pipeline returns `Ok`; the submitter reports its own reason for the
 /// cancel (the executor has no channel to carry it).
-pub fn run_overlapped_cancellable(
-    tasks: Vec<ExecTask<'_>>,
+pub fn run_overlapped_cancellable<D: AsRef<[usize]> + Send>(
+    tasks: Vec<ExecTask<'_, D>>,
     cancel: &AtomicBool,
 ) -> Result<(), ExecError> {
     let n = tasks.len();
@@ -166,8 +167,8 @@ pub fn run_overlapped_cancellable(
     });
     let failure: Arc<Mutex<Option<ExecError>>> = Arc::new(Mutex::new(None));
 
-    let mut comp: Vec<Queued<'_>> = Vec::new();
-    let mut comm: Vec<Queued<'_>> = Vec::new();
+    let mut comp: Vec<Queued<'_, D>> = Vec::new();
+    let mut comm: Vec<Queued<'_, D>> = Vec::new();
     for (i, t) in tasks.into_iter().enumerate() {
         match t.worker {
             Worker::Compute => comp.push((i, t.deps, t.span, t.run)),
@@ -175,9 +176,9 @@ pub fn run_overlapped_cancellable(
         }
     }
 
-    let drain = |worker: Worker, queue: Vec<Queued<'_>>| {
+    let drain = |worker: Worker, queue: Vec<Queued<'_, D>>| {
         for (idx, deps, span, run) in queue {
-            board.wait_for(&deps);
+            board.wait_for(deps.as_ref());
             if failure.lock().is_none() && !cancel.load(Ordering::Acquire) {
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_task(span, run))) {
                     let mut slot = failure.lock();
@@ -236,13 +237,13 @@ pub fn run_overlapped_cancellable(
 /// # Panics
 ///
 /// Panics if a task depends on one submitted after it.
-pub fn run_inline_cancellable(
-    tasks: Vec<ExecTask<'_>>,
+pub fn run_inline_cancellable<D: AsRef<[usize]>>(
+    tasks: Vec<ExecTask<'_, D>>,
     cancel: &AtomicBool,
 ) -> Result<(), ExecError> {
     for (idx, t) in tasks.into_iter().enumerate() {
         assert!(
-            t.deps.iter().all(|&d| d < idx),
+            t.deps.as_ref().iter().all(|&d| d < idx),
             "task {idx} depends on a later task; inline runs need a topological order"
         );
         if cancel.load(Ordering::Acquire) {

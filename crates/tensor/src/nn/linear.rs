@@ -2,7 +2,7 @@
 
 use rand::rngs::SmallRng;
 
-use crate::gemm::{gemm, Init, Mat};
+use crate::gemm::{gemm, linear_backward, Init, Mat};
 use crate::nn::{Module, Param, Saved, SavedForm, Segment};
 use crate::rng;
 use crate::tensor::Tensor;
@@ -12,6 +12,8 @@ pub struct Linear {
     w: Param,
     b: Param,
     cache: Saved,
+    /// What [`linear_backward`] reuses call to call.
+    scratch: Vec<f32>,
 }
 
 impl Linear {
@@ -21,6 +23,7 @@ impl Linear {
             w: Param::new("linear.w", rng::xavier(in_features, out_features, rng)),
             b: Param::new("linear.b", Tensor::zeros(&[out_features])),
             cache: Saved::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -37,6 +40,7 @@ impl Linear {
             w: Param::new("linear.w", w),
             b: Param::new("linear.b", b),
             cache: Saved::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -67,20 +71,12 @@ impl Linear {
     /// of `dy` (the group's bias chain, which the caller started at zero),
     /// and `dx = dy · Wᵀ`.
     pub(crate) fn backward_segment(&mut self, x: Mat, dy: Mat, db: &mut [f32], dx: &mut [f32]) {
-        let out_features = self.out_features();
         assert!(
-            dy.rows() == x.rows() && dy.cols() == out_features,
+            dy.rows() == x.rows() && dy.cols() == self.out_features(),
             "linear backward: dy shape mismatch"
         );
-        gemm(x.t(), dy, Init::Out, self.w.grad.data_mut());
-        let dy_rows = dy.as_slice();
-        for i in 0..dy.rows() {
-            let row = &dy_rows[i * out_features..(i + 1) * out_features];
-            for (d, &g) in db.iter_mut().zip(row) {
-                *d += g;
-            }
-        }
-        gemm(dy, Mat::of(&self.w.value).t(), Init::Zero, dx);
+        let (w, dw) = (Mat::of(&self.w.value), self.w.grad.data_mut());
+        linear_backward(x, dy, w, (dw, db), dx, &mut self.scratch);
     }
 
     /// Closes a group's bias chain: `b.grad += db`.

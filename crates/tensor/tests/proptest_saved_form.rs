@@ -150,18 +150,44 @@ proptest! {
         cuts in (0usize..=24, 0usize..=24), seed in 0u64..1 << 32
     ) {
         let make = || FeedForward::new(width, hidden, ActivationKind::Gelu, &mut rng::seeded(seed));
-        // Linear, GELU, Linear, differentiated in reverse.
-        let oracle = |p: &mut [(Tensor, Tensor)], x: &Tensor, dy: &Tensor| {
-            let (first, second) = p.split_at_mut(2);
-            let mut h = Tensor::zeros(&[x.dims()[0], hidden]);
-            gemm(Mat::of(x), Mat::of(&first[0].0), Init::Row(first[1].0.data()), h.data_mut());
-            let a = h.map(gelu);
-            let (y, da) = linear_oracle(second, &a, dy);
-            let dh = h.data().iter().zip(da.data()).map(|(&hv, &d)| gelu_grad(hv) * d);
-            let dh = Tensor::from_vec(dh.collect(), h.dims()).unwrap();
-            let (_, dx) = linear_oracle(first, x, &dh);
-            (y, dx)
-        };
-        check(make, (rows, width), cuts, seed, oracle);
+        check(make, (rows, width), cuts, seed, feed_forward_oracle(hidden));
+    }
+}
+
+/// Linear, GELU, Linear, differentiated in reverse.
+fn feed_forward_oracle(
+    hidden: usize,
+) -> impl Fn(&mut [(Tensor, Tensor)], &Tensor, &Tensor) -> (Tensor, Tensor) {
+    move |p, x, dy| {
+        let (first, second) = p.split_at_mut(2);
+        let mut h = Tensor::zeros(&[x.dims()[0], hidden]);
+        gemm(
+            Mat::of(x),
+            Mat::of(&first[0].0),
+            Init::Row(first[1].0.data()),
+            h.data_mut(),
+        );
+        let a = h.map(gelu);
+        let (y, da) = linear_oracle(second, &a, dy);
+        let dh = h
+            .data()
+            .iter()
+            .zip(da.data())
+            .map(|(&hv, &d)| gelu_grad(hv) * d);
+        let dh = Tensor::from_vec(dh.collect(), h.dims()).unwrap();
+        let (_, dx) = linear_oracle(first, x, &dh);
+        (y, dx)
+    }
+}
+
+/// The `moe_wide` expert's shape (M 1024, H 8): both layers take their
+/// one-pass backward and the second layer's forward a `k = 8` product,
+/// with a row tail in every part of the cut group.
+#[test]
+fn feed_forward_at_the_moe_wide_shape_is_forward_and_backward_bit_for_bit() {
+    let (width, hidden) = (1024, 8);
+    for (rows, cuts, seed) in [(131, (45, 98), 1), (64, (0, 33), 2), (9, (9, 9), 3)] {
+        let make = || FeedForward::new(width, hidden, ActivationKind::Gelu, &mut rng::seeded(seed));
+        check(make, (rows, width), cuts, seed, feed_forward_oracle(hidden));
     }
 }
