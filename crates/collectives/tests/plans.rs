@@ -13,7 +13,9 @@
 //!   rank holds exactly the blocks addressed to it;
 //! * an op's `bytes` are its blocks times the per-pair bytes;
 //! * a plan has at most `MAX_PLAN_PHASES` phases, and every tag
-//!   `tag_base + phase` stays inside the lane `tag_base` opens.
+//!   `tag_base + phase` stays inside the lane `tag_base` opens;
+//! * a rank's own block `(r, r)` travels only under 1DH, and there only a
+//!   non-leader's, out to its leader and back.
 
 use std::collections::{HashMap, HashSet};
 
@@ -108,6 +110,46 @@ fn every_plan_delivers_each_block_once_from_blocks_its_senders_hold() {
                     base / TAG_STRIDE,
                     "{ctx}: window"
                 );
+            }
+        }
+    }
+}
+
+/// A rank's own block `(r, r)` stays home under every algorithm but 1DH,
+/// whose gather ships a non-leader's whole payload, its own block
+/// included, to the node leader (phase 0) and whose scatter brings that
+/// block back (phase 2). Counted on the sending side of every rank's
+/// [`A2aPlan::steps`](schemoe_collectives::A2aPlan::steps).
+#[test]
+fn only_1dh_carries_own_blocks_and_then_each_non_leaders_twice() {
+    for topo in shapes() {
+        let p = topo.world_size();
+        for alg in algorithms() {
+            let plan = alg.plan(&topo, PER_PAIR * p as u64);
+            let mut carried: HashMap<usize, Vec<usize>> = HashMap::new();
+            for me in 0..p {
+                let steps = plan.steps(&topo, me, |_, _| true);
+                for step in steps.iter().filter(|step| step.op.src == me) {
+                    for &(o, _) in step.keys.iter().filter(|&&(o, d)| o == d) {
+                        carried.entry(o).or_default().push(step.phase);
+                    }
+                }
+            }
+            let ctx = format!(
+                "{} on {}x{}",
+                alg.name(),
+                topo.nodes(),
+                topo.gpus_per_node()
+            );
+            for r in 0..p {
+                let mut phases = carried.remove(&r).unwrap_or_default();
+                phases.sort_unstable();
+                let leader = topo.rank_of(topo.node_of(r), 0) == r;
+                let want = match alg.name() == OneDimHierA2A.name() && !leader {
+                    true => vec![0, 2],
+                    false => vec![],
+                };
+                assert_eq!(phases, want, "{ctx}: phases carrying ({r}, {r})");
             }
         }
     }
